@@ -4,7 +4,7 @@
 //! ```text
 //! harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse]
 //!         [--scale F] [--docs N]
-//! harness compare OLD.json NEW.json [--max-regress PCT] [--abs-slack MS] [--loose SUBSTR=PCT ...]
+//! harness compare OLD.json NEW.json [--max-regress PCT] [--abs-slack MS]
 //! ```
 //!
 //! `--scale` multiplies the expression counts of each experiment (1.0 =
@@ -21,9 +21,9 @@
 
 use pxf_bench::{
     build_workload, measure_parse_paths_us, measure_parse_us, run_churn, run_engine,
-    run_engine_compiled, run_engine_configured, run_sharded, EngineKind, RunResult, WorkloadSpec,
+    run_engine_configured, EngineKind, RunResult, WorkloadSpec,
 };
-use pxf_core::{AttrMode, CompileOptions, Stage1, Stage2};
+use pxf_core::{AttrMode, Stage1, Stage2};
 use pxf_workload::Regime;
 
 struct Opts {
@@ -98,9 +98,9 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|covering|subset_compile|xfilter|hostile|churn|broker|benchjson] \
+        "usage: harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|covering|xfilter|hostile|churn|broker|benchjson] \
          [--scale F] [--docs N] [--reps N] [--out PATH]\n\
-         \x20      harness compare OLD.json NEW.json [--max-regress PCT] [--abs-slack MS] [--loose SUBSTR=PCT ...]"
+         \x20      harness compare OLD.json NEW.json [--max-regress PCT] [--abs-slack MS]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 })
 }
@@ -156,10 +156,6 @@ fn main() {
     }
     if run("covering") {
         covering_analysis(&opts);
-        ran = true;
-    }
-    if run("subset_compile") {
-        subset_compile(&opts, None);
         ran = true;
     }
     if run("xfilter") {
@@ -256,9 +252,8 @@ fn parse_bench_rows(path: &str) -> Vec<(String, f64)> {
 }
 
 /// `harness compare OLD.json NEW.json [--max-regress PCT]
-/// [--abs-slack MS] [--loose SUBSTR=PCT ...]`: row-by-row `ms_per_doc`
-/// diff; exits 1 if any configuration present in both files regressed
-/// beyond its threshold.
+/// [--abs-slack MS]`: row-by-row `ms_per_doc` diff; exits 1 if any
+/// configuration present in both files regressed beyond the threshold.
 ///
 /// The gate is `new <= old * (1 + PCT/100) + MS`. The absolute term
 /// (default 0.002 ms) exists for the microsecond-band rows: a purely
@@ -269,21 +264,10 @@ fn parse_bench_rows(path: &str) -> Vec<(String, f64)> {
 /// threshold. Real regressions at the micro scale still show up in the
 /// same configuration's larger-scale rows, which the slack term leaves
 /// effectively untouched.
-///
-/// `--loose SUBSTR=PCT` (repeatable) overrides the relative threshold
-/// for rows whose configuration key contains `SUBSTR`. Rows that
-/// timeshare threads on the single-core bench container (the churn
-/// writer/reader pair, the sharded matcher) are at the mercy of
-/// scheduler interleaving and move by tens of percent between file
-/// generations even when best-of-N is taken, while the single-threaded
-/// rows hold within the tight gate — the override keeps those rows
-/// gated (a finite ceiling) at an honest tolerance instead of
-/// loosening every row.
 fn compare_cmd(args: &[String]) {
     let mut files: Vec<&String> = Vec::new();
     let mut max_regress = 5.0f64;
     let mut abs_slack = 0.002f64;
-    let mut loose: Vec<(String, f64)> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -298,16 +282,6 @@ fn compare_cmd(args: &[String]) {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--abs-slack needs a number (ms)"))
-            }
-            "--loose" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| usage("--loose needs SUBSTR=PCT"));
-                let (substr, pct) = spec
-                    .split_once('=')
-                    .and_then(|(s, p)| p.parse::<f64>().ok().map(|p| (s, p)))
-                    .unwrap_or_else(|| usage("--loose needs SUBSTR=PCT"));
-                loose.push((substr.to_string(), pct));
             }
             other if !other.starts_with('-') => files.push(a),
             other => usage(&format!("unknown flag {other}")),
@@ -336,16 +310,9 @@ fn compare_cmd(args: &[String]) {
         };
         compared += 1;
         let delta = (new_ms - old_ms) / old_ms.max(1e-12) * 100.0;
-        let threshold = loose
-            .iter()
-            .find(|(substr, _)| key.contains(substr.as_str()))
-            .map(|&(_, pct)| pct)
-            .unwrap_or(max_regress);
-        let flag = if new_ms > old_ms * (1.0 + threshold / 100.0) + abs_slack {
+        let flag = if new_ms > old_ms * (1.0 + max_regress / 100.0) + abs_slack {
             regressions += 1;
             "  REGRESSED"
-        } else if threshold != max_regress {
-            "  (loose)"
         } else {
             ""
         };
@@ -783,143 +750,6 @@ fn covering_analysis(opts: &Opts) {
     println!();
 }
 
-/// Subscription-set compilation: before/after expression counts and
-/// filtering cost of the dedup + containment-covering + predicate-program
-/// pipeline, measured against the uncompiled oracle on the same workload.
-///
-/// Two rows per mode: the duplicate-heavy regime (`Regime::duplicates`,
-/// ≈35% verbatim re-registrations + ≈25% derived contained sub-paths) is
-/// where the compiler earns its effective-N reduction (asserted ≥30%);
-/// the distinct NITF regime is the dedup-free control, where compilation
-/// must not regress. Match counts between the compiled engine and the
-/// oracle are asserted equal.
-fn subset_compile(opts: &Opts, mut entries: Option<&mut Vec<String>>) {
-    let scale = scale_or(opts, 1.0);
-    let docs = docs_or(opts, 30);
-    let reps = if opts.reps == 0 { 3 } else { opts.reps };
-    println!(
-        "## subset_compile — subscription-set compilation (scale {scale}, {docs} docs, best of {reps})"
-    );
-    print_header(&[
-        "workload",
-        "engine",
-        "mode",
-        "ms/doc",
-        "registered",
-        "canonical",
-        "covered",
-        "effective",
-        "reduction",
-    ]);
-    // Both the flat organization (every canonical entry scanned or posted
-    // individually, so effective-N cuts translate directly into ms/doc)
-    // and the trie organization (duplicate structure is already shared at
-    // terminals; dedup cuts index state and prepare work instead).
-    let configs = [
-        (Regime::duplicates(), scaled(50_000, scale), false),
-        (Regime::nitf(), scaled(25_000, scale), true),
-    ];
-    for (regime, n_exprs, distinct) in configs {
-        let w = build_workload(
-            &regime,
-            &WorkloadSpec {
-                n_exprs,
-                distinct,
-                n_docs: docs,
-                ..Default::default()
-            },
-        );
-        for kind in [EngineKind::Basic, EngineKind::BasicPcAp] {
-            let modes = [
-                ("uncompiled", CompileOptions::none()),
-                ("compiled", CompileOptions::default()),
-            ];
-            // Interleave the modes' repetitions (A/B/A/B…) so slow machine-state
-            // drift across the measurement window biases neither mode's best-of.
-            let mut best: [Option<(RunResult, pxf_core::SubsetStats)>; 2] = [None, None];
-            for _ in 0..reps {
-                for (mi, (_, options)) in modes.iter().enumerate() {
-                    let (r, subset) =
-                        run_engine_compiled(kind, AttrMode::Inline, Stage2::Posting, *options, &w);
-                    match &mut best[mi] {
-                        Some((b, _)) if b.ms_per_doc <= r.ms_per_doc => {}
-                        slot => *slot = Some((r, subset)),
-                    }
-                }
-            }
-            let mut matches_by_mode: Vec<f64> = Vec::new();
-            for (mi, (mode, _)) in modes.iter().enumerate() {
-                let mode = *mode;
-                let (r, subset) = best[mi].take().expect("reps >= 1");
-                matches_by_mode.push(r.avg_matches);
-                let reduction = 1.0 - subset.effective() as f64 / subset.registered.max(1) as f64;
-                println!(
-                    "{:<10} {:>12} {:>11} {:>11.3} {:>13} {:>13} {:>13} {:>13} {:>12.1}%",
-                    regime.name,
-                    kind.label(),
-                    mode,
-                    r.ms_per_doc,
-                    subset.registered,
-                    subset.canonical,
-                    subset.covered,
-                    subset.effective(),
-                    reduction * 100.0,
-                );
-                if mode == "compiled" && regime.name == "nitf-dup" {
-                    assert!(
-                        reduction >= 0.30,
-                        "duplicate-heavy workload must compile away ≥30% of its \
-                     effective stage-2 population (got {:.1}%)",
-                        reduction * 100.0
-                    );
-                }
-                if let Some(entries) = entries.as_deref_mut() {
-                    let stats = r.stats.unwrap_or_default();
-                    entries.push(format!(
-                        concat!(
-                            "    {{\"section\": \"subset_compile\", \"workload\": \"{}\", ",
-                            "\"engine\": \"{}-{}\", ",
-                            "\"stage1\": \"incremental\", \"stage2\": \"posting\", ",
-                            "\"n_exprs\": {}, \"n_docs\": {}, ",
-                            "\"ms_per_doc\": {:.6}, \"docs_per_sec\": {:.3}, ",
-                            "\"matched_fraction\": {:.6}, \"index_bytes\": {}, ",
-                            "\"registered\": {}, \"canonical\": {}, \"covered\": {}, ",
-                            "\"effective_n\": {}, \"effective_n_reduction\": {:.4}, ",
-                            "\"dedup_hits\": {}, \"covered_skips\": {}, ",
-                            "\"occurrence_runs\": {}}}"
-                        ),
-                        regime.name,
-                        kind.label(),
-                        mode,
-                        w.exprs.len(),
-                        docs,
-                        r.ms_per_doc,
-                        1e3 / r.ms_per_doc.max(1e-9),
-                        r.match_pct / 100.0,
-                        r.index_bytes,
-                        subset.registered,
-                        subset.canonical,
-                        subset.covered,
-                        subset.effective(),
-                        reduction,
-                        stats.dedup_hits,
-                        stats.covered_skips,
-                        stats.occurrence_runs,
-                    ));
-                }
-            }
-            assert_eq!(
-                matches_by_mode[0],
-                matches_by_mode[1],
-                "compiled engine must produce the oracle's match counts ({}, {})",
-                regime.name,
-                kind.label()
-            );
-        }
-    }
-    println!();
-}
-
 /// The automaton-lineage experiment behind the paper's §2 narrative:
 /// XFilter (one FSM per expression, no sharing) → YFilter (shared-prefix
 /// NFA) → the predicate engine (shared predicates + expression trie).
@@ -1031,16 +861,13 @@ fn benchjson(opts: &Opts) {
     let out_path = opts.out.clone().unwrap_or_else(|| "BENCH_pr9.json".into());
 
     let mut entries: Vec<String> = Vec::new();
-    // `extra` is spliced verbatim before the closing brace — row-specific
-    // fields like the sharded rows' thread count.
     let fmt_entry = |section: &str,
                      workload: &str,
                      engine_label: &str,
                      stage2_label: &str,
                      n_exprs: usize,
                      n_docs: usize,
-                     r: &RunResult,
-                     extra: &str|
+                     r: &RunResult|
      -> String {
         let (pred_ms, expr_ms, other_ms) = r.breakdown_ms;
         let stats = r.stats.unwrap_or_default();
@@ -1057,8 +884,7 @@ fn benchjson(opts: &Opts) {
                 "\"occurrence_runs\": {}, \"stage2_candidates\": {}, ",
                 "\"posting_bumps\": {}, \"ap_root_probes\": {}, ",
                 "\"pc_propagations\": {}, \"memo_path_skips\": {}, ",
-                "\"dedup_hits\": {}, \"covered_skips\": {}, ",
-                "\"shard_imbalance_ns\": {}{}}}"
+                "\"dedup_hits\": {}}}"
             ),
             section,
             workload,
@@ -1081,9 +907,6 @@ fn benchjson(opts: &Opts) {
             stats.pc_propagations,
             stats.memo_path_skips,
             stats.dedup_hits,
-            stats.covered_skips,
-            stats.shard_imbalance_ns,
-            extra,
         )
     };
 
@@ -1184,7 +1007,6 @@ fn benchjson(opts: &Opts) {
                     w.exprs.len(),
                     docs,
                     &r,
-                    "",
                 ));
             }
         }
@@ -1240,51 +1062,12 @@ fn benchjson(opts: &Opts) {
             w.exprs.len(),
             sweep_docs,
             &r,
-            "",
-        ));
-        // The expression-sharded axis at the same sizes: 4 round-robin
-        // shards, same subscriptions, merged results.
-        let rs = best_of(reps, || {
-            run_sharded(4, EngineKind::BasicPcAp, AttrMode::Inline, &w)
-        });
-        println!(
-            "{:<12} {:>13} {:>9} {:>11.3} {:>11.1} {:>11.4}",
-            n_exprs,
-            "…-x4shard",
-            "posting",
-            rs.ms_per_doc,
-            rs.bytes_per_expr(w.exprs.len()),
-            rs.match_pct / 100.0
-        );
-        // The sharded matcher timeshares its four shard threads on
-        // whatever cores the runner has, so both its ms_per_doc and its
-        // shard_imbalance_ns move with scheduler interleaving — stamped
-        // scheduler_noisy, and gated loosely (compare `--loose x4shard`),
-        // like the churn rows.
-        entries.push(fmt_entry(
-            "scaling",
-            regime.name,
-            "basic-pc-ap-x4shard",
-            "posting",
-            w.exprs.len(),
-            sweep_docs,
-            &rs,
-            ", \"threads\": 4, \"scheduler_noisy\": true",
         ));
     }
-
-    // Part 5: subscription-set compilation (dedup + covering + programs
-    // vs the uncompiled oracle), including the duplicate-heavy regime's
-    // effective-N reduction.
-    println!();
-    subset_compile(opts, Some(&mut entries));
 
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"pr9_subset\",\n  \"scale\": {scale},\n  \"docs\": {docs},\n",
-            "  \"notes\": {{\"shard_imbalance_ns\": \"slowest shard minus mean shard wall ",
-            "time per doc; on shared runners scheduler interleaving, not work skew, ",
-            "dominates it — interpret only on idle multi-core hosts\"}},\n",
             "  \"results\": [\n{rows}\n  ]\n}}\n"
         ),
         scale = scale,
@@ -1429,10 +1212,6 @@ fn broker_rows(opts: &Opts, mut entries: Option<&mut Vec<String>>) {
     assert_eq!(
         final_stats.full_rebuilds, 0,
         "steady-state broker churn must not trigger full rebuilds"
-    );
-    assert_eq!(
-        final_stats.clone_fallbacks, 0,
-        "broker publishes must reclaim retired snapshots, not deep-clone"
     );
     print_header(&[
         "n_resident",

@@ -303,114 +303,6 @@ pub fn run_engine_configured(
     }
 }
 
-/// Like [`run_engine_configured`] with the default evaluator strategies,
-/// but pinning the subscription-set compilation passes
-/// ([`pxf_core::CompileOptions`]) — `CompileOptions::none()` is the
-/// uncompiled oracle, `CompileOptions::default()` the full
-/// dedup + covering + program pipeline. Also returns the engine's
-/// [`pxf_core::SubsetStats`] (registered vs canonical vs covered entry
-/// counts), the before/after population of the compiler.
-pub fn run_engine_compiled(
-    kind: EngineKind,
-    attr_mode: AttrMode,
-    stage2: Stage2,
-    options: pxf_core::CompileOptions,
-    workload: &Workload,
-) -> (RunResult, pxf_core::SubsetStats) {
-    let t0 = Instant::now();
-    let mut engine = FilterEngine::new(engine_algorithm(kind), attr_mode);
-    engine.set_compile_options(options);
-    engine.set_stage2(stage2);
-    for e in &workload.exprs {
-        engine.add(e).expect("workload expressions are supported");
-    }
-    engine.prepare();
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let subset = engine.subset_stats();
-    // Registration-time counter; captured before the reset that scopes the
-    // remaining stats to the measured matching window.
-    let dedup_hits = engine.stats().dedup_hits;
-
-    engine.reset_stats();
-    let mut total_matches = 0usize;
-    let t1 = Instant::now();
-    for bytes in &workload.doc_bytes {
-        total_matches += engine
-            .match_bytes(bytes)
-            .expect("generated documents are well-formed")
-            .len();
-    }
-    let elapsed = t1.elapsed().as_secs_f64() * 1e3;
-    let n_docs = workload.doc_bytes.len().max(1) as f64;
-
-    let mut stats = engine.stats();
-    stats.dedup_hits = dedup_hits;
-    let avg_matches = total_matches as f64 / n_docs;
-    let result = RunResult {
-        ms_per_doc: elapsed / n_docs,
-        avg_matches,
-        match_pct: avg_matches / workload.exprs.len().max(1) as f64 * 100.0,
-        build_ms,
-        distinct_preds: engine.distinct_predicates(),
-        breakdown_ms: (
-            stats.predicate_ns as f64 / 1e6 / n_docs,
-            stats.expression_ns as f64 / 1e6 / n_docs,
-            stats.other_ns as f64 / 1e6 / n_docs,
-        ),
-        index_bytes: engine.index_bytes(),
-        stats: Some(stats),
-    };
-    (result, subset)
-}
-
-/// Runs an expression-sharded engine ([`pxf_core::ShardedEngine`]) over a
-/// workload with the default evaluator strategies: one parse per
-/// document, all shards matched, results merged. Mirrors
-/// [`run_engine_configured`] for the sharded axis.
-pub fn run_sharded(
-    n_shards: usize,
-    kind: EngineKind,
-    attr_mode: AttrMode,
-    workload: &Workload,
-) -> RunResult {
-    let t0 = Instant::now();
-    let mut engine = pxf_core::ShardedEngine::new(n_shards, engine_algorithm(kind), attr_mode);
-    for e in &workload.exprs {
-        engine.add(e).expect("workload expressions are supported");
-    }
-    engine.prepare();
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    engine.reset_stats();
-    let mut total_matches = 0usize;
-    let t1 = Instant::now();
-    for bytes in &workload.doc_bytes {
-        total_matches += engine
-            .match_bytes(bytes)
-            .expect("generated documents are well-formed")
-            .len();
-    }
-    let elapsed = t1.elapsed().as_secs_f64() * 1e3;
-    let n_docs = workload.doc_bytes.len().max(1) as f64;
-
-    let stats = engine.stats();
-    let avg_matches = total_matches as f64 / n_docs;
-    RunResult {
-        ms_per_doc: elapsed / n_docs,
-        avg_matches,
-        match_pct: avg_matches / workload.exprs.len().max(1) as f64 * 100.0,
-        build_ms,
-        distinct_preds: engine.distinct_predicates(),
-        breakdown_ms: (
-            stats.predicate_ns as f64 / 1e6 / n_docs,
-            stats.expression_ns as f64 / 1e6 / n_docs,
-            stats.other_ns as f64 / 1e6 / n_docs,
-        ),
-        index_bytes: engine.index_bytes(),
-        stats: Some(stats),
-    }
-}
-
 /// [`run_engine_configured`] with the default (posting-driven) stage 2.
 pub fn run_engine_stage1(
     kind: EngineKind,

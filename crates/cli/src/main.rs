@@ -3,7 +3,7 @@
 //! ```text
 //! pxf match  --subs FILE [--engine pxf|yfilter|index-filter|xfilter]
 //!            [--algorithm basic|pc|ap] [--attr-mode inline|sp]
-//!            [--threads N] [--shards N] [--stats] [--quiet]
+//!            [--threads N] [--stats] [--quiet]
 //!            DOC.xml [DOC.xml …]
 //! pxf match  --subs FILE --stream [-]          # concatenated docs on stdin
 //! pxf encode 'EXPR' ['EXPR' …]
@@ -20,8 +20,7 @@
 //! [`FilterBackend`] trait.
 
 use pxf_core::{
-    parallel, Algorithm, AttrMode, BatchReport, BatchScratch, FilterBackend, FilterEngine,
-    ShardedEngine, SubId,
+    parallel, Algorithm, AttrMode, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId,
 };
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xml::{Document, ParserLimits};
@@ -70,8 +69,6 @@ MATCH OPTIONS:
   --algorithm KIND     basic | pc | ap            (default: ap, pxf only)
   --attr-mode MODE     inline | sp                (default: inline, pxf only)
   --threads N          parallel workers; 0 = all cores (default: 1; pxf only)
-  --shards N           split the expression index across N round-robin
-                       shards merged per document (default: 1; pxf only)
   --stream             read concatenated documents from stdin (or from one
                        file argument) instead of one document per file
   --remove LINES       after loading, unsubscribe the given comma-separated
@@ -127,7 +124,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut algorithm = Algorithm::AccessPredicate;
     let mut attr_mode = AttrMode::Inline;
     let mut threads = 1usize;
-    let mut shards = 1usize;
     let mut stats = false;
     let mut quiet = false;
     let mut stream = false;
@@ -159,12 +155,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
                 threads = take_value(args, &mut i, "--threads")?
                     .parse()
                     .map_err(|_| "--threads needs a number".to_string())?
-            }
-            "--shards" => {
-                shards = take_number(args, &mut i, "--shards")?;
-                if shards == 0 {
-                    return Err("--shards needs at least 1".into());
-                }
             }
             "--stats" => stats = true,
             "--quiet" => quiet = true,
@@ -202,15 +192,10 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     }
 
     // Build the requested engine behind the unified backend interface.
-    // `pxf` keeps its concrete type (plain or sharded) for the
-    // multi-threaded batch path.
+    // `pxf` keeps its concrete type for the multi-threaded batch path.
     let mut pxf_engine: Option<FilterEngine> = None;
-    let mut sharded_engine: Option<ShardedEngine> = None;
     let mut baseline: Option<Box<dyn FilterBackend>> = None;
     match engine_name.as_str() {
-        "pxf" if shards > 1 => {
-            sharded_engine = Some(ShardedEngine::new(shards, algorithm, attr_mode))
-        }
         "pxf" => pxf_engine = Some(FilterEngine::new(algorithm, attr_mode)),
         "yfilter" => baseline = Some(Box::new(pxf_yfilter::YFilter::new())),
         "index-filter" => baseline = Some(Box::new(pxf_indexfilter::IndexFilter::new())),
@@ -221,15 +206,9 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
             ))
         }
     }
-    let is_pxf = pxf_engine.is_some() || sharded_engine.is_some();
-    if !is_pxf && threads != 1 {
+    if pxf_engine.is_none() && threads != 1 {
         return Err(format!(
             "--threads applies to the default pxf engine, not '{engine_name}'"
-        ));
-    }
-    if !is_pxf && shards != 1 {
-        return Err(format!(
-            "--shards applies to the default pxf engine, not '{engine_name}'"
         ));
     }
 
@@ -244,10 +223,9 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let backend: &mut dyn FilterBackend = match (&mut pxf_engine, &mut sharded_engine) {
-            (Some(e), _) => e,
-            (None, Some(e)) => e,
-            (None, None) => baseline.as_mut().expect("one engine is built").as_mut(),
+        let backend: &mut dyn FilterBackend = match &mut pxf_engine {
+            Some(e) => e,
+            None => baseline.as_mut().expect("one engine is built").as_mut(),
         };
         match backend.add_str(line) {
             Ok(_) => lines_of.push(lineno + 1),
@@ -257,10 +235,9 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    let backend: &mut dyn FilterBackend = match (&mut pxf_engine, &mut sharded_engine) {
-        (Some(e), _) => e,
-        (None, Some(e)) => e,
-        (None, None) => baseline.as_mut().expect("one engine is built").as_mut(),
+    let backend: &mut dyn FilterBackend = match &mut pxf_engine {
+        Some(e) => e,
+        None => baseline.as_mut().expect("one engine is built").as_mut(),
     };
     backend.set_parser_limits(limits);
     backend.prepare();
@@ -305,15 +282,10 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
 
     let started = std::time::Instant::now();
     let mut batch_scratch = BatchScratch::new();
-    let results: Vec<parallel::ByteFilterResult> = match (&pxf_engine, &sharded_engine) {
+    let results: Vec<parallel::ByteFilterResult> = match &pxf_engine {
         // pxf: shared-engine fan-out (sequential fast path at threads=1).
-        (Some(e), _) => {
-            parallel::filter_batch_bytes_with(e, &doc_bytes, threads, &mut batch_scratch)
-        }
-        (None, Some(e)) => {
-            parallel::filter_batch_bytes_with(e, &doc_bytes, threads, &mut batch_scratch)
-        }
-        (None, None) => {
+        Some(e) => parallel::filter_batch_bytes_with(e, &doc_bytes, threads, &mut batch_scratch),
+        None => {
             let backend = baseline.as_mut().expect("one engine is built");
             doc_bytes
                 .iter()

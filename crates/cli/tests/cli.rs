@@ -25,6 +25,24 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn shards_flag_is_rejected_as_unknown() {
+    let out = pxf()
+        .args([
+            "match",
+            "--subs",
+            "unused.xpath",
+            "--shards",
+            "4",
+            "doc.xml",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("pxf: unknown flag '--shards'"), "{err}");
+}
+
+#[test]
 fn encode_prints_predicates() {
     let out = pxf().args(["encode", "/a/*/b//c"]).output().unwrap();
     assert!(out.status.success());

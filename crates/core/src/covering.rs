@@ -153,37 +153,6 @@ impl CoveringIndex {
         }
     }
 
-    /// [`Self::contained_in`] with positions: `visit(pattern_index, end)`
-    /// where `end` is the 0-based index in `chain` of the occurrence's
-    /// last element, so the occurrence spans
-    /// `chain[end + 1 - pattern_len ..= end]`. Callers use the offset to
-    /// distinguish prefix occurrences (offset 0) from strictly-contained
-    /// ones.
-    pub fn contained_in_at<F: FnMut(u32, usize)>(&self, chain: &[PredId], mut visit: F) {
-        let mut state = 0u32;
-        for (end, &pid) in chain.iter().enumerate() {
-            state = loop {
-                if let Some(&n) = self.nodes[state as usize].goto_.get(&pid) {
-                    break n;
-                }
-                if state == 0 {
-                    break 0;
-                }
-                state = self.nodes[state as usize].fail;
-            };
-            let mut s = state;
-            loop {
-                for &p in &self.nodes[s as usize].out {
-                    visit(p, end);
-                }
-                s = self.nodes[s as usize].dict;
-                if s == 0 {
-                    break;
-                }
-            }
-        }
-    }
-
     /// Counts covering pairs among the registered chains: for each ordered
     /// pair (i, j), i ≠ j, whether chain i is contained in chain j —
     /// split into prefix pairs (chain i is a prefix of chain j: what the
@@ -293,33 +262,6 @@ mod tests {
         assert_eq!(stats.chains, 4);
         assert_eq!(stats.prefix_pairs, 1); // (1 ⊑ 0)
         assert_eq!(stats.contained_pairs, 1); // (2 ⊂ 0)
-    }
-
-    #[test]
-    fn contained_in_at_reports_end_positions() {
-        let chains = vec![
-            chain(&[1, 2]),    // 0
-            chain(&[2, 3]),    // 1
-            chain(&[1, 2, 3]), // 2
-        ];
-        let index = CoveringIndex::build(&chains);
-        let mut hits = Vec::new();
-        index.contained_in_at(&chains[2], |p, end| hits.push((p, end)));
-        hits.sort_unstable();
-        // Pattern 0 ends at index 1 (offset 0: a prefix), pattern 1 ends
-        // at index 2 (offset 1: strictly contained), pattern 2 is the
-        // probe itself.
-        assert_eq!(hits, vec![(0, 1), (1, 2), (2, 2)]);
-        // Offsets reconstruct via end + 1 - len.
-        for &(p, end) in &hits {
-            let len = chains[p as usize].len();
-            let offset = end + 1 - len;
-            assert_eq!(
-                &chains[2][offset..=end],
-                chains[p as usize].as_slice(),
-                "pattern {p}"
-            );
-        }
     }
 
     /// Brute-force cross-check on random chains.

@@ -14,11 +14,9 @@
 //!   the trie by each expression's first predicate (the *access
 //!   predicate*); if it has no matches the entire cluster is skipped.
 
-use crate::covering::CoveringIndex;
 use crate::encode::{encode_single_path, AttrMode, EncodeError, EncodedPath};
 use crate::nested::{combine, decompose, NestedPlan};
 use crate::occurrence::determine_match_by;
-use crate::program::PredPrograms;
 use pxf_predicate::{CtxMark, MatchContext, PredId, PredicateIndex, Publication};
 use pxf_xml::{
     DocAccess, ElementVisitor, Interner, NodeId, ParserLimits, PathDoc, Symbol, XmlError,
@@ -139,11 +137,6 @@ pub struct EngineStats {
     /// tag-sequence path was already processed in the same document
     /// (incremental stage 1 only).
     pub memo_path_skips: u64,
-    /// Expression-sharded matching only: cumulative per-document
-    /// imbalance (slowest shard minus fastest shard, in nanoseconds)
-    /// across the shards of a `ShardedEngine`. Zero for unsharded
-    /// engines.
-    pub shard_imbalance_ns: u64,
     /// Total subscription matches reported.
     pub matches: u64,
     /// Maintenance: `add`/`remove` operations applied as in-place patches
@@ -154,10 +147,6 @@ pub struct EngineStats {
     /// (garbage-triggered compactions, or an explicit dirty rebuild).
     /// Steady-state churn keeps this at zero.
     pub full_rebuilds: u64,
-    /// Covered terminals resolved through their coverer's structural
-    /// match instead of their own stage-2 evaluation (subscription-set
-    /// compilation, containment covering).
-    pub covered_skips: u64,
     /// Subscriptions registered as O(1) members of an existing canonical
     /// group (structural-hash dedup) instead of full encode+index adds.
     pub dedup_hits: u64,
@@ -667,52 +656,9 @@ impl Postings {
 const NO_ROOT: u32 = u32::MAX;
 const NEVER_CANDIDATE: u32 = u32::MAX;
 
-/// Subscription-set compilation switches. All passes are on by default;
-/// [`CompileOptions::none`] turns every pass off, yielding the uncompiled
-/// baseline used as the equivalence oracle in tests and ablation rows in
-/// the benchmarks. Options must be chosen before subscriptions are added
-/// (see [`FilterEngine::set_compile_options`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Hash-dedup structurally identical expressions onto one canonical
-    /// entry carrying a subscriber list.
-    pub dedup: bool,
-    /// Detect pairwise containment between trie terminal chains at
-    /// prepare time; a covered terminal is resolved by its coverer's
-    /// structural match with no stage-2 work of its own.
-    pub covering: bool,
-    /// Compile the flat organization's predicate chains into flat
-    /// slot-resolved programs executed without per-probe context
-    /// dispatch. Trie organizations already store chains slot-resolved
-    /// in the packed terminal arena, so the pass applies to
-    /// [`Algorithm::Basic`] only.
-    pub programs: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            dedup: true,
-            covering: true,
-            programs: true,
-        }
-    }
-}
-
-impl CompileOptions {
-    /// Every compilation pass disabled (the uncompiled oracle).
-    pub fn none() -> Self {
-        CompileOptions {
-            dedup: false,
-            covering: false,
-            programs: false,
-        }
-    }
-}
-
-/// Effective-subscription accounting after subscription-set compilation
-/// (see [`FilterEngine::subset_stats`]). The stage-2 work per document is
-/// driven by `canonical - covered` entries, not by `registered`.
+/// Canonical-form dedup accounting (see [`FilterEngine::subset_stats`]):
+/// stage-2 work per document is driven by `canonical` entries, not by
+/// `registered` subscriptions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubsetStats {
     /// Live single-path subscriptions registered (dedup-eligible
@@ -720,16 +666,6 @@ pub struct SubsetStats {
     pub registered: u64,
     /// Canonical entries actually stored (distinct structural hashes).
     pub canonical: u64,
-    /// Canonical trie terminals covered by another terminal's chain, so
-    /// they run no stage-2 evaluation of their own.
-    pub covered: u64,
-}
-
-impl SubsetStats {
-    /// Entries that still execute stage-2 work per candidate path.
-    pub fn effective(&self) -> u64 {
-        self.canonical.saturating_sub(self.covered)
-    }
 }
 
 /// A canonical expression group: every structurally identical subscription
@@ -753,49 +689,8 @@ struct CanonGroup {
 }
 
 /// Sentinel group id for subscriptions outside the dedup universe
-/// (nested-path subscriptions, or dedup disabled).
+/// (nested-path subscriptions).
 const NO_GROUP: u32 = u32::MAX;
-
-/// Prepare-time containment covering over trie terminals: for each
-/// terminal (the *coverer*), the terminals whose entire chain appears as
-/// a contiguous window of the coverer's chain at offset ≥ 1 (offset-0
-/// windows are trie-prefix ancestors, already resolved by prefix-covering
-/// propagation). When the coverer's chain admits an occurrence
-/// combination, every covered chain does too (restriction of the
-/// combination to the window — see [`crate::covering`]), so covered
-/// terminals resolve with no determination run of their own. Rebuilt at
-/// prepare/compaction; terminals patched in afterwards simply carry no
-/// edges until the next compilation (sound — they just run uncovered).
-#[derive(Debug, Clone, Default)]
-struct TermCovering {
-    /// Coverer terminal → span of covered terminal ids; indexed by
-    /// terminal id, may be shorter than the terminal table after patches.
-    span: Vec<(u32, u32)>,
-    arena: Vec<u32>,
-    /// Distinct terminals covered by at least one coverer.
-    n_covered: u64,
-}
-
-impl TermCovering {
-    fn clear(&mut self) {
-        self.span.clear();
-        self.arena.clear();
-        self.n_covered = 0;
-    }
-
-    /// Terminals covered by `ti` (empty for terminals without edges).
-    #[inline]
-    fn covered_by(&self, ti: u32) -> &[u32] {
-        match self.span.get(ti as usize) {
-            Some(&(start, len)) => &self.arena[start as usize..(start + len) as usize],
-            None => &[],
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.span.len() * 8 + self.arena.len() * 4
-    }
-}
 
 /// A registered nested-path subscription.
 #[derive(Debug, Clone)]
@@ -845,22 +740,13 @@ pub struct FilterEngine {
     n_components: u32,
     /// Where each subscription's sinks live (for O(depth) removal).
     locations: Vec<SubLocation>,
-    /// Subscription-set compilation switches (fixed before the first add).
-    compile: CompileOptions,
-    /// Canonical groups (dedup pass); `canon_index` maps a structural
+    /// Canonical groups (dedup); `canon_index` maps a structural
     /// hash to the group ids sharing it (verified against the canonical
     /// rendering — the hash alone is not proof of identity).
     groups: Vec<CanonGroup>,
     canon_index: HashMap<u64, Vec<u32>>,
     /// Subscription → its canonical group (`NO_GROUP` outside dedup).
     sub_group: Vec<u32>,
-    /// Containment covering over trie terminals (covering pass).
-    covering: TermCovering,
-    /// Compiled predicate programs (programs pass) for the flat
-    /// organization's entries. Empty when the pass is off. Trie terminals
-    /// need no programs: their chains already live slot-resolved in the
-    /// packed SoA arena, so an extra program indirection only adds cost.
-    flat_programs: PredPrograms,
     /// Subscriptions removed via [`FilterEngine::remove`] (ids are never
     /// reused).
     removed: u32,
@@ -908,12 +794,9 @@ impl Clone for FilterEngine {
             nested: self.nested.clone(),
             n_components: self.n_components,
             locations: self.locations.clone(),
-            compile: self.compile,
             groups: self.groups.clone(),
             canon_index: self.canon_index.clone(),
             sub_group: self.sub_group.clone(),
-            covering: self.covering.clone(),
-            flat_programs: self.flat_programs.clone(),
             removed: self.removed,
             prepared: self.prepared,
             garbage: self.garbage,
@@ -1273,12 +1156,9 @@ impl FilterEngine {
             nested: Vec::new(),
             n_components: 0,
             locations: Vec::new(),
-            compile: CompileOptions::default(),
             groups: Vec::new(),
             canon_index: HashMap::new(),
             sub_group: Vec::new(),
-            covering: TermCovering::default(),
-            flat_programs: PredPrograms::default(),
             removed: 0,
             prepared: false,
             garbage: 0,
@@ -1325,41 +1205,18 @@ impl FilterEngine {
         self.stage2 = stage2;
     }
 
-    /// The active subscription-set compilation switches.
-    pub fn compile_options(&self) -> CompileOptions {
-        self.compile
-    }
-
-    /// Selects the subscription-set compilation passes. Must be called
-    /// before any subscription is added — the passes shape how
-    /// subscriptions are stored, so flipping them mid-stream would leave
-    /// the store half-compiled. Panics on a non-empty engine.
-    pub fn set_compile_options(&mut self, options: CompileOptions) {
-        assert!(
-            self.n_subs == 0,
-            "set_compile_options: choose compilation passes before adding subscriptions"
-        );
-        self.compile = options;
-    }
-
-    /// Effective-subscription accounting: registered single-path
-    /// subscriptions vs canonical entries stored vs terminals covered by
-    /// containment (as of the last prepare/compaction).
+    /// Dedup accounting: registered single-path subscriptions vs the
+    /// canonical entries that store them.
     pub fn subset_stats(&self) -> SubsetStats {
         let registered = self
             .locations
             .iter()
             .filter(|l| matches!(l, SubLocation::Flat(_) | SubLocation::Node(_)))
             .count() as u64;
-        let canonical = if self.compile.dedup {
-            self.groups.iter().filter(|g| g.members > 0).count() as u64
-        } else {
-            registered
-        };
+        let canonical = self.groups.iter().filter(|g| g.members > 0).count() as u64;
         SubsetStats {
             registered,
             canonical,
-            covered: self.covering.n_covered,
         }
     }
 
@@ -1400,8 +1257,6 @@ impl FilterEngine {
             + flat_bytes
             + builder_bytes
             + self.locations.capacity() * size_of::<SubLocation>()
-            + self.flat_programs.bytes()
-            + self.covering.bytes()
             + self.index.approx_bytes()
     }
 
@@ -1479,7 +1334,6 @@ impl FilterEngine {
         let was_prepared = self.prepared;
         self.trie.finalize();
         self.build_postings();
-        self.compile_subset();
         self.postings_dirty = false;
         self.garbage = 0;
         if was_prepared {
@@ -1519,83 +1373,8 @@ impl FilterEngine {
         self.trie.dirty = true;
         self.trie.finalize();
         self.build_postings();
-        self.compile_subset();
         self.garbage = 0;
         self.full_rebuilds += 1;
-    }
-
-    /// Subscription-set compilation (runs after every full build): the
-    /// predicate programs shadowing the entry stores, and the containment
-    /// covering over trie terminals. Patches extend the programs
-    /// incrementally; covering edges for patched-in terminals wait for
-    /// the next compilation (they run uncovered in the meantime, which is
-    /// sound).
-    fn compile_subset(&mut self) {
-        self.flat_programs.clear();
-        self.covering.clear();
-        if self.compile.programs && matches!(self.algorithm, Algorithm::Basic) {
-            for expr in &self.flat {
-                let filtered = expr.sinks.iter().any(|s| {
-                    !matches!(
-                        s,
-                        Sink::Sub {
-                            attr_check: None,
-                            ..
-                        }
-                    )
-                });
-                self.flat_programs.push_chain(&expr.preds, filtered);
-            }
-        }
-        if self.compile.covering
-            && !matches!(self.algorithm, Algorithm::Basic)
-            && self.trie.packed.n_terminals() > 0
-        {
-            self.build_covering();
-        }
-    }
-
-    /// Builds the containment-covering edges: terminal V is covered by
-    /// terminal U when V's whole chain occurs as a contiguous window of
-    /// U's chain at offset ≥ 1. Offset-0 occurrences are trie prefixes —
-    /// V is then an ancestor of U and prefix-covering propagation already
-    /// resolves it — and a chain never covers itself (identical chains
-    /// share one trie terminal). Detection runs Aho–Corasick over the
-    /// predicate-id alphabet ([`CoveringIndex`]), O(total chain length +
-    /// hits).
-    fn build_covering(&mut self) {
-        let p = &self.trie.packed;
-        let nt = p.n_terminals();
-        let chains: Vec<&[PredId]> = (0..nt as u32).map(|ti| p.chain(ti)).collect();
-        let cov = CoveringIndex::build(&chains);
-        // Per-coverer dedup stamp: a chain can occur at several offsets.
-        let mut seen = vec![u32::MAX; nt];
-        let mut covered_any = vec![false; nt];
-        let mut span = Vec::with_capacity(nt);
-        let mut arena: Vec<u32> = Vec::new();
-        for ti in 0..nt {
-            let start = arena.len() as u32;
-            cov.contained_in_at(chains[ti], |pat, end| {
-                let pi = pat as usize;
-                if pi == ti {
-                    return;
-                }
-                let offset = end + 1 - chains[pi].len();
-                if offset == 0 {
-                    return;
-                }
-                if seen[pi] == ti as u32 {
-                    return;
-                }
-                seen[pi] = ti as u32;
-                arena.push(pat);
-                covered_any[pi] = true;
-            });
-            span.push((start, arena.len() as u32 - start));
-        }
-        self.covering.span = span;
-        self.covering.arena = arena;
-        self.covering.n_covered = covered_any.iter().filter(|&&c| c).count() as u64;
     }
 
     /// Rebuilds the posting lists from the current flat entries /
@@ -1708,23 +1487,8 @@ impl FilterEngine {
             self.locations
                 .push(SubLocation::Nested(self.nested.len() as u32 - 1));
             self.sub_group.push(NO_GROUP);
-        } else if self.compile.dedup {
-            self.add_deduped(expr, sub, patch)?;
         } else {
-            let enc = encode_single_path(expr, &mut self.interner, self.attr_mode)?;
-            let attr_check = match self.attr_mode {
-                AttrMode::Inline => None,
-                AttrMode::Postponed => AttrCheck::build(expr, &enc, &mut self.interner),
-            };
-            self.has_attr_checks |= attr_check.is_some();
-            let preds: Box<[PredId]> = enc
-                .preds
-                .iter()
-                .map(|p| self.index.insert(p.clone()))
-                .collect();
-            let location = self.insert_expr(preds, Sink::Sub { sub, attr_check }, patch);
-            self.locations.push(location);
-            self.sub_group.push(NO_GROUP);
+            self.add_deduped(expr, sub, patch)?;
         }
         self.n_subs += 1;
         if patch {
@@ -1855,14 +1619,10 @@ impl FilterEngine {
             return false;
         };
         let patch = self.ready_for_patch();
-        // Members of a canonical group do not own predicate-index
-        // references — the group does, and releases them only when its
+        // Single-path members do not own predicate-index references —
+        // their canonical group does, and releases them only when its
         // last member leaves (the bookkeeping at the end of this
         // function).
-        let grouped = self
-            .sub_group
-            .get(sub.0 as usize)
-            .is_some_and(|&g| g != NO_GROUP);
         let removed = match location {
             SubLocation::Gone => false,
             SubLocation::Flat(i) => {
@@ -1873,22 +1633,15 @@ impl FilterEngine {
                     .position(|s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub));
                 if let Some(pos) = pos {
                     entry.sinks.remove(pos);
-                    let now_empty = entry.sinks.is_empty();
-                    let preds: Vec<PredId> = entry.preds.to_vec();
-                    if now_empty && patch {
+                    if entry.sinks.is_empty() && patch {
                         // The posting entries of the dead expression stay
                         // in the lists; `required` at the never-candidate
                         // sentinel keeps counting from ever surfacing it.
-                        let mut distinct = preds.clone();
+                        let mut distinct = entry.preds.to_vec();
                         distinct.sort_unstable();
                         distinct.dedup();
                         self.postings.required[i as usize] = NEVER_CANDIDATE;
                         self.garbage += distinct.len();
-                    }
-                    if !grouped {
-                        for pid in preds {
-                            self.index.release(pid);
-                        }
                     }
                     true
                 } else {
@@ -1948,21 +1701,6 @@ impl FilterEngine {
                         // and must be recompiled at the next prepare().
                         self.trie.dirty = true;
                     }
-                    // Release this subscription's reference on every
-                    // predicate along the chain (one bump per add) —
-                    // unless a canonical group owns the references.
-                    if !grouped {
-                        let mut cur = n;
-                        loop {
-                            let nd = &self.trie.nodes[cur as usize];
-                            let (pid, parent) = (nd.pid, nd.parent);
-                            self.index.release(pid);
-                            if parent == NO_PARENT {
-                                break;
-                            }
-                            cur = parent;
-                        }
-                    }
                     true
                 } else {
                     false
@@ -1985,8 +1723,8 @@ impl FilterEngine {
         if removed {
             self.locations[sub.0 as usize] = SubLocation::Gone;
             self.removed += 1;
-            if grouped {
-                let gid = std::mem::replace(&mut self.sub_group[sub.0 as usize], NO_GROUP);
+            let gid = std::mem::replace(&mut self.sub_group[sub.0 as usize], NO_GROUP);
+            if gid != NO_GROUP {
                 let g = &mut self.groups[gid as usize];
                 g.members -= 1;
                 if g.members == 0 {
@@ -2101,21 +1839,6 @@ impl FilterEngine {
                 &mut self.garbage,
             );
         }
-        if self.compile.programs {
-            // Keep the compiled programs aligned with the entry store.
-            let expr = &self.flat[ei as usize];
-            let filtered = expr.sinks.iter().any(|s| {
-                !matches!(
-                    s,
-                    Sink::Sub {
-                        attr_check: None,
-                        ..
-                    }
-                )
-            });
-            debug_assert_eq!(self.flat_programs.len(), ei as usize);
-            self.flat_programs.push_chain(&expr.preds, filtered);
-        }
     }
 
     /// Incremental trie insert (PrefixCovering / AccessPredicate): walks
@@ -2212,8 +1935,6 @@ impl FilterEngine {
             p.chain_arena.extend_from_slice(&chain);
             p.term_chain_start.push(p.chain_arena.len() as u32);
             p.term_of[n as usize] = ti;
-            // (The new terminal carries no covering edges until the next
-            // full compilation; it runs uncovered, which is sound.)
             let mut distinct = chain;
             distinct.sort_unstable();
             distinct.dedup();
@@ -2547,20 +2268,13 @@ impl<D: DocAccess> ElementVisitor for IncrementalDriver<'_, '_, D> {
 }
 
 /// Stage-2 evaluation: one method per (organization, candidate-generation)
-/// pair, plus the shared terminal/node machinery. These live on the engine
-/// so they can reach the compiled subscription-set state (predicate
-/// programs, containment covering) next to the entry stores; all mutable
+/// pair, plus the shared terminal/node machinery. All mutable
 /// per-document state stays in the caller-owned scratch.
 impl FilterEngine {
-    /// Executes the structural occurrence determination of flat entry
-    /// `ei`: through its compiled program when one exists (slots resolved
-    /// once, no per-probe dispatch), otherwise interpreted over the
-    /// `PredId` chain.
+    /// Executes the structural occurrence determination of a flat entry
+    /// over its `PredId` chain.
     #[inline]
-    fn determine_flat(&self, ei: u32, expr: &FlatExpr, ctx: &MatchContext, runs: &mut u64) -> bool {
-        if (ei as usize) < self.flat_programs.len() {
-            return self.flat_programs.execute(ei, ctx, runs);
-        }
+    fn determine_flat(expr: &FlatExpr, ctx: &MatchContext, runs: &mut u64) -> bool {
         if expr.preds.iter().any(|&pid| ctx.get(pid).is_empty()) {
             return false;
         }
@@ -2592,8 +2306,8 @@ impl FilterEngine {
                 // document.
                 continue;
             }
-            if self.determine_flat(ei, expr, ctx, &mut stats.occurrence_runs) {
-                self.resolve_flat_sinks(ei, expr, ctx, publication, doc, state, stats, path_idx);
+            if Self::determine_flat(expr, ctx, &mut stats.occurrence_runs) {
+                Self::resolve_flat_sinks(expr, ctx, publication, doc, state, stats, path_idx);
             }
             let resolved = expr.sinks.iter().all(|s| match s {
                 Sink::Sub { sub, .. } => state.sub_matched.test(sub.0 as usize, state.doc_epoch),
@@ -2608,14 +2322,9 @@ impl FilterEngine {
         state.active = active;
     }
 
-    /// Resolves the sinks of a structurally matched flat entry. When the
-    /// compiled program pre-resolved the entry as filter-free (every sink
-    /// a plain subscription), resolution is a direct bitmap-marking sweep;
-    /// otherwise each sink dispatches through [`process_sink`].
-    #[allow(clippy::too_many_arguments)]
+    /// Resolves the sinks of a structurally matched flat entry through
+    /// [`process_sink`].
     fn resolve_flat_sinks<D: DocAccess>(
-        &self,
-        ei: u32,
         expr: &FlatExpr,
         ctx: &MatchContext,
         publication: &Publication,
@@ -2624,14 +2333,6 @@ impl FilterEngine {
         stats: &mut EngineStats,
         path_idx: u32,
     ) {
-        if (ei as usize) < self.flat_programs.len() && !self.flat_programs.needs_filter(ei) {
-            for sink in &expr.sinks {
-                if let Sink::Sub { sub, .. } = sink {
-                    state.sub_matched.set(sub.0 as usize, state.doc_epoch);
-                }
-            }
-            return;
-        }
         for sink in &expr.sinks {
             process_sink(
                 sink,
@@ -2666,11 +2367,7 @@ impl FilterEngine {
             let ti = active[read];
             read += 1;
             let node = self.trie.packed.term_node[ti as usize];
-            // Containment covering (or an earlier posting pass) may have
-            // resolved every sink of this node already: skip evaluation.
-            if !state.node_sinks_done.test(node as usize, state.doc_epoch) {
-                self.eval_terminal(ti, ctx, publication, doc, state, stats, path_idx);
-            }
+            self.eval_terminal(ti, ctx, publication, doc, state, stats, path_idx);
             // Stop-after-first-match: drop the terminal from the active
             // list once every subscription it resolves has matched this
             // document.
@@ -2684,13 +2381,10 @@ impl FilterEngine {
     }
 
     /// Evaluates one trie terminal on the current path: occurrence
-    /// determination interpreted over its packed predicate chain (already
-    /// slot-resolved in the SoA arena, so a compiled program would only
-    /// add an indirection), skipped when covering propagation
-    /// already marked the node matched, then the propagation walk marking
-    /// this node and every ancestor matched and resolving their sinks
-    /// (§4.2). A first-time structural match additionally resolves the
-    /// terminals this one covers by containment.
+    /// determination over its full predicate chain (skipped when covering
+    /// propagation already marked the node matched), then the propagation
+    /// walk marking this node and every ancestor matched and resolving
+    /// their sinks (§4.2).
     #[allow(clippy::too_many_arguments)]
     fn eval_terminal<D: DocAccess>(
         &self,
@@ -2754,39 +2448,6 @@ impl FilterEngine {
                 }
                 cur = parent;
                 depth -= 1;
-            }
-            // Containment covering: this terminal's structural match
-            // carries to every terminal whose chain is a window of this
-            // chain.
-            self.resolve_covers(ti, state, stats);
-        }
-    }
-
-    /// Resolves the terminals covered (by containment) by a structurally
-    /// matched coverer `ti`: their chains occur as contiguous windows of
-    /// the coverer's chain, so the coverer's occurrence combination
-    /// restricts to a witness for each of them — no determination run of
-    /// their own. Only all-plain-sink terminals take the shortcut: sinks
-    /// with postponed attribute checks re-determine against document
-    /// nodes, which a structural witness cannot subsume.
-    fn resolve_covers(&self, ti: u32, state: &mut DocState, stats: &mut EngineStats) {
-        for &cti in self.covering.covered_by(ti) {
-            let node = self.trie.packed.term_node[cti as usize] as usize;
-            if state.node_sinks_done.test(node, state.doc_epoch) {
-                continue;
-            }
-            let n_sinks = self.trie.packed.sink_len[node];
-            if n_sinks == 0 {
-                // Tombstoned since the covering was built.
-                continue;
-            }
-            let plain = self.trie.packed.plain_subs(node as u32);
-            if plain.len() as u32 == n_sinks {
-                for &sub in plain {
-                    state.sub_matched.set(sub as usize, state.doc_epoch);
-                }
-                state.node_sinks_done.set(node, state.doc_epoch);
-                stats.covered_skips += 1;
             }
         }
     }
@@ -2856,10 +2517,9 @@ impl FilterEngine {
     }
 
     /// Visits one trie node reached with feasible occurrence set `f_in`
-    /// (non-empty): resolves its sinks (and, for terminals, the terminals
-    /// they cover by containment), recurses into children whose predicate
-    /// chains on, and returns whether the whole subtree is now resolved
-    /// for this document.
+    /// (non-empty): resolves its sinks, recurses into children whose
+    /// predicate chains on, and returns whether the whole subtree is now
+    /// resolved for this document.
     #[allow(clippy::too_many_arguments)]
     fn dfs_node<D: DocAccess>(
         &self,
@@ -2927,12 +2587,6 @@ impl FilterEngine {
                 }) {
                     state.node_sinks_done.set(n as usize, state.doc_epoch);
                 }
-            }
-            // The chain to this node matched structurally: resolve the
-            // terminals it covers by containment.
-            let ti = packed.term_of[n as usize];
-            if ti != NO_TERM {
-                self.resolve_covers(ti, state, stats);
             }
         }
         let mut all_done = !has_sinks || state.node_sinks_done.test(n as usize, state.doc_epoch);
@@ -3027,8 +2681,8 @@ impl FilterEngine {
             if resolved {
                 continue;
             }
-            if self.determine_flat(ei, expr, ctx, &mut stats.occurrence_runs) {
-                self.resolve_flat_sinks(ei, expr, ctx, publication, doc, state, stats, path_idx);
+            if Self::determine_flat(expr, ctx, &mut stats.occurrence_runs) {
+                Self::resolve_flat_sinks(expr, ctx, publication, doc, state, stats, path_idx);
             }
         }
         state.cand_buf = cand;
@@ -3057,10 +2711,9 @@ impl FilterEngine {
         for &ti in &cand {
             let node = self.trie.packed.term_node[ti as usize];
             // Stop-after-first-match: once every sink of this node
-            // matched the document (or containment covering resolved
-            // them), a doc-epoch stamp turns all later visits into an
-            // O(1) skip (the scan formulation drops it from the active
-            // list).
+            // matched the document, a doc-epoch stamp turns all later
+            // visits into an O(1) skip (the scan formulation drops it
+            // from the active list).
             if state.node_sinks_done.test(node as usize, state.doc_epoch) {
                 continue;
             }

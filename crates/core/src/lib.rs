@@ -42,23 +42,14 @@ mod engine;
 pub mod nested;
 pub mod occurrence;
 pub mod parallel;
-mod program;
 pub mod reference;
-pub mod sharded;
 pub mod snapshot;
 
 pub use backend::{BackendError, FilterBackend};
 pub use encode::{AttrMode, EncodeError, EncodedPath};
 pub use engine::{
-    AddError, Algorithm, CompileOptions, EngineStats, FilterEngine, MatchScratch, Matcher, Stage1,
-    Stage2, SubId, SubsetStats,
+    AddError, Algorithm, EngineStats, FilterEngine, MatchScratch, Matcher, Stage1, Stage2, SubId,
+    SubsetStats,
 };
-pub use parallel::{
-    BatchMatcher, BatchReport, BatchScratch, ByteFilterResult, DocError, DocFilterResult,
-    MatcherSource,
-};
-pub use sharded::{
-    ShardedEngine, ShardedHandle, ShardedMatcher, ShardedPublisher, ShardedSnapshot,
-    ShardedSnapshotMatcher,
-};
+pub use parallel::{BatchReport, BatchScratch, ByteFilterResult, DocError, DocFilterResult};
 pub use snapshot::{ChurnOp, EngineSnapshot, SnapshotHandle, SnapshotPublisher};

@@ -16,64 +16,9 @@
 //! may be mid-document) and continues with a fresh one.
 
 use crate::engine::{FilterEngine, Matcher, SubId};
-use crate::sharded::{ShardedEngine, ShardedMatcher};
 use pxf_xml::{Document, XmlError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A per-thread matching handle usable by the batch driver: both
-/// [`Matcher`] (one engine) and [`ShardedMatcher`] (expression-sharded)
-/// qualify, so the document axis here composes with the expression axis
-/// of [`crate::sharded`].
-pub trait BatchMatcher {
-    /// Filters a parsed document (ids ascending).
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId>;
-    /// Parses and filters raw bytes in one streaming pass.
-    fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError>;
-}
-
-impl BatchMatcher for Matcher<'_> {
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId> {
-        Matcher::match_document(self, doc)
-    }
-    fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
-        Matcher::match_bytes(self, bytes)
-    }
-}
-
-impl BatchMatcher for ShardedMatcher<'_> {
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId> {
-        ShardedMatcher::match_document(self, doc)
-    }
-    fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
-        ShardedMatcher::match_bytes(self, bytes)
-    }
-}
-
-/// A prepared, immutable subscription base that can mint any number of
-/// independent per-thread matchers.
-pub trait MatcherSource: Sync {
-    /// The matcher type handed to each worker.
-    type Matcher<'a>: BatchMatcher
-    where
-        Self: 'a;
-    /// Creates a fresh matcher over this source.
-    fn matcher(&self) -> Self::Matcher<'_>;
-}
-
-impl MatcherSource for FilterEngine {
-    type Matcher<'a> = Matcher<'a>;
-    fn matcher(&self) -> Matcher<'_> {
-        FilterEngine::matcher(self)
-    }
-}
-
-impl MatcherSource for ShardedEngine {
-    type Matcher<'a> = ShardedMatcher<'a>;
-    fn matcher(&self) -> ShardedMatcher<'_> {
-        ShardedEngine::matcher(self)
-    }
-}
 
 /// Why one document of a batch produced no match set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,10 +145,11 @@ fn run_isolated<E, F>(
     work: F,
 ) -> Vec<DocFilterResult>
 where
-    E: MatcherSource,
-    F: for<'e> Fn(&mut E::Matcher<'e>, usize) -> DocFilterResult + Sync,
+    E: AsRef<FilterEngine> + Sync,
+    F: Fn(&mut Matcher<'_>, usize) -> DocFilterResult + Sync,
 {
-    let one_doc = |matcher: &mut E::Matcher<'_>, i: usize| -> DocFilterResult {
+    let engine = engine.as_ref();
+    let one_doc = |matcher: &mut Matcher<'_>, i: usize| -> DocFilterResult {
         // The matcher's scratch is left in an unspecified state if `work`
         // panics mid-document, so the caller must discard it afterwards.
         match catch_unwind(AssertUnwindSafe(|| work(matcher, i))) {
@@ -315,7 +261,7 @@ fn effective_threads(threads: usize, n_docs: usize) -> usize {
 /// assert_eq!(results[0].as_ref().unwrap(), &vec![s]);
 /// assert!(results[1].as_ref().unwrap().is_empty());
 /// ```
-pub fn filter_batch<E: MatcherSource>(
+pub fn filter_batch<E: AsRef<FilterEngine> + Sync>(
     engine: &E,
     docs: &[Document],
     threads: usize,
@@ -326,7 +272,7 @@ pub fn filter_batch<E: MatcherSource>(
 /// [`filter_batch`] with caller-held [`BatchScratch`]: a loop over many
 /// batches reuses the per-worker staging buffers instead of reallocating
 /// them every call.
-pub fn filter_batch_with<E: MatcherSource>(
+pub fn filter_batch_with<E: AsRef<FilterEngine> + Sync>(
     engine: &E,
     docs: &[Document],
     threads: usize,
@@ -349,7 +295,7 @@ pub fn filter_batch_with<E: MatcherSource>(
 /// `threads == 0` uses every available core, mirroring [`filter_batch`].
 ///
 /// [`Matcher::match_bytes`]: crate::Matcher::match_bytes
-pub fn filter_batch_bytes<E: MatcherSource>(
+pub fn filter_batch_bytes<E: AsRef<FilterEngine> + Sync>(
     engine: &E,
     docs: &[Vec<u8>],
     threads: usize,
@@ -359,7 +305,7 @@ pub fn filter_batch_bytes<E: MatcherSource>(
 
 /// [`filter_batch_bytes`] with caller-held [`BatchScratch`] (see
 /// [`filter_batch_with`]).
-pub fn filter_batch_bytes_with<E: MatcherSource>(
+pub fn filter_batch_bytes_with<E: AsRef<FilterEngine> + Sync>(
     engine: &E,
     docs: &[Vec<u8>],
     threads: usize,
@@ -480,32 +426,6 @@ mod tests {
                 Err(DocError::Parse(e)) => assert!(e.is_limit()),
                 other => panic!("expected a limit error, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_drives_the_batch_path() {
-        let (engine, _) = sample_engine();
-        let mut sharded =
-            crate::ShardedEngine::new(3, Algorithm::AccessPredicate, AttrMode::Inline);
-        for e in ["/a/b", "//c", "a/*/d"] {
-            sharded.add_str(e).unwrap();
-        }
-        sharded.prepare();
-        let bytes: Vec<Vec<u8>> = [
-            "<a><b/></a>",
-            "<a><x><c/></x></a>",
-            "<a><q><d/></q></a>",
-            "<z/>",
-        ]
-        .iter()
-        .cycle()
-        .take(40)
-        .map(|s| s.as_bytes().to_vec())
-        .collect();
-        let want = filter_batch_bytes(&engine, &bytes, 1);
-        for threads in [1, 2, 4] {
-            assert_eq!(filter_batch_bytes(&sharded, &bytes, threads), want);
         }
     }
 

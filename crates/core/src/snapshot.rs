@@ -30,7 +30,6 @@
 //! amortized O(1): it verifies the patched flags and returns.
 
 use crate::engine::{AddError, FilterEngine, Matcher, SubId};
-use crate::parallel::MatcherSource;
 use pxf_xpath::XPathExpr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -63,14 +62,6 @@ impl EngineSnapshot {
 }
 
 impl AsRef<FilterEngine> for EngineSnapshot {
-    fn as_ref(&self) -> &FilterEngine {
-        &self.engine
-    }
-}
-
-/// Lets a slice of shared snapshots act as a slice of engines (the
-/// sharded matcher runs over `&[Arc<EngineSnapshot>]`).
-impl AsRef<FilterEngine> for Arc<EngineSnapshot> {
     fn as_ref(&self) -> &FilterEngine {
         &self.engine
     }
@@ -316,13 +307,6 @@ impl SnapshotPublisher {
     }
 }
 
-impl MatcherSource for EngineSnapshot {
-    type Matcher<'a> = Matcher<'a>;
-    fn matcher(&self) -> Matcher<'_> {
-        EngineSnapshot::matcher(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,20 +389,27 @@ mod tests {
         let mut publisher = SnapshotPublisher::new(FilterEngine::default());
         let handle = publisher.handle();
         let stop = std::sync::atomic::AtomicBool::new(false);
+        // Completed `epoch()` reads. The writer holds off until the first
+        // one, so polling overlaps publication on any scheduler (an
+        // optimized build otherwise finishes all 200 rounds before the
+        // poller thread is first scheduled).
+        let reads = AtomicU64::new(0);
         std::thread::scope(|scope| {
             let poller_handle = handle.clone();
-            let stop = &stop;
+            let (stop, reads) = (&stop, &reads);
             let poller = scope.spawn(move || {
                 let mut last = 0u64;
-                let mut reads = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     let e = poller_handle.epoch();
                     assert!(e >= last, "epoch went backwards: {last} -> {e}");
                     last = e;
-                    reads += 1;
+                    reads.fetch_add(1, Ordering::SeqCst);
                 }
-                (last, reads)
+                last
             });
+            while reads.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
             for _ in 0..200 {
                 let s = publisher.add_str("/a/b").unwrap();
                 publisher.publish();
@@ -426,8 +417,8 @@ mod tests {
                 publisher.publish();
             }
             stop.store(true, Ordering::Release);
-            let (last_seen, reads) = poller.join().expect("poller panicked");
-            assert!(reads > 0);
+            let last_seen = poller.join().expect("poller panicked");
+            assert!(reads.load(Ordering::SeqCst) > 0);
             assert!(last_seen <= publisher.epoch());
         });
         assert_eq!(publisher.epoch(), 400);

@@ -1,11 +1,8 @@
 //! Deterministic edge cases for the incremental index maintenance
 //! paths: tombstone exhaustion (remove everything, then re-add),
-//! duplicate-heavy `plain_subs` terminals, the compaction threshold,
-//! and shard routing of removals.
+//! duplicate-heavy `plain_subs` terminals, and the compaction threshold.
 
-use pxf_core::{
-    Algorithm, AttrMode, FilterBackend, FilterEngine, ShardedEngine, Stage1, Stage2, SubId,
-};
+use pxf_core::{Algorithm, AttrMode, FilterBackend, FilterEngine, Stage1, Stage2, SubId};
 use pxf_xml::Document;
 
 const EXPRS: [&str; 8] = [
@@ -175,44 +172,6 @@ fn steady_state_churn_never_rebuilds() {
             assert_eq!(engine.full_rebuilds(), 0, "{s1:?} {s2:?}");
             assert!(engine.incremental_patches() >= 80, "{s1:?} {s2:?}");
         }
-    }
-}
-
-/// Round-robin placement: global id `g` lives on shard `g % n` as local
-/// id `g / n`. Removal must route there — removing a sub must not
-/// disturb same-local-id subscriptions on sibling shards.
-#[test]
-fn sharded_removal_routes_to_owning_shard() {
-    let doc = Document::parse(DOC.as_bytes()).unwrap();
-    for n_shards in [2usize, 3, 4] {
-        let mut engine = ShardedEngine::new(n_shards, Algorithm::AccessPredicate, AttrMode::Inline);
-        // Same expression everywhere: every shard's local id 0..k maps
-        // to a distinct global id, so a routing mistake (wrong shard,
-        // same local id) still removes a *valid* subscription — only the
-        // match set reveals which one died.
-        let subs: Vec<SubId> = (0..n_shards * 4)
-            .map(|_| engine.add_str("/a/b").unwrap())
-            .collect();
-        engine.prepare();
-        // Remove one global id per shard, all with different local ids.
-        let mut gone = Vec::new();
-        for s in 0..n_shards {
-            let global = (s * n_shards + s) % subs.len();
-            assert!(engine.remove(SubId(global as u32)), "{n_shards} shards");
-            gone.push(global as u32);
-        }
-        let want: Vec<u32> = subs
-            .iter()
-            .map(|s| s.0)
-            .filter(|g| !gone.contains(g))
-            .collect();
-        let got: Vec<u32> = engine.match_document(&doc).iter().map(|s| s.0).collect();
-        assert_eq!(got, want, "{n_shards} shards");
-        // Unknown / already-removed ids are rejected on every shard.
-        for &g in &gone {
-            assert!(!engine.remove(SubId(g)), "{n_shards} shards");
-        }
-        assert!(!engine.remove(SubId(subs.len() as u32 + 7)));
     }
 }
 

@@ -11,7 +11,7 @@
 //! `pid → root` table maintenance — all equivalence-checked against the
 //! rebuild-from-scratch engine as oracle after every batch of ops.
 
-use pxf_core::{Algorithm, AttrMode, FilterEngine, ShardedEngine, Stage1, Stage2, SubId};
+use pxf_core::{Algorithm, AttrMode, FilterEngine, Stage1, Stage2, SubId};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use pxf_xpath::XPathExpr;
@@ -239,63 +239,4 @@ fn churn_equals_rebuild_across_all_modes() {
         total_patches > 0,
         "steady-state churn never took the incremental patch path"
     );
-}
-
-/// The same churn scripts driven through a sharded engine: removal must
-/// route to the shard the round-robin placement put the subscription on.
-#[test]
-fn sharded_churn_equals_rebuild() {
-    let mut rng = Rng::seed_from_u64(0x7c42);
-    for _ in 0..24 {
-        let script = arb_script(&mut rng);
-        for n_shards in [2usize, 3] {
-            let ctx = format!("{n_shards} shards {:?}", script.attr_mode);
-            let mut engine =
-                ShardedEngine::new(n_shards, Algorithm::AccessPredicate, script.attr_mode);
-            let mut subs: Vec<Option<XPathExpr>> = Vec::new();
-            for e in &script.initial {
-                engine.add(e).unwrap();
-                subs.push(Some(e.clone()));
-            }
-            let docs: Vec<Document> = script
-                .docs
-                .iter()
-                .map(|s| Document::parse(s.as_bytes()).unwrap())
-                .collect();
-            let _ = engine.match_document(&docs[0]);
-            for (adds, removes) in &script.batches {
-                for e in adds {
-                    engine.add(e).unwrap();
-                    subs.push(Some(e.clone()));
-                }
-                for &pick in removes {
-                    let live: Vec<usize> = (0..subs.len()).filter(|&i| subs[i].is_some()).collect();
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let victim = live[pick % live.len()];
-                    assert!(engine.remove(SubId(victim as u32)), "{ctx}");
-                    subs[victim] = None;
-                    assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
-                }
-                let mut oracle = FilterEngine::new(Algorithm::AccessPredicate, script.attr_mode);
-                let mut kept_orig: Vec<u32> = Vec::new();
-                for (i, e) in subs.iter().enumerate() {
-                    if let Some(e) = e {
-                        oracle.add(e).unwrap();
-                        kept_orig.push(i as u32);
-                    }
-                }
-                for (src, doc) in script.docs.iter().zip(&docs) {
-                    let want: Vec<u32> = oracle
-                        .match_document(doc)
-                        .iter()
-                        .map(|s| kept_orig[s.0 as usize])
-                        .collect();
-                    let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
-                    assert_eq!(got, want, "{ctx}, doc {src}");
-                }
-            }
-        }
-    }
 }

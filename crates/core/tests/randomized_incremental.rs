@@ -18,7 +18,7 @@
 
 use pxf_core::encode::encode_single_path;
 use pxf_core::reference::matches_document;
-use pxf_core::{Algorithm, AttrMode, FilterEngine, ShardedEngine, Stage1, Stage2};
+use pxf_core::{Algorithm, AttrMode, FilterEngine, Stage1, Stage2};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_rng::Rng;
 use pxf_xml::{
@@ -246,64 +246,6 @@ fn incremental_ctx_equals_per_path_evaluate() {
         total_leaves += checker.leaves_checked;
     }
     assert!(total_leaves > 256, "sweep exercised real documents");
-}
-
-/// Property 3 (expression sharding): a [`ShardedEngine`] with 1, 2, or 4
-/// shards reports exactly the match set of an unsharded engine over the
-/// same subscriptions — the round-robin distribution, local→global id
-/// mapping, and k-way merge are invisible — and both agree with the
-/// reference oracle. Checked through the tree store and the flat
-/// streaming store.
-#[test]
-fn sharded_engines_agree_with_single_shard_oracle() {
-    let mut rng = Rng::seed_from_u64(0x1c53);
-    for round in 0..64 {
-        let exprs: Vec<XPathExpr> = (0..rng.gen_range(1..10usize))
-            .map(|_| arb_expr(&mut rng, true))
-            .collect();
-        let n_tags = rng.gen_range(2..=TAGS.len());
-        let trees: Vec<Tree> = (0..rng.gen_range(1..3usize))
-            .map(|_| arb_tree(&mut rng, 4, n_tags))
-            .collect();
-        let mut single = FilterEngine::default();
-        for e in &exprs {
-            single.add(e).unwrap();
-        }
-        let mut sharded: Vec<ShardedEngine> = [1usize, 2, 4]
-            .iter()
-            .map(|&n| {
-                let mut engine =
-                    ShardedEngine::new(n, Algorithm::AccessPredicate, AttrMode::Inline);
-                for e in &exprs {
-                    engine.add(e).unwrap();
-                }
-                engine.prepare();
-                engine
-            })
-            .collect();
-        for tree in &trees {
-            let doc = build_doc(tree);
-            let flat = PathDoc::parse(doc.to_xml().as_bytes()).unwrap();
-            let oracle: Vec<u32> = exprs
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches_document(e, &doc))
-                .map(|(i, _)| i as u32)
-                .collect();
-            let want: Vec<u32> = single.match_document(&doc).iter().map(|s| s.0).collect();
-            assert_eq!(want, oracle, "round {round}: unsharded vs reference");
-            for engine in &mut sharded {
-                let n = engine.n_shards();
-                let got: Vec<u32> = engine.match_document(&doc).iter().map(|s| s.0).collect();
-                assert_eq!(got, oracle, "round {round}, {n} shards on {}", doc.to_xml());
-                let via_flat: Vec<u32> = engine.match_document(&flat).iter().map(|s| s.0).collect();
-                assert_eq!(
-                    via_flat, oracle,
-                    "round {round}, {n} shards, streaming store"
-                );
-            }
-        }
-    }
 }
 
 /// Property 2: identical match sets for both stage-1 evaluators × both

@@ -12,9 +12,7 @@
 //! Iteration counts are bounded for CI; the writer publishes every few
 //! ops so reclamation races (recycle vs deep-clone fallback) are hit.
 
-use pxf_core::{
-    Algorithm, AttrMode, FilterEngine, ShardedEngine, ShardedPublisher, SnapshotPublisher, SubId,
-};
+use pxf_core::{Algorithm, AttrMode, FilterEngine, SnapshotPublisher, SubId};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use std::collections::HashMap;
@@ -149,79 +147,5 @@ fn concurrent_churn_soak() {
         for sub in &got {
             assert!(!removed_at.lock().unwrap().contains_key(&sub.0));
         }
-    }
-}
-
-/// The same soak shape through the sharded publisher: per-shard snapshot
-/// swaps composed into one epoch, matched via [`ShardedSnapshot`]
-/// matchers holding the composite `Arc`.
-///
-/// [`ShardedSnapshot`]: pxf_core::ShardedSnapshot
-#[test]
-fn sharded_concurrent_churn_soak() {
-    let mut engine = ShardedEngine::new(3, Algorithm::AccessPredicate, AttrMode::Inline);
-    for src in EXPR_POOL {
-        engine.add_str(src).unwrap();
-    }
-    let mut publisher = ShardedPublisher::new(engine);
-    let handle = publisher.handle();
-    let removed_at: Mutex<HashMap<u32, u64>> = Mutex::new(HashMap::new());
-    let done = AtomicBool::new(false);
-    let docs: Vec<Document> = DOC_POOL
-        .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
-        .collect();
-
-    std::thread::scope(|scope| {
-        let removed_at = &removed_at;
-        let done = &done;
-        let docs = &docs;
-        for t in 0..2usize {
-            let handle = handle.clone();
-            scope.spawn(move || {
-                let mut rng = Rng::seed_from_u64(0x5a30 + t as u64);
-                let mut rounds = 0usize;
-                while !done.load(Ordering::Acquire) || rounds < 10 {
-                    rounds += 1;
-                    let snap = handle.load();
-                    std::thread::yield_now();
-                    let mut matcher = snap.matcher();
-                    let doc = &docs[rng.gen_range(0..docs.len())];
-                    let first = matcher.match_document(doc);
-                    assert_eq!(first, matcher.match_document(doc), "torn read");
-                    let removed = removed_at.lock().unwrap();
-                    for sub in &first {
-                        if let Some(&epoch) = removed.get(&sub.0) {
-                            assert!(epoch > snap.epoch());
-                        }
-                    }
-                }
-            });
-        }
-        // Writer: same policy as the single-engine soak, inlined because
-        // the sharded publisher routes by global id.
-        let mut rng = Rng::seed_from_u64(0x5a3a);
-        let mut live: Vec<SubId> = Vec::new();
-        for i in 0..120usize {
-            if live.is_empty() || rng.gen_bool(0.55) {
-                let src = EXPR_POOL[rng.gen_range(0..EXPR_POOL.len())];
-                live.push(publisher.add_str(src).unwrap());
-            } else {
-                let victim = live.swap_remove(rng.gen_range(0..live.len()));
-                assert!(publisher.remove(victim));
-                let epoch = publisher.publish();
-                removed_at.lock().unwrap().insert(victim.0, epoch);
-                continue;
-            }
-            if i % 3 == 0 {
-                publisher.publish();
-            }
-        }
-        publisher.publish();
-        done.store(true, Ordering::Release);
-    });
-
-    for engine in publisher.engines() {
-        assert_eq!(engine.full_rebuilds(), 0);
     }
 }

@@ -1,14 +1,15 @@
-//! Seeded property suite for subscription-set compilation: the compiled
-//! engine (hash-dedup + containment covering + flat predicate programs,
-//! the default [`CompileOptions`]) must produce match sets identical to
-//! the uncompiled oracle ([`CompileOptions::none()`]) on every document —
+//! Seeded property suite for canonical-form dedup: structurally identical
+//! subscriptions share one stored entry, yet every subscription is
+//! reported under its own [`SubId`] exactly when the brute-force
+//! reference evaluator ([`pxf_core::reference::matches_document`], which
+//! knows nothing about canonical forms) says its expression matches —
 //! across all three organizations, both attribute modes, and both
-//! stage-2 strategies — including under churn that exercises the
-//! compiled structures' patch paths: removing one subscriber of a
-//! deduped canonical entry, and removing a coverer whose covered
-//! expressions must keep matching standalone.
+//! stage-2 strategies, including under churn that exercises the group
+//! patch paths: removing one member of a canonical group, removing the
+//! last member, and re-adding after the group died.
 
-use pxf_core::{Algorithm, AttrMode, CompileOptions, FilterEngine, Stage2, SubId};
+use pxf_core::reference::matches_document;
+use pxf_core::{Algorithm, AttrMode, FilterEngine, Stage2, SubId, SubsetStats};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use pxf_xpath::XPathExpr;
@@ -16,8 +17,8 @@ use pxf_xpath::XPathExpr;
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
 /// Random expression source: plain steps, wildcards, descendant axes,
-/// attribute filters, occasional nested paths — the full dispatch
-/// surface of the compiler's eligibility checks.
+/// attribute filters, occasional nested paths (which stay outside the
+/// dedup universe).
 fn arb_expr_src(rng: &mut Rng) -> String {
     let n_steps = rng.gen_range(1..5usize);
     let mut src = String::new();
@@ -64,7 +65,7 @@ fn arb_expr(rng: &mut Rng) -> XPathExpr {
 
 /// A duplicate-heavy expression population: fresh expressions mixed with
 /// verbatim copies (dedup targets) and relative sub-windows of earlier
-/// expressions (containment-covering targets).
+/// expressions (contained, but canonically distinct).
 fn arb_exprs_with_dups(rng: &mut Rng, count: usize) -> Vec<XPathExpr> {
     let mut out: Vec<XPathExpr> = Vec::with_capacity(count);
     while out.len() < count {
@@ -143,15 +144,8 @@ fn mode_grid() -> Vec<(Algorithm, AttrMode, Stage2)> {
     out
 }
 
-fn engine_with(
-    algo: Algorithm,
-    attr: AttrMode,
-    s2: Stage2,
-    options: CompileOptions,
-    exprs: &[XPathExpr],
-) -> FilterEngine {
+fn engine_with(algo: Algorithm, attr: AttrMode, s2: Stage2, exprs: &[XPathExpr]) -> FilterEngine {
     let mut engine = FilterEngine::new(algo, attr);
-    engine.set_compile_options(options);
     engine.set_stage2(s2);
     for e in exprs {
         engine.add(e).unwrap();
@@ -159,31 +153,44 @@ fn engine_with(
     engine
 }
 
-/// Static equivalence: on duplicate-heavy populations, the compiled
-/// engine and the uncompiled oracle return byte-identical match sets
-/// (same ids, same ascending order) through both document stores.
+/// The reference match set: `subs[i]` is the expression registered under
+/// `SubId(i)` (`None` once removed), each evaluated on its own.
+fn reference_ids(subs: &[Option<XPathExpr>], doc: &Document) -> Vec<SubId> {
+    subs.iter()
+        .enumerate()
+        .filter(|(_, e)| e.as_ref().is_some_and(|e| matches_document(e, doc)))
+        .map(|(i, _)| SubId(i as u32))
+        .collect()
+}
+
+/// Static equivalence: on duplicate-heavy populations the engine returns
+/// exactly the reference match set (same ids, ascending) through both
+/// document stores.
 #[test]
-fn compiled_engine_matches_uncompiled_oracle() {
+fn deduped_engine_matches_reference() {
     let mut rng = Rng::seed_from_u64(0x5c01);
     let grid = mode_grid();
     let mut dedup_seen = false;
     for _ in 0..40 {
         let count = rng.gen_range(4..16usize);
         let exprs = arb_exprs_with_dups(&mut rng, count);
+        let subs: Vec<Option<XPathExpr>> = exprs.iter().cloned().map(Some).collect();
         let docs: Vec<String> = (0..rng.gen_range(1..4usize))
             .map(|_| arb_doc_xml(&mut rng, 4))
             .collect();
         for &(algo, attr, s2) in &grid {
             let ctx = format!("{algo:?} {attr:?} {s2:?}");
-            let mut compiled = engine_with(algo, attr, s2, CompileOptions::default(), &exprs);
-            let mut oracle = engine_with(algo, attr, s2, CompileOptions::none(), &exprs);
-            dedup_seen |= compiled.subset_stats().canonical < compiled.subset_stats().registered;
+            let mut engine = engine_with(algo, attr, s2, &exprs);
+            dedup_seen |= engine.subset_stats().canonical < engine.subset_stats().registered;
             for src in &docs {
                 let doc = Document::parse(src.as_bytes()).unwrap();
-                let want = oracle.match_document(&doc);
-                let got = compiled.match_document(&doc);
-                assert_eq!(got, want, "{ctx}, tree store, doc {src}");
-                let streamed = compiled.match_bytes(src.as_bytes()).unwrap();
+                let want = reference_ids(&subs, &doc);
+                assert_eq!(
+                    engine.match_document(&doc),
+                    want,
+                    "{ctx}, tree store, doc {src}"
+                );
+                let streamed = engine.match_bytes(src.as_bytes()).unwrap();
                 assert_eq!(streamed, want, "{ctx}, byte store, doc {src}");
             }
         }
@@ -192,9 +199,9 @@ fn compiled_engine_matches_uncompiled_oracle() {
 }
 
 /// Churn battery: random interleavings of duplicate-heavy adds and
-/// removals against a prepared compiled engine must stay equivalent to
-/// the uncompiled oracle rebuilt from the survivors — with every
-/// mutation taking the O(1)/incremental patch path (zero full rebuilds).
+/// removals against a prepared engine must stay equal to the reference
+/// evaluated over the survivors — with every mutation taking the
+/// O(1)/incremental patch path (zero full rebuilds).
 #[test]
 fn dedup_churn_battery_patches_in_place() {
     let mut rng = Rng::seed_from_u64(0x5c02);
@@ -217,7 +224,7 @@ fn dedup_churn_battery_patches_in_place() {
             .collect();
         for &(algo, attr, s2) in &grid {
             let ctx = format!("round {round}, {algo:?} {attr:?} {s2:?}");
-            let mut engine = engine_with(algo, attr, s2, CompileOptions::default(), &initial);
+            let mut engine = engine_with(algo, attr, s2, &initial);
             let mut subs: Vec<Option<XPathExpr>> = initial.iter().cloned().map(Some).collect();
             // First match triggers the bulk prepare; everything after
             // must patch in place.
@@ -239,25 +246,13 @@ fn dedup_churn_battery_patches_in_place() {
                     subs[victim] = None;
                     assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
                 }
-                let mut oracle = FilterEngine::new(algo, attr);
-                oracle.set_compile_options(CompileOptions::none());
-                oracle.set_stage2(s2);
-                let mut kept_orig: Vec<u32> = Vec::new();
-                for (i, e) in subs.iter().enumerate() {
-                    if let Some(e) = e {
-                        oracle.add(e).unwrap();
-                        kept_orig.push(i as u32);
-                    }
-                }
                 for src in &docs {
                     let doc = Document::parse(src.as_bytes()).unwrap();
-                    let want: Vec<u32> = oracle
-                        .match_document(&doc)
-                        .iter()
-                        .map(|s| kept_orig[s.0 as usize])
-                        .collect();
-                    let got: Vec<u32> = engine.match_document(&doc).iter().map(|s| s.0).collect();
-                    assert_eq!(got, want, "{ctx}, doc {src}");
+                    assert_eq!(
+                        engine.match_document(&doc),
+                        reference_ids(&subs, &doc),
+                        "{ctx}, doc {src}"
+                    );
                 }
             }
             assert_eq!(
@@ -269,89 +264,116 @@ fn dedup_churn_battery_patches_in_place() {
     }
 }
 
-/// Removing one subscriber of a deduped canonical entry is an O(1)
-/// detach: the surviving subscribers keep matching, the removed one
-/// stops, and no index traffic (rebuild) happens.
+/// Removing one member of a canonical group is an O(1) detach: the
+/// surviving members keep matching, the removed one stops, and no index
+/// traffic (rebuild) happens. Removing the last member kills the group;
+/// a re-registration afterwards starts a fresh one.
 #[test]
 fn removing_one_deduped_subscriber_keeps_the_rest() {
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    let docs: Vec<Document> = ["<a><b/></a>", "<a><c/></a>", "<x><a><b/></a></x>"]
+        .iter()
+        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .collect();
+    for &(algo, attr, s2) in &mode_grid() {
+        let ctx = format!("{algo:?} {attr:?} {s2:?}");
         let expr = pxf_xpath::parse("/a/b").unwrap();
-        let ids: Vec<SubId> = (0..3).map(|_| engine.add(&expr).unwrap()).collect();
+        let mut engine = engine_with(algo, attr, s2, &[]);
+        let mut subs: Vec<Option<XPathExpr>> = Vec::new();
+        let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>], what: &str| {
+            for doc in &docs {
+                assert_eq!(
+                    engine.match_document(doc),
+                    reference_ids(subs, doc),
+                    "{ctx}: {what}"
+                );
+            }
+        };
+        for _ in 0..3 {
+            engine.add(&expr).unwrap();
+            subs.push(Some(expr.clone()));
+        }
         let stats = engine.subset_stats();
-        assert_eq!((stats.registered, stats.canonical), (3, 1), "{algo:?}");
+        assert_eq!((stats.registered, stats.canonical), (3, 1), "{ctx}");
+        check(&mut engine, &subs, "three members");
 
-        let doc = Document::parse(b"<a><b/></a>").unwrap();
-        assert_eq!(engine.match_document(&doc), ids, "{algo:?}");
-        assert!(engine.remove(ids[1]), "{algo:?}");
-        assert_eq!(
-            engine.match_document(&doc),
-            vec![ids[0], ids[2]],
-            "{algo:?}"
-        );
-        assert_eq!(engine.full_rebuilds(), 0, "{algo:?}");
+        assert!(engine.remove(SubId(1)), "{ctx}");
+        subs[1] = None;
+        check(&mut engine, &subs, "one member removed");
+        assert_eq!(engine.full_rebuilds(), 0, "{ctx}");
+
         // Removing the rest empties the group and releases its chain.
-        assert!(engine.remove(ids[0]) && engine.remove(ids[2]), "{algo:?}");
-        assert!(engine.match_document(&doc).is_empty(), "{algo:?}");
+        assert!(engine.remove(SubId(0)) && engine.remove(SubId(2)), "{ctx}");
+        subs[0] = None;
+        subs[2] = None;
+        check(&mut engine, &subs, "last member removed");
+        assert_eq!(engine.subset_stats().canonical, 0, "{ctx}");
+
         // A re-registration after the group died starts a fresh group.
-        let again = engine.add(&expr).unwrap();
-        assert_eq!(engine.match_document(&doc), vec![again], "{algo:?}");
+        assert_eq!(engine.add(&expr).unwrap(), SubId(3), "{ctx}");
+        subs.push(Some(expr.clone()));
+        check(&mut engine, &subs, "re-added after group death");
+        let stats = engine.subset_stats();
+        assert_eq!((stats.registered, stats.canonical), (1, 1), "{ctx}");
     }
 }
 
-/// Removing a coverer reinstates its covered set: expressions that were
-/// being resolved through another terminal's structural match must keep
-/// matching standalone once the coverer is gone — without a rebuild.
+/// Textually different, canonically equal expressions (the rewrites of
+/// `pxf_xpath`'s canonical form) share one stored entry, yet each is
+/// reported under its own id and agrees with the reference — which
+/// evaluates the expressions as written — on every document.
 #[test]
-fn removing_a_coverer_reinstates_covered_expressions() {
-    for algo in [Algorithm::PrefixCovering, Algorithm::AccessPredicate] {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
-        let coverer = engine.add_str("/a/b/c/d").unwrap();
-        let covered = engine.add_str("b/c").unwrap();
-        let doc = Document::parse(b"<a><b><c><d/></c></b></a>").unwrap();
-        assert_eq!(
-            engine.match_document(&doc),
-            vec![coverer, covered],
-            "{algo:?}"
+fn canonically_equal_spellings_share_an_entry_and_keep_their_ids() {
+    let pairs = [
+        ("a/*//b", "a//*/b"),
+        ("/a[@y = 2][@x = 1]", "/a[@x = 1][@y = 2]"),
+    ];
+    let mut rng = Rng::seed_from_u64(0x5c03);
+    let mut docs: Vec<String> = [
+        "<a><c><b/></c></a>",
+        "<a><b/></a>",
+        "<a><c><d><b/></d></c></a>",
+        "<r><a><d><b/></d></a></r>",
+        "<a x=\"1\" y=\"2\"/>",
+        "<a x=\"1\"/>",
+        "<a y=\"2\" x=\"1\"><b/></a>",
+        "<a x=\"2\" y=\"1\"/>",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    docs.extend((0..40).map(|_| arb_doc_xml(&mut rng, 4)));
+    let mut matched_some = [false; 2];
+    for (pi, (left, right)) in pairs.iter().enumerate() {
+        let exprs = [
+            pxf_xpath::parse(left).unwrap(),
+            pxf_xpath::parse(right).unwrap(),
+        ];
+        assert_ne!(
+            exprs[0], exprs[1],
+            "{left} vs {right}: spellings must differ"
         );
-        let skips_before = engine.stats().covered_skips;
-
-        assert!(engine.remove(coverer), "{algo:?}");
-        assert_eq!(
-            engine.match_document(&doc),
-            vec![covered],
-            "{algo:?}: covered expression must survive its coverer"
-        );
-        assert_eq!(engine.full_rebuilds(), 0, "{algo:?}");
-        let _ = skips_before; // covering may or may not fire pre-removal
-                              // depending on evaluation order; survival is
-                              // the property under test.
-
-        // The covered expression also matches documents the coverer
-        // never would have.
-        let other = Document::parse(b"<d><b><c/></b></d>").unwrap();
-        assert_eq!(engine.match_document(&other), vec![covered], "{algo:?}");
+        let subs: Vec<Option<XPathExpr>> = exprs.iter().cloned().map(Some).collect();
+        for &(algo, attr, s2) in &mode_grid() {
+            let ctx = format!("{left} | {right}, {algo:?} {attr:?} {s2:?}");
+            let mut engine = engine_with(algo, attr, s2, &exprs);
+            assert_eq!(
+                engine.subset_stats(),
+                SubsetStats {
+                    registered: 2,
+                    canonical: 1
+                },
+                "{ctx}"
+            );
+            for src in &docs {
+                let doc = Document::parse(src.as_bytes()).unwrap();
+                let want = reference_ids(&subs, &doc);
+                matched_some[pi] |= !want.is_empty();
+                assert_eq!(engine.match_document(&doc), want, "{ctx}, doc {src}");
+            }
+        }
     }
-}
-
-/// The covering fast path actually fires: a covered all-plain terminal
-/// evaluated after its coverer's match is resolved without its own
-/// occurrence run, visible as a nonzero `covered_skips` counter.
-#[test]
-fn covered_skips_counter_fires_on_covered_terminals() {
-    let mut engine = FilterEngine::new(Algorithm::PrefixCovering, AttrMode::Inline);
-    let coverer = engine.add_str("/a/b/c/d").unwrap();
-    let covered = engine.add_str("b/c").unwrap();
-    let doc = Document::parse(b"<a><b><c><d/></c></b></a>").unwrap();
-    assert_eq!(engine.match_document(&doc), vec![coverer, covered]);
-    let stats = engine.stats();
-    assert!(
-        stats.covered_skips > 0,
-        "covered terminal was evaluated standalone (skips = {})",
-        stats.covered_skips
+    assert_eq!(
+        matched_some, [true; 2],
+        "every pair must match some document"
     );
 }

@@ -64,12 +64,10 @@ impl Regime {
         regime
     }
 
-    /// The duplicate-heavy regime (subscription-set compilation
-    /// experiments): the NITF shape with ≈35% verbatim re-registrations
-    /// and ≈25% derived contained sub-paths, modeling a subscriber
-    /// population where popular queries recur and broad queries subsume
-    /// narrow ones. The dedup/covering compiler's effective-N reduction
-    /// is measured on this regime.
+    /// The duplicate-heavy regime: the NITF shape with ≈35% verbatim
+    /// re-registrations and ≈25% derived contained sub-paths, modeling a
+    /// subscriber population where popular queries recur and broad
+    /// queries subsume narrow ones.
     pub fn duplicates() -> Regime {
         let mut regime = Regime::nitf();
         regime.name = "nitf-dup";

@@ -42,13 +42,13 @@ pub struct XPathParams {
     /// Probability that an expression is a verbatim copy of an earlier
     /// expression in the same workload (requires `distinct: false`).
     /// Models real subscription populations, where popular queries are
-    /// registered by many subscribers — the target of the subscription-set
-    /// dedup compiler.
+    /// registered by many subscribers — the target of the engine's
+    /// canonical-form dedup.
     pub dup_rate: f64,
     /// Probability that an expression is *derived* from an earlier one as
     /// a relative sub-path (a contiguous tagged window of the base's
-    /// steps), so the base structurally contains it. Exercises the
-    /// containment-covering compiler.
+    /// steps), so the base structurally contains it (what `harness
+    /// covering` counts).
     pub containment_rate: f64,
     /// RNG seed (generation is fully deterministic given the seed).
     pub seed: u64,
@@ -128,8 +128,8 @@ impl<'d> XPathGenerator<'d> {
     /// Derives an expression structurally contained in one already in the
     /// workload: a contiguous window of a base expression's steps, emitted
     /// as a relative expression, so the base's chain carries the derived
-    /// chain as an interior sub-chain (the covering compiler's target
-    /// shape). Returns `None` when no sampled base admits a usable window.
+    /// chain as an interior sub-chain. Returns `None` when no sampled
+    /// base admits a usable window.
     fn derive_contained(&mut self, pool: &[XPathExpr]) -> Option<XPathExpr> {
         for _ in 0..8 {
             let base = &pool[self.rng.gen_range(0..pool.len())];
