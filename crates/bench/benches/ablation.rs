@@ -9,7 +9,7 @@
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::encode::{encode_single_path, AttrMode};
-use pxf_core::{Algorithm, FilterEngine};
+use pxf_core::FilterEngine;
 use pxf_predicate::{eval_direct, MatchContext, Predicate, PredicateIndex, Publication};
 use pxf_workload::Regime;
 use pxf_xml::{Document, Interner};
@@ -112,8 +112,7 @@ fn bench_insertion() {
         group.bench_batched(
             &format!("add-10k-at/{preload}"),
             || {
-                let mut engine =
-                    FilterEngine::new(Algorithm::AccessPredicate, pxf_core::AttrMode::Inline);
+                let mut engine = FilterEngine::default();
                 for e in &w.exprs[..preload] {
                     engine.add(e).unwrap();
                 }

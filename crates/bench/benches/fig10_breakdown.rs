@@ -4,7 +4,7 @@
 //! timer-based per-stage breakdown; this bench provides the endpoints.
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
-use pxf_core::{Algorithm, AttrMode, FilterEngine};
+use pxf_core::FilterEngine;
 use pxf_predicate::{MatchContext, Publication};
 use pxf_workload::Regime;
 use pxf_xml::Document;
@@ -60,7 +60,7 @@ fn main() {
 
     // Full pipeline.
     {
-        let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+        let mut engine = FilterEngine::default();
         for e in &w.exprs {
             engine.add(e).unwrap();
         }

@@ -1,4 +1,4 @@
-//! Fig. 6 micro-benchmarks: per-document filter time of all five engines
+//! Fig. 6 micro-benchmarks: per-document filter time of the three engines
 //! on distinct-expression workloads in both regimes (reduced sizes; the
 //! full-scale sweep lives in the `harness` binary). Each engine is also
 //! timed on the streaming path (`match_bytes`, parse + match in one

@@ -20,10 +20,10 @@
 //! over the checked-in benchmark files.
 
 use pxf_bench::{
-    build_workload, measure_parse_paths_us, measure_parse_us, run_churn, run_engine,
-    run_engine_configured, EngineKind, RunResult, WorkloadSpec,
+    build_workload, measure_parse_paths_us, measure_parse_us, run_churn, run_engine, EngineKind,
+    RunResult, WorkloadSpec,
 };
-use pxf_core::{AttrMode, Stage1, Stage2};
+use pxf_core::AttrMode;
 use pxf_workload::Regime;
 
 struct Opts {
@@ -387,7 +387,7 @@ fn print_header(cols: &[&str]) {
     println!();
 }
 
-/// Fig. 6(a): NITF, distinct expressions, 25k–125k, five engines.
+/// Fig. 6(a): NITF, distinct expressions, 25k–125k, three engines.
 fn fig6a(opts: &Opts) {
     let scale = scale_or(opts, 1.0);
     let docs = docs_or(opts, 100);
@@ -396,8 +396,6 @@ fn fig6a(opts: &Opts) {
     println!("total filter time, ms/doc");
     print_header(&[
         "n_exprs",
-        "basic",
-        "basic-pc",
         "basic-pc-ap",
         "yfilter",
         "index-filter",
@@ -423,12 +421,12 @@ fn fig6a(opts: &Opts) {
         for r in &results {
             print!(" {:>13.3}", r.ms_per_doc);
         }
-        println!(" {:>12.1}% {:>9}", results[2].match_pct, w.distinct);
+        println!(" {:>12.1}% {:>9}", results[0].match_pct, w.distinct);
     }
     println!();
 }
 
-/// Fig. 6(b): PSD, distinct expressions, 1k–10k, five engines.
+/// Fig. 6(b): PSD, distinct expressions, 1k–10k, three engines.
 fn fig6b(opts: &Opts) {
     let scale = scale_or(opts, 1.0);
     let docs = docs_or(opts, 100);
@@ -437,8 +435,6 @@ fn fig6b(opts: &Opts) {
     println!("total filter time, ms/doc");
     print_header(&[
         "n_exprs",
-        "basic",
-        "basic-pc",
         "basic-pc-ap",
         "yfilter",
         "index-filter",
@@ -464,7 +460,7 @@ fn fig6b(opts: &Opts) {
         for r in &results {
             print!(" {:>13.3}", r.ms_per_doc);
         }
-        println!(" {:>12.1}% {:>9}", results[2].match_pct, w.distinct);
+        println!(" {:>12.1}% {:>9}", results[0].match_pct, w.distinct);
     }
     println!();
 }
@@ -669,7 +665,7 @@ fn fig10(opts: &Opts) {
 /// the number of location steps"). Reports per-expression insertion cost
 /// at growing engine sizes — flat cost = constant-time insertion.
 fn insert_times(opts: &Opts) {
-    use pxf_core::{Algorithm, AttrMode, FilterEngine};
+    use pxf_core::FilterEngine;
     let scale = scale_or(opts, 1.0);
     println!("## Insertion cost (basic-pc-ap; paper §6.1 claims O(1) in engine size)");
     print_header(&["engine size", "us/insert", "distinct-preds"]);
@@ -679,7 +675,7 @@ fn insert_times(opts: &Opts) {
     xpath.count = total;
     xpath.distinct = false;
     let exprs = pxf_workload::XPathGenerator::new(&regime.dtd, xpath).generate();
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     let step = total / 10;
     let mut inserted = 0usize;
     for chunk in exprs.chunks(step) {
@@ -817,20 +813,13 @@ fn parse_times(opts: &Opts) {
     println!();
 }
 
-/// Machine-readable stage-2 comparison and scaling sweep.
+/// Machine-readable scaling sweep, churn and broker rows.
 ///
-/// Part 1 — scan (the previous formulation, "before") vs posting-driven
-/// (the default, "after") stage 2 for the three predicate-engine
-/// organizations over NITF, PSD, and a shallow NITF variant, with the
-/// incremental stage 1 pinned. The NITF row at the default scale is the
-/// 5k-XPE configuration of BENCH_pr4.json (no-regression reference).
+/// Part 1 — expression-count scaling at fixed match fraction
+/// (`Regime::scaling`, duplicates allowed): 10k → 1M XPEs. Per-document
+/// time must grow sublinearly in the registered count.
 ///
-/// Part 2 — expression-count scaling at fixed match fraction
-/// (`Regime::scaling`, duplicates allowed): 10k → 1M XPEs for
-/// `basic-pc-ap` with the posting-driven stage 2. Per-document time must
-/// grow sublinearly in the registered count.
-///
-/// Part 3 — churn: the same `Regime::scaling` resident sets (100k and
+/// Part 2 — churn: the same `Regime::scaling` resident sets (100k and
 /// 1M subscriptions) filtered off lock-free snapshots while a writer
 /// thread applies 1000 add+remove pairs per second and republishes every
 /// 128 pairs. Reports the reader's ms/doc under churn plus the writer's
@@ -841,7 +830,7 @@ fn parse_times(opts: &Opts) {
 /// repeated million-expression builds penalizes exactly the arena
 /// relocations that churn exercises (and vice versa for the sweeps).
 ///
-/// Part 4 — broker: the end-to-end TCP broker service benchmark
+/// Part 3 — broker: the end-to-end TCP broker service benchmark
 /// (`broker_rows`): 100k resident subscriptions, churn concurrent with
 /// ingest, throughput + delivery-latency percentiles. Also a child
 /// process, both for heap isolation and because the broker spawns a
@@ -864,7 +853,6 @@ fn benchjson(opts: &Opts) {
     let fmt_entry = |section: &str,
                      workload: &str,
                      engine_label: &str,
-                     stage2_label: &str,
                      n_exprs: usize,
                      n_docs: usize,
                      r: &RunResult|
@@ -874,22 +862,19 @@ fn benchjson(opts: &Opts) {
         format!(
             concat!(
                 "    {{\"section\": \"{}\", \"workload\": \"{}\", \"engine\": \"{}\", ",
-                "\"stage1\": \"incremental\", \"stage2\": \"{}\", ",
+                "\"stage1\": \"incremental\", \"stage2\": \"posting\", ",
                 "\"n_exprs\": {}, \"n_docs\": {}, ",
                 "\"ms_per_doc\": {:.6}, \"docs_per_sec\": {:.3}, ",
                 "\"matched_fraction\": {:.6}, ",
                 "\"index_bytes\": {}, \"bytes_per_expr\": {:.1}, ",
                 "\"predicate_ns_per_doc\": {:.0}, \"expression_ns_per_doc\": {:.0}, ",
                 "\"other_ns_per_doc\": {:.0}, ",
-                "\"occurrence_runs\": {}, \"stage2_candidates\": {}, ",
-                "\"posting_bumps\": {}, \"ap_root_probes\": {}, ",
-                "\"pc_propagations\": {}, \"memo_path_skips\": {}, ",
-                "\"dedup_hits\": {}}}"
+                "\"occurrence_runs\": {}, \"ap_root_probes\": {}, ",
+                "\"memo_path_skips\": {}, \"dedup_hits\": {}}}"
             ),
             section,
             workload,
             engine_label,
-            stage2_label,
             n_exprs,
             n_docs,
             r.ms_per_doc,
@@ -901,16 +886,13 @@ fn benchjson(opts: &Opts) {
             expr_ms * 1e6,
             other_ms * 1e6,
             stats.occurrence_runs,
-            stats.stage2_candidates,
-            stats.posting_bumps,
             stats.ap_root_probes,
-            stats.pc_propagations,
             stats.memo_path_skips,
             stats.dedup_hits,
         )
     };
 
-    // Part 3 runs first, in a child process (re-exec `harness churn`):
+    // Part 2 runs first, in a child process (re-exec `harness churn`):
     // churn patch/publish latencies and the churn reader's ms/doc are
     // acutely sensitive to allocator state, and the static sweeps below
     // build many million-expression engines. A virgin heap keeps the
@@ -937,7 +919,7 @@ fn benchjson(opts: &Opts) {
     entries.push(std::fs::read_to_string(&churn_tmp).expect("read churn rows"));
     let _ = std::fs::remove_file(&churn_tmp);
 
-    // Part 4, also in a child process: the TCP broker run at its own
+    // Part 3, also in a child process: the TCP broker run at its own
     // defaults (100k resident subs, 2000 docs) regardless of this
     // sweep's --scale/--docs, so the checked-in broker row is always
     // the ISSUE's headline configuration.
@@ -953,79 +935,13 @@ fn benchjson(opts: &Opts) {
     entries.push(std::fs::read_to_string(&broker_tmp).expect("read broker rows"));
     let _ = std::fs::remove_file(&broker_tmp);
 
-    // Part 1: scan vs posting at the PR4 configurations.
-    let mut shallow = Regime::nitf();
-    shallow.name = "nitf-shallow";
-    shallow.xml.max_levels = 3;
-    shallow.xpath.min_depth = 2;
-    shallow.xpath.max_depth = 3;
-    let workloads = [
-        (Regime::nitf(), scaled(25_000, scale)),
-        (Regime::psd(), scaled(5_000, scale)),
-        (shallow, scaled(25_000, scale)),
-    ];
-    let kinds = [
-        EngineKind::Basic,
-        EngineKind::BasicPc,
-        EngineKind::BasicPcAp,
-    ];
-    let stages = [(Stage2::Scan, "scan"), (Stage2::Posting, "posting")];
-    println!("## benchjson — stage-2 scan vs posting (scale {scale}, {docs} docs, best of {reps})");
-    print_header(&[
-        "workload", "engine", "stage2", "ms/doc", "pred-ms", "expr-ms",
-    ]);
-    for (regime, n_exprs) in &workloads {
-        let w = build_workload(
-            regime,
-            &WorkloadSpec {
-                n_exprs: *n_exprs,
-                distinct: true,
-                n_docs: docs,
-                ..Default::default()
-            },
-        );
-        for &kind in &kinds {
-            for (stage2, stage_label) in stages {
-                let r = best_of(reps, || {
-                    run_engine_configured(kind, AttrMode::Inline, Stage1::Incremental, stage2, &w)
-                });
-                let (pred_ms, expr_ms, _) = r.breakdown_ms;
-                println!(
-                    "{:<12} {:>13} {:>9} {:>11.3} {:>11.3} {:>11.3}",
-                    regime.name,
-                    kind.label(),
-                    stage_label,
-                    r.ms_per_doc,
-                    pred_ms,
-                    expr_ms
-                );
-                entries.push(fmt_entry(
-                    "stage2_compare",
-                    regime.name,
-                    kind.label(),
-                    stage_label,
-                    w.exprs.len(),
-                    docs,
-                    &r,
-                ));
-            }
-        }
-    }
-
-    // Part 2: expression-count scaling at fixed match fraction.
+    // Part 1: expression-count scaling at fixed match fraction.
     let regime = Regime::scaling();
     println!(
-        "\n## benchjson — stage-2 scaling sweep ({}, {sweep_docs} docs, best of {reps})",
+        "\n## benchjson — scaling sweep ({}, {sweep_docs} docs, best of {reps})",
         regime.name
     );
-    print_header(&[
-        "n_exprs",
-        "engine",
-        "stage2",
-        "ms/doc",
-        "B/expr",
-        "match-frac",
-    ]);
+    print_header(&["n_exprs", "engine", "ms/doc", "B/expr", "match-frac"]);
     for n_exprs in [10_000usize, 100_000, 1_000_000] {
         let w = build_workload(
             &regime,
@@ -1037,19 +953,12 @@ fn benchjson(opts: &Opts) {
             },
         );
         let r = best_of(reps, || {
-            run_engine_configured(
-                EngineKind::BasicPcAp,
-                AttrMode::Inline,
-                Stage1::Incremental,
-                Stage2::Posting,
-                &w,
-            )
+            run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w)
         });
         println!(
-            "{:<12} {:>13} {:>9} {:>11.3} {:>11.1} {:>11.4}",
+            "{:<12} {:>13} {:>11.3} {:>11.1} {:>11.4}",
             n_exprs,
             EngineKind::BasicPcAp.label(),
-            "posting",
             r.ms_per_doc,
             r.bytes_per_expr(w.exprs.len()),
             r.match_pct / 100.0
@@ -1058,7 +967,6 @@ fn benchjson(opts: &Opts) {
             "scaling",
             regime.name,
             EngineKind::BasicPcAp.label(),
-            "posting",
             w.exprs.len(),
             sweep_docs,
             &r,
@@ -1364,7 +1272,7 @@ fn broker_rows(opts: &Opts, mut entries: Option<&mut Vec<String>>) {
 /// parallel path with per-document errors and zero panics. Reports
 /// docs/s alongside the batch error breakdown.
 fn hostile(opts: &Opts) {
-    use pxf_core::{parallel, Algorithm, BatchReport, FilterEngine};
+    use pxf_core::{parallel, BatchReport, FilterEngine};
     use pxf_workload::FaultInjector;
     let docs = docs_or(opts, 1_000);
     let scale = scale_or(opts, 0.1);
@@ -1379,7 +1287,7 @@ fn hostile(opts: &Opts) {
                 ..Default::default()
             },
         );
-        let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+        let mut engine = FilterEngine::default();
         for e in &w.exprs {
             let _ = engine.add(e);
         }

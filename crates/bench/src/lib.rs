@@ -4,18 +4,15 @@
 //!
 //! All engines are driven through the [`FilterBackend`] trait — one
 //! builder ([`build_backend`]) and one runner ([`run_engine`]) cover the
-//! predicate engine in its three organizations plus the YFilter,
-//! Index-Filter, and XFilter baselines. Matching takes the streaming path
+//! predicate engine plus the YFilter, Index-Filter, and XFilter
+//! baselines. Matching takes the streaming path
 //! ([`FilterBackend::match_bytes`]): parse and match happen in one pass
 //! per document, matching the paper's total-filter-time metric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pxf_core::{
-    Algorithm, AttrMode, EngineStats, FilterBackend, FilterEngine, SnapshotPublisher, Stage1,
-    Stage2, SubId,
-};
+use pxf_core::{AttrMode, EngineStats, FilterBackend, FilterEngine, SnapshotPublisher, SubId};
 use pxf_indexfilter::IndexFilter;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xfilter::XFilter;
@@ -104,11 +101,7 @@ pub fn build_workload(regime: &Regime, spec: &WorkloadSpec) -> Workload {
 /// The engines compared in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Predicate engine, `basic` organization.
-    Basic,
-    /// Predicate engine, `basic-pc`.
-    BasicPc,
-    /// Predicate engine, `basic-pc-ap`.
+    /// The predicate engine (`basic-pc-ap`).
     BasicPcAp,
     /// YFilter NFA baseline.
     YFilter,
@@ -123,8 +116,6 @@ impl EngineKind {
     /// Display label matching the paper's figure legends.
     pub fn label(self) -> &'static str {
         match self {
-            EngineKind::Basic => "basic",
-            EngineKind::BasicPc => "basic-pc",
             EngineKind::BasicPcAp => "basic-pc-ap",
             EngineKind::YFilter => "yfilter",
             EngineKind::IndexFilter => "index-filter",
@@ -132,10 +123,8 @@ impl EngineKind {
         }
     }
 
-    /// All five engines, in figure order.
-    pub const ALL: [EngineKind; 5] = [
-        EngineKind::Basic,
-        EngineKind::BasicPc,
+    /// The three engines of the paper's figures, in figure order.
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::BasicPcAp,
         EngineKind::YFilter,
         EngineKind::IndexFilter,
@@ -184,9 +173,7 @@ pub fn build_backend(
     exprs: &[XPathExpr],
 ) -> Box<dyn FilterBackend> {
     let mut backend: Box<dyn FilterBackend> = match kind {
-        EngineKind::Basic => Box::new(FilterEngine::new(Algorithm::Basic, attr_mode)),
-        EngineKind::BasicPc => Box::new(FilterEngine::new(Algorithm::PrefixCovering, attr_mode)),
-        EngineKind::BasicPcAp => Box::new(FilterEngine::new(Algorithm::AccessPredicate, attr_mode)),
+        EngineKind::BasicPcAp => Box::new(FilterEngine::new(attr_mode)),
         EngineKind::YFilter => Box::new(YFilter::new()),
         EngineKind::IndexFilter => Box::new(IndexFilter::new()),
         EngineKind::XFilter => Box::new(XFilter::new()),
@@ -239,78 +226,6 @@ pub fn run_engine(kind: EngineKind, attr_mode: AttrMode, workload: &Workload) ->
         index_bytes: engine.index_bytes(),
         stats,
     }
-}
-
-/// The [`Algorithm`] behind a predicate-engine [`EngineKind`]; panics for
-/// the baselines.
-pub fn engine_algorithm(kind: EngineKind) -> Algorithm {
-    match kind {
-        EngineKind::Basic => Algorithm::Basic,
-        EngineKind::BasicPc => Algorithm::PrefixCovering,
-        EngineKind::BasicPcAp => Algorithm::AccessPredicate,
-        other => panic!("{other:?} is not a predicate-engine organization"),
-    }
-}
-
-/// Like [`run_engine`] but pins both evaluator strategies, for
-/// old-vs-new comparisons of the predicate engine (per-path vs
-/// incremental stage 1; scan vs posting-driven stage 2).
-/// Predicate-engine kinds only.
-pub fn run_engine_configured(
-    kind: EngineKind,
-    attr_mode: AttrMode,
-    stage1: Stage1,
-    stage2: Stage2,
-    workload: &Workload,
-) -> RunResult {
-    let t0 = Instant::now();
-    let mut engine = FilterEngine::new(engine_algorithm(kind), attr_mode);
-    engine.set_stage1(stage1);
-    engine.set_stage2(stage2);
-    for e in &workload.exprs {
-        engine.add(e).expect("workload expressions are supported");
-    }
-    engine.prepare();
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    engine.reset_stats();
-    let mut total_matches = 0usize;
-    let t1 = Instant::now();
-    for bytes in &workload.doc_bytes {
-        total_matches += engine
-            .match_bytes(bytes)
-            .expect("generated documents are well-formed")
-            .len();
-    }
-    let elapsed = t1.elapsed().as_secs_f64() * 1e3;
-    let n_docs = workload.doc_bytes.len().max(1) as f64;
-
-    let stats = engine.stats();
-    let avg_matches = total_matches as f64 / n_docs;
-    RunResult {
-        ms_per_doc: elapsed / n_docs,
-        avg_matches,
-        match_pct: avg_matches / workload.exprs.len().max(1) as f64 * 100.0,
-        build_ms,
-        distinct_preds: engine.distinct_predicates(),
-        breakdown_ms: (
-            stats.predicate_ns as f64 / 1e6 / n_docs,
-            stats.expression_ns as f64 / 1e6 / n_docs,
-            stats.other_ns as f64 / 1e6 / n_docs,
-        ),
-        index_bytes: engine.index_bytes(),
-        stats: Some(stats),
-    }
-}
-
-/// [`run_engine_configured`] with the default (posting-driven) stage 2.
-pub fn run_engine_stage1(
-    kind: EngineKind,
-    attr_mode: AttrMode,
-    stage1: Stage1,
-    workload: &Workload,
-) -> RunResult {
-    run_engine_configured(kind, attr_mode, stage1, Stage2::default(), workload)
 }
 
 /// Measures average document parse time in microseconds (the paper §6.5
@@ -395,7 +310,7 @@ pub fn run_churn(
     ops_per_sec: f64,
     publish_every: usize,
 ) -> ChurnResult {
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for e in &workload.exprs {
         engine.add(e).expect("workload expressions are supported");
     }

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! pxf match  --subs FILE [--engine pxf|yfilter|index-filter|xfilter]
-//!            [--algorithm basic|pc|ap] [--attr-mode inline|sp]
-//!            [--threads N] [--stats] [--quiet]
+//!            [--attr-mode inline|sp] [--threads N] [--stats] [--quiet]
 //!            DOC.xml [DOC.xml …]
 //! pxf match  --subs FILE --stream [-]          # concatenated docs on stdin
 //! pxf encode 'EXPR' ['EXPR' …]
@@ -19,9 +18,7 @@
 //! document tree); every engine is driven through the
 //! [`FilterBackend`] trait.
 
-use pxf_core::{
-    parallel, Algorithm, AttrMode, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId,
-};
+use pxf_core::{parallel, AttrMode, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId};
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xml::{Document, ParserLimits};
 use std::io::Write;
@@ -66,7 +63,6 @@ USAGE:
 MATCH OPTIONS:
   --subs FILE          subscription file (one XPath per line, # comments)
   --engine NAME        pxf | yfilter | index-filter | xfilter (default: pxf)
-  --algorithm KIND     basic | pc | ap            (default: ap, pxf only)
   --attr-mode MODE     inline | sp                (default: inline, pxf only)
   --threads N          parallel workers; 0 = all cores (default: 1; pxf only)
   --stream             read concatenated documents from stdin (or from one
@@ -121,7 +117,6 @@ fn take_number(args: &[String], i: &mut usize, flag: &str) -> Result<usize, Stri
 fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut subs_path: Option<PathBuf> = None;
     let mut engine_name = "pxf".to_string();
-    let mut algorithm = Algorithm::AccessPredicate;
     let mut attr_mode = AttrMode::Inline;
     let mut threads = 1usize;
     let mut stats = false;
@@ -136,14 +131,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         match args[i].as_str() {
             "--subs" => subs_path = Some(PathBuf::from(take_value(args, &mut i, "--subs")?)),
             "--engine" => engine_name = take_value(args, &mut i, "--engine")?,
-            "--algorithm" => {
-                algorithm = match take_value(args, &mut i, "--algorithm")?.as_str() {
-                    "basic" => Algorithm::Basic,
-                    "pc" => Algorithm::PrefixCovering,
-                    "ap" => Algorithm::AccessPredicate,
-                    other => return Err(format!("unknown algorithm '{other}'")),
-                }
-            }
             "--attr-mode" => {
                 attr_mode = match take_value(args, &mut i, "--attr-mode")?.as_str() {
                     "inline" => AttrMode::Inline,
@@ -196,7 +183,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut pxf_engine: Option<FilterEngine> = None;
     let mut baseline: Option<Box<dyn FilterBackend>> = None;
     match engine_name.as_str() {
-        "pxf" => pxf_engine = Some(FilterEngine::new(algorithm, attr_mode)),
+        "pxf" => pxf_engine = Some(FilterEngine::new(attr_mode)),
         "yfilter" => baseline = Some(Box::new(pxf_yfilter::YFilter::new())),
         "index-filter" => baseline = Some(Box::new(pxf_indexfilter::IndexFilter::new())),
         "xfilter" => baseline = Some(Box::new(pxf_xfilter::XFilter::new())),

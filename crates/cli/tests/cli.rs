@@ -24,22 +24,23 @@ fn unknown_command_fails() {
     assert!(!out.status.success());
 }
 
+/// Flags deleted together with the code paths they selected fail as any
+/// unknown flag does.
 #[test]
-fn shards_flag_is_rejected_as_unknown() {
-    let out = pxf()
-        .args([
-            "match",
-            "--subs",
-            "unused.xpath",
-            "--shards",
-            "4",
-            "doc.xml",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("pxf: unknown flag '--shards'"), "{err}");
+fn deleted_flags_are_rejected_as_unknown() {
+    for name in ["shards", "algorithm"] {
+        let flag = format!("--{name}");
+        let out = pxf()
+            .args(["match", "--subs", "unused.xpath", &flag, "4", "doc.xml"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("pxf: unknown flag '{flag}'")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

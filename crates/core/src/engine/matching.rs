@@ -1,0 +1,510 @@
+//! The two-stage match of one document: incremental predicate matching
+//! with path memoization (stage 1), the forward-propagating walk of the
+//! expression trie (stage 2), and the resolution of structural matches
+//! into subscription results.
+
+use super::scratch::{DocState, MatchScratch};
+use super::trie::Sink;
+use super::{EngineStats, FilterEngine, SubId};
+use crate::nested::combine;
+use crate::occurrence::determine_match_by;
+use pxf_predicate::{MatchContext, PredId, Publication};
+use pxf_xml::{DocAccess, ElementVisitor, NodeId, Symbol};
+use std::time::Instant;
+
+impl FilterEngine {
+    /// Filters a document using caller-provided scratch. The engine itself
+    /// is not mutated, so any number of scratches may be used concurrently
+    /// (see [`Self::matcher`]). Requires [`Self::prepare`].
+    pub fn match_document_with<D: DocAccess>(
+        &self,
+        doc: &D,
+        scratch: &mut MatchScratch,
+    ) -> Vec<SubId> {
+        debug_assert!(
+            !self.trie.is_dirty(),
+            "prepare() before match_document_with"
+        );
+        let MatchScratch {
+            publication,
+            ctx,
+            state,
+            stats,
+        } = scratch;
+        state.advance_doc_epoch();
+        state.results.clear();
+        state.sub_matched.resize(self.n_subs as usize);
+        state.node_done.resize(self.trie.n_nodes());
+        state.node_sinks_done.resize(self.trie.n_nodes());
+        state
+            .comp_paths
+            .resize_with(self.n_components as usize, Vec::new);
+        let has_nested = !self.nested.is_empty();
+        for cp in &mut state.comp_paths {
+            cp.clear();
+        }
+        state.n_paths = 0;
+
+        stats.docs += 1;
+        self.stage1_incremental(doc, publication, ctx, state, stats, has_nested);
+
+        let t2 = Instant::now();
+        for ns in &self.nested {
+            let comp_paths =
+                &state.comp_paths[ns.comp_base as usize..(ns.comp_base as usize + ns.plan.len())];
+            // Cheap pre-check: every component must have matched somewhere.
+            if comp_paths.iter().any(|c| c.is_empty()) {
+                continue;
+            }
+            if combine(&ns.plan, doc, &state.paths[..state.n_paths], comp_paths) {
+                state.sub_matched.set(ns.sub.0 as usize, state.doc_epoch);
+            }
+        }
+        // The ascending bitmap scan yields the sorted result list directly
+        // (no per-match pushes, no sort over the matched ids).
+        let mut results = std::mem::take(&mut state.results);
+        let epoch = state.doc_epoch;
+        state
+            .sub_matched
+            .for_each_set(epoch, |i| results.push(SubId(i as u32)));
+        stats.matches += results.len() as u64;
+        stats.other_ns += t2.elapsed().as_nanos() as u64;
+        results
+    }
+
+    /// Incremental stage 1: one enter/leave traversal of the document.
+    /// Each element's predicate contributions are computed once on enter
+    /// (under a [`MatchContext`] mark) and rolled back on leave, so shared
+    /// path prefixes are never re-evaluated; at a leaf only the
+    /// length-dependent predicates run before stage 2.
+    fn stage1_incremental<D: DocAccess>(
+        &self,
+        doc: &D,
+        publication: &mut Publication,
+        ctx: &mut MatchContext,
+        state: &mut DocState,
+        stats: &mut EngineStats,
+        record_paths: bool,
+    ) {
+        let t0 = Instant::now();
+        publication.begin_incremental();
+        ctx.begin(self.index.len());
+        state.ctx_marks.clear();
+        // Skipping stage 2 for a duplicate tag-sequence path is sound only
+        // when the match outcome is a function of the tag sequence alone:
+        // no inline attribute predicates (stage-1 pairs would differ), no
+        // postponed attribute re-checks (stage 2 consults document nodes),
+        // and no nested plans (component sinks must record every path
+        // index, including duplicates).
+        let memo_on =
+            self.nested.is_empty() && !self.has_attr_checks && !self.index.has_attr_predicates();
+        state.memo.clear();
+        state.memo_syms.clear();
+        let mut driver = IncrementalDriver {
+            engine: self,
+            doc,
+            publication,
+            ctx,
+            state,
+            stats,
+            record_paths,
+            memo_on,
+            path_idx: 0,
+            expr_ns: 0,
+        };
+        doc.for_each_element(&mut driver);
+        let expr_ns = driver.expr_ns;
+        stats.expression_ns += expr_ns;
+        stats.predicate_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(expr_ns);
+    }
+}
+
+/// The visitor driving incremental stage 1 (see
+/// [`FilterEngine::stage1_incremental`]). Invariant: between any `enter`
+/// and the matching `leave`, `publication` is exactly the encoding of the
+/// root-to-element path and `ctx` holds exactly the contributions of the
+/// elements on that path (plus nothing else) — `ctx_marks` carries one
+/// rollback point per open element.
+struct IncrementalDriver<'a, 'd, D: DocAccess> {
+    engine: &'a FilterEngine,
+    doc: &'d D,
+    publication: &'a mut Publication,
+    ctx: &'a mut MatchContext,
+    state: &'a mut DocState,
+    stats: &'a mut EngineStats,
+    record_paths: bool,
+    memo_on: bool,
+    path_idx: u32,
+    /// Stage-2 time accumulated at leaves; subtracted from the traversal
+    /// total to attribute the remainder to stage 1.
+    expr_ns: u64,
+}
+
+impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
+    /// Handles a leaf: length-dependent predicates under a nested mark,
+    /// stage 2 (or a memoized skip), rollback.
+    fn leaf(&mut self) {
+        let path_idx = self.path_idx;
+        self.path_idx += 1;
+        if self.memo_on && self.probe_memo() {
+            self.stats.memo_path_skips += 1;
+        } else {
+            let mark = self.ctx.push_mark();
+            self.engine
+                .index
+                .eval_leaf(self.publication, Some(self.doc), self.ctx);
+            let t1 = Instant::now();
+            self.engine.stage2(
+                self.ctx,
+                self.publication,
+                self.doc,
+                self.state,
+                self.stats,
+                path_idx,
+            );
+            self.expr_ns += t1.elapsed().as_nanos() as u64;
+            self.ctx.pop_to_mark(mark);
+        }
+        if self.record_paths {
+            self.state
+                .record_path(self.publication.tuples.iter().map(|t| t.node));
+        }
+    }
+
+    /// True if an identical tag-sequence path was already processed in
+    /// this document. Unknown paths are registered. Hash collisions are
+    /// detected by comparing the stored symbol sequence and fall back to
+    /// running stage 2.
+    fn probe_memo(&mut self) -> bool {
+        let tuples = &self.publication.tuples;
+        // FNV-1a over the tag symbols.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for t in tuples {
+            h ^= t.tag.index() as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        // 0 marks empty slots in the open-addressed table; aliasing a real
+        // hash onto 1 is sound because hits verify the symbol sequence.
+        if h == 0 {
+            h = 1;
+        }
+        if let Some((start, len)) = self.state.memo.get(h) {
+            let seen = &self.state.memo_syms[start as usize..(start + len) as usize];
+            return seen.len() == tuples.len() && seen.iter().zip(tuples).all(|(s, t)| *s == t.tag);
+        }
+        let start = self.state.memo_syms.len() as u32;
+        self.state.memo_syms.extend(tuples.iter().map(|t| t.tag));
+        self.state.memo.insert(h, (start, tuples.len() as u32));
+        false
+    }
+}
+
+impl<D: DocAccess> ElementVisitor for IncrementalDriver<'_, '_, D> {
+    fn enter(&mut self, id: NodeId, is_leaf: bool) {
+        let tag = self
+            .engine
+            .interner
+            .get(self.doc.tag(id))
+            .unwrap_or(Symbol::UNKNOWN);
+        self.state.ctx_marks.push(self.ctx.push_mark());
+        self.publication.push_path_element(tag, id);
+        self.engine
+            .index
+            .eval_enter(self.publication, Some(self.doc), self.ctx);
+        if is_leaf {
+            self.leaf();
+        }
+    }
+
+    fn leave(&mut self, _id: NodeId) {
+        self.publication.pop_path_element();
+        let mark = self.state.ctx_marks.pop().expect("mark stack in sync");
+        self.ctx.pop_to_mark(mark);
+    }
+}
+
+/// The occurrence numbers feasible at a trie node on the current path.
+/// An occurrence number never exceeds the path length, so a `u128` holds
+/// them on paths under 128 elements (all that `ParserLimits::strict()`
+/// admits); the heap bitset takes over from there.
+trait OccSet: Default {
+    fn insert(&mut self, occ: u16);
+    fn contains(&self, occ: u16) -> bool;
+}
+
+impl OccSet for u128 {
+    #[inline]
+    fn insert(&mut self, occ: u16) {
+        *self |= 1u128 << occ;
+    }
+
+    #[inline]
+    fn contains(&self, occ: u16) -> bool {
+        *self & (1u128 << occ) != 0
+    }
+}
+
+/// Bitset grown to the highest occurrence inserted.
+impl OccSet for Vec<u64> {
+    fn insert(&mut self, occ: u16) {
+        let w = occ as usize / 64;
+        if self.len() <= w {
+            self.resize(w + 1, 0);
+        }
+        self[w] |= 1u64 << (occ % 64);
+    }
+
+    fn contains(&self, occ: u16) -> bool {
+        self.get(occ as usize / 64)
+            .is_some_and(|w| w & (1u64 << (occ % 64)) != 0)
+    }
+}
+
+/// Stage 2 (expression matching). All mutable per-document state stays in
+/// the caller-owned scratch.
+impl FilterEngine {
+    /// Stage 2 on one root-to-leaf path. Clusters are ruled out whole when
+    /// their access predicate has no matches (paper §4.2.2); the surviving
+    /// clusters are evaluated by a depth-first walk of the expression trie
+    /// (paper Fig. 2) that forward-propagates the feasible occurrence set.
+    /// Because the occurrence constraints form a chain (`o2[i−1] = o1[i]`),
+    /// a node is reachable with a non-empty feasible set iff Algorithm 1
+    /// would report a match for the expression ending there — forward
+    /// propagation is exact and needs no backtracking, and every shared
+    /// predicate prefix is evaluated exactly once per path. Prefix covering
+    /// (§4.2.2) comes with the walk: reaching a node has, by construction,
+    /// matched every prefix expression on the way.
+    ///
+    /// The occurrence set is a `u128` below 128 path elements and a heap
+    /// bitset from there on, so the walk is exact at any depth.
+    fn stage2<D: DocAccess>(
+        &self,
+        ctx: &MatchContext,
+        publication: &Publication,
+        doc: &D,
+        state: &mut DocState,
+        stats: &mut EngineStats,
+        path_idx: u32,
+    ) {
+        if publication.length < 128 {
+            self.probe_clusters::<u128, D>(ctx, publication, doc, state, stats, path_idx);
+        } else {
+            self.probe_clusters::<Vec<u64>, D>(ctx, publication, doc, state, stats, path_idx);
+        }
+    }
+
+    /// Finds the clusters whose access predicate holds on this path and
+    /// walks each. Probes in whichever direction is cheaper: the satisfied
+    /// predicates through the dense `pid → root` map (output-sensitive —
+    /// wins when few predicates hold against a large registered alphabet)
+    /// or the root table (bounded by the distinct first components, wins
+    /// on deep paths that satisfy many predicates). Both visit exactly the
+    /// clusters whose access predicate holds, in an order that cannot
+    /// affect results (clusters are disjoint), and `ap_root_probes` counts
+    /// those clusters either way.
+    fn probe_clusters<S: OccSet, D: DocAccess>(
+        &self,
+        ctx: &MatchContext,
+        publication: &Publication,
+        doc: &D,
+        state: &mut DocState,
+        stats: &mut EngineStats,
+        path_idx: u32,
+    ) {
+        let (root_pids, root_nodes) = self.trie.roots();
+        let mut enter = |pid: PredId, root: u32| {
+            stats.ap_root_probes += 1;
+            if state.node_done.test(root as usize, state.doc_epoch) {
+                return;
+            }
+            let mut f = S::default();
+            for &(_, o2) in ctx.get(pid) {
+                f.insert(o2);
+            }
+            self.dfs_node(root, f, ctx, publication, doc, state, stats, path_idx);
+        };
+        if root_pids.len() <= ctx.matched().len() {
+            for (&pid, &root) in root_pids.iter().zip(root_nodes) {
+                if !ctx.get(pid).is_empty() {
+                    enter(pid, root);
+                }
+            }
+        } else {
+            for &pid in ctx.matched() {
+                if let Some(root) = self.trie.root_of(pid) {
+                    enter(pid, root);
+                }
+            }
+        }
+    }
+
+    /// Visits one trie node reached with feasible occurrence set `f_in`
+    /// (non-empty): resolves its sinks, recurses into children whose
+    /// predicate chains on, and returns whether the whole subtree is now
+    /// resolved for this document.
+    #[allow(clippy::too_many_arguments)]
+    fn dfs_node<S: OccSet, D: DocAccess>(
+        &self,
+        n: u32,
+        f_in: S,
+        ctx: &MatchContext,
+        publication: &Publication,
+        doc: &D,
+        state: &mut DocState,
+        stats: &mut EngineStats,
+        path_idx: u32,
+    ) -> bool {
+        stats.occurrence_runs += 1;
+        let trie = &self.trie;
+        let has_sinks = trie.sink_len(n) != 0;
+        if has_sinks && !state.node_sinks_done.test(n as usize, state.doc_epoch) {
+            let plain = trie.plain_subs(n);
+            if plain.len() as u32 == trie.sink_len(n) {
+                // Every sink is a plain subscription: resolution is one
+                // bitmap-marking sweep over the packed id column (4 bytes
+                // per sink, no enum dispatch), and the node is then fully
+                // resolved for this document.
+                for &sub in plain {
+                    state.sub_matched.set(sub as usize, state.doc_epoch);
+                }
+                state.node_sinks_done.set(n as usize, state.doc_epoch);
+            } else {
+                let sinks = trie.sinks(n);
+                // Selection-postponed attribute checks need the predicate
+                // chain of this node; collect it (into a reused buffer)
+                // only when some sink asks.
+                let mut chain = std::mem::take(&mut state.chain_buf);
+                chain.clear();
+                if sinks.iter().any(|s| {
+                    matches!(
+                        s,
+                        Sink::Sub {
+                            attr_check: Some(_),
+                            ..
+                        }
+                    )
+                }) {
+                    trie.chain_into(n, &mut chain);
+                }
+                for sink in sinks {
+                    process_sink(sink, &chain, ctx, publication, doc, state, stats, path_idx);
+                }
+                state.chain_buf = chain;
+                if sinks.iter().all(|s| match s {
+                    Sink::Sub { sub, .. } => {
+                        state.sub_matched.test(sub.0 as usize, state.doc_epoch)
+                    }
+                    Sink::Component { .. } => false,
+                }) {
+                    state.node_sinks_done.set(n as usize, state.doc_epoch);
+                }
+            }
+        }
+        let mut all_done = !has_sinks || state.node_sinks_done.test(n as usize, state.doc_epoch);
+        let (child_pids, child_nodes) = trie.children(n);
+        for (&cpid, &child) in child_pids.iter().zip(child_nodes) {
+            if state.node_done.test(child as usize, state.doc_epoch) {
+                continue;
+            }
+            let mut f = S::default();
+            let mut chains_on = false;
+            for &(o1, o2) in ctx.get(cpid) {
+                if f_in.contains(o1) {
+                    f.insert(o2);
+                    chains_on = true;
+                }
+            }
+            let done =
+                chains_on && self.dfs_node(child, f, ctx, publication, doc, state, stats, path_idx);
+            if !done {
+                all_done = false;
+            }
+        }
+        if all_done {
+            state.node_done.set(n as usize, state.doc_epoch);
+        }
+        all_done
+    }
+}
+
+/// Resolves a structural match of an expression (on the current path) into
+/// subscription results or component path records, applying postponed
+/// attribute checks where present.
+#[allow(clippy::too_many_arguments)]
+fn process_sink<D: DocAccess>(
+    sink: &Sink,
+    preds: &[PredId],
+    ctx: &MatchContext,
+    publication: &Publication,
+    doc: &D,
+    state: &mut DocState,
+    stats: &mut EngineStats,
+    path_idx: u32,
+) {
+    match sink {
+        Sink::Sub { sub, attr_check } => {
+            if state.sub_matched.test(sub.0 as usize, state.doc_epoch) {
+                return;
+            }
+            if let Some(check) = attr_check {
+                // Selection postponed: repeat the occurrence determination
+                // admitting only pairs whose nodes pass the attribute
+                // filters (paper §5). Each level's pairs are filtered once
+                // up front (admissibility does not depend on the search
+                // state), then the plain determination runs on the
+                // filtered lists.
+                stats.occurrence_runs += 1;
+                if state.sp_bufs.len() < preds.len() {
+                    state.sp_bufs.resize_with(preds.len(), Vec::new);
+                }
+                for (level, &pid) in preds.iter().enumerate() {
+                    let buf = &mut state.sp_bufs[level];
+                    buf.clear();
+                    for &pair in ctx.get(pid) {
+                        if check.admit(level, pair, publication, doc) {
+                            buf.push(pair);
+                        }
+                    }
+                    if buf.is_empty() {
+                        return;
+                    }
+                }
+                let bufs = &state.sp_bufs;
+                if !determine_match_by(preds.len(), |i| bufs[i].as_slice()) {
+                    return;
+                }
+            }
+            // Marking the bit is the whole result record: the final
+            // ascending bitmap scan emits the sorted id list.
+            state.sub_matched.set(sub.0 as usize, state.doc_epoch);
+        }
+        Sink::Component { comp } => {
+            let cp = &mut state.comp_paths[*comp as usize];
+            if cp.last() != Some(&path_idx) {
+                cp.push(path_idx);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::OccSet;
+
+    fn holds_exactly<S: OccSet>(occs: &[u16], limit: u16) {
+        let mut set = S::default();
+        for &o in occs {
+            set.insert(o);
+        }
+        for o in 0..limit {
+            assert_eq!(set.contains(o), occs.contains(&o), "occurrence {o}");
+        }
+    }
+
+    #[test]
+    fn occurrence_sets_hold_exactly_what_was_inserted() {
+        holds_exactly::<u128>(&[0, 1, 63, 64, 100, 127], 128);
+        holds_exactly::<Vec<u64>>(&[0, 1, 63, 64, 127, 128, 129, 191, 192, 300, 4000], 4200);
+        holds_exactly::<Vec<u64>>(&[], 200);
+    }
+}

@@ -1,0 +1,580 @@
+//! The filtering engine: subscription storage and the two-stage matching
+//! algorithm over one expression organization — the paper's `basic-pc-ap`
+//! (§4.2.2). Expressions are held in a trie keyed by their predicate
+//! sequences: identical expressions collapse onto one node, every prefix
+//! expression lies on the way to the expressions it covers, and the trie
+//! is clustered by each expression's first predicate (the *access
+//! predicate*) — a cluster whose access predicate has no matches is never
+//! looked at.
+//!
+//! * `trie` — the span-arena trie and its in-place patching,
+//! * `scratch` — per-document matching state and the [`Matcher`] handle,
+//! * `matching` — incremental stage 1 and the stage-2 trie walk,
+//! * `attr_check` — selection-postponed attribute re-checks (§5),
+//! * `dedup` — canonical-form subscription groups,
+//! * this file — the [`FilterEngine`] API and index maintenance.
+
+mod attr_check;
+mod dedup;
+mod matching;
+mod scratch;
+mod trie;
+
+#[cfg(test)]
+mod tests;
+
+pub use dedup::SubsetStats;
+pub use scratch::{MatchScratch, Matcher};
+
+use crate::encode::{encode_single_path, AttrMode, EncodeError};
+use crate::nested::{decompose, NestedPlan};
+use dedup::{CanonGroup, NO_GROUP};
+use pxf_predicate::{PredId, PredicateIndex};
+use pxf_xml::{DocAccess, Interner, ParserLimits, PathDoc, XmlError};
+use pxf_xpath::XPathExpr;
+use std::collections::HashMap;
+use std::fmt;
+use trie::{Sink, Trie};
+
+/// Identifier of a registered subscription (dense, insertion order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SubId(pub u32);
+
+/// Error returned when a subscription cannot be added.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AddError {
+    /// The expression could not be encoded.
+    Encode(EncodeError),
+}
+
+impl fmt::Display for AddError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AddError::Encode(e) => write!(f, "cannot add subscription: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for AddError {}
+
+impl From<EncodeError> for AddError {
+    fn from(e: EncodeError) -> Self {
+        AddError::Encode(e)
+    }
+}
+
+/// Cumulative matching statistics (the paper's Fig. 10 cost breakdown).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineStats {
+    /// Documents processed.
+    pub docs: u64,
+    /// Time spent encoding publications and matching predicates (stage 1).
+    pub predicate_ns: u64,
+    /// Time spent in expression matching / occurrence determination
+    /// (stage 2).
+    pub expression_ns: u64,
+    /// Time spent on everything else (result collection, nested-path
+    /// combination).
+    pub other_ns: u64,
+    /// Occurrence determination invocations (one per trie node the
+    /// stage-2 walk visits, plus one per postponed attribute re-check).
+    pub occurrence_runs: u64,
+    /// Always 0 since PR 13: counted the candidates of the deleted
+    /// posting-list stage 2. Kept declared for the `benchmark/` package,
+    /// which names the field.
+    pub stage2_candidates: u64,
+    /// Always 0 since PR 13, like [`Self::stage2_candidates`].
+    pub posting_bumps: u64,
+    /// Access-predicate cluster roots probed because their access
+    /// predicate matched (unmatched clusters are never looked at, so
+    /// there is nothing to count skipping).
+    pub ap_root_probes: u64,
+    /// Leaf paths whose stage 2 was skipped because an identical
+    /// tag-sequence path was already processed in the same document.
+    pub memo_path_skips: u64,
+    /// Total subscription matches reported.
+    pub matches: u64,
+    /// Maintenance: `add`/`remove` operations applied as in-place patches
+    /// of the packed index (trie columns, `pid→root` map) after the first
+    /// [`FilterEngine::prepare`] — no rebuild involved.
+    pub incremental_patches: u64,
+    /// Maintenance: full index recompilations after the first prepare
+    /// (garbage-triggered compactions, or an explicit dirty rebuild).
+    /// Steady-state churn keeps this at zero.
+    pub full_rebuilds: u64,
+    /// Subscriptions registered as O(1) members of an existing canonical
+    /// group (structural-hash dedup) instead of full encode+index adds.
+    pub dedup_hits: u64,
+}
+
+/// A registered nested-path subscription.
+#[derive(Debug, Clone)]
+struct NestedSub {
+    sub: SubId,
+    plan: NestedPlan,
+    /// First component registry id; components occupy
+    /// `comp_base .. comp_base + plan.len()`.
+    comp_base: u32,
+    /// Component → the trie node holding its sink.
+    nodes: Box<[u32]>,
+}
+
+/// The predicate-based XPath filtering engine.
+///
+/// ```
+/// use pxf_core::FilterEngine;
+/// use pxf_xml::Document;
+///
+/// let mut engine = FilterEngine::default();
+/// let s1 = engine.add_str("a//b/c").unwrap();
+/// let s2 = engine.add_str("c//b//a").unwrap();
+/// let doc = Document::parse(b"<a><b><c><a><b><c/></b></a></c></b></a>").unwrap();
+/// assert_eq!(engine.match_document(&doc), vec![s1]);
+/// let _ = s2;
+/// ```
+#[derive(Debug)]
+pub struct FilterEngine {
+    attr_mode: AttrMode,
+    /// True once any subscription carries a selection-postponed attribute
+    /// re-check: such checks consult document nodes, so equal tag-sequence
+    /// paths stop being equivalent and path memoization must stay off.
+    has_attr_checks: bool,
+    interner: Interner,
+    index: PredicateIndex,
+    n_subs: u32,
+    trie: Trie,
+    /// Live nested-path subscriptions, in no particular order (removal
+    /// swap-removes; `locations` tracks each one's slot).
+    nested: Vec<NestedSub>,
+    /// Size of the component registry: every live nested subscription
+    /// owns one block of ids below this.
+    n_components: u32,
+    /// Component-id blocks released by removed nested subscriptions, by
+    /// block length → block bases, for the next plan of that length.
+    free_comp_blocks: HashMap<usize, Vec<u32>>,
+    /// Where each subscription's sinks live (for O(depth) removal).
+    locations: Vec<SubLocation>,
+    /// Canonical groups (dedup); `canon_index` maps a structural
+    /// hash to the group ids sharing it (verified against the canonical
+    /// rendering — the hash alone is not proof of identity).
+    groups: Vec<CanonGroup>,
+    canon_index: HashMap<u64, Vec<u32>>,
+    /// Subscription → its canonical group (`NO_GROUP` outside dedup).
+    sub_group: Vec<u32>,
+    /// Subscriptions removed via [`FilterEngine::remove`] (ids are never
+    /// reused).
+    removed: u32,
+    /// True once [`Self::prepare`] has compiled the packed structures.
+    /// From then on `add`/`remove` patch them in place and `prepare`
+    /// is an O(1) no-op (amortized by occasional compactions).
+    prepared: bool,
+    /// Maintenance counters surfaced through [`EngineStats`].
+    incremental_patches: u64,
+    full_rebuilds: u64,
+    dedup_hits: u64,
+    /// Test hook: overrides the garbage threshold that triggers
+    /// compaction.
+    compaction_override: Option<usize>,
+    /// Scratch backing the convenient `&mut self` matching API; concurrent
+    /// users create their own via [`FilterEngine::matcher`].
+    scratch: MatchScratch,
+    /// Per-document resource budget enforced on the streaming parse path
+    /// (`match_bytes`); shared by every matcher created from this engine.
+    limits: ParserLimits,
+}
+
+impl Clone for FilterEngine {
+    /// Deep copy of the subscription base and its packed index; the
+    /// per-document scratch starts fresh (it carries no subscription
+    /// state, only reusable buffers and statistics).
+    fn clone(&self) -> Self {
+        FilterEngine {
+            attr_mode: self.attr_mode,
+            has_attr_checks: self.has_attr_checks,
+            interner: self.interner.clone(),
+            index: self.index.clone(),
+            n_subs: self.n_subs,
+            trie: self.trie.clone(),
+            nested: self.nested.clone(),
+            n_components: self.n_components,
+            free_comp_blocks: self.free_comp_blocks.clone(),
+            locations: self.locations.clone(),
+            groups: self.groups.clone(),
+            canon_index: self.canon_index.clone(),
+            sub_group: self.sub_group.clone(),
+            removed: self.removed,
+            prepared: self.prepared,
+            incremental_patches: self.incremental_patches,
+            full_rebuilds: self.full_rebuilds,
+            dedup_hits: self.dedup_hits,
+            compaction_override: self.compaction_override,
+            scratch: MatchScratch::default(),
+            limits: self.limits,
+        }
+    }
+}
+
+/// Back-pointer from a subscription to its storage, enabling removal.
+#[derive(Debug, Clone, Copy)]
+enum SubLocation {
+    /// Trie node holding the sink.
+    Node(u32),
+    /// Index into `nested`.
+    Nested(u32),
+    /// Already removed.
+    Gone,
+}
+
+impl Default for FilterEngine {
+    fn default() -> Self {
+        FilterEngine::new(AttrMode::Inline)
+    }
+}
+
+impl AsRef<FilterEngine> for FilterEngine {
+    fn as_ref(&self) -> &FilterEngine {
+        self
+    }
+}
+
+impl FilterEngine {
+    /// Creates an engine with the given attribute-filter mode.
+    pub fn new(attr_mode: AttrMode) -> Self {
+        FilterEngine {
+            attr_mode,
+            has_attr_checks: false,
+            interner: Interner::new(),
+            index: PredicateIndex::new(),
+            n_subs: 0,
+            trie: Trie::default(),
+            nested: Vec::new(),
+            n_components: 0,
+            free_comp_blocks: HashMap::new(),
+            locations: Vec::new(),
+            groups: Vec::new(),
+            canon_index: HashMap::new(),
+            sub_group: Vec::new(),
+            removed: 0,
+            prepared: false,
+            incremental_patches: 0,
+            full_rebuilds: 0,
+            dedup_hits: 0,
+            compaction_override: None,
+            scratch: MatchScratch::default(),
+            limits: ParserLimits::default(),
+        }
+    }
+
+    /// The configured attribute-filter mode.
+    pub fn attr_mode(&self) -> AttrMode {
+        self.attr_mode
+    }
+
+    /// Number of live subscriptions (registered minus removed).
+    pub fn len(&self) -> usize {
+        (self.n_subs - self.removed) as usize
+    }
+
+    /// True if no live subscriptions exist.
+    pub fn is_empty(&self) -> bool {
+        self.n_subs == self.removed
+    }
+
+    /// Number of distinct predicates stored (Fig. 10 metric).
+    pub fn distinct_predicates(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Approximate heap footprint of the matching index structures
+    /// (packed trie arenas, predicate index), in bytes. Dividing by
+    /// [`Self::len`] gives the bytes-per-expression figure the
+    /// compact-layout work optimizes. Builder-side structures (insert-time
+    /// edge map, sink lists) are included so the number reflects what a
+    /// resident engine costs, not just its hot columns.
+    pub fn index_bytes(&self) -> usize {
+        self.trie.bytes()
+            + self.locations.capacity() * std::mem::size_of::<SubLocation>()
+            + self.index.approx_bytes()
+    }
+
+    #[doc(hidden)]
+    /// Test hook: forces the internal scratch's document epoch; see
+    /// [`MatchScratch::force_epochs`].
+    pub fn force_scratch_epochs(&mut self, doc_epoch: u32) {
+        self.scratch.force_epochs(doc_epoch);
+    }
+
+    /// Sets the per-document resource budget enforced by the streaming
+    /// parse path (`match_bytes`), including matchers created afterwards.
+    pub fn set_parser_limits(&mut self, limits: ParserLimits) {
+        self.limits = limits;
+    }
+
+    /// The per-document resource budget of the streaming parse path.
+    pub fn parser_limits(&self) -> &ParserLimits {
+        &self.limits
+    }
+
+    /// Cumulative matching statistics of the internal (`&mut self`)
+    /// matching API, plus the engine-level maintenance counters.
+    /// [`Matcher`]s carry their own matching statistics.
+    pub fn stats(&self) -> EngineStats {
+        let mut s = self.scratch.stats;
+        s.incremental_patches = self.incremental_patches;
+        s.full_rebuilds = self.full_rebuilds;
+        s.dedup_hits = self.dedup_hits;
+        s
+    }
+
+    /// Resets the statistics counters (including the maintenance
+    /// counters).
+    pub fn reset_stats(&mut self) {
+        self.scratch.stats = EngineStats::default();
+        self.incremental_patches = 0;
+        self.full_rebuilds = 0;
+        self.dedup_hits = 0;
+    }
+
+    /// `add`/`remove` operations applied as in-place index patches since
+    /// construction (or the last [`Self::reset_stats`]).
+    pub fn incremental_patches(&self) -> u64 {
+        self.incremental_patches
+    }
+
+    /// Full index recompilations after the first [`Self::prepare`]
+    /// (compactions included). Steady-state churn keeps this at zero.
+    pub fn full_rebuilds(&self) -> u64 {
+        self.full_rebuilds
+    }
+
+    #[doc(hidden)]
+    /// Test hook: overrides the garbage threshold above which a patching
+    /// operation triggers compaction (`Some(0)` compacts on every op;
+    /// `None` restores the size-proportional default).
+    pub fn force_compaction_threshold(&mut self, threshold: Option<usize>) {
+        self.compaction_override = threshold;
+    }
+
+    /// Finishes construction after a batch of [`Self::add`] calls,
+    /// preparing the internal organization for matching. Called
+    /// automatically by the `&mut self` matching API; required before
+    /// [`Self::matcher`] handles can be created.
+    ///
+    /// The first call compiles the packed index from the builder state.
+    /// After that, `add`/`remove` patch the packed structures in place,
+    /// so this is an O(1) no-op — amortized by occasional compactions
+    /// when tombstone garbage crosses a size-proportional threshold.
+    pub fn prepare(&mut self) {
+        if self.prepared && !self.trie.is_dirty() {
+            return;
+        }
+        self.trie.finalize();
+        if self.prepared {
+            self.full_rebuilds += 1;
+        }
+        self.prepared = true;
+    }
+
+    /// True when `add`/`remove` can patch the packed structures directly:
+    /// the index is compiled and no un-compiled mutation is pending.
+    fn ready_for_patch(&self) -> bool {
+        self.prepared && !self.trie.is_dirty()
+    }
+
+    /// Recompiles the packed trie columns from the builder state,
+    /// reclaiming abandoned arena slots, once they outweigh half the
+    /// arenas.
+    fn maybe_compact(&mut self) {
+        let threshold = self
+            .compaction_override
+            .unwrap_or(self.trie.arena_len() / 2 + 4096);
+        if self.trie.garbage() > threshold {
+            self.trie.compile();
+            self.full_rebuilds += 1;
+        }
+    }
+
+    /// Creates a concurrent matching handle over this engine. Panics if
+    /// subscriptions were added since the last [`Self::prepare`] (or
+    /// `&mut self` match) — prepare first.
+    pub fn matcher(&self) -> Matcher<'_> {
+        assert!(
+            !self.trie.is_dirty(),
+            "FilterEngine::matcher: call prepare() after adding or removing subscriptions"
+        );
+        Matcher {
+            engine: self,
+            scratch: MatchScratch::default(),
+        }
+    }
+
+    /// Parses and registers an XPath expression.
+    pub fn add_str(&mut self, src: &str) -> Result<SubId, Box<dyn std::error::Error>> {
+        let expr = pxf_xpath::parse(src)?;
+        Ok(self.add(&expr)?)
+    }
+
+    /// Registers a parsed expression, returning its subscription id.
+    ///
+    /// Insertion is constant-time in the number of subscriptions already in
+    /// the system (the paper §6.1): encoding is linear in the expression's
+    /// location steps and each predicate insert is an O(1) index probe.
+    pub fn add(&mut self, expr: &XPathExpr) -> Result<SubId, AddError> {
+        let sub = SubId(self.n_subs);
+        // Once the packed index is compiled, new subscriptions patch it
+        // in place; before the first prepare() they accumulate in the
+        // builder state for the bulk compilation.
+        let patch = self.ready_for_patch();
+        if expr.has_nested_paths() {
+            self.add_nested(expr, sub, patch)?;
+        } else {
+            self.add_deduped(expr, sub, patch)?;
+        }
+        self.n_subs += 1;
+        if patch {
+            debug_assert!(self.ready_for_patch());
+            self.incremental_patches += 1;
+            self.maybe_compact();
+        }
+        debug_assert_eq!(self.locations.len(), self.n_subs as usize);
+        debug_assert_eq!(self.sub_group.len(), self.n_subs as usize);
+        Ok(sub)
+    }
+
+    /// Removes a subscription. Returns false if the id was already removed
+    /// (or never existed). Removal cost is independent of the number of
+    /// subscriptions in the system — the sinks are unlinked from their
+    /// trie nodes directly, and a node left with neither sinks nor
+    /// children is unlinked from the trie. A predicate stays in the index
+    /// for as long as another expression references it.
+    pub fn remove(&mut self, sub: SubId) -> bool {
+        let Some(location) = self.locations.get(sub.0 as usize).copied() else {
+            return false;
+        };
+        let patch = self.ready_for_patch();
+        match location {
+            SubLocation::Gone => return false,
+            SubLocation::Node(n) => {
+                let detached = self.trie.detach_sink(
+                    n,
+                    |s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub),
+                    patch,
+                );
+                debug_assert!(detached, "a located subscription has its sink");
+                // Single-path members do not own predicate-index
+                // references — their canonical group does.
+                self.leave_group(sub);
+            }
+            SubLocation::Nested(i) => {
+                let ns = self.nested.swap_remove(i as usize);
+                if let Some(moved) = self.nested.get(i as usize) {
+                    self.locations[moved.sub.0 as usize] = SubLocation::Nested(i);
+                }
+                for (ci, &node) in ns.nodes.iter().enumerate() {
+                    for pid in self.trie.ancestor_pids(node) {
+                        self.index.release(pid);
+                    }
+                    let comp = ns.comp_base + ci as u32;
+                    let detached = self.trie.detach_sink(
+                        node,
+                        |s| matches!(s, Sink::Component { comp: c } if *c == comp),
+                        patch,
+                    );
+                    debug_assert!(detached, "a live component has its sink");
+                }
+                self.free_comp_blocks
+                    .entry(ns.nodes.len())
+                    .or_default()
+                    .push(ns.comp_base);
+            }
+        }
+        self.locations[sub.0 as usize] = SubLocation::Gone;
+        self.removed += 1;
+        if patch {
+            debug_assert!(self.ready_for_patch());
+            self.incremental_patches += 1;
+            self.maybe_compact();
+        }
+        true
+    }
+
+    fn add_nested(&mut self, expr: &XPathExpr, sub: SubId, patch: bool) -> Result<(), AddError> {
+        let plan = decompose(expr);
+        // Validate every component before registering any of them.
+        let mut encoded = Vec::with_capacity(plan.components.len());
+        for comp in &plan.components {
+            // Components are pre-filtered structurally; attribute filters
+            // are applied exactly by the combination DP, so the skeleton is
+            // always encoded without attribute constraints.
+            let skeleton = comp.expr.structural_skeleton();
+            encoded.push(encode_single_path(
+                &skeleton,
+                &mut self.interner,
+                AttrMode::Postponed,
+            )?);
+        }
+        let comp_base = match self
+            .free_comp_blocks
+            .get_mut(&plan.len())
+            .and_then(Vec::pop)
+        {
+            Some(base) => base,
+            None => {
+                let base = self.n_components;
+                self.n_components += plan.len() as u32;
+                base
+            }
+        };
+        let nodes = encoded
+            .into_iter()
+            .enumerate()
+            .map(|(ci, enc)| {
+                let preds: Vec<PredId> = enc
+                    .preds
+                    .iter()
+                    .map(|p| self.index.insert(p.clone()))
+                    .collect();
+                let comp = comp_base + ci as u32;
+                self.insert_expr(&preds, Sink::Component { comp }, patch)
+            })
+            .collect();
+        self.locations
+            .push(SubLocation::Nested(self.nested.len() as u32));
+        self.sub_group.push(NO_GROUP);
+        self.nested.push(NestedSub {
+            sub,
+            plan,
+            comp_base,
+            nodes,
+        });
+        Ok(())
+    }
+
+    /// Inserts a predicate chain with its sink, returning the trie node.
+    fn insert_expr(&mut self, preds: &[PredId], sink: Sink, patch: bool) -> u32 {
+        if patch {
+            self.trie.patch_insert(preds, sink)
+        } else {
+            self.trie.insert(preds, sink)
+        }
+    }
+
+    /// Filters a document: returns the ids of all matching subscriptions,
+    /// in ascending order.
+    pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<SubId> {
+        self.prepare();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let results = self.match_document_with(doc, &mut scratch);
+        self.scratch = scratch;
+        results
+    }
+
+    /// Parses and filters a document in one streaming pass over the raw
+    /// bytes: [`PathDoc::parse`] records leaf paths as elements close, with
+    /// no `Document` tree allocation, and matching runs over the flat
+    /// store. Match sets are byte-identical to the tree-based path.
+    pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
+        let doc = PathDoc::parse_with_limits(bytes, self.limits)?;
+        Ok(self.match_document(&doc))
+    }
+}

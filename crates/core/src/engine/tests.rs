@@ -1,0 +1,335 @@
+//! Unit tests of the engine API: match sets against the reference
+//! oracle, duplicate and nested subscriptions, removal, statistics.
+
+use super::*;
+use crate::reference::matches_document;
+use pxf_xml::Document;
+use pxf_xpath::parse;
+
+const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
+
+fn doc(xml: &str) -> Document {
+    Document::parse(xml.as_bytes()).unwrap()
+}
+
+/// Both attribute modes must agree with the reference oracle on this
+/// expression/document catalog.
+#[test]
+fn engines_agree_with_oracle() {
+    let exprs = [
+        "/a/b/b",
+        "a",
+        "a/a/b/c",
+        "/a/*/*/b",
+        "/a/b/*/*",
+        "/*/a/b",
+        "/*/*/*/*",
+        "a/b/*/*",
+        "*/*/a/*/b",
+        "a/*/*/b/c",
+        "*/*/*/*",
+        "/a//b/c",
+        "/*/b//c/*",
+        "a/b//c",
+        "*/a/*/b//c/*/*",
+        "a//b/c",
+        "c//b//a",
+        "a/c/*/a//c",
+        "a//c/*/a/c",
+        "//b",
+        "/a",
+        "b/c",
+    ];
+    let docs = [
+        "<a><b><b/></b></a>",
+        "<a><b><c><a><b><c/></b></a></c></b></a>",
+        "<x><y><z/></y></x>",
+        "<a><c><x><a><q><c/></q></a></x></c></a>",
+        "<a><b/><b><c/></b><d><e><f/></e></d></a>",
+        "<r><a><b/></a><a><a><b><c/></b></a></a></r>",
+    ];
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let subs: Vec<SubId> = exprs
+            .iter()
+            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+            .collect();
+        for d in docs {
+            let document = doc(d);
+            let matched = engine.match_document(&document);
+            for (e, s) in exprs.iter().zip(&subs) {
+                let expected = matches_document(&parse(e).unwrap(), &document);
+                assert_eq!(matched.contains(s), expected, "{mode:?}: {e} over {d}");
+            }
+        }
+    }
+}
+
+#[test]
+fn attribute_modes_agree() {
+    let exprs = [
+        "/a/b[@x = 1]",
+        "/a/b[@x >= 2]",
+        "a[@y = \"hi\"]//c",
+        "/a[@x]/b",
+        "/a/b[@x = 1][@y = 2]",
+        "*/b[@x != 1]",
+    ];
+    let docs = [
+        r#"<a><b x="1"/></a>"#,
+        r#"<a><b x="2" y="2"/></a>"#,
+        r#"<a y="hi"><q><c/></q></a>"#,
+        r#"<a x="0"><b x="1" y="2"/></a>"#,
+        r#"<a><b/></a>"#,
+    ];
+    let mut inline = FilterEngine::new(AttrMode::Inline);
+    let mut postponed = FilterEngine::new(AttrMode::Postponed);
+    for e in exprs {
+        inline.add(&parse(e).unwrap()).unwrap();
+        postponed.add(&parse(e).unwrap()).unwrap();
+    }
+    for d in docs {
+        let document = doc(d);
+        assert_eq!(
+            inline.match_document(&document),
+            postponed.match_document(&document),
+            "over {d}"
+        );
+        // And both agree with the oracle.
+        let matched = inline.match_document(&document);
+        for (i, e) in exprs.iter().enumerate() {
+            assert_eq!(
+                matched.contains(&SubId(i as u32)),
+                matches_document(&parse(e).unwrap(), &document),
+                "{e} over {d}"
+            );
+        }
+    }
+}
+
+#[test]
+fn duplicate_subscriptions_all_reported() {
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let s1 = engine.add(&parse("/a/b").unwrap()).unwrap();
+        let s2 = engine.add(&parse("/a/b").unwrap()).unwrap();
+        let s3 = engine.add(&parse("/a/c").unwrap()).unwrap();
+        let matched = engine.match_document(&doc("<a><b/></a>"));
+        assert_eq!(matched, vec![s1, s2], "{mode:?}");
+        assert!(!matched.contains(&s3));
+    }
+}
+
+#[test]
+fn prefix_expression_resolves_on_the_way() {
+    let mut engine = FilterEngine::default();
+    let short = engine.add(&parse("/a/b").unwrap()).unwrap();
+    let long = engine.add(&parse("/a/b/c/d").unwrap()).unwrap();
+    let chain_len = engine.distinct_predicates() as u64;
+    let matched = engine.match_document(&doc("<a><b><c><d/></c></b></a>"));
+    assert_eq!(matched, vec![short, long]);
+    let stats = engine.stats();
+    // The short expression is a predicate-prefix of the long one: the
+    // walk down the long chain resolves it, at no run of its own.
+    assert_eq!(stats.occurrence_runs, chain_len, "stats: {stats:?}");
+}
+
+#[test]
+fn access_predicate_probes_only_satisfied_clusters() {
+    let mut engine = FilterEngine::default();
+    engine.add(&parse("/zzz/yyy").unwrap()).unwrap();
+    engine.add(&parse("/zzz/xxx").unwrap()).unwrap();
+    engine.add(&parse("/a/b").unwrap()).unwrap();
+    let matched = engine.match_document(&doc("<a><b/></a>"));
+    assert_eq!(matched, vec![SubId(2)]);
+    let stats = engine.stats();
+    // The two /zzz expressions share one cluster whose access
+    // predicate never matches: only the /a cluster is probed.
+    assert_eq!(stats.ap_root_probes, 1, "stats: {stats:?}");
+}
+
+#[test]
+fn nested_subscriptions_through_engine() {
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let both = engine.add(&parse("//a[b][c]").unwrap()).unwrap();
+        let deep = engine.add(&parse("/a[b[c]]").unwrap()).unwrap();
+        let paper = engine.add(&parse("/a[*/c[d]/e]//c[d]/e").unwrap()).unwrap();
+        let plain = engine.add(&parse("/r//a").unwrap()).unwrap();
+
+        let d1 = doc("<r><a><b/><c/></a></r>");
+        assert_eq!(engine.match_document(&d1), vec![both, plain], "{mode:?}");
+
+        let d2 = doc("<r><a><b/></a><a><c/></a></r>");
+        assert_eq!(engine.match_document(&d2), vec![plain], "{mode:?}");
+
+        let d3 = doc("<a><b><c/></b></a>");
+        assert_eq!(engine.match_document(&d3), vec![deep], "{mode:?}");
+
+        let d4 = doc("<a><x><c><d/><e/></c></x><y><c><d/><e/></c></y></a>");
+        assert_eq!(engine.match_document(&d4), vec![paper], "{mode:?}");
+    }
+}
+
+/// Paths of 126–130 elements straddle the switch of stage 2's occurrence
+/// set from `u128` to the heap bitset; one repeated tag drives the
+/// occurrence numbers up to the path length.
+#[test]
+fn path_lengths_around_128_agree_with_oracle() {
+    let exprs = ["a/a", "/a//a/a", "//a", "a/a/a/a", "/a/a//a//a/a", "/b"];
+    for len in 126..=130 {
+        let document = doc(&("<a>".repeat(len) + &"</a>".repeat(len)));
+        for mode in MODES {
+            let mut engine = FilterEngine::new(mode);
+            let subs: Vec<SubId> = exprs.iter().map(|e| engine.add_str(e).unwrap()).collect();
+            let matched = engine.match_document(&document);
+            for (e, s) in exprs.iter().zip(&subs) {
+                let expected = matches_document(&parse(e).unwrap(), &document);
+                assert_eq!(matched.contains(s), expected, "{mode:?}: {e} at {len}");
+            }
+        }
+    }
+}
+
+#[test]
+fn repeated_documents_are_independent() {
+    let mut engine = FilterEngine::default();
+    let s = engine.add(&parse("/a/b").unwrap()).unwrap();
+    assert_eq!(engine.match_document(&doc("<a><b/></a>")), vec![s]);
+    assert!(engine.match_document(&doc("<x/>")).is_empty());
+    assert_eq!(engine.match_document(&doc("<a><b/></a>")), vec![s]);
+}
+
+#[test]
+fn adding_after_matching_works() {
+    let mut engine = FilterEngine::default();
+    let s1 = engine.add(&parse("/a").unwrap()).unwrap();
+    assert_eq!(engine.match_document(&doc("<a/>")), vec![s1]);
+    let s2 = engine.add(&parse("/a/b").unwrap()).unwrap();
+    assert_eq!(engine.match_document(&doc("<a><b/></a>")), vec![s1, s2]);
+}
+
+#[test]
+fn distinct_predicate_sharing() {
+    let mut engine = FilterEngine::default();
+    engine.add(&parse("/a/b/c/d").unwrap()).unwrap();
+    let n1 = engine.distinct_predicates();
+    // b/c occurs inside: shares (d(p_b,p_c), =, 1).
+    engine.add(&parse("b/c").unwrap()).unwrap();
+    let n2 = engine.distinct_predicates();
+    assert_eq!(n1, 4);
+    assert_eq!(n2, 4, "b/c must reuse the stored predicate");
+    engine.add(&parse("b//c").unwrap()).unwrap();
+    assert_eq!(engine.distinct_predicates(), 5);
+}
+
+#[test]
+fn stats_accumulate() {
+    let mut engine = FilterEngine::default();
+    engine.add(&parse("/a/b").unwrap()).unwrap();
+    engine.match_document(&doc("<a><b/></a>"));
+    engine.match_document(&doc("<a><b/></a>"));
+    let stats = engine.stats();
+    assert_eq!(stats.docs, 2);
+    assert_eq!(stats.matches, 2);
+    assert!(stats.occurrence_runs >= 2);
+    engine.reset_stats();
+    assert_eq!(engine.stats().docs, 0);
+}
+
+#[test]
+fn empty_engine_matches_nothing() {
+    let mut engine = FilterEngine::default();
+    assert!(engine.is_empty());
+    assert!(engine.match_document(&doc("<a/>")).is_empty());
+}
+
+#[test]
+fn add_str_reports_parse_errors() {
+    let mut engine = FilterEngine::default();
+    assert!(engine.add_str("/a[").is_err());
+    assert!(engine.add_str("/a/*[@x = 1]").is_err());
+}
+
+/// Postponed attribute filters on a prefix expression are still checked
+/// when the walk passes through it on the way to a longer expression.
+#[test]
+fn postponed_attrs_checked_on_prefix_expressions() {
+    let mut engine = FilterEngine::new(AttrMode::Postponed);
+    let filtered = engine.add(&parse("/a/b[@x = 9]").unwrap()).unwrap();
+    let longer = engine.add(&parse("/a/b/c").unwrap()).unwrap();
+    // The structural prefix /a/b matches on the way to /a/b/c, but the
+    // attribute filter x=9 fails.
+    let matched = engine.match_document(&doc(r#"<a><b x="1"><c/></b></a>"#));
+    assert_eq!(matched, vec![longer]);
+    let matched = engine.match_document(&doc(r#"<a><b x="9"><c/></b></a>"#));
+    assert_eq!(matched, vec![filtered, longer]);
+}
+
+#[test]
+fn removed_subscriptions_stop_matching() {
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let s1 = engine.add(&parse("/a/b").unwrap()).unwrap();
+        let s2 = engine.add(&parse("/a/b").unwrap()).unwrap(); // duplicate
+        let s3 = engine.add(&parse("//b").unwrap()).unwrap();
+        let d = doc("<a><b/></a>");
+        assert_eq!(engine.match_document(&d), vec![s1, s2, s3], "{mode:?}");
+        assert!(engine.remove(s1));
+        assert_eq!(engine.match_document(&d), vec![s2, s3], "{mode:?}");
+        assert!(!engine.remove(s1), "double remove must return false");
+        assert_eq!(engine.len(), 2);
+        assert!(engine.remove(s2));
+        assert!(engine.remove(s3));
+        assert!(engine.is_empty());
+        assert!(engine.match_document(&d).is_empty(), "{mode:?}");
+    }
+}
+
+#[test]
+fn removal_keeps_other_subscriptions_intact() {
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let subs: Vec<SubId> = ["/a/b", "/a/b/c", "/a", "a/b[@x = 1]", "//c"]
+            .iter()
+            .map(|s| engine.add(&parse(s).unwrap()).unwrap())
+            .collect();
+        let d = doc(r#"<a><b x="1"><c/></b></a>"#);
+        assert_eq!(engine.match_document(&d), subs, "{mode:?}");
+        // Remove the middle of the prefix chain.
+        assert!(engine.remove(subs[0]));
+        let expected: Vec<SubId> = subs[1..].to_vec();
+        assert_eq!(engine.match_document(&d), expected, "{mode:?}");
+    }
+}
+
+#[test]
+fn nested_subscription_removal() {
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let tree = engine.add(&parse("/a[b]/c").unwrap()).unwrap();
+        let plain = engine.add(&parse("/a/c").unwrap()).unwrap();
+        let d = doc("<a><b/><c/></a>");
+        assert_eq!(engine.match_document(&d), vec![tree, plain]);
+        assert!(engine.remove(tree));
+        assert_eq!(engine.match_document(&d), vec![plain]);
+        assert!(!engine.remove(tree));
+    }
+}
+
+#[test]
+fn add_after_remove_allocates_fresh_ids() {
+    let mut engine = FilterEngine::default();
+    let s1 = engine.add(&parse("/a").unwrap()).unwrap();
+    engine.remove(s1);
+    let s2 = engine.add(&parse("/b").unwrap()).unwrap();
+    assert_ne!(s1, s2);
+    let d = doc("<b/>");
+    assert_eq!(engine.match_document(&d), vec![s2]);
+}
+
+#[test]
+fn remove_unknown_id_is_noop() {
+    let mut engine = FilterEngine::default();
+    assert!(!engine.remove(SubId(42)));
+}

@@ -1,0 +1,564 @@
+//! The expression trie (paper Fig. 2) as capacity-tracked arena spans:
+//! the builder nodes (insertion-time state plus the cold sink lists) and
+//! the packed structure-of-arrays columns the stage-2 walk reads. This
+//! module is the only place that names a column; the matcher sees
+//! `children(n)`, `plain_subs(n)`, `sink_len(n)`, `sinks(n)`, the root
+//! table and `root_of(pid)`.
+
+use super::attr_check::AttrCheck;
+use super::SubId;
+use pxf_predicate::PredId;
+use std::collections::HashMap;
+
+/// What an expression entry resolves to when it matches a path.
+#[derive(Debug, Clone)]
+pub(super) enum Sink {
+    /// A public single-path subscription.
+    Sub {
+        sub: SubId,
+        attr_check: Option<Box<AttrCheck>>,
+    },
+    /// A component of a nested-path subscription: record the path index.
+    Component { comp: u32 },
+}
+
+impl Sink {
+    /// The subscription id of a sink the packed `plain_subs` column
+    /// mirrors: a subscription with no attribute check.
+    fn plain_sub(&self) -> Option<u32> {
+        match self {
+            Sink::Sub {
+                sub,
+                attr_check: None,
+            } => Some(sub.0),
+            _ => None,
+        }
+    }
+}
+
+/// A trie node in the *builder* representation: insertion-time state plus
+/// the sink lists, which stay here (cold) while the hot matching walk runs
+/// over the arena-packed [`PackedTrie`] columns compiled by
+/// [`Trie::finalize`].
+#[derive(Debug, Clone)]
+struct TrieNode {
+    pid: PredId,
+    parent: u32, // NO_PARENT = root-level node, PRUNED = unlinked slot
+    sinks: Vec<Sink>,
+}
+
+const NO_PARENT: u32 = u32::MAX;
+/// Builder `parent` of a node [`Trie::prune`] unlinked: the slot stays
+/// (node ids are never reused) but no edge or root leads to it.
+const PRUNED: u32 = u32::MAX - 1;
+const NO_ROOT: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Default)]
+pub(super) struct Trie {
+    nodes: Vec<TrieNode>,
+    /// Insert-time edge lookup: `(parent, pid) → child` (parent
+    /// `NO_PARENT` keys the root level). Matching never touches this —
+    /// it walks the packed CSR ranges instead.
+    edges: HashMap<(u32, PredId), u32>,
+    /// Arena-packed read-only layout; rebuilt lazily.
+    packed: PackedTrie,
+    dirty: bool,
+    /// Arena slots abandoned by span relocations since the last
+    /// [`Self::finalize`].
+    garbage: usize,
+}
+
+/// A capacity-tracked slice of an arena: the live elements are
+/// `arena[start..start + len]` and the slot owns `cap` elements starting
+/// at `start`. Bulk compilation emits spans with `cap == len` (a plain
+/// CSR); incremental patching appends in place while `len < cap` and
+/// relocates the span to the end of the arena (doubling `cap`) when
+/// full, leaving the abandoned slot as garbage for the next compaction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    #[inline]
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Appends `v` to the span's slice inside `arena`, relocating the span to
+/// the end of the arena (capacity doubled, old slot abandoned into
+/// `garbage`) when it is full.
+fn grow_span<T: Copy>(arena: &mut Vec<T>, span: &mut Span, v: T, garbage: &mut usize) {
+    if span.len == span.cap {
+        let new_cap = (span.cap * 2).max(4);
+        let new_start = arena.len() as u32;
+        for i in 0..span.len {
+            let x = arena[(span.start + i) as usize];
+            arena.push(x);
+        }
+        arena.resize(new_start as usize + new_cap as usize, v);
+        *garbage += span.cap as usize;
+        span.start = new_start;
+        span.cap = new_cap;
+    }
+    arena[(span.start + span.len) as usize] = v;
+    span.len += 1;
+}
+
+/// [`grow_span`] over two parallel arenas that must relocate together
+/// (e.g. the child `pid`/`node` columns).
+fn grow_span2<A: Copy, B: Copy>(
+    a: &mut Vec<A>,
+    b: &mut Vec<B>,
+    span: &mut Span,
+    va: A,
+    vb: B,
+    garbage: &mut usize,
+) {
+    if span.len == span.cap {
+        let new_cap = (span.cap * 2).max(4);
+        let new_start = a.len() as u32;
+        for i in 0..span.len {
+            let x = a[(span.start + i) as usize];
+            let y = b[(span.start + i) as usize];
+            a.push(x);
+            b.push(y);
+        }
+        a.resize(new_start as usize + new_cap as usize, va);
+        b.resize(new_start as usize + new_cap as usize, vb);
+        *garbage += 2 * span.cap as usize;
+        span.start = new_start;
+        span.cap = new_cap;
+    }
+    a[(span.start + span.len) as usize] = va;
+    b[(span.start + span.len) as usize] = vb;
+    span.len += 1;
+}
+
+/// Arena-packed structure-of-arrays trie layout: per-node columns, child
+/// edges as capacity-tracked arena spans (sorted by predicate at compile
+/// time, append-order afterwards) and roots as parallel arrays. The hot
+/// stage-2 walk touches only these dense columns (plus the builder sink
+/// lists when a node actually resolves subscriptions). Incremental
+/// `add`/`remove` patch the columns in place; [`Trie::finalize`]
+/// recompiles them from scratch.
+#[derive(Debug, Clone, Default)]
+struct PackedTrie {
+    /// Node → its predicate.
+    pid: Vec<PredId>,
+    /// Node → parent node (`NO_PARENT` at roots).
+    parent: Vec<u32>,
+    /// Node → number of sinks (hot presence check; the sinks themselves
+    /// stay on the builder nodes).
+    sink_len: Vec<u32>,
+    /// Plain-subscription sink spans: node `n`'s sinks that are
+    /// `Sink::Sub` with no attribute check, as bare subscription ids in
+    /// `plain_subs[plain_span[n]]`. When the span covers all
+    /// `sink_len[n]` sinks, resolving the node is a tight bitmap-marking
+    /// sweep over this column (4 bytes per sink instead of a 16-byte enum
+    /// match), the duplicate-heavy common case.
+    plain_span: Vec<Span>,
+    plain_subs: Vec<u32>,
+    /// Children spans: node `n`'s edges are parallel
+    /// `child_pid/child_node[child_span[n]]` slices.
+    child_span: Vec<Span>,
+    child_pid: Vec<PredId>,
+    child_node: Vec<u32>,
+    /// Root clusters as parallel arrays (sorted by predicate at compile
+    /// time; patched roots append — every consumer scans linearly).
+    root_pid: Vec<PredId>,
+    root_node: Vec<u32>,
+    /// Predicate index → access-predicate cluster root node (`NO_ROOT`,
+    /// or past the end, when the predicate roots no cluster). Lets stage
+    /// 2 probe only the clusters whose access predicate matched instead
+    /// of iterating every root.
+    root_of: Vec<u32>,
+}
+
+impl PackedTrie {
+    /// Heap footprint of the packed columns, in bytes.
+    fn arena_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pid.capacity() * size_of::<PredId>()
+            + self.parent.capacity() * size_of::<u32>()
+            + self.sink_len.capacity() * size_of::<u32>()
+            + self.plain_span.capacity() * size_of::<Span>()
+            + self.plain_subs.capacity() * size_of::<u32>()
+            + self.child_span.capacity() * size_of::<Span>()
+            + self.child_pid.capacity() * size_of::<PredId>()
+            + self.child_node.capacity() * size_of::<u32>()
+            + self.root_pid.capacity() * size_of::<PredId>()
+            + self.root_node.capacity() * size_of::<u32>()
+            + self.root_of.capacity() * size_of::<u32>()
+    }
+
+    fn set_root(&mut self, pid: PredId, n: u32) {
+        if self.root_of.len() <= pid.index() {
+            self.root_of.resize(pid.index() + 1, NO_ROOT);
+        }
+        self.root_of[pid.index()] = n;
+    }
+}
+
+/// The matcher's read-only view of the packed columns.
+impl Trie {
+    pub(super) fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Node → number of sinks.
+    #[inline]
+    pub(super) fn sink_len(&self, n: u32) -> u32 {
+        self.packed.sink_len[n as usize]
+    }
+
+    /// Node → its plain-subscription sinks (no attribute check).
+    #[inline]
+    pub(super) fn plain_subs(&self, n: u32) -> &[u32] {
+        &self.packed.plain_subs[self.packed.plain_span[n as usize].range()]
+    }
+
+    /// Node → all of its sinks (the cold builder list).
+    #[inline]
+    pub(super) fn sinks(&self, n: u32) -> &[Sink] {
+        &self.nodes[n as usize].sinks
+    }
+
+    /// Node → its child edges as parallel `(pid, node)` slices.
+    #[inline]
+    pub(super) fn children(&self, n: u32) -> (&[PredId], &[u32]) {
+        let r = self.packed.child_span[n as usize].range();
+        (
+            &self.packed.child_pid[r.clone()],
+            &self.packed.child_node[r],
+        )
+    }
+
+    /// The cluster roots as parallel `(access predicate, node)` slices.
+    #[inline]
+    pub(super) fn roots(&self) -> (&[PredId], &[u32]) {
+        (&self.packed.root_pid, &self.packed.root_node)
+    }
+
+    /// The cluster root whose access predicate is `pid`, if any.
+    #[inline]
+    pub(super) fn root_of(&self, pid: PredId) -> Option<u32> {
+        match self.packed.root_of.get(pid.index()) {
+            Some(&n) if n != NO_ROOT => Some(n),
+            _ => None,
+        }
+    }
+
+    /// Replaces `chain` with node `n`'s predicate chain, root first.
+    pub(super) fn chain_into(&self, n: u32, chain: &mut Vec<PredId>) {
+        chain.clear();
+        let packed = &self.packed;
+        let mut cur = n;
+        loop {
+            chain.push(packed.pid[cur as usize]);
+            let parent = packed.parent[cur as usize];
+            if parent == NO_PARENT {
+                break;
+            }
+            cur = parent;
+        }
+        chain.reverse();
+    }
+}
+
+/// Maintenance: bulk build, compilation, and in-place patching.
+impl Trie {
+    /// True when the builder state changed since the last
+    /// [`Self::finalize`] (the packed columns are stale).
+    pub(super) fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
+    /// Arena slots abandoned since the last [`Self::finalize`].
+    pub(super) fn garbage(&self) -> usize {
+        self.garbage
+    }
+
+    /// Total length of the span arenas (the scale [`Self::garbage`] is
+    /// judged against).
+    pub(super) fn arena_len(&self) -> usize {
+        self.packed.plain_subs.len() + self.packed.child_pid.len()
+    }
+
+    /// Heap footprint of the packed columns plus the builder-side
+    /// structures (nodes, insert-time edge map), in bytes.
+    pub(super) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.packed.arena_bytes()
+            + self.nodes.capacity() * size_of::<TrieNode>()
+            + self.edges.len() * size_of::<((u32, PredId), u32)>()
+    }
+
+    /// The predicates on the way from node `n` up to its root (`n`'s own
+    /// first), read from the builder nodes — valid before the first
+    /// [`Self::finalize`].
+    pub(super) fn ancestor_pids(&self, n: u32) -> impl Iterator<Item = PredId> + '_ {
+        std::iter::successors(Some(n), |&cur| {
+            let parent = self.nodes[cur as usize].parent;
+            (parent != NO_PARENT).then_some(parent)
+        })
+        .map(|cur| self.nodes[cur as usize].pid)
+    }
+
+    /// Bulk insert into the builder state; the packed columns go stale
+    /// until the next [`Self::finalize`].
+    pub(super) fn insert(&mut self, preds: &[PredId], sink: Sink) -> u32 {
+        debug_assert!(!preds.is_empty());
+        let mut current: u32 = NO_PARENT;
+        for &pid in preds {
+            current = match self.edges.get(&(current, pid)) {
+                Some(&n) => n,
+                None => {
+                    let n = self.alloc(pid, current);
+                    self.edges.insert((current, pid), n);
+                    n
+                }
+            };
+        }
+        self.nodes[current as usize].sinks.push(sink);
+        self.dirty = true;
+        current
+    }
+
+    fn alloc(&mut self, pid: PredId, parent: u32) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(TrieNode {
+            pid,
+            parent,
+            sinks: Vec::new(),
+        });
+        id
+    }
+
+    /// Brings the packed columns up to date with the builder state.
+    pub(super) fn finalize(&mut self) {
+        if self.dirty {
+            self.compile();
+        }
+    }
+
+    /// Compiles the packed layout from the builder nodes: child CSR
+    /// (counting sort by `(parent, pid)`) and sorted root arrays.
+    /// Abandoned arena slots and pruned nodes' edges are left behind.
+    pub(super) fn compile(&mut self) {
+        let n = self.nodes.len();
+        let p = &mut self.packed;
+        p.pid.clear();
+        p.parent.clear();
+        p.sink_len.clear();
+        p.pid.extend(self.nodes.iter().map(|nd| nd.pid));
+        p.parent.extend(self.nodes.iter().map(|nd| nd.parent));
+        p.sink_len
+            .extend(self.nodes.iter().map(|nd| nd.sinks.len() as u32));
+        p.plain_span.clear();
+        p.plain_subs.clear();
+        for nd in &self.nodes {
+            let start = p.plain_subs.len() as u32;
+            p.plain_subs
+                .extend(nd.sinks.iter().filter_map(Sink::plain_sub));
+            let len = p.plain_subs.len() as u32 - start;
+            p.plain_span.push(Span {
+                start,
+                len,
+                cap: len,
+            });
+        }
+
+        // Every linked non-root node contributes exactly one child edge.
+        let mut edges: Vec<(u32, PredId, u32)> = Vec::new();
+        let mut roots: Vec<(PredId, u32)> = Vec::new();
+        for (i, nd) in self.nodes.iter().enumerate() {
+            match nd.parent {
+                NO_PARENT => roots.push((nd.pid, i as u32)),
+                PRUNED => {}
+                parent => edges.push((parent, nd.pid, i as u32)),
+            }
+        }
+        edges.sort_unstable();
+        roots.sort_unstable();
+        let mut counts = vec![0u32; n];
+        for &(parent, _, _) in &edges {
+            counts[parent as usize] += 1;
+        }
+        p.child_span.clear();
+        let mut acc = 0u32;
+        for &len in &counts {
+            p.child_span.push(Span {
+                start: acc,
+                len,
+                cap: len,
+            });
+            acc += len;
+        }
+        p.child_pid.clear();
+        p.child_node.clear();
+        p.child_pid.extend(edges.iter().map(|e| e.1));
+        p.child_node.extend(edges.iter().map(|e| e.2));
+        p.root_pid.clear();
+        p.root_node.clear();
+        p.root_pid.extend(roots.iter().map(|r| r.0));
+        p.root_node.extend(roots.iter().map(|r| r.1));
+        p.root_of.clear();
+        for &(pid, node) in &roots {
+            p.set_root(pid, node);
+        }
+        self.dirty = false;
+        self.garbage = 0;
+    }
+
+    /// Incremental insert: walks or creates the predicate chain exactly
+    /// like [`Self::insert`], mirroring every new node into the packed
+    /// columns (and the root / `pid→root` tables), and attaches the sink.
+    /// Leaves no dirty flag behind: the packed view stays exactly what
+    /// [`Self::finalize`] would produce, up to span layout and root order.
+    pub(super) fn patch_insert(&mut self, preds: &[PredId], sink: Sink) -> u32 {
+        debug_assert!(!preds.is_empty());
+        let mut current: u32 = NO_PARENT;
+        for &pid in preds {
+            current = match self.edges.get(&(current, pid)) {
+                Some(&n) => n,
+                None => {
+                    let parent = current;
+                    let n = self.alloc(pid, parent);
+                    self.edges.insert((parent, pid), n);
+                    let p = &mut self.packed;
+                    debug_assert_eq!(p.pid.len(), n as usize);
+                    p.pid.push(pid);
+                    p.parent.push(parent);
+                    p.sink_len.push(0);
+                    p.plain_span.push(Span::default());
+                    p.child_span.push(Span::default());
+                    if parent == NO_PARENT {
+                        // New access-predicate cluster: append to the root
+                        // tables (scanned linearly, order-insensitive).
+                        p.root_pid.push(pid);
+                        p.root_node.push(n);
+                        p.set_root(pid, n);
+                    } else {
+                        grow_span2(
+                            &mut p.child_pid,
+                            &mut p.child_node,
+                            &mut p.child_span[parent as usize],
+                            pid,
+                            n,
+                            &mut self.garbage,
+                        );
+                    }
+                    n
+                }
+            };
+        }
+        self.attach_sink(current, sink, true);
+        current
+    }
+
+    /// Attaches one more sink to node `n`, mirroring it into the packed
+    /// columns when patching.
+    pub(super) fn attach_sink(&mut self, n: u32, sink: Sink, patch: bool) {
+        let plain_sub = sink.plain_sub();
+        self.nodes[n as usize].sinks.push(sink);
+        if !patch {
+            self.dirty = true;
+            return;
+        }
+        let p = &mut self.packed;
+        p.sink_len[n as usize] += 1;
+        if let Some(s) = plain_sub {
+            grow_span(
+                &mut p.plain_subs,
+                &mut p.plain_span[n as usize],
+                s,
+                &mut self.garbage,
+            );
+        }
+    }
+
+    /// Detaches the first sink of node `n` that `is_target` accepts;
+    /// false when there is none. When patching, a node left with neither
+    /// sinks nor children is unlinked (see [`Self::prune`]).
+    pub(super) fn detach_sink(
+        &mut self,
+        n: u32,
+        is_target: impl Fn(&Sink) -> bool,
+        patch: bool,
+    ) -> bool {
+        let sinks = &mut self.nodes[n as usize].sinks;
+        let Some(pos) = sinks.iter().position(is_target) else {
+            return false;
+        };
+        let plain_sub = sinks.remove(pos).plain_sub();
+        if !patch {
+            // The packed sink columns (`sink_len`, the plain-sub arena)
+            // mirror the builder sink lists and must be recompiled at the
+            // next prepare().
+            self.dirty = true;
+            return true;
+        }
+        let p = &mut self.packed;
+        p.sink_len[n as usize] -= 1;
+        if let Some(sub) = plain_sub {
+            // Swap-remove the id inside the plain span; the freed slot
+            // stays within the span's capacity, so it is reusable, not
+            // garbage.
+            let span = &mut p.plain_span[n as usize];
+            let r = span.range();
+            let idx = p.plain_subs[r.clone()]
+                .iter()
+                .position(|&x| x == sub)
+                .expect("plain sink mirrored in the packed column");
+            p.plain_subs[r.start + idx] = p.plain_subs[r.end - 1];
+            span.len -= 1;
+        }
+        self.prune(n);
+        true
+    }
+
+    /// Unlinks node `n`, and then each ancestor left the same way, once it
+    /// carries neither sinks nor children. The predicate index never
+    /// reuses a released predicate id, so without this every re-added
+    /// expression would hang a fresh child beside the dead one and the
+    /// walk over a hot node's children would grow with churn, not with
+    /// the live set. The slot and its emptied spans stay behind, uncounted
+    /// as garbage: node ids are never reused, and counting them would turn
+    /// steady churn into periodic recompilations.
+    fn prune(&mut self, mut n: u32) {
+        let p = &mut self.packed;
+        while p.sink_len[n as usize] == 0 && p.child_span[n as usize].len == 0 {
+            let node = &mut self.nodes[n as usize];
+            let (pid, parent) = (node.pid, node.parent);
+            node.parent = PRUNED;
+            self.edges.remove(&(parent, pid));
+            if parent == NO_PARENT {
+                let i = p
+                    .root_node
+                    .iter()
+                    .position(|&r| r == n)
+                    .expect("root mirrored in the root table");
+                p.root_pid.swap_remove(i);
+                p.root_node.swap_remove(i);
+                p.root_of[pid.index()] = NO_ROOT;
+                return;
+            }
+            // Swap-remove the edge inside the parent's span (reusable
+            // capacity, not garbage).
+            let span = &mut p.child_span[parent as usize];
+            let r = span.range();
+            let idx = p.child_node[r.clone()]
+                .iter()
+                .position(|&c| c == n)
+                .expect("edge mirrored in the parent's span");
+            p.child_pid[r.start + idx] = p.child_pid[r.end - 1];
+            p.child_node[r.start + idx] = p.child_node[r.end - 1];
+            span.len -= 1;
+            n = parent;
+        }
+    }
+}

@@ -12,10 +12,10 @@
 //! # Quick start
 //!
 //! ```
-//! use pxf_core::{Algorithm, AttrMode, FilterEngine};
+//! use pxf_core::{AttrMode, FilterEngine};
 //! use pxf_xml::Document;
 //!
-//! let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+//! let mut engine = FilterEngine::new(AttrMode::Inline);
 //! let sports = engine.add_str("/news//article[@category = \"sports\"]").unwrap();
 //! let politics = engine.add_str("/news//article[@category = \"politics\"]/headline").unwrap();
 //!
@@ -26,11 +26,13 @@
 //! let _ = politics;
 //! ```
 //!
-//! The three expression organizations of the paper (§4.2.2) are selected
-//! with [`Algorithm`]: `Basic`, `PrefixCovering` (basic-pc), and
-//! `AccessPredicate` (basic-pc-ap). Attribute filters run [`AttrMode::Inline`]
-//! or [`AttrMode::Postponed`] (§5). Nested path filters (tree patterns) are
-//! decomposed and combined per §5 ([`nested`]).
+//! Expressions are organized the one way the paper's evaluation recommends
+//! (§4.2.2, `basic-pc-ap`): a prefix-covering trie clustered by access
+//! predicate, walked depth-first per document path. Attribute filters run
+//! [`AttrMode::Inline`] or [`AttrMode::Postponed`] (§5). Nested path
+//! filters (tree patterns) are decomposed and combined per §5
+//! ([`nested`]). [`reference`] is the independent oracle every property
+//! suite compares the engine with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,9 +49,6 @@ pub mod snapshot;
 
 pub use backend::{BackendError, FilterBackend};
 pub use encode::{AttrMode, EncodeError, EncodedPath};
-pub use engine::{
-    AddError, Algorithm, EngineStats, FilterEngine, MatchScratch, Matcher, Stage1, Stage2, SubId,
-    SubsetStats,
-};
+pub use engine::{AddError, EngineStats, FilterEngine, MatchScratch, Matcher, SubId, SubsetStats};
 pub use parallel::{BatchReport, BatchScratch, ByteFilterResult, DocError, DocFilterResult};
 pub use snapshot::{ChurnOp, EngineSnapshot, SnapshotHandle, SnapshotPublisher};

@@ -320,10 +320,9 @@ pub fn filter_batch_bytes_with<E: AsRef<FilterEngine> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, AttrMode};
 
     fn sample_engine() -> (FilterEngine, Vec<SubId>) {
-        let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+        let mut engine = FilterEngine::default();
         let ids = vec![
             engine.add_str("/a/b").unwrap(),
             engine.add_str("//c").unwrap(),

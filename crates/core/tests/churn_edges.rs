@@ -1,9 +1,12 @@
 //! Deterministic edge cases for the incremental index maintenance
-//! paths: tombstone exhaustion (remove everything, then re-add),
-//! duplicate-heavy `plain_subs` terminals, and the compaction threshold.
+//! paths: exhaustion (remove everything, then re-add), duplicate-heavy
+//! `plain_subs` nodes, the compaction threshold, and nested-path churn.
 
-use pxf_core::{Algorithm, AttrMode, FilterBackend, FilterEngine, Stage1, Stage2, SubId};
+use pxf_core::reference::matches_document;
+use pxf_core::{AttrMode, FilterBackend, FilterEngine, SubId};
 use pxf_xml::Document;
+
+const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
 const EXPRS: [&str; 8] = [
     "/a/b",
@@ -18,8 +21,8 @@ const EXPRS: [&str; 8] = [
 
 const DOC: &str = "<a><b k=\"1\" m=\"2\"><c/></b><b><c><d/></c></b></a>";
 
-fn engine_with(exprs: &[&str], algo: Algorithm) -> FilterEngine {
-    let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+fn engine_with(exprs: &[&str], mode: AttrMode) -> FilterEngine {
+    let mut engine = FilterEngine::new(mode);
     for e in exprs {
         engine.add_str(e).unwrap();
     }
@@ -31,102 +34,96 @@ fn match_ids(engine: &mut FilterEngine, doc: &Document) -> Vec<u32> {
     engine.match_document(doc).iter().map(|s| s.0).collect()
 }
 
-/// Removing every subscription must leave a fully-tombstoned but valid
+/// Removing every subscription must leave an empty but valid
 /// index (empty match sets, no panics), and re-adding afterwards must
 /// restore matching — all without a rebuild.
 #[test]
 fn remove_all_then_readd() {
     let doc = Document::parse(DOC.as_bytes()).unwrap();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        let mut engine = engine_with(&EXPRS, algo);
+    for mode in MODES {
+        let mut engine = engine_with(&EXPRS, mode);
         assert!(!match_ids(&mut engine, &doc).is_empty());
         for i in 0..EXPRS.len() {
-            assert!(engine.remove(SubId(i as u32)), "{algo:?} sub {i}");
+            assert!(engine.remove(SubId(i as u32)), "{mode:?} sub {i}");
         }
-        assert!(match_ids(&mut engine, &doc).is_empty(), "{algo:?}");
+        assert!(match_ids(&mut engine, &doc).is_empty(), "{mode:?}");
         assert!(
             engine.match_bytes(DOC.as_bytes()).unwrap().is_empty(),
-            "{algo:?}"
+            "{mode:?}"
         );
         // Re-add the same expressions; they get fresh ids after the dead
         // block and must match exactly like a fresh engine.
         let readded: Vec<SubId> = EXPRS.iter().map(|e| engine.add_str(e).unwrap()).collect();
-        let mut oracle = engine_with(&EXPRS, algo);
+        let mut oracle = engine_with(&EXPRS, mode);
         let want = match_ids(&mut oracle, &doc);
         let got = match_ids(&mut engine, &doc);
         let remapped: Vec<u32> = want.iter().map(|&i| readded[i as usize].0).collect();
-        assert_eq!(got, remapped, "{algo:?}");
-        assert_eq!(engine.full_rebuilds(), 0, "{algo:?}");
-        assert!(engine.incremental_patches() > 0, "{algo:?}");
+        assert_eq!(got, remapped, "{mode:?}");
+        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
+        assert!(engine.incremental_patches() > 0, "{mode:?}");
     }
 }
 
 /// Many subscriptions sharing one expression pile up in the same trie
-/// terminal's `plain_subs` span. Removing an arbitrary subset must
+/// node's `plain_subs` span. Removing an arbitrary subset must
 /// delist exactly those ids while the duplicates keep matching.
 #[test]
 fn duplicate_heavy_terminal_removal() {
     let doc = Document::parse(DOC.as_bytes()).unwrap();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
         for _ in 0..50 {
             engine.add_str("/a/b").unwrap();
         }
         engine.prepare();
-        assert_eq!(match_ids(&mut engine, &doc).len(), 50, "{algo:?}");
+        assert_eq!(match_ids(&mut engine, &doc).len(), 50, "{mode:?}");
         // Remove every third duplicate, including both ends of the span.
         let mut removed = Vec::new();
         for i in (0..50u32).step_by(3) {
-            assert!(engine.remove(SubId(i)), "{algo:?}");
+            assert!(engine.remove(SubId(i)), "{mode:?}");
             removed.push(i);
         }
-        assert!(engine.remove(SubId(49)), "{algo:?}");
+        assert!(engine.remove(SubId(49)), "{mode:?}");
         removed.push(49);
         let want: Vec<u32> = (0..50u32).filter(|i| !removed.contains(i)).collect();
-        assert_eq!(match_ids(&mut engine, &doc), want, "{algo:?}");
-        // Removing the rest empties the terminal entirely.
+        assert_eq!(match_ids(&mut engine, &doc), want, "{mode:?}");
+        // Removing the rest empties the node entirely.
         for i in want {
-            assert!(engine.remove(SubId(i)), "{algo:?}");
+            assert!(engine.remove(SubId(i)), "{mode:?}");
         }
-        assert!(match_ids(&mut engine, &doc).is_empty(), "{algo:?}");
-        assert_eq!(engine.full_rebuilds(), 0, "{algo:?}");
+        assert!(match_ids(&mut engine, &doc).is_empty(), "{mode:?}");
+        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
     }
 }
 
-/// With the compaction threshold forced low, enough removals must
-/// trigger a compacting rebuild (counted in `full_rebuilds`) and the
-/// compacted index must keep matching correctly.
+/// With the compaction threshold forced low, patched adds that relocate
+/// arena spans must trigger a compacting rebuild (counted in
+/// `full_rebuilds`) and the compacted index must keep matching correctly
+/// through the removals that follow.
 #[test]
 fn forced_compaction_reclaims_and_preserves_matches() {
     let doc = Document::parse(DOC.as_bytes()).unwrap();
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     engine.force_compaction_threshold(Some(4));
+    engine.prepare();
+    // Every add patches the compiled index; the duplicates outgrow their
+    // `plain_subs` spans, the abandoned slots cross the forced threshold
+    // and compaction kicks in.
     let mut subs = Vec::new();
     for _ in 0..10 {
         for e in EXPRS {
             subs.push(engine.add_str(e).unwrap());
         }
     }
-    engine.prepare();
-    // Remove most of the population; the garbage counter crosses the
-    // forced threshold and compaction kicks in.
+    assert!(engine.full_rebuilds() > 0, "threshold 4 never compacted");
     for (i, sub) in subs.iter().enumerate() {
         if i % 10 != 0 {
             assert!(engine.remove(*sub));
         }
     }
     let got = match_ids(&mut engine, &doc);
-    assert!(engine.full_rebuilds() > 0, "threshold 4 never compacted");
     // Oracle over the survivors (every 10th add).
-    let mut oracle = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut oracle = FilterEngine::default();
     let mut kept_orig = Vec::new();
     for (i, sub) in subs.iter().enumerate() {
         if i % 10 == 0 {
@@ -154,23 +151,90 @@ fn forced_compaction_reclaims_and_preserves_matches() {
 #[test]
 fn steady_state_churn_never_rebuilds() {
     let doc = Document::parse(DOC.as_bytes()).unwrap();
-    for s1 in [Stage1::Incremental, Stage1::PerPath] {
-        for s2 in [Stage2::Posting, Stage2::Scan] {
-            let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
-            engine.set_stage1(s1);
-            engine.set_stage2(s2);
-            for e in EXPRS {
-                engine.add_str(e).unwrap();
-            }
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        for e in EXPRS {
+            engine.add_str(e).unwrap();
+        }
+        let _ = engine.match_document(&doc);
+        for round in 0..40 {
+            let id = engine.add_str(EXPRS[round % EXPRS.len()]).unwrap();
             let _ = engine.match_document(&doc);
-            for round in 0..40 {
-                let id = engine.add_str(EXPRS[round % EXPRS.len()]).unwrap();
-                let _ = engine.match_document(&doc);
-                assert!(engine.remove(id));
-                let _ = engine.match_document(&doc);
+            assert!(engine.remove(id));
+            let _ = engine.match_document(&doc);
+        }
+        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
+        assert!(engine.incremental_patches() >= 80, "{mode:?}");
+    }
+}
+
+/// Removing a nested-path subscription must take its components with it:
+/// their sinks leave the trie, their predicates leave the index and their
+/// component ids are recycled. After thousands of nested add/remove
+/// cycles beside a fixed live set the engine does exactly the
+/// per-document work of a fresh engine holding that live set (the
+/// predicate index exposes no live-predicate count, so the released
+/// references are observed through the work they no longer cause).
+#[test]
+fn nested_churn_leaves_no_residue() {
+    const LIVE: [&str; 5] = ["/a/d", "//c", "/a[b]/d", "a/*/c", "//b[@k = \"1\"]"];
+    // First and last are the same expression: when both are resident
+    // their components share trie nodes.
+    const CHURN: [&str; 4] = [
+        "/a[b/c]/d/e",
+        "//b[c]/c",
+        "/a[d/e][b[@k]]//c",
+        "/a[b/c]/d/e",
+    ];
+    const DOCS: [&str; 3] = [
+        "<a><b k=\"1\"><c/></b><d><e/></d></a>",
+        DOC,
+        "<a><d/><x><c/></x></a>",
+    ];
+    let docs: Vec<Document> = DOCS
+        .iter()
+        .map(|d| Document::parse(d.as_bytes()).unwrap())
+        .collect();
+    for mode in MODES {
+        let mut engine = engine_with(&LIVE, mode);
+        for cycle in 0..5000 {
+            let first = engine.add_str(CHURN[cycle % CHURN.len()]).unwrap();
+            // Two residents at once on some cycles, removed in either
+            // order, so component blocks are recycled out of order.
+            let second =
+                (cycle % 3 == 0).then(|| engine.add_str(CHURN[(cycle + 1) % CHURN.len()]).unwrap());
+            if cycle % 97 == 0 {
+                let _ = engine.match_document(&docs[cycle % docs.len()]);
             }
-            assert_eq!(engine.full_rebuilds(), 0, "{s1:?} {s2:?}");
-            assert!(engine.incremental_patches() >= 80, "{s1:?} {s2:?}");
+            assert!(engine.remove(first), "{mode:?} cycle {cycle}");
+            if let Some(second) = second {
+                assert!(engine.remove(second), "{mode:?} cycle {cycle}");
+            }
+        }
+        assert_eq!(engine.len(), LIVE.len());
+        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
+        let mut fresh = engine_with(&LIVE, mode);
+        for (src, doc) in DOCS.iter().zip(&docs) {
+            engine.reset_stats();
+            fresh.reset_stats();
+            let got = match_ids(&mut engine, doc);
+            assert_eq!(got, match_ids(&mut fresh, doc), "{mode:?} over {src}");
+            for (i, e) in LIVE.iter().enumerate() {
+                assert_eq!(
+                    got.contains(&(i as u32)),
+                    matches_document(&pxf_xpath::parse(e).unwrap(), doc),
+                    "{mode:?}: {e} over {src}"
+                );
+            }
+            let (churned, clean) = (engine.stats(), fresh.stats());
+            assert_eq!(
+                churned.occurrence_runs, clean.occurrence_runs,
+                "{mode:?} over {src}"
+            );
+            assert_eq!(
+                churned.ap_root_probes, clean.ap_root_probes,
+                "{mode:?} over {src}"
+            );
         }
     }
 }

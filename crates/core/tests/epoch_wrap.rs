@@ -1,15 +1,17 @@
-//! Epoch-wrap soak: the engine stamps per-document and per-path scratch
-//! structures (epoch bitmaps, packed candidate slots, memo entries) with
-//! `u32` epochs and relies on a hard clear at the wrap point — a word
-//! stamped 2³² epochs ago must never read as current. Matching 2³²
-//! documents is not a practical test, so this suite plants stamps at low
-//! epochs, forces the epochs to just below `u32::MAX` via the `#[doc
-//! (hidden)]` test hooks, and drives matching through the wrap: if any
-//! structure skipped its hard clear, the stale low-epoch stamps would
-//! collide with the restarted epochs and corrupt the match sets.
+//! Epoch-wrap soak: the engine stamps its per-document scratch
+//! structures (the result and pruning bitmaps) with a `u32` document
+//! epoch and relies on a hard clear at the wrap point — a word stamped
+//! 2³² epochs ago must never read as current. Matching 2³² documents is
+//! not a practical test, so this suite plants stamps at low epochs,
+//! forces the epoch to just below `u32::MAX` via the `#[doc(hidden)]`
+//! test hooks, and drives matching through the wrap: if any structure
+//! skipped its hard clear, the stale low-epoch stamps would collide with
+//! the restarted epochs and corrupt the match sets.
 
-use pxf_core::{Algorithm, AttrMode, FilterEngine, MatchScratch, Stage1, Stage2, SubId};
+use pxf_core::{AttrMode, FilterEngine, MatchScratch, SubId};
 use pxf_xml::Document;
+
+const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
 const EXPRS: [&str; 8] = [
     "/a/b",
@@ -31,10 +33,8 @@ const DOCS: [&str; 5] = [
     "<a/>",
 ];
 
-fn build(algo: Algorithm, mode: AttrMode, s1: Stage1, s2: Stage2) -> FilterEngine {
-    let mut engine = FilterEngine::new(algo, mode);
-    engine.set_stage1(s1);
-    engine.set_stage2(s2);
+fn build(mode: AttrMode) -> FilterEngine {
+    let mut engine = FilterEngine::new(mode);
     for e in EXPRS {
         engine.add_str(e).unwrap();
     }
@@ -42,41 +42,23 @@ fn build(algo: Algorithm, mode: AttrMode, s1: Stage1, s2: Stage2) -> FilterEngin
     engine
 }
 
-fn all_modes() -> Vec<(Algorithm, AttrMode, Stage1, Stage2)> {
-    let mut out = Vec::new();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            for s1 in [Stage1::Incremental, Stage1::PerPath] {
-                for s2 in [Stage2::Posting, Stage2::Scan] {
-                    out.push((algo, mode, s1, s2));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Drives the engine's internal scratch through both epoch wraps and
+/// Drives the engine's internal scratch through the epoch wrap and
 /// asserts the match sets never change.
 #[test]
-fn doc_and_path_epoch_wrap_preserves_match_sets() {
+fn doc_epoch_wrap_preserves_match_sets() {
     let docs: Vec<Document> = DOCS
         .iter()
         .map(|s| Document::parse(s.as_bytes()).unwrap())
         .collect();
-    for (algo, mode, s1, s2) in all_modes() {
-        let ctx = format!("{algo:?} {mode:?} {s1:?} {s2:?}");
-        let mut engine = build(algo, mode, s1, s2);
-        // Plant stamps and candidate slots at low epochs (1, 2, …).
+    for mode in MODES {
+        let ctx = format!("{mode:?}");
+        let mut engine = build(mode);
+        // Plant stamps at low epochs (1, 2, …).
         let baseline: Vec<Vec<SubId>> = docs.iter().map(|d| engine.match_document(d)).collect();
-        // Jump to just below the wrap point; the next few documents and
-        // leaf paths cross u32::MAX → 1, re-entering the epoch range the
-        // stale stamps were planted at.
-        engine.force_scratch_epochs(u32::MAX - 2, u32::MAX - 3);
+        // Jump to just below the wrap point; the next few documents
+        // cross u32::MAX → 1, re-entering the epoch range the stale
+        // stamps were planted at.
+        engine.force_scratch_epochs(u32::MAX - 2);
         for pass in 0..4 {
             for (doc, want) in docs.iter().zip(&baseline) {
                 assert_eq!(
@@ -91,22 +73,22 @@ fn doc_and_path_epoch_wrap_preserves_match_sets() {
 }
 
 /// Same soak through the public concurrent-matcher scratch, with the
-/// epochs observed to actually wrap (restart at small values).
+/// epoch observed to actually wrap (restart at a small value).
 #[test]
 fn matcher_scratch_wraps_and_restarts() {
     let docs: Vec<Document> = DOCS
         .iter()
         .map(|s| Document::parse(s.as_bytes()).unwrap())
         .collect();
-    for (algo, mode, s1, s2) in all_modes() {
-        let ctx = format!("{algo:?} {mode:?} {s1:?} {s2:?}");
-        let engine = build(algo, mode, s1, s2);
+    for mode in MODES {
+        let ctx = format!("{mode:?}");
+        let engine = build(mode);
         let mut scratch = MatchScratch::new();
         let baseline: Vec<Vec<SubId>> = docs
             .iter()
             .map(|d| engine.match_document_with(d, &mut scratch))
             .collect();
-        scratch.force_epochs(u32::MAX - 2, u32::MAX - 3);
+        scratch.force_epochs(u32::MAX - 2);
         for pass in 0..4 {
             for (doc, want) in docs.iter().zip(&baseline) {
                 assert_eq!(
@@ -117,25 +99,21 @@ fn matcher_scratch_wraps_and_restarts() {
                 );
             }
         }
-        let (doc_epoch, path_epoch) = scratch.epochs();
-        // 20 documents and ≥ 20 leaf paths crossed the forced start
-        // points, so both epochs must have wrapped and restarted low —
-        // and, per the hard-clear discipline, never landed on 0.
+        let doc_epoch = scratch.epochs();
+        // 20 documents crossed the forced start point, so the epoch must
+        // have wrapped and restarted low — and, per the hard-clear
+        // discipline, never landed on 0.
         assert!(
             (1..1000).contains(&doc_epoch),
             "{ctx}: doc epoch {doc_epoch}"
-        );
-        assert!(
-            (1..1000).contains(&path_epoch),
-            "{ctx}: path epoch {path_epoch}"
         );
     }
 }
 
 /// Churn across the wrap: subscriptions are removed and re-added while
-/// the scratch epochs cross `u32::MAX`, so in-place index patches (trie
-/// tombstones, posting-span rewrites, predicate slot reclamation) land
-/// on structures whose epoch words are about to restart. After every
+/// the scratch epoch crosses `u32::MAX`, so in-place index patches (sink
+/// detaches, node pruning, predicate slot reclamation) land on
+/// structures whose epoch words are about to restart. After every
 /// churn step the live engine must agree with a fresh oracle over the
 /// surviving set — a stale stamp surviving the wrap, or a patch
 /// resurrecting one, would desynchronize them.
@@ -145,18 +123,18 @@ fn churn_between_wraps_matches_oracle() {
         .iter()
         .map(|s| Document::parse(s.as_bytes()).unwrap())
         .collect();
-    for (algo, mode, s1, s2) in all_modes() {
-        let ctx = format!("{algo:?} {mode:?} {s1:?} {s2:?}");
-        let mut engine = build(algo, mode, s1, s2);
+    for mode in MODES {
+        let ctx = format!("{mode:?}");
+        let mut engine = build(mode);
         let mut live: Vec<Option<&str>> = EXPRS.iter().map(|e| Some(*e)).collect();
         // Plant low-epoch stamps, then park just below the wrap point.
         for doc in &docs {
             let _ = engine.match_document(doc);
         }
-        engine.force_scratch_epochs(u32::MAX - 2, u32::MAX - 3);
+        engine.force_scratch_epochs(u32::MAX - 2);
         for step in 0..6 {
             // Alternate removals and re-adds so the set keeps changing
-            // while the epochs cross the wrap.
+            // while the epoch crosses the wrap.
             let victim = step % EXPRS.len();
             if live[victim].is_some() {
                 assert!(engine.remove(SubId(victim as u32)), "{ctx}");
@@ -166,9 +144,7 @@ fn churn_between_wraps_matches_oracle() {
                 live.push(None);
                 live[id.0 as usize] = Some(EXPRS[victim]);
             }
-            let mut oracle = FilterEngine::new(algo, mode);
-            oracle.set_stage1(s1);
-            oracle.set_stage2(s2);
+            let mut oracle = FilterEngine::new(mode);
             let mut kept_orig: Vec<u32> = Vec::new();
             for (i, e) in live.iter().enumerate() {
                 if let Some(e) = e {
@@ -196,14 +172,14 @@ fn churn_between_wraps_matches_oracle() {
 /// match per document), where the path store is rebuilt every call.
 #[test]
 fn byte_path_survives_the_wrap() {
-    for (algo, mode, s1, s2) in all_modes() {
-        let ctx = format!("{algo:?} {mode:?} {s1:?} {s2:?}");
-        let mut engine = build(algo, mode, s1, s2);
+    for mode in MODES {
+        let ctx = format!("{mode:?}");
+        let mut engine = build(mode);
         let baseline: Vec<Vec<SubId>> = DOCS
             .iter()
             .map(|s| engine.match_bytes(s.as_bytes()).unwrap())
             .collect();
-        engine.force_scratch_epochs(u32::MAX - 1, u32::MAX - 1);
+        engine.force_scratch_epochs(u32::MAX - 1);
         for pass in 0..4 {
             for (src, want) in DOCS.iter().zip(&baseline) {
                 assert_eq!(

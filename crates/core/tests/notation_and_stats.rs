@@ -2,7 +2,7 @@
 //! surface (the instrumentation behind Fig. 10).
 
 use pxf_core::encode::{encode_single_path, AttrMode};
-use pxf_core::{Algorithm, FilterEngine, Stage1};
+use pxf_core::FilterEngine;
 use pxf_xml::{Document, Interner};
 use pxf_xpath::parse;
 
@@ -51,7 +51,7 @@ fn notation_renders_text_filters() {
 
 #[test]
 fn stats_breakdown_composes() {
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, pxf_core::AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for src in ["/a/b", "/a//c", "a/b/c", "/a/*", "//c[@x = 1]"] {
         engine.add(&parse(src).unwrap()).unwrap();
     }
@@ -88,44 +88,18 @@ fn distinct_predicates_is_fig10_metric() {
 
 #[test]
 fn ap_root_probes_touch_only_satisfied_clusters() {
-    // The document has two identical leaf paths (a/b). The incremental
-    // default memoizes the duplicate, so only one path runs stage 2; the
-    // per-path oracle evaluates both. Of the three clusters only /a/b's
-    // access predicate is satisfied, so exactly one root is probed per
-    // evaluated path — the dead clusters are never even looked at (the
-    // retired `ap_cluster_skips` counted skipping them one by one).
-    for (stage1, probes, memo) in [(Stage1::Incremental, 1, 1), (Stage1::PerPath, 2, 0)] {
-        let mut engine = FilterEngine::new(Algorithm::AccessPredicate, pxf_core::AttrMode::Inline);
-        engine.set_stage1(stage1);
-        // Three clusters: two can never match the document below.
-        engine.add(&parse("/nope1/x").unwrap()).unwrap();
-        engine.add(&parse("/nope2/y").unwrap()).unwrap();
-        engine.add(&parse("/a/b").unwrap()).unwrap();
-        let doc = Document::parse(b"<a><b/><b/></a>").unwrap();
-        engine.match_document(&doc);
-        let s = engine.stats();
-        assert_eq!(s.ap_root_probes, probes, "{stage1:?}: {s:?}");
-        assert_eq!(s.memo_path_skips, memo, "{stage1:?}: {s:?}");
-    }
-}
-
-#[test]
-fn posting_candidates_bound_occurrence_runs() {
-    // Inline mode, no postponed re-checks: every occurrence determination
-    // is triggered by a posting-generated candidate, and covering
-    // propagation can only resolve candidates *without* a run — so
-    // `stage2_candidates >= occurrence_runs`, and every candidate costs
-    // at least one posting bump.
-    for algo in [Algorithm::Basic, Algorithm::PrefixCovering] {
-        let mut engine = FilterEngine::new(algo, pxf_core::AttrMode::Inline);
-        for src in ["/a/b", "/a/b/c", "/a//c", "a/b", "//b", "/zzz/q"] {
-            engine.add(&parse(src).unwrap()).unwrap();
-        }
-        let doc = Document::parse(b"<a><b><c/></b><b/></a>").unwrap();
-        engine.match_document(&doc);
-        let s = engine.stats();
-        assert!(s.stage2_candidates > 0, "{algo:?}: {s:?}");
-        assert!(s.stage2_candidates >= s.occurrence_runs, "{algo:?}: {s:?}");
-        assert!(s.posting_bumps >= s.stage2_candidates, "{algo:?}: {s:?}");
-    }
+    // The document has two identical leaf paths (a/b); the duplicate is
+    // memoized, so only one path runs stage 2. Of the three clusters only
+    // /a/b's access predicate is satisfied, so exactly one root is probed
+    // for that path — the dead clusters are never even looked at.
+    let mut engine = FilterEngine::default();
+    // Three clusters: two can never match the document below.
+    engine.add(&parse("/nope1/x").unwrap()).unwrap();
+    engine.add(&parse("/nope2/y").unwrap()).unwrap();
+    engine.add(&parse("/a/b").unwrap()).unwrap();
+    let doc = Document::parse(b"<a><b/><b/></a>").unwrap();
+    engine.match_document(&doc);
+    let s = engine.stats();
+    assert_eq!(s.ap_root_probes, 1, "{s:?}");
+    assert_eq!(s.memo_path_skips, 1, "{s:?}");
 }

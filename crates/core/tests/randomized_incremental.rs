@@ -5,12 +5,12 @@
 //!    exactly what a from-scratch [`PredicateIndex::evaluate`] of that
 //!    root-to-leaf path produces — same matched predicates, same
 //!    occurrence-pair lists.
-//! 2. The engine's match sets are identical under every
-//!    `Stage1::{Incremental,PerPath}` × `Stage2::{Posting,Scan}`
-//!    combination — in particular the posting-driven stage 2 (default)
-//!    against the `PerPath` + flat-scan formulation the paper describes —
-//!    for every algorithm × attribute mode × document store, and agree
-//!    with the reference oracle.
+//! 2. The engine's match sets equal the reference oracle's for both
+//!    attribute modes × both document stores.
+//! 3. The same across the 128-element boundary, where stage 2 switches
+//!    its occurrence set from a `u128` to a heap bitset: documents with
+//!    one 100–300-element path beside shallow ones, under adds and
+//!    removes after `prepare()`.
 //!
 //! Workloads include repeated-tag documents (exercising occurrence
 //! numbers and the duplicate-path memo), mixed content, and attribute
@@ -18,11 +18,12 @@
 
 use pxf_core::encode::encode_single_path;
 use pxf_core::reference::matches_document;
-use pxf_core::{Algorithm, AttrMode, FilterEngine, Stage1, Stage2};
+use pxf_core::{AttrMode, FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_rng::Rng;
 use pxf_xml::{
-    DocAccess, Document, DocumentBuilder, ElementVisitor, Interner, NodeId, PathDoc, Symbol,
+    DocAccess, Document, DocumentBuilder, ElementVisitor, Interner, NodeId, ParserLimits, PathDoc,
+    Symbol,
 };
 use pxf_xpath::{AttrFilter, AttrValue, Axis, NodeTest, Step, StepFilter, XPathExpr};
 
@@ -248,13 +249,10 @@ fn incremental_ctx_equals_per_path_evaluate() {
     assert!(total_leaves > 256, "sweep exercised real documents");
 }
 
-/// Property 2: identical match sets for both stage-1 evaluators × both
-/// stage-2 strategies across every algorithm × attribute mode × document
-/// store, agreeing with the reference oracle. `PerPath` + `Scan` is the
-/// paper's formulation (the oracle the posting-driven default must
-/// match).
+/// Property 2: the engine agrees with the reference oracle for both
+/// attribute modes, on the tree store and the streaming store.
 #[test]
-fn stage1_modes_agree_everywhere() {
+fn engine_agrees_with_oracle_on_both_stores() {
     let mut rng = Rng::seed_from_u64(0x1c52);
     for round in 0..128 {
         let exprs: Vec<XPathExpr> = (0..rng.gen_range(1..8usize))
@@ -273,32 +271,153 @@ fn stage1_modes_agree_everywhere() {
                 .filter(|(_, e)| matches_document(e, &doc))
                 .map(|(i, _)| i as u32)
                 .collect();
-            for algo in [
-                Algorithm::Basic,
-                Algorithm::PrefixCovering,
-                Algorithm::AccessPredicate,
-            ] {
-                for mode in [AttrMode::Inline, AttrMode::Postponed] {
-                    for stage1 in [Stage1::Incremental, Stage1::PerPath] {
-                        for stage2 in [Stage2::Posting, Stage2::Scan] {
-                            let mut engine = FilterEngine::new(algo, mode);
-                            engine.set_stage1(stage1);
-                            engine.set_stage2(stage2);
-                            for e in &exprs {
-                                engine.add(e).unwrap();
-                            }
-                            let ctx =
-                                format!("round {round} {algo:?} {mode:?} {stage1:?} {stage2:?}");
-                            let got: Vec<u32> =
-                                engine.match_document(&doc).iter().map(|s| s.0).collect();
-                            assert_eq!(got, oracle, "{ctx} vs oracle on {}", doc.to_xml());
-                            let via_flat: Vec<u32> =
-                                engine.match_document(&flat).iter().map(|s| s.0).collect();
-                            assert_eq!(via_flat, oracle, "{ctx} streaming store");
-                        }
-                    }
+            for mode in [AttrMode::Inline, AttrMode::Postponed] {
+                let mut engine = FilterEngine::new(mode);
+                for e in &exprs {
+                    engine.add(e).unwrap();
                 }
+                let ctx = format!("round {round} {mode:?}");
+                let got: Vec<u32> = engine.match_document(&doc).iter().map(|s| s.0).collect();
+                assert_eq!(got, oracle, "{ctx} vs oracle on {}", doc.to_xml());
+                let via_flat: Vec<u32> = engine.match_document(&flat).iter().map(|s| s.0).collect();
+                assert_eq!(via_flat, oracle, "{ctx} streaming store");
             }
         }
     }
+}
+
+/// A document whose deepest root-to-leaf path is `spine` (tag indices,
+/// root first), with shallow random subtrees hung off it, the first one
+/// at the root: one match runs stage 2 on paths either side of the
+/// 128-element boundary.
+fn deep_tree(rng: &mut Rng, spine: &[usize], n_tags: usize) -> Tree {
+    let depth = spine.len();
+    let mut below: Option<Tree> = None;
+    for (i, &tag) in spine.iter().enumerate().rev() {
+        let level = i + 1;
+        let mut node = arb_tree(rng, 0, n_tags);
+        node.tag = tag;
+        if level == 1 || (level + 3 <= depth && rng.gen_bool(0.04)) {
+            node.children.push(arb_tree(rng, 2, n_tags));
+        }
+        node.children.extend(below);
+        below = Some(node);
+    }
+    below.expect("a spine has at least one element")
+}
+
+/// Plants the occurrence-aliasing witness into a spine over tags `a`/`b`
+/// (needs 129 `a`s below the second element): `d` directly above an `a`
+/// near the top, and `d` directly below the `a` whose occurrence number
+/// is exactly 128 higher. `d/a/d` is then false, but true for any
+/// occurrence set that confuses `o` with `o + 128`; `a/d` holds only at
+/// an occurrence number past 128.
+fn plant_witness(spine: &mut [usize]) -> bool {
+    const A: usize = 0;
+    const D: usize = 3;
+    spine[0] = D;
+    spine[1] = A;
+    let Some(j) = spine
+        .iter()
+        .enumerate()
+        .skip(2)
+        .filter(|(_, &t)| t == A)
+        .nth(127)
+        .map(|(j, _)| j)
+    else {
+        return false;
+    };
+    if j + 1 >= spine.len() {
+        return false;
+    }
+    spine[j + 1] = D;
+    true
+}
+
+/// Property 3: exactness across the 128-element boundary, under churn.
+#[test]
+fn deep_paths_agree_with_oracle_across_the_128_boundary() {
+    let mut rng = Rng::seed_from_u64(0x1c53);
+    let limits = ParserLimits {
+        max_depth: 512,
+        ..ParserLimits::default()
+    };
+    let mut witnessed = 0;
+    for round in 0..24 {
+        // Every other round is deep and narrow enough for the witness.
+        let (n_tags, depth) = if round % 2 == 0 {
+            (2, rng.gen_range(280..=300usize))
+        } else {
+            (rng.gen_range(2..=TAGS.len()), rng.gen_range(100..=300usize))
+        };
+        let mut spine: Vec<usize> = (0..depth).map(|_| rng.gen_range(0..n_tags)).collect();
+        let planted = n_tags == 2 && plant_witness(&mut spine);
+        let doc = build_doc(&deep_tree(&mut rng, &spine, n_tags));
+        let flat = PathDoc::parse_with_limits(doc.to_xml().as_bytes(), limits).unwrap();
+        // At least one nested filter, the rest mixed.
+        let mut exprs: Vec<XPathExpr> = (0..rng.gen_range(6..14usize))
+            .map(|_| arb_expr(&mut rng, true))
+            .collect();
+        let mut branch = arb_expr(&mut rng, false);
+        branch.absolute = false;
+        branch.steps[0].axis = Axis::Child;
+        exprs.push(XPathExpr {
+            absolute: false,
+            steps: vec![Step {
+                axis: Axis::Child,
+                test: NodeTest::Tag(TAGS[rng.gen_range(0..n_tags)].to_string()),
+                filters: vec![StepFilter::Path(branch)],
+            }],
+        });
+        let witnesses: Vec<XPathExpr> = if planted {
+            witnessed += 1;
+            ["d/a/d", "a/d", "d/a", "/d/a//a/d"]
+                .iter()
+                .map(|w| pxf_xpath::parse(w).unwrap())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        if planted {
+            assert!(!matches_document(&witnesses[0], &doc), "round {round}");
+            assert!(matches_document(&witnesses[1], &doc), "round {round}");
+        }
+        for mode in [AttrMode::Inline, AttrMode::Postponed] {
+            let ctx = format!("round {round} depth {depth} {mode:?}");
+            // The first half is compiled in bulk; the second half, the
+            // removals and the witnesses patch the compiled index.
+            let mut engine = FilterEngine::new(mode);
+            let half = exprs.len() / 2;
+            let mut live: Vec<(SubId, &XPathExpr)> = exprs[..half]
+                .iter()
+                .map(|e| (engine.add(e).unwrap(), e))
+                .collect();
+            engine.prepare();
+            for e in &exprs[half..] {
+                live.push((engine.add(e).unwrap(), e));
+            }
+            for _ in 0..live.len() / 3 {
+                let (id, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                assert!(engine.remove(id), "{ctx}");
+            }
+            for e in &witnesses {
+                live.push((engine.add(e).unwrap(), e));
+            }
+            assert_eq!(engine.full_rebuilds(), 0, "{ctx}");
+            let via_tree = engine.match_document(&doc);
+            let via_flat = engine.match_document(&flat);
+            assert_eq!(via_tree, via_flat, "{ctx}: stores disagree");
+            for (id, e) in &live {
+                assert_eq!(
+                    via_tree.contains(id),
+                    matches_document(e, &doc),
+                    "{ctx}: {e} over a {depth}-deep document"
+                );
+            }
+        }
+    }
+    assert!(
+        witnessed >= 8,
+        "only {witnessed} rounds carried the witness"
+    );
 }

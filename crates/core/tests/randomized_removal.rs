@@ -2,7 +2,7 @@
 //! them, under random interleavings of adds, removals, and matches.
 //! Seeded randomized sweep (in-tree PRNG).
 
-use pxf_core::{Algorithm, AttrMode, FilterEngine, SubId};
+use pxf_core::{AttrMode, FilterEngine, SubId};
 use pxf_rng::Rng;
 use pxf_xml::{Document, DocumentBuilder};
 use pxf_xpath::{Axis, NodeTest, Step, XPathExpr};
@@ -80,23 +80,20 @@ fn removal_is_equivalent_to_absence() {
             .map(|_| arb_tree(&mut rng, 4))
             .collect();
         let match_between = rng.gen_bool(0.5);
-        for algo in [
-            Algorithm::Basic,
-            Algorithm::PrefixCovering,
-            Algorithm::AccessPredicate,
-        ] {
-            let mut full = FilterEngine::new(algo, AttrMode::Inline);
+        for mode in [AttrMode::Inline, AttrMode::Postponed] {
+            let mut full = FilterEngine::new(mode);
             for e in &exprs {
                 full.add(e).unwrap();
             }
             if match_between {
                 // Interleave a match before removal: engine state (epochs,
-                // active lists) must not leak into post-removal results.
+                // resolved-node marks) must not leak into post-removal
+                // results.
                 let doc = build_doc(&trees[0]);
                 let _ = full.match_document(&doc);
             }
             let mut kept_orig: Vec<u32> = Vec::new();
-            let mut survivor = FilterEngine::new(algo, AttrMode::Inline);
+            let mut survivor = FilterEngine::new(mode);
             for (i, e) in exprs.iter().enumerate() {
                 if remove_mask[i] {
                     assert!(full.remove(SubId(i as u32)));
@@ -113,7 +110,7 @@ fn removal_is_equivalent_to_absence() {
                     .iter()
                     .map(|s| kept_orig[s.0 as usize])
                     .collect();
-                assert_eq!(&got, &expected, "{algo:?}");
+                assert_eq!(&got, &expected, "{mode:?}");
             }
         }
     }

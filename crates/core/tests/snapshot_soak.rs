@@ -12,7 +12,7 @@
 //! Iteration counts are bounded for CI; the writer publishes every few
 //! ops so reclamation races (recycle vs deep-clone fallback) are hit.
 
-use pxf_core::{Algorithm, AttrMode, FilterEngine, SnapshotPublisher, SubId};
+use pxf_core::{FilterEngine, SnapshotPublisher, SubId};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use std::collections::HashMap;
@@ -73,7 +73,7 @@ fn churn_writer(
 
 #[test]
 fn concurrent_churn_soak() {
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for src in EXPR_POOL {
         engine.add_str(src).unwrap();
     }

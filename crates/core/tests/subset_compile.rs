@@ -3,13 +3,12 @@
 //! reported under its own [`SubId`] exactly when the brute-force
 //! reference evaluator ([`pxf_core::reference::matches_document`], which
 //! knows nothing about canonical forms) says its expression matches —
-//! across all three organizations, both attribute modes, and both
-//! stage-2 strategies, including under churn that exercises the group
-//! patch paths: removing one member of a canonical group, removing the
+//! in both attribute modes, including under churn that exercises the
+//! group patch paths: removing one member of a canonical group, removing the
 //! last member, and re-adding after the group died.
 
 use pxf_core::reference::matches_document;
-use pxf_core::{Algorithm, AttrMode, FilterEngine, Stage2, SubId, SubsetStats};
+use pxf_core::{AttrMode, FilterEngine, SubId, SubsetStats};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use pxf_xpath::XPathExpr;
@@ -128,25 +127,10 @@ fn arb_doc_xml(rng: &mut Rng, depth: usize) -> String {
     format!("<{tag}{attr}>{children}</{tag}>")
 }
 
-fn mode_grid() -> Vec<(Algorithm, AttrMode, Stage2)> {
-    let mut out = Vec::new();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        for attr in [AttrMode::Inline, AttrMode::Postponed] {
-            for s2 in [Stage2::Posting, Stage2::Scan] {
-                out.push((algo, attr, s2));
-            }
-        }
-    }
-    out
-}
+const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
-fn engine_with(algo: Algorithm, attr: AttrMode, s2: Stage2, exprs: &[XPathExpr]) -> FilterEngine {
-    let mut engine = FilterEngine::new(algo, attr);
-    engine.set_stage2(s2);
+fn engine_with(attr: AttrMode, exprs: &[XPathExpr]) -> FilterEngine {
+    let mut engine = FilterEngine::new(attr);
     for e in exprs {
         engine.add(e).unwrap();
     }
@@ -169,7 +153,6 @@ fn reference_ids(subs: &[Option<XPathExpr>], doc: &Document) -> Vec<SubId> {
 #[test]
 fn deduped_engine_matches_reference() {
     let mut rng = Rng::seed_from_u64(0x5c01);
-    let grid = mode_grid();
     let mut dedup_seen = false;
     for _ in 0..40 {
         let count = rng.gen_range(4..16usize);
@@ -178,9 +161,9 @@ fn deduped_engine_matches_reference() {
         let docs: Vec<String> = (0..rng.gen_range(1..4usize))
             .map(|_| arb_doc_xml(&mut rng, 4))
             .collect();
-        for &(algo, attr, s2) in &grid {
-            let ctx = format!("{algo:?} {attr:?} {s2:?}");
-            let mut engine = engine_with(algo, attr, s2, &exprs);
+        for attr in MODES {
+            let ctx = format!("{attr:?}");
+            let mut engine = engine_with(attr, &exprs);
             dedup_seen |= engine.subset_stats().canonical < engine.subset_stats().registered;
             for src in &docs {
                 let doc = Document::parse(src.as_bytes()).unwrap();
@@ -205,7 +188,6 @@ fn deduped_engine_matches_reference() {
 #[test]
 fn dedup_churn_battery_patches_in_place() {
     let mut rng = Rng::seed_from_u64(0x5c02);
-    let grid = mode_grid();
     for round in 0..16 {
         let initial_count = rng.gen_range(6..14usize);
         let initial = arb_exprs_with_dups(&mut rng, initial_count);
@@ -222,9 +204,9 @@ fn dedup_churn_battery_patches_in_place() {
         let docs: Vec<String> = (0..rng.gen_range(1..3usize))
             .map(|_| arb_doc_xml(&mut rng, 4))
             .collect();
-        for &(algo, attr, s2) in &grid {
-            let ctx = format!("round {round}, {algo:?} {attr:?} {s2:?}");
-            let mut engine = engine_with(algo, attr, s2, &initial);
+        for attr in MODES {
+            let ctx = format!("round {round}, {attr:?}");
+            let mut engine = engine_with(attr, &initial);
             let mut subs: Vec<Option<XPathExpr>> = initial.iter().cloned().map(Some).collect();
             // First match triggers the bulk prepare; everything after
             // must patch in place.
@@ -274,10 +256,10 @@ fn removing_one_deduped_subscriber_keeps_the_rest() {
         .iter()
         .map(|s| Document::parse(s.as_bytes()).unwrap())
         .collect();
-    for &(algo, attr, s2) in &mode_grid() {
-        let ctx = format!("{algo:?} {attr:?} {s2:?}");
+    for attr in MODES {
+        let ctx = format!("{attr:?}");
         let expr = pxf_xpath::parse("/a/b").unwrap();
-        let mut engine = engine_with(algo, attr, s2, &[]);
+        let mut engine = engine_with(attr, &[]);
         let mut subs: Vec<Option<XPathExpr>> = Vec::new();
         let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>], what: &str| {
             for doc in &docs {
@@ -353,9 +335,9 @@ fn canonically_equal_spellings_share_an_entry_and_keep_their_ids() {
             "{left} vs {right}: spellings must differ"
         );
         let subs: Vec<Option<XPathExpr>> = exprs.iter().cloned().map(Some).collect();
-        for &(algo, attr, s2) in &mode_grid() {
-            let ctx = format!("{left} | {right}, {algo:?} {attr:?} {s2:?}");
-            let mut engine = engine_with(algo, attr, s2, &exprs);
+        for attr in MODES {
+            let ctx = format!("{left} | {right}, {attr:?}");
+            let mut engine = engine_with(attr, &exprs);
             assert_eq!(
                 engine.subset_stats(),
                 SubsetStats {

@@ -1,4 +1,4 @@
-//! Engine shootout: runs all six engines (basic, basic-pc, basic-pc-ap,
+//! Engine shootout: runs all four engines (the predicate engine,
 //! YFilter, Index-Filter, XFilter) over both workload regimes through the
 //! unified [`FilterBackend`] trait, verifies that they produce identical
 //! match sets on both the tree-based and the streaming path, and prints a
@@ -34,24 +34,7 @@ fn main() {
         );
 
         let engines: Vec<(&str, Box<dyn FilterBackend>)> = vec![
-            (
-                "basic",
-                Box::new(FilterEngine::new(Algorithm::Basic, AttrMode::Inline)),
-            ),
-            (
-                "basic-pc",
-                Box::new(FilterEngine::new(
-                    Algorithm::PrefixCovering,
-                    AttrMode::Inline,
-                )),
-            ),
-            (
-                "basic-pc-ap",
-                Box::new(FilterEngine::new(
-                    Algorithm::AccessPredicate,
-                    AttrMode::Inline,
-                )),
-            ),
+            ("basic-pc-ap", Box::new(FilterEngine::default())),
             ("yfilter", Box::new(YFilter::new())),
             ("index-filter", Box::new(IndexFilter::new())),
             ("xfilter", Box::new(XFilter::new())),

@@ -37,7 +37,7 @@ fn main() {
         ("quote-hunter", "//p/q/person"),
     ];
 
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for expr in &background {
         engine.add(expr).unwrap();
     }

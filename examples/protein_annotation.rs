@@ -47,7 +47,7 @@ fn main() {
     generated.count = 5_000;
     let background = XPathGenerator::new(&regime.dtd, generated).generate();
 
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for e in &background {
         engine.add(e).unwrap();
     }

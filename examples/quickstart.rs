@@ -11,7 +11,7 @@ use pxf::xml::Interner;
 
 fn main() {
     // ── 1. The filtering engine ────────────────────────────────────────
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
 
     let subscriptions = [
         "/library/shelf/book",           // absolute path

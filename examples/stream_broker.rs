@@ -42,7 +42,7 @@ fn main() {
     let mut params = regime.xpath.clone();
     params.count = 20_000;
     let exprs = XPathGenerator::new(&regime.dtd, params).generate();
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for e in &exprs {
         engine.add(e).unwrap();
     }

@@ -11,9 +11,9 @@
 //! re-exported here:
 //!
 //! * [`engine`]::[`FilterEngine`](engine::FilterEngine) — the paper's
-//!   contribution, with the `basic`, `basic-pc` and `basic-pc-ap`
-//!   organizations, inline / selection-postponed attribute filtering, and
-//!   nested path (tree pattern) support,
+//!   contribution in its `basic-pc-ap` organization, with inline /
+//!   selection-postponed attribute filtering and nested path (tree
+//!   pattern) support,
 //! * [`yfilter`]::[`YFilter`](yfilter::YFilter) — the automaton-based
 //!   baseline (shared-prefix NFA),
 //! * [`indexfilter`]::[`IndexFilter`](indexfilter::IndexFilter) — the
@@ -36,7 +36,7 @@
 //! ```
 //! use pxf::prelude::*;
 //!
-//! let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+//! let mut engine = FilterEngine::new(AttrMode::Inline);
 //! let breaking = engine.add_str("/nitf/head//tobject.subject[@tobject.subject.type = \"sports\"]").unwrap();
 //! let anywhere = engine.add_str("//hedline/hl1").unwrap();
 //!
@@ -65,8 +65,8 @@ pub use pxf_yfilter as yfilter;
 /// Convenient single-import surface for the common types.
 pub mod prelude {
     pub use pxf_core::{
-        parallel, Algorithm, AttrMode, BackendError, BatchReport, DocError, FilterBackend,
-        FilterEngine, Matcher, Stage1, Stage2, SubId,
+        parallel, AttrMode, BackendError, BatchReport, DocError, FilterBackend, FilterEngine,
+        Matcher, SubId,
     };
     pub use pxf_indexfilter::IndexFilter;
     pub use pxf_workload::{

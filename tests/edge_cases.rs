@@ -3,14 +3,10 @@
 use pxf::engine::reference::matches_document;
 use pxf::prelude::*;
 
-const ALGOS: [Algorithm; 3] = [
-    Algorithm::Basic,
-    Algorithm::PrefixCovering,
-    Algorithm::AccessPredicate,
-];
+const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
-/// Documents deeper than 127 elements exercise the basic-pc-ap fallback
-/// (the occurrence bitmask holds 128 occurrence numbers).
+/// Documents deeper than 127 elements take stage 2 past its 128-bit
+/// occurrence set onto the heap bitset.
 #[test]
 fn very_deep_documents() {
     let mut builder = DocumentBuilder::new();
@@ -32,8 +28,8 @@ fn very_deep_documents() {
         "/leaf",
         "a/a/a/a/a//a/leaf",
     ];
-    for algo in ALGOS {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
         let ids: Vec<SubId> = exprs
             .iter()
             .map(|e| engine.add(&parse(e).unwrap()).unwrap())
@@ -43,7 +39,7 @@ fn very_deep_documents() {
             assert_eq!(
                 matched.contains(id),
                 matches_document(&parse(src).unwrap(), &doc),
-                "{algo:?}: {src}"
+                "{mode:?}: {src}"
             );
         }
     }
@@ -64,8 +60,8 @@ fn very_wide_documents() {
     builder.end();
     builder.end();
     let doc = builder.finish().unwrap();
-    for algo in ALGOS {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
         let x = engine.add_str("/root/x").unwrap();
         let zw = engine.add_str("/root/z/w").unwrap();
         let missing = engine.add_str("/root/q").unwrap();
@@ -92,8 +88,8 @@ fn repeated_tags_deep() {
         "a/b//b",
         "a/c/*/a//c",
     ];
-    for algo in ALGOS {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
         let ids: Vec<SubId> = exprs
             .iter()
             .map(|e| engine.add(&parse(e).unwrap()).unwrap())
@@ -103,7 +99,7 @@ fn repeated_tags_deep() {
             assert_eq!(
                 matched.contains(id),
                 matches_document(&parse(src).unwrap(), &doc),
-                "{algo:?}: {src}"
+                "{mode:?}: {src}"
             );
         }
     }
@@ -114,8 +110,8 @@ fn repeated_tags_deep() {
 #[test]
 fn overlong_expressions() {
     let doc = Document::parse(b"<a><b/></a>").unwrap();
-    for algo in ALGOS {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
         let long = engine.add_str("/a/b/c/d/e/f/g/h/i/j/k/l/m/n/o/p").unwrap();
         let wild = engine.add_str("*/*/*/*/*/*/*/*/*/*").unwrap();
         let short = engine.add_str("/a/b").unwrap();
@@ -160,20 +156,15 @@ fn special_characters_in_attributes() {
 #[test]
 fn numeric_attribute_edge_values() {
     let doc = Document::parse(br#"<a><b x="-5"/><b x=" 7 "/><b x="nope"/></a>"#).unwrap();
-    for algo in ALGOS {
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            let mut engine = FilterEngine::new(algo, mode);
-            let neg = engine.add_str("/a/b[@x < 0]").unwrap();
-            let seven = engine.add_str("/a/b[@x = 7]").unwrap();
-            let none = engine.add_str("/a/b[@x > 100]").unwrap();
-            let m = engine.match_document(&doc);
-            assert!(m.contains(&neg), "{algo:?}/{mode:?}");
-            assert!(
-                m.contains(&seven),
-                "{algo:?}/{mode:?} (whitespace-trimmed parse)"
-            );
-            assert!(!m.contains(&none), "{algo:?}/{mode:?}");
-        }
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let neg = engine.add_str("/a/b[@x < 0]").unwrap();
+        let seven = engine.add_str("/a/b[@x = 7]").unwrap();
+        let none = engine.add_str("/a/b[@x > 100]").unwrap();
+        let m = engine.match_document(&doc);
+        assert!(m.contains(&neg), "{mode:?}");
+        assert!(m.contains(&seven), "{mode:?} (whitespace-trimmed parse)");
+        assert!(!m.contains(&none), "{mode:?}");
     }
 }
 
@@ -181,8 +172,8 @@ fn numeric_attribute_edge_values() {
 #[test]
 fn minimal_document() {
     let doc = Document::parse(b"<only/>").unwrap();
-    for algo in ALGOS {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
         let exact = engine.add_str("/only").unwrap();
         let rel = engine.add_str("only").unwrap();
         let star = engine.add_str("/*").unwrap();

@@ -36,17 +36,8 @@ fn ids(v: Vec<SubId>) -> Vec<u32> {
 fn check_all_engines(regime: &Regime, attr_filters: usize, seed: u64) {
     let (exprs, docs) = workload(regime, 300, 10, attr_filters, seed);
     let mut engines: Vec<(String, Box<dyn FilterBackend>)> = Vec::new();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            engines.push((
-                format!("{algo:?}/{mode:?}"),
-                Box::new(FilterEngine::new(algo, mode)),
-            ));
-        }
+    for mode in [AttrMode::Inline, AttrMode::Postponed] {
+        engines.push((format!("pxf/{mode:?}"), Box::new(FilterEngine::new(mode))));
     }
     engines.push(("yfilter".into(), Box::new(YFilter::new())));
     engines.push(("index-filter".into(), Box::new(IndexFilter::new())));
@@ -116,12 +107,8 @@ fn predicate_engine_agrees_on_nested_workloads() {
         let exprs = XPathGenerator::new(&regime.dtd, xp).generate();
         assert!(exprs.iter().any(|e| e.has_nested_paths()));
         let docs = XmlGenerator::new(&regime.dtd, regime.xml.clone()).generate_batch(8);
-        for algo in [
-            Algorithm::Basic,
-            Algorithm::PrefixCovering,
-            Algorithm::AccessPredicate,
-        ] {
-            let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+        for mode in [AttrMode::Inline, AttrMode::Postponed] {
+            let mut engine = FilterEngine::new(mode);
             for e in &exprs {
                 engine.add(e).unwrap();
             }
@@ -135,13 +122,13 @@ fn predicate_engine_agrees_on_nested_workloads() {
                     .collect();
                 assert_eq!(
                     got, expected,
-                    "{algo:?} disagrees on nested workload, {} doc #{di}",
+                    "{mode:?} disagrees on nested workload, {} doc #{di}",
                     regime.name
                 );
                 let streamed = ids(engine.match_bytes(&doc.to_xml().into_bytes()).unwrap());
                 assert_eq!(
                     streamed, expected,
-                    "{algo:?} streaming path disagrees on nested workload, {} doc #{di}",
+                    "{mode:?} streaming path disagrees on nested workload, {} doc #{di}",
                     regime.name
                 );
             }

@@ -31,17 +31,8 @@ fn workload(n_exprs: usize, n_docs: usize) -> (Vec<XPathExpr>, Vec<Vec<u8>>) {
 /// Every engine/organization/attribute-mode combination in the workspace.
 fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
     let mut engines: Vec<(String, Box<dyn FilterBackend>)> = Vec::new();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            engines.push((
-                format!("{algo:?}/{mode:?}"),
-                Box::new(FilterEngine::new(algo, mode)),
-            ));
-        }
+    for mode in [AttrMode::Inline, AttrMode::Postponed] {
+        engines.push((format!("pxf/{mode:?}"), Box::new(FilterEngine::new(mode))));
     }
     engines.push(("yfilter".into(), Box::new(YFilter::new())));
     engines.push(("index-filter".into(), Box::new(IndexFilter::new())));
@@ -52,7 +43,7 @@ fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
 #[test]
 fn ten_percent_malformed_batch_completes_with_isolated_errors() {
     let (exprs, clean) = workload(400, 1_000);
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for e in &exprs {
         engine.add(e).unwrap();
     }

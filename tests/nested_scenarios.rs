@@ -10,12 +10,8 @@ fn doc(xml: &str) -> Document {
 
 fn check(engine_exprs: &[&str], xml: &str) {
     let document = doc(xml);
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+    for mode in [AttrMode::Inline, AttrMode::Postponed] {
+        let mut engine = FilterEngine::new(mode);
         let ids: Vec<SubId> = engine_exprs
             .iter()
             .map(|e| engine.add(&parse(e).unwrap()).unwrap())
@@ -23,7 +19,7 @@ fn check(engine_exprs: &[&str], xml: &str) {
         let matched = engine.match_document(&document);
         for (src, id) in engine_exprs.iter().zip(&ids) {
             let expected = matches_document(&parse(src).unwrap(), &document);
-            assert_eq!(matched.contains(id), expected, "{algo:?}: {src} over {xml}");
+            assert_eq!(matched.contains(id), expected, "{mode:?}: {src} over {xml}");
         }
     }
 }
@@ -155,7 +151,7 @@ fn paper_figure3_expression_variants() {
 
 #[test]
 fn mixed_single_path_and_tree_subscriptions_share_predicates() {
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     engine.add_str("/a/b/c").unwrap();
     let before = engine.distinct_predicates();
     // The tree pattern's components reuse /a/b/c's predicates entirely

@@ -111,17 +111,8 @@ fn arb_doc(rng: &mut Rng) -> Document {
 /// All backends, every organization and attribute mode, behind the trait.
 fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
     let mut engines: Vec<(String, Box<dyn FilterBackend>)> = Vec::new();
-    for algo in [
-        Algorithm::Basic,
-        Algorithm::PrefixCovering,
-        Algorithm::AccessPredicate,
-    ] {
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            engines.push((
-                format!("{algo:?}/{mode:?}"),
-                Box::new(FilterEngine::new(algo, mode)),
-            ));
-        }
+    for mode in [AttrMode::Inline, AttrMode::Postponed] {
+        engines.push((format!("pxf/{mode:?}"), Box::new(FilterEngine::new(mode))));
     }
     engines.push(("yfilter".into(), Box::new(YFilter::new())));
     engines.push(("index-filter".into(), Box::new(IndexFilter::new())));
@@ -246,19 +237,15 @@ fn nested_patterns_match_oracle() {
         let doc = arb_doc(&mut rng);
         let bytes = doc.to_xml().into_bytes();
         let expected = matches_document(&expr, &doc);
-        for algo in [
-            Algorithm::Basic,
-            Algorithm::PrefixCovering,
-            Algorithm::AccessPredicate,
-        ] {
-            let mut engine = FilterEngine::new(algo, AttrMode::Inline);
+        for mode in [AttrMode::Inline, AttrMode::Postponed] {
+            let mut engine = FilterEngine::new(mode);
             let id = engine.add(&expr).unwrap();
             let got = engine.match_document(&doc).contains(&id);
             assert_eq!(
                 got,
                 expected,
                 "{:?} disagrees on {} over {}",
-                algo,
+                mode,
                 expr,
                 doc.to_xml()
             );
@@ -267,7 +254,7 @@ fn nested_patterns_match_oracle() {
                 streamed,
                 expected,
                 "{:?} streaming path disagrees on {} over {}",
-                algo,
+                mode,
                 expr,
                 doc.to_xml()
             );

@@ -9,7 +9,7 @@ fn build(regime: &Regime, n: usize) -> (FilterEngine, Vec<XPathExpr>, Vec<Docume
     let mut params = regime.xpath.clone();
     params.count = n;
     let exprs = XPathGenerator::new(&regime.dtd, params).generate();
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     for e in &exprs {
         engine.add(e).unwrap();
     }
@@ -31,7 +31,7 @@ fn removal_equals_rebuilding_without_removed() {
     }
     // Fresh engine holding only the survivors (note: ids differ, compare
     // by original index).
-    let mut fresh = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut fresh = FilterEngine::default();
     let mut fresh_to_orig: Vec<u32> = Vec::new();
     for (i, e) in exprs.iter().enumerate() {
         if i % 3 != 0 {
@@ -114,7 +114,7 @@ fn document_stream_feeds_the_engine() {
 
 #[test]
 fn removal_interacts_with_duplicates_and_covering() {
-    let mut engine = FilterEngine::new(Algorithm::AccessPredicate, AttrMode::Inline);
+    let mut engine = FilterEngine::default();
     // Three identical subscriptions plus a prefix and an extension.
     let a = engine.add_str("/a/b/c").unwrap();
     let b = engine.add_str("/a/b/c").unwrap();

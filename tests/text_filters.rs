@@ -5,33 +5,25 @@
 use pxf::engine::reference::matches_document;
 use pxf::prelude::*;
 
-const ALGOS: [Algorithm; 3] = [
-    Algorithm::Basic,
-    Algorithm::PrefixCovering,
-    Algorithm::AccessPredicate,
-];
-
 fn doc(xml: &str) -> Document {
     Document::parse(xml.as_bytes()).unwrap()
 }
 
 fn check(exprs: &[&str], xml: &str) {
     let document = doc(xml);
-    for algo in ALGOS {
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            let mut engine = FilterEngine::new(algo, mode);
-            let ids: Vec<SubId> = exprs
-                .iter()
-                .map(|e| engine.add(&parse(e).unwrap()).unwrap())
-                .collect();
-            let matched = engine.match_document(&document);
-            for (src, id) in exprs.iter().zip(&ids) {
-                assert_eq!(
-                    matched.contains(id),
-                    matches_document(&parse(src).unwrap(), &document),
-                    "{algo:?}/{mode:?}: {src} over {xml}"
-                );
-            }
+    for mode in [AttrMode::Inline, AttrMode::Postponed] {
+        let mut engine = FilterEngine::new(mode);
+        let ids: Vec<SubId> = exprs
+            .iter()
+            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+            .collect();
+        let matched = engine.match_document(&document);
+        for (src, id) in exprs.iter().zip(&ids) {
+            assert_eq!(
+                matched.contains(id),
+                matches_document(&parse(src).unwrap(), &document),
+                "{mode:?}: {src} over {xml}"
+            );
         }
     }
 }
