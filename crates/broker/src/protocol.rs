@@ -277,16 +277,34 @@ impl Reply {
             Reply::Bye => "+BYE".to_string(),
             Reply::ShutdownOk => "+SHUTDOWN".to_string(),
             Reply::Err { kind, detail } => format!("-ERR {kind} {detail}"),
-            Reply::Match { seq, tag, ids } => {
-                let mut s = format!("MATCH {seq} {tag} {}", ids.len());
-                for id in ids {
-                    s.push(' ');
-                    s.push_str(&id.to_string());
-                }
-                s
-            }
+            Reply::Match { seq, tag, ids } => match_line(*seq, tag, ids),
         }
     }
+}
+
+/// Renders `MATCH <seq> <tag> <n> <id> <id> ...`, the one place a `MATCH`
+/// line is produced ([`Reply::to_wire`] and the delivery thread both end
+/// here). A line carries thousands of ids, so the buffer is sized once
+/// from the widest id, pre-filled with the separating spaces, and each
+/// id's digits are written into place — no per-id allocation, no
+/// formatting machinery.
+pub(crate) fn match_line(seq: u64, tag: &str, ids: &[u32]) -> String {
+    let width = |id: u32| id.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut out = format!("MATCH {seq} {tag} {}", ids.len()).into_bytes();
+    let mut at = out.len();
+    let widest = ids.iter().max().map_or(0, |&id| width(id));
+    out.resize(at + ids.len() * (1 + widest), b' ');
+    for &id in ids {
+        let n = width(id);
+        let mut rest = id;
+        for digit in out[at + 1..at + 1 + n].iter_mut().rev() {
+            *digit = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        at += 1 + n;
+    }
+    out.truncate(at);
+    String::from_utf8(out).expect("a MATCH line is its UTF-8 tag plus ASCII")
 }
 
 #[cfg(test)]
@@ -360,6 +378,52 @@ mod tests {
             let wire = reply.to_wire();
             assert_eq!(Reply::parse(&wire).unwrap(), reply, "wire: {wire}");
         }
+    }
+
+    /// What `to_wire` did for a `MATCH` line before [`match_line`]: the
+    /// standard formatter, one id at a time.
+    fn match_line_by_format(seq: u64, tag: &str, ids: &[u32]) -> String {
+        let mut s = format!("MATCH {seq} {tag} {}", ids.len());
+        for id in ids {
+            s.push_str(&format!(" {id}"));
+        }
+        s
+    }
+
+    #[test]
+    fn match_line_equals_the_formatter_at_every_digit_boundary() {
+        // 0, then 9…9 / 10…0 on either side of every width a u32 can have.
+        let mut boundaries = vec![0u32];
+        let mut power = 10u32;
+        loop {
+            boundaries.extend([power - 1, power]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        boundaries.push(u32::MAX);
+        assert_eq!(boundaries.len(), 20);
+        assert!(boundaries.windows(2).all(|w| w[0] < w[1]));
+        // Widening, narrowing and mixed orders: an id's width is its own,
+        // not its neighbour's or the widest's.
+        let mut descending = boundaries.clone();
+        descending.reverse();
+        let mixed = [u32::MAX, 0, 1_000_000_000, 9, 10, 999_999_999, 5];
+        let singles: Vec<Vec<u32>> = boundaries.iter().map(|&id| vec![id]).collect();
+        let lists = [vec![], boundaries.clone(), descending, mixed.to_vec()];
+        for ids in lists.iter().chain(&singles) {
+            let want = match_line_by_format(u64::MAX, "d7", ids);
+            assert_eq!(match_line(u64::MAX, "d7", ids), want);
+            let reply = Reply::Match {
+                seq: u64::MAX,
+                tag: "d7".into(),
+                ids: ids.clone(),
+            };
+            assert_eq!(reply.to_wire(), want);
+            assert_eq!(Reply::parse(&want).unwrap(), reply);
+        }
+        assert_eq!(match_line(3, "t", &[]), "MATCH 3 t 0");
     }
 
     #[test]

@@ -272,14 +272,20 @@ impl BrokerStatsSnapshot {
     }
 }
 
+/// Registry slot of a subscription id that is not (or no longer)
+/// registered. Connection ids count up from 0 and never reach it.
+const NO_OWNER: u64 = u64::MAX;
+
 struct Shared {
     config: BrokerConfig,
     control: BoundedQueue<Control>,
     ingest: BoundedQueue<IngestDoc>,
     delivery: BoundedQueue<Completion>,
-    /// Subscription id → owning connection id (readers: delivery thread;
-    /// writer: the subscription-writer thread only).
-    registry: RwLock<HashMap<u32, u64>>,
+    /// Subscription id → owning connection id, indexed by the id (ids are
+    /// dense and never reused): grown on `SUB`, set back to [`NO_OWNER`] on
+    /// `UNSUB` and disconnect. Readers: delivery thread; writer: the
+    /// subscription-writer thread only, once per control batch.
+    registry: RwLock<Vec<u64>>,
     conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
     next_conn: AtomicU64,
     /// Broker-global ingest sequence; every consumed seq produces exactly
@@ -384,7 +390,7 @@ impl Broker {
             control: BoundedQueue::new(config.control_capacity, Backpressure::Block),
             ingest: BoundedQueue::new(config.ingest_capacity, config.ingest_policy),
             delivery: BoundedQueue::new(config.delivery_capacity, Backpressure::Block),
-            registry: RwLock::new(HashMap::new()),
+            registry: RwLock::new(Vec::new()),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             seq: AtomicU64::new(0),
@@ -791,6 +797,14 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
     let mut conn_subs: HashMap<u64, HashSet<u32>> = HashMap::new();
     let mut batch: Vec<Control> = Vec::new();
     let mut replies: Vec<(u64, String)> = Vec::new();
+    // Registry writes `(id, owner or NO_OWNER)` and connection retirements
+    // of the batch in hand, applied in order under one lock acquisition
+    // each — before the publish, so no document can match an id the
+    // registry does not know yet, and entries before connections, so the
+    // delivery thread never finds an owner whose connection this thread
+    // has already removed.
+    let mut reg_ops: Vec<(u32, u64)> = Vec::new();
+    let mut retired: Vec<u64> = Vec::new();
     while let Some(first) = shared.control.pop() {
         batch.push(first);
         shared.control.try_drain(255, &mut batch);
@@ -798,11 +812,7 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
             match op {
                 Control::Sub { conn, expr } => match publisher.add(&expr) {
                     Ok(sub) => {
-                        shared
-                            .registry
-                            .write()
-                            .expect("registry poisoned")
-                            .insert(sub.0, conn);
+                        reg_ops.push((sub.0, conn));
                         conn_subs.entry(conn).or_default().insert(sub.0);
                         replies.push((conn, Reply::SubOk(sub.0).to_wire()));
                     }
@@ -813,11 +823,7 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
                 Control::Unsub { conn, id } => {
                     let owned = conn_subs.get(&conn).is_some_and(|s| s.contains(&id));
                     if owned && publisher.remove(SubId(id)) {
-                        shared
-                            .registry
-                            .write()
-                            .expect("registry poisoned")
-                            .remove(&id);
+                        reg_ops.push((id, NO_OWNER));
                         conn_subs
                             .get_mut(&conn)
                             .expect("owned implies entry")
@@ -835,18 +841,30 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
                     if !shared.is_running() {
                         continue;
                     }
-                    if let Some(ids) = conn_subs.remove(&conn) {
-                        let mut reg = shared.registry.write().expect("registry poisoned");
-                        for id in ids {
-                            publisher.remove(SubId(id));
-                            reg.remove(&id);
-                        }
+                    for id in conn_subs.remove(&conn).into_iter().flatten() {
+                        publisher.remove(SubId(id));
+                        reg_ops.push((id, NO_OWNER));
                     }
-                    let retired = shared.conns.lock().expect("conns poisoned").remove(&conn);
-                    if let Some(c) = retired {
-                        c.outbox.close();
-                        shared.stats.conns.fetch_sub(1, Ordering::Relaxed);
-                    }
+                    retired.push(conn);
+                }
+            }
+        }
+        if !reg_ops.is_empty() {
+            let mut reg = shared.registry.write().expect("registry poisoned");
+            for (id, owner) in reg_ops.drain(..) {
+                let slot = id as usize;
+                if reg.len() <= slot {
+                    reg.resize(slot + 1, NO_OWNER);
+                }
+                reg[slot] = owner;
+            }
+        }
+        if !retired.is_empty() {
+            let mut conns = shared.conns.lock().expect("conns poisoned");
+            for conn in retired.drain(..) {
+                if let Some(c) = conns.remove(&conn) {
+                    c.outbox.close();
+                    shared.stats.conns.fetch_sub(1, Ordering::Relaxed);
                 }
             }
         }
@@ -934,10 +952,39 @@ fn delivery_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Splits a document's ascending match list by owning connection, each
+/// owner's ids still ascending. An id past the end of the registry (never
+/// registered) or tombstoned (`UNSUB`, disconnect) belongs to nobody. One
+/// owner is the common case: the last owner is remembered, and a change
+/// of owner searches the (short) group list — nothing is hashed.
+fn group_by_owner(registry: &[u64], ids: &[SubId]) -> Vec<(u64, Vec<u32>)> {
+    let mut groups: Vec<(u64, Vec<u32>)> = Vec::new();
+    let mut last = 0;
+    for id in ids {
+        let owner = match registry.get(id.0 as usize) {
+            Some(&owner) if owner != NO_OWNER => owner,
+            _ => continue,
+        };
+        if groups.get(last).map(|g| g.0) != Some(owner) {
+            last = match groups.iter().position(|g| g.0 == owner) {
+                Some(i) => i,
+                None => {
+                    let room = if groups.is_empty() { ids.len() } else { 0 };
+                    groups.push((owner, Vec::with_capacity(room)));
+                    groups.len() - 1
+                }
+            };
+        }
+        groups[last].1.push(id.0);
+    }
+    groups
+}
+
 fn deliver_one(shared: &Arc<Shared>, c: Completion) {
     match c.outcome {
         Outcome::Matched(ids) => {
-            if let Some(origin) = shared.conn_by_id(c.conn) {
+            let origin = shared.conn_by_id(c.conn);
+            if let Some(origin) = &origin {
                 origin
                     .stream
                     .lock()
@@ -948,28 +995,23 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
             if ids.is_empty() {
                 return;
             }
-            let mut per_conn: HashMap<u64, Vec<u32>> = HashMap::new();
-            {
-                let reg = shared.registry.read().expect("registry poisoned");
-                for id in &ids {
-                    if let Some(&owner) = reg.get(&id.0) {
-                        per_conn.entry(owner).or_default().push(id.0);
-                    }
-                }
-            }
-            for (owner, ids) in per_conn {
-                let line = Reply::Match {
-                    seq: c.seq,
-                    tag: c.tag.clone(),
-                    ids,
-                }
-                .to_wire();
-                match shared.conn_by_id(owner) {
+            let groups = group_by_owner(&shared.registry.read().expect("registry poisoned"), &ids);
+            for (owner, ids) in groups {
+                // A publisher that subscribes is its own (often only)
+                // owner: the origin looked up above serves again.
+                let conn = match &origin {
+                    Some(origin) if origin.id == owner => Some(origin.clone()),
+                    _ => shared.conn_by_id(owner),
+                };
+                match conn {
                     Some(conn) => {
+                        let line = crate::protocol::match_line(c.seq, &c.tag, &ids);
                         if conn.outbox.push(line).is_enqueued() {
                             shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
                         }
                     }
+                    // The owner's connection vanished between the
+                    // registry read and here.
                     None => {
                         shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
                     }
@@ -988,5 +1030,58 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
             }
         }
         Outcome::Shed => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sub_ids(ids: &[u32]) -> Vec<SubId> {
+        ids.iter().map(|&id| SubId(id)).collect()
+    }
+
+    #[test]
+    fn grouping_splits_interleaved_owners_and_skips_unowned_ids() {
+        let registry = [10, 11, 12, 10, NO_OWNER, 11, 10];
+        assert_eq!(
+            group_by_owner(&registry, &sub_ids(&[0, 1, 2, 3, 4, 5, 6, 7, 900])),
+            vec![(10, vec![0, 3, 6]), (11, vec![1, 5]), (12, vec![2])]
+        );
+        assert_eq!(
+            group_by_owner(&registry, &sub_ids(&[0, 3, 6])),
+            vec![(10, vec![0, 3, 6])]
+        );
+        assert!(group_by_owner(&registry, &sub_ids(&[4, 7])).is_empty());
+        assert!(group_by_owner(&[], &sub_ids(&[0])).is_empty());
+    }
+
+    /// An id the registry never held, a tombstoned id and an id whose
+    /// owner's connection is gone all deliver nothing; only the last is a
+    /// `dropped` delivery.
+    #[test]
+    fn only_a_vanished_connection_counts_as_dropped() {
+        let broker = Broker::spawn(BrokerConfig::default()).expect("spawn broker");
+        let shared = broker.shared.clone();
+        const GONE: u64 = 7_000_000;
+        *shared.registry.write().unwrap() = vec![NO_OWNER, GONE, GONE];
+        let deliver = |ids: &[u32]| {
+            deliver_one(
+                &shared,
+                Completion {
+                    seq: 0,
+                    conn: GONE,
+                    tag: "t".to_string(),
+                    outcome: Outcome::Matched(sub_ids(ids)),
+                },
+            );
+            let stats = shared.stats_snapshot();
+            assert_eq!(stats.delivered, 0);
+            stats.dropped
+        };
+        assert_eq!(deliver(&[0]), 0, "tombstoned");
+        assert_eq!(deliver(&[3, 99]), 0, "past the end of the registry");
+        assert_eq!(deliver(&[1]), 1, "owner without a connection");
+        assert_eq!(deliver(&[0, 1, 2, 3]), 2, "one line per owner, not per id");
     }
 }

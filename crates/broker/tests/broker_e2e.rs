@@ -246,6 +246,88 @@ fn matches_agree_with_oracle_under_churn() {
     assert_eq!(stats.full_rebuilds, 0, "churn must stay incremental");
 }
 
+/// Three subscribers whose subscription ids interleave (a, b, c, a, b, …),
+/// so every document's match list alternates owners id by id. One of them
+/// drops a matching subscription between two runs of documents and one
+/// hangs up in the middle of the second run: every surviving subscriber
+/// still receives exactly its own ids, ascending, in one `MATCH` line per
+/// document, as the oracle predicts.
+#[test]
+fn interleaved_owners_each_receive_exactly_their_own_ids() {
+    let broker = spawn_broker(2);
+    let addr = broker.local_addr();
+    let oracle = oracle_matches();
+
+    let mut conns: Vec<Client> = (0..3).map(|_| Client::connect(addr)).collect();
+    // (broker id, expression index) per connection, round-robin.
+    let mut owned: Vec<Vec<(u32, usize)>> = vec![Vec::new(); 3];
+    let mut last_id = None::<u32>;
+    for i in 0..4 * EXPRS.len() {
+        let id = conns[i % 3].subscribe(EXPRS[i % EXPRS.len()]);
+        assert!(
+            last_id.is_none_or(|last| id > last),
+            "ids ascend with SUB order"
+        );
+        last_id = Some(id);
+        owned[i % 3].push((id, i % EXPRS.len()));
+    }
+
+    let mut ingest = Client::connect(addr);
+    let send = |ingest: &mut Client, docs: std::ops::Range<usize>| {
+        for i in docs {
+            ingest.send_doc(
+                &format!("d{i}"),
+                DOC_SHAPES[i % DOC_SHAPES.len()].as_bytes(),
+            );
+        }
+    };
+    let check = |conn: &mut Client, owned: &[(u32, usize)], docs: std::ops::Range<usize>| {
+        for i in docs {
+            let want: Vec<u32> = owned
+                .iter()
+                .filter(|(_, e)| oracle[i % DOC_SHAPES.len()].contains(e))
+                .map(|(id, _)| *id)
+                .collect();
+            if want.is_empty() {
+                continue;
+            }
+            match conn.read_reply() {
+                Reply::Match { tag, ids, .. } => {
+                    assert_eq!(tag, format!("d{i}"), "one MATCH per document, in order");
+                    assert_eq!(ids, want);
+                }
+                other => panic!("expected MATCH, got {other:?}"),
+            }
+        }
+    };
+
+    send(&mut ingest, 0..40);
+    for (conn, owned) in conns.iter_mut().zip(&owned) {
+        check(conn, owned, 0..40);
+    }
+
+    // b drops a subscription that matched above.
+    let victim = owned[1]
+        .iter()
+        .position(|(_, e)| oracle[0].contains(e))
+        .expect("b owns an expression matching the first shape");
+    let (victim_id, _) = owned[1].remove(victim);
+    conns[1].unsubscribe(victim_id);
+
+    // c hangs up with documents in flight on either side.
+    send(&mut ingest, 40..60);
+    drop(conns.pop());
+    send(&mut ingest, 60..100);
+    for (conn, owned) in conns.iter_mut().zip(&owned) {
+        check(conn, owned, 40..100);
+    }
+
+    broker.shutdown();
+    let stats = broker.wait();
+    assert_eq!(stats.matched, 100);
+    assert_eq!(stats.parse_failures, 0);
+}
+
 /// A malformed document mid-stream yields `-ERR DOC` on the publishing
 /// connection and nothing else: the connection survives, later documents
 /// still match, and the failure is counted.

@@ -36,6 +36,7 @@ impl FilterEngine {
         state.sub_matched.resize(self.n_subs as usize);
         state.node_done.resize(self.trie.n_nodes());
         state.node_sinks_done.resize(self.trie.n_nodes());
+        state.done_children.resize(self.trie.n_nodes(), (0, 0));
         state
             .comp_paths
             .resize_with(self.n_components as usize, Vec::new);
@@ -400,10 +401,12 @@ impl FilterEngine {
                 }
             }
         }
-        let mut all_done = !has_sinks || state.node_sinks_done.test(n as usize, state.doc_epoch);
+        // Only children whose predicate holds pairs on this path can chain
+        // on: test that bit first and touch nothing else of the others
+        // (most edges of a hot node, on most paths).
         let (child_pids, child_nodes) = trie.children(n);
         for (&cpid, &child) in child_pids.iter().zip(child_nodes) {
-            if state.node_done.test(child as usize, state.doc_epoch) {
+            if !ctx.is_matched(cpid) || state.node_done.test(child as usize, state.doc_epoch) {
                 continue;
             }
             let mut f = S::default();
@@ -414,12 +417,12 @@ impl FilterEngine {
                     chains_on = true;
                 }
             }
-            let done =
-                chains_on && self.dfs_node(child, f, ctx, publication, doc, state, stats, path_idx);
-            if !done {
-                all_done = false;
+            if chains_on && self.dfs_node(child, f, ctx, publication, doc, state, stats, path_idx) {
+                state.bump_done_children(n);
             }
         }
+        let all_done = (!has_sinks || state.node_sinks_done.test(n as usize, state.doc_epoch))
+            && state.done_children(n) == trie.child_len(n);
         if all_done {
             state.node_done.set(n as usize, state.doc_epoch);
         }

@@ -225,6 +225,13 @@ pub(super) struct DocState {
     /// Trie node → whole subtree resolved in the current document (every
     /// reachable subscription matched): pruned from later paths.
     pub(super) node_done: EpochBitmap,
+    /// Trie node → `(doc epoch, children whose subtree is resolved in that
+    /// document)`. A child is counted once, when its visit first returns
+    /// *done*; the node's own subtree is resolved when its sinks are and
+    /// this count equals its live child-span length — so the walk never
+    /// scans children to learn it, and may skip the ones whose predicate
+    /// holds no pairs on the path without weakening the pruning.
+    pub(super) done_children: Vec<(u32, u32)>,
     /// Trie node → all of its own sinks resolved in the current document
     /// (so later visits skip sink processing — crucial for
     /// duplicate-heavy workloads where one node carries thousands of
@@ -261,7 +268,27 @@ impl DocState {
             self.sub_matched.hard_clear();
             self.node_done.hard_clear();
             self.node_sinks_done.hard_clear();
+            self.done_children.fill((0, 0));
             self.doc_epoch = 1;
+        }
+    }
+
+    /// Counts one more child of `n` as resolved in the current document.
+    #[inline]
+    pub(super) fn bump_done_children(&mut self, n: u32) {
+        let slot = &mut self.done_children[n as usize];
+        if slot.0 != self.doc_epoch {
+            *slot = (self.doc_epoch, 0);
+        }
+        slot.1 += 1;
+    }
+
+    /// Children of `n` resolved in the current document.
+    #[inline]
+    pub(super) fn done_children(&self, n: u32) -> u32 {
+        match self.done_children[n as usize] {
+            (epoch, count) if epoch == self.doc_epoch => count,
+            _ => 0,
         }
     }
 

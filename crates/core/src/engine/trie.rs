@@ -237,6 +237,12 @@ impl Trie {
         )
     }
 
+    /// Node → number of live child edges.
+    #[inline]
+    pub(super) fn child_len(&self, n: u32) -> u32 {
+        self.packed.child_span[n as usize].len
+    }
+
     /// The cluster roots as parallel `(access predicate, node)` slices.
     #[inline]
     pub(super) fn roots(&self) -> (&[PredId], &[u32]) {

@@ -239,6 +239,73 @@ fn nested_churn_leaves_no_residue() {
     }
 }
 
+/// A hot trie node (`/a`) whose child span shrinks (prune, including a
+/// sink-less child pruned through its own last child) and grows (patched
+/// edges, relocating the span) between documents. A node is resolved when
+/// its done-children count reaches the span's *current* length, so a count
+/// or a length carried over from the previous document would prune live
+/// subtrees or keep resolved ones: after every change the match sets must
+/// equal the oracle's and the visits those of a fresh engine over the same
+/// live set, on documents whose later leaf paths need `/a` still open.
+#[test]
+fn hot_node_loses_and_gains_children_between_documents() {
+    const TAGS: [&str; 8] = ["b", "c", "d", "e", "f", "g", "h", "i"];
+    let all: String = TAGS.iter().map(|t| format!("<{t}><x/></{t}>")).collect();
+    let half: String = TAGS.iter().step_by(2).map(|t| format!("<{t}/>")).collect();
+    let docs: Vec<Document> = [format!("<a>{all}</a>"), format!("<a>{half}<z/></a>")]
+        .iter()
+        .map(|d| Document::parse(d.as_bytes()).unwrap())
+        .collect();
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        // A resident that can never match but names every tag: the path
+        // memo works on interned tags, and a tag only a removed expression
+        // ever named would otherwise split paths the fresh engine merges.
+        let every_tag = format!("/q/{}/x/z", TAGS.join("/"));
+        let mut live = vec![(engine.add_str(&every_tag).unwrap(), every_tag)];
+        for round in 0..48 {
+            // Two adds per removal until six are resident, then one each;
+            // the first resident is never the one removed.
+            let tag = TAGS[(round * 3) % TAGS.len()];
+            let mut adds = vec![if round % 2 == 0 {
+                format!("/a/{tag}/x")
+            } else {
+                format!("/a/{tag}")
+            }];
+            if live.len() < 7 {
+                adds.push(format!("/a/{}", TAGS[(round * 5 + 1) % TAGS.len()]));
+            }
+            for src in adds {
+                live.push((engine.add_str(&src).unwrap(), src));
+            }
+            if round > 0 {
+                let (sub, _) = live.remove(1 + (round * 7) % (live.len() - 1));
+                assert!(engine.remove(sub), "{mode:?} round {round}");
+            }
+            let sources: Vec<&str> = live.iter().map(|(_, src)| src.as_str()).collect();
+            let mut fresh = engine_with(&sources, mode);
+            for doc in &docs {
+                engine.reset_stats();
+                fresh.reset_stats();
+                let got = match_ids(&mut engine, doc);
+                let want: Vec<u32> = live
+                    .iter()
+                    .filter(|(_, src)| matches_document(&pxf_xpath::parse(src).unwrap(), doc))
+                    .map(|(sub, _)| sub.0)
+                    .collect();
+                assert_eq!(got, want, "{mode:?} round {round}: {sources:?}");
+                assert_eq!(match_ids(&mut fresh, doc).len(), want.len());
+                assert_eq!(
+                    engine.stats().occurrence_runs,
+                    fresh.stats().occurrence_runs,
+                    "{mode:?} round {round}: {sources:?}"
+                );
+            }
+        }
+        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
+    }
+}
+
 /// Removal through the object-safe backend interface behaves like the
 /// inherent method, and the default implementation refuses.
 #[test]

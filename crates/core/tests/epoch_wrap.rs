@@ -1,8 +1,9 @@
 //! Epoch-wrap soak: the engine stamps its per-document scratch
-//! structures (the result and pruning bitmaps) with a `u32` document
-//! epoch and relies on a hard clear at the wrap point — a word stamped
-//! 2³² epochs ago must never read as current. Matching 2³² documents is
-//! not a practical test, so this suite plants stamps at low epochs,
+//! structures (the result and pruning bitmaps, the per-node done-children
+//! counts) with a `u32` document epoch and relies on a hard clear at the
+//! wrap point — a word stamped 2³² epochs ago must never read as
+//! current. Matching 2³² documents is not a practical test, so this
+//! suite plants stamps at low epochs,
 //! forces the epoch to just below `u32::MAX` via the `#[doc(hidden)]`
 //! test hooks, and drives matching through the wrap: if any structure
 //! skipped its hard clear, the stale low-epoch stamps would collide with
@@ -107,6 +108,52 @@ fn matcher_scratch_wraps_and_restarts() {
             (1..1000).contains(&doc_epoch),
             "{ctx}: doc epoch {doc_epoch}"
         );
+    }
+}
+
+/// The per-node done-children count is stamped with the document epoch
+/// like the bitmaps, one stamp per node. A partial count is planted on
+/// `/a` (two of its three children resolved) at a low epoch `k`; documents
+/// that never reach `/a` then carry the epoch through the wrap and back to
+/// `k − 1`, so the stamp is still the planted one when a document needing
+/// all three children arrives at epoch `k` again. A count that survived
+/// the hard clear would add to that document's, reach the child-span
+/// length after one child and prune `/a` with two still unmatched.
+#[test]
+fn done_children_counts_do_not_survive_the_wrap() {
+    let parse = |s: &str| Document::parse(s.as_bytes()).unwrap();
+    let two = parse("<a><b/><c/></a>");
+    let all = parse("<a><b/><c/><d/></a>");
+    let elsewhere = parse("<x><y/></x>");
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        for e in ["/a/b", "/a/c", "/a/d", "/x/y"] {
+            engine.add_str(e).unwrap();
+        }
+        engine.prepare();
+        for k in 1..=4u32 {
+            let mut scratch = MatchScratch::new();
+            let idle = |scratch: &mut MatchScratch, docs: u32| {
+                for _ in 0..docs {
+                    assert_eq!(engine.match_document_with(&elsewhere, scratch), [SubId(3)]);
+                }
+            };
+            idle(&mut scratch, k - 1);
+            assert_eq!(
+                engine.match_document_with(&two, &mut scratch),
+                [SubId(0), SubId(1)]
+            );
+            assert_eq!(scratch.epochs(), k);
+            scratch.force_epochs(u32::MAX - 2);
+            // Two documents to u32::MAX, then the wrap restarts at 1.
+            idle(&mut scratch, 2 + k - 1);
+            assert_eq!(
+                engine.match_document_with(&all, &mut scratch),
+                [SubId(0), SubId(1), SubId(2)],
+                "{mode:?}, planted at epoch {k}"
+            );
+            assert_eq!(scratch.epochs(), k, "{mode:?}: wrapped back to the stamp");
+        }
     }
 }
 

@@ -103,3 +103,50 @@ fn ap_root_probes_touch_only_satisfied_clusters() {
     assert_eq!(s.ap_root_probes, 1, "{s:?}");
     assert_eq!(s.memo_path_skips, 1, "{s:?}");
 }
+
+/// Stage-2 pruning, pinned: `(regime, attribute filters per expression,
+/// mode) → (occurrence_runs, matches, memo_path_skips)` over 2k seeded
+/// expressions × 64 seeded documents, recorded at PR 13 (before the
+/// matched-predicate bitmap and the done-children count replaced the
+/// child scan in `dfs_node`). A change to the walk that visits one node
+/// more or fewer — weaker or stronger subtree pruning — moves
+/// `occurrence_runs`; these must repeat exactly.
+#[test]
+fn stage2_pruning_counts_are_pinned() {
+    use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
+    const PINNED: [(&str, usize, AttrMode, [u64; 3]); 8] = [
+        ("nitf", 0, AttrMode::Inline, [38654, 13224, 4974]),
+        ("nitf", 0, AttrMode::Postponed, [38654, 13224, 4974]),
+        ("nitf", 1, AttrMode::Inline, [760993, 9123, 0]),
+        ("nitf", 1, AttrMode::Postponed, [1042330, 9123, 0]),
+        ("psd", 0, AttrMode::Inline, [133933, 95752, 8689]),
+        ("psd", 0, AttrMode::Postponed, [133933, 95752, 8689]),
+        ("psd", 1, AttrMode::Inline, [2229600, 51986, 0]),
+        ("psd", 1, AttrMode::Postponed, [3952263, 51986, 0]),
+    ];
+    for (name, attr_filters, mode, want) in PINNED {
+        let regime = match name {
+            "nitf" => Regime::nitf(),
+            _ => Regime::psd(),
+        };
+        let mut xp = regime.xpath.clone();
+        xp.count = 2000;
+        xp.attr_filters = attr_filters;
+        xp.seed = 14;
+        let mut xm = regime.xml.clone();
+        xm.seed = 15;
+        let mut engine = FilterEngine::new(mode);
+        for e in XPathGenerator::new(&regime.dtd, xp).generate() {
+            engine.add(&e).unwrap();
+        }
+        for doc in XmlGenerator::new(&regime.dtd, xm).generate_batch(64) {
+            engine.match_document(&doc);
+        }
+        let s = engine.stats();
+        assert_eq!(
+            [s.occurrence_runs, s.matches, s.memo_path_skips],
+            want,
+            "{name}, {attr_filters} attribute filters, {mode:?}"
+        );
+    }
+}

@@ -959,11 +959,19 @@ fn tagvar_attrs_match<D: DocAccess>(tag: &TagVar, node: pxf_xml::NodeId, doc: &D
 /// [`Self::pop_to_mark`] snapshot and restore the exact set of recorded
 /// pairs — so one element's contributions can be rolled back when the
 /// document traversal leaves it.
+///
+/// Invariant, at every point: a predicate is in `touched` ⇔ its bit in
+/// `has_pairs` is set ⇔ its pair list is current and non-empty. Stage 2
+/// tests the bit ([`Self::is_matched`]) before it looks at anything else
+/// of a trie edge, so an edge whose predicate holds no pairs on the
+/// current path costs one word load.
 #[derive(Debug, Default)]
 pub struct MatchContext {
     epoch: u32,
     lists: Vec<MatchList>,
     touched: Vec<PredId>,
+    /// One bit per predicate: "has pairs right now".
+    has_pairs: Vec<u64>,
     /// Journal of every `push` since `begin`, one entry per pair pushed.
     undo: Vec<PredId>,
 }
@@ -998,10 +1006,18 @@ impl MatchContext {
                 list.epoch = 0;
                 list.pairs.clear();
             }
+            self.has_pairs.fill(0);
             self.epoch = 1;
         }
         if self.lists.len() < npreds {
             self.lists.resize_with(npreds, MatchList::default);
+            self.has_pairs.resize(npreds.div_ceil(64), 0);
+        }
+        // Every set bit belongs to a predicate in `touched` (the
+        // invariant), so zeroing their words clears the bitmap at the cost
+        // of what the last evaluation matched, not of `npreds`.
+        for &pid in &self.touched {
+            self.has_pairs[pid.index() / 64] = 0;
         }
         self.touched.clear();
         self.undo.clear();
@@ -1015,6 +1031,7 @@ impl MatchContext {
             list.epoch = self.epoch;
             list.pairs.clear();
             self.touched.push(pid);
+            self.has_pairs[pid.index() / 64] |= 1u64 << (pid.index() % 64);
         }
         list.pairs.push(pair);
         self.undo.push(pid);
@@ -1046,6 +1063,7 @@ impl MatchContext {
             let list = &mut self.lists[pid.index()];
             debug_assert!(list.pairs.is_empty(), "undo log out of sync");
             list.epoch = 0;
+            self.has_pairs[pid.index() / 64] &= !(1u64 << (pid.index() % 64));
         }
         self.touched.truncate(mark.touched);
     }
@@ -1060,10 +1078,13 @@ impl MatchContext {
         }
     }
 
-    /// True if the predicate matched the current publication.
+    /// True if the predicate matched the current publication: one bit
+    /// test, equal to `!self.get(pid).is_empty()` at every point.
     #[inline]
     pub fn is_matched(&self, pid: PredId) -> bool {
-        !self.get(pid).is_empty()
+        self.has_pairs
+            .get(pid.index() / 64)
+            .is_some_and(|w| w & (1u64 << (pid.index() % 64)) != 0)
     }
 
     /// All predicates matched by the current publication.
@@ -1169,36 +1190,124 @@ pub fn eval_direct<D: DocAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxf_rng::Rng;
     use pxf_xml::Interner;
+    use std::collections::HashSet;
+
+    /// The matched bitmap, the pair lists and `matched()` name the same
+    /// predicates — over the registered ones and a few ids past them.
+    #[track_caller]
+    fn assert_bitmap_is_exact(ctx: &MatchContext, npreds: usize) {
+        for i in 0..npreds + 70 {
+            let pid = PredId(i as u32);
+            assert_eq!(
+                ctx.is_matched(pid),
+                !ctx.get(pid).is_empty(),
+                "predicate {i}"
+            );
+            assert_eq!(
+                ctx.is_matched(pid),
+                ctx.matched().contains(&pid),
+                "predicate {i}"
+            );
+        }
+    }
 
     #[test]
     fn marks_roll_back_to_exact_prior_state() {
         let mut ctx = MatchContext::new();
         ctx.begin(3);
+        assert_bitmap_is_exact(&ctx, 3);
         let (p0, p1, p2) = (PredId(0), PredId(1), PredId(2));
         ctx.push(p0, (1, 1));
+        assert_bitmap_is_exact(&ctx, 3);
         ctx.push(p1, (1, 2));
+        assert_bitmap_is_exact(&ctx, 3);
         let outer = ctx.push_mark();
         ctx.push(p0, (2, 2)); // existing pred gains a pair
         ctx.push(p2, (3, 3)); // new pred first touched after the mark
+        assert_bitmap_is_exact(&ctx, 3);
         let inner = ctx.push_mark();
         ctx.push(p2, (4, 4));
         assert_eq!(ctx.get(p0), &[(1, 1), (2, 2)]);
         assert_eq!(ctx.get(p2), &[(3, 3), (4, 4)]);
+        assert_bitmap_is_exact(&ctx, 3);
 
         ctx.pop_to_mark(inner);
         assert_eq!(ctx.get(p2), &[(3, 3)]);
+        assert_bitmap_is_exact(&ctx, 3);
         ctx.pop_to_mark(outer);
         assert_eq!(ctx.get(p0), &[(1, 1)]);
         assert_eq!(ctx.get(p1), &[(1, 2)]);
         assert!(ctx.get(p2).is_empty());
         assert!(!ctx.is_matched(p2));
         assert_eq!(ctx.matched(), &[p0, p1]);
+        assert_bitmap_is_exact(&ctx, 3);
 
         // A rolled-back pred can be pushed again and re-enters `touched`.
         ctx.push(p2, (5, 5));
         assert_eq!(ctx.get(p2), &[(5, 5)]);
         assert_eq!(ctx.matched(), &[p0, p1, p2]);
+        assert_bitmap_is_exact(&ctx, 3);
+
+        // A `begin` that grows the predicate space (past a word of the
+        // bitmap) forgets everything and covers the new ids.
+        ctx.begin(130);
+        assert!(ctx.matched().is_empty());
+        assert_bitmap_is_exact(&ctx, 130);
+        ctx.push(PredId(129), (1, 1));
+        ctx.push(PredId(64), (1, 1));
+        ctx.push(p1, (2, 2));
+        assert!(ctx.is_matched(PredId(129)) && ctx.is_matched(PredId(64)) && ctx.is_matched(p1));
+        assert_bitmap_is_exact(&ctx, 130);
+        ctx.begin(130);
+        assert_bitmap_is_exact(&ctx, 130);
+    }
+
+    /// Random push / mark / pop / begin sequences against a model: the set
+    /// of predicates holding at least one pair. After every operation the
+    /// bitmap, the lists and `matched()` must all equal it.
+    #[test]
+    fn matched_bitmap_tracks_a_set_model_under_random_rollbacks() {
+        let mut rng = Rng::seed_from_u64(0x14b1);
+        for _ in 0..40 {
+            let mut npreds = rng.gen_range(1..200usize);
+            let mut ctx = MatchContext::new();
+            ctx.begin(npreds);
+            // Model: the journal of pushes, and per open mark its length.
+            let mut journal: Vec<PredId> = Vec::new();
+            let mut marks: Vec<(CtxMark, usize)> = Vec::new();
+            for _ in 0..300 {
+                match rng.gen_range(0..10u32) {
+                    0..=5 => {
+                        let pid = PredId(rng.gen_range(0..npreds) as u32);
+                        ctx.push(pid, (1, journal.len() as u16));
+                        journal.push(pid);
+                    }
+                    6 | 7 => marks.push((ctx.push_mark(), journal.len())),
+                    8 => {
+                        if let Some((mark, len)) = marks.pop() {
+                            ctx.pop_to_mark(mark);
+                            journal.truncate(len);
+                        }
+                    }
+                    _ => {
+                        if rng.gen_bool(0.2) {
+                            npreds += rng.gen_range(0..100usize);
+                            ctx.begin(npreds);
+                            journal.clear();
+                            marks.clear();
+                        }
+                    }
+                }
+                let model: HashSet<PredId> = journal.iter().copied().collect();
+                for i in 0..npreds {
+                    let pid = PredId(i as u32);
+                    assert_eq!(ctx.is_matched(pid), model.contains(&pid), "predicate {i}");
+                }
+                assert_bitmap_is_exact(&ctx, npreds);
+            }
+        }
     }
 
     #[test]
@@ -1216,8 +1325,22 @@ mod tests {
             !ctx.is_matched(PredId(0)),
             "stamp from 2^32 evaluations ago must not read as current"
         );
+        assert_bitmap_is_exact(&ctx, 1);
         ctx.begin(1);
         assert!(!ctx.is_matched(PredId(0)));
+
+        // The wrap with marks still open and the predicate space growing:
+        // nothing of the evaluation before it survives in the bitmap.
+        ctx.push(PredId(0), (1, 1));
+        let _open = ctx.push_mark();
+        ctx.push(PredId(0), (2, 2));
+        ctx.epoch = u32::MAX;
+        ctx.begin(70);
+        assert_eq!(ctx.epoch, 1);
+        assert!(ctx.matched().is_empty());
+        assert_bitmap_is_exact(&ctx, 70);
+        ctx.push(PredId(69), (3, 3));
+        assert_bitmap_is_exact(&ctx, 70);
     }
 
     #[test]
@@ -1249,8 +1372,12 @@ mod tests {
         for (i, &t) in tags.iter().enumerate() {
             publication.push_path_element(t, i as pxf_xml::NodeId);
             index.eval_enter(&publication, None::<&pxf_xml::Document>, &mut inc);
+            assert_bitmap_is_exact(&inc, index.len());
         }
+        let before_leaf = inc.push_mark();
+        let matched_before_leaf = inc.matched().to_vec();
         index.eval_leaf(&publication, None::<&pxf_xml::Document>, &mut inc);
+        assert_bitmap_is_exact(&inc, index.len());
 
         let batch_pub = Publication::from_tags(&["a", "b", "a", "c"], &mut interner);
         let mut batch = MatchContext::new();
@@ -1268,6 +1395,13 @@ mod tests {
         got.sort_unstable_by_key(|p| p.index());
         want.sort_unstable_by_key(|p| p.index());
         assert_eq!(got, want);
+        assert_bitmap_is_exact(&batch, index.len());
+
+        // Rolling the leaf back (what stage 1 does after stage 2 has run)
+        // unmatches exactly the length-dependent predicates.
+        inc.pop_to_mark(before_leaf);
+        assert_eq!(inc.matched(), matched_before_leaf);
+        assert_bitmap_is_exact(&inc, index.len());
     }
 
     #[test]
