@@ -118,6 +118,8 @@ fn main() {
     println!("full_rebuilds      {}", report.stats.full_rebuilds);
     println!("clone_fallbacks    {}", report.stats.clone_fallbacks);
     println!("incremental_patches {}", report.stats.incremental_patches);
+    println!("memo_replays       {}", report.stats.memo_replays);
+    println!("stage2_walks       {}", report.stats.stage2_walks);
     println!("shed               {}", report.stats.shed);
     println!("dropped            {}", report.stats.dropped);
 

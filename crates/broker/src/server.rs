@@ -50,7 +50,7 @@
 
 use crate::protocol::{Command, Reply};
 use crate::queue::{Backpressure, BoundedQueue, PushOutcome};
-use pxf_core::{FilterEngine, SnapshotHandle, SnapshotPublisher, SubId};
+use pxf_core::{FilterEngine, MatchScratch, SnapshotHandle, SnapshotPublisher, SubId};
 use pxf_xml::{DocumentStream, ParserLimits, PollDoc, XmlErrorKind};
 use pxf_xpath::XPathExpr;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -193,6 +193,8 @@ struct Counters {
     rebuilds: AtomicU64,
     clone_fallbacks: AtomicU64,
     patches: AtomicU64,
+    memo_replays: AtomicU64,
+    stage2_walks: AtomicU64,
 }
 
 /// A point-in-time copy of the broker's counters (the payload of a
@@ -223,6 +225,14 @@ pub struct BrokerStatsSnapshot {
     pub clone_fallbacks: u64,
     /// In-place incremental index patches applied.
     pub incremental_patches: u64,
+    /// Leaf paths the workers answered from a path-memo record instead of
+    /// walking the expression trie.
+    pub memo_replays: u64,
+    /// Leaf paths the workers ran the stage-2 walk for. Against
+    /// `memo_replays` this is the memo's hit rate: it collapses under
+    /// subscription churn (every publish empties the memo) and while any
+    /// attribute filter is registered (the memo is off).
+    pub stage2_walks: u64,
 }
 
 impl BrokerStatsSnapshot {
@@ -240,6 +250,8 @@ impl BrokerStatsSnapshot {
             ("rebuilds", self.full_rebuilds),
             ("clone_fallbacks", self.clone_fallbacks),
             ("patches", self.incremental_patches),
+            ("memo_replays", self.memo_replays),
+            ("stage2_walks", self.stage2_walks),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -265,6 +277,8 @@ impl BrokerStatsSnapshot {
                 "rebuilds" => s.full_rebuilds = v,
                 "clone_fallbacks" => s.clone_fallbacks = v,
                 "patches" => s.incremental_patches = v,
+                "memo_replays" => s.memo_replays = v,
+                "stage2_walks" => s.stage2_walks = v,
                 _ => {}
             }
         }
@@ -333,6 +347,8 @@ impl Shared {
             full_rebuilds: c.rebuilds.load(Ordering::Relaxed),
             clone_fallbacks: c.clone_fallbacks.load(Ordering::Relaxed),
             incremental_patches: c.patches.load(Ordering::Relaxed),
+            memo_replays: c.memo_replays.load(Ordering::Relaxed),
+            stage2_walks: c.stage2_walks.load(Ordering::Relaxed),
         }
     }
 
@@ -895,6 +911,11 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
 /// is what keeps steady-state `clone_fallbacks` at zero.
 fn worker_loop(shared: &Arc<Shared>) {
     let mut batch: Vec<IngestDoc> = Vec::new();
+    // One scratch for the worker's lifetime, across batches and snapshots:
+    // its buffers are sized once, and its path memo keeps what it learned
+    // about tag paths for as long as the subscription set stays the same.
+    let mut scratch = MatchScratch::new();
+    let mut reported = scratch.stats();
     loop {
         batch.clear();
         if shared
@@ -909,7 +930,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             // Load *after* popping: a document enqueued after a +SUB ack
             // is always matched against a snapshot containing that sub.
             let snapshot = shared.handle.load();
-            let mut matcher = snapshot.matcher();
             while i < batch.len() {
                 if shared.handle.epoch() != snapshot.epoch() {
                     break; // a publish landed: release + re-pin
@@ -917,7 +937,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 let doc = &mut batch[i];
                 i += 1;
                 let bytes = std::mem::take(&mut doc.bytes);
-                let outcome = match matcher.match_bytes(&bytes) {
+                let outcome = match snapshot.engine().match_bytes_with(&bytes, &mut scratch) {
                     Ok(ids) => Outcome::Matched(ids),
                     Err(e) => Outcome::ParseError(one_line(&e.to_string())),
                 };
@@ -929,6 +949,16 @@ fn worker_loop(shared: &Arc<Shared>) {
                 });
             }
         }
+        let now = scratch.stats();
+        shared
+            .stats
+            .memo_replays
+            .fetch_add(now.memo_replays - reported.memo_replays, Ordering::Relaxed);
+        shared
+            .stats
+            .stage2_walks
+            .fetch_add(now.stage2_walks - reported.stage2_walks, Ordering::Relaxed);
+        reported = now;
     }
 }
 

@@ -328,6 +328,73 @@ fn interleaved_owners_each_receive_exactly_their_own_ids() {
     assert_eq!(stats.parse_failures, 0);
 }
 
+/// Sub-then-doc visibility through a warm path memo. A worker's scratch
+/// outlives its batches, and after three sightings a document's tag paths
+/// are answered from records made under the subscription set of that
+/// moment. A `SUB` acknowledged before the next `DOC` must still show in
+/// that document's `MATCH` line — whether it adds a sink to a recorded
+/// node, lands on an interior node no record lists, or creates a new one —
+/// and an `UNSUB` must take it out again. One document at a time, so with
+/// two workers at least one of them has replayed it before the first `SUB`.
+fn warm_memo_sees_sub_and_unsub(workers: usize) {
+    const DOC: &[u8] = b"<a><b><c/></b><b/><d/></a>";
+    let broker = spawn_broker(workers);
+    let mut conn = Client::connect(broker.local_addr());
+    let sentinel = conn.subscribe("/a");
+    let resident = conn.subscribe("/a/b/c");
+    let mut sent = 0;
+    let mut publish_expecting = |conn: &mut Client, want: &[u32], why: &str| {
+        let tag = format!("d{sent}");
+        sent += 1;
+        conn.send_doc(&tag, DOC);
+        loop {
+            match conn.read_reply() {
+                Reply::DocOk { .. } => {}
+                Reply::Match { tag: got, ids, .. } => {
+                    assert_eq!(got, tag);
+                    assert_eq!(ids, want, "{why} (document {tag})");
+                    return;
+                }
+                other => panic!("expected +DOC or MATCH, got {other:?}"),
+            }
+        }
+    };
+    for _ in 0..16 {
+        publish_expecting(&mut conn, &[sentinel, resident], "warming up");
+    }
+    for (expr, what) in [
+        ("/a/b", "a sink on an interior node"),
+        ("/a/d", "a new node"),
+        ("/a/b/c", "a second sink on a recorded node"),
+    ] {
+        let id = conn.subscribe(expr);
+        for _ in 0..4 {
+            publish_expecting(&mut conn, &[sentinel, resident, id], what);
+        }
+        conn.unsubscribe(id);
+        for _ in 0..4 {
+            publish_expecting(&mut conn, &[sentinel, resident], what);
+        }
+    }
+    broker.shutdown();
+    let stats = broker.wait();
+    assert_eq!(stats.matched, 16 + 3 * 8);
+    assert!(
+        stats.memo_replays > 0 && stats.stage2_walks > 0,
+        "the memo was never warm: {stats:?}"
+    );
+}
+
+#[test]
+fn sub_then_doc_is_visible_through_a_warm_memo() {
+    warm_memo_sees_sub_and_unsub(1);
+}
+
+#[test]
+fn sub_then_doc_is_visible_through_a_warm_memo_with_two_workers() {
+    warm_memo_sees_sub_and_unsub(2);
+}
+
 /// A malformed document mid-stream yields `-ERR DOC` on the publishing
 /// connection and nothing else: the connection survives, later documents
 /// still match, and the failure is counted.

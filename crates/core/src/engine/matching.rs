@@ -1,15 +1,16 @@
 //! The two-stage match of one document: incremental predicate matching
-//! with path memoization (stage 1), the forward-propagating walk of the
-//! expression trie (stage 2), and the resolution of structural matches
-//! into subscription results.
+//! (stage 1), the forward-propagating walk of the expression trie — or
+//! the replay of what an earlier walk of the same tag path reached —
+//! (stage 2), and the resolution of structural matches into subscription
+//! results.
 
-use super::scratch::{DocState, MatchScratch};
+use super::scratch::{DocState, MatchScratch, Sighting};
 use super::trie::Sink;
 use super::{EngineStats, FilterEngine, SubId};
 use crate::nested::combine;
 use crate::occurrence::determine_match_by;
 use pxf_predicate::{MatchContext, PredId, Publication};
-use pxf_xml::{DocAccess, ElementVisitor, NodeId, Symbol};
+use pxf_xml::{DocAccess, ElementVisitor, NodeId, PathDoc, Symbol, XmlError};
 use std::time::Instant;
 
 impl FilterEngine {
@@ -32,7 +33,9 @@ impl FilterEngine {
             stats,
         } = scratch;
         state.advance_doc_epoch();
-        state.results.clear();
+        if state.memo.stamp != self.stamp {
+            state.memo.reset(self.stamp);
+        }
         state.sub_matched.resize(self.n_subs as usize);
         state.node_done.resize(self.trie.n_nodes());
         state.node_sinks_done.resize(self.trie.n_nodes());
@@ -63,14 +66,28 @@ impl FilterEngine {
         }
         // The ascending bitmap scan yields the sorted result list directly
         // (no per-match pushes, no sort over the matched ids).
-        let mut results = std::mem::take(&mut state.results);
+        let mut results = Vec::with_capacity(state.last_matches);
         let epoch = state.doc_epoch;
         state
             .sub_matched
             .for_each_set(epoch, |i| results.push(SubId(i as u32)));
+        state.last_matches = results.len();
         stats.matches += results.len() as u64;
         stats.other_ns += t2.elapsed().as_nanos() as u64;
         results
+    }
+
+    /// Parses and filters a document in one streaming pass (see
+    /// [`Self::match_bytes`]) using caller-provided scratch. The scratch
+    /// may have served another engine before: its path memo is emptied
+    /// when the subscription set is not the one it was filled under.
+    pub fn match_bytes_with(
+        &self,
+        bytes: &[u8],
+        scratch: &mut MatchScratch,
+    ) -> Result<Vec<SubId>, XmlError> {
+        let doc = PathDoc::parse_with_limits(bytes, self.limits)?;
+        Ok(self.match_document_with(&doc, scratch))
     }
 
     /// Incremental stage 1: one enter/leave traversal of the document.
@@ -91,16 +108,14 @@ impl FilterEngine {
         publication.begin_incremental();
         ctx.begin(self.index.len());
         state.ctx_marks.clear();
-        // Skipping stage 2 for a duplicate tag-sequence path is sound only
-        // when the match outcome is a function of the tag sequence alone:
-        // no inline attribute predicates (stage-1 pairs would differ), no
-        // postponed attribute re-checks (stage 2 consults document nodes),
-        // and no nested plans (component sinks must record every path
-        // index, including duplicates).
+        // Answering a path from the memo is sound only when the match
+        // outcome is a function of the tag sequence alone: no inline
+        // attribute predicates (stage-1 pairs would differ), no postponed
+        // attribute re-checks (stage 2 consults document nodes), and no
+        // nested plans (component sinks must record every path index,
+        // including duplicates). Every sink is then a plain subscription.
         let memo_on =
             self.nested.is_empty() && !self.has_attr_checks && !self.index.has_attr_predicates();
-        state.memo.clear();
-        state.memo_syms.clear();
         let mut driver = IncrementalDriver {
             engine: self,
             doc,
@@ -142,29 +157,55 @@ struct IncrementalDriver<'a, 'd, D: DocAccess> {
 }
 
 impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
-    /// Handles a leaf: length-dependent predicates under a nested mark,
-    /// stage 2 (or a memoized skip), rollback.
+    /// Handles a leaf. The memo (when on) says whether this tag path was
+    /// already answered in this document (nothing to do), has a record
+    /// (replay it), or needs stage 2: length-dependent predicates under a
+    /// nested mark, the walk, rollback. The walk of a path met in an
+    /// earlier document and not yet recorded makes the record — recording
+    /// on the second sighting, because a complete record needs the walk
+    /// that ignores `node_done` (2–2.5× the visits of the pruned one on
+    /// 100k NITF expressions), and a path never seen again under this
+    /// subscription set would pay that for nothing.
     fn leaf(&mut self) {
         let path_idx = self.path_idx;
         self.path_idx += 1;
-        if self.memo_on && self.probe_memo() {
-            self.stats.memo_path_skips += 1;
-        } else {
-            let mark = self.ctx.push_mark();
-            self.engine
-                .index
-                .eval_leaf(self.publication, Some(self.doc), self.ctx);
-            let t1 = Instant::now();
-            self.engine.stage2(
-                self.ctx,
-                self.publication,
-                self.doc,
-                self.state,
-                self.stats,
-                path_idx,
-            );
-            self.expr_ns += t1.elapsed().as_nanos() as u64;
-            self.ctx.pop_to_mark(mark);
+        let sighting = self.memo_on.then(|| self.sight());
+        match sighting {
+            Some(Sighting::SameDoc) => self.stats.memo_path_skips += 1,
+            Some(Sighting::Recorded(slot)) => {
+                self.stats.memo_replays += 1;
+                let t1 = Instant::now();
+                self.engine.replay(slot, self.state);
+                self.expr_ns += t1.elapsed().as_nanos() as u64;
+            }
+            _ => {
+                self.stats.stage2_walks += 1;
+                let mark = self.ctx.push_mark();
+                self.engine
+                    .index
+                    .eval_leaf(self.publication, Some(self.doc), self.ctx);
+                let t1 = Instant::now();
+                let record_into = match sighting {
+                    Some(Sighting::Again(slot)) => Some(slot),
+                    _ => None,
+                };
+                self.state.recording = record_into.is_some();
+                self.state.record_buf.clear();
+                self.engine.stage2(
+                    self.ctx,
+                    self.publication,
+                    self.doc,
+                    self.state,
+                    self.stats,
+                    path_idx,
+                );
+                if let Some(slot) = record_into {
+                    self.state.recording = false;
+                    self.state.memo.attach(slot, &self.state.record_buf);
+                }
+                self.expr_ns += t1.elapsed().as_nanos() as u64;
+                self.ctx.pop_to_mark(mark);
+            }
         }
         if self.record_paths {
             self.state
@@ -172,11 +213,8 @@ impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
         }
     }
 
-    /// True if an identical tag-sequence path was already processed in
-    /// this document. Unknown paths are registered. Hash collisions are
-    /// detected by comparing the stored symbol sequence and fall back to
-    /// running stage 2.
-    fn probe_memo(&mut self) -> bool {
+    /// Consults the path memo about the current root-to-leaf tag path.
+    fn sight(&mut self) -> Sighting {
         let tuples = &self.publication.tuples;
         // FNV-1a over the tag symbols.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -189,14 +227,9 @@ impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
         if h == 0 {
             h = 1;
         }
-        if let Some((start, len)) = self.state.memo.get(h) {
-            let seen = &self.state.memo_syms[start as usize..(start + len) as usize];
-            return seen.len() == tuples.len() && seen.iter().zip(tuples).all(|(s, t)| *s == t.tag);
-        }
-        let start = self.state.memo_syms.len() as u32;
-        self.state.memo_syms.extend(tuples.iter().map(|t| t.tag));
-        self.state.memo.insert(h, (start, tuples.len() as u32));
-        false
+        self.state
+            .memo
+            .sight(h, tuples.iter().map(|t| t.tag), self.state.doc_epoch)
     }
 }
 
@@ -315,7 +348,7 @@ impl FilterEngine {
         let (root_pids, root_nodes) = self.trie.roots();
         let mut enter = |pid: PredId, root: u32| {
             stats.ap_root_probes += 1;
-            if state.node_done.test(root as usize, state.doc_epoch) {
+            if !state.recording && state.node_done.test(root as usize, state.doc_epoch) {
                 return;
             }
             let mut f = S::default();
@@ -358,6 +391,9 @@ impl FilterEngine {
         stats.occurrence_runs += 1;
         let trie = &self.trie;
         let has_sinks = trie.sink_len(n) != 0;
+        if has_sinks && state.recording {
+            state.record_buf.push(n);
+        }
         if has_sinks && !state.node_sinks_done.test(n as usize, state.doc_epoch) {
             let plain = trie.plain_subs(n);
             if plain.len() as u32 == trie.sink_len(n) {
@@ -403,10 +439,17 @@ impl FilterEngine {
         }
         // Only children whose predicate holds pairs on this path can chain
         // on: test that bit first and touch nothing else of the others
-        // (most edges of a hot node, on most paths).
+        // (most edges of a hot node, on most paths). A subtree resolved by
+        // an earlier path of this document is skipped, unless this walk is
+        // making the path's record — what the path reaches is not what
+        // earlier paths left over.
         let (child_pids, child_nodes) = trie.children(n);
         for (&cpid, &child) in child_pids.iter().zip(child_nodes) {
-            if !ctx.is_matched(cpid) || state.node_done.test(child as usize, state.doc_epoch) {
+            if !ctx.is_matched(cpid) {
+                continue;
+            }
+            let was_done = state.node_done.test(child as usize, state.doc_epoch);
+            if was_done && !state.recording {
                 continue;
             }
             let mut f = S::default();
@@ -417,7 +460,12 @@ impl FilterEngine {
                     chains_on = true;
                 }
             }
-            if chains_on && self.dfs_node(child, f, ctx, publication, doc, state, stats, path_idx) {
+            // A child counts once: not again when a recording walk
+            // re-enters a subtree that was already resolved.
+            if chains_on
+                && self.dfs_node(child, f, ctx, publication, doc, state, stats, path_idx)
+                && !was_done
+            {
                 state.bump_done_children(n);
             }
         }
@@ -427,6 +475,29 @@ impl FilterEngine {
             state.node_done.set(n as usize, state.doc_epoch);
         }
         all_done
+    }
+
+    /// Stage 2 from the record of the memo entry in `slot`: marks the
+    /// subscriptions of every listed node this document has not resolved
+    /// yet. No predicate is consulted and no child edge followed — under
+    /// one content stamp the nodes a tag path reaches do not change, and
+    /// the memo is only on while every sink is a plain subscription.
+    fn replay(&self, slot: usize, state: &mut DocState) {
+        let DocState {
+            memo,
+            sub_matched,
+            node_sinks_done,
+            doc_epoch,
+            ..
+        } = state;
+        for &n in memo.record(slot) {
+            if !node_sinks_done.test(n as usize, *doc_epoch) {
+                for &sub in self.trie.plain_subs(n) {
+                    sub_matched.set(sub as usize, *doc_epoch);
+                }
+                node_sinks_done.set(n as usize, *doc_epoch);
+            }
+        }
     }
 }
 

@@ -34,7 +34,18 @@ use pxf_xml::{DocAccess, Interner, ParserLimits, PathDoc, XmlError};
 use pxf_xpath::XPathExpr;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use trie::{Sink, Trie};
+
+/// Source of [`FilterEngine`] content stamps: process-wide, so no two
+/// engines that may differ in content ever carry the same one. Starts at
+/// 1; a scratch that has met no engine holds 0.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    // Relaxed: the value is an identity, it publishes no other data.
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Identifier of a registered subscription (dense, insertion order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,8 +101,15 @@ pub struct EngineStats {
     /// there is nothing to count skipping).
     pub ap_root_probes: u64,
     /// Leaf paths whose stage 2 was skipped because an identical
-    /// tag-sequence path was already processed in the same document.
+    /// tag-sequence path was already answered in the same document.
     pub memo_path_skips: u64,
+    /// Leaf paths answered from the record an earlier document's walk of
+    /// the same tag sequence left in the path memo: no walk, the recorded
+    /// nodes' subscriptions are marked directly.
+    pub memo_replays: u64,
+    /// Leaf paths that ran the stage-2 walk (neither skipped nor
+    /// replayed).
+    pub stage2_walks: u64,
     /// Total subscription matches reported.
     pub matches: u64,
     /// Maintenance: `add`/`remove` operations applied as in-place patches
@@ -134,6 +152,12 @@ struct NestedSub {
 /// ```
 #[derive(Debug)]
 pub struct FilterEngine {
+    /// Identifies the content (subscription set and compiled index): drawn
+    /// afresh on construction and on every `add`, `remove` and compiling
+    /// `prepare`, copied by `Clone`. What a [`MatchScratch`] remembers
+    /// about tag paths (its path memo) holds only under the stamp it was
+    /// learned under.
+    stamp: u64,
     attr_mode: AttrMode,
     /// True once any subscription carries a selection-postponed attribute
     /// re-check: such checks consult document nodes, so equal tag-sequence
@@ -189,6 +213,7 @@ impl Clone for FilterEngine {
     /// state, only reusable buffers and statistics).
     fn clone(&self) -> Self {
         FilterEngine {
+            stamp: self.stamp,
             attr_mode: self.attr_mode,
             has_attr_checks: self.has_attr_checks,
             interner: self.interner.clone(),
@@ -241,6 +266,7 @@ impl FilterEngine {
     /// Creates an engine with the given attribute-filter mode.
     pub fn new(attr_mode: AttrMode) -> Self {
         FilterEngine {
+            stamp: fresh_stamp(),
             attr_mode,
             has_attr_checks: false,
             interner: Interner::new(),
@@ -369,6 +395,7 @@ impl FilterEngine {
             return;
         }
         self.trie.finalize();
+        self.stamp = fresh_stamp();
         if self.prepared {
             self.full_rebuilds += 1;
         }
@@ -420,6 +447,7 @@ impl FilterEngine {
     /// the system (the paper §6.1): encoding is linear in the expression's
     /// location steps and each predicate insert is an O(1) index probe.
     pub fn add(&mut self, expr: &XPathExpr) -> Result<SubId, AddError> {
+        self.stamp = fresh_stamp();
         let sub = SubId(self.n_subs);
         // Once the packed index is compiled, new subscriptions patch it
         // in place; before the first prepare() they accumulate in the
@@ -451,6 +479,7 @@ impl FilterEngine {
         let Some(location) = self.locations.get(sub.0 as usize).copied() else {
             return false;
         };
+        self.stamp = fresh_stamp();
         let patch = self.ready_for_patch();
         match location {
             SubLocation::Gone => return false,

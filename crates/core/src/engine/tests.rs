@@ -333,3 +333,69 @@ fn remove_unknown_id_is_noop() {
     let mut engine = FilterEngine::default();
     assert!(!engine.remove(SubId(42)));
 }
+
+/// A stream built to fill the path memo: 50k single-path documents, all
+/// distinct, 20–44 known tags deep, with eight recurring documents mixed
+/// in so that records are held (and lost, and earned again) when the
+/// symbols run past their share of the cap. The memo's heap never passes
+/// the cap, it is emptied along the way, and every match set is the
+/// oracle's.
+#[test]
+fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
+    use super::scratch::MEMO_CAP_BYTES;
+    use pxf_rng::Rng;
+    const TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+    let exprs: Vec<_> = [
+        "/a/b", "//a//b", "c//d/e", "//f", "a/*/c", "/*/*/d", "e/e", "//b/c//a",
+    ]
+    .iter()
+    .map(|e| parse(e).unwrap())
+    .collect();
+    let mut engine = FilterEngine::default();
+    for e in &exprs {
+        engine.add(e).unwrap();
+    }
+    let mut rng = Rng::seed_from_u64(0x50_000);
+    let chain = |rng: &mut Rng| -> Vec<usize> {
+        (0..rng.gen_range(20..45usize))
+            .map(|_| rng.gen_index(TAGS.len()))
+            .collect()
+    };
+    let xml_of = |tags: &[usize]| -> Document {
+        let mut xml = String::with_capacity(7 * tags.len());
+        for &t in tags {
+            xml.extend(["<", TAGS[t], ">"]);
+        }
+        for &t in tags.iter().rev() {
+            xml.extend(["</", TAGS[t], ">"]);
+        }
+        doc(&xml)
+    };
+    let check = |engine: &mut FilterEngine, d: &Document| {
+        let want: Vec<SubId> = (0..exprs.len())
+            .filter(|&i| matches_document(&exprs[i], d))
+            .map(|i| SubId(i as u32))
+            .collect();
+        assert_eq!(engine.match_document(d), want, "{}", d.to_xml());
+        let memo = &engine.scratch.state.memo;
+        assert!(memo.heap_bytes() <= MEMO_CAP_BYTES, "{}", memo.heap_bytes());
+        memo.len()
+    };
+    let recurring: Vec<Document> = (0..8).map(|_| xml_of(&chain(&mut rng))).collect();
+    let mut seen = std::collections::HashSet::new();
+    let (mut emptied, mut held) = (0, 0);
+    while seen.len() < 50_000 {
+        let tags = chain(&mut rng);
+        if !seen.insert(tags.clone()) {
+            continue;
+        }
+        for d in [&xml_of(&tags), &recurring[seen.len() % recurring.len()]] {
+            let now = check(&mut engine, d);
+            emptied += usize::from(now < held);
+            held = now;
+        }
+    }
+    assert!(emptied >= 1, "50k paths of 20+ symbols fit the cap?");
+    let s = engine.stats();
+    assert!(s.memo_replays > 40_000 && s.stage2_walks > 50_000, "{s:?}");
+}

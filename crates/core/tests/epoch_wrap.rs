@@ -1,9 +1,9 @@
 //! Epoch-wrap soak: the engine stamps its per-document scratch
 //! structures (the result and pruning bitmaps, the per-node done-children
-//! counts) with a `u32` document epoch and relies on a hard clear at the
-//! wrap point — a word stamped 2³² epochs ago must never read as
-//! current. Matching 2³² documents is not a practical test, so this
-//! suite plants stamps at low epochs,
+//! counts, the path memo's sightings) with a `u32` document epoch and
+//! relies on a hard clear at the wrap point — a word stamped 2³² epochs
+//! ago must never read as current. Matching 2³² documents is not a
+//! practical test, so this suite plants stamps at low epochs,
 //! forces the epoch to just below `u32::MAX` via the `#[doc(hidden)]`
 //! test hooks, and drives matching through the wrap: if any structure
 //! skipped its hard clear, the stale low-epoch stamps would collide with
@@ -154,6 +154,69 @@ fn done_children_counts_do_not_survive_the_wrap() {
             );
             assert_eq!(scratch.epochs(), k, "{mode:?}: wrapped back to the stamp");
         }
+    }
+}
+
+/// The path memo stamps each entry with the document epoch of its last
+/// sighting, and an entry outlives the document. A path seen once at a low
+/// epoch `k`, and a recorded path last seen at `k + 3`, are carried through
+/// the wrap by documents that touch neither, back to the very epochs they
+/// were stamped with. A sighting that survived the hard clear would read
+/// as "already answered in this document" and the path's matches would be
+/// missing. Entries made just before the wrap are used just after it.
+#[test]
+fn memo_sightings_do_not_survive_the_wrap() {
+    let parse = |s: &str| Document::parse(s.as_bytes()).unwrap();
+    let once = parse("<a><b/></a>");
+    let recorded = parse("<a><c/><d/></a>");
+    let late = parse("<x><d/></x>");
+    let elsewhere = parse("<x><y/></x>");
+    // Attribute-free and flat: the memo is on.
+    let mut engine = FilterEngine::default();
+    for e in ["/a/b", "/a/c", "//d", "/x/y"] {
+        engine.add_str(e).unwrap();
+    }
+    engine.prepare();
+    // Matches `doc`; returns its leaf paths as [walked, replayed, skipped].
+    let matched = |scratch: &mut MatchScratch, doc: &Document, want: &[SubId], ctx: &str| {
+        let s0 = scratch.stats();
+        assert_eq!(engine.match_document_with(doc, scratch), want, "{ctx}");
+        let s1 = scratch.stats();
+        [
+            s1.stage2_walks - s0.stage2_walks,
+            s1.memo_replays - s0.memo_replays,
+            s1.memo_path_skips - s0.memo_path_skips,
+        ]
+    };
+    for k in 1..=4u32 {
+        let mut scratch = MatchScratch::new();
+        let idle = |scratch: &mut MatchScratch, docs: u32| {
+            for _ in 0..docs {
+                matched(scratch, &elsewhere, &[SubId(3)], "idling");
+            }
+        };
+        let both = [SubId(1), SubId(2)];
+        idle(&mut scratch, k - 1);
+        matched(&mut scratch, &once, &[SubId(0)], "planting");
+        assert_eq!(scratch.epochs(), k);
+        for kinds in [[2, 0, 0], [2, 0, 0], [0, 2, 0]] {
+            assert_eq!(matched(&mut scratch, &recorded, &both, "planting"), kinds);
+        }
+
+        scratch.force_epochs(u32::MAX - 2);
+        // One sighting at u32::MAX - 1, then the wrap restarts at 1.
+        assert_eq!(matched(&mut scratch, &late, &[SubId(2)], "late"), [1, 0, 0]);
+        idle(&mut scratch, 1 + k - 1);
+        let ctx = format!("seen once at epoch {k}, met again at epoch {k}");
+        assert_eq!(matched(&mut scratch, &once, &[SubId(0)], &ctx), [1, 0, 0]);
+        assert_eq!(scratch.epochs(), k, "wrapped back to the stamp");
+        idle(&mut scratch, 2);
+        let ctx = format!("recorded, last seen at epoch {0}, met at epoch {0}", k + 3);
+        assert_eq!(matched(&mut scratch, &recorded, &both, &ctx), [0, 2, 0]);
+        // Seen before the wrap, recorded after it, then replayed.
+        assert_eq!(matched(&mut scratch, &late, &[SubId(2)], "late"), [1, 0, 0]);
+        assert_eq!(matched(&mut scratch, &late, &[SubId(2)], "late"), [0, 1, 0]);
+        assert_eq!(matched(&mut scratch, &once, &[SubId(0)], "once"), [0, 1, 0]);
     }
 }
 

@@ -104,25 +104,36 @@ fn ap_root_probes_touch_only_satisfied_clusters() {
     assert_eq!(s.memo_path_skips, 1, "{s:?}");
 }
 
-/// Stage-2 pruning, pinned: `(regime, attribute filters per expression,
-/// mode) → (occurrence_runs, matches, memo_path_skips)` over 2k seeded
-/// expressions × 64 seeded documents, recorded at PR 13 (before the
-/// matched-predicate bitmap and the done-children count replaced the
-/// child scan in `dfs_node`). A change to the walk that visits one node
-/// more or fewer — weaker or stronger subtree pruning — moves
-/// `occurrence_runs`; these must repeat exactly.
+/// Stage-2 work, pinned: `(regime, attribute filters per expression,
+/// mode) → (occurrence_runs, matches, memo_path_skips, memo_replays)` over
+/// 2k seeded expressions × 64 seeded documents. A change to the walk that
+/// visits one node more or fewer — weaker or stronger subtree pruning, a
+/// path walked that should have been replayed — moves `occurrence_runs`;
+/// these must repeat exactly.
+///
+/// The attribute-filter rows are as recorded at PR 13: with a filter
+/// registered the path memo is off and every leaf path walks. The
+/// filter-free rows were re-recorded at PR 15 (38,654 and 133,933 visits
+/// before): the memo now outlives the document, so a tag path that an
+/// earlier document already brought twice is answered from its record —
+/// `memo_replays` — without visiting a trie node, while the second sighting
+/// pays an unpruned walk to make that record. `matches` did not move
+/// because a replay marks exactly the subscriptions the walk would have
+/// reached, and `memo_path_skips` did not because a path repeated inside
+/// one document is skipped as before, whichever way its first occurrence
+/// was answered.
 #[test]
 fn stage2_pruning_counts_are_pinned() {
     use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
-    const PINNED: [(&str, usize, AttrMode, [u64; 3]); 8] = [
-        ("nitf", 0, AttrMode::Inline, [38654, 13224, 4974]),
-        ("nitf", 0, AttrMode::Postponed, [38654, 13224, 4974]),
-        ("nitf", 1, AttrMode::Inline, [760993, 9123, 0]),
-        ("nitf", 1, AttrMode::Postponed, [1042330, 9123, 0]),
-        ("psd", 0, AttrMode::Inline, [133933, 95752, 8689]),
-        ("psd", 0, AttrMode::Postponed, [133933, 95752, 8689]),
-        ("psd", 1, AttrMode::Inline, [2229600, 51986, 0]),
-        ("psd", 1, AttrMode::Postponed, [3952263, 51986, 0]),
+    const PINNED: [(&str, usize, AttrMode, [u64; 4]); 8] = [
+        ("nitf", 0, AttrMode::Inline, [23906, 13224, 4974, 300]),
+        ("nitf", 0, AttrMode::Postponed, [23906, 13224, 4974, 300]),
+        ("nitf", 1, AttrMode::Inline, [760993, 9123, 0, 0]),
+        ("nitf", 1, AttrMode::Postponed, [1042330, 9123, 0, 0]),
+        ("psd", 0, AttrMode::Inline, [7804, 95752, 8689, 1834]),
+        ("psd", 0, AttrMode::Postponed, [7804, 95752, 8689, 1834]),
+        ("psd", 1, AttrMode::Inline, [2229600, 51986, 0, 0]),
+        ("psd", 1, AttrMode::Postponed, [3952263, 51986, 0, 0]),
     ];
     for (name, attr_filters, mode, want) in PINNED {
         let regime = match name {
@@ -144,7 +155,12 @@ fn stage2_pruning_counts_are_pinned() {
         }
         let s = engine.stats();
         assert_eq!(
-            [s.occurrence_runs, s.matches, s.memo_path_skips],
+            [
+                s.occurrence_runs,
+                s.matches,
+                s.memo_path_skips,
+                s.memo_replays
+            ],
             want,
             "{name}, {attr_filters} attribute filters, {mode:?}"
         );

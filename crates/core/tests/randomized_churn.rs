@@ -8,9 +8,12 @@
 //! detaches with node pruning, predicate reference counting with slot
 //! reclamation, and the `pid → root` table maintenance — all
 //! equivalence-checked against the rebuild-from-scratch engine as oracle
-//! after every batch of ops.
+//! after every batch of ops. One scratch lives through the whole script
+//! and re-matches every document three times after every batch, so a path
+//! memo filled before the batch (walk, record, replay) meets the changed
+//! set; the attribute-free scripts are the ones that keep the memo on.
 
-use pxf_core::{AttrMode, FilterEngine, SubId};
+use pxf_core::{AttrMode, FilterEngine, MatchScratch, SubId};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use pxf_xpath::XPathExpr;
@@ -19,8 +22,8 @@ const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
 /// Random expression source covering the index's dispatch arms: plain
 /// steps, wildcards, attribute filters (equality, existence, ranges),
-/// and occasional nested path filters.
-fn arb_expr_src(rng: &mut Rng) -> String {
+/// and occasional nested path filters — or, when `plain`, steps alone.
+fn arb_expr_src(rng: &mut Rng, plain: bool) -> String {
     let n_steps = rng.gen_range(1..5usize);
     let mut src = String::new();
     if rng.gen_bool(0.5) {
@@ -40,7 +43,7 @@ fn arb_expr_src(rng: &mut Rng) -> String {
         }
         src.push_str(TAGS[rng.gen_range(0..TAGS.len())]);
         // Attribute filters exercise the attr-range columns and buckets.
-        if rng.gen_bool(0.3) {
+        if !plain && rng.gen_bool(0.3) {
             match rng.gen_range(0..4u32) {
                 0 => src.push_str("[@k = \"1\"]"),
                 1 => src.push_str("[@m]"),
@@ -49,7 +52,7 @@ fn arb_expr_src(rng: &mut Rng) -> String {
             }
         }
         // Nested path filters exercise the NestedSub live-flag path.
-        if rng.gen_bool(0.1) {
+        if !plain && rng.gen_bool(0.1) {
             src.push_str(&format!("[{}/{}]", TAGS[rng.gen_range(0..2usize)], TAGS[2]));
         }
     }
@@ -59,9 +62,9 @@ fn arb_expr_src(rng: &mut Rng) -> String {
     src
 }
 
-fn arb_expr(rng: &mut Rng) -> XPathExpr {
+fn arb_expr(rng: &mut Rng, plain: bool) -> XPathExpr {
     loop {
-        if let Ok(e) = pxf_xpath::parse(&arb_expr_src(rng)) {
+        if let Ok(e) = pxf_xpath::parse(&arb_expr_src(rng, plain)) {
             return e;
         }
     }
@@ -100,19 +103,19 @@ struct Script {
     docs: Vec<String>,
 }
 
-fn arb_script(rng: &mut Rng) -> Script {
+fn arb_script(rng: &mut Rng, plain: bool) -> Script {
     let attr_mode = if rng.gen_bool(0.5) {
         AttrMode::Inline
     } else {
         AttrMode::Postponed
     };
     let initial = (0..rng.gen_range(3..9usize))
-        .map(|_| arb_expr(rng))
+        .map(|_| arb_expr(rng, plain))
         .collect();
     let batches = (0..rng.gen_range(2..5usize))
         .map(|_| {
             let adds = (0..rng.gen_range(0..4usize))
-                .map(|_| arb_expr(rng))
+                .map(|_| arb_expr(rng, plain))
                 .collect();
             let removes = (0..rng.gen_range(0..3usize))
                 .map(|_| rng.gen_range(0..1usize << 16))
@@ -133,8 +136,9 @@ fn arb_script(rng: &mut Rng) -> Script {
 
 /// Runs the script against a live engine, checking both stores against
 /// the survivor oracle after every batch. Returns the number of
-/// incremental patches the live engine performed.
-fn run_script(script: &Script) -> u64 {
+/// incremental patches the live engine performed and of leaf paths the
+/// script-long scratch answered by replay.
+fn run_script(script: &Script) -> (u64, u64) {
     let ctx = format!("{:?}", script.attr_mode);
     let mut engine = FilterEngine::new(script.attr_mode);
     // SubId → live expression (None once removed).
@@ -152,6 +156,7 @@ fn run_script(script: &Script) -> u64 {
     // First match triggers the bulk prepare; everything after it must
     // patch in place (checked by the caller via the returned counter).
     let _ = engine.match_document(&docs[0]);
+    let mut scratch = MatchScratch::new();
 
     for (batch_no, (adds, removes)) in script.batches.iter().enumerate() {
         for e in adds {
@@ -188,6 +193,17 @@ fn run_script(script: &Script) -> u64 {
                 .collect();
             let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
             assert_eq!(got, want, "{ctx}, batch {batch_no}, tree store, doc {src}");
+            for sighting in 0..3 {
+                let again: Vec<u32> = engine
+                    .match_document_with(doc, &mut scratch)
+                    .iter()
+                    .map(|s| s.0)
+                    .collect();
+                assert_eq!(
+                    again, want,
+                    "{ctx}, batch {batch_no}, long-lived scratch, sighting {sighting}, doc {src}"
+                );
+            }
             let streamed: Vec<u32> = engine
                 .match_bytes(src.as_bytes())
                 .unwrap()
@@ -200,7 +216,7 @@ fn run_script(script: &Script) -> u64 {
             );
         }
     }
-    engine.incremental_patches()
+    (engine.incremental_patches(), scratch.stats().memo_replays)
 }
 
 #[test]
@@ -208,10 +224,17 @@ fn churn_equals_rebuild_across_all_modes() {
     let mut rng = Rng::seed_from_u64(0x7c41);
     let mut total_patches = 0u64;
     for _ in 0..96 {
-        total_patches += run_script(&arb_script(&mut rng));
+        total_patches += run_script(&arb_script(&mut rng, false)).0;
     }
     assert!(
         total_patches > 0,
         "steady-state churn never took the incremental patch path"
     );
+    // Attribute-free, flat scripts: the path memo stays on throughout.
+    let mut rng = Rng::seed_from_u64(0x7c42);
+    let mut total_replays = 0u64;
+    for _ in 0..48 {
+        total_replays += run_script(&arb_script(&mut rng, true)).1;
+    }
+    assert!(total_replays > 0, "no plain script ever replayed a path");
 }

@@ -149,3 +149,74 @@ fn concurrent_churn_soak() {
         }
     }
 }
+
+/// A broker worker's view: one scratch for the lifetime of the thread,
+/// matching against whichever snapshot is current. The publisher
+/// alternates between two engine buffers (and now and then deep-clones one
+/// because a reader still pins the other), so the scratch's path memo
+/// meets the same buffer again with different content. After every publish
+/// the same documents are matched three times (walk, record, replay) and
+/// must give the oracle's answer for the set just published.
+#[test]
+fn long_lived_scratch_follows_every_publish() {
+    use pxf_core::reference::matches_document;
+    use pxf_core::MatchScratch;
+    // Attribute-free and flat, so the path memo is on.
+    const PLAIN_POOL: [&str; 8] = [
+        "/a/b", "//c", "a/*/d", "/a//c/d", "//a//b", "/a", "b/c", "/a/c",
+    ];
+    let exprs: Vec<_> = PLAIN_POOL
+        .iter()
+        .map(|s| pxf_xpath::parse(s).unwrap())
+        .collect();
+    let docs: Vec<Document> = DOC_POOL
+        .iter()
+        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .collect();
+    let mut publisher = SnapshotPublisher::new(FilterEngine::default());
+    let handle = publisher.handle();
+    let mut rng = Rng::seed_from_u64(0x50ab);
+    // Live subscriptions: (id, index into the pool), ids ascending.
+    let mut live: Vec<(SubId, usize)> = Vec::new();
+    let mut scratch = MatchScratch::new();
+    let mut pinned = None;
+    for round in 0..300 {
+        for _ in 0..rng.gen_range(1..4usize) {
+            if live.is_empty() || rng.gen_bool(0.55) {
+                let which = rng.gen_index(exprs.len());
+                live.push((publisher.add(&exprs[which]).unwrap(), which));
+            } else {
+                let (victim, _) = live.remove(rng.gen_index(live.len()));
+                assert!(publisher.remove(victim));
+            }
+        }
+        publisher.publish();
+        // Now and then a reader sits on the snapshot across the next
+        // publish, forcing the deep-clone reclaim path.
+        pinned = (round % 7 == 0).then(|| handle.load());
+        let snapshot = handle.load();
+        for sighting in 0..3 {
+            for doc in &docs {
+                let want: Vec<SubId> = live
+                    .iter()
+                    .filter(|(_, which)| matches_document(&exprs[*which], doc))
+                    .map(|(id, _)| *id)
+                    .collect();
+                assert_eq!(
+                    snapshot.engine().match_document_with(doc, &mut scratch),
+                    want,
+                    "round {round}, sighting {sighting}, doc {}",
+                    doc.to_xml()
+                );
+            }
+        }
+    }
+    drop(pinned);
+    assert!(
+        publisher.clone_fallbacks() > 0,
+        "the clone path was not hit"
+    );
+    assert_eq!(publisher.engine().full_rebuilds(), 0);
+    let s = scratch.stats();
+    assert!(s.memo_replays > 0 && s.stage2_walks > 0, "{s:?}");
+}
