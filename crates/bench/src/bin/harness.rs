@@ -98,7 +98,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|covering|xfilter|hostile|churn|broker|benchjson] \
+        "usage: harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|xfilter|hostile|churn|broker|benchjson] \
          [--scale F] [--docs N] [--reps N] [--out PATH]\n\
          \x20      harness compare OLD.json NEW.json [--max-regress PCT] [--abs-slack MS]"
     );
@@ -152,10 +152,6 @@ fn main() {
     }
     if run("insert") {
         insert_times(&opts);
-        ran = true;
-    }
-    if run("covering") {
-        covering_analysis(&opts);
         ran = true;
     }
     if run("xfilter") {
@@ -688,59 +684,6 @@ fn insert_times(opts: &Opts) {
         println!(
             "{inserted:<10} {us:>13.3} {:>13}",
             engine.distinct_predicates()
-        );
-    }
-    println!();
-}
-
-/// Covering analysis: quantifies the paper's future-work extension —
-/// beyond the prefix covering the trie exploits, how many expressions are
-/// covered as *contained* sub-chains of other expressions (suffixes and
-/// infixes)?
-fn covering_analysis(opts: &Opts) {
-    use pxf_core::covering::CoveringIndex;
-    use pxf_core::encode::{encode_single_path, AttrMode};
-    let scale = scale_or(opts, 1.0);
-    println!("## Covering analysis (paper §4.2.2 future work: suffix/contained covering)");
-    print_header(&["regime", "exprs", "prefix-pairs", "contained", "ac-states"]);
-    for regime in [Regime::nitf(), Regime::psd()] {
-        let n = scaled(
-            if regime.name == "nitf" {
-                50_000
-            } else {
-                10_000
-            },
-            scale,
-        );
-        let mut xpath = regime.xpath.clone();
-        xpath.count = n;
-        // A third of the workload is relative expressions: contained
-        // covering only arises between relative chains and the interiors
-        // of longer chains (absolute predicates are always chain-initial).
-        xpath.relative_prob = 0.33;
-        let exprs = pxf_workload::XPathGenerator::new(&regime.dtd, xpath).generate();
-        let mut interner = pxf_xml::Interner::new();
-        let mut index = pxf_predicate::PredicateIndex::new();
-        let chains: Vec<Vec<pxf_predicate::PredId>> = exprs
-            .iter()
-            .map(|e| {
-                encode_single_path(&e.structural_skeleton(), &mut interner, AttrMode::Postponed)
-                    .unwrap()
-                    .preds
-                    .into_iter()
-                    .map(|p| index.insert(p))
-                    .collect()
-            })
-            .collect();
-        let stats = CoveringIndex::analyze(&chains);
-        let ac = CoveringIndex::build(&chains);
-        println!(
-            "{:<10} {:>13} {:>13} {:>13} {:>13}",
-            regime.name,
-            stats.chains,
-            stats.prefix_pairs,
-            stats.contained_pairs,
-            ac.state_count()
         );
     }
     println!();

@@ -281,8 +281,8 @@ pub struct ChurnResult {
     /// Average in-place patch latency per add+remove pair, microseconds
     /// (index mutation only, publication excluded).
     pub patch_us_per_op: f64,
-    /// Average snapshot publication latency, microseconds (prepare +
-    /// `Arc` swap + retired-buffer reclaim or clone).
+    /// Average snapshot publication latency, microseconds (`Arc` swap +
+    /// retired-buffer reclaim or clone).
     pub publish_us: f64,
     /// Snapshots published during the run.
     pub publishes: usize,

@@ -228,8 +228,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     };
     backend.set_parser_limits(limits);
     backend.prepare();
-    // Post-prepare removals: patches the live index in place instead of
-    // rebuilding it (see EngineStats::incremental_patches).
+    // Removals patch the live index in place, like the adds before them.
     let mut removed = 0usize;
     for lineno in &remove_lines {
         match lines_of.iter().position(|l| l == lineno) {

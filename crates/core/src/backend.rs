@@ -2,8 +2,8 @@
 //!
 //! Every matching engine in the workspace — the predicate engine
 //! ([`FilterEngine`]) and the baselines (YFilter, Index-Filter, XFilter) —
-//! follows the same lifecycle: register XPath subscriptions, prepare, then
-//! filter a stream of documents. [`FilterBackend`] captures that lifecycle
+//! follows the same lifecycle: register XPath subscriptions, then filter a
+//! stream of documents. [`FilterBackend`] captures that lifecycle
 //! so harnesses, the CLI, examples, and cross-engine tests can drive any
 //! engine through one object-safe interface instead of hand-rolled
 //! per-engine dispatch.
@@ -42,8 +42,7 @@ impl From<AddError> for BackendError {
 /// A filtering engine behind a uniform, object-safe interface.
 ///
 /// Lifecycle: [`add`](Self::add) subscriptions, optionally
-/// [`prepare`](Self::prepare) (also invoked implicitly by matching), then
-/// match documents — either pre-parsed trees via
+/// [`prepare`](Self::prepare) after a bulk load, then match documents — either pre-parsed trees via
 /// [`match_document`](Self::match_document) or raw bytes via the
 /// single-pass [`match_bytes`](Self::match_bytes). Subscription ids are
 /// assigned in registration order by every backend, so the same workload
@@ -52,8 +51,10 @@ pub trait FilterBackend {
     /// Registers a parsed XPath expression, returning its subscription id.
     fn add(&mut self, expr: &XPathExpr) -> Result<SubId, BackendError>;
 
-    /// Finishes construction after a batch of adds. Optional: matching
-    /// entry points prepare implicitly.
+    /// A hint that a batch of adds is over: a backend may build or
+    /// compact what matching reads. Never required — the baselines'
+    /// matching entry points build on demand, and [`FilterEngine`]'s
+    /// index is complete after every add (this only squeezes it).
     fn prepare(&mut self) {}
 
     /// Unregisters a subscription by id; later documents stop reporting

@@ -67,12 +67,7 @@ impl FilterEngine {
     /// parse-tree encoding, no predicate-index traffic, just a sink
     /// attached to the existing entry; the group, not the member, owns
     /// the chain's predicate references.
-    pub(super) fn add_deduped(
-        &mut self,
-        expr: &XPathExpr,
-        sub: SubId,
-        patch: bool,
-    ) -> Result<(), AddError> {
+    pub(super) fn add_deduped(&mut self, expr: &XPathExpr, sub: SubId) -> Result<(), AddError> {
         let canon = expr.canonical();
         let key = canon.to_string();
         let hash = pxf_xpath::fnv1a(key.as_bytes());
@@ -84,8 +79,7 @@ impl FilterEngine {
                 let node = self.groups[gid as usize].node;
                 let attr_check = self.groups[gid as usize].attr_check.clone();
                 self.groups[gid as usize].members += 1;
-                self.trie
-                    .attach_sink(node, Sink::Sub { sub, attr_check }, patch);
+                self.trie.attach_sink(node, Sink::Sub { sub, attr_check });
                 self.locations.push(SubLocation::Node(node));
                 self.sub_group.push(gid);
                 self.dedup_hits += 1;
@@ -105,13 +99,12 @@ impl FilterEngine {
             .iter()
             .map(|p| self.index.insert(p.clone()))
             .collect();
-        let node = self.insert_expr(
+        let node = self.trie.patch_insert(
             &chain,
             Sink::Sub {
                 sub,
                 attr_check: attr_check.clone(),
             },
-            patch,
         );
         let gid = self.groups.len() as u32;
         self.groups.push(CanonGroup {

@@ -16,16 +16,12 @@ use std::time::Instant;
 impl FilterEngine {
     /// Filters a document using caller-provided scratch. The engine itself
     /// is not mutated, so any number of scratches may be used concurrently
-    /// (see [`Self::matcher`]). Requires [`Self::prepare`].
+    /// (see [`Self::matcher`]).
     pub fn match_document_with<D: DocAccess>(
         &self,
         doc: &D,
         scratch: &mut MatchScratch,
     ) -> Vec<SubId> {
-        debug_assert!(
-            !self.trie.is_dirty(),
-            "prepare() before match_document_with"
-        );
         let MatchScratch {
             publication,
             ctx,

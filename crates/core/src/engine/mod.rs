@@ -112,13 +112,14 @@ pub struct EngineStats {
     pub stage2_walks: u64,
     /// Total subscription matches reported.
     pub matches: u64,
-    /// Maintenance: `add`/`remove` operations applied as in-place patches
-    /// of the packed index (trie columns, `pid→root` map) after the first
-    /// [`FilterEngine::prepare`] — no rebuild involved.
+    /// Maintenance: successful `add` and `remove` operations — each one an
+    /// in-place patch of the packed index; there is no other kind. Kept
+    /// because the `benchmark/` package names the field.
     pub incremental_patches: u64,
-    /// Maintenance: full index recompilations after the first prepare
-    /// (garbage-triggered compactions, or an explicit dirty rebuild).
-    /// Steady-state churn keeps this at zero.
+    /// Maintenance: automatic compactions — an `add` or `remove` that
+    /// found the abandoned arena slots outweighing half the arenas and
+    /// recompiled the trie columns. An explicit [`FilterEngine::prepare`]
+    /// is not counted. Steady-state churn keeps this at zero.
     pub full_rebuilds: u64,
     /// Subscriptions registered as O(1) members of an existing canonical
     /// group (structural-hash dedup) instead of full encode+index adds.
@@ -152,11 +153,11 @@ struct NestedSub {
 /// ```
 #[derive(Debug)]
 pub struct FilterEngine {
-    /// Identifies the content (subscription set and compiled index): drawn
-    /// afresh on construction and on every `add`, `remove` and compiling
-    /// `prepare`, copied by `Clone`. What a [`MatchScratch`] remembers
-    /// about tag paths (its path memo) holds only under the stamp it was
-    /// learned under.
+    /// Identifies the content (the subscription set): drawn afresh on
+    /// construction and on every `add` and `remove`, copied by `Clone`,
+    /// kept by `prepare` (compaction renumbers no trie node). What a
+    /// [`MatchScratch`] remembers about tag paths (its path memo) holds
+    /// only under the stamp it was learned under.
     stamp: u64,
     attr_mode: AttrMode,
     /// True once any subscription carries a selection-postponed attribute
@@ -188,10 +189,6 @@ pub struct FilterEngine {
     /// Subscriptions removed via [`FilterEngine::remove`] (ids are never
     /// reused).
     removed: u32,
-    /// True once [`Self::prepare`] has compiled the packed structures.
-    /// From then on `add`/`remove` patch them in place and `prepare`
-    /// is an O(1) no-op (amortized by occasional compactions).
-    prepared: bool,
     /// Maintenance counters surfaced through [`EngineStats`].
     incremental_patches: u64,
     full_rebuilds: u64,
@@ -228,7 +225,6 @@ impl Clone for FilterEngine {
             canon_index: self.canon_index.clone(),
             sub_group: self.sub_group.clone(),
             removed: self.removed,
-            prepared: self.prepared,
             incremental_patches: self.incremental_patches,
             full_rebuilds: self.full_rebuilds,
             dedup_hits: self.dedup_hits,
@@ -281,7 +277,6 @@ impl FilterEngine {
             canon_index: HashMap::new(),
             sub_group: Vec::new(),
             removed: 0,
-            prepared: false,
             incremental_patches: 0,
             full_rebuilds: 0,
             dedup_hits: 0,
@@ -306,6 +301,12 @@ impl FilterEngine {
         self.n_subs == self.removed
     }
 
+    /// Trie node slots allocated so far (node ids are never reused). Two
+    /// engines that applied the same operations agree on it.
+    pub(crate) fn trie_nodes(&self) -> usize {
+        self.trie.n_nodes()
+    }
+
     /// Number of distinct predicates stored (Fig. 10 metric).
     pub fn distinct_predicates(&self) -> usize {
         self.index.len()
@@ -314,9 +315,10 @@ impl FilterEngine {
     /// Approximate heap footprint of the matching index structures
     /// (packed trie arenas, predicate index), in bytes. Dividing by
     /// [`Self::len`] gives the bytes-per-expression figure the
-    /// compact-layout work optimizes. Builder-side structures (insert-time
-    /// edge map, sink lists) are included so the number reflects what a
-    /// resident engine costs, not just its hot columns.
+    /// compact-layout work optimizes. Allocated capacity is what counts,
+    /// not length, and the structures only maintenance reads (insert-time
+    /// edge map, sink-list headers) are included, so the number reflects
+    /// what a resident engine costs, not just its hot columns.
     pub fn index_bytes(&self) -> usize {
         self.trie.bytes()
             + self.locations.capacity() * std::mem::size_of::<SubLocation>()
@@ -361,14 +363,16 @@ impl FilterEngine {
         self.dedup_hits = 0;
     }
 
-    /// `add`/`remove` operations applied as in-place index patches since
-    /// construction (or the last [`Self::reset_stats`]).
+    /// Successful `add` and `remove` operations since construction (or
+    /// the last [`Self::reset_stats`]); see
+    /// [`EngineStats::incremental_patches`].
     pub fn incremental_patches(&self) -> u64 {
         self.incremental_patches
     }
 
-    /// Full index recompilations after the first [`Self::prepare`]
-    /// (compactions included). Steady-state churn keeps this at zero.
+    /// Automatic compactions since construction (or the last
+    /// [`Self::reset_stats`]); see [`EngineStats::full_rebuilds`].
+    /// Steady-state churn keeps this at zero.
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
     }
@@ -381,36 +385,21 @@ impl FilterEngine {
         self.compaction_override = threshold;
     }
 
-    /// Finishes construction after a batch of [`Self::add`] calls,
-    /// preparing the internal organization for matching. Called
-    /// automatically by the `&mut self` matching API; required before
-    /// [`Self::matcher`] handles can be created.
-    ///
-    /// The first call compiles the packed index from the builder state.
-    /// After that, `add`/`remove` patch the packed structures in place,
-    /// so this is an O(1) no-op — amortized by occasional compactions
-    /// when tombstone garbage crosses a size-proportional threshold.
+    /// Squeezes the index after a bulk load: compacts the trie columns
+    /// into exact-capacity allocations, dropping the spare capacity and
+    /// the abandoned arena slots that [`Self::add`] grew. Optional and
+    /// idempotent — every `add` and `remove` leaves the index complete, so
+    /// matching never needs this, nothing calls it implicitly, and a
+    /// second call with no `add`/`remove` in between does nothing. Match
+    /// sets, subscription ids and trie node ids are unchanged by it.
     pub fn prepare(&mut self) {
-        if self.prepared && !self.trie.is_dirty() {
-            return;
+        if !self.trie.is_compiled() {
+            self.trie.compile();
         }
-        self.trie.finalize();
-        self.stamp = fresh_stamp();
-        if self.prepared {
-            self.full_rebuilds += 1;
-        }
-        self.prepared = true;
     }
 
-    /// True when `add`/`remove` can patch the packed structures directly:
-    /// the index is compiled and no un-compiled mutation is pending.
-    fn ready_for_patch(&self) -> bool {
-        self.prepared && !self.trie.is_dirty()
-    }
-
-    /// Recompiles the packed trie columns from the builder state,
-    /// reclaiming abandoned arena slots, once they outweigh half the
-    /// arenas.
+    /// Compacts the trie columns, reclaiming abandoned arena slots, once
+    /// they outweigh half the arenas.
     fn maybe_compact(&mut self) {
         let threshold = self
             .compaction_override
@@ -421,14 +410,10 @@ impl FilterEngine {
         }
     }
 
-    /// Creates a concurrent matching handle over this engine. Panics if
-    /// subscriptions were added since the last [`Self::prepare`] (or
-    /// `&mut self` match) — prepare first.
+    /// Creates a concurrent matching handle over this engine. It sees
+    /// every subscription registered so far; the borrow keeps the engine
+    /// from changing under it.
     pub fn matcher(&self) -> Matcher<'_> {
-        assert!(
-            !self.trie.is_dirty(),
-            "FilterEngine::matcher: call prepare() after adding or removing subscriptions"
-        );
         Matcher {
             engine: self,
             scratch: MatchScratch::default(),
@@ -445,25 +430,21 @@ impl FilterEngine {
     ///
     /// Insertion is constant-time in the number of subscriptions already in
     /// the system (the paper §6.1): encoding is linear in the expression's
-    /// location steps and each predicate insert is an O(1) index probe.
+    /// location steps, each predicate insert is an O(1) index probe, and
+    /// the trie columns matching reads are patched in place (amortized by
+    /// occasional compactions) — the subscription is visible to the next
+    /// match, with no build step in between.
     pub fn add(&mut self, expr: &XPathExpr) -> Result<SubId, AddError> {
         self.stamp = fresh_stamp();
         let sub = SubId(self.n_subs);
-        // Once the packed index is compiled, new subscriptions patch it
-        // in place; before the first prepare() they accumulate in the
-        // builder state for the bulk compilation.
-        let patch = self.ready_for_patch();
         if expr.has_nested_paths() {
-            self.add_nested(expr, sub, patch)?;
+            self.add_nested(expr, sub)?;
         } else {
-            self.add_deduped(expr, sub, patch)?;
+            self.add_deduped(expr, sub)?;
         }
         self.n_subs += 1;
-        if patch {
-            debug_assert!(self.ready_for_patch());
-            self.incremental_patches += 1;
-            self.maybe_compact();
-        }
+        self.incremental_patches += 1;
+        self.maybe_compact();
         debug_assert_eq!(self.locations.len(), self.n_subs as usize);
         debug_assert_eq!(self.sub_group.len(), self.n_subs as usize);
         Ok(sub)
@@ -480,15 +461,12 @@ impl FilterEngine {
             return false;
         };
         self.stamp = fresh_stamp();
-        let patch = self.ready_for_patch();
         match location {
             SubLocation::Gone => return false,
             SubLocation::Node(n) => {
-                let detached = self.trie.detach_sink(
-                    n,
-                    |s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub),
-                    patch,
-                );
+                let detached = self
+                    .trie
+                    .detach_sink(n, |s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub));
                 debug_assert!(detached, "a located subscription has its sink");
                 // Single-path members do not own predicate-index
                 // references — their canonical group does.
@@ -499,15 +477,16 @@ impl FilterEngine {
                 if let Some(moved) = self.nested.get(i as usize) {
                     self.locations[moved.sub.0 as usize] = SubLocation::Nested(i);
                 }
+                let mut chain = Vec::new();
                 for (ci, &node) in ns.nodes.iter().enumerate() {
-                    for pid in self.trie.ancestor_pids(node) {
+                    self.trie.chain_into(node, &mut chain);
+                    for &pid in &chain {
                         self.index.release(pid);
                     }
                     let comp = ns.comp_base + ci as u32;
                     let detached = self.trie.detach_sink(
                         node,
                         |s| matches!(s, Sink::Component { comp: c } if *c == comp),
-                        patch,
                     );
                     debug_assert!(detached, "a live component has its sink");
                 }
@@ -519,15 +498,12 @@ impl FilterEngine {
         }
         self.locations[sub.0 as usize] = SubLocation::Gone;
         self.removed += 1;
-        if patch {
-            debug_assert!(self.ready_for_patch());
-            self.incremental_patches += 1;
-            self.maybe_compact();
-        }
+        self.incremental_patches += 1;
+        self.maybe_compact();
         true
     }
 
-    fn add_nested(&mut self, expr: &XPathExpr, sub: SubId, patch: bool) -> Result<(), AddError> {
+    fn add_nested(&mut self, expr: &XPathExpr, sub: SubId) -> Result<(), AddError> {
         let plan = decompose(expr);
         // Validate every component before registering any of them.
         let mut encoded = Vec::with_capacity(plan.components.len());
@@ -564,7 +540,7 @@ impl FilterEngine {
                     .map(|p| self.index.insert(p.clone()))
                     .collect();
                 let comp = comp_base + ci as u32;
-                self.insert_expr(&preds, Sink::Component { comp }, patch)
+                self.trie.patch_insert(&preds, Sink::Component { comp })
             })
             .collect();
         self.locations
@@ -579,19 +555,9 @@ impl FilterEngine {
         Ok(())
     }
 
-    /// Inserts a predicate chain with its sink, returning the trie node.
-    fn insert_expr(&mut self, preds: &[PredId], sink: Sink, patch: bool) -> u32 {
-        if patch {
-            self.trie.patch_insert(preds, sink)
-        } else {
-            self.trie.insert(preds, sink)
-        }
-    }
-
     /// Filters a document: returns the ids of all matching subscriptions,
     /// in ascending order.
     pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<SubId> {
-        self.prepare();
         let mut scratch = std::mem::take(&mut self.scratch);
         let results = self.match_document_with(doc, &mut scratch);
         self.scratch = scratch;

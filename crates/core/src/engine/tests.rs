@@ -334,6 +334,115 @@ fn remove_unknown_id_is_noop() {
     assert!(!engine.remove(SubId(42)));
 }
 
+/// A random expression over tags `a`–`d`: two to four steps, `/` or `//`,
+/// the odd wildcard, and now and then an attribute filter or a nested
+/// path hung on a step.
+fn arb_expr_src(rng: &mut pxf_rng::Rng) -> String {
+    const TAGS: [&str; 4] = ["a", "b", "c", "d"];
+    let mut src = String::new();
+    for step in 0..rng.gen_range(2..5usize) {
+        src += if rng.gen_bool(0.3) { "//" } else { "/" };
+        if step > 0 && rng.gen_bool(0.15) {
+            src += "*";
+            continue;
+        }
+        src += TAGS[rng.gen_index(TAGS.len())];
+        match rng.gen_range(0..10u32) {
+            0 => src += "[@k = \"1\"]",
+            1 => src += "[@m]",
+            2 => src += &format!("[{}]", TAGS[rng.gen_index(TAGS.len())]),
+            3 => src += &format!("[{}/c]", TAGS[rng.gen_index(TAGS.len())]),
+            _ => {}
+        }
+    }
+    src
+}
+
+/// The trie nodes holding a subscription's sinks (none once removed).
+fn sub_nodes(engine: &FilterEngine, sub: u32) -> Vec<u32> {
+    match engine.locations[sub as usize] {
+        SubLocation::Node(n) => vec![n],
+        SubLocation::Nested(i) => engine.nested[i as usize].nodes.to_vec(),
+        SubLocation::Gone => Vec::new(),
+    }
+}
+
+/// `prepare()` is layout only: a script of adds and removes squeezed once
+/// at the end and the same script squeezed after every operation give the
+/// same match sets and put every subscription on the same trie nodes.
+#[test]
+fn prepare_changes_neither_match_sets_nor_node_ids() {
+    let mut rng = pxf_rng::Rng::seed_from_u64(0x16_0001);
+    let docs = [
+        doc("<a><b k=\"1\" m=\"2\"><c/></b><d><c/></d></a>"),
+        doc("<a><a><b><c><d/></c></b></a><c k=\"2\"/></a>"),
+        doc("<d><b m=\"1\"><a><c/></a></b></d>"),
+    ];
+    for script in 0..64 {
+        let mode = MODES[script % 2];
+        let (mut once, mut each) = (FilterEngine::new(mode), FilterEngine::new(mode));
+        let mut live: Vec<SubId> = Vec::new();
+        for _ in 0..rng.gen_range(4..40usize) {
+            if live.is_empty() || rng.gen_bool(0.7) {
+                let src = arb_expr_src(&mut rng);
+                let sub = once.add_str(&src).unwrap();
+                assert_eq!(each.add_str(&src).unwrap(), sub, "{src}");
+                live.push(sub);
+            } else {
+                let sub = live.swap_remove(rng.gen_index(live.len()));
+                assert!(once.remove(sub) && each.remove(sub));
+            }
+            each.prepare();
+        }
+        once.prepare();
+        assert_eq!(once.trie_nodes(), each.trie_nodes(), "script {script}");
+        for sub in 0..once.n_subs {
+            assert_eq!(
+                sub_nodes(&once, sub),
+                sub_nodes(&each, sub),
+                "script {script}, sub {sub}"
+            );
+        }
+        for d in &docs {
+            assert_eq!(
+                once.match_document(d),
+                each.match_document(d),
+                "script {script}, doc {}",
+                d.to_xml()
+            );
+        }
+    }
+}
+
+/// After a patched bulk load, `prepare()` leaves nothing to squeeze: no
+/// abandoned arena slot, a footprint a second `prepare()` does not
+/// change, and a trie no larger than the exact-capacity copy a clone
+/// makes of it (the clone also trims the predicate index and the
+/// location table, which `prepare()` leaves alone, so only the trie
+/// is compared there).
+#[test]
+fn prepare_squeezes_to_exact_capacity_and_is_idempotent() {
+    let mut rng = pxf_rng::Rng::seed_from_u64(0x16_0002);
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        for _ in 0..2000 {
+            engine.add_str(&arb_expr_src(&mut rng)).unwrap();
+        }
+        assert!(engine.trie.garbage() > 0, "the load relocated no span?");
+        let loaded = engine.index_bytes();
+        engine.prepare();
+        assert_eq!(engine.trie.garbage(), 0);
+        let squeezed = engine.index_bytes();
+        assert!(squeezed < loaded, "{squeezed} vs {loaded}");
+        let mut copy = engine.clone();
+        copy.trie.compile();
+        assert_eq!(copy.trie.bytes(), engine.trie.bytes(), "{mode:?}");
+        engine.prepare();
+        assert_eq!(engine.index_bytes(), squeezed, "{mode:?}");
+        assert_eq!(engine.full_rebuilds(), 0);
+    }
+}
+
 /// A stream built to fill the path memo: 50k single-path documents, all
 /// distinct, 20–44 known tags deep, with eight recurring documents mixed
 /// in so that records are held (and lost, and earned again) when the

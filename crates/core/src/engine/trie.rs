@@ -1,7 +1,7 @@
 //! The expression trie (paper Fig. 2) as capacity-tracked arena spans:
-//! the builder nodes (insertion-time state plus the cold sink lists) and
-//! the packed structure-of-arrays columns the stage-2 walk reads. This
-//! module is the only place that names a column; the matcher sees
+//! packed structure-of-arrays columns the stage-2 walk reads, patched in
+//! place by every insert and removal, plus the cold per-node sink lists.
+//! This module is the only place that names a column; the matcher sees
 //! `children(n)`, `plain_subs(n)`, `sink_len(n)`, `sinks(n)`, the root
 //! table and `root_of(pid)`.
 
@@ -36,44 +36,38 @@ impl Sink {
     }
 }
 
-/// A trie node in the *builder* representation: insertion-time state plus
-/// the sink lists, which stay here (cold) while the hot matching walk runs
-/// over the arena-packed [`PackedTrie`] columns compiled by
-/// [`Trie::finalize`].
-#[derive(Debug, Clone)]
-struct TrieNode {
-    pid: PredId,
-    parent: u32, // NO_PARENT = root-level node, PRUNED = unlinked slot
-    sinks: Vec<Sink>,
-}
-
+/// `parent` of a root-level node.
 const NO_PARENT: u32 = u32::MAX;
-/// Builder `parent` of a node [`Trie::prune`] unlinked: the slot stays
-/// (node ids are never reused) but no edge or root leads to it.
+/// `parent` of a node [`Trie::prune`] unlinked: the slot stays (node ids
+/// are never reused) but no edge or root leads to it.
 const PRUNED: u32 = u32::MAX - 1;
 const NO_ROOT: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Default)]
 pub(super) struct Trie {
-    nodes: Vec<TrieNode>,
+    /// Node → its sinks. Cold: the walk reads them only where a node
+    /// holds something other than plain subscriptions.
+    sinks: Vec<Vec<Sink>>,
     /// Insert-time edge lookup: `(parent, pid) → child` (parent
     /// `NO_PARENT` keys the root level). Matching never touches this —
-    /// it walks the packed CSR ranges instead.
+    /// it walks the packed child spans instead.
     edges: HashMap<(u32, PredId), u32>,
-    /// Arena-packed read-only layout; rebuilt lazily.
+    /// The arena-packed columns matching reads.
     packed: PackedTrie,
-    dirty: bool,
     /// Arena slots abandoned by span relocations since the last
-    /// [`Self::finalize`].
+    /// [`Self::compile`].
     garbage: usize,
+    /// True while the columns are exactly what [`Self::compile`] left:
+    /// nothing was patched since, so compiling again would change nothing.
+    compiled: bool,
 }
 
 /// A capacity-tracked slice of an arena: the live elements are
 /// `arena[start..start + len]` and the slot owns `cap` elements starting
-/// at `start`. Bulk compilation emits spans with `cap == len` (a plain
-/// CSR); incremental patching appends in place while `len < cap` and
-/// relocates the span to the end of the arena (doubling `cap`) when
-/// full, leaving the abandoned slot as garbage for the next compaction.
+/// at `start`. Compilation emits spans with `cap == len` (a plain CSR);
+/// patching appends in place while `len < cap` and relocates the span to
+/// the end of the arena (doubling `cap`) when full, leaving the abandoned
+/// slot as garbage for the next compaction.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: u32,
@@ -82,6 +76,15 @@ struct Span {
 }
 
 impl Span {
+    /// A span that is full: `len` elements at `start` and no room to grow.
+    fn exact(start: u32, len: u32) -> Span {
+        Span {
+            start,
+            len,
+            cap: len,
+        }
+    }
+
     #[inline]
     fn range(&self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
@@ -141,18 +144,18 @@ fn grow_span2<A: Copy, B: Copy>(
 /// Arena-packed structure-of-arrays trie layout: per-node columns, child
 /// edges as capacity-tracked arena spans (sorted by predicate at compile
 /// time, append-order afterwards) and roots as parallel arrays. The hot
-/// stage-2 walk touches only these dense columns (plus the builder sink
-/// lists when a node actually resolves subscriptions). Incremental
-/// `add`/`remove` patch the columns in place; [`Trie::finalize`]
-/// recompiles them from scratch.
+/// stage-2 walk touches only these dense columns (plus the sink lists
+/// where a node holds more than plain subscriptions). `add`/`remove`
+/// patch the columns in place; [`Trie::compile`] lays the spans out
+/// afresh, at exact capacity, without renumbering a node.
 #[derive(Debug, Clone, Default)]
 struct PackedTrie {
     /// Node → its predicate.
     pid: Vec<PredId>,
-    /// Node → parent node (`NO_PARENT` at roots).
+    /// Node → parent node (`NO_PARENT` at roots, `PRUNED` once unlinked).
     parent: Vec<u32>,
     /// Node → number of sinks (hot presence check; the sinks themselves
-    /// stay on the builder nodes).
+    /// are in [`Trie::sinks`]).
     sink_len: Vec<u32>,
     /// Plain-subscription sink spans: node `n`'s sinks that are
     /// `Sink::Sub` with no attribute check, as bare subscription ids in
@@ -206,7 +209,7 @@ impl PackedTrie {
 /// The matcher's read-only view of the packed columns.
 impl Trie {
     pub(super) fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.sinks.len()
     }
 
     /// Node → number of sinks.
@@ -221,10 +224,10 @@ impl Trie {
         &self.packed.plain_subs[self.packed.plain_span[n as usize].range()]
     }
 
-    /// Node → all of its sinks (the cold builder list).
+    /// Node → all of its sinks (the cold list).
     #[inline]
     pub(super) fn sinks(&self, n: u32) -> &[Sink] {
-        &self.nodes[n as usize].sinks
+        &self.sinks[n as usize]
     }
 
     /// Node → its child edges as parallel `(pid, node)` slices.
@@ -275,15 +278,9 @@ impl Trie {
     }
 }
 
-/// Maintenance: bulk build, compilation, and in-place patching.
+/// Maintenance: in-place patching and compaction.
 impl Trie {
-    /// True when the builder state changed since the last
-    /// [`Self::finalize`] (the packed columns are stale).
-    pub(super) fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Arena slots abandoned since the last [`Self::finalize`].
+    /// Arena slots abandoned since the last [`Self::compile`].
     pub(super) fn garbage(&self) -> usize {
         self.garbage
     }
@@ -294,137 +291,86 @@ impl Trie {
         self.packed.plain_subs.len() + self.packed.child_pid.len()
     }
 
-    /// Heap footprint of the packed columns plus the builder-side
-    /// structures (nodes, insert-time edge map), in bytes.
+    /// Heap footprint of the packed columns, the sink-list headers and
+    /// the insert-time edge map, in bytes.
     pub(super) fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.packed.arena_bytes()
-            + self.nodes.capacity() * size_of::<TrieNode>()
-            + self.edges.len() * size_of::<((u32, PredId), u32)>()
+            + self.sinks.capacity() * size_of::<Vec<Sink>>()
+            + self.edges.capacity() * size_of::<((u32, PredId), u32)>()
     }
 
-    /// The predicates on the way from node `n` up to its root (`n`'s own
-    /// first), read from the builder nodes — valid before the first
-    /// [`Self::finalize`].
-    pub(super) fn ancestor_pids(&self, n: u32) -> impl Iterator<Item = PredId> + '_ {
-        std::iter::successors(Some(n), |&cur| {
-            let parent = self.nodes[cur as usize].parent;
-            (parent != NO_PARENT).then_some(parent)
-        })
-        .map(|cur| self.nodes[cur as usize].pid)
+    /// True when nothing was patched since the last [`Self::compile`].
+    pub(super) fn is_compiled(&self) -> bool {
+        self.compiled
     }
 
-    /// Bulk insert into the builder state; the packed columns go stale
-    /// until the next [`Self::finalize`].
-    pub(super) fn insert(&mut self, preds: &[PredId], sink: Sink) -> u32 {
-        debug_assert!(!preds.is_empty());
-        let mut current: u32 = NO_PARENT;
-        for &pid in preds {
-            current = match self.edges.get(&(current, pid)) {
-                Some(&n) => n,
-                None => {
-                    let n = self.alloc(pid, current);
-                    self.edges.insert((current, pid), n);
-                    n
-                }
-            };
-        }
-        self.nodes[current as usize].sinks.push(sink);
-        self.dirty = true;
-        current
-    }
-
-    fn alloc(&mut self, pid: PredId, parent: u32) -> u32 {
-        let id = self.nodes.len() as u32;
-        self.nodes.push(TrieNode {
-            pid,
-            parent,
-            sinks: Vec::new(),
-        });
-        id
-    }
-
-    /// Brings the packed columns up to date with the builder state.
-    pub(super) fn finalize(&mut self) {
-        if self.dirty {
-            self.compile();
-        }
-    }
-
-    /// Compiles the packed layout from the builder nodes: child CSR
-    /// (counting sort by `(parent, pid)`) and sorted root arrays.
-    /// Abandoned arena slots and pruned nodes' edges are left behind.
+    /// Compaction: lays the span arenas out afresh — child spans as a CSR
+    /// sorted by `(parent, pid)`, plain spans in node order, sorted root
+    /// arrays — and brings every column and the edge map down to what
+    /// they hold. Abandoned arena slots and the spare capacity patching
+    /// grew are dropped; node ids, and with them everything a caller
+    /// holds about this trie, stay as they are.
     pub(super) fn compile(&mut self) {
-        let n = self.nodes.len();
         let p = &mut self.packed;
-        p.pid.clear();
-        p.parent.clear();
-        p.sink_len.clear();
-        p.pid.extend(self.nodes.iter().map(|nd| nd.pid));
-        p.parent.extend(self.nodes.iter().map(|nd| nd.parent));
-        p.sink_len
-            .extend(self.nodes.iter().map(|nd| nd.sinks.len() as u32));
-        p.plain_span.clear();
-        p.plain_subs.clear();
-        for nd in &self.nodes {
-            let start = p.plain_subs.len() as u32;
-            p.plain_subs
-                .extend(nd.sinks.iter().filter_map(Sink::plain_sub));
-            let len = p.plain_subs.len() as u32 - start;
-            p.plain_span.push(Span {
-                start,
-                len,
-                cap: len,
-            });
-        }
+        p.pid.shrink_to_fit();
+        p.parent.shrink_to_fit();
+        p.sink_len.shrink_to_fit();
+
+        let n_plain = p.plain_span.iter().map(|s| s.len as usize).sum();
+        p.plain_subs = Vec::with_capacity(n_plain);
+        p.plain_span = self
+            .sinks
+            .iter()
+            .map(|sinks| {
+                let start = p.plain_subs.len();
+                p.plain_subs
+                    .extend(sinks.iter().filter_map(Sink::plain_sub));
+                Span::exact(start as u32, (p.plain_subs.len() - start) as u32)
+            })
+            .collect();
 
         // Every linked non-root node contributes exactly one child edge.
         let mut edges: Vec<(u32, PredId, u32)> = Vec::new();
         let mut roots: Vec<(PredId, u32)> = Vec::new();
-        for (i, nd) in self.nodes.iter().enumerate() {
-            match nd.parent {
-                NO_PARENT => roots.push((nd.pid, i as u32)),
+        for (i, (&pid, &parent)) in p.pid.iter().zip(&p.parent).enumerate() {
+            match parent {
+                NO_PARENT => roots.push((pid, i as u32)),
                 PRUNED => {}
-                parent => edges.push((parent, nd.pid, i as u32)),
+                parent => edges.push((parent, pid, i as u32)),
             }
         }
         edges.sort_unstable();
         roots.sort_unstable();
-        let mut counts = vec![0u32; n];
+        let mut counts = vec![0u32; p.pid.len()];
         for &(parent, _, _) in &edges {
             counts[parent as usize] += 1;
         }
-        p.child_span.clear();
-        let mut acc = 0u32;
-        for &len in &counts {
-            p.child_span.push(Span {
-                start: acc,
-                len,
-                cap: len,
-            });
-            acc += len;
-        }
-        p.child_pid.clear();
-        p.child_node.clear();
-        p.child_pid.extend(edges.iter().map(|e| e.1));
-        p.child_node.extend(edges.iter().map(|e| e.2));
-        p.root_pid.clear();
-        p.root_node.clear();
-        p.root_pid.extend(roots.iter().map(|r| r.0));
-        p.root_node.extend(roots.iter().map(|r| r.1));
-        p.root_of.clear();
+        let mut next = 0;
+        p.child_span = counts
+            .iter()
+            .map(|&len| {
+                next += len;
+                Span::exact(next - len, len)
+            })
+            .collect();
+        p.child_pid = edges.iter().map(|e| e.1).collect();
+        p.child_node = edges.iter().map(|e| e.2).collect();
+        p.root_pid = roots.iter().map(|r| r.0).collect();
+        p.root_node = roots.iter().map(|r| r.1).collect();
+        p.root_of = vec![NO_ROOT; roots.iter().map(|r| r.0.index() + 1).max().unwrap_or(0)];
         for &(pid, node) in &roots {
-            p.set_root(pid, node);
+            p.root_of[pid.index()] = node;
         }
-        self.dirty = false;
+        self.sinks.shrink_to_fit();
+        self.edges.shrink_to_fit();
         self.garbage = 0;
+        self.compiled = true;
     }
 
-    /// Incremental insert: walks or creates the predicate chain exactly
-    /// like [`Self::insert`], mirroring every new node into the packed
-    /// columns (and the root / `pid→root` tables), and attaches the sink.
-    /// Leaves no dirty flag behind: the packed view stays exactly what
-    /// [`Self::finalize`] would produce, up to span layout and root order.
+    /// Walks or creates the predicate chain, appending every new node to
+    /// the columns (and the root / `pid→root` tables), and attaches the
+    /// sink. Returns the node holding it.
     pub(super) fn patch_insert(&mut self, preds: &[PredId], sink: Sink) -> u32 {
         debug_assert!(!preds.is_empty());
         let mut current: u32 = NO_PARENT;
@@ -433,7 +379,8 @@ impl Trie {
                 Some(&n) => n,
                 None => {
                     let parent = current;
-                    let n = self.alloc(pid, parent);
+                    let n = self.sinks.len() as u32;
+                    self.sinks.push(Vec::new());
                     self.edges.insert((parent, pid), n);
                     let p = &mut self.packed;
                     debug_assert_eq!(p.pid.len(), n as usize);
@@ -462,22 +409,16 @@ impl Trie {
                 }
             };
         }
-        self.attach_sink(current, sink, true);
+        self.attach_sink(current, sink);
         current
     }
 
-    /// Attaches one more sink to node `n`, mirroring it into the packed
-    /// columns when patching.
-    pub(super) fn attach_sink(&mut self, n: u32, sink: Sink, patch: bool) {
-        let plain_sub = sink.plain_sub();
-        self.nodes[n as usize].sinks.push(sink);
-        if !patch {
-            self.dirty = true;
-            return;
-        }
+    /// Attaches one more sink to node `n`.
+    pub(super) fn attach_sink(&mut self, n: u32, sink: Sink) {
+        self.compiled = false;
         let p = &mut self.packed;
         p.sink_len[n as usize] += 1;
-        if let Some(s) = plain_sub {
+        if let Some(s) = sink.plain_sub() {
             grow_span(
                 &mut p.plain_subs,
                 &mut p.plain_span[n as usize],
@@ -485,29 +426,19 @@ impl Trie {
                 &mut self.garbage,
             );
         }
+        self.sinks[n as usize].push(sink);
     }
 
     /// Detaches the first sink of node `n` that `is_target` accepts;
-    /// false when there is none. When patching, a node left with neither
-    /// sinks nor children is unlinked (see [`Self::prune`]).
-    pub(super) fn detach_sink(
-        &mut self,
-        n: u32,
-        is_target: impl Fn(&Sink) -> bool,
-        patch: bool,
-    ) -> bool {
-        let sinks = &mut self.nodes[n as usize].sinks;
+    /// false when there is none. A node left with neither sinks nor
+    /// children is unlinked (see [`Self::prune`]).
+    pub(super) fn detach_sink(&mut self, n: u32, is_target: impl Fn(&Sink) -> bool) -> bool {
+        let sinks = &mut self.sinks[n as usize];
         let Some(pos) = sinks.iter().position(is_target) else {
             return false;
         };
         let plain_sub = sinks.remove(pos).plain_sub();
-        if !patch {
-            // The packed sink columns (`sink_len`, the plain-sub arena)
-            // mirror the builder sink lists and must be recompiled at the
-            // next prepare().
-            self.dirty = true;
-            return true;
-        }
+        self.compiled = false;
         let p = &mut self.packed;
         p.sink_len[n as usize] -= 1;
         if let Some(sub) = plain_sub {
@@ -538,9 +469,8 @@ impl Trie {
     fn prune(&mut self, mut n: u32) {
         let p = &mut self.packed;
         while p.sink_len[n as usize] == 0 && p.child_span[n as usize].len == 0 {
-            let node = &mut self.nodes[n as usize];
-            let (pid, parent) = (node.pid, node.parent);
-            node.parent = PRUNED;
+            let (pid, parent) = (p.pid[n as usize], p.parent[n as usize]);
+            p.parent[n as usize] = PRUNED;
             self.edges.remove(&(parent, pid));
             if parent == NO_PARENT {
                 let i = p

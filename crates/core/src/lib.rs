@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod covering;
 pub mod encode;
 mod engine;
 pub mod nested;

@@ -239,8 +239,8 @@ fn effective_threads(threads: usize, n_docs: usize) -> usize {
 /// Filters a batch of parsed documents across `threads` worker threads,
 /// returning per-document outcomes in input order.
 ///
-/// The engine must be prepared ([`FilterEngine::prepare`]) — it is borrowed
-/// immutably. With `threads == 1` this degenerates to a sequential loop
+/// The engine is borrowed immutably and every worker sees all of its
+/// subscriptions. With `threads == 1` this degenerates to a sequential loop
 /// (no threads are spawned); `threads == 0` means "use every available
 /// core" ([`std::thread::available_parallelism`]). A panic while matching
 /// one document yields a [`DocError::Panicked`] entry for that document
@@ -252,7 +252,6 @@ fn effective_threads(threads: usize, n_docs: usize) -> usize {
 ///
 /// let mut engine = FilterEngine::default();
 /// let s = engine.add_str("/a/b").unwrap();
-/// engine.prepare();
 /// let docs = vec![
 ///     Document::parse(b"<a><b/></a>").unwrap(),
 ///     Document::parse(b"<x/>").unwrap(),
@@ -328,7 +327,6 @@ mod tests {
             engine.add_str("//c").unwrap(),
             engine.add_str("a/*/d").unwrap(),
         ];
-        engine.prepare();
         (engine, ids)
     }
 
@@ -447,18 +445,61 @@ mod tests {
         }
     }
 
+    /// There is no build step between registering and matching: straight
+    /// after every `add` and `remove`, with no `prepare()` anywhere, each
+    /// `&self` entry point reports exactly what the reference oracle does.
     #[test]
-    fn matcher_requires_prepare() {
-        let mut engine = FilterEngine::default();
-        engine.add_str("/a").unwrap();
-        let result = std::panic::catch_unwind(|| {
-            let _ = engine.matcher();
-        });
-        assert!(result.is_err(), "matcher() must panic before prepare()");
-        engine.prepare();
-        let mut m = engine.matcher();
-        let doc = Document::parse(b"<a/>").unwrap();
-        assert_eq!(m.match_document(&doc).len(), 1);
+    fn matchers_see_every_add_and_remove_at_once() {
+        use crate::reference::matches_document;
+        use crate::{AttrMode, MatchScratch};
+        const EXPRS: [&str; 6] = [
+            "/a/b",            // single path
+            "//c",             //
+            "//b[@k = \"1\"]", // attribute filter
+            "/a/b[@m]/c",      //
+            "/a[b/c]/d",       // nested
+            "//b[c][@k]",      //
+        ];
+        let docs: Vec<Document> = [
+            "<a><b k=\"1\" m=\"2\"><c/></b><d/></a>",
+            "<a><b><c/></b><b k=\"2\"/></a>",
+            "<x><c/></x>",
+        ]
+        .iter()
+        .map(|d| Document::parse(d.as_bytes()).unwrap())
+        .collect();
+        for mode in [AttrMode::Inline, AttrMode::Postponed] {
+            let mut engine = FilterEngine::new(mode);
+            let mut live: Vec<(SubId, &str)> = Vec::new();
+            let check = |engine: &FilterEngine, live: &[(SubId, &str)]| {
+                let mut scratch = MatchScratch::new();
+                let batch = filter_batch(engine, &docs, 2);
+                for (doc, from_batch) in docs.iter().zip(batch) {
+                    let want: Vec<SubId> = live
+                        .iter()
+                        .filter(|(_, e)| matches_document(&pxf_xpath::parse(e).unwrap(), doc))
+                        .map(|(sub, _)| *sub)
+                        .collect();
+                    let ctx = format!("{mode:?}, live {live:?}, doc {}", doc.to_xml());
+                    assert_eq!(engine.matcher().match_document(doc), want, "{ctx}");
+                    assert_eq!(engine.match_document_with(doc, &mut scratch), want, "{ctx}");
+                    assert_eq!(from_batch.unwrap(), want, "{ctx}");
+                }
+            };
+            check(&engine, &live);
+            for e in EXPRS {
+                live.push((engine.add_str(e).unwrap(), e));
+                check(&engine, &live);
+            }
+            // Every other one goes, then the rest, then one comes back.
+            for i in [0, 1, 2, 0, 0, 0] {
+                let (sub, _) = live.remove(i);
+                assert!(engine.remove(sub));
+                check(&engine, &live);
+            }
+            live.push((engine.add_str(EXPRS[4]).unwrap(), EXPRS[4]));
+            check(&engine, &live);
+        }
     }
 
     #[test]

@@ -15,27 +15,36 @@
 //! The publisher double-buffers: publishing moves the writer's engine
 //! into the new snapshot and recycles the engine inside the *previous*
 //! snapshot as the next write buffer, catching it up by replaying the
-//! operation log accumulated since the last publish (subscription ids
-//! are assigned deterministically in registration order, so a replay
-//! reconstructs the identical index). Steady-state churn therefore
-//! costs two in-place patches per operation (once on the write buffer,
-//! once at replay) and *no* engine clone — unless a reader still holds
-//! the previous snapshot after a bounded reclamation spin, in which
-//! case the publisher falls back to one deep clone of the fresh
-//! snapshot.
+//! operation log accumulated since the last publish. Steady-state churn
+//! therefore costs two in-place patches per operation (once on the write
+//! buffer, once at replay) and *no* engine clone — unless a reader still
+//! holds the previous snapshot after a bounded reclamation spin, in
+//! which case the publisher falls back to one deep clone of the fresh
+//! snapshot. Publication itself does no index work: every
+//! [`FilterEngine::add`]/[`FilterEngine::remove`] leaves the index
+//! complete, so there is nothing to finish before the swap.
 //!
-//! Because [`FilterEngine::add`]/[`FilterEngine::remove`] patch the
-//! prepared index in place (see the engine's incremental-maintenance
-//! counters), the `prepare()` inside [`SnapshotPublisher::publish`] is
-//! amortized O(1): it verifies the patched flags and returns.
+//! # Replay determinism
+//!
+//! Both buffers have applied the same operations in the same order, and
+//! that fixes everything an id can name: subscription ids are assigned in
+//! registration order, trie node ids in creation order by the engine's
+//! one insert walk, and neither a removal (it only unlinks) nor a
+//! compaction (it lays spans out afresh, node by node) renumbers a node.
+//! A deep clone copies the ids with the rest. So the two buffers agree on
+//! subscription ids *and* trie node ids by construction;
+//! [`SnapshotPublisher::publish`] asserts it after every catch-up, in
+//! release builds too: each replayed add must return the logged id, and
+//! the caught-up buffer must hold as many trie nodes and live
+//! subscriptions as the engine just published.
 
 use crate::engine::{AddError, FilterEngine, Matcher, SubId};
 use pxf_xpath::XPathExpr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// An immutable published view of the subscription base: a prepared
-/// engine frozen at a publication epoch. Readers mint per-thread
+/// An immutable published view of the subscription base: an engine
+/// frozen at a publication epoch. Readers mint per-thread
 /// [`Matcher`]s from it; the engine is never mutated after publication.
 #[derive(Debug)]
 pub struct EngineSnapshot {
@@ -162,8 +171,9 @@ const RECLAIM_SPINS: usize = 64;
 const RECLAIM_SLEEPS: usize = 25;
 
 impl SnapshotPublisher {
-    /// Takes ownership of an engine (prepared or not) and publishes its
-    /// current state as the epoch-0 snapshot.
+    /// Takes ownership of an engine and publishes its current state as the
+    /// epoch-0 snapshot, squeezing it first ([`FilterEngine::prepare`]):
+    /// this is where a bulk-loaded resident set usually arrives.
     pub fn new(mut engine: FilterEngine) -> Self {
         engine.prepare();
         let snapshot = Arc::new(EngineSnapshot {
@@ -239,9 +249,6 @@ impl SnapshotPublisher {
     /// operation applied so far; readers holding older snapshots are
     /// undisturbed.
     pub fn publish(&mut self) -> u64 {
-        // Amortized O(1) in steady state: add/remove patched in place,
-        // so the dirty flags are clean and prepare() early-returns.
-        self.write.prepare();
         self.epoch += 1;
         let fresh = Arc::new(EngineSnapshot {
             engine: std::mem::take(&mut self.write),
@@ -258,9 +265,10 @@ impl SnapshotPublisher {
     }
 
     /// Recycles the engine inside the retired snapshot as the next write
-    /// buffer, replaying the logged operations to catch it up. Falls
-    /// back to cloning the just-published engine if readers still hold
-    /// the retired snapshot after a bounded wait.
+    /// buffer, replaying the logged operations to catch it up (and
+    /// checking the outcome; see the module docs on replay determinism).
+    /// Falls back to cloning the just-published engine if readers still
+    /// hold the retired snapshot after a bounded wait.
     fn reclaim(&mut self, mut retired: Arc<EngineSnapshot>) -> FilterEngine {
         for round in 0..RECLAIM_SPINS + RECLAIM_SLEEPS {
             match Arc::try_unwrap(retired) {
@@ -272,7 +280,7 @@ impl SnapshotPublisher {
                                 let sub = engine
                                     .add(expr)
                                     .expect("replaying an add that previously succeeded");
-                                debug_assert_eq!(
+                                assert_eq!(
                                     sub, *recorded,
                                     "replay must assign identical subscription ids"
                                 );
@@ -282,7 +290,12 @@ impl SnapshotPublisher {
                             }
                         }
                     }
-                    engine.prepare();
+                    let published = self.shared.read().expect("snapshot slot poisoned");
+                    assert_eq!(
+                        (engine.trie_nodes(), engine.len()),
+                        (published.engine.trie_nodes(), published.engine.len()),
+                        "replay must rebuild the published index node for node"
+                    );
                     return engine;
                 }
                 Err(still_shared) => {
@@ -410,13 +423,22 @@ mod tests {
             while reads.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();
             }
+            // Released on unwind too: a publish that trips a replay
+            // assert must fail the test, not hang the scope on the poller.
+            struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+            impl Drop for StopOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+            let stop_now = StopOnDrop(stop);
             for _ in 0..200 {
                 let s = publisher.add_str("/a/b").unwrap();
                 publisher.publish();
                 publisher.remove(s);
                 publisher.publish();
             }
-            stop.store(true, Ordering::Release);
+            drop(stop_now);
             let last_seen = poller.join().expect("poller panicked");
             assert!(reads.load(Ordering::SeqCst) > 0);
             assert!(last_seen <= publisher.epoch());

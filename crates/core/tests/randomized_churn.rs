@@ -12,8 +12,10 @@
 //! and re-matches every document three times after every batch, so a path
 //! memo filled before the batch (walk, record, replay) meets the changed
 //! set; the attribute-free scripts are the ones that keep the memo on.
+//! A `SnapshotPublisher` applies the same script, so every batch is also
+//! an op-log replay (or a deep clone) whose snapshot must match the oracle.
 
-use pxf_core::{AttrMode, FilterEngine, MatchScratch, SubId};
+use pxf_core::{AttrMode, FilterEngine, MatchScratch, SnapshotPublisher, SubId};
 use pxf_rng::Rng;
 use pxf_xml::Document;
 use pxf_xpath::XPathExpr;
@@ -153,14 +155,20 @@ fn run_script(script: &Script) -> (u64, u64) {
         .iter()
         .map(|s| Document::parse(s.as_bytes()).unwrap())
         .collect();
-    // First match triggers the bulk prepare; everything after it must
-    // patch in place (checked by the caller via the returned counter).
-    let _ = engine.match_document(&docs[0]);
     let mut scratch = MatchScratch::new();
+    // The same operations through a publisher, one publish per batch. A
+    // reader sits on every other snapshot across the next publish, so the
+    // write buffer is by turns a replayed recycled engine and a deep
+    // clone; the publisher asserts after each replay that both buffers
+    // assigned the same ids.
+    let mut publisher = SnapshotPublisher::new(engine.clone());
+    let handle = publisher.handle();
+    let mut pinned = None;
 
     for (batch_no, (adds, removes)) in script.batches.iter().enumerate() {
         for e in adds {
             let id = engine.add(e).unwrap();
+            assert_eq!(publisher.add(e).unwrap(), id, "{ctx}");
             assert_eq!(id.0 as usize, subs.len(), "{ctx}");
             subs.push(Some(e.clone()));
         }
@@ -171,10 +179,15 @@ fn run_script(script: &Script) -> (u64, u64) {
             }
             let victim = live[pick % live.len()];
             assert!(engine.remove(SubId(victim as u32)), "{ctx}");
+            assert!(publisher.remove(SubId(victim as u32)), "{ctx}");
             subs[victim] = None;
             // Double-remove must be rejected without corrupting state.
             assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
         }
+
+        publisher.publish();
+        let snapshot = handle.load();
+        pinned = (batch_no % 2 == 0).then(|| snapshot.clone());
 
         // Oracle: fresh engine over the surviving set, same mode.
         let mut oracle = FilterEngine::new(script.attr_mode);
@@ -193,6 +206,16 @@ fn run_script(script: &Script) -> (u64, u64) {
                 .collect();
             let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
             assert_eq!(got, want, "{ctx}, batch {batch_no}, tree store, doc {src}");
+            let published: Vec<u32> = snapshot
+                .matcher()
+                .match_document(doc)
+                .iter()
+                .map(|s| s.0)
+                .collect();
+            assert_eq!(
+                published, want,
+                "{ctx}, batch {batch_no}, snapshot, doc {src}"
+            );
             for sighting in 0..3 {
                 let again: Vec<u32> = engine
                     .match_document_with(doc, &mut scratch)
@@ -216,6 +239,11 @@ fn run_script(script: &Script) -> (u64, u64) {
             );
         }
     }
+    drop(pinned);
+    assert!(
+        publisher.clone_fallbacks() > 0,
+        "the clone path was not hit"
+    );
     (engine.incremental_patches(), scratch.stats().memo_replays)
 }
 

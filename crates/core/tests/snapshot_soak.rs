@@ -128,8 +128,17 @@ fn concurrent_churn_soak() {
                 }
             });
         }
+        // Released on unwind too: a publish that trips a replay assert
+        // must fail the test, not hang the scope on the readers.
+        struct DoneOnDrop<'a>(&'a AtomicBool);
+        impl Drop for DoneOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let done_now = DoneOnDrop(done);
         churn_writer(&mut publisher, removed_at, 240, 0x50aa);
-        done.store(true, Ordering::Release);
+        drop(done_now);
     });
 
     assert_eq!(

@@ -33,12 +33,6 @@ pub struct XPathParams {
     /// Probability that an expression carries one nested path filter
     /// (0 in all paper workloads; exercise of the §5 extension).
     pub nested_prob: f64,
-    /// Probability that an expression is *relative* (starts at an
-    /// arbitrary element instead of the document root). 0 in the paper
-    /// workloads (the Diao generator emits root-anchored queries); used by
-    /// the covering analysis, where relative expressions create
-    /// contained-expression covering opportunities.
-    pub relative_prob: f64,
     /// Probability that an expression is a verbatim copy of an earlier
     /// expression in the same workload (requires `distinct: false`).
     /// Models real subscription populations, where popular queries are
@@ -47,8 +41,7 @@ pub struct XPathParams {
     pub dup_rate: f64,
     /// Probability that an expression is *derived* from an earlier one as
     /// a relative sub-path (a contiguous tagged window of the base's
-    /// steps), so the base structurally contains it (what `harness
-    /// covering` counts).
+    /// steps), so the base structurally contains it.
     pub containment_rate: f64,
     /// RNG seed (generation is fully deterministic given the seed).
     pub seed: u64,
@@ -66,7 +59,6 @@ impl Default for XPathParams {
             descendant_prob: 0.2,
             attr_filters: 0,
             nested_prob: 0.0,
-            relative_prob: 0.0,
             dup_rate: 0.0,
             containment_rate: 0.0,
             seed: 42,
@@ -161,26 +153,11 @@ impl<'d> XPathGenerator<'d> {
         let target_len = self
             .rng
             .gen_range(self.params.min_depth.max(1)..=self.params.max_depth);
-        let relative =
-            self.params.relative_prob > 0.0 && self.rng.gen_bool(self.params.relative_prob);
-        let start = if relative {
-            // Any element with children (so a multi-step walk is possible).
-            let candidates: Vec<usize> = (0..self.dtd.len())
-                .filter(|&e| !self.dtd.elements[e].children.is_empty())
-                .collect();
-            candidates[self.rng.gen_range(0..candidates.len())]
-        } else {
-            self.dtd.root
-        };
-        let steps = self.walk(start, target_len, true);
+        let steps = self.walk(self.dtd.root, target_len, true);
         let mut expr = XPathExpr {
-            absolute: !relative,
+            absolute: true,
             steps,
         };
-        if relative {
-            // Relative expressions start with a child-axis step.
-            expr.steps[0].axis = pxf_xpath::Axis::Child;
-        }
         self.attach_attr_filters(&mut expr);
         if self.params.nested_prob > 0.0 && self.rng.gen_bool(self.params.nested_prob) {
             self.attach_nested_filter(&mut expr);
