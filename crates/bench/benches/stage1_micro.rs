@@ -4,8 +4,17 @@
 //! one enter/leave traversal with context marks. Run on deep documents
 //! (NITF defaults, where leaf paths share long prefixes) and shallow ones
 //! (3 levels, minimal sharing — the incremental path must not regress).
+//!
+//! Two more rows run what production runs, on the same inputs: a whole
+//! match through a persistent [`Matcher`], whose stage 1 is lazy — an
+//! element is evaluated only when a leaf below it needs a stage-2 walk —
+//! on the first pass over the documents (cold path automaton: every new
+//! tag path walks) and on the third (warm: paths are replayed and almost
+//! nothing is evaluated). Each prints its stage-1 share
+//! (`EngineStats::predicate_ns`) beside the raw evaluators' cost.
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
+use pxf_core::{FilterEngine, Matcher};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_workload::Regime;
 use pxf_xml::{DocAccess, Document, ElementVisitor, Interner, NodeId, Symbol};
@@ -31,7 +40,7 @@ impl ElementVisitor for Stage1Driver<'_> {
         self.marks.push(self.ctx.push_mark());
         self.publication.push_path_element(tag, id);
         self.index
-            .eval_enter(self.publication, Some(self.doc), self.ctx);
+            .eval_enter(&self.publication.tuples, Some(self.doc), self.ctx);
         if is_leaf {
             let mark = self.ctx.push_mark();
             self.index
@@ -113,6 +122,36 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         }
         matched
     });
+
+    let mut engine = FilterEngine::default();
+    for e in &w.exprs {
+        engine.add(&e.structural_skeleton()).unwrap();
+    }
+    engine.prepare();
+    let stage1_ns = std::cell::Cell::new(0);
+    let pass = |m: &mut Matcher| {
+        let before = m.stats().predicate_ns;
+        let matched: usize = docs.iter().map(|d| m.match_document(d).len()).sum();
+        stage1_ns.set(m.stats().predicate_ns - before);
+        matched
+    };
+    for (label, passes_before) in [("matcher, pass 1 (cold)", 0), ("matcher, pass 3 (warm)", 2)] {
+        group.bench_batched(
+            label,
+            || {
+                let mut m = engine.matcher();
+                for _ in 0..passes_before {
+                    pass(&mut m);
+                }
+                m
+            },
+            |mut m| pass(&mut m),
+        );
+        println!(
+            "{group_name}/{label:<24} of which stage 1 {:.2} µs (last sample)",
+            stage1_ns.get() as f64 / 1e3
+        );
+    }
 }
 
 fn main() {

@@ -120,6 +120,8 @@ fn main() {
     println!("incremental_patches {}", report.stats.incremental_patches);
     println!("memo_replays       {}", report.stats.memo_replays);
     println!("stage2_walks       {}", report.stats.stage2_walks);
+    println!("memo_states        {}", report.stats.memo_states);
+    println!("memo_bytes         {}", report.stats.memo_bytes);
     println!("shed               {}", report.stats.shed);
     println!("dropped            {}", report.stats.dropped);
 

@@ -195,6 +195,8 @@ struct Counters {
     patches: AtomicU64,
     memo_replays: AtomicU64,
     stage2_walks: AtomicU64,
+    memo_states: AtomicU64,
+    memo_bytes: AtomicU64,
 }
 
 /// A point-in-time copy of the broker's counters (the payload of a
@@ -233,6 +235,13 @@ pub struct BrokerStatsSnapshot {
     /// subscription churn (every publish empties the memo) and while any
     /// attribute filter is registered (the memo is off).
     pub stage2_walks: u64,
+    /// Tag paths the workers' path automata hold a state for, summed over
+    /// workers: what the memo has learned since the last change of the
+    /// subscription set reached a worker's next document.
+    pub memo_states: u64,
+    /// Heap the workers' path automata hold (transition table, states,
+    /// recorded nodes), summed over workers; capped at 16 MiB each.
+    pub memo_bytes: u64,
 }
 
 impl BrokerStatsSnapshot {
@@ -252,6 +261,8 @@ impl BrokerStatsSnapshot {
             ("patches", self.incremental_patches),
             ("memo_replays", self.memo_replays),
             ("stage2_walks", self.stage2_walks),
+            ("memo_states", self.memo_states),
+            ("memo_bytes", self.memo_bytes),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -279,6 +290,8 @@ impl BrokerStatsSnapshot {
                 "patches" => s.incremental_patches = v,
                 "memo_replays" => s.memo_replays = v,
                 "stage2_walks" => s.stage2_walks = v,
+                "memo_states" => s.memo_states = v,
+                "memo_bytes" => s.memo_bytes = v,
                 _ => {}
             }
         }
@@ -349,6 +362,8 @@ impl Shared {
             incremental_patches: c.patches.load(Ordering::Relaxed),
             memo_replays: c.memo_replays.load(Ordering::Relaxed),
             stage2_walks: c.stage2_walks.load(Ordering::Relaxed),
+            memo_states: c.memo_states.load(Ordering::Relaxed),
+            memo_bytes: c.memo_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -916,6 +931,8 @@ fn worker_loop(shared: &Arc<Shared>) {
     // about tag paths for as long as the subscription set stays the same.
     let mut scratch = MatchScratch::new();
     let mut reported = scratch.stats();
+    // This worker's share of the `memo_states`/`memo_bytes` gauges.
+    let mut held = [0u64; 2];
     loop {
         batch.clear();
         if shared
@@ -959,6 +976,15 @@ fn worker_loop(shared: &Arc<Shared>) {
             .stage2_walks
             .fetch_add(now.stage2_walks - reported.stage2_walks, Ordering::Relaxed);
         reported = now;
+        // Gauges summed over workers: each adds the change of its own
+        // share (wrapping, so a decrease subtracts).
+        let holds = [scratch.memo_states() as u64, scratch.memo_bytes() as u64];
+        let c = &shared.stats;
+        c.memo_states
+            .fetch_add(holds[0].wrapping_sub(held[0]), Ordering::Relaxed);
+        c.memo_bytes
+            .fetch_add(holds[1].wrapping_sub(held[1]), Ordering::Relaxed);
+        held = holds;
     }
 }
 

@@ -395,6 +395,59 @@ fn sub_then_doc_is_visible_through_a_warm_memo_with_two_workers() {
     warm_memo_sees_sub_and_unsub(2);
 }
 
+/// `STATS` says what the workers' path automata hold: after warm
+/// documents `memo_states` counts their tag paths and `memo_bytes` the
+/// heap behind them; a `SUB` stamps the subscription set anew, and the
+/// next document starts the automaton over with its own paths alone. The
+/// worker posts its gauges after the batch, so `STATS` is polled.
+#[test]
+fn stats_report_what_the_memo_holds() {
+    const WIDE: &[u8] = b"<a><b><c/><d/><e/></b><f><g/><h/></f></a>";
+    const NARROW: &[u8] = b"<a><b/></a>";
+    let broker = spawn_broker(1);
+    let mut conn = Client::connect(broker.local_addr());
+    let resident = conn.subscribe("/a/b");
+    let publish = |conn: &mut Client, tag: &str, doc: &[u8], want: &[u32]| {
+        conn.send_doc(tag, doc);
+        loop {
+            if let Reply::Match { ids, .. } = conn.read_reply() {
+                assert_eq!(ids, want, "document {tag}");
+                return;
+            }
+        }
+    };
+    let stats_when = |conn: &mut Client, what: &str, done: &dyn Fn(u64) -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            conn.send("STATS");
+            let stats = loop {
+                if let Reply::Stats(kv) = conn.read_reply() {
+                    break pxf_broker::BrokerStatsSnapshot::from_kv(&kv);
+                }
+            };
+            if done(stats.memo_states) {
+                return stats;
+            }
+            assert!(std::time::Instant::now() < deadline, "{what}: {stats:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    for i in 0..3 {
+        publish(&mut conn, &format!("w{i}"), WIDE, &[resident]);
+    }
+    // Tags no subscription names are one symbol: a, a/b, a/b/?, a/?, a/?/?
+    // — two of them leaf paths, replayed by the third document.
+    let warm = stats_when(&mut conn, "warm", &|states| states == 5);
+    assert!(warm.memo_bytes > 0 && warm.memo_replays == 2, "{warm:?}");
+
+    let added = conn.subscribe("/a");
+    publish(&mut conn, "n0", NARROW, &[resident, added]);
+    let after = stats_when(&mut conn, "after SUB", &|states| states < 5);
+    assert_eq!(after.memo_states, 2, "a and a/b: {after:?}");
+    broker.shutdown();
+    broker.wait();
+}
+
 /// A malformed document mid-stream yields `-ERR DOC` on the publishing
 /// connection and nothing else: the connection survives, later documents
 /// still match, and the failure is counted.

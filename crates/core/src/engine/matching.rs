@@ -29,9 +29,7 @@ impl FilterEngine {
             stats,
         } = scratch;
         state.advance_doc_epoch();
-        if state.memo.stamp != self.stamp {
-            state.memo.reset(self.stamp);
-        }
+        state.memo.begin_document(self.stamp);
         state.sub_matched.resize(self.n_subs as usize);
         state.node_done.resize(self.trie.n_nodes());
         state.node_sinks_done.resize(self.trie.n_nodes());
@@ -87,10 +85,12 @@ impl FilterEngine {
     }
 
     /// Incremental stage 1: one enter/leave traversal of the document.
-    /// Each element's predicate contributions are computed once on enter
-    /// (under a [`MatchContext`] mark) and rolled back on leave, so shared
-    /// path prefixes are never re-evaluated; at a leaf only the
-    /// length-dependent predicates run before stage 2.
+    /// Each element's predicate contributions are computed at most once —
+    /// when the first leaf below it needs a walk (under a [`MatchContext`]
+    /// mark) — and rolled back on leave, so shared path prefixes are never
+    /// re-evaluated and elements whose leaves the memo answers are never
+    /// evaluated at all; at a walking leaf only the length-dependent
+    /// predicates are left to run before stage 2.
     fn stage1_incremental<D: DocAccess>(
         &self,
         doc: &D,
@@ -110,6 +110,7 @@ impl FilterEngine {
         // attribute re-checks (stage 2 consults document nodes), and no
         // nested plans (component sinks must record every path index,
         // including duplicates). Every sink is then a plain subscription.
+        // Otherwise no leaf asks the memo, and every leaf walks.
         let memo_on =
             self.nested.is_empty() && !self.has_attr_checks && !self.index.has_attr_predicates();
         let mut driver = IncrementalDriver {
@@ -134,9 +135,14 @@ impl FilterEngine {
 /// The visitor driving incremental stage 1 (see
 /// [`FilterEngine::stage1_incremental`]). Invariant: between any `enter`
 /// and the matching `leave`, `publication` is exactly the encoding of the
-/// root-to-element path and `ctx` holds exactly the contributions of the
-/// elements on that path (plus nothing else) — `ctx_marks` carries one
-/// rollback point per open element.
+/// root-to-element path, the memo's open states are that path's, and `ctx`
+/// holds exactly the contributions of its outermost `ctx_marks.len()`
+/// elements (plus nothing else) — `ctx_marks` carries one rollback point
+/// for each of them. Evaluation is deferred until a leaf needs a walk:
+/// an element's contribution depends on its own tuple, its ancestors'
+/// and its own attributes, none of which changes while it is open, so
+/// [`Self::catch_up`] pushes the pairs evaluation on enter would have, in
+/// the same order.
 struct IncrementalDriver<'a, 'd, D: DocAccess> {
     engine: &'a FilterEngine,
     doc: &'d D,
@@ -155,34 +161,40 @@ struct IncrementalDriver<'a, 'd, D: DocAccess> {
 impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
     /// Handles a leaf. The memo (when on) says whether this tag path was
     /// already answered in this document (nothing to do), has a record
-    /// (replay it), or needs stage 2: length-dependent predicates under a
-    /// nested mark, the walk, rollback. The walk of a path met in an
-    /// earlier document and not yet recorded makes the record — recording
-    /// on the second sighting, because a complete record needs the walk
-    /// that ignores `node_done` (2–2.5× the visits of the pruned one on
-    /// 100k NITF expressions), and a path never seen again under this
-    /// subscription set would pay that for nothing.
+    /// (replay it), or needs stage 2: stage 1 caught up to the leaf,
+    /// length-dependent predicates under a nested mark, the walk,
+    /// rollback. The walk of a path met in an earlier document and not yet
+    /// recorded makes the record — recording on the second sighting,
+    /// because a complete record needs the walk that ignores `node_done`
+    /// (2–2.5× the visits of the pruned one on 100k NITF expressions), and
+    /// a path never seen again under this subscription set would pay that
+    /// for nothing.
     fn leaf(&mut self) {
         let path_idx = self.path_idx;
         self.path_idx += 1;
-        let sighting = self.memo_on.then(|| self.sight());
+        let sighting = if self.memo_on {
+            self.state.memo.sight(self.state.doc_epoch)
+        } else {
+            Sighting::Untracked
+        };
         match sighting {
-            Some(Sighting::SameDoc) => self.stats.memo_path_skips += 1,
-            Some(Sighting::Recorded(slot)) => {
+            Sighting::SameDoc => self.stats.memo_path_skips += 1,
+            Sighting::Recorded(state) => {
                 self.stats.memo_replays += 1;
                 let t1 = Instant::now();
-                self.engine.replay(slot, self.state);
+                self.engine.replay(state, self.state);
                 self.expr_ns += t1.elapsed().as_nanos() as u64;
             }
-            _ => {
+            Sighting::First | Sighting::Again(_) | Sighting::Untracked => {
                 self.stats.stage2_walks += 1;
+                self.catch_up();
                 let mark = self.ctx.push_mark();
                 self.engine
                     .index
                     .eval_leaf(self.publication, Some(self.doc), self.ctx);
                 let t1 = Instant::now();
                 let record_into = match sighting {
-                    Some(Sighting::Again(slot)) => Some(slot),
+                    Sighting::Again(state) => Some(state),
                     _ => None,
                 };
                 self.state.recording = record_into.is_some();
@@ -195,9 +207,9 @@ impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
                     self.stats,
                     path_idx,
                 );
-                if let Some(slot) = record_into {
+                if let Some(state) = record_into {
                     self.state.recording = false;
-                    self.state.memo.attach(slot, &self.state.record_buf);
+                    self.state.memo.attach(state, &self.state.record_buf);
                 }
                 self.expr_ns += t1.elapsed().as_nanos() as u64;
                 self.ctx.pop_to_mark(mark);
@@ -209,23 +221,16 @@ impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
         }
     }
 
-    /// Consults the path memo about the current root-to-leaf tag path.
-    fn sight(&mut self) -> Sighting {
+    /// Evaluates the open elements not evaluated yet, outermost first,
+    /// each under its own mark.
+    fn catch_up(&mut self) {
         let tuples = &self.publication.tuples;
-        // FNV-1a over the tag symbols.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for t in tuples {
-            h ^= t.tag.index() as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        for depth in self.state.ctx_marks.len()..tuples.len() {
+            self.state.ctx_marks.push(self.ctx.push_mark());
+            self.engine
+                .index
+                .eval_enter(&tuples[..=depth], Some(self.doc), self.ctx);
         }
-        // 0 marks empty slots in the open-addressed table; aliasing a real
-        // hash onto 1 is sound because hits verify the symbol sequence.
-        if h == 0 {
-            h = 1;
-        }
-        self.state
-            .memo
-            .sight(h, tuples.iter().map(|t| t.tag), self.state.doc_epoch)
     }
 }
 
@@ -236,11 +241,8 @@ impl<D: DocAccess> ElementVisitor for IncrementalDriver<'_, '_, D> {
             .interner
             .get(self.doc.tag(id))
             .unwrap_or(Symbol::UNKNOWN);
-        self.state.ctx_marks.push(self.ctx.push_mark());
         self.publication.push_path_element(tag, id);
-        self.engine
-            .index
-            .eval_enter(self.publication, Some(self.doc), self.ctx);
+        self.state.memo.enter(tag);
         if is_leaf {
             self.leaf();
         }
@@ -248,8 +250,12 @@ impl<D: DocAccess> ElementVisitor for IncrementalDriver<'_, '_, D> {
 
     fn leave(&mut self, _id: NodeId) {
         self.publication.pop_path_element();
-        let mark = self.state.ctx_marks.pop().expect("mark stack in sync");
-        self.ctx.pop_to_mark(mark);
+        self.state.memo.leave();
+        // Only an element that was evaluated left a mark.
+        if self.state.ctx_marks.len() > self.publication.tuples.len() {
+            let mark = self.state.ctx_marks.pop().expect("checked non-empty");
+            self.ctx.pop_to_mark(mark);
+        }
     }
 }
 
@@ -473,12 +479,12 @@ impl FilterEngine {
         all_done
     }
 
-    /// Stage 2 from the record of the memo entry in `slot`: marks the
+    /// Stage 2 from the record of memo state `path`: marks the
     /// subscriptions of every listed node this document has not resolved
     /// yet. No predicate is consulted and no child edge followed — under
     /// one content stamp the nodes a tag path reaches do not change, and
     /// the memo is only on while every sink is a plain subscription.
-    fn replay(&self, slot: usize, state: &mut DocState) {
+    fn replay(&self, path: u32, state: &mut DocState) {
         let DocState {
             memo,
             sub_matched,
@@ -486,7 +492,7 @@ impl FilterEngine {
             doc_epoch,
             ..
         } = state;
-        for &n in memo.record(slot) {
+        for &n in memo.record(path) {
             if !node_sinks_done.test(n as usize, *doc_epoch) {
                 for &sub in self.trie.plain_subs(n) {
                     sub_matched.set(sub as usize, *doc_epoch);

@@ -79,7 +79,11 @@ impl From<EncodeError> for AddError {
 pub struct EngineStats {
     /// Documents processed.
     pub docs: u64,
-    /// Time spent encoding publications and matching predicates (stage 1).
+    /// Time spent in stage 1: the document traversal (tag lookup, path
+    /// stack, path-automaton transition, memo sighting) plus the deferred
+    /// predicate evaluation of the elements some walking leaf needed.
+    /// Evaluation nobody asked for — elements whose leaves were all
+    /// skipped or replayed — no longer happens, so it is not in here.
     pub predicate_ns: u64,
     /// Time spent in expression matching / occurrence determination
     /// (stage 2).

@@ -1,7 +1,7 @@
 //! Matching scratch: the per-document epoch-stamped result and pruning
-//! bitmaps, the path memo that outlives the document, and the
-//! [`Matcher`] handle that owns one scratch per concurrent user of a
-//! shared engine.
+//! bitmaps, the path memo (an automaton over document tag paths) that
+//! outlives the document, and the [`Matcher`] handle that owns one scratch
+//! per concurrent user of a shared engine.
 
 use super::{EngineStats, FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, PredId, Publication};
@@ -29,6 +29,19 @@ impl MatchScratch {
     /// Cumulative statistics of the documents matched with this scratch.
     pub fn stats(&self) -> EngineStats {
         self.stats
+    }
+
+    /// Tag paths the path automaton holds a state for: what the memo has
+    /// learned under the subscription set of the last document matched
+    /// (a change of set empties it at the next document).
+    pub fn memo_states(&self) -> usize {
+        self.state.memo.len()
+    }
+
+    /// Heap held by the path automaton — transition table, states and
+    /// recorded nodes — in bytes; bounded by a fixed cap (16 MiB).
+    pub fn memo_bytes(&self) -> usize {
+        self.state.memo.heap_bytes()
     }
 
     #[doc(hidden)]
@@ -148,239 +161,264 @@ impl EpochBitmap {
     }
 }
 
-/// Heap budget of one scratch's path memo — table, symbols and node
-/// arena together. Half goes to the node arena, a quarter each to the
-/// symbols and the table; a store that would pass its share empties the
-/// memo instead, and entries earn their place again. (100k NITF
-/// expressions over a stream of 16k documents: 725 paths, 5.9 MB.)
+/// Heap budget of one scratch's path automaton — transition table,
+/// states and node arena together. Half goes to the node arena, half to
+/// the table and the states it holds at load factor ½; a path that would
+/// pass either share gets no state (see [`Sighting::Untracked`]) and the
+/// automaton is emptied at the next document, where states earn their
+/// place again. (100k NITF expressions over a stream of 16k documents:
+/// 725 leaf paths, 1,015 states, 5.9 MB — all but 40 KB of it records.)
 pub(super) const MEMO_CAP_BYTES: usize = 16 << 20;
 
 const MEMO_NODE_BUDGET: usize = MEMO_CAP_BYTES / 2 / std::mem::size_of::<u32>();
-const MEMO_SYM_BUDGET: usize = MEMO_CAP_BYTES / 4 / std::mem::size_of::<Symbol>();
-/// Table slots (a power of two): one key and one entry each.
+/// Table slots (a power of two): one key and one child id each, and one
+/// state for every two.
 const MEMO_SLOT_BUDGET: usize = {
-    let slots =
-        MEMO_CAP_BYTES / 4 / (std::mem::size_of::<u64>() + std::mem::size_of::<MemoEntry>());
+    let per_slot = std::mem::size_of::<u64>()
+        + std::mem::size_of::<u32>()
+        + std::mem::size_of::<PathState>() / 2;
+    let slots = MEMO_CAP_BYTES / 2 / per_slot;
     // Round down to a power of two.
     1 << (usize::BITS - 1 - slots.leading_zeros())
 };
 
-/// `MemoEntry::record.0` of a path no record has been made for.
-const NO_RECORD: u32 = u32::MAX;
+/// State id of an open element the automaton holds no state for.
+const UNTRACKED: u32 = u32::MAX;
 
-/// What the memo holds about one tag-symbol sequence.
-#[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    /// The sequence, as `(start, len)` in `PathMemo::syms`.
-    syms: (u32, u32),
-    /// Document epoch of the last sighting (0 = none since the wrap).
-    seen: u32,
-    /// The sink-bearing trie nodes the path reaches, as `(start, len)` in
-    /// `PathMemo::nodes`; `start == NO_RECORD` until recorded.
-    record: (u32, u32),
+/// What the leaves that ended in a state have left there.
+#[derive(Debug, Clone, Copy, Default)]
+enum Leaves {
+    /// None ended here (an inner element so far).
+    #[default]
+    Never,
+    /// One did, in an earlier document or this one: the next document's
+    /// walk makes the record. Kept apart from `PathState::seen`, which the
+    /// epoch wrap zeroes.
+    Met,
+    /// The sink-bearing trie nodes the path reaches, as a span of
+    /// `PathMemo::nodes`.
+    Recorded { start: u32, len: u32 },
 }
 
-/// An entry with no symbols, no sighting and no record.
-const UNRECORDED: MemoEntry = MemoEntry {
-    syms: (0, 0),
-    seen: 0,
-    record: (NO_RECORD, 0),
-};
+/// One state of the path automaton: one document tag path.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathState {
+    /// Document epoch of the last leaf sighting (0 = none since the wrap).
+    seen: u32,
+    leaves: Leaves,
+}
 
 /// What a leaf learns from [`PathMemo::sight`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Sighting {
-    /// Never seen under this subscription set: now entered.
+    /// No leaf ended on this path under this subscription set before.
     First,
     /// Already seen in this document: its matches are already marked.
     SameDoc,
-    /// Seen in an earlier document, not yet recorded; the slot takes the
+    /// Seen in an earlier document, not yet recorded; the state takes the
     /// record ([`PathMemo::attach`]).
-    Again(usize),
+    Again(u32),
     /// Recorded: [`PathMemo::record`] lists the nodes to replay.
-    Recorded(usize),
-    /// Another sequence holds this hash. It keeps its entry and this one
-    /// gets none: every sighting walks.
-    Collision,
+    Recorded(u32),
+    /// The path got no state (the budget ran out above it): every
+    /// sighting walks.
+    Untracked,
 }
 
-/// The path memo: tag-symbol sequence of a root-to-leaf path → when it was
-/// last seen and, from its second document on, the trie nodes with sinks
-/// that stage 2 reaches on it. Valid for one engine content stamp (the
-/// owner calls [`Self::reset`] on meeting another), so it outlives the
-/// document and replays what a path reached instead of walking again.
+/// The path memo, as an automaton over document tag paths: a trie with one
+/// state per tag path met under the current subscription set, grown one
+/// transition at a time as elements open. A state knows when a leaf last
+/// ended in it and, from the second document on, the trie nodes with sinks
+/// that stage 2 reaches on its path. Valid for one engine content stamp
+/// (see [`Self::begin_document`]), so it outlives the document and replays
+/// what a path reached instead of walking again.
 ///
-/// One open-addressed table (linear probing, key 0 = empty — callers remap
-/// a real hash of 0 to 1, which is sound because every hit is verified
-/// against the stored symbols) over two arenas, all within
-/// [`MEMO_CAP_BYTES`].
+/// Transitions live in one open-addressed table (linear probing) keyed by
+/// the exact `(state, symbol)` pair — two paths share a state only by
+/// being the same path — beside the state and node arenas, all within
+/// [`MEMO_CAP_BYTES`]. The stack of open elements is bounded by the
+/// document's depth, not by the paths seen, and is not counted.
 #[derive(Debug, Default)]
 pub(super) struct PathMemo {
+    /// `(parent state) << 32 | symbol` of every occupied slot.
     keys: Vec<u64>,
-    entries: Vec<MemoEntry>,
-    len: usize,
-    syms: Vec<Symbol>,
+    /// The state each slot leads to; 0 marks an empty slot (the root is
+    /// state 0 and nobody's child).
+    children: Vec<u32>,
+    /// State `s ≥ 1` is `states[s - 1]`.
+    states: Vec<PathState>,
     nodes: Vec<u32>,
-    /// Content stamp of the engine the entries were made under.
-    pub(super) stamp: u64,
-}
-
-/// Appends `items` to `v` unless that takes it past `budget` elements.
-/// Capacity doubles, but never past the budget.
-fn extend_within<T>(
-    v: &mut Vec<T>,
-    items: impl ExactSizeIterator<Item = T>,
-    budget: usize,
-) -> bool {
-    let need = v.len() + items.len();
-    if need > budget {
-        return false;
-    }
-    if need > v.capacity() {
-        let target = (v.capacity() * 2).max(need).min(budget);
-        v.reserve_exact(target - v.len());
-    }
-    v.extend(items);
-    true
+    /// The state of every open element, outermost first.
+    open: Vec<u32>,
+    /// A state or a record found no room: emptied at the next document.
+    full: bool,
+    /// Content stamp of the engine the states were made under.
+    stamp: u64,
 }
 
 impl PathMemo {
-    /// Forgets everything (keeping the allocations) and adopts `stamp`.
-    pub(super) fn reset(&mut self, stamp: u64) {
-        if self.len != 0 {
-            self.keys.fill(0);
+    /// Starts a document of the engine stamped `stamp`. What was learned
+    /// under another stamp, or ran out of budget, is forgotten first
+    /// (keeping the allocations) — here and nowhere else, because open
+    /// elements would keep the ids of forgotten states.
+    pub(super) fn begin_document(&mut self, stamp: u64) {
+        self.open.clear();
+        if self.stamp == stamp && !self.full {
+            return;
         }
-        self.len = 0;
-        self.syms.clear();
+        if !self.states.is_empty() {
+            self.children.fill(0);
+        }
+        self.states.clear();
         self.nodes.clear();
+        self.full = false;
         self.stamp = stamp;
     }
 
-    /// Paths held.
-    #[cfg(test)]
+    /// States held: the distinct tag paths (leaf or not) met so far.
     pub(super) fn len(&self) -> usize {
-        self.len
+        self.states.len()
     }
 
     /// Heap held by the table and both arenas, in bytes.
-    #[cfg(test)]
     pub(super) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.keys.capacity() * size_of::<u64>()
-            + self.entries.capacity() * size_of::<MemoEntry>()
-            + self.syms.capacity() * size_of::<Symbol>()
+            + self.children.capacity() * size_of::<u32>()
+            + self.states.capacity() * size_of::<PathState>()
             + self.nodes.capacity() * size_of::<u32>()
     }
 
-    /// Looks the path up under hash `h` (non-zero), notes that document
-    /// `epoch` has seen it, and says what the leaf is to do.
-    pub(super) fn sight(
-        &mut self,
-        h: u64,
-        path: impl ExactSizeIterator<Item = Symbol> + Clone,
-        epoch: u32,
-    ) -> Sighting {
-        debug_assert_ne!(h, 0, "hash 0 is the empty marker");
-        if !self.keys.is_empty() {
-            let mask = self.keys.len() - 1;
-            let mut i = (h as usize) & mask;
-            while self.keys[i] != 0 {
-                if self.keys[i] == h {
-                    let e = &mut self.entries[i];
-                    let stored = &self.syms[e.syms.0 as usize..(e.syms.0 + e.syms.1) as usize];
-                    if !stored.iter().copied().eq(path.clone()) {
-                        return Sighting::Collision;
-                    }
-                    if e.seen == epoch {
-                        return Sighting::SameDoc;
-                    }
-                    e.seen = epoch;
-                    return if e.record.0 == NO_RECORD {
-                        Sighting::Again(i)
-                    } else {
-                        Sighting::Recorded(i)
-                    };
-                }
-                i = (i + 1) & mask;
-            }
-        }
-        self.insert(h, path, epoch);
-        Sighting::First
-    }
-
-    /// Enters a path not in the table. When its symbols or its slot do
-    /// not fit the budget the memo is emptied first (a path is at most
-    /// `u16::MAX` symbols, so it always fits an empty one).
-    fn insert(&mut self, h: u64, path: impl ExactSizeIterator<Item = Symbol>, epoch: u32) {
-        let table_full = |memo: &Self| (memo.len + 1) * 2 > memo.keys.len();
-        if self.syms.len() + path.len() > MEMO_SYM_BUDGET
-            || (table_full(self) && self.keys.len() * 2 > MEMO_SLOT_BUDGET)
-        {
-            self.reset(self.stamp);
-        }
-        if table_full(self) {
-            self.grow();
-        }
-        let syms = (self.syms.len() as u32, path.len() as u32);
-        let stored = extend_within(&mut self.syms, path, MEMO_SYM_BUDGET);
-        debug_assert!(stored, "checked above");
-        let i = self.vacant_slot(h);
-        self.keys[i] = h;
-        self.entries[i] = MemoEntry {
-            syms,
-            seen: epoch,
-            ..UNRECORDED
+    /// An element with tag `sym` opens below the open ones: one
+    /// transition, created on a miss.
+    #[inline]
+    pub(super) fn enter(&mut self, sym: Symbol) {
+        let state = match self.open.last().copied().unwrap_or(0) {
+            UNTRACKED => UNTRACKED,
+            parent => self.step(parent, sym),
         };
-        self.len += 1;
+        self.open.push(state);
     }
 
-    /// The first empty slot on `h`'s probe chain.
-    fn vacant_slot(&self, h: u64) -> usize {
+    /// The innermost open element closes.
+    #[inline]
+    pub(super) fn leave(&mut self) {
+        self.open.pop();
+    }
+
+    /// Slot of `key`, or the empty slot that ends its probe chain. The
+    /// table must not be empty.
+    #[inline]
+    fn slot_of(&self, key: u64) -> usize {
         let mask = self.keys.len() - 1;
-        let mut i = (h as usize) & mask;
-        while self.keys[i] != 0 {
+        // Fibonacci hashing: the high half of the product mixes both the
+        // state and the symbol.
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        while self.children[i] != 0 && self.keys[i] != key {
             i = (i + 1) & mask;
         }
         i
     }
 
-    /// Doubles the table (load factor ½) and rehashes.
+    /// The state `sym` leads to from `parent`, made now if this is the
+    /// first time; [`UNTRACKED`] when the budget has no room for it.
+    fn step(&mut self, parent: u32, sym: Symbol) -> u32 {
+        let key = (parent as u64) << 32 | sym.0 as u64;
+        if !self.keys.is_empty() {
+            let child = self.children[self.slot_of(key)];
+            if child != 0 {
+                return child;
+            }
+        }
+        if (self.states.len() + 1) * 2 > self.keys.len() {
+            if self.keys.len() * 2 > MEMO_SLOT_BUDGET {
+                self.full = true;
+                return UNTRACKED;
+            }
+            self.grow();
+        }
+        self.states.push(PathState::default());
+        let child = self.states.len() as u32;
+        let i = self.slot_of(key);
+        self.keys[i] = key;
+        self.children[i] = child;
+        child
+    }
+
+    /// Doubles the table (load factor ½), with room for exactly the states
+    /// it can hold, and rehashes.
     fn grow(&mut self) {
         let new_cap = (self.keys.len() * 2).max(64);
+        self.states.reserve_exact(new_cap / 2 - self.states.len());
         let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
-        let old_entries = std::mem::replace(&mut self.entries, vec![UNRECORDED; new_cap]);
-        for (k, e) in old_keys.into_iter().zip(old_entries) {
-            if k != 0 {
-                let i = self.vacant_slot(k);
-                self.keys[i] = k;
-                self.entries[i] = e;
+        let old_children = std::mem::replace(&mut self.children, vec![0; new_cap]);
+        for (key, child) in old_keys.into_iter().zip(old_children) {
+            if child != 0 {
+                let i = self.slot_of(key);
+                self.keys[i] = key;
+                self.children[i] = child;
             }
         }
     }
 
-    /// Makes `nodes` the record of the entry in `slot` (as returned by
-    /// the [`Sighting::Again`] of this leaf). A record the node arena has
-    /// no room for empties the memo.
-    pub(super) fn attach(&mut self, slot: usize, nodes: &[u32]) {
-        let start = self.nodes.len() as u32;
-        if extend_within(&mut self.nodes, nodes.iter().copied(), MEMO_NODE_BUDGET) {
-            self.entries[slot].record = (start, nodes.len() as u32);
-        } else {
-            self.reset(self.stamp);
+    /// The innermost open element is a leaf: notes that document `epoch`
+    /// has seen its path, and says what the leaf is to do.
+    pub(super) fn sight(&mut self, epoch: u32) -> Sighting {
+        let state = *self.open.last().expect("a leaf is an open element");
+        if state == UNTRACKED {
+            return Sighting::Untracked;
+        }
+        let s = &mut self.states[state as usize - 1];
+        if s.seen == epoch {
+            return Sighting::SameDoc;
+        }
+        s.seen = epoch;
+        match s.leaves {
+            Leaves::Never => {
+                s.leaves = Leaves::Met;
+                Sighting::First
+            }
+            Leaves::Met => Sighting::Again(state),
+            Leaves::Recorded { .. } => Sighting::Recorded(state),
         }
     }
 
-    /// The recorded nodes of the entry in `slot`.
-    pub(super) fn record(&self, slot: usize) -> &[u32] {
-        let (start, len) = self.entries[slot].record;
-        &self.nodes[start as usize..(start + len) as usize]
+    /// Makes `nodes` the record of `state` (as returned by the
+    /// [`Sighting::Again`] of this leaf). A record the node arena has no
+    /// room for is dropped, and the automaton emptied at the next
+    /// document.
+    pub(super) fn attach(&mut self, state: u32, nodes: &[u32]) {
+        let (start, need) = (self.nodes.len(), self.nodes.len() + nodes.len());
+        if need > MEMO_NODE_BUDGET {
+            self.full = true;
+            return;
+        }
+        if need > self.nodes.capacity() {
+            // Capacity doubles, but never past the budget.
+            let target = (self.nodes.capacity() * 2).max(need);
+            self.nodes
+                .reserve_exact(target.min(MEMO_NODE_BUDGET) - start);
+        }
+        self.nodes.extend_from_slice(nodes);
+        self.states[state as usize - 1].leaves = Leaves::Recorded {
+            start: start as u32,
+            len: nodes.len() as u32,
+        };
     }
 
-    /// Epoch wrap: no entry has been seen in any document of the new
-    /// numbering.
+    /// The recorded nodes of `state` (empty if it has no record).
+    pub(super) fn record(&self, state: u32) -> &[u32] {
+        match self.states[state as usize - 1].leaves {
+            Leaves::Recorded { start, len } => &self.nodes[start as usize..(start + len) as usize],
+            _ => &[],
+        }
+    }
+
+    /// Epoch wrap: no state has been seen in any document of the new
+    /// numbering. What the states have met and recorded stands.
     fn forget_sightings(&mut self) {
-        for e in &mut self.entries {
-            e.seen = 0;
+        for s in &mut self.states {
+            s.seen = 0;
         }
     }
 }
@@ -420,7 +458,9 @@ pub(super) struct DocState {
     /// across documents; `n_paths` is the live prefix.
     pub(super) paths: Vec<Vec<NodeId>>,
     pub(super) n_paths: usize,
-    /// Incremental stage 1: one context mark per open element.
+    /// Incremental stage 1: one context mark per *evaluated* open element
+    /// — always the outermost ones, since evaluation catches up root
+    /// first.
     pub(super) ctx_marks: Vec<CtxMark>,
     /// Scratch predicate chain for `dfs_node` sink processing.
     pub(super) chain_buf: Vec<PredId>,
@@ -484,71 +524,89 @@ impl DocState {
 mod tests {
     use super::*;
 
-    fn syms(s: &[u32]) -> impl ExactSizeIterator<Item = Symbol> + Clone + '_ {
-        s.iter().map(|&i| Symbol(i))
+    /// Opens the elements of `path` from the root, sights the last one as
+    /// a leaf of document `epoch`, and closes them again.
+    fn sight(memo: &mut PathMemo, path: &[u32], epoch: u32) -> Sighting {
+        for &sym in path {
+            memo.enter(Symbol(sym));
+        }
+        let sighting = memo.sight(epoch);
+        for _ in path {
+            memo.leave();
+        }
+        sighting
     }
 
-    /// Two tag sequences forced onto one hash: the first keeps its entry,
-    /// its sightings and its record; the second is a collision on every
-    /// sighting — never entered, never "seen in this document", never
-    /// handed the first one's record.
+    /// Transitions are keyed by the exact `(state, symbol)` pair, so no two
+    /// paths can be taken for one another: a path, its proper prefix, its
+    /// one-symbol extension and a sibling differing in the last symbol
+    /// (the unknown tag, a symbol like any other) are four states, each
+    /// with its own sightings and its own record — before and after the
+    /// table has grown several times around them.
     #[test]
-    fn a_hash_collision_walks_on_every_sighting() {
-        const H: u64 = 0x5eed;
-        let (first, second) = ([1, 2, 3], [1, 2, 4]);
+    fn neighbouring_paths_get_distinct_states_and_their_own_records() {
+        let unknown = Symbol::UNKNOWN.0;
+        let paths: [&[u32]; 4] = [&[1, 2, 3], &[1, 2], &[1, 2, 3, 3], &[1, 2, unknown]];
         let mut memo = PathMemo::default();
-        assert_eq!(memo.sight(H, syms(&first), 1), Sighting::First);
-        assert_eq!(memo.sight(H, syms(&second), 1), Sighting::Collision);
-        assert_eq!(memo.sight(H, syms(&second), 1), Sighting::Collision);
-        assert_eq!(memo.sight(H, syms(&first), 1), Sighting::SameDoc);
-        assert_eq!(memo.len(), 1);
-
-        // The collision did not count as a sighting of the resident entry.
-        assert_eq!(memo.sight(H, syms(&second), 2), Sighting::Collision);
-        let Sighting::Again(slot) = memo.sight(H, syms(&first), 2) else {
-            panic!("second document: the resident entry is due its record");
-        };
-        memo.attach(slot, &[7, 9]);
-        assert_eq!(memo.sight(H, syms(&second), 3), Sighting::Collision);
-        assert_eq!(memo.sight(H, syms(&first), 3), Sighting::Recorded(slot));
-        assert_eq!(memo.record(slot), [7, 9]);
-        // A prefix and an extension of the stored sequence collide too.
-        assert_eq!(memo.sight(H, syms(&first[..2]), 4), Sighting::Collision);
-        assert_eq!(memo.sight(H, syms(&[1, 2, 3, 3]), 4), Sighting::Collision);
-        assert_eq!(memo.len(), 1);
-
-        // Another hash on the same probe chain is its own entry.
-        let neighbour = H + 64;
-        assert_eq!(memo.sight(neighbour, syms(&second), 4), Sighting::First);
-        assert_eq!(memo.sight(H, syms(&first), 4), Sighting::Recorded(slot));
-        assert_eq!(memo.len(), 2);
+        for p in paths {
+            assert_eq!(sight(&mut memo, p, 1), Sighting::First, "{p:?}");
+            assert_eq!(sight(&mut memo, p, 1), Sighting::SameDoc, "{p:?}");
+        }
+        // Five states: the four paths and their common inner element.
+        assert_eq!(memo.len(), 5);
+        let mut states = Vec::new();
+        for (i, p) in paths.iter().enumerate() {
+            let Sighting::Again(state) = sight(&mut memo, p, 2) else {
+                panic!("second document: {p:?} is due its record");
+            };
+            memo.attach(state, &[i as u32, 7]);
+            states.push(state);
+        }
+        states.sort_unstable();
+        states.dedup();
+        assert_eq!(states.len(), 4, "a state is shared");
+        // Growth: 3000 more paths below and beside them.
+        for i in 10..3010 {
+            assert_eq!(sight(&mut memo, &[1, 2, i], 2), Sighting::First);
+            assert_eq!(sight(&mut memo, &[i, 2, 3], 2), Sighting::First);
+        }
+        for (i, p) in paths.iter().enumerate() {
+            let Sighting::Recorded(state) = sight(&mut memo, p, 3) else {
+                panic!("record of {p:?} lost in growth");
+            };
+            assert_eq!(memo.record(state), [i as u32, 7], "{p:?}");
+        }
+        // The inner element was never a leaf; its first sighting is one.
+        assert_eq!(sight(&mut memo, &[1], 3), Sighting::First);
     }
 
     #[test]
-    fn entries_survive_table_growth_and_a_reset_forgets_them() {
+    fn states_survive_table_growth_and_a_new_stamp_forgets_them() {
         let mut memo = PathMemo::default();
         let paths: Vec<[u32; 2]> = (0..1000).map(|i| [i, i + 1]).collect();
-        for (i, p) in paths.iter().enumerate() {
-            assert_eq!(memo.sight(i as u64 + 1, syms(p), 1), Sighting::First);
+        for p in &paths {
+            assert_eq!(sight(&mut memo, p, 1), Sighting::First);
         }
         for (i, p) in paths.iter().enumerate() {
-            let Sighting::Again(slot) = memo.sight(i as u64 + 1, syms(p), 2) else {
+            let Sighting::Again(state) = sight(&mut memo, p, 2) else {
                 panic!("path {i} lost in growth");
             };
-            memo.attach(slot, &[i as u32]);
+            memo.attach(state, &[i as u32]);
         }
-        // Recorded entries keep their records across further growth.
+        // Recorded states keep their records across further growth.
         for i in 1000..3000u32 {
-            assert_eq!(memo.sight(i as u64 + 1, syms(&[i, i]), 2), Sighting::First);
+            assert_eq!(sight(&mut memo, &[i, i], 2), Sighting::First);
         }
         for (i, p) in paths.iter().enumerate() {
-            let Sighting::Recorded(slot) = memo.sight(i as u64 + 1, syms(p), 3) else {
+            let Sighting::Recorded(state) = sight(&mut memo, p, 3) else {
                 panic!("record {i} lost in growth");
             };
-            assert_eq!(memo.record(slot), [i as u32]);
+            assert_eq!(memo.record(state), [i as u32]);
         }
-        memo.reset(42);
+        memo.begin_document(memo.stamp);
+        assert!(memo.len() > 3000, "same stamp: nothing is forgotten");
+        memo.begin_document(42);
         assert_eq!((memo.len(), memo.stamp), (0, 42));
-        assert_eq!(memo.sight(1, syms(&paths[0]), 4), Sighting::First);
+        assert_eq!(sight(&mut memo, &paths[0], 4), Sighting::First);
     }
 }

@@ -486,9 +486,9 @@ fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
             .map(|i| SubId(i as u32))
             .collect();
         assert_eq!(engine.match_document(d), want, "{}", d.to_xml());
-        let memo = &engine.scratch.state.memo;
-        assert!(memo.heap_bytes() <= MEMO_CAP_BYTES, "{}", memo.heap_bytes());
-        memo.len()
+        let bytes = engine.scratch.memo_bytes();
+        assert!(bytes <= MEMO_CAP_BYTES, "{bytes}");
+        engine.scratch.memo_states()
     };
     let recurring: Vec<Document> = (0..8).map(|_| xml_of(&chain(&mut rng))).collect();
     let mut seen = std::collections::HashSet::new();
@@ -507,4 +507,56 @@ fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
     assert!(emptied >= 1, "50k paths of 20+ symbols fit the cap?");
     let s = engine.stats();
     assert!(s.memo_replays > 40_000 && s.stage2_walks > 50_000, "{s:?}");
+}
+
+/// The mark bookkeeping of lazy stage 1. With the memo warm for the first
+/// subtree, the document's `a` leaves are a replay and a skip — nothing
+/// is evaluated and nothing marked; `z`, three levels below the root,
+/// needs a walk, so stage 1 catches up from the root; its sibling `w`
+/// needs another after `z` was left, and only `z`'s contribution may be
+/// gone by then; `v` walks after two more elements were left. Match sets
+/// are the oracle's whether the memo is cold, recording or replaying, and
+/// no mark outlives the document.
+#[test]
+fn lazy_stage1_catches_up_from_the_root_and_rolls_back_only_what_was_left() {
+    let exprs: Vec<_> = [
+        "/r/a/b", "//a/b", "/r/x/y/z", "//x//z", "x/y/w", "/r/*/y/w", "//y/z", "//z/w", "/r//w",
+        "/r/x/v", "//y/v", "/*/*/v", "r/a",
+    ]
+    .iter()
+    .map(|e| parse(e).unwrap())
+    .collect();
+    let mut engine = FilterEngine::default();
+    for e in &exprs {
+        engine.add(e).unwrap();
+    }
+    let check = |engine: &mut FilterEngine, d: &Document| {
+        let want: Vec<SubId> = (0..exprs.len())
+            .filter(|&i| matches_document(&exprs[i], d))
+            .map(|i| SubId(i as u32))
+            .collect();
+        assert_eq!(engine.match_document(d), want, "{}", d.to_xml());
+        assert!(engine.scratch.state.ctx_marks.is_empty());
+    };
+    let warm = doc("<r><a><b/><b/></a></r>");
+    let probe = doc("<r><a><b/><b/></a><x><y><z/><w/></y><v/></x></r>");
+    for _ in 0..3 {
+        check(&mut engine, &warm);
+    }
+    let before = engine.stats();
+    check(&mut engine, &probe);
+    let s = engine.stats();
+    assert_eq!(
+        [
+            s.memo_replays - before.memo_replays,
+            s.memo_path_skips - before.memo_path_skips,
+            s.stage2_walks - before.stage2_walks,
+        ],
+        [1, 1, 3],
+        "replayed b, skipped b, walked z, w and v"
+    );
+    // The same document recording, then replaying throughout.
+    check(&mut engine, &probe);
+    check(&mut engine, &probe);
+    assert_eq!(engine.stats().stage2_walks - s.stage2_walks, 3);
 }

@@ -11,6 +11,10 @@
 //!    its occurrence set from a `u128` to a heap bitset: documents with
 //!    one 100–300-element path beside shallow ones, under adds and
 //!    removes after `prepare()`.
+//! 4. Deferring an element's evaluation until a descendant needs it (what
+//!    the engine does: stage 1 runs only where a leaf walks) leaves, at
+//!    every catch-up point, the context that evaluation on enter leaves —
+//!    same predicates in the same `matched()` order, same pair lists.
 //!
 //! Workloads include repeated-tag documents (exercising occurrence
 //! numbers and the duplicate-path memo), mixed content, and attribute
@@ -179,7 +183,7 @@ impl ElementVisitor for CtxChecker<'_> {
         self.marks.push(self.ctx.push_mark());
         self.publication.push_path_element(tag, id);
         self.index
-            .eval_enter(&self.publication, Some(self.doc), &mut self.ctx);
+            .eval_enter(&self.publication.tuples, Some(self.doc), &mut self.ctx);
         if is_leaf {
             let leaf_mark = self.ctx.push_mark();
             self.index
@@ -208,24 +212,30 @@ impl ElementVisitor for CtxChecker<'_> {
     }
 }
 
+/// The predicates of one to seven random single-path expressions, in
+/// inline mode so that attribute constraints become index-side predicates
+/// (the attr side-lists of `eval_enter`/`eval_leaf`).
+fn arb_index(rng: &mut Rng) -> (Interner, PredicateIndex) {
+    let mut interner = Interner::new();
+    let mut index = PredicateIndex::new();
+    for _ in 0..rng.gen_range(1..8usize) {
+        let expr = arb_expr(rng, false);
+        let enc = encode_single_path(&expr, &mut interner, pxf_core::encode::AttrMode::Inline)
+            .expect("single-path expressions encode");
+        for pred in enc.preds {
+            index.insert(pred);
+        }
+    }
+    (interner, index)
+}
+
 /// Property 1: incremental context == per-path context at every leaf.
 #[test]
 fn incremental_ctx_equals_per_path_evaluate() {
     let mut rng = Rng::seed_from_u64(0x1c51);
     let mut total_leaves = 0usize;
     for round in 0..256 {
-        let mut interner = Interner::new();
-        let mut index = PredicateIndex::new();
-        // Inline mode so attribute constraints become index-side
-        // predicates (the attr side-lists of eval_enter/eval_leaf).
-        for _ in 0..rng.gen_range(1..8usize) {
-            let expr = arb_expr(&mut rng, false);
-            let enc = encode_single_path(&expr, &mut interner, pxf_core::encode::AttrMode::Inline)
-                .expect("single-path expressions encode");
-            for pred in enc.preds {
-                index.insert(pred);
-            }
-        }
+        let (interner, index) = arb_index(&mut rng);
         let n_tags = rng.gen_range(2..=TAGS.len());
         let doc = build_doc(&arb_tree(&mut rng, 4, n_tags));
         let mut checker = CtxChecker {
@@ -247,6 +257,130 @@ fn incremental_ctx_equals_per_path_evaluate() {
         total_leaves += checker.leaves_checked;
     }
     assert!(total_leaves > 256, "sweep exercised real documents");
+}
+
+/// Drives two stage-1 evaluations of one document side by side: the eager
+/// one evaluates every element on enter; the deferred one only steps the
+/// path stack and catches up — the open elements not evaluated yet,
+/// outermost first, one mark each — at a random subset of elements. At
+/// every catch-up point the two contexts must be indistinguishable.
+struct LazyChecker<'a> {
+    doc: &'a Document,
+    interner: &'a Interner,
+    index: &'a PredicateIndex,
+    rng: &'a mut Rng,
+    publication: Publication,
+    eager: MatchContext,
+    eager_marks: Vec<CtxMark>,
+    lazy: MatchContext,
+    /// One mark per *evaluated* open element.
+    lazy_marks: Vec<CtxMark>,
+    catch_ups: usize,
+    /// Catch-ups that evaluated more than the element just entered.
+    deep_catch_ups: usize,
+}
+
+impl LazyChecker<'_> {
+    /// Same predicates in the same `matched()` order, and for each the
+    /// same pairs in the same order.
+    fn assert_same(&self, what: &str) {
+        let ctx = format!(
+            "{what} at {:?} of {}",
+            self.publication.tuples.last().map(|t| t.node),
+            self.doc.to_xml()
+        );
+        assert_eq!(self.lazy.matched(), self.eager.matched(), "{ctx}");
+        for &pid in self.eager.matched() {
+            assert_eq!(self.lazy.get(pid), self.eager.get(pid), "{pid:?}, {ctx}");
+        }
+    }
+}
+
+impl ElementVisitor for LazyChecker<'_> {
+    fn enter(&mut self, id: NodeId, is_leaf: bool) {
+        let tag = self
+            .interner
+            .get(self.doc.tag(id))
+            .unwrap_or(Symbol::UNKNOWN);
+        self.publication.push_path_element(tag, id);
+        let tuples = &self.publication.tuples;
+        self.eager_marks.push(self.eager.push_mark());
+        self.index
+            .eval_enter(tuples, Some(self.doc), &mut self.eager);
+        if !self.rng.gen_bool(0.35) {
+            return;
+        }
+        self.catch_ups += 1;
+        self.deep_catch_ups += usize::from(tuples.len() - self.lazy_marks.len() > 1);
+        for depth in self.lazy_marks.len()..tuples.len() {
+            self.lazy_marks.push(self.lazy.push_mark());
+            self.index
+                .eval_enter(&tuples[..=depth], Some(self.doc), &mut self.lazy);
+        }
+        self.assert_same("caught up");
+        if is_leaf {
+            let marks = (self.eager.push_mark(), self.lazy.push_mark());
+            for ctx in [&mut self.eager, &mut self.lazy] {
+                self.index.eval_leaf(&self.publication, Some(self.doc), ctx);
+            }
+            self.assert_same("leaf predicates");
+            self.eager.pop_to_mark(marks.0);
+            self.lazy.pop_to_mark(marks.1);
+            self.assert_same("leaf predicates rolled back");
+        }
+    }
+
+    fn leave(&mut self, _id: NodeId) {
+        self.publication.pop_path_element();
+        self.eager
+            .pop_to_mark(self.eager_marks.pop().expect("mark stack"));
+        // Only an element that was evaluated left a mark.
+        if self.lazy_marks.len() > self.publication.tuples.len() {
+            self.lazy
+                .pop_to_mark(self.lazy_marks.pop().expect("checked non-empty"));
+        }
+    }
+}
+
+/// Property 4: evaluating an open element when a descendant first needs it
+/// leaves the context evaluating it on enter would have — an element's
+/// contribution depends on the path down to it (and its own attributes)
+/// alone, so deferral changes neither the pairs nor their order.
+#[test]
+fn deferred_evaluation_equals_eager_at_every_catch_up() {
+    let mut rng = Rng::seed_from_u64(0x1c54);
+    let (mut catch_ups, mut deep_catch_ups) = (0, 0);
+    for _ in 0..256 {
+        let (interner, index) = arb_index(&mut rng);
+        let n_tags = rng.gen_range(2..=TAGS.len());
+        let doc = build_doc(&arb_tree(&mut rng, 5, n_tags));
+        let mut checker = LazyChecker {
+            doc: &doc,
+            interner: &interner,
+            index: &index,
+            rng: &mut rng,
+            publication: Publication::new(),
+            eager: MatchContext::new(),
+            eager_marks: Vec::new(),
+            lazy: MatchContext::new(),
+            lazy_marks: Vec::new(),
+            catch_ups: 0,
+            deep_catch_ups: 0,
+        };
+        checker.publication.begin_incremental();
+        checker.eager.begin(index.len());
+        checker.lazy.begin(index.len());
+        doc.for_each_element(&mut checker);
+        assert!(checker.eager_marks.is_empty() && checker.lazy_marks.is_empty());
+        checker.assert_same("document left");
+        assert!(checker.lazy.matched().is_empty());
+        catch_ups += checker.catch_ups;
+        deep_catch_ups += checker.deep_catch_ups;
+    }
+    assert!(
+        catch_ups > 512 && deep_catch_ups > 128,
+        "{catch_ups} catch-ups, {deep_catch_ups} past one element"
+    );
 }
 
 /// Property 2: the engine agrees with the reference oracle for both

@@ -809,26 +809,29 @@ impl PredicateIndex {
         }
     }
 
-    /// Incremental stage-1, element *enter*: evaluates only the
-    /// contributions of the last tuple of `publication` (the element just
-    /// pushed onto the path stack) — its absolute-predicate slots, its
-    /// relative-predicate pairs against every ancestor tuple, and its
-    /// attribute side lists. Length and end-of-path predicates depend on
-    /// the final path length and are deferred to [`Self::eval_leaf`].
+    /// Incremental stage-1, one element: evaluates only the contributions
+    /// of the last tuple of `path` (a prefix of the path stack, root
+    /// first; the element is its last tuple) — its absolute-predicate
+    /// slots, its relative-predicate pairs against every ancestor tuple,
+    /// and its attribute side lists. Length and end-of-path predicates
+    /// depend on the final path length and are deferred to
+    /// [`Self::eval_leaf`].
     ///
-    /// Calling this once per [`Publication::push_path_element`] (with
-    /// rollback of the pushed pairs on leave) accumulates, at any stack
-    /// state, exactly the pairs [`Self::evaluate`] minus `eval_leaf` would
-    /// produce for the current root-to-element path — relative pairs arrive
-    /// in to-major instead of from-major order, which occurrence
-    /// determination is insensitive to.
+    /// The result is a function of `path` alone, so an open element may be
+    /// evaluated on enter or at any later point before it closes. Calling
+    /// this once per open element, outermost first (with rollback of the
+    /// pushed pairs on leave), accumulates exactly the pairs
+    /// [`Self::evaluate`] minus `eval_leaf` would produce for the
+    /// evaluated root-to-element path — relative pairs arrive in to-major
+    /// instead of from-major order, which occurrence determination is
+    /// insensitive to.
     pub fn eval_enter<D: DocAccess>(
         &self,
-        publication: &Publication,
+        path: &[PathTuple],
         doc: Option<&D>,
         ctx: &mut MatchContext,
     ) {
-        let Some(tuple) = publication.tuples.last().copied() else {
+        let Some((&tuple, ancestors)) = path.split_last() else {
             return;
         };
         if let Some(arrays) = self.absolute.get(tuple.tag) {
@@ -842,7 +845,6 @@ impl PredicateIndex {
                 }
             }
         }
-        let ancestors = &publication.tuples[..publication.tuples.len() - 1];
         if self.rel_to.get(tuple.tag.index()).copied().unwrap_or(false) {
             for from in ancestors {
                 let Some(arrays) = self.relative.get(from.tag).and_then(|m| m.get(&tuple.tag))
@@ -1371,7 +1373,7 @@ mod tests {
         inc.begin(index.len());
         for (i, &t) in tags.iter().enumerate() {
             publication.push_path_element(t, i as pxf_xml::NodeId);
-            index.eval_enter(&publication, None::<&pxf_xml::Document>, &mut inc);
+            index.eval_enter(&publication.tuples, None::<&pxf_xml::Document>, &mut inc);
             assert_bitmap_is_exact(&inc, index.len());
         }
         let before_leaf = inc.push_mark();
