@@ -16,7 +16,7 @@ use pxf_core::{AttrMode, EngineStats, FilterBackend, FilterEngine, SnapshotPubli
 use pxf_indexfilter::IndexFilter;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xfilter::XFilter;
-use pxf_xml::Document;
+use pxf_xml::{Document, ParserLimits, PathDoc};
 use pxf_xpath::XPathExpr;
 use pxf_yfilter::YFilter;
 use std::time::Instant;
@@ -228,15 +228,19 @@ pub fn run_engine(kind: EngineKind, attr_mode: AttrMode, workload: &Workload) ->
     }
 }
 
-/// Measures average document parse time in microseconds (the paper §6.5
-/// reports 314 µs / 355 µs for NITF / PSD).
-pub fn measure_parse_us(workload: &Workload, repeats: usize) -> f64 {
+/// Average microseconds per document of `per_doc` over `repeats` passes
+/// of the workload's documents. Whatever `per_doc` builds it also drops
+/// inside the timed loop: production pays for the frees too.
+fn time_per_doc(
+    workload: &Workload,
+    repeats: usize,
+    mut per_doc: impl FnMut(&[u8]) -> usize,
+) -> f64 {
     let t = Instant::now();
     let mut sink = 0usize;
     for _ in 0..repeats.max(1) {
         for bytes in &workload.doc_bytes {
-            let doc = Document::parse(bytes).expect("well-formed");
-            sink += doc.len();
+            sink += per_doc(bytes);
         }
     }
     let total = t.elapsed().as_secs_f64() * 1e6;
@@ -244,21 +248,33 @@ pub fn measure_parse_us(workload: &Workload, repeats: usize) -> f64 {
     total / (repeats.max(1) * workload.doc_bytes.len().max(1)) as f64
 }
 
+/// Measures average document parse time in microseconds — build the
+/// [`Document`] tree and drop it (the paper §6.5 reports 314 µs / 355 µs
+/// for NITF / PSD).
+pub fn measure_parse_us(workload: &Workload, repeats: usize) -> f64 {
+    time_per_doc(workload, repeats, |bytes| {
+        Document::parse(bytes).expect("well-formed").len()
+    })
+}
+
 /// Streaming counterpart of [`measure_parse_us`]: average time to parse a
-/// document straight into the flat [`pxf_xml::PathDoc`] store (the
-/// tree-free path used by `match_bytes`).
-pub fn measure_parse_paths_us(workload: &Workload, repeats: usize) -> f64 {
-    let t = Instant::now();
-    let mut sink = 0usize;
-    for _ in 0..repeats.max(1) {
-        for bytes in &workload.doc_bytes {
-            let doc = pxf_xml::PathDoc::parse(bytes).expect("well-formed");
-            sink += doc.len();
-        }
-    }
-    let total = t.elapsed().as_secs_f64() * 1e6;
-    std::hint::black_box(sink);
-    total / (repeats.max(1) * workload.doc_bytes.len().max(1)) as f64
+/// document into the flat [`PathDoc`] store, as `(fresh, reused)` — a
+/// fresh store per document, parsed and dropped (what
+/// [`PathDoc::parse_with_limits`] callers pay), and one store refilled by
+/// [`PathDoc::parse_into`] (what a matcher's scratch pays: no allocation
+/// once warm).
+pub fn measure_parse_paths_us(workload: &Workload, repeats: usize) -> (f64, f64) {
+    let fresh = time_per_doc(workload, repeats, |bytes| {
+        PathDoc::parse(bytes).expect("well-formed").len()
+    });
+    let mut store = PathDoc::default();
+    let reused = time_per_doc(workload, repeats, |bytes| {
+        store
+            .parse_into(bytes, ParserLimits::default())
+            .expect("well-formed");
+        store.len()
+    });
+    (fresh, reused)
 }
 
 /// Result of a churn run: filtering throughput measured off immutable
@@ -383,7 +399,7 @@ pub fn run_churn(
         // Reader: filter documents off pinned snapshots until the writer
         // finishes; this is the metric under churn. The scratch persists
         // across snapshots, mirroring the static runners' streaming path
-        // (parse straight into a `PathDoc`, no tree).
+        // (parse into the scratch's own `PathDoc`, no tree).
         let mut scratch = pxf_core::MatchScratch::new();
         let mut docs_matched = 0usize;
         let mut total_matches = 0usize;
@@ -391,8 +407,11 @@ pub fn run_churn(
         while !done.load(std::sync::atomic::Ordering::Acquire) {
             let bytes = &workload.doc_bytes[docs_matched % workload.doc_bytes.len()];
             let snap = handle.load();
-            let doc = pxf_xml::PathDoc::parse(bytes).expect("generated documents are well-formed");
-            total_matches += snap.engine().match_document_with(&doc, &mut scratch).len();
+            total_matches += snap
+                .engine()
+                .match_bytes_with(bytes, &mut scratch)
+                .expect("generated documents are well-formed")
+                .len();
             docs_matched += 1;
         }
         let match_elapsed = t.elapsed().as_secs_f64() * 1e3;

@@ -107,8 +107,9 @@ fn parse_measurement_is_positive() {
     let w = build_workload(&regime, &tiny_spec());
     let us = measure_parse_us(&w, 2);
     assert!(us > 0.0 && us < 100_000.0);
-    let stream_us = measure_parse_paths_us(&w, 2);
-    assert!(stream_us > 0.0 && stream_us < 100_000.0);
+    let (fresh_us, reused_us) = measure_parse_paths_us(&w, 2);
+    assert!(fresh_us > 0.0 && fresh_us < 100_000.0);
+    assert!(reused_us > 0.0 && reused_us < 100_000.0);
 }
 
 #[test]

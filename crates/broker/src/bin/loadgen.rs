@@ -122,6 +122,7 @@ fn main() {
     println!("stage2_walks       {}", report.stats.stage2_walks);
     println!("memo_states        {}", report.stats.memo_states);
     println!("memo_bytes         {}", report.stats.memo_bytes);
+    println!("doc_store_bytes    {}", report.stats.doc_store_bytes);
     println!("shed               {}", report.stats.shed);
     println!("dropped            {}", report.stats.dropped);
 

@@ -197,6 +197,7 @@ struct Counters {
     stage2_walks: AtomicU64,
     memo_states: AtomicU64,
     memo_bytes: AtomicU64,
+    doc_store_bytes: AtomicU64,
 }
 
 /// A point-in-time copy of the broker's counters (the payload of a
@@ -242,6 +243,11 @@ pub struct BrokerStatsSnapshot {
     /// Heap the workers' path automata hold (transition table, states,
     /// recorded nodes), summed over workers; capped at 16 MiB each.
     pub memo_bytes: u64,
+    /// Heap the workers' document stores hold between documents (each
+    /// worker parses every document into one flat store it keeps),
+    /// summed over workers; a store gives back what exceeds 1 MiB before
+    /// its next document.
+    pub doc_store_bytes: u64,
 }
 
 impl BrokerStatsSnapshot {
@@ -263,6 +269,7 @@ impl BrokerStatsSnapshot {
             ("stage2_walks", self.stage2_walks),
             ("memo_states", self.memo_states),
             ("memo_bytes", self.memo_bytes),
+            ("doc_store_bytes", self.doc_store_bytes),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -292,6 +299,7 @@ impl BrokerStatsSnapshot {
                 "stage2_walks" => s.stage2_walks = v,
                 "memo_states" => s.memo_states = v,
                 "memo_bytes" => s.memo_bytes = v,
+                "doc_store_bytes" => s.doc_store_bytes = v,
                 _ => {}
             }
         }
@@ -364,6 +372,7 @@ impl Shared {
             stage2_walks: c.stage2_walks.load(Ordering::Relaxed),
             memo_states: c.memo_states.load(Ordering::Relaxed),
             memo_bytes: c.memo_bytes.load(Ordering::Relaxed),
+            doc_store_bytes: c.doc_store_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -640,6 +649,8 @@ fn conn_writer_loop(conn: &Arc<ConnShared>, sock: TcpStream) {
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
     let mut input = BufReader::new(sock);
     let mut line = String::new();
+    // Payload buffer lent to every `DOC` frame of the connection.
+    let mut chunk: Vec<u8> = Vec::new();
     loop {
         line.clear();
         match input.read_line(&mut line) {
@@ -673,7 +684,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
                 shared.control.push(Control::Unsub { conn: conn.id, id });
             }
             Command::Doc { len, tag } => {
-                if !ingest_frame(shared, conn, &mut input, len, &tag) {
+                if !ingest_frame(shared, conn, &mut input, &mut chunk, len, &tag) {
                     break;
                 }
             }
@@ -700,12 +711,14 @@ fn one_line(s: &str) -> String {
 }
 
 /// Reads a `DOC` frame's payload, feeding it through the connection's
-/// boundary scanner in bounded chunks. Returns false when the connection
+/// boundary scanner in bounded chunks of the caller's buffer (grown to
+/// the frame length, at most 64 KiB). Returns false when the connection
 /// must close (socket died or the stream fused).
 fn ingest_frame(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     input: &mut BufReader<TcpStream>,
+    chunk: &mut Vec<u8>,
     len: usize,
     tag: &str,
 ) -> bool {
@@ -728,7 +741,9 @@ fn ingest_frame(
         return true;
     }
     let mut remaining = len;
-    let mut chunk = vec![0u8; CHUNK.min(len.max(1))];
+    if chunk.len() < CHUNK.min(len) {
+        chunk.resize(CHUNK.min(len), 0);
+    }
     while remaining > 0 {
         let take = chunk.len().min(remaining);
         if input.read_exact(&mut chunk[..take]).is_err() {
@@ -927,12 +942,14 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
 fn worker_loop(shared: &Arc<Shared>) {
     let mut batch: Vec<IngestDoc> = Vec::new();
     // One scratch for the worker's lifetime, across batches and snapshots:
-    // its buffers are sized once, and its path memo keeps what it learned
-    // about tag paths for as long as the subscription set stays the same.
+    // its buffers are sized once, every document is parsed into its one
+    // document store, and its path memo keeps what it learned about tag
+    // paths for as long as the subscription set stays the same.
     let mut scratch = MatchScratch::new();
     let mut reported = scratch.stats();
-    // This worker's share of the `memo_states`/`memo_bytes` gauges.
-    let mut held = [0u64; 2];
+    // This worker's share of the `memo_states`/`memo_bytes`/
+    // `doc_store_bytes` gauges.
+    let mut held = [0u64; 3];
     loop {
         batch.clear();
         if shared
@@ -978,12 +995,18 @@ fn worker_loop(shared: &Arc<Shared>) {
         reported = now;
         // Gauges summed over workers: each adds the change of its own
         // share (wrapping, so a decrease subtracts).
-        let holds = [scratch.memo_states() as u64, scratch.memo_bytes() as u64];
+        let holds = [
+            scratch.memo_states() as u64,
+            scratch.memo_bytes() as u64,
+            scratch.doc_store_bytes() as u64,
+        ];
         let c = &shared.stats;
-        c.memo_states
-            .fetch_add(holds[0].wrapping_sub(held[0]), Ordering::Relaxed);
-        c.memo_bytes
-            .fetch_add(holds[1].wrapping_sub(held[1]), Ordering::Relaxed);
+        for (gauge, (now, before)) in [&c.memo_states, &c.memo_bytes, &c.doc_store_bytes]
+            .into_iter()
+            .zip(holds.into_iter().zip(held))
+        {
+            gauge.fetch_add(now.wrapping_sub(before), Ordering::Relaxed);
+        }
         held = holds;
     }
 }

@@ -395,9 +395,10 @@ fn sub_then_doc_is_visible_through_a_warm_memo_with_two_workers() {
     warm_memo_sees_sub_and_unsub(2);
 }
 
-/// `STATS` says what the workers' path automata hold: after warm
-/// documents `memo_states` counts their tag paths and `memo_bytes` the
-/// heap behind them; a `SUB` stamps the subscription set anew, and the
+/// `STATS` says what the workers hold between documents: after warm
+/// documents `memo_states` counts their tag paths, `memo_bytes` the heap
+/// behind them and `doc_store_bytes` the store every document was parsed
+/// into; a `SUB` stamps the subscription set anew, and the
 /// next document starts the automaton over with its own paths alone. The
 /// worker posts its gauges after the batch, so `STATS` is polled.
 #[test]
@@ -439,6 +440,10 @@ fn stats_report_what_the_memo_holds() {
     // — two of them leaf paths, replayed by the third document.
     let warm = stats_when(&mut conn, "warm", &|states| states == 5);
     assert!(warm.memo_bytes > 0 && warm.memo_replays == 2, "{warm:?}");
+    assert!(
+        warm.doc_store_bytes > 0 && warm.doc_store_bytes < 1 << 20,
+        "{warm:?}"
+    );
 
     let added = conn.subscribe("/a");
     publish(&mut conn, "n0", NARROW, &[resident, added]);

@@ -85,8 +85,9 @@ impl AttrCheck {
             let Some(tuple) = publication.find_occurrence(tag, occ) else {
                 return false;
             };
-            let element = doc.element(tuple.node);
-            filters.iter().all(|f| f.matches(element.value_of(&f.name)))
+            filters
+                .iter()
+                .all(|f| f.matches(doc.value_of(tuple.node, &f.name)))
         };
         node_ok(lc.first_tag, pair.0, &lc.first) && node_ok(lc.second_tag, pair.1, &lc.second)
     }

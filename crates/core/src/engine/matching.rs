@@ -10,7 +10,7 @@ use super::{EngineStats, FilterEngine, SubId};
 use crate::nested::combine;
 use crate::occurrence::determine_match_by;
 use pxf_predicate::{MatchContext, PredId, Publication};
-use pxf_xml::{DocAccess, ElementVisitor, NodeId, PathDoc, Symbol, XmlError};
+use pxf_xml::{DocAccess, ElementVisitor, NodeId, Symbol, XmlError};
 use std::time::Instant;
 
 impl FilterEngine {
@@ -27,6 +27,7 @@ impl FilterEngine {
             ctx,
             state,
             stats,
+            doc: _,
         } = scratch;
         state.advance_doc_epoch();
         state.memo.begin_document(self.stamp);
@@ -72,16 +73,23 @@ impl FilterEngine {
     }
 
     /// Parses and filters a document in one streaming pass (see
-    /// [`Self::match_bytes`]) using caller-provided scratch. The scratch
-    /// may have served another engine before: its path memo is emptied
-    /// when the subscription set is not the one it was filled under.
+    /// [`Self::match_bytes`]) using caller-provided scratch: the bytes are
+    /// parsed into the scratch's own document store, whose allocations
+    /// the previous document left behind. The scratch may have served
+    /// another engine before: its path memo is emptied when the
+    /// subscription set is not the one it was filled under.
     pub fn match_bytes_with(
         &self,
         bytes: &[u8],
         scratch: &mut MatchScratch,
     ) -> Result<Vec<SubId>, XmlError> {
-        let doc = PathDoc::parse_with_limits(bytes, self.limits)?;
-        Ok(self.match_document_with(&doc, scratch))
+        // The store leaves the scratch while the match borrows both.
+        let mut doc = std::mem::take(&mut scratch.doc);
+        let results = doc
+            .parse_into(bytes, self.limits)
+            .map(|()| self.match_document_with(&doc, scratch));
+        scratch.doc = doc;
+        results
     }
 
     /// Incremental stage 1: one enter/leave traversal of the document.

@@ -30,7 +30,7 @@ use crate::encode::{encode_single_path, AttrMode, EncodeError};
 use crate::nested::{decompose, NestedPlan};
 use dedup::{CanonGroup, NO_GROUP};
 use pxf_predicate::{PredId, PredicateIndex};
-use pxf_xml::{DocAccess, Interner, ParserLimits, PathDoc, XmlError};
+use pxf_xml::{DocAccess, Interner, ParserLimits, XmlError};
 use pxf_xpath::XPathExpr;
 use std::collections::HashMap;
 use std::fmt;
@@ -569,11 +569,14 @@ impl FilterEngine {
     }
 
     /// Parses and filters a document in one streaming pass over the raw
-    /// bytes: [`PathDoc::parse`] records leaf paths as elements close, with
-    /// no `Document` tree allocation, and matching runs over the flat
-    /// store. Match sets are byte-identical to the tree-based path.
+    /// bytes: they are parsed into the scratch's flat store
+    /// ([`PathDoc::parse_into`](pxf_xml::PathDoc::parse_into) — no tree, no
+    /// allocation once warm) and matching runs over its columns. Match
+    /// sets are byte-identical to the tree-based path.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
-        let doc = PathDoc::parse_with_limits(bytes, self.limits)?;
-        Ok(self.match_document(&doc))
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let results = self.match_bytes_with(bytes, &mut scratch);
+        self.scratch = scratch;
+        results
     }
 }

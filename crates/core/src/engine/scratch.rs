@@ -5,19 +5,22 @@
 
 use super::{EngineStats, FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, PredId, Publication};
-use pxf_xml::{DocAccess, NodeId, Symbol, XmlError};
+use pxf_xml::{DocAccess, NodeId, PathDoc, Symbol, XmlError};
 
-/// Reusable matching state: per-document buffers, and the path memo that
-/// carries what earlier documents' tag paths reached for as long as the
-/// subscription set stays the same. One scratch per concurrent matcher
-/// (see [`FilterEngine::matcher`]); it may serve different engines in
-/// turn.
+/// Reusable matching state: per-document buffers, the document store the
+/// streaming path parses into, and the path memo that carries what
+/// earlier documents' tag paths reached for as long as the subscription
+/// set stays the same. One scratch per concurrent matcher (see
+/// [`FilterEngine::matcher`]); it may serve different engines in turn.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     pub(super) publication: Publication,
     pub(super) ctx: MatchContext,
     pub(super) state: DocState,
     pub(super) stats: EngineStats,
+    /// Where [`FilterEngine::match_bytes_with`] parses each document:
+    /// refilled in place, so a warm scratch allocates nothing to parse.
+    pub(super) doc: PathDoc,
 }
 
 impl MatchScratch {
@@ -42,6 +45,13 @@ impl MatchScratch {
     /// recorded nodes — in bytes; bounded by a fixed cap (16 MiB).
     pub fn memo_bytes(&self) -> usize {
         self.state.memo.heap_bytes()
+    }
+
+    /// Heap held by the document store the streaming path parses into
+    /// (by capacity), in bytes; the store gives back what exceeds
+    /// [`PathDoc::RETAINED_HEAP_BYTES`] before the next document.
+    pub fn doc_store_bytes(&self) -> usize {
+        self.doc.heap_bytes()
     }
 
     #[doc(hidden)]
@@ -78,8 +88,9 @@ impl Matcher<'_> {
     }
 
     /// Parses and filters a document in a single streaming pass: the bytes
-    /// go through [`PathDoc::parse`] (no tree is built) and the match runs
-    /// over the flat path store. Results are identical to parsing with
+    /// go through [`PathDoc::parse_into`] on this matcher's own store (no
+    /// tree is built, nothing is allocated once warm) and the match runs
+    /// over its columns. Results are identical to parsing with
     /// [`pxf_xml::Document::parse`] and calling [`Self::match_document`].
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
         self.engine.match_bytes_with(bytes, &mut self.scratch)

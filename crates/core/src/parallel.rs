@@ -287,9 +287,10 @@ pub fn filter_batch_with<E: AsRef<FilterEngine> + Sync>(
 /// paper's total-filter-time unit of work) across worker threads.
 ///
 /// Each document takes the streaming path ([`Matcher::match_bytes`]): one
-/// pass over the bytes into a flat path store, no `Document` tree. Parse
-/// errors — including [`ParserLimits`](pxf_xml::ParserLimits) violations —
-/// and matcher panics are isolated per document. With `threads == 1` this
+/// pass over the bytes into the matcher's own flat store, no `Document`
+/// tree. Parse errors — including
+/// [`ParserLimits`](pxf_xml::ParserLimits) violations — and matcher
+/// panics are isolated per document. With `threads == 1` this
 /// degenerates to a sequential loop (no threads are spawned), and
 /// `threads == 0` uses every available core, mirroring [`filter_batch`].
 ///

@@ -247,16 +247,16 @@ impl IndexFilter {
             let mut counter: u32 = 0;
             let mut open: Vec<usize> = Vec::new();
             doc.for_each_event(|ev| match ev {
-                TreeEvent::Start(id, element) => {
+                TreeEvent::Start(id, tag, depth) => {
                     counter += 1;
-                    let sym = interner.intern(&element.tag);
+                    let sym = interner.intern(tag);
                     open.push(elements.len());
                     elements.push((
                         sym,
                         Entry {
                             start: counter,
                             end: 0,
-                            level: element.depth as u16,
+                            level: depth as u16,
                             node: id,
                         },
                     ));
@@ -418,15 +418,15 @@ impl FilterBackend for IndexFilter {
 fn matches_path_with_attrs<D: DocAccess>(expr: &XPathExpr, doc: &D, nodes: &[NodeId]) -> bool {
     let n = nodes.len();
     let step_ok = |step: &pxf_xpath::Step, pos: usize| -> bool {
-        let element = doc.element(nodes[pos - 1]);
+        let node = nodes[pos - 1];
         let tag_ok = match &step.test {
-            NodeTest::Tag(t) => element.tag == *t,
+            NodeTest::Tag(t) => doc.tag(node) == t,
             NodeTest::Wildcard => true,
         };
         tag_ok
             && step
                 .attr_filters()
-                .all(|f| f.matches(element.value_of(&f.name)))
+                .all(|f| f.matches(doc.value_of(node, &f.name)))
     };
     let mut frontier: Vec<usize> = Vec::new();
     for (i, step) in expr.steps.iter().enumerate() {

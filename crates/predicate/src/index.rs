@@ -758,19 +758,18 @@ impl PredicateIndex {
         doc: &D,
         ctx: &mut MatchContext,
     ) {
-        let element = doc.element(node);
+        let value_of = |name: &str| doc.value_of(node, name);
         let on_candidate = |e: &AttrUnary, ctx: &mut MatchContext| {
-            if verify_tagvar(&e.tag, |name| element.value_of(name)) {
+            if verify_tagvar(&e.tag, value_of) {
                 ctx.push(e.pid, (occ, occ));
             }
         };
         if let Some(bucket) = lists.slot(PosOp::Eq, value as u32) {
-            bucket.for_each_candidate(|name| element.value_of(name), |e| on_candidate(e, ctx));
+            bucket.for_each_candidate(value_of, |e| on_candidate(e, ctx));
         }
         let max = (lists.ge.len().saturating_sub(1) as u16).min(value);
         for v in 1..=max {
-            lists.ge[v as usize]
-                .for_each_candidate(|name| element.value_of(name), |e| on_candidate(e, ctx));
+            lists.ge[v as usize].for_each_candidate(value_of, |e| on_candidate(e, ctx));
         }
     }
 
@@ -784,20 +783,20 @@ impl PredicateIndex {
         doc: &D,
         ctx: &mut MatchContext,
     ) {
-        let from_element = doc.element(from.node);
-        let to_element = doc.element(to.node);
+        let from_value = |name: &str| doc.value_of(from.node, name);
+        let to_value = |name: &str| doc.value_of(to.node, name);
         let on_candidate = |e: &AttrBinary, ctx: &mut MatchContext| {
-            if verify_tagvar(&e.from, |name| from_element.value_of(name))
-                && verify_tagvar(&e.to, |name| to_element.value_of(name))
-            {
+            if verify_tagvar(&e.from, from_value) && verify_tagvar(&e.to, to_value) {
                 ctx.push(e.pid, (from.occ, to.occ));
             }
         };
         let scan_slot = |slot: &RelSlot, ctx: &mut MatchContext| {
-            slot.by_from
-                .for_each_candidate(|name| from_element.value_of(name), |e| on_candidate(e, ctx));
+            slot.by_from.for_each_candidate(
+                |name| doc.value_of(from.node, name),
+                |e| on_candidate(e, ctx),
+            );
             slot.by_to
-                .for_each_candidate(|name| to_element.value_of(name), |e| on_candidate(e, ctx));
+                .for_each_candidate(|name| doc.value_of(to.node, name), |e| on_candidate(e, ctx));
         };
         let diff = (to.pos - from.pos) as u32;
         if let Some(slot) = lists.slot(PosOp::Eq, diff) {
@@ -941,10 +940,9 @@ fn tagvar_attrs_match<D: DocAccess>(tag: &TagVar, node: pxf_xml::NodeId, doc: &D
     if tag.attrs.is_empty() {
         return true;
     }
-    let element = doc.element(node);
     tag.attrs
         .iter()
-        .all(|c| c.matches(element.value_of(&c.name)))
+        .all(|c| c.matches(doc.value_of(node, &c.name)))
 }
 
 /// Per-publication predicate matching results: for each matched predicate,

@@ -232,11 +232,11 @@ impl XFilter {
         let mut added: Vec<Vec<(Option<Symbol>, Instance)>> = Vec::new();
 
         doc.for_each_event(|ev| match ev {
-            TreeEvent::Start(_, element) => {
-                let level = element.depth as u16;
+            TreeEvent::Start(id, tag, depth) => {
+                let level = depth as u16;
                 let mut spawned: Vec<(Option<Symbol>, Instance)> = Vec::new();
                 // Snapshot candidates for this tag plus the wildcard list.
-                let tag = self.interner.get(&element.tag);
+                let tag = self.interner.get(tag);
                 let tag_count = tag
                     .map(|s| self.candidates.get(s.index()).map(|l| l.len()).unwrap_or(0))
                     .unwrap_or(0);
@@ -263,7 +263,7 @@ impl XFilter {
                     let step = &query.steps[query.nodes[instance.node as usize].step];
                     if !step
                         .attr_filters()
-                        .all(|f| f.matches(element.value_of(&f.name)))
+                        .all(|f| f.matches(doc.value_of(id, &f.name)))
                     {
                         continue;
                     }

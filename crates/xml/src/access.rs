@@ -1,28 +1,39 @@
-//! Uniform document access for the matching pipeline, plus the tree-free
-//! streaming document store.
+//! Uniform document access for the matching pipeline, plus the flat
+//! document store the streaming match path parses into.
 //!
-//! Every matching algorithm in the workspace consumes a parsed document
-//! through one of two lenses: root-to-leaf paths (the predicate engine and
-//! Index-Filter) or start/end element events (YFilter and XFilter). Both
-//! lenses are captured by [`DocAccess`], which [`Document`](crate::Document)
-//! implements over its pointer tree and [`PathDoc`] implements over a flat
-//! pre-order element arena built in a single SAX pass — no child vectors,
-//! no tree navigation, and the leaf paths recorded as they close.
+//! Every matching algorithm consumes a parsed document through
+//! [`DocAccess`]: root-to-leaf paths and enter/leave traversals (the
+//! predicate engine, Index-Filter) or start/end element events (YFilter,
+//! XFilter). [`Document`](crate::Document) implements it over its pointer
+//! tree, [`PathDoc`] over pre-order columns.
 //!
-//! The streaming store retains, per element: tag, attributes, accumulated
-//! character data, 1-based child index (the paper's structure-tuple
-//! component `m_k`), and depth. That is exactly what publication encoding,
-//! inline and selection-postponed attribute checks, and nested-path
-//! combination need — attribute re-checks after occurrence determination
-//! look values up by `NodeId`, which stays valid because the arena is
-//! complete by the time matching starts. Matching runs after the parse
-//! pass finishes (not per-leaf-close) because mixed content can extend an
-//! *ancestor's* text after a leaf closes (`<a><b/>tail</a>`), and `text()`
-//! filters must observe the final value.
+//! # The flat store
+//!
+//! A [`PathDoc`] is four columns with one row per element, in pre-order —
+//! tag, text, first attribute, depth — one row per attribute, and **one
+//! string arena** that every name, decoded attribute value and text run
+//! is copied into once; the columns hold `(start, len)` spans of it.
+//! Leaf-ness, leaf paths, events and enter/leave order are read off the
+//! depth column (the next row not deeper ⇒ a leaf; a row at depth *d*
+//! closes every open row at depth ≥ *d*). [`PathDoc::parse_into`] refills
+//! the same allocations, so a matcher that owns one store allocates
+//! nothing per document once warm.
+//!
+//! Matching runs after the parse pass (not per leaf close): mixed content
+//! can extend an *ancestor's* text after a leaf closes (`<a><b/>tail</a>`)
+//! and `text()` filters must see the final value.
+//!
+//! Two bounds hold on hostile input. **Text stays linear:** a run that
+//! cannot extend its element's span in place (another element's strings
+//! were appended in between) is only noted; when the parse is over each
+//! such element's runs are copied to the arena's tail once, so the arena
+//! never exceeds twice the input. **No pinned high-water mark:** a store
+//! grown past [`PathDoc::RETAINED_HEAP_BYTES`] drops its allocations
+//! before the next parse, and a failed parse leaves it empty.
 
 use crate::limits::ParserLimits;
-use crate::reader::{Event, Reader, XmlError, XmlErrorKind};
-use crate::tree::{Document, Element, NodeId, TreeEvent};
+use crate::reader::{Event, Reader, ReaderBuffers, XmlError, XmlErrorKind};
+use crate::tree::{Document, NodeId, TreeEvent};
 
 /// Enter/leave callbacks for a single pre-order traversal of a document.
 ///
@@ -42,14 +53,12 @@ pub trait ElementVisitor {
     fn leave(&mut self, id: NodeId);
 }
 
-/// Read access to a parsed document, independent of its storage layout.
-///
-/// Implementations expose the two traversals the filtering algorithms
-/// need — leaf paths and element events — plus by-id element access for
-/// attribute/text lookups during predicate evaluation and postponed
-/// checks. `NodeId`s are pre-order indices in both implementations, so
-/// node identity comparisons (nested-path branch agreement) behave the
-/// same through either.
+/// Read access to a parsed document, independent of its storage layout:
+/// the traversals the filtering algorithms need plus the two by-id lookups
+/// predicate evaluation and postponed checks make (there is no element
+/// record to borrow — a flat store has none). `NodeId`s are pre-order
+/// indices in both implementations, so node identity comparisons
+/// (nested-path branch agreement) behave the same through either.
 pub trait DocAccess {
     /// True if the document has no elements.
     fn is_empty(&self) -> bool;
@@ -57,9 +66,14 @@ pub trait DocAccess {
     /// Number of elements.
     fn node_count(&self) -> usize;
 
-    /// Element record by id. For streaming stores the `children` vector is
-    /// always empty — consumers of this trait must not rely on it.
-    fn element(&self, id: NodeId) -> &Element;
+    /// Element tag by id.
+    fn tag(&self, id: NodeId) -> &str;
+
+    /// The value an attribute/content filter named `name` tests on element
+    /// `id`: an attribute value, or — for the reserved name `text()` — the
+    /// element's own character data (absent when empty, so `[text()]` is a
+    /// non-empty content test).
+    fn value_of(&self, id: NodeId, name: &str) -> Option<&str>;
 
     /// Invokes `f` for each root-to-leaf path (node ids from the root down
     /// to a leaf). The slice is only valid for the duration of the call.
@@ -76,30 +90,19 @@ pub trait DocAccess {
     fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
         let mut pending: Option<NodeId> = None;
         self.for_each_event(|ev| match ev {
-            TreeEvent::Start(id, _) => {
+            TreeEvent::Start(id, ..) => {
                 if let Some(p) = pending.take() {
                     visitor.enter(p, false);
                 }
                 pending = Some(id);
             }
-            TreeEvent::End(id, _) => {
+            TreeEvent::End(id, ..) => {
                 if pending.take() == Some(id) {
                     visitor.enter(id, true);
                 }
                 visitor.leave(id);
             }
         });
-    }
-
-    /// Element tag by id.
-    fn tag(&self, id: NodeId) -> &str {
-        &self.element(id).tag
-    }
-
-    /// The value an attribute/content filter named `name` tests on element
-    /// `id` (see [`Element::value_of`]).
-    fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
-        self.element(id).value_of(name)
     }
 }
 
@@ -112,8 +115,12 @@ impl DocAccess for Document {
         self.len()
     }
 
-    fn element(&self, id: NodeId) -> &Element {
-        self.node(id)
+    fn tag(&self, id: NodeId) -> &str {
+        &self.node(id).tag
+    }
+
+    fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
+        self.node(id).value_of(name)
     }
 
     fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, f: F) {
@@ -147,15 +154,42 @@ impl DocAccess for Document {
     }
 }
 
-/// A document parsed for matching only: flat pre-order element arena plus
-/// the root-to-leaf path list, built in one SAX pass with no tree links.
-///
-/// `NodeId`s are pre-order indices (identical numbering to
-/// [`Document::parse`] on the same bytes), so match results and nested
-/// branch-node identities agree exactly with the tree path.
+/// `len` bytes of the arena from `start`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn new(start: usize, len: usize) -> Span {
+        let fits = "the arena holds at most twice an input capped at MAX_INPUT_BYTES";
+        Span {
+            start: u32::try_from(start).expect(fits),
+            len: u32::try_from(len).expect(fits),
+        }
+    }
+
+    fn end(self) -> u32 {
+        self.start + self.len
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end() as usize
+    }
+}
+
+/// A document parsed for matching only: four pre-order columns (tag, text,
+/// first attribute, depth), one row per attribute, and one string arena
+/// they hold spans of — filled in one pass over the [`Reader`]'s events and
+/// refilled in place by [`Self::parse_into`]. Text stays linear in the
+/// input whatever the interleaving of runs and children (arena ≤ 2 ×
+/// input), and a store grown past [`Self::RETAINED_HEAP_BYTES`] gives the
+/// memory back before the next parse. `NodeId`s number the elements
+/// exactly as [`Document::parse`] does on the same bytes.
 ///
 /// ```
-/// use pxf_xml::{DocAccess, PathDoc};
+/// use pxf_xml::{DocAccess, ParserLimits, PathDoc};
 ///
 /// let doc = PathDoc::parse(b"<a><b><c/></b><b/></a>").unwrap();
 /// let mut paths = Vec::new();
@@ -163,116 +197,227 @@ impl DocAccess for Document {
 ///     paths.push(p.iter().map(|&n| doc.tag(n).to_string()).collect::<Vec<_>>());
 /// });
 /// assert_eq!(paths, vec![vec!["a", "b", "c"], vec!["a", "b"]]);
+///
+/// // One store, many documents: the allocations are reused.
+/// let mut store = PathDoc::default();
+/// for bytes in [&b"<x k=\"v\">one</x>"[..], b"<y/>"] {
+///     store.parse_into(bytes, ParserLimits::default()).unwrap();
+/// }
+/// assert_eq!((store.len(), store.tag(0), store.text(0)), (1, "y", ""));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub struct PathDoc {
-    /// Elements in pre-order. `children` is left empty (an empty `Vec`
-    /// does not allocate); parent/child_index/depth are filled in.
-    nodes: Vec<Element>,
-    /// Flattened root-to-leaf paths, in document order.
-    paths: Vec<NodeId>,
-    /// End offset (exclusive) of each path within `paths`.
-    path_ends: Vec<u32>,
+    /// Names, decoded attribute values and character data, back to back.
+    arena: String,
+    // One row per element, in pre-order.
+    tag: Vec<Span>,
+    text: Vec<Span>,
+    /// First row of the element's attributes in `attrs`; they end where
+    /// the next element's begin.
+    attr_start: Vec<u32>,
+    /// 1-based depth (root = 1).
+    depth: Vec<u32>,
+    /// One row per attribute, in document order: (name, value).
+    attrs: Vec<(Span, Span)>,
+    /// Parse-time: the open elements, root first.
+    open: Vec<NodeId>,
+    /// Parse-time: text runs that could not extend their element's span in
+    /// place, joined by [`Self::join_text_runs`].
+    runs: Vec<(NodeId, Span)>,
+    reader: ReaderBuffers,
 }
 
 impl PathDoc {
-    /// Parses a document directly into path form — a single pass over the
-    /// SAX events, no `Document` tree allocation. Uses default
-    /// [`ParserLimits`].
+    /// Heap a store may keep from one document to the next; one that grew
+    /// past it (a 1 MiB `<a/>` bomb sizes the columns for ≈260k rows)
+    /// drops its allocations at the start of the next parse. The
+    /// workloads' largest documents (≈25 KB) need ≈140 KB.
+    pub const RETAINED_HEAP_BYTES: usize = 1 << 20;
+
+    /// Largest input the `u32` spans can address (the arena holds each
+    /// input byte at most twice).
+    const MAX_INPUT_BYTES: usize = (u32::MAX / 2) as usize;
+
+    /// Parses a document into a fresh store with default [`ParserLimits`].
     pub fn parse(bytes: &[u8]) -> Result<PathDoc, XmlError> {
         PathDoc::parse_with_limits(bytes, ParserLimits::default())
     }
 
-    /// Parses into path form, enforcing a resource budget.
+    /// Parses a document into a fresh store, enforcing a resource budget.
     pub fn parse_with_limits(bytes: &[u8], limits: ParserLimits) -> Result<PathDoc, XmlError> {
-        let mut reader = Reader::with_limits(bytes, limits);
-        let mut nodes: Vec<Element> = Vec::new();
-        let mut paths: Vec<NodeId> = Vec::new();
-        let mut path_ends: Vec<u32> = Vec::new();
-        // Open elements (root-to-current), with each one's child count so
-        // far — the count both assigns 1-based child indices and marks
-        // leaves (count still 0 at close).
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut child_counts: Vec<u32> = Vec::new();
-        loop {
-            match reader.next_event()? {
-                Event::Start {
-                    name,
-                    attributes,
-                    self_closing,
-                } => {
-                    let id = nodes.len() as NodeId;
-                    let (parent, child_index) = match stack.last() {
-                        Some(&p) => {
-                            let count = child_counts.last_mut().expect("stack in sync");
-                            *count += 1;
-                            (Some(p), *count)
-                        }
-                        None => (None, 1),
-                    };
-                    nodes.push(Element {
-                        tag: name,
-                        attrs: attributes,
-                        text: String::new(),
-                        parent,
-                        children: Vec::new(),
-                        child_index,
-                        depth: stack.len() as u32 + 1,
-                    });
-                    if self_closing {
-                        paths.extend_from_slice(&stack);
-                        paths.push(id);
-                        path_ends.push(paths.len() as u32);
-                    } else {
-                        stack.push(id);
-                        child_counts.push(0);
-                    }
-                }
-                Event::End { .. } => {
-                    let id = stack.pop().expect("reader guarantees balance");
-                    let children = child_counts.pop().expect("stack in sync");
-                    if children == 0 {
-                        paths.extend_from_slice(&stack);
-                        paths.push(id);
-                        path_ends.push(paths.len() as u32);
-                    }
-                }
-                Event::Text(t) => {
-                    if let Some(&top) = stack.last() {
-                        nodes[top as usize].text.push_str(&t);
-                    }
-                }
-                Event::Eof => break,
+        let mut doc = PathDoc::default();
+        doc.parse_into(bytes, limits)?;
+        Ok(doc)
+    }
+
+    /// Replaces the store's content with the document in `bytes`, reusing
+    /// its allocations: a single pass over the reader's events, no tree.
+    /// On error the store is left empty.
+    pub fn parse_into(&mut self, bytes: &[u8], mut limits: ParserLimits) -> Result<(), XmlError> {
+        if self.heap_bytes() > Self::RETAINED_HEAP_BYTES {
+            *self = PathDoc::default();
+        } else {
+            self.clear();
+        }
+        limits.max_document_bytes = limits.max_document_bytes.min(Self::MAX_INPUT_BYTES);
+        let mut reader = Reader::with_buffers(bytes, limits, std::mem::take(&mut self.reader));
+        let filled = self.fill(&mut reader);
+        self.reader = reader.into_buffers();
+        match filled {
+            Ok(()) if self.tag.is_empty() => {
+                Err(XmlError::new(bytes.len(), XmlErrorKind::EmptyDocument))
+            }
+            Ok(()) => {
+                self.join_text_runs();
+                Ok(())
+            }
+            Err(e) => {
+                self.clear();
+                Err(e)
             }
         }
-        if nodes.is_empty() {
-            return Err(XmlError::new(bytes.len(), XmlErrorKind::EmptyDocument));
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.tag.clear();
+        self.text.clear();
+        self.attr_start.clear();
+        self.depth.clear();
+        self.attrs.clear();
+        self.open.clear();
+        self.runs.clear();
+    }
+
+    /// Copies `s` to the arena's tail.
+    fn push_str(&mut self, s: &str) -> Span {
+        let start = self.arena.len();
+        self.arena.push_str(s);
+        Span::new(start, s.len())
+    }
+
+    fn fill(&mut self, reader: &mut Reader<'_>) -> Result<(), XmlError> {
+        loop {
+            match reader.next_event()? {
+                Event::Start { name } => {
+                    let id = self.tag.len() as NodeId;
+                    let tag = self.push_str(name);
+                    self.tag.push(tag);
+                    self.text.push(Span::default());
+                    self.attr_start.push(self.attrs.len() as u32);
+                    self.depth.push(self.open.len() as u32 + 1);
+                    self.open.push(id);
+                }
+                Event::Attribute { name, value } => {
+                    let row = (self.push_str(name), self.push_str(&value));
+                    self.attrs.push(row);
+                }
+                Event::End { .. } => {
+                    self.open.pop();
+                }
+                Event::Text(t) => {
+                    let id = *self
+                        .open
+                        .last()
+                        .expect("reader rejects text outside the root");
+                    let run = self.push_str(&t);
+                    let held = &mut self.text[id as usize];
+                    if held.len == 0 {
+                        *held = run;
+                    } else if held.end() == run.start {
+                        held.len += run.len;
+                    } else {
+                        self.runs.push((id, run));
+                    }
+                }
+                Event::Eof => return Ok(()),
+            }
         }
-        Ok(PathDoc {
-            nodes,
-            paths,
-            path_ends,
-        })
+    }
+
+    /// Makes the text of every element with noted runs contiguous: its
+    /// first span and its runs are copied, in order, to the arena's tail —
+    /// each text byte at most once, so `<a>x<b/>x<b/>…` stays linear.
+    fn join_text_runs(&mut self) {
+        // Arena offsets grow in document order, so sorting by them keeps
+        // each element's runs in the order they were read.
+        self.runs.sort_unstable_by_key(|&(id, run)| (id, run.start));
+        for group in self.runs.chunk_by(|a, b| a.0 == b.0) {
+            let id = group[0].0 as usize;
+            let start = self.arena.len();
+            self.arena.extend_from_within(self.text[id].range());
+            for &(_, run) in group {
+                self.arena.extend_from_within(run.range());
+            }
+            self.text[id] = Span::new(start, self.arena.len() - start);
+        }
+        self.runs.clear();
+    }
+
+    fn str(&self, span: Span) -> &str {
+        &self.arena[span.range()]
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.tag.len()
     }
 
-    /// True if the document has no elements (never produced by `parse`).
+    /// True if the store holds no document (fresh, or after a failed
+    /// parse).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.tag.is_empty()
     }
 
-    /// Element record by pre-order id.
-    pub fn node(&self, id: NodeId) -> &Element {
-        &self.nodes[id as usize]
+    /// Element name by pre-order id.
+    pub fn tag(&self, id: NodeId) -> &str {
+        self.str(self.tag[id as usize])
     }
 
-    /// Number of root-to-leaf paths.
-    pub fn leaf_count(&self) -> usize {
-        self.path_ends.len()
+    /// Concatenated character data directly inside the element.
+    pub fn text(&self, id: NodeId) -> &str {
+        self.str(self.text[id as usize])
+    }
+
+    /// 1-based depth of the element (root = 1).
+    pub fn depth(&self, id: NodeId) -> u32 {
+        self.depth[id as usize]
+    }
+
+    /// The element's attributes as (name, decoded value), in document
+    /// order.
+    pub fn attributes(&self, id: NodeId) -> impl Iterator<Item = (&str, &str)> {
+        let start = self.attr_start[id as usize] as usize;
+        let end = match self.attr_start.get(id as usize + 1) {
+            Some(&next) => next as usize,
+            None => self.attrs.len(),
+        };
+        self.attrs[start..end]
+            .iter()
+            .map(|&(name, value)| (self.str(name), self.str(value)))
+    }
+
+    /// True iff the element has no child elements.
+    fn is_leaf(&self, id: usize) -> bool {
+        let next = self.depth.get(id + 1);
+        next.is_none_or(|&next| next <= self.depth[id])
+    }
+
+    /// Bytes of the string arena in use (≤ twice the input).
+    pub fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Heap the store holds between documents, by capacity, in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.arena.capacity()
+            + (self.tag.capacity() + self.text.capacity()) * size_of::<Span>()
+            + (self.attr_start.capacity() + self.depth.capacity() + self.open.capacity())
+                * size_of::<u32>()
+            + self.attrs.capacity() * size_of::<(Span, Span)>()
+            + self.runs.capacity() * size_of::<(NodeId, Span)>()
+            + self.reader.heap_bytes()
     }
 }
 
@@ -282,55 +427,63 @@ impl DocAccess for PathDoc {
     }
 
     fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.len()
     }
 
-    fn element(&self, id: NodeId) -> &Element {
-        &self.nodes[id as usize]
+    fn tag(&self, id: NodeId) -> &str {
+        PathDoc::tag(self, id)
+    }
+
+    fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
+        if name == "text()" {
+            let text = self.text(id);
+            (!text.is_empty()).then_some(text)
+        } else {
+            self.attributes(id)
+                .find_map(|(n, value)| (n == name).then_some(value))
+        }
     }
 
     fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, mut f: F) {
-        let mut start = 0usize;
-        for &end in &self.path_ends {
-            f(&self.paths[start..end as usize]);
-            start = end as usize;
+        // The rows before a row at depth d hold exactly one open element
+        // per depth below d.
+        let mut path: Vec<NodeId> = Vec::new();
+        for (id, &depth) in self.depth.iter().enumerate() {
+            path.truncate(depth as usize - 1);
+            path.push(id as NodeId);
+            if self.is_leaf(id) {
+                f(&path);
+            }
         }
     }
 
     fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, mut f: F) {
-        // Reconstruct the event stream from pre-order + depth: before a
-        // node at depth d starts, every open node at depth ≥ d ends.
+        // Before a row at depth d starts, every open row at depth ≥ d ends.
+        let end = |id: NodeId| TreeEvent::End(id, self.tag(id), self.depth(id));
         let mut open: Vec<NodeId> = Vec::new();
-        for (i, e) in self.nodes.iter().enumerate() {
-            while open.len() as u32 >= e.depth {
-                let id = open.pop().expect("non-empty");
-                f(TreeEvent::End(id, &self.nodes[id as usize]));
+        for (id, &depth) in self.depth.iter().enumerate() {
+            while open.len() as u32 >= depth {
+                f(end(open.pop().expect("non-empty")));
             }
-            let id = i as NodeId;
-            f(TreeEvent::Start(id, e));
+            let id = id as NodeId;
+            f(TreeEvent::Start(id, self.tag(id), depth));
             open.push(id);
         }
         while let Some(id) = open.pop() {
-            f(TreeEvent::End(id, &self.nodes[id as usize]));
+            f(end(id));
         }
     }
 
     fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
-        // One linear scan of the pre-order arena: depth transitions mark
-        // leaves (next element not deeper) and closings (next element not
-        // deeper than an open ancestor).
+        // One linear scan of the depth column: the next row not deeper
+        // marks a leaf, a row not deeper than an open one closes it.
         let mut open: Vec<NodeId> = Vec::new();
-        for (i, e) in self.nodes.iter().enumerate() {
-            while open.len() as u32 >= e.depth {
+        for (id, &depth) in self.depth.iter().enumerate() {
+            while open.len() as u32 >= depth {
                 visitor.leave(open.pop().expect("non-empty"));
             }
-            let is_leaf = self
-                .nodes
-                .get(i + 1)
-                .is_none_or(|next| next.depth <= e.depth);
-            let id = i as NodeId;
-            visitor.enter(id, is_leaf);
-            open.push(id);
+            visitor.enter(id as NodeId, self.is_leaf(id));
+            open.push(id as NodeId);
         }
         while let Some(id) = open.pop() {
             visitor.leave(id);
@@ -349,13 +502,16 @@ mod tests {
         let flat = PathDoc::parse(src).unwrap();
         assert_eq!(tree.len(), flat.len());
         for id in 0..tree.len() as NodeId {
-            let (t, f) = (tree.node(id), flat.node(id));
-            assert_eq!(t.tag, f.tag);
-            assert_eq!(t.attrs, f.attrs);
-            assert_eq!(t.text, f.text);
-            assert_eq!(t.parent, f.parent);
-            assert_eq!(t.child_index, f.child_index);
-            assert_eq!(t.depth, f.depth);
+            let t = tree.node(id);
+            assert_eq!(t.tag, flat.tag(id));
+            let attrs: Vec<_> = t
+                .attrs
+                .iter()
+                .map(|a| (a.name.as_str(), a.value.as_str()))
+                .collect();
+            assert_eq!(attrs, flat.attributes(id).collect::<Vec<_>>());
+            assert_eq!(t.text, flat.text(id));
+            assert_eq!(t.depth, flat.depth(id));
         }
     }
 
@@ -375,7 +531,7 @@ mod tests {
             let mut flat_paths = Vec::new();
             DocAccess::for_each_leaf_path(&flat, |p| flat_paths.push(p.to_vec()));
             assert_eq!(tree_paths, flat_paths, "{src}");
-            assert_eq!(flat.leaf_count(), tree.leaf_count());
+            assert_eq!(flat_paths.len(), tree.leaf_count());
         }
     }
 
@@ -385,20 +541,11 @@ mod tests {
         let tree = Document::parse(src).unwrap();
         let flat = PathDoc::parse(src).unwrap();
         let mut tree_events = Vec::new();
-        tree.for_each_event(|ev| {
-            tree_events.push(match ev {
-                TreeEvent::Start(id, e) => (true, id, e.tag.clone()),
-                TreeEvent::End(id, e) => (false, id, e.tag.clone()),
-            })
-        });
+        tree.for_each_event(|ev| tree_events.push(ev));
         let mut flat_events = Vec::new();
-        DocAccess::for_each_event(&flat, |ev| {
-            flat_events.push(match ev {
-                TreeEvent::Start(id, e) => (true, id, e.tag.clone()),
-                TreeEvent::End(id, e) => (false, id, e.tag.clone()),
-            })
-        });
+        DocAccess::for_each_event(&flat, |ev| flat_events.push(ev));
         assert_eq!(tree_events, flat_events);
+        assert_eq!(tree_events.len(), 8);
     }
 
     #[test]
@@ -406,7 +553,9 @@ mod tests {
         // The ancestor's text finishes after its first leaf closes; the
         // recorded element must still hold the full concatenation.
         let flat = PathDoc::parse(b"<a>one<b/>two</a>").unwrap();
-        assert_eq!(flat.node(0).text, "onetwo");
+        assert_eq!(flat.text(0), "onetwo");
+        assert_eq!(flat.value_of(0, "text()"), Some("onetwo"));
+        assert_eq!(flat.value_of(1, "text()"), None);
     }
 
     /// Records enter/leave calls: (true, id, is_leaf) / (false, id, false).
@@ -433,8 +582,11 @@ mod tests {
             fn node_count(&self) -> usize {
                 self.0.node_count()
             }
-            fn element(&self, id: NodeId) -> &Element {
-                self.0.element(id)
+            fn tag(&self, id: NodeId) -> &str {
+                self.0.tag(id)
+            }
+            fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
+                self.0.value_of(id, name)
             }
             fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, f: F) {
                 self.0.for_each_leaf_path(f)
@@ -501,6 +653,19 @@ mod tests {
         let mut expected = Vec::new();
         doc.for_each_leaf_path(|p| expected.push(p.to_vec()));
         assert_eq!(v.paths, expected);
+    }
+
+    #[test]
+    fn value_of_reads_the_elements_own_attributes_only() {
+        // `b` has no attributes between two elements that do; a span one
+        // row too long would lend it `c`'s.
+        let flat = PathDoc::parse(br#"<a k="1"><b/><c k="2" j="3"/></a>"#).unwrap();
+        assert_eq!(flat.value_of(0, "k"), Some("1"));
+        assert_eq!(flat.value_of(1, "k"), None);
+        assert_eq!(flat.attributes(1).count(), 0);
+        assert_eq!(flat.value_of(2, "k"), Some("2"));
+        assert_eq!(flat.value_of(2, "j"), Some("3"));
+        assert_eq!(flat.value_of(2, "a"), None);
     }
 
     #[test]

@@ -4,15 +4,23 @@
 //! *Predicate-based Filtering of XPath Expressions*, Hou & Jacobsen). It
 //! provides:
 //!
-//! * [`Reader`] — a hand-rolled SAX-style pull parser (events, attributes,
-//!   CDATA, comments, entities, DOCTYPE skipping, well-formedness checks),
+//! * [`Reader`] — the one tokenizer: a hand-rolled SAX-style pull parser
+//!   whose events borrow from the input (names are slices of it, values
+//!   and text too unless a reference was decoded) — attributes, CDATA,
+//!   comments, entities, DOCTYPE skipping, well-formedness checks,
+//! * [`PathDoc`] — the document store matching runs on: pre-order columns
+//!   (tag, text, attributes, depth) over one string arena, refilled in
+//!   place by [`PathDoc::parse_into`] so a warm matcher allocates nothing
+//!   per document,
 //! * [`Document`] / [`DocumentBuilder`] — an element-arena tree recording
-//!   1-based child indices (the paper's *structure tuples*, §5) and depths,
+//!   1-based child indices (the paper's *structure tuples*, §5) and
+//!   depths; what the workload generator builds and serializes, and what
+//!   the reference matcher and the tree-store property tests read,
 //! * root-to-leaf path extraction ([`Document::for_each_leaf_path`]) — the
 //!   paper decomposes every document into its set of document paths (§3.3),
 //! * [`Interner`] — name interning so engines work on integer [`Symbol`]s,
-//! * [`DocAccess`] / [`PathDoc`] — layout-independent document access and a
-//!   tree-free store built in one SAX pass for the streaming match path,
+//! * [`DocAccess`] — layout-independent document access (tag and filter
+//!   value by id, leaf paths, events, enter/leave) over either store,
 //! * [`ParserLimits`] / [`XmlErrorKind`] — per-document resource budgets
 //!   and a structured error taxonomy for hostile-input hardening,
 //! * [`DocumentStream`] — boundary scanning over concatenated documents
@@ -44,6 +52,6 @@ mod tree;
 pub use access::{DocAccess, ElementVisitor, PathDoc};
 pub use limits::ParserLimits;
 pub use name::{Interner, Symbol};
-pub use reader::{Attribute, Event, Reader, XmlError, XmlErrorKind};
+pub use reader::{Event, Reader, XmlError, XmlErrorKind};
 pub use stream::{DocumentStream, PollDoc, DEFAULT_MAX_CONSECUTIVE_FAILURES};
-pub use tree::{Document, DocumentBuilder, Element, NodeId, TreeEvent};
+pub use tree::{Attribute, Document, DocumentBuilder, Element, NodeId, TreeEvent};

@@ -1,4 +1,5 @@
-//! A small streaming (SAX-style) XML pull parser.
+//! A small streaming (SAX-style) XML pull parser — the workspace's one
+//! tokenizer.
 //!
 //! The parser covers the XML subset needed for filtering workloads: element
 //! structure, attributes, character data, CDATA sections, comments,
@@ -8,40 +9,50 @@
 //! checks tag balance, and enforces per-document resource budgets
 //! ([`ParserLimits`]) so hostile inputs (depth bombs, entity floods,
 //! megabyte attribute values) fail fast instead of exhausting the process.
+//!
+//! Events borrow: a name is a slice of the input, a value or a text run
+//! too unless a reference had to be decoded, and the reader's own state
+//! (open-tag stack, the current tag's attribute names) is byte spans of
+//! the input; a `String` is built only to describe an error. Both stores
+//! — [`PathDoc`](crate::PathDoc) and [`Document`](crate::Document) — are
+//! filled from these events.
 
 use crate::limits::ParserLimits;
+use std::borrow::Cow;
 use std::fmt;
 
-/// An attribute on a start tag.
+/// A parsing event produced by [`Reader::next_event`]. Values and text
+/// are `Cow::Owned` only when an entity or character reference was
+/// decoded.
+///
+/// A start tag arrives in pieces: [`Event::Start`] when its name has been
+/// read, one [`Event::Attribute`] per attribute as each is read and
+/// checked, and — for `<name/>` — the [`Event::End`] that closes it. A
+/// malformed tag so fails *after* its `Start` was delivered; consumers
+/// discard what they built when an error arrives.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
-    /// Attribute name (qualified, prefixes are kept verbatim).
-    pub name: String,
-    /// Decoded attribute value.
-    pub value: String,
-}
-
-/// A parsing event produced by [`Reader::next_event`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// `<name attr="v">` or `<name/>` (the latter sets `self_closing` and is
-    /// *not* followed by a matching [`Event::End`]).
+pub enum Event<'a> {
+    /// `<name`: an element opens. Its attributes follow, then its content.
     Start {
         /// Element name.
-        name: String,
-        /// Attributes in document order.
-        attributes: Vec<Attribute>,
-        /// True for `<name/>`.
-        self_closing: bool,
+        name: &'a str,
     },
-    /// `</name>`.
+    /// One attribute of the element opened by the last [`Event::Start`],
+    /// in document order.
+    Attribute {
+        /// Attribute name (qualified, prefixes are kept verbatim).
+        name: &'a str,
+        /// Decoded attribute value.
+        value: Cow<'a, str>,
+    },
+    /// `</name>`, or the `/>` of an empty-element tag.
     End {
         /// Element name.
-        name: String,
+        name: &'a str,
     },
-    /// Character data between tags (entity-decoded). Whitespace-only runs are
-    /// suppressed.
-    Text(String),
+    /// Character data between tags (entity-decoded) or the content of a
+    /// CDATA section. Whitespace-only runs are suppressed.
+    Text(Cow<'a, str>),
     /// End of input.
     Eof,
 }
@@ -213,22 +224,52 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// A span of the input, `start..end`.
+type Span = (usize, usize);
+
+/// The two allocations a [`Reader`] works in: byte spans, not slices, so
+/// they carry no lifetime and [`PathDoc::parse_into`](crate::PathDoc::parse_into)
+/// lends the same pair to the reader of every document.
+#[derive(Debug, Default)]
+pub(crate) struct ReaderBuffers {
+    /// Names of the open elements (balance checking).
+    stack: Vec<Span>,
+    /// Attribute names of the start tag being read (duplicate checking).
+    attr_names: Vec<Span>,
+}
+
+impl ReaderBuffers {
+    /// Heap held, in bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.stack.capacity() + self.attr_names.capacity()) * std::mem::size_of::<Span>()
+    }
+}
+
 /// Streaming pull parser over a byte slice.
 ///
 /// ```
 /// use pxf_xml::{Event, Reader};
-/// let mut r = Reader::new(b"<a x=\"1\"><b/>hi</a>");
-/// assert!(matches!(r.next_event().unwrap(), Event::Start { ref name, .. } if name == "a"));
-/// assert!(matches!(r.next_event().unwrap(), Event::Start { self_closing: true, .. }));
-/// assert!(matches!(r.next_event().unwrap(), Event::Text(ref t) if t == "hi"));
-/// assert!(matches!(r.next_event().unwrap(), Event::End { .. }));
-/// assert!(matches!(r.next_event().unwrap(), Event::Eof));
+/// let mut r = Reader::new(b"<a x=\"1&amp;2\"><b/>hi</a>");
+/// assert_eq!(r.next_event().unwrap(), Event::Start { name: "a" });
+/// assert!(matches!(r.next_event().unwrap(), Event::Attribute { name: "x", value } if value == "1&2"));
+/// assert_eq!(r.next_event().unwrap(), Event::Start { name: "b" });
+/// assert_eq!(r.next_event().unwrap(), Event::End { name: "b" });
+/// assert!(matches!(r.next_event().unwrap(), Event::Text(t) if t == "hi"));
+/// assert_eq!(r.next_event().unwrap(), Event::End { name: "a" });
+/// assert_eq!(r.next_event().unwrap(), Event::Eof);
 /// ```
 pub struct Reader<'a> {
     input: &'a [u8],
+    /// The input as text, if all of it is valid UTF-8 (checked once,
+    /// before the first event): a piece is then a slice of it. Otherwise
+    /// each piece is validated where it is read — invalid bytes are an
+    /// error only in a name, value or text, not in a comment.
+    text: Option<&'a str>,
     pos: usize,
-    /// Open-tag stack for balance checking.
-    stack: Vec<String>,
+    bufs: ReaderBuffers,
+    /// The start tag whose attributes are being read: its name and the
+    /// name's offset. `None` between tags.
+    tag: Option<(&'a str, usize)>,
     done: bool,
     seen_root: bool,
     limits: ParserLimits,
@@ -246,16 +287,35 @@ impl<'a> Reader<'a> {
 
     /// Creates a reader enforcing the given resource budget.
     pub fn with_limits(input: &'a [u8], limits: ParserLimits) -> Self {
+        Reader::with_buffers(input, limits, ReaderBuffers::default())
+    }
+
+    /// Like [`Self::with_limits`], working in buffers an earlier reader
+    /// gave back ([`Self::into_buffers`]); whatever they hold is dropped.
+    pub(crate) fn with_buffers(
+        input: &'a [u8],
+        limits: ParserLimits,
+        mut bufs: ReaderBuffers,
+    ) -> Self {
+        bufs.stack.clear();
+        bufs.attr_names.clear();
         Reader {
             input,
+            text: None,
             pos: 0,
-            stack: Vec::with_capacity(16),
+            bufs,
+            tag: None,
             done: false,
             seen_root: false,
             limits,
             expansions: 0,
             size_checked: false,
         }
+    }
+
+    /// Gives the reader's buffers back for the next document.
+    pub(crate) fn into_buffers(self) -> ReaderBuffers {
+        self.bufs
     }
 
     /// The resource budget this reader enforces.
@@ -267,6 +327,20 @@ impl<'a> Reader<'a> {
         XmlError {
             pos: self.pos,
             kind,
+        }
+    }
+
+    /// The name a span of the input holds, for an error message (the span
+    /// was checked when it was recorded).
+    fn name_at(&self, (start, end): Span) -> String {
+        String::from_utf8_lossy(&self.input[start..end]).into_owned()
+    }
+
+    /// The input bytes `start..end` as text, if they are valid UTF-8.
+    fn str_at(&self, start: usize, end: usize) -> Option<&'a str> {
+        match self.text.and_then(|text| text.get(start..end)) {
+            Some(s) => Some(s),
+            None => std::str::from_utf8(&self.input[start..end]).ok(),
         }
     }
 
@@ -284,9 +358,23 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Advances to the next `byte` (or the end of input); true if found.
+    fn seek(&mut self, byte: u8) -> bool {
+        match self.input[self.pos..].iter().position(|&b| b == byte) {
+            Some(i) => {
+                self.pos += i;
+                true
+            }
+            None => {
+                self.pos = self.input.len();
+                false
+            }
+        }
+    }
+
     /// Advances past `needle`, erroring if the input ends first.
     fn skip_until(&mut self, needle: &[u8], what: &'static str) -> Result<(), XmlError> {
-        while self.pos < self.input.len() {
+        while self.seek(needle[0]) {
             if self.starts_with(needle) {
                 self.pos += needle.len();
                 return Ok(());
@@ -297,7 +385,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Returns the next event, or an error on malformed input.
-    pub fn next_event(&mut self) -> Result<Event, XmlError> {
+    pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
         if !self.size_checked {
             self.size_checked = true;
             if self.input.len() > self.limits.max_document_bytes {
@@ -306,69 +394,79 @@ impl<'a> Reader<'a> {
                     XmlErrorKind::DocumentTooLarge(self.limits.max_document_bytes),
                 ));
             }
+            self.text = std::str::from_utf8(self.input).ok();
         }
+        if let Some((name, at)) = self.tag {
+            if let Some(event) = self.next_in_start_tag(name, at)? {
+                return Ok(event);
+            }
+        }
+        let input = self.input;
         loop {
             if self.done {
                 return Ok(Event::Eof);
             }
-            if self.pos >= self.input.len() {
-                if let Some(open) = self.stack.last() {
-                    return Err(self.error(XmlErrorKind::UnexpectedEof(open.clone())));
+            if self.pos >= input.len() {
+                if let Some(&open) = self.bufs.stack.last() {
+                    return Err(self.error(XmlErrorKind::UnexpectedEof(self.name_at(open))));
                 }
                 self.done = true;
                 return Ok(Event::Eof);
             }
-            if self.peek() == Some(b'<') {
-                if self.starts_with(b"<!--") {
-                    self.pos += 4;
-                    self.skip_until(b"-->", "comment")?;
-                    continue;
-                }
-                if self.starts_with(b"<![CDATA[") {
-                    self.pos += 9;
-                    let start = self.pos;
-                    self.skip_until(b"]]>", "CDATA section")?;
-                    let text = &self.input[start..self.pos - 3];
-                    if self.stack.is_empty() {
-                        return Err(self.error(XmlErrorKind::ContentOutsideRoot("CDATA")));
+            if input[self.pos] == b'<' {
+                match input.get(self.pos + 1) {
+                    Some(b'/') => return self.parse_end_tag(),
+                    Some(b'?') => {
+                        self.pos += 2;
+                        self.skip_until(b"?>", "processing instruction")?;
+                        continue;
                     }
-                    if !text.iter().all(u8::is_ascii_whitespace) {
-                        let s = std::str::from_utf8(text)
-                            .map_err(|_| self.error(XmlErrorKind::InvalidUtf8("CDATA")))?;
-                        return Ok(Event::Text(s.to_string()));
+                    Some(b'!') if self.starts_with(b"<!--") => {
+                        self.pos += 4;
+                        self.skip_until(b"-->", "comment")?;
+                        continue;
                     }
-                    continue;
+                    Some(b'!') if self.starts_with(b"<![CDATA[") => {
+                        self.pos += 9;
+                        let start = self.pos;
+                        self.skip_until(b"]]>", "CDATA section")?;
+                        let end = self.pos - 3;
+                        if self.bufs.stack.is_empty() {
+                            return Err(self.error(XmlErrorKind::ContentOutsideRoot("CDATA")));
+                        }
+                        if !input[start..end].iter().all(u8::is_ascii_whitespace) {
+                            let s = self
+                                .str_at(start, end)
+                                .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("CDATA")))?;
+                            return Ok(Event::Text(Cow::Borrowed(s)));
+                        }
+                        continue;
+                    }
+                    Some(b'!')
+                        if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") =>
+                    {
+                        self.skip_doctype()?;
+                        continue;
+                    }
+                    // Anything else must be a start tag (`<!x` fails on
+                    // its name).
+                    _ => return self.open_start_tag(),
                 }
-                if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
-                    self.skip_doctype()?;
-                    continue;
-                }
-                if self.starts_with(b"<?") {
-                    self.pos += 2;
-                    self.skip_until(b"?>", "processing instruction")?;
-                    continue;
-                }
-                if self.starts_with(b"</") {
-                    return self.parse_end_tag();
-                }
-                return self.parse_start_tag();
             }
             // Character data.
             let start = self.pos;
-            while self.pos < self.input.len() && self.peek() != Some(b'<') {
-                self.pos += 1;
-            }
-            let raw = &self.input[start..self.pos];
+            self.seek(b'<');
+            let raw = &input[start..self.pos];
             if raw.iter().all(u8::is_ascii_whitespace) {
                 continue;
             }
-            if self.stack.is_empty() {
+            if self.bufs.stack.is_empty() {
                 return Err(XmlError::new(
                     start,
                     XmlErrorKind::ContentOutsideRoot("character data"),
                 ));
             }
-            let decoded = decode_entities(raw, start, &mut self.expansions, &self.limits)?;
+            let decoded = self.decode_entities(start, self.pos)?;
             return Ok(Event::Text(decoded));
         }
     }
@@ -392,99 +490,96 @@ impl<'a> Reader<'a> {
         Err(self.error(XmlErrorKind::Unterminated("DOCTYPE declaration")))
     }
 
-    fn parse_start_tag(&mut self) -> Result<Event, XmlError> {
+    /// `<name`: checks root uniqueness and depth, reads the name.
+    fn open_start_tag(&mut self) -> Result<Event<'a>, XmlError> {
         debug_assert_eq!(self.peek(), Some(b'<'));
         self.pos += 1;
-        if self.seen_root && self.stack.is_empty() {
+        if self.seen_root && self.bufs.stack.is_empty() {
             return Err(self.error(XmlErrorKind::MultipleRoots));
         }
-        if self.stack.len() >= self.limits.max_depth {
+        if self.bufs.stack.len() >= self.limits.max_depth {
             return Err(self.error(XmlErrorKind::DepthLimitExceeded(self.limits.max_depth)));
         }
+        let at = self.pos;
         let name = self.parse_name()?;
-        let mut attributes = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') => {
-                    self.pos += 1;
-                    self.seen_root = true;
-                    self.stack.push(name.clone());
-                    return Ok(Event::Start {
-                        name,
-                        attributes,
-                        self_closing: false,
-                    });
-                }
-                Some(b'/') => {
-                    self.pos += 1;
-                    if self.peek() != Some(b'>') {
-                        return Err(self.error(XmlErrorKind::Syntax(
-                            "expected '>' after '/' in empty-element tag",
-                        )));
-                    }
-                    self.pos += 1;
-                    self.seen_root = true;
-                    return Ok(Event::Start {
-                        name,
-                        attributes,
-                        self_closing: true,
-                    });
-                }
-                Some(_) => {
-                    if attributes.len() >= self.limits.max_attributes {
-                        return Err(
-                            self.error(XmlErrorKind::TooManyAttributes(self.limits.max_attributes))
-                        );
-                    }
-                    let attr_name = self.parse_name()?;
-                    self.skip_ws();
-                    if self.peek() != Some(b'=') {
-                        return Err(self.error(XmlErrorKind::ExpectedEquals(attr_name)));
-                    }
-                    self.pos += 1;
-                    self.skip_ws();
-                    let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
-                        _ => {
-                            return Err(
-                                self.error(XmlErrorKind::Syntax("expected quoted attribute value"))
-                            )
-                        }
-                    };
-                    self.pos += 1;
-                    let vstart = self.pos;
-                    while self.pos < self.input.len() && self.input[self.pos] != quote {
-                        self.pos += 1;
-                    }
-                    if self.pos >= self.input.len() {
-                        return Err(self.error(XmlErrorKind::Unterminated("attribute value")));
-                    }
-                    if self.pos - vstart > self.limits.max_attribute_value_len {
-                        return Err(XmlError::new(
-                            vstart,
-                            XmlErrorKind::AttributeValueTooLong(
-                                self.limits.max_attribute_value_len,
-                            ),
-                        ));
-                    }
-                    let raw = &self.input[vstart..self.pos];
-                    let value = decode_entities(raw, vstart, &mut self.expansions, &self.limits)?;
-                    self.pos += 1;
-                    if attributes.iter().any(|a: &Attribute| a.name == attr_name) {
-                        return Err(self.error(XmlErrorKind::DuplicateAttribute(attr_name)));
-                    }
-                    attributes.push(Attribute {
-                        name: attr_name,
-                        value,
-                    });
-                }
-                None => return Err(self.error(XmlErrorKind::Unterminated("start tag"))),
+        self.bufs.attr_names.clear();
+        self.tag = Some((name, at));
+        Ok(Event::Start { name })
+    }
+
+    /// The next piece of the start tag `<name` (whose name sits at offset
+    /// `at`): an attribute, the `End` of an empty-element tag, or `None`
+    /// once `>` opened the element's content.
+    fn next_in_start_tag(
+        &mut self,
+        name: &'a str,
+        at: usize,
+    ) -> Result<Option<Event<'a>>, XmlError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'>') => {
+                self.pos += 1;
+                self.seen_root = true;
+                self.bufs.stack.push((at, at + name.len()));
+                self.tag = None;
+                Ok(None)
             }
+            Some(b'/') => {
+                self.pos += 1;
+                if self.peek() != Some(b'>') {
+                    return Err(self.error(XmlErrorKind::Syntax(
+                        "expected '>' after '/' in empty-element tag",
+                    )));
+                }
+                self.pos += 1;
+                self.seen_root = true;
+                self.tag = None;
+                Ok(Some(Event::End { name }))
+            }
+            Some(_) => self.parse_attribute().map(Some),
+            None => Err(self.error(XmlErrorKind::Unterminated("start tag"))),
         }
     }
 
-    fn parse_end_tag(&mut self) -> Result<Event, XmlError> {
+    fn parse_attribute(&mut self) -> Result<Event<'a>, XmlError> {
+        if self.bufs.attr_names.len() >= self.limits.max_attributes {
+            return Err(self.error(XmlErrorKind::TooManyAttributes(self.limits.max_attributes)));
+        }
+        let input = self.input;
+        let at = self.pos;
+        let name = self.parse_name()?;
+        self.skip_ws();
+        if self.peek() != Some(b'=') {
+            return Err(self.error(XmlErrorKind::ExpectedEquals(name.to_string())));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        let quote = match self.peek() {
+            Some(q @ (b'"' | b'\'')) => q,
+            _ => return Err(self.error(XmlErrorKind::Syntax("expected quoted attribute value"))),
+        };
+        self.pos += 1;
+        let vstart = self.pos;
+        if !self.seek(quote) {
+            return Err(self.error(XmlErrorKind::Unterminated("attribute value")));
+        }
+        if self.pos - vstart > self.limits.max_attribute_value_len {
+            return Err(XmlError::new(
+                vstart,
+                XmlErrorKind::AttributeValueTooLong(self.limits.max_attribute_value_len),
+            ));
+        }
+        let value = self.decode_entities(vstart, self.pos)?;
+        self.pos += 1;
+        let seen = &self.bufs.attr_names;
+        if seen.iter().any(|&(s, e)| input[s..e] == *name.as_bytes()) {
+            return Err(self.error(XmlErrorKind::DuplicateAttribute(name.to_string())));
+        }
+        self.bufs.attr_names.push((at, at + name.len()));
+        Ok(Event::Attribute { name, value })
+    }
+
+    fn parse_end_tag(&mut self) -> Result<Event<'a>, XmlError> {
         self.pos += 2; // "</"
         let name = self.parse_name()?;
         self.skip_ws();
@@ -492,34 +587,98 @@ impl<'a> Reader<'a> {
             return Err(self.error(XmlErrorKind::Syntax("expected '>' in end tag")));
         }
         self.pos += 1;
-        match self.stack.pop() {
-            Some(open) if open == name => Ok(Event::End { name }),
+        match self.bufs.stack.pop() {
+            Some((s, e)) if self.input[s..e] == *name.as_bytes() => Ok(Event::End { name }),
             Some(open) => Err(self.error(XmlErrorKind::MismatchedEndTag {
-                expected: open,
-                found: name,
+                expected: self.name_at(open),
+                found: name.to_string(),
             })),
-            None => Err(self.error(XmlErrorKind::UnmatchedEndTag(name))),
+            None => Err(self.error(XmlErrorKind::UnmatchedEndTag(name.to_string()))),
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         match self.peek() {
             Some(b) if is_name_start(b) => self.pos += 1,
             _ => return Err(self.error(XmlErrorKind::InvalidName)),
         }
-        while matches!(self.peek(), Some(b) if is_name_char(b)) {
-            self.pos += 1;
-        }
+        let rest = &self.input[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| !is_name_char(b))
+            .unwrap_or(rest.len());
         if self.pos - start > self.limits.max_name_len {
             return Err(XmlError::new(
                 start,
                 XmlErrorKind::NameTooLong(self.limits.max_name_len),
             ));
         }
-        std::str::from_utf8(&self.input[start..self.pos])
-            .map(|s| s.to_string())
-            .map_err(|_| self.error(XmlErrorKind::InvalidUtf8("name")))
+        self.str_at(start, self.pos)
+            .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("name")))
+    }
+
+    /// Decodes the five predefined entities and numeric character
+    /// references of the run at bytes `start..end`, charging each
+    /// reference against the document's expansion budget. A run without
+    /// references is returned as it stands in the input.
+    fn decode_entities(&mut self, start: usize, end: usize) -> Result<Cow<'a, str>, XmlError> {
+        let s = self.str_at(start, end).ok_or(XmlError {
+            pos: start,
+            kind: XmlErrorKind::InvalidUtf8("character data"),
+        })?;
+        if !s.as_bytes().contains(&b'&') {
+            return Ok(Cow::Borrowed(s));
+        }
+        let mut out = String::with_capacity(s.len());
+        let mut rest = s;
+        while let Some(amp) = rest.find('&') {
+            out.push_str(&rest[..amp]);
+            // Errors name the `&` of the offending reference, in the document.
+            let pos = start + (s.len() - rest.len()) + amp;
+            let after = &rest[amp + 1..];
+            let semi = after.find(';').ok_or(XmlError {
+                pos,
+                kind: XmlErrorKind::Unterminated("entity reference"),
+            })?;
+            self.expansions += 1;
+            if self.expansions > self.limits.max_entity_expansions {
+                return Err(XmlError::new(
+                    pos,
+                    XmlErrorKind::EntityExpansionLimit(self.limits.max_entity_expansions),
+                ));
+            }
+            let ent = &after[..semi];
+            match ent {
+                "amp" => out.push('&'),
+                "lt" => out.push('<'),
+                "gt" => out.push('>'),
+                "quot" => out.push('"'),
+                "apos" => out.push('\''),
+                _ if ent.starts_with('#') => {
+                    let code = if let Some(hex) = ent.strip_prefix("#x").or(ent.strip_prefix("#X"))
+                    {
+                        u32::from_str_radix(hex, 16).ok()
+                    } else {
+                        ent[1..].parse::<u32>().ok()
+                    };
+                    let c = code.and_then(char::from_u32).ok_or_else(|| XmlError {
+                        pos,
+                        kind: XmlErrorKind::InvalidCharRef(ent.to_string()),
+                    })?;
+                    out.push(c);
+                }
+                _ => {
+                    return Err(XmlError {
+                        pos,
+                        kind: XmlErrorKind::UnknownEntity(ent.to_string()),
+                    })
+                }
+            }
+            rest = &after[semi + 1..];
+        }
+        out.push_str(rest);
+        Ok(Cow::Owned(out))
     }
 }
 
@@ -531,78 +690,15 @@ fn is_name_char(b: u8) -> bool {
     b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.') || b >= 0x80
 }
 
-/// Decodes the five predefined entities and numeric character references,
-/// charging each reference against the document's expansion budget.
-fn decode_entities(
-    raw: &[u8],
-    base: usize,
-    expansions: &mut usize,
-    limits: &ParserLimits,
-) -> Result<String, XmlError> {
-    let s = std::str::from_utf8(raw).map_err(|_| XmlError {
-        pos: base,
-        kind: XmlErrorKind::InvalidUtf8("character data"),
-    })?;
-    if !s.contains('&') {
-        return Ok(s.to_string());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        let after = &rest[amp + 1..];
-        let semi = after.find(';').ok_or_else(|| XmlError {
-            pos: base + amp,
-            kind: XmlErrorKind::Unterminated("entity reference"),
-        })?;
-        *expansions += 1;
-        if *expansions > limits.max_entity_expansions {
-            return Err(XmlError::new(
-                base + amp,
-                XmlErrorKind::EntityExpansionLimit(limits.max_entity_expansions),
-            ));
-        }
-        let ent = &after[..semi];
-        match ent {
-            "amp" => out.push('&'),
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
-            _ if ent.starts_with('#') => {
-                let code = if let Some(hex) = ent.strip_prefix("#x").or(ent.strip_prefix("#X")) {
-                    u32::from_str_radix(hex, 16).ok()
-                } else {
-                    ent[1..].parse::<u32>().ok()
-                };
-                let c = code.and_then(char::from_u32).ok_or_else(|| XmlError {
-                    pos: base + amp,
-                    kind: XmlErrorKind::InvalidCharRef(ent.to_string()),
-                })?;
-                out.push(c);
-            }
-            _ => {
-                return Err(XmlError {
-                    pos: base + amp,
-                    kind: XmlErrorKind::UnknownEntity(ent.to_string()),
-                })
-            }
-        }
-        rest = &after[semi + 1..];
-    }
-    out.push_str(rest);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<Event>, XmlError> {
+    fn events(input: &str) -> Result<Vec<Event<'_>>, XmlError> {
         events_limited(input, ParserLimits::default())
     }
 
-    fn events_limited(input: &str, limits: ParserLimits) -> Result<Vec<Event>, XmlError> {
+    fn events_limited(input: &str, limits: ParserLimits) -> Result<Vec<Event<'_>>, XmlError> {
         let mut r = Reader::with_limits(input.as_bytes(), limits);
         let mut out = Vec::new();
         loop {
@@ -618,24 +714,32 @@ mod tests {
     #[test]
     fn basic_document() {
         let ev = events("<a><b>text</b><c/></a>").unwrap();
-        assert_eq!(ev.len(), 7);
-        assert!(matches!(&ev[0], Event::Start { name, .. } if name == "a"));
+        assert_eq!(ev.len(), 8);
+        assert_eq!(ev[0], Event::Start { name: "a" });
         assert!(matches!(&ev[2], Event::Text(t) if t == "text"));
-        assert!(matches!(&ev[4], Event::Start { name, self_closing: true, .. } if name == "c"));
+        // An empty-element tag is a start and its own end.
+        assert_eq!(ev[4], Event::Start { name: "c" });
+        assert_eq!(ev[5], Event::End { name: "c" });
+        assert_eq!(ev[6], Event::End { name: "a" });
     }
 
     #[test]
     fn attributes_parsed() {
         let ev = events(r#"<a x="1" y='two'/>"#).unwrap();
-        match &ev[0] {
-            Event::Start { attributes, .. } => {
-                assert_eq!(attributes.len(), 2);
-                assert_eq!(attributes[0].name, "x");
-                assert_eq!(attributes[0].value, "1");
-                assert_eq!(attributes[1].value, "two");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let attr = |name, value: &'static str| Event::Attribute {
+            name,
+            value: Cow::Borrowed(value),
+        };
+        assert_eq!(
+            ev,
+            [
+                Event::Start { name: "a" },
+                attr("x", "1"),
+                attr("y", "two"),
+                Event::End { name: "a" },
+                Event::Eof
+            ]
+        );
     }
 
     #[test]
@@ -643,10 +747,7 @@ mod tests {
         let ev = events("<a>&lt;hi&gt; &amp; &#65;&#x42;</a>").unwrap();
         assert!(matches!(&ev[1], Event::Text(t) if t == "<hi> & AB"));
         let ev = events(r#"<a v="&quot;q&apos;"/>"#).unwrap();
-        match &ev[0] {
-            Event::Start { attributes, .. } => assert_eq!(attributes[0].value, "\"q'"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(&ev[1], Event::Attribute { name: "v", value } if value == "\"q'"));
     }
 
     #[test]
@@ -656,14 +757,14 @@ mod tests {
             <!-- top comment -->
             <a><!-- inner --><![CDATA[raw <stuff> & more]]></a>"#;
         let ev = events(src).unwrap();
-        assert!(matches!(&ev[0], Event::Start { name, .. } if name == "a"));
+        assert_eq!(ev[0], Event::Start { name: "a" });
         assert!(matches!(&ev[1], Event::Text(t) if t == "raw <stuff> & more"));
     }
 
     #[test]
     fn whitespace_text_suppressed() {
         let ev = events("<a>\n  <b/>\n</a>").unwrap();
-        assert_eq!(ev.len(), 4); // start a, start b, end a, eof
+        assert_eq!(ev.len(), 5); // start a, start b, end b, end a, eof
     }
 
     #[test]
@@ -733,7 +834,8 @@ mod tests {
     #[test]
     fn namespaced_names_pass_through() {
         let ev = events("<ns:a ns:x=\"1\"><ns:b/></ns:a>").unwrap();
-        assert!(matches!(&ev[0], Event::Start { name, .. } if name == "ns:a"));
+        assert_eq!(ev[0], Event::Start { name: "ns:a" });
+        assert!(matches!(&ev[1], Event::Attribute { name: "ns:x", .. }));
     }
 
     #[test]
@@ -818,5 +920,85 @@ mod tests {
         let err = events_limited(&deep, limits).unwrap_err();
         assert!(err.pos <= deep.len());
         assert!(err.is_limit());
+    }
+
+    #[test]
+    fn undecoded_values_and_text_borrow_the_input() {
+        let ev = events(r#"<a x="plain" y="a&amp;b">run<![CDATA[<c>]]>&lt;</a>"#).unwrap();
+        assert!(matches!(
+            &ev[1],
+            Event::Attribute {
+                value: Cow::Borrowed("plain"),
+                ..
+            }
+        ));
+        assert!(matches!(&ev[2], Event::Attribute { value: Cow::Owned(v), .. } if v == "a&b"));
+        assert!(matches!(&ev[3], Event::Text(Cow::Borrowed("run"))));
+        assert!(matches!(&ev[4], Event::Text(Cow::Borrowed("<c>"))));
+        assert!(matches!(&ev[5], Event::Text(Cow::Owned(t)) if t == "<"));
+    }
+
+    #[test]
+    fn a_malformed_start_tag_fails_after_its_start_event() {
+        let mut r = Reader::new(b"<a x=\"1\" x=\"2\"/>");
+        assert_eq!(r.next_event().unwrap(), Event::Start { name: "a" });
+        assert!(matches!(r.next_event().unwrap(), Event::Attribute { .. }));
+        assert_eq!(
+            r.next_event().unwrap_err().kind,
+            XmlErrorKind::DuplicateAttribute("x".into())
+        );
+    }
+
+    #[test]
+    fn entity_errors_name_the_offending_reference() {
+        // Every error is placed at the `&` of its own reference, not at an
+        // offset relative to whatever followed the previous one.
+        for (src, pos, kind) in [
+            (
+                "<a>&amp;&bogus;</a>",
+                8,
+                XmlErrorKind::UnknownEntity("bogus".into()),
+            ),
+            (
+                "<a>xx&amp;yy&#xZZ;</a>",
+                12,
+                XmlErrorKind::InvalidCharRef("#xZZ".into()),
+            ),
+            (
+                r#"<a v="&lt;&nope;"/>"#,
+                10,
+                XmlErrorKind::UnknownEntity("nope".into()),
+            ),
+            (
+                "<a>&gt;&gt;&open</a>",
+                11,
+                XmlErrorKind::Unterminated("entity reference"),
+            ),
+        ] {
+            assert_eq!(events(src).unwrap_err(), XmlError::new(pos, kind), "{src}");
+        }
+        let limits = ParserLimits {
+            max_entity_expansions: 2,
+            ..ParserLimits::default()
+        };
+        assert_eq!(
+            events_limited("<a>&amp;x&amp;y&amp;</a>", limits).unwrap_err(),
+            XmlError::new(15, XmlErrorKind::EntityExpansionLimit(2))
+        );
+    }
+
+    #[test]
+    fn recycled_buffers_forget_the_previous_document() {
+        // The first document fails with two elements open and one
+        // attribute name recorded.
+        let mut r = Reader::new(b"<a><b x=\"1\" <");
+        while r.next_event().is_ok() {}
+        let bufs = r.into_buffers();
+        let mut r = Reader::with_buffers(b"<x x=\"1\"/>", ParserLimits::default(), bufs);
+        let mut n = 0;
+        while r.next_event().unwrap() != Event::Eof {
+            n += 1;
+        }
+        assert_eq!(n, 3);
     }
 }

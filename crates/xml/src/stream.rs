@@ -626,6 +626,24 @@ mod tests {
     }
 
     #[test]
+    fn entity_errors_carry_stream_absolute_offsets() {
+        // The error names the `&` of the second reference of the run, in
+        // the stream: past the first document, the separating blank and
+        // the reference that decoded.
+        let input = "<first/> <a>&amp;&bogus;</a><last/>";
+        let mut stream = DocumentStream::new(input.as_bytes());
+        assert!(stream.next().unwrap().is_ok());
+        assert_eq!(
+            stream.next().unwrap().unwrap_err(),
+            XmlError::new(
+                input.find("&bogus;").unwrap(),
+                XmlErrorKind::UnknownEntity("bogus".into())
+            )
+        );
+        assert_eq!(stream.next().unwrap().unwrap().node(0).tag, "last");
+    }
+
+    #[test]
     fn oversized_document_is_dropped_and_stream_recovers() {
         let limits = ParserLimits {
             max_document_bytes: 64,

@@ -6,10 +6,19 @@
 //! the *structure tuples* used for nested-path matching (paper §5, Fig. 4).
 
 use crate::limits::ParserLimits;
-use crate::reader::{Attribute, Event, Reader, XmlError, XmlErrorKind};
+use crate::reader::{Event, Reader, XmlError, XmlErrorKind};
 
 /// Identifier of an element within its [`Document`] (index into the arena).
 pub type NodeId = u32;
+
+/// An attribute of an [`Element`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attribute {
+    /// Attribute name (qualified, prefixes are kept verbatim).
+    pub name: String,
+    /// Decoded attribute value.
+    pub value: String,
+}
 
 /// One element of a parsed document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,13 +68,15 @@ pub struct Document {
     nodes: Vec<Element>,
 }
 
-/// Tree traversal event for [`Document::for_each_event`].
-#[derive(Debug, Clone, Copy)]
+/// Traversal event of [`DocAccess::for_each_event`](crate::DocAccess::for_each_event):
+/// an element's id, tag and 1-based depth — what an event-driven engine
+/// reads without asking the store; everything else goes through the id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeEvent<'a> {
     /// Entering an element (pre-order).
-    Start(NodeId, &'a Element),
+    Start(NodeId, &'a str, u32),
     /// Leaving an element (post-order).
-    End(NodeId, &'a Element),
+    End(NodeId, &'a str, u32),
 }
 
 impl Document {
@@ -80,27 +91,12 @@ impl Document {
         let mut builder = DocumentBuilder::new();
         loop {
             match reader.next_event()? {
-                Event::Start {
-                    name,
-                    attributes,
-                    self_closing,
-                } => {
-                    builder.start_owned(name);
-                    for a in attributes {
-                        builder.attr_owned(a.name, a.value);
-                    }
-                    if self_closing {
-                        builder.end();
-                    }
-                }
-                Event::End { .. } => {
-                    builder.end();
-                }
-                Event::Text(t) => {
-                    builder.text(&t);
-                }
+                Event::Start { name } => builder.start(name),
+                Event::Attribute { name, value } => builder.attr(name, &value),
+                Event::End { .. } => builder.end(),
+                Event::Text(t) => builder.text(&t),
                 Event::Eof => break,
-            }
+            };
         }
         // The reader enforces tag balance, so the only way `finish` can
         // fail here is a document with no elements at all.
@@ -193,13 +189,16 @@ impl Document {
             match item {
                 Item::Enter(id) => {
                     let e = self.node(id);
-                    f(TreeEvent::Start(id, e));
+                    f(TreeEvent::Start(id, &e.tag, e.depth));
                     stack.push(Item::Leave(id));
                     for &c in e.children.iter().rev() {
                         stack.push(Item::Enter(c));
                     }
                 }
-                Item::Leave(id) => f(TreeEvent::End(id, self.node(id))),
+                Item::Leave(id) => {
+                    let e = self.node(id);
+                    f(TreeEvent::End(id, &e.tag, e.depth));
+                }
             }
         }
     }
@@ -282,10 +281,6 @@ impl DocumentBuilder {
 
     /// Opens a new element.
     pub fn start(&mut self, tag: &str) -> &mut Self {
-        self.start_owned(tag.to_string())
-    }
-
-    fn start_owned(&mut self, tag: String) -> &mut Self {
         debug_assert!(
             !(self.stack.is_empty() && self.finished_root),
             "document may only have one root element"
@@ -302,7 +297,7 @@ impl DocumentBuilder {
             None => (None, 1, 1),
         };
         self.nodes.push(Element {
-            tag,
+            tag: tag.to_string(),
             attrs: Vec::new(),
             text: String::new(),
             parent,
@@ -316,14 +311,11 @@ impl DocumentBuilder {
 
     /// Adds an attribute to the currently open element.
     pub fn attr(&mut self, name: &str, value: &str) -> &mut Self {
-        self.attr_owned(name.to_string(), value.to_string())
-    }
-
-    fn attr_owned(&mut self, name: String, value: String) -> &mut Self {
         let id = *self.stack.last().expect("attr() with no open element");
-        self.nodes[id as usize]
-            .attrs
-            .push(Attribute { name, value });
+        self.nodes[id as usize].attrs.push(Attribute {
+            name: name.to_string(),
+            value: value.to_string(),
+        });
         self
     }
 
@@ -441,8 +433,8 @@ mod tests {
         let d = doc("<a><b/><c/></a>");
         let mut order = Vec::new();
         d.for_each_event(|ev| {
-            if let TreeEvent::Start(_, e) = ev {
-                order.push(e.tag.clone());
+            if let TreeEvent::Start(_, tag, _) = ev {
+                order.push(tag);
             }
         });
         assert_eq!(order, ["a", "b", "c"]);

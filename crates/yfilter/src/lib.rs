@@ -235,13 +235,13 @@ impl YFilter {
         push_closure(states, visited, *visit_epoch, &mut arena, 0);
 
         doc.for_each_event(|ev| match ev {
-            TreeEvent::Start(id, element) => {
+            TreeEvent::Start(id, tag, _) => {
                 path_nodes.push(id);
                 let (top_start, top_end) = (*level_start.last().unwrap(), arena.len());
                 level_start.push(arena.len());
                 *visit_epoch += 1;
                 let epoch = *visit_epoch;
-                let tag = interner.get(&element.tag);
+                let tag = interner.get(tag);
                 let mut on_accept = |accept: &Accept| {
                     fire(accept, doc, &path_nodes, matched, doc_epoch, &mut results)
                 };
@@ -387,15 +387,15 @@ fn fire<D: DocAccess>(
 fn matches_path_with_attrs<D: DocAccess>(expr: &XPathExpr, doc: &D, nodes: &[NodeId]) -> bool {
     let n = nodes.len();
     let step_ok = |step: &pxf_xpath::Step, pos: usize| -> bool {
-        let element = doc.element(nodes[pos - 1]);
+        let node = nodes[pos - 1];
         let tag_ok = match &step.test {
-            NodeTest::Tag(t) => element.tag == *t,
+            NodeTest::Tag(t) => doc.tag(node) == t,
             NodeTest::Wildcard => true,
         };
         tag_ok
             && step
                 .attr_filters()
-                .all(|f| f.matches(element.value_of(&f.name)))
+                .all(|f| f.matches(doc.value_of(node, &f.name)))
     };
     let mut frontier: Vec<usize> = Vec::new();
     for (i, step) in expr.steps.iter().enumerate() {
