@@ -12,7 +12,7 @@ use pxf_core::encode::{encode_single_path, AttrMode};
 use pxf_core::FilterEngine;
 use pxf_predicate::{eval_direct, MatchContext, Predicate, PredicateIndex, Publication};
 use pxf_workload::Regime;
-use pxf_xml::{Document, Interner};
+use pxf_xml::{Interner, PathDoc};
 
 fn bench_sharing() {
     let regime = Regime::psd();
@@ -24,10 +24,10 @@ fn bench_sharing() {
             ..Default::default()
         },
     );
-    let docs: Vec<Document> = w
+    let docs: Vec<PathDoc> = w
         .doc_bytes
         .iter()
-        .map(|b| Document::parse(b).unwrap())
+        .map(|b| PathDoc::parse(b).unwrap())
         .collect();
 
     let mut interner = Interner::new();
@@ -61,7 +61,7 @@ fn bench_sharing() {
             for d in &docs {
                 d.for_each_leaf_path(|path| {
                     publication.encode(d, path, &mut i);
-                    index.evaluate(&publication, None::<&Document>, &mut ctx);
+                    index.evaluate(&publication, None, &mut ctx);
                     matched += ctx.matched().len();
                 });
             }
@@ -82,7 +82,7 @@ fn bench_sharing() {
                     publication.encode(d, path, &mut i);
                     for chain in &chains {
                         for pred in chain {
-                            eval_direct(pred, &publication, None::<&Document>, &mut out);
+                            eval_direct(pred, &publication, None, &mut out);
                             matched += usize::from(!out.is_empty());
                         }
                     }

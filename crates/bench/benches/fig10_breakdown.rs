@@ -7,7 +7,7 @@ use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::FilterEngine;
 use pxf_predicate::{MatchContext, Publication};
 use pxf_workload::Regime;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 fn main() {
     let regime = Regime::nitf();
@@ -18,10 +18,10 @@ fn main() {
         ..Default::default()
     };
     let w = build_workload(&regime, &spec);
-    let docs: Vec<Document> = w
+    let docs: Vec<PathDoc> = w
         .doc_bytes
         .iter()
-        .map(|b| Document::parse(b).unwrap())
+        .map(|b| PathDoc::parse(b).unwrap())
         .collect();
 
     let mut group = micro::Group::new("fig10/nitf-200k-dup");

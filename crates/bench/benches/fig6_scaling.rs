@@ -1,13 +1,13 @@
 //! Fig. 6 micro-benchmarks: per-document filter time of the three engines
 //! on distinct-expression workloads in both regimes (reduced sizes; the
-//! full-scale sweep lives in the `harness` binary). Each engine is also
-//! timed on the streaming path (`match_bytes`, parse + match in one
-//! pass) for comparison against tree-based matching.
+//! full-scale sweep lives in the `harness` binary). Each engine is timed
+//! matching pre-parsed stores (`match_document`) and from raw bytes
+//! (`match_bytes`, parse + match — the paper's total filter time).
 
 use pxf_bench::{build_workload, micro, EngineKind, WorkloadSpec};
 use pxf_core::AttrMode;
 use pxf_workload::Regime;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 fn main() {
     for (regime, n_exprs) in [(Regime::nitf(), 20_000usize), (Regime::psd(), 5_000)] {
@@ -17,10 +17,10 @@ fn main() {
             ..Default::default()
         };
         let w = build_workload(&regime, &spec);
-        let docs: Vec<Document> = w
+        let docs: Vec<PathDoc> = w
             .doc_bytes
             .iter()
-            .map(|b| Document::parse(b).unwrap())
+            .map(|b| PathDoc::parse(b).unwrap())
             .collect();
         let mut group = micro::Group::new(format!("fig6/{}-{}", regime.name, n_exprs));
         group.sample_size(10);

@@ -4,7 +4,7 @@
 use pxf_bench::{build_backend, build_workload, micro, EngineKind, WorkloadSpec};
 use pxf_core::AttrMode;
 use pxf_workload::Regime;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 fn main() {
     let regime = Regime::psd();
@@ -15,10 +15,10 @@ fn main() {
         ..Default::default()
     };
     let w = build_workload(&regime, &spec);
-    let docs: Vec<Document> = w
+    let docs: Vec<PathDoc> = w
         .doc_bytes
         .iter()
-        .map(|b| Document::parse(b).unwrap())
+        .map(|b| PathDoc::parse(b).unwrap())
         .collect();
     let mut group = micro::Group::new("fig7/psd-200k-dup");
     group.sample_size(10);

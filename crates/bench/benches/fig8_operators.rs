@@ -4,7 +4,7 @@
 use pxf_bench::{build_backend, build_workload, micro, EngineKind, WorkloadSpec};
 use pxf_core::AttrMode;
 use pxf_workload::Regime;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 fn main() {
     let regime = Regime::nitf();
@@ -21,10 +21,10 @@ fn main() {
                 ..Default::default()
             };
             let w = build_workload(&regime, &spec);
-            let docs: Vec<Document> = w
+            let docs: Vec<PathDoc> = w
                 .doc_bytes
                 .iter()
-                .map(|b| Document::parse(b).unwrap())
+                .map(|b| PathDoc::parse(b).unwrap())
                 .collect();
             for kind in [EngineKind::BasicPcAp, EngineKind::YFilter] {
                 let mut engine = build_backend(kind, AttrMode::Inline, &w.exprs);

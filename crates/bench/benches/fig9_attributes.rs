@@ -4,7 +4,7 @@
 use pxf_bench::{build_backend, build_workload, micro, EngineKind, WorkloadSpec};
 use pxf_core::AttrMode;
 use pxf_workload::Regime;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 fn main() {
     for (regime, n_exprs) in [(Regime::nitf(), 20_000usize), (Regime::psd(), 5_000)] {
@@ -16,10 +16,10 @@ fn main() {
                 ..Default::default()
             };
             let w = build_workload(&regime, &spec);
-            let docs: Vec<Document> = w
+            let docs: Vec<PathDoc> = w
                 .doc_bytes
                 .iter()
-                .map(|b| Document::parse(b).unwrap())
+                .map(|b| PathDoc::parse(b).unwrap())
                 .collect();
             let mut group = micro::Group::new(format!("fig9/{}-{}filters", regime.name, filters));
             group.sample_size(10);

@@ -17,12 +17,12 @@ use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::{FilterEngine, Matcher};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_workload::Regime;
-use pxf_xml::{DocAccess, Document, ElementVisitor, Interner, NodeId, Symbol};
+use pxf_xml::{ElementVisitor, Interner, NodeId, PathDoc, Symbol};
 
 /// Bare incremental stage-1 driver (no stage 2): push/evaluate on enter,
 /// length predicates at leaves, roll back on leave.
 struct Stage1Driver<'a> {
-    doc: &'a Document,
+    doc: &'a PathDoc,
     interner: &'a Interner,
     index: &'a PredicateIndex,
     publication: &'a mut Publication,
@@ -66,10 +66,10 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
             ..Default::default()
         },
     );
-    let docs: Vec<Document> = w
+    let docs: Vec<PathDoc> = w
         .doc_bytes
         .iter()
-        .map(|b| Document::parse(b).unwrap())
+        .map(|b| PathDoc::parse(b).unwrap())
         .collect();
 
     let mut interner = Interner::new();

@@ -364,7 +364,7 @@ fn table1() {
     }
     let publication = Publication::from_tags(&["a", "b", "c", "a", "b", "c"], &mut interner);
     let mut ctx = MatchContext::new();
-    index.evaluate(&publication, None::<&pxf_xml::Document>, &mut ctx);
+    index.evaluate(&publication, None, &mut ctx);
     println!(
         "{:<10} {:<26} matching occurrence pairs",
         "XPE", "predicate"

@@ -399,7 +399,7 @@ pub fn run_churn(
         // Reader: filter documents off pinned snapshots until the writer
         // finishes; this is the metric under churn. The scratch persists
         // across snapshots, mirroring the static runners' streaming path
-        // (parse into the scratch's own `PathDoc`, no tree).
+        // (parse into the scratch's own `PathDoc`).
         let mut scratch = pxf_core::MatchScratch::new();
         let mut docs_matched = 0usize;
         let mut total_matches = 0usize;

@@ -7,7 +7,7 @@ use pxf_bench::{
 };
 use pxf_core::{AttrMode, FilterBackend};
 use pxf_workload::Regime;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 fn tiny_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -26,10 +26,10 @@ fn all_engines_agree_on_bench_workloads() {
                 ..tiny_spec()
             };
             let w = build_workload(&regime, &spec);
-            let docs: Vec<Document> = w
+            let docs: Vec<PathDoc> = w
                 .doc_bytes
                 .iter()
-                .map(|b| Document::parse(b).unwrap())
+                .map(|b| PathDoc::parse(b).unwrap())
                 .collect();
             let mut engines: Vec<(String, Box<dyn FilterBackend>)> = EngineKind::ALL
                 .iter()

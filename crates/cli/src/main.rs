@@ -14,8 +14,8 @@
 //! Subscription files contain one XPath expression per line; blank lines
 //! and lines starting with `#` are ignored. `pxf match` prints, for every
 //! document, the 1-based line numbers of the matching subscriptions. All
-//! matching takes the streaming path (parse + match in one pass, no
-//! document tree); every engine is driven through the
+//! matching goes from raw bytes to a match set in one parse pass into the
+//! engine's reused flat store; every engine is driven through the
 //! [`FilterBackend`] trait.
 
 use pxf_core::{parallel, AttrMode, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId};
@@ -324,10 +324,10 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
 
 /// Streams concatenated documents (stdin, or one file) through the engine.
 /// Each document goes raw-bytes → match set in one pass
-/// ([`FilterBackend::match_bytes`]); no `Document` tree is built. A
-/// malformed document is reported (with its stream-absolute byte offset)
-/// and the stream resyncs to the next document; `max_failures` consecutive
-/// bad documents abort the stream.
+/// ([`FilterBackend::match_bytes`]). A malformed document is reported
+/// (with its stream-absolute byte offset) and the stream resyncs to the
+/// next document; `max_failures` consecutive bad documents abort the
+/// stream.
 fn match_stream(
     backend: &mut dyn FilterBackend,
     lines_of: &[usize],

@@ -8,14 +8,14 @@
 //! engine through one object-safe interface instead of hand-rolled
 //! per-engine dispatch.
 //!
-//! [`FilterBackend::match_bytes`] is the streaming entry point: a backend
-//! goes from raw document bytes to a match set in a single parse pass
-//! (via [`pxf_xml::PathDoc`] or an equivalent event replay), with no
-//! [`pxf_xml::Document`] tree allocation. Implementations must return
-//! byte-identical match sets through both entry points.
+//! A backend matches one kind of document, the flat [`PathDoc`] store:
+//! [`FilterBackend::match_document`] filters one the caller parsed,
+//! [`FilterBackend::match_bytes`] parses raw bytes into a store the
+//! backend keeps (refilled in place, so the parse allocates nothing once
+//! warm) and filters that. The two must return the same match set.
 
 use crate::engine::{AddError, FilterEngine, SubId};
-use pxf_xml::{Document, ParserLimits, XmlError};
+use pxf_xml::{ParserLimits, PathDoc, XmlError};
 use pxf_xpath::XPathExpr;
 
 use crate::engine::EngineStats;
@@ -42,9 +42,9 @@ impl From<AddError> for BackendError {
 /// A filtering engine behind a uniform, object-safe interface.
 ///
 /// Lifecycle: [`add`](Self::add) subscriptions, optionally
-/// [`prepare`](Self::prepare) after a bulk load, then match documents — either pre-parsed trees via
-/// [`match_document`](Self::match_document) or raw bytes via the
-/// single-pass [`match_bytes`](Self::match_bytes). Subscription ids are
+/// [`prepare`](Self::prepare) after a bulk load, then match documents —
+/// parsed stores via [`match_document`](Self::match_document) or raw bytes
+/// via [`match_bytes`](Self::match_bytes). Subscription ids are
 /// assigned in registration order by every backend, so the same workload
 /// produces comparable id sets across engines.
 pub trait FilterBackend {
@@ -66,11 +66,12 @@ pub trait FilterBackend {
 
     /// Filters a parsed document: ids of all matching subscriptions,
     /// ascending.
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId>;
+    fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId>;
 
-    /// Parses and filters raw document bytes in one streaming pass,
-    /// without building a [`Document`] tree. Match sets are identical to
-    /// [`Self::match_document`] on the parsed equivalent.
+    /// Parses raw document bytes into the backend's own store and filters
+    /// it: [`Self::match_document`] on [`PathDoc::parse_into`] of the
+    /// bytes. After a failed parse the store is empty and the next
+    /// document matches as on a fresh backend.
     fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError>;
 
     /// Sets the per-document resource budget enforced by
@@ -120,7 +121,7 @@ impl FilterBackend for FilterEngine {
         FilterEngine::remove(self, sub)
     }
 
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId> {
+    fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId> {
         FilterEngine::match_document(self, doc)
     }
 
@@ -160,7 +161,7 @@ mod tests {
         let b = backend.add_str("//c").unwrap();
         backend.prepare();
         let bytes = b"<a><b><c/></b></a>";
-        let doc = Document::parse(bytes).unwrap();
+        let doc = PathDoc::parse(bytes).unwrap();
         assert_eq!(backend.match_document(&doc), vec![a, b]);
         assert_eq!(backend.match_bytes(bytes).unwrap(), vec![a, b]);
         assert!(backend.match_bytes(b"<oops>").is_err());

@@ -4,7 +4,7 @@
 
 use crate::encode::EncodedPath;
 use pxf_predicate::Publication;
-use pxf_xml::{DocAccess, Interner, Symbol};
+use pxf_xml::{Interner, PathDoc, Symbol};
 use pxf_xpath::{AttrFilter, XPathExpr};
 
 /// Selection-postponed attribute re-check data: for each predicate level,
@@ -69,12 +69,12 @@ impl AttrCheck {
     }
 
     /// Is the occurrence pair admissible at `level` on this publication?
-    pub(super) fn admit<D: DocAccess>(
+    pub(super) fn admit(
         &self,
         level: usize,
         pair: (u16, u16),
         publication: &Publication,
-        doc: &D,
+        doc: &PathDoc,
     ) -> bool {
         let lc = &self.levels[level];
         let node_ok = |tag: Option<Symbol>, occ: u16, filters: &[AttrFilter]| -> bool {

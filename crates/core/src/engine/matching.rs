@@ -10,18 +10,14 @@ use super::{EngineStats, FilterEngine, SubId};
 use crate::nested::combine;
 use crate::occurrence::determine_match_by;
 use pxf_predicate::{MatchContext, PredId, Publication};
-use pxf_xml::{DocAccess, ElementVisitor, NodeId, Symbol, XmlError};
+use pxf_xml::{ElementVisitor, NodeId, PathDoc, Symbol, XmlError};
 use std::time::Instant;
 
 impl FilterEngine {
     /// Filters a document using caller-provided scratch. The engine itself
     /// is not mutated, so any number of scratches may be used concurrently
     /// (see [`Self::matcher`]).
-    pub fn match_document_with<D: DocAccess>(
-        &self,
-        doc: &D,
-        scratch: &mut MatchScratch,
-    ) -> Vec<SubId> {
+    pub fn match_document_with(&self, doc: &PathDoc, scratch: &mut MatchScratch) -> Vec<SubId> {
         let MatchScratch {
             publication,
             ctx,
@@ -99,9 +95,9 @@ impl FilterEngine {
     /// re-evaluated and elements whose leaves the memo answers are never
     /// evaluated at all; at a walking leaf only the length-dependent
     /// predicates are left to run before stage 2.
-    fn stage1_incremental<D: DocAccess>(
+    fn stage1_incremental(
         &self,
-        doc: &D,
+        doc: &PathDoc,
         publication: &mut Publication,
         ctx: &mut MatchContext,
         state: &mut DocState,
@@ -151,9 +147,9 @@ impl FilterEngine {
 /// and its own attributes, none of which changes while it is open, so
 /// [`Self::catch_up`] pushes the pairs evaluation on enter would have, in
 /// the same order.
-struct IncrementalDriver<'a, 'd, D: DocAccess> {
+struct IncrementalDriver<'a, 'd> {
     engine: &'a FilterEngine,
-    doc: &'d D,
+    doc: &'d PathDoc,
     publication: &'a mut Publication,
     ctx: &'a mut MatchContext,
     state: &'a mut DocState,
@@ -166,7 +162,7 @@ struct IncrementalDriver<'a, 'd, D: DocAccess> {
     expr_ns: u64,
 }
 
-impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
+impl IncrementalDriver<'_, '_> {
     /// Handles a leaf. The memo (when on) says whether this tag path was
     /// already answered in this document (nothing to do), has a record
     /// (replay it), or needs stage 2: stage 1 caught up to the leaf,
@@ -242,7 +238,7 @@ impl<D: DocAccess> IncrementalDriver<'_, '_, D> {
     }
 }
 
-impl<D: DocAccess> ElementVisitor for IncrementalDriver<'_, '_, D> {
+impl ElementVisitor for IncrementalDriver<'_, '_> {
     fn enter(&mut self, id: NodeId, is_leaf: bool) {
         let tag = self
             .engine
@@ -321,19 +317,19 @@ impl FilterEngine {
     ///
     /// The occurrence set is a `u128` below 128 path elements and a heap
     /// bitset from there on, so the walk is exact at any depth.
-    fn stage2<D: DocAccess>(
+    fn stage2(
         &self,
         ctx: &MatchContext,
         publication: &Publication,
-        doc: &D,
+        doc: &PathDoc,
         state: &mut DocState,
         stats: &mut EngineStats,
         path_idx: u32,
     ) {
         if publication.length < 128 {
-            self.probe_clusters::<u128, D>(ctx, publication, doc, state, stats, path_idx);
+            self.probe_clusters::<u128>(ctx, publication, doc, state, stats, path_idx);
         } else {
-            self.probe_clusters::<Vec<u64>, D>(ctx, publication, doc, state, stats, path_idx);
+            self.probe_clusters::<Vec<u64>>(ctx, publication, doc, state, stats, path_idx);
         }
     }
 
@@ -346,11 +342,11 @@ impl FilterEngine {
     /// clusters whose access predicate holds, in an order that cannot
     /// affect results (clusters are disjoint), and `ap_root_probes` counts
     /// those clusters either way.
-    fn probe_clusters<S: OccSet, D: DocAccess>(
+    fn probe_clusters<S: OccSet>(
         &self,
         ctx: &MatchContext,
         publication: &Publication,
-        doc: &D,
+        doc: &PathDoc,
         state: &mut DocState,
         stats: &mut EngineStats,
         path_idx: u32,
@@ -387,13 +383,13 @@ impl FilterEngine {
     /// predicate chains on, and returns whether the whole subtree is now
     /// resolved for this document.
     #[allow(clippy::too_many_arguments)]
-    fn dfs_node<S: OccSet, D: DocAccess>(
+    fn dfs_node<S: OccSet>(
         &self,
         n: u32,
         f_in: S,
         ctx: &MatchContext,
         publication: &Publication,
-        doc: &D,
+        doc: &PathDoc,
         state: &mut DocState,
         stats: &mut EngineStats,
         path_idx: u32,
@@ -515,12 +511,12 @@ impl FilterEngine {
 /// subscription results or component path records, applying postponed
 /// attribute checks where present.
 #[allow(clippy::too_many_arguments)]
-fn process_sink<D: DocAccess>(
+fn process_sink(
     sink: &Sink,
     preds: &[PredId],
     ctx: &MatchContext,
     publication: &Publication,
-    doc: &D,
+    doc: &PathDoc,
     state: &mut DocState,
     stats: &mut EngineStats,
     path_idx: u32,

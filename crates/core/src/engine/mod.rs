@@ -30,7 +30,7 @@ use crate::encode::{encode_single_path, AttrMode, EncodeError};
 use crate::nested::{decompose, NestedPlan};
 use dedup::{CanonGroup, NO_GROUP};
 use pxf_predicate::{PredId, PredicateIndex};
-use pxf_xml::{DocAccess, Interner, ParserLimits, XmlError};
+use pxf_xml::{Interner, ParserLimits, PathDoc, XmlError};
 use pxf_xpath::XPathExpr;
 use std::collections::HashMap;
 use std::fmt;
@@ -146,13 +146,12 @@ struct NestedSub {
 ///
 /// ```
 /// use pxf_core::FilterEngine;
-/// use pxf_xml::Document;
 ///
 /// let mut engine = FilterEngine::default();
 /// let s1 = engine.add_str("a//b/c").unwrap();
 /// let s2 = engine.add_str("c//b//a").unwrap();
-/// let doc = Document::parse(b"<a><b><c><a><b><c/></b></a></c></b></a>").unwrap();
-/// assert_eq!(engine.match_document(&doc), vec![s1]);
+/// let matched = engine.match_bytes(b"<a><b><c><a><b><c/></b></a></c></b></a>");
+/// assert_eq!(matched.unwrap(), vec![s1]);
 /// let _ = s2;
 /// ```
 #[derive(Debug)]
@@ -559,9 +558,9 @@ impl FilterEngine {
         Ok(())
     }
 
-    /// Filters a document: returns the ids of all matching subscriptions,
-    /// in ascending order.
-    pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<SubId> {
+    /// Filters a parsed document: returns the ids of all matching
+    /// subscriptions, in ascending order.
+    pub fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let results = self.match_document_with(doc, &mut scratch);
         self.scratch = scratch;
@@ -570,9 +569,8 @@ impl FilterEngine {
 
     /// Parses and filters a document in one streaming pass over the raw
     /// bytes: they are parsed into the scratch's flat store
-    /// ([`PathDoc::parse_into`](pxf_xml::PathDoc::parse_into) — no tree, no
-    /// allocation once warm) and matching runs over its columns. Match
-    /// sets are byte-identical to the tree-based path.
+    /// ([`PathDoc::parse_into`] — no allocation once warm) and
+    /// [`Self::match_document`] runs over it.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let results = self.match_bytes_with(bytes, &mut scratch);

@@ -5,10 +5,10 @@
 
 use super::{EngineStats, FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, PredId, Publication};
-use pxf_xml::{DocAccess, NodeId, PathDoc, Symbol, XmlError};
+use pxf_xml::{NodeId, PathDoc, Symbol, XmlError};
 
-/// Reusable matching state: per-document buffers, the document store the
-/// streaming path parses into, and the path memo that carries what
+/// Reusable matching state: per-document buffers, the document store
+/// `match_bytes` parses into, and the path memo that carries what
 /// earlier documents' tag paths reached for as long as the subscription
 /// set stays the same. One scratch per concurrent matcher (see
 /// [`FilterEngine::matcher`]); it may serve different engines in turn.
@@ -47,7 +47,7 @@ impl MatchScratch {
         self.state.memo.heap_bytes()
     }
 
-    /// Heap held by the document store the streaming path parses into
+    /// Heap held by the document store `match_bytes` parses into
     /// (by capacity), in bytes; the store gives back what exceeds
     /// [`PathDoc::RETAINED_HEAP_BYTES`] before the next document.
     pub fn doc_store_bytes(&self) -> usize {
@@ -82,16 +82,16 @@ pub struct Matcher<'e> {
 }
 
 impl Matcher<'_> {
-    /// Filters a document: ids of all matching subscriptions, ascending.
-    pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<SubId> {
+    /// Filters a parsed document: ids of all matching subscriptions,
+    /// ascending.
+    pub fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId> {
         self.engine.match_document_with(doc, &mut self.scratch)
     }
 
     /// Parses and filters a document in a single streaming pass: the bytes
-    /// go through [`PathDoc::parse_into`] on this matcher's own store (no
-    /// tree is built, nothing is allocated once warm) and the match runs
-    /// over its columns. Results are identical to parsing with
-    /// [`pxf_xml::Document::parse`] and calling [`Self::match_document`].
+    /// go through [`PathDoc::parse_into`] on this matcher's own store
+    /// (nothing is allocated once warm) and [`Self::match_document`] runs
+    /// over it.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
         self.engine.match_bytes_with(bytes, &mut self.scratch)
     }

@@ -8,7 +8,13 @@ use pxf_xpath::parse;
 
 const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
-fn doc(xml: &str) -> Document {
+/// What the engine matches.
+fn doc(xml: &str) -> PathDoc {
+    PathDoc::parse(xml.as_bytes()).unwrap()
+}
+
+/// What the oracle walks.
+fn tree(xml: &str) -> Document {
     Document::parse(xml.as_bytes()).unwrap()
 }
 
@@ -55,10 +61,9 @@ fn engines_agree_with_oracle() {
             .map(|e| engine.add(&parse(e).unwrap()).unwrap())
             .collect();
         for d in docs {
-            let document = doc(d);
-            let matched = engine.match_document(&document);
+            let matched = engine.match_document(&doc(d));
             for (e, s) in exprs.iter().zip(&subs) {
-                let expected = matches_document(&parse(e).unwrap(), &document);
+                let expected = matches_document(&parse(e).unwrap(), &tree(d));
                 assert_eq!(matched.contains(s), expected, "{mode:?}: {e} over {d}");
             }
         }
@@ -100,7 +105,7 @@ fn attribute_modes_agree() {
         for (i, e) in exprs.iter().enumerate() {
             assert_eq!(
                 matched.contains(&SubId(i as u32)),
-                matches_document(&parse(e).unwrap(), &document),
+                matches_document(&parse(e).unwrap(), &tree(d)),
                 "{e} over {d}"
             );
         }
@@ -178,13 +183,13 @@ fn nested_subscriptions_through_engine() {
 fn path_lengths_around_128_agree_with_oracle() {
     let exprs = ["a/a", "/a//a/a", "//a", "a/a/a/a", "/a/a//a//a/a", "/b"];
     for len in 126..=130 {
-        let document = doc(&("<a>".repeat(len) + &"</a>".repeat(len)));
+        let xml = "<a>".repeat(len) + &"</a>".repeat(len);
         for mode in MODES {
             let mut engine = FilterEngine::new(mode);
             let subs: Vec<SubId> = exprs.iter().map(|e| engine.add_str(e).unwrap()).collect();
-            let matched = engine.match_document(&document);
+            let matched = engine.match_document(&doc(&xml));
             for (e, s) in exprs.iter().zip(&subs) {
-                let expected = matches_document(&parse(e).unwrap(), &document);
+                let expected = matches_document(&parse(e).unwrap(), &tree(&xml));
                 assert_eq!(matched.contains(s), expected, "{mode:?}: {e} at {len}");
             }
         }
@@ -374,9 +379,9 @@ fn sub_nodes(engine: &FilterEngine, sub: u32) -> Vec<u32> {
 fn prepare_changes_neither_match_sets_nor_node_ids() {
     let mut rng = pxf_rng::Rng::seed_from_u64(0x16_0001);
     let docs = [
-        doc("<a><b k=\"1\" m=\"2\"><c/></b><d><c/></d></a>"),
-        doc("<a><a><b><c><d/></c></b></a><c k=\"2\"/></a>"),
-        doc("<d><b m=\"1\"><a><c/></a></b></d>"),
+        "<a><b k=\"1\" m=\"2\"><c/></b><d><c/></d></a>",
+        "<a><a><b><c><d/></c></b></a><c k=\"2\"/></a>",
+        "<d><b m=\"1\"><a><c/></a></b></d>",
     ];
     for script in 0..64 {
         let mode = MODES[script % 2];
@@ -403,12 +408,11 @@ fn prepare_changes_neither_match_sets_nor_node_ids() {
                 "script {script}, sub {sub}"
             );
         }
-        for d in &docs {
+        for d in docs {
             assert_eq!(
-                once.match_document(d),
-                each.match_document(d),
-                "script {script}, doc {}",
-                d.to_xml()
+                once.match_document(&doc(d)),
+                each.match_document(&doc(d)),
+                "script {script}, doc {d}"
             );
         }
     }
@@ -470,7 +474,7 @@ fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
             .map(|_| rng.gen_index(TAGS.len()))
             .collect()
     };
-    let xml_of = |tags: &[usize]| -> Document {
+    let xml_of = |tags: &[usize]| -> String {
         let mut xml = String::with_capacity(7 * tags.len());
         for &t in tags {
             xml.extend(["<", TAGS[t], ">"]);
@@ -478,19 +482,20 @@ fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
         for &t in tags.iter().rev() {
             xml.extend(["</", TAGS[t], ">"]);
         }
-        doc(&xml)
+        xml
     };
-    let check = |engine: &mut FilterEngine, d: &Document| {
+    let check = |engine: &mut FilterEngine, d: &str| {
+        let oracle = tree(d);
         let want: Vec<SubId> = (0..exprs.len())
-            .filter(|&i| matches_document(&exprs[i], d))
+            .filter(|&i| matches_document(&exprs[i], &oracle))
             .map(|i| SubId(i as u32))
             .collect();
-        assert_eq!(engine.match_document(d), want, "{}", d.to_xml());
+        assert_eq!(engine.match_bytes(d.as_bytes()).unwrap(), want, "{d}");
         let bytes = engine.scratch.memo_bytes();
         assert!(bytes <= MEMO_CAP_BYTES, "{bytes}");
         engine.scratch.memo_states()
     };
-    let recurring: Vec<Document> = (0..8).map(|_| xml_of(&chain(&mut rng))).collect();
+    let recurring: Vec<String> = (0..8).map(|_| xml_of(&chain(&mut rng))).collect();
     let mut seen = std::collections::HashSet::new();
     let (mut emptied, mut held) = (0, 0);
     while seen.len() < 50_000 {
@@ -530,21 +535,22 @@ fn lazy_stage1_catches_up_from_the_root_and_rolls_back_only_what_was_left() {
     for e in &exprs {
         engine.add(e).unwrap();
     }
-    let check = |engine: &mut FilterEngine, d: &Document| {
+    let check = |engine: &mut FilterEngine, d: &str| {
+        let oracle = tree(d);
         let want: Vec<SubId> = (0..exprs.len())
-            .filter(|&i| matches_document(&exprs[i], d))
+            .filter(|&i| matches_document(&exprs[i], &oracle))
             .map(|i| SubId(i as u32))
             .collect();
-        assert_eq!(engine.match_document(d), want, "{}", d.to_xml());
+        assert_eq!(engine.match_document(&doc(d)), want, "{d}");
         assert!(engine.scratch.state.ctx_marks.is_empty());
     };
-    let warm = doc("<r><a><b/><b/></a></r>");
-    let probe = doc("<r><a><b/><b/></a><x><y><z/><w/></y><v/></x></r>");
+    let warm = "<r><a><b/><b/></a></r>";
+    let probe = "<r><a><b/><b/></a><x><y><z/><w/></y><v/></x></r>";
     for _ in 0..3 {
-        check(&mut engine, &warm);
+        check(&mut engine, warm);
     }
     let before = engine.stats();
-    check(&mut engine, &probe);
+    check(&mut engine, probe);
     let s = engine.stats();
     assert_eq!(
         [
@@ -556,7 +562,7 @@ fn lazy_stage1_catches_up_from_the_root_and_rolls_back_only_what_was_left() {
         "replayed b, skipped b, walked z, w and v"
     );
     // The same document recording, then replaying throughout.
-    check(&mut engine, &probe);
-    check(&mut engine, &probe);
+    check(&mut engine, probe);
+    check(&mut engine, probe);
     assert_eq!(engine.stats().stage2_walks - s.stage2_walks, 3);
 }

@@ -5,7 +5,9 @@
 //! of XPath expressions (subscriptions) and a stream of XML documents,
 //! determine for each document the set of matching expressions. XPEs are
 //! encoded as ordered sets of position predicates ([`encode`]), documents
-//! as sets of (attribute, value) tuples, and matching runs in two stages —
+//! (parsed into the flat [`pxf_xml::PathDoc`] store, the only kind of
+//! document the engine takes) as sets of (attribute, value) tuples, and
+//! matching runs in two stages —
 //! predicate matching over a shared, deduplicated predicate index, followed
 //! by per-expression occurrence determination ([`occurrence`]).
 //!
@@ -13,16 +15,13 @@
 //!
 //! ```
 //! use pxf_core::{AttrMode, FilterEngine};
-//! use pxf_xml::Document;
 //!
 //! let mut engine = FilterEngine::new(AttrMode::Inline);
 //! let sports = engine.add_str("/news//article[@category = \"sports\"]").unwrap();
 //! let politics = engine.add_str("/news//article[@category = \"politics\"]/headline").unwrap();
 //!
-//! let doc = Document::parse(
-//!     br#"<news><article category="sports"><headline/></article></news>"#,
-//! ).unwrap();
-//! assert_eq!(engine.match_document(&doc), vec![sports]);
+//! let doc = br#"<news><article category="sports"><headline/></article></news>"#;
+//! assert_eq!(engine.match_bytes(doc).unwrap(), vec![sports]);
 //! let _ = politics;
 //! ```
 //!
@@ -31,8 +30,9 @@
 //! predicate, walked depth-first per document path. Attribute filters run
 //! [`AttrMode::Inline`] or [`AttrMode::Postponed`] (§5). Nested path
 //! filters (tree patterns) are decomposed and combined per §5
-//! ([`nested`]). [`reference`] is the independent oracle every property
-//! suite compares the engine with.
+//! ([`nested`]). [`mod@reference`] is the independent oracle every property
+//! suite compares the engine with: it walks the [`pxf_xml::Document`] tree,
+//! so each comparison also holds the flat store against the tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@
 //! comparison, O(1) instead of O(d).
 
 use crate::reference::{match_positions, DocPathView};
-use pxf_xml::{DocAccess, NodeId};
+use pxf_xml::{NodeId, PathDoc};
 use pxf_xpath::{Axis, Step, StepFilter, XPathExpr};
 use std::collections::HashSet;
 
@@ -122,9 +122,9 @@ fn decompose_into(
 /// predicate engine). The combination re-derives exact step positions with
 /// [`match_positions`] (which also applies attribute filters) and checks
 /// branch-node agreement bottom-up.
-pub fn combine<D: DocAccess>(
+pub fn combine(
     plan: &NestedPlan,
-    doc: &D,
+    doc: &PathDoc,
     paths: &[Vec<NodeId>],
     comp_paths: &[Vec<u32>],
 ) -> bool {
@@ -256,7 +256,7 @@ fn for_each_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::matches_document;
+    use crate::reference::{leaf_paths, matches_document};
     use pxf_xml::Document;
     use pxf_xpath::parse;
 
@@ -299,9 +299,9 @@ mod tests {
         // predicate engine pre-filter, which only ever removes paths that
         // the DP would reject anyway).
         let expr = parse(src).unwrap();
-        let doc = Document::parse(xml.as_bytes()).unwrap();
+        let doc = PathDoc::parse(xml.as_bytes()).unwrap();
         let plan = decompose(&expr);
-        let paths = doc.leaf_paths();
+        let paths = leaf_paths(&doc);
         let comp_paths: Vec<Vec<u32>> = plan
             .components
             .iter()

@@ -16,7 +16,7 @@
 //! may be mid-document) and continues with a fresh one.
 
 use crate::engine::{FilterEngine, Matcher, SubId};
-use pxf_xml::{Document, XmlError};
+use pxf_xml::XmlError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -115,10 +115,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Reusable batch-driver scratch: the per-worker result staging buffers
-/// that [`run_isolated`] previously allocated on every call. A caller
-/// looping over batches holds one `BatchScratch` and passes it to the
-/// `*_with` entry points, so the staging vectors keep their capacity
+/// Reusable batch-driver scratch: the per-worker result staging buffers.
+/// A caller looping over batches holds one `BatchScratch` and passes it to
+/// [`filter_batch_bytes_with`], so the staging vectors keep their capacity
 /// across batches.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
@@ -236,63 +235,30 @@ fn effective_threads(threads: usize, n_docs: usize) -> usize {
     threads.min(n_docs.max(1))
 }
 
-/// Filters a batch of parsed documents across `threads` worker threads,
-/// returning per-document outcomes in input order.
+/// Filters raw serialized documents (parse + match per document, the
+/// paper's total-filter-time unit of work) across `threads` worker
+/// threads, returning per-document outcomes in input order.
 ///
 /// The engine is borrowed immutably and every worker sees all of its
-/// subscriptions. With `threads == 1` this degenerates to a sequential loop
-/// (no threads are spawned); `threads == 0` means "use every available
-/// core" ([`std::thread::available_parallelism`]). A panic while matching
-/// one document yields a [`DocError::Panicked`] entry for that document
-/// only.
+/// subscriptions. Each document goes through [`Matcher::match_bytes`]: one
+/// pass over the bytes into the worker's own flat store. Parse errors —
+/// including [`ParserLimits`](pxf_xml::ParserLimits) violations — and
+/// matcher panics are isolated per document: each yields an `Err` entry
+/// for that document only. With `threads == 1` this degenerates to a
+/// sequential loop (no threads are spawned); `threads == 0` means "use
+/// every available core" ([`std::thread::available_parallelism`]).
 ///
 /// ```
 /// use pxf_core::{parallel, FilterEngine};
-/// use pxf_xml::Document;
 ///
 /// let mut engine = FilterEngine::default();
 /// let s = engine.add_str("/a/b").unwrap();
-/// let docs = vec![
-///     Document::parse(b"<a><b/></a>").unwrap(),
-///     Document::parse(b"<x/>").unwrap(),
-/// ];
-/// let results = parallel::filter_batch(&engine, &docs, 4);
+/// let docs = vec![b"<a><b/></a>".to_vec(), b"<x/>".to_vec(), b"<x>".to_vec()];
+/// let results = parallel::filter_batch_bytes(&engine, &docs, 4);
 /// assert_eq!(results[0].as_ref().unwrap(), &vec![s]);
 /// assert!(results[1].as_ref().unwrap().is_empty());
+/// assert!(results[2].is_err());
 /// ```
-pub fn filter_batch<E: AsRef<FilterEngine> + Sync>(
-    engine: &E,
-    docs: &[Document],
-    threads: usize,
-) -> Vec<DocFilterResult> {
-    filter_batch_with(engine, docs, threads, &mut BatchScratch::new())
-}
-
-/// [`filter_batch`] with caller-held [`BatchScratch`]: a loop over many
-/// batches reuses the per-worker staging buffers instead of reallocating
-/// them every call.
-pub fn filter_batch_with<E: AsRef<FilterEngine> + Sync>(
-    engine: &E,
-    docs: &[Document],
-    threads: usize,
-    scratch: &mut BatchScratch,
-) -> Vec<DocFilterResult> {
-    let threads = effective_threads(threads, docs.len());
-    run_isolated(engine, docs.len(), threads, scratch, |matcher, i| {
-        Ok(matcher.match_document(&docs[i]))
-    })
-}
-
-/// Filters raw serialized documents (parse + match per document, the
-/// paper's total-filter-time unit of work) across worker threads.
-///
-/// Each document takes the streaming path ([`Matcher::match_bytes`]): one
-/// pass over the bytes into the matcher's own flat store, no `Document`
-/// tree. Parse errors — including
-/// [`ParserLimits`](pxf_xml::ParserLimits) violations — and matcher
-/// panics are isolated per document. With `threads == 1` this
-/// degenerates to a sequential loop (no threads are spawned), and
-/// `threads == 0` uses every available core, mirroring [`filter_batch`].
 ///
 /// [`Matcher::match_bytes`]: crate::Matcher::match_bytes
 pub fn filter_batch_bytes<E: AsRef<FilterEngine> + Sync>(
@@ -303,8 +269,9 @@ pub fn filter_batch_bytes<E: AsRef<FilterEngine> + Sync>(
     filter_batch_bytes_with(engine, docs, threads, &mut BatchScratch::new())
 }
 
-/// [`filter_batch_bytes`] with caller-held [`BatchScratch`] (see
-/// [`filter_batch_with`]).
+/// [`filter_batch_bytes`] with caller-held [`BatchScratch`]: a loop over
+/// many batches reuses the per-worker staging buffers instead of
+/// reallocating them every call.
 pub fn filter_batch_bytes_with<E: AsRef<FilterEngine> + Sync>(
     engine: &E,
     docs: &[Vec<u8>],
@@ -320,6 +287,7 @@ pub fn filter_batch_bytes_with<E: AsRef<FilterEngine> + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxf_xml::PathDoc;
 
     fn sample_engine() -> (FilterEngine, Vec<SubId>) {
         let mut engine = FilterEngine::default();
@@ -329,30 +297,6 @@ mod tests {
             engine.add_str("a/*/d").unwrap(),
         ];
         (engine, ids)
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (engine, _) = sample_engine();
-        let docs: Vec<Document> = [
-            "<a><b/></a>",
-            "<a><x><c/></x></a>",
-            "<a><q><d/></q></a>",
-            "<z/>",
-            "<a><b><c/></b></a>",
-        ]
-        .iter()
-        .cycle()
-        .take(50)
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
-        .collect();
-        let sequential = filter_batch(&engine, &docs, 1);
-        assert!(sequential.iter().all(|r| r.is_ok()));
-        for threads in [2, 4, 8] {
-            assert_eq!(filter_batch(&engine, &docs, threads), sequential);
-        }
-        // 0 = one worker per available core.
-        assert_eq!(filter_batch(&engine, &docs, 0), sequential);
     }
 
     #[test]
@@ -376,34 +320,6 @@ mod tests {
         let report = BatchReport::from_results(&results);
         assert_eq!((report.total, report.ok, report.parse_errors), (2, 1, 1));
         assert_eq!(report.recovered(), 1);
-    }
-
-    #[test]
-    fn bytes_variant_agrees_with_tree_path_across_thread_counts() {
-        let (engine, _) = sample_engine();
-        let sources = [
-            "<a><b/></a>",
-            "<a><x><c/></x></a>",
-            "<a><q><d/></q></a>",
-            "<z/>",
-            "<a><b><c/></b></a>",
-        ];
-        let bytes: Vec<Vec<u8>> = sources
-            .iter()
-            .cycle()
-            .take(50)
-            .map(|s| s.as_bytes().to_vec())
-            .collect();
-        let docs: Vec<Document> = bytes.iter().map(|b| Document::parse(b).unwrap()).collect();
-        let tree: Vec<Vec<SubId>> = filter_batch(&engine, &docs, 1)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        for threads in [1, 2, 4] {
-            let streamed = filter_batch_bytes(&engine, &bytes, threads);
-            let streamed: Vec<Vec<SubId>> = streamed.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(streamed, tree, "threads={threads}");
-        }
     }
 
     #[test]
@@ -453,6 +369,7 @@ mod tests {
     fn matchers_see_every_add_and_remove_at_once() {
         use crate::reference::matches_document;
         use crate::{AttrMode, MatchScratch};
+        use pxf_xml::Document;
         const EXPRS: [&str; 6] = [
             "/a/b",            // single path
             "//c",             //
@@ -461,29 +378,35 @@ mod tests {
             "/a[b/c]/d",       // nested
             "//b[c][@k]",      //
         ];
-        let docs: Vec<Document> = [
+        let docs: Vec<Vec<u8>> = [
             "<a><b k=\"1\" m=\"2\"><c/></b><d/></a>",
             "<a><b><c/></b><b k=\"2\"/></a>",
             "<x><c/></x>",
         ]
         .iter()
-        .map(|d| Document::parse(d.as_bytes()).unwrap())
+        .map(|d| d.as_bytes().to_vec())
         .collect();
         for mode in [AttrMode::Inline, AttrMode::Postponed] {
             let mut engine = FilterEngine::new(mode);
             let mut live: Vec<(SubId, &str)> = Vec::new();
             let check = |engine: &FilterEngine, live: &[(SubId, &str)]| {
                 let mut scratch = MatchScratch::new();
-                let batch = filter_batch(engine, &docs, 2);
-                for (doc, from_batch) in docs.iter().zip(batch) {
+                let batch = filter_batch_bytes(engine, &docs, 2);
+                for (bytes, from_batch) in docs.iter().zip(batch) {
+                    let tree = Document::parse(bytes).unwrap();
                     let want: Vec<SubId> = live
                         .iter()
-                        .filter(|(_, e)| matches_document(&pxf_xpath::parse(e).unwrap(), doc))
+                        .filter(|(_, e)| matches_document(&pxf_xpath::parse(e).unwrap(), &tree))
                         .map(|(sub, _)| *sub)
                         .collect();
-                    let ctx = format!("{mode:?}, live {live:?}, doc {}", doc.to_xml());
-                    assert_eq!(engine.matcher().match_document(doc), want, "{ctx}");
-                    assert_eq!(engine.match_document_with(doc, &mut scratch), want, "{ctx}");
+                    let doc = PathDoc::parse(bytes).unwrap();
+                    let ctx = format!("{mode:?}, live {live:?}, doc {}", tree.to_xml());
+                    assert_eq!(engine.matcher().match_document(&doc), want, "{ctx}");
+                    assert_eq!(
+                        engine.match_document_with(&doc, &mut scratch),
+                        want,
+                        "{ctx}"
+                    );
                     assert_eq!(from_batch.unwrap(), want, "{ctx}");
                 }
             };
@@ -506,7 +429,7 @@ mod tests {
     #[test]
     fn independent_matchers_have_independent_stats() {
         let (engine, _) = sample_engine();
-        let doc = Document::parse(b"<a><b/></a>").unwrap();
+        let doc = PathDoc::parse(b"<a><b/></a>").unwrap();
         let mut m1 = engine.matcher();
         let mut m2 = engine.matcher();
         m1.match_document(&doc);

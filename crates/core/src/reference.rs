@@ -9,7 +9,7 @@
 //! only for testing and for the nested-path combination stage, never on the
 //! hot filtering path.
 
-use pxf_xml::{DocAccess, Document, NodeId};
+use pxf_xml::{Document, NodeId, PathDoc};
 use pxf_xpath::{Axis, NodeTest, Step, XPathExpr};
 
 /// Read-only view of one document path for the path matcher.
@@ -42,15 +42,16 @@ impl PathView for TagsView<'_> {
     }
 }
 
-/// A path view over document nodes (any [`DocAccess`] store).
-pub struct DocPathView<'a, D: DocAccess = Document> {
+/// A path view over nodes of the flat store (what the nested-path
+/// combination stage reads; [`matches_document`] walks the tree instead).
+pub struct DocPathView<'a> {
     /// The document the nodes belong to.
-    pub doc: &'a D,
+    pub doc: &'a PathDoc,
     /// Root-to-leaf node ids.
     pub nodes: &'a [NodeId],
 }
 
-impl<D: DocAccess> PathView for DocPathView<'_, D> {
+impl PathView for DocPathView<'_> {
     fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -265,6 +266,14 @@ fn descendants<'a>(doc: &'a Document, node: NodeId) -> impl Iterator<Item = Node
     })
 }
 
+/// Every root-to-leaf path of a store, collected (tests only).
+#[cfg(test)]
+pub(crate) fn leaf_paths(doc: &PathDoc) -> Vec<Vec<NodeId>> {
+    let mut out = Vec::new();
+    doc.for_each_leaf_path(|p| out.push(p.to_vec()));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,8 +346,8 @@ mod tests {
 
     #[test]
     fn attribute_filters() {
-        let doc = Document::parse(b"<a><b x=\"5\"/><b x=\"1\"/></a>").unwrap();
-        let paths = doc.leaf_paths();
+        let doc = PathDoc::parse(b"<a><b x=\"5\"/><b x=\"1\"/></a>").unwrap();
+        let paths = leaf_paths(&doc);
         let view1 = DocPathView {
             doc: &doc,
             nodes: &paths[0],
@@ -402,13 +411,14 @@ mod tests {
         let exprs = ["/a/b", "a/b/c", "//c", "*/b", "/a//c", "b//d", "/*/*"];
         for d in docs {
             let doc = Document::parse(d.as_bytes()).unwrap();
+            let flat = PathDoc::parse(d.as_bytes()).unwrap();
             for e in exprs {
                 let expr = parse(e).unwrap();
-                let by_paths = doc.leaf_paths().iter().any(|p| {
+                let by_paths = leaf_paths(&flat).iter().any(|p| {
                     matches_path(
                         &expr,
                         &DocPathView {
-                            doc: &doc,
+                            doc: &flat,
                             nodes: p,
                         },
                     )

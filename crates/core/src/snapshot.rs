@@ -127,7 +127,7 @@ impl SnapshotHandle {
 ///
 /// ```
 /// use pxf_core::{FilterEngine, SnapshotPublisher};
-/// use pxf_xml::Document;
+/// use pxf_xml::PathDoc;
 ///
 /// let mut engine = FilterEngine::default();
 /// engine.add_str("/a/b").unwrap();
@@ -139,7 +139,7 @@ impl SnapshotHandle {
 /// publisher.publish();
 /// let after = handle.load();
 ///
-/// let doc = Document::parse(b"<a><c/></a>").unwrap();
+/// let doc = PathDoc::parse(b"<a><c/></a>").unwrap();
 /// assert!(!before.matcher().match_document(&doc).contains(&sub));
 /// assert!(after.matcher().match_document(&doc).contains(&sub));
 /// ```
@@ -323,10 +323,10 @@ impl SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxf_xml::Document;
+    use pxf_xml::PathDoc;
 
-    fn doc(xml: &str) -> Document {
-        Document::parse(xml.as_bytes()).unwrap()
+    fn doc(xml: &str) -> PathDoc {
+        PathDoc::parse(xml.as_bytes()).unwrap()
     }
 
     #[test]

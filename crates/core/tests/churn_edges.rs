@@ -4,7 +4,7 @@
 
 use pxf_core::reference::matches_document;
 use pxf_core::{AttrMode, FilterBackend, FilterEngine, SubId};
-use pxf_xml::Document;
+use pxf_xml::{Document, PathDoc};
 
 const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
@@ -30,7 +30,17 @@ fn engine_with(exprs: &[&str], mode: AttrMode) -> FilterEngine {
     engine
 }
 
-fn match_ids(engine: &mut FilterEngine, doc: &Document) -> Vec<u32> {
+/// One document twice: the tree the oracle walks, the store the engine
+/// matches.
+fn tree_and_store(xml: &str) -> (Document, PathDoc) {
+    let bytes = xml.as_bytes();
+    (
+        Document::parse(bytes).unwrap(),
+        PathDoc::parse(bytes).unwrap(),
+    )
+}
+
+fn match_ids(engine: &mut FilterEngine, doc: &PathDoc) -> Vec<u32> {
     engine.match_document(doc).iter().map(|s| s.0).collect()
 }
 
@@ -39,7 +49,7 @@ fn match_ids(engine: &mut FilterEngine, doc: &Document) -> Vec<u32> {
 /// restore matching — all without a rebuild.
 #[test]
 fn remove_all_then_readd() {
-    let doc = Document::parse(DOC.as_bytes()).unwrap();
+    let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     for mode in MODES {
         let mut engine = engine_with(&EXPRS, mode);
         assert!(!match_ids(&mut engine, &doc).is_empty());
@@ -69,7 +79,7 @@ fn remove_all_then_readd() {
 /// delist exactly those ids while the duplicates keep matching.
 #[test]
 fn duplicate_heavy_terminal_removal() {
-    let doc = Document::parse(DOC.as_bytes()).unwrap();
+    let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
         for _ in 0..50 {
@@ -102,7 +112,7 @@ fn duplicate_heavy_terminal_removal() {
 /// through the removals that follow.
 #[test]
 fn forced_compaction_reclaims_and_preserves_matches() {
-    let doc = Document::parse(DOC.as_bytes()).unwrap();
+    let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     let mut engine = FilterEngine::default();
     engine.force_compaction_threshold(Some(4));
     engine.prepare();
@@ -150,7 +160,7 @@ fn forced_compaction_reclaims_and_preserves_matches() {
 /// mark the whole trie dirty).
 #[test]
 fn steady_state_churn_never_rebuilds() {
-    let doc = Document::parse(DOC.as_bytes()).unwrap();
+    let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
         for e in EXPRS {
@@ -191,10 +201,7 @@ fn nested_churn_leaves_no_residue() {
         DOC,
         "<a><d/><x><c/></x></a>",
     ];
-    let docs: Vec<Document> = DOCS
-        .iter()
-        .map(|d| Document::parse(d.as_bytes()).unwrap())
-        .collect();
+    let docs: Vec<(Document, PathDoc)> = DOCS.iter().map(|d| tree_and_store(d)).collect();
     for mode in MODES {
         let mut engine = engine_with(&LIVE, mode);
         for cycle in 0..5000 {
@@ -204,7 +211,7 @@ fn nested_churn_leaves_no_residue() {
             let second =
                 (cycle % 3 == 0).then(|| engine.add_str(CHURN[(cycle + 1) % CHURN.len()]).unwrap());
             if cycle % 97 == 0 {
-                let _ = engine.match_document(&docs[cycle % docs.len()]);
+                let _ = engine.match_document(&docs[cycle % docs.len()].1);
             }
             assert!(engine.remove(first), "{mode:?} cycle {cycle}");
             if let Some(second) = second {
@@ -214,7 +221,7 @@ fn nested_churn_leaves_no_residue() {
         assert_eq!(engine.len(), LIVE.len());
         assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
         let mut fresh = engine_with(&LIVE, mode);
-        for (src, doc) in DOCS.iter().zip(&docs) {
+        for (src, (tree, doc)) in DOCS.iter().zip(&docs) {
             engine.reset_stats();
             fresh.reset_stats();
             let got = match_ids(&mut engine, doc);
@@ -222,7 +229,7 @@ fn nested_churn_leaves_no_residue() {
             for (i, e) in LIVE.iter().enumerate() {
                 assert_eq!(
                     got.contains(&(i as u32)),
-                    matches_document(&pxf_xpath::parse(e).unwrap(), doc),
+                    matches_document(&pxf_xpath::parse(e).unwrap(), tree),
                     "{mode:?}: {e} over {src}"
                 );
             }
@@ -252,9 +259,9 @@ fn hot_node_loses_and_gains_children_between_documents() {
     const TAGS: [&str; 8] = ["b", "c", "d", "e", "f", "g", "h", "i"];
     let all: String = TAGS.iter().map(|t| format!("<{t}><x/></{t}>")).collect();
     let half: String = TAGS.iter().step_by(2).map(|t| format!("<{t}/>")).collect();
-    let docs: Vec<Document> = [format!("<a>{all}</a>"), format!("<a>{half}<z/></a>")]
+    let docs: Vec<(Document, PathDoc)> = [format!("<a>{all}</a>"), format!("<a>{half}<z/></a>")]
         .iter()
-        .map(|d| Document::parse(d.as_bytes()).unwrap())
+        .map(|d| tree_and_store(d))
         .collect();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
@@ -284,13 +291,13 @@ fn hot_node_loses_and_gains_children_between_documents() {
             }
             let sources: Vec<&str> = live.iter().map(|(_, src)| src.as_str()).collect();
             let mut fresh = engine_with(&sources, mode);
-            for doc in &docs {
+            for (tree, doc) in &docs {
                 engine.reset_stats();
                 fresh.reset_stats();
                 let got = match_ids(&mut engine, doc);
                 let want: Vec<u32> = live
                     .iter()
-                    .filter(|(_, src)| matches_document(&pxf_xpath::parse(src).unwrap(), doc))
+                    .filter(|(_, src)| matches_document(&pxf_xpath::parse(src).unwrap(), tree))
                     .map(|(sub, _)| sub.0)
                     .collect();
                 assert_eq!(got, want, "{mode:?} round {round}: {sources:?}");
@@ -315,7 +322,7 @@ fn backend_remove_dispatch() {
         fn add(&mut self, _expr: &pxf_xpath::XPathExpr) -> Result<SubId, pxf_core::BackendError> {
             Ok(SubId(0))
         }
-        fn match_document(&mut self, _doc: &Document) -> Vec<SubId> {
+        fn match_document(&mut self, _doc: &PathDoc) -> Vec<SubId> {
             Vec::new()
         }
         fn match_bytes(&mut self, _bytes: &[u8]) -> Result<Vec<SubId>, pxf_xml::XmlError> {
@@ -328,7 +335,7 @@ fn backend_remove_dispatch() {
     let a = backend.add_str("/a/b").unwrap();
     let b = backend.add_str("//c").unwrap();
     backend.prepare();
-    let doc = Document::parse(DOC.as_bytes()).unwrap();
+    let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     assert_eq!(backend.match_document(&doc), vec![a, b]);
     assert!(backend.remove(a));
     assert!(!backend.remove(a));

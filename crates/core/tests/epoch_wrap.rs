@@ -10,7 +10,7 @@
 //! the restarted epochs and corrupt the match sets.
 
 use pxf_core::{AttrMode, FilterEngine, MatchScratch, SubId};
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 
 const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
@@ -47,9 +47,9 @@ fn build(mode: AttrMode) -> FilterEngine {
 /// asserts the match sets never change.
 #[test]
 fn doc_epoch_wrap_preserves_match_sets() {
-    let docs: Vec<Document> = DOCS
+    let docs: Vec<PathDoc> = DOCS
         .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .map(|s| PathDoc::parse(s.as_bytes()).unwrap())
         .collect();
     for mode in MODES {
         let ctx = format!("{mode:?}");
@@ -61,12 +61,11 @@ fn doc_epoch_wrap_preserves_match_sets() {
         // stamps were planted at.
         engine.force_scratch_epochs(u32::MAX - 2);
         for pass in 0..4 {
-            for (doc, want) in docs.iter().zip(&baseline) {
+            for ((doc, want), src) in docs.iter().zip(&baseline).zip(DOCS) {
                 assert_eq!(
                     engine.match_document(doc),
                     *want,
-                    "{ctx}, pass {pass}, doc {}",
-                    doc.to_xml()
+                    "{ctx}, pass {pass}, doc {src}"
                 );
             }
         }
@@ -77,9 +76,9 @@ fn doc_epoch_wrap_preserves_match_sets() {
 /// epoch observed to actually wrap (restart at a small value).
 #[test]
 fn matcher_scratch_wraps_and_restarts() {
-    let docs: Vec<Document> = DOCS
+    let docs: Vec<PathDoc> = DOCS
         .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .map(|s| PathDoc::parse(s.as_bytes()).unwrap())
         .collect();
     for mode in MODES {
         let ctx = format!("{mode:?}");
@@ -91,12 +90,11 @@ fn matcher_scratch_wraps_and_restarts() {
             .collect();
         scratch.force_epochs(u32::MAX - 2);
         for pass in 0..4 {
-            for (doc, want) in docs.iter().zip(&baseline) {
+            for ((doc, want), src) in docs.iter().zip(&baseline).zip(DOCS) {
                 assert_eq!(
                     engine.match_document_with(doc, &mut scratch),
                     *want,
-                    "{ctx}, pass {pass}, doc {}",
-                    doc.to_xml()
+                    "{ctx}, pass {pass}, doc {src}"
                 );
             }
         }
@@ -121,7 +119,7 @@ fn matcher_scratch_wraps_and_restarts() {
 /// length after one child and prune `/a` with two still unmatched.
 #[test]
 fn done_children_counts_do_not_survive_the_wrap() {
-    let parse = |s: &str| Document::parse(s.as_bytes()).unwrap();
+    let parse = |s: &str| PathDoc::parse(s.as_bytes()).unwrap();
     let two = parse("<a><b/><c/></a>");
     let all = parse("<a><b/><c/><d/></a>");
     let elsewhere = parse("<x><y/></x>");
@@ -166,7 +164,7 @@ fn done_children_counts_do_not_survive_the_wrap() {
 /// missing. Entries made just before the wrap are used just after it.
 #[test]
 fn memo_sightings_do_not_survive_the_wrap() {
-    let parse = |s: &str| Document::parse(s.as_bytes()).unwrap();
+    let parse = |s: &str| PathDoc::parse(s.as_bytes()).unwrap();
     let once = parse("<a><b/></a>");
     let recorded = parse("<a><c/><d/></a>");
     let late = parse("<x><d/></x>");
@@ -178,7 +176,7 @@ fn memo_sightings_do_not_survive_the_wrap() {
     }
     engine.prepare();
     // Matches `doc`; returns its leaf paths as [walked, replayed, skipped].
-    let matched = |scratch: &mut MatchScratch, doc: &Document, want: &[SubId], ctx: &str| {
+    let matched = |scratch: &mut MatchScratch, doc: &PathDoc, want: &[SubId], ctx: &str| {
         let s0 = scratch.stats();
         assert_eq!(engine.match_document_with(doc, scratch), want, "{ctx}");
         let s1 = scratch.stats();
@@ -229,9 +227,9 @@ fn memo_sightings_do_not_survive_the_wrap() {
 /// resurrecting one, would desynchronize them.
 #[test]
 fn churn_between_wraps_matches_oracle() {
-    let docs: Vec<Document> = DOCS
+    let docs: Vec<PathDoc> = DOCS
         .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .map(|s| PathDoc::parse(s.as_bytes()).unwrap())
         .collect();
     for mode in MODES {
         let ctx = format!("{mode:?}");
@@ -262,14 +260,14 @@ fn churn_between_wraps_matches_oracle() {
                     kept_orig.push(i as u32);
                 }
             }
-            for doc in &docs {
+            for (doc, src) in docs.iter().zip(DOCS) {
                 let want: Vec<u32> = oracle
                     .match_document(doc)
                     .iter()
                     .map(|s| kept_orig[s.0 as usize])
                     .collect();
                 let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
-                assert_eq!(got, want, "{ctx}, step {step}, doc {}", doc.to_xml());
+                assert_eq!(got, want, "{ctx}, step {step}, doc {src}");
             }
         }
         // Steady-state churn across the wrap stayed incremental.

@@ -3,7 +3,7 @@
 
 use pxf_core::encode::{encode_single_path, AttrMode};
 use pxf_core::FilterEngine;
-use pxf_xml::{Document, Interner};
+use pxf_xml::{Interner, PathDoc};
 use pxf_xpath::parse;
 
 fn notation(src: &str, mode: AttrMode) -> String {
@@ -55,7 +55,7 @@ fn stats_breakdown_composes() {
     for src in ["/a/b", "/a//c", "a/b/c", "/a/*", "//c[@x = 1]"] {
         engine.add(&parse(src).unwrap()).unwrap();
     }
-    let doc = Document::parse(b"<a><b><c x=\"1\"/></b><b/></a>").unwrap();
+    let doc = PathDoc::parse(b"<a><b><c x=\"1\"/></b><b/></a>").unwrap();
     for _ in 0..20 {
         engine.match_document(&doc);
     }
@@ -97,7 +97,7 @@ fn ap_root_probes_touch_only_satisfied_clusters() {
     engine.add(&parse("/nope1/x").unwrap()).unwrap();
     engine.add(&parse("/nope2/y").unwrap()).unwrap();
     engine.add(&parse("/a/b").unwrap()).unwrap();
-    let doc = Document::parse(b"<a><b/><b/></a>").unwrap();
+    let doc = PathDoc::parse(b"<a><b/><b/></a>").unwrap();
     engine.match_document(&doc);
     let s = engine.stats();
     assert_eq!(s.ap_root_probes, 1, "{s:?}");
@@ -151,7 +151,7 @@ fn stage2_pruning_counts_are_pinned() {
             engine.add(&e).unwrap();
         }
         for doc in XmlGenerator::new(&regime.dtd, xm).generate_batch(64) {
-            engine.match_document(&doc);
+            engine.match_bytes(doc.to_xml().as_bytes()).unwrap();
         }
         let s = engine.stats();
         assert_eq!(

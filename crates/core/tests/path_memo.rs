@@ -10,7 +10,7 @@ use pxf_core::reference::matches_document;
 use pxf_core::{AttrMode, EngineStats, FilterEngine, MatchScratch, SubId};
 use pxf_rng::Rng;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
-use pxf_xml::Document;
+use pxf_xml::{Document, PathDoc};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
 
 /// `n` distinct seeded expressions of the regime.
@@ -31,7 +31,10 @@ fn documents(regime: &Regime, n: usize, seed: u64) -> Vec<Document> {
 /// document, kept up to date one expression at a time.
 struct Model {
     engine: FilterEngine,
+    /// What the oracle walks.
     docs: Vec<Document>,
+    /// The same documents as the engine is given them.
+    stores: Vec<PathDoc>,
     /// Per document: ids of the live subscriptions the oracle matches.
     want: Vec<Vec<SubId>>,
 }
@@ -41,6 +44,10 @@ impl Model {
         let mut model = Model {
             engine: FilterEngine::new(mode),
             want: vec![Vec::new(); docs.len()],
+            stores: docs
+                .iter()
+                .map(|d| PathDoc::parse(d.to_xml().as_bytes()).unwrap())
+                .collect(),
             docs,
         };
         for e in exprs {
@@ -69,7 +76,7 @@ impl Model {
 
     /// Matches document `i` and holds the result against the oracle.
     fn check(&self, i: usize, scratch: &mut MatchScratch, ctx: &str) {
-        let got = self.engine.match_document_with(&self.docs[i], scratch);
+        let got = self.engine.match_document_with(&self.stores[i], scratch);
         assert_eq!(got, self.want[i], "{ctx}, document {i}");
     }
 

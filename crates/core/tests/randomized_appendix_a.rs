@@ -61,7 +61,7 @@ fn encoding_theorem() {
         let pids: Vec<_> = enc.preds.iter().map(|p| index.insert(p.clone())).collect();
         let publication = Publication::from_tags(&tags, &mut interner);
         let mut ctx = MatchContext::new();
-        index.evaluate(&publication, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&publication, None, &mut ctx);
         let lists: Vec<&[(u16, u16)]> = pids.iter().map(|&p| ctx.get(p)).collect();
         let encoded = determine_match(&lists);
 

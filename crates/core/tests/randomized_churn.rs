@@ -2,7 +2,8 @@
 //! add / remove / match, applied to a *live* engine that patches its
 //! index in place, must be indistinguishable from a fresh engine
 //! rebuilt from the surviving subscription set — in both attribute
-//! modes and on both document stores (tree and streaming byte path).
+//! modes and through both entry points (a store the caller parsed, and
+//! raw bytes into the engine's own).
 //!
 //! The incremental paths under test: packed-trie column appends, sink
 //! detaches with node pruning, predicate reference counting with slot
@@ -17,7 +18,7 @@
 
 use pxf_core::{AttrMode, FilterEngine, MatchScratch, SnapshotPublisher, SubId};
 use pxf_rng::Rng;
-use pxf_xml::Document;
+use pxf_xml::PathDoc;
 use pxf_xpath::XPathExpr;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
@@ -136,8 +137,8 @@ fn arb_script(rng: &mut Rng, plain: bool) -> Script {
     }
 }
 
-/// Runs the script against a live engine, checking both stores against
-/// the survivor oracle after every batch. Returns the number of
+/// Runs the script against a live engine, checking every entry point
+/// against the survivor oracle after every batch. Returns the number of
 /// incremental patches the live engine performed and of leaf paths the
 /// script-long scratch answered by replay.
 fn run_script(script: &Script) -> (u64, u64) {
@@ -150,10 +151,10 @@ fn run_script(script: &Script) -> (u64, u64) {
         assert_eq!(id.0 as usize, subs.len());
         subs.push(Some(e.clone()));
     }
-    let docs: Vec<Document> = script
+    let docs: Vec<PathDoc> = script
         .docs
         .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .map(|s| PathDoc::parse(s.as_bytes()).unwrap())
         .collect();
     let mut scratch = MatchScratch::new();
     // The same operations through a publisher, one publish per batch. A
@@ -205,7 +206,10 @@ fn run_script(script: &Script) -> (u64, u64) {
                 .map(|s| kept_orig[s.0 as usize])
                 .collect();
             let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
-            assert_eq!(got, want, "{ctx}, batch {batch_no}, tree store, doc {src}");
+            assert_eq!(
+                got, want,
+                "{ctx}, batch {batch_no}, caller's store, doc {src}"
+            );
             let published: Vec<u32> = snapshot
                 .matcher()
                 .match_document(doc)
@@ -235,7 +239,7 @@ fn run_script(script: &Script) -> (u64, u64) {
                 .collect();
             assert_eq!(
                 streamed, want,
-                "{ctx}, batch {batch_no}, byte store, doc {src}"
+                "{ctx}, batch {batch_no}, engine's store, doc {src}"
             );
         }
     }

@@ -4,7 +4,7 @@
 
 use pxf_core::{AttrMode, FilterEngine, SubId};
 use pxf_rng::Rng;
-use pxf_xml::{Document, DocumentBuilder};
+use pxf_xml::{DocumentBuilder, PathDoc};
 use pxf_xpath::{Axis, NodeTest, Step, XPathExpr};
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
@@ -55,7 +55,7 @@ fn arb_tree(rng: &mut Rng, depth: usize) -> Tree {
     }
 }
 
-fn build_doc(tree: &Tree) -> Document {
+fn build_doc(tree: &Tree) -> PathDoc {
     fn emit(t: &Tree, b: &mut DocumentBuilder) {
         b.start(TAGS[t.tag]);
         for c in &t.children {
@@ -65,7 +65,7 @@ fn build_doc(tree: &Tree) -> Document {
     }
     let mut b = DocumentBuilder::new();
     emit(tree, &mut b);
-    b.finish().unwrap()
+    PathDoc::parse(b.finish().unwrap().to_xml().as_bytes()).unwrap()
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn matcher_handles_agree_with_mut_api() {
         for e in &exprs {
             engine.add(e).unwrap();
         }
-        let docs: Vec<Document> = trees.iter().map(build_doc).collect();
+        let docs: Vec<PathDoc> = trees.iter().map(build_doc).collect();
         let sequential: Vec<_> = docs.iter().map(|d| engine.match_document(d)).collect();
         engine.prepare();
         let mut m1 = engine.matcher();

@@ -14,7 +14,7 @@
 
 use pxf_core::{FilterEngine, SnapshotPublisher, SubId};
 use pxf_rng::Rng;
-use pxf_xml::Document;
+use pxf_xml::{Document, PathDoc};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -81,9 +81,9 @@ fn concurrent_churn_soak() {
     let handle = publisher.handle();
     let removed_at: Mutex<HashMap<u32, u64>> = Mutex::new(HashMap::new());
     let done = AtomicBool::new(false);
-    let docs: Vec<Document> = DOC_POOL
+    let docs: Vec<PathDoc> = DOC_POOL
         .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .map(|s| PathDoc::parse(s.as_bytes()).unwrap())
         .collect();
 
     std::thread::scope(|scope| {
@@ -178,9 +178,15 @@ fn long_lived_scratch_follows_every_publish() {
         .iter()
         .map(|s| pxf_xpath::parse(s).unwrap())
         .collect();
-    let docs: Vec<Document> = DOC_POOL
+    // Each document as the oracle's tree and as the engine's store.
+    let docs: Vec<(Document, PathDoc)> = DOC_POOL
         .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
+        .map(|s| {
+            (
+                Document::parse(s.as_bytes()).unwrap(),
+                PathDoc::parse(s.as_bytes()).unwrap(),
+            )
+        })
         .collect();
     let mut publisher = SnapshotPublisher::new(FilterEngine::default());
     let handle = publisher.handle();
@@ -205,17 +211,17 @@ fn long_lived_scratch_follows_every_publish() {
         pinned = (round % 7 == 0).then(|| handle.load());
         let snapshot = handle.load();
         for sighting in 0..3 {
-            for doc in &docs {
+            for (tree, doc) in &docs {
                 let want: Vec<SubId> = live
                     .iter()
-                    .filter(|(_, which)| matches_document(&exprs[*which], doc))
+                    .filter(|(_, which)| matches_document(&exprs[*which], tree))
                     .map(|(id, _)| *id)
                     .collect();
                 assert_eq!(
                     snapshot.engine().match_document_with(doc, &mut scratch),
                     want,
                     "round {round}, sighting {sighting}, doc {}",
-                    doc.to_xml()
+                    tree.to_xml()
                 );
             }
         }

@@ -10,7 +10,7 @@
 use pxf_core::reference::matches_document;
 use pxf_core::{AttrMode, FilterEngine, SubId, SubsetStats};
 use pxf_rng::Rng;
-use pxf_xml::Document;
+use pxf_xml::{Document, PathDoc};
 use pxf_xpath::XPathExpr;
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
@@ -137,9 +137,16 @@ fn engine_with(attr: AttrMode, exprs: &[XPathExpr]) -> FilterEngine {
     engine
 }
 
+/// The document as an engine is given it.
+fn store(src: &str) -> PathDoc {
+    PathDoc::parse(src.as_bytes()).unwrap()
+}
+
 /// The reference match set: `subs[i]` is the expression registered under
-/// `SubId(i)` (`None` once removed), each evaluated on its own.
-fn reference_ids(subs: &[Option<XPathExpr>], doc: &Document) -> Vec<SubId> {
+/// `SubId(i)` (`None` once removed), each evaluated on its own over the
+/// document's tree.
+fn reference_ids(subs: &[Option<XPathExpr>], src: &str) -> Vec<SubId> {
+    let doc = &Document::parse(src.as_bytes()).unwrap();
     subs.iter()
         .enumerate()
         .filter(|(_, e)| e.as_ref().is_some_and(|e| matches_document(e, doc)))
@@ -166,15 +173,14 @@ fn deduped_engine_matches_reference() {
             let mut engine = engine_with(attr, &exprs);
             dedup_seen |= engine.subset_stats().canonical < engine.subset_stats().registered;
             for src in &docs {
-                let doc = Document::parse(src.as_bytes()).unwrap();
-                let want = reference_ids(&subs, &doc);
+                let want = reference_ids(&subs, src);
                 assert_eq!(
-                    engine.match_document(&doc),
+                    engine.match_document(&store(src)),
                     want,
-                    "{ctx}, tree store, doc {src}"
+                    "{ctx}, caller's store, doc {src}"
                 );
                 let streamed = engine.match_bytes(src.as_bytes()).unwrap();
-                assert_eq!(streamed, want, "{ctx}, byte store, doc {src}");
+                assert_eq!(streamed, want, "{ctx}, engine's store, doc {src}");
             }
         }
     }
@@ -210,8 +216,7 @@ fn dedup_churn_battery_patches_in_place() {
             let mut subs: Vec<Option<XPathExpr>> = initial.iter().cloned().map(Some).collect();
             // First match triggers the bulk prepare; everything after
             // must patch in place.
-            let first = Document::parse(docs[0].as_bytes()).unwrap();
-            let _ = engine.match_document(&first);
+            let _ = engine.match_document(&store(&docs[0]));
             for (adds, removes) in &batches {
                 for e in adds {
                     let id = engine.add(e).unwrap();
@@ -229,10 +234,9 @@ fn dedup_churn_battery_patches_in_place() {
                     assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
                 }
                 for src in &docs {
-                    let doc = Document::parse(src.as_bytes()).unwrap();
                     assert_eq!(
-                        engine.match_document(&doc),
-                        reference_ids(&subs, &doc),
+                        engine.match_document(&store(src)),
+                        reference_ids(&subs, src),
                         "{ctx}, doc {src}"
                     );
                 }
@@ -252,20 +256,17 @@ fn dedup_churn_battery_patches_in_place() {
 /// a re-registration afterwards starts a fresh one.
 #[test]
 fn removing_one_deduped_subscriber_keeps_the_rest() {
-    let docs: Vec<Document> = ["<a><b/></a>", "<a><c/></a>", "<x><a><b/></a></x>"]
-        .iter()
-        .map(|s| Document::parse(s.as_bytes()).unwrap())
-        .collect();
+    let docs = ["<a><b/></a>", "<a><c/></a>", "<x><a><b/></a></x>"];
     for attr in MODES {
         let ctx = format!("{attr:?}");
         let expr = pxf_xpath::parse("/a/b").unwrap();
         let mut engine = engine_with(attr, &[]);
         let mut subs: Vec<Option<XPathExpr>> = Vec::new();
         let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>], what: &str| {
-            for doc in &docs {
+            for src in docs {
                 assert_eq!(
-                    engine.match_document(doc),
-                    reference_ids(subs, doc),
+                    engine.match_document(&store(src)),
+                    reference_ids(subs, src),
                     "{ctx}: {what}"
                 );
             }
@@ -347,10 +348,9 @@ fn canonically_equal_spellings_share_an_entry_and_keep_their_ids() {
                 "{ctx}"
             );
             for src in &docs {
-                let doc = Document::parse(src.as_bytes()).unwrap();
-                let want = reference_ids(&subs, &doc);
+                let want = reference_ids(&subs, src);
                 matched_some[pi] |= !want.is_empty();
-                assert_eq!(engine.match_document(&doc), want, "{ctx}, doc {src}");
+                assert_eq!(engine.match_document(&store(src)), want, "{ctx}, doc {src}");
             }
         }
     }

@@ -26,13 +26,11 @@
 //!
 //! ```
 //! use pxf_indexfilter::IndexFilter;
-//! use pxf_xml::Document;
 //!
 //! let mut ixf = IndexFilter::new();
 //! let s1 = ixf.add_str("/a//c").unwrap();
 //! let _2 = ixf.add_str("/a/b").unwrap();
-//! let doc = Document::parse(b"<a><x><c/></x></a>").unwrap();
-//! assert_eq!(ixf.match_document(&doc), vec![s1]);
+//! assert_eq!(ixf.match_bytes(b"<a><x><c/></x></a>").unwrap(), vec![s1]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +38,7 @@
 
 use pxf_core::backend::{BackendError, FilterBackend};
 use pxf_core::SubId;
-use pxf_xml::{DocAccess, Document, Interner, NodeId, ParserLimits, Symbol, TreeEvent, XmlError};
+use pxf_xml::{Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
 use std::collections::HashMap;
 use std::fmt;
@@ -116,6 +114,8 @@ pub struct IndexFilter {
     stacks: Vec<Vec<Entry>>,
     matched: Vec<u64>,
     doc_epoch: u64,
+    /// Where [`Self::match_bytes`] parses each document, refilled in place.
+    doc: PathDoc,
 }
 
 impl Default for IndexFilter {
@@ -139,6 +139,7 @@ impl IndexFilter {
             stacks: Vec::new(),
             matched: Vec::new(),
             doc_epoch: 0,
+            doc: PathDoc::default(),
         }
     }
 
@@ -228,7 +229,7 @@ impl IndexFilter {
     }
 
     /// Filters a document: ids of all matching queries, ascending.
-    pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<u32> {
+    pub fn match_document(&mut self, doc: &PathDoc) -> Vec<u32> {
         self.finalize();
         self.doc_epoch += 1;
         let doc_epoch = self.doc_epoch;
@@ -241,7 +242,7 @@ impl IndexFilter {
 
         // Build the document element index: (start, end, level) intervals
         // in document order — the streams of the original algorithm.
-        let mut elements: Vec<(Symbol, Entry)> = Vec::with_capacity(doc.node_count());
+        let mut elements: Vec<(Symbol, Entry)> = Vec::with_capacity(doc.len());
         {
             let interner = &mut self.interner;
             let mut counter: u32 = 0;
@@ -352,14 +353,18 @@ impl IndexFilter {
         results
     }
 
-    /// Parses and filters raw document bytes in one streaming pass: the
-    /// element-interval index is built from events replayed off the flat
-    /// [`PathDoc`](pxf_xml::PathDoc) store, with no `Document` tree.
-    /// Replaying after the parse pass keeps postponed attribute and
+    /// Parses raw document bytes into the filter's own store (refilled in
+    /// place — the same parse the predicate engine pays) and filters it.
+    /// Replaying events after the parse pass keeps postponed attribute and
     /// `text()` re-checks exact on mixed content.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, XmlError> {
-        let doc = pxf_xml::PathDoc::parse_with_limits(bytes, self.limits)?;
-        Ok(self.match_document(&doc))
+        // The store leaves the filter while the match borrows both.
+        let mut doc = std::mem::take(&mut self.doc);
+        let results = doc
+            .parse_into(bytes, self.limits)
+            .map(|()| self.match_document(&doc));
+        self.doc = doc;
+        results
     }
 
     /// Sets the per-document resource budget enforced by
@@ -394,7 +399,7 @@ impl FilterBackend for IndexFilter {
         self.finalize();
     }
 
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId> {
+    fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId> {
         IndexFilter::match_document(self, doc)
             .into_iter()
             .map(SubId)
@@ -415,7 +420,7 @@ impl FilterBackend for IndexFilter {
 
 /// Structural + attribute match over an ancestor chain (frontier DP, as in
 /// the YFilter baseline).
-fn matches_path_with_attrs<D: DocAccess>(expr: &XPathExpr, doc: &D, nodes: &[NodeId]) -> bool {
+fn matches_path_with_attrs(expr: &XPathExpr, doc: &PathDoc, nodes: &[NodeId]) -> bool {
     let n = nodes.len();
     let step_ok = |step: &pxf_xpath::Step, pos: usize| -> bool {
         let node = nodes[pos - 1];
@@ -468,8 +473,8 @@ fn matches_path_with_attrs<D: DocAccess>(expr: &XPathExpr, doc: &D, nodes: &[Nod
 mod tests {
     use super::*;
 
-    fn doc(xml: &str) -> Document {
-        Document::parse(xml.as_bytes()).unwrap()
+    fn doc(xml: &str) -> PathDoc {
+        PathDoc::parse(xml.as_bytes()).unwrap()
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::attr_index::{verify_tagvar, AttrBucket};
 use crate::publication::{PathTuple, Publication};
 use crate::types::{PosOp, PredId, Predicate, TagVar};
-use pxf_xml::{DocAccess, Symbol};
+use pxf_xml::{PathDoc, Symbol};
 use std::collections::HashMap;
 
 /// Per-operator arrays of predicate ids, indexed by predicate value.
@@ -629,10 +629,10 @@ impl PredicateIndex {
     /// Evaluates a publication against every predicate in the index
     /// (paper §4.1), recording matches in `ctx`. `doc` is required when
     /// attribute-constrained predicates are present (inline mode).
-    pub fn evaluate<D: DocAccess>(
+    pub fn evaluate(
         &self,
         publication: &Publication,
-        doc: Option<&D>,
+        doc: Option<&PathDoc>,
         ctx: &mut MatchContext,
     ) {
         ctx.begin(self.preds.len());
@@ -703,7 +703,7 @@ impl PredicateIndex {
 
         if self.has_attr_preds {
             let doc = doc.expect(
-                "PredicateIndex::evaluate: a Document is required when \
+                "PredicateIndex::evaluate: a document is required when \
                  attribute-constrained predicates are present",
             );
             self.evaluate_attr_preds(publication, doc, ctx);
@@ -713,10 +713,10 @@ impl PredicateIndex {
     /// Evaluates the attribute-constrained side lists (inline mode, §5): a
     /// predicate matches iff both the positional relation and every attached
     /// attribute filter hold.
-    fn evaluate_attr_preds<D: DocAccess>(
+    fn evaluate_attr_preds(
         &self,
         publication: &Publication,
-        doc: &D,
+        doc: &PathDoc,
         ctx: &mut MatchContext,
     ) {
         let len = publication.length;
@@ -749,13 +749,13 @@ impl PredicateIndex {
     /// Scans one unary attribute-predicate slot family (absolute or
     /// end-of-path side list) for a single tuple whose positional value is
     /// `value`, pushing matches as `(occ, occ)` pairs.
-    fn scan_unary<D: DocAccess>(
+    fn scan_unary(
         &self,
         lists: &AttrOpLists<AttrBucket<AttrUnary>>,
         value: u16,
         node: pxf_xml::NodeId,
         occ: u16,
-        doc: &D,
+        doc: &PathDoc,
         ctx: &mut MatchContext,
     ) {
         let value_of = |name: &str| doc.value_of(node, name);
@@ -775,12 +775,12 @@ impl PredicateIndex {
 
     /// Scans the attribute-constrained relative slots for one ordered tuple
     /// pair, pushing matches as `(from.occ, to.occ)` pairs.
-    fn scan_binary<D: DocAccess>(
+    fn scan_binary(
         &self,
         lists: &AttrOpLists<RelSlot>,
         from: &PathTuple,
         to: &PathTuple,
-        doc: &D,
+        doc: &PathDoc,
         ctx: &mut MatchContext,
     ) {
         let from_value = |name: &str| doc.value_of(from.node, name);
@@ -824,12 +824,7 @@ impl PredicateIndex {
     /// evaluated root-to-element path — relative pairs arrive in to-major
     /// instead of from-major order, which occurrence determination is
     /// insensitive to.
-    pub fn eval_enter<D: DocAccess>(
-        &self,
-        path: &[PathTuple],
-        doc: Option<&D>,
-        ctx: &mut MatchContext,
-    ) {
+    pub fn eval_enter(&self, path: &[PathTuple], doc: Option<&PathDoc>, ctx: &mut MatchContext) {
         let Some((&tuple, ancestors)) = path.split_last() else {
             return;
         };
@@ -896,10 +891,10 @@ impl PredicateIndex {
     /// path-stack publication. Push a [`MatchContext`] mark first and pop
     /// it after stage 2 so these per-leaf pairs roll back before the
     /// traversal continues.
-    pub fn eval_leaf<D: DocAccess>(
+    pub fn eval_leaf(
         &self,
         publication: &Publication,
-        doc: Option<&D>,
+        doc: Option<&PathDoc>,
         ctx: &mut MatchContext,
     ) {
         let len = publication.length;
@@ -936,7 +931,7 @@ impl PredicateIndex {
 
 /// Checks every attribute constraint of a tag variable against a document
 /// element.
-fn tagvar_attrs_match<D: DocAccess>(tag: &TagVar, node: pxf_xml::NodeId, doc: &D) -> bool {
+fn tagvar_attrs_match(tag: &TagVar, node: pxf_xml::NodeId, doc: &PathDoc) -> bool {
     if tag.attrs.is_empty() {
         return true;
     }
@@ -1114,10 +1109,10 @@ impl MatchContext {
 /// the tuples. Used as a test oracle for the index and as the
 /// no-predicate-sharing ablation baseline (each expression evaluating its
 /// own predicates).
-pub fn eval_direct<D: DocAccess>(
+pub fn eval_direct(
     pred: &Predicate,
     publication: &Publication,
-    doc: Option<&D>,
+    doc: Option<&PathDoc>,
     out: &mut Vec<(u16, u16)>,
 ) {
     out.clear();
@@ -1371,17 +1366,17 @@ mod tests {
         inc.begin(index.len());
         for (i, &t) in tags.iter().enumerate() {
             publication.push_path_element(t, i as pxf_xml::NodeId);
-            index.eval_enter(&publication.tuples, None::<&pxf_xml::Document>, &mut inc);
+            index.eval_enter(&publication.tuples, None, &mut inc);
             assert_bitmap_is_exact(&inc, index.len());
         }
         let before_leaf = inc.push_mark();
         let matched_before_leaf = inc.matched().to_vec();
-        index.eval_leaf(&publication, None::<&pxf_xml::Document>, &mut inc);
+        index.eval_leaf(&publication, None, &mut inc);
         assert_bitmap_is_exact(&inc, index.len());
 
         let batch_pub = Publication::from_tags(&["a", "b", "a", "c"], &mut interner);
         let mut batch = MatchContext::new();
-        index.evaluate(&batch_pub, None::<&pxf_xml::Document>, &mut batch);
+        index.evaluate(&batch_pub, None, &mut batch);
 
         for pid in pids {
             let mut got: Vec<_> = inc.get(pid).to_vec();

@@ -25,7 +25,7 @@
 //!
 //! let publication = Publication::from_tags(&["a", "b", "c", "a", "b", "c"], &mut interner);
 //! let mut ctx = MatchContext::new();
-//! index.evaluate(&publication, None::<&pxf_xml::Document>, &mut ctx);
+//! index.evaluate(&publication, None, &mut ctx);
 //!
 //! assert_eq!(ctx.get(p1), &[(1, 1), (1, 2), (2, 2)]);
 //! assert_eq!(ctx.get(p2), &[(1, 1), (2, 2)]);
@@ -46,7 +46,7 @@ pub use types::{AttrConstraint, PosOp, PredId, Predicate, TagVar};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxf_xml::{Document, Interner, Symbol};
+    use pxf_xml::{Interner, NodeId, PathDoc, Symbol};
     use pxf_xpath::{AttrValue, CmpOp};
 
     fn syms(interner: &mut Interner) -> (Symbol, Symbol, Symbol) {
@@ -73,7 +73,7 @@ mod tests {
 
         let publication = Publication::from_tags(&["a", "b", "c", "a", "b", "c"], &mut interner);
         let mut ctx = MatchContext::new();
-        index.evaluate(&publication, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&publication, None, &mut ctx);
 
         // Table 1 rows (occurrence-number pairs).
         assert_eq!(ctx.get(ab_ge), &[(1, 1), (1, 2), (2, 2)]);
@@ -122,13 +122,13 @@ mod tests {
         let mut ctx = MatchContext::new();
 
         let p = Publication::from_tags(&["x", "a", "y"], &mut interner);
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert_eq!(ctx.get(eq2), &[(1, 1)]);
         assert_eq!(ctx.get(ge2), &[(1, 1)]);
         assert!(ctx.get(ge3).is_empty());
 
         let p = Publication::from_tags(&["x", "y", "z", "a"], &mut interner);
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert!(ctx.get(eq2).is_empty());
         assert_eq!(ctx.get(ge2), &[(1, 1)]);
         assert_eq!(ctx.get(ge3), &[(1, 1)]);
@@ -146,7 +146,7 @@ mod tests {
         let mut ctx = MatchContext::new();
         // a at position 2, b at position 6: diff = 4.
         let p = Publication::from_tags(&["x", "a", "y", "z", "w", "b"], &mut interner);
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert!(ctx.get(eq2).is_empty());
         assert_eq!(ctx.get(ge2), &[(1, 1)]);
     }
@@ -160,7 +160,7 @@ mod tests {
         let mut ctx = MatchContext::new();
         // b never appears before a: no match.
         let p = Publication::from_tags(&["a", "b"], &mut interner);
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert!(ctx.get(ba).is_empty());
     }
 
@@ -174,11 +174,11 @@ mod tests {
         let e2 = index.insert(Predicate::end_of_path(a, 2));
         let mut ctx = MatchContext::new();
         let p = Publication::from_tags(&["a", "x", "y"], &mut interner); // l=3, pos=1
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert_eq!(ctx.get(e1), &[(1, 1)]);
         assert_eq!(ctx.get(e2), &[(1, 1)]);
         let p = Publication::from_tags(&["x", "y", "a"], &mut interner); // l−pos = 0
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert!(ctx.get(e1).is_empty());
         assert!(ctx.get(e2).is_empty());
     }
@@ -191,7 +191,7 @@ mod tests {
         let l4 = index.insert(Predicate::length(4));
         let mut ctx = MatchContext::new();
         let p = Publication::from_tags(&["x", "y", "z"], &mut interner);
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert!(ctx.is_matched(l3));
         assert!(!ctx.is_matched(l4));
     }
@@ -204,11 +204,11 @@ mod tests {
         let pid = index.insert(Predicate::absolute(a, PosOp::Eq, 1));
         let mut ctx = MatchContext::new();
         let p1 = Publication::from_tags(&["a"], &mut interner);
-        index.evaluate(&p1, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p1, None, &mut ctx);
         assert!(ctx.is_matched(pid));
         assert_eq!(ctx.matched(), &[pid]);
         let p2 = Publication::from_tags(&["b"], &mut interner);
-        index.evaluate(&p2, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p2, None, &mut ctx);
         assert!(!ctx.is_matched(pid));
         assert!(ctx.matched().is_empty());
     }
@@ -217,7 +217,7 @@ mod tests {
     fn inline_attribute_predicates() {
         // Paper §5: (a([x,≥,3]), ≥, 2) is matched by tuple (a([x,6]), 5).
         let mut interner = Interner::new();
-        let doc = Document::parse(b"<r><p><q><w><a x=\"6\"/></w></q></p></r>").unwrap();
+        let doc = PathDoc::parse(b"<r><p><q><w><a x=\"6\"/></w></q></p></r>").unwrap();
         let a = interner.intern("a");
         let mut index = PredicateIndex::new();
         let tv = TagVar::with_attrs(
@@ -256,8 +256,9 @@ mod tests {
             pid
         );
 
-        let paths = doc.leaf_paths();
-        let publication = Publication::from_path(&doc, &paths[0], &mut interner);
+        // One chain, so its only root-to-leaf path is every node in order.
+        let path: Vec<NodeId> = (0..doc.len() as NodeId).collect();
+        let publication = Publication::from_path(&doc, &path, &mut interner);
         let mut ctx = MatchContext::new();
         index.evaluate(&publication, Some(&doc), &mut ctx);
         assert_eq!(ctx.get(pid), &[(1, 1)]); // x=6 ≥ 3, pos 5 ≥ 2
@@ -267,7 +268,7 @@ mod tests {
     #[test]
     fn inline_attribute_relative_predicates() {
         let mut interner = Interner::new();
-        let doc = Document::parse(b"<a y=\"1\"><b x=\"2\"/></a>").unwrap();
+        let doc = PathDoc::parse(b"<a y=\"1\"><b x=\"2\"/></a>").unwrap();
         let a = interner.intern("a");
         let b = interner.intern("b");
         let mut index = PredicateIndex::new();
@@ -291,8 +292,9 @@ mod tests {
             op: PosOp::Eq,
             value: 1,
         });
-        let paths = doc.leaf_paths();
-        let publication = Publication::from_path(&doc, &paths[0], &mut interner);
+        // One chain, so its only root-to-leaf path is every node in order.
+        let path: Vec<NodeId> = (0..doc.len() as NodeId).collect();
+        let publication = Publication::from_path(&doc, &path, &mut interner);
         let mut ctx = MatchContext::new();
         index.evaluate(&publication, Some(&doc), &mut ctx);
         assert_eq!(ctx.get(pid), &[(1, 1)]);
@@ -310,7 +312,7 @@ mod tests {
             .collect();
         let p = Publication::from_tags(&["a", "x", "y", "b"], &mut interner);
         let mut ctx = MatchContext::new();
-        index.evaluate(&p, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&p, None, &mut ctx);
         assert!(ctx.is_matched(pids[0]));
         assert!(ctx.is_matched(pids[1]));
         assert!(ctx.is_matched(pids[2]));

@@ -6,7 +6,7 @@
 //! how many times that tag name has already appeared in the path (Example 1
 //! of the paper).
 
-use pxf_xml::{DocAccess, Interner, NodeId, Symbol};
+use pxf_xml::{Interner, NodeId, PathDoc, Symbol};
 
 /// One `(tag, position)` tuple of a publication, with its occurrence number
 /// and the originating document node (for attribute lookups).
@@ -45,7 +45,7 @@ impl Publication {
     /// publication, reusing buffers. Tags are interned on the fly — per the
     /// paper this happens during document parsing and "does not require
     /// additional processing, except for collecting the occurrence numbers".
-    pub fn encode<D: DocAccess>(&mut self, doc: &D, path: &[NodeId], interner: &mut Interner) {
+    pub fn encode(&mut self, doc: &PathDoc, path: &[NodeId], interner: &mut Interner) {
         self.length = path.len() as u16;
         self.tuples.clear();
         self.occ_scratch.clear();
@@ -60,7 +60,7 @@ impl Publication {
     /// stored predicate (no predicate mentions them), so matching results
     /// are identical — this is what allows concurrent matching against a
     /// shared, immutable engine.
-    pub fn encode_readonly<D: DocAccess>(&mut self, doc: &D, path: &[NodeId], interner: &Interner) {
+    pub fn encode_readonly(&mut self, doc: &PathDoc, path: &[NodeId], interner: &Interner) {
         self.length = path.len() as u16;
         self.tuples.clear();
         self.occ_scratch.clear();
@@ -124,7 +124,7 @@ impl Publication {
     }
 
     /// Convenience constructor for a single path.
-    pub fn from_path<D: DocAccess>(doc: &D, path: &[NodeId], interner: &mut Interner) -> Self {
+    pub fn from_path(doc: &PathDoc, path: &[NodeId], interner: &mut Interner) -> Self {
         let mut p = Publication::new();
         p.encode(doc, path, interner);
         p
@@ -171,7 +171,11 @@ impl Publication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pxf_xml::Document;
+
+    /// The only root-to-leaf path of a one-chain document: every node.
+    fn chain(doc: &PathDoc) -> Vec<NodeId> {
+        (0..doc.len() as NodeId).collect()
+    }
 
     /// Paper Example 1: e = (a, b, c, a, b, c) annotated with occurrence
     /// numbers (a¹ b¹ c¹ a² b² c²).
@@ -201,10 +205,9 @@ mod tests {
 
     #[test]
     fn encode_from_document() {
-        let doc = Document::parse(b"<a><b><a/></b></a>").unwrap();
+        let doc = PathDoc::parse(b"<a><b><a/></b></a>").unwrap();
         let mut interner = Interner::new();
-        let paths = doc.leaf_paths();
-        let p = Publication::from_path(&doc, &paths[0], &mut interner);
+        let p = Publication::from_path(&doc, &chain(&doc), &mut interner);
         assert_eq!(p.length, 3);
         let a = interner.get("a").unwrap();
         assert_eq!(p.tuples[0].tag, a);
@@ -260,11 +263,10 @@ mod tests {
     #[test]
     fn reuse_clears_state() {
         let mut interner = Interner::new();
-        let doc = Document::parse(b"<x><y/></x>").unwrap();
+        let doc = PathDoc::parse(b"<x><y/></x>").unwrap();
         let mut p = Publication::from_tags(&["a", "a"], &mut interner);
         assert_eq!(p.tuples[1].occ, 2);
-        let paths = doc.leaf_paths();
-        p.encode(&doc, &paths[0], &mut interner);
+        p.encode(&doc, &chain(&doc), &mut interner);
         assert_eq!(p.length, 2);
         assert_eq!(p.tuples.len(), 2);
         assert!(p.tuples.iter().all(|t| t.occ == 1));

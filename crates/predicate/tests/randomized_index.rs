@@ -52,11 +52,11 @@ fn index_agrees_with_direct_evaluation() {
         let mut index = PredicateIndex::new();
         let pids: Vec<_> = preds.iter().map(|p| index.insert(p.clone())).collect();
         let mut ctx = MatchContext::new();
-        index.evaluate(&publication, None::<&pxf_xml::Document>, &mut ctx);
+        index.evaluate(&publication, None, &mut ctx);
 
         let mut direct = Vec::new();
         for (pred, &pid) in preds.iter().zip(&pids) {
-            eval_direct(pred, &publication, None::<&pxf_xml::Document>, &mut direct);
+            eval_direct(pred, &publication, None, &mut direct);
             // The index may enumerate pairs in a different order.
             let mut via_index: Vec<(u16, u16)> = ctx.get(pid).to_vec();
             via_index.sort_unstable();

@@ -23,13 +23,11 @@
 //!
 //! ```
 //! use pxf_xfilter::XFilter;
-//! use pxf_xml::Document;
 //!
 //! let mut xf = XFilter::new();
 //! let s1 = xf.add_str("/a//b").unwrap();
 //! let _2 = xf.add_str("/a/c").unwrap();
-//! let doc = Document::parse(b"<a><x><b/></x></a>").unwrap();
-//! assert_eq!(xf.match_document(&doc), vec![s1]);
+//! assert_eq!(xf.match_bytes(b"<a><x><b/></x></a>").unwrap(), vec![s1]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,7 +35,7 @@
 
 use pxf_core::backend::{BackendError, FilterBackend};
 use pxf_core::SubId;
-use pxf_xml::{DocAccess, Document, Interner, ParserLimits, Symbol, TreeEvent, XmlError};
+use pxf_xml::{Interner, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
 use pxf_xpath::{Axis, NodeTest, Step, XPathExpr};
 use std::fmt;
 
@@ -110,6 +108,8 @@ pub struct XFilter {
     wildcards: Vec<Instance>,
     matched: Vec<u64>,
     doc_epoch: u64,
+    /// Where [`Self::match_bytes`] parses each document, refilled in place.
+    doc: PathDoc,
 }
 
 impl Default for XFilter {
@@ -129,6 +129,7 @@ impl XFilter {
             wildcards: Vec::new(),
             matched: Vec::new(),
             doc_epoch: 0,
+            doc: PathDoc::default(),
         }
     }
 
@@ -221,7 +222,7 @@ impl XFilter {
     }
 
     /// Filters a document: ids of all matching queries, ascending.
-    pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<u32> {
+    pub fn match_document(&mut self, doc: &PathDoc) -> Vec<u32> {
         self.doc_epoch += 1;
         let doc_epoch = self.doc_epoch;
         self.matched.resize(self.queries.len(), 0);
@@ -308,12 +309,16 @@ impl XFilter {
         results
     }
 
-    /// Parses and filters raw document bytes in one streaming pass: the
-    /// per-expression machines consume events replayed off the flat
-    /// [`PathDoc`](pxf_xml::PathDoc) store — no `Document` tree is built.
+    /// Parses raw document bytes into the filter's own store (refilled in
+    /// place — the same parse the predicate engine pays) and filters it.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, XmlError> {
-        let doc = pxf_xml::PathDoc::parse_with_limits(bytes, self.limits)?;
-        Ok(self.match_document(&doc))
+        // The store leaves the filter while the match borrows both.
+        let mut doc = std::mem::take(&mut self.doc);
+        let results = doc
+            .parse_into(bytes, self.limits)
+            .map(|()| self.match_document(&doc));
+        self.doc = doc;
+        results
     }
 
     /// Sets the per-document resource budget enforced by
@@ -330,7 +335,7 @@ impl FilterBackend for XFilter {
             .map_err(|e| BackendError(e.to_string()))
     }
 
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId> {
+    fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId> {
         XFilter::match_document(self, doc)
             .into_iter()
             .map(SubId)
@@ -353,8 +358,8 @@ impl FilterBackend for XFilter {
 mod tests {
     use super::*;
 
-    fn doc(xml: &str) -> Document {
-        Document::parse(xml.as_bytes()).unwrap()
+    fn doc(xml: &str) -> PathDoc {
+        PathDoc::parse(xml.as_bytes()).unwrap()
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Uniform document access for the matching pipeline, plus the flat
-//! document store the streaming match path parses into.
+//! The flat document store every matching engine reads.
 //!
-//! Every matching algorithm consumes a parsed document through
-//! [`DocAccess`]: root-to-leaf paths and enter/leave traversals (the
-//! predicate engine, Index-Filter) or start/end element events (YFilter,
-//! XFilter). [`Document`](crate::Document) implements it over its pointer
-//! tree, [`PathDoc`] over pre-order columns.
-//!
-//! # The flat store
+//! A matching algorithm consumes a parsed document as a [`PathDoc`]:
+//! root-to-leaf paths and enter/leave traversals (the predicate engine,
+//! Index-Filter) or start/end element events (YFilter, XFilter), plus the
+//! two by-id lookups predicate evaluation and postponed checks make.
+//! The [`Document`](crate::Document) tree is not matched: it is what the
+//! workload generator builds and the reference oracle walks.
 //!
 //! A [`PathDoc`] is four columns with one row per element, in pre-order —
 //! tag, text, first attribute, depth — one row per attribute, and **one
@@ -33,7 +31,7 @@
 
 use crate::limits::ParserLimits;
 use crate::reader::{Event, Reader, ReaderBuffers, XmlError, XmlErrorKind};
-use crate::tree::{Document, NodeId, TreeEvent};
+use crate::tree::NodeId;
 
 /// Enter/leave callbacks for a single pre-order traversal of a document.
 ///
@@ -53,105 +51,15 @@ pub trait ElementVisitor {
     fn leave(&mut self, id: NodeId);
 }
 
-/// Read access to a parsed document, independent of its storage layout:
-/// the traversals the filtering algorithms need plus the two by-id lookups
-/// predicate evaluation and postponed checks make (there is no element
-/// record to borrow — a flat store has none). `NodeId`s are pre-order
-/// indices in both implementations, so node identity comparisons
-/// (nested-path branch agreement) behave the same through either.
-pub trait DocAccess {
-    /// True if the document has no elements.
-    fn is_empty(&self) -> bool;
-
-    /// Number of elements.
-    fn node_count(&self) -> usize;
-
-    /// Element tag by id.
-    fn tag(&self, id: NodeId) -> &str;
-
-    /// The value an attribute/content filter named `name` tests on element
-    /// `id`: an attribute value, or — for the reserved name `text()` — the
-    /// element's own character data (absent when empty, so `[text()]` is a
-    /// non-empty content test).
-    fn value_of(&self, id: NodeId, name: &str) -> Option<&str>;
-
-    /// Invokes `f` for each root-to-leaf path (node ids from the root down
-    /// to a leaf). The slice is only valid for the duration of the call.
-    fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, f: F);
-
-    /// Replays the document as start/end element events in document order.
-    fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, f: F);
-
-    /// Drives one pre-order enter/leave traversal (see [`ElementVisitor`]).
-    ///
-    /// The default derives leaf-ness from the event stream by holding each
-    /// start until the next event: a start immediately followed by its own
-    /// end is a leaf. Both stores override this with a direct walk.
-    fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
-        let mut pending: Option<NodeId> = None;
-        self.for_each_event(|ev| match ev {
-            TreeEvent::Start(id, ..) => {
-                if let Some(p) = pending.take() {
-                    visitor.enter(p, false);
-                }
-                pending = Some(id);
-            }
-            TreeEvent::End(id, ..) => {
-                if pending.take() == Some(id) {
-                    visitor.enter(id, true);
-                }
-                visitor.leave(id);
-            }
-        });
-    }
-}
-
-impl DocAccess for Document {
-    fn is_empty(&self) -> bool {
-        Document::is_empty(self)
-    }
-
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn tag(&self, id: NodeId) -> &str {
-        &self.node(id).tag
-    }
-
-    fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
-        self.node(id).value_of(name)
-    }
-
-    fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, f: F) {
-        Document::for_each_leaf_path(self, f)
-    }
-
-    fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, f: F) {
-        Document::for_each_event(self, f)
-    }
-
-    fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
-        if Document::is_empty(self) {
-            return;
-        }
-        // Iterative DFS over the child vectors: (node, next child index).
-        let root = self.root();
-        visitor.enter(root, self.node(root).children.is_empty());
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        while let Some(&mut (id, ref mut next)) = stack.last_mut() {
-            let children = &self.node(id).children;
-            if *next < children.len() {
-                let child = children[*next];
-                *next += 1;
-                visitor.enter(child, self.node(child).children.is_empty());
-                stack.push((child, 0));
-            } else {
-                stack.pop();
-                visitor.leave(id);
-            }
-        }
-    }
+/// Traversal event of [`PathDoc::for_each_event`]: an element's id, tag and
+/// 1-based depth — what an event-driven engine reads without asking the
+/// store; everything else goes through the id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeEvent<'a> {
+    /// Entering an element (pre-order).
+    Start(NodeId, &'a str, u32),
+    /// Leaving an element (post-order).
+    End(NodeId, &'a str, u32),
 }
 
 /// `len` bytes of the arena from `start`.
@@ -186,10 +94,11 @@ impl Span {
 /// input whatever the interleaving of runs and children (arena ≤ 2 ×
 /// input), and a store grown past [`Self::RETAINED_HEAP_BYTES`] gives the
 /// memory back before the next parse. `NodeId`s number the elements
-/// exactly as [`Document::parse`] does on the same bytes.
+/// exactly as [`Document::parse`](crate::Document::parse) does on the same
+/// bytes.
 ///
 /// ```
-/// use pxf_xml::{DocAccess, ParserLimits, PathDoc};
+/// use pxf_xml::{ParserLimits, PathDoc};
 ///
 /// let doc = PathDoc::parse(b"<a><b><c/></b><b/></a>").unwrap();
 /// let mut paths = Vec::new();
@@ -251,7 +160,7 @@ impl PathDoc {
     }
 
     /// Replaces the store's content with the document in `bytes`, reusing
-    /// its allocations: a single pass over the reader's events, no tree.
+    /// its allocations, in a single pass over the reader's events.
     /// On error the store is left empty.
     pub fn parse_into(&mut self, bytes: &[u8], mut limits: ParserLimits) -> Result<(), XmlError> {
         if self.heap_bytes() > Self::RETAINED_HEAP_BYTES {
@@ -419,22 +328,12 @@ impl PathDoc {
             + self.runs.capacity() * size_of::<(NodeId, Span)>()
             + self.reader.heap_bytes()
     }
-}
 
-impl DocAccess for PathDoc {
-    fn is_empty(&self) -> bool {
-        PathDoc::is_empty(self)
-    }
-
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-
-    fn tag(&self, id: NodeId) -> &str {
-        PathDoc::tag(self, id)
-    }
-
-    fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
+    /// The value an attribute/content filter named `name` tests on element
+    /// `id`: an attribute value, or — for the reserved name `text()` — the
+    /// element's own character data (absent when empty, so `[text()]` is a
+    /// non-empty content test).
+    pub fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
         if name == "text()" {
             let text = self.text(id);
             (!text.is_empty()).then_some(text)
@@ -444,7 +343,9 @@ impl DocAccess for PathDoc {
         }
     }
 
-    fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, mut f: F) {
+    /// Invokes `f` for each root-to-leaf path (node ids from the root down
+    /// to a leaf). The slice is only valid for the duration of the call.
+    pub fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, mut f: F) {
         // The rows before a row at depth d hold exactly one open element
         // per depth below d.
         let mut path: Vec<NodeId> = Vec::new();
@@ -457,7 +358,8 @@ impl DocAccess for PathDoc {
         }
     }
 
-    fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, mut f: F) {
+    /// Replays the document as start/end element events in document order.
+    pub fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, mut f: F) {
         // Before a row at depth d starts, every open row at depth ≥ d ends.
         let end = |id: NodeId| TreeEvent::End(id, self.tag(id), self.depth(id));
         let mut open: Vec<NodeId> = Vec::new();
@@ -474,7 +376,8 @@ impl DocAccess for PathDoc {
         }
     }
 
-    fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
+    /// Drives one pre-order enter/leave traversal (see [`ElementVisitor`]).
+    pub fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
         // One linear scan of the depth column: the next row not deeper
         // marks a leaf, a row not deeper than an open one closes it.
         let mut open: Vec<NodeId> = Vec::new();
@@ -494,6 +397,7 @@ impl DocAccess for PathDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Document;
 
     #[test]
     fn preorder_ids_match_document_parse() {
@@ -529,23 +433,10 @@ mod tests {
             let mut tree_paths = Vec::new();
             tree.for_each_leaf_path(|p| tree_paths.push(p.to_vec()));
             let mut flat_paths = Vec::new();
-            DocAccess::for_each_leaf_path(&flat, |p| flat_paths.push(p.to_vec()));
+            flat.for_each_leaf_path(|p| flat_paths.push(p.to_vec()));
             assert_eq!(tree_paths, flat_paths, "{src}");
             assert_eq!(flat_paths.len(), tree.leaf_count());
         }
-    }
-
-    #[test]
-    fn events_match_document_parse() {
-        let src = b"<a><b><c/></b><d/>tail</a>";
-        let tree = Document::parse(src).unwrap();
-        let flat = PathDoc::parse(src).unwrap();
-        let mut tree_events = Vec::new();
-        tree.for_each_event(|ev| tree_events.push(ev));
-        let mut flat_events = Vec::new();
-        DocAccess::for_each_event(&flat, |ev| flat_events.push(ev));
-        assert_eq!(tree_events, flat_events);
-        assert_eq!(tree_events.len(), 8);
     }
 
     #[test]
@@ -556,71 +447,6 @@ mod tests {
         assert_eq!(flat.text(0), "onetwo");
         assert_eq!(flat.value_of(0, "text()"), Some("onetwo"));
         assert_eq!(flat.value_of(1, "text()"), None);
-    }
-
-    /// Records enter/leave calls: (true, id, is_leaf) / (false, id, false).
-    #[derive(Default)]
-    struct Recorder(Vec<(bool, NodeId, bool)>);
-
-    impl ElementVisitor for Recorder {
-        fn enter(&mut self, id: NodeId, is_leaf: bool) {
-            self.0.push((true, id, is_leaf));
-        }
-        fn leave(&mut self, id: NodeId) {
-            self.0.push((false, id, false));
-        }
-    }
-
-    /// Runs the default event-derived traversal for comparison against the
-    /// store-specific overrides.
-    fn default_traversal<D: DocAccess>(doc: &D) -> Vec<(bool, NodeId, bool)> {
-        struct Shim<'d, D>(&'d D);
-        impl<D: DocAccess> DocAccess for Shim<'_, D> {
-            fn is_empty(&self) -> bool {
-                self.0.is_empty()
-            }
-            fn node_count(&self) -> usize {
-                self.0.node_count()
-            }
-            fn tag(&self, id: NodeId) -> &str {
-                self.0.tag(id)
-            }
-            fn value_of(&self, id: NodeId, name: &str) -> Option<&str> {
-                self.0.value_of(id, name)
-            }
-            fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, f: F) {
-                self.0.for_each_leaf_path(f)
-            }
-            fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, f: F) {
-                self.0.for_each_event(f)
-            }
-            // No for_each_element override: uses the trait default.
-        }
-        let mut rec = Recorder::default();
-        Shim(doc).for_each_element(&mut rec);
-        rec.0
-    }
-
-    #[test]
-    fn element_traversal_agrees_across_stores_and_default() {
-        for src in [
-            "<a/>",
-            "<a><b/></a>",
-            "<a><b><c/><d/></b><b><c/></b></a>",
-            "<a>leaf text only</a>",
-            "<a><b/>tail<c><d/></c></a>",
-            "<r><x><y><z/></y></x><x/><w><w><w/></w></w></r>",
-        ] {
-            let tree = Document::parse(src.as_bytes()).unwrap();
-            let flat = PathDoc::parse(src.as_bytes()).unwrap();
-            let mut via_tree = Recorder::default();
-            DocAccess::for_each_element(&tree, &mut via_tree);
-            let mut via_flat = Recorder::default();
-            DocAccess::for_each_element(&flat, &mut via_flat);
-            assert_eq!(via_tree.0, via_flat.0, "{src}");
-            assert_eq!(via_tree.0, default_traversal(&tree), "{src}");
-            assert_eq!(via_flat.0, default_traversal(&flat), "{src}");
-        }
     }
 
     #[test]
@@ -643,12 +469,12 @@ mod tests {
             }
         }
         let src = b"<a><b><c/><d/></b><b><c/></b><e/></a>";
-        let doc = Document::parse(src).unwrap();
+        let doc = PathDoc::parse(src).unwrap();
         let mut v = PathCollector {
             stack: Vec::new(),
             paths: Vec::new(),
         };
-        DocAccess::for_each_element(&doc, &mut v);
+        doc.for_each_element(&mut v);
         assert!(v.stack.is_empty());
         let mut expected = Vec::new();
         doc.for_each_leaf_path(|p| expected.push(p.to_vec()));

@@ -13,8 +13,9 @@
 //! Events borrow: a name is a slice of the input, a value or a text run
 //! too unless a reference had to be decoded, and the reader's own state
 //! (open-tag stack, the current tag's attribute names) is byte spans of
-//! the input; a `String` is built only to describe an error. Both stores
-//! — [`PathDoc`](crate::PathDoc) and [`Document`](crate::Document) — are
+//! the input; a `String` is built only to describe an error. The flat
+//! store engines match ([`PathDoc`](crate::PathDoc)) and the tree the
+//! oracle and the generator use ([`Document`](crate::Document)) are both
 //! filled from these events.
 
 use crate::limits::ParserLimits;

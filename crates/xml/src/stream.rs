@@ -6,7 +6,9 @@
 //! and not always well-formed. [`DocumentStream`] incrementally scans such
 //! a byte stream, finds document boundaries (tracking element depth
 //! through comments, CDATA, processing instructions, DOCTYPE declarations,
-//! and quoted attribute values), and yields each complete document parsed.
+//! and quoted attribute values), and yields each complete document's raw
+//! bytes for the consumer to parse (into its own reused
+//! [`PathDoc`](crate::PathDoc)) or match.
 //!
 //! A malformed document does **not** terminate the stream: the error is
 //! reported with its stream-absolute byte offset and the scanner resyncs
@@ -17,34 +19,47 @@
 
 use crate::limits::ParserLimits;
 use crate::reader::{XmlError, XmlErrorKind};
-use crate::tree::Document;
 use std::io::{BufRead, Read};
 
 /// Default consecutive-failure cap for [`DocumentStream`].
 pub const DEFAULT_MAX_CONSECUTIVE_FAILURES: usize = 64;
 
-/// Iterator over the documents in a byte stream.
+/// Splitter over the documents in a byte stream.
 ///
 /// ```
 /// use pxf_xml::DocumentStream;
-/// let stream = b"<a><b/></a>\n<c/> <d>x</d>";
-/// let docs: Result<Vec<_>, _> = DocumentStream::new(&stream[..]).collect();
-/// let docs = docs.unwrap();
+/// let mut stream = DocumentStream::new(&b"<a><b/></a>\n<c/> <d>x</d>"[..]);
+/// let mut docs = Vec::new();
+/// while let Some(bytes) = stream.next_raw() {
+///     docs.push(bytes.unwrap());
+/// }
 /// assert_eq!(docs.len(), 3);
-/// assert_eq!(docs[0].node(0).tag, "a");
-/// assert_eq!(docs[2].node(0).tag, "d");
+/// assert_eq!(docs[0], b"<a><b/></a>");
 /// ```
 ///
-/// Malformed documents yield `Err` items but the iteration continues —
-/// collect into a `Result` to stop at the first error, or keep calling
-/// `next()` to resync past it:
+/// The splitter cuts at tag-depth 0 and does not parse: a document that is
+/// balanced but malformed comes out as bytes, its consumer's parse fails,
+/// and the consumer reports the outcome back so the failure cap stays
+/// *consecutive*. Boundary-level garbage yields an `Err` item (which the
+/// stream counts itself) and the stream resyncs past it:
 ///
 /// ```
-/// use pxf_xml::DocumentStream;
-/// let stream = b"<a></b> <ok/>";
-/// let items: Vec<_> = DocumentStream::new(&stream[..]).collect();
-/// assert!(items[0].is_err());
-/// assert_eq!(items[1].as_ref().unwrap().node(0).tag, "ok");
+/// use pxf_xml::{DocumentStream, ParserLimits, PathDoc};
+/// let mut stream = DocumentStream::new(&b"<a></b> </stray> <ok/>"[..]);
+/// let mut store = PathDoc::default();
+/// let mut roots = Vec::new();
+/// while let Some(item) = stream.next_raw() {
+///     let Ok(bytes) = item else { continue };
+///     match store.parse_into(&bytes, ParserLimits::default()) {
+///         Ok(()) => {
+///             stream.note_success();
+///             roots.push(store.tag(0).to_string());
+///         }
+///         Err(_) => stream.note_failure(),
+///     }
+/// }
+/// assert_eq!(roots, ["ok"]);
+/// assert_eq!(stream.recovered(), 2);
 /// ```
 pub struct DocumentStream<R: Read> {
     input: R,
@@ -178,12 +193,12 @@ impl<R: Read> DocumentStream<R> {
 
     /// Records a successful document against the consecutive-failure cap.
     ///
-    /// The `Iterator` implementation calls this after each successful
-    /// parse. Callers that consume raw bytes via
-    /// [`next_raw`](Self::next_raw) and parse or match them externally
-    /// should call this (and [`note_failure`](Self::note_failure)) so the
-    /// cap stays *consecutive*; otherwise scanner-level failures count
-    /// cumulatively over the stream's whole lifetime.
+    /// The stream hands out raw bytes ([`next_raw`](Self::next_raw),
+    /// [`poll_raw_at`](Self::poll_raw_at)) and never learns on its own
+    /// whether they parsed: the caller that parses or matches them calls
+    /// this (and [`note_failure`](Self::note_failure)) so the cap stays
+    /// *consecutive*; otherwise scanner-level failures count cumulatively
+    /// over the stream's whole lifetime.
     pub fn note_success(&mut self) {
         self.consecutive_failures = 0;
     }
@@ -449,9 +464,9 @@ impl DocumentStream<std::io::Empty> {
 impl<R: BufRead> DocumentStream<R> {
     /// Yields the raw bytes of the next complete document on the stream
     /// without parsing them — the boundary scanner alone decides where one
-    /// document ends. This is the broker ingest hook for the tree-free
-    /// match path: feed the returned bytes straight to a streaming matcher
-    /// (e.g. `Matcher::match_bytes`) and no `Document` is ever built.
+    /// document ends. This is the ingest hook: feed the returned bytes
+    /// straight to a matcher (e.g. `Matcher::match_bytes`), which parses
+    /// them into its own reused store.
     pub fn next_raw(&mut self) -> Option<Result<Vec<u8>, XmlError>> {
         self.next_raw_at().map(|r| r.map(|(_, bytes)| bytes))
     }
@@ -485,36 +500,39 @@ impl<R: BufRead> DocumentStream<R> {
     }
 }
 
-impl<R: BufRead> Iterator for DocumentStream<R> {
-    type Item = Result<Document, XmlError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let limits = self.limits;
-        match self.next_raw_at()? {
-            Err(e) => Some(Err(e)),
-            Ok((start, bytes)) => match Document::parse_with_limits(&bytes, limits) {
-                Ok(doc) => {
-                    self.note_success();
-                    Some(Ok(doc))
-                }
-                Err(mut e) => {
-                    self.note_failure();
-                    // Report the error relative to the whole stream, not
-                    // the drained document buffer.
-                    e.pos += start;
-                    Some(Err(e))
-                }
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PathDoc;
 
-    fn collect(input: &str) -> Result<Vec<Document>, XmlError> {
-        DocumentStream::new(input.as_bytes()).collect()
+    /// The consumer side of the raw-ingest contract: the next document's
+    /// bytes parsed into a fresh store, the outcome noted against the
+    /// failure cap, and a parse error made stream-absolute.
+    fn next_doc<R: BufRead>(stream: &mut DocumentStream<R>) -> Option<Result<PathDoc, XmlError>> {
+        let limits = stream.limits;
+        Some(stream.next_raw_at()?.and_then(|(start, bytes)| {
+            match PathDoc::parse_with_limits(&bytes, limits) {
+                Ok(doc) => {
+                    stream.note_success();
+                    Ok(doc)
+                }
+                Err(mut e) => {
+                    stream.note_failure();
+                    e.pos += start;
+                    Err(e)
+                }
+            }
+        }))
+    }
+
+    fn items<R: BufRead>(mut stream: DocumentStream<R>) -> Vec<Result<PathDoc, XmlError>> {
+        std::iter::from_fn(|| next_doc(&mut stream)).collect()
+    }
+
+    fn collect(input: &str) -> Result<Vec<PathDoc>, XmlError> {
+        items(DocumentStream::new(input.as_bytes()))
+            .into_iter()
+            .collect()
     }
 
     #[test]
@@ -522,8 +540,8 @@ mod tests {
         let docs = collect("<a><b/></a><c/>\n  <d>text</d>").unwrap();
         assert_eq!(docs.len(), 3);
         assert_eq!(docs[0].len(), 2);
-        assert_eq!(docs[1].node(0).tag, "c");
-        assert_eq!(docs[2].node(0).text, "text");
+        assert_eq!(docs[1].tag(0), "c");
+        assert_eq!(docs[2].text(0), "text");
     }
 
     #[test]
@@ -551,7 +569,7 @@ mod tests {
         let input = r#"<a x="1>2"><!-- <fake> --><![CDATA[</a>]]></a><b/>"#;
         let docs = collect(input).unwrap();
         assert_eq!(docs.len(), 2);
-        assert_eq!(docs[0].node(0).attr("x"), Some("1>2"));
+        assert_eq!(docs[0].value_of(0, "x"), Some("1>2"));
     }
 
     #[test]
@@ -569,7 +587,7 @@ mod tests {
 
     #[test]
     fn incomplete_document_is_an_error() {
-        let result: Result<Vec<Document>, XmlError> = collect("<a><b/>");
+        let result = collect("<a><b/>");
         let err = result.unwrap_err();
         assert_eq!(err.kind, XmlErrorKind::StreamTruncated);
     }
@@ -579,31 +597,31 @@ mod tests {
         let mut stream = DocumentStream::new(&b"<a></b> <ok/>"[..]);
         // Boundary scanner pairs <a> with </b> (depth math), the parser
         // then rejects the mismatch.
-        let first = stream.next().unwrap();
+        let first = next_doc(&mut stream).unwrap();
         assert!(first.is_err());
     }
 
     #[test]
     fn stream_resyncs_past_malformed_documents() {
         let input = "<a></b> <ok/> <broken x=></broken> <fine><y/></fine>";
-        let items: Vec<_> = DocumentStream::new(input.as_bytes()).collect();
+        let items = items(DocumentStream::new(input.as_bytes()));
         assert_eq!(items.len(), 4);
         assert!(items[0].is_err());
-        assert_eq!(items[1].as_ref().unwrap().node(0).tag, "ok");
+        assert_eq!(items[1].as_ref().unwrap().tag(0), "ok");
         assert!(items[2].is_err());
-        assert_eq!(items[3].as_ref().unwrap().node(0).tag, "fine");
+        assert_eq!(items[3].as_ref().unwrap().tag(0), "fine");
     }
 
     #[test]
     fn stray_end_tags_are_reported_once_and_skipped() {
         let input = "<a/> </x></y></z> <b/>";
         let mut stream = DocumentStream::new(input.as_bytes());
-        assert_eq!(stream.next().unwrap().unwrap().node(0).tag, "a");
+        assert_eq!(next_doc(&mut stream).unwrap().unwrap().tag(0), "a");
         // One desync error for the whole </x></y></z> run.
-        let err = stream.next().unwrap().unwrap_err();
+        let err = next_doc(&mut stream).unwrap().unwrap_err();
         assert_eq!(err.kind, XmlErrorKind::StreamDesync);
-        assert_eq!(stream.next().unwrap().unwrap().node(0).tag, "b");
-        assert!(stream.next().is_none());
+        assert_eq!(next_doc(&mut stream).unwrap().unwrap().tag(0), "b");
+        assert!(next_doc(&mut stream).is_none());
         assert_eq!(stream.recovered(), 1);
     }
 
@@ -614,8 +632,8 @@ mod tests {
         // per-document buffer.
         let input = "<first/><second></first></second>";
         let mut stream = DocumentStream::new(input.as_bytes());
-        assert!(stream.next().unwrap().is_ok());
-        let err = stream.next().unwrap().unwrap_err();
+        assert!(next_doc(&mut stream).unwrap().is_ok());
+        let err = next_doc(&mut stream).unwrap().unwrap_err();
         let expected_at = input.find("</first>").unwrap() + "</first".len();
         assert!(
             err.pos > "<first/>".len(),
@@ -632,15 +650,15 @@ mod tests {
         // the reference that decoded.
         let input = "<first/> <a>&amp;&bogus;</a><last/>";
         let mut stream = DocumentStream::new(input.as_bytes());
-        assert!(stream.next().unwrap().is_ok());
+        assert!(next_doc(&mut stream).unwrap().is_ok());
         assert_eq!(
-            stream.next().unwrap().unwrap_err(),
+            next_doc(&mut stream).unwrap().unwrap_err(),
             XmlError::new(
                 input.find("&bogus;").unwrap(),
                 XmlErrorKind::UnknownEntity("bogus".into())
             )
         );
-        assert_eq!(stream.next().unwrap().unwrap().node(0).tag, "last");
+        assert_eq!(next_doc(&mut stream).unwrap().unwrap().tag(0), "last");
     }
 
     #[test]
@@ -654,7 +672,7 @@ mod tests {
             input.push_str("<x>");
         }
         input.push_str("<b/> <after/>");
-        let items: Vec<_> = DocumentStream::with_limits(input.as_bytes(), limits).collect();
+        let items = items(DocumentStream::with_limits(input.as_bytes(), limits));
         // One DocumentTooLarge error for the bomb, then the stream either
         // resyncs (if a clean boundary follows) or ends quietly.
         assert!(items
@@ -670,9 +688,7 @@ mod tests {
         // Ten malformed documents with a cap of 3: three per-document
         // errors, one TooManyFailures, then the stream ends.
         let input = "<a x=></a>".repeat(10);
-        let items: Vec<_> = DocumentStream::new(input.as_bytes())
-            .max_consecutive_failures(3)
-            .collect();
+        let items = items(DocumentStream::new(input.as_bytes()).max_consecutive_failures(3));
         assert_eq!(items.len(), 4);
         assert!(items[..3].iter().all(|r| r.is_err()));
         assert_eq!(
@@ -684,9 +700,7 @@ mod tests {
     #[test]
     fn successes_reset_the_failure_cap() {
         let input = "<a x=></a><ok/>".repeat(10);
-        let items: Vec<_> = DocumentStream::new(input.as_bytes())
-            .max_consecutive_failures(3)
-            .collect();
+        let items = items(DocumentStream::new(input.as_bytes()).max_consecutive_failures(3));
         assert_eq!(items.len(), 20);
         assert_eq!(items.iter().filter(|r| r.is_ok()).count(), 10);
     }
@@ -712,9 +726,9 @@ mod tests {
             fn consume(&mut self, _amt: usize) {}
         }
         let input = br#"<a x="<">1</a><b><c/></b>"#;
-        let docs: Result<Vec<_>, _> = DocumentStream::new(OneByte(input)).collect();
-        let docs = docs.unwrap();
+        let docs = items(DocumentStream::new(OneByte(input)));
         assert_eq!(docs.len(), 2);
+        assert!(docs.iter().all(|d| d.is_ok()));
     }
 
     /// The raw-ingest failure-cap contract (the PR-8 ingest bugfix): a
@@ -733,7 +747,7 @@ mod tests {
         let mut fused = false;
         while let Some(item) = stream.next_raw() {
             match item {
-                Ok(bytes) => match Document::parse(&bytes) {
+                Ok(bytes) => match PathDoc::parse(&bytes) {
                     Ok(_) => {
                         stream.note_success();
                         good += 1;

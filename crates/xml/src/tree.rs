@@ -1,9 +1,12 @@
 //! In-memory XML document tree with root-to-leaf path extraction.
 //!
-//! The filtering algorithms consume a parsed [`Document`]: the predicate
-//! engine and Index-Filter walk its root-to-leaf paths, YFilter replays its
-//! start/end events. Elements record their 1-based child index, which forms
-//! the *structure tuples* used for nested-path matching (paper §5, Fig. 4).
+//! No engine matches a [`Document`] — they read the flat
+//! [`PathDoc`](crate::PathDoc). The tree is what the workload generator
+//! builds and serializes and what the reference matcher walks, kept apart
+//! from the store on purpose: an oracle comparison then also checks one
+//! store against the other. Elements record their 1-based child index,
+//! which forms the *structure tuples* used for nested-path matching (paper
+//! §5, Fig. 4).
 
 use crate::limits::ParserLimits;
 use crate::reader::{Event, Reader, XmlError, XmlErrorKind};
@@ -66,17 +69,6 @@ impl Element {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     nodes: Vec<Element>,
-}
-
-/// Traversal event of [`DocAccess::for_each_event`](crate::DocAccess::for_each_event):
-/// an element's id, tag and 1-based depth — what an event-driven engine
-/// reads without asking the store; everything else goes through the id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeEvent<'a> {
-    /// Entering an element (pre-order).
-    Start(NodeId, &'a str, u32),
-    /// Leaving an element (post-order).
-    End(NodeId, &'a str, u32),
 }
 
 impl Document {
@@ -176,31 +168,6 @@ impl Document {
     /// Number of root-to-leaf paths (= number of leaves).
     pub fn leaf_count(&self) -> usize {
         self.nodes.iter().filter(|e| e.children.is_empty()).count()
-    }
-
-    /// Replays the document as start/end tree events in document order.
-    pub fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, mut f: F) {
-        enum Item {
-            Enter(NodeId),
-            Leave(NodeId),
-        }
-        let mut stack = vec![Item::Enter(self.root())];
-        while let Some(item) = stack.pop() {
-            match item {
-                Item::Enter(id) => {
-                    let e = self.node(id);
-                    f(TreeEvent::Start(id, &e.tag, e.depth));
-                    stack.push(Item::Leave(id));
-                    for &c in e.children.iter().rev() {
-                        stack.push(Item::Enter(c));
-                    }
-                }
-                Item::Leave(id) => {
-                    let e = self.node(id);
-                    f(TreeEvent::End(id, &e.tag, e.depth));
-                }
-            }
-        }
     }
 
     /// Serializes the document back to XML text (with entity escaping).
@@ -407,37 +374,6 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d.leaf_paths(), vec![vec![0]]);
         assert_eq!(d.max_depth(), 1);
-    }
-
-    #[test]
-    fn events_are_balanced() {
-        let d = doc("<a><b/><c><d/></c></a>");
-        let mut depth = 0i32;
-        let mut max_depth = 0;
-        let mut starts = 0;
-        d.for_each_event(|ev| match ev {
-            TreeEvent::Start(..) => {
-                depth += 1;
-                starts += 1;
-                max_depth = max_depth.max(depth);
-            }
-            TreeEvent::End(..) => depth -= 1,
-        });
-        assert_eq!(depth, 0);
-        assert_eq!(starts, 4);
-        assert_eq!(max_depth, 3);
-    }
-
-    #[test]
-    fn event_order_is_document_order() {
-        let d = doc("<a><b/><c/></a>");
-        let mut order = Vec::new();
-        d.for_each_event(|ev| {
-            if let TreeEvent::Start(_, tag, _) = ev {
-                order.push(tag);
-            }
-        });
-        assert_eq!(order, ["a", "b", "c"]);
     }
 
     #[test]

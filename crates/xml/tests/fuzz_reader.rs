@@ -102,16 +102,25 @@ fn document_stream_survives_random_concatenations() {
                 wire.push(*rng.choose(b" \t\n"));
             }
         }
-        let stream = DocumentStream::new(wire.as_slice());
+        let mut stream = DocumentStream::new(wire.as_slice());
+        let mut store = PathDoc::default();
         // Termination bound: each item consumes input or trips the
         // consecutive-failure cap, so items can't exceed bytes + cap.
         let cap = wire.len() + 100;
         let mut items = 0usize;
-        for item in stream {
+        while let Some(item) = stream.next_raw_at() {
             items += 1;
             assert!(items <= cap, "case {case}: stream of {docs} docs stuck");
-            if let Err(e) = item {
-                assert!(e.pos <= wire.len(), "case {case}: {e} out of bounds");
+            match item {
+                Ok((start, bytes)) => match store.parse_into(&bytes, ParserLimits::default()) {
+                    Ok(()) => stream.note_success(),
+                    Err(e) => {
+                        stream.note_failure();
+                        let at = start + e.pos;
+                        assert!(at <= wire.len(), "case {case}: {e} out of bounds");
+                    }
+                },
+                Err(e) => assert!(e.pos <= wire.len(), "case {case}: {e} out of bounds"),
             }
         }
     }

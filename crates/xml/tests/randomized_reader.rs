@@ -135,9 +135,10 @@ fn document_stream_splits_concatenations() {
             }
             wire.extend_from_slice(d.to_xml().as_bytes());
         }
-        let streamed: Vec<Document> = pxf_xml::DocumentStream::new(&wire[..])
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let mut stream = pxf_xml::DocumentStream::new(&wire[..]);
+        let streamed: Vec<Document> = std::iter::from_fn(|| stream.next_raw())
+            .map(|bytes| Document::parse(&bytes.unwrap()).unwrap())
+            .collect();
         assert_eq!(&streamed, &docs);
     }
 }

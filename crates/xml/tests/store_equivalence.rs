@@ -18,8 +18,7 @@ use common::{arb_bytes, arb_doc, mutate, SEED};
 use pxf_rng::Rng;
 use pxf_workload::{FaultInjector, Regime, XmlGenerator};
 use pxf_xml::{
-    DocAccess, Document, ElementVisitor, NodeId, ParserLimits, PathDoc, TreeEvent, XmlError,
-    XmlErrorKind,
+    Document, ElementVisitor, NodeId, ParserLimits, PathDoc, TreeEvent, XmlError, XmlErrorKind,
 };
 
 /// Larger than the generated inputs the suite checks against it, with
@@ -58,9 +57,8 @@ impl ElementVisitor for Recorder {
     }
 }
 
-/// Everything a consumer can observe of a parsed document through
-/// [`DocAccess`].
-#[derive(PartialEq, Debug)]
+/// Everything a matcher can observe of a parsed document.
+#[derive(PartialEq, Debug, Default)]
 struct Observed {
     tags: Vec<String>,
     texts: Vec<Option<String>>,
@@ -69,8 +67,9 @@ struct Observed {
     traversal: Recorder,
 }
 
-fn observe<D: DocAccess>(doc: &D) -> Observed {
-    let ids = 0..doc.node_count() as NodeId;
+/// What the store reports through the traversals the engines drive.
+fn observe_store(doc: &PathDoc) -> Observed {
+    let ids = 0..doc.len() as NodeId;
     let mut leaf_paths = Vec::new();
     doc.for_each_leaf_path(|p| leaf_paths.push(p.to_vec()));
     let mut events = Vec::new();
@@ -93,6 +92,37 @@ fn observe<D: DocAccess>(doc: &D) -> Observed {
     }
 }
 
+/// The same observations read off the tree's own records: one walk of the
+/// `children` vectors, sharing no traversal code with the store.
+fn observe_tree(doc: &Document) -> Observed {
+    fn walk(doc: &Document, id: NodeId, path: &mut Vec<NodeId>, out: &mut Observed) {
+        let e = doc.node(id);
+        let is_leaf = e.children.is_empty();
+        path.push(id);
+        out.events.push((true, id, e.tag.clone(), e.depth));
+        out.traversal.0.push((true, id, is_leaf));
+        if is_leaf {
+            out.leaf_paths.push(path.clone());
+        }
+        for &child in &e.children {
+            walk(doc, child, path, out);
+        }
+        out.events.push((false, id, e.tag.clone(), e.depth));
+        out.traversal.0.push((false, id, false));
+        path.pop();
+    }
+    let mut out = Observed {
+        tags: doc.elements().map(|(_, e)| e.tag.clone()).collect(),
+        texts: doc
+            .elements()
+            .map(|(_, e)| e.value_of("text()").map(str::to_string))
+            .collect(),
+        ..Observed::default()
+    };
+    walk(doc, doc.root(), &mut Vec::new(), &mut out);
+    out
+}
+
 /// Field by field: the store's columns against the tree's records.
 fn assert_same_content(tree: &Document, flat: &PathDoc, ctx: &str) {
     assert_eq!(tree.len(), flat.len(), "{ctx}");
@@ -113,7 +143,7 @@ fn assert_same_content(tree: &Document, flat: &PathDoc, ctx: &str) {
         );
         for a in &e.attrs {
             assert_eq!(
-                tree.value_of(id, &a.name),
+                e.value_of(&a.name),
                 flat.value_of(id, &a.name),
                 "{ctx}: @{} of {id}",
                 a.name
@@ -121,7 +151,7 @@ fn assert_same_content(tree: &Document, flat: &PathDoc, ctx: &str) {
         }
         assert_eq!(flat.value_of(id, "no-such-attribute"), None, "{ctx}");
     }
-    assert_eq!(observe(tree), observe(flat), "{ctx}");
+    assert_eq!(observe_tree(tree), observe_store(flat), "{ctx}");
 }
 
 /// The two dirty stores every input is also parsed into.

@@ -17,13 +17,11 @@
 //!
 //! ```
 //! use pxf_yfilter::YFilter;
-//! use pxf_xml::Document;
 //!
 //! let mut yf = YFilter::new();
 //! let s1 = yf.add_str("/a//b").unwrap();
 //! let _2 = yf.add_str("/a/c").unwrap();
-//! let doc = Document::parse(b"<a><x><b/></x></a>").unwrap();
-//! assert_eq!(yf.match_document(&doc), vec![s1]);
+//! assert_eq!(yf.match_bytes(b"<a><x><b/></x></a>").unwrap(), vec![s1]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,9 +29,7 @@
 
 use pxf_core::backend::{BackendError, FilterBackend};
 use pxf_core::SubId;
-use pxf_xml::{
-    DocAccess, Document, Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError,
-};
+use pxf_xml::{Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
 use std::collections::HashMap;
 use std::fmt;
@@ -95,6 +91,8 @@ pub struct YFilter {
     visit_epoch: u64,
     matched: Vec<u64>,
     doc_epoch: u64,
+    /// Where [`Self::match_bytes`] parses each document, refilled in place.
+    doc: PathDoc,
 }
 
 impl Default for YFilter {
@@ -115,6 +113,7 @@ impl YFilter {
             visit_epoch: 0,
             matched: Vec::new(),
             doc_epoch: 0,
+            doc: PathDoc::default(),
         }
     }
 
@@ -210,7 +209,7 @@ impl YFilter {
     }
 
     /// Filters a document: ids of all matching expressions, ascending.
-    pub fn match_document<D: DocAccess>(&mut self, doc: &D) -> Vec<u32> {
+    pub fn match_document(&mut self, doc: &PathDoc) -> Vec<u32> {
         self.doc_epoch += 1;
         let doc_epoch = self.doc_epoch;
         self.matched.resize(self.n_subs as usize, 0);
@@ -277,15 +276,19 @@ impl YFilter {
         results
     }
 
-    /// Parses and filters raw document bytes in one streaming pass: the
-    /// NFA consumes the same start/end element events replayed from the
-    /// flat [`PathDoc`] store — no `Document` tree is built. Events replay
-    /// after the parse pass so postponed attribute and `text()` re-checks
-    /// observe complete element content (mixed content can extend an
-    /// ancestor's text after a leaf closes).
+    /// Parses raw document bytes into the filter's own store (refilled in
+    /// place — the same parse the predicate engine pays) and filters it.
+    /// Events replay after the parse pass so postponed attribute and
+    /// `text()` re-checks observe complete element content (mixed content
+    /// can extend an ancestor's text after a leaf closes).
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, XmlError> {
-        let doc = PathDoc::parse_with_limits(bytes, self.limits)?;
-        Ok(self.match_document(&doc))
+        // The store leaves the filter while the match borrows both.
+        let mut doc = std::mem::take(&mut self.doc);
+        let results = doc
+            .parse_into(bytes, self.limits)
+            .map(|()| self.match_document(&doc));
+        self.doc = doc;
+        results
     }
 
     /// Sets the per-document resource budget enforced by
@@ -302,7 +305,7 @@ impl FilterBackend for YFilter {
             .map_err(|e| BackendError(e.to_string()))
     }
 
-    fn match_document(&mut self, doc: &Document) -> Vec<SubId> {
+    fn match_document(&mut self, doc: &PathDoc) -> Vec<SubId> {
         YFilter::match_document(self, doc)
             .into_iter()
             .map(SubId)
@@ -359,9 +362,9 @@ fn enter(
 
 /// Resolves an accept: postponed attribute check (if any) along the current
 /// path, then records the match once per document.
-fn fire<D: DocAccess>(
+fn fire(
     accept: &Accept,
-    doc: &D,
+    doc: &PathDoc,
     path_nodes: &[NodeId],
     matched: &mut [u64],
     doc_epoch: u64,
@@ -384,7 +387,7 @@ fn fire<D: DocAccess>(
 /// Structural + attribute match of an expression over a node chain (a
 /// frontier DP; kept local so this baseline stays independent of
 /// `pxf-core`).
-fn matches_path_with_attrs<D: DocAccess>(expr: &XPathExpr, doc: &D, nodes: &[NodeId]) -> bool {
+fn matches_path_with_attrs(expr: &XPathExpr, doc: &PathDoc, nodes: &[NodeId]) -> bool {
     let n = nodes.len();
     let step_ok = |step: &pxf_xpath::Step, pos: usize| -> bool {
         let node = nodes[pos - 1];
@@ -437,8 +440,8 @@ fn matches_path_with_attrs<D: DocAccess>(expr: &XPathExpr, doc: &D, nodes: &[Nod
 mod tests {
     use super::*;
 
-    fn doc(xml: &str) -> Document {
-        Document::parse(xml.as_bytes()).unwrap()
+    fn doc(xml: &str) -> PathDoc {
+        PathDoc::parse(xml.as_bytes()).unwrap()
     }
 
     #[test]

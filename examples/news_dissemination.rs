@@ -61,8 +61,7 @@ fn main() {
     let mut total_matches = 0usize;
     let mut profile_hits = vec![0usize; profiles.len()];
     for (i, bytes) in items.iter().enumerate() {
-        let doc = Document::parse(bytes).unwrap();
-        let matched = engine.match_document(&doc);
+        let matched = engine.match_bytes(bytes).unwrap();
         total_matches += matched.len();
         let hit_profiles: Vec<&str> = matched
             .iter()

@@ -79,8 +79,7 @@ fn main() {
     let mut matches = 0usize;
     let t = Instant::now();
     for bytes in &updates {
-        let doc = Document::parse(bytes).unwrap();
-        for s in engine.match_document(&doc) {
+        for s in engine.match_bytes(bytes).unwrap() {
             matches += 1;
             if s.0 >= first_watch {
                 watch_hits[(s.0 - first_watch) as usize] += 1;
@@ -106,14 +105,12 @@ fn main() {
     // while the NFA touches many states).
     let t = Instant::now();
     for bytes in &updates {
-        let doc = Document::parse(bytes).unwrap();
-        std::hint::black_box(yfilter.match_document(&doc));
+        std::hint::black_box(yfilter.match_bytes(bytes).unwrap());
     }
     let yf_ms = t.elapsed().as_secs_f64() * 1e3 / updates.len() as f64;
     let t = Instant::now();
     for bytes in &updates {
-        let doc = Document::parse(bytes).unwrap();
-        std::hint::black_box(indexfilter.match_document(&doc));
+        std::hint::black_box(indexfilter.match_bytes(bytes).unwrap());
     }
     let ixf_ms = t.elapsed().as_secs_f64() * 1e3 / updates.len() as f64;
     println!("\nbaselines over the {baseline_count} single-path subscriptions:");

@@ -25,17 +25,16 @@ fn main() {
         .map(|s| engine.add_str(s).expect("valid subscription"))
         .collect();
 
-    let doc = Document::parse(
-        br#"<library>
+    // Raw bytes in, subscription ids out: the engine parses each document
+    // into a flat store it reuses from one document to the next.
+    let doc = br#"<library>
               <shelf>
                 <book year="2021"><title/><author/></book>
                 <book year="1994"><title/></book>
               </shelf>
-            </library>"#,
-    )
-    .unwrap();
+            </library>"#;
 
-    let matched = engine.match_document(&doc);
+    let matched = engine.match_bytes(doc).expect("well-formed document");
     println!(
         "document matched {} of {} subscriptions:",
         matched.len(),
@@ -70,7 +69,7 @@ fn main() {
     }
     let publication = Publication::from_tags(&["a", "b", "c", "a", "b", "c"], &mut interner);
     let mut ctx = MatchContext::new();
-    index.evaluate(&publication, None::<&pxf::xml::Document>, &mut ctx);
+    index.evaluate(&publication, None, &mut ctx);
     for (src, notation, pid) in rows {
         println!("  {src:<9} {notation:<24} {:?}", ctx.get(pid));
     }

@@ -4,8 +4,8 @@
 //! dissemination scenario (§1), this time end to end: byte stream in,
 //! routing decisions out. The reader thread only splits the wire into
 //! raw per-document byte slices ([`DocumentStream::next_raw`]); each
-//! worker goes bytes → match set in a single parse pass
-//! ([`Matcher::match_bytes`]), so no document tree is ever built.
+//! worker goes bytes → match set in a single parse pass into the flat
+//! store its matcher reuses ([`Matcher::match_bytes`]).
 //!
 //! Two contracts this example takes care to honor:
 //!

@@ -21,8 +21,9 @@
 //! * [`xfilter`]::[`XFilter`](xfilter::XFilter) — the historical
 //!   per-expression-FSM baseline (§2 lineage),
 //! * [`xpath`] — a hand-rolled parser for the XPath subset,
-//! * [`xml`] — a streaming XML parser, document trees, and path
-//!   extraction,
+//! * [`xml`] — a streaming XML parser, the flat document store every
+//!   engine matches, and the document tree the generator and the
+//!   reference oracle use,
 //! * [`predicate`] — the predicate language and the shared predicate
 //!   index,
 //! * [`workload`] — NITF-like and PSD-like DTDs plus XPath/XML workload
@@ -40,13 +41,13 @@
 //! let breaking = engine.add_str("/nitf/head//tobject.subject[@tobject.subject.type = \"sports\"]").unwrap();
 //! let anywhere = engine.add_str("//hedline/hl1").unwrap();
 //!
-//! let doc = Document::parse(br#"
+//! let doc = br#"
 //!   <nitf>
 //!     <head><tobject><tobject.subject tobject.subject.type="sports"/></tobject></head>
 //!     <body><body.head><hedline><hl1/></hedline></body.head></body>
-//!   </nitf>"#).unwrap();
+//!   </nitf>"#;
 //!
-//! assert_eq!(engine.match_document(&doc), vec![breaking, anywhere]);
+//! assert_eq!(engine.match_bytes(doc).unwrap(), vec![breaking, anywhere]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,7 +75,7 @@ pub mod prelude {
     };
     pub use pxf_xfilter::XFilter;
     pub use pxf_xml::{
-        DocAccess, Document, DocumentBuilder, DocumentStream, ParserLimits, PathDoc, XmlErrorKind,
+        Document, DocumentBuilder, DocumentStream, ParserLimits, PathDoc, XmlErrorKind,
     };
     pub use pxf_xpath::{parse, XPathExpr};
     pub use pxf_yfilter::YFilter;

@@ -18,7 +18,8 @@ fn very_deep_documents() {
     for _ in 0..140 {
         builder.end();
     }
-    let doc = builder.finish().unwrap();
+    let tree = builder.finish().unwrap();
+    let doc = PathDoc::parse(tree.to_xml().as_bytes()).unwrap();
 
     let exprs = [
         "a/a",
@@ -38,7 +39,7 @@ fn very_deep_documents() {
         for (src, id) in exprs.iter().zip(&ids) {
             assert_eq!(
                 matched.contains(id),
-                matches_document(&parse(src).unwrap(), &doc),
+                matches_document(&parse(src).unwrap(), &tree),
                 "{mode:?}: {src}"
             );
         }
@@ -59,7 +60,7 @@ fn very_wide_documents() {
     builder.end();
     builder.end();
     builder.end();
-    let doc = builder.finish().unwrap();
+    let doc = PathDoc::parse(builder.finish().unwrap().to_xml().as_bytes()).unwrap();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
         let x = engine.add_str("/root/x").unwrap();
@@ -76,7 +77,8 @@ fn very_wide_documents() {
 #[test]
 fn repeated_tags_deep() {
     let xml = "<a><a><b><a><b><a/></b></a></b></a></a>";
-    let doc = Document::parse(xml.as_bytes()).unwrap();
+    let doc = PathDoc::parse(xml.as_bytes()).unwrap();
+    let tree = Document::parse(xml.as_bytes()).unwrap();
     let exprs = [
         "a/a/b",
         "a/b/a",
@@ -98,7 +100,7 @@ fn repeated_tags_deep() {
         for (src, id) in exprs.iter().zip(&ids) {
             assert_eq!(
                 matched.contains(id),
-                matches_document(&parse(src).unwrap(), &doc),
+                matches_document(&parse(src).unwrap(), &tree),
                 "{mode:?}: {src}"
             );
         }
@@ -109,7 +111,7 @@ fn repeated_tags_deep() {
 /// disturb anything else.
 #[test]
 fn overlong_expressions() {
-    let doc = Document::parse(b"<a><b/></a>").unwrap();
+    let doc = PathDoc::parse(b"<a><b/></a>").unwrap();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
         let long = engine.add_str("/a/b/c/d/e/f/g/h/i/j/k/l/m/n/o/p").unwrap();
@@ -149,13 +151,16 @@ fn special_characters_in_attributes() {
         }],
     };
     let id = engine.add(&expr).unwrap();
-    assert_eq!(engine.match_document(&reparsed), vec![id]);
+    assert_eq!(
+        engine.match_bytes(doc.to_xml().as_bytes()).unwrap(),
+        vec![id]
+    );
 }
 
 /// Numeric attribute comparisons handle negatives and whitespace.
 #[test]
 fn numeric_attribute_edge_values() {
-    let doc = Document::parse(br#"<a><b x="-5"/><b x=" 7 "/><b x="nope"/></a>"#).unwrap();
+    let doc = PathDoc::parse(br#"<a><b x="-5"/><b x=" 7 "/><b x="nope"/></a>"#).unwrap();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
         let neg = engine.add_str("/a/b[@x < 0]").unwrap();
@@ -171,7 +176,7 @@ fn numeric_attribute_edge_values() {
 /// A single-element document against every predicate type.
 #[test]
 fn minimal_document() {
-    let doc = Document::parse(b"<only/>").unwrap();
+    let doc = PathDoc::parse(b"<only/>").unwrap();
     for mode in MODES {
         let mut engine = FilterEngine::new(mode);
         let exact = engine.add_str("/only").unwrap();

@@ -6,11 +6,14 @@
 //! through `parallel::filter_batch_bytes` with a per-document error for
 //! every broken document, zero panics, and match results on the untouched
 //! 90% identical to a sequential run over the clean batch. On top of
-//! that, differential robustness: any mutated document that still parses
-//! must produce identical match sets through the streaming path
-//! (`match_bytes`) and the tree path (`match_document`) of all four
-//! backends.
+//! that, differential robustness: on any mutated document that still
+//! parses, all four backends — streaming the bytes into their flat stores
+//! — must report exactly what the reference oracle finds walking the
+//! `Document` tree of the same bytes. And the store itself: a parse that
+//! fails half-way leaves a backend's store empty, so the next document
+//! matches as on a fresh backend, and an empty store matches nothing.
 
+use pxf::engine::reference::matches_document;
 use pxf::prelude::*;
 use pxf::xpath::XPathExpr;
 
@@ -108,14 +111,21 @@ fn surviving_mutants_match_identically_on_streaming_and_tree_paths() {
     let mut injector = FaultInjector::new(0xD1FF);
 
     // Build the fault corpus: every mutation kind applied to every doc;
-    // keep the mutants that still parse (plus the originals).
-    let mut corpus: Vec<Vec<u8>> = Vec::new();
+    // keep the mutants that still parse (plus the originals), each with
+    // the oracle's verdicts off its tree.
+    let oracle = |bytes: &[u8]| -> Option<Vec<SubId>> {
+        let tree = Document::parse(bytes).ok()?;
+        let matched = (0..exprs.len()).filter(|&i| matches_document(&exprs[i], &tree));
+        Some(matched.map(|i| SubId(i as u32)).collect())
+    };
+    let mut corpus: Vec<(Vec<u8>, Vec<SubId>)> = Vec::new();
     for doc in &clean {
-        corpus.push(doc.clone());
+        let want = oracle(doc).expect("generated documents are well-formed");
+        corpus.push((doc.clone(), want));
         for kind in Mutation::ALL {
             let mutant = injector.mutate_with(doc, kind);
-            if Document::parse(&mutant).is_ok() {
-                corpus.push(mutant);
+            if let Some(want) = oracle(&mutant) {
+                corpus.push((mutant, want));
             }
         }
     }
@@ -129,13 +139,11 @@ fn surviving_mutants_match_identically_on_streaming_and_tree_paths() {
             backend.add(e).unwrap();
         }
         backend.prepare();
-        for (i, bytes) in corpus.iter().enumerate() {
-            let doc = Document::parse(bytes).expect("corpus is parseable");
-            let tree = backend.match_document(&doc);
+        for (i, (bytes, want)) in corpus.iter().enumerate() {
             let streamed = backend
                 .match_bytes(bytes)
                 .unwrap_or_else(|e| panic!("{name}: corpus doc {i} failed streaming: {e}"));
-            assert_eq!(streamed, tree, "{name}: corpus doc {i} diverged");
+            assert_eq!(&streamed, want, "{name}: corpus doc {i} diverged");
         }
     }
 }
@@ -158,4 +166,108 @@ fn parser_limits_reject_identically_across_backends() {
             "{name}: wrong rejection: {err}"
         );
     }
+}
+
+/// Attribute, text and structural subscriptions a stale store row would
+/// trip: every one matches `FAILS_LATE`'s well-formed prefix.
+const STORE_SUBS: [&str; 5] = [
+    "/a/b[@k = 1]",
+    r#"//b[text() = "x"]"#,
+    "/a/c",
+    "//c[@k]",
+    "/*",
+];
+/// Fails at its last tag (a duplicate attribute), with every column and
+/// the arena already written.
+const FAILS_LATE: &[u8] = br#"<a><b k="1">x</b><c k="1" k="2"/></a>"#;
+
+/// `match_bytes` refills the backend's own store: after a parse that
+/// failed half-way, the documents that follow match exactly as on a
+/// backend that never saw the broken one.
+fn matches_as_fresh_after_a_failed_parse(make: fn() -> Box<dyn FilterBackend>) {
+    let build = || {
+        let mut backend = make();
+        for sub in STORE_SUBS {
+            backend.add_str(sub).unwrap();
+        }
+        backend.prepare();
+        backend
+    };
+    let (mut used, mut fresh) = (build(), build());
+    let all: Vec<SubId> = (0..STORE_SUBS.len() as u32).map(SubId).collect();
+    let good: &[u8] = br#"<a><b k="1">x</b><c k="2"/></a>"#;
+    assert_eq!(used.match_bytes(good).unwrap(), all);
+    let err = used.match_bytes(FAILS_LATE).unwrap_err();
+    assert!(
+        matches!(err.kind, XmlErrorKind::DuplicateAttribute(_)),
+        "{err}"
+    );
+    for next in [&b"<a><b>y</b><c/></a>"[..], b"<c/>", good] {
+        let want = fresh.match_bytes(next).unwrap();
+        assert_eq!(used.match_bytes(next).unwrap(), want);
+    }
+    assert_eq!(
+        used.match_bytes(b"<a><b>y</b><c/></a>").unwrap(),
+        [SubId(2), SubId(4)]
+    );
+}
+
+#[test]
+fn yfilter_matches_as_fresh_after_a_failed_parse() {
+    matches_as_fresh_after_a_failed_parse(|| Box::new(YFilter::new()));
+}
+
+#[test]
+fn index_filter_matches_as_fresh_after_a_failed_parse() {
+    matches_as_fresh_after_a_failed_parse(|| Box::new(IndexFilter::new()));
+}
+
+#[test]
+fn xfilter_matches_as_fresh_after_a_failed_parse() {
+    matches_as_fresh_after_a_failed_parse(|| Box::new(XFilter::new()));
+}
+
+/// A store that holds no document — never filled, or emptied by a failed
+/// `parse_into` — matches nothing and panics nowhere, and a warm path memo
+/// replays the next document as if the empty one had not been there.
+#[test]
+fn the_empty_store_matches_nothing() {
+    let never_filled = PathDoc::default();
+    let mut emptied = PathDoc::parse(b"<a><b k=\"1\">x</b></a>").unwrap();
+    assert!(emptied
+        .parse_into(FAILS_LATE, ParserLimits::default())
+        .is_err());
+    assert!(emptied.is_empty());
+
+    for (name, mut backend) in all_backends() {
+        for sub in STORE_SUBS {
+            backend.add_str(sub).unwrap();
+        }
+        backend.prepare();
+        for store in [&never_filled, &emptied] {
+            assert!(backend.match_document(store).is_empty(), "{name}");
+        }
+    }
+
+    // Plain subscriptions only, so the memo is on.
+    let mut engine = FilterEngine::default();
+    for sub in ["/a/b", "//c", "/*", "a//c"] {
+        engine.add_str(sub).unwrap();
+    }
+    let mut matcher = engine.matcher();
+    let doc = PathDoc::parse(b"<a><b/><c/><x><c/></x></a>").unwrap();
+    let want = matcher.match_document(&doc); // walk
+    assert_eq!(want.len(), 4);
+    assert_eq!(matcher.match_document(&doc), want); // record
+    assert_eq!(matcher.match_document(&doc), want); // replay
+    let warm = matcher.stats();
+    assert!(warm.memo_replays > 0, "{warm:?}");
+    for store in [&never_filled, &emptied] {
+        assert!(matcher.match_document(store).is_empty());
+    }
+    assert_eq!(matcher.match_document(&doc), want);
+    let after = matcher.stats();
+    assert_eq!(after.stage2_walks, warm.stage2_walks, "the memo went cold");
+    assert!(after.memo_replays > warm.memo_replays);
+    assert_eq!(after.docs, warm.docs + 3);
 }

@@ -4,12 +4,14 @@
 use pxf::engine::reference::matches_document;
 use pxf::prelude::*;
 
-fn doc(xml: &str) -> Document {
-    Document::parse(xml.as_bytes()).unwrap()
+fn doc(xml: &str) -> PathDoc {
+    PathDoc::parse(xml.as_bytes()).unwrap()
 }
 
+/// The engine on the flat store against the oracle on the tree.
 fn check(engine_exprs: &[&str], xml: &str) {
     let document = doc(xml);
+    let tree = Document::parse(xml.as_bytes()).unwrap();
     for mode in [AttrMode::Inline, AttrMode::Postponed] {
         let mut engine = FilterEngine::new(mode);
         let ids: Vec<SubId> = engine_exprs
@@ -18,7 +20,7 @@ fn check(engine_exprs: &[&str], xml: &str) {
             .collect();
         let matched = engine.match_document(&document);
         for (src, id) in engine_exprs.iter().zip(&ids) {
-            let expected = matches_document(&parse(src).unwrap(), &document);
+            let expected = matches_document(&parse(src).unwrap(), &tree);
             assert_eq!(matched.contains(id), expected, "{mode:?}: {src} over {xml}");
         }
     }

@@ -2,9 +2,10 @@
 //! operationalized with the workspace's deterministic PRNG (`pxf-rng`).
 //! For arbitrary expressions and documents, the predicate engine (all
 //! organizations and attribute modes) and all three baselines must agree
-//! with the direct XPath semantics of the reference oracle — and every
-//! backend's streaming path (`match_bytes`, tree-free) must produce
-//! exactly the match set of its tree-based path. The workloads cover
+//! with the direct XPath semantics of the reference oracle. The oracle
+//! walks the `Document` tree; every backend matches the flat store, one
+//! the caller parsed (`match_document`) and its own (`match_bytes`), so
+//! each comparison also holds one store against the other. The workloads cover
 //! attribute filters in both `AttrMode`s, `text()` filters, and
 //! nested-path expressions.
 
@@ -133,7 +134,8 @@ fn check_agreement(exprs: &[XPathExpr], doc: &Document) {
             engine.add(e).unwrap();
         }
         engine.prepare();
-        let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
+        let store = PathDoc::parse(&bytes).unwrap();
+        let got: Vec<u32> = engine.match_document(&store).iter().map(|s| s.0).collect();
         assert_eq!(
             got,
             expected,
@@ -150,7 +152,7 @@ fn check_agreement(exprs: &[XPathExpr], doc: &Document) {
         assert_eq!(
             streamed,
             expected,
-            "{name} streaming path diverges from tree path; exprs={:?} doc={}",
+            "{name} disagrees with oracle on its own store; exprs={:?} doc={}",
             exprs.iter().map(|e| e.to_string()).collect::<Vec<_>>(),
             doc.to_xml()
         );
@@ -220,8 +222,8 @@ fn encoding_total() {
     }
 }
 
-/// Nested path filters: predicate engine vs oracle, on both match paths
-/// (baselines reject tree patterns).
+/// Nested path filters: predicate engine vs oracle, through both entry
+/// points (baselines reject tree patterns).
 #[test]
 fn nested_patterns_match_oracle() {
     let mut rng = Rng::seed_from_u64(0xF00D);
@@ -240,7 +242,8 @@ fn nested_patterns_match_oracle() {
         for mode in [AttrMode::Inline, AttrMode::Postponed] {
             let mut engine = FilterEngine::new(mode);
             let id = engine.add(&expr).unwrap();
-            let got = engine.match_document(&doc).contains(&id);
+            let store = PathDoc::parse(&bytes).unwrap();
+            let got = engine.match_document(&store).contains(&id);
             assert_eq!(
                 got,
                 expected,
@@ -253,7 +256,7 @@ fn nested_patterns_match_oracle() {
             assert_eq!(
                 streamed,
                 expected,
-                "{:?} streaming path disagrees on {} over {}",
+                "{:?} disagrees on its own store on {} over {}",
                 mode,
                 expr,
                 doc.to_xml()

@@ -5,12 +5,14 @@
 use pxf::engine::reference::matches_document;
 use pxf::prelude::*;
 
-fn doc(xml: &str) -> Document {
-    Document::parse(xml.as_bytes()).unwrap()
+fn doc(xml: &str) -> PathDoc {
+    PathDoc::parse(xml.as_bytes()).unwrap()
 }
 
+/// The engine on the flat store against the oracle on the tree.
 fn check(exprs: &[&str], xml: &str) {
     let document = doc(xml);
+    let tree = Document::parse(xml.as_bytes()).unwrap();
     for mode in [AttrMode::Inline, AttrMode::Postponed] {
         let mut engine = FilterEngine::new(mode);
         let ids: Vec<SubId> = exprs
@@ -21,7 +23,7 @@ fn check(exprs: &[&str], xml: &str) {
         for (src, id) in exprs.iter().zip(&ids) {
             assert_eq!(
                 matched.contains(id),
-                matches_document(&parse(src).unwrap(), &document),
+                matches_document(&parse(src).unwrap(), &tree),
                 "{mode:?}: {src} over {xml}"
             );
         }
