@@ -6,15 +6,18 @@
 //! (3 levels, minimal sharing — the incremental path must not regress).
 //!
 //! Two more rows run what production runs, on the same inputs: a whole
-//! match through a persistent [`Matcher`], whose stage 1 is lazy — an
+//! match with a persistent [`MatchScratch`] (what a [`pxf_core::Matcher`]
+//! and a broker worker hold), whose stage 1 is lazy — an
 //! element is evaluated only when a leaf below it needs a stage-2 walk —
 //! on the first pass over the documents (cold path automaton: every new
 //! tag path walks) and on the third (warm: paths are replayed and almost
 //! nothing is evaluated). Each prints its stage-1 share
-//! (`EngineStats::predicate_ns`) beside the raw evaluators' cost.
+//! (`EngineStats::predicate_ns`) beside the raw evaluators' cost, its
+//! stage-2 share (`expression_ns`: walks cold, replays warm) and what the
+//! path automaton holds by then — printed, not gated.
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
-use pxf_core::{FilterEngine, Matcher};
+use pxf_core::{FilterEngine, MatchScratch};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_workload::Regime;
 use pxf_xml::{ElementVisitor, Interner, NodeId, PathDoc, Symbol};
@@ -128,18 +131,27 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         engine.add(&e.structural_skeleton()).unwrap();
     }
     engine.prepare();
-    let stage1_ns = std::cell::Cell::new(0);
-    let pass = |m: &mut Matcher| {
-        let before = m.stats().predicate_ns;
-        let matched: usize = docs.iter().map(|d| m.match_document(d).len()).sum();
-        stage1_ns.set(m.stats().predicate_ns - before);
+    let shares = std::cell::Cell::new((0, 0, 0, 0));
+    let pass = |m: &mut MatchScratch| {
+        let before = m.stats();
+        let matched: usize = docs
+            .iter()
+            .map(|d| engine.match_document_with(d, m).len())
+            .sum();
+        let after = m.stats();
+        shares.set((
+            after.predicate_ns - before.predicate_ns,
+            after.expression_ns - before.expression_ns,
+            m.memo_states(),
+            m.memo_bytes(),
+        ));
         matched
     };
     for (label, passes_before) in [("matcher, pass 1 (cold)", 0), ("matcher, pass 3 (warm)", 2)] {
         group.bench_batched(
             label,
             || {
-                let mut m = engine.matcher();
+                let mut m = MatchScratch::new();
                 for _ in 0..passes_before {
                     pass(&mut m);
                 }
@@ -147,9 +159,12 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
             },
             |mut m| pass(&mut m),
         );
+        let (stage1_ns, stage2_ns, memo_states, memo_bytes) = shares.get();
         println!(
-            "{group_name}/{label:<24} of which stage 1 {:.2} µs (last sample)",
-            stage1_ns.get() as f64 / 1e3
+            "{group_name}/{label:<24} of which stage 1 {:.2} µs, stage 2 {:.2} µs; \
+             memo_states {memo_states}, memo_bytes {memo_bytes} (last sample)",
+            stage1_ns as f64 / 1e3,
+            stage2_ns as f64 / 1e3
         );
     }
 }

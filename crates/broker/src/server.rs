@@ -228,8 +228,10 @@ pub struct BrokerStatsSnapshot {
     pub clone_fallbacks: u64,
     /// In-place incremental index patches applied.
     pub incremental_patches: u64,
-    /// Leaf paths the workers answered from a path-memo record instead of
-    /// walking the expression trie.
+    /// Leaf paths the workers answered from path-memo records — the
+    /// leaf's and those of the elements above it, each replaying what it
+    /// adds — instead of walking the expression trie. Counts leaves, not
+    /// records replayed.
     pub memo_replays: u64,
     /// Leaf paths the workers ran the stage-2 walk for. Against
     /// `memo_replays` this is the memo's hit rate: it collapses under
@@ -240,8 +242,9 @@ pub struct BrokerStatsSnapshot {
     /// workers: what the memo has learned since the last change of the
     /// subscription set reached a worker's next document.
     pub memo_states: u64,
-    /// Heap the workers' path automata hold (transition table, states,
-    /// recorded nodes), summed over workers; capped at 16 MiB each.
+    /// Heap the workers' path automata hold (transition table, states and
+    /// their records: the subscription ids each tag path adds), summed
+    /// over workers; capped at 16 MiB each.
     pub memo_bytes: u64,
     /// Heap the workers' document stores hold between documents (each
     /// worker parses every document into one flat store it keeps),

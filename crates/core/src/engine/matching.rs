@@ -1,15 +1,15 @@
 //! The two-stage match of one document: incremental predicate matching
-//! (stage 1), the forward-propagating walk of the expression trie — or
-//! the replay of what an earlier walk of the same tag path reached —
-//! (stage 2), and the resolution of structural matches into subscription
-//! results.
+//! (stage 1), the forward-propagating walk of the expression trie at a
+//! leaf — or, at every element, the replay of what an earlier walk found
+//! that element's tag path to add — (stage 2), and the resolution of
+//! structural matches into subscription results.
 
-use super::scratch::{DocState, MatchScratch, Sighting};
+use super::scratch::{DocState, MatchScratch, Sighting, INLINE_IDS, NODE_ENTRY};
 use super::trie::Sink;
 use super::{EngineStats, FilterEngine, SubId};
 use crate::nested::combine;
 use crate::occurrence::determine_match_by;
-use pxf_predicate::{MatchContext, PredId, Publication};
+use pxf_predicate::{MatchContext, PredId, Predicate, Publication};
 use pxf_xml::{ElementVisitor, NodeId, PathDoc, Symbol, XmlError};
 use std::time::Instant;
 
@@ -114,9 +114,14 @@ impl FilterEngine {
         // attribute re-checks (stage 2 consults document nodes), and no
         // nested plans (component sinks must record every path index,
         // including duplicates). Every sink is then a plain subscription.
-        // Otherwise no leaf asks the memo, and every leaf walks.
-        let memo_on =
-            self.nested.is_empty() && !self.has_attr_checks && !self.index.has_attr_predicates();
+        // Otherwise no element asks the memo, and every leaf walks. A
+        // record entry is a subscription or node id under a tag bit, so
+        // both kinds must stay below it.
+        let memo_on = self.nested.is_empty()
+            && !self.has_attr_checks
+            && !self.index.has_attr_predicates()
+            && self.n_subs < NODE_ENTRY
+            && self.trie.n_nodes() < NODE_ENTRY as usize;
         let mut driver = IncrementalDriver {
             engine: self,
             doc,
@@ -164,15 +169,15 @@ struct IncrementalDriver<'a, 'd> {
 
 impl IncrementalDriver<'_, '_> {
     /// Handles a leaf. The memo (when on) says whether this tag path was
-    /// already answered in this document (nothing to do), has a record
-    /// (replay it), or needs stage 2: stage 1 caught up to the leaf,
-    /// length-dependent predicates under a nested mark, the walk,
-    /// rollback. The walk of a path met in an earlier document and not yet
-    /// recorded makes the record — recording on the second sighting,
-    /// because a complete record needs the walk that ignores `node_done`
-    /// (2–2.5× the visits of the pruned one on 100k NITF expressions), and
-    /// a path never seen again under this subscription set would pay that
-    /// for nothing.
+    /// already answered in this document (nothing to do), is recorded (the
+    /// leaf replays what it adds, as the elements above it have), or needs
+    /// stage 2: stage 1 caught up to the leaf, length-dependent predicates
+    /// under a nested mark, the walk, rollback. The walk of a path met in
+    /// an earlier document and not yet recorded makes the records of the
+    /// path's states — recording on the second sighting, because a complete
+    /// record needs the walk that ignores `node_done` (2–2.5× the visits of
+    /// the pruned one on 100k NITF expressions), and a path never seen
+    /// again under this subscription set would pay that for nothing.
     fn leaf(&mut self) {
         let path_idx = self.path_idx;
         self.path_idx += 1;
@@ -183,13 +188,11 @@ impl IncrementalDriver<'_, '_> {
         };
         match sighting {
             Sighting::SameDoc => self.stats.memo_path_skips += 1,
-            Sighting::Recorded(state) => {
+            Sighting::Recorded => {
                 self.stats.memo_replays += 1;
-                let t1 = Instant::now();
-                self.engine.replay(state, self.state);
-                self.expr_ns += t1.elapsed().as_nanos() as u64;
+                self.replay_due();
             }
-            Sighting::First | Sighting::Again(_) | Sighting::Untracked => {
+            Sighting::First | Sighting::Again | Sighting::Untracked => {
                 self.stats.stage2_walks += 1;
                 self.catch_up();
                 let mark = self.ctx.push_mark();
@@ -197,23 +200,25 @@ impl IncrementalDriver<'_, '_> {
                     .index
                     .eval_leaf(self.publication, Some(self.doc), self.ctx);
                 let t1 = Instant::now();
-                let record_into = match sighting {
-                    Sighting::Again(state) => Some(state),
-                    _ => None,
-                };
-                self.state.recording = record_into.is_some();
-                self.state.record_buf.clear();
+                let state = &mut *self.state;
+                if sighting == Sighting::Again {
+                    let depths = self.publication.tuples.len();
+                    if state.record_buf.len() < depths {
+                        state.record_buf.resize_with(depths, Vec::new);
+                    }
+                    state.record_buf[..depths].iter_mut().for_each(Vec::clear);
+                    state.recording = Some(state.memo.recorded_depth());
+                }
                 self.engine.stage2(
                     self.ctx,
                     self.publication,
                     self.doc,
-                    self.state,
+                    state,
                     self.stats,
                     path_idx,
                 );
-                if let Some(state) = record_into {
-                    self.state.recording = false;
-                    self.state.memo.attach(state, &self.state.record_buf);
+                if state.recording.take().is_some() {
+                    state.memo.attach_chain(&state.record_buf);
                 }
                 self.expr_ns += t1.elapsed().as_nanos() as u64;
                 self.ctx.pop_to_mark(mark);
@@ -222,6 +227,18 @@ impl IncrementalDriver<'_, '_> {
         if self.record_paths {
             self.state
                 .record_path(self.publication.tuples.iter().map(|t| t.node));
+        }
+    }
+
+    /// Replays the record of the element just opened, if its state holds
+    /// one this document has not replayed: what the element adds to the
+    /// matches of the path above it. One clock pair per record, none for
+    /// an element that has nothing to add.
+    fn replay_due(&mut self) {
+        if let Some(path) = self.state.memo.due(self.state.doc_epoch) {
+            let t1 = Instant::now();
+            self.engine.replay(path, self.state);
+            self.expr_ns += t1.elapsed().as_nanos() as u64;
         }
     }
 
@@ -249,6 +266,8 @@ impl ElementVisitor for IncrementalDriver<'_, '_> {
         self.state.memo.enter(tag);
         if is_leaf {
             self.leaf();
+        } else if self.memo_on {
+            self.replay_due();
         }
     }
 
@@ -354,14 +373,14 @@ impl FilterEngine {
         let (root_pids, root_nodes) = self.trie.roots();
         let mut enter = |pid: PredId, root: u32| {
             stats.ap_root_probes += 1;
-            if !state.recording && state.node_done.test(root as usize, state.doc_epoch) {
+            if state.recording.is_none() && state.node_done.test(root as usize, state.doc_epoch) {
                 return;
             }
             let mut f = S::default();
             for &(_, o2) in ctx.get(pid) {
                 f.insert(o2);
             }
-            self.dfs_node(root, f, ctx, publication, doc, state, stats, path_idx);
+            self.dfs_node(root, pid, f, ctx, publication, doc, state, stats, path_idx);
         };
         if root_pids.len() <= ctx.matched().len() {
             for (&pid, &root) in root_pids.iter().zip(root_nodes) {
@@ -386,6 +405,7 @@ impl FilterEngine {
     fn dfs_node<S: OccSet>(
         &self,
         n: u32,
+        pid: PredId,
         f_in: S,
         ctx: &MatchContext,
         publication: &Publication,
@@ -397,8 +417,18 @@ impl FilterEngine {
         stats.occurrence_runs += 1;
         let trie = &self.trie;
         let has_sinks = trie.sink_len(n) != 0;
-        if has_sinks && state.recording {
-            state.record_buf.push(n);
+        if let Some(recorded) = state.recording.filter(|_| has_sinks) {
+            let depth = first_depth(self.index.predicate(pid), &f_in, publication);
+            if depth > recorded {
+                // The memo is on: every sink is a plain subscription.
+                let plain = trie.plain_subs(n);
+                let bucket = &mut state.record_buf[depth - 1];
+                if plain.len() <= INLINE_IDS {
+                    bucket.extend_from_slice(plain);
+                } else {
+                    bucket.push(n | NODE_ENTRY);
+                }
+            }
         }
         if has_sinks && !state.node_sinks_done.test(n as usize, state.doc_epoch) {
             let plain = trie.plain_subs(n);
@@ -455,7 +485,7 @@ impl FilterEngine {
                 continue;
             }
             let was_done = state.node_done.test(child as usize, state.doc_epoch);
-            if was_done && !state.recording {
+            if was_done && state.recording.is_none() {
                 continue;
             }
             let mut f = S::default();
@@ -469,7 +499,17 @@ impl FilterEngine {
             // A child counts once: not again when a recording walk
             // re-enters a subtree that was already resolved.
             if chains_on
-                && self.dfs_node(child, f, ctx, publication, doc, state, stats, path_idx)
+                && self.dfs_node(
+                    child,
+                    cpid,
+                    f,
+                    ctx,
+                    publication,
+                    doc,
+                    state,
+                    stats,
+                    path_idx,
+                )
                 && !was_done
             {
                 state.bump_done_children(n);
@@ -483,11 +523,13 @@ impl FilterEngine {
         all_done
     }
 
-    /// Stage 2 from the record of memo state `path`: marks the
-    /// subscriptions of every listed node this document has not resolved
-    /// yet. No predicate is consulted and no child edge followed — under
-    /// one content stamp the nodes a tag path reaches do not change, and
-    /// the memo is only on while every sink is a plain subscription.
+    /// Stage 2 at an element whose memo state `path` holds a record:
+    /// marks what the element adds to the matches of the path above it —
+    /// the listed subscriptions, and those of every listed node this
+    /// document has not resolved yet. No predicate is consulted and no
+    /// child edge followed: under one content stamp what a tag path
+    /// reaches does not change, and the memo is only on while every sink
+    /// is a plain subscription.
     fn replay(&self, path: u32, state: &mut DocState) {
         let DocState {
             memo,
@@ -496,7 +538,12 @@ impl FilterEngine {
             doc_epoch,
             ..
         } = state;
-        for &n in memo.record(path) {
+        for &entry in memo.record(path) {
+            if entry & NODE_ENTRY == 0 {
+                sub_matched.set(entry as usize, *doc_epoch);
+                continue;
+            }
+            let n = entry & !NODE_ENTRY;
             if !node_sinks_done.test(n as usize, *doc_epoch) {
                 for &sub in self.trie.plain_subs(n) {
                     sub_matched.set(sub as usize, *doc_epoch);
@@ -505,6 +552,30 @@ impl FilterEngine {
             }
         }
     }
+}
+
+/// The length of the shortest prefix of the path on which the expression
+/// ending at a trie node holds, given the node's predicate and the
+/// occurrences `feasible` for its second tag on the whole path. A chain of
+/// pairs is on a prefix once its last pair is — each pair closes where its
+/// second tag stands, no earlier than the pair before it — so the last
+/// predicate decides: an absolute or relative pair closes at its second
+/// tag's position, an end-of-path pair `value` elements further on, and a
+/// length predicate holds from `value` elements. Occurrence numbers of a
+/// tag rise along the path, so the first feasible one closes first.
+fn first_depth<S: OccSet>(pred: &Predicate, feasible: &S, publication: &Publication) -> usize {
+    let (tag, tail) = match pred {
+        Predicate::Length { value } => return *value as usize,
+        Predicate::Absolute { tag, .. } => (tag.tag, 0),
+        Predicate::Relative { to, .. } => (to.tag, 0),
+        Predicate::EndOfPath { tag, value } => (tag.tag, *value as usize),
+    };
+    let closes = publication
+        .tuples
+        .iter()
+        .find(|t| t.tag == tag && feasible.contains(t.occ))
+        .expect("a feasible occurrence is on the path");
+    closes.pos as usize + tail
 }
 
 /// Resolves a structural match of an expression (on the current path) into
@@ -569,7 +640,9 @@ fn process_sink(
 
 #[cfg(test)]
 mod tests {
-    use super::OccSet;
+    use super::{first_depth, OccSet};
+    use pxf_predicate::{PosOp, Predicate, Publication};
+    use pxf_xml::Interner;
 
     fn holds_exactly<S: OccSet>(occs: &[u16], limit: u16) {
         let mut set = S::default();
@@ -586,5 +659,59 @@ mod tests {
         holds_exactly::<u128>(&[0, 1, 63, 64, 100, 127], 128);
         holds_exactly::<Vec<u64>>(&[0, 1, 63, 64, 127, 128, 129, 191, 192, 300, 4000], 4200);
         holds_exactly::<Vec<u64>>(&[], 200);
+    }
+
+    fn set_of<S: OccSet>(occs: &[u16]) -> S {
+        let mut set = S::default();
+        occs.iter().for_each(|&o| set.insert(o));
+        set
+    }
+
+    /// One case per predicate kind, on the path a¹ b¹ a² c¹ a³: the first
+    /// depth is where the earliest feasible occurrence of the predicate's
+    /// second tag stands — plus the elements an end-of-path predicate
+    /// wants after it — and a length predicate's is its value.
+    #[test]
+    fn first_depth_is_where_the_earliest_feasible_pair_closes() {
+        let mut interner = Interner::new();
+        let path = Publication::from_tags(&["a", "b", "a", "c", "a"], &mut interner);
+        let [a, b, c] = ["a", "b", "c"].map(|t| interner.get(t).unwrap());
+        let cases = [
+            (Predicate::absolute(a, PosOp::Ge, 1), vec![1, 2, 3], 1),
+            (Predicate::absolute(a, PosOp::Ge, 2), vec![2, 3], 3),
+            (Predicate::absolute(a, PosOp::Eq, 5), vec![3], 5),
+            (Predicate::absolute(c, PosOp::Eq, 4), vec![1], 4),
+            (Predicate::relative(b, a, PosOp::Ge, 1), vec![2, 3], 3),
+            (Predicate::relative(a, a, PosOp::Eq, 2), vec![3, 2], 3),
+            (Predicate::relative(b, a, PosOp::Eq, 3), vec![3], 5),
+            (Predicate::relative(a, c, PosOp::Ge, 1), vec![1], 4),
+            (Predicate::end_of_path(a, 2), vec![1, 2], 3),
+            (Predicate::end_of_path(a, 2), vec![2], 5),
+            (Predicate::end_of_path(b, 3), vec![1], 5),
+            (Predicate::length(4), vec![0], 4),
+            (Predicate::length(1), vec![0], 1),
+        ];
+        for (pred, feasible, depth) in cases {
+            let ctx = format!("{pred:?} with {feasible:?}");
+            assert_eq!(
+                first_depth(&pred, &set_of::<u128>(&feasible), &path),
+                depth,
+                "{ctx}"
+            );
+            assert_eq!(
+                first_depth(&pred, &set_of::<Vec<u64>>(&feasible), &path),
+                depth,
+                "{ctx}"
+            );
+        }
+        // Occurrence numbers past 128, where only the heap set can go.
+        let tags = ["a"; 200];
+        let long = Publication::from_tags(&tags, &mut interner);
+        let set = set_of::<Vec<u64>>(&[150, 199]);
+        assert_eq!(
+            first_depth(&Predicate::relative(a, a, PosOp::Ge, 1), &set, &long),
+            150
+        );
+        assert_eq!(first_depth(&Predicate::end_of_path(a, 7), &set, &long), 157);
     }
 }

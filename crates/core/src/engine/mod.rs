@@ -80,13 +80,16 @@ pub struct EngineStats {
     /// Documents processed.
     pub docs: u64,
     /// Time spent in stage 1: the document traversal (tag lookup, path
-    /// stack, path-automaton transition, memo sighting) plus the deferred
-    /// predicate evaluation of the elements some walking leaf needed.
-    /// Evaluation nobody asked for — elements whose leaves were all
-    /// skipped or replayed — no longer happens, so it is not in here.
+    /// stack, path-automaton transition, the memo's word on every element:
+    /// a leaf's sighting, and whether the element's state holds a record
+    /// this document has yet to replay) plus the deferred predicate
+    /// evaluation of the elements some walking leaf needed. Evaluation
+    /// nobody asked for — elements whose leaves were all skipped or
+    /// replayed — no longer happens, so it is not in here.
     pub predicate_ns: u64,
     /// Time spent in expression matching / occurrence determination
-    /// (stage 2).
+    /// (stage 2): the walks at leaves, and the replays of records at
+    /// elements of any kind.
     pub expression_ns: u64,
     /// Time spent on everything else (result collection, nested-path
     /// combination).
@@ -104,12 +107,15 @@ pub struct EngineStats {
     /// predicate matched (unmatched clusters are never looked at, so
     /// there is nothing to count skipping).
     pub ap_root_probes: u64,
-    /// Leaf paths whose stage 2 was skipped because an identical
-    /// tag-sequence path was already answered in the same document.
+    /// Leaf paths whose stage 2 was skipped because a leaf with the same
+    /// tag sequence was already answered in the same document. (An inner
+    /// element that finds its record already replayed is not counted.)
     pub memo_path_skips: u64,
-    /// Leaf paths answered from the record an earlier document's walk of
-    /// the same tag sequence left in the path memo: no walk, the recorded
-    /// nodes' subscriptions are marked directly.
+    /// Leaf paths answered from the path memo: an earlier document's walk
+    /// of the same tag sequence recorded what each element of the path
+    /// adds, the elements above the leaf have replayed theirs, and the
+    /// leaf replays its own — no walk. Counts leaves, not records replayed
+    /// (inner elements replay too, once per document and state).
     pub memo_replays: u64,
     /// Leaf paths that ran the stage-2 walk (neither skipped nor
     /// replayed).

@@ -1,5 +1,6 @@
 //! Matching scratch: the per-document epoch-stamped result and pruning
-//! bitmaps, the path memo (an automaton over document tag paths) that
+//! bitmaps, the path memo (an automaton over document tag paths whose
+//! states record what an element on the path adds to the match set) that
 //! outlives the document, and the [`Matcher`] handle that owns one scratch
 //! per concurrent user of a shared engine.
 
@@ -42,7 +43,7 @@ impl MatchScratch {
     }
 
     /// Heap held by the path automaton — transition table, states and
-    /// recorded nodes — in bytes; bounded by a fixed cap (16 MiB).
+    /// their records — in bytes; bounded by a fixed cap (16 MiB).
     pub fn memo_bytes(&self) -> usize {
         self.state.memo.heap_bytes()
     }
@@ -173,15 +174,16 @@ impl EpochBitmap {
 }
 
 /// Heap budget of one scratch's path automaton — transition table,
-/// states and node arena together. Half goes to the node arena, half to
+/// states and entry arena together. Half goes to the entry arena, half to
 /// the table and the states it holds at load factor ½; a path that would
 /// pass either share gets no state (see [`Sighting::Untracked`]) and the
 /// automaton is emptied at the next document, where states earn their
 /// place again. (100k NITF expressions over a stream of 16k documents:
-/// 725 leaf paths, 1,015 states, 5.9 MB — all but 40 KB of it records.)
+/// 725 leaf paths, 1,015 states, 588k entries, 2.6 MB — all but 48 KB of
+/// it records.)
 pub(super) const MEMO_CAP_BYTES: usize = 16 << 20;
 
-const MEMO_NODE_BUDGET: usize = MEMO_CAP_BYTES / 2 / std::mem::size_of::<u32>();
+const MEMO_ENTRY_BUDGET: usize = MEMO_CAP_BYTES / 2 / std::mem::size_of::<u32>();
 /// Table slots (a power of two): one key and one child id each, and one
 /// state for every two.
 const MEMO_SLOT_BUDGET: usize = {
@@ -196,6 +198,15 @@ const MEMO_SLOT_BUDGET: usize = {
 /// State id of an open element the automaton holds no state for.
 const UNTRACKED: u32 = u32::MAX;
 
+/// Tag bit of a record entry that names a trie node, to be swept through
+/// its sink list; an entry without it is a subscription id to mark. Ids
+/// of either kind stay below it while the memo is on.
+pub(super) const NODE_ENTRY: u32 = 1 << 31;
+
+/// Longest sink list a record holds as the ids themselves: one cache line
+/// of them, which is what following the node reference would have fetched.
+pub(super) const INLINE_IDS: usize = 64 / std::mem::size_of::<u32>();
+
 /// What the leaves that ended in a state have left there.
 #[derive(Debug, Clone, Copy, Default)]
 enum Leaves {
@@ -203,12 +214,12 @@ enum Leaves {
     #[default]
     Never,
     /// One did, in an earlier document or this one: the next document's
-    /// walk makes the record. Kept apart from `PathState::seen`, which the
-    /// epoch wrap zeroes.
+    /// walk makes the records of its path. Kept apart from
+    /// `PathState::seen`, which the epoch wrap zeroes.
     Met,
-    /// The sink-bearing trie nodes the path reaches, as a span of
-    /// `PathMemo::nodes`.
-    Recorded { start: u32, len: u32 },
+    /// That walk was made and every state of the path holds its record: a
+    /// leaf here is answered by the replays of its open elements.
+    Recorded,
 }
 
 /// One state of the path automaton: one document tag path.
@@ -216,7 +227,15 @@ enum Leaves {
 struct PathState {
     /// Document epoch of the last leaf sighting (0 = none since the wrap).
     seen: u32,
+    /// Document epoch of the last replay of `record`, by an element of any
+    /// kind (0 = none since the wrap).
+    replayed: u32,
     leaves: Leaves,
+    /// What an element on this path adds to what its parent's path
+    /// reached — the sinks whose expression holds on the path and on no
+    /// shorter prefix — as a `(start, len)` span of `PathMemo::entries`;
+    /// `None` until a recording walk at or below the state has come by.
+    record: Option<(u32, u32)>,
 }
 
 /// What a leaf learns from [`PathMemo::sight`].
@@ -226,11 +245,12 @@ pub(super) enum Sighting {
     First,
     /// Already seen in this document: its matches are already marked.
     SameDoc,
-    /// Seen in an earlier document, not yet recorded; the state takes the
-    /// record ([`PathMemo::attach`]).
-    Again(u32),
-    /// Recorded: [`PathMemo::record`] lists the nodes to replay.
-    Recorded(u32),
+    /// Seen in an earlier document, not yet recorded: this walk makes the
+    /// records of the path ([`PathMemo::attach_chain`]).
+    Again,
+    /// Recorded, and so is every state above: the open elements' replays
+    /// ([`PathMemo::due`]) are the answer.
+    Recorded,
     /// The path got no state (the budget ran out above it): every
     /// sighting walks.
     Untracked,
@@ -239,14 +259,17 @@ pub(super) enum Sighting {
 /// The path memo, as an automaton over document tag paths: a trie with one
 /// state per tag path met under the current subscription set, grown one
 /// transition at a time as elements open. A state knows when a leaf last
-/// ended in it and, from the second document on, the trie nodes with sinks
-/// that stage 2 reaches on its path. Valid for one engine content stamp
-/// (see [`Self::begin_document`]), so it outlives the document and replays
-/// what a path reached instead of walking again.
+/// ended in it and, once a recording walk has come by, what an element on
+/// its path adds to the match set: its record, which every element — leaf
+/// or not — replays once per document. A path's matches are the union of
+/// the records of its open states, so a recorded state's ancestors are
+/// always recorded. Valid for one engine content stamp (see
+/// [`Self::begin_document`]), so it outlives the document and replays what
+/// a path reached instead of walking again.
 ///
 /// Transitions live in one open-addressed table (linear probing) keyed by
 /// the exact `(state, symbol)` pair — two paths share a state only by
-/// being the same path — beside the state and node arenas, all within
+/// being the same path — beside the state and entry arenas, all within
 /// [`MEMO_CAP_BYTES`]. The stack of open elements is bounded by the
 /// document's depth, not by the paths seen, and is not counted.
 #[derive(Debug, Default)]
@@ -258,7 +281,9 @@ pub(super) struct PathMemo {
     children: Vec<u32>,
     /// State `s ≥ 1` is `states[s - 1]`.
     states: Vec<PathState>,
-    nodes: Vec<u32>,
+    /// The records: subscription ids to mark and, under [`NODE_ENTRY`],
+    /// trie nodes whose sink list is too long to copy.
+    entries: Vec<u32>,
     /// The state of every open element, outermost first.
     open: Vec<u32>,
     /// A state or a record found no room: emptied at the next document.
@@ -281,7 +306,7 @@ impl PathMemo {
             self.children.fill(0);
         }
         self.states.clear();
-        self.nodes.clear();
+        self.entries.clear();
         self.full = false;
         self.stamp = stamp;
     }
@@ -297,7 +322,7 @@ impl PathMemo {
         self.keys.capacity() * size_of::<u64>()
             + self.children.capacity() * size_of::<u32>()
             + self.states.capacity() * size_of::<PathState>()
-            + self.nodes.capacity() * size_of::<u32>()
+            + self.entries.capacity() * size_of::<u32>()
     }
 
     /// An element with tag `sym` opens below the open ones: one
@@ -389,47 +414,114 @@ impl PathMemo {
                 s.leaves = Leaves::Met;
                 Sighting::First
             }
-            Leaves::Met => Sighting::Again(state),
-            Leaves::Recorded { .. } => Sighting::Recorded(state),
+            Leaves::Met => Sighting::Again,
+            Leaves::Recorded => Sighting::Recorded,
         }
     }
 
-    /// Makes `nodes` the record of `state` (as returned by the
-    /// [`Sighting::Again`] of this leaf). A record the node arena has no
-    /// room for is dropped, and the automaton emptied at the next
-    /// document.
-    pub(super) fn attach(&mut self, state: u32, nodes: &[u32]) {
-        let (start, need) = (self.nodes.len(), self.nodes.len() + nodes.len());
-        if need > MEMO_NODE_BUDGET {
+    /// The state of the innermost open element, if it holds a record with
+    /// something in it that document `epoch` has not replayed yet — which
+    /// this call notes it now has.
+    #[inline]
+    pub(super) fn due(&mut self, epoch: u32) -> Option<u32> {
+        let state = *self.open.last().expect("an element is open");
+        if state == UNTRACKED {
+            return None;
+        }
+        let s = &mut self.states[state as usize - 1];
+        if s.replayed == epoch || !matches!(s.record, Some((_, len)) if len > 0) {
+            return None;
+        }
+        s.replayed = epoch;
+        Some(state)
+    }
+
+    /// Open states that hold a record, counted from the root: the walk
+    /// about to record has nothing to add at their depths.
+    pub(super) fn recorded_depth(&self) -> usize {
+        let recorded = |&state: &u32| self.states[state as usize - 1].record.is_some();
+        self.open.iter().take_while(|s| recorded(s)).count()
+    }
+
+    /// A recording walk has ended at the innermost open element (a leaf
+    /// whose sighting was [`Sighting::Again`]): `buckets[k - 1]` — what
+    /// the path reaches at depth `k` and no earlier — becomes the record
+    /// of the open state at depth `k` if it has none. Outermost first, and
+    /// no further than the first record the entry arena has no room for
+    /// (which also empties the automaton at the next document): a state
+    /// below an unrecorded one is never recorded, and the leaf's own state
+    /// counts as recorded only when the whole chain is.
+    pub(super) fn attach_chain(&mut self, buckets: &[Vec<u32>]) {
+        for (i, bucket) in buckets.iter().enumerate().take(self.open.len()) {
+            let state = self.open[i] as usize - 1;
+            if self.states[state].record.is_none() && !self.attach(state, bucket) {
+                return;
+            }
+        }
+        let leaf = *self.open.last().expect("a leaf is an open element");
+        self.states[leaf as usize - 1].leaves = Leaves::Recorded;
+    }
+
+    /// Makes `entries` the record of `states[state]`, if the arena has
+    /// room for them.
+    fn attach(&mut self, state: usize, entries: &[u32]) -> bool {
+        let (start, need) = (self.entries.len(), self.entries.len() + entries.len());
+        if need > MEMO_ENTRY_BUDGET {
             self.full = true;
-            return;
+            return false;
         }
-        if need > self.nodes.capacity() {
+        if need > self.entries.capacity() {
             // Capacity doubles, but never past the budget.
-            let target = (self.nodes.capacity() * 2).max(need);
-            self.nodes
-                .reserve_exact(target.min(MEMO_NODE_BUDGET) - start);
+            let target = (self.entries.capacity() * 2).max(need);
+            self.entries
+                .reserve_exact(target.min(MEMO_ENTRY_BUDGET) - start);
         }
-        self.nodes.extend_from_slice(nodes);
-        self.states[state as usize - 1].leaves = Leaves::Recorded {
-            start: start as u32,
-            len: nodes.len() as u32,
-        };
+        self.entries.extend_from_slice(entries);
+        self.states[state].record = Some((start as u32, entries.len() as u32));
+        true
     }
 
-    /// The recorded nodes of `state` (empty if it has no record).
+    /// The record of `state` (empty if it has none).
     pub(super) fn record(&self, state: u32) -> &[u32] {
-        match self.states[state as usize - 1].leaves {
-            Leaves::Recorded { start, len } => &self.nodes[start as usize..(start + len) as usize],
-            _ => &[],
+        match self.states[state as usize - 1].record {
+            Some((start, len)) => &self.entries[start as usize..(start + len) as usize],
+            None => &[],
         }
     }
 
-    /// Epoch wrap: no state has been seen in any document of the new
-    /// numbering. What the states have met and recorded stands.
+    /// Epoch wrap: no state has been seen or replayed in any document of
+    /// the new numbering. What the states have met and recorded stands.
     fn forget_sightings(&mut self) {
         for s in &mut self.states {
             s.seen = 0;
+            s.replayed = 0;
+        }
+    }
+}
+
+/// What the engine's own tests read out of a memo.
+#[cfg(test)]
+impl PathMemo {
+    /// The record of every open element's state, outermost first (`None`
+    /// where there is no record, or no state).
+    pub(super) fn open_records(&self) -> Vec<Option<Vec<u32>>> {
+        let recorded = |&state: &u32| {
+            (state != UNTRACKED && self.states[state as usize - 1].record.is_some())
+                .then(|| self.record(state).to_vec())
+        };
+        self.open.iter().map(recorded).collect()
+    }
+
+    /// The invariant replays rest on: no state holds a record below one
+    /// that does not.
+    pub(super) fn assert_recorded_top_down(&self) {
+        let recorded = |state: u32| self.states[state as usize - 1].record.is_some();
+        for (&key, &child) in self.keys.iter().zip(&self.children) {
+            let parent = (key >> 32) as u32;
+            assert!(
+                child == 0 || parent == 0 || recorded(parent) || !recorded(child),
+                "state {child} is recorded, its parent {parent} is not"
+            );
         }
     }
 }
@@ -476,11 +568,14 @@ pub(super) struct DocState {
     /// Scratch predicate chain for `dfs_node` sink processing.
     pub(super) chain_buf: Vec<PredId>,
     pub(super) memo: PathMemo,
-    /// The walk under way is making a path's record: it ignores
-    /// `node_done` and lists the sink-bearing nodes it reaches in
-    /// `record_buf`.
-    pub(super) recording: bool,
-    pub(super) record_buf: Vec<u32>,
+    /// `Some` while the walk under way is making its path's records: it
+    /// ignores `node_done` and files the sinks of every node it reaches in
+    /// `record_buf`, under the depth (less one) at which the node's
+    /// expression first holds — unless that depth is within the number
+    /// held here, the outermost open states that have their records
+    /// already.
+    pub(super) recording: Option<usize>,
+    pub(super) record_buf: Vec<Vec<u32>>,
 }
 
 impl DocState {
@@ -536,16 +631,37 @@ mod tests {
     use super::*;
 
     /// Opens the elements of `path` from the root, sights the last one as
-    /// a leaf of document `epoch`, and closes them again.
-    fn sight(memo: &mut PathMemo, path: &[u32], epoch: u32) -> Sighting {
+    /// a leaf of document `epoch` — a sighting that is due the path's
+    /// records gets `records[k - 1]` for the state at depth `k` — and closes
+    /// them again.
+    fn sight_with(memo: &mut PathMemo, path: &[u32], epoch: u32, records: &[Vec<u32>]) -> Sighting {
         for &sym in path {
             memo.enter(Symbol(sym));
         }
         let sighting = memo.sight(epoch);
+        if sighting == Sighting::Again && !records.is_empty() {
+            memo.attach_chain(records);
+        }
         for _ in path {
             memo.leave();
         }
         sighting
+    }
+
+    fn sight(memo: &mut PathMemo, path: &[u32], epoch: u32) -> Sighting {
+        sight_with(memo, path, epoch, &[])
+    }
+
+    /// The record (if any) of each state along `path`, outermost first.
+    fn records_along(memo: &mut PathMemo, path: &[u32]) -> Vec<Option<Vec<u32>>> {
+        for &sym in path {
+            memo.enter(Symbol(sym));
+        }
+        let records = memo.open_records();
+        for _ in path {
+            memo.leave();
+        }
+        records
     }
 
     /// Transitions are keyed by the exact `(state, symbol)` pair, so no two
@@ -553,7 +669,8 @@ mod tests {
     /// one-symbol extension and a sibling differing in the last symbol
     /// (the unknown tag, a symbol like any other) are four states, each
     /// with its own sightings and its own record — before and after the
-    /// table has grown several times around them.
+    /// table has grown several times around them. A state keeps the record
+    /// the first chain through it gave it.
     #[test]
     fn neighbouring_paths_get_distinct_states_and_their_own_records() {
         let unknown = Symbol::UNKNOWN.0;
@@ -565,30 +682,98 @@ mod tests {
         }
         // Five states: the four paths and their common inner element.
         assert_eq!(memo.len(), 5);
-        let mut states = Vec::new();
+        // Chain `i` offers `[i, depth]` at every depth.
+        let chain = |i: u32| -> Vec<Vec<u32>> { (1..5).map(|depth| vec![i, depth]).collect() };
         for (i, p) in paths.iter().enumerate() {
-            let Sighting::Again(state) = sight(&mut memo, p, 2) else {
-                panic!("second document: {p:?} is due its record");
-            };
-            memo.attach(state, &[i as u32, 7]);
-            states.push(state);
+            assert_eq!(
+                sight_with(&mut memo, p, 2, &chain(i as u32)),
+                Sighting::Again
+            );
         }
-        states.sort_unstable();
-        states.dedup();
-        assert_eq!(states.len(), 4, "a state is shared");
         // Growth: 3000 more paths below and beside them.
         for i in 10..3010 {
             assert_eq!(sight(&mut memo, &[1, 2, i], 2), Sighting::First);
             assert_eq!(sight(&mut memo, &[i, 2, 3], 2), Sighting::First);
         }
-        for (i, p) in paths.iter().enumerate() {
-            let Sighting::Recorded(state) = sight(&mut memo, p, 3) else {
-                panic!("record of {p:?} lost in growth");
-            };
-            assert_eq!(memo.record(state), [i as u32, 7], "{p:?}");
+        for p in paths {
+            assert_eq!(sight(&mut memo, p, 3), Sighting::Recorded, "{p:?}");
         }
-        // The inner element was never a leaf; its first sighting is one.
+        // The first chain recorded depths 1–3; the second found nothing
+        // left to record; the others added their own last state.
+        assert_eq!(
+            records_along(&mut memo, &[1, 2, 3, 3]),
+            [[0, 1], [0, 2], [0, 3], [2, 4]].map(|r| Some(r.to_vec()))
+        );
+        let sibling = records_along(&mut memo, &[1, 2, unknown]);
+        assert_eq!(sibling[2], Some(vec![3, 3]));
+        // The inner element holds a record, but no leaf ever ended there.
         assert_eq!(sight(&mut memo, &[1], 3), Sighting::First);
+    }
+
+    /// A record is due once per document, to an element of any kind, and
+    /// only if there is something in it.
+    #[test]
+    fn a_record_is_due_once_per_document_unless_empty() {
+        let mut memo = PathMemo::default();
+        assert_eq!(sight(&mut memo, &[1, 2, 3], 1), Sighting::First);
+        let records = [vec![7], vec![], vec![8, 9]];
+        assert_eq!(
+            sight_with(&mut memo, &[1, 2, 3], 2, &records),
+            Sighting::Again
+        );
+        for epoch in [3, 4] {
+            let mut due = Vec::new();
+            for round in 0..2 {
+                for sym in [1, 2, 3] {
+                    memo.enter(Symbol(sym));
+                    due.push((round, sym, memo.due(epoch).map(|s| memo.record(s).to_vec())));
+                }
+                (0..3).for_each(|_| memo.leave());
+            }
+            let want = [
+                (0, 1, Some(vec![7])),
+                (0, 2, None),
+                (0, 3, Some(vec![8, 9])),
+                (1, 1, None),
+                (1, 2, None),
+                (1, 3, None),
+            ];
+            assert_eq!(due, want, "epoch {epoch}");
+        }
+        memo.forget_sightings();
+        memo.enter(Symbol(1));
+        assert!(memo.due(4).is_some(), "a replay stamp survived the wrap");
+    }
+
+    /// The arena refuses the record of a state in the middle of a chain:
+    /// the states above it keep theirs, it and the states below it get
+    /// none — the leaf is still due its walk — and the next document
+    /// starts from an empty automaton.
+    #[test]
+    fn a_refused_record_ends_the_chain_and_empties_the_memo() {
+        let mut memo = PathMemo::default();
+        memo.begin_document(1);
+        assert_eq!(sight(&mut memo, &[1, 2, 3], 1), Sighting::First);
+        assert_eq!(sight(&mut memo, &[4], 1), Sighting::First);
+        let filler = [vec![0; MEMO_ENTRY_BUDGET - 3]];
+        assert_eq!(sight_with(&mut memo, &[4], 2, &filler), Sighting::Again);
+        assert_eq!(sight(&mut memo, &[4], 3), Sighting::Recorded);
+        // Room for three entries: depth 1 fits, depth 2 does not, and
+        // depth 3 — which would — is not tried.
+        let records = [vec![7, 8], vec![9, 9], vec![5]];
+        assert_eq!(
+            sight_with(&mut memo, &[1, 2, 3], 3, &records),
+            Sighting::Again
+        );
+        assert_eq!(
+            records_along(&mut memo, &[1, 2, 3]),
+            [Some(vec![7, 8]), None, None]
+        );
+        memo.assert_recorded_top_down();
+        assert!(memo.heap_bytes() <= MEMO_CAP_BYTES);
+        assert_eq!(sight(&mut memo, &[1, 2, 3], 4), Sighting::Again);
+        memo.begin_document(1);
+        assert_eq!(memo.len(), 0, "same stamp, but a record found no room");
     }
 
     #[test]
@@ -599,20 +784,20 @@ mod tests {
             assert_eq!(sight(&mut memo, p, 1), Sighting::First);
         }
         for (i, p) in paths.iter().enumerate() {
-            let Sighting::Again(state) = sight(&mut memo, p, 2) else {
-                panic!("path {i} lost in growth");
-            };
-            memo.attach(state, &[i as u32]);
+            let records = [vec![], vec![i as u32]];
+            assert_eq!(
+                sight_with(&mut memo, p, 2, &records),
+                Sighting::Again,
+                "{i}"
+            );
         }
         // Recorded states keep their records across further growth.
         for i in 1000..3000u32 {
             assert_eq!(sight(&mut memo, &[i, i], 2), Sighting::First);
         }
         for (i, p) in paths.iter().enumerate() {
-            let Sighting::Recorded(state) = sight(&mut memo, p, 3) else {
-                panic!("record {i} lost in growth");
-            };
-            assert_eq!(memo.record(state), [i as u32]);
+            assert_eq!(sight(&mut memo, p, 3), Sighting::Recorded, "{i}");
+            assert_eq!(records_along(&mut memo, p)[1], Some(vec![i as u32]), "{i}");
         }
         memo.begin_document(memo.stamp);
         assert!(memo.len() > 3000, "same stamp: nothing is forgotten");

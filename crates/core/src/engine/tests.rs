@@ -1,10 +1,12 @@
 //! Unit tests of the engine API: match sets against the reference
 //! oracle, duplicate and nested subscriptions, removal, statistics.
 
+use super::scratch::{MEMO_CAP_BYTES, NODE_ENTRY};
 use super::*;
 use crate::reference::matches_document;
-use pxf_xml::Document;
-use pxf_xpath::parse;
+use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
+use pxf_xml::{Document, Symbol};
+use pxf_xpath::{parse, XPathExpr};
 
 const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
@@ -455,7 +457,6 @@ fn prepare_squeezes_to_exact_capacity_and_is_idempotent() {
 /// oracle's.
 #[test]
 fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
-    use super::scratch::MEMO_CAP_BYTES;
     use pxf_rng::Rng;
     const TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
     let exprs: Vec<_> = [
@@ -493,6 +494,20 @@ fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
         assert_eq!(engine.match_bytes(d.as_bytes()).unwrap(), want, "{d}");
         let bytes = engine.scratch.memo_bytes();
         assert!(bytes <= MEMO_CAP_BYTES, "{bytes}");
+        // The states this document could have changed are those of its
+        // one path: none of them holds a record below one that does not.
+        let store = doc(d);
+        let tags: Vec<String> = (0..store.len() as pxf_xml::NodeId)
+            .map(|id| store.tag(id).to_string())
+            .collect();
+        let recorded: Vec<bool> = path_records(engine, &tags)
+            .iter()
+            .map(Option::is_some)
+            .collect();
+        assert!(
+            recorded.windows(2).all(|w| w[0] || !w[1]),
+            "{d}: {recorded:?}"
+        );
         engine.scratch.memo_states()
     };
     let recurring: Vec<String> = (0..8).map(|_| xml_of(&chain(&mut rng))).collect();
@@ -507,6 +522,9 @@ fn hostile_stream_cannot_grow_the_memo_past_its_cap() {
             let now = check(&mut engine, d);
             emptied += usize::from(now < held);
             held = now;
+        }
+        if seen.len() % 5000 == 0 {
+            engine.scratch.state.memo.assert_recorded_top_down();
         }
     }
     assert!(emptied >= 1, "50k paths of 20+ symbols fit the cap?");
@@ -565,4 +583,158 @@ fn lazy_stage1_catches_up_from_the_root_and_rolls_back_only_what_was_left() {
     check(&mut engine, probe);
     check(&mut engine, probe);
     assert_eq!(engine.stats().stage2_walks - s.stage2_walks, 3);
+}
+
+/// The record (if any) of each state along the tag path `tags` in the memo
+/// of the engine's own scratch, outermost first.
+fn path_records(engine: &mut FilterEngine, tags: &[String]) -> Vec<Option<Vec<u32>>> {
+    let memo = &mut engine.scratch.state.memo;
+    for tag in tags {
+        memo.enter(engine.interner.get(tag).unwrap_or(Symbol::UNKNOWN));
+    }
+    let records = memo.open_records();
+    for _ in tags {
+        memo.leave();
+    }
+    records
+}
+
+/// The subscriptions the memo holds for the tag path `tags`: the records
+/// of the path's states, expanded, one after the other. Every state on
+/// the path must hold a record.
+fn memo_reach(engine: &mut FilterEngine, tags: &[String]) -> Vec<SubId> {
+    let mut subs = Vec::new();
+    for (i, record) in path_records(engine, tags).into_iter().enumerate() {
+        let record = record.unwrap_or_else(|| panic!("no record at depth {} of {tags:?}", i + 1));
+        for entry in record {
+            if entry & NODE_ENTRY == 0 {
+                subs.push(SubId(entry));
+            } else {
+                let node = entry & !NODE_ENTRY;
+                subs.extend(engine.trie.plain_subs(node).iter().map(|&s| SubId(s)));
+            }
+        }
+    }
+    subs.sort_unstable();
+    subs
+}
+
+/// The lemma replays rest on, checked where the memo can be read: once
+/// `docs` have each been matched three times (walk, recording walk,
+/// replay), then for every element of every document the records of the
+/// element's open states hold between them exactly what the oracle matches
+/// on the path from the root to that element alone — each subscription
+/// once, under the state where its expression first holds.
+fn records_add_up_to_the_oracle(exprs: &[XPathExpr], docs: &[String], ctx: &str) {
+    let mut engine = FilterEngine::default();
+    for e in exprs {
+        engine.add(e).unwrap();
+    }
+    let matched_by = |oracle: &Document| -> Vec<SubId> {
+        (0..exprs.len())
+            .filter(|&i| matches_document(&exprs[i], oracle))
+            .map(|i| SubId(i as u32))
+            .collect()
+    };
+    for d in docs {
+        let want = matched_by(&tree(d));
+        for _ in 0..3 {
+            assert_eq!(
+                engine.match_bytes(d.as_bytes()).unwrap(),
+                want,
+                "{ctx}: {d}"
+            );
+        }
+    }
+    engine.scratch.state.memo.assert_recorded_top_down();
+    let mut checked = std::collections::HashSet::new();
+    for d in docs {
+        let store = doc(d);
+        let mut path: Vec<String> = Vec::new();
+        for id in 0..store.len() as pxf_xml::NodeId {
+            path.truncate(store.depth(id) as usize - 1);
+            path.push(store.tag(id).to_string());
+            if !checked.insert(path.clone()) {
+                continue;
+            }
+            let chain: String = path.iter().map(|t| format!("<{t}>")).collect::<String>()
+                + &path
+                    .iter()
+                    .rev()
+                    .map(|t| format!("</{t}>"))
+                    .collect::<String>();
+            let want = matched_by(&tree(&chain));
+            assert_eq!(memo_reach(&mut engine, &path), want, "{ctx}: {path:?}");
+        }
+    }
+}
+
+/// Hand-built cases in which an expression first holds above the leaf,
+/// one predicate kind after the other: a repeated tag (occurrence 2 and
+/// up), `//` and `*` in the middle, leading wildcards (absolute `=`,
+/// absolute `≥`, length), trailing wildcards (end-of-path: two and three
+/// elements past the tag), a tag no expression names, an element that is a
+/// leaf in one document and an inner element in the next, sink lists of 16
+/// (copied into the record) and 17 (referred to by node), and a path long
+/// enough for the heap occurrence set.
+#[test]
+fn the_records_of_a_path_add_up_to_what_the_oracle_matches_on_it() {
+    let mut exprs: Vec<XPathExpr> = [
+        "//a//a/b",
+        "a//a",
+        "/r//x/*/z",
+        "a//c",
+        "a/*/c",
+        "x/*/*/w",
+        "/*/*/d",
+        "*/*/d",
+        "//*/*/a",
+        "/*/*/*",
+        "*/*",
+        "*",
+        "a/*/*",
+        "/r/a/*",
+        "//b/*/*/*",
+        "r/*",
+        "/r",
+        "//d",
+        "/r/a/b/c/d",
+        "d/a",
+        "b//d/a//c",
+        "/a/a",
+        "//a/a/a/*/*",
+    ]
+    .iter()
+    .map(|e| parse(e).unwrap())
+    .collect();
+    exprs.extend((0..16).map(|_| parse("/r/a").unwrap()));
+    exprs.extend((0..17).map(|_| parse("//a/b").unwrap()));
+    let long = "<a>".repeat(129) + "<b><c/></b>" + &"</a>".repeat(129);
+    let docs = [
+        "<r><a/></r>",
+        "<r><a><b><c><d><a><b/><c/></a></d></c></b></a></r>",
+        "<r><a><a><b/><nobody><b><a><b/></a></b></nobody></a><c><d/></c></a></r>",
+        "<r><x><y><z><w/></z></y><q><z/></q></x><x/></r>",
+        "<r><a><b/><b><c/></b></a><d><a><b><c/></b></a></d></r>",
+        &long,
+    ]
+    .map(String::from);
+    records_add_up_to_the_oracle(&exprs, &docs, "hand-built");
+}
+
+#[test]
+fn the_records_of_generated_paths_add_up_to_what_the_oracle_matches_on_them() {
+    for (regime, seed) in [(Regime::nitf(), 0x21a), (Regime::psd(), 0x21b)] {
+        let mut xp = regime.xpath.clone();
+        (xp.count, xp.seed) = (400, seed);
+        let exprs = XPathGenerator::new(&regime.dtd, xp).generate();
+        let mut xm = regime.xml.clone();
+        xm.seed = seed + 1;
+        let docs: Vec<String> = XmlGenerator::new(&regime.dtd, xm)
+            .generate_batch(8)
+            .iter()
+            .map(Document::to_xml)
+            .collect();
+        records_add_up_to_the_oracle(&exprs, &docs, regime.name);
+    }
 }

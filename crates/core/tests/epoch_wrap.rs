@@ -162,6 +162,13 @@ fn done_children_counts_do_not_survive_the_wrap() {
 /// were stamped with. A sighting that survived the hard clear would read
 /// as "already answered in this document" and the path's matches would be
 /// missing. Entries made just before the wrap are used just after it.
+///
+/// Inner elements are sighted too, when they replay what they add: `/q`
+/// holds at the inner element `q` of a document of its own, so once that
+/// document is replayed only `q`'s own replay marks it. That replay was
+/// last stamped at `k + 6`, and no document touches `q` again until the
+/// epoch is back there; a stamp that survived the wrap would read as
+/// "already replayed in this document" and `/q` would be missing.
 #[test]
 fn memo_sightings_do_not_survive_the_wrap() {
     let parse = |s: &str| PathDoc::parse(s.as_bytes()).unwrap();
@@ -169,9 +176,11 @@ fn memo_sightings_do_not_survive_the_wrap() {
     let recorded = parse("<a><c/><d/></a>");
     let late = parse("<x><d/></x>");
     let elsewhere = parse("<x><y/></x>");
+    let inner = parse("<q><r/></q>");
+    let (q, r) = ([SubId(4), SubId(5)], "inner");
     // Attribute-free and flat: the memo is on.
     let mut engine = FilterEngine::default();
-    for e in ["/a/b", "/a/c", "//d", "/x/y"] {
+    for e in ["/a/b", "/a/c", "//d", "/x/y", "/q", "/q/r"] {
         engine.add_str(e).unwrap();
     }
     engine.prepare();
@@ -200,6 +209,10 @@ fn memo_sightings_do_not_survive_the_wrap() {
         for kinds in [[2, 0, 0], [2, 0, 0], [0, 2, 0]] {
             assert_eq!(matched(&mut scratch, &recorded, &both, "planting"), kinds);
         }
+        for kinds in [[1, 0, 0], [1, 0, 0], [0, 1, 0]] {
+            assert_eq!(matched(&mut scratch, &inner, &q, r), kinds);
+        }
+        assert_eq!(scratch.epochs(), k + 6);
 
         scratch.force_epochs(u32::MAX - 2);
         // One sighting at u32::MAX - 1, then the wrap restarts at 1.
@@ -211,6 +224,13 @@ fn memo_sightings_do_not_survive_the_wrap() {
         idle(&mut scratch, 2);
         let ctx = format!("recorded, last seen at epoch {0}, met at epoch {0}", k + 3);
         assert_eq!(matched(&mut scratch, &recorded, &both, &ctx), [0, 2, 0]);
+        idle(&mut scratch, 2);
+        let ctx = format!(
+            "inner element, last replayed at epoch {0}, met at epoch {0}",
+            k + 6
+        );
+        assert_eq!(matched(&mut scratch, &inner, &q, &ctx), [0, 1, 0]);
+        assert_eq!(scratch.epochs(), k + 6, "wrapped back to the inner stamp");
         // Seen before the wrap, recorded after it, then replayed.
         assert_eq!(matched(&mut scratch, &late, &[SubId(2)], "late"), [1, 0, 0]);
         assert_eq!(matched(&mut scratch, &late, &[SubId(2)], "late"), [0, 1, 0]);
