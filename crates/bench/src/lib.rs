@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pxf_core::{AttrMode, EngineStats, FilterBackend, FilterEngine, SnapshotPublisher, SubId};
+use pxf_core::{AttrMode, FilterBackend, FilterEngine};
 use pxf_indexfilter::IndexFilter;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xfilter::XFilter;
@@ -149,20 +149,6 @@ pub struct RunResult {
     /// milliseconds: (predicate matching, expression matching, other).
     /// Zero for the baselines.
     pub breakdown_ms: (f64, f64, f64),
-    /// Approximate index footprint in bytes (arena/slab accounting via
-    /// [`FilterBackend::index_bytes`]); 0 for backends that don't report
-    /// it.
-    pub index_bytes: usize,
-    /// Raw engine counters of the run (predicate engines only).
-    pub stats: Option<EngineStats>,
-}
-
-impl RunResult {
-    /// Index bytes per registered expression (the compact-layout metric);
-    /// 0.0 when the backend doesn't report a footprint.
-    pub fn bytes_per_expr(&self, n_exprs: usize) -> f64 {
-        self.index_bytes as f64 / n_exprs.max(1) as f64
-    }
 }
 
 /// Builds an engine of the given kind over the workload expressions,
@@ -205,8 +191,7 @@ pub fn run_engine(kind: EngineKind, attr_mode: AttrMode, workload: &Workload) ->
     let n_docs = workload.doc_bytes.len().max(1) as f64;
 
     let distinct_preds = engine.distinct_predicates();
-    let stats = engine.stats();
-    let breakdown_ms = match &stats {
+    let breakdown_ms = match engine.stats() {
         Some(stats) => (
             stats.predicate_ns as f64 / 1e6 / n_docs,
             stats.expression_ns as f64 / 1e6 / n_docs,
@@ -223,8 +208,6 @@ pub fn run_engine(kind: EngineKind, attr_mode: AttrMode, workload: &Workload) ->
         build_ms,
         distinct_preds,
         breakdown_ms,
-        index_bytes: engine.index_bytes(),
-        stats,
     }
 }
 
@@ -275,160 +258,6 @@ pub fn measure_parse_paths_us(workload: &Workload, repeats: usize) -> (f64, f64)
         store.len()
     });
     (fresh, reused)
-}
-
-/// Result of a churn run: filtering throughput measured off immutable
-/// snapshots while a writer thread applies paced add/remove churn and
-/// republishes.
-#[derive(Debug, Clone, Default)]
-pub struct ChurnResult {
-    /// Average total filtering time per document on the reader thread
-    /// (snapshot load + parse + match), milliseconds.
-    pub ms_per_doc: f64,
-    /// Documents filtered while the writer was churning.
-    pub docs_matched: usize,
-    /// Average matches per document.
-    pub avg_matches: f64,
-    /// add+remove pairs the writer applied.
-    pub churn_ops: usize,
-    /// Achieved churn rate (pairs per second; the writer paces itself to
-    /// the requested rate and reports what it actually sustained).
-    pub ops_per_sec: f64,
-    /// Average in-place patch latency per add+remove pair, microseconds
-    /// (index mutation only, publication excluded).
-    pub patch_us_per_op: f64,
-    /// Average snapshot publication latency, microseconds (`Arc` swap +
-    /// retired-buffer reclaim or clone).
-    pub publish_us: f64,
-    /// Snapshots published during the run.
-    pub publishes: usize,
-    /// Full index rebuilds the write buffers performed (compactions);
-    /// steady-state churn must keep this at zero.
-    pub full_rebuilds: u64,
-    /// In-place index patches the write buffers performed.
-    pub incremental_patches: u64,
-    /// Publishes that deep-cloned the engine because a reader pinned the
-    /// retired snapshot past the bounded reclaim wait.
-    pub clone_fallbacks: u64,
-}
-
-/// Drives one writer thread churning subscriptions through a
-/// [`SnapshotPublisher`] at `ops_per_sec` add+remove pairs per second
-/// while the calling thread filters `workload.doc_bytes` (cycled) off
-/// lock-free snapshots for the whole churn window. Each churn pair adds
-/// the next workload expression (cycling) and removes the oldest
-/// resident, so the resident count stays at `workload.exprs.len()`.
-/// `publish_every` sets the snapshot cadence in pairs (the retired
-/// buffer is reclaimed and replayed — never rebuilt — in steady state).
-pub fn run_churn(
-    workload: &Workload,
-    churn_ops: usize,
-    ops_per_sec: f64,
-    publish_every: usize,
-) -> ChurnResult {
-    let mut engine = FilterEngine::default();
-    for e in &workload.exprs {
-        engine.add(e).expect("workload expressions are supported");
-    }
-    let mut publisher = SnapshotPublisher::new(engine);
-    let handle = publisher.handle();
-    let done = std::sync::atomic::AtomicBool::new(false);
-    let publish_every = publish_every.max(1);
-    let op_interval = std::time::Duration::from_secs_f64(1.0 / ops_per_sec.max(1e-9));
-
-    let (result, docs_matched, total_matches, match_elapsed) = std::thread::scope(|scope| {
-        let done = &done;
-        let writer = scope.spawn(move || {
-            let n_resident = workload.exprs.len();
-            let mut next_remove = SubId(0);
-            let mut patch_ns = 0u128;
-            let mut publish_ns = 0u128;
-            let mut publishes = 0usize;
-            // Pairs are applied in bursts with one sleep per burst: the
-            // same average rate as per-pair pacing, but an order of
-            // magnitude fewer wakeups — per-pair sleeps preempt matcher
-            // threads once per millisecond, which distorts the reader
-            // metric on small machines far more than the patch work
-            // itself does.
-            let burst = 16usize;
-            let started = Instant::now();
-            for op in 0..churn_ops {
-                let t = Instant::now();
-                publisher
-                    .add(&workload.exprs[op % n_resident])
-                    .expect("churn expressions are supported");
-                assert!(publisher.remove(next_remove), "oldest resident is live");
-                next_remove.0 += 1;
-                patch_ns += t.elapsed().as_nanos();
-                if (op + 1) % publish_every == 0 {
-                    let t = Instant::now();
-                    publisher.publish();
-                    publish_ns += t.elapsed().as_nanos();
-                    publishes += 1;
-                }
-                // Pace to the requested rate; if patching is slower than
-                // the budget the writer just runs flat out.
-                if (op + 1) % burst == 0 {
-                    let deadline = op_interval.mul_f64((op + 1) as f64);
-                    let elapsed = started.elapsed();
-                    if elapsed < deadline {
-                        std::thread::sleep(deadline - elapsed);
-                    }
-                }
-            }
-            let t = Instant::now();
-            publisher.publish();
-            publish_ns += t.elapsed().as_nanos();
-            publishes += 1;
-            let wall = started.elapsed().as_secs_f64();
-            done.store(true, std::sync::atomic::Ordering::Release);
-            let engine = publisher.engine();
-            ChurnResult {
-                churn_ops,
-                ops_per_sec: churn_ops as f64 / wall.max(1e-9),
-                patch_us_per_op: patch_ns as f64 / 1e3 / churn_ops.max(1) as f64,
-                publish_us: publish_ns as f64 / 1e3 / publishes.max(1) as f64,
-                publishes,
-                full_rebuilds: engine.full_rebuilds(),
-                incremental_patches: engine.incremental_patches(),
-                clone_fallbacks: publisher.clone_fallbacks(),
-                ..ChurnResult::default()
-            }
-        });
-
-        // Reader: filter documents off pinned snapshots until the writer
-        // finishes; this is the metric under churn. The scratch persists
-        // across snapshots, mirroring the static runners' streaming path
-        // (parse into the scratch's own `PathDoc`).
-        let mut scratch = pxf_core::MatchScratch::new();
-        let mut docs_matched = 0usize;
-        let mut total_matches = 0usize;
-        let t = Instant::now();
-        while !done.load(std::sync::atomic::Ordering::Acquire) {
-            let bytes = &workload.doc_bytes[docs_matched % workload.doc_bytes.len()];
-            let snap = handle.load();
-            total_matches += snap
-                .engine()
-                .match_bytes_with(bytes, &mut scratch)
-                .expect("generated documents are well-formed")
-                .len();
-            docs_matched += 1;
-        }
-        let match_elapsed = t.elapsed().as_secs_f64() * 1e3;
-        (
-            writer.join().expect("churn writer panicked"),
-            docs_matched,
-            total_matches,
-            match_elapsed,
-        )
-    });
-
-    ChurnResult {
-        ms_per_doc: match_elapsed / docs_matched.max(1) as f64,
-        docs_matched,
-        avg_matches: total_matches as f64 / docs_matched.max(1) as f64,
-        ..result
-    }
 }
 
 /// Convenience: the two paper regimes.

@@ -26,19 +26,14 @@
 //! let final_stats = handle.wait(); // until SHUTDOWN or handle.shutdown()
 //! assert_eq!(final_stats.full_rebuilds, 0);
 //! ```
-//!
-//! The [`loadgen`] module (and the `loadgen` binary) drives a broker at
-//! benchmark scale and measures ingest throughput and delivery latency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loadgen;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{Command, ProtocolError, Reply};
 pub use queue::{Backpressure, BoundedQueue, PushOutcome};
 pub use server::{Broker, BrokerConfig, BrokerHandle, BrokerStatsSnapshot};

@@ -3,8 +3,8 @@
 //! Everything on the wire is a UTF-8 line terminated by `\n`, except the
 //! document payload of a `DOC` frame, which is a raw byte run of the
 //! length announced on the command line. Keeping the framing this simple
-//! means the broker can be driven by `nc` for debugging, and the loadgen
-//! client needs no parser beyond `read_line` + `read_exact`.
+//! means the broker can be driven by `nc` for debugging, and a client
+//! needs no parser beyond `read_line` + `read_exact`.
 //!
 //! Client → server commands:
 //!
@@ -137,8 +137,8 @@ impl Command {
     }
 }
 
-/// A parsed server→client line, as seen by clients (the loadgen binary
-/// and the e2e tests use this; the broker itself only encodes).
+/// A parsed server→client line, as seen by clients (the benchmark and
+/// the e2e tests use this; the broker itself only encodes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// `+SUB <id>`

@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tunables for a [`Broker`]. `Default` is sized for tests and small
-/// deployments; the CLI exposes the interesting knobs.
+/// deployments; every field is a `pxf broker` flag.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
     /// Listen address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
@@ -76,23 +76,11 @@ pub struct BrokerConfig {
     /// [`Backpressure::Shed`] drops documents instead (each shed is
     /// reported and gap-filled so delivery order is preserved).
     pub ingest_policy: Backpressure,
-    /// Control queue capacity (subscription ops in flight).
-    pub control_capacity: usize,
-    /// Delivery queue capacity (match completions in flight).
-    pub delivery_capacity: usize,
     /// Per-connection outbox capacity (lines not yet written).
     pub outbox_capacity: usize,
-    /// Outbox policy. Keep this [`Backpressure::Shed`] — a blocking
-    /// outbox lets one unread connection stall the delivery thread.
-    pub outbox_policy: Backpressure,
     /// Per-document parser budgets applied on both the boundary scanner
     /// and the matchers.
     pub limits: ParserLimits,
-    /// Largest accepted `DOC` frame; bigger frames are rejected with
-    /// `-ERR DOC` and their payload discarded (the connection survives).
-    pub max_frame_bytes: usize,
-    /// Documents a matcher worker processes per pinned snapshot.
-    pub match_batch: usize,
 }
 
 impl Default for BrokerConfig {
@@ -102,16 +90,26 @@ impl Default for BrokerConfig {
             workers: 0,
             ingest_capacity: 1024,
             ingest_policy: Backpressure::Block,
-            control_capacity: 4096,
-            delivery_capacity: 1024,
             outbox_capacity: 65536,
-            outbox_policy: Backpressure::Shed,
             limits: ParserLimits::strict(),
-            max_frame_bytes: 8 << 20,
-            match_batch: 32,
         }
     }
 }
+
+/// Control queue capacity (subscription ops in flight).
+const CONTROL_CAPACITY: usize = 4096;
+/// Delivery queue capacity (match completions in flight).
+const DELIVERY_CAPACITY: usize = 1024;
+/// Largest accepted `DOC` frame; a bigger frame is rejected with `-ERR
+/// DOC` and its payload discarded (the connection survives).
+const MAX_FRAME_BYTES: usize = 8 << 20;
+/// Longest accepted command line, newline included. A client line is a
+/// verb plus one XPath expression or a `DOC <len> <tag>` header, never
+/// document bytes; a longer one is answered with `-ERR COMMAND` and the
+/// connection closed, since nothing says where the next command starts.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+/// Documents a matcher worker pops per wake-up.
+const MATCH_BATCH: usize = 32;
 
 /// A document accepted into the ingest queue.
 struct IngestDoc {
@@ -430,9 +428,9 @@ impl Broker {
         };
 
         let shared = Arc::new(Shared {
-            control: BoundedQueue::new(config.control_capacity, Backpressure::Block),
+            control: BoundedQueue::new(CONTROL_CAPACITY, Backpressure::Block),
             ingest: BoundedQueue::new(config.ingest_capacity, config.ingest_policy),
-            delivery: BoundedQueue::new(config.delivery_capacity, Backpressure::Block),
+            delivery: BoundedQueue::new(DELIVERY_CAPACITY, Backpressure::Block),
             registry: RwLock::new(Vec::new()),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
@@ -595,7 +593,7 @@ fn spawn_connection(shared: &Arc<Shared>, sock: TcpStream) {
     let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let conn = Arc::new(ConnShared {
         id,
-        outbox: BoundedQueue::new(shared.config.outbox_capacity, shared.config.outbox_policy),
+        outbox: BoundedQueue::new(shared.config.outbox_capacity, Backpressure::Shed),
         stream: Mutex::new(DocumentStream::push_mode(shared.config.limits)),
         sock: keep_sock,
     });
@@ -651,19 +649,28 @@ fn conn_writer_loop(conn: &Arc<ConnShared>, sock: TcpStream) {
 
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
     let mut input = BufReader::new(sock);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     // Payload buffer lent to every `DOC` frame of the connection.
     let mut chunk: Vec<u8> = Vec::new();
     loop {
         line.clear();
-        match input.read_line(&mut line) {
+        let mut bounded = input.by_ref().take(MAX_LINE_BYTES as u64);
+        match bounded.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
+        if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            conn.outbox
+                .push(format!("-ERR COMMAND line exceeds {MAX_LINE_BYTES} bytes"));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let cmd = match Command::parse(&line) {
+        let cmd = match Command::parse(line) {
             Ok(cmd) => cmd,
             Err(e) => {
                 conn.outbox.push(e.to_wire());
@@ -726,7 +733,7 @@ fn ingest_frame(
     tag: &str,
 ) -> bool {
     const CHUNK: usize = 64 * 1024;
-    if len > shared.config.max_frame_bytes {
+    if len > MAX_FRAME_BYTES {
         // Consume the payload to stay in frame sync, then report.
         let mut remaining = len;
         let mut sink = [0u8; 4096];
@@ -738,8 +745,7 @@ fn ingest_frame(
             remaining -= take;
         }
         conn.outbox.push(format!(
-            "-ERR DOC frame of {len} bytes exceeds max_frame_bytes={}",
-            shared.config.max_frame_bytes
+            "-ERR DOC frame of {len} bytes exceeds max_frame_bytes={MAX_FRAME_BYTES}"
         ));
         return true;
     }
@@ -955,11 +961,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     let mut held = [0u64; 3];
     loop {
         batch.clear();
-        if shared
-            .ingest
-            .pop_batch(shared.config.match_batch, &mut batch)
-            == 0
-        {
+        if shared.ingest.pop_batch(MATCH_BATCH, &mut batch) == 0 {
             return;
         }
         let mut i = 0;

@@ -124,6 +124,24 @@ fn spawn_broker(workers: usize) -> pxf_broker::BrokerHandle {
     .expect("spawn broker")
 }
 
+/// Reads replies until `tag` has been both acknowledged and matched for
+/// exactly `ids`; anything else on the way is a failure.
+fn expect_ack_and_match(conn: &mut Client, tag: &str, ids: &[u32]) {
+    let (mut acked, mut matched) = (false, false);
+    while !acked || !matched {
+        match conn.read_reply() {
+            Reply::DocOk { tag: got, .. } if got == tag => acked = true,
+            Reply::Match {
+                tag: got, ids: hit, ..
+            } if got == tag => {
+                assert_eq!(hit, ids);
+                matched = true;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+}
+
 /// Two subscriber connections split the expression set; documents stream
 /// while a third connection churns sub/unsub pairs. Every connection's
 /// MATCH lines must equal the oracle's prediction for the expressions it
@@ -535,22 +553,7 @@ fn truncated_frame_reports_error_and_resyncs() {
     // The partial must have been discarded: this document would not match
     // //b if the scanner glued it onto the leftover "<a><b".
     conn.send_doc("good", b"<a><b/></a>");
-    let mut acked = false;
-    let mut matched = false;
-    while !acked || !matched {
-        match conn.read_reply() {
-            Reply::DocOk { tag, .. } => {
-                assert_eq!(tag, "good");
-                acked = true;
-            }
-            Reply::Match { tag, ids, .. } => {
-                assert_eq!(tag, "good");
-                assert_eq!(ids, vec![sub]);
-                matched = true;
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
+    expect_ack_and_match(&mut conn, "good", &[sub]);
 
     broker.shutdown();
     broker.wait();
@@ -634,4 +637,185 @@ fn shutdown_drains_in_flight_documents() {
         }
     }
     assert_eq!(got, n, "all in-flight matches delivered before close");
+}
+
+/// An expression nested 10,000 filters deep (a 30 KB `SUB` line) is a
+/// parse error on that command — the parser caps the nesting it will
+/// recurse into — and the connection then subscribes and matches as usual.
+#[test]
+fn deeply_nested_sub_is_rejected_and_the_connection_keeps_working() {
+    let broker = spawn_broker(1);
+    let mut conn = Client::connect(broker.local_addr());
+    let deep = format!("{}a{}", "a[".repeat(10_000), "]".repeat(10_000));
+    conn.send(&format!("SUB {deep}"));
+    match conn.read_reply() {
+        Reply::Err { kind, detail } => {
+            assert_eq!(kind, "SUB");
+            assert!(detail.contains("nested"), "unexpected detail {detail:?}");
+        }
+        other => panic!("expected -ERR SUB, got {other:?}"),
+    }
+
+    let sub = conn.subscribe("/a[b[c]]");
+    conn.send_doc("d", b"<a><b><c/></b></a>");
+    expect_ack_and_match(&mut conn, "d", &[sub]);
+
+    broker.shutdown();
+    broker.wait();
+}
+
+/// A peer that never sends a newline gets `-ERR COMMAND` once its line
+/// passes the limit and is disconnected; the broker holds no more of the
+/// line than the limit, and a connection opened before it keeps matching.
+#[test]
+fn overlong_command_line_closes_only_its_connection() {
+    let broker = spawn_broker(1);
+    let addr = broker.local_addr();
+    let mut bystander = Client::connect(addr);
+    let sub = bystander.subscribe("//b");
+
+    let mut hostile = Client::connect(addr);
+    // The broker stops reading at the limit and closes, so the tail of
+    // this write may be refused.
+    let _ = hostile.output.write_all(&vec![b'x'; 1 << 20]);
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        match hostile.input.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => lines.push(line),
+            // Closing with our bytes still unread resets the connection.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the broker neither answered nor closed: {e}"),
+        }
+    }
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    match Reply::parse(&lines[0]) {
+        Ok(Reply::Err { kind, detail }) => {
+            assert_eq!(kind, "COMMAND");
+            assert!(detail.contains("line exceeds"), "unexpected {detail:?}");
+        }
+        other => panic!("expected -ERR COMMAND, got {other:?}"),
+    }
+
+    bystander.send_doc("d", b"<a><b/></a>");
+    expect_ack_and_match(&mut bystander, "d", &[sub]);
+
+    broker.shutdown();
+    broker.wait();
+}
+
+/// `ingest_policy: Shed` with a one-slot ingest queue and one worker:
+/// every frame is acknowledged and then either matched or reported shed —
+/// never both, never neither — `MATCH` lines still ascend, and `STATS`
+/// counts exactly the sheds the client was told about.
+#[test]
+fn shed_ingest_accounts_for_every_document() {
+    let broker = Broker::spawn(BrokerConfig {
+        workers: 1,
+        ingest_capacity: 1,
+        ingest_policy: pxf_broker::Backpressure::Shed,
+        ..BrokerConfig::default()
+    })
+    .expect("spawn broker");
+    let mut conn = Client::connect(broker.local_addr());
+    let sub = conn.subscribe("//b");
+
+    // The first document keeps the one worker busy for far longer than
+    // the reader needs to scan the small ones queueing up behind it.
+    let n = 200usize;
+    let big = format!("<a>{}<b/></a>", "<c/>".repeat(50_000));
+    conn.send_doc("d0", big.as_bytes());
+    for i in 1..n {
+        conn.send_doc(&format!("d{i}"), b"<a><b/></a>");
+    }
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Seen {
+        Nothing,
+        Acked,
+        Matched,
+        Shed,
+    }
+    let mut seen = vec![Seen::Nothing; n];
+    let slot = |seq: u64| -> usize { usize::try_from(seq).expect("seq fits") };
+    let (mut outcomes, mut sheds) = (0usize, 0u64);
+    let mut last_match = None::<u64>;
+    while outcomes < n {
+        match conn.read_reply() {
+            Reply::DocOk { seq, tag } => {
+                assert_eq!(tag, format!("d{seq}"), "one connection: seq is frame order");
+                assert_eq!(seen[slot(seq)], Seen::Nothing, "seq {seq} acked twice");
+                seen[slot(seq)] = Seen::Acked;
+            }
+            Reply::Match { seq, ids, .. } => {
+                assert_eq!(ids, vec![sub]);
+                assert_eq!(seen[slot(seq)], Seen::Acked, "seq {seq}");
+                seen[slot(seq)] = Seen::Matched;
+                assert!(last_match.is_none_or(|last| seq > last), "MATCH order");
+                last_match = Some(seq);
+                outcomes += 1;
+            }
+            Reply::Err { kind, detail } => {
+                assert_eq!(kind, "DOC");
+                let seq: u64 = detail
+                    .strip_prefix("shed at ingest high-water (seq ")
+                    .and_then(|rest| rest.trim_end().strip_suffix(')'))
+                    .and_then(|seq| seq.parse().ok())
+                    .unwrap_or_else(|| panic!("unexpected -ERR DOC {detail:?}"));
+                assert_eq!(seen[slot(seq)], Seen::Acked, "seq {seq}");
+                seen[slot(seq)] = Seen::Shed;
+                sheds += 1;
+                outcomes += 1;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(sheds > 0, "a one-slot queue behind a busy worker must shed");
+    assert!(last_match.is_some(), "and must not shed everything");
+
+    conn.send("STATS");
+    let stats = match conn.read_reply() {
+        Reply::Stats(kv) => BrokerStatsSnapshot::from_kv(&kv),
+        other => panic!("a reply after every outcome was read: {other:?}"),
+    };
+    assert_eq!(stats.shed, sheds);
+    assert_eq!(stats.ingested, n as u64);
+
+    broker.shutdown();
+    let stats = broker.wait();
+    assert_eq!(stats.matched + stats.shed, n as u64);
+}
+
+/// A `DOC` frame one byte over the frame limit draws `-ERR DOC`, its
+/// payload is skipped rather than read as commands, and the next frame on
+/// the same connection matches.
+#[test]
+fn oversize_frame_is_skipped_and_the_connection_resyncs() {
+    const MAX_FRAME_BYTES: usize = 8 << 20; // the broker's, in server.rs
+    let broker = spawn_broker(1);
+    let mut conn = Client::connect(broker.local_addr());
+    let sub = conn.subscribe("//b");
+
+    // Were the payload read as command lines, the broker would say +BYE
+    // and hang up.
+    let mut payload = b"QUIT\n".repeat(MAX_FRAME_BYTES / 5 + 1);
+    payload.truncate(MAX_FRAME_BYTES + 1);
+    conn.send_doc("huge", &payload);
+    match conn.read_reply() {
+        Reply::Err { kind, detail } => {
+            assert_eq!(kind, "DOC");
+            assert!(
+                detail.starts_with(&format!("frame of {} bytes exceeds", payload.len())),
+                "unexpected detail {detail:?}"
+            );
+        }
+        other => panic!("expected -ERR DOC for the oversize frame, got {other:?}"),
+    }
+
+    conn.send_doc("good", b"<a><b/></a>");
+    expect_ack_and_match(&mut conn, "good", &[sub]);
+
+    broker.shutdown();
+    broker.wait();
 }

@@ -91,8 +91,8 @@ BROKER OPTIONS (long-running pub/sub service; see DESIGN.md §11):
   --shed-ingest        shed documents at the ingest high-water mark
                        instead of blocking the publisher's connection
   The parser limit options above apply per document (default: strict
-  profile). Protocol: SUB/UNSUB/DOC/STATS/QUIT/SHUTDOWN; drive it with
-  the `loadgen` binary of pxf-broker.
+  profile). Protocol: SUB/UNSUB/DOC/STATS/QUIT/SHUTDOWN, one command
+  per line (DESIGN.md §11.2); `benchmark/run.sh` drives it at scale.
 
 Output: one line per document: `<path>: <n> [line numbers…]`
 (`<stream#i>` in --stream mode). Exit status: 0 if every document was

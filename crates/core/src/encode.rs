@@ -51,7 +51,7 @@ impl fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 /// How attribute filters are handled during encoding (paper §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttrMode {
     /// *Inline*: attribute predicates are attached to the tag variables of
     /// the positional predicates and evaluated during predicate matching.
@@ -59,7 +59,6 @@ pub enum AttrMode {
     /// *Selection postponed*: positional predicates are encoded without
     /// attribute constraints; attribute filters are re-checked only for
     /// structurally matched expressions.
-    #[default]
     Postponed,
 }
 

@@ -37,7 +37,15 @@ impl fmt::Display for XPathError {
 
 impl std::error::Error for XPathError {}
 
-/// Parses an XPath expression from a string.
+/// Deepest accepted nesting of path filters (`a[b[c]]` nests two levels).
+/// The parser recurses once per level, and so does everything that walks
+/// the tree it returns (canonicalisation, decomposition, `Drop`), so an
+/// expression from the wire must not choose the depth: unbounded, a 30 KB
+/// `SUB` line overflows the stack of the thread that parses it.
+const MAX_FILTER_NESTING: usize = 32;
+
+/// Parses an XPath expression from a string. Path filters may nest at
+/// most 32 levels deep (`a[b[c]]` nests two); deeper input is an error.
 ///
 /// ```
 /// use pxf_xpath::parse;
@@ -48,6 +56,7 @@ pub fn parse(input: &str) -> Result<XPathExpr, XPathError> {
     let mut p = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let expr = p.parse_expr()?;
@@ -61,6 +70,8 @@ pub fn parse(input: &str) -> Result<XPathExpr, XPathError> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Path filters open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -165,7 +176,14 @@ impl<'a> Parser<'a> {
                 if self.peek() == Some(b'/') {
                     return Err(self.error("nested path filters must be relative"));
                 }
+                if self.depth == MAX_FILTER_NESTING {
+                    return Err(self.error(format!(
+                        "path filters nested more than {MAX_FILTER_NESTING} levels deep"
+                    )));
+                }
+                self.depth += 1;
                 let inner = self.parse_expr()?;
+                self.depth -= 1;
                 StepFilter::Path(inner)
             };
             self.skip_ws();
@@ -461,6 +479,28 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "expected error for {bad:?}");
         }
+    }
+
+    fn nested(levels: usize) -> String {
+        format!("{}a{}", "a[".repeat(levels), "]".repeat(levels))
+    }
+
+    #[test]
+    fn filter_nesting_is_accepted_up_to_the_cap() {
+        let src = nested(MAX_FILTER_NESTING);
+        assert_eq!(parse(&src).unwrap().to_string(), src);
+    }
+
+    #[test]
+    fn filter_nesting_past_the_cap_is_an_error_at_the_offending_filter() {
+        let err = parse(&nested(MAX_FILTER_NESTING + 1)).unwrap_err();
+        assert_eq!(err.pos, 2 * (MAX_FILTER_NESTING + 1));
+        assert!(err.message.contains("nested"), "{err}");
+        // Far past the cap: an error, not a stack overflow. Sibling
+        // filters do not nest, however many there are.
+        assert!(parse(&nested(100_000)).is_err());
+        let wide = format!("a{}", "[b]".repeat(1_000));
+        assert_eq!(parse(&wide).unwrap().steps[0].filters.len(), 1_000);
     }
 
     #[test]

@@ -271,3 +271,23 @@ fn the_empty_store_matches_nothing() {
     assert!(after.memo_replays > warm.memo_replays);
     assert_eq!(after.docs, warm.docs + 3);
 }
+
+/// Subscriptions are outside input too. The parser, the canonicaliser,
+/// every backend's insert and `Drop` all recurse once per nested path
+/// filter, so the nesting a caller may ask for is capped where it enters:
+/// a 30 KB expression is a parse error in every backend — not a stack
+/// overflow — and the backend goes on registering and matching.
+#[test]
+fn a_deeply_nested_expression_is_a_parse_error_in_every_backend() {
+    let deep = format!("{}a{}", "a[".repeat(10_000), "]".repeat(10_000));
+    let err = parse(&deep).unwrap_err();
+    assert!(err.pos < 200, "reported where the cap is crossed: {err}");
+
+    let doc = PathDoc::parse(b"<a><b><c/></b></a>").unwrap();
+    for (name, mut backend) in all_backends() {
+        assert!(backend.add_str(&deep).is_err(), "{name}");
+        let id = backend.add_str("/a/b/c").unwrap();
+        backend.prepare();
+        assert_eq!(backend.match_document(&doc), vec![id], "{name}");
+    }
+}
