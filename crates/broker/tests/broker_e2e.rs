@@ -413,6 +413,42 @@ fn sub_then_doc_is_visible_through_a_warm_memo_with_two_workers() {
     warm_memo_sees_sub_and_unsub(2);
 }
 
+/// Publishes one document and reads up to its `MATCH` line, which must
+/// list exactly `want`.
+fn publish(conn: &mut Client, tag: &str, doc: &[u8], want: &[u32]) {
+    conn.send_doc(tag, doc);
+    loop {
+        if let Reply::Match { ids, .. } = conn.read_reply() {
+            assert_eq!(ids, want, "document {tag}");
+            return;
+        }
+    }
+}
+
+/// Polls `STATS` until `done` accepts a snapshot (a worker posts its
+/// counters after the batch, not with the `MATCH` line); ten seconds
+/// without one fails the test with the last snapshot read.
+fn stats_when(
+    conn: &mut Client,
+    what: &str,
+    done: &dyn Fn(&BrokerStatsSnapshot) -> bool,
+) -> BrokerStatsSnapshot {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        conn.send("STATS");
+        let stats = loop {
+            if let Reply::Stats(kv) = conn.read_reply() {
+                break BrokerStatsSnapshot::from_kv(&kv);
+            }
+        };
+        if done(&stats) {
+            return stats;
+        }
+        assert!(std::time::Instant::now() < deadline, "{what}: {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// `STATS` says what the workers hold between documents: after warm
 /// documents `memo_states` counts their tag paths, `memo_bytes` the heap
 /// behind them and `doc_store_bytes` the store every document was parsed
@@ -426,32 +462,6 @@ fn stats_report_what_the_memo_holds() {
     let broker = spawn_broker(1);
     let mut conn = Client::connect(broker.local_addr());
     let resident = conn.subscribe("/a/b");
-    let publish = |conn: &mut Client, tag: &str, doc: &[u8], want: &[u32]| {
-        conn.send_doc(tag, doc);
-        loop {
-            if let Reply::Match { ids, .. } = conn.read_reply() {
-                assert_eq!(ids, want, "document {tag}");
-                return;
-            }
-        }
-    };
-    let stats_when =
-        |conn: &mut Client, what: &str, done: &dyn Fn(&BrokerStatsSnapshot) -> bool| {
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            loop {
-                conn.send("STATS");
-                let stats = loop {
-                    if let Reply::Stats(kv) = conn.read_reply() {
-                        break BrokerStatsSnapshot::from_kv(&kv);
-                    }
-                };
-                if done(&stats) {
-                    return stats;
-                }
-                assert!(std::time::Instant::now() < deadline, "{what}: {stats:?}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        };
     for i in 0..3 {
         publish(&mut conn, &format!("w{i}"), WIDE, &[resident]);
     }
@@ -470,6 +480,44 @@ fn stats_report_what_the_memo_holds() {
     publish(&mut conn, "n0", NARROW, &[resident, added]);
     let after = stats_when(&mut conn, "after SUB", &|s| s.memo_states < 5);
     assert_eq!(after.memo_states, 2, "a and a/b: {after:?}");
+    broker.shutdown();
+    broker.wait();
+}
+
+/// One attribute filter switches the path memo off for as long as it is
+/// subscribed, not for the life of the broker: while `//b[@k = "v"]` is
+/// registered every leaf of every document walks and `memo_replays` stands
+/// still; after its `UNSUB` the third publication of the document is
+/// replayed again. Every `MATCH` line is checked on the way.
+#[test]
+fn an_unsubscribed_attribute_filter_gives_the_memo_back() {
+    const DOC: &[u8] = br#"<a><b k="v"><c/></b><d/></a>"#;
+    const LEAVES: u64 = 2;
+    let broker = spawn_broker(1);
+    let mut conn = Client::connect(broker.local_addr());
+    let resident = conn.subscribe("/a/b/c");
+    for i in 0..3 {
+        publish(&mut conn, &format!("w{i}"), DOC, &[resident]);
+    }
+    let warm = stats_when(&mut conn, "warm", &|s| s.memo_replays == LEAVES);
+
+    let filter = conn.subscribe(r#"//b[@k = "v"]"#);
+    for i in 0..4 {
+        publish(&mut conn, &format!("f{i}"), DOC, &[resident, filter]);
+    }
+    let off = stats_when(&mut conn, "filter subscribed", &|s| {
+        s.stage2_walks == warm.stage2_walks + 4 * LEAVES
+    });
+    assert_eq!(off.memo_replays, warm.memo_replays, "{off:?}");
+
+    conn.unsubscribe(filter);
+    for i in 0..3 {
+        publish(&mut conn, &format!("u{i}"), DOC, &[resident]);
+    }
+    let back = stats_when(&mut conn, "filter unsubscribed", &|s| {
+        s.memo_replays == off.memo_replays + LEAVES
+    });
+    assert_eq!(back.stage2_walks, off.stage2_walks + 2 * LEAVES, "{back:?}");
     broker.shutdown();
     broker.wait();
 }

@@ -16,6 +16,18 @@
 //! * trailing wildcards yield an **end-of-path** predicate,
 //! * an expression of only wildcards collapses to a single
 //!   **length-of-expression** predicate.
+//!
+//! The encoding is also the engine's normal form: two single-path
+//! expressions share one stored entry exactly when they encode to the same
+//! predicate sequence, which is when stage 2 cannot tell them apart. The
+//! sequence records, between two adjacent tagged steps, the step distance
+//! and whether *any* `//` lies between them — not where in the wildcard
+//! run it sits — so `a/*//b` and `a//*/b` are one entry; a relative
+//! expression's leading axes, the axes of trailing wildcards and the
+//! absolute/relative distinction of an all-wildcard expression leave no
+//! trace either. The one thing the positional structure does not settle
+//! is the spelling of a step's attribute filters, so those are sorted and
+//! deduplicated where the tag variable is built.
 
 use pxf_predicate::{AttrConstraint, PosOp, Predicate, TagVar};
 use pxf_xml::Interner;
@@ -123,8 +135,14 @@ pub fn encode_single_path(
         let sym = interner.intern(step.test.tag().expect("tagged step"));
         if mode == AttrMode::Inline && !attached[step_idx] {
             attached[step_idx] = true;
-            let attrs: Vec<AttrConstraint> = step
-                .attr_filters()
+            // Filters are conjunctive: their order is free and a repeated
+            // one redundant. Sorted by rendering — the AST has no `Ord`,
+            // and a step carries a handful at most.
+            let mut filters: Vec<_> = step.attr_filters().collect();
+            filters.sort_by_cached_key(|f| f.to_string());
+            filters.dedup();
+            let attrs: Vec<AttrConstraint> = filters
+                .into_iter()
                 .map(|f| AttrConstraint {
                     name: f.name.as_str().into(),
                     constraint: f.constraint.clone(),
@@ -386,6 +404,180 @@ mod tests {
             encode_single_path(&wild_attr, &mut interner, AttrMode::Postponed).unwrap_err(),
             EncodeError::AttrFilterOnWildcard
         );
+    }
+
+    /// The predicate sequences of `src` in both attribute modes.
+    fn chains(src: &str, interner: &mut Interner) -> [Vec<Predicate>; 2] {
+        let expr = parse(src).unwrap();
+        [AttrMode::Inline, AttrMode::Postponed]
+            .map(|mode| encode_single_path(&expr, interner, mode).unwrap().preds)
+    }
+
+    /// The encoding is the normal form: spellings the matching semantics
+    /// cannot tell apart encode to the identical predicate sequence, in
+    /// both modes, and so share one trie node. One row per rewrite — a
+    /// `//` anywhere in a wildcard run (between two tags, or leading an
+    /// absolute expression), the vacuous leading axes of a relative
+    /// expression, the axes of trailing wildcards, all-wildcard
+    /// expressions (a length, absolute or not), and the order and
+    /// repetition of a step's attribute filters. (Expressions with nested
+    /// path filters are refused here — see `errors` — and never share an
+    /// entry: `add_nested` decomposes them as written.)
+    #[test]
+    fn indistinguishable_spellings_encode_identically() {
+        let same: [&[&str]; 11] = [
+            &["a/*//b", "a//*/b"],
+            &["/a/*/*//b", "/a/*//*/b", "/a//*/*/b", "/a//*//*//b"],
+            &["/*//a", "//*/a", "//*//a"],
+            &["*//a", "*/a"],
+            &["/a/b//*", "/a/b/*"],
+            &["/a/b/*//*", "/a/b//*/*", "/a/b/*/*"],
+            &["/*/*", "/*//*", "*/*", "*//*", "//*/*"],
+            &["*//a/b//*", "*/a/b/*"],
+            &["*/a/*/b//c/*/*", "*//a/*/b//c//*/*"],
+            &["/a/b[@y = 2][@x = 1]", "/a/b[@x = 1][@y = 2]"],
+            &["/a/b[@x = 1][@x = 1]", "/a/b[@x = 1]"],
+        ];
+        let interner = &mut Interner::new();
+        for spellings in same {
+            let first = chains(spellings[0], interner);
+            for other in &spellings[1..] {
+                assert_eq!(
+                    first,
+                    chains(other, interner),
+                    "{} vs {other}",
+                    spellings[0]
+                );
+            }
+        }
+        // What does carry meaning keeps expressions apart, in both modes:
+        // a `//` with no wildcard run to move in, the root anchor, a tag,
+        // a run without any `//`, the run the `//` is in.
+        let distinct = [
+            ("/a", "//a"),
+            ("/a/b", "/a/c"),
+            ("a/b", "/a/b"),
+            ("/a//b", "/a/b"),
+            ("/a/*/*/b", "/a//*/*/b"),
+            ("/a//*/b/*/c", "/a/*/b//*/c"),
+            ("/*/*", "/*/*/*"),
+        ];
+        for (left, right) in distinct {
+            let (l, r) = (chains(left, interner), chains(right, interner));
+            assert_ne!(l[0], r[0], "{left} vs {right}, inline");
+            assert_ne!(l[1], r[1], "{left} vs {right}, postponed");
+        }
+        // Attribute filters tell expressions apart where they are encoded.
+        let [inline_x, postponed_x] = chains("/a/b[@x = 1]", interner);
+        let [inline_y, postponed_y] = chains("/a/b[@x = 2]", interner);
+        assert_ne!(inline_x, inline_y);
+        assert_eq!(postponed_x, postponed_y);
+    }
+
+    /// A random single-path expression over three tags, built as an AST:
+    /// wildcards, `//`, and up to three attribute filters on a tagged step.
+    fn arb_expr(rng: &mut pxf_rng::Rng) -> XPathExpr {
+        use pxf_xpath::{AttrFilter, AttrValue, StepFilter};
+        let steps = (0..rng.gen_range(1..7usize))
+            .map(|_| {
+                let mut step = if rng.gen_bool(0.4) {
+                    Step::wildcard()
+                } else {
+                    Step::child(*rng.choose(&["a", "b", "c"]))
+                };
+                if rng.gen_bool(0.3) {
+                    step.axis = Axis::Descendant;
+                }
+                if !step.test.is_wildcard() {
+                    for _ in 0..rng.gen_range(0..4usize) {
+                        let name = *rng.choose(&["x", "y"]);
+                        step.filters
+                            .push(StepFilter::Attribute(if rng.gen_bool(0.3) {
+                                AttrFilter::exists(name)
+                            } else {
+                                AttrFilter::eq(name, AttrValue::Int(rng.gen_range(1..3i64)))
+                            }));
+                    }
+                }
+                step
+            })
+            .collect();
+        XPathExpr::new(rng.gen_bool(0.5), steps)
+    }
+
+    /// Another spelling of the same expression: every rewrite of
+    /// `indistinguishable_spellings_encode_identically`, drawn at random.
+    fn respell(expr: &XPathExpr, rng: &mut pxf_rng::Rng) -> XPathExpr {
+        let mut out = expr.clone();
+        let steps = &mut out.steps;
+        let tagged: Vec<usize> = (0..steps.len())
+            .filter(|&i| !steps[i].test.is_wildcard())
+            .collect();
+        let arb_axis = |rng: &mut pxf_rng::Rng| {
+            if rng.gen_bool(0.5) {
+                Axis::Descendant
+            } else {
+                Axis::Child
+            }
+        };
+        // A run that holds a `//` keeps at least one, anywhere in it.
+        let respell_run = |steps: &mut [Step], rng: &mut pxf_rng::Rng| {
+            if steps.iter().any(|s| s.axis == Axis::Descendant) {
+                steps.iter_mut().for_each(|s| s.axis = arb_axis(rng));
+                steps[rng.gen_index(steps.len())].axis = Axis::Descendant;
+            }
+        };
+        let (Some(&first), Some(&last)) = (tagged.first(), tagged.last()) else {
+            steps.iter_mut().for_each(|s| s.axis = arb_axis(rng));
+            out.absolute = rng.gen_bool(0.5);
+            return out;
+        };
+        if out.absolute {
+            respell_run(&mut steps[..=first], rng);
+        } else {
+            steps[..=first]
+                .iter_mut()
+                .for_each(|s| s.axis = arb_axis(rng));
+        }
+        for w in tagged.windows(2) {
+            respell_run(&mut steps[w[0] + 1..=w[1]], rng);
+        }
+        steps[last + 1..]
+            .iter_mut()
+            .for_each(|s| s.axis = arb_axis(rng));
+        for step in steps.iter_mut().filter(|s| !s.filters.is_empty()) {
+            if rng.gen_bool(0.3) {
+                let repeated = rng.choose(&step.filters).clone();
+                step.filters.push(repeated);
+            }
+            for i in (1..step.filters.len()).rev() {
+                step.filters.swap(i, rng.gen_index(i + 1));
+            }
+        }
+        out
+    }
+
+    /// Seeded property behind the table above: moving a `//` inside a
+    /// wildcard run, flipping the axes nothing reads, or permuting and
+    /// repeating a step's attribute filters never changes the chain — so
+    /// no normalising pass has to run before the encoder.
+    #[test]
+    fn respelling_an_expression_never_changes_its_chain() {
+        let mut rng = pxf_rng::Rng::seed_from_u64(0x24_e0c0de);
+        let mut respelled = 0;
+        for _ in 0..20_000 {
+            let expr = arb_expr(&mut rng);
+            let other = respell(&expr, &mut rng);
+            respelled += usize::from(other != expr);
+            let mut interner = Interner::new();
+            for mode in [AttrMode::Inline, AttrMode::Postponed] {
+                let a = encode_single_path(&expr, &mut interner, mode).unwrap();
+                let b = encode_single_path(&other, &mut interner, mode).unwrap();
+                assert_eq!(a.preds, b.preds, "{mode:?}: {expr} vs {other}");
+                assert_eq!(a.slots, b.slots, "{mode:?}: {expr} vs {other}");
+            }
+        }
+        assert!(respelled > 10_000, "only {respelled} spellings differed");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use crate::encode::EncodedPath;
 use pxf_predicate::Publication;
-use pxf_xml::{Interner, PathDoc, Symbol};
-use pxf_xpath::{AttrFilter, XPathExpr};
+use pxf_xml::{PathDoc, Symbol};
+use pxf_xpath::{AttrFilter, AttrValue, XPathExpr};
 
 /// Selection-postponed attribute re-check data: for each predicate level,
 /// the attribute filters of the steps bound to its first/second tag
@@ -23,49 +23,55 @@ struct LevelCheck {
     second: Box<[AttrFilter]>,
 }
 
+/// Heap a filter's name and string literal occupy.
+pub(super) fn filter_heap_bytes(f: &AttrFilter) -> usize {
+    let value = match &f.constraint {
+        Some((_, AttrValue::Str(s))) => s.capacity(),
+        _ => 0,
+    };
+    f.name.capacity() + value
+}
+
 impl AttrCheck {
     /// Builds the check from an encoding; `None` when the expression has no
     /// attribute filters on any slot.
-    pub(super) fn build(
-        expr: &XPathExpr,
-        enc: &EncodedPath,
-        interner: &mut Interner,
-    ) -> Option<Box<AttrCheck>> {
-        let mut any = false;
-        let levels: Vec<LevelCheck> = enc
+    pub(super) fn build(expr: &XPathExpr, enc: &EncodedPath) -> Option<Box<AttrCheck>> {
+        let filters_of = |slot: Option<usize>| -> Box<[AttrFilter]> {
+            slot.map(|i| expr.steps[i].attr_filters().cloned().collect())
+                .unwrap_or_default()
+        };
+        let levels: Box<[LevelCheck]> = enc
             .preds
             .iter()
             .zip(&enc.slots)
-            .map(|(pred, (s1, s2))| {
-                let collect = |slot: &Option<usize>| -> Box<[AttrFilter]> {
-                    slot.map(|i| {
-                        expr.steps[i]
-                            .attr_filters()
-                            .cloned()
-                            .collect::<Vec<_>>()
-                            .into_boxed_slice()
-                    })
-                    .unwrap_or_default()
-                };
-                let first = collect(s1);
-                let second = collect(s2);
-                if !first.is_empty() || !second.is_empty() {
-                    any = true;
-                }
-                LevelCheck {
-                    first_tag: pred.first_tag(),
-                    first,
-                    second_tag: pred.second_tag(),
-                    second,
-                }
+            .map(|(pred, &(s1, s2))| LevelCheck {
+                first_tag: pred.first_tag(),
+                first: filters_of(s1),
+                second_tag: pred.second_tag(),
+                second: filters_of(s2),
             })
             .collect();
-        let _ = interner;
-        any.then(|| {
-            Box::new(AttrCheck {
-                levels: levels.into_boxed_slice(),
+        levels
+            .iter()
+            .any(|lc| !lc.first.is_empty() || !lc.second.is_empty())
+            .then(|| Box::new(AttrCheck { levels }))
+    }
+
+    /// Heap footprint of a boxed check, in bytes.
+    pub(super) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let levels: usize = self
+            .levels
+            .iter()
+            .map(|lc| {
+                let filters = lc.first.iter().chain(&*lc.second);
+                size_of::<LevelCheck>()
+                    + filters
+                        .map(|f| size_of::<AttrFilter>() + filter_heap_bytes(f))
+                        .sum::<usize>()
             })
-        })
+            .sum();
+        size_of::<AttrCheck>() + levels
     }
 
     /// Is the occurrence pair admissible at `level` on this publication?

@@ -114,11 +114,12 @@ impl FilterEngine {
         // attribute re-checks (stage 2 consults document nodes), and no
         // nested plans (component sinks must record every path index,
         // including duplicates). Every sink is then a plain subscription.
-        // Otherwise no element asks the memo, and every leaf walks. A
-        // record entry is a subscription or node id under a tag bit, so
-        // both kinds must stay below it.
-        let memo_on = self.nested.is_empty()
-            && !self.has_attr_checks
+        // Otherwise no element asks the memo, and every leaf walks. Both
+        // conditions are read off what is registered *now*: a filter that
+        // came and went leaves the memo on. A record entry is a
+        // subscription or node id under a tag bit, so both kinds must
+        // stay below it.
+        let memo_on = self.trie.all_plain()
             && !self.index.has_attr_predicates()
             && self.n_subs < NODE_ENTRY
             && self.trie.n_nodes() < NODE_ENTRY as usize;
@@ -431,46 +432,39 @@ impl FilterEngine {
             }
         }
         if has_sinks && !state.node_sinks_done.test(n as usize, state.doc_epoch) {
+            // Plain subscriptions resolve in one bitmap-marking sweep over
+            // the packed id column (4 bytes per sink, no enum dispatch);
+            // where they are all the node holds, it is then fully resolved
+            // for this document.
             let plain = trie.plain_subs(n);
-            if plain.len() as u32 == trie.sink_len(n) {
-                // Every sink is a plain subscription: resolution is one
-                // bitmap-marking sweep over the packed id column (4 bytes
-                // per sink, no enum dispatch), and the node is then fully
-                // resolved for this document.
-                for &sub in plain {
-                    state.sub_matched.set(sub as usize, state.doc_epoch);
-                }
-                state.node_sinks_done.set(n as usize, state.doc_epoch);
-            } else {
-                let sinks = trie.sinks(n);
+            for &sub in plain {
+                state.sub_matched.set(sub as usize, state.doc_epoch);
+            }
+            let mut resolved = true;
+            if plain.len() as u32 != trie.sink_len(n) {
+                let sinks = trie.cold_sinks(n);
                 // Selection-postponed attribute checks need the predicate
                 // chain of this node; collect it (into a reused buffer)
                 // only when some sink asks.
                 let mut chain = std::mem::take(&mut state.chain_buf);
                 chain.clear();
-                if sinks.iter().any(|s| {
-                    matches!(
-                        s,
-                        Sink::Sub {
-                            attr_check: Some(_),
-                            ..
-                        }
-                    )
-                }) {
-                    trie.chain_into(n, &mut chain);
+                if sinks.iter().any(|s| matches!(s, Sink::Sub { .. })) {
+                    chain.extend(trie.chain_up(n));
+                    chain.reverse();
                 }
                 for sink in sinks {
                     process_sink(sink, &chain, ctx, publication, doc, state, stats, path_idx);
                 }
                 state.chain_buf = chain;
-                if sinks.iter().all(|s| match s {
+                resolved = sinks.iter().all(|s| match s {
                     Sink::Sub { sub, .. } => {
                         state.sub_matched.test(sub.0 as usize, state.doc_epoch)
                     }
                     Sink::Component { .. } => false,
-                }) {
-                    state.node_sinks_done.set(n as usize, state.doc_epoch);
-                }
+                });
+            }
+            if resolved {
+                state.node_sinks_done.set(n as usize, state.doc_epoch);
             }
         }
         // Only children whose predicate holds pairs on this path can chain
@@ -597,33 +591,30 @@ fn process_sink(
             if state.sub_matched.test(sub.0 as usize, state.doc_epoch) {
                 return;
             }
-            if let Some(check) = attr_check {
-                // Selection postponed: repeat the occurrence determination
-                // admitting only pairs whose nodes pass the attribute
-                // filters (paper §5). Each level's pairs are filtered once
-                // up front (admissibility does not depend on the search
-                // state), then the plain determination runs on the
-                // filtered lists.
-                stats.occurrence_runs += 1;
-                if state.sp_bufs.len() < preds.len() {
-                    state.sp_bufs.resize_with(preds.len(), Vec::new);
-                }
-                for (level, &pid) in preds.iter().enumerate() {
-                    let buf = &mut state.sp_bufs[level];
-                    buf.clear();
-                    for &pair in ctx.get(pid) {
-                        if check.admit(level, pair, publication, doc) {
-                            buf.push(pair);
-                        }
-                    }
-                    if buf.is_empty() {
-                        return;
+            // Selection postponed: repeat the occurrence determination
+            // admitting only pairs whose nodes pass the attribute filters
+            // (paper §5). Each level's pairs are filtered once up front
+            // (admissibility does not depend on the search state), then
+            // the plain determination runs on the filtered lists.
+            stats.occurrence_runs += 1;
+            if state.sp_bufs.len() < preds.len() {
+                state.sp_bufs.resize_with(preds.len(), Vec::new);
+            }
+            for (level, &pid) in preds.iter().enumerate() {
+                let buf = &mut state.sp_bufs[level];
+                buf.clear();
+                for &pair in ctx.get(pid) {
+                    if attr_check.admit(level, pair, publication, doc) {
+                        buf.push(pair);
                     }
                 }
-                let bufs = &state.sp_bufs;
-                if !determine_match_by(preds.len(), |i| bufs[i].as_slice()) {
+                if buf.is_empty() {
                     return;
                 }
+            }
+            let bufs = &state.sp_bufs;
+            if !determine_match_by(preds.len(), |i| bufs[i].as_slice()) {
+                return;
             }
             // Marking the bit is the whole result record: the final
             // ascending bitmap scan emits the sorted id list.

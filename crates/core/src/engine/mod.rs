@@ -5,17 +5,17 @@
 //! expression lies on the way to the expressions it covers, and the trie
 //! is clustered by each expression's first predicate (the *access
 //! predicate*) — a cluster whose access predicate has no matches is never
-//! looked at.
+//! looked at. The node a single-path expression's chain ends at is the
+//! one place its subscription is stored, and the entry it shares with
+//! every expression that encodes to the same chain.
 //!
 //! * `trie` — the span-arena trie and its in-place patching,
 //! * `scratch` — per-document matching state and the [`Matcher`] handle,
 //! * `matching` — incremental stage 1 and the stage-2 trie walk,
 //! * `attr_check` — selection-postponed attribute re-checks (§5),
-//! * `dedup` — canonical-form subscription groups,
 //! * this file — the [`FilterEngine`] API and index maintenance.
 
 mod attr_check;
-mod dedup;
 mod matching;
 mod scratch;
 mod trie;
@@ -23,19 +23,18 @@ mod trie;
 #[cfg(test)]
 mod tests;
 
-pub use dedup::SubsetStats;
 pub use scratch::{MatchScratch, Matcher};
 
 use crate::encode::{encode_single_path, AttrMode, EncodeError};
-use crate::nested::{decompose, NestedPlan};
-use dedup::{CanonGroup, NO_GROUP};
-use pxf_predicate::{PredId, PredicateIndex};
+use crate::nested::{decompose, Component, NestedPlan};
+use attr_check::AttrCheck;
+use pxf_predicate::PredicateIndex;
 use pxf_xml::{Interner, ParserLimits, PathDoc, XmlError};
-use pxf_xpath::XPathExpr;
-use std::collections::HashMap;
+use pxf_xpath::{Step, StepFilter, XPathExpr};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use trie::{Sink, Trie};
+use trie::{hash_map_bytes, Sink, Trie};
 
 /// Source of [`FilterEngine`] content stamps: process-wide, so no two
 /// engines that may differ in content ever carry the same one. Starts at
@@ -131,9 +130,36 @@ pub struct EngineStats {
     /// recompiled the trie columns. An explicit [`FilterEngine::prepare`]
     /// is not counted. Steady-state churn keeps this at zero.
     pub full_rebuilds: u64,
-    /// Subscriptions registered as O(1) members of an existing canonical
-    /// group (structural-hash dedup) instead of full encode+index adds.
-    pub dedup_hits: u64,
+}
+
+/// Sharing accounting (see [`FilterEngine::subset_stats`]): stage-2 work
+/// per document is driven by `canonical` entries, not by `registered`
+/// subscriptions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubsetStats {
+    /// Live single-path subscriptions registered (the population that
+    /// shares entries; nested-path subscriptions are excluded).
+    pub registered: u64,
+    /// Entries actually stored: trie nodes holding a subscription, one per
+    /// distinct predicate chain among the registered.
+    pub canonical: u64,
+}
+
+/// Heap an expression's steps and filters occupy.
+fn expr_heap_bytes(expr: &XPathExpr) -> usize {
+    use std::mem::size_of;
+    let step_bytes = |s: &Step| {
+        let filters: usize = s
+            .filters
+            .iter()
+            .map(|f| match f {
+                StepFilter::Attribute(a) => attr_check::filter_heap_bytes(a),
+                StepFilter::Path(p) => expr_heap_bytes(p),
+            })
+            .sum();
+        s.test.tag().map_or(0, str::len) + s.filters.capacity() * size_of::<StepFilter>() + filters
+    };
+    expr.steps.capacity() * size_of::<Step>() + expr.steps.iter().map(step_bytes).sum::<usize>()
 }
 
 /// A registered nested-path subscription.
@@ -163,16 +189,13 @@ struct NestedSub {
 #[derive(Debug)]
 pub struct FilterEngine {
     /// Identifies the content (the subscription set): drawn afresh on
-    /// construction and on every `add` and `remove`, copied by `Clone`,
+    /// construction and by every `add` and `remove` that changed the set
+    /// (a failed `add` and a no-op `remove` keep it), copied by `Clone`,
     /// kept by `prepare` (compaction renumbers no trie node). What a
     /// [`MatchScratch`] remembers about tag paths (its path memo) holds
     /// only under the stamp it was learned under.
     stamp: u64,
     attr_mode: AttrMode,
-    /// True once any subscription carries a selection-postponed attribute
-    /// re-check: such checks consult document nodes, so equal tag-sequence
-    /// paths stop being equivalent and path memoization must stay off.
-    has_attr_checks: bool,
     interner: Interner,
     index: PredicateIndex,
     n_subs: u32,
@@ -188,20 +211,12 @@ pub struct FilterEngine {
     free_comp_blocks: HashMap<usize, Vec<u32>>,
     /// Where each subscription's sinks live (for O(depth) removal).
     locations: Vec<SubLocation>,
-    /// Canonical groups (dedup); `canon_index` maps a structural
-    /// hash to the group ids sharing it (verified against the canonical
-    /// rendering — the hash alone is not proof of identity).
-    groups: Vec<CanonGroup>,
-    canon_index: HashMap<u64, Vec<u32>>,
-    /// Subscription → its canonical group (`NO_GROUP` outside dedup).
-    sub_group: Vec<u32>,
     /// Subscriptions removed via [`FilterEngine::remove`] (ids are never
     /// reused).
     removed: u32,
     /// Maintenance counters surfaced through [`EngineStats`].
     incremental_patches: u64,
     full_rebuilds: u64,
-    dedup_hits: u64,
     /// Test hook: overrides the garbage threshold that triggers
     /// compaction.
     compaction_override: Option<usize>,
@@ -221,7 +236,6 @@ impl Clone for FilterEngine {
         FilterEngine {
             stamp: self.stamp,
             attr_mode: self.attr_mode,
-            has_attr_checks: self.has_attr_checks,
             interner: self.interner.clone(),
             index: self.index.clone(),
             n_subs: self.n_subs,
@@ -230,13 +244,9 @@ impl Clone for FilterEngine {
             n_components: self.n_components,
             free_comp_blocks: self.free_comp_blocks.clone(),
             locations: self.locations.clone(),
-            groups: self.groups.clone(),
-            canon_index: self.canon_index.clone(),
-            sub_group: self.sub_group.clone(),
             removed: self.removed,
             incremental_patches: self.incremental_patches,
             full_rebuilds: self.full_rebuilds,
-            dedup_hits: self.dedup_hits,
             compaction_override: self.compaction_override,
             scratch: MatchScratch::default(),
             limits: self.limits,
@@ -273,7 +283,6 @@ impl FilterEngine {
         FilterEngine {
             stamp: fresh_stamp(),
             attr_mode,
-            has_attr_checks: false,
             interner: Interner::new(),
             index: PredicateIndex::new(),
             n_subs: 0,
@@ -282,13 +291,9 @@ impl FilterEngine {
             n_components: 0,
             free_comp_blocks: HashMap::new(),
             locations: Vec::new(),
-            groups: Vec::new(),
-            canon_index: HashMap::new(),
-            sub_group: Vec::new(),
             removed: 0,
             incremental_patches: 0,
             full_rebuilds: 0,
-            dedup_hits: 0,
             compaction_override: None,
             scratch: MatchScratch::default(),
             limits: ParserLimits::default(),
@@ -321,17 +326,53 @@ impl FilterEngine {
         self.index.len()
     }
 
-    /// Approximate heap footprint of the matching index structures
-    /// (packed trie arenas, predicate index), in bytes. Dividing by
-    /// [`Self::len`] gives the bytes-per-expression figure the
-    /// compact-layout work optimizes. Allocated capacity is what counts,
-    /// not length, and the structures only maintenance reads (insert-time
-    /// edge map, sink-list headers) are included, so the number reflects
-    /// what a resident engine costs, not just its hot columns.
+    /// Heap footprint of everything the engine holds per subscription
+    /// (packed trie arenas, cold sinks, predicate index, removal
+    /// back-pointers, nested plans), in bytes. Dividing by [`Self::len`]
+    /// gives the bytes-per-expression figure the compact-layout work
+    /// optimizes. Allocated capacity is what counts, not length, and the
+    /// structures only maintenance reads (insert-time edge map, nested
+    /// plans, free component blocks) are included, so the number is what
+    /// a resident engine costs, not just its hot columns:
+    /// `tests/index_bytes_accounting.rs` holds it within 10% of what a
+    /// counting allocator saw the engine's construction add.
     pub fn index_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let nested: usize = self
+            .nested
+            .iter()
+            .map(|ns| {
+                let plan = &ns.plan.components;
+                plan.capacity() * size_of::<Component>()
+                    + plan.iter().map(|c| expr_heap_bytes(&c.expr)).sum::<usize>()
+                    + ns.nodes.len() * size_of::<u32>()
+            })
+            .sum();
+        let free_blocks: usize = self
+            .free_comp_blocks
+            .values()
+            .map(|bases| bases.capacity() * size_of::<u32>())
+            .sum();
         self.trie.bytes()
-            + self.locations.capacity() * std::mem::size_of::<SubLocation>()
+            + self.locations.capacity() * size_of::<SubLocation>()
             + self.index.approx_bytes()
+            + self.nested.capacity() * size_of::<NestedSub>()
+            + nested
+            + hash_map_bytes(&self.free_comp_blocks)
+            + free_blocks
+    }
+
+    /// Sharing accounting: registered single-path subscriptions vs the
+    /// trie nodes that store them.
+    pub fn subset_stats(&self) -> SubsetStats {
+        let nodes = self.locations.iter().filter_map(|l| match l {
+            SubLocation::Node(n) => Some(*n),
+            _ => None,
+        });
+        SubsetStats {
+            registered: nodes.clone().count() as u64,
+            canonical: nodes.collect::<HashSet<u32>>().len() as u64,
+        }
     }
 
     #[doc(hidden)]
@@ -359,7 +400,6 @@ impl FilterEngine {
         let mut s = self.scratch.stats;
         s.incremental_patches = self.incremental_patches;
         s.full_rebuilds = self.full_rebuilds;
-        s.dedup_hits = self.dedup_hits;
         s
     }
 
@@ -369,7 +409,6 @@ impl FilterEngine {
         self.scratch.stats = EngineStats::default();
         self.incremental_patches = 0;
         self.full_rebuilds = 0;
-        self.dedup_hits = 0;
     }
 
     /// Successful `add` and `remove` operations since construction (or
@@ -444,18 +483,19 @@ impl FilterEngine {
     /// occasional compactions) — the subscription is visible to the next
     /// match, with no build step in between.
     pub fn add(&mut self, expr: &XPathExpr) -> Result<SubId, AddError> {
-        self.stamp = fresh_stamp();
         let sub = SubId(self.n_subs);
         if expr.has_nested_paths() {
             self.add_nested(expr, sub)?;
         } else {
-            self.add_deduped(expr, sub)?;
+            self.add_single(expr, sub)?;
         }
+        // Only now has the set changed: a refused expression leaves every
+        // matcher's memo valid.
+        self.stamp = fresh_stamp();
         self.n_subs += 1;
         self.incremental_patches += 1;
         self.maybe_compact();
         debug_assert_eq!(self.locations.len(), self.n_subs as usize);
-        debug_assert_eq!(self.sub_group.len(), self.n_subs as usize);
         Ok(sub)
     }
 
@@ -464,39 +504,26 @@ impl FilterEngine {
     /// subscriptions in the system — the sinks are unlinked from their
     /// trie nodes directly, and a node left with neither sinks nor
     /// children is unlinked from the trie. A predicate stays in the index
-    /// for as long as another expression references it.
+    /// for as long as another sink's chain references it.
     pub fn remove(&mut self, sub: SubId) -> bool {
         let Some(location) = self.locations.get(sub.0 as usize).copied() else {
             return false;
         };
-        self.stamp = fresh_stamp();
         match location {
             SubLocation::Gone => return false,
             SubLocation::Node(n) => {
-                let detached = self
-                    .trie
-                    .detach_sink(n, |s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub));
+                self.release_chain(n);
+                let detached = self.trie.detach_sub(n, sub);
                 debug_assert!(detached, "a located subscription has its sink");
-                // Single-path members do not own predicate-index
-                // references — their canonical group does.
-                self.leave_group(sub);
             }
             SubLocation::Nested(i) => {
                 let ns = self.nested.swap_remove(i as usize);
                 if let Some(moved) = self.nested.get(i as usize) {
                     self.locations[moved.sub.0 as usize] = SubLocation::Nested(i);
                 }
-                let mut chain = Vec::new();
                 for (ci, &node) in ns.nodes.iter().enumerate() {
-                    self.trie.chain_into(node, &mut chain);
-                    for &pid in &chain {
-                        self.index.release(pid);
-                    }
-                    let comp = ns.comp_base + ci as u32;
-                    let detached = self.trie.detach_sink(
-                        node,
-                        |s| matches!(s, Sink::Component { comp: c } if *c == comp),
-                    );
+                    self.release_chain(node);
+                    let detached = self.trie.detach_component(node, ns.comp_base + ci as u32);
                     debug_assert!(detached, "a live component has its sink");
                 }
                 self.free_comp_blocks
@@ -505,11 +532,43 @@ impl FilterEngine {
                     .push(ns.comp_base);
             }
         }
+        self.stamp = fresh_stamp();
         self.locations[sub.0 as usize] = SubLocation::Gone;
         self.removed += 1;
         self.incremental_patches += 1;
         self.maybe_compact();
         true
+    }
+
+    /// Releases the one predicate-index reference per predicate of node
+    /// `n`'s chain that a sink about to leave `n` owns (its `add` took
+    /// them). Runs before the detach: pruning unlinks the chain.
+    fn release_chain(&mut self, n: u32) {
+        for pid in self.trie.chain_up(n) {
+            self.index.release(pid);
+        }
+    }
+
+    /// Registers a single-path subscription: the expression is encoded as
+    /// written, and the trie node its predicate chain ends at is where the
+    /// subscription is stored — the same node for every expression with
+    /// the same chain, which are exactly the expressions stage 2 cannot
+    /// tell apart. The sink owns one index reference per predicate of the
+    /// chain (taken here, released by [`Self::release_chain`]).
+    fn add_single(&mut self, expr: &XPathExpr, sub: SubId) -> Result<(), AddError> {
+        let enc = encode_single_path(expr, &mut self.interner, self.attr_mode)?;
+        let attr_check = match self.attr_mode {
+            AttrMode::Inline => None,
+            AttrMode::Postponed => AttrCheck::build(expr, &enc),
+        };
+        let chain = enc.preds.into_iter().map(|p| self.index.insert(p));
+        let node = self.trie.patch_insert(chain);
+        match attr_check {
+            None => self.trie.attach_plain(node, sub),
+            Some(attr_check) => self.trie.attach_cold(node, Sink::Sub { sub, attr_check }),
+        }
+        self.locations.push(SubLocation::Node(node));
+        Ok(())
     }
 
     fn add_nested(&mut self, expr: &XPathExpr, sub: SubId) -> Result<(), AddError> {
@@ -543,18 +602,15 @@ impl FilterEngine {
             .into_iter()
             .enumerate()
             .map(|(ci, enc)| {
-                let preds: Vec<PredId> = enc
-                    .preds
-                    .iter()
-                    .map(|p| self.index.insert(p.clone()))
-                    .collect();
+                let chain = enc.preds.into_iter().map(|p| self.index.insert(p));
+                let node = self.trie.patch_insert(chain);
                 let comp = comp_base + ci as u32;
-                self.trie.patch_insert(&preds, Sink::Component { comp })
+                self.trie.attach_cold(node, Sink::Component { comp });
+                node
             })
             .collect();
         self.locations
             .push(SubLocation::Nested(self.nested.len() as u32));
-        self.sub_group.push(NO_GROUP);
         self.nested.push(NestedSub {
             sub,
             plan,

@@ -103,7 +103,6 @@ impl Matcher<'_> {
         let mut s = self.scratch.stats();
         s.incremental_patches = self.engine.incremental_patches;
         s.full_rebuilds = self.engine.full_rebuilds;
-        s.dedup_hits = self.engine.dedup_hits;
         s
     }
 

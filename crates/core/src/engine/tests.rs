@@ -341,6 +341,90 @@ fn remove_unknown_id_is_noop() {
     assert!(!engine.remove(SubId(42)));
 }
 
+/// The memo is off while an attribute filter is registered — in either
+/// mode — and for no longer: with the filter subscribed every leaf walks
+/// and nothing is replayed, and once it is removed the third sighting of
+/// a path is a replay again. Match sets are the oracle's throughout.
+#[test]
+fn a_filter_that_came_and_went_leaves_the_memo_on() {
+    let d = r#"<a><b k="v"><c/></b><b><c/></b><d/></a>"#;
+    let leaves = 3;
+    for mode in MODES {
+        let mut engine = FilterEngine::new(mode);
+        let mut subs: Vec<Option<XPathExpr>> = Vec::new();
+        for e in ["/a/b", "//b/c", "a//c", "/a/*/c", "/a/d"] {
+            engine.add_str(e).unwrap();
+            subs.push(Some(parse(e).unwrap()));
+        }
+        let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>]| {
+            let oracle = tree(d);
+            let want: Vec<SubId> = (0..subs.len())
+                .filter(|&i| {
+                    subs[i]
+                        .as_ref()
+                        .is_some_and(|e| matches_document(e, &oracle))
+                })
+                .map(|i| SubId(i as u32))
+                .collect();
+            assert_eq!(engine.match_bytes(d.as_bytes()).unwrap(), want, "{mode:?}");
+            engine.stats()
+        };
+        for _ in 0..3 {
+            check(&mut engine, &subs);
+        }
+        let warm = engine.stats();
+        assert!(warm.memo_replays > 0, "{mode:?}: {warm:?}");
+
+        let filter = r#"//b[@k = "v"]"#;
+        let filtered = engine.add_str(filter).unwrap();
+        subs.push(Some(parse(filter).unwrap()));
+        for _ in 0..4 {
+            check(&mut engine, &subs);
+        }
+        let off = engine.stats();
+        assert_eq!(off.memo_replays, warm.memo_replays, "{mode:?}");
+        assert_eq!(off.memo_path_skips, warm.memo_path_skips, "{mode:?}");
+        assert_eq!(off.stage2_walks, warm.stage2_walks + 4 * leaves, "{mode:?}");
+
+        assert!(engine.remove(filtered));
+        subs[filtered.0 as usize] = None;
+        check(&mut engine, &subs);
+        let recording = check(&mut engine, &subs);
+        assert_eq!(recording.memo_replays, off.memo_replays, "{mode:?}");
+        let third = check(&mut engine, &subs);
+        assert!(
+            third.memo_replays > recording.memo_replays,
+            "{mode:?}: no filter is registered, yet the third sighting walked: {third:?}"
+        );
+        assert_eq!(third.stage2_walks, recording.stage2_walks, "{mode:?}");
+    }
+}
+
+/// The content stamp moves only when the subscription set did: removing
+/// an id that is already gone and adding an expression the encoder refuses
+/// leave a warm memo as it was — the next document, a part of the warm
+/// one, makes no state and walks no leaf.
+#[test]
+fn a_noop_remove_and_a_failed_add_keep_the_memo() {
+    let mut engine = FilterEngine::default();
+    let gone = engine.add_str("/a/x").unwrap();
+    let b = engine.add_str("/a/b").unwrap();
+    engine.add_str("//c").unwrap();
+    assert!(engine.remove(gone));
+    for _ in 0..3 {
+        engine.match_bytes(b"<a><b><c/></b><b/><d/></a>").unwrap();
+    }
+    let (states, walks) = (engine.scratch.memo_states(), engine.stats().stage2_walks);
+    assert_eq!(states, 4, "a, a/b, a/b/c, a/d");
+
+    assert!(!engine.remove(gone));
+    assert!(!engine.remove(SubId(99)));
+    assert!(engine.add_str("/a/*[@x = 1]").is_err());
+    assert_eq!(engine.match_bytes(b"<a><b/></a>").unwrap(), vec![b]);
+    assert_eq!(engine.scratch.memo_states(), states);
+    assert_eq!(engine.stats().stage2_walks, walks);
+}
+
 /// A random expression over tags `a`–`d`: two to four steps, `/` or `//`,
 /// the odd wildcard, and now and then an attribute filter or a nested
 /// path hung on a step.
@@ -422,10 +506,11 @@ fn prepare_changes_neither_match_sets_nor_node_ids() {
 
 /// After a patched bulk load, `prepare()` leaves nothing to squeeze: no
 /// abandoned arena slot, a footprint a second `prepare()` does not
-/// change, and a trie no larger than the exact-capacity copy a clone
-/// makes of it (the clone also trims the predicate index and the
-/// location table, which `prepare()` leaves alone, so only the trie
-/// is compared there).
+/// change, and column arenas no larger than the exact-capacity copy a
+/// clone makes of them (the clone also trims the predicate index and the
+/// location table, which `prepare()` leaves alone, and a cloned hash map
+/// picks its own capacity, so only what `compile()` lays out is compared
+/// there).
 #[test]
 fn prepare_squeezes_to_exact_capacity_and_is_idempotent() {
     let mut rng = pxf_rng::Rng::seed_from_u64(0x16_0002);
@@ -442,7 +527,11 @@ fn prepare_squeezes_to_exact_capacity_and_is_idempotent() {
         assert!(squeezed < loaded, "{squeezed} vs {loaded}");
         let mut copy = engine.clone();
         copy.trie.compile();
-        assert_eq!(copy.trie.bytes(), engine.trie.bytes(), "{mode:?}");
+        assert_eq!(
+            copy.trie.arena_bytes(),
+            engine.trie.arena_bytes(),
+            "{mode:?}"
+        );
         engine.prepare();
         assert_eq!(engine.index_bytes(), squeezed, "{mode:?}");
         assert_eq!(engine.full_rebuilds(), 0);

@@ -1,39 +1,30 @@
 //! The expression trie (paper Fig. 2) as capacity-tracked arena spans:
 //! packed structure-of-arrays columns the stage-2 walk reads, patched in
-//! place by every insert and removal, plus the cold per-node sink lists.
+//! place by every insert and removal, plus a sparse map of the cold sinks
+//! (attribute-checked subscriptions, nested-path components). A plain
+//! subscription is stored once, as its id in the `plain_subs` column.
 //! This module is the only place that names a column; the matcher sees
-//! `children(n)`, `plain_subs(n)`, `sink_len(n)`, `sinks(n)`, the root
-//! table and `root_of(pid)`.
+//! `children(n)`, `plain_subs(n)`, `sink_len(n)`, `cold_sinks(n)`, the
+//! root table and `root_of(pid)`.
 
 use super::attr_check::AttrCheck;
 use super::SubId;
 use pxf_predicate::PredId;
 use std::collections::HashMap;
 
-/// What an expression entry resolves to when it matches a path.
+/// What an expression entry resolves to, when it matches a path, beyond
+/// marking a plain subscription (those are bare ids in the packed
+/// `plain_subs` column).
 #[derive(Debug, Clone)]
 pub(super) enum Sink {
-    /// A public single-path subscription.
+    /// A single-path subscription whose attribute filters are re-checked
+    /// on the structural match (selection postponed, paper §5).
     Sub {
         sub: SubId,
-        attr_check: Option<Box<AttrCheck>>,
+        attr_check: Box<AttrCheck>,
     },
     /// A component of a nested-path subscription: record the path index.
     Component { comp: u32 },
-}
-
-impl Sink {
-    /// The subscription id of a sink the packed `plain_subs` column
-    /// mirrors: a subscription with no attribute check.
-    fn plain_sub(&self) -> Option<u32> {
-        match self {
-            Sink::Sub {
-                sub,
-                attr_check: None,
-            } => Some(sub.0),
-            _ => None,
-        }
-    }
 }
 
 /// `parent` of a root-level node.
@@ -45,9 +36,10 @@ const NO_ROOT: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Default)]
 pub(super) struct Trie {
-    /// Node → its sinks. Cold: the walk reads them only where a node
-    /// holds something other than plain subscriptions.
-    sinks: Vec<Vec<Sink>>,
+    /// Node → its cold sinks, for the nodes that have any (an entry is
+    /// never empty). The walk looks here only where a node's sink count
+    /// exceeds its plain span.
+    cold: HashMap<u32, Vec<Sink>>,
     /// Insert-time edge lookup: `(parent, pid) → child` (parent
     /// `NO_PARENT` keys the root level). Matching never touches this —
     /// it walks the packed child spans instead.
@@ -144,7 +136,7 @@ fn grow_span2<A: Copy, B: Copy>(
 /// Arena-packed structure-of-arrays trie layout: per-node columns, child
 /// edges as capacity-tracked arena spans (sorted by predicate at compile
 /// time, append-order afterwards) and roots as parallel arrays. The hot
-/// stage-2 walk touches only these dense columns (plus the sink lists
+/// stage-2 walk touches only these dense columns (plus the cold sinks
 /// where a node holds more than plain subscriptions). `add`/`remove`
 /// patch the columns in place; [`Trie::compile`] lays the spans out
 /// afresh, at exact capacity, without renumbering a node.
@@ -154,15 +146,15 @@ struct PackedTrie {
     pid: Vec<PredId>,
     /// Node → parent node (`NO_PARENT` at roots, `PRUNED` once unlinked).
     parent: Vec<u32>,
-    /// Node → number of sinks (hot presence check; the sinks themselves
-    /// are in [`Trie::sinks`]).
+    /// Node → number of sinks, plain and cold together (hot presence
+    /// check).
     sink_len: Vec<u32>,
-    /// Plain-subscription sink spans: node `n`'s sinks that are
-    /// `Sink::Sub` with no attribute check, as bare subscription ids in
-    /// `plain_subs[plain_span[n]]`. When the span covers all
-    /// `sink_len[n]` sinks, resolving the node is a tight bitmap-marking
-    /// sweep over this column (4 bytes per sink instead of a 16-byte enum
-    /// match), the duplicate-heavy common case.
+    /// Plain-subscription sink spans: node `n`'s subscriptions with no
+    /// attribute check, as bare subscription ids in
+    /// `plain_subs[plain_span[n]]` — the only place such a subscription is
+    /// stored. When the span covers all `sink_len[n]` sinks, resolving
+    /// the node is a tight bitmap-marking sweep over this column, the
+    /// duplicate-heavy common case.
     plain_span: Vec<Span>,
     plain_subs: Vec<u32>,
     /// Children spans: node `n`'s edges are parallel
@@ -179,6 +171,14 @@ struct PackedTrie {
     /// 2 probe only the clusters whose access predicate matched instead
     /// of iterating every root.
     root_of: Vec<u32>,
+}
+
+/// Heap footprint of a `HashMap`'s table: the standard library's
+/// open-addressed table keeps one control byte per bucket and fills at
+/// most 7 of every 8 buckets, so `capacity()` entries stand for 8/7 as
+/// many bucket slots.
+pub(super) fn hash_map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+    map.capacity() * 8 / 7 * (std::mem::size_of::<(K, V)>() + 1)
 }
 
 impl PackedTrie {
@@ -209,7 +209,13 @@ impl PackedTrie {
 /// The matcher's read-only view of the packed columns.
 impl Trie {
     pub(super) fn n_nodes(&self) -> usize {
-        self.sinks.len()
+        self.packed.pid.len()
+    }
+
+    /// True while every sink is a plain subscription: no attribute-checked
+    /// subscription and no nested-path component is registered.
+    pub(super) fn all_plain(&self) -> bool {
+        self.cold.is_empty()
     }
 
     /// Node → number of sinks.
@@ -224,10 +230,9 @@ impl Trie {
         &self.packed.plain_subs[self.packed.plain_span[n as usize].range()]
     }
 
-    /// Node → all of its sinks (the cold list).
-    #[inline]
-    pub(super) fn sinks(&self, n: u32) -> &[Sink] {
-        &self.sinks[n as usize]
+    /// Node → its cold sinks (everything but the plain subscriptions).
+    pub(super) fn cold_sinks(&self, n: u32) -> &[Sink] {
+        self.cold.get(&n).map_or(&[], Vec::as_slice)
     }
 
     /// Node → its child edges as parallel `(pid, node)` slices.
@@ -261,20 +266,10 @@ impl Trie {
         }
     }
 
-    /// Replaces `chain` with node `n`'s predicate chain, root first.
-    pub(super) fn chain_into(&self, n: u32, chain: &mut Vec<PredId>) {
-        chain.clear();
-        let packed = &self.packed;
-        let mut cur = n;
-        loop {
-            chain.push(packed.pid[cur as usize]);
-            let parent = packed.parent[cur as usize];
-            if parent == NO_PARENT {
-                break;
-            }
-            cur = parent;
-        }
-        chain.reverse();
+    /// Node `n`'s predicate chain, from `n` up to its root.
+    pub(super) fn chain_up(&self, n: u32) -> impl Iterator<Item = PredId> + '_ {
+        let parent = |&c: &u32| Some(self.packed.parent[c as usize]).filter(|&p| p != NO_PARENT);
+        std::iter::successors(Some(n), parent).map(|c| self.packed.pid[c as usize])
     }
 }
 
@@ -291,13 +286,30 @@ impl Trie {
         self.packed.plain_subs.len() + self.packed.child_pid.len()
     }
 
-    /// Heap footprint of the packed columns, the sink-list headers and
-    /// the insert-time edge map, in bytes.
+    /// Heap footprint of the packed columns, the cold sinks and the
+    /// insert-time edge map, in bytes.
     pub(super) fn bytes(&self) -> usize {
         use std::mem::size_of;
+        let sink_heap = |sink: &Sink| match sink {
+            Sink::Sub { attr_check, .. } => attr_check.heap_bytes(),
+            Sink::Component { .. } => 0,
+        };
+        let cold_lists: usize = self
+            .cold
+            .values()
+            .map(|l| l.capacity() * size_of::<Sink>() + l.iter().map(sink_heap).sum::<usize>())
+            .sum();
         self.packed.arena_bytes()
-            + self.sinks.capacity() * size_of::<Vec<Sink>>()
-            + self.edges.capacity() * size_of::<((u32, PredId), u32)>()
+            + hash_map_bytes(&self.cold)
+            + cold_lists
+            + hash_map_bytes(&self.edges)
+    }
+
+    /// Heap footprint of the packed columns alone: the part of
+    /// [`Self::bytes`] whose capacities [`Self::compile`] decides.
+    #[cfg(test)]
+    pub(super) fn arena_bytes(&self) -> usize {
+        self.packed.arena_bytes()
     }
 
     /// True when nothing was patched since the last [`Self::compile`].
@@ -316,19 +328,16 @@ impl Trie {
         p.pid.shrink_to_fit();
         p.parent.shrink_to_fit();
         p.sink_len.shrink_to_fit();
+        p.plain_span.shrink_to_fit();
 
         let n_plain = p.plain_span.iter().map(|s| s.len as usize).sum();
-        p.plain_subs = Vec::with_capacity(n_plain);
-        p.plain_span = self
-            .sinks
-            .iter()
-            .map(|sinks| {
-                let start = p.plain_subs.len();
-                p.plain_subs
-                    .extend(sinks.iter().filter_map(Sink::plain_sub));
-                Span::exact(start as u32, (p.plain_subs.len() - start) as u32)
-            })
-            .collect();
+        let mut plain_subs = Vec::with_capacity(n_plain);
+        for span in &mut p.plain_span {
+            let start = plain_subs.len() as u32;
+            plain_subs.extend_from_slice(&p.plain_subs[span.range()]);
+            *span = Span::exact(start, span.len);
+        }
+        p.plain_subs = plain_subs;
 
         // Every linked non-root node contributes exactly one child edge.
         let mut edges: Vec<(u32, PredId, u32)> = Vec::new();
@@ -362,28 +371,26 @@ impl Trie {
         for &(pid, node) in &roots {
             p.root_of[pid.index()] = node;
         }
-        self.sinks.shrink_to_fit();
+        self.cold.shrink_to_fit();
         self.edges.shrink_to_fit();
         self.garbage = 0;
         self.compiled = true;
     }
 
     /// Walks or creates the predicate chain, appending every new node to
-    /// the columns (and the root / `pid→root` tables), and attaches the
-    /// sink. Returns the node holding it.
-    pub(super) fn patch_insert(&mut self, preds: &[PredId], sink: Sink) -> u32 {
-        debug_assert!(!preds.is_empty());
+    /// the columns (and the root / `pid→root` tables). Returns the node
+    /// the chain ends at — the entry every expression with this chain
+    /// shares; the caller attaches its sink there.
+    pub(super) fn patch_insert(&mut self, preds: impl IntoIterator<Item = PredId>) -> u32 {
         let mut current: u32 = NO_PARENT;
-        for &pid in preds {
+        for pid in preds {
             current = match self.edges.get(&(current, pid)) {
                 Some(&n) => n,
                 None => {
                     let parent = current;
-                    let n = self.sinks.len() as u32;
-                    self.sinks.push(Vec::new());
-                    self.edges.insert((parent, pid), n);
                     let p = &mut self.packed;
-                    debug_assert_eq!(p.pid.len(), n as usize);
+                    let n = p.pid.len() as u32;
+                    self.edges.insert((parent, pid), n);
                     p.pid.push(pid);
                     p.parent.push(parent);
                     p.sink_len.push(0);
@@ -409,53 +416,88 @@ impl Trie {
                 }
             };
         }
-        self.attach_sink(current, sink);
+        debug_assert_ne!(current, NO_PARENT, "an encoding is never empty");
         current
     }
 
-    /// Attaches one more sink to node `n`.
-    pub(super) fn attach_sink(&mut self, n: u32, sink: Sink) {
+    /// Attaches a plain subscription to node `n`.
+    pub(super) fn attach_plain(&mut self, n: u32, sub: SubId) {
         self.compiled = false;
         let p = &mut self.packed;
         p.sink_len[n as usize] += 1;
-        if let Some(s) = sink.plain_sub() {
-            grow_span(
-                &mut p.plain_subs,
-                &mut p.plain_span[n as usize],
-                s,
-                &mut self.garbage,
-            );
-        }
-        self.sinks[n as usize].push(sink);
+        grow_span(
+            &mut p.plain_subs,
+            &mut p.plain_span[n as usize],
+            sub.0,
+            &mut self.garbage,
+        );
     }
 
-    /// Detaches the first sink of node `n` that `is_target` accepts;
-    /// false when there is none. A node left with neither sinks nor
-    /// children is unlinked (see [`Self::prune`]).
-    pub(super) fn detach_sink(&mut self, n: u32, is_target: impl Fn(&Sink) -> bool) -> bool {
-        let sinks = &mut self.sinks[n as usize];
+    /// Attaches a cold sink to node `n`.
+    pub(super) fn attach_cold(&mut self, n: u32, sink: Sink) {
+        self.compiled = false;
+        self.packed.sink_len[n as usize] += 1;
+        self.cold.entry(n).or_default().push(sink);
+    }
+
+    /// Detaches subscription `sub` from node `n`, wherever it is held —
+    /// the plain span or the cold sinks; false when it is in neither. A
+    /// node left with neither sinks nor children is unlinked (see
+    /// [`Self::prune`]).
+    pub(super) fn detach_sub(&mut self, n: u32, sub: SubId) -> bool {
+        let found = self.take_plain(n, sub)
+            || self.take_cold(n, |s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub));
+        self.sink_taken(n, found)
+    }
+
+    /// Detaches the sink of nested-path component `comp` from node `n`;
+    /// false when it is not there. Prunes like [`Self::detach_sub`].
+    pub(super) fn detach_component(&mut self, n: u32, comp: u32) -> bool {
+        let found = self.take_cold(
+            n,
+            |s| matches!(s, Sink::Component { comp: c } if *c == comp),
+        );
+        self.sink_taken(n, found)
+    }
+
+    /// Swap-removes `sub` from node `n`'s plain span; the freed slot stays
+    /// within the span's capacity, so it is reusable, not garbage.
+    fn take_plain(&mut self, n: u32, sub: SubId) -> bool {
+        let p = &mut self.packed;
+        let span = &mut p.plain_span[n as usize];
+        let r = span.range();
+        let Some(idx) = p.plain_subs[r.clone()].iter().position(|&x| x == sub.0) else {
+            return false;
+        };
+        p.plain_subs[r.start + idx] = p.plain_subs[r.end - 1];
+        span.len -= 1;
+        true
+    }
+
+    /// Removes the first cold sink of node `n` that `is_target` accepts,
+    /// and the node's entry with its last one.
+    fn take_cold(&mut self, n: u32, is_target: impl Fn(&Sink) -> bool) -> bool {
+        let Some(sinks) = self.cold.get_mut(&n) else {
+            return false;
+        };
         let Some(pos) = sinks.iter().position(is_target) else {
             return false;
         };
-        let plain_sub = sinks.remove(pos).plain_sub();
-        self.compiled = false;
-        let p = &mut self.packed;
-        p.sink_len[n as usize] -= 1;
-        if let Some(sub) = plain_sub {
-            // Swap-remove the id inside the plain span; the freed slot
-            // stays within the span's capacity, so it is reusable, not
-            // garbage.
-            let span = &mut p.plain_span[n as usize];
-            let r = span.range();
-            let idx = p.plain_subs[r.clone()]
-                .iter()
-                .position(|&x| x == sub)
-                .expect("plain sink mirrored in the packed column");
-            p.plain_subs[r.start + idx] = p.plain_subs[r.end - 1];
-            span.len -= 1;
+        sinks.remove(pos);
+        if sinks.is_empty() {
+            self.cold.remove(&n);
         }
-        self.prune(n);
         true
+    }
+
+    /// Books a sink taken from node `n` (if one was) and prunes.
+    fn sink_taken(&mut self, n: u32, taken: bool) -> bool {
+        if taken {
+            self.compiled = false;
+            self.packed.sink_len[n as usize] -= 1;
+            self.prune(n);
+        }
+        taken
     }
 
     /// Unlinks node `n`, and then each ancestor left the same way, once it

@@ -186,9 +186,10 @@ pub struct PredicateIndex {
     absolute_attr: SymTable<AttrOpLists<AttrBucket<AttrUnary>>>,
     relative_attr: SymTable<HashMap<Symbol, AttrOpLists<RelSlot>>>,
     end_attr: SymTable<AttrOpLists<AttrBucket<AttrUnary>>>,
-    /// Whether any attribute-constrained predicate exists (skips side-list
-    /// scans entirely otherwise).
-    has_attr_preds: bool,
+    /// Live attribute-constrained predicates: up where one is allocated,
+    /// down where [`Self::release`] frees it. At zero the side-list scans
+    /// are skipped entirely.
+    attr_preds: u32,
     /// Tags that appear as the *second* tag of some plain relative
     /// predicate, indexed by [`Symbol::index`]. Incremental evaluation
     /// pairs a newly entered element against every ancestor on the path
@@ -223,7 +224,7 @@ impl PredicateIndex {
             absolute_attr: SymTable::new(),
             relative_attr: SymTable::new(),
             end_attr: SymTable::new(),
-            has_attr_preds: false,
+            attr_preds: 0,
             rel_to: Vec::new(),
             rel_attr_to: Vec::new(),
             preds: Vec::new(),
@@ -231,11 +232,12 @@ impl PredicateIndex {
         }
     }
 
-    /// True if any attribute-constrained (inline-mode) predicate is stored.
-    /// Equal tag sequences are then *not* guaranteed to produce equal match
-    /// results, which disables per-document path memoization upstream.
+    /// True while any attribute-constrained (inline-mode) predicate is
+    /// live. Equal tag sequences are then *not* guaranteed to produce equal
+    /// match results, which disables path memoization upstream; once the
+    /// last such predicate is released this reads false again.
     pub fn has_attr_predicates(&self) -> bool {
-        self.has_attr_preds
+        self.attr_preds != 0
     }
 
     fn mark_to_tag(bits: &mut Vec<bool>, sym: Symbol) {
@@ -394,12 +396,12 @@ impl PredicateIndex {
             // constant-indexed buckets, with dedup on the full tag
             // variables.
             Predicate::Absolute { tag, op, value } => {
-                self.has_attr_preds = true;
                 let bucket = self.absolute_attr.get_mut(tag.tag).slot_mut(*op, *value);
                 if let Some(e) = bucket.iter().find(|e| e.tag == *tag) {
                     return Self::bump(&mut self.refs, e.pid);
                 }
                 let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
+                self.attr_preds += 1;
                 bucket.insert(
                     tag,
                     AttrUnary {
@@ -415,7 +417,6 @@ impl PredicateIndex {
                 op,
                 value,
             } => {
-                self.has_attr_preds = true;
                 Self::mark_to_tag(&mut self.rel_attr_to, to.tag);
                 let slot = self
                     .relative_attr
@@ -427,6 +428,7 @@ impl PredicateIndex {
                     return Self::bump(&mut self.refs, pid);
                 }
                 let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
+                self.attr_preds += 1;
                 slot.insert(AttrBinary {
                     from: from.clone(),
                     to: to.clone(),
@@ -435,12 +437,12 @@ impl PredicateIndex {
                 pid
             }
             Predicate::EndOfPath { tag, value } => {
-                self.has_attr_preds = true;
                 let bucket = self.end_attr.get_mut(tag.tag).slot_mut(PosOp::Ge, *value);
                 if let Some(e) = bucket.iter().find(|e| e.tag == *tag) {
                     return Self::bump(&mut self.refs, e.pid);
                 }
                 let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
+                self.attr_preds += 1;
                 bucket.insert(
                     tag,
                     AttrUnary {
@@ -529,6 +531,7 @@ impl PredicateIndex {
                 }
             }
             Predicate::Absolute { tag, op, value } => {
+                self.attr_preds -= 1;
                 if let Some(bucket) = self
                     .absolute_attr
                     .0
@@ -544,6 +547,7 @@ impl PredicateIndex {
                 op,
                 value,
             } => {
+                self.attr_preds -= 1;
                 if let Some(slot) = self
                     .relative_attr
                     .0
@@ -555,6 +559,7 @@ impl PredicateIndex {
                 }
             }
             Predicate::EndOfPath { tag, value } => {
+                self.attr_preds -= 1;
                 if let Some(bucket) = self
                     .end_attr
                     .0
@@ -701,7 +706,7 @@ impl PredicateIndex {
             }
         }
 
-        if self.has_attr_preds {
+        if self.has_attr_predicates() {
             let doc = doc.expect(
                 "PredicateIndex::evaluate: a document is required when \
                  attribute-constrained predicates are present",
@@ -857,7 +862,7 @@ impl PredicateIndex {
                 }
             }
         }
-        if self.has_attr_preds {
+        if self.has_attr_predicates() {
             let doc = doc.expect(
                 "PredicateIndex::eval_enter: a document is required when \
                  attribute-constrained predicates are present",
@@ -915,7 +920,7 @@ impl PredicateIndex {
                 }
             }
         }
-        if self.has_attr_preds {
+        if self.has_attr_predicates() {
             let doc = doc.expect(
                 "PredicateIndex::eval_leaf: a document is required when \
                  attribute-constrained predicates are present",

@@ -36,8 +36,8 @@ pub struct XPathParams {
     /// Probability that an expression is a verbatim copy of an earlier
     /// expression in the same workload (requires `distinct: false`).
     /// Models real subscription populations, where popular queries are
-    /// registered by many subscribers — the target of the engine's
-    /// canonical-form dedup.
+    /// registered by many subscribers — they share one trie node in the
+    /// engine (equal predicate chains).
     pub dup_rate: f64,
     /// Probability that an expression is *derived* from an earlier one as
     /// a relative sub-path (a contiguous tagged window of the base's
@@ -133,7 +133,7 @@ impl<'d> XPathGenerator<'d> {
             let start = self.rng.gen_range(0..=n - len);
             let window = &base.steps[start..start + len];
             // The window must open on a bare tagged step: a wildcard head
-            // canonicalizes away, and a filtered head would change the
+            // only asks for depth, and a filtered head would change the
             // derived expression's selectivity relative to the base.
             if !matches!(window[0].test, NodeTest::Tag(_)) || !window[0].filters.is_empty() {
                 continue;
@@ -455,8 +455,8 @@ mod tests {
         .generate();
         assert_eq!(exprs.len(), 1000);
         let rendered: HashSet<String> = exprs.iter().map(|e| e.to_string()).collect();
-        // ~40% of emissions are copies; the canonical pool is much smaller
-        // than the workload.
+        // ~40% of emissions are copies; the pool of distinct expressions
+        // is much smaller than the workload.
         assert!(
             rendered.len() < 700,
             "expected heavy duplication, got {} distinct",

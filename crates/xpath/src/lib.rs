@@ -23,11 +23,9 @@
 #![warn(missing_docs)]
 
 mod ast;
-mod canonical;
 mod parser;
 
 pub use ast::{
     AttrFilter, AttrValue, Axis, CmpOp, NodeTest, Step, StepFilter, XPathExpr, TEXT_FILTER,
 };
-pub use canonical::fnv1a;
 pub use parser::{parse, XPathError};

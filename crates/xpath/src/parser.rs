@@ -39,7 +39,7 @@ impl std::error::Error for XPathError {}
 
 /// Deepest accepted nesting of path filters (`a[b[c]]` nests two levels).
 /// The parser recurses once per level, and so does everything that walks
-/// the tree it returns (canonicalisation, decomposition, `Drop`), so an
+/// the tree it returns (decomposition, `Display`, `Drop`), so an
 /// expression from the wire must not choose the depth: unbounded, a 30 KB
 /// `SUB` line overflows the stack of the thread that parses it.
 const MAX_FILTER_NESTING: usize = 32;

@@ -272,7 +272,7 @@ fn the_empty_store_matches_nothing() {
     assert_eq!(after.docs, warm.docs + 3);
 }
 
-/// Subscriptions are outside input too. The parser, the canonicaliser,
+/// Subscriptions are outside input too. The parser, the decomposition,
 /// every backend's insert and `Drop` all recurse once per nested path
 /// filter, so the nesting a caller may ask for is capped where it enters:
 /// a 30 KB expression is a parse error in every backend — not a stack
