@@ -277,34 +277,229 @@ impl Reply {
             Reply::Bye => "+BYE".to_string(),
             Reply::ShutdownOk => "+SHUTDOWN".to_string(),
             Reply::Err { kind, detail } => format!("-ERR {kind} {detail}"),
-            Reply::Match { seq, tag, ids } => match_line(*seq, tag, ids),
+            Reply::Match { seq, tag, ids } => {
+                let mut wire = None;
+                render_match_lines(
+                    *seq,
+                    tag,
+                    ids.iter().copied(),
+                    |_| Some(0),
+                    |_, line| wire = Some(line),
+                );
+                // No ids: the line is its header alone.
+                wire.unwrap_or_else(|| {
+                    let head = header_room(*seq, tag, 0);
+                    MatchLine::new(0, head, head, head).finish(head, *seq, tag)
+                })
+            }
         }
     }
 }
 
-/// Renders `MATCH <seq> <tag> <n> <id> <id> ...`, the one place a `MATCH`
-/// line is produced ([`Reply::to_wire`] and the delivery thread both end
-/// here). A line carries thousands of ids, so the buffer is sized once
-/// from the widest id, pre-filled with the separating spaces, and each
-/// id's digits are written into place — no per-id allocation, no
-/// formatting machinery.
-pub(crate) fn match_line(seq: u64, tag: &str, ids: &[u32]) -> String {
-    let width = |id: u32| id.checked_ilog10().map_or(1, |d| d as usize + 1);
-    let mut out = format!("MATCH {seq} {tag} {}", ids.len()).into_bytes();
-    let mut at = out.len();
-    let widest = ids.iter().max().map_or(0, |&id| width(id));
-    out.resize(at + ids.len() * (1 + widest), b' ');
-    for &id in ids {
-        let n = width(id);
-        let mut rest = id;
-        for digit in out[at + 1..at + 1 + n].iter_mut().rev() {
-            *digit = b'0' + (rest % 10) as u8;
-            rest /= 10;
-        }
-        at += 1 + n;
+/// `DIGITS[n]` is `n`'s four decimal digits, zero-padded, as the bytes of a
+/// little-endian `u32`: an id's last eight digits are two lookups.
+static DIGITS: [u32; 10_000] = {
+    let mut table = [0u32; 10_000];
+    let mut n = 0;
+    while n < 10_000 {
+        let d = [n / 1000, n / 100 % 10, n / 10 % 10, n % 10];
+        table[n] = u32::from_le_bytes([
+            b'0' + d[0] as u8,
+            b'0' + d[1] as u8,
+            b'0' + d[2] as u8,
+            b'0' + d[3] as u8,
+        ]);
+        n += 1;
     }
-    out.truncate(at);
-    String::from_utf8(out).expect("a MATCH line is its UTF-8 tag plus ASCII")
+    table
+};
+
+/// Ids of up to this many digits are written by one 8-byte store: the
+/// separating space and the digits.
+const PACKED_DIGITS: usize = 7;
+
+/// Number of decimal digits of `v`.
+fn decimal_width(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Bytes in front of the first id: `MATCH <seq> <tag> <n>` for `n` ids,
+/// the widest count any owner's line of the document can carry.
+fn header_room(seq: u64, tag: &str, n: usize) -> usize {
+    "MATCH ".len() + decimal_width(seq) + 1 + tag.len() + 1 + decimal_width(n as u64)
+}
+
+/// The digit count of `id` and the range of ids that share it.
+fn digit_range(id: u32) -> (usize, u64, u64) {
+    let digits = decimal_width(id.into());
+    let hi = 10u64.pow(digits as u32);
+    (digits, if digits == 1 { 0 } else { hi / 10 }, hi)
+}
+
+/// An owner's `MATCH` line, parked while another owner's is filled.
+struct MatchLine {
+    owner: u64,
+    /// Header room, then ` <id>` per id up to `at`; zeroed past it.
+    bytes: Vec<u8>,
+    at: usize,
+    count: usize,
+    /// Length the line may grow to: room for every id of the document
+    /// from the one that opened it on.
+    limit: usize,
+}
+
+impl MatchLine {
+    fn new(owner: u64, head: usize, len: usize, limit: usize) -> MatchLine {
+        MatchLine {
+            owner,
+            bytes: vec![0; len],
+            at: head,
+            count: 0,
+            limit,
+        }
+    }
+
+    /// Writes `MATCH <seq> <tag> <count>` into the `head` bytes of room,
+    /// against the first id; a count narrower than the room leaves a gap in
+    /// front, cut by one shift.
+    fn finish(self, head: usize, seq: u64, tag: &str) -> String {
+        let mut bytes = self.bytes;
+        bytes.truncate(self.at);
+        let mut start = decimal_before(&mut bytes, head, self.count as u64);
+        for part in [b" ".as_slice(), tag.as_bytes(), b" "] {
+            start -= part.len();
+            bytes[start..start + part.len()].copy_from_slice(part);
+        }
+        start = decimal_before(&mut bytes, start, seq);
+        start -= b"MATCH ".len();
+        bytes[start..start + 6].copy_from_slice(b"MATCH ");
+        bytes.drain(..start);
+        String::from_utf8(bytes).expect("a MATCH line is its UTF-8 tag plus ASCII")
+    }
+}
+
+/// Writes ` <id>` (`digits` wide) at `at` where the one-store path cannot:
+/// the line must grow first (up to `limit`), or the id is ≥ 10⁷.
+#[cold]
+fn push_slow(bytes: &mut Vec<u8>, at: usize, limit: usize, id: u32, digits: usize) {
+    let need = at + 8.max(1 + digits);
+    if bytes.len() < need {
+        bytes.resize((2 * bytes.len()).clamp(need, limit), 0);
+    }
+    bytes[at] = b' ';
+    let mut rest = id;
+    for digit in bytes[at + 1..at + 1 + digits].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+}
+
+/// Writes `v` in decimal to end at `end`; returns where it starts.
+fn decimal_before(bytes: &mut [u8], mut end: usize, mut v: u64) -> usize {
+    loop {
+        end -= 1;
+        bytes[end] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return end;
+        }
+    }
+}
+
+/// Renders the `MATCH <seq> <tag> <n> <id> <id> ...` lines of one
+/// document in one pass over `ids`, one line per owner holding any: the one
+/// place a `MATCH` line's ids are written ([`Reply::to_wire`], with one
+/// owner, and the delivery thread end here). `owner_of` names an id's
+/// owner, `None` to leave the id out; each finished line goes to `emit`
+/// with its owner, its ids in the order given.
+///
+/// The line being filled lives in locals; when the owner changes it is
+/// parked and the next owner's line resumed or opened, so one owner — the
+/// common case — is one line. An id below 10⁷ is two table loads and one
+/// 8-byte store, and the digit count is recomputed only when an id leaves
+/// the current power of ten. The first line reserves room for every id at
+/// the widest id's width, plus 8 bytes of slack for the wide store; a later
+/// owner's line starts small and grows up to the same bound.
+pub(crate) fn render_match_lines(
+    seq: u64,
+    tag: &str,
+    ids: impl ExactSizeIterator<Item = u32> + Clone,
+    owner_of: impl Fn(u32) -> Option<u64>,
+    mut emit: impl FnMut(u64, String),
+) {
+    let n = ids.len();
+    let widest = ids.clone().max().map_or(1, |id| decimal_width(id.into()));
+    let head = header_room(seq, tag, n);
+    let room = |ids: usize| head + ids * (1 + widest) + 8;
+    let Some((first, owner)) = ids
+        .clone()
+        .enumerate()
+        .find_map(|(i, id)| Some((i, owner_of(id)?)))
+    else {
+        return;
+    };
+    let MatchLine {
+        mut owner,
+        mut bytes,
+        mut at,
+        mut count,
+        mut limit,
+    } = MatchLine::new(owner, head, room(n - first), room(n - first));
+    let mut parked: Vec<MatchLine> = Vec::new();
+    let (mut digits, mut lo, mut hi) = digit_range(0);
+    for (i, id) in ids.enumerate().skip(first) {
+        let Some(id_owner) = owner_of(id) else {
+            continue;
+        };
+        if id_owner != owner {
+            let mut line = MatchLine {
+                owner,
+                bytes,
+                at,
+                count,
+                limit,
+            };
+            match parked.iter_mut().find(|parked| parked.owner == id_owner) {
+                Some(slot) => std::mem::swap(slot, &mut line),
+                None => parked.push(std::mem::replace(
+                    &mut line,
+                    MatchLine::new(id_owner, head, room((n - i).min(16)), room(n - i)),
+                )),
+            }
+            MatchLine {
+                owner,
+                bytes,
+                at,
+                count,
+                limit,
+            } = line;
+        }
+        if !(lo..hi).contains(&u64::from(id)) {
+            (digits, lo, hi) = digit_range(id);
+        }
+        if digits <= PACKED_DIGITS && at + 8 <= bytes.len() {
+            let eight = u64::from(DIGITS[(id / 10_000) as usize])
+                | u64::from(DIGITS[(id % 10_000) as usize]) << 32;
+            // Keep one of the leading zeros, as the space; the bytes past
+            // the digits are overwritten by the next id or cut.
+            let word = (eight >> (8 * (PACKED_DIGITS - digits))) & !0xff | u64::from(b' ');
+            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        } else {
+            push_slow(&mut bytes, at, limit, id, digits);
+        }
+        at += 1 + digits;
+        count += 1;
+    }
+    let current = MatchLine {
+        owner,
+        bytes,
+        at,
+        count,
+        limit,
+    };
+    for line in std::iter::once(current).chain(parked) {
+        emit(line.owner, line.finish(head, seq, tag));
+    }
 }
 
 #[cfg(test)]
@@ -380,8 +575,8 @@ mod tests {
         }
     }
 
-    /// What `to_wire` did for a `MATCH` line before [`match_line`]: the
-    /// standard formatter, one id at a time.
+    /// What `to_wire` did for a `MATCH` line before it had a renderer of
+    /// its own: the standard formatter, one id at a time.
     fn match_line_by_format(seq: u64, tag: &str, ids: &[u32]) -> String {
         let mut s = format!("MATCH {seq} {tag} {}", ids.len());
         for id in ids {
@@ -414,7 +609,6 @@ mod tests {
         let lists = [vec![], boundaries.clone(), descending, mixed.to_vec()];
         for ids in lists.iter().chain(&singles) {
             let want = match_line_by_format(u64::MAX, "d7", ids);
-            assert_eq!(match_line(u64::MAX, "d7", ids), want);
             let reply = Reply::Match {
                 seq: u64::MAX,
                 tag: "d7".into(),
@@ -423,7 +617,12 @@ mod tests {
             assert_eq!(reply.to_wire(), want);
             assert_eq!(Reply::parse(&want).unwrap(), reply);
         }
-        assert_eq!(match_line(3, "t", &[]), "MATCH 3 t 0");
+        let empty = Reply::Match {
+            seq: 3,
+            tag: "t".into(),
+            ids: vec![],
+        };
+        assert_eq!(empty.to_wire(), "MATCH 3 t 0");
     }
 
     #[test]

@@ -121,6 +121,41 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Enqueues `items` in order under one lock and wakes consumers once,
+    /// so a batch costs its consumer one wake-up, not one per item (on a
+    /// shared CPU each wake-up can preempt the producer). Each item meets
+    /// the policy as in [`Self::push`]; returns how many were enqueued.
+    pub(crate) fn push_all(&self, items: impl IntoIterator<Item = T>) -> usize {
+        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut enqueued = 0;
+        for item in items {
+            loop {
+                if inner.closed {
+                    break;
+                }
+                if inner.items.len() < self.capacity {
+                    inner.items.push_back(item);
+                    enqueued += 1;
+                    break;
+                }
+                match self.policy {
+                    Backpressure::Shed => {
+                        inner.shed += 1;
+                        break;
+                    }
+                    Backpressure::Block => {
+                        // What is queued must reach a consumer first.
+                        self.not_empty.notify_all();
+                        inner = self.not_full.wait(inner).expect("queue poisoned");
+                    }
+                }
+            }
+        }
+        drop(inner);
+        self.not_empty.notify_all();
+        enqueued
+    }
+
     /// Dequeues the head item, parking until one is available. Returns
     /// `None` once the queue is closed *and* drained — a closed queue
     /// still yields every item pushed before the close.
@@ -315,6 +350,30 @@ mod tests {
         q.push(8);
         assert_eq!(q.try_drain(4, &mut out), 2);
         assert_eq!(out, vec![7, 8]);
+    }
+
+    /// A batch keeps its order and meets each policy item by item; under
+    /// `Block` a batch larger than the queue reaches a consumer that was
+    /// already parked on the empty queue.
+    #[test]
+    fn push_all_is_push_per_item_with_one_wake_up() {
+        let q = BoundedQueue::new(3, Backpressure::Shed);
+        assert_eq!(q.push_all(0..5u32), 3);
+        assert_eq!(q.shed_count(), 2);
+        q.close();
+        assert_eq!(q.push_all([9]), 0);
+        let drained: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, [0, 1, 2]);
+
+        let q = BoundedQueue::new(2, Backpressure::Block);
+        std::thread::scope(|scope| {
+            let q = &q;
+            let consumer = scope.spawn(move || (0..50).map(|_| q.pop()).collect::<Vec<_>>());
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(q.push_all(0..50u32), 50);
+            let got = consumer.join().unwrap();
+            assert_eq!(got, (0..50).map(Some).collect::<Vec<_>>());
+        });
     }
 
     #[test]

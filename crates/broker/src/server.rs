@@ -48,16 +48,16 @@
 //!   *consecutive* failures (a truly desynced peer) fuses and closes the
 //!   connection.
 
-use crate::protocol::{Command, Reply};
+use crate::protocol::{render_match_lines, Command, Reply};
 use crate::queue::{Backpressure, BoundedQueue, PushOutcome};
 use pxf_core::{FilterEngine, MatchScratch, SnapshotHandle, SnapshotPublisher, SubId};
 use pxf_xml::{DocumentStream, ParserLimits, PollDoc, XmlErrorKind};
 use pxf_xpath::XPathExpr;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -329,7 +329,9 @@ struct Shared {
     seq: AtomicU64,
     stats: Counters,
     handle: SnapshotHandle,
-    running: AtomicBool,
+    /// False once a shutdown was requested; `stopped` is signalled then.
+    running: Mutex<bool>,
+    stopped: Condvar,
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
     conn_writer_threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -340,11 +342,19 @@ impl Shared {
     }
 
     fn is_running(&self) -> bool {
-        self.running.load(Ordering::Acquire)
+        *self.running.lock().expect("running poisoned")
     }
 
     fn request_shutdown(&self) {
-        self.running.store(false, Ordering::Release);
+        *self.running.lock().expect("running poisoned") = false;
+        self.stopped.notify_all();
+    }
+
+    fn wait_for_shutdown(&self) {
+        let mut running = self.running.lock().expect("running poisoned");
+        while *running {
+            running = self.stopped.wait(running).expect("running poisoned");
+        }
     }
 
     fn stats_snapshot(&self) -> BrokerStatsSnapshot {
@@ -437,7 +447,8 @@ impl Broker {
             seq: AtomicU64::new(0),
             stats: Counters::default(),
             handle,
-            running: AtomicBool::new(true),
+            running: Mutex::new(true),
+            stopped: Condvar::new(),
             reader_threads: Mutex::new(Vec::new()),
             conn_writer_threads: Mutex::new(Vec::new()),
             config,
@@ -446,20 +457,20 @@ impl Broker {
         let core = CoreThreads {
             listener: {
                 let shared = shared.clone();
-                std::thread::spawn(move || listener_loop(&shared, listener))
+                spawn_named("pxf-listener", move || listener_loop(&shared, listener))
             },
             sub_writer: {
                 let shared = shared.clone();
-                std::thread::spawn(move || sub_writer_loop(&shared, publisher))
+                spawn_named("pxf-subwriter", move || sub_writer_loop(&shared, publisher))
             },
             delivery: {
                 let shared = shared.clone();
-                std::thread::spawn(move || delivery_loop(&shared))
+                spawn_named("pxf-delivery", move || delivery_loop(&shared))
             },
             workers: (0..workers)
-                .map(|_| {
+                .map(|i| {
                     let shared = shared.clone();
-                    std::thread::spawn(move || worker_loop(&shared))
+                    spawn_named(format!("pxf-worker-{i}"), move || worker_loop(&shared))
                 })
                 .collect(),
         };
@@ -493,9 +504,7 @@ impl BrokerHandle {
     /// client's `SHUTDOWN` command), then tears the broker down in drain
     /// order and returns the final counters.
     pub fn wait(mut self) -> BrokerStatsSnapshot {
-        while self.shared.is_running() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.shared.wait_for_shutdown();
         self.teardown();
         self.shared.stats_snapshot()
     }
@@ -507,6 +516,7 @@ impl BrokerHandle {
     fn teardown(&mut self) {
         let Some(core) = self.core.take() else { return };
         self.shared.request_shutdown();
+        wake_listener(self.addr, &core.listener);
         let _ = core.listener.join();
 
         // Unblock connection readers parked in read(); they observe EOF,
@@ -569,18 +579,46 @@ impl Drop for BrokerHandle {
     }
 }
 
+/// Spawns a broker thread named `name`, at most 15 bytes (what Linux
+/// keeps), so that `top -H` and `/proc/<pid>/task/*/comm` tell the
+/// threads apart.
+fn spawn_named(name: impl Into<String>, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(body)
+        .expect("spawn a broker thread")
+}
+
+/// Blocks in `accept`, checking for a shutdown after each connection;
+/// teardown connects once to wake it ([`wake_listener`]).
 fn listener_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
-    while shared.is_running() {
-        match listener.accept() {
-            Ok((sock, _peer)) => spawn_connection(shared, sock),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    for sock in listener.incoming() {
+        if !shared.is_running() {
+            return;
+        }
+        match sock {
+            Ok(sock) => spawn_connection(shared, sock),
+            // Out of descriptors, or the peer left before the accept.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+    }
+}
+
+/// Connects to the listener bound at `addr` (through loopback if that
+/// address is unspecified) so that its `accept` returns and it sees the
+/// shutdown; retries until a connection is made or the thread has ended.
+fn wake_listener(addr: SocketAddr, listener: &JoinHandle<()>) {
+    let mut wake = addr;
+    if addr.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !listener.is_finished()
+        && TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_err()
+    {
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -607,9 +645,13 @@ fn spawn_connection(shared: &Arc<Shared>, sock: TcpStream) {
     let reader = {
         let shared = shared.clone();
         let conn = conn.clone();
-        std::thread::spawn(move || reader_loop(&shared, &conn, sock))
+        spawn_named(format!("pxf-read-{id}"), move || {
+            reader_loop(&shared, &conn, sock)
+        })
     };
-    let writer = std::thread::spawn(move || conn_writer_loop(&conn, write_sock));
+    let writer = spawn_named(format!("pxf-write-{id}"), move || {
+        conn_writer_loop(&conn, write_sock)
+    });
     shared
         .reader_threads
         .lock()
@@ -722,8 +764,9 @@ fn one_line(s: &str) -> String {
 
 /// Reads a `DOC` frame's payload, feeding it through the connection's
 /// boundary scanner in bounded chunks of the caller's buffer (grown to
-/// the frame length, at most 64 KiB). Returns false when the connection
-/// must close (socket died or the stream fused).
+/// the frame length, at most 64 KiB). Every frame draws at least one
+/// reply. Returns false when the connection must close (socket died or
+/// the stream fused).
 fn ingest_frame(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
@@ -750,6 +793,7 @@ fn ingest_frame(
         return true;
     }
     let mut remaining = len;
+    let mut answered = false;
     if chunk.len() < CHUNK.min(len) {
         chunk.resize(CHUNK.min(len), 0);
     }
@@ -763,26 +807,34 @@ fn ingest_frame(
             .lock()
             .expect("stream poisoned")
             .feed(&chunk[..take]);
-        if !drain_scanner(shared, conn, tag) {
+        if !drain_scanner(shared, conn, tag, &mut answered) {
             return false;
         }
     }
     // A frame must end on a document boundary: anything still buffered is
     // a truncated document. Report it and resync so the next frame cannot
     // concatenate with the leftover bytes (and so the client gets a reply
-    // instead of silence).
-    let dropped = conn
-        .stream
-        .lock()
-        .expect("stream poisoned")
-        .discard_partial();
-    if let Some(n) = dropped {
-        conn.outbox.push(format!(
-            "-ERR DOC frame ended inside a document ({n} bytes discarded)"
-        ));
-        // discard_partial counts against the consecutive-failure cap;
-        // surface the fuse the same way an in-band failure would.
-        if !drain_scanner(shared, conn, tag) {
+    // instead of silence). A frame that yielded neither a document nor an
+    // error — no bytes, blanks, the tail of a garbage run already reported
+    // — is answered too, and counted like a truncated one.
+    let complaint = {
+        let mut stream = conn.stream.lock().expect("stream poisoned");
+        match stream.discard_partial() {
+            Some(n) => Some(format!(
+                "-ERR DOC frame ended inside a document ({n} bytes discarded)"
+            )),
+            None if !answered => {
+                stream.note_failure();
+                Some("-ERR DOC frame carries no document".to_string())
+            }
+            None => None,
+        }
+    };
+    if let Some(line) = complaint {
+        conn.outbox.push(line);
+        // Both count against the consecutive-failure cap; surface the
+        // fuse the same way an in-band failure would.
+        if !drain_scanner(shared, conn, tag, &mut answered) {
             return false;
         }
     }
@@ -790,12 +842,21 @@ fn ingest_frame(
 }
 
 /// Polls completed documents out of the connection's scanner and moves
-/// them into the ingest pipeline. Never holds the stream lock across a
+/// them into the ingest pipeline, setting `answered` once a document or a
+/// scanner error was replied to. Never holds the stream lock across a
 /// queue push (the delivery thread takes the same lock for the
 /// note_success/note_failure contract).
-fn drain_scanner(shared: &Arc<Shared>, conn: &Arc<ConnShared>, tag: &str) -> bool {
+fn drain_scanner(
+    shared: &Arc<Shared>,
+    conn: &Arc<ConnShared>,
+    tag: &str,
+    answered: &mut bool,
+) -> bool {
     loop {
         let polled = conn.stream.lock().expect("stream poisoned").poll_raw_at();
+        if matches!(polled, PollDoc::Doc(..) | PollDoc::Fail(_)) {
+            *answered = true;
+        }
         match polled {
             PollDoc::Doc(_, bytes) => {
                 let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
@@ -927,9 +988,17 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
             publisher.publish();
         }
         shared.mirror_publisher(&publisher);
-        for (conn, line) in replies.drain(..) {
+        // A connection's replies go to its outbox in one push: one wake-up
+        // of its writer per batch. Pushed one by one, on the broker's one
+        // CPU each woke the writer to write and flush a single line.
+        let mut pending = replies.drain(..).peekable();
+        while let Some((conn, first)) = pending.next() {
+            let mut run = vec![first];
+            while let Some((_, line)) = pending.next_if(|(next, _)| *next == conn) {
+                run.push(line);
+            }
             if let Some(c) = shared.conn_by_id(conn) {
-                c.outbox.push(line);
+                c.outbox.push_all(run);
             }
         }
     }
@@ -1036,32 +1105,13 @@ fn delivery_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Splits a document's ascending match list by owning connection, each
-/// owner's ids still ascending. An id past the end of the registry (never
-/// registered) or tombstoned (`UNSUB`, disconnect) belongs to nobody. One
-/// owner is the common case: the last owner is remembered, and a change
-/// of owner searches the (short) group list — nothing is hashed.
-fn group_by_owner(registry: &[u64], ids: &[SubId]) -> Vec<(u64, Vec<u32>)> {
-    let mut groups: Vec<(u64, Vec<u32>)> = Vec::new();
-    let mut last = 0;
-    for id in ids {
-        let owner = match registry.get(id.0 as usize) {
-            Some(&owner) if owner != NO_OWNER => owner,
-            _ => continue,
-        };
-        if groups.get(last).map(|g| g.0) != Some(owner) {
-            last = match groups.iter().position(|g| g.0 == owner) {
-                Some(i) => i,
-                None => {
-                    let room = if groups.is_empty() { ids.len() } else { 0 };
-                    groups.push((owner, Vec::with_capacity(room)));
-                    groups.len() - 1
-                }
-            };
-        }
-        groups[last].1.push(id.0);
-    }
-    groups
+/// The connection owning subscription `id`: none for an id past the end
+/// of the registry (never registered) or tombstoned (`UNSUB`, disconnect).
+fn owner_in(registry: &[u64], id: u32) -> Option<u64> {
+    registry
+        .get(id as usize)
+        .copied()
+        .filter(|&owner| owner != NO_OWNER)
 }
 
 fn deliver_one(shared: &Arc<Shared>, c: Completion) {
@@ -1079,28 +1129,36 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
             if ids.is_empty() {
                 return;
             }
-            let groups = group_by_owner(&shared.registry.read().expect("registry poisoned"), &ids);
-            for (owner, ids) in groups {
-                // A publisher that subscribes is its own (often only)
-                // owner: the origin looked up above serves again.
-                let conn = match &origin {
-                    Some(origin) if origin.id == owner => Some(origin.clone()),
-                    _ => shared.conn_by_id(owner),
-                };
-                match conn {
-                    Some(conn) => {
-                        let line = crate::protocol::match_line(c.seq, &c.tag, &ids);
-                        if conn.outbox.push(line).is_enqueued() {
-                            shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
+            // One registry state for the whole render: the subscription
+            // writer waits at most one document's lines.
+            let registry = shared.registry.read().expect("registry poisoned");
+            let ids = ids.iter().map(|id| id.0);
+            render_match_lines(
+                c.seq,
+                &c.tag,
+                ids,
+                |id| owner_in(&registry, id),
+                |owner, line| {
+                    // A publisher that subscribes is its own (often only)
+                    // owner: the origin looked up above serves again.
+                    let conn = match &origin {
+                        Some(origin) if origin.id == owner => Some(origin.clone()),
+                        _ => shared.conn_by_id(owner),
+                    };
+                    match conn {
+                        Some(conn) => {
+                            if conn.outbox.push(line).is_enqueued() {
+                                shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        // The owner's connection vanished between the
+                        // registry read and here.
+                        None => {
+                            shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    // The owner's connection vanished between the
-                    // registry read and here.
-                    None => {
-                        shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+                },
+            );
         }
         Outcome::ParseError(detail) => {
             shared.stats.parse_failures.fetch_add(1, Ordering::Relaxed);
@@ -1120,24 +1178,180 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxf_rng::Rng;
+    use std::collections::BTreeMap;
 
     fn sub_ids(ids: &[u32]) -> Vec<SubId> {
         ids.iter().map(|&id| SubId(id)).collect()
     }
 
+    /// The naive reference: each owner's ids picked out in order, and each
+    /// such list through the standard formatter.
+    fn formatted_per_owner(
+        owner_of: &dyn Fn(u32) -> Option<u64>,
+        seq: u64,
+        tag: &str,
+        ids: &[u32],
+    ) -> BTreeMap<u64, String> {
+        let mut split: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for &id in ids {
+            if let Some(owner) = owner_of(id) {
+                split.entry(owner).or_default().push(id);
+            }
+        }
+        let line = |mine: Vec<u32>| {
+            let mut line = format!("MATCH {seq} {tag} {}", mine.len());
+            for id in mine {
+                line.push_str(&format!(" {id}"));
+            }
+            line
+        };
+        split.into_iter().map(|(o, mine)| (o, line(mine))).collect()
+    }
+
+    /// Renders `ids` and checks the lines against the reference: exactly
+    /// one line per owner holding ids, each that owner's ids in order under
+    /// the right count, each parsed back to what it says.
+    fn rendered(
+        owner_of: &dyn Fn(u32) -> Option<u64>,
+        seq: u64,
+        tag: &str,
+        ids: &[u32],
+    ) -> BTreeMap<u64, String> {
+        let mut lines = BTreeMap::new();
+        render_match_lines(seq, tag, ids.iter().copied(), owner_of, |owner, line| {
+            assert!(lines.insert(owner, line).is_none(), "two lines for {owner}");
+        });
+        let want = formatted_per_owner(owner_of, seq, tag, ids);
+        if lines != want {
+            let diff = lines.iter().find(|(o, l)| want.get(o) != Some(l));
+            panic!(
+                "{} ids, {} owners, first differing line {diff:?}",
+                ids.len(),
+                want.len()
+            );
+        }
+        for line in lines.values() {
+            let Ok(Reply::Match {
+                seq: s,
+                tag: t,
+                ids: got,
+            }) = Reply::parse(line)
+            else {
+                panic!("{line:?} does not parse");
+            };
+            assert_eq!((s, t.as_str()), (seq, tag));
+            assert!(got.iter().all(|&id| owner_of(id).is_some()));
+        }
+        lines
+    }
+
+    /// An id near a power of ten half the time, of a random width
+    /// otherwise, below `bound`.
+    fn arb_id(rng: &mut Rng, bound: u64) -> u32 {
+        let v = if rng.gen_bool(0.5) {
+            10u64.pow(rng.gen_range(1..10u32)) - rng.gen_range(0..2u64)
+        } else {
+            let hi = 10u64.pow(rng.gen_range(1..=10u32)).min(1 << 32);
+            rng.gen_range(hi / 10..hi)
+        };
+        (v % bound) as u32
+    }
+
     #[test]
-    fn grouping_splits_interleaved_owners_and_skips_unowned_ids() {
+    fn one_pass_lines_equal_the_formatter_split_per_owner() {
+        // `group_by_owner`'s cases: interleaved owners, a tombstone, ids
+        // past the end, an empty registry.
         let registry = [10, 11, 12, 10, NO_OWNER, 11, 10];
-        assert_eq!(
-            group_by_owner(&registry, &sub_ids(&[0, 1, 2, 3, 4, 5, 6, 7, 900])),
-            vec![(10, vec![0, 3, 6]), (11, vec![1, 5]), (12, vec![2])]
-        );
-        assert_eq!(
-            group_by_owner(&registry, &sub_ids(&[0, 3, 6])),
-            vec![(10, vec![0, 3, 6])]
-        );
-        assert!(group_by_owner(&registry, &sub_ids(&[4, 7])).is_empty());
-        assert!(group_by_owner(&[], &sub_ids(&[0])).is_empty());
+        let in_registry = |id| owner_in(&registry, id);
+        let lines = rendered(&in_registry, 4, "t", &[0, 1, 2, 3, 4, 5, 6, 7, 900]);
+        assert_eq!(lines[&10], "MATCH 4 t 3 0 3 6");
+        assert_eq!(lines[&11], "MATCH 4 t 2 1 5");
+        assert_eq!(lines[&12], "MATCH 4 t 1 2");
+        assert_eq!(rendered(&in_registry, 4, "t", &[0, 3, 6]).len(), 1);
+        assert!(rendered(&in_registry, 4, "t", &[4, 7]).is_empty());
+        assert!(rendered(&|id| owner_in(&[], id), 4, "t", &[0]).is_empty());
+        // Every digit boundary a u32 has, widening and narrowing.
+        let mut bounds: Vec<u32> = (1..10)
+            .flat_map(|k| [10u32.pow(k) - 1, 10u32.pow(k)])
+            .chain([0, u32::MAX])
+            .collect();
+        bounds.sort_unstable();
+        for owners in [1, 16] {
+            let by_id = |id| Some(u64::from(id) % owners);
+            rendered(&by_id, 1, "b", &bounds);
+            rendered(
+                &by_id,
+                1,
+                "b",
+                &bounds.iter().rev().copied().collect::<Vec<_>>(),
+            );
+        }
+
+        let mut rng = Rng::seed_from_u64(0x2525);
+        for case in 0..300 {
+            let owners = rng.gen_range(1..=16u64);
+            let n = match rng.gen_index(4) {
+                0 => rng.gen_index(3),
+                1 => rng.gen_index(100),
+                2 => rng.gen_index(2_000),
+                _ => rng.gen_index(20_001),
+            };
+            // In runs: an owner keeps a stretch of the id space.
+            let run = if rng.gen_bool(0.5) {
+                rng.gen_range(1..200u64)
+            } else {
+                0
+            };
+            let pick = |rng: &mut Rng, id: u32| match run {
+                0 => rng.gen_range(0..owners),
+                run => u64::from(id) / run % owners,
+            };
+            let (registry, bound) = if rng.gen_bool(0.5) {
+                // Dense ids through the registry, tombstones and ids past
+                // its end included.
+                let len = rng.gen_range(1..=n.max(1) as u32 * 2);
+                let registry: Vec<u64> = (0..len)
+                    .map(|id| match rng.gen_bool(0.1) {
+                        true => NO_OWNER,
+                        false => pick(&mut rng, id),
+                    })
+                    .collect();
+                (Some(registry), u64::from(len + len / 8 + 1))
+            } else {
+                (None, 1 << 32) // every width a u32 has
+            };
+            let mut ids: Vec<u32> = (0..n).map(|_| arb_id(&mut rng, bound)).collect();
+            if rng.gen_bool(0.75) {
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            let seq = rng.next_u64() >> rng.gen_range(0..64u32);
+            let tag = format!("d{case}");
+            let owner_of: Box<dyn Fn(u32) -> Option<u64>> = match registry {
+                Some(registry) => Box::new(move |id| owner_in(&registry, id)),
+                // Past the registry's reach: a hash of the id says whose it
+                // is, and one id in sixteen is nobody's.
+                None => Box::new(move |id| {
+                    let hash = u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+                    (hash % 16 != 0).then(|| match run {
+                        0 => hash / 16 % owners,
+                        run => u64::from(id) / run % owners,
+                    })
+                }),
+            };
+            let lines = rendered(&owner_of, seq, &tag, &ids);
+            assert!(lines.len() as u64 <= owners);
+            // One owner for all: what `Reply::to_wire` writes.
+            let all = rendered(&|_| Some(0), seq, &tag, &ids);
+            let reply = Reply::Match { seq, tag, ids };
+            let wire = reply.to_wire();
+            assert_eq!(
+                all.get(&0).unwrap_or(&format!("MATCH {seq} d{case} 0")),
+                &wire
+            );
+            assert_eq!(Reply::parse(&wire).unwrap(), reply);
+        }
     }
 
     /// An id the registry never held, a tombstoned id and an id whose

@@ -867,3 +867,30 @@ fn oversize_frame_is_skipped_and_the_connection_resyncs() {
     broker.shutdown();
     broker.wait();
 }
+
+/// A `DOC` frame with no document in it — no bytes at all, or blanks only
+/// — is answered with `-ERR DOC` rather than silence, and the next frame on
+/// the connection is acknowledged and matched.
+#[test]
+fn a_frame_without_a_document_draws_an_error() {
+    let broker = spawn_broker(1);
+    let mut conn = Client::connect(broker.local_addr());
+    let sub = conn.subscribe("//b");
+
+    for (tag, payload) in [("empty", &b""[..]), ("blank", b" \n\t ")] {
+        conn.send_doc(tag, payload);
+        match conn.read_reply() {
+            Reply::Err { kind, detail } => {
+                assert_eq!(kind, "DOC");
+                assert_eq!(detail, "frame carries no document");
+            }
+            other => panic!("expected -ERR DOC for the {tag} frame, got {other:?}"),
+        }
+    }
+
+    conn.send_doc("good", b"<a><b/></a>");
+    expect_ack_and_match(&mut conn, "good", &[sub]);
+
+    broker.shutdown();
+    broker.wait();
+}
