@@ -3,7 +3,8 @@
 //!
 //! This crate turns the library-level pieces — [`pxf_core`]'s
 //! snapshot-published [`FilterEngine`](pxf_core::FilterEngine) and
-//! [`pxf_xml`]'s hardened [`DocumentStream`](pxf_xml::DocumentStream) —
+//! [`pxf_xml`]'s parser under [`ParserLimits`](pxf_xml::ParserLimits),
+//! the one pass over the document each `DOC` frame carries —
 //! into the deployment the paper evaluates: a broker holding hundreds of
 //! thousands of resident XPath subscriptions, filtering a continuous
 //! document stream while users subscribe and unsubscribe, and fanning

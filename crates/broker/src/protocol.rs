@@ -12,7 +12,8 @@
 //! SUB <xpath>            register a subscription; reply `+SUB <id>`
 //! UNSUB <id>             drop a subscription;     reply `+UNSUB <id>`
 //! DOC <len> <tag>\n<len raw bytes>
-//!                        ingest a document;       reply `+DOC <seq> <tag>`
+//!                        ingest one document;     reply `+DOC <seq> <tag>`,
+//!                        then `-ERR DOC` if it does not parse
 //! STATS                  broker counters;         reply `+STATS k=v ...`
 //! QUIT                   close this connection;   reply `+BYE`
 //! SHUTDOWN               stop the whole broker;   reply `+SHUTDOWN`

@@ -13,9 +13,9 @@
 //!                                              │ SnapshotPublisher│                 │
 //!                    ┌────────────┐  ingest    └──────────────────┘                 │ load()/batch
 //!  conn reader ─────▶│  BoundedQ  │────────────────┬──────────────┐                 ▼
-//!  (DOC frames,      └────────────┘  (Block)       ▼              ▼          ┌────────────┐
-//!   DocumentStream                             matcher w0 …  matcher wN ────▶│  BoundedQ  │
-//!   push-mode scan)                                                delivery  └────────────┘
+//!  (DOC frame =      └────────────┘  (Block)       ▼              ▼          ┌────────────┐
+//!   one document)                              matcher w0 …  matcher wN ────▶│  BoundedQ  │
+//!                                              (the one parse)     delivery  └────────────┘
 //!                                                                  (Block)        │
 //!                    ┌────────────┐  per-conn outbox (Shed)  ┌────────────────────┘
 //!  conn writer ◀─────│  BoundedQ  │◀─────────────────────────│ delivery thread
@@ -40,23 +40,23 @@
 //!   delivery thread restores global ingest-sequence order with a
 //!   min-heap resequencer before fanning out, so each connection sees
 //!   strictly ascending `MATCH` sequence numbers.
-//! * **Malformed input is data, not failure.** Document bytes run
-//!   through a per-connection push-mode [`DocumentStream`] under strict
-//!   [`ParserLimits`]; scanner- and parse-level failures produce a
-//!   `-ERR DOC` line on the offending connection and honor the
-//!   note_success/note_failure raw-ingest contract, so only a run of
-//!   *consecutive* failures (a truly desynced peer) fuses and closes the
-//!   connection.
+//! * **The frame is the document.** A `DOC` frame's payload is read into
+//!   one buffer that goes to a matcher as it is, and is acknowledged on
+//!   receipt; the matcher's parse, under strict [`ParserLimits`], is the
+//!   only pass over its bytes. A parse failure is data, not failure: it
+//!   draws one `-ERR DOC` on the offending connection, and only a run of
+//!   [`DEFAULT_MAX_CONSECUTIVE_FAILURES`] *consecutive* ones (a peer that
+//!   has lost framing) closes the connection.
 
 use crate::protocol::{render_match_lines, Command, Reply};
-use crate::queue::{Backpressure, BoundedQueue, PushOutcome};
+use crate::queue::{Backpressure, BoundedQueue};
 use pxf_core::{FilterEngine, MatchScratch, SnapshotHandle, SnapshotPublisher, SubId};
-use pxf_xml::{DocumentStream, ParserLimits, PollDoc, XmlErrorKind};
+use pxf_xml::{ParserLimits, DEFAULT_MAX_CONSECUTIVE_FAILURES};
 use pxf_xpath::XPathExpr;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -78,8 +78,8 @@ pub struct BrokerConfig {
     pub ingest_policy: Backpressure,
     /// Per-connection outbox capacity (lines not yet written).
     pub outbox_capacity: usize,
-    /// Per-document parser budgets applied on both the boundary scanner
-    /// and the matchers.
+    /// Per-document parser budgets the matchers apply. `max_document_bytes`
+    /// also bounds a `DOC` frame: a longer one is skipped unread.
     pub limits: ParserLimits,
 }
 
@@ -100,9 +100,6 @@ impl Default for BrokerConfig {
 const CONTROL_CAPACITY: usize = 4096;
 /// Delivery queue capacity (match completions in flight).
 const DELIVERY_CAPACITY: usize = 1024;
-/// Largest accepted `DOC` frame; a bigger frame is rejected with `-ERR
-/// DOC` and its payload discarded (the connection survives).
-const MAX_FRAME_BYTES: usize = 8 << 20;
 /// Longest accepted command line, newline included. A client line is a
 /// verb plus one XPath expression or a `DOC <len> <tag>` header, never
 /// document bytes; a longer one is answered with `-ERR COMMAND` and the
@@ -171,10 +168,12 @@ struct ConnShared {
     /// Lines awaiting the connection writer. Shed policy: a peer that
     /// stops reading loses notifications, not the broker's liveness.
     outbox: BoundedQueue<String>,
-    /// Push-mode boundary scanner carrying the connection's cumulative
-    /// failure-cap state (the raw-ingest contract's note_success /
-    /// note_failure land here from the delivery thread).
-    stream: Mutex<DocumentStream<std::io::Empty>>,
+    /// The connection's documents in a row that failed to parse: bumped by
+    /// the delivery thread on a parse error, zeroed on a match, read by the
+    /// connection reader at each `DOC` header, which closes the connection
+    /// at [`DEFAULT_MAX_CONSECUTIVE_FAILURES`]. A count that publishes no
+    /// other data, so `Relaxed`.
+    failures: AtomicUsize,
     /// Clone of the socket kept for `shutdown()` during teardown.
     sock: TcpStream,
 }
@@ -632,7 +631,7 @@ fn spawn_connection(shared: &Arc<Shared>, sock: TcpStream) {
     let conn = Arc::new(ConnShared {
         id,
         outbox: BoundedQueue::new(shared.config.outbox_capacity, Backpressure::Shed),
-        stream: Mutex::new(DocumentStream::push_mode(shared.config.limits)),
+        failures: AtomicUsize::new(0),
         sock: keep_sock,
     });
     shared
@@ -692,8 +691,6 @@ fn conn_writer_loop(conn: &Arc<ConnShared>, sock: TcpStream) {
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
     let mut input = BufReader::new(sock);
     let mut line: Vec<u8> = Vec::new();
-    // Payload buffer lent to every `DOC` frame of the connection.
-    let mut chunk: Vec<u8> = Vec::new();
     loop {
         line.clear();
         let mut bounded = input.by_ref().take(MAX_LINE_BYTES as u64);
@@ -736,7 +733,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
                 shared.control.push(Control::Unsub { conn: conn.id, id });
             }
             Command::Doc { len, tag } => {
-                if !ingest_frame(shared, conn, &mut input, &mut chunk, len, &tag) {
+                if !ingest_frame(shared, conn, &mut input, len, tag) {
                     break;
                 }
             }
@@ -762,147 +759,71 @@ fn one_line(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
 }
 
-/// Reads a `DOC` frame's payload, feeding it through the connection's
-/// boundary scanner in bounded chunks of the caller's buffer (grown to
-/// the frame length, at most 64 KiB). Every frame draws at least one
-/// reply. Returns false when the connection must close (socket died or
-/// the stream fused).
+/// Reads a `DOC` frame — one document — into a buffer that goes to a
+/// matcher as it is, and answers `+DOC` on receipt: whether the document
+/// parses is the matcher's to say (`-ERR DOC` through the delivery thread).
+/// Returns false when the connection must close: the socket died inside
+/// the frame, or the connection's run of unparseable documents reached
+/// the cap.
 fn ingest_frame(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     input: &mut BufReader<TcpStream>,
-    chunk: &mut Vec<u8>,
     len: usize,
-    tag: &str,
+    tag: String,
 ) -> bool {
-    const CHUNK: usize = 64 * 1024;
-    if len > MAX_FRAME_BYTES {
-        // Consume the payload to stay in frame sync, then report.
-        let mut remaining = len;
-        let mut sink = [0u8; 4096];
-        while remaining > 0 {
-            let take = sink.len().min(remaining);
-            if input.read_exact(&mut sink[..take]).is_err() {
-                return false;
-            }
-            remaining -= take;
+    if conn.failures.load(Ordering::Relaxed) >= DEFAULT_MAX_CONSECUTIVE_FAILURES {
+        conn.outbox.push(format!(
+            "-ERR DOC {DEFAULT_MAX_CONSECUTIVE_FAILURES} consecutive malformed documents on the stream"
+        ));
+        return false;
+    }
+    let mut payload = input.by_ref().take(len as u64);
+    let max = shared.config.limits.max_document_bytes;
+    if len > max {
+        // It could never parse: skip it unread, staying in frame sync.
+        if !matches!(std::io::copy(&mut payload, &mut std::io::sink()), Ok(n) if n == len as u64) {
+            return false;
         }
         conn.outbox.push(format!(
-            "-ERR DOC frame of {len} bytes exceeds max_frame_bytes={MAX_FRAME_BYTES}"
+            "-ERR DOC frame of {len} bytes exceeds max_document_bytes={max}"
         ));
         return true;
     }
-    let mut remaining = len;
-    let mut answered = false;
-    if chunk.len() < CHUNK.min(len) {
-        chunk.resize(CHUNK.min(len), 0);
+    // At most 64 KiB up front, the rest as it arrives: an announced length
+    // reserves nothing the peer has not sent.
+    let mut bytes = Vec::with_capacity(len.min(64 * 1024));
+    if !matches!(payload.read_to_end(&mut bytes), Ok(n) if n == len) {
+        return false;
     }
-    while remaining > 0 {
-        let take = chunk.len().min(remaining);
-        if input.read_exact(&mut chunk[..take]).is_err() {
-            return false;
+    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
+    conn.outbox.push(
+        Reply::DocOk {
+            seq,
+            tag: tag.clone(),
         }
-        remaining -= take;
-        conn.stream
-            .lock()
-            .expect("stream poisoned")
-            .feed(&chunk[..take]);
-        if !drain_scanner(shared, conn, tag, &mut answered) {
-            return false;
-        }
-    }
-    // A frame must end on a document boundary: anything still buffered is
-    // a truncated document. Report it and resync so the next frame cannot
-    // concatenate with the leftover bytes (and so the client gets a reply
-    // instead of silence). A frame that yielded neither a document nor an
-    // error — no bytes, blanks, the tail of a garbage run already reported
-    // — is answered too, and counted like a truncated one.
-    let complaint = {
-        let mut stream = conn.stream.lock().expect("stream poisoned");
-        match stream.discard_partial() {
-            Some(n) => Some(format!(
-                "-ERR DOC frame ended inside a document ({n} bytes discarded)"
-            )),
-            None if !answered => {
-                stream.note_failure();
-                Some("-ERR DOC frame carries no document".to_string())
-            }
-            None => None,
-        }
+        .to_wire(),
+    );
+    shared.stats.ingested.fetch_add(1, Ordering::Relaxed);
+    let doc = IngestDoc {
+        seq,
+        conn: conn.id,
+        tag,
+        bytes,
     };
-    if let Some(line) = complaint {
-        conn.outbox.push(line);
-        // Both count against the consecutive-failure cap; surface the
-        // fuse the same way an in-band failure would.
-        if !drain_scanner(shared, conn, tag, &mut answered) {
-            return false;
-        }
+    if !shared.ingest.push(doc).is_enqueued() {
+        conn.outbox
+            .push(format!("-ERR DOC shed at ingest high-water (seq {seq})"));
+        // Fill the sequence slot so the resequencer keeps delivering later
+        // documents in order (nothing reads a shed completion's tag).
+        shared.delivery.push(Completion {
+            seq,
+            conn: conn.id,
+            tag: String::new(),
+            outcome: Outcome::Shed,
+        });
     }
     true
-}
-
-/// Polls completed documents out of the connection's scanner and moves
-/// them into the ingest pipeline, setting `answered` once a document or a
-/// scanner error was replied to. Never holds the stream lock across a
-/// queue push (the delivery thread takes the same lock for the
-/// note_success/note_failure contract).
-fn drain_scanner(
-    shared: &Arc<Shared>,
-    conn: &Arc<ConnShared>,
-    tag: &str,
-    answered: &mut bool,
-) -> bool {
-    loop {
-        let polled = conn.stream.lock().expect("stream poisoned").poll_raw_at();
-        if matches!(polled, PollDoc::Doc(..) | PollDoc::Fail(_)) {
-            *answered = true;
-        }
-        match polled {
-            PollDoc::Doc(_, bytes) => {
-                let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-                conn.outbox.push(
-                    Reply::DocOk {
-                        seq,
-                        tag: tag.to_string(),
-                    }
-                    .to_wire(),
-                );
-                shared.stats.ingested.fetch_add(1, Ordering::Relaxed);
-                let doc = IngestDoc {
-                    seq,
-                    conn: conn.id,
-                    tag: tag.to_string(),
-                    bytes,
-                };
-                match shared.ingest.push(doc) {
-                    PushOutcome::Enqueued => {}
-                    PushOutcome::Shed | PushOutcome::Closed => {
-                        conn.outbox
-                            .push(format!("-ERR DOC shed at ingest high-water (seq {seq})"));
-                        // Fill the sequence slot so the resequencer
-                        // keeps delivering later documents in order.
-                        shared.delivery.push(Completion {
-                            seq,
-                            conn: conn.id,
-                            tag: tag.to_string(),
-                            outcome: Outcome::Shed,
-                        });
-                    }
-                }
-            }
-            PollDoc::Fail(e) => {
-                // Scanner-level failure (desync, oversize): already
-                // counted against the failure cap by the stream itself.
-                let fused = matches!(e.kind, XmlErrorKind::TooManyFailures(_));
-                conn.outbox
-                    .push(format!("-ERR DOC {}", one_line(&e.to_string())));
-                if fused {
-                    return false;
-                }
-            }
-            PollDoc::NeedInput | PollDoc::End => return true,
-        }
-    }
 }
 
 /// The single subscription writer: owns the [`SnapshotPublisher`],
@@ -1086,8 +1007,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// The delivery thread: restores ingest order with a min-heap
-/// resequencer, applies the raw-ingest failure-cap contract to the
-/// origin connection's scanner, and fans matches out per subscriber.
+/// resequencer, keeps each origin connection's count of consecutive
+/// parse failures, and fans matches out per subscriber.
 fn delivery_loop(shared: &Arc<Shared>) {
     let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
     let mut next = 0u64;
@@ -1119,11 +1040,7 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
         Outcome::Matched(ids) => {
             let origin = shared.conn_by_id(c.conn);
             if let Some(origin) = &origin {
-                origin
-                    .stream
-                    .lock()
-                    .expect("stream poisoned")
-                    .note_success();
+                origin.failures.store(0, Ordering::Relaxed);
             }
             shared.stats.matched.fetch_add(1, Ordering::Relaxed);
             if ids.is_empty() {
@@ -1163,11 +1080,9 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
         Outcome::ParseError(detail) => {
             shared.stats.parse_failures.fetch_add(1, Ordering::Relaxed);
             if let Some(origin) = shared.conn_by_id(c.conn) {
-                origin
-                    .stream
-                    .lock()
-                    .expect("stream poisoned")
-                    .note_failure();
+                // Counted before the reply leaves: a peer that has read it
+                // finds the count at its next `DOC` header.
+                origin.failures.fetch_add(1, Ordering::Relaxed);
                 origin.outbox.push(format!("-ERR DOC {detail}"));
             }
         }

@@ -61,6 +61,21 @@ impl Client {
         Reply::parse(&line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
     }
 
+    /// Reads lines until the broker closes the connection. Closing with
+    /// bytes of ours still unread resets it, which ends the read too.
+    fn lines_until_closed(&mut self) -> Vec<String> {
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            match self.input.read_line(&mut line) {
+                Ok(0) => return lines,
+                Ok(_) => lines.push(line),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return lines,
+                Err(e) => panic!("the broker neither answered nor closed: {e}"),
+            }
+        }
+    }
+
     /// Subscribes and returns the broker-assigned id.
     fn subscribe(&mut self, expr: &str) -> u32 {
         self.send(&format!("SUB {expr}"));
@@ -139,6 +154,19 @@ fn expect_ack_and_match(conn: &mut Client, tag: &str, ids: &[u32]) {
             }
             other => panic!("unexpected reply {other:?}"),
         }
+    }
+}
+
+/// Reads the `+DOC` of the frame tagged `tag` and then its `-ERR DOC`,
+/// with nothing before or between them; returns the error's detail.
+fn expect_ack_then_error(conn: &mut Client, tag: &str) -> String {
+    match conn.read_reply() {
+        Reply::DocOk { tag: got, .. } => assert_eq!(got, tag),
+        other => panic!("expected +DOC {tag}, got {other:?}"),
+    }
+    match conn.read_reply() {
+        Reply::Err { kind, detail } if kind == "DOC" => detail,
+        other => panic!("expected -ERR DOC for {tag}, got {other:?}"),
     }
 }
 
@@ -532,8 +560,7 @@ fn malformed_doc_reports_error_without_dropping_connection() {
     let sub = conn.subscribe("//b");
 
     conn.send_doc("good0", b"<a><b/></a>");
-    // Balanced (so the boundary scanner hands it to a matcher) but
-    // unparseable: the matcher rejects it.
+    // Acknowledged like any frame; the matcher's parse rejects it.
     conn.send_doc("bad1", b"<bad attr=></bad>");
     conn.send_doc("good2", b"<a><b/></a>");
 
@@ -576,8 +603,8 @@ fn malformed_doc_reports_error_without_dropping_connection() {
 }
 
 /// A frame whose payload ends inside a document (complete frame,
-/// truncated XML) must draw an immediate `-ERR DOC` — not silence — and
-/// the leftover bytes must not leak into the next frame's scan.
+/// truncated XML) is acknowledged and then draws `-ERR DOC` — not silence —
+/// and none of its bytes reach the next frame.
 #[test]
 fn truncated_frame_reports_error_and_resyncs() {
     let broker = spawn_broker(2);
@@ -587,19 +614,12 @@ fn truncated_frame_reports_error_and_resyncs() {
     // Frame is complete (5 payload bytes announced, 5 sent) but the
     // document inside it is not.
     conn.send_doc("trunc", b"<a><b");
-    match conn.read_reply() {
-        Reply::Err { kind, detail } => {
-            assert_eq!(kind, "DOC");
-            assert!(
-                detail.contains("inside a document"),
-                "unexpected detail {detail:?}"
-            );
-        }
-        other => panic!("expected -ERR DOC for truncated frame, got {other:?}"),
-    }
+    assert_eq!(
+        expect_ack_then_error(&mut conn, "trunc"),
+        "XML parse error at byte 5: unterminated start tag"
+    );
 
-    // The partial must have been discarded: this document would not match
-    // //b if the scanner glued it onto the leftover "<a><b".
+    // This document would not match //b were it glued onto "<a><b".
     conn.send_doc("good", b"<a><b/></a>");
     expect_ack_and_match(&mut conn, "good", &[sub]);
 
@@ -726,17 +746,7 @@ fn overlong_command_line_closes_only_its_connection() {
     // The broker stops reading at the limit and closes, so the tail of
     // this write may be refused.
     let _ = hostile.output.write_all(&vec![b'x'; 1 << 20]);
-    let mut lines = Vec::new();
-    loop {
-        let mut line = String::new();
-        match hostile.input.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => lines.push(line),
-            // Closing with our bytes still unread resets the connection.
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
-            Err(e) => panic!("the broker neither answered nor closed: {e}"),
-        }
-    }
+    let lines = hostile.lines_until_closed();
     assert_eq!(lines.len(), 1, "{lines:?}");
     match Reply::parse(&lines[0]) {
         Ok(Reply::Err { kind, detail }) => {
@@ -835,27 +845,31 @@ fn shed_ingest_accounts_for_every_document() {
     assert_eq!(stats.matched + stats.shed, n as u64);
 }
 
-/// A `DOC` frame one byte over the frame limit draws `-ERR DOC`, its
-/// payload is skipped rather than read as commands, and the next frame on
-/// the same connection matches.
+/// A `DOC` frame one byte longer than `max_document_bytes` (1 MiB under
+/// the default strict limits) could never parse: it draws `-ERR DOC` and
+/// no `+DOC`, its payload is skipped rather than read as commands, and the
+/// next frame on the same connection matches.
 #[test]
 fn oversize_frame_is_skipped_and_the_connection_resyncs() {
-    const MAX_FRAME_BYTES: usize = 8 << 20; // the broker's, in server.rs
+    let max = BrokerConfig::default().limits.max_document_bytes;
     let broker = spawn_broker(1);
     let mut conn = Client::connect(broker.local_addr());
     let sub = conn.subscribe("//b");
 
     // Were the payload read as command lines, the broker would say +BYE
     // and hang up.
-    let mut payload = b"QUIT\n".repeat(MAX_FRAME_BYTES / 5 + 1);
-    payload.truncate(MAX_FRAME_BYTES + 1);
+    let mut payload = b"QUIT\n".repeat(max / 5 + 1);
+    payload.truncate(max + 1);
     conn.send_doc("huge", &payload);
     match conn.read_reply() {
         Reply::Err { kind, detail } => {
             assert_eq!(kind, "DOC");
-            assert!(
-                detail.starts_with(&format!("frame of {} bytes exceeds", payload.len())),
-                "unexpected detail {detail:?}"
+            assert_eq!(
+                detail,
+                format!(
+                    "frame of {} bytes exceeds max_document_bytes={max}",
+                    max + 1
+                )
             );
         }
         other => panic!("expected -ERR DOC for the oversize frame, got {other:?}"),
@@ -869,8 +883,8 @@ fn oversize_frame_is_skipped_and_the_connection_resyncs() {
 }
 
 /// A `DOC` frame with no document in it — no bytes at all, or blanks only
-/// — is answered with `-ERR DOC` rather than silence, and the next frame on
-/// the connection is acknowledged and matched.
+/// — is acknowledged and then answered `-ERR DOC` rather than silence, and
+/// the next frame on the connection is acknowledged and matched.
 #[test]
 fn a_frame_without_a_document_draws_an_error() {
     let broker = spawn_broker(1);
@@ -879,17 +893,253 @@ fn a_frame_without_a_document_draws_an_error() {
 
     for (tag, payload) in [("empty", &b""[..]), ("blank", b" \n\t ")] {
         conn.send_doc(tag, payload);
-        match conn.read_reply() {
-            Reply::Err { kind, detail } => {
-                assert_eq!(kind, "DOC");
-                assert_eq!(detail, "frame carries no document");
-            }
-            other => panic!("expected -ERR DOC for the {tag} frame, got {other:?}"),
-        }
+        let detail = expect_ack_then_error(&mut conn, tag);
+        assert!(detail.ends_with(": empty document"), "{tag}: {detail:?}");
     }
 
     conn.send_doc("good", b"<a><b/></a>");
     expect_ack_and_match(&mut conn, "good", &[sub]);
+
+    broker.shutdown();
+    broker.wait();
+}
+
+/// One frame, one document: two documents in one frame are one payload
+/// with two roots, acknowledged once and rejected by the matcher's parse.
+#[test]
+fn a_two_document_frame_draws_an_error() {
+    let broker = spawn_broker(1);
+    let mut conn = Client::connect(broker.local_addr());
+    let sub = conn.subscribe("//b");
+
+    conn.send_doc("two", b"<a/><b/>");
+    assert_eq!(
+        expect_ack_then_error(&mut conn, "two"),
+        "XML parse error at byte 5: document has more than one root element"
+    );
+
+    conn.send_doc("good", b"<a><b/></a>");
+    expect_ack_and_match(&mut conn, "good", &[sub]);
+
+    broker.shutdown();
+    broker.wait();
+}
+
+/// A connection's 64th unparseable document in a row — each acknowledged,
+/// each answered `-ERR DOC` — fuses it: its next `DOC` header draws the fuse
+/// line and the broker closes it, while a connection beside it keeps
+/// matching. A match ends the run: on a fresh connection 200 documents
+/// alternating bad and good, each waited for, never fuse.
+#[test]
+fn consecutive_bad_frames_fuse_only_their_connection() {
+    const CAP: usize = pxf_xml::DEFAULT_MAX_CONSECUTIVE_FAILURES;
+    const BAD: &[u8] = b"<bad attr=></bad>";
+    const GOOD: &[u8] = b"<a><b/></a>";
+    let broker = spawn_broker(2);
+    let addr = broker.local_addr();
+    let mut bystander = Client::connect(addr);
+    let sub = bystander.subscribe("//b");
+
+    let mut hostile = Client::connect(addr);
+    for i in 0..CAP {
+        hostile.send_doc(&format!("bad{i}"), BAD);
+    }
+    let (mut acks, mut errors) = (0, 0);
+    while errors < CAP {
+        match hostile.read_reply() {
+            Reply::DocOk { .. } => acks += 1,
+            Reply::Err { kind, .. } if kind == "DOC" => errors += 1,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(acks, CAP);
+    hostile.send_doc("one-too-many", BAD);
+    assert_eq!(
+        hostile.lines_until_closed(),
+        [format!(
+            "-ERR DOC {CAP} consecutive malformed documents on the stream\n"
+        )]
+    );
+
+    bystander.send_doc("d", GOOD);
+    expect_ack_and_match(&mut bystander, "d", &[sub]);
+
+    let mut fresh = Client::connect(addr);
+    let own = fresh.subscribe("//b");
+    for i in 0..200 {
+        let tag = format!("f{i}");
+        if i % 2 == 0 {
+            fresh.send_doc(&tag, BAD);
+            expect_ack_then_error(&mut fresh, &tag);
+        } else {
+            fresh.send_doc(&tag, GOOD);
+            expect_ack_and_match(&mut fresh, &tag, &[own]);
+        }
+    }
+
+    broker.shutdown();
+    let stats = broker.wait();
+    assert_eq!(stats.parse_failures, CAP as u64 + 100);
+    assert_eq!(stats.matched, 1 + 100);
+    assert_eq!(
+        stats.ingested,
+        CAP as u64 + 1 + 200,
+        "the fused frame is not"
+    );
+}
+
+/// What a frame of the seeded mix below is made of.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Frame {
+    Good,
+    Truncated,
+    Blank,
+    TwoRoots,
+    Garbage,
+}
+
+/// 300 seeded frames on one connection mixing generated NITF documents,
+/// truncations, empty and blank payloads, two-root payloads and garbage,
+/// with a good frame at least every 32 (so no run reaches the fuse). Every
+/// frame draws exactly one `+DOC`, in frame order with ascending seqs, and
+/// then one outcome, in frame order: the `-ERR DOC` the in-process engine's
+/// parse gives when it rejects the payload, else the `MATCH` line it
+/// predicts (`/*` is subscribed, so every parsed document has one).
+#[test]
+fn every_frame_draws_one_ack_and_at_most_one_error() {
+    use pxf_rng::Rng;
+    use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
+
+    let regime = Regime::nitf();
+    let exprs = XPathGenerator::new(
+        &regime.dtd,
+        pxf_workload::XPathParams {
+            count: 200,
+            seed: 26,
+            ..regime.xpath.clone()
+        },
+    )
+    .generate();
+    let pool: Vec<Vec<u8>> = XmlGenerator::new(
+        &regime.dtd,
+        pxf_workload::XmlParams {
+            seed: 27,
+            ..regime.xml.clone()
+        },
+    )
+    .generate_batch(40)
+    .iter()
+    .map(|doc| doc.to_xml().into_bytes())
+    .collect();
+
+    let broker = spawn_broker(2);
+    let mut conn = Client::connect(broker.local_addr());
+    let mut oracle = FilterEngine::default();
+    oracle.set_parser_limits(BrokerConfig::default().limits);
+    let mut broker_id = std::collections::HashMap::new();
+    for src in std::iter::once("/*".to_string()).chain(exprs.iter().map(|e| e.to_string())) {
+        let id = oracle.add_str(&src).expect("the oracle takes it");
+        broker_id.insert(id, conn.subscribe(&src));
+    }
+    let mut matcher = oracle.matcher();
+
+    let mut rng = Rng::seed_from_u64(0x2626);
+    let mut frames = Vec::new();
+    let mut bad_run = 0;
+    for _ in 0..300 {
+        let doc = rng.choose(&pool);
+        let kind = match rng.gen_index(6) {
+            _ if bad_run == 31 => Frame::Good,
+            0 | 1 => Frame::Good,
+            2 => Frame::Truncated,
+            3 => Frame::Blank,
+            4 => Frame::TwoRoots,
+            _ => Frame::Garbage,
+        };
+        let payload = match kind {
+            Frame::Good => doc.clone(),
+            Frame::Truncated => doc[..rng.gen_index(doc.len())].to_vec(),
+            Frame::Blank => (0..rng.gen_index(4))
+                .map(|_| *rng.choose(b" \t\r\n"))
+                .collect(),
+            Frame::TwoRoots => {
+                let mut two = doc.clone();
+                two.extend(std::iter::repeat_n(b'\n', rng.gen_index(2)));
+                two.extend_from_slice(rng.choose::<Vec<u8>>(&pool));
+                two
+            }
+            Frame::Garbage => {
+                // Markup bytes, a slice of a document, any byte at all.
+                let alphabet = b"<>/=\"'!?-[]&;# abnitf";
+                (0..rng.gen_index(200))
+                    .map(|i| match rng.gen_index(3) {
+                        0 => *rng.choose(alphabet),
+                        1 => doc[i % doc.len()],
+                        _ => rng.next_u64() as u8,
+                    })
+                    .collect()
+            }
+        };
+        let outcome = match matcher.match_bytes(&payload) {
+            Ok(ids) => {
+                let mut ids: Vec<u32> = ids.iter().map(|id| broker_id[id]).collect();
+                ids.sort_unstable();
+                Ok(ids)
+            }
+            Err(e) => Err(e.to_string().replace(['\n', '\r'], " ")),
+        };
+        assert!(
+            kind == Frame::Good || kind == Frame::Garbage || outcome.is_err(),
+            "a {kind:?} frame parsed"
+        );
+        bad_run = if outcome.is_ok() { 0 } else { bad_run + 1 };
+        frames.push((kind, payload, outcome));
+    }
+    for kind in [
+        Frame::Good,
+        Frame::Truncated,
+        Frame::Blank,
+        Frame::TwoRoots,
+        Frame::Garbage,
+    ] {
+        assert!(frames.iter().any(|f| f.0 == kind), "no {kind:?} frame");
+    }
+
+    for (i, (_, payload, _)) in frames.iter().enumerate() {
+        conn.send_doc(&format!("f{i}"), payload);
+    }
+    let (mut acks, mut outcomes) = (0, 0);
+    let mut last_seq = None::<u64>;
+    while acks < frames.len() || outcomes < frames.len() {
+        match conn.read_reply() {
+            Reply::DocOk { seq, tag } => {
+                assert_eq!(tag, format!("f{acks}"), "one +DOC per frame, in order");
+                assert!(last_seq.is_none_or(|last| seq > last), "seq {seq}");
+                last_seq = Some(seq);
+                acks += 1;
+            }
+            Reply::Match { tag, ids, .. } => {
+                assert_eq!(tag, format!("f{outcomes}"), "outcomes in frame order");
+                assert_eq!(Ok(ids), frames[outcomes].2, "frame {tag}");
+                outcomes += 1;
+            }
+            Reply::Err { kind, detail } => {
+                assert_eq!(kind, "DOC");
+                assert_eq!(Err(detail), frames[outcomes].2, "frame f{outcomes}");
+                outcomes += 1;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    let bad = frames.iter().filter(|f| f.2.is_err()).count() as u64;
+    conn.send("STATS");
+    let stats = match conn.read_reply() {
+        Reply::Stats(kv) => BrokerStatsSnapshot::from_kv(&kv),
+        other => panic!("a reply after every outcome was read: {other:?}"),
+    };
+    assert_eq!(stats.parse_failures, bad);
+    assert_eq!(stats.matched, frames.len() as u64 - bad);
 
     broker.shutdown();
     broker.wait();

@@ -1,13 +1,13 @@
 //! Streaming over concatenated XML documents, with malformed-input
 //! recovery.
 //!
-//! A filtering broker ingests an unbounded stream of documents — often
-//! concatenated back-to-back or separated by whitespace on one connection,
-//! and not always well-formed. [`DocumentStream`] incrementally scans such
-//! a byte stream, finds document boundaries (tracking element depth
-//! through comments, CDATA, processing instructions, DOCTYPE declarations,
-//! and quoted attribute values), and yields each complete document's raw
-//! bytes for the consumer to parse (into its own reused
+//! Input without framing — documents concatenated back-to-back or separated
+//! by whitespace in one file or pipe (`pxf match --stream`), not always
+//! well-formed — says nowhere where a document ends. [`DocumentStream`]
+//! scans such a byte stream for document boundaries (tracking element
+//! depth through comments, CDATA, processing instructions, DOCTYPE
+//! declarations and quoted attribute values) and yields each complete
+//! document's raw bytes for the consumer to parse (into its own reused
 //! [`PathDoc`](crate::PathDoc)) or match.
 //!
 //! A malformed document does **not** terminate the stream: the error is
@@ -15,7 +15,7 @@
 //! to the next top-level document. Stray top-level end tags and documents
 //! that exceed [`ParserLimits::max_document_bytes`] are reported once per
 //! garbage run and skipped. A configurable consecutive-failure cap fuses
-//! the stream when a peer sends nothing but garbage.
+//! the stream when its input is nothing but garbage.
 
 use crate::limits::ParserLimits;
 use crate::reader::{XmlError, XmlErrorKind};
@@ -228,8 +228,7 @@ enum ScanHit {
 /// Outcome of polling the bytes buffered so far ([`DocumentStream::poll_raw_at`]).
 ///
 /// This is the push-mode counterpart of [`DocumentStream::next_raw_at`]:
-/// a long-lived connection (e.g. a broker ingesting framed document
-/// chunks) calls [`DocumentStream::feed`] with whatever bytes arrived and
+/// the caller [`feed`](DocumentStream::feed)s whatever bytes it has and
 /// then polls until `NeedInput`, without ever blocking on a reader.
 #[derive(Debug)]
 pub enum PollDoc {
@@ -405,11 +404,10 @@ impl<R: Read> DocumentStream<R> {
         self.input_eof = true;
     }
 
-    /// Push-mode frame-boundary check: discards any bytes buffered past
-    /// the last complete document and resets the boundary scanner, so the
-    /// next [`Self::feed`] starts at a document boundary. Framed callers
-    /// use this when a frame that must carry whole documents ends with the
-    /// scanner still inside one. Returns `Some(dropped)` when the discard
+    /// Push-mode boundary check: discards any bytes buffered past the last
+    /// complete document and resets the boundary scanner, so the next
+    /// [`Self::feed`] starts at a document boundary — for a caller whose
+    /// input must end on one. Returns `Some(dropped)` when the discard
     /// swallowed a real partial document — counted against the
     /// consecutive-failure cap — and `None` when the buffer was empty,
     /// whitespace padding, or the tail of an already-reported garbage run.
@@ -506,8 +504,9 @@ impl<R: Read> DocumentStream<R> {
 impl DocumentStream<std::io::Empty> {
     /// Creates a push-mode stream with no underlying reader: all input
     /// arrives through [`Self::feed`] and documents come out of
-    /// [`Self::poll_raw_at`]. This is the broker ingest shape — framed
-    /// chunks from a connection are fed as they arrive.
+    /// [`Self::poll_raw_at`]. Its one caller is the benchmark's `xml.scan`
+    /// layer, which times the boundary scan alone; concatenated input is
+    /// read through [`Self::new`], and a length-framed document needs no scan.
     pub fn push_mode(limits: ParserLimits) -> Self {
         DocumentStream::with_limits(std::io::empty(), limits)
     }
@@ -953,7 +952,7 @@ mod tests {
     }
 
     /// Feeds `input` at seeded chunk splits, polling to quiescence after
-    /// each and now and then discarding a partial frame as the broker does,
+    /// each and now and then discarding a partial document,
     /// then finishes: everything the consumer saw, with the stream's final
     /// `recovered()` and `stream_position()`.
     fn drive(
