@@ -13,8 +13,9 @@
 //! tag path walks) and on the third (warm: paths are replayed and almost
 //! nothing is evaluated). Each prints its stage-1 share
 //! (`EngineStats::predicate_ns`) beside the raw evaluators' cost, its
-//! stage-2 share (`expression_ns`: walks cold, replays warm) and what the
-//! path automaton holds by then — printed, not gated.
+//! stage-2 share (`expression_ns`: walks cold, replays warm), its
+//! collection share (`other_ns`: draining the result bitmap into the id
+//! list) and what the path automaton holds by then — printed, not gated.
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::{FilterEngine, MatchScratch};
@@ -53,7 +54,7 @@ impl ElementVisitor for Stage1Driver<'_> {
         }
     }
 
-    fn leave(&mut self, _id: NodeId) {
+    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.ctx.pop_to_mark(self.marks.pop().expect("mark stack"));
     }
@@ -131,7 +132,7 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         engine.add(&e.structural_skeleton()).unwrap();
     }
     engine.prepare();
-    let shares = std::cell::Cell::new((0, 0, 0, 0));
+    let shares = std::cell::Cell::new((0, 0, 0, 0, 0));
     let pass = |m: &mut MatchScratch| {
         let before = m.stats();
         let matched: usize = docs
@@ -142,6 +143,7 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         shares.set((
             after.predicate_ns - before.predicate_ns,
             after.expression_ns - before.expression_ns,
+            after.other_ns - before.other_ns,
             m.memo_states(),
             m.memo_bytes(),
         ));
@@ -159,12 +161,14 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
             },
             |mut m| pass(&mut m),
         );
-        let (stage1_ns, stage2_ns, memo_states, memo_bytes) = shares.get();
+        let (stage1_ns, stage2_ns, collect_ns, memo_states, memo_bytes) = shares.get();
         println!(
-            "{group_name}/{label:<24} of which stage 1 {:.2} µs, stage 2 {:.2} µs; \
-             memo_states {memo_states}, memo_bytes {memo_bytes} (last sample)",
+            "{group_name}/{label:<24} of which stage 1 {:.2} µs, stage 2 {:.2} µs, \
+             collection {:.2} µs; memo_states {memo_states}, memo_bytes {memo_bytes} \
+             (last sample)",
             stage1_ns as f64 / 1e3,
-            stage2_ns as f64 / 1e3
+            stage2_ns as f64 / 1e3,
+            collect_ns as f64 / 1e3
         );
     }
 }

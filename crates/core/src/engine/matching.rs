@@ -27,7 +27,7 @@ impl FilterEngine {
         } = scratch;
         state.advance_doc_epoch();
         state.memo.begin_document(self.stamp);
-        state.sub_matched.resize(self.n_subs as usize);
+        state.sub_matched.begin(self.n_subs as usize);
         state.node_done.resize(self.trie.n_nodes());
         state.node_sinks_done.resize(self.trie.n_nodes());
         state.done_children.resize(self.trie.n_nodes(), (0, 0));
@@ -52,17 +52,12 @@ impl FilterEngine {
                 continue;
             }
             if combine(&ns.plan, doc, &state.paths[..state.n_paths], comp_paths) {
-                state.sub_matched.set(ns.sub.0 as usize, state.doc_epoch);
+                state.sub_matched.set(ns.sub.0 as usize);
             }
         }
-        // The ascending bitmap scan yields the sorted result list directly
-        // (no per-match pushes, no sort over the matched ids).
-        let mut results = Vec::with_capacity(state.last_matches);
-        let epoch = state.doc_epoch;
-        state
-            .sub_matched
-            .for_each_set(epoch, |i| results.push(SubId(i as u32)));
-        state.last_matches = results.len();
+        // Draining the bitmap yields the sorted result list directly (no
+        // per-match pushes, no sort over the matched ids).
+        let results = state.sub_matched.take(self.n_subs as usize);
         stats.matches += results.len() as u64;
         stats.other_ns += t2.elapsed().as_nanos() as u64;
         results
@@ -272,7 +267,7 @@ impl ElementVisitor for IncrementalDriver<'_, '_> {
         }
     }
 
-    fn leave(&mut self, _id: NodeId) {
+    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.state.memo.leave();
         // Only an element that was evaluated left a mark.
@@ -438,7 +433,7 @@ impl FilterEngine {
             // for this document.
             let plain = trie.plain_subs(n);
             for &sub in plain {
-                state.sub_matched.set(sub as usize, state.doc_epoch);
+                state.sub_matched.set(sub as usize);
             }
             let mut resolved = true;
             if plain.len() as u32 != trie.sink_len(n) {
@@ -457,9 +452,7 @@ impl FilterEngine {
                 }
                 state.chain_buf = chain;
                 resolved = sinks.iter().all(|s| match s {
-                    Sink::Sub { sub, .. } => {
-                        state.sub_matched.test(sub.0 as usize, state.doc_epoch)
-                    }
+                    Sink::Sub { sub, .. } => state.sub_matched.test(sub.0 as usize),
                     Sink::Component { .. } => false,
                 });
             }
@@ -534,13 +527,13 @@ impl FilterEngine {
         } = state;
         for &entry in memo.record(path) {
             if entry & NODE_ENTRY == 0 {
-                sub_matched.set(entry as usize, *doc_epoch);
+                sub_matched.set(entry as usize);
                 continue;
             }
             let n = entry & !NODE_ENTRY;
             if !node_sinks_done.test(n as usize, *doc_epoch) {
                 for &sub in self.trie.plain_subs(n) {
-                    sub_matched.set(sub as usize, *doc_epoch);
+                    sub_matched.set(sub as usize);
                 }
                 node_sinks_done.set(n as usize, *doc_epoch);
             }
@@ -588,7 +581,7 @@ fn process_sink(
 ) {
     match sink {
         Sink::Sub { sub, attr_check } => {
-            if state.sub_matched.test(sub.0 as usize, state.doc_epoch) {
+            if state.sub_matched.test(sub.0 as usize) {
                 return;
             }
             // Selection postponed: repeat the occurrence determination
@@ -616,9 +609,9 @@ fn process_sink(
             if !determine_match_by(preds.len(), |i| bufs[i].as_slice()) {
                 return;
             }
-            // Marking the bit is the whole result record: the final
-            // ascending bitmap scan emits the sorted id list.
-            state.sub_matched.set(sub.0 as usize, state.doc_epoch);
+            // Marking the bit is the whole result record: draining the
+            // bitmap emits the sorted id list.
+            state.sub_matched.set(sub.0 as usize);
         }
         Sink::Component { comp } => {
             let cp = &mut state.comp_paths[*comp as usize];

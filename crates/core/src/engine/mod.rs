@@ -90,8 +90,9 @@ pub struct EngineStats {
     /// (stage 2): the walks at leaves, and the replays of records at
     /// elements of any kind.
     pub expression_ns: u64,
-    /// Time spent on everything else (result collection, nested-path
-    /// combination).
+    /// Time spent on everything else: nested-path combination and result
+    /// collection — draining the document's result bitmap into the sorted
+    /// id list, which also leaves it zero for the next document.
     pub other_ns: u64,
     /// Occurrence determination invocations (one per trie node the
     /// stage-2 walk visits, plus one per postponed attribute re-check).

@@ -1,4 +1,5 @@
-//! Matching scratch: the per-document epoch-stamped result and pruning
+//! Matching scratch: the per-document result bitmap (all zero between
+//! documents, drained into the sorted id list), the epoch-stamped pruning
 //! bitmaps, the path memo (an automaton over document tag paths whose
 //! states record what an element on the path adds to the match set) that
 //! outlives the document, and the [`Matcher`] handle that owns one scratch
@@ -112,12 +113,104 @@ impl Matcher<'_> {
     }
 }
 
+/// The match set of the document under way: one bit per subscription id,
+/// all zero between documents, so a mark is one OR and a test one AND.
+/// [`Self::take`] is the only reader: it hands out the ids in ascending
+/// order and zeroes every word it reads, so no document pays a clearing
+/// pass. A document that never reached `take` (a match that panicked)
+/// leaves `pending` set, and the next [`Self::begin`] zeroes the words
+/// then.
+#[derive(Debug, Default)]
+pub(super) struct ResultBitmap {
+    words: Vec<u64>,
+    /// What `take` flattens the words into: the ids so far, then up to 64
+    /// slots of junk the next word overwrites.
+    ids: Vec<u32>,
+    /// A document has begun and its marks have not been taken.
+    pending: bool,
+}
+
+impl ResultBitmap {
+    /// Starts a document of an engine with `bits` subscription ids.
+    pub(super) fn begin(&mut self, bits: usize) {
+        if self.pending {
+            self.words.fill(0);
+        }
+        self.pending = true;
+        let words = bits.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    #[inline]
+    pub(super) fn test(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    #[inline]
+    pub(super) fn set(&mut self, i: usize) {
+        self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    /// Ends the document: the marked ids below `bits`, ascending. Takes
+    /// every non-zero word (zero is written back), flattens it into `ids`
+    /// and returns the prefix of `ids` that holds the result, allocated at
+    /// its length.
+    pub(super) fn take(&mut self, bits: usize) -> Vec<SubId> {
+        let Self {
+            words,
+            ids,
+            pending,
+        } = self;
+        let mut at = 0;
+        for (w, word) in words[..bits.div_ceil(64)].iter_mut().enumerate() {
+            if *word == 0 {
+                continue;
+            }
+            if ids.len() < at + 64 {
+                ids.resize((2 * ids.len()).max(at + 64), 0);
+            }
+            let out = (&mut ids[at..at + 64]).try_into().expect("64 slots");
+            at += flatten(std::mem::take(word), (w * 64) as u32, out);
+        }
+        *pending = false;
+        ids[..at].iter().map(|&i| SubId(i)).collect()
+    }
+}
+
+/// Writes the positions of `word`'s set bits, ascending and offset by
+/// `base` (a multiple of 64), to the front of `out`, and returns how many
+/// there are — with no branch per bit. Each step stores the lowest set
+/// bit's position and clears that bit; eight steps run unconditionally,
+/// and further blocks of eight only while the popcount asks, so the only
+/// branch is one per eight bits and a sparse word takes one block. Slots
+/// past the count receive junk (a cleared word's `trailing_zeros` is 64).
+#[inline]
+fn flatten(mut word: u64, base: u32, out: &mut [u32; 64]) -> usize {
+    let n = word.count_ones() as usize;
+    let mut block = 0;
+    loop {
+        for slot in &mut out[block..block + 8] {
+            // `base` has six low zero bits: `|` adds and cannot overflow.
+            *slot = base | word.trailing_zeros();
+            word &= word.wrapping_sub(1);
+        }
+        block += 8;
+        if block >= n {
+            return n;
+        }
+    }
+}
+
 /// An epoch-stamped bitmap: one bit per id, valid only while the owning
 /// 64-bit word's stamp equals the current epoch. Setting a bit in a
 /// stale word lazily zeroes the word first, so neither documents nor
-/// paths pay a clearing pass. The same u32 wrap discipline as the plain
-/// stamp arrays applies: on epoch wrap the owner must [`hard_clear`]
-/// (otherwise a word last stamped 2³² epochs ago would read as current).
+/// paths pay a clearing pass — what the per-node bitmaps need, since a
+/// document touches few of the trie's nodes. The same u32 wrap
+/// discipline as the plain stamp arrays applies: on epoch wrap the owner
+/// must [`hard_clear`] (otherwise a word last stamped 2³² epochs ago would
+/// read as current).
 ///
 /// [`hard_clear`]: EpochBitmap::hard_clear
 #[derive(Debug, Default)]
@@ -155,20 +248,6 @@ impl EpochBitmap {
     pub(super) fn hard_clear(&mut self) {
         self.words.fill(0);
         self.stamps.fill(0);
-    }
-
-    /// Visits every bit set in the current epoch, in ascending id order.
-    pub(super) fn for_each_set(&self, epoch: u32, mut f: impl FnMut(usize)) {
-        for (w, (&stamp, &word)) in self.stamps.iter().zip(&self.words).enumerate() {
-            if stamp != epoch || word == 0 {
-                continue;
-            }
-            let mut bits = word;
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
     }
 }
 
@@ -528,10 +607,11 @@ impl PathMemo {
 #[derive(Debug, Default)]
 pub(super) struct DocState {
     pub(super) doc_epoch: u32,
-    /// SubId → matched in the current document (doc-epoch bitmap). Also
-    /// the result accumulator: the final ascending bitmap scan *is* the
-    /// sorted result list, replacing per-match pushes plus a sort.
-    pub(super) sub_matched: EpochBitmap,
+    /// SubId → matched in the current document. Also the result
+    /// accumulator: draining it ([`ResultBitmap::take`]) *is* the sorted
+    /// result list, replacing per-match pushes plus a sort, and leaves it
+    /// zero for the next document.
+    pub(super) sub_matched: ResultBitmap,
     /// Trie node → whole subtree resolved in the current document (every
     /// reachable subscription matched): pruned from later paths.
     pub(super) node_done: EpochBitmap,
@@ -552,9 +632,6 @@ pub(super) struct DocState {
     /// Scratch for the selection-postponed re-check: per-level admissible
     /// pair lists.
     pub(super) sp_bufs: Vec<Vec<(u16, u16)>>,
-    /// Matches of the previous document: what the next result vector
-    /// reserves.
-    pub(super) last_matches: usize,
     /// Leaf paths of the current document (node ids), recorded for nested
     /// plans only. The outer vector and every inner vector are reused
     /// across documents; `n_paths` is the live prefix.
@@ -578,14 +655,13 @@ pub(super) struct DocState {
 }
 
 impl DocState {
-    /// Bumps the document epoch. On u32 wrap the stamped bitmaps and the
-    /// memo's sightings are hard-cleared and the epoch restarts at 1 —
+    /// Bumps the document epoch. On u32 wrap the stamped node bitmaps and
+    /// the memo's sightings are hard-cleared and the epoch restarts at 1 —
     /// otherwise a slot last stamped 2³² documents ago would read as
     /// current.
     pub(super) fn advance_doc_epoch(&mut self) {
         self.doc_epoch = self.doc_epoch.wrapping_add(1);
         if self.doc_epoch == 0 {
-            self.sub_matched.hard_clear();
             self.node_done.hard_clear();
             self.node_sinks_done.hard_clear();
             self.done_children.fill((0, 0));
@@ -628,6 +704,104 @@ impl DocState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxf_rng::Rng;
+
+    /// Marks `marked` in a document of `bits` ids and drains it: the
+    /// result is a naive ascending scan of the marks, and every word of
+    /// the bitmap — including those past `bits` — reads zero after.
+    fn drain_is_a_bit_scan(bitmap: &mut ResultBitmap, bits: usize, marked: &[usize]) {
+        bitmap.begin(bits);
+        for &i in marked {
+            bitmap.set(i);
+        }
+        let mut want = vec![false; bits];
+        marked.iter().for_each(|&i| want[i] = true);
+        for (i, &set) in want.iter().enumerate() {
+            assert_eq!(bitmap.test(i), set, "test({i}) of {bits}");
+        }
+        let want: Vec<SubId> = (0..bits)
+            .filter(|&i| want[i])
+            .map(|i| SubId(i as u32))
+            .collect();
+        assert_eq!(
+            bitmap.take(bits),
+            want,
+            "{bits} bits, {} marks",
+            marked.len()
+        );
+        assert!(
+            bitmap.words.iter().all(|&w| w == 0),
+            "a word survived the drain"
+        );
+    }
+
+    /// The drain against a bit scan on maps of random length (the last
+    /// word partial), one scratch bitmap throughout as a matcher keeps it:
+    /// densities from none to every bit; words holding exactly 7, 8, 9,
+    /// 15, 16, 17, 63 and 64 bits (the edges of a kernel block); and ids
+    /// in the top word of a 1M-bit map.
+    #[test]
+    fn a_drain_lists_the_marks_ascending_and_leaves_every_word_zero() {
+        let mut rng = Rng::seed_from_u64(0x27);
+        let mut bitmap = ResultBitmap::default();
+        for density in [0.0, 0.048, 0.22, 0.5, 1.0] {
+            for _ in 0..50 {
+                let bits = rng.gen_range(1..5_000usize);
+                let marked: Vec<usize> = (0..bits).filter(|_| rng.gen_bool(density)).collect();
+                drain_is_a_bit_scan(&mut bitmap, bits, &marked);
+                let one = rng.gen_index(bits);
+                drain_is_a_bit_scan(&mut bitmap, bits, &[one]);
+            }
+        }
+        for per_word in [7, 8, 9, 15, 16, 17, 63, 64] {
+            for _ in 0..50 {
+                let bits = 64 * rng.gen_range(1..40usize) + rng.gen_range(0..64usize);
+                let mut marked = Vec::new();
+                for base in (0..bits).step_by(64) {
+                    if rng.gen_bool(0.7) {
+                        // `per_word` distinct positions of the word (as many
+                        // as fit in the partial last one).
+                        let mut slots: Vec<usize> = (base..bits.min(base + 64)).collect();
+                        for k in 0..per_word.min(slots.len()) {
+                            let pick = k + rng.gen_index(slots.len() - k);
+                            slots.swap(k, pick);
+                            marked.push(slots[k]);
+                        }
+                    }
+                }
+                drain_is_a_bit_scan(&mut bitmap, bits, &marked);
+            }
+        }
+        let top = 1_000_000 - 64;
+        let mut marked = vec![0, 999_999, top, top + 1, 500_000];
+        marked.extend((0..1000).map(|_| rng.gen_index(1_000_000)));
+        drain_is_a_bit_scan(&mut bitmap, 1_000_000, &marked);
+        drain_is_a_bit_scan(
+            &mut bitmap,
+            1_000_000,
+            &(top..1_000_000).collect::<Vec<_>>(),
+        );
+        drain_is_a_bit_scan(&mut bitmap, 70, &[69]);
+    }
+
+    /// A document whose match never reached the drain (it panicked) leaves
+    /// its marks behind — here in a word the next, smaller engine does not
+    /// even scan — and the next document must not inherit them.
+    #[test]
+    fn marks_of_a_document_never_drained_do_not_reach_the_next() {
+        let mut bitmap = ResultBitmap::default();
+        bitmap.begin(300);
+        for i in [1, 64, 299] {
+            bitmap.set(i);
+        }
+        bitmap.begin(200);
+        assert!(!bitmap.test(1) && !bitmap.test(64));
+        bitmap.set(5);
+        bitmap.set(64);
+        assert_eq!(bitmap.take(200), [SubId(5), SubId(64)]);
+        bitmap.begin(300);
+        assert_eq!(bitmap.take(300), []);
+    }
 
     /// Opens the elements of `path` from the root, sights the last one as
     /// a leaf of document `epoch` — a sighting that is due the path's

@@ -207,6 +207,72 @@ fn repeated_documents_are_independent() {
     assert_eq!(engine.match_document(&doc("<a><b/></a>")), vec![s]);
 }
 
+/// One scratch serving engines of 2k NITF subscriptions, 16, none and 2k
+/// again (another set) in turn — what a broker worker's scratch sees
+/// across the snapshot publisher's buffers under churn: result-bitmap
+/// words past a smaller engine's ids, and an id space that grows back.
+/// Engines take turns document by document (the path memo is emptied at
+/// every switch) and stream by stream (each engine's memo replays before
+/// the next takes over); every match set is the oracle's.
+#[test]
+fn a_scratch_shared_by_engines_of_every_size_matches_exactly() {
+    let regime = Regime::nitf();
+    let expressions = |n: usize, seed: u64| {
+        let mut xp = regime.xpath.clone();
+        (xp.count, xp.seed) = (n, seed);
+        XPathGenerator::new(&regime.dtd, xp).generate()
+    };
+    let sets = [
+        expressions(2000, 0x27a),
+        expressions(16, 0x27b),
+        Vec::new(),
+        expressions(2000, 0x27c),
+    ];
+    let engines: Vec<FilterEngine> = sets
+        .iter()
+        .map(|exprs| {
+            let mut engine = FilterEngine::default();
+            for e in exprs {
+                engine.add(e).unwrap();
+            }
+            engine
+        })
+        .collect();
+    let mut xm = regime.xml.clone();
+    xm.seed = 0x27d;
+    let docs = XmlGenerator::new(&regime.dtd, xm).generate_batch(12);
+    let bytes: Vec<String> = docs.iter().map(Document::to_xml).collect();
+    // want[k][d]: what engine `k` must match in document `d`.
+    let want: Vec<Vec<Vec<SubId>>> = sets
+        .iter()
+        .map(|exprs| {
+            let matched = |d: &Document| {
+                (0..exprs.len())
+                    .filter(|&i| matches_document(&exprs[i], d))
+                    .map(|i| SubId(i as u32))
+                    .collect()
+            };
+            docs.iter().map(matched).collect()
+        })
+        .collect();
+    assert!(want[0].iter().chain(&want[3]).all(|w| !w.is_empty()));
+    let mut scratch = MatchScratch::new();
+    let mut check = |k: usize, d: usize, ctx: &str| {
+        let got = engines[k].match_bytes_with(bytes[d].as_bytes(), &mut scratch);
+        assert_eq!(got.unwrap(), want[k][d], "{ctx}: engine {k}, document {d}");
+    };
+    for round in 0..3 {
+        for d in 0..docs.len() {
+            (0..engines.len()).for_each(|k| check(k, d, &format!("turns, round {round}")));
+        }
+    }
+    for k in [0, 1, 2, 3, 2, 0] {
+        for round in 0..3 {
+            (0..docs.len()).for_each(|d| check(k, d, &format!("streams, round {round}")));
+        }
+    }
+}
+
 #[test]
 fn adding_after_matching_works() {
     let mut engine = FilterEngine::default();

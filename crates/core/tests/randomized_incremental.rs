@@ -214,7 +214,7 @@ impl ElementVisitor for CtxChecker<'_> {
         }
     }
 
-    fn leave(&mut self, _id: NodeId) {
+    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.ctx.pop_to_mark(self.marks.pop().expect("mark stack"));
     }
@@ -342,7 +342,7 @@ impl ElementVisitor for LazyChecker<'_> {
         }
     }
 
-    fn leave(&mut self, _id: NodeId) {
+    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.eager
             .pop_to_mark(self.eager_marks.pop().expect("mark stack"));

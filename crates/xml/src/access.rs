@@ -14,8 +14,8 @@
 //! Leaf-ness, leaf paths, events and enter/leave order are read off the
 //! depth column (the next row not deeper ⇒ a leaf; a row at depth *d*
 //! closes every open row at depth ≥ *d*). [`PathDoc::parse_into`] refills
-//! the same allocations, so a matcher that owns one store allocates
-//! nothing per document once warm.
+//! the same allocations and the enter/leave traversal keeps no stack, so
+//! a matcher that owns one store allocates nothing per document once warm.
 //!
 //! Matching runs after the parse pass (not per leaf close): mixed content
 //! can extend an *ancestor's* text after a leaf closes (`<a><b/>tail</a>`)
@@ -47,8 +47,10 @@ pub trait ElementVisitor {
     /// no child elements (its `enter` is immediately followed by its
     /// `leave`).
     fn enter(&mut self, id: NodeId, is_leaf: bool);
-    /// Called when an element closes (all descendants already left).
-    fn leave(&mut self, id: NodeId);
+    /// Called when the innermost open element closes (all its descendants
+    /// already left). Which element that is, the visitor knows from its
+    /// own `enter` calls; the traversal keeps no stack of ids to say it.
+    fn leave(&mut self);
 }
 
 /// Traversal event of [`PathDoc::for_each_event`]: an element's id, tag and
@@ -377,19 +379,21 @@ impl PathDoc {
     }
 
     /// Drives one pre-order enter/leave traversal (see [`ElementVisitor`]).
+    /// Allocates nothing: only the depth of the open path is kept.
     pub fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
         // One linear scan of the depth column: the next row not deeper
-        // marks a leaf, a row not deeper than an open one closes it.
-        let mut open: Vec<NodeId> = Vec::new();
+        // marks a leaf, and a row at depth d closes the open rows at depths
+        // d ..= open, innermost first.
+        let mut open = 0;
         for (id, &depth) in self.depth.iter().enumerate() {
-            while open.len() as u32 >= depth {
-                visitor.leave(open.pop().expect("non-empty"));
+            for _ in depth..=open {
+                visitor.leave();
             }
             visitor.enter(id as NodeId, self.is_leaf(id));
-            open.push(id as NodeId);
+            open = depth;
         }
-        while let Some(id) = open.pop() {
-            visitor.leave(id);
+        for _ in 0..open {
+            visitor.leave();
         }
     }
 }
@@ -464,8 +468,8 @@ mod tests {
                     self.paths.push(self.stack.clone());
                 }
             }
-            fn leave(&mut self, id: NodeId) {
-                assert_eq!(self.stack.pop(), Some(id));
+            fn leave(&mut self) {
+                assert!(self.stack.pop().is_some(), "a leave without an enter");
             }
         }
         let src = b"<a><b><c/><d/></b><b><c/></b><e/></a>";

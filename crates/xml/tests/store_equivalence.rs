@@ -44,15 +44,18 @@ fn failing_document() -> Vec<u8> {
     out
 }
 
-/// Records enter/leave calls: (true, id, is_leaf) / (false, id, false).
+/// Records enter/leave calls: (true, id, is_leaf) / (false, id, false),
+/// a leave naming the innermost element entered and not yet left.
 #[derive(Default, PartialEq, Debug)]
-struct Recorder(Vec<(bool, NodeId, bool)>);
+struct Recorder(Vec<(bool, NodeId, bool)>, Vec<NodeId>);
 
 impl ElementVisitor for Recorder {
     fn enter(&mut self, id: NodeId, is_leaf: bool) {
         self.0.push((true, id, is_leaf));
+        self.1.push(id);
     }
-    fn leave(&mut self, id: NodeId) {
+    fn leave(&mut self) {
+        let id = self.1.pop().expect("a leave without an enter");
         self.0.push((false, id, false));
     }
 }
