@@ -16,6 +16,9 @@
 //! stage-2 share (`expression_ns`: walks cold, replays warm), its
 //! collection share (`other_ns`: draining the result bitmap into the id
 //! list) and what the path automaton holds by then — printed, not gated.
+//! A third matcher row, warm too, adds one attribute-filter subscription
+//! to the same set: the memo is then off and every leaf walks — the path a
+//! subscription set with one attribute filter takes today.
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::{FilterEngine, MatchScratch};
@@ -132,8 +135,14 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         engine.add(&e.structural_skeleton()).unwrap();
     }
     engine.prepare();
+    let mut filtered = FilterEngine::default();
+    for e in &w.exprs {
+        filtered.add(&e.structural_skeleton()).unwrap();
+    }
+    filtered.add_str("//nitf[@q]").unwrap();
+    filtered.prepare();
     let shares = std::cell::Cell::new((0, 0, 0, 0, 0));
-    let pass = |m: &mut MatchScratch| {
+    let pass = |engine: &FilterEngine, m: &mut MatchScratch| {
         let before = m.stats();
         let matched: usize = docs
             .iter()
@@ -149,17 +158,22 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         ));
         matched
     };
-    for (label, passes_before) in [("matcher, pass 1 (cold)", 0), ("matcher, pass 3 (warm)", 2)] {
+    let rows = [
+        ("matcher, pass 1 (cold)", &engine, 0),
+        ("matcher, pass 3 (warm)", &engine, 2),
+        ("matcher, memo off (one attribute filter)", &filtered, 2),
+    ];
+    for (label, engine, passes_before) in rows {
         group.bench_batched(
             label,
             || {
                 let mut m = MatchScratch::new();
                 for _ in 0..passes_before {
-                    pass(&mut m);
+                    pass(engine, &mut m);
                 }
                 m
             },
-            |mut m| pass(&mut m),
+            |mut m| pass(engine, &mut m),
         );
         let (stage1_ns, stage2_ns, collect_ns, memo_states, memo_bytes) = shares.get();
         println!(

@@ -25,12 +25,7 @@ impl FilterEngine {
             stats,
             doc: _,
         } = scratch;
-        state.advance_doc_epoch();
-        state.memo.begin_document(self.stamp);
-        state.sub_matched.begin(self.n_subs as usize);
-        state.node_done.resize(self.trie.n_nodes());
-        state.node_sinks_done.resize(self.trie.n_nodes());
-        state.done_children.resize(self.trie.n_nodes(), (0, 0));
+        state.begin(self.n_subs as usize, self.trie.n_nodes(), self.stamp);
         state
             .comp_paths
             .resize_with(self.n_components as usize, Vec::new);
@@ -178,7 +173,7 @@ impl IncrementalDriver<'_, '_> {
         let path_idx = self.path_idx;
         self.path_idx += 1;
         let sighting = if self.memo_on {
-            self.state.memo.sight(self.state.doc_epoch)
+            self.state.memo.sight()
         } else {
             Sighting::Untracked
         };
@@ -231,7 +226,7 @@ impl IncrementalDriver<'_, '_> {
     /// matches of the path above it. One clock pair per record, none for
     /// an element that has nothing to add.
     fn replay_due(&mut self) {
-        if let Some(path) = self.state.memo.due(self.state.doc_epoch) {
+        if let Some(path) = self.state.memo.due() {
             let t1 = Instant::now();
             self.engine.replay(path, self.state);
             self.expr_ns += t1.elapsed().as_nanos() as u64;
@@ -369,7 +364,7 @@ impl FilterEngine {
         let (root_pids, root_nodes) = self.trie.roots();
         let mut enter = |pid: PredId, root: u32| {
             stats.ap_root_probes += 1;
-            if state.recording.is_none() && state.node_done.test(root as usize, state.doc_epoch) {
+            if state.recording.is_none() && state.node_done.test(root as usize) {
                 return;
             }
             let mut f = S::default();
@@ -426,7 +421,7 @@ impl FilterEngine {
                 }
             }
         }
-        if has_sinks && !state.node_sinks_done.test(n as usize, state.doc_epoch) {
+        if has_sinks && !state.node_sinks_done.test(n as usize) {
             // Plain subscriptions resolve in one bitmap-marking sweep over
             // the packed id column (4 bytes per sink, no enum dispatch);
             // where they are all the node holds, it is then fully resolved
@@ -457,7 +452,7 @@ impl FilterEngine {
                 });
             }
             if resolved {
-                state.node_sinks_done.set(n as usize, state.doc_epoch);
+                state.node_sinks_done.set(n as usize);
             }
         }
         // Only children whose predicate holds pairs on this path can chain
@@ -471,7 +466,7 @@ impl FilterEngine {
             if !ctx.is_matched(cpid) {
                 continue;
             }
-            let was_done = state.node_done.test(child as usize, state.doc_epoch);
+            let was_done = state.node_done.test(child as usize);
             if was_done && state.recording.is_none() {
                 continue;
             }
@@ -502,10 +497,10 @@ impl FilterEngine {
                 state.bump_done_children(n);
             }
         }
-        let all_done = (!has_sinks || state.node_sinks_done.test(n as usize, state.doc_epoch))
+        let all_done = (!has_sinks || state.node_sinks_done.test(n as usize))
             && state.done_children(n) == trie.child_len(n);
         if all_done {
-            state.node_done.set(n as usize, state.doc_epoch);
+            state.node_done.set(n as usize);
         }
         all_done
     }
@@ -522,7 +517,6 @@ impl FilterEngine {
             memo,
             sub_matched,
             node_sinks_done,
-            doc_epoch,
             ..
         } = state;
         for &entry in memo.record(path) {
@@ -531,11 +525,11 @@ impl FilterEngine {
                 continue;
             }
             let n = entry & !NODE_ENTRY;
-            if !node_sinks_done.test(n as usize, *doc_epoch) {
+            if !node_sinks_done.test(n as usize) {
                 for &sub in self.trie.plain_subs(n) {
                     sub_matched.set(sub as usize);
                 }
-                node_sinks_done.set(n as usize, *doc_epoch);
+                node_sinks_done.set(n as usize);
             }
         }
     }

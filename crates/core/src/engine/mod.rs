@@ -376,13 +376,6 @@ impl FilterEngine {
         }
     }
 
-    #[doc(hidden)]
-    /// Test hook: forces the internal scratch's document epoch; see
-    /// [`MatchScratch::force_epochs`].
-    pub fn force_scratch_epochs(&mut self, doc_epoch: u32) {
-        self.scratch.force_epochs(doc_epoch);
-    }
-
     /// Sets the per-document resource budget enforced by the streaming
     /// parse path (`match_bytes`), including matchers created afterwards.
     pub fn set_parser_limits(&mut self, limits: ParserLimits) {

@@ -1,9 +1,10 @@
 //! Matching scratch: the per-document result bitmap (all zero between
-//! documents, drained into the sorted id list), the epoch-stamped pruning
-//! bitmaps, the path memo (an automaton over document tag paths whose
-//! states record what an element on the path adds to the match set) that
-//! outlives the document, and the [`Matcher`] handle that owns one scratch
-//! per concurrent user of a shared engine.
+//! documents, drained into the sorted id list), the pruning bitmaps and
+//! counts (cleared by the next document's begin through a record of what
+//! the last one touched), the path memo (an automaton over document tag
+//! paths whose states record what an element on the path adds to the
+//! match set) that outlives the document, and the [`Matcher`] handle that
+//! owns one scratch per concurrent user of a shared engine.
 
 use super::{EngineStats, FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, PredId, Publication};
@@ -54,20 +55,6 @@ impl MatchScratch {
     /// [`PathDoc::RETAINED_HEAP_BYTES`] before the next document.
     pub fn doc_store_bytes(&self) -> usize {
         self.doc.heap_bytes()
-    }
-
-    #[doc(hidden)]
-    /// Test hook: forces the internal document epoch (e.g. just below
-    /// the u32 wrap point) so the epoch-wrap hard-clear discipline can be
-    /// soaked without matching 2³² documents.
-    pub fn force_epochs(&mut self, doc_epoch: u32) {
-        self.state.doc_epoch = doc_epoch;
-    }
-
-    #[doc(hidden)]
-    /// Test hook: the current document epoch.
-    pub fn epochs(&self) -> u32 {
-        self.state.doc_epoch
     }
 }
 
@@ -203,51 +190,51 @@ fn flatten(mut word: u64, base: u32, out: &mut [u32; 64]) -> usize {
     }
 }
 
-/// An epoch-stamped bitmap: one bit per id, valid only while the owning
-/// 64-bit word's stamp equals the current epoch. Setting a bit in a
-/// stale word lazily zeroes the word first, so neither documents nor
-/// paths pay a clearing pass — what the per-node bitmaps need, since a
-/// document touches few of the trie's nodes. The same u32 wrap
-/// discipline as the plain stamp arrays applies: on epoch wrap the owner
-/// must [`hard_clear`] (otherwise a word last stamped 2³² epochs ago would
-/// read as current).
-///
-/// [`hard_clear`]: EpochBitmap::hard_clear
+/// A per-node bitmap of the document under way, with a summary level:
+/// one bit per word, set whenever the word may be non-zero. A set is two
+/// ORs with no branch, and [`Self::begin`] walks the summary and zeroes
+/// only the words it names — a document pays for the words it marked, not
+/// for the trie. The summary, rather than a list of touched words, is what
+/// keeps replays cheap: a warm document's replays set `node_sinks_done` for
+/// every node entry of every record, and a list would test each word
+/// before it pushes.
 #[derive(Debug, Default)]
-pub(super) struct EpochBitmap {
+pub(super) struct NodeBitmap {
     words: Vec<u64>,
-    stamps: Vec<u32>,
+    /// Bit `w % 64` of `summary[w / 64]`: `words[w]` may be non-zero.
+    summary: Vec<u64>,
 }
 
-impl EpochBitmap {
-    /// Grows to cover at least `bits` ids (never shrinks).
-    pub(super) fn resize(&mut self, bits: usize) {
-        let words = bits.div_ceil(64);
-        if self.words.len() < words {
-            self.words.resize(words, 0);
-            self.stamps.resize(words, 0);
+impl NodeBitmap {
+    /// Starts a document of a trie with `bits` node slots: zeroes every
+    /// word the summary names — whatever the last document set, finished
+    /// or not, and wherever — then grows to cover `bits` (never shrinks).
+    pub(super) fn begin(&mut self, bits: usize) {
+        let Self { words, summary } = self;
+        for (s, named) in summary.iter_mut().enumerate() {
+            let mut named = std::mem::take(named);
+            while named != 0 {
+                words[s * 64 + named.trailing_zeros() as usize] = 0;
+                named &= named - 1;
+            }
+        }
+        let len = bits.div_ceil(64);
+        if words.len() < len {
+            words.resize(len, 0);
+            summary.resize(len.div_ceil(64), 0);
         }
     }
 
     #[inline]
-    pub(super) fn test(&self, i: usize, epoch: u32) -> bool {
-        self.stamps[i / 64] == epoch && self.words[i / 64] & (1u64 << (i % 64)) != 0
+    pub(super) fn test(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     #[inline]
-    pub(super) fn set(&mut self, i: usize, epoch: u32) {
+    pub(super) fn set(&mut self, i: usize) {
         let w = i / 64;
-        if self.stamps[w] != epoch {
-            self.stamps[w] = epoch;
-            self.words[w] = 0;
-        }
         self.words[w] |= 1u64 << (i % 64);
-    }
-
-    /// Zeroes every word and stamp (epoch-wrap hard clear).
-    pub(super) fn hard_clear(&mut self) {
-        self.words.fill(0);
-        self.stamps.fill(0);
+        self.summary[w / 64] |= 1u64 << (w % 64);
     }
 }
 
@@ -293,7 +280,7 @@ enum Leaves {
     Never,
     /// One did, in an earlier document or this one: the next document's
     /// walk makes the records of its path. Kept apart from
-    /// `PathState::seen`, which the epoch wrap zeroes.
+    /// `PathState::seen`, which every document clears.
     Met,
     /// That walk was made and every state of the path holds its record: a
     /// leaf here is answered by the replays of its open elements.
@@ -303,11 +290,11 @@ enum Leaves {
 /// One state of the path automaton: one document tag path.
 #[derive(Debug, Clone, Copy, Default)]
 struct PathState {
-    /// Document epoch of the last leaf sighting (0 = none since the wrap).
-    seen: u32,
-    /// Document epoch of the last replay of `record`, by an element of any
-    /// kind (0 = none since the wrap).
-    replayed: u32,
+    /// A leaf of the document under way ended here.
+    seen: bool,
+    /// An element of the document under way, of any kind, replayed
+    /// `record`.
+    replayed: bool,
     leaves: Leaves,
     /// What an element on this path adds to what its parent's path
     /// reached — the sinks whose expression holds on the path and on no
@@ -336,20 +323,21 @@ pub(super) enum Sighting {
 
 /// The path memo, as an automaton over document tag paths: a trie with one
 /// state per tag path met under the current subscription set, grown one
-/// transition at a time as elements open. A state knows when a leaf last
-/// ended in it and, once a recording walk has come by, what an element on
-/// its path adds to the match set: its record, which every element — leaf
-/// or not — replays once per document. A path's matches are the union of
-/// the records of its open states, so a recorded state's ancestors are
-/// always recorded. Valid for one engine content stamp (see
-/// [`Self::begin_document`]), so it outlives the document and replays what
-/// a path reached instead of walking again.
+/// transition at a time as elements open. A state knows whether a leaf has
+/// ended in it, in this document and before, and, once a recording walk
+/// has come by, what an element on its path adds to the match set: its
+/// record, which every element — leaf or not — replays once per document.
+/// A path's matches are the union of the records of its open states, so a
+/// recorded state's ancestors are always recorded. Valid for one engine
+/// content stamp (see [`Self::begin_document`]), so it outlives the
+/// document and replays what a path reached instead of walking again.
 ///
 /// Transitions live in one open-addressed table (linear probing) keyed by
 /// the exact `(state, symbol)` pair — two paths share a state only by
 /// being the same path — beside the state and entry arenas, all within
-/// [`MEMO_CAP_BYTES`]. The stack of open elements is bounded by the
-/// document's depth, not by the paths seen, and is not counted.
+/// [`MEMO_CAP_BYTES`]. The stack of open elements and the list of states
+/// marked are bounded by the document's depth and element count, not by
+/// the paths seen, and are not counted.
 #[derive(Debug, Default)]
 pub(super) struct PathMemo {
     /// `(parent state) << 32 | symbol` of every occupied slot.
@@ -364,6 +352,9 @@ pub(super) struct PathMemo {
     entries: Vec<u32>,
     /// The state of every open element, outermost first.
     open: Vec<u32>,
+    /// The states whose `seen` or `replayed` the document under way set,
+    /// for [`Self::begin_document`] to clear.
+    marked: Vec<u32>,
     /// A state or a record found no room: emptied at the next document.
     full: bool,
     /// Content stamp of the engine the states were made under.
@@ -371,12 +362,17 @@ pub(super) struct PathMemo {
 }
 
 impl PathMemo {
-    /// Starts a document of the engine stamped `stamp`. What was learned
-    /// under another stamp, or ran out of budget, is forgotten first
-    /// (keeping the allocations) — here and nowhere else, because open
-    /// elements would keep the ids of forgotten states.
+    /// Starts a document of the engine stamped `stamp`: no state has been
+    /// seen or replayed in it, whether the last document finished or not.
+    /// What was learned under another stamp, or ran out of budget, is
+    /// forgotten first (keeping the allocations) — here and nowhere else,
+    /// because open elements would keep the ids of forgotten states.
     pub(super) fn begin_document(&mut self, stamp: u64) {
         self.open.clear();
+        for state in self.marked.drain(..) {
+            let s = &mut self.states[state as usize - 1];
+            (s.seen, s.replayed) = (false, false);
+        }
         if self.stamp == stamp && !self.full {
             return;
         }
@@ -475,18 +471,19 @@ impl PathMemo {
         }
     }
 
-    /// The innermost open element is a leaf: notes that document `epoch`
-    /// has seen its path, and says what the leaf is to do.
-    pub(super) fn sight(&mut self, epoch: u32) -> Sighting {
+    /// The innermost open element is a leaf: notes that this document has
+    /// seen its path, and says what the leaf is to do.
+    pub(super) fn sight(&mut self) -> Sighting {
         let state = *self.open.last().expect("a leaf is an open element");
         if state == UNTRACKED {
             return Sighting::Untracked;
         }
         let s = &mut self.states[state as usize - 1];
-        if s.seen == epoch {
+        if s.seen {
             return Sighting::SameDoc;
         }
-        s.seen = epoch;
+        s.seen = true;
+        self.marked.push(state);
         match s.leaves {
             Leaves::Never => {
                 s.leaves = Leaves::Met;
@@ -498,19 +495,20 @@ impl PathMemo {
     }
 
     /// The state of the innermost open element, if it holds a record with
-    /// something in it that document `epoch` has not replayed yet — which
+    /// something in it that this document has not replayed yet — which
     /// this call notes it now has.
     #[inline]
-    pub(super) fn due(&mut self, epoch: u32) -> Option<u32> {
+    pub(super) fn due(&mut self) -> Option<u32> {
         let state = *self.open.last().expect("an element is open");
         if state == UNTRACKED {
             return None;
         }
         let s = &mut self.states[state as usize - 1];
-        if s.replayed == epoch || !matches!(s.record, Some((_, len)) if len > 0) {
+        if s.replayed || !matches!(s.record, Some((_, len)) if len > 0) {
             return None;
         }
-        s.replayed = epoch;
+        s.replayed = true;
+        self.marked.push(state);
         Some(state)
     }
 
@@ -566,15 +564,6 @@ impl PathMemo {
             None => &[],
         }
     }
-
-    /// Epoch wrap: no state has been seen or replayed in any document of
-    /// the new numbering. What the states have met and recorded stands.
-    fn forget_sightings(&mut self) {
-        for s in &mut self.states {
-            s.seen = 0;
-            s.replayed = 0;
-        }
-    }
 }
 
 /// What the engine's own tests read out of a memo.
@@ -606,7 +595,6 @@ impl PathMemo {
 
 #[derive(Debug, Default)]
 pub(super) struct DocState {
-    pub(super) doc_epoch: u32,
     /// SubId → matched in the current document. Also the result
     /// accumulator: draining it ([`ResultBitmap::take`]) *is* the sorted
     /// result list, replacing per-match pushes plus a sort, and leaves it
@@ -614,19 +602,22 @@ pub(super) struct DocState {
     pub(super) sub_matched: ResultBitmap,
     /// Trie node → whole subtree resolved in the current document (every
     /// reachable subscription matched): pruned from later paths.
-    pub(super) node_done: EpochBitmap,
-    /// Trie node → `(doc epoch, children whose subtree is resolved in that
-    /// document)`. A child is counted once, when its visit first returns
+    pub(super) node_done: NodeBitmap,
+    /// Trie node → children whose subtree is resolved in the current
+    /// document. A child is counted once, when its visit first returns
     /// *done*; the node's own subtree is resolved when its sinks are and
     /// this count equals its live child-span length — so the walk never
     /// scans children to learn it, and may skip the ones whose predicate
     /// holds no pairs on the path without weakening the pruning.
-    pub(super) done_children: Vec<(u32, u32)>,
+    done_children: Vec<u32>,
+    /// The nodes whose count the current document took off 0, for the
+    /// next [`Self::begin`] to zero.
+    counted: Vec<u32>,
     /// Trie node → all of its own sinks resolved in the current document
     /// (so later visits skip sink processing — crucial for
     /// duplicate-heavy workloads where one node carries thousands of
     /// subscriptions).
-    pub(super) node_sinks_done: EpochBitmap,
+    pub(super) node_sinks_done: NodeBitmap,
     /// Component registry id → path indices matched in the current doc.
     pub(super) comp_paths: Vec<Vec<u32>>,
     /// Scratch for the selection-postponed re-check: per-level admissible
@@ -655,38 +646,36 @@ pub(super) struct DocState {
 }
 
 impl DocState {
-    /// Bumps the document epoch. On u32 wrap the stamped node bitmaps and
-    /// the memo's sightings are hard-cleared and the epoch restarts at 1 —
-    /// otherwise a slot last stamped 2³² documents ago would read as
-    /// current.
-    pub(super) fn advance_doc_epoch(&mut self) {
-        self.doc_epoch = self.doc_epoch.wrapping_add(1);
-        if self.doc_epoch == 0 {
-            self.node_done.hard_clear();
-            self.node_sinks_done.hard_clear();
-            self.done_children.fill((0, 0));
-            self.memo.forget_sightings();
-            self.doc_epoch = 1;
+    /// Starts a document of an engine with `subs` subscription ids, `nodes`
+    /// trie node slots and content stamp `stamp`. Each per-document mark is
+    /// cleared here, by a record of what the last document set — so one
+    /// abandoned part way (a match that panicked) leaves nothing behind —
+    /// and the per-node state grows to cover the trie.
+    pub(super) fn begin(&mut self, subs: usize, nodes: usize, stamp: u64) {
+        self.sub_matched.begin(subs);
+        self.node_done.begin(nodes);
+        self.node_sinks_done.begin(nodes);
+        for n in self.counted.drain(..) {
+            self.done_children[n as usize] = 0;
         }
+        self.done_children.resize(nodes, 0);
+        self.memo.begin_document(stamp);
     }
 
     /// Counts one more child of `n` as resolved in the current document.
     #[inline]
     pub(super) fn bump_done_children(&mut self, n: u32) {
-        let slot = &mut self.done_children[n as usize];
-        if slot.0 != self.doc_epoch {
-            *slot = (self.doc_epoch, 0);
+        let count = &mut self.done_children[n as usize];
+        if *count == 0 {
+            self.counted.push(n);
         }
-        slot.1 += 1;
+        *count += 1;
     }
 
     /// Children of `n` resolved in the current document.
     #[inline]
     pub(super) fn done_children(&self, n: u32) -> u32 {
-        match self.done_children[n as usize] {
-            (epoch, count) if epoch == self.doc_epoch => count,
-            _ => 0,
-        }
+        self.done_children[n as usize]
     }
 
     /// Appends a leaf path to the reused path buffer.
@@ -804,14 +793,13 @@ mod tests {
     }
 
     /// Opens the elements of `path` from the root, sights the last one as
-    /// a leaf of document `epoch` — a sighting that is due the path's
-    /// records gets `records[k - 1]` for the state at depth `k` — and closes
-    /// them again.
-    fn sight_with(memo: &mut PathMemo, path: &[u32], epoch: u32, records: &[Vec<u32>]) -> Sighting {
+    /// a leaf — a sighting that is due the path's records gets
+    /// `records[k - 1]` for the state at depth `k` — and closes them again.
+    fn sight_with(memo: &mut PathMemo, path: &[u32], records: &[Vec<u32>]) -> Sighting {
         for &sym in path {
             memo.enter(Symbol(sym));
         }
-        let sighting = memo.sight(epoch);
+        let sighting = memo.sight();
         if sighting == Sighting::Again && !records.is_empty() {
             memo.attach_chain(records);
         }
@@ -821,8 +809,13 @@ mod tests {
         sighting
     }
 
-    fn sight(memo: &mut PathMemo, path: &[u32], epoch: u32) -> Sighting {
-        sight_with(memo, path, epoch, &[])
+    fn sight(memo: &mut PathMemo, path: &[u32]) -> Sighting {
+        sight_with(memo, path, &[])
+    }
+
+    /// Starts the next document under the same subscription set.
+    fn next_document(memo: &mut PathMemo) {
+        memo.begin_document(memo.stamp);
     }
 
     /// The record (if any) of each state along `path`, outermost first.
@@ -850,26 +843,25 @@ mod tests {
         let paths: [&[u32]; 4] = [&[1, 2, 3], &[1, 2], &[1, 2, 3, 3], &[1, 2, unknown]];
         let mut memo = PathMemo::default();
         for p in paths {
-            assert_eq!(sight(&mut memo, p, 1), Sighting::First, "{p:?}");
-            assert_eq!(sight(&mut memo, p, 1), Sighting::SameDoc, "{p:?}");
+            assert_eq!(sight(&mut memo, p), Sighting::First, "{p:?}");
+            assert_eq!(sight(&mut memo, p), Sighting::SameDoc, "{p:?}");
         }
         // Five states: the four paths and their common inner element.
         assert_eq!(memo.len(), 5);
         // Chain `i` offers `[i, depth]` at every depth.
         let chain = |i: u32| -> Vec<Vec<u32>> { (1..5).map(|depth| vec![i, depth]).collect() };
+        next_document(&mut memo);
         for (i, p) in paths.iter().enumerate() {
-            assert_eq!(
-                sight_with(&mut memo, p, 2, &chain(i as u32)),
-                Sighting::Again
-            );
+            assert_eq!(sight_with(&mut memo, p, &chain(i as u32)), Sighting::Again);
         }
         // Growth: 3000 more paths below and beside them.
         for i in 10..3010 {
-            assert_eq!(sight(&mut memo, &[1, 2, i], 2), Sighting::First);
-            assert_eq!(sight(&mut memo, &[i, 2, 3], 2), Sighting::First);
+            assert_eq!(sight(&mut memo, &[1, 2, i]), Sighting::First);
+            assert_eq!(sight(&mut memo, &[i, 2, 3]), Sighting::First);
         }
+        next_document(&mut memo);
         for p in paths {
-            assert_eq!(sight(&mut memo, p, 3), Sighting::Recorded, "{p:?}");
+            assert_eq!(sight(&mut memo, p), Sighting::Recorded, "{p:?}");
         }
         // The first chain recorded depths 1–3; the second found nothing
         // left to record; the others added their own last state.
@@ -880,7 +872,7 @@ mod tests {
         let sibling = records_along(&mut memo, &[1, 2, unknown]);
         assert_eq!(sibling[2], Some(vec![3, 3]));
         // The inner element holds a record, but no leaf ever ended there.
-        assert_eq!(sight(&mut memo, &[1], 3), Sighting::First);
+        assert_eq!(sight(&mut memo, &[1]), Sighting::First);
     }
 
     /// A record is due once per document, to an element of any kind, and
@@ -888,18 +880,17 @@ mod tests {
     #[test]
     fn a_record_is_due_once_per_document_unless_empty() {
         let mut memo = PathMemo::default();
-        assert_eq!(sight(&mut memo, &[1, 2, 3], 1), Sighting::First);
+        assert_eq!(sight(&mut memo, &[1, 2, 3]), Sighting::First);
+        next_document(&mut memo);
         let records = [vec![7], vec![], vec![8, 9]];
-        assert_eq!(
-            sight_with(&mut memo, &[1, 2, 3], 2, &records),
-            Sighting::Again
-        );
-        for epoch in [3, 4] {
+        assert_eq!(sight_with(&mut memo, &[1, 2, 3], &records), Sighting::Again);
+        for doc in [3, 4] {
+            next_document(&mut memo);
             let mut due = Vec::new();
             for round in 0..2 {
                 for sym in [1, 2, 3] {
                     memo.enter(Symbol(sym));
-                    due.push((round, sym, memo.due(epoch).map(|s| memo.record(s).to_vec())));
+                    due.push((round, sym, memo.due().map(|s| memo.record(s).to_vec())));
                 }
                 (0..3).for_each(|_| memo.leave());
             }
@@ -911,11 +902,8 @@ mod tests {
                 (1, 2, None),
                 (1, 3, None),
             ];
-            assert_eq!(due, want, "epoch {epoch}");
+            assert_eq!(due, want, "document {doc}");
         }
-        memo.forget_sightings();
-        memo.enter(Symbol(1));
-        assert!(memo.due(4).is_some(), "a replay stamp survived the wrap");
     }
 
     /// The arena refuses the record of a state in the middle of a chain:
@@ -926,26 +914,30 @@ mod tests {
     fn a_refused_record_ends_the_chain_and_empties_the_memo() {
         let mut memo = PathMemo::default();
         memo.begin_document(1);
-        assert_eq!(sight(&mut memo, &[1, 2, 3], 1), Sighting::First);
-        assert_eq!(sight(&mut memo, &[4], 1), Sighting::First);
+        assert_eq!(sight(&mut memo, &[1, 2, 3]), Sighting::First);
+        assert_eq!(sight(&mut memo, &[4]), Sighting::First);
+        next_document(&mut memo);
         let filler = [vec![0; MEMO_ENTRY_BUDGET - 3]];
-        assert_eq!(sight_with(&mut memo, &[4], 2, &filler), Sighting::Again);
-        assert_eq!(sight(&mut memo, &[4], 3), Sighting::Recorded);
+        assert_eq!(sight_with(&mut memo, &[4], &filler), Sighting::Again);
+        next_document(&mut memo);
+        assert_eq!(sight(&mut memo, &[4]), Sighting::Recorded);
         // Room for three entries: depth 1 fits, depth 2 does not, and
         // depth 3 — which would — is not tried.
         let records = [vec![7, 8], vec![9, 9], vec![5]];
-        assert_eq!(
-            sight_with(&mut memo, &[1, 2, 3], 3, &records),
-            Sighting::Again
-        );
+        assert_eq!(sight_with(&mut memo, &[1, 2, 3], &records), Sighting::Again);
         assert_eq!(
             records_along(&mut memo, &[1, 2, 3]),
             [Some(vec![7, 8]), None, None]
         );
         memo.assert_recorded_top_down();
         assert!(memo.heap_bytes() <= MEMO_CAP_BYTES);
-        assert_eq!(sight(&mut memo, &[1, 2, 3], 4), Sighting::Again);
-        memo.begin_document(1);
+        [1, 2, 3].iter().for_each(|&sym| memo.enter(Symbol(sym)));
+        let leaf = memo.states[*memo.open.last().unwrap() as usize - 1];
+        assert!(
+            matches!(leaf.leaves, Leaves::Met),
+            "the leaf is due its walk"
+        );
+        next_document(&mut memo);
         assert_eq!(memo.len(), 0, "same stamp, but a record found no room");
     }
 
@@ -954,28 +946,77 @@ mod tests {
         let mut memo = PathMemo::default();
         let paths: Vec<[u32; 2]> = (0..1000).map(|i| [i, i + 1]).collect();
         for p in &paths {
-            assert_eq!(sight(&mut memo, p, 1), Sighting::First);
+            assert_eq!(sight(&mut memo, p), Sighting::First);
         }
+        next_document(&mut memo);
         for (i, p) in paths.iter().enumerate() {
             let records = [vec![], vec![i as u32]];
-            assert_eq!(
-                sight_with(&mut memo, p, 2, &records),
-                Sighting::Again,
-                "{i}"
-            );
+            assert_eq!(sight_with(&mut memo, p, &records), Sighting::Again, "{i}");
         }
         // Recorded states keep their records across further growth.
         for i in 1000..3000u32 {
-            assert_eq!(sight(&mut memo, &[i, i], 2), Sighting::First);
+            assert_eq!(sight(&mut memo, &[i, i]), Sighting::First);
         }
+        next_document(&mut memo);
         for (i, p) in paths.iter().enumerate() {
-            assert_eq!(sight(&mut memo, p, 3), Sighting::Recorded, "{i}");
+            assert_eq!(sight(&mut memo, p), Sighting::Recorded, "{i}");
             assert_eq!(records_along(&mut memo, p)[1], Some(vec![i as u32]), "{i}");
         }
-        memo.begin_document(memo.stamp);
+        next_document(&mut memo);
         assert!(memo.len() > 3000, "same stamp: nothing is forgotten");
         memo.begin_document(42);
         assert_eq!((memo.len(), memo.stamp), (0, 42));
-        assert_eq!(sight(&mut memo, &paths[0], 4), Sighting::First);
+        assert_eq!(sight(&mut memo, &paths[0]), Sighting::First);
+    }
+
+    /// A document abandoned mid-match (a panic) leaves a mark in every
+    /// per-document structure — both node bitmaps, one of them in a word
+    /// past the next, smaller trie; a done-children count; a result mark;
+    /// memo states sighted and replayed, with their elements still open —
+    /// and the next document's begin must clear every one.
+    #[test]
+    fn marks_of_an_abandoned_document_do_not_reach_the_next() {
+        let mut state = DocState::default();
+        state.begin(10, 0, 1);
+        assert_eq!(sight(&mut state.memo, &[1, 2]), Sighting::First);
+        state.begin(10, 0, 1);
+        let records = [vec![7], vec![8]];
+        assert_eq!(
+            sight_with(&mut state.memo, &[1, 2], &records),
+            Sighting::Again
+        );
+
+        // The document abandoned part way.
+        state.begin(10, 300, 1);
+        for n in [1, 64, 299] {
+            state.node_done.set(n);
+            state.node_sinks_done.set(n);
+        }
+        state.bump_done_children(1);
+        state.bump_done_children(1);
+        state.bump_done_children(299);
+        state.sub_matched.set(5);
+        state.memo.enter(Symbol(1));
+        assert!(state.memo.due().is_some());
+        state.memo.enter(Symbol(2));
+        assert!(state.memo.due().is_some());
+        assert_eq!(state.memo.sight(), Sighting::Recorded);
+
+        state.begin(10, 200, 1);
+        for bitmap in [&state.node_done, &state.node_sinks_done] {
+            assert!(bitmap.words.iter().all(|&w| w == 0), "a node bit survived");
+            assert!(bitmap.summary.iter().all(|&s| s == 0));
+        }
+        assert!(state.done_children.iter().all(|&c| c == 0));
+        assert!(!state.sub_matched.test(5));
+        state.memo.enter(Symbol(1));
+        assert!(state.memo.due().is_some(), "a replay survived");
+        state.memo.enter(Symbol(2));
+        assert!(state.memo.due().is_some(), "a replay survived");
+        assert_eq!(
+            state.memo.sight(),
+            Sighting::Recorded,
+            "a sighting survived"
+        );
     }
 }

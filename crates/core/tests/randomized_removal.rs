@@ -86,9 +86,9 @@ fn removal_is_equivalent_to_absence() {
                 full.add(e).unwrap();
             }
             if match_between {
-                // Interleave a match before removal: engine state (epochs,
-                // resolved-node marks) must not leak into post-removal
-                // results.
+                // Interleave a match before removal: engine state (the
+                // path memo, resolved-node marks) must not leak into
+                // post-removal results.
                 let doc = build_doc(&trees[0]);
                 let _ = full.match_document(&doc);
             }

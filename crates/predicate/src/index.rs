@@ -13,6 +13,10 @@
 //! position value alone (several distinct predicates can share (tag, op, v)
 //! but differ in their attribute filters), so they live in per-tag side
 //! lists scanned during evaluation.
+//!
+//! Matching writes into a reusable [`MatchContext`]: nothing in it
+//! outlives a publication, because each [`MatchContext::begin`] clears
+//! what the last publication touched — finished or abandoned part way.
 
 use crate::attr_index::{verify_tagvar, AttrBucket};
 use crate::publication::{PathTuple, Publication};
@@ -948,11 +952,12 @@ fn tagvar_attrs_match(tag: &TagVar, node: pxf_xml::NodeId, doc: &PathDoc) -> boo
 /// Per-publication predicate matching results: for each matched predicate,
 /// the list of matching occurrence-number pairs (paper Table 1).
 ///
-/// The context is reused across publications via an epoch counter — no
-/// clearing or reallocation between documents. Epoch 0 is reserved as a
-/// never-current sentinel: [`Self::begin`] skips it on wrap (hard-clearing
-/// all stamps so a 2³²-stale list can never read as current), and
-/// [`Self::pop_to_mark`] uses it to invalidate rolled-back lists.
+/// The context is reused across publications with no reallocation:
+/// [`Self::begin`] clears the `has_pairs` bits of what the last
+/// publication touched, and a list is current only while its bit is set —
+/// the first [`Self::push`] that sets the bit empties the list first. A
+/// publication abandoned part way (marks still open) leaves nothing the
+/// next `begin` does not clear.
 ///
 /// For incremental stage-1 evaluation the context doubles as an undo
 /// stack: every [`Self::push`] is journaled, and [`Self::push_mark`] /
@@ -967,19 +972,12 @@ fn tagvar_attrs_match(tag: &TagVar, node: pxf_xml::NodeId, doc: &PathDoc) -> boo
 /// current path costs one word load.
 #[derive(Debug, Default)]
 pub struct MatchContext {
-    epoch: u32,
-    lists: Vec<MatchList>,
+    lists: Vec<Vec<(u16, u16)>>,
     touched: Vec<PredId>,
     /// One bit per predicate: "has pairs right now".
     has_pairs: Vec<u64>,
     /// Journal of every `push` since `begin`, one entry per pair pushed.
     undo: Vec<PredId>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct MatchList {
-    epoch: u32,
-    pairs: Vec<(u16, u16)>,
 }
 
 /// A rollback point in a [`MatchContext`] (see [`MatchContext::push_mark`]).
@@ -997,20 +995,8 @@ impl MatchContext {
 
     /// Starts a new publication evaluation (invalidates previous results).
     pub fn begin(&mut self, npreds: usize) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: stamps from 2³² evaluations ago would otherwise
-            // collide with re-used epoch values. Hard-clear every list and
-            // restart at 1, keeping 0 as the never-current sentinel.
-            for list in &mut self.lists {
-                list.epoch = 0;
-                list.pairs.clear();
-            }
-            self.has_pairs.fill(0);
-            self.epoch = 1;
-        }
         if self.lists.len() < npreds {
-            self.lists.resize_with(npreds, MatchList::default);
+            self.lists.resize_with(npreds, Vec::new);
             self.has_pairs.resize(npreds.div_ceil(64), 0);
         }
         // Every set bit belongs to a predicate in `touched` (the
@@ -1027,13 +1013,15 @@ impl MatchContext {
     #[inline]
     pub fn push(&mut self, pid: PredId, pair: (u16, u16)) {
         let list = &mut self.lists[pid.index()];
-        if list.epoch != self.epoch {
-            list.epoch = self.epoch;
-            list.pairs.clear();
+        let word = &mut self.has_pairs[pid.index() / 64];
+        let bit = 1u64 << (pid.index() % 64);
+        if *word & bit == 0 {
+            // What an earlier publication left in the list is not current.
+            list.clear();
             self.touched.push(pid);
-            self.has_pairs[pid.index() / 64] |= 1u64 << (pid.index() % 64);
+            *word |= bit;
         }
-        list.pairs.push(pair);
+        list.push(pair);
         self.undo.push(pid);
     }
 
@@ -1050,19 +1038,17 @@ impl MatchContext {
     }
 
     /// Rolls back every pair pushed since `mark` was taken. Predicates
-    /// first touched after the mark read as unmatched again (their list
-    /// epochs drop to the reserved sentinel 0); predicates touched before
-    /// it keep exactly their pre-mark pairs.
+    /// first touched after the mark read as unmatched again (their bits
+    /// are cleared); predicates touched before it keep exactly their
+    /// pre-mark pairs.
     pub fn pop_to_mark(&mut self, mark: CtxMark) {
         for i in mark.undo..self.undo.len() {
             let pid = self.undo[i];
-            self.lists[pid.index()].pairs.pop();
+            self.lists[pid.index()].pop();
         }
         self.undo.truncate(mark.undo);
         for &pid in &self.touched[mark.touched..] {
-            let list = &mut self.lists[pid.index()];
-            debug_assert!(list.pairs.is_empty(), "undo log out of sync");
-            list.epoch = 0;
+            debug_assert!(self.lists[pid.index()].is_empty(), "undo log out of sync");
             self.has_pairs[pid.index() / 64] &= !(1u64 << (pid.index() % 64));
         }
         self.touched.truncate(mark.touched);
@@ -1072,9 +1058,10 @@ impl MatchContext {
     /// publication (empty slice if the predicate did not match).
     #[inline]
     pub fn get(&self, pid: PredId) -> &[(u16, u16)] {
-        match self.lists.get(pid.index()) {
-            Some(list) if list.epoch == self.epoch => &list.pairs,
-            _ => &[],
+        if self.is_matched(pid) {
+            &self.lists[pid.index()]
+        } else {
+            &[]
         }
     }
 
@@ -1310,36 +1297,23 @@ mod tests {
         }
     }
 
+    /// A `begin` with marks still open and a growing predicate space
+    /// leaves nothing of the abandoned evaluation: not its bits, not its
+    /// `matched()` list, and not the pairs a predicate's list still holds
+    /// when it is pushed again.
     #[test]
-    fn epoch_wrap_hard_clears_stale_stamps() {
+    fn begin_with_marks_open_and_more_predicates_leaves_nothing() {
         let mut ctx = MatchContext::new();
-        ctx.begin(1); // epoch 1
-        ctx.push(PredId(0), (7, 7));
-        assert!(ctx.is_matched(PredId(0)));
-        // Fast-forward to the wrap point: the next begin would re-issue
-        // epoch values already stamped on the list above.
-        ctx.epoch = u32::MAX;
         ctx.begin(1);
-        assert_eq!(ctx.epoch, 1, "wrap skips the reserved sentinel 0");
-        assert!(
-            !ctx.is_matched(PredId(0)),
-            "stamp from 2^32 evaluations ago must not read as current"
-        );
-        assert_bitmap_is_exact(&ctx, 1);
-        ctx.begin(1);
-        assert!(!ctx.is_matched(PredId(0)));
-
-        // The wrap with marks still open and the predicate space growing:
-        // nothing of the evaluation before it survives in the bitmap.
         ctx.push(PredId(0), (1, 1));
         let _open = ctx.push_mark();
         ctx.push(PredId(0), (2, 2));
-        ctx.epoch = u32::MAX;
         ctx.begin(70);
-        assert_eq!(ctx.epoch, 1);
         assert!(ctx.matched().is_empty());
         assert_bitmap_is_exact(&ctx, 70);
         ctx.push(PredId(69), (3, 3));
+        ctx.push(PredId(0), (4, 4));
+        assert_eq!(ctx.get(PredId(0)), &[(4, 4)]);
         assert_bitmap_is_exact(&ctx, 70);
     }
 

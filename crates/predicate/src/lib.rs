@@ -197,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn match_context_epochs_isolate_publications() {
+    fn match_context_begin_isolates_publications() {
         let mut interner = Interner::new();
         let (a, _, _) = syms(&mut interner);
         let mut index = PredicateIndex::new();
