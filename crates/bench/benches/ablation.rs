@@ -8,7 +8,7 @@
 //!   engine (the §6.1 constant-time claim).
 
 use pxf_bench::{build_workload, micro, WorkloadSpec};
-use pxf_core::encode::{encode_single_path, AttrMode};
+use pxf_core::encode::encode_single_path;
 use pxf_core::FilterEngine;
 use pxf_predicate::{eval_direct, MatchContext, Predicate, PredicateIndex, Publication};
 use pxf_workload::Regime;
@@ -36,7 +36,7 @@ fn bench_sharing() {
         .exprs
         .iter()
         .map(|e| {
-            encode_single_path(&e.structural_skeleton(), &mut interner, AttrMode::Postponed)
+            encode_single_path(&e.structural_skeleton(), &mut interner)
                 .unwrap()
                 .preds
         })

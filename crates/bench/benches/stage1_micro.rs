@@ -82,12 +82,8 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
     let mut interner = Interner::new();
     let mut index = PredicateIndex::new();
     for e in &w.exprs {
-        let enc = pxf_core::encode::encode_single_path(
-            &e.structural_skeleton(),
-            &mut interner,
-            pxf_core::AttrMode::Postponed,
-        )
-        .unwrap();
+        let enc =
+            pxf_core::encode::encode_single_path(&e.structural_skeleton(), &mut interner).unwrap();
         for p in enc.preds {
             index.insert(p);
         }

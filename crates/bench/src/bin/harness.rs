@@ -19,7 +19,6 @@ use pxf_bench::{
     build_workload, measure_parse_paths_us, measure_parse_us, run_engine, EngineKind, RunResult,
     WorkloadSpec,
 };
-use pxf_core::AttrMode;
 use pxf_workload::Regime;
 
 struct Opts {
@@ -152,7 +151,7 @@ fn scaled(n: usize, scale: f64) -> usize {
 /// Table 1: predicate matching results for a//b/c and c//b//a over the
 /// document path (a, b, c, a, b, c).
 fn table1() {
-    use pxf_core::encode::{encode_single_path, AttrMode};
+    use pxf_core::encode::encode_single_path;
     use pxf_predicate::{MatchContext, Publication};
     use pxf_xml::Interner;
 
@@ -163,7 +162,7 @@ fn table1() {
     let mut rows: Vec<(String, String, pxf_predicate::PredId)> = Vec::new();
     for src in ["a//b/c", "c//b//a"] {
         let expr = pxf_xpath::parse(src).unwrap();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Postponed).unwrap();
+        let enc = encode_single_path(&expr, &mut interner).unwrap();
         for pred in &enc.preds {
             let pid = index.insert(pred.clone());
             rows.push((src.to_string(), pred.to_notation(&interner), pid));
@@ -216,10 +215,7 @@ fn fig6a(opts: &Opts) {
                 ..Default::default()
             },
         );
-        let results: Vec<RunResult> = EngineKind::ALL
-            .iter()
-            .map(|&k| run_engine(k, AttrMode::Inline, &w))
-            .collect();
+        let results: Vec<RunResult> = EngineKind::ALL.iter().map(|&k| run_engine(k, &w)).collect();
         print!("{n:<10}");
         for r in &results {
             print!(" {:>13.3}", r.ms_per_doc);
@@ -255,10 +251,7 @@ fn fig6b(opts: &Opts) {
                 ..Default::default()
             },
         );
-        let results: Vec<RunResult> = EngineKind::ALL
-            .iter()
-            .map(|&k| run_engine(k, AttrMode::Inline, &w))
-            .collect();
+        let results: Vec<RunResult> = EngineKind::ALL.iter().map(|&k| run_engine(k, &w)).collect();
         print!("{n:<10}");
         for r in &results {
             print!(" {:>13.3}", r.ms_per_doc);
@@ -291,8 +284,8 @@ fn fig7(opts: &Opts) {
                     ..Default::default()
                 },
             );
-            let ap = run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w);
-            let yf = run_engine(EngineKind::YFilter, AttrMode::Inline, &w);
+            let ap = run_engine(EngineKind::BasicPcAp, &w);
+            let yf = run_engine(EngineKind::YFilter, &w);
             println!(
                 "{n:<10} {:>13.3} {:>13.3} {:>9}",
                 ap.ms_per_doc, yf.ms_per_doc, w.distinct
@@ -340,15 +333,15 @@ fn fig8(opts: &Opts, wildcard: bool) {
             ..Default::default()
         };
         let w = build_workload(&regime, &spec);
-        let ap = run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w);
-        let yf = run_engine(EngineKind::YFilter, AttrMode::Inline, &w);
+        let ap = run_engine(EngineKind::BasicPcAp, &w);
+        let yf = run_engine(EngineKind::YFilter, &w);
         if wildcard {
             println!(
                 "{p:<10} {:>13.3} {:>13.3} {:>13}",
                 ap.ms_per_doc, yf.ms_per_doc, ap.distinct_preds
             );
         } else {
-            let ixf = run_engine(EngineKind::IndexFilter, AttrMode::Inline, &w);
+            let ixf = run_engine(EngineKind::IndexFilter, &w);
             println!(
                 "{p:<10} {:>13.3} {:>13.3} {:>13.3} {:>13}",
                 ap.ms_per_doc, yf.ms_per_doc, ixf.ms_per_doc, ap.distinct_preds
@@ -358,8 +351,10 @@ fn fig8(opts: &Opts, wildcard: bool) {
     println!();
 }
 
-/// Fig. 9: attribute filters — inline vs selection postponed vs YFilter-SP,
-/// with 1 and 2 filters per expression, NITF and PSD.
+/// Fig. 9: attribute filters — inline vs YFilter, whose selection-postponed
+/// checks stand for the paper's postponed approaches ("performed within a
+/// small variance of each other"), with 1 and 2 filters per expression,
+/// NITF and PSD.
 fn fig9(opts: &Opts) {
     let scale = scale_or(opts, 0.5);
     let docs = docs_or(opts, 50);
@@ -380,15 +375,7 @@ fn fig9(opts: &Opts) {
             regime.name.to_uppercase()
         );
         println!("total filter time, ms/doc");
-        print_header(&[
-            "n_exprs",
-            "inline-1",
-            "inline-2",
-            "sp-1",
-            "sp-2",
-            "yfilter-1",
-            "yfilter-2",
-        ]);
+        print_header(&["n_exprs", "inline-1", "inline-2", "yfilter-1", "yfilter-2"]);
         for &n in &sizes {
             let mut row: Vec<RunResult> = Vec::new();
             for filters in [1usize, 2] {
@@ -402,19 +389,13 @@ fn fig9(opts: &Opts) {
                         ..Default::default()
                     },
                 );
-                row.push(run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w));
-                row.push(run_engine(EngineKind::BasicPcAp, AttrMode::Postponed, &w));
-                row.push(run_engine(EngineKind::YFilter, AttrMode::Postponed, &w));
+                row.push(run_engine(EngineKind::BasicPcAp, &w));
+                row.push(run_engine(EngineKind::YFilter, &w));
             }
-            // row = [in1, sp1, yf1, in2, sp2, yf2] → print figure order.
+            // row = [in1, yf1, in2, yf2] → print figure order.
             println!(
-                "{n:<10} {:>13.3} {:>13.3} {:>13.3} {:>13.3} {:>13.3} {:>13.3}",
-                row[0].ms_per_doc,
-                row[3].ms_per_doc,
-                row[1].ms_per_doc,
-                row[4].ms_per_doc,
-                row[2].ms_per_doc,
-                row[5].ms_per_doc,
+                "{n:<10} {:>13.3} {:>13.3} {:>13.3} {:>13.3}",
+                row[0].ms_per_doc, row[2].ms_per_doc, row[1].ms_per_doc, row[3].ms_per_doc,
             );
         }
         println!();
@@ -452,7 +433,7 @@ fn fig10(opts: &Opts) {
                     ..Default::default()
                 },
             );
-            let r = run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w);
+            let r = run_engine(EngineKind::BasicPcAp, &w);
             let (p, e, o) = r.breakdown_ms;
             println!(
                 "{n:<10} {p:>13.3} {e:>13.3} {o:>13.3} {:>13.3} {:>13}",
@@ -524,9 +505,9 @@ fn xfilter_lineage(opts: &Opts) {
                     ..Default::default()
                 },
             );
-            let xf = run_engine(EngineKind::XFilter, AttrMode::Inline, &w);
-            let yf = run_engine(EngineKind::YFilter, AttrMode::Inline, &w);
-            let ap = run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w);
+            let xf = run_engine(EngineKind::XFilter, &w);
+            let yf = run_engine(EngineKind::YFilter, &w);
+            let ap = run_engine(EngineKind::BasicPcAp, &w);
             println!(
                 "{n:<10} {:>13.3} {:>13.3} {:>13.3}",
                 xf.ms_per_doc, yf.ms_per_doc, ap.ms_per_doc

@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pxf_core::{AttrMode, FilterBackend, FilterEngine};
+use pxf_core::{FilterBackend, FilterEngine};
 use pxf_indexfilter::IndexFilter;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xfilter::XFilter;
@@ -153,13 +153,9 @@ pub struct RunResult {
 
 /// Builds an engine of the given kind over the workload expressions,
 /// behind the unified [`FilterBackend`] interface.
-pub fn build_backend(
-    kind: EngineKind,
-    attr_mode: AttrMode,
-    exprs: &[XPathExpr],
-) -> Box<dyn FilterBackend> {
+pub fn build_backend(kind: EngineKind, exprs: &[XPathExpr]) -> Box<dyn FilterBackend> {
     let mut backend: Box<dyn FilterBackend> = match kind {
-        EngineKind::BasicPcAp => Box::new(FilterEngine::new(attr_mode)),
+        EngineKind::BasicPcAp => Box::new(FilterEngine::new()),
         EngineKind::YFilter => Box::new(YFilter::new()),
         EngineKind::IndexFilter => Box::new(IndexFilter::new()),
         EngineKind::XFilter => Box::new(XFilter::new()),
@@ -173,9 +169,9 @@ pub fn build_backend(
 
 /// Runs one engine over a workload, measuring the paper's total-filter-time
 /// metric (parse + match, averaged over documents).
-pub fn run_engine(kind: EngineKind, attr_mode: AttrMode, workload: &Workload) -> RunResult {
+pub fn run_engine(kind: EngineKind, workload: &Workload) -> RunResult {
     let t0 = Instant::now();
-    let mut engine = build_backend(kind, attr_mode, &workload.exprs);
+    let mut engine = build_backend(kind, &workload.exprs);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     engine.reset_stats();

@@ -5,7 +5,7 @@ use pxf_bench::{
     build_backend, build_workload, measure_parse_paths_us, measure_parse_us, run_engine,
     EngineKind, WorkloadSpec,
 };
-use pxf_core::{AttrMode, FilterBackend};
+use pxf_core::FilterBackend;
 use pxf_workload::Regime;
 use pxf_xml::PathDoc;
 
@@ -31,22 +31,13 @@ fn all_engines_agree_on_bench_workloads() {
                 .iter()
                 .map(|b| PathDoc::parse(b).unwrap())
                 .collect();
+            // The predicate engine evaluates attribute filters inline; the
+            // baselines run them selection postponed.
             let mut engines: Vec<(String, Box<dyn FilterBackend>)> = EngineKind::ALL
                 .iter()
                 .chain([EngineKind::XFilter].iter())
-                .map(|&k| {
-                    // Inline only exists for the predicate engine; the
-                    // baselines always run selection postponed.
-                    (
-                        k.label().to_string(),
-                        build_backend(k, AttrMode::Inline, &w.exprs),
-                    )
-                })
+                .map(|&k| (k.label().to_string(), build_backend(k, &w.exprs)))
                 .collect();
-            engines.push((
-                "ap-postponed".into(),
-                build_backend(EngineKind::BasicPcAp, AttrMode::Postponed, &w.exprs),
-            ));
             for (doc, bytes) in docs.iter().zip(&w.doc_bytes) {
                 let reference = engines[0].1.match_document(doc);
                 for (name, engine) in engines.iter_mut() {
@@ -74,7 +65,7 @@ fn all_engines_agree_on_bench_workloads() {
 fn run_engine_reports_consistent_metrics() {
     let regime = Regime::psd();
     let w = build_workload(&regime, &tiny_spec());
-    let r = run_engine(EngineKind::BasicPcAp, AttrMode::Inline, &w);
+    let r = run_engine(EngineKind::BasicPcAp, &w);
     assert!(r.ms_per_doc > 0.0);
     assert!(r.match_pct > 0.0 && r.match_pct <= 100.0);
     assert!(r.distinct_preds > 0);
@@ -83,7 +74,7 @@ fn run_engine_reports_consistent_metrics() {
     // slightly with parse, so allow slack).
     assert!(p + e + o <= r.ms_per_doc * 1.5 + 1.0, "{r:?}");
     // Baselines report no breakdown.
-    let y = run_engine(EngineKind::YFilter, AttrMode::Postponed, &w);
+    let y = run_engine(EngineKind::YFilter, &w);
     assert_eq!(y.breakdown_ms, (0.0, 0.0, 0.0));
     assert_eq!(y.distinct_preds, 0);
 }

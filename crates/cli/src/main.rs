@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pxf match  --subs FILE [--engine pxf|yfilter|index-filter|xfilter]
-//!            [--attr-mode inline|sp] [--threads N] [--stats] [--quiet]
+//!            [--threads N] [--stats] [--quiet]
 //!            DOC.xml [DOC.xml …]
 //! pxf match  --subs FILE --stream [-]          # concatenated docs on stdin
 //! pxf encode 'EXPR' ['EXPR' …]
@@ -18,7 +18,7 @@
 //! engine's reused flat store; every engine is driven through the
 //! [`FilterBackend`] trait.
 
-use pxf_core::{parallel, AttrMode, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId};
+use pxf_core::{parallel, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId};
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xml::{Document, ParserLimits};
 use std::io::Write;
@@ -63,7 +63,6 @@ USAGE:
 MATCH OPTIONS:
   --subs FILE          subscription file (one XPath per line, # comments)
   --engine NAME        pxf | yfilter | index-filter | xfilter (default: pxf)
-  --attr-mode MODE     inline | sp                (default: inline, pxf only)
   --threads N          parallel workers; 0 = all cores (default: 1; pxf only)
   --stream             read concatenated documents from stdin (or from one
                        file argument) instead of one document per file
@@ -117,7 +116,6 @@ fn take_number(args: &[String], i: &mut usize, flag: &str) -> Result<usize, Stri
 fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut subs_path: Option<PathBuf> = None;
     let mut engine_name = "pxf".to_string();
-    let mut attr_mode = AttrMode::Inline;
     let mut threads = 1usize;
     let mut stats = false;
     let mut quiet = false;
@@ -131,13 +129,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         match args[i].as_str() {
             "--subs" => subs_path = Some(PathBuf::from(take_value(args, &mut i, "--subs")?)),
             "--engine" => engine_name = take_value(args, &mut i, "--engine")?,
-            "--attr-mode" => {
-                attr_mode = match take_value(args, &mut i, "--attr-mode")?.as_str() {
-                    "inline" => AttrMode::Inline,
-                    "sp" | "postponed" => AttrMode::Postponed,
-                    other => return Err(format!("unknown attr mode '{other}'")),
-                }
-            }
             "--threads" => {
                 threads = take_value(args, &mut i, "--threads")?
                     .parse()
@@ -183,7 +174,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut pxf_engine: Option<FilterEngine> = None;
     let mut baseline: Option<Box<dyn FilterBackend>> = None;
     match engine_name.as_str() {
-        "pxf" => pxf_engine = Some(FilterEngine::new(attr_mode)),
+        "pxf" => pxf_engine = Some(FilterEngine::new()),
         "yfilter" => baseline = Some(Box::new(pxf_yfilter::YFilter::new())),
         "index-filter" => baseline = Some(Box::new(pxf_indexfilter::IndexFilter::new())),
         "xfilter" => baseline = Some(Box::new(pxf_xfilter::XFilter::new())),
@@ -472,7 +463,6 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
                 let enc = pxf_core::encode::encode_single_path(
                     &comp.expr.structural_skeleton(),
                     &mut interner,
-                    pxf_core::AttrMode::Postponed,
                 )
                 .map_err(|e| e.to_string())?;
                 let rendered: Vec<String> =
@@ -490,12 +480,8 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
                 println!("      {}", rendered.join(" |-> "));
             }
         } else {
-            let enc = pxf_core::encode::encode_single_path(
-                &expr,
-                &mut interner,
-                pxf_core::AttrMode::Inline,
-            )
-            .map_err(|e| e.to_string())?;
+            let enc = pxf_core::encode::encode_single_path(&expr, &mut interner)
+                .map_err(|e| e.to_string())?;
             let rendered: Vec<String> =
                 enc.preds.iter().map(|p| p.to_notation(&interner)).collect();
             println!("{src}");

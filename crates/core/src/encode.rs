@@ -62,28 +62,11 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// How attribute filters are handled during encoding (paper §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttrMode {
-    /// *Inline*: attribute predicates are attached to the tag variables of
-    /// the positional predicates and evaluated during predicate matching.
-    Inline,
-    /// *Selection postponed*: positional predicates are encoded without
-    /// attribute constraints; attribute filters are re-checked only for
-    /// structurally matched expressions.
-    Postponed,
-}
-
-/// The ordered predicate encoding of a single-path XPE, plus the mapping
-/// from predicate tag slots back to location steps (needed by the
-/// selection-postponed attribute check).
+/// The ordered predicate encoding of a single-path XPE.
 #[derive(Debug, Clone)]
 pub struct EncodedPath {
     /// The ordered predicates.
     pub preds: Vec<Predicate>,
-    /// For each predicate, the 0-based step indices its (first, second) tag
-    /// variables refer to. `None` for length predicates.
-    pub slots: Vec<(Option<usize>, Option<usize>)>,
 }
 
 /// Encodes a single-path XPE (no nested path filters) into its ordered
@@ -91,7 +74,6 @@ pub struct EncodedPath {
 pub fn encode_single_path(
     expr: &XPathExpr,
     interner: &mut Interner,
-    mode: AttrMode,
 ) -> Result<EncodedPath, EncodeError> {
     let steps = &expr.steps;
     let n = steps.len();
@@ -113,27 +95,24 @@ pub fn encode_single_path(
         .collect();
 
     let mut preds = Vec::with_capacity(tagged.len() + 1);
-    let mut slots = Vec::with_capacity(tagged.len() + 1);
 
     if tagged.is_empty() {
         // Only wildcards: the expression constrains nothing but the path
         // length (s7, s11 — absolute and relative collapse to the same
         // predicate, which is exactly the paper's matching semantic).
         preds.push(Predicate::length(n as u32));
-        slots.push((None, None));
-        return Ok(EncodedPath { preds, slots });
+        return Ok(EncodedPath { preds });
     }
 
-    // In inline mode a step's attribute filters are attached to exactly one
-    // tag variable — the first predicate slot that references the step
-    // (paper §5: "the attribute predicate can be attached to any tag name
-    // variable"). Attaching once keeps the *other* predicates referencing
+    // A step's attribute filters are attached to exactly one tag variable —
+    // the first predicate slot that references the step (paper §5: "the
+    // attribute predicate can be attached to any tag name variable"). Attaching once keeps the *other* predicates referencing
     // the same tag identical across expressions, preserving sharing.
     let mut attached = vec![false; n];
     let mut tag_var = |step_idx: usize, interner: &mut Interner| -> TagVar {
         let step: &Step = &steps[step_idx];
         let sym = interner.intern(step.test.tag().expect("tagged step"));
-        if mode == AttrMode::Inline && !attached[step_idx] {
+        if !attached[step_idx] {
             attached[step_idx] = true;
             // Filters are conjunctive: their order is free and a repeated
             // one redundant. Sorted by rendering — the AST has no `Ord`,
@@ -171,7 +150,6 @@ pub fn encode_single_path(
             op,
             value: m1,
         });
-        slots.push((Some(first), Some(first)));
     } else if m1 > 1 || !will_emit_others {
         // Relative expressions: `(p_t1, ≥, 1)` is vacuous whenever other
         // predicates reference t1 (s3, s8), so it is only emitted for
@@ -181,18 +159,17 @@ pub fn encode_single_path(
             op: PosOp::Ge,
             value: m1,
         });
-        slots.push((Some(first), Some(first)));
-    } else if mode == AttrMode::Inline && steps[first].attr_filters().next().is_some() {
-        // Inline mode must still surface the first tag's attribute filters
-        // even when the positional predicate would be vacuous: emit the
-        // (p_t1, ≥, 1) predicate carrying them. Without this the filter on
-        // the first step of e.g. `a[@x=1]/b` would be silently dropped.
+    } else if steps[first].attr_filters().next().is_some() {
+        // The first tag's attribute filters get a predicate of their own
+        // even where the positional one is vacuous: (p_t1, ≥, 1) carries
+        // them, so the relative predicates after it stay plain and shared
+        // with unfiltered expressions. (Without it the filters of e.g.
+        // `a[@x=1]/b` would ride on the first relative predicate's `from`.)
         preds.push(Predicate::Absolute {
             tag: tag_var(first, interner),
             op: PosOp::Ge,
             value: m1,
         });
-        slots.push((Some(first), Some(first)));
     }
 
     for w in tagged.windows(2) {
@@ -206,7 +183,6 @@ pub fn encode_single_path(
             op,
             value: gap,
         });
-        slots.push((Some(i), Some(j)));
     }
 
     if trailing > 0 {
@@ -215,10 +191,9 @@ pub fn encode_single_path(
             tag: tag_var(last, interner),
             value: trailing as u32,
         });
-        slots.push((Some(last), Some(last)));
     }
 
-    Ok(EncodedPath { preds, slots })
+    Ok(EncodedPath { preds })
 }
 
 #[cfg(test)]
@@ -226,10 +201,9 @@ mod tests {
     use super::*;
     use pxf_xpath::parse;
 
-    fn encode_str(src: &str) -> String {
-        let expr = parse(src).unwrap();
+    fn notation(expr: &XPathExpr) -> String {
         let mut interner = Interner::new();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Postponed).unwrap();
+        let enc = encode_single_path(expr, &mut interner).unwrap();
         enc.preds
             .iter()
             .map(|p| p.to_notation(&interner))
@@ -237,15 +211,8 @@ mod tests {
             .join(" -> ")
     }
 
-    fn encode_str_inline(src: &str) -> String {
-        let expr = parse(src).unwrap();
-        let mut interner = Interner::new();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Inline).unwrap();
-        enc.preds
-            .iter()
-            .map(|p| p.to_notation(&interner))
-            .collect::<Vec<_>>()
-            .join(" -> ")
+    fn encode_str(src: &str) -> String {
+        notation(&parse(src).unwrap())
     }
 
     /// Paper §3.2 "Simple XPEs": s1–s3.
@@ -355,39 +322,32 @@ mod tests {
     /// Paper §5 attribute predicate example: /*/t1[@x = 3].
     #[test]
     fn inline_attribute_encoding() {
-        assert_eq!(
-            encode_str_inline("/*/t1[@x = 3]"),
-            "(p_t1([x, =, 3]), =, 2)"
-        );
-        // Postponed mode strips the filter from the predicate.
-        assert_eq!(encode_str("/*/t1[@x = 3]"), "(p_t1, =, 2)");
+        assert_eq!(encode_str("/*/t1[@x = 3]"), "(p_t1([x, =, 3]), =, 2)");
+        // A nested-path component is encoded from its structural skeleton,
+        // which carries no filter.
+        let skeleton = parse("/*/t1[@x = 3]").unwrap().structural_skeleton();
+        assert_eq!(notation(&skeleton), "(p_t1, =, 2)");
     }
 
-    /// Inline mode keeps the filter on a first step whose positional
-    /// predicate would otherwise be omitted.
+    /// The filter on a first step whose positional predicate would
+    /// otherwise be omitted is kept.
     #[test]
     fn inline_attribute_on_first_relative_step() {
         assert_eq!(
-            encode_str_inline("a[@x = 1]/b"),
+            encode_str("a[@x = 1]/b"),
             "(p_a([x, =, 1]), >=, 1) -> (d(p_a, p_b), =, 1)"
         );
         // Without a filter, the vacuous first predicate is omitted.
-        assert_eq!(encode_str_inline("a/b"), "(d(p_a, p_b), =, 1)");
+        assert_eq!(encode_str("a/b"), "(d(p_a, p_b), =, 1)");
     }
 
+    /// One predicate per tagged step pair, plus the leading absolute and
+    /// the trailing end-of-path predicate, in step order.
     #[test]
     fn slots_map_predicates_to_steps() {
-        let expr = parse("*/a/*/b//c/*/*").unwrap();
-        let mut interner = Interner::new();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Postponed).unwrap();
         assert_eq!(
-            enc.slots,
-            vec![
-                (Some(1), Some(1)), // (p_a, ≥, 2)
-                (Some(1), Some(3)), // (d(p_a,p_b), =, 2)
-                (Some(3), Some(4)), // (d(p_b,p_c), ≥, 1)
-                (Some(4), Some(4)), // (p_c⊣, ≥, 2)
-            ]
+            encode_str("*/a/*/b//c/*/*"),
+            "(p_a, >=, 2) -> (d(p_a, p_b), =, 2) -> (d(p_b, p_c), >=, 1) -> (p_c-|, >=, 2)"
         );
     }
 
@@ -396,26 +356,25 @@ mod tests {
         let mut interner = Interner::new();
         let nested = parse("/a[b]/c").unwrap();
         assert_eq!(
-            encode_single_path(&nested, &mut interner, AttrMode::Postponed).unwrap_err(),
+            encode_single_path(&nested, &mut interner).unwrap_err(),
             EncodeError::NestedPath
         );
         let wild_attr = parse("/a/*[@x = 1]").unwrap();
         assert_eq!(
-            encode_single_path(&wild_attr, &mut interner, AttrMode::Postponed).unwrap_err(),
+            encode_single_path(&wild_attr, &mut interner).unwrap_err(),
             EncodeError::AttrFilterOnWildcard
         );
     }
 
-    /// The predicate sequences of `src` in both attribute modes.
-    fn chains(src: &str, interner: &mut Interner) -> [Vec<Predicate>; 2] {
+    /// The predicate sequence of `src`.
+    fn chain(src: &str, interner: &mut Interner) -> Vec<Predicate> {
         let expr = parse(src).unwrap();
-        [AttrMode::Inline, AttrMode::Postponed]
-            .map(|mode| encode_single_path(&expr, interner, mode).unwrap().preds)
+        encode_single_path(&expr, interner).unwrap().preds
     }
 
     /// The encoding is the normal form: spellings the matching semantics
-    /// cannot tell apart encode to the identical predicate sequence, in
-    /// both modes, and so share one trie node. One row per rewrite — a
+    /// cannot tell apart encode to the identical predicate sequence, and
+    /// so share one trie node. One row per rewrite — a
     /// `//` anywhere in a wildcard run (between two tags, or leading an
     /// absolute expression), the vacuous leading axes of a relative
     /// expression, the axes of trailing wildcards, all-wildcard
@@ -440,18 +399,12 @@ mod tests {
         ];
         let interner = &mut Interner::new();
         for spellings in same {
-            let first = chains(spellings[0], interner);
+            let first = chain(spellings[0], interner);
             for other in &spellings[1..] {
-                assert_eq!(
-                    first,
-                    chains(other, interner),
-                    "{} vs {other}",
-                    spellings[0]
-                );
+                assert_eq!(first, chain(other, interner), "{} vs {other}", spellings[0]);
             }
         }
-        // What does carry meaning keeps expressions apart, in both modes:
-        // a `//` with no wildcard run to move in, the root anchor, a tag,
+        // What does carry meaning keeps expressions apart: a `//` with no wildcard run to move in, the root anchor, a tag,
         // a run without any `//`, the run the `//` is in.
         let distinct = [
             ("/a", "//a"),
@@ -463,15 +416,17 @@ mod tests {
             ("/*/*", "/*/*/*"),
         ];
         for (left, right) in distinct {
-            let (l, r) = (chains(left, interner), chains(right, interner));
-            assert_ne!(l[0], r[0], "{left} vs {right}, inline");
-            assert_ne!(l[1], r[1], "{left} vs {right}, postponed");
+            assert_ne!(
+                chain(left, interner),
+                chain(right, interner),
+                "{left} vs {right}"
+            );
         }
-        // Attribute filters tell expressions apart where they are encoded.
-        let [inline_x, postponed_x] = chains("/a/b[@x = 1]", interner);
-        let [inline_y, postponed_y] = chains("/a/b[@x = 2]", interner);
-        assert_ne!(inline_x, inline_y);
-        assert_eq!(postponed_x, postponed_y);
+        // Attribute filters tell expressions apart.
+        assert_ne!(
+            chain("/a/b[@x = 1]", interner),
+            chain("/a/b[@x = 2]", interner)
+        );
     }
 
     /// A random single-path expression over three tags, built as an AST:
@@ -570,12 +525,9 @@ mod tests {
             let other = respell(&expr, &mut rng);
             respelled += usize::from(other != expr);
             let mut interner = Interner::new();
-            for mode in [AttrMode::Inline, AttrMode::Postponed] {
-                let a = encode_single_path(&expr, &mut interner, mode).unwrap();
-                let b = encode_single_path(&other, &mut interner, mode).unwrap();
-                assert_eq!(a.preds, b.preds, "{mode:?}: {expr} vs {other}");
-                assert_eq!(a.slots, b.slots, "{mode:?}: {expr} vs {other}");
-            }
+            let a = encode_single_path(&expr, &mut interner).unwrap();
+            let b = encode_single_path(&other, &mut interner).unwrap();
+            assert_eq!(a.preds, b.preds, "{expr} vs {other}");
         }
         assert!(respelled > 10_000, "only {respelled} spellings differed");
     }
@@ -586,8 +538,8 @@ mod tests {
         let mut interner = Interner::new();
         let e1 = parse("/x/a/b").unwrap();
         let e2 = parse("a/b//q").unwrap();
-        let p1 = encode_single_path(&e1, &mut interner, AttrMode::Postponed).unwrap();
-        let p2 = encode_single_path(&e2, &mut interner, AttrMode::Postponed).unwrap();
+        let p1 = encode_single_path(&e1, &mut interner).unwrap();
+        let p2 = encode_single_path(&e2, &mut interner).unwrap();
         assert_eq!(p1.preds[2], p2.preds[0]); // (d(p_a,p_b), =, 1)
     }
 }

@@ -5,10 +5,8 @@
 //! structural matches into subscription results.
 
 use super::scratch::{DocState, MatchScratch, Sighting, INLINE_IDS, NODE_ENTRY};
-use super::trie::Sink;
 use super::{EngineStats, FilterEngine, SubId};
 use crate::nested::combine;
-use crate::occurrence::determine_match_by;
 use pxf_predicate::{MatchContext, PredId, Predicate, Publication};
 use pxf_xml::{ElementVisitor, NodeId, PathDoc, Symbol, XmlError};
 use std::time::Instant;
@@ -99,11 +97,10 @@ impl FilterEngine {
         ctx.begin(self.index.len());
         state.ctx_marks.clear();
         // Answering a path from the memo is sound only when the match
-        // outcome is a function of the tag sequence alone: no inline
-        // attribute predicates (stage-1 pairs would differ), no postponed
-        // attribute re-checks (stage 2 consults document nodes), and no
-        // nested plans (component sinks must record every path index,
-        // including duplicates). Every sink is then a plain subscription.
+        // outcome is a function of the tag sequence alone: no attribute
+        // predicates (stage-1 pairs would differ), and no nested plans
+        // (component sinks must record every path index, including
+        // duplicates). Every sink is then a plain subscription.
         // Otherwise no element asks the memo, and every leaf walks. Both
         // conditions are read off what is registered *now*: a filter that
         // came and went leaves the memo on. A record entry is a
@@ -200,14 +197,8 @@ impl IncrementalDriver<'_, '_> {
                     state.record_buf[..depths].iter_mut().for_each(Vec::clear);
                     state.recording = Some(state.memo.recorded_depth());
                 }
-                self.engine.stage2(
-                    self.ctx,
-                    self.publication,
-                    self.doc,
-                    state,
-                    self.stats,
-                    path_idx,
-                );
+                self.engine
+                    .stage2(self.ctx, self.publication, state, self.stats, path_idx);
                 if state.recording.take().is_some() {
                     state.memo.attach_chain(&state.record_buf);
                 }
@@ -331,15 +322,14 @@ impl FilterEngine {
         &self,
         ctx: &MatchContext,
         publication: &Publication,
-        doc: &PathDoc,
         state: &mut DocState,
         stats: &mut EngineStats,
         path_idx: u32,
     ) {
         if publication.length < 128 {
-            self.probe_clusters::<u128>(ctx, publication, doc, state, stats, path_idx);
+            self.probe_clusters::<u128>(ctx, publication, state, stats, path_idx);
         } else {
-            self.probe_clusters::<Vec<u64>>(ctx, publication, doc, state, stats, path_idx);
+            self.probe_clusters::<Vec<u64>>(ctx, publication, state, stats, path_idx);
         }
     }
 
@@ -356,7 +346,6 @@ impl FilterEngine {
         &self,
         ctx: &MatchContext,
         publication: &Publication,
-        doc: &PathDoc,
         state: &mut DocState,
         stats: &mut EngineStats,
         path_idx: u32,
@@ -371,7 +360,7 @@ impl FilterEngine {
             for &(_, o2) in ctx.get(pid) {
                 f.insert(o2);
             }
-            self.dfs_node(root, pid, f, ctx, publication, doc, state, stats, path_idx);
+            self.dfs_node(root, pid, f, ctx, publication, state, stats, path_idx);
         };
         if root_pids.len() <= ctx.matched().len() {
             for (&pid, &root) in root_pids.iter().zip(root_nodes) {
@@ -400,7 +389,6 @@ impl FilterEngine {
         f_in: S,
         ctx: &MatchContext,
         publication: &Publication,
-        doc: &PathDoc,
         state: &mut DocState,
         stats: &mut EngineStats,
         path_idx: u32,
@@ -422,37 +410,24 @@ impl FilterEngine {
             }
         }
         if has_sinks && !state.node_sinks_done.test(n as usize) {
-            // Plain subscriptions resolve in one bitmap-marking sweep over
-            // the packed id column (4 bytes per sink, no enum dispatch);
-            // where they are all the node holds, it is then fully resolved
-            // for this document.
+            // Subscriptions resolve in one bitmap-marking sweep over the
+            // packed id column (4 bytes per sink, no dispatch); where they
+            // are all the node holds, it is then fully resolved for this
+            // document. A component records every path it holds on, so a
+            // node with one never is.
             let plain = trie.plain_subs(n);
             for &sub in plain {
                 state.sub_matched.set(sub as usize);
             }
-            let mut resolved = true;
-            if plain.len() as u32 != trie.sink_len(n) {
-                let sinks = trie.cold_sinks(n);
-                // Selection-postponed attribute checks need the predicate
-                // chain of this node; collect it (into a reused buffer)
-                // only when some sink asks.
-                let mut chain = std::mem::take(&mut state.chain_buf);
-                chain.clear();
-                if sinks.iter().any(|s| matches!(s, Sink::Sub { .. })) {
-                    chain.extend(trie.chain_up(n));
-                    chain.reverse();
-                }
-                for sink in sinks {
-                    process_sink(sink, &chain, ctx, publication, doc, state, stats, path_idx);
-                }
-                state.chain_buf = chain;
-                resolved = sinks.iter().all(|s| match s {
-                    Sink::Sub { sub, .. } => state.sub_matched.test(sub.0 as usize),
-                    Sink::Component { .. } => false,
-                });
-            }
-            if resolved {
+            if plain.len() as u32 == trie.sink_len(n) {
                 state.node_sinks_done.set(n as usize);
+            } else {
+                for &comp in trie.components(n) {
+                    let paths = &mut state.comp_paths[comp as usize];
+                    if paths.last() != Some(&path_idx) {
+                        paths.push(path_idx);
+                    }
+                }
             }
         }
         // Only children whose predicate holds pairs on this path can chain
@@ -481,17 +456,7 @@ impl FilterEngine {
             // A child counts once: not again when a recording walk
             // re-enters a subtree that was already resolved.
             if chains_on
-                && self.dfs_node(
-                    child,
-                    cpid,
-                    f,
-                    ctx,
-                    publication,
-                    doc,
-                    state,
-                    stats,
-                    path_idx,
-                )
+                && self.dfs_node(child, cpid, f, ctx, publication, state, stats, path_idx)
                 && !was_done
             {
                 state.bump_done_children(n);
@@ -557,63 +522,6 @@ fn first_depth<S: OccSet>(pred: &Predicate, feasible: &S, publication: &Publicat
         .find(|t| t.tag == tag && feasible.contains(t.occ))
         .expect("a feasible occurrence is on the path");
     closes.pos as usize + tail
-}
-
-/// Resolves a structural match of an expression (on the current path) into
-/// subscription results or component path records, applying postponed
-/// attribute checks where present.
-#[allow(clippy::too_many_arguments)]
-fn process_sink(
-    sink: &Sink,
-    preds: &[PredId],
-    ctx: &MatchContext,
-    publication: &Publication,
-    doc: &PathDoc,
-    state: &mut DocState,
-    stats: &mut EngineStats,
-    path_idx: u32,
-) {
-    match sink {
-        Sink::Sub { sub, attr_check } => {
-            if state.sub_matched.test(sub.0 as usize) {
-                return;
-            }
-            // Selection postponed: repeat the occurrence determination
-            // admitting only pairs whose nodes pass the attribute filters
-            // (paper §5). Each level's pairs are filtered once up front
-            // (admissibility does not depend on the search state), then
-            // the plain determination runs on the filtered lists.
-            stats.occurrence_runs += 1;
-            if state.sp_bufs.len() < preds.len() {
-                state.sp_bufs.resize_with(preds.len(), Vec::new);
-            }
-            for (level, &pid) in preds.iter().enumerate() {
-                let buf = &mut state.sp_bufs[level];
-                buf.clear();
-                for &pair in ctx.get(pid) {
-                    if attr_check.admit(level, pair, publication, doc) {
-                        buf.push(pair);
-                    }
-                }
-                if buf.is_empty() {
-                    return;
-                }
-            }
-            let bufs = &state.sp_bufs;
-            if !determine_match_by(preds.len(), |i| bufs[i].as_slice()) {
-                return;
-            }
-            // Marking the bit is the whole result record: draining the
-            // bitmap emits the sorted id list.
-            state.sub_matched.set(sub.0 as usize);
-        }
-        Sink::Component { comp } => {
-            let cp = &mut state.comp_paths[*comp as usize];
-            if cp.last() != Some(&path_idx) {
-                cp.push(path_idx);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

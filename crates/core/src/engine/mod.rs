@@ -12,10 +12,8 @@
 //! * `trie` — the span-arena trie and its in-place patching,
 //! * `scratch` — per-document matching state and the [`Matcher`] handle,
 //! * `matching` — incremental stage 1 and the stage-2 trie walk,
-//! * `attr_check` — selection-postponed attribute re-checks (§5),
 //! * this file — the [`FilterEngine`] API and index maintenance.
 
-mod attr_check;
 mod matching;
 mod scratch;
 mod trie;
@@ -25,16 +23,15 @@ mod tests;
 
 pub use scratch::{MatchScratch, Matcher};
 
-use crate::encode::{encode_single_path, AttrMode, EncodeError};
+use crate::encode::{encode_single_path, EncodeError};
 use crate::nested::{decompose, Component, NestedPlan};
-use attr_check::AttrCheck;
 use pxf_predicate::PredicateIndex;
 use pxf_xml::{Interner, ParserLimits, PathDoc, XmlError};
-use pxf_xpath::{Step, StepFilter, XPathExpr};
+use pxf_xpath::{AttrFilter, AttrValue, Step, StepFilter, XPathExpr};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use trie::{hash_map_bytes, Sink, Trie};
+use trie::{hash_map_bytes, Trie};
 
 /// Source of [`FilterEngine`] content stamps: process-wide, so no two
 /// engines that may differ in content ever carry the same one. Starts at
@@ -95,7 +92,7 @@ pub struct EngineStats {
     /// id list, which also leaves it zero for the next document.
     pub other_ns: u64,
     /// Occurrence determination invocations (one per trie node the
-    /// stage-2 walk visits, plus one per postponed attribute re-check).
+    /// stage-2 walk visits).
     pub occurrence_runs: u64,
     /// Always 0 since PR 13: counted the candidates of the deleted
     /// posting-list stage 2. Kept declared for the `benchmark/` package,
@@ -146,6 +143,15 @@ pub struct SubsetStats {
     pub canonical: u64,
 }
 
+/// Heap a filter's name and string literal occupy.
+fn filter_heap_bytes(f: &AttrFilter) -> usize {
+    let value = match &f.constraint {
+        Some((_, AttrValue::Str(s))) => s.capacity(),
+        _ => 0,
+    };
+    f.name.capacity() + value
+}
+
 /// Heap an expression's steps and filters occupy.
 fn expr_heap_bytes(expr: &XPathExpr) -> usize {
     use std::mem::size_of;
@@ -154,7 +160,7 @@ fn expr_heap_bytes(expr: &XPathExpr) -> usize {
             .filters
             .iter()
             .map(|f| match f {
-                StepFilter::Attribute(a) => attr_check::filter_heap_bytes(a),
+                StepFilter::Attribute(a) => filter_heap_bytes(a),
                 StepFilter::Path(p) => expr_heap_bytes(p),
             })
             .sum();
@@ -196,7 +202,6 @@ pub struct FilterEngine {
     /// [`MatchScratch`] remembers about tag paths (its path memo) holds
     /// only under the stamp it was learned under.
     stamp: u64,
-    attr_mode: AttrMode,
     interner: Interner,
     index: PredicateIndex,
     n_subs: u32,
@@ -236,7 +241,6 @@ impl Clone for FilterEngine {
     fn clone(&self) -> Self {
         FilterEngine {
             stamp: self.stamp,
-            attr_mode: self.attr_mode,
             interner: self.interner.clone(),
             index: self.index.clone(),
             n_subs: self.n_subs,
@@ -268,7 +272,7 @@ enum SubLocation {
 
 impl Default for FilterEngine {
     fn default() -> Self {
-        FilterEngine::new(AttrMode::Inline)
+        FilterEngine::new()
     }
 }
 
@@ -279,11 +283,10 @@ impl AsRef<FilterEngine> for FilterEngine {
 }
 
 impl FilterEngine {
-    /// Creates an engine with the given attribute-filter mode.
-    pub fn new(attr_mode: AttrMode) -> Self {
+    /// Creates an empty engine.
+    pub fn new() -> Self {
         FilterEngine {
             stamp: fresh_stamp(),
-            attr_mode,
             interner: Interner::new(),
             index: PredicateIndex::new(),
             n_subs: 0,
@@ -299,11 +302,6 @@ impl FilterEngine {
             scratch: MatchScratch::default(),
             limits: ParserLimits::default(),
         }
-    }
-
-    /// The configured attribute-filter mode.
-    pub fn attr_mode(&self) -> AttrMode {
-        self.attr_mode
     }
 
     /// Number of live subscriptions (registered minus removed).
@@ -550,17 +548,10 @@ impl FilterEngine {
     /// tell apart. The sink owns one index reference per predicate of the
     /// chain (taken here, released by [`Self::release_chain`]).
     fn add_single(&mut self, expr: &XPathExpr, sub: SubId) -> Result<(), AddError> {
-        let enc = encode_single_path(expr, &mut self.interner, self.attr_mode)?;
-        let attr_check = match self.attr_mode {
-            AttrMode::Inline => None,
-            AttrMode::Postponed => AttrCheck::build(expr, &enc),
-        };
+        let enc = encode_single_path(expr, &mut self.interner)?;
         let chain = enc.preds.into_iter().map(|p| self.index.insert(p));
         let node = self.trie.patch_insert(chain);
-        match attr_check {
-            None => self.trie.attach_plain(node, sub),
-            Some(attr_check) => self.trie.attach_cold(node, Sink::Sub { sub, attr_check }),
-        }
+        self.trie.attach_sub(node, sub);
         self.locations.push(SubLocation::Node(node));
         Ok(())
     }
@@ -574,11 +565,7 @@ impl FilterEngine {
             // are applied exactly by the combination DP, so the skeleton is
             // always encoded without attribute constraints.
             let skeleton = comp.expr.structural_skeleton();
-            encoded.push(encode_single_path(
-                &skeleton,
-                &mut self.interner,
-                AttrMode::Postponed,
-            )?);
+            encoded.push(encode_single_path(&skeleton, &mut self.interner)?);
         }
         let comp_base = match self
             .free_comp_blocks
@@ -599,7 +586,7 @@ impl FilterEngine {
                 let chain = enc.preds.into_iter().map(|p| self.index.insert(p));
                 let node = self.trie.patch_insert(chain);
                 let comp = comp_base + ci as u32;
-                self.trie.attach_cold(node, Sink::Component { comp });
+                self.trie.attach_component(node, comp);
                 node
             })
             .collect();

@@ -7,7 +7,7 @@
 //! owns one scratch per concurrent user of a shared engine.
 
 use super::{EngineStats, FilterEngine, SubId};
-use pxf_predicate::{CtxMark, MatchContext, PredId, Publication};
+use pxf_predicate::{CtxMark, MatchContext, Publication};
 use pxf_xml::{NodeId, PathDoc, Symbol, XmlError};
 
 /// Reusable matching state: per-document buffers, the document store
@@ -130,7 +130,7 @@ impl ResultBitmap {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     pub(super) fn test(&self, i: usize) -> bool {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
@@ -620,9 +620,6 @@ pub(super) struct DocState {
     pub(super) node_sinks_done: NodeBitmap,
     /// Component registry id → path indices matched in the current doc.
     pub(super) comp_paths: Vec<Vec<u32>>,
-    /// Scratch for the selection-postponed re-check: per-level admissible
-    /// pair lists.
-    pub(super) sp_bufs: Vec<Vec<(u16, u16)>>,
     /// Leaf paths of the current document (node ids), recorded for nested
     /// plans only. The outer vector and every inner vector are reused
     /// across documents; `n_paths` is the live prefix.
@@ -632,8 +629,6 @@ pub(super) struct DocState {
     /// — always the outermost ones, since evaluation catches up root
     /// first.
     pub(super) ctx_marks: Vec<CtxMark>,
-    /// Scratch predicate chain for `dfs_node` sink processing.
-    pub(super) chain_buf: Vec<PredId>,
     pub(super) memo: PathMemo,
     /// `Some` while the walk under way is making its path's records: it
     /// ignores `node_done` and files the sinks of every node it reaches in

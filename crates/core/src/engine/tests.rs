@@ -8,8 +8,6 @@ use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xml::{Document, Symbol};
 use pxf_xpath::{parse, XPathExpr};
 
-const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
-
 /// What the engine matches.
 fn doc(xml: &str) -> PathDoc {
     PathDoc::parse(xml.as_bytes()).unwrap()
@@ -20,7 +18,7 @@ fn tree(xml: &str) -> Document {
     Document::parse(xml.as_bytes()).unwrap()
 }
 
-/// Both attribute modes must agree with the reference oracle on this
+/// The engine must agree with the reference oracle on this
 /// expression/document catalog.
 #[test]
 fn engines_agree_with_oracle() {
@@ -56,18 +54,16 @@ fn engines_agree_with_oracle() {
         "<a><b/><b><c/></b><d><e><f/></e></d></a>",
         "<r><a><b/></a><a><a><b><c/></b></a></a></r>",
     ];
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let subs: Vec<SubId> = exprs
-            .iter()
-            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
-            .collect();
-        for d in docs {
-            let matched = engine.match_document(&doc(d));
-            for (e, s) in exprs.iter().zip(&subs) {
-                let expected = matches_document(&parse(e).unwrap(), &tree(d));
-                assert_eq!(matched.contains(s), expected, "{mode:?}: {e} over {d}");
-            }
+    let mut engine = FilterEngine::new();
+    let subs: Vec<SubId> = exprs
+        .iter()
+        .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+        .collect();
+    for d in docs {
+        let matched = engine.match_document(&doc(d));
+        for (e, s) in exprs.iter().zip(&subs) {
+            let expected = matches_document(&parse(e).unwrap(), &tree(d));
+            assert_eq!(matched.contains(s), expected, "{e} over {d}");
         }
     }
 }
@@ -89,21 +85,12 @@ fn attribute_modes_agree() {
         r#"<a x="0"><b x="1" y="2"/></a>"#,
         r#"<a><b/></a>"#,
     ];
-    let mut inline = FilterEngine::new(AttrMode::Inline);
-    let mut postponed = FilterEngine::new(AttrMode::Postponed);
+    let mut engine = FilterEngine::new();
     for e in exprs {
-        inline.add(&parse(e).unwrap()).unwrap();
-        postponed.add(&parse(e).unwrap()).unwrap();
+        engine.add(&parse(e).unwrap()).unwrap();
     }
     for d in docs {
-        let document = doc(d);
-        assert_eq!(
-            inline.match_document(&document),
-            postponed.match_document(&document),
-            "over {d}"
-        );
-        // And both agree with the oracle.
-        let matched = inline.match_document(&document);
+        let matched = engine.match_document(&doc(d));
         for (i, e) in exprs.iter().enumerate() {
             assert_eq!(
                 matched.contains(&SubId(i as u32)),
@@ -116,15 +103,13 @@ fn attribute_modes_agree() {
 
 #[test]
 fn duplicate_subscriptions_all_reported() {
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let s1 = engine.add(&parse("/a/b").unwrap()).unwrap();
-        let s2 = engine.add(&parse("/a/b").unwrap()).unwrap();
-        let s3 = engine.add(&parse("/a/c").unwrap()).unwrap();
-        let matched = engine.match_document(&doc("<a><b/></a>"));
-        assert_eq!(matched, vec![s1, s2], "{mode:?}");
-        assert!(!matched.contains(&s3));
-    }
+    let mut engine = FilterEngine::new();
+    let s1 = engine.add(&parse("/a/b").unwrap()).unwrap();
+    let s2 = engine.add(&parse("/a/b").unwrap()).unwrap();
+    let s3 = engine.add(&parse("/a/c").unwrap()).unwrap();
+    let matched = engine.match_document(&doc("<a><b/></a>"));
+    assert_eq!(matched, vec![s1, s2]);
+    assert!(!matched.contains(&s3));
 }
 
 #[test]
@@ -157,25 +142,23 @@ fn access_predicate_probes_only_satisfied_clusters() {
 
 #[test]
 fn nested_subscriptions_through_engine() {
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let both = engine.add(&parse("//a[b][c]").unwrap()).unwrap();
-        let deep = engine.add(&parse("/a[b[c]]").unwrap()).unwrap();
-        let paper = engine.add(&parse("/a[*/c[d]/e]//c[d]/e").unwrap()).unwrap();
-        let plain = engine.add(&parse("/r//a").unwrap()).unwrap();
+    let mut engine = FilterEngine::new();
+    let both = engine.add(&parse("//a[b][c]").unwrap()).unwrap();
+    let deep = engine.add(&parse("/a[b[c]]").unwrap()).unwrap();
+    let paper = engine.add(&parse("/a[*/c[d]/e]//c[d]/e").unwrap()).unwrap();
+    let plain = engine.add(&parse("/r//a").unwrap()).unwrap();
 
-        let d1 = doc("<r><a><b/><c/></a></r>");
-        assert_eq!(engine.match_document(&d1), vec![both, plain], "{mode:?}");
+    let d1 = doc("<r><a><b/><c/></a></r>");
+    assert_eq!(engine.match_document(&d1), vec![both, plain]);
 
-        let d2 = doc("<r><a><b/></a><a><c/></a></r>");
-        assert_eq!(engine.match_document(&d2), vec![plain], "{mode:?}");
+    let d2 = doc("<r><a><b/></a><a><c/></a></r>");
+    assert_eq!(engine.match_document(&d2), vec![plain]);
 
-        let d3 = doc("<a><b><c/></b></a>");
-        assert_eq!(engine.match_document(&d3), vec![deep], "{mode:?}");
+    let d3 = doc("<a><b><c/></b></a>");
+    assert_eq!(engine.match_document(&d3), vec![deep]);
 
-        let d4 = doc("<a><x><c><d/><e/></c></x><y><c><d/><e/></c></y></a>");
-        assert_eq!(engine.match_document(&d4), vec![paper], "{mode:?}");
-    }
+    let d4 = doc("<a><x><c><d/><e/></c></x><y><c><d/><e/></c></y></a>");
+    assert_eq!(engine.match_document(&d4), vec![paper]);
 }
 
 /// Paths of 126–130 elements straddle the switch of stage 2's occurrence
@@ -186,14 +169,12 @@ fn path_lengths_around_128_agree_with_oracle() {
     let exprs = ["a/a", "/a//a/a", "//a", "a/a/a/a", "/a/a//a//a/a", "/b"];
     for len in 126..=130 {
         let xml = "<a>".repeat(len) + &"</a>".repeat(len);
-        for mode in MODES {
-            let mut engine = FilterEngine::new(mode);
-            let subs: Vec<SubId> = exprs.iter().map(|e| engine.add_str(e).unwrap()).collect();
-            let matched = engine.match_document(&doc(&xml));
-            for (e, s) in exprs.iter().zip(&subs) {
-                let expected = matches_document(&parse(e).unwrap(), &tree(&xml));
-                assert_eq!(matched.contains(s), expected, "{mode:?}: {e} at {len}");
-            }
+        let mut engine = FilterEngine::new();
+        let subs: Vec<SubId> = exprs.iter().map(|e| engine.add_str(e).unwrap()).collect();
+        let matched = engine.match_document(&doc(&xml));
+        for (e, s) in exprs.iter().zip(&subs) {
+            let expected = matches_document(&parse(e).unwrap(), &tree(&xml));
+            assert_eq!(matched.contains(s), expected, "{e} at {len}");
         }
     }
 }
@@ -324,11 +305,11 @@ fn add_str_reports_parse_errors() {
     assert!(engine.add_str("/a/*[@x = 1]").is_err());
 }
 
-/// Postponed attribute filters on a prefix expression are still checked
-/// when the walk passes through it on the way to a longer expression.
+/// Attribute filters on a prefix expression are still checked when the
+/// walk passes through it on the way to a longer expression.
 #[test]
 fn postponed_attrs_checked_on_prefix_expressions() {
-    let mut engine = FilterEngine::new(AttrMode::Postponed);
+    let mut engine = FilterEngine::new();
     let filtered = engine.add(&parse("/a/b[@x = 9]").unwrap()).unwrap();
     let longer = engine.add(&parse("/a/b/c").unwrap()).unwrap();
     // The structural prefix /a/b matches on the way to /a/b/c, but the
@@ -341,53 +322,47 @@ fn postponed_attrs_checked_on_prefix_expressions() {
 
 #[test]
 fn removed_subscriptions_stop_matching() {
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let s1 = engine.add(&parse("/a/b").unwrap()).unwrap();
-        let s2 = engine.add(&parse("/a/b").unwrap()).unwrap(); // duplicate
-        let s3 = engine.add(&parse("//b").unwrap()).unwrap();
-        let d = doc("<a><b/></a>");
-        assert_eq!(engine.match_document(&d), vec![s1, s2, s3], "{mode:?}");
-        assert!(engine.remove(s1));
-        assert_eq!(engine.match_document(&d), vec![s2, s3], "{mode:?}");
-        assert!(!engine.remove(s1), "double remove must return false");
-        assert_eq!(engine.len(), 2);
-        assert!(engine.remove(s2));
-        assert!(engine.remove(s3));
-        assert!(engine.is_empty());
-        assert!(engine.match_document(&d).is_empty(), "{mode:?}");
-    }
+    let mut engine = FilterEngine::new();
+    let s1 = engine.add(&parse("/a/b").unwrap()).unwrap();
+    let s2 = engine.add(&parse("/a/b").unwrap()).unwrap(); // duplicate
+    let s3 = engine.add(&parse("//b").unwrap()).unwrap();
+    let d = doc("<a><b/></a>");
+    assert_eq!(engine.match_document(&d), vec![s1, s2, s3]);
+    assert!(engine.remove(s1));
+    assert_eq!(engine.match_document(&d), vec![s2, s3]);
+    assert!(!engine.remove(s1), "double remove must return false");
+    assert_eq!(engine.len(), 2);
+    assert!(engine.remove(s2));
+    assert!(engine.remove(s3));
+    assert!(engine.is_empty());
+    assert!(engine.match_document(&d).is_empty());
 }
 
 #[test]
 fn removal_keeps_other_subscriptions_intact() {
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let subs: Vec<SubId> = ["/a/b", "/a/b/c", "/a", "a/b[@x = 1]", "//c"]
-            .iter()
-            .map(|s| engine.add(&parse(s).unwrap()).unwrap())
-            .collect();
-        let d = doc(r#"<a><b x="1"><c/></b></a>"#);
-        assert_eq!(engine.match_document(&d), subs, "{mode:?}");
-        // Remove the middle of the prefix chain.
-        assert!(engine.remove(subs[0]));
-        let expected: Vec<SubId> = subs[1..].to_vec();
-        assert_eq!(engine.match_document(&d), expected, "{mode:?}");
-    }
+    let mut engine = FilterEngine::new();
+    let subs: Vec<SubId> = ["/a/b", "/a/b/c", "/a", "a/b[@x = 1]", "//c"]
+        .iter()
+        .map(|s| engine.add(&parse(s).unwrap()).unwrap())
+        .collect();
+    let d = doc(r#"<a><b x="1"><c/></b></a>"#);
+    assert_eq!(engine.match_document(&d), subs);
+    // Remove the middle of the prefix chain.
+    assert!(engine.remove(subs[0]));
+    let expected: Vec<SubId> = subs[1..].to_vec();
+    assert_eq!(engine.match_document(&d), expected);
 }
 
 #[test]
 fn nested_subscription_removal() {
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let tree = engine.add(&parse("/a[b]/c").unwrap()).unwrap();
-        let plain = engine.add(&parse("/a/c").unwrap()).unwrap();
-        let d = doc("<a><b/><c/></a>");
-        assert_eq!(engine.match_document(&d), vec![tree, plain]);
-        assert!(engine.remove(tree));
-        assert_eq!(engine.match_document(&d), vec![plain]);
-        assert!(!engine.remove(tree));
-    }
+    let mut engine = FilterEngine::new();
+    let tree = engine.add(&parse("/a[b]/c").unwrap()).unwrap();
+    let plain = engine.add(&parse("/a/c").unwrap()).unwrap();
+    let d = doc("<a><b/><c/></a>");
+    assert_eq!(engine.match_document(&d), vec![tree, plain]);
+    assert!(engine.remove(tree));
+    assert_eq!(engine.match_document(&d), vec![plain]);
+    assert!(!engine.remove(tree));
 }
 
 #[test]
@@ -407,63 +382,61 @@ fn remove_unknown_id_is_noop() {
     assert!(!engine.remove(SubId(42)));
 }
 
-/// The memo is off while an attribute filter is registered — in either
-/// mode — and for no longer: with the filter subscribed every leaf walks
+/// The memo is off while an attribute filter is registered, and for no
+/// longer: with the filter subscribed every leaf walks
 /// and nothing is replayed, and once it is removed the third sighting of
 /// a path is a replay again. Match sets are the oracle's throughout.
 #[test]
 fn a_filter_that_came_and_went_leaves_the_memo_on() {
     let d = r#"<a><b k="v"><c/></b><b><c/></b><d/></a>"#;
     let leaves = 3;
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let mut subs: Vec<Option<XPathExpr>> = Vec::new();
-        for e in ["/a/b", "//b/c", "a//c", "/a/*/c", "/a/d"] {
-            engine.add_str(e).unwrap();
-            subs.push(Some(parse(e).unwrap()));
-        }
-        let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>]| {
-            let oracle = tree(d);
-            let want: Vec<SubId> = (0..subs.len())
-                .filter(|&i| {
-                    subs[i]
-                        .as_ref()
-                        .is_some_and(|e| matches_document(e, &oracle))
-                })
-                .map(|i| SubId(i as u32))
-                .collect();
-            assert_eq!(engine.match_bytes(d.as_bytes()).unwrap(), want, "{mode:?}");
-            engine.stats()
-        };
-        for _ in 0..3 {
-            check(&mut engine, &subs);
-        }
-        let warm = engine.stats();
-        assert!(warm.memo_replays > 0, "{mode:?}: {warm:?}");
-
-        let filter = r#"//b[@k = "v"]"#;
-        let filtered = engine.add_str(filter).unwrap();
-        subs.push(Some(parse(filter).unwrap()));
-        for _ in 0..4 {
-            check(&mut engine, &subs);
-        }
-        let off = engine.stats();
-        assert_eq!(off.memo_replays, warm.memo_replays, "{mode:?}");
-        assert_eq!(off.memo_path_skips, warm.memo_path_skips, "{mode:?}");
-        assert_eq!(off.stage2_walks, warm.stage2_walks + 4 * leaves, "{mode:?}");
-
-        assert!(engine.remove(filtered));
-        subs[filtered.0 as usize] = None;
-        check(&mut engine, &subs);
-        let recording = check(&mut engine, &subs);
-        assert_eq!(recording.memo_replays, off.memo_replays, "{mode:?}");
-        let third = check(&mut engine, &subs);
-        assert!(
-            third.memo_replays > recording.memo_replays,
-            "{mode:?}: no filter is registered, yet the third sighting walked: {third:?}"
-        );
-        assert_eq!(third.stage2_walks, recording.stage2_walks, "{mode:?}");
+    let mut engine = FilterEngine::new();
+    let mut subs: Vec<Option<XPathExpr>> = Vec::new();
+    for e in ["/a/b", "//b/c", "a//c", "/a/*/c", "/a/d"] {
+        engine.add_str(e).unwrap();
+        subs.push(Some(parse(e).unwrap()));
     }
+    let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>]| {
+        let oracle = tree(d);
+        let want: Vec<SubId> = (0..subs.len())
+            .filter(|&i| {
+                subs[i]
+                    .as_ref()
+                    .is_some_and(|e| matches_document(e, &oracle))
+            })
+            .map(|i| SubId(i as u32))
+            .collect();
+        assert_eq!(engine.match_bytes(d.as_bytes()).unwrap(), want);
+        engine.stats()
+    };
+    for _ in 0..3 {
+        check(&mut engine, &subs);
+    }
+    let warm = engine.stats();
+    assert!(warm.memo_replays > 0, "{warm:?}");
+
+    let filter = r#"//b[@k = "v"]"#;
+    let filtered = engine.add_str(filter).unwrap();
+    subs.push(Some(parse(filter).unwrap()));
+    for _ in 0..4 {
+        check(&mut engine, &subs);
+    }
+    let off = engine.stats();
+    assert_eq!(off.memo_replays, warm.memo_replays);
+    assert_eq!(off.memo_path_skips, warm.memo_path_skips);
+    assert_eq!(off.stage2_walks, warm.stage2_walks + 4 * leaves);
+
+    assert!(engine.remove(filtered));
+    subs[filtered.0 as usize] = None;
+    check(&mut engine, &subs);
+    let recording = check(&mut engine, &subs);
+    assert_eq!(recording.memo_replays, off.memo_replays);
+    let third = check(&mut engine, &subs);
+    assert!(
+        third.memo_replays > recording.memo_replays,
+        "no filter is registered, yet the third sighting walked: {third:?}"
+    );
+    assert_eq!(third.stage2_walks, recording.stage2_walks);
 }
 
 /// The content stamp moves only when the subscription set did: removing
@@ -536,8 +509,7 @@ fn prepare_changes_neither_match_sets_nor_node_ids() {
         "<d><b m=\"1\"><a><c/></a></b></d>",
     ];
     for script in 0..64 {
-        let mode = MODES[script % 2];
-        let (mut once, mut each) = (FilterEngine::new(mode), FilterEngine::new(mode));
+        let (mut once, mut each) = (FilterEngine::new(), FilterEngine::new());
         let mut live: Vec<SubId> = Vec::new();
         for _ in 0..rng.gen_range(4..40usize) {
             if live.is_empty() || rng.gen_bool(0.7) {
@@ -580,28 +552,22 @@ fn prepare_changes_neither_match_sets_nor_node_ids() {
 #[test]
 fn prepare_squeezes_to_exact_capacity_and_is_idempotent() {
     let mut rng = pxf_rng::Rng::seed_from_u64(0x16_0002);
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        for _ in 0..2000 {
-            engine.add_str(&arb_expr_src(&mut rng)).unwrap();
-        }
-        assert!(engine.trie.garbage() > 0, "the load relocated no span?");
-        let loaded = engine.index_bytes();
-        engine.prepare();
-        assert_eq!(engine.trie.garbage(), 0);
-        let squeezed = engine.index_bytes();
-        assert!(squeezed < loaded, "{squeezed} vs {loaded}");
-        let mut copy = engine.clone();
-        copy.trie.compile();
-        assert_eq!(
-            copy.trie.arena_bytes(),
-            engine.trie.arena_bytes(),
-            "{mode:?}"
-        );
-        engine.prepare();
-        assert_eq!(engine.index_bytes(), squeezed, "{mode:?}");
-        assert_eq!(engine.full_rebuilds(), 0);
+    let mut engine = FilterEngine::new();
+    for _ in 0..2000 {
+        engine.add_str(&arb_expr_src(&mut rng)).unwrap();
     }
+    assert!(engine.trie.garbage() > 0, "the load relocated no span?");
+    let loaded = engine.index_bytes();
+    engine.prepare();
+    assert_eq!(engine.trie.garbage(), 0);
+    let squeezed = engine.index_bytes();
+    assert!(squeezed < loaded, "{squeezed} vs {loaded}");
+    let mut copy = engine.clone();
+    copy.trie.compile();
+    assert_eq!(copy.trie.arena_bytes(), engine.trie.arena_bytes());
+    engine.prepare();
+    assert_eq!(engine.index_bytes(), squeezed);
+    assert_eq!(engine.full_rebuilds(), 0);
 }
 
 /// A stream built to fill the path memo: 50k single-path documents, all

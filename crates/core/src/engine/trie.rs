@@ -1,31 +1,14 @@
 //! The expression trie (paper Fig. 2) as capacity-tracked arena spans:
 //! packed structure-of-arrays columns the stage-2 walk reads, patched in
 //! place by every insert and removal, plus a sparse map of the cold sinks
-//! (attribute-checked subscriptions, nested-path components). A plain
-//! subscription is stored once, as its id in the `plain_subs` column.
-//! This module is the only place that names a column; the matcher sees
-//! `children(n)`, `plain_subs(n)`, `sink_len(n)`, `cold_sinks(n)`, the
-//! root table and `root_of(pid)`.
+//! (nested-path components). A subscription is stored once, as its id in
+//! the `plain_subs` column. This module is the only place that names a
+//! column; the matcher sees `children(n)`, `plain_subs(n)`, `sink_len(n)`,
+//! `components(n)`, the root table and `root_of(pid)`.
 
-use super::attr_check::AttrCheck;
 use super::SubId;
 use pxf_predicate::PredId;
 use std::collections::HashMap;
-
-/// What an expression entry resolves to, when it matches a path, beyond
-/// marking a plain subscription (those are bare ids in the packed
-/// `plain_subs` column).
-#[derive(Debug, Clone)]
-pub(super) enum Sink {
-    /// A single-path subscription whose attribute filters are re-checked
-    /// on the structural match (selection postponed, paper §5).
-    Sub {
-        sub: SubId,
-        attr_check: Box<AttrCheck>,
-    },
-    /// A component of a nested-path subscription: record the path index.
-    Component { comp: u32 },
-}
 
 /// `parent` of a root-level node.
 const NO_PARENT: u32 = u32::MAX;
@@ -36,10 +19,11 @@ const NO_ROOT: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Default)]
 pub(super) struct Trie {
-    /// Node → its cold sinks, for the nodes that have any (an entry is
-    /// never empty). The walk looks here only where a node's sink count
-    /// exceeds its plain span.
-    cold: HashMap<u32, Vec<Sink>>,
+    /// Node → the nested-path components whose skeleton ends there (the
+    /// cold sinks), for the nodes that have any (an entry is never empty).
+    /// The walk looks here only where a node's sink count exceeds its
+    /// plain span.
+    cold: HashMap<u32, Vec<u32>>,
     /// Insert-time edge lookup: `(parent, pid) → child` (parent
     /// `NO_PARENT` keys the root level). Matching never touches this —
     /// it walks the packed child spans instead.
@@ -146,13 +130,12 @@ struct PackedTrie {
     pid: Vec<PredId>,
     /// Node → parent node (`NO_PARENT` at roots, `PRUNED` once unlinked).
     parent: Vec<u32>,
-    /// Node → number of sinks, plain and cold together (hot presence
-    /// check).
+    /// Node → number of sinks, subscriptions and components together
+    /// (hot presence check).
     sink_len: Vec<u32>,
-    /// Plain-subscription sink spans: node `n`'s subscriptions with no
-    /// attribute check, as bare subscription ids in
-    /// `plain_subs[plain_span[n]]` — the only place such a subscription is
-    /// stored. When the span covers all `sink_len[n]` sinks, resolving
+    /// Plain-subscription sink spans: node `n`'s subscriptions, as bare
+    /// subscription ids in `plain_subs[plain_span[n]]` — the only place a
+    /// subscription is stored. When the span covers all `sink_len[n]` sinks, resolving
     /// the node is a tight bitmap-marking sweep over this column, the
     /// duplicate-heavy common case.
     plain_span: Vec<Span>,
@@ -212,8 +195,8 @@ impl Trie {
         self.packed.pid.len()
     }
 
-    /// True while every sink is a plain subscription: no attribute-checked
-    /// subscription and no nested-path component is registered.
+    /// True while every sink is a plain subscription: no nested-path
+    /// component is registered.
     pub(super) fn all_plain(&self) -> bool {
         self.cold.is_empty()
     }
@@ -224,14 +207,14 @@ impl Trie {
         self.packed.sink_len[n as usize]
     }
 
-    /// Node → its plain-subscription sinks (no attribute check).
+    /// Node → its subscriptions.
     #[inline]
     pub(super) fn plain_subs(&self, n: u32) -> &[u32] {
         &self.packed.plain_subs[self.packed.plain_span[n as usize].range()]
     }
 
-    /// Node → its cold sinks (everything but the plain subscriptions).
-    pub(super) fn cold_sinks(&self, n: u32) -> &[Sink] {
+    /// Node → the nested-path components whose skeleton ends there.
+    pub(super) fn components(&self, n: u32) -> &[u32] {
         self.cold.get(&n).map_or(&[], Vec::as_slice)
     }
 
@@ -290,14 +273,10 @@ impl Trie {
     /// insert-time edge map, in bytes.
     pub(super) fn bytes(&self) -> usize {
         use std::mem::size_of;
-        let sink_heap = |sink: &Sink| match sink {
-            Sink::Sub { attr_check, .. } => attr_check.heap_bytes(),
-            Sink::Component { .. } => 0,
-        };
         let cold_lists: usize = self
             .cold
             .values()
-            .map(|l| l.capacity() * size_of::<Sink>() + l.iter().map(sink_heap).sum::<usize>())
+            .map(|l| l.capacity() * size_of::<u32>())
             .sum();
         self.packed.arena_bytes()
             + hash_map_bytes(&self.cold)
@@ -420,8 +399,8 @@ impl Trie {
         current
     }
 
-    /// Attaches a plain subscription to node `n`.
-    pub(super) fn attach_plain(&mut self, n: u32, sub: SubId) {
+    /// Attaches a subscription to node `n`.
+    pub(super) fn attach_sub(&mut self, n: u32, sub: SubId) {
         self.compiled = false;
         let p = &mut self.packed;
         p.sink_len[n as usize] += 1;
@@ -433,30 +412,25 @@ impl Trie {
         );
     }
 
-    /// Attaches a cold sink to node `n`.
-    pub(super) fn attach_cold(&mut self, n: u32, sink: Sink) {
+    /// Attaches nested-path component `comp` to node `n`.
+    pub(super) fn attach_component(&mut self, n: u32, comp: u32) {
         self.compiled = false;
         self.packed.sink_len[n as usize] += 1;
-        self.cold.entry(n).or_default().push(sink);
+        self.cold.entry(n).or_default().push(comp);
     }
 
-    /// Detaches subscription `sub` from node `n`, wherever it is held —
-    /// the plain span or the cold sinks; false when it is in neither. A
-    /// node left with neither sinks nor children is unlinked (see
+    /// Detaches subscription `sub` from node `n`; false when it is not
+    /// there. A node left with neither sinks nor children is unlinked (see
     /// [`Self::prune`]).
     pub(super) fn detach_sub(&mut self, n: u32, sub: SubId) -> bool {
-        let found = self.take_plain(n, sub)
-            || self.take_cold(n, |s| matches!(s, Sink::Sub { sub: s2, .. } if *s2 == sub));
+        let found = self.take_plain(n, sub);
         self.sink_taken(n, found)
     }
 
-    /// Detaches the sink of nested-path component `comp` from node `n`;
-    /// false when it is not there. Prunes like [`Self::detach_sub`].
+    /// Detaches nested-path component `comp` from node `n`; false when it
+    /// is not there. Prunes like [`Self::detach_sub`].
     pub(super) fn detach_component(&mut self, n: u32, comp: u32) -> bool {
-        let found = self.take_cold(
-            n,
-            |s| matches!(s, Sink::Component { comp: c } if *c == comp),
-        );
+        let found = self.take_cold(n, comp);
         self.sink_taken(n, found)
     }
 
@@ -474,17 +448,17 @@ impl Trie {
         true
     }
 
-    /// Removes the first cold sink of node `n` that `is_target` accepts,
-    /// and the node's entry with its last one.
-    fn take_cold(&mut self, n: u32, is_target: impl Fn(&Sink) -> bool) -> bool {
-        let Some(sinks) = self.cold.get_mut(&n) else {
+    /// Removes component `comp` from node `n`'s cold sinks, and the
+    /// node's entry with its last one.
+    fn take_cold(&mut self, n: u32, comp: u32) -> bool {
+        let Some(comps) = self.cold.get_mut(&n) else {
             return false;
         };
-        let Some(pos) = sinks.iter().position(is_target) else {
+        let Some(pos) = comps.iter().position(|&c| c == comp) else {
             return false;
         };
-        sinks.remove(pos);
-        if sinks.is_empty() {
+        comps.remove(pos);
+        if comps.is_empty() {
             self.cold.remove(&n);
         }
         true

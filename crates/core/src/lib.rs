@@ -14,9 +14,9 @@
 //! # Quick start
 //!
 //! ```
-//! use pxf_core::{AttrMode, FilterEngine};
+//! use pxf_core::FilterEngine;
 //!
-//! let mut engine = FilterEngine::new(AttrMode::Inline);
+//! let mut engine = FilterEngine::new();
 //! let sports = engine.add_str("/news//article[@category = \"sports\"]").unwrap();
 //! let politics = engine.add_str("/news//article[@category = \"politics\"]/headline").unwrap();
 //!
@@ -27,8 +27,9 @@
 //!
 //! Expressions are organized the one way the paper's evaluation recommends
 //! (§4.2.2, `basic-pc-ap`): a prefix-covering trie clustered by access
-//! predicate, walked depth-first per document path. Attribute filters run
-//! [`AttrMode::Inline`] or [`AttrMode::Postponed`] (§5). Nested path
+//! predicate, walked depth-first per document path. Attribute filters are
+//! inline (§5): they ride on the tag variables of the predicates, so stage
+//! 1 evaluates them. Nested path
 //! filters (tree patterns) are decomposed and combined per §5
 //! ([`nested`]). [`mod@reference`] is the independent oracle every property
 //! suite compares the engine with: it walks the [`pxf_xml::Document`] tree,
@@ -47,7 +48,7 @@ pub mod reference;
 pub mod snapshot;
 
 pub use backend::{BackendError, FilterBackend};
-pub use encode::{AttrMode, EncodeError, EncodedPath};
+pub use encode::{EncodeError, EncodedPath};
 pub use engine::{AddError, EngineStats, FilterEngine, MatchScratch, Matcher, SubId, SubsetStats};
 pub use parallel::{BatchReport, BatchScratch, ByteFilterResult, DocError, DocFilterResult};
 pub use snapshot::{ChurnOp, EngineSnapshot, SnapshotHandle, SnapshotPublisher};

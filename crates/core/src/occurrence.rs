@@ -12,11 +12,6 @@
 /// One predicate's matching occurrence pairs (stage-one output).
 pub type MatchList<'a> = &'a [(u16, u16)];
 
-/// Expressions at most this deep search with stack-allocated state; the
-/// (rare) deeper ones fall back to two heap vectors. Matches the paper's
-/// workloads, whose expression lengths top out well below 16.
-const STACK_LEVELS: usize = 16;
-
 /// Runs Algorithm 1: returns true iff a chained combination exists across
 /// the ordered `results` lists.
 ///
@@ -24,103 +19,25 @@ const STACK_LEVELS: usize = 16;
 /// (lines 2–6); otherwise a depth-first search over partial combinations
 /// with backtracking, returning `match` on the first complete one.
 pub fn determine_match(results: &[MatchList<'_>]) -> bool {
-    determine_match_filtered(results, |_, _| true)
-}
-
-/// Algorithm 1 driven through a per-level list accessor instead of a
-/// pre-collected slice of lists — stage 2 calls this with
-/// `|i| ctx.get(preds[i])` so no `Vec<&[(u16, u16)]>` is built per
-/// expression per path. Returns false when `n == 0` or any level's list
-/// is empty.
-pub fn determine_match_by<'a, G>(n: usize, mut get: G) -> bool
-where
-    G: FnMut(usize) -> &'a [(u16, u16)],
-{
-    if n == 0 {
-        return false;
-    }
-    // Lines 2–6: any predicate without matches ⇒ noMatch.
-    for i in 0..n {
-        if get(i).is_empty() {
-            return false;
-        }
-    }
-    let mut admit = |_: usize, _: (u16, u16)| true;
-    if n <= STACK_LEVELS {
-        let mut pos = [0usize; STACK_LEVELS];
-        let mut chosen = [(0u16, 0u16); STACK_LEVELS];
-        search(n, &mut get, &mut admit, &mut pos, &mut chosen)
-    } else {
-        let mut pos = vec![0usize; n];
-        let mut chosen = vec![(0u16, 0u16); n];
-        search(n, &mut get, &mut admit, &mut pos, &mut chosen)
-    }
-}
-
-/// Algorithm 1 with an extra admissibility test per selected pair.
-///
-/// `admit(level, pair)` decides whether a candidate pair may be used for
-/// the predicate at `level`. The plain algorithm uses `|_, _| true`. The
-/// engine's selection-postponed attribute check (paper §5: "the
-/// occurrence determination step has to be repeated") is equivalent to
-/// this filtered determination; for speed it pre-filters each level's
-/// list once and runs [`determine_match`] on the result — admissibility
-/// does not depend on the search state, so the two formulations accept
-/// exactly the same inputs (covered by tests).
-pub fn determine_match_filtered<F>(results: &[MatchList<'_>], mut admit: F) -> bool
-where
-    F: FnMut(usize, (u16, u16)) -> bool,
-{
     let n = results.len();
-    if n == 0 {
+    if n == 0 || results.iter().any(|r| r.is_empty()) {
         return false;
     }
-    if results.iter().any(|r| r.is_empty()) {
-        return false;
-    }
-    let mut get = |i: usize| results[i];
-    if n <= STACK_LEVELS {
-        let mut pos = [0usize; STACK_LEVELS];
-        let mut chosen = [(0u16, 0u16); STACK_LEVELS];
-        search(n, &mut get, &mut admit, &mut pos, &mut chosen)
-    } else {
-        let mut pos = vec![0usize; n];
-        let mut chosen = vec![(0u16, 0u16); n];
-        search(n, &mut get, &mut admit, &mut pos, &mut chosen)
-    }
-}
-
-/// The backtracking core of Algorithm 1 over caller-provided search state
-/// (`pos[i]`: next candidate index at level i; `chosen[i]`: pair currently
-/// selected there). Levels must be non-empty — callers check first.
-fn search<'a, G, F>(
-    n: usize,
-    get: &mut G,
-    admit: &mut F,
-    pos: &mut [usize],
-    chosen: &mut [(u16, u16)],
-) -> bool
-where
-    G: FnMut(usize) -> &'a [(u16, u16)],
-    F: FnMut(usize, (u16, u16)) -> bool,
-{
+    // `pos[i]`: next candidate index at level i; `chosen[i]`: the pair
+    // currently selected there.
+    let mut pos = vec![0usize; n];
+    let mut chosen = vec![(0u16, 0u16); n];
     let mut level = 0usize;
-    pos[0] = 0;
     loop {
-        let list = get(level);
+        let list = results[level];
         let need = if level == 0 {
             None
         } else {
             Some(chosen[level - 1].1)
         };
-        // Advance to the next admissible candidate at this level.
+        // Advance to the next candidate that chains at this level.
         let mut i = pos[level];
-        while i < list.len() {
-            let pair = list[i];
-            let chains = need.is_none_or(|o| pair.0 == o);
-            if chains && admit(level, pair) {
-                break;
-            }
+        while i < list.len() && need.is_some_and(|o| list[i].0 != o) {
             i += 1;
         }
         if i < list.len() {
@@ -260,15 +177,18 @@ mod tests {
         assert!(!determine_match(&[r1, r2]));
     }
 
+    /// Restricting the pairs a level may use restricts the matches: the
+    /// determination over lists filtered up front.
     #[test]
     fn filtered_determination_restricts_pairs() {
         let r1: &[(u16, u16)] = &[(1, 1), (2, 2)];
         let r2: &[(u16, u16)] = &[(1, 1), (2, 2)];
-        assert!(determine_match_filtered(&[r1, r2], |_, _| true));
+        assert!(determine_match(&[r1, r2]));
         // Only occurrence 2 admitted at every level.
-        assert!(determine_match_filtered(&[r1, r2], |_, p| p.0 == 2 && p.1 == 2));
+        let only_2: &[(u16, u16)] = &[(2, 2)];
+        assert!(determine_match(&[only_2, only_2]));
         // Nothing admitted at level 1.
-        assert!(!determine_match_filtered(&[r1, r2], |l, _| l == 0));
+        assert!(!determine_match(&[r1, &[]]));
     }
 
     #[test]
@@ -302,34 +222,34 @@ mod tests {
         assert_eq!(count, 1);
     }
 
-    /// The accessor-driven variant must accept exactly the same inputs as
-    /// the slice-driven one.
+    /// Fixed cases with their expected answers, and a chain longer than
+    /// any the paper's workloads produce.
     #[test]
     fn by_accessor_matches_slice_form() {
-        let cases: Vec<Vec<Vec<(u16, u16)>>> = vec![
-            vec![vec![(1, 1), (1, 2), (2, 2)], vec![(1, 1), (2, 2)]],
-            vec![vec![(1, 2)], vec![(1, 2)]],
-            vec![vec![(1, 1)], vec![]],
-            vec![vec![(3, 3)]],
-            vec![vec![(1, 1), (1, 2)], vec![(2, 3)], vec![(3, 1)]],
-            vec![],
+        type Lists = Vec<Vec<(u16, u16)>>;
+        let cases: Vec<(Lists, bool)> = vec![
+            (
+                vec![vec![(1, 1), (1, 2), (2, 2)], vec![(1, 1), (2, 2)]],
+                true,
+            ),
+            (vec![vec![(1, 2)], vec![(1, 2)]], false),
+            (vec![vec![(1, 1)], vec![]], false),
+            (vec![vec![(3, 3)]], true),
+            (vec![vec![(1, 1), (1, 2)], vec![(2, 3)], vec![(3, 1)]], true),
+            (vec![], false),
         ];
-        for lists in &cases {
+        for (lists, expected) in &cases {
             let slices: Vec<MatchList<'_>> = lists.iter().map(|l| l.as_slice()).collect();
-            assert_eq!(
-                determine_match_by(slices.len(), |i| slices[i]),
-                determine_match(&slices),
-                "{lists:?}"
-            );
+            assert_eq!(determine_match(&slices), *expected, "{lists:?}");
         }
-        // Past the stack-allocated level bound: a long chain of singletons.
+        // A long chain of singletons.
         let long: Vec<Vec<(u16, u16)>> = (0..20).map(|_| vec![(1, 1)]).collect();
         let slices: Vec<MatchList<'_>> = long.iter().map(|l| l.as_slice()).collect();
-        assert!(determine_match_by(slices.len(), |i| slices[i]));
+        assert!(determine_match(&slices));
         let mut broken = long.clone();
         broken[10] = vec![(2, 1)];
         let slices: Vec<MatchList<'_>> = broken.iter().map(|l| l.as_slice()).collect();
-        assert!(!determine_match_by(slices.len(), |i| slices[i]));
+        assert!(!determine_match(&slices));
     }
 
     /// Exhaustive cross-check against a brute-force product on small inputs.

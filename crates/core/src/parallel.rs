@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn matchers_see_every_add_and_remove_at_once() {
         use crate::reference::matches_document;
-        use crate::{AttrMode, MatchScratch};
+        use crate::MatchScratch;
         use pxf_xml::Document;
         const EXPRS: [&str; 6] = [
             "/a/b",            // single path
@@ -386,44 +386,42 @@ mod tests {
         .iter()
         .map(|d| d.as_bytes().to_vec())
         .collect();
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            let mut engine = FilterEngine::new(mode);
-            let mut live: Vec<(SubId, &str)> = Vec::new();
-            let check = |engine: &FilterEngine, live: &[(SubId, &str)]| {
-                let mut scratch = MatchScratch::new();
-                let batch = filter_batch_bytes(engine, &docs, 2);
-                for (bytes, from_batch) in docs.iter().zip(batch) {
-                    let tree = Document::parse(bytes).unwrap();
-                    let want: Vec<SubId> = live
-                        .iter()
-                        .filter(|(_, e)| matches_document(&pxf_xpath::parse(e).unwrap(), &tree))
-                        .map(|(sub, _)| *sub)
-                        .collect();
-                    let doc = PathDoc::parse(bytes).unwrap();
-                    let ctx = format!("{mode:?}, live {live:?}, doc {}", tree.to_xml());
-                    assert_eq!(engine.matcher().match_document(&doc), want, "{ctx}");
-                    assert_eq!(
-                        engine.match_document_with(&doc, &mut scratch),
-                        want,
-                        "{ctx}"
-                    );
-                    assert_eq!(from_batch.unwrap(), want, "{ctx}");
-                }
-            };
-            check(&engine, &live);
-            for e in EXPRS {
-                live.push((engine.add_str(e).unwrap(), e));
-                check(&engine, &live);
+        let mut engine = FilterEngine::new();
+        let mut live: Vec<(SubId, &str)> = Vec::new();
+        let check = |engine: &FilterEngine, live: &[(SubId, &str)]| {
+            let mut scratch = MatchScratch::new();
+            let batch = filter_batch_bytes(engine, &docs, 2);
+            for (bytes, from_batch) in docs.iter().zip(batch) {
+                let tree = Document::parse(bytes).unwrap();
+                let want: Vec<SubId> = live
+                    .iter()
+                    .filter(|(_, e)| matches_document(&pxf_xpath::parse(e).unwrap(), &tree))
+                    .map(|(sub, _)| *sub)
+                    .collect();
+                let doc = PathDoc::parse(bytes).unwrap();
+                let ctx = format!("live {live:?}, doc {}", tree.to_xml());
+                assert_eq!(engine.matcher().match_document(&doc), want, "{ctx}");
+                assert_eq!(
+                    engine.match_document_with(&doc, &mut scratch),
+                    want,
+                    "{ctx}"
+                );
+                assert_eq!(from_batch.unwrap(), want, "{ctx}");
             }
-            // Every other one goes, then the rest, then one comes back.
-            for i in [0, 1, 2, 0, 0, 0] {
-                let (sub, _) = live.remove(i);
-                assert!(engine.remove(sub));
-                check(&engine, &live);
-            }
-            live.push((engine.add_str(EXPRS[4]).unwrap(), EXPRS[4]));
+        };
+        check(&engine, &live);
+        for e in EXPRS {
+            live.push((engine.add_str(e).unwrap(), e));
             check(&engine, &live);
         }
+        // Every other one goes, then the rest, then one comes back.
+        for i in [0, 1, 2, 0, 0, 0] {
+            let (sub, _) = live.remove(i);
+            assert!(engine.remove(sub));
+            check(&engine, &live);
+        }
+        live.push((engine.add_str(EXPRS[4]).unwrap(), EXPRS[4]));
+        check(&engine, &live);
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! `plain_subs` nodes, the compaction threshold, and nested-path churn.
 
 use pxf_core::reference::matches_document;
-use pxf_core::{AttrMode, FilterBackend, FilterEngine, SubId};
+use pxf_core::{FilterBackend, FilterEngine, SubId};
 use pxf_xml::{Document, PathDoc};
-
-const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
 
 const EXPRS: [&str; 8] = [
     "/a/b",
@@ -21,8 +19,8 @@ const EXPRS: [&str; 8] = [
 
 const DOC: &str = "<a><b k=\"1\" m=\"2\"><c/></b><b><c><d/></c></b></a>";
 
-fn engine_with(exprs: &[&str], mode: AttrMode) -> FilterEngine {
-    let mut engine = FilterEngine::new(mode);
+fn engine_with(exprs: &[&str]) -> FilterEngine {
+    let mut engine = FilterEngine::new();
     for e in exprs {
         engine.add_str(e).unwrap();
     }
@@ -50,28 +48,23 @@ fn match_ids(engine: &mut FilterEngine, doc: &PathDoc) -> Vec<u32> {
 #[test]
 fn remove_all_then_readd() {
     let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
-    for mode in MODES {
-        let mut engine = engine_with(&EXPRS, mode);
-        assert!(!match_ids(&mut engine, &doc).is_empty());
-        for i in 0..EXPRS.len() {
-            assert!(engine.remove(SubId(i as u32)), "{mode:?} sub {i}");
-        }
-        assert!(match_ids(&mut engine, &doc).is_empty(), "{mode:?}");
-        assert!(
-            engine.match_bytes(DOC.as_bytes()).unwrap().is_empty(),
-            "{mode:?}"
-        );
-        // Re-add the same expressions; they get fresh ids after the dead
-        // block and must match exactly like a fresh engine.
-        let readded: Vec<SubId> = EXPRS.iter().map(|e| engine.add_str(e).unwrap()).collect();
-        let mut oracle = engine_with(&EXPRS, mode);
-        let want = match_ids(&mut oracle, &doc);
-        let got = match_ids(&mut engine, &doc);
-        let remapped: Vec<u32> = want.iter().map(|&i| readded[i as usize].0).collect();
-        assert_eq!(got, remapped, "{mode:?}");
-        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
-        assert!(engine.incremental_patches() > 0, "{mode:?}");
+    let mut engine = engine_with(&EXPRS);
+    assert!(!match_ids(&mut engine, &doc).is_empty());
+    for i in 0..EXPRS.len() {
+        assert!(engine.remove(SubId(i as u32)), "sub {i}");
     }
+    assert!(match_ids(&mut engine, &doc).is_empty());
+    assert!(engine.match_bytes(DOC.as_bytes()).unwrap().is_empty());
+    // Re-add the same expressions; they get fresh ids after the dead
+    // block and must match exactly like a fresh engine.
+    let readded: Vec<SubId> = EXPRS.iter().map(|e| engine.add_str(e).unwrap()).collect();
+    let mut oracle = engine_with(&EXPRS);
+    let want = match_ids(&mut oracle, &doc);
+    let got = match_ids(&mut engine, &doc);
+    let remapped: Vec<u32> = want.iter().map(|&i| readded[i as usize].0).collect();
+    assert_eq!(got, remapped);
+    assert_eq!(engine.full_rebuilds(), 0);
+    assert!(engine.incremental_patches() > 0);
 }
 
 /// Many subscriptions sharing one expression pile up in the same trie
@@ -80,30 +73,28 @@ fn remove_all_then_readd() {
 #[test]
 fn duplicate_heavy_terminal_removal() {
     let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        for _ in 0..50 {
-            engine.add_str("/a/b").unwrap();
-        }
-        engine.prepare();
-        assert_eq!(match_ids(&mut engine, &doc).len(), 50, "{mode:?}");
-        // Remove every third duplicate, including both ends of the span.
-        let mut removed = Vec::new();
-        for i in (0..50u32).step_by(3) {
-            assert!(engine.remove(SubId(i)), "{mode:?}");
-            removed.push(i);
-        }
-        assert!(engine.remove(SubId(49)), "{mode:?}");
-        removed.push(49);
-        let want: Vec<u32> = (0..50u32).filter(|i| !removed.contains(i)).collect();
-        assert_eq!(match_ids(&mut engine, &doc), want, "{mode:?}");
-        // Removing the rest empties the node entirely.
-        for i in want {
-            assert!(engine.remove(SubId(i)), "{mode:?}");
-        }
-        assert!(match_ids(&mut engine, &doc).is_empty(), "{mode:?}");
-        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
+    let mut engine = FilterEngine::new();
+    for _ in 0..50 {
+        engine.add_str("/a/b").unwrap();
     }
+    engine.prepare();
+    assert_eq!(match_ids(&mut engine, &doc).len(), 50);
+    // Remove every third duplicate, including both ends of the span.
+    let mut removed = Vec::new();
+    for i in (0..50u32).step_by(3) {
+        assert!(engine.remove(SubId(i)));
+        removed.push(i);
+    }
+    assert!(engine.remove(SubId(49)));
+    removed.push(49);
+    let want: Vec<u32> = (0..50u32).filter(|i| !removed.contains(i)).collect();
+    assert_eq!(match_ids(&mut engine, &doc), want);
+    // Removing the rest empties the node entirely.
+    for i in want {
+        assert!(engine.remove(SubId(i)));
+    }
+    assert!(match_ids(&mut engine, &doc).is_empty());
+    assert_eq!(engine.full_rebuilds(), 0);
 }
 
 /// With the compaction threshold forced low, patched adds that relocate
@@ -161,21 +152,19 @@ fn forced_compaction_reclaims_and_preserves_matches() {
 #[test]
 fn steady_state_churn_never_rebuilds() {
     let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        for e in EXPRS {
-            engine.add_str(e).unwrap();
-        }
-        let _ = engine.match_document(&doc);
-        for round in 0..40 {
-            let id = engine.add_str(EXPRS[round % EXPRS.len()]).unwrap();
-            let _ = engine.match_document(&doc);
-            assert!(engine.remove(id));
-            let _ = engine.match_document(&doc);
-        }
-        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
-        assert!(engine.incremental_patches() >= 80, "{mode:?}");
+    let mut engine = FilterEngine::new();
+    for e in EXPRS {
+        engine.add_str(e).unwrap();
     }
+    let _ = engine.match_document(&doc);
+    for round in 0..40 {
+        let id = engine.add_str(EXPRS[round % EXPRS.len()]).unwrap();
+        let _ = engine.match_document(&doc);
+        assert!(engine.remove(id));
+        let _ = engine.match_document(&doc);
+    }
+    assert_eq!(engine.full_rebuilds(), 0);
+    assert!(engine.incremental_patches() >= 80);
 }
 
 /// Removing a nested-path subscription must take its components with it:
@@ -202,47 +191,39 @@ fn nested_churn_leaves_no_residue() {
         "<a><d/><x><c/></x></a>",
     ];
     let docs: Vec<(Document, PathDoc)> = DOCS.iter().map(|d| tree_and_store(d)).collect();
-    for mode in MODES {
-        let mut engine = engine_with(&LIVE, mode);
-        for cycle in 0..5000 {
-            let first = engine.add_str(CHURN[cycle % CHURN.len()]).unwrap();
-            // Two residents at once on some cycles, removed in either
-            // order, so component blocks are recycled out of order.
-            let second =
-                (cycle % 3 == 0).then(|| engine.add_str(CHURN[(cycle + 1) % CHURN.len()]).unwrap());
-            if cycle % 97 == 0 {
-                let _ = engine.match_document(&docs[cycle % docs.len()].1);
-            }
-            assert!(engine.remove(first), "{mode:?} cycle {cycle}");
-            if let Some(second) = second {
-                assert!(engine.remove(second), "{mode:?} cycle {cycle}");
-            }
+    let mut engine = engine_with(&LIVE);
+    for cycle in 0..5000 {
+        let first = engine.add_str(CHURN[cycle % CHURN.len()]).unwrap();
+        // Two residents at once on some cycles, removed in either
+        // order, so component blocks are recycled out of order.
+        let second =
+            (cycle % 3 == 0).then(|| engine.add_str(CHURN[(cycle + 1) % CHURN.len()]).unwrap());
+        if cycle % 97 == 0 {
+            let _ = engine.match_document(&docs[cycle % docs.len()].1);
         }
-        assert_eq!(engine.len(), LIVE.len());
-        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
-        let mut fresh = engine_with(&LIVE, mode);
-        for (src, (tree, doc)) in DOCS.iter().zip(&docs) {
-            engine.reset_stats();
-            fresh.reset_stats();
-            let got = match_ids(&mut engine, doc);
-            assert_eq!(got, match_ids(&mut fresh, doc), "{mode:?} over {src}");
-            for (i, e) in LIVE.iter().enumerate() {
-                assert_eq!(
-                    got.contains(&(i as u32)),
-                    matches_document(&pxf_xpath::parse(e).unwrap(), tree),
-                    "{mode:?}: {e} over {src}"
-                );
-            }
-            let (churned, clean) = (engine.stats(), fresh.stats());
+        assert!(engine.remove(first), "cycle {cycle}");
+        if let Some(second) = second {
+            assert!(engine.remove(second), "cycle {cycle}");
+        }
+    }
+    assert_eq!(engine.len(), LIVE.len());
+    assert_eq!(engine.full_rebuilds(), 0);
+    let mut fresh = engine_with(&LIVE);
+    for (src, (tree, doc)) in DOCS.iter().zip(&docs) {
+        engine.reset_stats();
+        fresh.reset_stats();
+        let got = match_ids(&mut engine, doc);
+        assert_eq!(got, match_ids(&mut fresh, doc), "over {src}");
+        for (i, e) in LIVE.iter().enumerate() {
             assert_eq!(
-                churned.occurrence_runs, clean.occurrence_runs,
-                "{mode:?} over {src}"
-            );
-            assert_eq!(
-                churned.ap_root_probes, clean.ap_root_probes,
-                "{mode:?} over {src}"
+                got.contains(&(i as u32)),
+                matches_document(&pxf_xpath::parse(e).unwrap(), tree),
+                "{e} over {src}"
             );
         }
+        let (churned, clean) = (engine.stats(), fresh.stats());
+        assert_eq!(churned.occurrence_runs, clean.occurrence_runs, "over {src}");
+        assert_eq!(churned.ap_root_probes, clean.ap_root_probes, "over {src}");
     }
 }
 
@@ -263,54 +244,52 @@ fn hot_node_loses_and_gains_children_between_documents() {
         .iter()
         .map(|d| tree_and_store(d))
         .collect();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        // A resident that can never match but names every tag: the path
-        // memo works on interned tags, and a tag only a removed expression
-        // ever named would otherwise split paths the fresh engine merges.
-        let every_tag = format!("/q/{}/x/z", TAGS.join("/"));
-        let mut live = vec![(engine.add_str(&every_tag).unwrap(), every_tag)];
-        for round in 0..48 {
-            // Two adds per removal until six are resident, then one each;
-            // the first resident is never the one removed.
-            let tag = TAGS[(round * 3) % TAGS.len()];
-            let mut adds = vec![if round % 2 == 0 {
-                format!("/a/{tag}/x")
-            } else {
-                format!("/a/{tag}")
-            }];
-            if live.len() < 7 {
-                adds.push(format!("/a/{}", TAGS[(round * 5 + 1) % TAGS.len()]));
-            }
-            for src in adds {
-                live.push((engine.add_str(&src).unwrap(), src));
-            }
-            if round > 0 {
-                let (sub, _) = live.remove(1 + (round * 7) % (live.len() - 1));
-                assert!(engine.remove(sub), "{mode:?} round {round}");
-            }
-            let sources: Vec<&str> = live.iter().map(|(_, src)| src.as_str()).collect();
-            let mut fresh = engine_with(&sources, mode);
-            for (tree, doc) in &docs {
-                engine.reset_stats();
-                fresh.reset_stats();
-                let got = match_ids(&mut engine, doc);
-                let want: Vec<u32> = live
-                    .iter()
-                    .filter(|(_, src)| matches_document(&pxf_xpath::parse(src).unwrap(), tree))
-                    .map(|(sub, _)| sub.0)
-                    .collect();
-                assert_eq!(got, want, "{mode:?} round {round}: {sources:?}");
-                assert_eq!(match_ids(&mut fresh, doc).len(), want.len());
-                assert_eq!(
-                    engine.stats().occurrence_runs,
-                    fresh.stats().occurrence_runs,
-                    "{mode:?} round {round}: {sources:?}"
-                );
-            }
+    let mut engine = FilterEngine::new();
+    // A resident that can never match but names every tag: the path
+    // memo works on interned tags, and a tag only a removed expression
+    // ever named would otherwise split paths the fresh engine merges.
+    let every_tag = format!("/q/{}/x/z", TAGS.join("/"));
+    let mut live = vec![(engine.add_str(&every_tag).unwrap(), every_tag)];
+    for round in 0..48 {
+        // Two adds per removal until six are resident, then one each;
+        // the first resident is never the one removed.
+        let tag = TAGS[(round * 3) % TAGS.len()];
+        let mut adds = vec![if round % 2 == 0 {
+            format!("/a/{tag}/x")
+        } else {
+            format!("/a/{tag}")
+        }];
+        if live.len() < 7 {
+            adds.push(format!("/a/{}", TAGS[(round * 5 + 1) % TAGS.len()]));
         }
-        assert_eq!(engine.full_rebuilds(), 0, "{mode:?}");
+        for src in adds {
+            live.push((engine.add_str(&src).unwrap(), src));
+        }
+        if round > 0 {
+            let (sub, _) = live.remove(1 + (round * 7) % (live.len() - 1));
+            assert!(engine.remove(sub), "round {round}");
+        }
+        let sources: Vec<&str> = live.iter().map(|(_, src)| src.as_str()).collect();
+        let mut fresh = engine_with(&sources);
+        for (tree, doc) in &docs {
+            engine.reset_stats();
+            fresh.reset_stats();
+            let got = match_ids(&mut engine, doc);
+            let want: Vec<u32> = live
+                .iter()
+                .filter(|(_, src)| matches_document(&pxf_xpath::parse(src).unwrap(), tree))
+                .map(|(sub, _)| sub.0)
+                .collect();
+            assert_eq!(got, want, "round {round}: {sources:?}");
+            assert_eq!(match_ids(&mut fresh, doc).len(), want.len());
+            assert_eq!(
+                engine.stats().occurrence_runs,
+                fresh.stats().occurrence_runs,
+                "round {round}: {sources:?}"
+            );
+        }
     }
+    assert_eq!(engine.full_rebuilds(), 0);
 }
 
 /// Removal through the object-safe backend interface behaves like the

@@ -3,7 +3,7 @@
 //! leaves out what the engine holds flatters it. This builds two engines
 //! — the contract's shape (100k distinct plain expressions) and the
 //! shape that populates everything the contract leaves empty (attribute
-//! checks, nested plans) — and holds `index_bytes()` within 10% of the
+//! predicates, nested plans) — and holds `index_bytes()` within 10% of the
 //! live heap the engine's construction added.
 //!
 //! An integration test is its own crate, so the `unsafe` a
@@ -11,7 +11,7 @@
 //! `#![forbid(unsafe_code)]`). One `#[test]`: the counter is
 //! process-wide, and a second test running beside it would be counted.
 
-use pxf_core::{AttrMode, FilterEngine};
+use pxf_core::FilterEngine;
 use pxf_workload::{Regime, XPathGenerator};
 use pxf_xpath::XPathExpr;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,9 +67,9 @@ fn generate(
 
 /// Builds and `prepare()`s an engine over `exprs` and returns what it
 /// reports beside what the allocator saw it add.
-fn reported_and_live(mode: AttrMode, exprs: &[XPathExpr]) -> (FilterEngine, usize, usize) {
+fn reported_and_live(exprs: &[XPathExpr]) -> (FilterEngine, usize, usize) {
     let before = LIVE.load(Ordering::Relaxed);
-    let mut engine = FilterEngine::new(mode);
+    let mut engine = FilterEngine::new();
     for e in exprs {
         engine.add(e).unwrap();
     }
@@ -93,13 +93,13 @@ fn index_bytes_is_within_a_tenth_of_the_live_heap() {
 
     let plain = generate(&nitf, 100_000, 0, 0.0);
     assert_eq!(plain.len(), 100_000);
-    let (engine, reported, live) = reported_and_live(AttrMode::Inline, &plain);
+    let (engine, reported, live) = reported_and_live(&plain);
     println!(
-        "100k distinct NITF, Inline: index_bytes {reported} ({:.1} B/sub), live heap {live} ({:.1} B/sub)",
+        "100k distinct NITF: index_bytes {reported} ({:.1} B/sub), live heap {live} ({:.1} B/sub)",
         reported as f64 / engine.len() as f64,
         live as f64 / engine.len() as f64,
     );
-    assert_within_a_tenth(reported, live, "100k distinct NITF, Inline");
+    assert_within_a_tenth(reported, live, "100k distinct NITF");
     drop((engine, plain));
 
     let mut mixed = generate(&nitf, 20_000, 2, 0.0);
@@ -109,10 +109,8 @@ fn index_bytes_is_within_a_tenth_of_the_live_heap() {
         .any(|e| e.steps.iter().any(|s| s.attr_filters().next().is_some())));
     assert!(nested.iter().filter(|e| e.has_nested_paths()).count() > 900);
     mixed.extend(nested);
-    let (engine, reported, live) = reported_and_live(AttrMode::Postponed, &mixed);
-    println!(
-        "20k attribute-filtered + 1k nested, Postponed: index_bytes {reported}, live heap {live}"
-    );
-    assert_within_a_tenth(reported, live, "20k filtered + 1k nested, Postponed");
+    let (engine, reported, live) = reported_and_live(&mixed);
+    println!("20k attribute-filtered + 1k nested: index_bytes {reported}, live heap {live}");
+    assert_within_a_tenth(reported, live, "20k filtered + 1k nested");
     drop(engine);
 }

@@ -1,15 +1,15 @@
 //! Tests for the paper-notation renderer and the engine's statistics
 //! surface (the instrumentation behind Fig. 10).
 
-use pxf_core::encode::{encode_single_path, AttrMode};
+use pxf_core::encode::encode_single_path;
 use pxf_core::FilterEngine;
 use pxf_xml::{Interner, PathDoc};
 use pxf_xpath::parse;
 
-fn notation(src: &str, mode: AttrMode) -> String {
+fn notation(src: &str) -> String {
     let expr = parse(src).unwrap();
     let mut interner = Interner::new();
-    let enc = encode_single_path(&expr, &mut interner, mode).unwrap();
+    let enc = encode_single_path(&expr, &mut interner).unwrap();
     enc.preds
         .iter()
         .map(|p| p.to_notation(&interner))
@@ -19,24 +19,21 @@ fn notation(src: &str, mode: AttrMode) -> String {
 
 #[test]
 fn notation_covers_every_predicate_type() {
-    assert_eq!(notation("/*/*/*", AttrMode::Postponed), "(length, >=, 3)");
+    assert_eq!(notation("/*/*/*"), "(length, >=, 3)");
     assert_eq!(
-        notation("/a//b/*", AttrMode::Postponed),
+        notation("/a//b/*"),
         "(p_a, =, 1) -> (d(p_a, p_b), >=, 1) -> (p_b-|, >=, 1)"
     );
-    assert_eq!(notation("*/x", AttrMode::Postponed), "(p_x, >=, 2)");
+    assert_eq!(notation("*/x"), "(p_x, >=, 2)");
 }
 
 #[test]
 fn notation_renders_attribute_constraints() {
-    assert_eq!(
-        notation("/a[@k = \"v\"]", AttrMode::Inline),
-        "(p_a([k, =, \"v\"]), =, 1)"
-    );
-    assert_eq!(notation("/a[@k]", AttrMode::Inline), "(p_a([k]), =, 1)");
+    assert_eq!(notation("/a[@k = \"v\"]"), "(p_a([k, =, \"v\"]), =, 1)");
+    assert_eq!(notation("/a[@k]"), "(p_a([k]), =, 1)");
     // Multiple constraints are rendered sorted by name.
     assert_eq!(
-        notation("/a[@z = 1][@b >= 2]", AttrMode::Inline),
+        notation("/a[@z = 1][@b >= 2]"),
         "(p_a([b, >=, 2], [z, =, 1]), =, 1)"
     );
 }
@@ -44,7 +41,7 @@ fn notation_renders_attribute_constraints() {
 #[test]
 fn notation_renders_text_filters() {
     assert_eq!(
-        notation("/a[text() = \"w\"]", AttrMode::Inline),
+        notation("/a[text() = \"w\"]"),
         "(p_a([text(), =, \"w\"]), =, 1)"
     );
 }
@@ -104,8 +101,8 @@ fn ap_root_probes_touch_only_satisfied_clusters() {
     assert_eq!(s.memo_path_skips, 1, "{s:?}");
 }
 
-/// Stage-2 work, pinned: `(regime, attribute filters per expression,
-/// mode) → (occurrence_runs, matches, memo_path_skips, memo_replays)` over
+/// Stage-2 work, pinned: `(regime, attribute filters per expression) →
+/// (occurrence_runs, matches, memo_path_skips, memo_replays)` over
 /// 2k seeded expressions × 64 seeded documents. A change to the walk that
 /// visits one node more or fewer — weaker or stronger subtree pruning, a
 /// path walked that should have been replayed — moves `occurrence_runs`;
@@ -125,17 +122,13 @@ fn ap_root_probes_touch_only_satisfied_clusters() {
 #[test]
 fn stage2_pruning_counts_are_pinned() {
     use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
-    const PINNED: [(&str, usize, AttrMode, [u64; 4]); 8] = [
-        ("nitf", 0, AttrMode::Inline, [23906, 13224, 4974, 300]),
-        ("nitf", 0, AttrMode::Postponed, [23906, 13224, 4974, 300]),
-        ("nitf", 1, AttrMode::Inline, [760993, 9123, 0, 0]),
-        ("nitf", 1, AttrMode::Postponed, [1042330, 9123, 0, 0]),
-        ("psd", 0, AttrMode::Inline, [7804, 95752, 8689, 1834]),
-        ("psd", 0, AttrMode::Postponed, [7804, 95752, 8689, 1834]),
-        ("psd", 1, AttrMode::Inline, [2229600, 51986, 0, 0]),
-        ("psd", 1, AttrMode::Postponed, [3952263, 51986, 0, 0]),
+    const PINNED: [(&str, usize, [u64; 4]); 4] = [
+        ("nitf", 0, [23906, 13224, 4974, 300]),
+        ("nitf", 1, [760993, 9123, 0, 0]),
+        ("psd", 0, [7804, 95752, 8689, 1834]),
+        ("psd", 1, [2229600, 51986, 0, 0]),
     ];
-    for (name, attr_filters, mode, want) in PINNED {
+    for (name, attr_filters, want) in PINNED {
         let regime = match name {
             "nitf" => Regime::nitf(),
             _ => Regime::psd(),
@@ -146,7 +139,7 @@ fn stage2_pruning_counts_are_pinned() {
         xp.seed = 14;
         let mut xm = regime.xml.clone();
         xm.seed = 15;
-        let mut engine = FilterEngine::new(mode);
+        let mut engine = FilterEngine::new();
         for e in XPathGenerator::new(&regime.dtd, xp).generate() {
             engine.add(&e).unwrap();
         }
@@ -162,7 +155,7 @@ fn stage2_pruning_counts_are_pinned() {
                 s.memo_replays
             ],
             want,
-            "{name}, {attr_filters} attribute filters, {mode:?}"
+            "{name}, {attr_filters} attribute filters"
         );
     }
 }

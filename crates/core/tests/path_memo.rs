@@ -7,7 +7,7 @@
 //! ever used under another.
 
 use pxf_core::reference::matches_document;
-use pxf_core::{AttrMode, EngineStats, FilterEngine, MatchScratch, SubId};
+use pxf_core::{EngineStats, FilterEngine, MatchScratch, SubId};
 use pxf_rng::Rng;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xml::{Document, PathDoc};
@@ -40,9 +40,9 @@ struct Model {
 }
 
 impl Model {
-    fn new(mode: AttrMode, exprs: &[XPathExpr], docs: Vec<Document>) -> Self {
+    fn new(exprs: &[XPathExpr], docs: Vec<Document>) -> Self {
         let mut model = Model {
-            engine: FilterEngine::new(mode),
+            engine: FilterEngine::new(),
             want: vec![Vec::new(); docs.len()],
             stores: docs
                 .iter()
@@ -110,7 +110,6 @@ fn replay_equals_walk_equals_oracle_in_any_order() {
     for (regime, seed) in [(Regime::nitf(), 0x15a), (Regime::psd(), 0x15b)] {
         let name = regime.name;
         let model = Model::new(
-            AttrMode::Inline,
             &expressions(&regime, 2000, seed),
             documents(&regime, 64, seed + 1),
         );
@@ -144,7 +143,6 @@ fn a_path_is_walked_then_recorded_then_replayed() {
     for (regime, seed) in [(Regime::nitf(), 0x25a), (Regime::psd(), 0x25b)] {
         let name = regime.name;
         let model = Model::new(
-            AttrMode::Inline,
             &expressions(&regime, 2000, seed),
             documents(&regime, 9, seed + 1),
         );
@@ -216,7 +214,7 @@ fn no_record_survives_a_change_of_the_subscription_set() {
         let name = regime.name;
         let pool = expressions(&regime, 2040, seed);
         let (resident, fresh) = pool.split_at(2000);
-        let mut model = Model::new(AttrMode::Inline, resident, documents(&regime, 16, seed + 1));
+        let mut model = Model::new(resident, documents(&regime, 16, seed + 1));
         let mut scratch = MatchScratch::new();
         model.check_all(&mut scratch, &format!("{name}, warm-up"));
         assert!(scratch.stats().memo_replays > 0, "{name}: memo is warm");
@@ -289,14 +287,12 @@ fn one_attribute_filter_turns_the_memo_off() {
     let exprs = expressions(&regime, 2000, 0x45a);
     let docs = documents(&regime, 16, 0x45b);
     let filtered = pxf_xpath::parse("//meta[@name]").unwrap();
-    for mode in [AttrMode::Inline, AttrMode::Postponed] {
-        let mut model = Model::new(mode, &exprs, docs.clone());
-        let id = model.add(&filtered);
-        assert!(model.is_matched(id), "{mode:?}: the filter selects nothing");
-        let mut scratch = MatchScratch::new();
-        model.check_all(&mut scratch, &format!("{mode:?}"));
-        let s = scratch.stats();
-        assert_eq!([s.memo_replays, s.memo_path_skips], [0, 0], "{mode:?}");
-        assert!(s.stage2_walks > 0, "{mode:?}");
-    }
+    let mut model = Model::new(&exprs, docs.clone());
+    let id = model.add(&filtered);
+    assert!(model.is_matched(id), "the filter selects nothing");
+    let mut scratch = MatchScratch::new();
+    model.check_all(&mut scratch, "one filter");
+    let s = scratch.stats();
+    assert_eq!([s.memo_replays, s.memo_path_skips], [0, 0]);
+    assert!(s.stage2_walks > 0);
 }

@@ -2,7 +2,7 @@
 //! matches a document path iff its predicate encoding matches the path's
 //! publication encoding. Seeded randomized sweep (in-tree PRNG).
 
-use pxf_core::encode::{encode_single_path, AttrMode};
+use pxf_core::encode::encode_single_path;
 use pxf_core::occurrence::{determine_match, for_each_combination};
 use pxf_core::reference::{matches_path, TagsView};
 use pxf_predicate::{MatchContext, PredicateIndex, Publication};
@@ -56,7 +56,7 @@ fn encoding_theorem() {
         // Right side: predicate encoding + predicate matching + occurrence
         // determination.
         let mut interner = Interner::new();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Postponed).unwrap();
+        let enc = encode_single_path(&expr, &mut interner).unwrap();
         let mut index = PredicateIndex::new();
         let pids: Vec<_> = enc.preds.iter().map(|p| index.insert(p.clone())).collect();
         let publication = Publication::from_tags(&tags, &mut interner);

@@ -1,9 +1,9 @@
 //! Seeded randomized churn property suite: random interleavings of
 //! add / remove / match, applied to a *live* engine that patches its
 //! index in place, must be indistinguishable from a fresh engine
-//! rebuilt from the surviving subscription set — in both attribute
-//! modes and through both entry points (a store the caller parsed, and
-//! raw bytes into the engine's own).
+//! rebuilt from the surviving subscription set — through both entry
+//! points (a store the caller parsed, and raw bytes into the engine's
+//! own).
 //!
 //! The incremental paths under test: packed-trie column appends, sink
 //! detaches with node pruning, predicate reference counting with slot
@@ -16,7 +16,7 @@
 //! A `SnapshotPublisher` applies the same script, so every batch is also
 //! an op-log replay (or a deep clone) whose snapshot must match the oracle.
 
-use pxf_core::{AttrMode, FilterEngine, MatchScratch, SnapshotPublisher, SubId};
+use pxf_core::{FilterEngine, MatchScratch, SnapshotPublisher, SubId};
 use pxf_rng::Rng;
 use pxf_xml::PathDoc;
 use pxf_xpath::XPathExpr;
@@ -98,7 +98,6 @@ fn arb_doc_xml(rng: &mut Rng, depth: usize) -> String {
 /// One random op script: initial adds, then batches of interleaved
 /// adds/removes, with the document set to check after every batch.
 struct Script {
-    attr_mode: AttrMode,
     initial: Vec<XPathExpr>,
     /// Per batch: (new exprs to add, indices into the live-id order to
     /// remove — resolved against the current live set at run time).
@@ -107,11 +106,9 @@ struct Script {
 }
 
 fn arb_script(rng: &mut Rng, plain: bool) -> Script {
-    let attr_mode = if rng.gen_bool(0.5) {
-        AttrMode::Inline
-    } else {
-        AttrMode::Postponed
-    };
+    // The draw that once picked an attribute mode: the seeded scripts
+    // stay the ones the suite has always run.
+    rng.gen_bool(0.5);
     let initial = (0..rng.gen_range(3..9usize))
         .map(|_| arb_expr(rng, plain))
         .collect();
@@ -130,7 +127,6 @@ fn arb_script(rng: &mut Rng, plain: bool) -> Script {
         .map(|_| arb_doc_xml(rng, 4))
         .collect();
     Script {
-        attr_mode,
         initial,
         batches,
         docs,
@@ -142,8 +138,7 @@ fn arb_script(rng: &mut Rng, plain: bool) -> Script {
 /// incremental patches the live engine performed and of leaf paths the
 /// script-long scratch answered by replay.
 fn run_script(script: &Script) -> (u64, u64) {
-    let ctx = format!("{:?}", script.attr_mode);
-    let mut engine = FilterEngine::new(script.attr_mode);
+    let mut engine = FilterEngine::new();
     // SubId → live expression (None once removed).
     let mut subs: Vec<Option<XPathExpr>> = Vec::new();
     for e in &script.initial {
@@ -169,8 +164,8 @@ fn run_script(script: &Script) -> (u64, u64) {
     for (batch_no, (adds, removes)) in script.batches.iter().enumerate() {
         for e in adds {
             let id = engine.add(e).unwrap();
-            assert_eq!(publisher.add(e).unwrap(), id, "{ctx}");
-            assert_eq!(id.0 as usize, subs.len(), "{ctx}");
+            assert_eq!(publisher.add(e).unwrap(), id);
+            assert_eq!(id.0 as usize, subs.len());
             subs.push(Some(e.clone()));
         }
         for &pick in removes {
@@ -179,19 +174,19 @@ fn run_script(script: &Script) -> (u64, u64) {
                 continue;
             }
             let victim = live[pick % live.len()];
-            assert!(engine.remove(SubId(victim as u32)), "{ctx}");
-            assert!(publisher.remove(SubId(victim as u32)), "{ctx}");
+            assert!(engine.remove(SubId(victim as u32)));
+            assert!(publisher.remove(SubId(victim as u32)));
             subs[victim] = None;
             // Double-remove must be rejected without corrupting state.
-            assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
+            assert!(!engine.remove(SubId(victim as u32)));
         }
 
         publisher.publish();
         let snapshot = handle.load();
         pinned = (batch_no % 2 == 0).then(|| snapshot.clone());
 
-        // Oracle: fresh engine over the surviving set, same mode.
-        let mut oracle = FilterEngine::new(script.attr_mode);
+        // Oracle: fresh engine over the surviving set.
+        let mut oracle = FilterEngine::new();
         let mut kept_orig: Vec<u32> = Vec::new();
         for (i, e) in subs.iter().enumerate() {
             if let Some(e) = e {
@@ -206,20 +201,14 @@ fn run_script(script: &Script) -> (u64, u64) {
                 .map(|s| kept_orig[s.0 as usize])
                 .collect();
             let got: Vec<u32> = engine.match_document(doc).iter().map(|s| s.0).collect();
-            assert_eq!(
-                got, want,
-                "{ctx}, batch {batch_no}, caller's store, doc {src}"
-            );
+            assert_eq!(got, want, "batch {batch_no}, caller's store, doc {src}");
             let published: Vec<u32> = snapshot
                 .matcher()
                 .match_document(doc)
                 .iter()
                 .map(|s| s.0)
                 .collect();
-            assert_eq!(
-                published, want,
-                "{ctx}, batch {batch_no}, snapshot, doc {src}"
-            );
+            assert_eq!(published, want, "batch {batch_no}, snapshot, doc {src}");
             for sighting in 0..3 {
                 let again: Vec<u32> = engine
                     .match_document_with(doc, &mut scratch)
@@ -228,7 +217,7 @@ fn run_script(script: &Script) -> (u64, u64) {
                     .collect();
                 assert_eq!(
                     again, want,
-                    "{ctx}, batch {batch_no}, long-lived scratch, sighting {sighting}, doc {src}"
+                    "batch {batch_no}, long-lived scratch, sighting {sighting}, doc {src}"
                 );
             }
             let streamed: Vec<u32> = engine
@@ -239,7 +228,7 @@ fn run_script(script: &Script) -> (u64, u64) {
                 .collect();
             assert_eq!(
                 streamed, want,
-                "{ctx}, batch {batch_no}, engine's store, doc {src}"
+                "batch {batch_no}, engine's store, doc {src}"
             );
         }
     }

@@ -6,8 +6,7 @@
 //!    root-to-leaf path produces — same matched predicates, same
 //!    occurrence-pair lists.
 //! 2. The engine's match sets (on the flat store, caller-held and its
-//!    own) equal the reference oracle's (on the tree) for both attribute
-//!    modes.
+//!    own) equal the reference oracle's (on the tree).
 //! 3. The same across the 128-element boundary, where stage 2 switches
 //!    its occurrence set from a `u128` to a heap bitset: documents with
 //!    one 100–300-element path beside shallow ones, under adds and
@@ -19,11 +18,11 @@
 //!
 //! Workloads include repeated-tag documents (exercising occurrence
 //! numbers and the duplicate-path memo), mixed content, and attribute
-//! filters (inline and selection-postponed).
+//! filters.
 
 use pxf_core::encode::encode_single_path;
 use pxf_core::reference::matches_document;
-use pxf_core::{AttrMode, FilterEngine, SubId};
+use pxf_core::{FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_rng::Rng;
 use pxf_xml::{
@@ -220,16 +219,15 @@ impl ElementVisitor for CtxChecker<'_> {
     }
 }
 
-/// The predicates of one to seven random single-path expressions, in
-/// inline mode so that attribute constraints become index-side predicates
-/// (the attr side-lists of `eval_enter`/`eval_leaf`).
+/// The predicates of one to seven random single-path expressions; their
+/// attribute constraints are index-side predicates (the attr side-lists
+/// of `eval_enter`/`eval_leaf`).
 fn arb_index(rng: &mut Rng) -> (Interner, PredicateIndex) {
     let mut interner = Interner::new();
     let mut index = PredicateIndex::new();
     for _ in 0..rng.gen_range(1..8usize) {
         let expr = arb_expr(rng, false);
-        let enc = encode_single_path(&expr, &mut interner, pxf_core::encode::AttrMode::Inline)
-            .expect("single-path expressions encode");
+        let enc = encode_single_path(&expr, &mut interner).expect("single-path expressions encode");
         for pred in enc.preds {
             index.insert(pred);
         }
@@ -396,8 +394,8 @@ fn deferred_evaluation_equals_eager_at_every_catch_up() {
     );
 }
 
-/// Property 2: the engine agrees with the reference oracle for both
-/// attribute modes, on a store the caller parsed and on its own.
+/// Property 2: the engine agrees with the reference oracle, on a store the
+/// caller parsed and on its own.
 #[test]
 fn engine_agrees_with_oracle_through_both_entry_points() {
     let mut rng = Rng::seed_from_u64(0x1c52);
@@ -419,18 +417,16 @@ fn engine_agrees_with_oracle_through_both_entry_points() {
                 .filter(|(_, e)| matches_document(e, &doc))
                 .map(|(i, _)| i as u32)
                 .collect();
-            for mode in [AttrMode::Inline, AttrMode::Postponed] {
-                let mut engine = FilterEngine::new(mode);
-                for e in &exprs {
-                    engine.add(e).unwrap();
-                }
-                let ctx = format!("round {round} {mode:?}");
-                let got: Vec<u32> = engine.match_document(&flat).iter().map(|s| s.0).collect();
-                assert_eq!(got, oracle, "{ctx} vs oracle on {xml}");
-                let streamed = engine.match_bytes(xml.as_bytes()).unwrap();
-                let streamed: Vec<u32> = streamed.iter().map(|s| s.0).collect();
-                assert_eq!(streamed, oracle, "{ctx}, the engine's own store");
+            let mut engine = FilterEngine::new();
+            for e in &exprs {
+                engine.add(e).unwrap();
             }
+            let ctx = format!("round {round}");
+            let got: Vec<u32> = engine.match_document(&flat).iter().map(|s| s.0).collect();
+            assert_eq!(got, oracle, "{ctx} vs oracle on {xml}");
+            let streamed = engine.match_bytes(xml.as_bytes()).unwrap();
+            let streamed: Vec<u32> = streamed.iter().map(|s| s.0).collect();
+            assert_eq!(streamed, oracle, "{ctx}, the engine's own store");
         }
     }
 }
@@ -531,36 +527,34 @@ fn deep_paths_agree_with_oracle_across_the_128_boundary() {
             assert!(!matches_document(&witnesses[0], &doc), "round {round}");
             assert!(matches_document(&witnesses[1], &doc), "round {round}");
         }
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            let ctx = format!("round {round} depth {depth} {mode:?}");
-            // The first half is compiled in bulk; the second half, the
-            // removals and the witnesses patch the compiled index.
-            let mut engine = FilterEngine::new(mode);
-            let half = exprs.len() / 2;
-            let mut live: Vec<(SubId, &XPathExpr)> = exprs[..half]
-                .iter()
-                .map(|e| (engine.add(e).unwrap(), e))
-                .collect();
-            engine.prepare();
-            for e in &exprs[half..] {
-                live.push((engine.add(e).unwrap(), e));
-            }
-            for _ in 0..live.len() / 3 {
-                let (id, _) = live.swap_remove(rng.gen_range(0..live.len()));
-                assert!(engine.remove(id), "{ctx}");
-            }
-            for e in &witnesses {
-                live.push((engine.add(e).unwrap(), e));
-            }
-            assert_eq!(engine.full_rebuilds(), 0, "{ctx}");
-            let matched = engine.match_document(&flat);
-            for (id, e) in &live {
-                assert_eq!(
-                    matched.contains(id),
-                    matches_document(e, &doc),
-                    "{ctx}: {e} over a {depth}-deep document"
-                );
-            }
+        let ctx = format!("round {round} depth {depth}");
+        // The first half is compiled in bulk; the second half, the
+        // removals and the witnesses patch the compiled index.
+        let mut engine = FilterEngine::new();
+        let half = exprs.len() / 2;
+        let mut live: Vec<(SubId, &XPathExpr)> = exprs[..half]
+            .iter()
+            .map(|e| (engine.add(e).unwrap(), e))
+            .collect();
+        engine.prepare();
+        for e in &exprs[half..] {
+            live.push((engine.add(e).unwrap(), e));
+        }
+        for _ in 0..live.len() / 3 {
+            let (id, _) = live.swap_remove(rng.gen_range(0..live.len()));
+            assert!(engine.remove(id), "{ctx}");
+        }
+        for e in &witnesses {
+            live.push((engine.add(e).unwrap(), e));
+        }
+        assert_eq!(engine.full_rebuilds(), 0, "{ctx}");
+        let matched = engine.match_document(&flat);
+        for (id, e) in &live {
+            assert_eq!(
+                matched.contains(id),
+                matches_document(e, &doc),
+                "{ctx}: {e} over a {depth}-deep document"
+            );
         }
     }
     assert!(

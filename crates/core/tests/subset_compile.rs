@@ -3,12 +3,12 @@
 //! reported under its own [`SubId`] exactly when the brute-force
 //! reference evaluator ([`pxf_core::reference::matches_document`], which
 //! knows nothing about canonical forms) says its expression matches —
-//! in both attribute modes, including under churn that exercises the
+//! including under churn that exercises the
 //! group patch paths: removing one member of a canonical group, removing the
 //! last member, and re-adding after the group died.
 
 use pxf_core::reference::matches_document;
-use pxf_core::{AttrMode, FilterEngine, SubId, SubsetStats};
+use pxf_core::{FilterEngine, SubId, SubsetStats};
 use pxf_rng::Rng;
 use pxf_xml::{Document, PathDoc};
 use pxf_xpath::XPathExpr;
@@ -127,10 +127,8 @@ fn arb_doc_xml(rng: &mut Rng, depth: usize) -> String {
     format!("<{tag}{attr}>{children}</{tag}>")
 }
 
-const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
-
-fn engine_with(attr: AttrMode, exprs: &[XPathExpr]) -> FilterEngine {
-    let mut engine = FilterEngine::new(attr);
+fn engine_with(exprs: &[XPathExpr]) -> FilterEngine {
+    let mut engine = FilterEngine::new();
     for e in exprs {
         engine.add(e).unwrap();
     }
@@ -168,20 +166,17 @@ fn deduped_engine_matches_reference() {
         let docs: Vec<String> = (0..rng.gen_range(1..4usize))
             .map(|_| arb_doc_xml(&mut rng, 4))
             .collect();
-        for attr in MODES {
-            let ctx = format!("{attr:?}");
-            let mut engine = engine_with(attr, &exprs);
-            dedup_seen |= engine.subset_stats().canonical < engine.subset_stats().registered;
-            for src in &docs {
-                let want = reference_ids(&subs, src);
-                assert_eq!(
-                    engine.match_document(&store(src)),
-                    want,
-                    "{ctx}, caller's store, doc {src}"
-                );
-                let streamed = engine.match_bytes(src.as_bytes()).unwrap();
-                assert_eq!(streamed, want, "{ctx}, engine's store, doc {src}");
-            }
+        let mut engine = engine_with(&exprs);
+        dedup_seen |= engine.subset_stats().canonical < engine.subset_stats().registered;
+        for src in &docs {
+            let want = reference_ids(&subs, src);
+            assert_eq!(
+                engine.match_document(&store(src)),
+                want,
+                "caller's store, doc {src}"
+            );
+            let streamed = engine.match_bytes(src.as_bytes()).unwrap();
+            assert_eq!(streamed, want, "engine's store, doc {src}");
         }
     }
     assert!(dedup_seen, "the sweep never produced a deduped population");
@@ -210,43 +205,41 @@ fn dedup_churn_battery_patches_in_place() {
         let docs: Vec<String> = (0..rng.gen_range(1..3usize))
             .map(|_| arb_doc_xml(&mut rng, 4))
             .collect();
-        for attr in MODES {
-            let ctx = format!("round {round}, {attr:?}");
-            let mut engine = engine_with(attr, &initial);
-            let mut subs: Vec<Option<XPathExpr>> = initial.iter().cloned().map(Some).collect();
-            // First match triggers the bulk prepare; everything after
-            // must patch in place.
-            let _ = engine.match_document(&store(&docs[0]));
-            for (adds, removes) in &batches {
-                for e in adds {
-                    let id = engine.add(e).unwrap();
-                    assert_eq!(id.0 as usize, subs.len(), "{ctx}");
-                    subs.push(Some(e.clone()));
-                }
-                for &pick in removes {
-                    let live: Vec<usize> = (0..subs.len()).filter(|&i| subs[i].is_some()).collect();
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let victim = live[pick % live.len()];
-                    assert!(engine.remove(SubId(victim as u32)), "{ctx}");
-                    subs[victim] = None;
-                    assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
-                }
-                for src in &docs {
-                    assert_eq!(
-                        engine.match_document(&store(src)),
-                        reference_ids(&subs, src),
-                        "{ctx}, doc {src}"
-                    );
-                }
+        let ctx = format!("round {round}");
+        let mut engine = engine_with(&initial);
+        let mut subs: Vec<Option<XPathExpr>> = initial.iter().cloned().map(Some).collect();
+        // First match triggers the bulk prepare; everything after
+        // must patch in place.
+        let _ = engine.match_document(&store(&docs[0]));
+        for (adds, removes) in &batches {
+            for e in adds {
+                let id = engine.add(e).unwrap();
+                assert_eq!(id.0 as usize, subs.len(), "{ctx}");
+                subs.push(Some(e.clone()));
             }
-            assert_eq!(
-                engine.full_rebuilds(),
-                0,
-                "{ctx}: dedup-aware churn must never trigger a full rebuild"
-            );
+            for &pick in removes {
+                let live: Vec<usize> = (0..subs.len()).filter(|&i| subs[i].is_some()).collect();
+                if live.is_empty() {
+                    continue;
+                }
+                let victim = live[pick % live.len()];
+                assert!(engine.remove(SubId(victim as u32)), "{ctx}");
+                subs[victim] = None;
+                assert!(!engine.remove(SubId(victim as u32)), "{ctx}");
+            }
+            for src in &docs {
+                assert_eq!(
+                    engine.match_document(&store(src)),
+                    reference_ids(&subs, src),
+                    "{ctx}, doc {src}"
+                );
+            }
         }
+        assert_eq!(
+            engine.full_rebuilds(),
+            0,
+            "{ctx}: dedup-aware churn must never trigger a full rebuild"
+        );
     }
 }
 
@@ -257,47 +250,44 @@ fn dedup_churn_battery_patches_in_place() {
 #[test]
 fn removing_one_deduped_subscriber_keeps_the_rest() {
     let docs = ["<a><b/></a>", "<a><c/></a>", "<x><a><b/></a></x>"];
-    for attr in MODES {
-        let ctx = format!("{attr:?}");
-        let expr = pxf_xpath::parse("/a/b").unwrap();
-        let mut engine = engine_with(attr, &[]);
-        let mut subs: Vec<Option<XPathExpr>> = Vec::new();
-        let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>], what: &str| {
-            for src in docs {
-                assert_eq!(
-                    engine.match_document(&store(src)),
-                    reference_ids(subs, src),
-                    "{ctx}: {what}"
-                );
-            }
-        };
-        for _ in 0..3 {
-            engine.add(&expr).unwrap();
-            subs.push(Some(expr.clone()));
+    let expr = pxf_xpath::parse("/a/b").unwrap();
+    let mut engine = engine_with(&[]);
+    let mut subs: Vec<Option<XPathExpr>> = Vec::new();
+    let check = |engine: &mut FilterEngine, subs: &[Option<XPathExpr>], what: &str| {
+        for src in docs {
+            assert_eq!(
+                engine.match_document(&store(src)),
+                reference_ids(subs, src),
+                "{what}"
+            );
         }
-        let stats = engine.subset_stats();
-        assert_eq!((stats.registered, stats.canonical), (3, 1), "{ctx}");
-        check(&mut engine, &subs, "three members");
-
-        assert!(engine.remove(SubId(1)), "{ctx}");
-        subs[1] = None;
-        check(&mut engine, &subs, "one member removed");
-        assert_eq!(engine.full_rebuilds(), 0, "{ctx}");
-
-        // Removing the rest empties the group and releases its chain.
-        assert!(engine.remove(SubId(0)) && engine.remove(SubId(2)), "{ctx}");
-        subs[0] = None;
-        subs[2] = None;
-        check(&mut engine, &subs, "last member removed");
-        assert_eq!(engine.subset_stats().canonical, 0, "{ctx}");
-
-        // A re-registration after the group died starts a fresh group.
-        assert_eq!(engine.add(&expr).unwrap(), SubId(3), "{ctx}");
+    };
+    for _ in 0..3 {
+        engine.add(&expr).unwrap();
         subs.push(Some(expr.clone()));
-        check(&mut engine, &subs, "re-added after group death");
-        let stats = engine.subset_stats();
-        assert_eq!((stats.registered, stats.canonical), (1, 1), "{ctx}");
     }
+    let stats = engine.subset_stats();
+    assert_eq!((stats.registered, stats.canonical), (3, 1));
+    check(&mut engine, &subs, "three members");
+
+    assert!(engine.remove(SubId(1)));
+    subs[1] = None;
+    check(&mut engine, &subs, "one member removed");
+    assert_eq!(engine.full_rebuilds(), 0);
+
+    // Removing the rest empties the group and releases its chain.
+    assert!(engine.remove(SubId(0)) && engine.remove(SubId(2)));
+    subs[0] = None;
+    subs[2] = None;
+    check(&mut engine, &subs, "last member removed");
+    assert_eq!(engine.subset_stats().canonical, 0);
+
+    // A re-registration after the group died starts a fresh group.
+    assert_eq!(engine.add(&expr).unwrap(), SubId(3));
+    subs.push(Some(expr.clone()));
+    check(&mut engine, &subs, "re-added after group death");
+    let stats = engine.subset_stats();
+    assert_eq!((stats.registered, stats.canonical), (1, 1));
 }
 
 /// Textually different, canonically equal expressions (the rewrites of
@@ -336,22 +326,20 @@ fn canonically_equal_spellings_share_an_entry_and_keep_their_ids() {
             "{left} vs {right}: spellings must differ"
         );
         let subs: Vec<Option<XPathExpr>> = exprs.iter().cloned().map(Some).collect();
-        for attr in MODES {
-            let ctx = format!("{left} | {right}, {attr:?}");
-            let mut engine = engine_with(attr, &exprs);
-            assert_eq!(
-                engine.subset_stats(),
-                SubsetStats {
-                    registered: 2,
-                    canonical: 1
-                },
-                "{ctx}"
-            );
-            for src in &docs {
-                let want = reference_ids(&subs, src);
-                matched_some[pi] |= !want.is_empty();
-                assert_eq!(engine.match_document(&store(src)), want, "{ctx}, doc {src}");
-            }
+        let ctx = format!("{left} | {right}");
+        let mut engine = engine_with(&exprs);
+        assert_eq!(
+            engine.subset_stats(),
+            SubsetStats {
+                registered: 2,
+                canonical: 1
+            },
+            "{ctx}"
+        );
+        for src in &docs {
+            let want = reference_ids(&subs, src);
+            matched_some[pi] |= !want.is_empty();
+            assert_eq!(engine.match_document(&store(src)), want, "{ctx}, doc {src}");
         }
     }
     assert_eq!(

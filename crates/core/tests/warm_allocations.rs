@@ -9,7 +9,7 @@
 //! of the library crates, and one `#[test]` keeps a second test's
 //! allocations out of the count.
 
-use pxf_core::{AttrMode, FilterEngine, MatchScratch};
+use pxf_core::{FilterEngine, MatchScratch};
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
 use pxf_xml::Document;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -49,15 +49,10 @@ static ALLOCATOR: Counting = Counting;
 /// An engine over `n` seeded expressions of the regime plus `/*`, which
 /// every document matches (so every result vector is one allocation),
 /// and 64 documents of the regime as bytes.
-fn workload(
-    regime: &Regime,
-    mode: AttrMode,
-    n: usize,
-    attr_filters: usize,
-) -> (FilterEngine, Vec<Vec<u8>>) {
+fn workload(regime: &Regime, n: usize, attr_filters: usize) -> (FilterEngine, Vec<Vec<u8>>) {
     let mut xp = regime.xpath.clone();
     (xp.count, xp.seed, xp.attr_filters) = (n, 0x27_0000 + n as u64, attr_filters);
-    let mut engine = FilterEngine::new(mode);
+    let mut engine = FilterEngine::new();
     for e in XPathGenerator::new(&regime.dtd, xp).generate() {
         engine.add(&e).unwrap();
     }
@@ -100,19 +95,13 @@ fn pass(
 #[test]
 fn a_warm_match_allocates_only_its_result() {
     let cases = [
-        ("NITF 10k", Regime::nitf(), AttrMode::Inline, 10_000, 0),
-        ("PSD 10k", Regime::psd(), AttrMode::Inline, 10_000, 0),
+        ("NITF 10k", Regime::nitf(), 10_000, 0),
+        ("PSD 10k", Regime::psd(), 10_000, 0),
         // Attribute filters turn the path memo off: every leaf walks.
-        (
-            "NITF 2k filtered",
-            Regime::nitf(),
-            AttrMode::Postponed,
-            2_000,
-            2,
-        ),
+        ("NITF 2k filtered", Regime::nitf(), 2_000, 2),
     ];
-    for (name, regime, mode, n, attr_filters) in cases {
-        let (engine, docs) = workload(&regime, mode, n, attr_filters);
+    for (name, regime, n, attr_filters) in cases {
+        let (engine, docs) = workload(&regime, n, attr_filters);
         let mut scratch = MatchScratch::new();
         // Walk, record, replay: every path of the stream is warm after.
         let cold = pass(&engine, &docs, &mut scratch);

@@ -16,11 +16,15 @@
 //!
 //! Entries are grouped by the *first* attribute constraint of their tag
 //! variable; on a hit the full tag variable (all constraints, both tag
-//! variables for relative predicates) is re-verified.
+//! variables for relative predicates) is re-verified. The same first
+//! constraint routes an insert, a lookup and a removal to one slot, and
+//! each looks through that slot only, not the whole bucket.
 
 use crate::types::{AttrConstraint, TagVar};
 use pxf_xpath::{AttrValue, CmpOp};
 use std::collections::HashMap;
+use std::mem::size_of;
+use std::ops::Range;
 
 /// A set of attribute-constrained entries sharing one positional bucket,
 /// indexed by their first attribute constraint.
@@ -51,38 +55,48 @@ impl<E> Default for AttrBucket<E> {
 /// batch evaluation of the compact-layout work.
 #[derive(Debug, Clone)]
 struct RangeCols<E> {
+    /// Bounds run descending (upper bounds) rather than ascending.
+    descending: bool,
     bounds: Vec<i64>,
     strict: Vec<bool>,
     entries: Vec<E>,
 }
 
 impl<E> RangeCols<E> {
-    fn new() -> Self {
+    fn new(descending: bool) -> Self {
         RangeCols {
+            descending,
             bounds: Vec::new(),
             strict: Vec::new(),
             entries: Vec::new(),
         }
     }
 
-    fn insert_at(&mut self, pos: usize, bound: i64, strict: bool, entry: E) {
+    /// The positions whose bound is `bound`: contiguous, the columns being
+    /// sorted.
+    fn window(&self, bound: i64) -> Range<usize> {
+        if self.descending {
+            self.bounds.partition_point(|&c| c > bound)
+                ..self.bounds.partition_point(|&c| c >= bound)
+        } else {
+            self.bounds.partition_point(|&c| c < bound)
+                ..self.bounds.partition_point(|&c| c <= bound)
+        }
+    }
+
+    /// Inserts ahead of the entries with the same bound, keeping the
+    /// columns aligned and sorted.
+    fn insert(&mut self, bound: i64, strict: bool, entry: E) {
+        let pos = self.window(bound).start;
         self.bounds.insert(pos, bound);
         self.strict.insert(pos, strict);
         self.entries.insert(pos, entry);
     }
 
-    /// Removes the first entry matching `pred`, keeping the three columns
-    /// aligned and the bounds sorted.
-    fn remove_where(&mut self, pred: &impl Fn(&E) -> bool) -> bool {
-        match self.entries.iter().position(pred) {
-            Some(pos) => {
-                self.bounds.remove(pos);
-                self.strict.remove(pos);
-                self.entries.remove(pos);
-                true
-            }
-            None => false,
-        }
+    fn remove(&mut self, pos: usize) {
+        self.bounds.remove(pos);
+        self.strict.remove(pos);
+        self.entries.remove(pos);
     }
 
     /// Visits the entries of the admissible prefix `[0, end)`, skipping
@@ -94,6 +108,12 @@ impl<E> RangeCols<E> {
             }
             visit(&self.entries[i]);
         }
+    }
+
+    fn bytes(&self) -> usize {
+        self.bounds.capacity() * size_of::<i64>()
+            + self.strict.capacity()
+            + self.entries.capacity() * size_of::<E>()
     }
 }
 
@@ -117,11 +137,55 @@ impl<E> AttrGroup<E> {
             name: name.into(),
             int_eq: HashMap::new(),
             str_eq: HashMap::new(),
-            lower: RangeCols::new(),
-            upper: RangeCols::new(),
+            lower: RangeCols::new(false),
+            upper: RangeCols::new(true),
             other: Vec::new(),
         }
     }
+}
+
+/// The slot of its group an entry is filed under, by the first constraint
+/// of its key. [`Slot::of`] is the routing rule: insertion, lookup and
+/// removal all go through it, so each probes only the slot the entry is in.
+enum Slot<'k> {
+    IntEq(i64),
+    StrEq(&'k str),
+    /// `>=` (not strict) or `>` (strict).
+    Lower {
+        bound: i64,
+        strict: bool,
+    },
+    /// `<=` (not strict) or `<` (strict).
+    Upper {
+        bound: i64,
+        strict: bool,
+    },
+    Other,
+}
+
+impl<'k> Slot<'k> {
+    fn of(first: &'k AttrConstraint) -> Self {
+        match &first.constraint {
+            Some((CmpOp::Eq, AttrValue::Int(n))) => Slot::IntEq(*n),
+            Some((CmpOp::Eq, AttrValue::Str(s))) => Slot::StrEq(s),
+            Some((op @ (CmpOp::Ge | CmpOp::Gt), AttrValue::Int(n))) => Slot::Lower {
+                bound: *n,
+                strict: *op == CmpOp::Gt,
+            },
+            Some((op @ (CmpOp::Le | CmpOp::Lt), AttrValue::Int(n))) => Slot::Upper {
+                bound: *n,
+                strict: *op == CmpOp::Lt,
+            },
+            _ => Slot::Other,
+        }
+    }
+}
+
+/// Heap a `HashMap`'s table holds: the standard library's open-addressed
+/// table keeps one control byte per bucket and fills at most 7 of every 8
+/// buckets, so `capacity()` entries stand for 8/7 as many bucket slots.
+pub(crate) fn hash_map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+    map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
 }
 
 impl<E> AttrBucket<E> {
@@ -151,31 +215,38 @@ impl<E> AttrBucket<E> {
             }
         };
         let group = &mut self.groups[gi];
-        match &first.constraint {
-            Some((CmpOp::Eq, AttrValue::Int(n))) => group.int_eq.entry(*n).or_default().push(entry),
-            Some((CmpOp::Eq, AttrValue::Str(s))) => group
-                .str_eq
-                .entry(s.as_str().into())
-                .or_default()
-                .push(entry),
-            Some((CmpOp::Ge, AttrValue::Int(n))) => {
-                let pos = group.lower.bounds.partition_point(|&c| c < *n);
-                group.lower.insert_at(pos, *n, false, entry);
-            }
-            Some((CmpOp::Gt, AttrValue::Int(n))) => {
-                let pos = group.lower.bounds.partition_point(|&c| c < *n);
-                group.lower.insert_at(pos, *n, true, entry);
-            }
-            Some((CmpOp::Le, AttrValue::Int(n))) => {
-                let pos = group.upper.bounds.partition_point(|&c| c > *n);
-                group.upper.insert_at(pos, *n, false, entry);
-            }
-            Some((CmpOp::Lt, AttrValue::Int(n))) => {
-                let pos = group.upper.bounds.partition_point(|&c| c > *n);
-                group.upper.insert_at(pos, *n, true, entry);
-            }
-            _ => group.other.push(entry),
+        match Slot::of(first) {
+            Slot::IntEq(n) => group.int_eq.entry(n).or_default().push(entry),
+            Slot::StrEq(s) => group.str_eq.entry(s.into()).or_default().push(entry),
+            Slot::Lower { bound, strict } => group.lower.insert(bound, strict, entry),
+            Slot::Upper { bound, strict } => group.upper.insert(bound, strict, entry),
+            Slot::Other => group.other.push(entry),
         }
+    }
+
+    /// The entries of the slot `insert` routes `key` to — for a range
+    /// column, the window of entries with the key's bound.
+    fn routed(&self, key: &TagVar) -> &[E] {
+        let Some(first) = key.attrs.first() else {
+            return &self.overflow;
+        };
+        let Some(group) = self.groups.iter().find(|g| *g.name == *first.name) else {
+            return &[];
+        };
+        match Slot::of(first) {
+            Slot::IntEq(n) => group.int_eq.get(&n).map_or(&[], Vec::as_slice),
+            Slot::StrEq(s) => group.str_eq.get(s).map_or(&[], Vec::as_slice),
+            Slot::Lower { bound, .. } => &group.lower.entries[group.lower.window(bound)],
+            Slot::Upper { bound, .. } => &group.upper.entries[group.upper.window(bound)],
+            Slot::Other => &group.other,
+        }
+    }
+
+    /// The first entry matching `pred` in the slot that `insert` routed
+    /// `key` to (the dedup lookup at insert time). Only that slot is
+    /// probed, so the cost does not grow with the bucket.
+    pub fn find(&self, key: &TagVar, pred: impl Fn(&E) -> bool) -> Option<&E> {
+        self.routed(key).iter().find(|e| pred(e))
     }
 
     /// Removes the first entry matching `pred` from the slot that `insert`
@@ -183,94 +254,63 @@ impl<E> AttrBucket<E> {
     /// inside hash/overflow lists is fine (consumers never rely on entry
     /// order); the sorted range columns shift to stay aligned.
     pub fn remove_entry(&mut self, key: &TagVar, pred: impl Fn(&E) -> bool) -> bool {
-        let removed = 'found: {
-            let Some(first) = key.attrs.first() else {
-                break 'found match self.overflow.iter().position(&pred) {
-                    Some(pos) => {
-                        self.overflow.swap_remove(pos);
-                        true
-                    }
-                    None => false,
-                };
-            };
-            let Some(group) = self.groups.iter_mut().find(|g| *g.name == *first.name) else {
-                break 'found false;
-            };
-            match &first.constraint {
-                Some((CmpOp::Eq, AttrValue::Int(n))) => match group.int_eq.get_mut(n) {
-                    Some(list) => match list.iter().position(&pred) {
-                        Some(pos) => {
-                            list.swap_remove(pos);
-                            true
-                        }
-                        None => false,
-                    },
-                    None => false,
-                },
-                Some((CmpOp::Eq, AttrValue::Str(s))) => match group.str_eq.get_mut(s.as_str()) {
-                    Some(list) => match list.iter().position(&pred) {
-                        Some(pos) => {
-                            list.swap_remove(pos);
-                            true
-                        }
-                        None => false,
-                    },
-                    None => false,
-                },
-                Some((CmpOp::Ge | CmpOp::Gt, AttrValue::Int(_))) => group.lower.remove_where(&pred),
-                Some((CmpOp::Le | CmpOp::Lt, AttrValue::Int(_))) => group.upper.remove_where(&pred),
-                _ => match group.other.iter().position(&pred) {
-                    Some(pos) => {
-                        group.other.swap_remove(pos);
-                        true
-                    }
-                    None => false,
-                },
-            }
+        let Some(pos) = self.routed(key).iter().position(pred) else {
+            return false;
         };
-        if removed {
-            self.len -= 1;
+        self.len -= 1;
+        let Some(first) = key.attrs.first() else {
+            self.overflow.swap_remove(pos);
+            return true;
+        };
+        let group = self
+            .groups
+            .iter_mut()
+            .find(|g| *g.name == *first.name)
+            .expect("an entry was routed to the group");
+        let routed = "an entry was routed to the slot";
+        match Slot::of(first) {
+            Slot::IntEq(n) => {
+                group.int_eq.get_mut(&n).expect(routed).swap_remove(pos);
+            }
+            Slot::StrEq(s) => {
+                group.str_eq.get_mut(s).expect(routed).swap_remove(pos);
+            }
+            Slot::Lower { bound, .. } => group.lower.remove(group.lower.window(bound).start + pos),
+            Slot::Upper { bound, .. } => group.upper.remove(group.upper.window(bound).start + pos),
+            Slot::Other => {
+                group.other.swap_remove(pos);
+            }
         }
-        removed
+        true
     }
 
-    /// Iterates every entry (dedup lookups at insert time).
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.overflow.iter().chain(self.groups.iter().flat_map(|g| {
-            g.int_eq
+    /// Heap footprint in bytes: the groups, their hash tables and lists,
+    /// the SoA range columns and the overflow list, plus what
+    /// `entry_heap` says each entry owns.
+    pub fn approx_bytes(&self, entry_heap: impl Fn(&E) -> usize) -> usize {
+        let e = size_of::<E>();
+        let mut bytes = self.groups.capacity() * size_of::<AttrGroup<E>>()
+            + self.overflow.capacity() * e
+            + self.overflow.iter().map(&entry_heap).sum::<usize>();
+        for g in &self.groups {
+            let lists = g.int_eq.values().chain(g.str_eq.values());
+            bytes += g.name.len()
+                + hash_map_bytes(&g.int_eq)
+                + hash_map_bytes(&g.str_eq)
+                + g.str_eq.keys().map(|k| k.len()).sum::<usize>()
+                + lists.map(|l| l.capacity() * e).sum::<usize>()
+                + g.lower.bytes()
+                + g.upper.bytes()
+                + g.other.capacity() * e;
+            let entries = g
+                .int_eq
                 .values()
                 .flatten()
                 .chain(g.str_eq.values().flatten())
-                .chain(g.lower.entries.iter())
-                .chain(g.upper.entries.iter())
-                .chain(g.other.iter())
-        }))
-    }
-
-    /// Approximate heap footprint in bytes: the SoA range columns, the
-    /// hash maps (counted per occupied slot plus payload vectors), and
-    /// the overflow list. An estimate for reporting, not an allocator
-    /// audit.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let e = size_of::<E>();
-        let mut bytes = self.overflow.capacity() * e;
-        for g in &self.groups {
-            bytes += g.name.len();
-            for list in g.int_eq.values() {
-                bytes += size_of::<i64>() + size_of::<Vec<E>>() + list.capacity() * e;
-            }
-            for (k, list) in &g.str_eq {
-                bytes +=
-                    k.len() + size_of::<Box<str>>() + size_of::<Vec<E>>() + list.capacity() * e;
-            }
-            bytes += g.lower.bounds.capacity() * size_of::<i64>()
-                + g.lower.strict.capacity()
-                + g.lower.entries.capacity() * e;
-            bytes += g.upper.bounds.capacity() * size_of::<i64>()
-                + g.upper.strict.capacity()
-                + g.upper.entries.capacity() * e;
-            bytes += g.other.capacity() * e;
+                .chain(&g.lower.entries)
+                .chain(&g.upper.entries)
+                .chain(&g.other);
+            bytes += entries.map(&entry_heap).sum::<usize>();
         }
         bytes
     }

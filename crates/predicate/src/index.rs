@@ -9,7 +9,7 @@
 //! [`PredId`] — overlapping parts of different XPEs are stored and evaluated
 //! exactly once.
 //!
-//! Attribute-constrained predicates (inline mode, §5) cannot be indexed by
+//! Attribute-constrained predicates (inline, §5) cannot be indexed by
 //! position value alone (several distinct predicates can share (tag, op, v)
 //! but differ in their attribute filters), so they live in per-tag side
 //! lists scanned during evaluation.
@@ -18,10 +18,11 @@
 //! outlives a publication, because each [`MatchContext::begin`] clears
 //! what the last publication touched — finished or abandoned part way.
 
-use crate::attr_index::{verify_tagvar, AttrBucket};
+use crate::attr_index::{hash_map_bytes, verify_tagvar, AttrBucket};
 use crate::publication::{PathTuple, Publication};
-use crate::types::{PosOp, PredId, Predicate, TagVar};
+use crate::types::{AttrConstraint, PosOp, PredId, Predicate, TagVar};
 use pxf_xml::{PathDoc, Symbol};
+use pxf_xpath::AttrValue;
 use std::collections::HashMap;
 
 /// Per-operator arrays of predicate ids, indexed by predicate value.
@@ -92,12 +93,16 @@ impl RelSlot {
         }
     }
 
+    /// Looks the predicate up in the one bucket slot [`Self::insert`]
+    /// routed it to, by the same key rule.
     fn find(&self, from: &TagVar, to: &TagVar) -> Option<PredId> {
-        self.by_from
-            .iter()
-            .chain(self.by_to.iter())
-            .find(|e| e.from == *from && e.to == *to)
-            .map(|e| e.pid)
+        let same = |e: &AttrBinary| e.from == *from && e.to == *to;
+        let found = if from.has_attrs() {
+            self.by_from.find(from, same)
+        } else {
+            self.by_to.find(to, same)
+        };
+        found.map(|e| e.pid)
     }
 }
 
@@ -262,27 +267,28 @@ impl PredicateIndex {
         self.preds.is_empty()
     }
 
-    /// Approximate heap footprint of the index's access paths in bytes:
-    /// the dense per-operator value arrays, the relative two-stage hash,
-    /// the attribute buckets, and the distinct-predicate store. An
-    /// estimate for `index_bytes` reporting, not an allocator audit.
+    /// Heap footprint of the index in bytes: the distinct-predicate store
+    /// and what its tag variables own, the dense per-operator value
+    /// arrays, the relative two-stage hash, and the attribute buckets —
+    /// their tables, lists and entries, with the tag variables those own.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         fn op_arrays(a: &OpArrays) -> usize {
             (a.eq.capacity() + a.ge.capacity()) * size_of::<Option<PredId>>()
         }
-        fn unary_lists(lists: &AttrOpLists<AttrBucket<AttrUnary>>) -> usize {
-            let inline =
-                (lists.eq.capacity() + lists.ge.capacity()) * size_of::<AttrBucket<AttrUnary>>();
-            inline
-                + lists
-                    .eq
-                    .iter()
-                    .chain(&lists.ge)
-                    .map(AttrBucket::approx_bytes)
-                    .sum::<usize>()
+        fn attr_lists<S>(lists: &AttrOpLists<S>, slot_bytes: impl Fn(&S) -> usize) -> usize {
+            let slots = lists.eq.iter().chain(&lists.ge);
+            (lists.eq.capacity() + lists.ge.capacity()) * size_of::<S>()
+                + slots.map(slot_bytes).sum::<usize>()
         }
+        let unary = |lists: &AttrOpLists<AttrBucket<AttrUnary>>| {
+            attr_lists(lists, |b| b.approx_bytes(|e| tag_var_heap(&e.tag)))
+        };
+        let binary = |b: &AttrBucket<AttrBinary>| {
+            b.approx_bytes(|e| tag_var_heap(&e.from) + tag_var_heap(&e.to))
+        };
         let mut bytes = self.preds.capacity() * size_of::<Predicate>();
+        bytes += self.preds.iter().map(predicate_heap).sum::<usize>();
         bytes += self.refs.capacity() * size_of::<u32>();
         bytes += self.length.capacity() * size_of::<Option<PredId>>();
         bytes += self.rel_to.capacity() + self.rel_attr_to.capacity();
@@ -296,16 +302,18 @@ impl PredicateIndex {
         for arr in &self.end_of_path.0 {
             bytes += arr.capacity() * size_of::<Option<PredId>>();
         }
-        bytes += self.absolute_attr.0.iter().map(unary_lists).sum::<usize>();
-        bytes += self.end_attr.0.iter().map(unary_lists).sum::<usize>();
+        for table in [&self.absolute_attr, &self.end_attr] {
+            bytes += table.0.capacity() * size_of::<AttrOpLists<AttrBucket<AttrUnary>>>();
+            bytes += table.0.iter().map(unary).sum::<usize>();
+        }
+        bytes +=
+            self.relative_attr.0.capacity() * size_of::<HashMap<Symbol, AttrOpLists<RelSlot>>>();
         for map in &self.relative_attr.0 {
-            for lists in map.values() {
-                bytes += size_of::<(Symbol, AttrOpLists<RelSlot>)>()
-                    + (lists.eq.capacity() + lists.ge.capacity()) * size_of::<RelSlot>();
-                for slot in lists.eq.iter().chain(&lists.ge) {
-                    bytes += slot.by_from.approx_bytes() + slot.by_to.approx_bytes();
-                }
-            }
+            bytes += hash_map_bytes(map);
+            bytes += map
+                .values()
+                .map(|lists| attr_lists(lists, |s| binary(&s.by_from) + binary(&s.by_to)))
+                .sum::<usize>();
         }
         bytes
     }
@@ -401,7 +409,7 @@ impl PredicateIndex {
             // variables.
             Predicate::Absolute { tag, op, value } => {
                 let bucket = self.absolute_attr.get_mut(tag.tag).slot_mut(*op, *value);
-                if let Some(e) = bucket.iter().find(|e| e.tag == *tag) {
+                if let Some(e) = bucket.find(tag, |e| e.tag == *tag) {
                     return Self::bump(&mut self.refs, e.pid);
                 }
                 let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
@@ -442,7 +450,7 @@ impl PredicateIndex {
             }
             Predicate::EndOfPath { tag, value } => {
                 let bucket = self.end_attr.get_mut(tag.tag).slot_mut(PosOp::Ge, *value);
-                if let Some(e) = bucket.iter().find(|e| e.tag == *tag) {
+                if let Some(e) = bucket.find(tag, |e| e.tag == *tag) {
                     return Self::bump(&mut self.refs, e.pid);
                 }
                 let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
@@ -611,8 +619,7 @@ impl PredicateIndex {
                 .absolute_attr
                 .get(tag.tag)?
                 .slot(*op, *value)?
-                .iter()
-                .find(|e| e.tag == *tag)
+                .find(tag, |e| e.tag == *tag)
                 .map(|e| e.pid),
             Predicate::Relative {
                 from,
@@ -629,15 +636,14 @@ impl PredicateIndex {
                 .end_attr
                 .get(tag.tag)?
                 .slot(PosOp::Ge, *value)?
-                .iter()
-                .find(|e| e.tag == *tag)
+                .find(tag, |e| e.tag == *tag)
                 .map(|e| e.pid),
         }
     }
 
     /// Evaluates a publication against every predicate in the index
     /// (paper §4.1), recording matches in `ctx`. `doc` is required when
-    /// attribute-constrained predicates are present (inline mode).
+    /// attribute-constrained predicates are present.
     pub fn evaluate(
         &self,
         publication: &Publication,
@@ -719,7 +725,7 @@ impl PredicateIndex {
         }
     }
 
-    /// Evaluates the attribute-constrained side lists (inline mode, §5): a
+    /// Evaluates the attribute-constrained side lists (inline, §5): a
     /// predicate matches iff both the positional relation and every attached
     /// attribute filter hold.
     fn evaluate_attr_preds(
@@ -935,6 +941,28 @@ impl PredicateIndex {
                 }
             }
         }
+    }
+}
+
+/// Heap a tag variable owns: its constraints, their attribute names and
+/// string constants.
+fn tag_var_heap(t: &TagVar) -> usize {
+    let owned = |c: &AttrConstraint| {
+        let constant = match &c.constraint {
+            Some((_, AttrValue::Str(s))) => s.capacity(),
+            _ => 0,
+        };
+        c.name.len() + constant
+    };
+    t.attrs.len() * std::mem::size_of::<AttrConstraint>() + t.attrs.iter().map(owned).sum::<usize>()
+}
+
+/// Heap a predicate's tag variables own.
+fn predicate_heap(p: &Predicate) -> usize {
+    match p {
+        Predicate::Absolute { tag, .. } | Predicate::EndOfPath { tag, .. } => tag_var_heap(tag),
+        Predicate::Relative { from, to, .. } => tag_var_heap(from) + tag_var_heap(to),
+        Predicate::Length { .. } => 0,
     }
 }
 
@@ -1180,6 +1208,103 @@ mod tests {
     use pxf_rng::Rng;
     use pxf_xml::Interner;
     use std::collections::HashSet;
+
+    /// The dedup lookup finds an attribute predicate in the slot its first
+    /// constraint filed it under — for every kind of first constraint, on
+    /// every predicate that carries one: absolute, end-of-path, and
+    /// relative keyed by `from` and by `to`. A second insert returns the
+    /// one id and stores nothing; `>= 5` and `> 5` on the same bound stay
+    /// two predicates; one release of two leaves it found, the second
+    /// removes it. Neighbours with other bounds and a second constraint
+    /// share the slots, so each probe picks its entry out of a crowd.
+    #[test]
+    fn attribute_predicates_are_found_where_they_were_filed() {
+        use pxf_xpath::CmpOp;
+        let (a, b) = (Symbol(1), Symbol(2));
+        let x = |constraint| AttrConstraint {
+            name: "x".into(),
+            constraint,
+        };
+        let int = |op, n| x(Some((op, AttrValue::Int(n))));
+        let firsts = [
+            ("int =", int(CmpOp::Eq, 5)),
+            ("string =", x(Some((CmpOp::Eq, AttrValue::Str("v".into()))))),
+            (">=", int(CmpOp::Ge, 5)),
+            (">", int(CmpOp::Gt, 5)),
+            ("<=", int(CmpOp::Le, 5)),
+            ("<", int(CmpOp::Lt, 5)),
+            ("!=", int(CmpOp::Ne, 5)),
+            ("exists", x(None)),
+        ];
+        type Shape = fn(TagVar, Symbol) -> Predicate;
+        let shapes: [(&str, Shape); 4] = [
+            ("absolute", |t, _| Predicate::Absolute {
+                tag: t,
+                op: PosOp::Ge,
+                value: 2,
+            }),
+            ("end-of-path", |t, _| Predicate::EndOfPath {
+                tag: t,
+                value: 1,
+            }),
+            ("relative by from", |t, other| Predicate::Relative {
+                from: t,
+                to: TagVar::plain(other),
+                op: PosOp::Eq,
+                value: 1,
+            }),
+            ("relative by to", |t, other| Predicate::Relative {
+                from: TagVar::plain(other),
+                to: t,
+                op: PosOp::Eq,
+                value: 1,
+            }),
+        ];
+        let y = AttrConstraint {
+            name: "y".into(),
+            constraint: Some((CmpOp::Eq, AttrValue::Int(1))),
+        };
+        for (shape, build) in shapes {
+            let pred = |attrs: Vec<AttrConstraint>| build(TagVar::with_attrs(a, attrs), b);
+            let mut index = PredicateIndex::new();
+            for bound in [4, 6] {
+                for op in [CmpOp::Eq, CmpOp::Ge, CmpOp::Gt, CmpOp::Le, CmpOp::Lt] {
+                    index.insert(pred(vec![int(op, bound)]));
+                }
+            }
+            let pids: Vec<PredId> = firsts
+                .iter()
+                .map(|(_, first)| index.insert(pred(vec![first.clone()])))
+                .collect();
+            for (_, first) in &firsts {
+                index.insert(pred(vec![first.clone(), y.clone()]));
+            }
+            assert_ne!(pids[2], pids[3], "{shape}: >= 5 and > 5 are one predicate");
+            assert_ne!(pids[4], pids[5], "{shape}: <= 5 and < 5 are one predicate");
+            let len = index.len();
+            for ((kind, first), &pid) in firsts.iter().zip(&pids) {
+                let p = pred(vec![first.clone()]);
+                assert_eq!(
+                    index.insert(p.clone()),
+                    pid,
+                    "{shape}, {kind}: inserted again"
+                );
+                assert_eq!(
+                    index.len(),
+                    len,
+                    "{shape}, {kind}: the second insert stored"
+                );
+                index.release(pid);
+                assert_eq!(
+                    index.get(&p),
+                    Some(pid),
+                    "{shape}, {kind}: one reference left"
+                );
+                index.release(pid);
+                assert_eq!(index.get(&p), None, "{shape}, {kind}: released twice");
+            }
+        }
+    }
 
     /// The matched bitmap, the pair lists and `matched()` name the same
     /// predicates — over the registered ones and a few ids past them.

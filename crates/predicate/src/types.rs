@@ -75,15 +75,15 @@ impl AttrConstraint {
     }
 }
 
-/// A tag variable, optionally carrying attribute predicates (inline mode,
+/// A tag variable, optionally carrying attribute predicates (inline,
 /// §5). Constraints are kept sorted by attribute symbol so that equal sets
 /// hash equally.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TagVar {
     /// Interned tag name.
     pub tag: Symbol,
-    /// Attribute predicates attached to this tag variable (empty unless the
-    /// engine runs in inline attribute mode).
+    /// Attribute predicates attached to this tag variable (empty unless its
+    /// step carries attribute filters).
     pub attrs: Box<[AttrConstraint]>,
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use pxf::engine::encode::{encode_single_path, AttrMode};
+use pxf::engine::encode::encode_single_path;
 use pxf::predicate::{MatchContext, PredicateIndex, Publication};
 use pxf::prelude::*;
 use pxf::xml::Interner;
@@ -50,7 +50,7 @@ fn main() {
     let mut interner = Interner::new();
     for src in ["/a/b/b", "a/*/*/b/c", "*/a/*/b//c/*/*", "/*/*/*/*"] {
         let expr = pxf::xpath::parse(src).unwrap();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Postponed).unwrap();
+        let enc = encode_single_path(&expr, &mut interner).unwrap();
         let rendered: Vec<String> = enc.preds.iter().map(|p| p.to_notation(&interner)).collect();
         println!("  {src:<18} ->  {}", rendered.join(" |-> "));
     }
@@ -61,7 +61,7 @@ fn main() {
     let mut rows = Vec::new();
     for src in ["a//b/c", "c//b//a"] {
         let expr = pxf::xpath::parse(src).unwrap();
-        let enc = encode_single_path(&expr, &mut interner, AttrMode::Postponed).unwrap();
+        let enc = encode_single_path(&expr, &mut interner).unwrap();
         for pred in &enc.preds {
             let pid = index.insert(pred.clone());
             rows.push((src, pred.to_notation(&interner), pid));

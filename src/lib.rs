@@ -11,9 +11,8 @@
 //! re-exported here:
 //!
 //! * [`engine`]::[`FilterEngine`](engine::FilterEngine) — the paper's
-//!   contribution in its `basic-pc-ap` organization, with inline /
-//!   selection-postponed attribute filtering and nested path (tree
-//!   pattern) support,
+//!   contribution in its `basic-pc-ap` organization, with inline
+//!   attribute filtering and nested path (tree pattern) support,
 //! * [`yfilter`]::[`YFilter`](yfilter::YFilter) — the automaton-based
 //!   baseline (shared-prefix NFA),
 //! * [`indexfilter`]::[`IndexFilter`](indexfilter::IndexFilter) — the
@@ -37,7 +36,7 @@
 //! ```
 //! use pxf::prelude::*;
 //!
-//! let mut engine = FilterEngine::new(AttrMode::Inline);
+//! let mut engine = FilterEngine::new();
 //! let breaking = engine.add_str("/nitf/head//tobject.subject[@tobject.subject.type = \"sports\"]").unwrap();
 //! let anywhere = engine.add_str("//hedline/hl1").unwrap();
 //!
@@ -66,8 +65,7 @@ pub use pxf_yfilter as yfilter;
 /// Convenient single-import surface for the common types.
 pub mod prelude {
     pub use pxf_core::{
-        parallel, AttrMode, BackendError, BatchReport, DocError, FilterBackend, FilterEngine,
-        Matcher, SubId,
+        parallel, BackendError, BatchReport, DocError, FilterBackend, FilterEngine, Matcher, SubId,
     };
     pub use pxf_indexfilter::IndexFilter;
     pub use pxf_workload::{

@@ -3,8 +3,6 @@
 use pxf::engine::reference::matches_document;
 use pxf::prelude::*;
 
-const MODES: [AttrMode; 2] = [AttrMode::Inline, AttrMode::Postponed];
-
 /// Documents deeper than 127 elements take stage 2 past its 128-bit
 /// occurrence set onto the heap bitset.
 #[test]
@@ -29,20 +27,18 @@ fn very_deep_documents() {
         "/leaf",
         "a/a/a/a/a//a/leaf",
     ];
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let ids: Vec<SubId> = exprs
-            .iter()
-            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
-            .collect();
-        let matched = engine.match_document(&doc);
-        for (src, id) in exprs.iter().zip(&ids) {
-            assert_eq!(
-                matched.contains(id),
-                matches_document(&parse(src).unwrap(), &tree),
-                "{mode:?}: {src}"
-            );
-        }
+    let mut engine = FilterEngine::new();
+    let ids: Vec<SubId> = exprs
+        .iter()
+        .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+        .collect();
+    let matched = engine.match_document(&doc);
+    for (src, id) in exprs.iter().zip(&ids) {
+        assert_eq!(
+            matched.contains(id),
+            matches_document(&parse(src).unwrap(), &tree),
+            "{src}"
+        );
     }
 }
 
@@ -61,16 +57,14 @@ fn very_wide_documents() {
     builder.end();
     builder.end();
     let doc = PathDoc::parse(builder.finish().unwrap().to_xml().as_bytes()).unwrap();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let x = engine.add_str("/root/x").unwrap();
-        let zw = engine.add_str("/root/z/w").unwrap();
-        let missing = engine.add_str("/root/q").unwrap();
-        let m = engine.match_document(&doc);
-        assert!(m.contains(&x));
-        assert!(m.contains(&zw));
-        assert!(!m.contains(&missing));
-    }
+    let mut engine = FilterEngine::new();
+    let x = engine.add_str("/root/x").unwrap();
+    let zw = engine.add_str("/root/z/w").unwrap();
+    let missing = engine.add_str("/root/q").unwrap();
+    let m = engine.match_document(&doc);
+    assert!(m.contains(&x));
+    assert!(m.contains(&zw));
+    assert!(!m.contains(&missing));
 }
 
 /// Repeated identical tags along one path stress occurrence numbering.
@@ -90,20 +84,18 @@ fn repeated_tags_deep() {
         "a/b//b",
         "a/c/*/a//c",
     ];
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let ids: Vec<SubId> = exprs
-            .iter()
-            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
-            .collect();
-        let matched = engine.match_document(&doc);
-        for (src, id) in exprs.iter().zip(&ids) {
-            assert_eq!(
-                matched.contains(id),
-                matches_document(&parse(src).unwrap(), &tree),
-                "{mode:?}: {src}"
-            );
-        }
+    let mut engine = FilterEngine::new();
+    let ids: Vec<SubId> = exprs
+        .iter()
+        .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+        .collect();
+    let matched = engine.match_document(&doc);
+    for (src, id) in exprs.iter().zip(&ids) {
+        assert_eq!(
+            matched.contains(id),
+            matches_document(&parse(src).unwrap(), &tree),
+            "{src}"
+        );
     }
 }
 
@@ -112,15 +104,13 @@ fn repeated_tags_deep() {
 #[test]
 fn overlong_expressions() {
     let doc = PathDoc::parse(b"<a><b/></a>").unwrap();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let long = engine.add_str("/a/b/c/d/e/f/g/h/i/j/k/l/m/n/o/p").unwrap();
-        let wild = engine.add_str("*/*/*/*/*/*/*/*/*/*").unwrap();
-        let short = engine.add_str("/a/b").unwrap();
-        let m = engine.match_document(&doc);
-        assert_eq!(m, vec![short]);
-        let _ = (long, wild);
-    }
+    let mut engine = FilterEngine::new();
+    let long = engine.add_str("/a/b/c/d/e/f/g/h/i/j/k/l/m/n/o/p").unwrap();
+    let wild = engine.add_str("*/*/*/*/*/*/*/*/*/*").unwrap();
+    let short = engine.add_str("/a/b").unwrap();
+    let m = engine.match_document(&doc);
+    assert_eq!(m, vec![short]);
+    let _ = (long, wild);
 }
 
 /// Attribute values with XML-special characters round-trip through
@@ -161,31 +151,27 @@ fn special_characters_in_attributes() {
 #[test]
 fn numeric_attribute_edge_values() {
     let doc = PathDoc::parse(br#"<a><b x="-5"/><b x=" 7 "/><b x="nope"/></a>"#).unwrap();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let neg = engine.add_str("/a/b[@x < 0]").unwrap();
-        let seven = engine.add_str("/a/b[@x = 7]").unwrap();
-        let none = engine.add_str("/a/b[@x > 100]").unwrap();
-        let m = engine.match_document(&doc);
-        assert!(m.contains(&neg), "{mode:?}");
-        assert!(m.contains(&seven), "{mode:?} (whitespace-trimmed parse)");
-        assert!(!m.contains(&none), "{mode:?}");
-    }
+    let mut engine = FilterEngine::new();
+    let neg = engine.add_str("/a/b[@x < 0]").unwrap();
+    let seven = engine.add_str("/a/b[@x = 7]").unwrap();
+    let none = engine.add_str("/a/b[@x > 100]").unwrap();
+    let m = engine.match_document(&doc);
+    assert!(m.contains(&neg));
+    assert!(m.contains(&seven), "whitespace-trimmed parse");
+    assert!(!m.contains(&none));
 }
 
 /// A single-element document against every predicate type.
 #[test]
 fn minimal_document() {
     let doc = PathDoc::parse(b"<only/>").unwrap();
-    for mode in MODES {
-        let mut engine = FilterEngine::new(mode);
-        let exact = engine.add_str("/only").unwrap();
-        let rel = engine.add_str("only").unwrap();
-        let star = engine.add_str("/*").unwrap();
-        let too_long = engine.add_str("/only/x").unwrap();
-        let end = engine.add_str("/only/*").unwrap();
-        let m = engine.match_document(&doc);
-        assert_eq!(m, vec![exact, rel, star]);
-        let _ = (too_long, end);
-    }
+    let mut engine = FilterEngine::new();
+    let exact = engine.add_str("/only").unwrap();
+    let rel = engine.add_str("only").unwrap();
+    let star = engine.add_str("/*").unwrap();
+    let too_long = engine.add_str("/only/x").unwrap();
+    let end = engine.add_str("/only/*").unwrap();
+    let m = engine.match_document(&doc);
+    assert_eq!(m, vec![exact, rel, star]);
+    let _ = (too_long, end);
 }

@@ -1,5 +1,5 @@
 //! Cross-engine agreement: on any generated workload, the predicate
-//! engine in both attribute modes, YFilter, Index-Filter, XFilter, and
+//! engine, YFilter, Index-Filter, XFilter, and
 //! the reference oracle must produce identical match sets — through both
 //! entry points of the unified [`FilterBackend`] trait (`match_document`
 //! on a store the caller parsed, `match_bytes` on the backend's own). The
@@ -36,14 +36,12 @@ fn ids(v: Vec<SubId>) -> Vec<u32> {
 }
 
 fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
-    let mut engines: Vec<(String, Box<dyn FilterBackend>)> = Vec::new();
-    for mode in [AttrMode::Inline, AttrMode::Postponed] {
-        engines.push((format!("pxf/{mode:?}"), Box::new(FilterEngine::new(mode))));
-    }
-    engines.push(("yfilter".into(), Box::new(YFilter::new())));
-    engines.push(("index-filter".into(), Box::new(IndexFilter::new())));
-    engines.push(("xfilter".into(), Box::new(XFilter::new())));
-    engines
+    vec![
+        ("pxf".into(), Box::new(FilterEngine::new())),
+        ("yfilter".into(), Box::new(YFilter::new())),
+        ("index-filter".into(), Box::new(IndexFilter::new())),
+        ("xfilter".into(), Box::new(XFilter::new())),
+    ]
 }
 
 /// Every backend over `exprs`, on every document, against the oracle;
@@ -194,32 +192,30 @@ fn predicate_engine_agrees_on_nested_workloads() {
         let exprs = XPathGenerator::new(&regime.dtd, xp).generate();
         assert!(exprs.iter().any(|e| e.has_nested_paths()));
         let docs = XmlGenerator::new(&regime.dtd, regime.xml.clone()).generate_batch(8);
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            let mut engine = FilterEngine::new(mode);
-            for e in &exprs {
-                engine.add(e).unwrap();
-            }
-            for (di, doc) in docs.iter().enumerate() {
-                let bytes = doc.to_xml().into_bytes();
-                let got = ids(engine.match_document(&PathDoc::parse(&bytes).unwrap()));
-                let expected: Vec<u32> = exprs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| matches_document(e, doc))
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                assert_eq!(
-                    got, expected,
-                    "{mode:?} disagrees on nested workload, {} doc #{di}",
-                    regime.name
-                );
-                let streamed = ids(engine.match_bytes(&bytes).unwrap());
-                assert_eq!(
-                    streamed, expected,
-                    "{mode:?} disagrees on its own store on nested workload, {} doc #{di}",
-                    regime.name
-                );
-            }
+        let mut engine = FilterEngine::new();
+        for e in &exprs {
+            engine.add(e).unwrap();
+        }
+        for (di, doc) in docs.iter().enumerate() {
+            let bytes = doc.to_xml().into_bytes();
+            let got = ids(engine.match_document(&PathDoc::parse(&bytes).unwrap()));
+            let expected: Vec<u32> = exprs
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| matches_document(e, doc))
+                .map(|(i, _)| i as u32)
+                .collect();
+            assert_eq!(
+                got, expected,
+                "disagrees on nested workload, {} doc #{di}",
+                regime.name
+            );
+            let streamed = ids(engine.match_bytes(&bytes).unwrap());
+            assert_eq!(
+                streamed, expected,
+                "disagrees on its own store on nested workload, {} doc #{di}",
+                regime.name
+            );
         }
     }
 }

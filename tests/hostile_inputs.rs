@@ -31,16 +31,14 @@ fn workload(n_exprs: usize, n_docs: usize) -> (Vec<XPathExpr>, Vec<Vec<u8>>) {
     (exprs, docs)
 }
 
-/// Every engine/organization/attribute-mode combination in the workspace.
+/// Every engine in the workspace.
 fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
-    let mut engines: Vec<(String, Box<dyn FilterBackend>)> = Vec::new();
-    for mode in [AttrMode::Inline, AttrMode::Postponed] {
-        engines.push((format!("pxf/{mode:?}"), Box::new(FilterEngine::new(mode))));
-    }
-    engines.push(("yfilter".into(), Box::new(YFilter::new())));
-    engines.push(("index-filter".into(), Box::new(IndexFilter::new())));
-    engines.push(("xfilter".into(), Box::new(XFilter::new())));
-    engines
+    vec![
+        ("pxf".into(), Box::new(FilterEngine::new())),
+        ("yfilter".into(), Box::new(YFilter::new())),
+        ("index-filter".into(), Box::new(IndexFilter::new())),
+        ("xfilter".into(), Box::new(XFilter::new())),
+    ]
 }
 
 #[test]

@@ -12,17 +12,15 @@ fn doc(xml: &str) -> PathDoc {
 fn check(engine_exprs: &[&str], xml: &str) {
     let document = doc(xml);
     let tree = Document::parse(xml.as_bytes()).unwrap();
-    for mode in [AttrMode::Inline, AttrMode::Postponed] {
-        let mut engine = FilterEngine::new(mode);
-        let ids: Vec<SubId> = engine_exprs
-            .iter()
-            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
-            .collect();
-        let matched = engine.match_document(&document);
-        for (src, id) in engine_exprs.iter().zip(&ids) {
-            let expected = matches_document(&parse(src).unwrap(), &tree);
-            assert_eq!(matched.contains(id), expected, "{mode:?}: {src} over {xml}");
-        }
+    let mut engine = FilterEngine::new();
+    let ids: Vec<SubId> = engine_exprs
+        .iter()
+        .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+        .collect();
+    let matched = engine.match_document(&document);
+    for (src, id) in engine_exprs.iter().zip(&ids) {
+        let expected = matches_document(&parse(src).unwrap(), &tree);
+        assert_eq!(matched.contains(id), expected, "{src} over {xml}");
     }
 }
 

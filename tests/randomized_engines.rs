@@ -1,12 +1,12 @@
 //! Randomized property tests: the paper's Appendix A correctness theorem,
 //! operationalized with the workspace's deterministic PRNG (`pxf-rng`).
-//! For arbitrary expressions and documents, the predicate engine (all
-//! organizations and attribute modes) and all three baselines must agree
+//! For arbitrary expressions and documents, the predicate engine and all
+//! three baselines must agree
 //! with the direct XPath semantics of the reference oracle. The oracle
 //! walks the `Document` tree; every backend matches the flat store, one
 //! the caller parsed (`match_document`) and its own (`match_bytes`), so
 //! each comparison also holds one store against the other. The workloads cover
-//! attribute filters in both `AttrMode`s, `text()` filters, and
+//! attribute filters, `text()` filters, and
 //! nested-path expressions.
 
 use pxf::engine::reference::matches_document;
@@ -109,16 +109,14 @@ fn arb_doc(rng: &mut Rng) -> Document {
     b.finish().unwrap()
 }
 
-/// All backends, every organization and attribute mode, behind the trait.
+/// All backends behind the trait.
 fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
-    let mut engines: Vec<(String, Box<dyn FilterBackend>)> = Vec::new();
-    for mode in [AttrMode::Inline, AttrMode::Postponed] {
-        engines.push((format!("pxf/{mode:?}"), Box::new(FilterEngine::new(mode))));
-    }
-    engines.push(("yfilter".into(), Box::new(YFilter::new())));
-    engines.push(("index-filter".into(), Box::new(IndexFilter::new())));
-    engines.push(("xfilter".into(), Box::new(XFilter::new())));
-    engines
+    vec![
+        ("pxf".into(), Box::new(FilterEngine::new())),
+        ("yfilter".into(), Box::new(YFilter::new())),
+        ("index-filter".into(), Box::new(IndexFilter::new())),
+        ("xfilter".into(), Box::new(XFilter::new())),
+    ]
 }
 
 fn check_agreement(exprs: &[XPathExpr], doc: &Document) {
@@ -172,7 +170,7 @@ fn engines_match_oracle_structural() {
     }
 }
 
-/// With attribute and text() filters (inline vs postponed vs baselines).
+/// With attribute and text() filters (the engine vs the baselines).
 #[test]
 fn engines_match_oracle_with_attrs() {
     let mut rng = Rng::seed_from_u64(0xB0B);
@@ -205,20 +203,10 @@ fn encoding_total() {
     let mut interner = pxf::xml::Interner::new();
     for _ in 0..300 {
         let expr = arb_expr(&mut rng, true);
-        let a = pxf::engine::encode::encode_single_path(
-            &expr,
-            &mut interner,
-            pxf::engine::AttrMode::Postponed,
-        )
-        .unwrap();
-        let b = pxf::engine::encode::encode_single_path(
-            &expr,
-            &mut interner,
-            pxf::engine::AttrMode::Postponed,
-        )
-        .unwrap();
+        let a = pxf::engine::encode::encode_single_path(&expr, &mut interner).unwrap();
+        let b = pxf::engine::encode::encode_single_path(&expr, &mut interner).unwrap();
         assert_eq!(a.preds, b.preds);
-        assert!(!b.slots.is_empty());
+        assert!(!b.preds.is_empty());
     }
 }
 
@@ -239,28 +227,18 @@ fn nested_patterns_match_oracle() {
         let doc = arb_doc(&mut rng);
         let bytes = doc.to_xml().into_bytes();
         let expected = matches_document(&expr, &doc);
-        for mode in [AttrMode::Inline, AttrMode::Postponed] {
-            let mut engine = FilterEngine::new(mode);
-            let id = engine.add(&expr).unwrap();
-            let store = PathDoc::parse(&bytes).unwrap();
-            let got = engine.match_document(&store).contains(&id);
-            assert_eq!(
-                got,
-                expected,
-                "{:?} disagrees on {} over {}",
-                mode,
-                expr,
-                doc.to_xml()
-            );
-            let streamed = engine.match_bytes(&bytes).unwrap().contains(&id);
-            assert_eq!(
-                streamed,
-                expected,
-                "{:?} disagrees on its own store on {} over {}",
-                mode,
-                expr,
-                doc.to_xml()
-            );
-        }
+        let mut engine = FilterEngine::new();
+        let id = engine.add(&expr).unwrap();
+        let store = PathDoc::parse(&bytes).unwrap();
+        let got = engine.match_document(&store).contains(&id);
+        assert_eq!(got, expected, "disagrees on {} over {}", expr, doc.to_xml());
+        let streamed = engine.match_bytes(&bytes).unwrap().contains(&id);
+        assert_eq!(
+            streamed,
+            expected,
+            "disagrees on its own store on {} over {}",
+            expr,
+            doc.to_xml()
+        );
     }
 }

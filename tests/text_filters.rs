@@ -13,20 +13,18 @@ fn doc(xml: &str) -> PathDoc {
 fn check(exprs: &[&str], xml: &str) {
     let document = doc(xml);
     let tree = Document::parse(xml.as_bytes()).unwrap();
-    for mode in [AttrMode::Inline, AttrMode::Postponed] {
-        let mut engine = FilterEngine::new(mode);
-        let ids: Vec<SubId> = exprs
-            .iter()
-            .map(|e| engine.add(&parse(e).unwrap()).unwrap())
-            .collect();
-        let matched = engine.match_document(&document);
-        for (src, id) in exprs.iter().zip(&ids) {
-            assert_eq!(
-                matched.contains(id),
-                matches_document(&parse(src).unwrap(), &tree),
-                "{mode:?}: {src} over {xml}"
-            );
-        }
+    let mut engine = FilterEngine::new();
+    let ids: Vec<SubId> = exprs
+        .iter()
+        .map(|e| engine.add(&parse(e).unwrap()).unwrap())
+        .collect();
+    let matched = engine.match_document(&document);
+    for (src, id) in exprs.iter().zip(&ids) {
+        assert_eq!(
+            matched.contains(id),
+            matches_document(&parse(src).unwrap(), &tree),
+            "{src} over {xml}"
+        );
     }
 }
 
