@@ -4,7 +4,8 @@
 //! 1. At every leaf, the incrementally maintained [`MatchContext`] holds
 //!    exactly what a from-scratch [`PredicateIndex::evaluate`] of that
 //!    root-to-leaf path produces — same matched predicates, same
-//!    occurrence-pair lists.
+//!    occurrence-pair lists — and, for every stored predicate, the pairs
+//!    [`eval_direct`] finds without the index.
 //! 2. The engine's match sets (on the flat store, caller-held and its
 //!    own) equal the reference oracle's (on the tree).
 //! 3. The same across the 128-element boundary, where stage 2 switches
@@ -23,7 +24,7 @@
 use pxf_core::encode::encode_single_path;
 use pxf_core::reference::matches_document;
 use pxf_core::{FilterEngine, SubId};
-use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
+use pxf_predicate::{eval_direct, CtxMark, MatchContext, PredId, PredicateIndex, Publication};
 use pxf_rng::Rng;
 use pxf_xml::{
     Document, DocumentBuilder, ElementVisitor, Interner, NodeId, ParserLimits, PathDoc, Symbol,
@@ -147,7 +148,8 @@ fn build_store(tree: &Tree) -> (String, PathDoc) {
 
 /// Drives `eval_enter`/`eval_leaf` with marks over one document and, at
 /// every leaf, checks the context against a from-scratch per-path
-/// `evaluate` of the same path.
+/// `evaluate` of the same path and against `eval_direct` of every stored
+/// predicate — the oracle that does not go through the index.
 struct CtxChecker<'a> {
     xml: &'a str,
     doc: &'a PathDoc,
@@ -208,6 +210,16 @@ impl ElementVisitor for CtxChecker<'_> {
                 "context mismatch on path {path:?} of {}",
                 self.xml
             );
+            let mut direct = Vec::new();
+            for i in 0..self.index.len() {
+                let pid = PredId(i as u32);
+                let pred = self.index.predicate(pid);
+                eval_direct(pred, &self.publication, Some(self.doc), &mut direct);
+                direct.sort_unstable();
+                let mut got = self.ctx.get(pid).to_vec();
+                got.sort_unstable();
+                assert_eq!(got, direct, "{pred:?} on path {path:?} of {}", self.xml);
+            }
             self.leaves_checked += 1;
             self.ctx.pop_to_mark(leaf_mark);
         }

@@ -35,7 +35,6 @@ pub struct AttrBucket<E> {
     /// exist (plain predicates live in the plain arrays), but entries whose
     /// first constraint is not indexable land here.
     overflow: Vec<E>,
-    len: usize,
 }
 
 impl<E> Default for AttrBucket<E> {
@@ -43,7 +42,6 @@ impl<E> Default for AttrBucket<E> {
         AttrBucket {
             groups: Vec::new(),
             overflow: Vec::new(),
-            len: 0,
         }
     }
 }
@@ -189,20 +187,9 @@ pub(crate) fn hash_map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
 }
 
 impl<E> AttrBucket<E> {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the bucket holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Inserts an entry indexed by the first constraint of `key` (the tag
     /// variable carrying the constraints).
     pub fn insert(&mut self, key: &TagVar, entry: E) {
-        self.len += 1;
         let Some(first) = key.attrs.first() else {
             self.overflow.push(entry);
             return;
@@ -257,7 +244,6 @@ impl<E> AttrBucket<E> {
         let Some(pos) = self.routed(key).iter().position(pred) else {
             return false;
         };
-        self.len -= 1;
         let Some(first) = key.attrs.first() else {
             self.overflow.swap_remove(pos);
             return true;
@@ -405,8 +391,8 @@ mod tests {
                 i as u32,
             );
         }
-        assert_eq!(b.len(), 4);
         assert_eq!(candidates(&b, &[("x", "3")]), vec![0, 2]);
+        assert_eq!(candidates(&b, &[("x", "5")]), vec![1]);
         assert_eq!(candidates(&b, &[("x", "7")]), vec![3]);
         assert_eq!(candidates(&b, &[("x", "9")]), Vec::<u32>::new());
         assert_eq!(candidates(&b, &[("y", "3")]), Vec::<u32>::new());

@@ -1,18 +1,24 @@
 //! The predicate index (paper §4.1.2, Fig. 1) and predicate matching.
 //!
-//! Distinct predicates are managed through staged lookups: the first stage
-//! dispatches on predicate type; absolute predicates hash on the tag name
-//! into per-operator arrays indexed by the predicate value; relative
-//! predicates use a two-stage lookup on (first tag, second tag); end-of-path
-//! predicates use one array per tag; length predicates a single array.
-//! Inserting a predicate that already exists returns the existing
-//! [`PredId`] — overlapping parts of different XPEs are stored and evaluated
-//! exactly once.
+//! A predicate's slot is found by one staged lookup, [`PredicateIndex`]'s
+//! `place`: the predicate's kind first; then its tag (absolute,
+//! end-of-path) or tag pair (relative — the paper's two-stage hash); then
+//! its operator and value, which index a per-operator slot array. Length
+//! predicates skip the tag stage. Inserting a predicate that already
+//! exists returns the existing [`PredId`] — overlapping parts of different
+//! XPEs are stored and evaluated exactly once — and releasing the last
+//! reference clears the same slot.
 //!
-//! Attribute-constrained predicates (inline, §5) cannot be indexed by
-//! position value alone (several distinct predicates can share (tag, op, v)
-//! but differ in their attribute filters), so they live in per-tag side
-//! lists scanned during evaluation.
+//! Attribute-constrained predicates (inline, §5) cannot be told apart by
+//! position value alone (several distinct predicates can share (tag, op,
+//! v) but differ in their attribute filters), so their slots hold
+//! attribute buckets indexed by attribute constant.
+//!
+//! Stage 1 has one implementation: [`PredicateIndex::eval_enter`] adds the
+//! pairs an element contributes when it is pushed on the path stack, and
+//! [`PredicateIndex::eval_leaf`] the length-dependent pairs at a leaf.
+//! [`PredicateIndex::evaluate`] composes the two over a whole path;
+//! [`eval_direct`] is the independent rule-by-rule oracle.
 //!
 //! Matching writes into a reusable [`MatchContext`]: nothing in it
 //! outlives a publication, because each [`MatchContext::begin`] clears
@@ -25,107 +31,27 @@ use pxf_xml::{PathDoc, Symbol};
 use pxf_xpath::AttrValue;
 use std::collections::HashMap;
 
-/// Per-operator arrays of predicate ids, indexed by predicate value.
-#[derive(Debug, Default, Clone)]
-struct OpArrays {
-    eq: Vec<Option<PredId>>,
-    ge: Vec<Option<PredId>>,
-}
-
-impl OpArrays {
-    fn slot(&mut self, op: PosOp, value: u32) -> &mut Option<PredId> {
-        let arr = match op {
-            PosOp::Eq => &mut self.eq,
-            PosOp::Ge => &mut self.ge,
-        };
-        let idx = value as usize;
-        if arr.len() <= idx {
-            arr.resize(idx + 1, None);
-        }
-        &mut arr[idx]
-    }
-}
-
-/// An attribute-constrained absolute or end-of-path predicate entry. The
-/// positional operator and value are implicit in the bucket holding the
-/// entry.
+/// The slots of one predicate family under one key, one array per
+/// positional operator, indexed by predicate value. End-of-path and
+/// length predicates only use `ge`.
 #[derive(Debug, Clone)]
-struct AttrUnary {
-    tag: TagVar,
-    pid: PredId,
-}
-
-/// An attribute-constrained relative predicate entry (keyed by the `from`
-/// tag and, within [`AttrOpLists`], by operator and value).
-#[derive(Debug, Clone)]
-struct AttrBinary {
-    from: TagVar,
-    to: TagVar,
-    pid: PredId,
-}
-
-/// Positional slot for relative attribute predicates: entries indexed by
-/// whichever tag variable carries constraints.
-#[derive(Debug, Clone, Default)]
-struct RelSlot {
-    by_from: AttrBucket<AttrBinary>,
-    by_to: AttrBucket<AttrBinary>,
-}
-
-impl RelSlot {
-    fn insert(&mut self, entry: AttrBinary) {
-        if entry.from.has_attrs() {
-            let key = entry.from.clone();
-            self.by_from.insert(&key, entry);
-        } else {
-            let key = entry.to.clone();
-            self.by_to.insert(&key, entry);
-        }
-    }
-
-    /// Removes the entry with this predicate id, routing by the same key
-    /// rule as [`Self::insert`].
-    fn remove(&mut self, from: &TagVar, to: &TagVar, pid: PredId) -> bool {
-        if from.has_attrs() {
-            self.by_from.remove_entry(from, |e| e.pid == pid)
-        } else {
-            self.by_to.remove_entry(to, |e| e.pid == pid)
-        }
-    }
-
-    /// Looks the predicate up in the one bucket slot [`Self::insert`]
-    /// routed it to, by the same key rule.
-    fn find(&self, from: &TagVar, to: &TagVar) -> Option<PredId> {
-        let same = |e: &AttrBinary| e.from == *from && e.to == *to;
-        let found = if from.has_attrs() {
-            self.by_from.find(from, same)
-        } else {
-            self.by_to.find(to, same)
-        };
-        found.map(|e| e.pid)
-    }
-}
-
-/// Attribute-predicate slots, value-indexed exactly like the plain
-/// [`OpArrays`] — so evaluation only ever touches slots whose positional
-/// relation already holds.
-#[derive(Debug, Clone)]
-struct AttrOpLists<S> {
+struct OpSlots<S> {
     eq: Vec<S>,
     ge: Vec<S>,
 }
 
-impl<S> Default for AttrOpLists<S> {
+impl<S> Default for OpSlots<S> {
     fn default() -> Self {
-        AttrOpLists {
+        OpSlots {
             eq: Vec::new(),
             ge: Vec::new(),
         }
     }
 }
 
-impl<S: Default> AttrOpLists<S> {
-    fn slot_mut(&mut self, op: PosOp, value: u32) -> &mut S {
+impl<S: Default> OpSlots<S> {
+    /// The slot of `(op, value)`, grown on demand.
+    fn slot(&mut self, op: PosOp, value: u32) -> &mut S {
         let arr = match op {
             PosOp::Eq => &mut self.eq,
             PosOp::Ge => &mut self.ge,
@@ -136,23 +62,129 @@ impl<S: Default> AttrOpLists<S> {
         }
         &mut arr[idx]
     }
+}
 
-    fn slot(&self, op: PosOp, value: u32) -> Option<&S> {
-        let arr = match op {
-            PosOp::Eq => &self.eq,
-            PosOp::Ge => &self.ge,
-        };
-        arr.get(value as usize)
+impl<S> OpSlots<S> {
+    /// The slots whose positional relation holds at value `v`: `eq[v]`,
+    /// then `ge[1..=v]` in ascending order.
+    #[inline]
+    fn holding(&self, v: usize) -> impl Iterator<Item = &S> {
+        let ge = self.ge.get(1..self.ge.len().min(v + 1)).unwrap_or(&[]);
+        self.eq.get(v).into_iter().chain(ge)
     }
 
-    /// Mutable access to an already-allocated slot (no resizing — used by
-    /// predicate release, which must not grow the tables).
-    fn existing_slot_mut(&mut self, op: PosOp, value: u32) -> Option<&mut S> {
-        let arr = match op {
-            PosOp::Eq => &mut self.eq,
-            PosOp::Ge => &mut self.ge,
-        };
-        arr.get_mut(value as usize)
+    /// Heap footprint: both arrays, plus what `slot_heap` says each slot
+    /// owns.
+    fn bytes(&self, slot_heap: impl Fn(&S) -> usize) -> usize {
+        (self.eq.capacity() + self.ge.capacity()) * std::mem::size_of::<S>()
+            + self.eq.iter().chain(&self.ge).map(slot_heap).sum::<usize>()
+    }
+}
+
+/// An attribute-constrained absolute or end-of-path predicate entry. The
+/// positional operator and value are implicit in the slot holding the
+/// entry.
+#[derive(Debug, Clone)]
+struct AttrUnary {
+    tag: TagVar,
+    pid: PredId,
+}
+
+/// An attribute-constrained relative predicate entry (keyed by the tag
+/// pair and, within [`OpSlots`], by operator and value).
+#[derive(Debug, Clone)]
+struct AttrBinary {
+    from: TagVar,
+    to: TagVar,
+    pid: PredId,
+}
+
+/// Positional slot for relative attribute predicates: entries indexed by
+/// `from` when it carries constraints, by `to` otherwise.
+#[derive(Debug, Clone, Default)]
+struct RelSlot {
+    by_from: AttrBucket<AttrBinary>,
+    by_to: AttrBucket<AttrBinary>,
+}
+
+impl RelSlot {
+    /// The bucket an entry with these tag variables is filed in, and the
+    /// tag variable that keys it there.
+    fn route<'k>(
+        &mut self,
+        from: &'k TagVar,
+        to: &'k TagVar,
+    ) -> (&mut AttrBucket<AttrBinary>, &'k TagVar) {
+        if from.has_attrs() {
+            (&mut self.by_from, from)
+        } else {
+            (&mut self.by_to, to)
+        }
+    }
+}
+
+/// Where a predicate is stored: what [`PredicateIndex::place`] finds.
+enum Place<'a> {
+    /// A plain predicate's slot.
+    Plain(&'a mut Option<PredId>),
+    /// An attribute-constrained absolute or end-of-path predicate's
+    /// bucket, and its tag variable.
+    Unary(&'a mut AttrBucket<AttrUnary>, &'a TagVar),
+    /// An attribute-constrained relative predicate's slot, and its `from`
+    /// and `to` tag variables.
+    Binary(&'a mut RelSlot, &'a TagVar, &'a TagVar),
+}
+
+impl Place<'_> {
+    /// The id of the predicate stored here, or `pid` once it is stored.
+    fn get_or_insert(self, pid: PredId) -> PredId {
+        match self {
+            Place::Plain(slot) => *slot.get_or_insert(pid),
+            Place::Unary(bucket, tag) => match bucket.find(tag, |e| e.tag == *tag) {
+                Some(e) => e.pid,
+                None => {
+                    let entry = AttrUnary {
+                        tag: tag.clone(),
+                        pid,
+                    };
+                    bucket.insert(tag, entry);
+                    pid
+                }
+            },
+            Place::Binary(slot, from, to) => {
+                let (bucket, key) = slot.route(from, to);
+                match bucket.find(key, |e| e.from == *from && e.to == *to) {
+                    Some(e) => e.pid,
+                    None => {
+                        let entry = AttrBinary {
+                            from: from.clone(),
+                            to: to.clone(),
+                            pid,
+                        };
+                        bucket.insert(key, entry);
+                        pid
+                    }
+                }
+            }
+        }
+    }
+
+    /// Clears `pid` from this place.
+    fn clear(self, pid: PredId) {
+        match self {
+            Place::Plain(slot) => {
+                if *slot == Some(pid) {
+                    *slot = None;
+                }
+            }
+            Place::Unary(bucket, tag) => {
+                bucket.remove_entry(tag, |e| e.pid == pid);
+            }
+            Place::Binary(slot, from, to) => {
+                let (bucket, key) = slot.route(from, to);
+                bucket.remove_entry(key, |e| e.pid == pid);
+            }
+        }
     }
 }
 
@@ -176,27 +208,30 @@ impl<T: Default> SymTable<T> {
     }
 }
 
+/// Plain predicate slots: no attribute constraints.
+type Plain = OpSlots<Option<PredId>>;
+
 /// The predicate index: distinct-predicate storage plus the access paths
 /// used for matching (paper Fig. 1).
 #[derive(Debug, Clone)]
 pub struct PredicateIndex {
     /// Absolute predicates: tag → per-operator value arrays.
-    absolute: SymTable<OpArrays>,
+    absolute: SymTable<Plain>,
     /// Relative predicates: first tag → (second tag → value arrays). The
     /// paper's two-stage hash; the first stage is a dense symbol table.
-    relative: SymTable<HashMap<Symbol, OpArrays>>,
+    relative: SymTable<HashMap<Symbol, Plain>>,
     /// End-of-path predicates: tag → value array (operator is always ≥).
-    end_of_path: SymTable<Vec<Option<PredId>>>,
+    end_of_path: SymTable<Plain>,
     /// Length predicates: value array (operator is always ≥).
-    length: Vec<Option<PredId>>,
+    length: Plain,
     /// Attribute-constrained predicates, bucketed by tag, positional
     /// operator and value, then indexed by attribute constant (see
-    /// [`crate::attr_index`]).
-    absolute_attr: SymTable<AttrOpLists<AttrBucket<AttrUnary>>>,
-    relative_attr: SymTable<HashMap<Symbol, AttrOpLists<RelSlot>>>,
-    end_attr: SymTable<AttrOpLists<AttrBucket<AttrUnary>>>,
-    /// Live attribute-constrained predicates: up where one is allocated,
-    /// down where [`Self::release`] frees it. At zero the side-list scans
+    /// `attr_index`).
+    absolute_attr: SymTable<OpSlots<AttrBucket<AttrUnary>>>,
+    relative_attr: SymTable<HashMap<Symbol, OpSlots<RelSlot>>>,
+    end_attr: SymTable<OpSlots<AttrBucket<AttrUnary>>>,
+    /// Live attribute-constrained predicates: up where one is stored,
+    /// down where [`Self::release`] frees it. At zero the attribute scans
     /// are skipped entirely.
     attr_preds: u32,
     /// Tags that appear as the *second* tag of some plain relative
@@ -211,8 +246,8 @@ pub struct PredicateIndex {
     preds: Vec<Predicate>,
     /// PredId → number of expression levels referencing the predicate
     /// ([`Self::insert`] bumps, [`Self::release`] decrements; at zero the
-    /// dispatch slot is cleared so the predicate stops matching). Ids are
-    /// never reused.
+    /// predicate's slot is cleared so it stops matching). Ids are never
+    /// reused.
     refs: Vec<u32>,
 }
 
@@ -229,7 +264,7 @@ impl PredicateIndex {
             absolute: SymTable::new(),
             relative: SymTable::new(),
             end_of_path: SymTable::new(),
-            length: Vec::new(),
+            length: OpSlots::default(),
             absolute_attr: SymTable::new(),
             relative_attr: SymTable::new(),
             end_attr: SymTable::new(),
@@ -273,16 +308,9 @@ impl PredicateIndex {
     /// their tables, lists and entries, with the tag variables those own.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        fn op_arrays(a: &OpArrays) -> usize {
-            (a.eq.capacity() + a.ge.capacity()) * size_of::<Option<PredId>>()
-        }
-        fn attr_lists<S>(lists: &AttrOpLists<S>, slot_bytes: impl Fn(&S) -> usize) -> usize {
-            let slots = lists.eq.iter().chain(&lists.ge);
-            (lists.eq.capacity() + lists.ge.capacity()) * size_of::<S>()
-                + slots.map(slot_bytes).sum::<usize>()
-        }
-        let unary = |lists: &AttrOpLists<AttrBucket<AttrUnary>>| {
-            attr_lists(lists, |b| b.approx_bytes(|e| tag_var_heap(&e.tag)))
+        let plain = |s: &Plain| s.bytes(|_| 0);
+        let unary = |s: &OpSlots<AttrBucket<AttrUnary>>| {
+            s.bytes(|b| b.approx_bytes(|e| tag_var_heap(&e.tag)))
         };
         let binary = |b: &AttrBucket<AttrBinary>| {
             b.approx_bytes(|e| tag_var_heap(&e.from) + tag_var_heap(&e.to))
@@ -290,29 +318,26 @@ impl PredicateIndex {
         let mut bytes = self.preds.capacity() * size_of::<Predicate>();
         bytes += self.preds.iter().map(predicate_heap).sum::<usize>();
         bytes += self.refs.capacity() * size_of::<u32>();
-        bytes += self.length.capacity() * size_of::<Option<PredId>>();
+        bytes += plain(&self.length);
         bytes += self.rel_to.capacity() + self.rel_attr_to.capacity();
-        bytes += self.absolute.0.capacity() * size_of::<OpArrays>();
-        bytes += self.absolute.0.iter().map(op_arrays).sum::<usize>();
+        bytes += self.absolute.0.capacity() * size_of::<Plain>();
+        bytes += self.absolute.0.iter().map(plain).sum::<usize>();
         for map in &self.relative.0 {
-            for arrays in map.values() {
-                bytes += size_of::<(Symbol, OpArrays)>() + op_arrays(arrays);
+            for slots in map.values() {
+                bytes += size_of::<(Symbol, Plain)>() + plain(slots);
             }
         }
-        for arr in &self.end_of_path.0 {
-            bytes += arr.capacity() * size_of::<Option<PredId>>();
-        }
+        bytes += self.end_of_path.0.iter().map(plain).sum::<usize>();
         for table in [&self.absolute_attr, &self.end_attr] {
-            bytes += table.0.capacity() * size_of::<AttrOpLists<AttrBucket<AttrUnary>>>();
+            bytes += table.0.capacity() * size_of::<OpSlots<AttrBucket<AttrUnary>>>();
             bytes += table.0.iter().map(unary).sum::<usize>();
         }
-        bytes +=
-            self.relative_attr.0.capacity() * size_of::<HashMap<Symbol, AttrOpLists<RelSlot>>>();
+        bytes += self.relative_attr.0.capacity() * size_of::<HashMap<Symbol, OpSlots<RelSlot>>>();
         for map in &self.relative_attr.0 {
             bytes += hash_map_bytes(map);
             bytes += map
                 .values()
-                .map(|lists| attr_lists(lists, |s| binary(&s.by_from) + binary(&s.by_to)))
+                .map(|s| s.bytes(|r| binary(&r.by_from) + binary(&r.by_to)))
                 .sum::<usize>();
         }
         bytes
@@ -323,35 +348,17 @@ impl PredicateIndex {
         &self.preds[pid.index()]
     }
 
-    fn alloc(preds: &mut Vec<Predicate>, refs: &mut Vec<u32>, pred: Predicate) -> PredId {
-        let pid = PredId(preds.len() as u32);
-        preds.push(pred);
-        refs.push(1);
-        pid
-    }
-
-    /// Bumps the reference count of an already-stored predicate.
-    fn bump(refs: &mut [u32], pid: PredId) -> PredId {
-        refs[pid.index()] += 1;
-        pid
-    }
-
-    /// Inserts a predicate, returning its id. If the exact same predicate is
-    /// already stored, the existing id is returned (overlap sharing) with
-    /// its reference count bumped; every insertion must eventually be
-    /// balanced by a [`Self::release`] for removal to reclaim slots.
-    pub fn insert(&mut self, pred: Predicate) -> PredId {
-        match &pred {
+    /// The staged lookup of paper Fig. 1 — kind, then tag or tag pair,
+    /// then operator and value — and the one place a predicate's shape
+    /// decides where it is stored. Grows the tables on the way, and marks
+    /// a relative predicate's second tag.
+    fn place<'a>(&'a mut self, pred: &'a Predicate) -> Place<'a> {
+        match pred {
             Predicate::Absolute { tag, op, value } if !tag.has_attrs() => {
-                let slot = self.absolute.get_mut(tag.tag).slot(*op, *value);
-                match slot {
-                    Some(pid) => Self::bump(&mut self.refs, *pid),
-                    None => {
-                        let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                        *slot = Some(pid);
-                        pid
-                    }
-                }
+                Place::Plain(self.absolute.get_mut(tag.tag).slot(*op, *value))
+            }
+            Predicate::Absolute { tag, op, value } => {
+                Place::Unary(self.absolute_attr.get_mut(tag.tag).slot(*op, *value), tag)
             }
             Predicate::Relative {
                 from,
@@ -360,68 +367,8 @@ impl PredicateIndex {
                 value,
             } if !from.has_attrs() && !to.has_attrs() => {
                 Self::mark_to_tag(&mut self.rel_to, to.tag);
-                let slot = self
-                    .relative
-                    .get_mut(from.tag)
-                    .entry(to.tag)
-                    .or_default()
-                    .slot(*op, *value);
-                match slot {
-                    Some(pid) => Self::bump(&mut self.refs, *pid),
-                    None => {
-                        let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                        *slot = Some(pid);
-                        pid
-                    }
-                }
-            }
-            Predicate::EndOfPath { tag, value } if !tag.has_attrs() => {
-                let arr = self.end_of_path.get_mut(tag.tag);
-                let idx = *value as usize;
-                if arr.len() <= idx {
-                    arr.resize(idx + 1, None);
-                }
-                match &arr[idx] {
-                    Some(pid) => Self::bump(&mut self.refs, *pid),
-                    None => {
-                        let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                        arr[idx] = Some(pid);
-                        pid
-                    }
-                }
-            }
-            Predicate::Length { value } => {
-                let idx = *value as usize;
-                if self.length.len() <= idx {
-                    self.length.resize(idx + 1, None);
-                }
-                match &self.length[idx] {
-                    Some(pid) => Self::bump(&mut self.refs, *pid),
-                    None => {
-                        let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                        self.length[idx] = Some(pid);
-                        pid
-                    }
-                }
-            }
-            // Attribute-constrained variants: value-indexed slots holding
-            // constant-indexed buckets, with dedup on the full tag
-            // variables.
-            Predicate::Absolute { tag, op, value } => {
-                let bucket = self.absolute_attr.get_mut(tag.tag).slot_mut(*op, *value);
-                if let Some(e) = bucket.find(tag, |e| e.tag == *tag) {
-                    return Self::bump(&mut self.refs, e.pid);
-                }
-                let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                self.attr_preds += 1;
-                bucket.insert(
-                    tag,
-                    AttrUnary {
-                        tag: tag.clone(),
-                        pid,
-                    },
-                );
-                pid
+                let slots = self.relative.get_mut(from.tag).entry(to.tag).or_default();
+                Place::Plain(slots.slot(*op, *value))
             }
             Predicate::Relative {
                 from,
@@ -430,50 +377,46 @@ impl PredicateIndex {
                 value,
             } => {
                 Self::mark_to_tag(&mut self.rel_attr_to, to.tag);
-                let slot = self
+                let slots = self
                     .relative_attr
                     .get_mut(from.tag)
                     .entry(to.tag)
-                    .or_default()
-                    .slot_mut(*op, *value);
-                if let Some(pid) = slot.find(from, to) {
-                    return Self::bump(&mut self.refs, pid);
-                }
-                let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                self.attr_preds += 1;
-                slot.insert(AttrBinary {
-                    from: from.clone(),
-                    to: to.clone(),
-                    pid,
-                });
-                pid
+                    .or_default();
+                Place::Binary(slots.slot(*op, *value), from, to)
+            }
+            Predicate::EndOfPath { tag, value } if !tag.has_attrs() => {
+                Place::Plain(self.end_of_path.get_mut(tag.tag).slot(PosOp::Ge, *value))
             }
             Predicate::EndOfPath { tag, value } => {
-                let bucket = self.end_attr.get_mut(tag.tag).slot_mut(PosOp::Ge, *value);
-                if let Some(e) = bucket.find(tag, |e| e.tag == *tag) {
-                    return Self::bump(&mut self.refs, e.pid);
-                }
-                let pid = Self::alloc(&mut self.preds, &mut self.refs, pred.clone());
-                self.attr_preds += 1;
-                bucket.insert(
-                    tag,
-                    AttrUnary {
-                        tag: tag.clone(),
-                        pid,
-                    },
-                );
-                pid
+                Place::Unary(self.end_attr.get_mut(tag.tag).slot(PosOp::Ge, *value), tag)
             }
+            Predicate::Length { value } => Place::Plain(self.length.slot(PosOp::Ge, *value)),
         }
     }
 
+    /// Inserts a predicate, returning its id. If the exact same predicate is
+    /// already stored, the existing id is returned (overlap sharing) with
+    /// its reference count bumped; every insertion must eventually be
+    /// balanced by a [`Self::release`] for removal to reclaim slots.
+    pub fn insert(&mut self, pred: Predicate) -> PredId {
+        let next = PredId(self.preds.len() as u32);
+        let pid = self.place(&pred).get_or_insert(next);
+        if pid == next {
+            self.attr_preds += u32::from(pred.has_attrs());
+            self.preds.push(pred);
+            self.refs.push(1);
+        } else {
+            self.refs[pid.index()] += 1;
+        }
+        pid
+    }
+
     /// Releases one reference on a predicate (the inverse of one
-    /// [`Self::insert`]). When the count reaches zero the predicate's
-    /// dispatch slot is cleared, so it stops matching publications and a
-    /// later identical insert allocates a fresh id. The id itself and the
-    /// stored [`Predicate`] are never reused or deallocated; the `rel_to`
-    /// bitmaps stay set (they are conservative filters, not correctness
-    /// state).
+    /// [`Self::insert`]). When the count reaches zero the predicate's slot
+    /// is cleared, so it stops matching publications and a later identical
+    /// insert allocates a fresh id. The id itself and the stored
+    /// [`Predicate`] are never reused or deallocated; the `rel_to` bitmaps
+    /// stay set (they are conservative filters, not correctness state).
     pub fn release(&mut self, pid: PredId) {
         let Some(r) = self.refs.get_mut(pid.index()) else {
             return;
@@ -486,163 +429,14 @@ impl PredicateIndex {
             return;
         }
         let pred = self.preds[pid.index()].clone();
-        match &pred {
-            Predicate::Absolute { tag, op, value } if !tag.has_attrs() => {
-                if let Some(arrays) = self.absolute.0.get_mut(tag.tag.index()) {
-                    let arr = match op {
-                        PosOp::Eq => &mut arrays.eq,
-                        PosOp::Ge => &mut arrays.ge,
-                    };
-                    if let Some(slot) = arr.get_mut(*value as usize) {
-                        if *slot == Some(pid) {
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-            Predicate::Relative {
-                from,
-                to,
-                op,
-                value,
-            } if !from.has_attrs() && !to.has_attrs() => {
-                if let Some(arrays) = self
-                    .relative
-                    .0
-                    .get_mut(from.tag.index())
-                    .and_then(|m| m.get_mut(&to.tag))
-                {
-                    let arr = match op {
-                        PosOp::Eq => &mut arrays.eq,
-                        PosOp::Ge => &mut arrays.ge,
-                    };
-                    if let Some(slot) = arr.get_mut(*value as usize) {
-                        if *slot == Some(pid) {
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-            Predicate::EndOfPath { tag, value } if !tag.has_attrs() => {
-                if let Some(slot) = self
-                    .end_of_path
-                    .0
-                    .get_mut(tag.tag.index())
-                    .and_then(|arr| arr.get_mut(*value as usize))
-                {
-                    if *slot == Some(pid) {
-                        *slot = None;
-                    }
-                }
-            }
-            Predicate::Length { value } => {
-                if let Some(slot) = self.length.get_mut(*value as usize) {
-                    if *slot == Some(pid) {
-                        *slot = None;
-                    }
-                }
-            }
-            Predicate::Absolute { tag, op, value } => {
-                self.attr_preds -= 1;
-                if let Some(bucket) = self
-                    .absolute_attr
-                    .0
-                    .get_mut(tag.tag.index())
-                    .and_then(|lists| lists.existing_slot_mut(*op, *value))
-                {
-                    bucket.remove_entry(tag, |e| e.pid == pid);
-                }
-            }
-            Predicate::Relative {
-                from,
-                to,
-                op,
-                value,
-            } => {
-                self.attr_preds -= 1;
-                if let Some(slot) = self
-                    .relative_attr
-                    .0
-                    .get_mut(from.tag.index())
-                    .and_then(|m| m.get_mut(&to.tag))
-                    .and_then(|lists| lists.existing_slot_mut(*op, *value))
-                {
-                    slot.remove(from, to, pid);
-                }
-            }
-            Predicate::EndOfPath { tag, value } => {
-                self.attr_preds -= 1;
-                if let Some(bucket) = self
-                    .end_attr
-                    .0
-                    .get_mut(tag.tag.index())
-                    .and_then(|lists| lists.existing_slot_mut(PosOp::Ge, *value))
-                {
-                    bucket.remove_entry(tag, |e| e.pid == pid);
-                }
-            }
-        }
-    }
-
-    /// Looks up a predicate without inserting.
-    pub fn get(&self, pred: &Predicate) -> Option<PredId> {
-        match pred {
-            Predicate::Absolute { tag, op, value } if !tag.has_attrs() => {
-                let arrays = self.absolute.get(tag.tag)?;
-                let arr = match op {
-                    PosOp::Eq => &arrays.eq,
-                    PosOp::Ge => &arrays.ge,
-                };
-                arr.get(*value as usize).copied().flatten()
-            }
-            Predicate::Relative {
-                from,
-                to,
-                op,
-                value,
-            } if !from.has_attrs() && !to.has_attrs() => {
-                let arrays = self.relative.get(from.tag)?.get(&to.tag)?;
-                let arr = match op {
-                    PosOp::Eq => &arrays.eq,
-                    PosOp::Ge => &arrays.ge,
-                };
-                arr.get(*value as usize).copied().flatten()
-            }
-            Predicate::EndOfPath { tag, value } if !tag.has_attrs() => self
-                .end_of_path
-                .get(tag.tag)?
-                .get(*value as usize)
-                .copied()
-                .flatten(),
-            Predicate::Length { value } => self.length.get(*value as usize).copied().flatten(),
-            Predicate::Absolute { tag, op, value } => self
-                .absolute_attr
-                .get(tag.tag)?
-                .slot(*op, *value)?
-                .find(tag, |e| e.tag == *tag)
-                .map(|e| e.pid),
-            Predicate::Relative {
-                from,
-                to,
-                op,
-                value,
-            } => self
-                .relative_attr
-                .get(from.tag)?
-                .get(&to.tag)?
-                .slot(*op, *value)?
-                .find(from, to),
-            Predicate::EndOfPath { tag, value } => self
-                .end_attr
-                .get(tag.tag)?
-                .slot(PosOp::Ge, *value)?
-                .find(tag, |e| e.tag == *tag)
-                .map(|e| e.pid),
-        }
+        self.attr_preds -= u32::from(pred.has_attrs());
+        self.place(&pred).clear(pid);
     }
 
     /// Evaluates a publication against every predicate in the index
-    /// (paper §4.1), recording matches in `ctx`. `doc` is required when
+    /// (paper §4.1), recording matches in `ctx`: the eager composition of
+    /// the incremental evaluator — [`Self::eval_enter`] on each prefix of
+    /// the path, then [`Self::eval_leaf`]. `doc` is required when
     /// attribute-constrained predicates are present.
     pub fn evaluate(
         &self,
@@ -651,250 +445,65 @@ impl PredicateIndex {
         ctx: &mut MatchContext,
     ) {
         ctx.begin(self.preds.len());
-        let len = publication.length;
-
-        // Length-of-expression predicates: (length, ≥, v) matches iff v ≤ n.
-        let max_l = (self.length.len().saturating_sub(1) as u16).min(len);
-        for v in 1..=max_l {
-            if let Some(pid) = self.length[v as usize] {
-                ctx.push(pid, (0, 0));
-            }
+        for end in 1..=publication.tuples.len() {
+            self.eval_enter(&publication.tuples[..end], doc, ctx);
         }
-
-        for tuple in &publication.tuples {
-            // Absolute predicates: (p_t, =, v) matches iff pos == v;
-            // (p_t, ≥, v) matches iff pos ≥ v, i.e. every array slot 1..=pos.
-            if let Some(arrays) = self.absolute.get(tuple.tag) {
-                if let Some(Some(pid)) = arrays.eq.get(tuple.pos as usize) {
-                    ctx.push(*pid, (tuple.occ, tuple.occ));
-                }
-                let max = (arrays.ge.len().saturating_sub(1) as u16).min(tuple.pos);
-                for v in 1..=max {
-                    if let Some(pid) = arrays.ge[v as usize] {
-                        ctx.push(pid, (tuple.occ, tuple.occ));
-                    }
-                }
-            }
-            // End-of-path predicates: (p_t⊣, ≥, v) matches iff n − pos ≥ v.
-            if let Some(arr) = self.end_of_path.get(tuple.tag) {
-                let rem = len - tuple.pos;
-                let max = (arr.len().saturating_sub(1) as u16).min(rem);
-                for v in 1..=max {
-                    if let Some(pid) = arr[v as usize] {
-                        ctx.push(pid, (tuple.occ, tuple.occ));
-                    }
-                }
-            }
-        }
-
-        // Relative predicates: correlate ordered pairs of tuples
-        // (paper §4.1.2: "the index position is identified by the difference
-        // of the positions of the second-level and first-level tags").
-        let tuples = &publication.tuples;
-        for i in 0..tuples.len() {
-            let from = &tuples[i];
-            let Some(map) = self.relative.get(from.tag) else {
-                continue;
-            };
-            if map.is_empty() {
-                continue;
-            }
-            for to in &tuples[i + 1..] {
-                let Some(arrays) = map.get(&to.tag) else {
-                    continue;
-                };
-                let diff = to.pos - from.pos;
-                if let Some(Some(pid)) = arrays.eq.get(diff as usize) {
-                    ctx.push(*pid, (from.occ, to.occ));
-                }
-                let max = (arrays.ge.len().saturating_sub(1) as u16).min(diff);
-                for v in 1..=max {
-                    if let Some(pid) = arrays.ge[v as usize] {
-                        ctx.push(pid, (from.occ, to.occ));
-                    }
-                }
-            }
-        }
-
-        if self.has_attr_predicates() {
-            let doc = doc.expect(
-                "PredicateIndex::evaluate: a document is required when \
-                 attribute-constrained predicates are present",
-            );
-            self.evaluate_attr_preds(publication, doc, ctx);
-        }
-    }
-
-    /// Evaluates the attribute-constrained side lists (inline, §5): a
-    /// predicate matches iff both the positional relation and every attached
-    /// attribute filter hold.
-    fn evaluate_attr_preds(
-        &self,
-        publication: &Publication,
-        doc: &PathDoc,
-        ctx: &mut MatchContext,
-    ) {
-        let len = publication.length;
-        for tuple in &publication.tuples {
-            if let Some(lists) = self.absolute_attr.get(tuple.tag) {
-                self.scan_unary(lists, tuple.pos, tuple.node, tuple.occ, doc, ctx);
-            }
-            if let Some(lists) = self.end_attr.get(tuple.tag) {
-                self.scan_unary(lists, len - tuple.pos, tuple.node, tuple.occ, doc, ctx);
-            }
-        }
-        let tuples = &publication.tuples;
-        for i in 0..tuples.len() {
-            let from = &tuples[i];
-            let Some(map) = self.relative_attr.get(from.tag) else {
-                continue;
-            };
-            if map.is_empty() {
-                continue;
-            }
-            for to in &tuples[i + 1..] {
-                let Some(lists) = map.get(&to.tag) else {
-                    continue;
-                };
-                self.scan_binary(lists, from, to, doc, ctx);
-            }
-        }
-    }
-
-    /// Scans one unary attribute-predicate slot family (absolute or
-    /// end-of-path side list) for a single tuple whose positional value is
-    /// `value`, pushing matches as `(occ, occ)` pairs.
-    fn scan_unary(
-        &self,
-        lists: &AttrOpLists<AttrBucket<AttrUnary>>,
-        value: u16,
-        node: pxf_xml::NodeId,
-        occ: u16,
-        doc: &PathDoc,
-        ctx: &mut MatchContext,
-    ) {
-        let value_of = |name: &str| doc.value_of(node, name);
-        let on_candidate = |e: &AttrUnary, ctx: &mut MatchContext| {
-            if verify_tagvar(&e.tag, value_of) {
-                ctx.push(e.pid, (occ, occ));
-            }
-        };
-        if let Some(bucket) = lists.slot(PosOp::Eq, value as u32) {
-            bucket.for_each_candidate(value_of, |e| on_candidate(e, ctx));
-        }
-        let max = (lists.ge.len().saturating_sub(1) as u16).min(value);
-        for v in 1..=max {
-            lists.ge[v as usize].for_each_candidate(value_of, |e| on_candidate(e, ctx));
-        }
-    }
-
-    /// Scans the attribute-constrained relative slots for one ordered tuple
-    /// pair, pushing matches as `(from.occ, to.occ)` pairs.
-    fn scan_binary(
-        &self,
-        lists: &AttrOpLists<RelSlot>,
-        from: &PathTuple,
-        to: &PathTuple,
-        doc: &PathDoc,
-        ctx: &mut MatchContext,
-    ) {
-        let from_value = |name: &str| doc.value_of(from.node, name);
-        let to_value = |name: &str| doc.value_of(to.node, name);
-        let on_candidate = |e: &AttrBinary, ctx: &mut MatchContext| {
-            if verify_tagvar(&e.from, from_value) && verify_tagvar(&e.to, to_value) {
-                ctx.push(e.pid, (from.occ, to.occ));
-            }
-        };
-        let scan_slot = |slot: &RelSlot, ctx: &mut MatchContext| {
-            slot.by_from.for_each_candidate(
-                |name| doc.value_of(from.node, name),
-                |e| on_candidate(e, ctx),
-            );
-            slot.by_to
-                .for_each_candidate(|name| doc.value_of(to.node, name), |e| on_candidate(e, ctx));
-        };
-        let diff = (to.pos - from.pos) as u32;
-        if let Some(slot) = lists.slot(PosOp::Eq, diff) {
-            scan_slot(slot, ctx);
-        }
-        let max = (lists.ge.len().saturating_sub(1) as u32).min(diff);
-        for v in 1..=max {
-            scan_slot(&lists.ge[v as usize], ctx);
-        }
+        self.eval_leaf(publication, doc, ctx);
     }
 
     /// Incremental stage-1, one element: evaluates only the contributions
     /// of the last tuple of `path` (a prefix of the path stack, root
     /// first; the element is its last tuple) — its absolute-predicate
-    /// slots, its relative-predicate pairs against every ancestor tuple,
-    /// and its attribute side lists. Length and end-of-path predicates
-    /// depend on the final path length and are deferred to
-    /// [`Self::eval_leaf`].
+    /// slots, its relative-predicate pairs against every ancestor tuple
+    /// (paper §4.1.2: "the index position is identified by the difference
+    /// of the positions of the second-level and first-level tags"), and
+    /// its attribute buckets. Length and end-of-path predicates depend on
+    /// the final path length and are deferred to [`Self::eval_leaf`].
     ///
     /// The result is a function of `path` alone, so an open element may be
     /// evaluated on enter or at any later point before it closes. Calling
     /// this once per open element, outermost first (with rollback of the
-    /// pushed pairs on leave), accumulates exactly the pairs
-    /// [`Self::evaluate`] minus `eval_leaf` would produce for the
-    /// evaluated root-to-element path — relative pairs arrive in to-major
-    /// instead of from-major order, which occurrence determination is
-    /// insensitive to.
+    /// pushed pairs on leave), accumulates exactly the pairs of the
+    /// root-to-element path; relative pairs arrive in to-major order.
     pub fn eval_enter(&self, path: &[PathTuple], doc: Option<&PathDoc>, ctx: &mut MatchContext) {
-        let Some((&tuple, ancestors)) = path.split_last() else {
+        let Some((tuple, ancestors)) = path.split_last() else {
             return;
         };
-        if let Some(arrays) = self.absolute.get(tuple.tag) {
-            if let Some(Some(pid)) = arrays.eq.get(tuple.pos as usize) {
-                ctx.push(*pid, (tuple.occ, tuple.occ));
-            }
-            let max = (arrays.ge.len().saturating_sub(1) as u16).min(tuple.pos);
-            for v in 1..=max {
-                if let Some(pid) = arrays.ge[v as usize] {
-                    ctx.push(pid, (tuple.occ, tuple.occ));
-                }
-            }
+        let pos = tuple.pos as usize;
+        if let Some(slots) = self.absolute.get(tuple.tag) {
+            push_holding(slots, pos, (tuple.occ, tuple.occ), ctx);
         }
         if self.rel_to.get(tuple.tag.index()).copied().unwrap_or(false) {
             for from in ancestors {
-                let Some(arrays) = self.relative.get(from.tag).and_then(|m| m.get(&tuple.tag))
-                else {
-                    continue;
-                };
-                let diff = tuple.pos - from.pos;
-                if let Some(Some(pid)) = arrays.eq.get(diff as usize) {
-                    ctx.push(*pid, (from.occ, tuple.occ));
-                }
-                let max = (arrays.ge.len().saturating_sub(1) as u16).min(diff);
-                for v in 1..=max {
-                    if let Some(pid) = arrays.ge[v as usize] {
-                        ctx.push(pid, (from.occ, tuple.occ));
-                    }
+                if let Some(slots) = self.relative.get(from.tag).and_then(|m| m.get(&tuple.tag)) {
+                    let diff = pos - from.pos as usize;
+                    push_holding(slots, diff, (from.occ, tuple.occ), ctx);
                 }
             }
         }
-        if self.has_attr_predicates() {
-            let doc = doc.expect(
-                "PredicateIndex::eval_enter: a document is required when \
-                 attribute-constrained predicates are present",
-            );
-            if let Some(lists) = self.absolute_attr.get(tuple.tag) {
-                self.scan_unary(lists, tuple.pos, tuple.node, tuple.occ, doc, ctx);
-            }
-            if self
-                .rel_attr_to
-                .get(tuple.tag.index())
-                .copied()
-                .unwrap_or(false)
-            {
-                for from in ancestors {
-                    let Some(lists) = self
-                        .relative_attr
-                        .get(from.tag)
-                        .and_then(|m| m.get(&tuple.tag))
-                    else {
-                        continue;
-                    };
-                    self.scan_binary(lists, from, &tuple, doc, ctx);
+        if !self.has_attr_predicates() {
+            return;
+        }
+        let doc = doc.expect(
+            "PredicateIndex: a document is required when attribute-constrained \
+             predicates are present",
+        );
+        if let Some(slots) = self.absolute_attr.get(tuple.tag) {
+            scan_unary(slots, pos, tuple, doc, ctx);
+        }
+        if self
+            .rel_attr_to
+            .get(tuple.tag.index())
+            .copied()
+            .unwrap_or(false)
+        {
+            for from in ancestors {
+                let slots = self
+                    .relative_attr
+                    .get(from.tag)
+                    .and_then(|m| m.get(&tuple.tag));
+                if let Some(slots) = slots {
+                    scan_binary(slots, from, tuple, doc, ctx);
                 }
             }
         }
@@ -912,35 +521,80 @@ impl PredicateIndex {
         doc: Option<&PathDoc>,
         ctx: &mut MatchContext,
     ) {
-        let len = publication.length;
-        let max_l = (self.length.len().saturating_sub(1) as u16).min(len);
-        for v in 1..=max_l {
-            if let Some(pid) = self.length[v as usize] {
-                ctx.push(pid, (0, 0));
-            }
-        }
+        let len = publication.length as usize;
+        push_holding(&self.length, len, (0, 0), ctx);
         for tuple in &publication.tuples {
-            if let Some(arr) = self.end_of_path.get(tuple.tag) {
-                let rem = len - tuple.pos;
-                let max = (arr.len().saturating_sub(1) as u16).min(rem);
-                for v in 1..=max {
-                    if let Some(pid) = arr[v as usize] {
-                        ctx.push(pid, (tuple.occ, tuple.occ));
-                    }
-                }
+            if let Some(slots) = self.end_of_path.get(tuple.tag) {
+                let rem = len - tuple.pos as usize;
+                push_holding(slots, rem, (tuple.occ, tuple.occ), ctx);
             }
         }
-        if self.has_attr_predicates() {
-            let doc = doc.expect(
-                "PredicateIndex::eval_leaf: a document is required when \
-                 attribute-constrained predicates are present",
-            );
-            for tuple in &publication.tuples {
-                if let Some(lists) = self.end_attr.get(tuple.tag) {
-                    self.scan_unary(lists, len - tuple.pos, tuple.node, tuple.occ, doc, ctx);
-                }
+        if !self.has_attr_predicates() {
+            return;
+        }
+        let doc = doc.expect(
+            "PredicateIndex: a document is required when attribute-constrained \
+             predicates are present",
+        );
+        for tuple in &publication.tuples {
+            if let Some(slots) = self.end_attr.get(tuple.tag) {
+                scan_unary(slots, len - tuple.pos as usize, tuple, doc, ctx);
             }
         }
+    }
+}
+
+/// Pushes `pair` for every plain predicate whose slot holds at value `v`.
+#[inline]
+fn push_holding(slots: &Plain, v: usize, pair: (u16, u16), ctx: &mut MatchContext) {
+    // Internal iteration: `Chain` folds as two plain loops.
+    slots
+        .holding(v)
+        .flatten()
+        .for_each(|&pid| ctx.push(pid, pair));
+}
+
+/// Pushes `(occ, occ)` for every attribute-constrained absolute or
+/// end-of-path predicate whose slot holds at value `v` and whose tag
+/// variable the tuple's element satisfies.
+fn scan_unary(
+    slots: &OpSlots<AttrBucket<AttrUnary>>,
+    v: usize,
+    tuple: &PathTuple,
+    doc: &PathDoc,
+    ctx: &mut MatchContext,
+) {
+    let value_of = |name: &str| doc.value_of(tuple.node, name);
+    for bucket in slots.holding(v) {
+        bucket.for_each_candidate(value_of, |e| {
+            if verify_tagvar(&e.tag, value_of) {
+                ctx.push(e.pid, (tuple.occ, tuple.occ));
+            }
+        });
+    }
+}
+
+/// Pushes `(from.occ, to.occ)` for every attribute-constrained relative
+/// predicate whose slot holds at the pair's distance and whose tag
+/// variables the two elements satisfy.
+fn scan_binary(
+    slots: &OpSlots<RelSlot>,
+    from: &PathTuple,
+    to: &PathTuple,
+    doc: &PathDoc,
+    ctx: &mut MatchContext,
+) {
+    let from_value = |name: &str| doc.value_of(from.node, name);
+    let to_value = |name: &str| doc.value_of(to.node, name);
+    let mut on_candidate = |e: &AttrBinary| {
+        if verify_tagvar(&e.from, from_value) && verify_tagvar(&e.to, to_value) {
+            ctx.push(e.pid, (from.occ, to.occ));
+        }
+    };
+    for slot in slots.holding((to.pos - from.pos) as usize) {
+        slot.by_from
+            .for_each_candidate(from_value, &mut on_candidate);
+        slot.by_to.for_each_candidate(to_value, &mut on_candidate);
     }
 }
 
@@ -964,17 +618,6 @@ fn predicate_heap(p: &Predicate) -> usize {
         Predicate::Relative { from, to, .. } => tag_var_heap(from) + tag_var_heap(to),
         Predicate::Length { .. } => 0,
     }
-}
-
-/// Checks every attribute constraint of a tag variable against a document
-/// element.
-fn tagvar_attrs_match(tag: &TagVar, node: pxf_xml::NodeId, doc: &PathDoc) -> bool {
-    if tag.attrs.is_empty() {
-        return true;
-    }
-    tag.attrs
-        .iter()
-        .all(|c| c.matches(doc.value_of(node, &c.name)))
 }
 
 /// Per-publication predicate matching results: for each matched predicate,
@@ -1139,7 +782,7 @@ pub fn eval_direct(
     let attrs_ok = |tag: &TagVar, node: pxf_xml::NodeId| -> bool {
         match doc {
             _ if tag.attrs.is_empty() => true,
-            Some(doc) => tagvar_attrs_match(tag, node, doc),
+            Some(doc) => verify_tagvar(tag, |name| doc.value_of(node, name)),
             None => false,
         }
     };
@@ -1214,9 +857,11 @@ mod tests {
     /// every predicate that carries one: absolute, end-of-path, and
     /// relative keyed by `from` and by `to`. A second insert returns the
     /// one id and stores nothing; `>= 5` and `> 5` on the same bound stay
-    /// two predicates; one release of two leaves it found, the second
-    /// removes it. Neighbours with other bounds and a second constraint
-    /// share the slots, so each probe picks its entry out of a crowd.
+    /// two predicates; one release of two leaves it found (inserting it
+    /// again returns its id), the second removes it (inserting it again
+    /// stores it afresh). Neighbours with other bounds and a second
+    /// constraint share the slots, so each probe picks its entry out of a
+    /// crowd.
     #[test]
     fn attribute_predicates_are_found_where_they_were_filed() {
         use pxf_xpath::CmpOp;
@@ -1281,9 +926,9 @@ mod tests {
             }
             assert_ne!(pids[2], pids[3], "{shape}: >= 5 and > 5 are one predicate");
             assert_ne!(pids[4], pids[5], "{shape}: <= 5 and < 5 are one predicate");
-            let len = index.len();
             for ((kind, first), &pid) in firsts.iter().zip(&pids) {
                 let p = pred(vec![first.clone()]);
+                let len = index.len();
                 assert_eq!(
                     index.insert(p.clone()),
                     pid,
@@ -1296,12 +941,14 @@ mod tests {
                 );
                 index.release(pid);
                 assert_eq!(
-                    index.get(&p),
-                    Some(pid),
+                    index.insert(p.clone()),
+                    pid,
                     "{shape}, {kind}: one reference left"
                 );
                 index.release(pid);
-                assert_eq!(index.get(&p), None, "{shape}, {kind}: released twice");
+                index.release(pid);
+                assert_ne!(index.insert(p), pid, "{shape}, {kind}: released twice");
+                assert_eq!(index.len(), len + 1, "{shape}, {kind}: stored afresh");
             }
         }
     }
@@ -1501,6 +1148,64 @@ mod tests {
         inc.pop_to_mark(before_leaf);
         assert_eq!(inc.matched(), matched_before_leaf);
         assert_bitmap_is_exact(&inc, index.len());
+    }
+
+    /// A predicate far out on a value array (value 65,536, past what a
+    /// `u16` bound reaches) leaves its near neighbour (value 1) matching,
+    /// in every family whose `>=` slots are scanned: absolute, relative,
+    /// end-of-path, length and attribute-constrained absolute — through
+    /// `evaluate` and through `eval_enter`/`eval_leaf`.
+    #[test]
+    fn a_far_predicate_leaves_its_near_neighbour_matching() {
+        use pxf_xpath::CmpOp;
+        let mut interner = Interner::new();
+        let doc = PathDoc::parse(b"<a x=\"1\"><b><c/></b></a>").unwrap();
+        let (a, b) = (interner.intern("a"), interner.intern("b"));
+        let with_x = TagVar::with_attrs(
+            a,
+            vec![AttrConstraint {
+                name: "x".into(),
+                constraint: Some((CmpOp::Eq, AttrValue::Int(1))),
+            }],
+        );
+        type Family = fn(Symbol, Symbol, &TagVar, u32) -> Predicate;
+        let families: [(&str, Family); 5] = [
+            ("absolute", |a, _, _, v| {
+                Predicate::absolute(a, PosOp::Ge, v)
+            }),
+            ("relative", |a, b, _, v| {
+                Predicate::relative(a, b, PosOp::Ge, v)
+            }),
+            ("end-of-path", |a, _, _, v| Predicate::end_of_path(a, v)),
+            ("length", |_, _, _, v| Predicate::length(v)),
+            ("attribute absolute", |_, _, t, v| Predicate::Absolute {
+                tag: t.clone(),
+                op: PosOp::Ge,
+                value: v,
+            }),
+        ];
+        let path: Vec<pxf_xml::NodeId> = (0..doc.len() as pxf_xml::NodeId).collect();
+        let publication = Publication::from_path(&doc, &path, &mut interner);
+        for (family, build) in families {
+            let mut index = PredicateIndex::new();
+            let far = index.insert(build(a, b, &with_x, 65_536));
+            let near = index.insert(build(a, b, &with_x, 1));
+            let mut ctx = MatchContext::new();
+            index.evaluate(&publication, Some(&doc), &mut ctx);
+            assert!(ctx.is_matched(near), "{family}: evaluate");
+            assert!(!ctx.is_matched(far), "{family}: evaluate");
+
+            let mut stack = Publication::new();
+            stack.begin_incremental();
+            ctx.begin(index.len());
+            for tuple in &publication.tuples {
+                stack.push_path_element(tuple.tag, tuple.node);
+                index.eval_enter(&stack.tuples, Some(&doc), &mut ctx);
+            }
+            index.eval_leaf(&stack, Some(&doc), &mut ctx);
+            assert!(ctx.is_matched(near), "{family}: eval_enter/eval_leaf");
+            assert!(!ctx.is_matched(far), "{family}: eval_enter/eval_leaf");
+        }
     }
 
     #[test]

@@ -4,9 +4,16 @@
 //! This crate implements the first stage of the paper's two-stage matching
 //! algorithm: XPath expressions are encoded (by `pxf-core`) as ordered sets
 //! of [`Predicate`]s held in a [`PredicateIndex`]; XML document paths are
-//! encoded as [`Publication`]s; [`PredicateIndex::evaluate`] computes, for
-//! every distinct predicate, the set of matching occurrence-number pairs
-//! (paper Table 1) into a reusable [`MatchContext`].
+//! encoded as [`Publication`]s, one element at a time
+//! ([`Publication::push_path_element`]). Stage 1 computes, for every
+//! distinct predicate, the set of matching occurrence-number pairs (paper
+//! Table 1) into a reusable [`MatchContext`], and has one implementation:
+//! [`PredicateIndex::eval_enter`] per element as it is pushed, then
+//! [`PredicateIndex::eval_leaf`] at a leaf. [`PredicateIndex::evaluate`]
+//! composes the two over a whole path; [`eval_direct`] applies the paper's
+//! rules one predicate at a time without the index, as the oracle.
+//! Attribute-constrained predicates are stored in value-indexed buckets
+//! private to the index.
 //!
 //! # Example: paper Table 1
 //!
@@ -34,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attr_index;
+mod attr_index;
 mod index;
 mod publication;
 mod types;
@@ -104,9 +111,11 @@ mod tests {
         let (a, _, _) = syms(&mut interner);
         let mut index = PredicateIndex::new();
         let pred = Predicate::absolute(a, PosOp::Eq, 2);
-        assert_eq!(index.get(&pred), None);
+        assert!(index.is_empty());
         let pid = index.insert(pred.clone());
-        assert_eq!(index.get(&pred), Some(pid));
+        // Found: a second insert returns the id and stores nothing.
+        assert_eq!(index.insert(pred.clone()), pid);
+        assert_eq!(index.len(), 1);
         assert_eq!(index.predicate(pid), &pred);
     }
 

@@ -46,12 +46,9 @@ impl Publication {
     /// paper this happens during document parsing and "does not require
     /// additional processing, except for collecting the occurrence numbers".
     pub fn encode(&mut self, doc: &PathDoc, path: &[NodeId], interner: &mut Interner) {
-        self.length = path.len() as u16;
-        self.tuples.clear();
-        self.occ_scratch.clear();
-        for (i, &node) in path.iter().enumerate() {
-            let tag = interner.intern(doc.tag(node));
-            self.push_tuple(tag, (i + 1) as u16, node);
+        self.begin_incremental();
+        for &node in path {
+            self.push_path_element(interner.intern(doc.tag(node)), node);
         }
     }
 
@@ -61,14 +58,10 @@ impl Publication {
     /// are identical — this is what allows concurrent matching against a
     /// shared, immutable engine.
     pub fn encode_readonly(&mut self, doc: &PathDoc, path: &[NodeId], interner: &Interner) {
-        self.length = path.len() as u16;
-        self.tuples.clear();
-        self.occ_scratch.clear();
-        for (i, &node) in path.iter().enumerate() {
-            let tag = interner
-                .get(doc.tag(node))
-                .unwrap_or(pxf_xml::Symbol::UNKNOWN);
-            self.push_tuple(tag, (i + 1) as u16, node);
+        self.begin_incremental();
+        for &node in path {
+            let tag = interner.get(doc.tag(node)).unwrap_or(Symbol::UNKNOWN);
+            self.push_path_element(tag, node);
         }
     }
 
@@ -85,8 +78,23 @@ impl Publication {
     /// Occurrence numbers are maintained incrementally — one counter probe
     /// per push instead of a full re-count per path.
     pub fn push_path_element(&mut self, tag: Symbol, node: NodeId) {
+        let occ = match self.occ_scratch.iter_mut().find(|(t, _)| *t == tag) {
+            Some((_, n)) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                self.occ_scratch.push((tag, 1));
+                1
+            }
+        };
         let pos = (self.tuples.len() + 1) as u16;
-        self.push_tuple(tag, pos, node);
+        self.tuples.push(PathTuple {
+            tag,
+            pos,
+            occ,
+            node,
+        });
         self.length = pos;
     }
 
@@ -104,25 +112,6 @@ impl Publication {
         self.length = self.tuples.len() as u16;
     }
 
-    fn push_tuple(&mut self, tag: pxf_xml::Symbol, pos: u16, node: NodeId) {
-        let occ = match self.occ_scratch.iter_mut().find(|(t, _)| *t == tag) {
-            Some((_, n)) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                self.occ_scratch.push((tag, 1));
-                1
-            }
-        };
-        self.tuples.push(PathTuple {
-            tag,
-            pos,
-            occ,
-            node,
-        });
-    }
-
     /// Convenience constructor for a single path.
     pub fn from_path(doc: &PathDoc, path: &[NodeId], interner: &mut Interner) -> Self {
         let mut p = Publication::new();
@@ -130,41 +119,14 @@ impl Publication {
         p
     }
 
-    /// Builds a publication directly from a tag-name sequence (tests and the
-    /// reference matcher).
+    /// Builds a publication directly from a tag-name sequence (tests, the
+    /// Table 1 example); every tuple's node is 0.
     pub fn from_tags(tags: &[&str], interner: &mut Interner) -> Self {
         let mut p = Publication::new();
-        p.length = tags.len() as u16;
-        for (i, t) in tags.iter().enumerate() {
-            let tag = interner.intern(t);
-            let occ = match p.occ_scratch.iter_mut().find(|(s, _)| *s == tag) {
-                Some((_, n)) => {
-                    *n += 1;
-                    *n
-                }
-                None => {
-                    p.occ_scratch.push((tag, 1));
-                    1
-                }
-            };
-            p.tuples.push(PathTuple {
-                tag,
-                pos: (i + 1) as u16,
-                occ,
-                node: 0,
-            });
+        for t in tags {
+            p.push_path_element(interner.intern(t), 0);
         }
         p
-    }
-
-    /// Finds the tuple for a given tag occurrence.
-    pub fn find_occurrence(&self, tag: Symbol, occ: u16) -> Option<&PathTuple> {
-        self.tuples.iter().find(|t| t.tag == tag && t.occ == occ)
-    }
-
-    /// The position (1-based) of a given tag occurrence.
-    pub fn position_of(&self, tag: Symbol, occ: u16) -> Option<u16> {
-        self.find_occurrence(tag, occ).map(|t| t.pos)
     }
 }
 
@@ -195,12 +157,10 @@ mod tests {
             (b, 5, 2),
             (c, 6, 2),
         ];
+        assert_eq!(p.tuples.len(), expected.len());
         for (tuple, (tag, pos, occ)) in p.tuples.iter().zip(expected) {
             assert_eq!((tuple.tag, tuple.pos, tuple.occ), (tag, pos, occ));
         }
-        assert_eq!(p.position_of(a, 2), Some(4));
-        assert_eq!(p.position_of(c, 2), Some(6));
-        assert_eq!(p.position_of(c, 3), None);
     }
 
     #[test]

@@ -149,6 +149,10 @@ impl PathDoc {
     /// input byte at most twice).
     const MAX_INPUT_BYTES: usize = (u32::MAX / 2) as usize;
 
+    /// Deepest document the predicate index's `u16` path positions can
+    /// number.
+    const MAX_DEPTH: usize = u16::MAX as usize;
+
     /// Parses a document into a fresh store with default [`ParserLimits`].
     pub fn parse(bytes: &[u8]) -> Result<PathDoc, XmlError> {
         PathDoc::parse_with_limits(bytes, ParserLimits::default())
@@ -171,6 +175,7 @@ impl PathDoc {
             self.clear();
         }
         limits.max_document_bytes = limits.max_document_bytes.min(Self::MAX_INPUT_BYTES);
+        limits.max_depth = limits.max_depth.min(Self::MAX_DEPTH);
         let mut reader = Reader::with_buffers(bytes, limits, std::mem::take(&mut self.reader));
         let filled = self.fill(&mut reader);
         self.reader = reader.into_buffers();

@@ -23,7 +23,8 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParserLimits {
-    /// Maximum element nesting depth (root = 1).
+    /// Maximum element nesting depth (root = 1). A [`PathDoc`](crate::PathDoc)
+    /// admits at most 65,535 whatever this says.
     pub max_depth: usize,
     /// Maximum size of one document in bytes.
     pub max_document_bytes: usize,

@@ -83,3 +83,21 @@ fn a_warm_store_does_not_allocate() {
     assert_eq!(pass(&mut store), elements);
     assert_eq!(store.heap_bytes(), warm);
 }
+
+#[test]
+fn depth_is_capped_at_what_a_path_position_holds() {
+    // A path position is a `u16` (`PathTuple::pos` of the predicate
+    // index), so the store admits no deeper document, however far
+    // `max_depth` is raised.
+    let limits = ParserLimits {
+        max_depth: usize::MAX,
+        ..ParserLimits::default()
+    };
+    let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let doc = PathDoc::parse_with_limits(nested(65_535).as_bytes(), limits).unwrap();
+    assert_eq!(doc.len(), 65_535);
+    match PathDoc::parse_with_limits(nested(65_536).as_bytes(), limits) {
+        Ok(doc) => panic!("a document {} elements deep parsed", doc.len()),
+        Err(err) => assert!(err.is_limit(), "{err}"),
+    }
+}

@@ -99,6 +99,33 @@ fn repeated_tags_deep() {
     }
 }
 
+/// A path position is a `u16`: however far `max_depth` is raised, a
+/// document deeper than 65,535 elements is a limit error, never a match
+/// set that misses the element at position 65,536.
+#[test]
+fn depth_past_a_path_position_is_a_limit_error() {
+    let mut engine = FilterEngine::new();
+    let any_a = engine.add_str("//a").unwrap();
+    engine.set_parser_limits(ParserLimits {
+        max_depth: usize::MAX,
+        ..ParserLimits::default()
+    });
+    let a_at = |depth: usize| {
+        let b = depth - 1;
+        format!("{}<a/>{}", "<b>".repeat(b), "</b>".repeat(b))
+    };
+    assert_eq!(
+        engine.match_bytes(a_at(65_535).as_bytes()).unwrap(),
+        vec![any_a]
+    );
+    for depth in [65_536, 65_537] {
+        match engine.match_bytes(a_at(depth).as_bytes()) {
+            Ok(m) => assert_eq!(m, vec![any_a], "depth {depth}"),
+            Err(e) => assert!(e.is_limit(), "depth {depth}: {e}"),
+        }
+    }
+}
+
 /// Expressions longer than any document path never match but must not
 /// disturb anything else.
 #[test]
@@ -110,7 +137,13 @@ fn overlong_expressions() {
     let short = engine.add_str("/a/b").unwrap();
     let m = engine.match_document(&doc);
     assert_eq!(m, vec![short]);
-    let _ = (long, wild);
+    // Longer than a `u16` counts: its length predicate grows the value
+    // array past 65,536 slots, and the short subscriptions beside it must
+    // still be scanned.
+    let longest = engine.add_str(&"/*".repeat(65_536)).unwrap();
+    let pair = engine.add_str("*/*").unwrap();
+    assert_eq!(engine.match_document(&doc), vec![short, pair]);
+    let _ = (long, wild, longest);
 }
 
 /// Attribute values with XML-special characters round-trip through
