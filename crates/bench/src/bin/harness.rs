@@ -2,7 +2,7 @@
 //! evaluation section (§6).
 //!
 //! ```text
-//! harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|xfilter|hostile]
+//! harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|hostile]
 //!         [--scale F] [--docs N]
 //! ```
 //!
@@ -65,7 +65,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|xfilter|hostile] \
+        "usage: harness [all|table1|fig6a|fig6b|fig7|fig8w|fig8d|fig9|fig10|parse|insert|hostile] \
          [--scale F] [--docs N]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 })
@@ -113,10 +113,6 @@ fn main() {
     }
     if run("insert") {
         insert_times(&opts);
-        ran = true;
-    }
-    if run("xfilter") {
-        xfilter_lineage(&opts);
         ran = true;
     }
     if run("hostile") {
@@ -475,46 +471,6 @@ fn insert_times(opts: &Opts) {
         );
     }
     println!();
-}
-
-/// The automaton-lineage experiment behind the paper's §2 narrative:
-/// XFilter (one FSM per expression, no sharing) → YFilter (shared-prefix
-/// NFA) → the predicate engine (shared predicates + expression trie).
-fn xfilter_lineage(opts: &Opts) {
-    let scale = scale_or(opts, 1.0);
-    let docs = docs_or(opts, 50);
-    println!(
-        "## Lineage — XFilter vs YFilter vs basic-pc-ap (paper §2; scale {scale}, {docs} docs)"
-    );
-    println!("total filter time, ms/doc");
-    for regime in [Regime::nitf(), Regime::psd()] {
-        let sizes: &[usize] = if regime.name == "nitf" {
-            &[5_000, 10_000, 25_000, 50_000]
-        } else {
-            &[1_000, 2_500, 5_000, 10_000]
-        };
-        println!("{}:", regime.name.to_uppercase());
-        print_header(&["n_exprs", "xfilter", "yfilter", "basic-pc-ap"]);
-        for &n in sizes {
-            let n = scaled(n, scale);
-            let w = build_workload(
-                &regime,
-                &WorkloadSpec {
-                    n_exprs: n,
-                    n_docs: docs,
-                    ..Default::default()
-                },
-            );
-            let xf = run_engine(EngineKind::XFilter, &w);
-            let yf = run_engine(EngineKind::YFilter, &w);
-            let ap = run_engine(EngineKind::BasicPcAp, &w);
-            println!(
-                "{n:<10} {:>13.3} {:>13.3} {:>13.3}",
-                xf.ms_per_doc, yf.ms_per_doc, ap.ms_per_doc
-            );
-        }
-        println!();
-    }
 }
 
 /// §6.5 parse-time measurement (paper: 314 µs NITF, 355 µs PSD): the

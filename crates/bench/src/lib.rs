@@ -4,8 +4,8 @@
 //!
 //! All engines are driven through the [`FilterBackend`] trait — one
 //! builder ([`build_backend`]) and one runner ([`run_engine`]) cover the
-//! predicate engine plus the YFilter, Index-Filter, and XFilter
-//! baselines. Matching takes the streaming path
+//! predicate engine plus the YFilter and Index-Filter baselines.
+//! Matching takes the streaming path
 //! ([`FilterBackend::match_bytes`]): parse and match happen in one pass
 //! per document, matching the paper's total-filter-time metric.
 
@@ -15,7 +15,6 @@
 use pxf_core::{FilterBackend, FilterEngine};
 use pxf_indexfilter::IndexFilter;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
-use pxf_xfilter::XFilter;
 use pxf_xml::{Document, ParserLimits, PathDoc};
 use pxf_xpath::XPathExpr;
 use pxf_yfilter::YFilter;
@@ -107,9 +106,6 @@ pub enum EngineKind {
     YFilter,
     /// Index-Filter baseline.
     IndexFilter,
-    /// XFilter baseline (one FSM per expression; not part of the paper's
-    /// figure set, so excluded from [`EngineKind::ALL`]).
-    XFilter,
 }
 
 impl EngineKind {
@@ -119,7 +115,6 @@ impl EngineKind {
             EngineKind::BasicPcAp => "basic-pc-ap",
             EngineKind::YFilter => "yfilter",
             EngineKind::IndexFilter => "index-filter",
-            EngineKind::XFilter => "xfilter",
         }
     }
 
@@ -158,7 +153,6 @@ pub fn build_backend(kind: EngineKind, exprs: &[XPathExpr]) -> Box<dyn FilterBac
         EngineKind::BasicPcAp => Box::new(FilterEngine::new()),
         EngineKind::YFilter => Box::new(YFilter::new()),
         EngineKind::IndexFilter => Box::new(IndexFilter::new()),
-        EngineKind::XFilter => Box::new(XFilter::new()),
     };
     for e in exprs {
         backend.add(e).expect("workload expressions are supported");

@@ -35,7 +35,6 @@ fn all_engines_agree_on_bench_workloads() {
             // baselines run them selection postponed.
             let mut engines: Vec<(String, Box<dyn FilterBackend>)> = EngineKind::ALL
                 .iter()
-                .chain([EngineKind::XFilter].iter())
                 .map(|&k| (k.label().to_string(), build_backend(k, &w.exprs)))
                 .collect();
             for (doc, bytes) in docs.iter().zip(&w.doc_bytes) {

@@ -27,8 +27,9 @@
 //! * **One writer.** All subscription churn funnels through a single
 //!   thread owning the [`SnapshotPublisher`]; a batch of control ops is
 //!   applied and published as one snapshot swap, so matchers never see a
-//!   half-applied batch and steady-state churn stays on the incremental
-//!   patch + replay path (zero full rebuilds, zero clone fallbacks).
+//!   half-applied batch and churn stays on the incremental patch +
+//!   replay path (the engine never rebuilds; steady state: zero clone
+//!   fallbacks).
 //! * **Snapshot pinning per batch.** Each matcher worker loads the
 //!   current snapshot once per ingest batch and drops it before parking
 //!   again, keeping the publisher's bounded reclaim wait effective.
@@ -187,7 +188,6 @@ struct Counters {
     dropped: AtomicU64,
     subs: AtomicU64,
     conns: AtomicU64,
-    rebuilds: AtomicU64,
     clone_fallbacks: AtomicU64,
     patches: AtomicU64,
     memo_replays: AtomicU64,
@@ -219,7 +219,8 @@ pub struct BrokerStatsSnapshot {
     pub shed: u64,
     /// Deliveries addressed to a connection that had already gone away.
     pub dropped: u64,
-    /// Full index rebuilds on the write engine (steady state: 0).
+    /// Always 0: the engine has no rebuild. Kept, with its `STATS` key
+    /// `rebuilds`, because the `benchmark/` package names it.
     pub full_rebuilds: u64,
     /// Publishes that fell back to deep-cloning (steady state: 0).
     pub clone_fallbacks: u64,
@@ -375,7 +376,7 @@ impl Shared {
             delivered: c.delivered.load(Ordering::Relaxed),
             shed,
             dropped: c.dropped.load(Ordering::Relaxed),
-            full_rebuilds: c.rebuilds.load(Ordering::Relaxed),
+            full_rebuilds: 0,
             clone_fallbacks: c.clone_fallbacks.load(Ordering::Relaxed),
             incremental_patches: c.patches.load(Ordering::Relaxed),
             memo_replays: c.memo_replays.load(Ordering::Relaxed),
@@ -390,8 +391,6 @@ impl Shared {
         let c = &self.stats;
         c.subs
             .store(publisher.engine().len() as u64, Ordering::Relaxed);
-        c.rebuilds
-            .store(publisher.engine().full_rebuilds(), Ordering::Relaxed);
         c.clone_fallbacks
             .store(publisher.clone_fallbacks(), Ordering::Relaxed);
         c.patches

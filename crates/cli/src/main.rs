@@ -1,7 +1,7 @@
 //! `pxf` — command-line XML/XPath filtering.
 //!
 //! ```text
-//! pxf match  --subs FILE [--engine pxf|yfilter|index-filter|xfilter]
+//! pxf match  --subs FILE [--engine pxf|yfilter|index-filter]
 //!            [--threads N] [--stats] [--quiet]
 //!            DOC.xml [DOC.xml …]
 //! pxf match  --subs FILE --stream [-]          # concatenated docs on stdin
@@ -62,7 +62,7 @@ USAGE:
 
 MATCH OPTIONS:
   --subs FILE          subscription file (one XPath per line, # comments)
-  --engine NAME        pxf | yfilter | index-filter | xfilter (default: pxf)
+  --engine NAME        pxf | yfilter | index-filter (default: pxf)
   --threads N          parallel workers; 0 = all cores (default: 1; pxf only)
   --stream             read concatenated documents from stdin (or from one
                        file argument) instead of one document per file
@@ -177,10 +177,9 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         "pxf" => pxf_engine = Some(FilterEngine::new()),
         "yfilter" => baseline = Some(Box::new(pxf_yfilter::YFilter::new())),
         "index-filter" => baseline = Some(Box::new(pxf_indexfilter::IndexFilter::new())),
-        "xfilter" => baseline = Some(Box::new(pxf_xfilter::XFilter::new())),
         other => {
             return Err(format!(
-                "unknown engine '{other}' (pxf|yfilter|index-filter|xfilter)"
+                "unknown engine '{other}' (pxf|yfilter|index-filter)"
             ))
         }
     }
@@ -259,7 +258,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
 
     let started = std::time::Instant::now();
     let mut batch_scratch = BatchScratch::new();
-    let results: Vec<parallel::ByteFilterResult> = match &pxf_engine {
+    let results: Vec<parallel::DocFilterResult> = match &pxf_engine {
         // pxf: shared-engine fan-out (sequential fast path at threads=1).
         Some(e) => parallel::filter_batch_bytes_with(e, &doc_bytes, threads, &mut batch_scratch),
         None => {
@@ -437,13 +436,12 @@ fn cmd_broker(args: &[String]) -> Result<(), String> {
     let stats = handle.wait();
     eprintln!(
         "pxf broker stopped: ingested={} matched={} parse_failures={} delivered={} \
-         epoch={} rebuilds={} clone_fallbacks={}",
+         epoch={} clone_fallbacks={}",
         stats.ingested,
         stats.matched,
         stats.parse_failures,
         stats.delivered,
         stats.epoch,
-        stats.full_rebuilds,
         stats.clone_fallbacks
     );
     Ok(())

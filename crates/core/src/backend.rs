@@ -1,7 +1,7 @@
 //! The unified filtering-backend interface.
 //!
 //! Every matching engine in the workspace — the predicate engine
-//! ([`FilterEngine`]) and the baselines (YFilter, Index-Filter, XFilter) —
+//! ([`FilterEngine`]) and the baselines (YFilter, Index-Filter) —
 //! follows the same lifecycle: register XPath subscriptions, then filter a
 //! stream of documents. [`FilterBackend`] captures that lifecycle
 //! so harnesses, the CLI, examples, and cross-engine tests can drive any

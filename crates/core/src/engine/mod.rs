@@ -123,11 +123,6 @@ pub struct EngineStats {
     /// in-place patch of the packed index; there is no other kind. Kept
     /// because the `benchmark/` package names the field.
     pub incremental_patches: u64,
-    /// Maintenance: automatic compactions — an `add` or `remove` that
-    /// found the abandoned arena slots outweighing half the arenas and
-    /// recompiled the trie columns. An explicit [`FilterEngine::prepare`]
-    /// is not counted. Steady-state churn keeps this at zero.
-    pub full_rebuilds: u64,
 }
 
 /// Sharing accounting (see [`FilterEngine::subset_stats`]): stage-2 work
@@ -220,12 +215,8 @@ pub struct FilterEngine {
     /// Subscriptions removed via [`FilterEngine::remove`] (ids are never
     /// reused).
     removed: u32,
-    /// Maintenance counters surfaced through [`EngineStats`].
+    /// Maintenance counter surfaced through [`EngineStats`].
     incremental_patches: u64,
-    full_rebuilds: u64,
-    /// Test hook: overrides the garbage threshold that triggers
-    /// compaction.
-    compaction_override: Option<usize>,
     /// Scratch backing the convenient `&mut self` matching API; concurrent
     /// users create their own via [`FilterEngine::matcher`].
     scratch: MatchScratch,
@@ -251,8 +242,6 @@ impl Clone for FilterEngine {
             locations: self.locations.clone(),
             removed: self.removed,
             incremental_patches: self.incremental_patches,
-            full_rebuilds: self.full_rebuilds,
-            compaction_override: self.compaction_override,
             scratch: MatchScratch::default(),
             limits: self.limits,
         }
@@ -297,8 +286,6 @@ impl FilterEngine {
             locations: Vec::new(),
             removed: 0,
             incremental_patches: 0,
-            full_rebuilds: 0,
-            compaction_override: None,
             scratch: MatchScratch::default(),
             limits: ParserLimits::default(),
         }
@@ -391,7 +378,6 @@ impl FilterEngine {
     pub fn stats(&self) -> EngineStats {
         let mut s = self.scratch.stats;
         s.incremental_patches = self.incremental_patches;
-        s.full_rebuilds = self.full_rebuilds;
         s
     }
 
@@ -400,7 +386,6 @@ impl FilterEngine {
     pub fn reset_stats(&mut self) {
         self.scratch.stats = EngineStats::default();
         self.incremental_patches = 0;
-        self.full_rebuilds = 0;
     }
 
     /// Successful `add` and `remove` operations since construction (or
@@ -408,21 +393,6 @@ impl FilterEngine {
     /// [`EngineStats::incremental_patches`].
     pub fn incremental_patches(&self) -> u64 {
         self.incremental_patches
-    }
-
-    /// Automatic compactions since construction (or the last
-    /// [`Self::reset_stats`]); see [`EngineStats::full_rebuilds`].
-    /// Steady-state churn keeps this at zero.
-    pub fn full_rebuilds(&self) -> u64 {
-        self.full_rebuilds
-    }
-
-    #[doc(hidden)]
-    /// Test hook: overrides the garbage threshold above which a patching
-    /// operation triggers compaction (`Some(0)` compacts on every op;
-    /// `None` restores the size-proportional default).
-    pub fn force_compaction_threshold(&mut self, threshold: Option<usize>) {
-        self.compaction_override = threshold;
     }
 
     /// Squeezes the index after a bulk load: compacts the trie columns
@@ -435,18 +405,6 @@ impl FilterEngine {
     pub fn prepare(&mut self) {
         if !self.trie.is_compiled() {
             self.trie.compile();
-        }
-    }
-
-    /// Compacts the trie columns, reclaiming abandoned arena slots, once
-    /// they outweigh half the arenas.
-    fn maybe_compact(&mut self) {
-        let threshold = self
-            .compaction_override
-            .unwrap_or(self.trie.arena_len() / 2 + 4096);
-        if self.trie.garbage() > threshold {
-            self.trie.compile();
-            self.full_rebuilds += 1;
         }
     }
 
@@ -471,9 +429,9 @@ impl FilterEngine {
     /// Insertion is constant-time in the number of subscriptions already in
     /// the system (the paper §6.1): encoding is linear in the expression's
     /// location steps, each predicate insert is an O(1) index probe, and
-    /// the trie columns matching reads are patched in place (amortized by
-    /// occasional compactions) — the subscription is visible to the next
-    /// match, with no build step in between.
+    /// the trie columns matching reads are patched in place (a full span
+    /// relocates, doubling its capacity) — the subscription is visible to
+    /// the next match, with no build step in between.
     pub fn add(&mut self, expr: &XPathExpr) -> Result<SubId, AddError> {
         let sub = SubId(self.n_subs);
         if expr.has_nested_paths() {
@@ -486,7 +444,6 @@ impl FilterEngine {
         self.stamp = fresh_stamp();
         self.n_subs += 1;
         self.incremental_patches += 1;
-        self.maybe_compact();
         debug_assert_eq!(self.locations.len(), self.n_subs as usize);
         Ok(sub)
     }
@@ -528,7 +485,6 @@ impl FilterEngine {
         self.locations[sub.0 as usize] = SubLocation::Gone;
         self.removed += 1;
         self.incremental_patches += 1;
-        self.maybe_compact();
         true
     }
 

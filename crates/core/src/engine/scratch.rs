@@ -90,7 +90,6 @@ impl Matcher<'_> {
     pub fn stats(&self) -> EngineStats {
         let mut s = self.scratch.stats();
         s.incremental_patches = self.engine.incremental_patches;
-        s.full_rebuilds = self.engine.full_rebuilds;
         s
     }
 

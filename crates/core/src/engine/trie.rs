@@ -30,9 +30,6 @@ pub(super) struct Trie {
     edges: HashMap<(u32, PredId), u32>,
     /// The arena-packed columns matching reads.
     packed: PackedTrie,
-    /// Arena slots abandoned by span relocations since the last
-    /// [`Self::compile`].
-    garbage: usize,
     /// True while the columns are exactly what [`Self::compile`] left:
     /// nothing was patched since, so compiling again would change nothing.
     compiled: bool,
@@ -42,8 +39,8 @@ pub(super) struct Trie {
 /// `arena[start..start + len]` and the slot owns `cap` elements starting
 /// at `start`. Compilation emits spans with `cap == len` (a plain CSR);
 /// patching appends in place while `len < cap` and relocates the span to
-/// the end of the arena (doubling `cap`) when full, leaving the abandoned
-/// slot as garbage for the next compaction.
+/// the end of the arena (doubling `cap`) when full, abandoning its old
+/// slot until the next [`Trie::compile`] (an explicit `prepare`).
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: u32,
@@ -68,9 +65,9 @@ impl Span {
 }
 
 /// Appends `v` to the span's slice inside `arena`, relocating the span to
-/// the end of the arena (capacity doubled, old slot abandoned into
-/// `garbage`) when it is full.
-fn grow_span<T: Copy>(arena: &mut Vec<T>, span: &mut Span, v: T, garbage: &mut usize) {
+/// the end of the arena (capacity doubled, old slot abandoned) when it is
+/// full.
+fn grow_span<T: Copy>(arena: &mut Vec<T>, span: &mut Span, v: T) {
     if span.len == span.cap {
         let new_cap = (span.cap * 2).max(4);
         let new_start = arena.len() as u32;
@@ -79,7 +76,6 @@ fn grow_span<T: Copy>(arena: &mut Vec<T>, span: &mut Span, v: T, garbage: &mut u
             arena.push(x);
         }
         arena.resize(new_start as usize + new_cap as usize, v);
-        *garbage += span.cap as usize;
         span.start = new_start;
         span.cap = new_cap;
     }
@@ -89,14 +85,7 @@ fn grow_span<T: Copy>(arena: &mut Vec<T>, span: &mut Span, v: T, garbage: &mut u
 
 /// [`grow_span`] over two parallel arenas that must relocate together
 /// (e.g. the child `pid`/`node` columns).
-fn grow_span2<A: Copy, B: Copy>(
-    a: &mut Vec<A>,
-    b: &mut Vec<B>,
-    span: &mut Span,
-    va: A,
-    vb: B,
-    garbage: &mut usize,
-) {
+fn grow_span2<A: Copy, B: Copy>(a: &mut Vec<A>, b: &mut Vec<B>, span: &mut Span, va: A, vb: B) {
     if span.len == span.cap {
         let new_cap = (span.cap * 2).max(4);
         let new_start = a.len() as u32;
@@ -108,7 +97,6 @@ fn grow_span2<A: Copy, B: Copy>(
         }
         a.resize(new_start as usize + new_cap as usize, va);
         b.resize(new_start as usize + new_cap as usize, vb);
-        *garbage += 2 * span.cap as usize;
         span.start = new_start;
         span.cap = new_cap;
     }
@@ -258,17 +246,6 @@ impl Trie {
 
 /// Maintenance: in-place patching and compaction.
 impl Trie {
-    /// Arena slots abandoned since the last [`Self::compile`].
-    pub(super) fn garbage(&self) -> usize {
-        self.garbage
-    }
-
-    /// Total length of the span arenas (the scale [`Self::garbage`] is
-    /// judged against).
-    pub(super) fn arena_len(&self) -> usize {
-        self.packed.plain_subs.len() + self.packed.child_pid.len()
-    }
-
     /// Heap footprint of the packed columns, the cold sinks and the
     /// insert-time edge map, in bytes.
     pub(super) fn bytes(&self) -> usize {
@@ -352,7 +329,6 @@ impl Trie {
         }
         self.cold.shrink_to_fit();
         self.edges.shrink_to_fit();
-        self.garbage = 0;
         self.compiled = true;
     }
 
@@ -388,7 +364,6 @@ impl Trie {
                             &mut p.child_span[parent as usize],
                             pid,
                             n,
-                            &mut self.garbage,
                         );
                     }
                     n
@@ -404,12 +379,7 @@ impl Trie {
         self.compiled = false;
         let p = &mut self.packed;
         p.sink_len[n as usize] += 1;
-        grow_span(
-            &mut p.plain_subs,
-            &mut p.plain_span[n as usize],
-            sub.0,
-            &mut self.garbage,
-        );
+        grow_span(&mut p.plain_subs, &mut p.plain_span[n as usize], sub.0);
     }
 
     /// Attaches nested-path component `comp` to node `n`.
@@ -435,7 +405,7 @@ impl Trie {
     }
 
     /// Swap-removes `sub` from node `n`'s plain span; the freed slot stays
-    /// within the span's capacity, so it is reusable, not garbage.
+    /// within the span's capacity, so it is reusable.
     fn take_plain(&mut self, n: u32, sub: SubId) -> bool {
         let p = &mut self.packed;
         let span = &mut p.plain_span[n as usize];
@@ -479,9 +449,8 @@ impl Trie {
     /// reuses a released predicate id, so without this every re-added
     /// expression would hang a fresh child beside the dead one and the
     /// walk over a hot node's children would grow with churn, not with
-    /// the live set. The slot and its emptied spans stay behind, uncounted
-    /// as garbage: node ids are never reused, and counting them would turn
-    /// steady churn into periodic recompilations.
+    /// the live set. The slot and its emptied spans stay behind: node ids
+    /// are never reused.
     fn prune(&mut self, mut n: u32) {
         let p = &mut self.packed;
         while p.sink_len[n as usize] == 0 && p.child_span[n as usize].len == 0 {
@@ -499,8 +468,8 @@ impl Trie {
                 p.root_of[pid.index()] = NO_ROOT;
                 return;
             }
-            // Swap-remove the edge inside the parent's span (reusable
-            // capacity, not garbage).
+            // Swap-remove the edge inside the parent's span (the freed
+            // slot stays reusable capacity).
             let span = &mut p.child_span[parent as usize];
             let r = span.range();
             let idx = p.child_node[r.clone()]

@@ -50,5 +50,5 @@ pub mod snapshot;
 pub use backend::{BackendError, FilterBackend};
 pub use encode::{EncodeError, EncodedPath};
 pub use engine::{AddError, EngineStats, FilterEngine, MatchScratch, Matcher, SubId, SubsetStats};
-pub use parallel::{BatchReport, BatchScratch, ByteFilterResult, DocError, DocFilterResult};
+pub use parallel::{BatchReport, BatchScratch, DocError, DocFilterResult};
 pub use snapshot::{ChurnOp, EngineSnapshot, SnapshotHandle, SnapshotPublisher};

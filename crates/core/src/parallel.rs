@@ -52,10 +52,6 @@ impl From<XmlError> for DocError {
 /// went wrong for that document alone.
 pub type DocFilterResult = Result<Vec<SubId>, DocError>;
 
-/// Per-document outcome of [`filter_batch_bytes`] (alias kept for the
-/// streaming entry point's historical name).
-pub type ByteFilterResult = DocFilterResult;
-
 /// Summary of a batch run: how many documents matched cleanly and how many
 /// were rejected or recovered from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -265,7 +261,7 @@ pub fn filter_batch_bytes<E: AsRef<FilterEngine> + Sync>(
     engine: &E,
     docs: &[Vec<u8>],
     threads: usize,
-) -> Vec<ByteFilterResult> {
+) -> Vec<DocFilterResult> {
     filter_batch_bytes_with(engine, docs, threads, &mut BatchScratch::new())
 }
 
@@ -277,7 +273,7 @@ pub fn filter_batch_bytes_with<E: AsRef<FilterEngine> + Sync>(
     docs: &[Vec<u8>],
     threads: usize,
     scratch: &mut BatchScratch,
-) -> Vec<ByteFilterResult> {
+) -> Vec<DocFilterResult> {
     let threads = effective_threads(threads, docs.len());
     run_isolated(engine, docs.len(), threads, scratch, |matcher, i| {
         matcher.match_bytes(&docs[i]).map_err(DocError::from)

@@ -5,9 +5,11 @@
 //! document path iff the XPath expression does; this module implements "the
 //! XPath expression does" side directly — a DP over document paths for
 //! single-path expressions and a recursive tree-pattern matcher for
-//! expressions with nested path filters. It is O(steps × nodes) and used
-//! only for testing and for the nested-path combination stage, never on the
-//! hot filtering path.
+//! expressions with nested path filters. It is O(steps × nodes). Besides
+//! the tests, the path DP serves the predicate engine's nested-path
+//! combination stage ([`match_positions`]) and the baselines' selection-
+//! postponed attribute checks ([`matches_path`] over a [`DocPathView`]);
+//! the predicate engine's own filtering path never calls it.
 
 use pxf_xml::{Document, NodeId, PathDoc};
 use pxf_xpath::{Axis, NodeTest, Step, XPathExpr};
@@ -43,11 +45,13 @@ impl PathView for TagsView<'_> {
 }
 
 /// A path view over nodes of the flat store (what the nested-path
-/// combination stage reads; [`matches_document`] walks the tree instead).
+/// combination stage and the baselines' postponed checks read;
+/// [`matches_document`] walks the tree instead).
 pub struct DocPathView<'a> {
     /// The document the nodes belong to.
     pub doc: &'a PathDoc,
-    /// Root-to-leaf node ids.
+    /// Node ids from the root down (to a leaf, or to the element a
+    /// baseline is accepting at).
     pub nodes: &'a [NodeId],
 }
 
@@ -74,54 +78,51 @@ fn step_matches_at<V: PathView>(step: &Step, path: &V, pos: usize) -> bool {
             .all(|f| f.matches(path.attr(pos, &f.name)))
 }
 
+/// One step of the forward pass: the positions, ascending, at which
+/// `expr.steps[i]` matches given `prev`, the ascending positions step
+/// `i - 1` matched at (unused for the first step). A relative or `//`
+/// first step may start anywhere, `/t` only at the root; after that a
+/// child step takes the position right below each of `prev`, and a
+/// descendant step every position below the first of them. `path` must
+/// not be empty, and `prev` not either past the first step.
+fn advance<V: PathView>(expr: &XPathExpr, i: usize, prev: &[usize], path: &V) -> Vec<usize> {
+    let step = &expr.steps[i];
+    let n = path.len();
+    let mut next = Vec::new();
+    let mut push = |pos: usize| {
+        if step_matches_at(step, path, pos) {
+            next.push(pos);
+        }
+    };
+    match (i, step.axis) {
+        (0, Axis::Child) if expr.absolute => push(1),
+        (0, _) => (1..=n).for_each(push),
+        (_, Axis::Child) => prev
+            .iter()
+            .map(|&p| p + 1)
+            .filter(|&pos| pos <= n)
+            .for_each(push),
+        (_, Axis::Descendant) => (prev[0] + 1..=n).for_each(push),
+    }
+    next
+}
+
 /// True iff the single-path expression matches the document path — i.e. the
 /// expression's result node set on this path is non-empty (paper §3.1).
+/// Stops at the first step nothing matches, and runs no backward prune.
 ///
 /// Nested path filters are ignored by this function (use
 /// [`matches_document`] for tree patterns); attribute filters are honored.
 pub fn matches_path<V: PathView>(expr: &XPathExpr, path: &V) -> bool {
-    let n = path.len();
-    if n == 0 {
+    if path.is_empty() {
         return false;
     }
-    // can[pos] after step i: step i can match at position pos.
-    // Work with a frontier of admissible positions per step.
-    let mut frontier: Vec<usize> = Vec::new();
-    for (i, step) in expr.steps.iter().enumerate() {
-        let mut next: Vec<usize> = Vec::new();
-        if i == 0 {
-            let positions: Box<dyn Iterator<Item = usize>> = if expr.absolute {
-                match step.axis {
-                    // `/t`: the root only; `//t`: any position.
-                    Axis::Child => Box::new(std::iter::once(1)),
-                    Axis::Descendant => Box::new(1..=n),
-                }
-            } else {
-                // Relative expressions may start anywhere.
-                Box::new(1..=n)
-            };
-            for pos in positions {
-                if step_matches_at(step, path, pos) {
-                    next.push(pos);
-                }
-            }
-        } else {
-            for &prev in &frontier {
-                let candidates: Box<dyn Iterator<Item = usize>> = match step.axis {
-                    Axis::Child => Box::new(std::iter::once(prev + 1)),
-                    Axis::Descendant => Box::new(prev + 1..=n),
-                };
-                for pos in candidates {
-                    if pos <= n && step_matches_at(step, path, pos) && !next.contains(&pos) {
-                        next.push(pos);
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
+    let mut frontier = Vec::new();
+    for i in 0..expr.steps.len() {
+        frontier = advance(expr, i, &frontier, path);
+        if frontier.is_empty() {
             return false;
         }
-        frontier = next;
     }
     true
 }
@@ -130,42 +131,14 @@ pub fn matches_path<V: PathView>(expr: &XPathExpr, path: &V) -> bool {
 /// complete match of the expression on the path. Returns `None` when the
 /// expression does not match at all.
 pub fn match_positions<V: PathView>(expr: &XPathExpr, path: &V) -> Option<Vec<Vec<usize>>> {
-    let n = path.len();
     let k = expr.steps.len();
-    if n == 0 {
+    if path.is_empty() {
         return None;
     }
     // forward[i] = positions where step i can match given steps 0..i.
     let mut forward: Vec<Vec<usize>> = Vec::with_capacity(k);
-    for (i, step) in expr.steps.iter().enumerate() {
-        let mut cur = Vec::new();
-        if i == 0 {
-            let positions: Box<dyn Iterator<Item = usize>> = if expr.absolute {
-                match step.axis {
-                    Axis::Child => Box::new(std::iter::once(1)),
-                    Axis::Descendant => Box::new(1..=n),
-                }
-            } else {
-                Box::new(1..=n)
-            };
-            for pos in positions {
-                if step_matches_at(step, path, pos) {
-                    cur.push(pos);
-                }
-            }
-        } else {
-            for &prev in &forward[i - 1] {
-                let candidates: Box<dyn Iterator<Item = usize>> = match step.axis {
-                    Axis::Child => Box::new(std::iter::once(prev + 1)),
-                    Axis::Descendant => Box::new(prev + 1..=n),
-                };
-                for pos in candidates {
-                    if pos <= n && step_matches_at(step, path, pos) && !cur.contains(&pos) {
-                        cur.push(pos);
-                    }
-                }
-            }
-        }
+    for i in 0..k {
+        let cur = advance(expr, i, forward.last().map_or(&[], Vec::as_slice), path);
         if cur.is_empty() {
             return None;
         }

@@ -1,6 +1,7 @@
 //! Deterministic edge cases for the incremental index maintenance
 //! paths: exhaustion (remove everything, then re-add), duplicate-heavy
-//! `plain_subs` nodes, the compaction threshold, and nested-path churn.
+//! `plain_subs` nodes, patching after `prepare()`, wide nested fan-out,
+//! and nested-path churn.
 
 use pxf_core::reference::matches_document;
 use pxf_core::{FilterBackend, FilterEngine, SubId};
@@ -44,7 +45,7 @@ fn match_ids(engine: &mut FilterEngine, doc: &PathDoc) -> Vec<u32> {
 
 /// Removing every subscription must leave an empty but valid
 /// index (empty match sets, no panics), and re-adding afterwards must
-/// restore matching — all without a rebuild.
+/// restore matching — all by in-place patches.
 #[test]
 fn remove_all_then_readd() {
     let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
@@ -63,7 +64,6 @@ fn remove_all_then_readd() {
     let got = match_ids(&mut engine, &doc);
     let remapped: Vec<u32> = want.iter().map(|&i| readded[i as usize].0).collect();
     assert_eq!(got, remapped);
-    assert_eq!(engine.full_rebuilds(), 0);
     assert!(engine.incremental_patches() > 0);
 }
 
@@ -94,29 +94,29 @@ fn duplicate_heavy_terminal_removal() {
         assert!(engine.remove(SubId(i)));
     }
     assert!(match_ids(&mut engine, &doc).is_empty());
-    assert_eq!(engine.full_rebuilds(), 0);
 }
 
-/// With the compaction threshold forced low, patched adds that relocate
-/// arena spans must trigger a compacting rebuild (counted in
-/// `full_rebuilds`) and the compacted index must keep matching correctly
-/// through the removals that follow.
+/// `prepare()` between rounds of patched adds: each round's duplicates
+/// outgrow the exact-capacity `plain_subs` spans the last compaction left,
+/// relocating them, and the next `prepare()` drops the abandoned slots.
+/// The compacted index keeps matching correctly through the adds that
+/// patch it and the removals that follow.
 #[test]
 fn forced_compaction_reclaims_and_preserves_matches() {
     let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     let mut engine = FilterEngine::default();
-    engine.force_compaction_threshold(Some(4));
-    engine.prepare();
-    // Every add patches the compiled index; the duplicates outgrow their
-    // `plain_subs` spans, the abandoned slots cross the forced threshold
-    // and compaction kicks in.
     let mut subs = Vec::new();
-    for _ in 0..10 {
+    for round in 0..10 {
         for e in EXPRS {
             subs.push(engine.add_str(e).unwrap());
         }
+        let loaded = engine.index_bytes();
+        engine.prepare();
+        assert!(
+            engine.index_bytes() < loaded,
+            "round {round} reclaimed nothing"
+        );
     }
-    assert!(engine.full_rebuilds() > 0, "threshold 4 never compacted");
     for (i, sub) in subs.iter().enumerate() {
         if i % 10 != 0 {
             assert!(engine.remove(*sub));
@@ -138,33 +138,62 @@ fn forced_compaction_reclaims_and_preserves_matches() {
         .map(|s| kept_orig[s.0 as usize])
         .collect();
     assert_eq!(got, want);
-    // Post-compaction churn goes back to patching in place.
-    let patches_after_compact = engine.incremental_patches();
-    engine.add_str("/a/b").unwrap();
-    let _ = engine.match_document(&doc);
-    assert!(engine.incremental_patches() > patches_after_compact);
 }
 
-/// Steady-state churn with the default threshold never rebuilds: the
-/// `full_rebuilds` counter stays at zero across many add/remove/match
-/// rounds (the regression this PR's fix targets — `remove()` used to
-/// mark the whole trie dirty).
+/// Steady-state churn patches in place: every add and remove counts one
+/// patch, a re-added expression matches exactly when its first copy
+/// does, and the match set is the same after each add/remove round.
 #[test]
-fn steady_state_churn_never_rebuilds() {
+fn steady_state_churn_patches_in_place() {
     let doc = PathDoc::parse(DOC.as_bytes()).unwrap();
     let mut engine = FilterEngine::new();
     for e in EXPRS {
         engine.add_str(e).unwrap();
     }
-    let _ = engine.match_document(&doc);
+    let want = match_ids(&mut engine, &doc);
     for round in 0..40 {
-        let id = engine.add_str(EXPRS[round % EXPRS.len()]).unwrap();
-        let _ = engine.match_document(&doc);
+        let copy_of = (round % EXPRS.len()) as u32;
+        let id = engine.add_str(EXPRS[copy_of as usize]).unwrap();
+        let with_copy: Vec<u32> = want
+            .iter()
+            .copied()
+            .chain(want.contains(&copy_of).then_some(id.0))
+            .collect();
+        assert_eq!(match_ids(&mut engine, &doc), with_copy, "round {round}");
         assert!(engine.remove(id));
-        let _ = engine.match_document(&doc);
+        assert_eq!(match_ids(&mut engine, &doc), want, "round {round}");
     }
-    assert_eq!(engine.full_rebuilds(), 0);
-    assert!(engine.incremental_patches() >= 80);
+    assert_eq!(engine.incremental_patches(), 8 + 80);
+}
+
+/// One trie node with more than 8,192 children whose sinks are nested-path
+/// components: `/a[c{i}]/b` for 10k values of `i` hangs every extended
+/// component `/a/c{i}` under the one `a` node. Registration patches in
+/// place (it once recompiled the whole trie on nearly every add past that
+/// width), matching agrees with the oracle, and removing every
+/// subscription leaves an index that matches nothing.
+#[test]
+fn wide_nested_fan_out_registers_matches_and_unregisters() {
+    const N: usize = 10_000;
+    let sources: Vec<String> = (0..N).map(|i| format!("/a[c{i}]/b")).collect();
+    let mut engine = FilterEngine::new();
+    let subs: Vec<SubId> = sources.iter().map(|s| engine.add_str(s).unwrap()).collect();
+    assert_eq!(engine.len(), N);
+    let xml = "<a><c0/><x><c1/></x><c7/><c9999/><c10000/><b/></a>";
+    let (tree, doc) = tree_and_store(xml);
+    let want: Vec<u32> = sources
+        .iter()
+        .zip(&subs)
+        .filter(|(src, _)| matches_document(&pxf_xpath::parse(src).unwrap(), &tree))
+        .map(|(_, sub)| sub.0)
+        .collect();
+    assert_eq!(want, [0, 7, 9999]);
+    assert_eq!(match_ids(&mut engine, &doc), want);
+    for sub in subs {
+        assert!(engine.remove(sub));
+    }
+    assert!(engine.is_empty());
+    assert!(match_ids(&mut engine, &doc).is_empty());
 }
 
 /// Removing a nested-path subscription must take its components with it:
@@ -207,7 +236,6 @@ fn nested_churn_leaves_no_residue() {
         }
     }
     assert_eq!(engine.len(), LIVE.len());
-    assert_eq!(engine.full_rebuilds(), 0);
     let mut fresh = engine_with(&LIVE);
     for (src, (tree, doc)) in DOCS.iter().zip(&docs) {
         engine.reset_stats();
@@ -289,7 +317,6 @@ fn hot_node_loses_and_gains_children_between_documents() {
             );
         }
     }
-    assert_eq!(engine.full_rebuilds(), 0);
 }
 
 /// Removal through the object-safe backend interface behaves like the

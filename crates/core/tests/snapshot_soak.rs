@@ -6,8 +6,7 @@
 //!   after the publication that removed it (no resurrection),
 //! * matching the same document twice against one pinned snapshot gives
 //!   identical results (snapshots are immutable — no torn reads),
-//! * epochs observed through a handle never go backwards,
-//! * steady-state churn performs zero full index rebuilds.
+//! * epochs observed through a handle never go backwards.
 //!
 //! Iteration counts are bounded for CI; the writer publishes every few
 //! ops so reclamation races (recycle vs deep-clone fallback) are hit.
@@ -141,11 +140,6 @@ fn concurrent_churn_soak() {
         drop(done_now);
     });
 
-    assert_eq!(
-        publisher.engine().full_rebuilds(),
-        0,
-        "steady-state churn must not trigger full rebuilds"
-    );
     assert!(publisher.engine().incremental_patches() > 0);
 
     // Post-soak sanity: the final snapshot agrees with a from-scratch
@@ -231,7 +225,6 @@ fn long_lived_scratch_follows_every_publish() {
         publisher.clone_fallbacks() > 0,
         "the clone path was not hit"
     );
-    assert_eq!(publisher.engine().full_rebuilds(), 0);
     let s = scratch.stats();
     assert!(s.memo_replays > 0 && s.stage2_walks > 0, "{s:?}");
 }

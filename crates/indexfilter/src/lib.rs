@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 use pxf_core::backend::{BackendError, FilterBackend};
+use pxf_core::reference::{matches_path, DocPathView};
 use pxf_core::SubId;
 use pxf_xml::{Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
@@ -337,7 +338,7 @@ impl IndexFilter {
                     if let Some(expr) = &accept.attr_expr {
                         let mut chain: Vec<NodeId> = ancestors.iter().map(|a| a.node).collect();
                         chain.push(entry.node);
-                        if !matches_path_with_attrs(expr, doc, &chain) {
+                        if !matches_path(expr, &DocPathView { doc, nodes: &chain }) {
                             continue;
                         }
                     }
@@ -416,57 +417,6 @@ impl FilterBackend for IndexFilter {
     fn set_parser_limits(&mut self, limits: ParserLimits) {
         IndexFilter::set_parser_limits(self, limits);
     }
-}
-
-/// Structural + attribute match over an ancestor chain (frontier DP, as in
-/// the YFilter baseline).
-fn matches_path_with_attrs(expr: &XPathExpr, doc: &PathDoc, nodes: &[NodeId]) -> bool {
-    let n = nodes.len();
-    let step_ok = |step: &pxf_xpath::Step, pos: usize| -> bool {
-        let node = nodes[pos - 1];
-        let tag_ok = match &step.test {
-            NodeTest::Tag(t) => doc.tag(node) == t,
-            NodeTest::Wildcard => true,
-        };
-        tag_ok
-            && step
-                .attr_filters()
-                .all(|f| f.matches(doc.value_of(node, &f.name)))
-    };
-    let mut frontier: Vec<usize> = Vec::new();
-    for (i, step) in expr.steps.iter().enumerate() {
-        let mut next: Vec<usize> = Vec::new();
-        if i == 0 {
-            let candidates: Box<dyn Iterator<Item = usize>> =
-                if expr.absolute && step.axis == Axis::Child {
-                    Box::new(std::iter::once(1))
-                } else {
-                    Box::new(1..=n)
-                };
-            for pos in candidates {
-                if step_ok(step, pos) {
-                    next.push(pos);
-                }
-            }
-        } else {
-            for &prev in &frontier {
-                let candidates: Box<dyn Iterator<Item = usize>> = match step.axis {
-                    Axis::Child => Box::new(std::iter::once(prev + 1)),
-                    Axis::Descendant => Box::new(prev + 1..=n),
-                };
-                for pos in candidates {
-                    if pos <= n && step_ok(step, pos) && !next.contains(&pos) {
-                        next.push(pos);
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
-            return false;
-        }
-        frontier = next;
-    }
-    true
 }
 
 #[cfg(test)]

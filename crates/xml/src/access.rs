@@ -1,8 +1,8 @@
 //! The flat document store every matching engine reads.
 //!
 //! A matching algorithm consumes a parsed document as a [`PathDoc`]:
-//! root-to-leaf paths and enter/leave traversals (the predicate engine,
-//! Index-Filter) or start/end element events (YFilter, XFilter), plus the
+//! root-to-leaf paths and enter/leave traversals (the predicate engine)
+//! or start/end element events (YFilter, Index-Filter), plus the
 //! two by-id lookups predicate evaluation and postponed checks make.
 //! The [`Document`](crate::Document) tree is not matched: it is what the
 //! workload generator builds and the reference oracle walks.

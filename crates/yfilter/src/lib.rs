@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 use pxf_core::backend::{BackendError, FilterBackend};
+use pxf_core::reference::{matches_path, DocPathView};
 use pxf_core::SubId;
 use pxf_xml::{Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
@@ -376,64 +377,18 @@ fn fire(
     if let Some(expr) = &accept.attr_expr {
         // Selection postponed: re-evaluate the expression with its
         // attribute filters over the current root-to-element path.
-        if !matches_path_with_attrs(expr, doc, path_nodes) {
+        if !matches_path(
+            expr,
+            &DocPathView {
+                doc,
+                nodes: path_nodes,
+            },
+        ) {
             return;
         }
     }
     matched[accept.sub as usize] = doc_epoch;
     results.push(accept.sub);
-}
-
-/// Structural + attribute match of an expression over a node chain (a
-/// frontier DP; kept local so this baseline stays independent of
-/// `pxf-core`).
-fn matches_path_with_attrs(expr: &XPathExpr, doc: &PathDoc, nodes: &[NodeId]) -> bool {
-    let n = nodes.len();
-    let step_ok = |step: &pxf_xpath::Step, pos: usize| -> bool {
-        let node = nodes[pos - 1];
-        let tag_ok = match &step.test {
-            NodeTest::Tag(t) => doc.tag(node) == t,
-            NodeTest::Wildcard => true,
-        };
-        tag_ok
-            && step
-                .attr_filters()
-                .all(|f| f.matches(doc.value_of(node, &f.name)))
-    };
-    let mut frontier: Vec<usize> = Vec::new();
-    for (i, step) in expr.steps.iter().enumerate() {
-        let mut next: Vec<usize> = Vec::new();
-        if i == 0 {
-            let candidates: Box<dyn Iterator<Item = usize>> =
-                if expr.absolute && step.axis == Axis::Child {
-                    Box::new(std::iter::once(1))
-                } else {
-                    Box::new(1..=n)
-                };
-            for pos in candidates {
-                if step_ok(step, pos) {
-                    next.push(pos);
-                }
-            }
-        } else {
-            for &prev in &frontier {
-                let candidates: Box<dyn Iterator<Item = usize>> = match step.axis {
-                    Axis::Child => Box::new(std::iter::once(prev + 1)),
-                    Axis::Descendant => Box::new(prev + 1..=n),
-                };
-                for pos in candidates {
-                    if pos <= n && step_ok(step, pos) && !next.contains(&pos) {
-                        next.push(pos);
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
-            return false;
-        }
-        frontier = next;
-    }
-    true
 }
 
 #[cfg(test)]

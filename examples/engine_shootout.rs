@@ -1,5 +1,5 @@
-//! Engine shootout: runs all four engines (the predicate engine,
-//! YFilter, Index-Filter, XFilter) over both workload regimes through the
+//! Engine shootout: runs all three engines (the predicate engine,
+//! YFilter, Index-Filter) over both workload regimes through the
 //! unified [`FilterBackend`] trait, verifies that they produce identical
 //! match sets through both entry points (a store the caller parsed, and
 //! raw bytes into the backend's own), and prints a compact comparison — a
@@ -37,7 +37,6 @@ fn main() {
             ("basic-pc-ap", Box::new(FilterEngine::default())),
             ("yfilter", Box::new(YFilter::new())),
             ("index-filter", Box::new(IndexFilter::new())),
-            ("xfilter", Box::new(XFilter::new())),
         ];
 
         let mut reference: Option<Vec<Vec<SubId>>> = None;

@@ -17,8 +17,6 @@
 //!   baseline (shared-prefix NFA),
 //! * [`indexfilter`]::[`IndexFilter`](indexfilter::IndexFilter) — the
 //!   index-based baseline (prefix tree + element-interval index),
-//! * [`xfilter`]::[`XFilter`](xfilter::XFilter) — the historical
-//!   per-expression-FSM baseline (§2 lineage),
 //! * [`xpath`] — a hand-rolled parser for the XPath subset,
 //! * [`xml`] — a streaming XML parser, the flat document store every
 //!   engine matches, and the document tree the generator and the
@@ -57,7 +55,6 @@ pub use pxf_core as engine;
 pub use pxf_indexfilter as indexfilter;
 pub use pxf_predicate as predicate;
 pub use pxf_workload as workload;
-pub use pxf_xfilter as xfilter;
 pub use pxf_xml as xml;
 pub use pxf_xpath as xpath;
 pub use pxf_yfilter as yfilter;
@@ -71,7 +68,6 @@ pub mod prelude {
     pub use pxf_workload::{
         Dtd, FaultInjector, Mutation, Regime, XPathGenerator, XPathParams, XmlGenerator, XmlParams,
     };
-    pub use pxf_xfilter::XFilter;
     pub use pxf_xml::{
         Document, DocumentBuilder, DocumentStream, ParserLimits, PathDoc, XmlErrorKind,
     };

@@ -1,6 +1,5 @@
 //! Cross-engine agreement: on any generated workload, the predicate
-//! engine, YFilter, Index-Filter, XFilter, and
-//! the reference oracle must produce identical match sets — through both
+//! engine, YFilter, Index-Filter and the reference oracle must produce identical match sets — through both
 //! entry points of the unified [`FilterBackend`] trait (`match_document`
 //! on a store the caller parsed, `match_bytes` on the backend's own). The
 //! oracle walks the `Document` tree and every backend the flat store, so
@@ -40,7 +39,6 @@ fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
         ("pxf".into(), Box::new(FilterEngine::new())),
         ("yfilter".into(), Box::new(YFilter::new())),
         ("index-filter".into(), Box::new(IndexFilter::new())),
-        ("xfilter".into(), Box::new(XFilter::new())),
     ]
 }
 

@@ -7,7 +7,7 @@
 //! every broken document, zero panics, and match results on the untouched
 //! 90% identical to a sequential run over the clean batch. On top of
 //! that, differential robustness: on any mutated document that still
-//! parses, all four backends — streaming the bytes into their flat stores
+//! parses, all three backends — streaming the bytes into their flat stores
 //! — must report exactly what the reference oracle finds walking the
 //! `Document` tree of the same bytes. And the store itself: a parse that
 //! fails half-way leaves a backend's store empty, so the next document
@@ -37,7 +37,6 @@ fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
         ("pxf".into(), Box::new(FilterEngine::new())),
         ("yfilter".into(), Box::new(YFilter::new())),
         ("index-filter".into(), Box::new(IndexFilter::new())),
-        ("xfilter".into(), Box::new(XFilter::new())),
     ]
 }
 
@@ -218,11 +217,6 @@ fn yfilter_matches_as_fresh_after_a_failed_parse() {
 #[test]
 fn index_filter_matches_as_fresh_after_a_failed_parse() {
     matches_as_fresh_after_a_failed_parse(|| Box::new(IndexFilter::new()));
-}
-
-#[test]
-fn xfilter_matches_as_fresh_after_a_failed_parse() {
-    matches_as_fresh_after_a_failed_parse(|| Box::new(XFilter::new()));
 }
 
 /// A store that holds no document — never filled, or emptied by a failed

@@ -1,7 +1,7 @@
 //! Randomized property tests: the paper's Appendix A correctness theorem,
 //! operationalized with the workspace's deterministic PRNG (`pxf-rng`).
-//! For arbitrary expressions and documents, the predicate engine and all
-//! three baselines must agree
+//! For arbitrary expressions and documents, the predicate engine and both
+//! baselines must agree
 //! with the direct XPath semantics of the reference oracle. The oracle
 //! walks the `Document` tree; every backend matches the flat store, one
 //! the caller parsed (`match_document`) and its own (`match_bytes`), so
@@ -115,7 +115,6 @@ fn all_backends() -> Vec<(String, Box<dyn FilterBackend>)> {
         ("pxf".into(), Box::new(FilterEngine::new())),
         ("yfilter".into(), Box::new(YFilter::new())),
         ("index-filter".into(), Box::new(IndexFilter::new())),
-        ("xfilter".into(), Box::new(XFilter::new())),
     ]
 }
 
