@@ -200,7 +200,10 @@ impl IncrementalDriver<'_, '_> {
                 self.engine
                     .stage2(self.ctx, self.publication, state, self.stats, path_idx);
                 if state.recording.take().is_some() {
-                    state.memo.attach_chain(&state.record_buf);
+                    let trie = &self.engine.trie;
+                    state
+                        .memo
+                        .attach_chain(&state.record_buf, |n| trie.plain_subs(n));
                 }
                 self.expr_ns += t1.elapsed().as_nanos() as u64;
                 self.ctx.pop_to_mark(mark);
@@ -219,7 +222,7 @@ impl IncrementalDriver<'_, '_> {
     fn replay_due(&mut self) {
         if let Some(path) = self.state.memo.due() {
             let t1 = Instant::now();
-            self.engine.replay(path, self.state);
+            self.engine.replay(path, self.state, self.stats);
             self.expr_ns += t1.elapsed().as_nanos() as u64;
         }
     }
@@ -472,18 +475,30 @@ impl FilterEngine {
 
     /// Stage 2 at an element whose memo state `path` holds a record:
     /// marks what the element adds to the matches of the path above it —
-    /// the listed subscriptions, and those of every listed node this
-    /// document has not resolved yet. No predicate is consulted and no
-    /// child edge followed: under one content stamp what a tag path
-    /// reaches does not change, and the memo is only on while every sink
-    /// is a plain subscription.
-    fn replay(&self, path: u32, state: &mut DocState) {
+    /// from the record's dense form, one OR per word, if it has one (its
+    /// listed nodes are then resolved for this document); otherwise the
+    /// listed subscriptions, and those of every listed node this document
+    /// has not resolved yet. No predicate is consulted and no child edge
+    /// followed: under one content stamp what a tag path reaches does not
+    /// change, and the memo is only on while every sink is a plain
+    /// subscription.
+    fn replay(&self, path: u32, state: &mut DocState, stats: &mut EngineStats) {
         let DocState {
             memo,
             sub_matched,
             node_sinks_done,
             ..
         } = state;
+        if let Some(words) = memo.dense(path) {
+            stats.memo_dense_replays += 1;
+            sub_matched.or_words(words);
+            for &entry in memo.record(path) {
+                if entry & NODE_ENTRY != 0 {
+                    node_sinks_done.set((entry & !NODE_ENTRY) as usize);
+                }
+            }
+            return;
+        }
         for &entry in memo.record(path) {
             if entry & NODE_ENTRY == 0 {
                 sub_matched.set(entry as usize);

@@ -114,6 +114,11 @@ pub struct EngineStats {
     /// leaf replays its own — no walk. Counts leaves, not records replayed
     /// (inner elements replay too, once per document and state).
     pub memo_replays: u64,
+    /// Records replayed from their dense form — one OR per word of the id
+    /// space, not one per id — by leaves and inner elements alike. A
+    /// record is kept dense when it stands for at least `n_subs / 32`
+    /// subscriptions and the memo's budget has room.
+    pub memo_dense_replays: u64,
     /// Leaf paths that ran the stage-2 walk (neither skipped nor
     /// replayed).
     pub stage2_walks: u64,

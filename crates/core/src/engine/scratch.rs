@@ -9,6 +9,7 @@
 use super::{EngineStats, FilterEngine, SubId};
 use pxf_predicate::{CtxMark, MatchContext, Publication};
 use pxf_xml::{NodeId, PathDoc, Symbol, XmlError};
+use std::num::NonZeroU32;
 
 /// Reusable matching state: per-document buffers, the document store
 /// `match_bytes` parses into, and the path memo that carries what
@@ -109,9 +110,6 @@ impl Matcher<'_> {
 #[derive(Debug, Default)]
 pub(super) struct ResultBitmap {
     words: Vec<u64>,
-    /// What `take` flattens the words into: the ids so far, then up to 64
-    /// slots of junk the next word overwrites.
-    ids: Vec<u32>,
     /// A document has begun and its marks have not been taken.
     pending: bool,
 }
@@ -139,29 +137,41 @@ impl ResultBitmap {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Ends the document: the marked ids below `bits`, ascending. Takes
-    /// every non-zero word (zero is written back), flattens it into `ids`
-    /// and returns the prefix of `ids` that holds the result, allocated at
-    /// its length.
+    /// Marks every id set in `words`, a dense record of this engine's id
+    /// space: one OR per word.
+    #[inline]
+    pub(super) fn or_words(&mut self, words: &[u64]) {
+        for (word, &add) in self.words.iter_mut().zip(words) {
+            *word |= add;
+        }
+    }
+
+    /// Ends the document: the marked ids below `bits`, ascending. A
+    /// popcount pass sizes the result exactly; then every non-zero word is
+    /// taken (zero is written back) and flattened straight into it — into
+    /// the result's own slots while 64 of them are left, the last words
+    /// through a stack buffer.
     pub(super) fn take(&mut self, bits: usize) -> Vec<SubId> {
-        let Self {
-            words,
-            ids,
-            pending,
-        } = self;
+        let words = &mut self.words[..bits.div_ceil(64)];
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut ids = vec![SubId(0); len];
+        let mut tail = [SubId(0); 64];
         let mut at = 0;
-        for (w, word) in words[..bits.div_ceil(64)].iter_mut().enumerate() {
+        for (w, word) in words.iter_mut().enumerate() {
             if *word == 0 {
                 continue;
             }
-            if ids.len() < at + 64 {
-                ids.resize((2 * ids.len()).max(at + 64), 0);
+            let (word, base) = (std::mem::take(word), (w * 64) as u32);
+            if let Some(out) = ids.get_mut(at..at + 64) {
+                at += flatten(word, base, out.try_into().expect("64 slots"));
+            } else {
+                let n = flatten(word, base, &mut tail);
+                ids[at..at + n].copy_from_slice(&tail[..n]);
+                at += n;
             }
-            let out = (&mut ids[at..at + 64]).try_into().expect("64 slots");
-            at += flatten(std::mem::take(word), (w * 64) as u32, out);
         }
-        *pending = false;
-        ids[..at].iter().map(|&i| SubId(i)).collect()
+        self.pending = false;
+        ids
     }
 }
 
@@ -173,13 +183,13 @@ impl ResultBitmap {
 /// branch is one per eight bits and a sparse word takes one block. Slots
 /// past the count receive junk (a cleared word's `trailing_zeros` is 64).
 #[inline]
-fn flatten(mut word: u64, base: u32, out: &mut [u32; 64]) -> usize {
+fn flatten(mut word: u64, base: u32, out: &mut [SubId; 64]) -> usize {
     let n = word.count_ones() as usize;
     let mut block = 0;
     loop {
         for slot in &mut out[block..block + 8] {
             // `base` has six low zero bits: `|` adds and cannot overflow.
-            *slot = base | word.trailing_zeros();
+            *slot = SubId(base | word.trailing_zeros());
             word &= word.wrapping_sub(1);
         }
         block += 8;
@@ -238,13 +248,16 @@ impl NodeBitmap {
 }
 
 /// Heap budget of one scratch's path automaton — transition table,
-/// states and entry arena together. Half goes to the entry arena, half to
-/// the table and the states it holds at load factor ½; a path that would
-/// pass either share gets no state (see [`Sighting::Untracked`]) and the
-/// automaton is emptied at the next document, where states earn their
-/// place again. (100k NITF expressions over a stream of 16k documents:
-/// 725 leaf paths, 1,015 states, 588k entries, 2.6 MB — all but 48 KB of
-/// it records.)
+/// states, entry arena and dense records together. Half goes to the entry
+/// arena, half to the table and the states it holds at load factor ½; a
+/// path that would pass either share gets no state (see
+/// [`Sighting::Untracked`]) and the automaton is emptied at the next
+/// document, where states earn their place again. What the table's share
+/// leaves over at its largest (its slot count is a power of two) holds
+/// dense records, which are an extra: one that finds no room is not made
+/// and its state replays its entries. (100k NITF expressions over a stream
+/// of 16k documents: 725 leaf paths, 1,015 states, 588k entries, 2.6 MB —
+/// all but 48 KB of it records.)
 pub(super) const MEMO_CAP_BYTES: usize = 16 << 20;
 
 const MEMO_ENTRY_BUDGET: usize = MEMO_CAP_BYTES / 2 / std::mem::size_of::<u32>();
@@ -258,6 +271,14 @@ const MEMO_SLOT_BUDGET: usize = {
     // Round down to a power of two.
     1 << (usize::BITS - 1 - slots.leading_zeros())
 };
+/// Words of dense records: the table's share less the table and states at
+/// their largest.
+const MEMO_DENSE_BUDGET: usize = {
+    use std::mem::size_of;
+    let table = MEMO_SLOT_BUDGET * (size_of::<u64>() + size_of::<u32>())
+        + MEMO_SLOT_BUDGET / 2 * size_of::<PathState>();
+    (MEMO_CAP_BYTES / 2 - table) / size_of::<u64>()
+};
 
 /// State id of an open element the automaton holds no state for.
 const UNTRACKED: u32 = u32::MAX;
@@ -270,6 +291,23 @@ pub(super) const NODE_ENTRY: u32 = 1 << 31;
 /// Longest sink list a record holds as the ids themselves: one cache line
 /// of them, which is what following the node reference would have fetched.
 pub(super) const INLINE_IDS: usize = 64 / std::mem::size_of::<u32>();
+
+/// A record that stands for `ids` subscriptions is also kept dense — one
+/// bit per id of a space of `subs` — when that bitmap is no bigger than
+/// the ids as a list of `u32`: from `subs / 32` ids on (the Roaring
+/// container rule).
+fn dense_pays(ids: usize, subs: usize) -> bool {
+    ids > 0 && ids * u32::BITS as usize >= subs
+}
+
+/// Makes room in `arena` for `need` items: capacity doubles, but never
+/// past `budget`, which `need` does not exceed.
+fn reserve_within<T>(arena: &mut Vec<T>, need: usize, budget: usize) {
+    if need > arena.capacity() {
+        let target = (arena.capacity() * 2).max(need);
+        arena.reserve_exact(target.min(budget) - arena.len());
+    }
+}
 
 /// What the leaves that ended in a state have left there.
 #[derive(Debug, Clone, Copy, Default)]
@@ -300,6 +338,10 @@ struct PathState {
     /// shorter prefix — as a `(start, len)` span of `PathMemo::entries`;
     /// `None` until a recording walk at or below the state has come by.
     record: Option<(u32, u32)>,
+    /// The same record expanded to a bitmap of the id space, if it stands
+    /// for enough ids ([`dense_pays`]) and found room: block `b - 1` of
+    /// `PathMemo::dense`.
+    dense: Option<NonZeroU32>,
 }
 
 /// What a leaf learns from [`PathMemo::sight`].
@@ -349,6 +391,10 @@ pub(super) struct PathMemo {
     /// The records: subscription ids to mark and, under [`NODE_ENTRY`],
     /// trie nodes whose sink list is too long to copy.
     entries: Vec<u32>,
+    /// Dense records, one word per 64 subscription ids each.
+    dense: Vec<u64>,
+    /// Subscription ids of the engine the states were made under.
+    subs: usize,
     /// The state of every open element, outermost first.
     open: Vec<u32>,
     /// The states whose `seen` or `replayed` the document under way set,
@@ -361,12 +407,13 @@ pub(super) struct PathMemo {
 }
 
 impl PathMemo {
-    /// Starts a document of the engine stamped `stamp`: no state has been
-    /// seen or replayed in it, whether the last document finished or not.
-    /// What was learned under another stamp, or ran out of budget, is
-    /// forgotten first (keeping the allocations) — here and nowhere else,
-    /// because open elements would keep the ids of forgotten states.
-    pub(super) fn begin_document(&mut self, stamp: u64) {
+    /// Starts a document of the engine stamped `stamp`, with `subs`
+    /// subscription ids: no state has been seen or replayed in it, whether
+    /// the last document finished or not. What was learned under another
+    /// stamp, or ran out of budget, is forgotten first (keeping the
+    /// allocations) — here and nowhere else, because open elements would
+    /// keep the ids of forgotten states.
+    pub(super) fn begin_document(&mut self, stamp: u64, subs: usize) {
         self.open.clear();
         for state in self.marked.drain(..) {
             let s = &mut self.states[state as usize - 1];
@@ -380,6 +427,8 @@ impl PathMemo {
         }
         self.states.clear();
         self.entries.clear();
+        self.dense.clear();
+        self.subs = subs;
         self.full = false;
         self.stamp = stamp;
     }
@@ -389,13 +438,15 @@ impl PathMemo {
         self.states.len()
     }
 
-    /// Heap held by the table and both arenas, in bytes.
+    /// Heap held by the table, the state and entry arenas and the dense
+    /// records, in bytes.
     pub(super) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.keys.capacity() * size_of::<u64>()
             + self.children.capacity() * size_of::<u32>()
             + self.states.capacity() * size_of::<PathState>()
             + self.entries.capacity() * size_of::<u32>()
+            + self.dense.capacity() * size_of::<u64>()
     }
 
     /// An element with tag `sym` opens below the open ones: one
@@ -525,13 +576,22 @@ impl PathMemo {
     /// no further than the first record the entry arena has no room for
     /// (which also empties the automaton at the next document): a state
     /// below an unrecorded one is never recorded, and the leaf's own state
-    /// counts as recorded only when the whole chain is.
-    pub(super) fn attach_chain(&mut self, buckets: &[Vec<u32>]) {
+    /// counts as recorded only when the whole chain is. `sinks` lists the
+    /// subscriptions of a node entry's trie node.
+    pub(super) fn attach_chain<'t>(
+        &mut self,
+        buckets: &[Vec<u32>],
+        sinks: impl Fn(u32) -> &'t [u32],
+    ) {
         for (i, bucket) in buckets.iter().enumerate().take(self.open.len()) {
             let state = self.open[i] as usize - 1;
-            if self.states[state].record.is_none() && !self.attach(state, bucket) {
+            if self.states[state].record.is_some() {
+                continue;
+            }
+            if !self.attach(state, bucket) {
                 return;
             }
+            self.attach_dense(state, bucket, &sinks);
         }
         let leaf = *self.open.last().expect("a leaf is an open element");
         self.states[leaf as usize - 1].leaves = Leaves::Recorded;
@@ -545,15 +605,44 @@ impl PathMemo {
             self.full = true;
             return false;
         }
-        if need > self.entries.capacity() {
-            // Capacity doubles, but never past the budget.
-            let target = (self.entries.capacity() * 2).max(need);
-            self.entries
-                .reserve_exact(target.min(MEMO_ENTRY_BUDGET) - start);
-        }
+        reserve_within(&mut self.entries, need, MEMO_ENTRY_BUDGET);
         self.entries.extend_from_slice(entries);
         self.states[state].record = Some((start as u32, entries.len() as u32));
         true
+    }
+
+    /// Gives `states[state]`, whose record is `entries`, its dense form too
+    /// if that pays and the dense budget has a block left; otherwise the
+    /// state stays sparse, and nothing else changes.
+    fn attach_dense<'t>(
+        &mut self,
+        state: usize,
+        entries: &[u32],
+        sinks: &impl Fn(u32) -> &'t [u32],
+    ) {
+        let ids: usize = entries
+            .iter()
+            .map(|&e| match e & NODE_ENTRY {
+                0 => 1,
+                _ => sinks(e & !NODE_ENTRY).len(),
+            })
+            .sum();
+        let words = self.subs.div_ceil(64);
+        let (start, need) = (self.dense.len(), self.dense.len() + words);
+        if !dense_pays(ids, self.subs) || need > MEMO_DENSE_BUDGET {
+            return;
+        }
+        reserve_within(&mut self.dense, need, MEMO_DENSE_BUDGET);
+        self.dense.resize(need, 0);
+        let block = &mut self.dense[start..];
+        let mut set = |id: u32| block[id as usize / 64] |= 1u64 << (id % 64);
+        for &entry in entries {
+            match entry & NODE_ENTRY {
+                0 => set(entry),
+                _ => sinks(entry & !NODE_ENTRY).iter().for_each(|&id| set(id)),
+            }
+        }
+        self.states[state].dense = NonZeroU32::new((start / words + 1) as u32);
     }
 
     /// The record of `state` (empty if it has none).
@@ -562,6 +651,14 @@ impl PathMemo {
             Some((start, len)) => &self.entries[start as usize..(start + len) as usize],
             None => &[],
         }
+    }
+
+    /// The dense form of `state`'s record, if it has one.
+    #[inline]
+    pub(super) fn dense(&self, state: u32) -> Option<&[u64]> {
+        let b = self.states[state as usize - 1].dense?.get() as usize - 1;
+        let words = self.subs.div_ceil(64);
+        Some(&self.dense[b * words..(b + 1) * words])
     }
 }
 
@@ -576,6 +673,23 @@ impl PathMemo {
                 .then(|| self.record(state).to_vec())
         };
         self.open.iter().map(recorded).collect()
+    }
+
+    /// The ids of every open element's dense record, ascending, outermost
+    /// first (`None` where the state is sparse, or there is no state).
+    pub(super) fn open_dense(&self) -> Vec<Option<Vec<u32>>> {
+        let ids = |words: &[u64]| {
+            let bit = |i: usize| words[i / 64] & (1u64 << (i % 64)) != 0;
+            (0..64 * words.len())
+                .filter(|&i| bit(i))
+                .map(|i| i as u32)
+                .collect()
+        };
+        let dense = |&state: &u32| match state {
+            UNTRACKED => None,
+            _ => self.dense(state).map(ids),
+        };
+        self.open.iter().map(dense).collect()
     }
 
     /// The invariant replays rest on: no state holds a record below one
@@ -653,7 +767,7 @@ impl DocState {
             self.done_children[n as usize] = 0;
         }
         self.done_children.resize(nodes, 0);
-        self.memo.begin_document(stamp);
+        self.memo.begin_document(stamp, subs);
     }
 
     /// Counts one more child of `n` as resolved in the current document.
@@ -786,21 +900,43 @@ mod tests {
         assert_eq!(bitmap.take(300), []);
     }
 
+    /// Subscription ids of the memos below, unless a test sets its own:
+    /// enough that no record of a few ids is kept dense.
+    const SUBS: usize = 1 << 16;
+
+    /// An empty memo under stamp 1 and [`SUBS`] subscription ids.
+    fn memo() -> PathMemo {
+        let mut memo = PathMemo::default();
+        memo.begin_document(1, SUBS);
+        memo
+    }
+
     /// Opens the elements of `path` from the root, sights the last one as
     /// a leaf — a sighting that is due the path's records gets
-    /// `records[k - 1]` for the state at depth `k` — and closes them again.
-    fn sight_with(memo: &mut PathMemo, path: &[u32], records: &[Vec<u32>]) -> Sighting {
+    /// `records[k - 1]` for the state at depth `k`, its node entries
+    /// expanded through `sinks` — and closes them again.
+    fn sight_with_sinks<'t>(
+        memo: &mut PathMemo,
+        path: &[u32],
+        records: &[Vec<u32>],
+        sinks: impl Fn(u32) -> &'t [u32],
+    ) -> Sighting {
         for &sym in path {
             memo.enter(Symbol(sym));
         }
         let sighting = memo.sight();
         if sighting == Sighting::Again && !records.is_empty() {
-            memo.attach_chain(records);
+            memo.attach_chain(records, sinks);
         }
         for _ in path {
             memo.leave();
         }
         sighting
+    }
+
+    /// [`sight_with_sinks`] for records without node entries.
+    fn sight_with(memo: &mut PathMemo, path: &[u32], records: &[Vec<u32>]) -> Sighting {
+        sight_with_sinks(memo, path, records, |_| &[])
     }
 
     fn sight(memo: &mut PathMemo, path: &[u32]) -> Sighting {
@@ -809,7 +945,7 @@ mod tests {
 
     /// Starts the next document under the same subscription set.
     fn next_document(memo: &mut PathMemo) {
-        memo.begin_document(memo.stamp);
+        memo.begin_document(memo.stamp, memo.subs);
     }
 
     /// The record (if any) of each state along `path`, outermost first.
@@ -835,7 +971,7 @@ mod tests {
     fn neighbouring_paths_get_distinct_states_and_their_own_records() {
         let unknown = Symbol::UNKNOWN.0;
         let paths: [&[u32]; 4] = [&[1, 2, 3], &[1, 2], &[1, 2, 3, 3], &[1, 2, unknown]];
-        let mut memo = PathMemo::default();
+        let mut memo = memo();
         for p in paths {
             assert_eq!(sight(&mut memo, p), Sighting::First, "{p:?}");
             assert_eq!(sight(&mut memo, p), Sighting::SameDoc, "{p:?}");
@@ -873,7 +1009,7 @@ mod tests {
     /// only if there is something in it.
     #[test]
     fn a_record_is_due_once_per_document_unless_empty() {
-        let mut memo = PathMemo::default();
+        let mut memo = memo();
         assert_eq!(sight(&mut memo, &[1, 2, 3]), Sighting::First);
         next_document(&mut memo);
         let records = [vec![7], vec![], vec![8, 9]];
@@ -906,8 +1042,7 @@ mod tests {
     /// starts from an empty automaton.
     #[test]
     fn a_refused_record_ends_the_chain_and_empties_the_memo() {
-        let mut memo = PathMemo::default();
-        memo.begin_document(1);
+        let mut memo = memo();
         assert_eq!(sight(&mut memo, &[1, 2, 3]), Sighting::First);
         assert_eq!(sight(&mut memo, &[4]), Sighting::First);
         next_document(&mut memo);
@@ -937,7 +1072,7 @@ mod tests {
 
     #[test]
     fn states_survive_table_growth_and_a_new_stamp_forgets_them() {
-        let mut memo = PathMemo::default();
+        let mut memo = memo();
         let paths: Vec<[u32; 2]> = (0..1000).map(|i| [i, i + 1]).collect();
         for p in &paths {
             assert_eq!(sight(&mut memo, p), Sighting::First);
@@ -958,9 +1093,53 @@ mod tests {
         }
         next_document(&mut memo);
         assert!(memo.len() > 3000, "same stamp: nothing is forgotten");
-        memo.begin_document(42);
+        memo.begin_document(42, SUBS);
         assert_eq!((memo.len(), memo.stamp), (0, 42));
         assert_eq!(sight(&mut memo, &paths[0]), Sighting::First);
+    }
+
+    /// Dense forms are an extra within the cap: a record that stands for
+    /// enough ids gets one while the dense budget has a block left —
+    /// `heap_bytes` counts its words — and the next, which finds none,
+    /// keeps its entries only, without marking the memo full.
+    #[test]
+    fn a_dense_form_that_does_not_fit_is_not_made() {
+        // Blocks of just over half the dense budget: room for one.
+        let words = MEMO_DENSE_BUDGET / 2 + 1;
+        let subs = 64 * words;
+        let node: Vec<u32> = (0..subs as u32).step_by(31).collect();
+        assert!(dense_pays(node.len(), subs));
+        let sinks = |n: u32| {
+            assert_eq!(n, 3, "the record's only node entry");
+            node.as_slice()
+        };
+        let mut memo = PathMemo::default();
+        memo.begin_document(1, subs);
+        for path in [[1], [2]] {
+            assert_eq!(sight(&mut memo, &path), Sighting::First);
+        }
+        next_document(&mut memo);
+        let before = memo.heap_bytes();
+        let record = [vec![NODE_ENTRY | 3, 5]];
+        let mut want = node.clone();
+        want.insert(1, 5);
+        for (path, dense) in [([1], Some(want)), ([2], None)] {
+            let sighting = sight_with_sinks(&mut memo, &path, &record, sinks);
+            assert_eq!(sighting, Sighting::Again);
+            memo.enter(Symbol(path[0]));
+            assert_eq!(memo.open_records(), [Some(record[0].clone())]);
+            assert_eq!(memo.open_dense(), [dense], "{path:?}");
+            memo.leave();
+        }
+        assert!(!memo.full, "a dense form is an extra");
+        assert!(
+            memo.heap_bytes() >= before + words * 8,
+            "its words are counted"
+        );
+        assert!(memo.heap_bytes() <= MEMO_CAP_BYTES);
+        next_document(&mut memo);
+        assert_eq!(memo.len(), 2, "nothing is forgotten");
+        assert_eq!(sight(&mut memo, &[2]), Sighting::Recorded);
     }
 
     /// A document abandoned mid-match (a panic) leaves a mark in every

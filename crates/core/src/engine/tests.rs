@@ -1,7 +1,7 @@
 //! Unit tests of the engine API: match sets against the reference
 //! oracle, duplicate and nested subscriptions, removal, statistics.
 
-use super::scratch::{MEMO_CAP_BYTES, NODE_ENTRY};
+use super::scratch::{PathMemo, MEMO_CAP_BYTES, NODE_ENTRY};
 use super::*;
 use crate::reference::matches_document;
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
@@ -703,35 +703,49 @@ fn lazy_stage1_catches_up_from_the_root_and_rolls_back_only_what_was_left() {
     assert_eq!(engine.stats().stage2_walks - s.stage2_walks, 3);
 }
 
-/// The record (if any) of each state along the tag path `tags` in the memo
-/// of the engine's own scratch, outermost first.
-fn path_records(engine: &mut FilterEngine, tags: &[String]) -> Vec<Option<Vec<u32>>> {
+/// What `read` finds in the memo of the engine's own scratch with the
+/// elements of the tag path `tags` open.
+fn along<T>(engine: &mut FilterEngine, tags: &[String], read: impl Fn(&PathMemo) -> T) -> T {
     let memo = &mut engine.scratch.state.memo;
     for tag in tags {
         memo.enter(engine.interner.get(tag).unwrap_or(Symbol::UNKNOWN));
     }
-    let records = memo.open_records();
+    let found = read(memo);
     for _ in tags {
         memo.leave();
     }
-    records
+    found
+}
+
+/// The record (if any) of each state along the tag path `tags` in the memo
+/// of the engine's own scratch, outermost first.
+fn path_records(engine: &mut FilterEngine, tags: &[String]) -> Vec<Option<Vec<u32>>> {
+    along(engine, tags, PathMemo::open_records)
 }
 
 /// The subscriptions the memo holds for the tag path `tags`: the records
 /// of the path's states, expanded, one after the other. Every state on
-/// the path must hold a record.
+/// the path must hold a record, and a state kept dense must hold in its
+/// bitmap exactly what its record expands to.
 fn memo_reach(engine: &mut FilterEngine, tags: &[String]) -> Vec<SubId> {
+    let records = path_records(engine, tags);
+    let dense = along(engine, tags, PathMemo::open_dense);
     let mut subs = Vec::new();
-    for (i, record) in path_records(engine, tags).into_iter().enumerate() {
+    for (i, (record, dense)) in records.into_iter().zip(dense).enumerate() {
         let record = record.unwrap_or_else(|| panic!("no record at depth {} of {tags:?}", i + 1));
+        let mut ids = Vec::new();
         for entry in record {
             if entry & NODE_ENTRY == 0 {
-                subs.push(SubId(entry));
+                ids.push(entry);
             } else {
-                let node = entry & !NODE_ENTRY;
-                subs.extend(engine.trie.plain_subs(node).iter().map(|&s| SubId(s)));
+                ids.extend_from_slice(engine.trie.plain_subs(entry & !NODE_ENTRY));
             }
         }
+        if let Some(dense) = dense {
+            ids.sort_unstable();
+            assert_eq!(dense, ids, "dense record at depth {} of {tags:?}", i + 1);
+        }
+        subs.extend(ids.into_iter().map(SubId));
     }
     subs.sort_unstable();
     subs

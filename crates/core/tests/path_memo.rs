@@ -105,14 +105,88 @@ fn delta(after: EngineStats, before: EngineStats) -> [u64; 4] {
     ]
 }
 
+/// `n` seeded NITF expressions, expression `i` registered `1 + i % 40`
+/// times: sink lists of 1 to 40 subscriptions, so records hold node
+/// entries, and some records stand for `n_subs / 32` ids or more (kept
+/// dense) beside many that do not.
+fn duplicate_heavy(n: usize, seed: u64) -> Vec<XPathExpr> {
+    let distinct = expressions(&Regime::nitf(), n, seed);
+    (0..40)
+        .flat_map(|copy| {
+            distinct
+                .iter()
+                .enumerate()
+                .filter(move |(i, _)| i % 40 >= copy)
+        })
+        .map(|(_, e)| e.clone())
+        .collect()
+}
+
+/// How many distinct element paths of `doc` have a record of each form
+/// under `exprs`, by the oracle: a path's record is what its expressions
+/// match on it and not on its parent path, and it is dense when that is at
+/// least `exprs.len() / 32` of them. Returns `(dense, sparse)`, not
+/// counting empty records.
+fn record_forms(exprs: &[XPathExpr], doc: &PathDoc) -> (u64, u64) {
+    let matched_on = |path: &[&str]| -> usize {
+        if path.is_empty() {
+            return 0;
+        }
+        let xml: String = path.iter().map(|t| format!("<{t}>")).collect::<String>()
+            + &path
+                .iter()
+                .rev()
+                .map(|t| format!("</{t}>"))
+                .collect::<String>();
+        let chain = Document::parse(xml.as_bytes()).unwrap();
+        exprs.iter().filter(|e| matches_document(e, &chain)).count()
+    };
+    let (mut paths, mut path) = (std::collections::HashSet::new(), Vec::new());
+    let (mut dense, mut sparse) = (0, 0);
+    for id in 0..doc.len() as pxf_xml::NodeId {
+        path.truncate(doc.depth(id) as usize - 1);
+        path.push(doc.tag(id));
+        if !paths.insert(path.clone()) {
+            continue;
+        }
+        let ids = matched_on(&path) - matched_on(&path[..path.len() - 1]);
+        if ids * 32 >= exprs.len() {
+            dense += 1;
+        } else if ids > 0 {
+            sparse += 1;
+        }
+    }
+    (dense, sparse)
+}
+
 #[test]
 fn replay_equals_walk_equals_oracle_in_any_order() {
-    for (regime, seed) in [(Regime::nitf(), 0x15a), (Regime::psd(), 0x15b)] {
-        let name = regime.name;
-        let model = Model::new(
-            &expressions(&regime, 2000, seed),
-            documents(&regime, 64, seed + 1),
-        );
+    // The last flag: the first document must replay records of both forms.
+    let inputs = [
+        (
+            "nitf",
+            Regime::nitf(),
+            expressions(&Regime::nitf(), 2000, 0x15a),
+            0x15a,
+            false,
+        ),
+        (
+            "psd",
+            Regime::psd(),
+            expressions(&Regime::psd(), 2000, 0x15b),
+            0x15b,
+            false,
+        ),
+        (
+            "nitf, duplicate-heavy",
+            Regime::nitf(),
+            duplicate_heavy(200, 0x15c),
+            0x15c,
+            true,
+        ),
+    ];
+    for (name, regime, exprs, seed, both_forms) in inputs {
+        let model = Model::new(&exprs, documents(&regime, 64, seed + 1));
         // Every document four times, shuffled: first sightings, recording
         // walks, replays and replays after unrelated documents interleave.
         let mut order: Vec<usize> = (0..4 * model.docs.len())
@@ -131,6 +205,23 @@ fn replay_equals_walk_equals_oracle_in_any_order() {
             s.stage2_walks > 0 && s.memo_replays > s.stage2_walks && s.memo_path_skips > 0,
             "{name}: {s:?}"
         );
+        // Once more, every path recorded: the document replays exactly
+        // the dense records the oracle says it has.
+        let (dense, sparse) = record_forms(&exprs, &model.stores[0]);
+        model.check(0, &mut scratch, &format!("{name}, replayed"));
+        let after = scratch.stats();
+        assert_eq!(after.stage2_walks, s.stage2_walks, "{name}: all recorded");
+        assert_eq!(
+            after.memo_dense_replays - s.memo_dense_replays,
+            dense,
+            "{name}"
+        );
+        if both_forms {
+            assert!(
+                dense > 0 && sparse > 0,
+                "{name}: {dense} dense, {sparse} sparse"
+            );
+        }
     }
 }
 
