@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! pxf match  --subs FILE [--engine pxf|yfilter|index-filter]
-//!            [--threads N] [--stats] [--quiet]
-//!            DOC.xml [DOC.xml …]
+//!            [--stats] [--quiet] DOC.xml [DOC.xml …]
 //! pxf match  --subs FILE --stream [-]          # concatenated docs on stdin
 //! pxf encode 'EXPR' ['EXPR' …]
 //! pxf generate --regime nitf|psd --exprs N --docs N --out DIR [--seed S]
@@ -15,13 +14,13 @@
 //! and lines starting with `#` are ignored. `pxf match` prints, for every
 //! document, the 1-based line numbers of the matching subscriptions. All
 //! matching goes from raw bytes to a match set in one parse pass into the
-//! engine's reused flat store; every engine is driven through the
-//! [`FilterBackend`] trait.
+//! engine's reused flat store, one document at a time; every engine is
+//! driven through the [`FilterBackend`] trait.
 
-use pxf_core::{parallel, BatchReport, BatchScratch, FilterBackend, FilterEngine, SubId};
+use pxf_core::{FilterBackend, FilterEngine, SubId};
 use pxf_workload::{Regime, XPathGenerator, XmlGenerator};
-use pxf_xml::{Document, ParserLimits};
-use std::io::Write;
+use pxf_xml::{Document, DocumentStream, ParserLimits};
+use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -63,7 +62,6 @@ USAGE:
 MATCH OPTIONS:
   --subs FILE          subscription file (one XPath per line, # comments)
   --engine NAME        pxf | yfilter | index-filter (default: pxf)
-  --threads N          parallel workers; 0 = all cores (default: 1; pxf only)
   --stream             read concatenated documents from stdin (or from one
                        file argument) instead of one document per file
   --remove LINES       after loading, unsubscribe the given comma-separated
@@ -107,16 +105,43 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, Stri
 }
 
 /// Parses the value of a numeric flag.
-fn take_number(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
+fn take_number<T: std::str::FromStr>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> Result<T, String> {
     take_value(args, i, flag)?
         .parse()
         .map_err(|_| format!("{flag} needs a number"))
 }
 
+/// Parses the parser-limit flag at `args[*i]` into `limits`; `Ok(false)`
+/// if it is not one.
+fn take_limit(args: &[String], i: &mut usize, limits: &mut ParserLimits) -> Result<bool, String> {
+    let flag = args[*i].as_str();
+    let field = match flag {
+        "--max-depth" => &mut limits.max_depth,
+        "--max-doc-bytes" => &mut limits.max_document_bytes,
+        "--max-attrs" => &mut limits.max_attributes,
+        "--max-attr-value" => &mut limits.max_attribute_value_len,
+        "--max-name-len" => &mut limits.max_name_len,
+        "--max-entities" => &mut limits.max_entity_expansions,
+        _ => return Ok(false),
+    };
+    *field = take_number(args, i, flag)?;
+    Ok(true)
+}
+
+/// Where `pxf match` reads its documents: the files named, one document
+/// each, or one stream of concatenated documents.
+enum Inputs {
+    Files(std::vec::IntoIter<PathBuf>),
+    Stream(DocumentStream<Box<dyn BufRead>>),
+}
+
 fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut subs_path: Option<PathBuf> = None;
     let mut engine_name = "pxf".to_string();
-    let mut threads = 1usize;
     let mut stats = false;
     let mut quiet = false;
     let mut stream = false;
@@ -127,13 +152,9 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            _ if take_limit(args, &mut i, &mut limits)? => {}
             "--subs" => subs_path = Some(PathBuf::from(take_value(args, &mut i, "--subs")?)),
             "--engine" => engine_name = take_value(args, &mut i, "--engine")?,
-            "--threads" => {
-                threads = take_value(args, &mut i, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?
-            }
             "--stats" => stats = true,
             "--quiet" => quiet = true,
             "--stream" => stream = true,
@@ -146,18 +167,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
                     );
                 }
             }
-            "--max-depth" => limits.max_depth = take_number(args, &mut i, "--max-depth")?,
-            "--max-doc-bytes" => {
-                limits.max_document_bytes = take_number(args, &mut i, "--max-doc-bytes")?
-            }
-            "--max-attrs" => limits.max_attributes = take_number(args, &mut i, "--max-attrs")?,
-            "--max-attr-value" => {
-                limits.max_attribute_value_len = take_number(args, &mut i, "--max-attr-value")?
-            }
-            "--max-name-len" => limits.max_name_len = take_number(args, &mut i, "--max-name-len")?,
-            "--max-entities" => {
-                limits.max_entity_expansions = take_number(args, &mut i, "--max-entities")?
-            }
             "--max-failures" => max_failures = take_number(args, &mut i, "--max-failures")?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             doc => docs.push(PathBuf::from(doc)),
@@ -165,29 +174,35 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         i += 1;
     }
     let subs_path = subs_path.ok_or("--subs FILE is required")?;
-    if docs.is_empty() && !stream {
+    let mut inputs = if stream {
+        let reader: Box<dyn BufRead> = match docs.as_slice() {
+            [] => Box::new(std::io::stdin().lock()),
+            [one] if one.as_os_str() == "-" => Box::new(std::io::stdin().lock()),
+            [one] => Box::new(std::io::BufReader::new(
+                std::fs::File::open(one)
+                    .map_err(|e| format!("cannot open {}: {e}", one.display()))?,
+            )),
+            _ => return Err("--stream takes stdin or exactly one file".into()),
+        };
+        Inputs::Stream(
+            DocumentStream::with_limits(reader, limits).max_consecutive_failures(max_failures),
+        )
+    } else if docs.is_empty() {
         return Err("no documents given".into());
-    }
+    } else {
+        Inputs::Files(docs.into_iter())
+    };
 
-    // Build the requested engine behind the unified backend interface.
-    // `pxf` keeps its concrete type for the multi-threaded batch path.
-    let mut pxf_engine: Option<FilterEngine> = None;
-    let mut baseline: Option<Box<dyn FilterBackend>> = None;
-    match engine_name.as_str() {
-        "pxf" => pxf_engine = Some(FilterEngine::new()),
-        "yfilter" => baseline = Some(Box::new(pxf_yfilter::YFilter::new())),
-        "index-filter" => baseline = Some(Box::new(pxf_indexfilter::IndexFilter::new())),
+    let mut backend: Box<dyn FilterBackend> = match engine_name.as_str() {
+        "pxf" => Box::new(FilterEngine::new()),
+        "yfilter" => Box::new(pxf_yfilter::YFilter::new()),
+        "index-filter" => Box::new(pxf_indexfilter::IndexFilter::new()),
         other => {
             return Err(format!(
                 "unknown engine '{other}' (pxf|yfilter|index-filter)"
             ))
         }
-    }
-    if pxf_engine.is_none() && threads != 1 {
-        return Err(format!(
-            "--threads applies to the default pxf engine, not '{engine_name}'"
-        ));
-    }
+    };
 
     // Load subscriptions.
     let text = std::fs::read_to_string(&subs_path)
@@ -200,10 +215,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let backend: &mut dyn FilterBackend = match &mut pxf_engine {
-            Some(e) => e,
-            None => baseline.as_mut().expect("one engine is built").as_mut(),
-        };
         match backend.add_str(line) {
             Ok(_) => lines_of.push(lineno + 1),
             Err(e) => {
@@ -212,10 +223,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    let backend: &mut dyn FilterBackend = match &mut pxf_engine {
-        Some(e) => e,
-        None => baseline.as_mut().expect("one engine is built").as_mut(),
-    };
     backend.set_parser_limits(limits);
     backend.prepare();
     // Removals patch the live index in place, like the adds before them.
@@ -238,156 +245,79 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    if stream {
-        return match_stream(
-            backend,
-            &lines_of,
-            &docs,
-            quiet,
-            stats,
-            limits,
-            max_failures,
-        );
-    }
-
-    // Load documents.
-    let mut doc_bytes: Vec<Vec<u8>> = Vec::with_capacity(docs.len());
-    for p in &docs {
-        doc_bytes.push(std::fs::read(p).map_err(|e| format!("cannot read {}: {e}", p.display()))?);
-    }
-
-    let started = std::time::Instant::now();
-    let mut batch_scratch = BatchScratch::new();
-    let results: Vec<parallel::DocFilterResult> = match &pxf_engine {
-        // pxf: shared-engine fan-out (sequential fast path at threads=1).
-        Some(e) => parallel::filter_batch_bytes_with(e, &doc_bytes, threads, &mut batch_scratch),
-        None => {
-            let backend = baseline.as_mut().expect("one engine is built");
-            doc_bytes
-                .iter()
-                .map(|b| backend.match_bytes(b).map_err(parallel::DocError::from))
-                .collect()
-        }
-    };
-    let elapsed = started.elapsed();
-
-    let report = BatchReport::from_results(&results);
+    // One document at a time, raw bytes → match set in one pass
+    // ([`FilterBackend::match_bytes`]). A rejected document is named on
+    // stderr (a stream's at its stream-absolute byte offset) and the run
+    // goes on: the stream resyncs to the next document, and
+    // `max_failures` consecutive bad ones end it.
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let mut total = 0usize;
-    for (path, result) in docs.iter().zip(results) {
+    let started = std::time::Instant::now();
+    let (mut ok, mut rejected, mut total) = (0usize, 0usize, 0usize);
+    for i in 0.. {
+        let (label, culprit, raw) = match &mut inputs {
+            Inputs::Files(paths) => {
+                let Some(path) = paths.next() else { break };
+                let bytes = std::fs::read(&path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let label = path.display().to_string();
+                (label.clone(), label, Ok((0, bytes)))
+            }
+            Inputs::Stream(stream) => {
+                let Some(raw) = stream.next_raw_at() else {
+                    break;
+                };
+                (
+                    format!("<stream#{i}>"),
+                    format!("stream document #{i}"),
+                    raw,
+                )
+            }
+        };
+        // A boundary-level failure (desync, truncation, an oversized run,
+        // the failure cap itself) has counted toward the cap inside the
+        // stream already; a parse failure is reported back to it.
+        let result = raw.and_then(|(start, bytes)| {
+            let result = backend.match_bytes(&bytes).map_err(|mut e| {
+                e.pos += start;
+                e
+            });
+            if let Inputs::Stream(stream) = &mut inputs {
+                match result {
+                    Ok(_) => stream.note_success(),
+                    Err(_) => stream.note_failure(),
+                }
+            }
+            result
+        });
         match result {
             Ok(matched) => {
+                ok += 1;
                 total += matched.len();
                 if !quiet {
                     let lines: Vec<String> = matched
                         .iter()
-                        .map(|s: &SubId| lines_of[s.0 as usize].to_string())
+                        .map(|s| lines_of[s.0 as usize].to_string())
                         .collect();
-                    writeln!(
-                        out,
-                        "{}: {} [{}]",
-                        path.display(),
-                        lines.len(),
-                        lines.join(" ")
-                    )
-                    .map_err(|e| e.to_string())?;
+                    writeln!(out, "{label}: {} [{}]", lines.len(), lines.join(" "))
+                        .map_err(|e| e.to_string())?;
                 }
             }
-            Err(e) => eprintln!("pxf: {}: {e}", path.display()),
-        }
-    }
-    if stats {
-        eprintln!(
-            "pxf: {} documents in {:.2} ms ({:.3} ms/doc), {total} matches",
-            docs.len(),
-            elapsed.as_secs_f64() * 1e3,
-            elapsed.as_secs_f64() * 1e3 / docs.len() as f64,
-        );
-    }
-    if report.recovered() > 0 {
-        eprintln!("pxf: {report}");
-        return Ok(ExitCode::from(1));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Streams concatenated documents (stdin, or one file) through the engine.
-/// Each document goes raw-bytes → match set in one pass
-/// ([`FilterBackend::match_bytes`]). A malformed document is reported
-/// (with its stream-absolute byte offset) and the stream resyncs to the
-/// next document; `max_failures` consecutive bad documents abort the
-/// stream.
-fn match_stream(
-    backend: &mut dyn FilterBackend,
-    lines_of: &[usize],
-    inputs: &[PathBuf],
-    quiet: bool,
-    stats: bool,
-    limits: ParserLimits,
-    max_failures: usize,
-) -> Result<ExitCode, String> {
-    use pxf_xml::DocumentStream;
-    let reader: Box<dyn std::io::BufRead> = match inputs {
-        [] => Box::new(std::io::stdin().lock()),
-        [one] if one.as_os_str() == "-" => Box::new(std::io::stdin().lock()),
-        [one] => Box::new(std::io::BufReader::new(
-            std::fs::File::open(one).map_err(|e| format!("cannot open {}: {e}", one.display()))?,
-        )),
-        _ => return Err("--stream takes stdin or exactly one file".into()),
-    };
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let started = std::time::Instant::now();
-    let mut count = 0usize;
-    let mut total = 0usize;
-    let mut failed = 0usize;
-    let mut stream =
-        DocumentStream::with_limits(reader, limits).max_consecutive_failures(max_failures);
-    let mut i = 0usize;
-    while let Some(raw) = stream.next_raw_at() {
-        match raw {
-            Ok((start, bytes)) => match backend.match_bytes(&bytes) {
-                Ok(matched) => {
-                    stream.note_success();
-                    count += 1;
-                    total += matched.len();
-                    if !quiet {
-                        let lines: Vec<String> = matched
-                            .iter()
-                            .map(|s| lines_of[s.0 as usize].to_string())
-                            .collect();
-                        writeln!(out, "<stream#{i}>: {} [{}]", lines.len(), lines.join(" "))
-                            .map_err(|e| e.to_string())?;
-                    }
-                }
-                Err(mut e) => {
-                    // Report the parse error at its stream-absolute offset.
-                    stream.note_failure();
-                    failed += 1;
-                    e.pos += start;
-                    eprintln!("pxf: stream document #{i}: {e}");
-                }
-            },
-            // Boundary-level failures (desync, truncation, oversized runs,
-            // the failure cap itself) already count toward the cap inside
-            // the stream.
             Err(e) => {
-                failed += 1;
-                eprintln!("pxf: stream document #{i}: {e}");
+                rejected += 1;
+                eprintln!("pxf: {culprit}: {e}");
             }
         }
-        i += 1;
     }
     if stats {
-        let elapsed = started.elapsed();
+        let ms = started.elapsed().as_secs_f64() * 1e3;
         eprintln!(
-            "pxf: {count} streamed documents in {:.2} ms, {total} matches",
-            elapsed.as_secs_f64() * 1e3
+            "pxf: {ok} documents in {ms:.2} ms ({:.3} ms/doc), {total} matches",
+            ms / ok.max(1) as f64
         );
     }
-    if failed > 0 {
-        eprintln!("pxf: {count} documents ok, {failed} rejected");
+    if rejected > 0 {
+        eprintln!("pxf: {ok} documents ok, {rejected} rejected");
         return Ok(ExitCode::from(1));
     }
     Ok(ExitCode::SUCCESS)
@@ -410,23 +340,7 @@ fn cmd_broker(args: &[String]) -> Result<(), String> {
             "--queue-cap" => config.ingest_capacity = take_number(args, &mut i, "--queue-cap")?,
             "--outbox-cap" => config.outbox_capacity = take_number(args, &mut i, "--outbox-cap")?,
             "--shed-ingest" => config.ingest_policy = Backpressure::Shed,
-            "--max-depth" => config.limits.max_depth = take_number(args, &mut i, "--max-depth")?,
-            "--max-doc-bytes" => {
-                config.limits.max_document_bytes = take_number(args, &mut i, "--max-doc-bytes")?
-            }
-            "--max-attrs" => {
-                config.limits.max_attributes = take_number(args, &mut i, "--max-attrs")?
-            }
-            "--max-attr-value" => {
-                config.limits.max_attribute_value_len =
-                    take_number(args, &mut i, "--max-attr-value")?
-            }
-            "--max-name-len" => {
-                config.limits.max_name_len = take_number(args, &mut i, "--max-name-len")?
-            }
-            "--max-entities" => {
-                config.limits.max_entity_expansions = take_number(args, &mut i, "--max-entities")?
-            }
+            _ if take_limit(args, &mut i, &mut config.limits)? => {}
             flag => return Err(format!("unknown flag '{flag}'")),
         }
         i += 1;
@@ -499,22 +413,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     while i < args.len() {
         match args[i].as_str() {
             "--regime" => regime_name = take_value(args, &mut i, "--regime")?,
-            "--exprs" => {
-                n_exprs = take_value(args, &mut i, "--exprs")?
-                    .parse()
-                    .map_err(|_| "--exprs needs a number".to_string())?
-            }
-            "--docs" => {
-                n_docs = take_value(args, &mut i, "--docs")?
-                    .parse()
-                    .map_err(|_| "--docs needs a number".to_string())?
-            }
+            "--exprs" => n_exprs = take_number(args, &mut i, "--exprs")?,
+            "--docs" => n_docs = take_number(args, &mut i, "--docs")?,
             "--out" => out_dir = Some(PathBuf::from(take_value(args, &mut i, "--out")?)),
-            "--seed" => {
-                seed = take_value(args, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs a number".to_string())?
-            }
+            "--seed" => seed = take_number(args, &mut i, "--seed")?,
             flag => return Err(format!("unknown flag '{flag}'")),
         }
         i += 1;

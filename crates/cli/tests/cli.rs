@@ -28,7 +28,7 @@ fn unknown_command_fails() {
 /// unknown flag does.
 #[test]
 fn deleted_flags_are_rejected_as_unknown() {
-    for name in ["shards", "algorithm"] {
+    for name in ["shards", "algorithm", "threads"] {
         let flag = format!("--{name}");
         let out = pxf()
             .args(["match", "--subs", "unused.xpath", &flag, "4", "doc.xml"])
@@ -125,9 +125,7 @@ fn generate_then_match_roundtrip() {
     assert!(subs.exists());
     let docs: Vec<_> = (0..3).map(|i| dir.join(format!("doc{i:04}.xml"))).collect();
     let mut cmd = pxf();
-    cmd.args(["match", "--subs"])
-        .arg(&subs)
-        .args(["--threads", "2"]);
+    cmd.args(["match", "--subs"]).arg(&subs);
     for d in &docs {
         assert!(d.exists());
         cmd.arg(d);
@@ -210,5 +208,75 @@ fn stream_mode_reads_concatenated_documents() {
     let out = child.wait_with_output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("<stream#0>: 1 [1]"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Files and `--stream` input go through one per-document loop for every
+/// engine: a malformed document among good ones is named once on stderr,
+/// the others print the same lines whatever the engine, and the run ends
+/// with a summary and exit status 1.
+#[test]
+fn every_engine_reports_files_and_streams_alike() {
+    let dir = std::env::temp_dir().join(format!("pxf-cli-loop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let subs = dir.join("subs.xpath");
+    write(&subs, "/a/b\n//c\n/a/b[@x >= 2]\n/a/*/c\n");
+    let docs = [
+        ("one.xml", r#"<a><b x="5"><c/></b></a>"#),
+        ("two.xml", "<z><c/></z>"),
+        ("bad.xml", "<a><b>&bogus;</b></a>"),
+        ("three.xml", r#"<a><b x="1"/></a>"#),
+    ];
+    let mut wire = String::new();
+    for (name, xml) in docs {
+        write(&dir.join(name), xml);
+        wire.push_str(xml);
+    }
+    write(&dir.join("wire.xml"), &wire);
+    let lines = ["4 [1 2 3 4]", "1 [2]", "1 [1]"];
+    let label = |name: &str| dir.join(name).display().to_string();
+    let modes = [
+        (
+            vec![
+                label("one.xml"),
+                label("two.xml"),
+                label("bad.xml"),
+                label("three.xml"),
+            ],
+            ["one.xml", "two.xml", "three.xml"].map(label),
+            format!("pxf: {}: ", label("bad.xml")),
+        ),
+        (
+            vec!["--stream".into(), label("wire.xml")],
+            ["<stream#0>", "<stream#1>", "<stream#3>"].map(str::to_string),
+            "pxf: stream document #2: ".into(),
+        ),
+    ];
+    for (args, labels, culprit) in modes {
+        let want: String = labels
+            .iter()
+            .zip(lines)
+            .map(|(label, line)| format!("{label}: {line}\n"))
+            .collect();
+        for engine in ["pxf", "yfilter", "index-filter"] {
+            let out = pxf()
+                .args(["match", "--subs"])
+                .arg(&subs)
+                .args(["--engine", engine])
+                .args(&args)
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{engine} {args:?}: {err}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                want,
+                "{engine} {args:?}"
+            );
+            assert_eq!(err.matches(&culprit).count(), 1, "{engine} {args:?}: {err}");
+            assert_eq!(err.matches("unknown entity").count(), 1, "{err}");
+            assert!(err.ends_with("pxf: 3 documents ok, 1 rejected\n"), "{err}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

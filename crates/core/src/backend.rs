@@ -75,9 +75,9 @@ pub trait FilterBackend {
     fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError>;
 
     /// Sets the per-document resource budget enforced by
-    /// [`match_bytes`](Self::match_bytes). The default implementation
-    /// ignores the limits; every in-workspace backend overrides it.
-    fn set_parser_limits(&mut self, _limits: ParserLimits) {}
+    /// [`match_bytes`](Self::match_bytes). There is no default: a
+    /// backend that ignored it would parse hostile input unbounded.
+    fn set_parser_limits(&mut self, limits: ParserLimits);
 
     /// Parses and registers an expression (convenience).
     fn add_str(&mut self, src: &str) -> Result<SubId, BackendError> {

@@ -104,9 +104,9 @@ impl Matcher<'_> {
 /// all zero between documents, so a mark is one OR and a test one AND.
 /// [`Self::take`] is the only reader: it hands out the ids in ascending
 /// order and zeroes every word it reads, so no document pays a clearing
-/// pass. A document that never reached `take` (a match that panicked)
-/// leaves `pending` set, and the next [`Self::begin`] zeroes the words
-/// then.
+/// pass. A document that never reached `take` (a match that panicked,
+/// its scratch kept by a caller that caught the panic) leaves `pending`
+/// set, and the next [`Self::begin`] zeroes the words then.
 #[derive(Debug, Default)]
 pub(super) struct ResultBitmap {
     words: Vec<u64>,

@@ -292,6 +292,20 @@ fn stats_accumulate() {
 }
 
 #[test]
+fn independent_matchers_have_independent_stats() {
+    let mut engine = FilterEngine::default();
+    engine.add(&parse("/a/b").unwrap()).unwrap();
+    let d = doc("<a><b/></a>");
+    let mut m1 = engine.matcher();
+    let mut m2 = engine.matcher();
+    m1.match_document(&d);
+    m1.match_document(&d);
+    m2.match_document(&d);
+    assert_eq!(m1.stats().docs, 2);
+    assert_eq!(m2.stats().docs, 1);
+}
+
+#[test]
 fn empty_engine_matches_nothing() {
     let mut engine = FilterEngine::default();
     assert!(engine.is_empty());
@@ -380,6 +394,65 @@ fn add_after_remove_allocates_fresh_ids() {
 fn remove_unknown_id_is_noop() {
     let mut engine = FilterEngine::default();
     assert!(!engine.remove(SubId(42)));
+}
+
+/// There is no build step between registering and matching: straight
+/// after every `add` and `remove`, with no `prepare()` anywhere, each
+/// `&self` entry point reports exactly what the reference oracle does.
+#[test]
+fn matchers_see_every_add_and_remove_at_once() {
+    const EXPRS: [&str; 6] = [
+        "/a/b",            // single path
+        "//c",             //
+        "//b[@k = \"1\"]", // attribute filter
+        "/a/b[@m]/c",      //
+        "/a[b/c]/d",       // nested
+        "//b[c][@k]",      //
+    ];
+    const DOCS: [&str; 3] = [
+        "<a><b k=\"1\" m=\"2\"><c/></b><d/></a>",
+        "<a><b><c/></b><b k=\"2\"/></a>",
+        "<x><c/></x>",
+    ];
+    let mut engine = FilterEngine::new();
+    let mut live: Vec<(SubId, &str)> = Vec::new();
+    let check = |engine: &FilterEngine, live: &[(SubId, &str)]| {
+        let mut scratch = MatchScratch::new();
+        for xml in DOCS {
+            let want: Vec<SubId> = live
+                .iter()
+                .filter(|(_, e)| matches_document(&parse(e).unwrap(), &tree(xml)))
+                .map(|(sub, _)| *sub)
+                .collect();
+            let ctx = format!("live {live:?}, doc {xml}");
+            assert_eq!(engine.matcher().match_document(&doc(xml)), want, "{ctx}");
+            assert_eq!(
+                engine.match_document_with(&doc(xml), &mut scratch),
+                want,
+                "{ctx}"
+            );
+            assert_eq!(
+                engine
+                    .match_bytes_with(xml.as_bytes(), &mut scratch)
+                    .unwrap(),
+                want,
+                "{ctx}"
+            );
+        }
+    };
+    check(&engine, &live);
+    for e in EXPRS {
+        live.push((engine.add_str(e).unwrap(), e));
+        check(&engine, &live);
+    }
+    // Every other one goes, then the rest, then one comes back.
+    for i in [0, 1, 2, 0, 0, 0] {
+        let (sub, _) = live.remove(i);
+        assert!(engine.remove(sub));
+        check(&engine, &live);
+    }
+    live.push((engine.add_str(EXPRS[4]).unwrap(), EXPRS[4]));
+    check(&engine, &live);
 }
 
 /// The memo is off while an attribute filter is registered, and for no

@@ -43,12 +43,10 @@ pub mod encode;
 mod engine;
 pub mod nested;
 pub mod occurrence;
-pub mod parallel;
 pub mod reference;
 pub mod snapshot;
 
 pub use backend::{BackendError, FilterBackend};
 pub use encode::{EncodeError, EncodedPath};
 pub use engine::{AddError, EngineStats, FilterEngine, MatchScratch, Matcher, SubId, SubsetStats};
-pub use parallel::{BatchReport, BatchScratch, DocError, DocFilterResult};
 pub use snapshot::{ChurnOp, EngineSnapshot, SnapshotHandle, SnapshotPublisher};

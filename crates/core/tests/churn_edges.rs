@@ -334,6 +334,7 @@ fn backend_remove_dispatch() {
         fn match_bytes(&mut self, _bytes: &[u8]) -> Result<Vec<SubId>, pxf_xml::XmlError> {
             Ok(Vec::new())
         }
+        fn set_parser_limits(&mut self, _limits: pxf_xml::ParserLimits) {}
     }
     assert!(!NoRemove.remove(SubId(0)));
 

