@@ -36,28 +36,28 @@ struct Stage1Driver<'a> {
     ctx: &'a mut MatchContext,
     marks: Vec<CtxMark>,
     matched: usize,
+    /// The innermost open element has no child so far.
+    childless: bool,
 }
 
 impl ElementVisitor for Stage1Driver<'_> {
-    fn enter(&mut self, id: NodeId, is_leaf: bool) {
-        let tag = self
-            .interner
-            .get(self.doc.tag(id))
-            .unwrap_or(Symbol::UNKNOWN);
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        let tag = self.interner.get(tag).unwrap_or(Symbol::UNKNOWN);
         self.marks.push(self.ctx.push_mark());
         self.publication.push_path_element(tag, id);
         self.index
             .eval_enter(&self.publication.tuples, Some(self.doc), self.ctx);
-        if is_leaf {
+        self.childless = true;
+    }
+
+    fn leave(&mut self) {
+        if std::mem::take(&mut self.childless) {
             let mark = self.ctx.push_mark();
             self.index
                 .eval_leaf(self.publication, Some(self.doc), self.ctx);
             self.matched += self.ctx.matched().len();
             self.ctx.pop_to_mark(mark);
         }
-    }
-
-    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.ctx.pop_to_mark(self.marks.pop().expect("mark stack"));
     }
@@ -119,6 +119,7 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
                 ctx: &mut ctx,
                 marks: Vec::new(),
                 matched: 0,
+                childless: false,
             };
             d.for_each_element(&mut driver);
             matched += driver.matched;

@@ -245,9 +245,10 @@ pub struct BrokerStatsSnapshot {
     /// over workers; capped at 16 MiB each.
     pub memo_bytes: u64,
     /// Heap the workers' document stores hold between documents (each
-    /// worker parses every document into one flat store it keeps),
-    /// summed over workers; a store gives back what exceeds 1 MiB before
-    /// its next document.
+    /// worker keeps one flat store, and parses a document into it only
+    /// while an attribute or text filter or a nested path turns the path
+    /// memo off — 0 on a worker that never saw one), summed over workers;
+    /// a store gives back what exceeds 1 MiB before its next document.
     pub doc_store_bytes: u64,
 }
 
@@ -940,9 +941,11 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
 fn worker_loop(shared: &Arc<Shared>) {
     let mut batch: Vec<IngestDoc> = Vec::new();
     // One scratch for the worker's lifetime, across batches and snapshots:
-    // its buffers are sized once, every document is parsed into its one
-    // document store, and its path memo keeps what it learned about tag
-    // paths for as long as the subscription set stays the same.
+    // its buffers are sized once, a document goes from the tokenizer
+    // straight into the match while the path memo is on (and is parsed
+    // into its one document store while it is off), and its path memo
+    // keeps what it learned about tag paths for as long as the
+    // subscription set stays the same.
     let mut scratch = MatchScratch::new();
     let mut reported = scratch.stats();
     // This worker's share of the `memo_states`/`memo_bytes`/

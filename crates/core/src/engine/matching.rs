@@ -16,6 +16,120 @@ impl FilterEngine {
     /// is not mutated, so any number of scratches may be used concurrently
     /// (see [`Self::matcher`]).
     pub fn match_document_with(&self, doc: &PathDoc, scratch: &mut MatchScratch) -> Vec<SubId> {
+        let mut driver = IncrementalDriver::begin(self, scratch, Some(doc));
+        doc.for_each_element(&mut driver);
+        driver.finish()
+    }
+
+    /// Parses and filters a document in one streaming pass (see
+    /// [`Self::match_bytes`]) using caller-provided scratch. While the path
+    /// memo is on, the tokenizer's events drive stage 1 as it reads them
+    /// and nothing is stored; otherwise the bytes are parsed into the
+    /// scratch's own document store, whose allocations the previous
+    /// document left behind, and matched there. Either way a rejected
+    /// document returns the error [`PathDoc::parse_with_limits`] would,
+    /// and leaves the scratch — its statistics and what its memo learned —
+    /// as it found it. The scratch may have served another engine before:
+    /// its path memo is emptied when the subscription set is not the one it
+    /// was filled under.
+    pub fn match_bytes_with(
+        &self,
+        bytes: &[u8],
+        scratch: &mut MatchScratch,
+    ) -> Result<Vec<SubId>, XmlError> {
+        // The store leaves the scratch while the match borrows both.
+        let mut store = std::mem::take(&mut scratch.doc);
+        let results = if self.memo_on() {
+            let stats = scratch.stats;
+            let mut driver = IncrementalDriver::begin(self, scratch, None);
+            match store.visit_bytes(bytes, self.limits, &mut driver) {
+                Ok(()) => Ok(driver.finish()),
+                Err(e) => {
+                    driver.state.memo.forget_document();
+                    scratch.stats = stats;
+                    Err(e)
+                }
+            }
+        } else {
+            store
+                .parse_into(bytes, self.limits)
+                .map(|()| self.match_document_with(&store, scratch))
+        };
+        scratch.doc = store;
+        results
+    }
+
+    /// Whether a tag path may be answered from the path memo: only while
+    /// the match outcome is a function of the tag sequence alone — no
+    /// attribute (or text) predicates, whose stage-1 pairs would differ,
+    /// and no nested plans, whose component sinks record every path index,
+    /// duplicates included. Every sink is then a plain subscription, and
+    /// nothing of a document but its tags is read, so it need not be
+    /// stored. Read off what is registered *now*: a filter that came and
+    /// went leaves the memo on. A record entry is a subscription or node id
+    /// under a tag bit, so both kinds must stay below it.
+    fn memo_on(&self) -> bool {
+        self.trie.all_plain()
+            && !self.index.has_attr_predicates()
+            && self.n_subs < NODE_ENTRY
+            && self.trie.n_nodes() < NODE_ENTRY as usize
+    }
+}
+
+/// Incremental stage 1 and the stage 2 it calls, over one document's
+/// enter/leave traversal — from a filled store or straight from the
+/// tokenizer, through the one [`ElementVisitor`] protocol. Each element's
+/// predicate contributions are computed at most once — when the first leaf
+/// below it needs a walk (under a [`MatchContext`] mark) — and rolled back
+/// on leave, so shared path prefixes are never re-evaluated and elements
+/// whose leaves the memo answers are never evaluated at all; at a walking
+/// leaf only the length-dependent predicates are left to run before
+/// stage 2.
+///
+/// Invariant: between any `enter` and the matching `leave`, `publication`
+/// is exactly the encoding of the root-to-element path, the memo's open
+/// states are that path's, and `ctx` holds exactly the contributions of
+/// its outermost `ctx_marks.len()` elements (plus nothing else) —
+/// `ctx_marks` carries one rollback point for each of them. Evaluation is
+/// deferred until a leaf needs a walk: an element's contribution depends
+/// on its own tuple, its ancestors' and its own attributes, none of which
+/// changes while it is open, so [`Self::catch_up`] pushes the pairs
+/// evaluation on enter would have, in the same order.
+///
+/// An element is known to be a leaf or not at its next event: a child's
+/// `enter` makes it inner — its record replays then, before the child's —
+/// and its own `leave` with no child between makes it a leaf, sighted
+/// before it closes.
+struct IncrementalDriver<'a, 'd> {
+    engine: &'a FilterEngine,
+    /// The store the document is in; `None` when it comes straight from
+    /// the tokenizer, which only happens while the memo is on — no
+    /// predicate then reads an attribute or text, and no nested plan a
+    /// path.
+    doc: Option<&'d PathDoc>,
+    publication: &'a mut Publication,
+    ctx: &'a mut MatchContext,
+    state: &'a mut DocState,
+    stats: &'a mut EngineStats,
+    record_paths: bool,
+    memo_on: bool,
+    /// The innermost open element has no child element so far.
+    childless: bool,
+    path_idx: u32,
+    /// When the document began, and the stage-2 time accumulated since
+    /// (walks and replays): the traversal's remainder is stage 1.
+    t0: Instant,
+    expr_ns: u64,
+}
+
+impl<'a, 'd> IncrementalDriver<'a, 'd> {
+    /// Starts a document of `engine` on `scratch` (`doc`: the store it is
+    /// in, if it is stored).
+    fn begin(
+        engine: &'a FilterEngine,
+        scratch: &'a mut MatchScratch,
+        doc: Option<&'d PathDoc>,
+    ) -> Self {
         let MatchScratch {
             publication,
             ctx,
@@ -23,139 +137,62 @@ impl FilterEngine {
             stats,
             doc: _,
         } = scratch;
-        state.begin(self.n_subs as usize, self.trie.n_nodes(), self.stamp);
+        state.begin(engine.n_subs as usize, engine.trie.n_nodes(), engine.stamp);
         state
             .comp_paths
-            .resize_with(self.n_components as usize, Vec::new);
-        let has_nested = !self.nested.is_empty();
+            .resize_with(engine.n_components as usize, Vec::new);
         for cp in &mut state.comp_paths {
             cp.clear();
         }
         state.n_paths = 0;
-
         stats.docs += 1;
-        self.stage1_incremental(doc, publication, ctx, state, stats, has_nested);
+        let t0 = Instant::now();
+        publication.begin_incremental();
+        ctx.begin(engine.index.len());
+        state.ctx_marks.clear();
+        IncrementalDriver {
+            engine,
+            doc,
+            publication,
+            ctx,
+            state,
+            stats,
+            record_paths: !engine.nested.is_empty(),
+            memo_on: engine.memo_on(),
+            childless: false,
+            path_idx: 0,
+            t0,
+            expr_ns: 0,
+        }
+    }
 
+    /// Ends the document: books the traversal's time, combines nested
+    /// plans and drains the result bitmap — the sorted result list.
+    fn finish(self) -> Vec<SubId> {
+        let (engine, state, stats) = (self.engine, self.state, self.stats);
+        stats.expression_ns += self.expr_ns;
+        stats.predicate_ns += (self.t0.elapsed().as_nanos() as u64).saturating_sub(self.expr_ns);
         let t2 = Instant::now();
-        for ns in &self.nested {
+        for ns in &engine.nested {
             let comp_paths =
                 &state.comp_paths[ns.comp_base as usize..(ns.comp_base as usize + ns.plan.len())];
             // Cheap pre-check: every component must have matched somewhere.
             if comp_paths.iter().any(|c| c.is_empty()) {
                 continue;
             }
+            let doc = self.doc.expect("a nested plan turns the memo off: stored");
             if combine(&ns.plan, doc, &state.paths[..state.n_paths], comp_paths) {
                 state.sub_matched.set(ns.sub.0 as usize);
             }
         }
         // Draining the bitmap yields the sorted result list directly (no
         // per-match pushes, no sort over the matched ids).
-        let results = state.sub_matched.take(self.n_subs as usize);
+        let results = state.sub_matched.take(engine.n_subs as usize);
         stats.matches += results.len() as u64;
         stats.other_ns += t2.elapsed().as_nanos() as u64;
         results
     }
 
-    /// Parses and filters a document in one streaming pass (see
-    /// [`Self::match_bytes`]) using caller-provided scratch: the bytes are
-    /// parsed into the scratch's own document store, whose allocations
-    /// the previous document left behind. The scratch may have served
-    /// another engine before: its path memo is emptied when the
-    /// subscription set is not the one it was filled under.
-    pub fn match_bytes_with(
-        &self,
-        bytes: &[u8],
-        scratch: &mut MatchScratch,
-    ) -> Result<Vec<SubId>, XmlError> {
-        // The store leaves the scratch while the match borrows both.
-        let mut doc = std::mem::take(&mut scratch.doc);
-        let results = doc
-            .parse_into(bytes, self.limits)
-            .map(|()| self.match_document_with(&doc, scratch));
-        scratch.doc = doc;
-        results
-    }
-
-    /// Incremental stage 1: one enter/leave traversal of the document.
-    /// Each element's predicate contributions are computed at most once —
-    /// when the first leaf below it needs a walk (under a [`MatchContext`]
-    /// mark) — and rolled back on leave, so shared path prefixes are never
-    /// re-evaluated and elements whose leaves the memo answers are never
-    /// evaluated at all; at a walking leaf only the length-dependent
-    /// predicates are left to run before stage 2.
-    fn stage1_incremental(
-        &self,
-        doc: &PathDoc,
-        publication: &mut Publication,
-        ctx: &mut MatchContext,
-        state: &mut DocState,
-        stats: &mut EngineStats,
-        record_paths: bool,
-    ) {
-        let t0 = Instant::now();
-        publication.begin_incremental();
-        ctx.begin(self.index.len());
-        state.ctx_marks.clear();
-        // Answering a path from the memo is sound only when the match
-        // outcome is a function of the tag sequence alone: no attribute
-        // predicates (stage-1 pairs would differ), and no nested plans
-        // (component sinks must record every path index, including
-        // duplicates). Every sink is then a plain subscription.
-        // Otherwise no element asks the memo, and every leaf walks. Both
-        // conditions are read off what is registered *now*: a filter that
-        // came and went leaves the memo on. A record entry is a
-        // subscription or node id under a tag bit, so both kinds must
-        // stay below it.
-        let memo_on = self.trie.all_plain()
-            && !self.index.has_attr_predicates()
-            && self.n_subs < NODE_ENTRY
-            && self.trie.n_nodes() < NODE_ENTRY as usize;
-        let mut driver = IncrementalDriver {
-            engine: self,
-            doc,
-            publication,
-            ctx,
-            state,
-            stats,
-            record_paths,
-            memo_on,
-            path_idx: 0,
-            expr_ns: 0,
-        };
-        doc.for_each_element(&mut driver);
-        let expr_ns = driver.expr_ns;
-        stats.expression_ns += expr_ns;
-        stats.predicate_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(expr_ns);
-    }
-}
-
-/// The visitor driving incremental stage 1 (see
-/// [`FilterEngine::stage1_incremental`]). Invariant: between any `enter`
-/// and the matching `leave`, `publication` is exactly the encoding of the
-/// root-to-element path, the memo's open states are that path's, and `ctx`
-/// holds exactly the contributions of its outermost `ctx_marks.len()`
-/// elements (plus nothing else) — `ctx_marks` carries one rollback point
-/// for each of them. Evaluation is deferred until a leaf needs a walk:
-/// an element's contribution depends on its own tuple, its ancestors'
-/// and its own attributes, none of which changes while it is open, so
-/// [`Self::catch_up`] pushes the pairs evaluation on enter would have, in
-/// the same order.
-struct IncrementalDriver<'a, 'd> {
-    engine: &'a FilterEngine,
-    doc: &'d PathDoc,
-    publication: &'a mut Publication,
-    ctx: &'a mut MatchContext,
-    state: &'a mut DocState,
-    stats: &'a mut EngineStats,
-    record_paths: bool,
-    memo_on: bool,
-    path_idx: u32,
-    /// Stage-2 time accumulated at leaves; subtracted from the traversal
-    /// total to attribute the remainder to stage 1.
-    expr_ns: u64,
-}
-
-impl IncrementalDriver<'_, '_> {
     /// Handles a leaf. The memo (when on) says whether this tag path was
     /// already answered in this document (nothing to do), is recorded (the
     /// leaf replays what it adds, as the elements above it have), or needs
@@ -186,7 +223,7 @@ impl IncrementalDriver<'_, '_> {
                 let mark = self.ctx.push_mark();
                 self.engine
                     .index
-                    .eval_leaf(self.publication, Some(self.doc), self.ctx);
+                    .eval_leaf(self.publication, self.doc, self.ctx);
                 let t1 = Instant::now();
                 let state = &mut *self.state;
                 if sighting == Sighting::Again {
@@ -215,10 +252,10 @@ impl IncrementalDriver<'_, '_> {
         }
     }
 
-    /// Replays the record of the element just opened, if its state holds
-    /// one this document has not replayed: what the element adds to the
-    /// matches of the path above it. One clock pair per record, none for
-    /// an element that has nothing to add.
+    /// Replays the record of the innermost open element, if its state
+    /// holds one this document has not replayed: what the element adds to
+    /// the matches of the path above it. One clock pair per record, none
+    /// for an element that has nothing to add.
     fn replay_due(&mut self) {
         if let Some(path) = self.state.memo.due() {
             let t1 = Instant::now();
@@ -235,28 +272,32 @@ impl IncrementalDriver<'_, '_> {
             self.state.ctx_marks.push(self.ctx.push_mark());
             self.engine
                 .index
-                .eval_enter(&tuples[..=depth], Some(self.doc), self.ctx);
+                .eval_enter(&tuples[..=depth], self.doc, self.ctx);
         }
     }
 }
 
 impl ElementVisitor for IncrementalDriver<'_, '_> {
-    fn enter(&mut self, id: NodeId, is_leaf: bool) {
-        let tag = self
-            .engine
-            .interner
-            .get(self.doc.tag(id))
-            .unwrap_or(Symbol::UNKNOWN);
-        self.publication.push_path_element(tag, id);
-        self.state.memo.enter(tag);
-        if is_leaf {
-            self.leaf();
-        } else if self.memo_on {
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        // The parent has a child: an inner element, whose record replays
+        // before anything below it.
+        if self.childless && self.memo_on {
             self.replay_due();
         }
+        let interner = &self.engine.interner;
+        let tag = self
+            .state
+            .memo
+            .enter(tag, |name| interner.get(name).unwrap_or(Symbol::UNKNOWN));
+        self.publication.push_path_element(tag, id);
+        self.childless = true;
     }
 
     fn leave(&mut self) {
+        // No child came between this element's enter and its leave.
+        if std::mem::take(&mut self.childless) {
+            self.leaf();
+        }
         self.publication.pop_path_element();
         self.state.memo.leave();
         // Only an element that was evaluated left a mark.

@@ -11,7 +11,9 @@
 //!
 //! * `trie` — the span-arena trie and its in-place patching,
 //! * `scratch` — per-document matching state and the [`Matcher`] handle,
-//! * `matching` — incremental stage 1 and the stage-2 trie walk,
+//! * `matching` — incremental stage 1 and the stage-2 trie walk, driven
+//!   by one enter/leave traversal from a parsed store or straight from
+//!   the tokenizer,
 //! * this file — the [`FilterEngine`] API and index maintenance.
 
 mod matching;
@@ -75,13 +77,16 @@ impl From<EncodeError> for AddError {
 pub struct EngineStats {
     /// Documents processed.
     pub docs: u64,
-    /// Time spent in stage 1: the document traversal (tag lookup, path
-    /// stack, path-automaton transition, the memo's word on every element:
-    /// a leaf's sighting, and whether the element's state holds a record
-    /// this document has yet to replay) plus the deferred predicate
+    /// Time spent in stage 1: the document traversal (path-automaton
+    /// transition by tag name, path stack, the memo's word on every
+    /// element: a leaf's sighting, and whether the element's state holds a
+    /// record this document has yet to replay) plus the deferred predicate
     /// evaluation of the elements some walking leaf needed. Evaluation
     /// nobody asked for — elements whose leaves were all skipped or
-    /// replayed — no longer happens, so it is not in here.
+    /// replayed — no longer happens, so it is not in here. Where
+    /// `match_bytes` drives the traversal straight from the tokenizer
+    /// (the memo on), tokenizing the document is in here too; where the
+    /// document was parsed into a store first, the parse is not.
     pub predicate_ns: u64,
     /// Time spent in expression matching / occurrence determination
     /// (stage 2): the walks at leaves, and the replays of records at
@@ -572,9 +577,12 @@ impl FilterEngine {
     }
 
     /// Parses and filters a document in one streaming pass over the raw
-    /// bytes: they are parsed into the scratch's flat store
-    /// ([`PathDoc::parse_into`] — no allocation once warm) and
-    /// [`Self::match_document`] runs over it.
+    /// bytes. While the path memo is on (no attribute or text filter and
+    /// no nested path is registered) the tokenizer's events drive the
+    /// match as they are read ([`PathDoc::visit_bytes`]) and nothing is
+    /// stored; otherwise the bytes are parsed into the scratch's flat
+    /// store ([`PathDoc::parse_into`] — no allocation once warm) and
+    /// [`Self::match_document`] runs over it. Same results, same errors.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let results = self.match_bytes_with(bytes, &mut scratch);

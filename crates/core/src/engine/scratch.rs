@@ -12,9 +12,9 @@ use pxf_xml::{NodeId, PathDoc, Symbol, XmlError};
 use std::num::NonZeroU32;
 
 /// Reusable matching state: per-document buffers, the document store
-/// `match_bytes` parses into, and the path memo that carries what
-/// earlier documents' tag paths reached for as long as the subscription
-/// set stays the same. One scratch per concurrent matcher (see
+/// `match_bytes` parses into while the path memo is off, and the path memo
+/// that carries what earlier documents' tag paths reached for as long as
+/// the subscription set stays the same. One scratch per concurrent matcher (see
 /// [`FilterEngine::matcher`]); it may serve different engines in turn.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
@@ -22,8 +22,10 @@ pub struct MatchScratch {
     pub(super) ctx: MatchContext,
     pub(super) state: DocState,
     pub(super) stats: EngineStats,
-    /// Where [`FilterEngine::match_bytes_with`] parses each document:
-    /// refilled in place, so a warm scratch allocates nothing to parse.
+    /// Where [`FilterEngine::match_bytes_with`] parses a document while
+    /// the memo is off: refilled in place, so a warm scratch allocates
+    /// nothing to parse. While the memo is on it only lends the tokenizer
+    /// its buffers, and is never filled.
     pub(super) doc: PathDoc,
 }
 
@@ -51,8 +53,9 @@ impl MatchScratch {
         self.state.memo.heap_bytes()
     }
 
-    /// Heap held by the document store `match_bytes` parses into
-    /// (by capacity), in bytes; the store gives back what exceeds
+    /// Heap held by the document store `match_bytes` parses into while
+    /// the memo is off (by capacity), in bytes — 0 for a scratch that only
+    /// ever matched with the memo on; the store gives back what exceeds
     /// [`PathDoc::RETAINED_HEAP_BYTES`] before the next document.
     pub fn doc_store_bytes(&self) -> usize {
         self.doc.heap_bytes()
@@ -78,10 +81,12 @@ impl Matcher<'_> {
         self.engine.match_document_with(doc, &mut self.scratch)
     }
 
-    /// Parses and filters a document in a single streaming pass: the bytes
-    /// go through [`PathDoc::parse_into`] on this matcher's own store
-    /// (nothing is allocated once warm) and [`Self::match_document`] runs
-    /// over it.
+    /// Parses and filters a document in a single streaming pass (see
+    /// [`FilterEngine::match_bytes_with`]): with the memo on, the
+    /// tokenizer's events drive the match and nothing is stored; otherwise
+    /// the bytes go through [`PathDoc::parse_into`] on this matcher's own
+    /// store (nothing is allocated once warm) and [`Self::match_document`]
+    /// runs over it.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SubId>, XmlError> {
         self.engine.match_bytes_with(bytes, &mut self.scratch)
     }
@@ -248,19 +253,22 @@ impl NodeBitmap {
 }
 
 /// Heap budget of one scratch's path automaton — transition table,
-/// states, entry arena and dense records together. Half goes to the entry
-/// arena, half to the table and the states it holds at load factor ½; a
-/// path that would pass either share gets no state (see
-/// [`Sighting::Untracked`]) and the automaton is emptied at the next
-/// document, where states earn their place again. What the table's share
-/// leaves over at its largest (its slot count is a power of two) holds
-/// dense records, which are an extra: one that finds no room is not made
-/// and its state replays its entries. (100k NITF expressions over a stream
-/// of 16k documents: 725 leaf paths, 1,015 states, 588k entries, 2.6 MB —
-/// all but 48 KB of it records.)
+/// states, entry arena, named transitions and dense records together. Half
+/// goes to the entry arena and the named transitions
+/// ([`MEMO_NAME_BUDGET`]), half to the table and the states it holds at
+/// load factor ½; a path that would pass the entries' or the table's share
+/// gets no state (see [`Sighting::Untracked`]) and the automaton is emptied
+/// at the next document, where states earn their place again. What the
+/// table's share leaves over at its largest (its slot count is a power of
+/// two) holds dense records. Named transitions and dense records are
+/// extras: one that finds no room is not made — a tag then takes the
+/// interner, a state replays its entries. (100k NITF expressions over a
+/// stream of 16k documents: 725 leaf paths, 1,015 states, 588k entries,
+/// 2.6 MB — all but 48 KB of it records.)
 pub(super) const MEMO_CAP_BYTES: usize = 16 << 20;
 
-const MEMO_ENTRY_BUDGET: usize = MEMO_CAP_BYTES / 2 / std::mem::size_of::<u32>();
+const MEMO_ENTRY_BUDGET: usize =
+    (MEMO_CAP_BYTES / 2 - MEMO_NAME_BUDGET) / std::mem::size_of::<u32>();
 /// Table slots (a power of two): one key and one child id each, and one
 /// state for every two.
 const MEMO_SLOT_BUDGET: usize = {
@@ -271,6 +279,14 @@ const MEMO_SLOT_BUDGET: usize = {
     // Round down to a power of two.
     1 << (usize::BITS - 1 - slots.leading_zeros())
 };
+/// Bytes of named transitions: edges and the tag names they compare,
+/// half each.
+const MEMO_NAME_BUDGET: usize = MEMO_CAP_BYTES / 32;
+const MEMO_EDGE_BUDGET: usize = MEMO_NAME_BUDGET / 2 / std::mem::size_of::<Edge>();
+/// Named transitions one state keeps: past them a tag takes the interner
+/// and the table, so a state with thousands of distinct child names costs
+/// no more per element than this many comparisons and one hash.
+const MAX_NAMED_EDGES: u32 = 16;
 /// Words of dense records: the table's share less the table and states at
 /// their largest.
 const MEMO_DENSE_BUDGET: usize = {
@@ -279,6 +295,9 @@ const MEMO_DENSE_BUDGET: usize = {
         + MEMO_SLOT_BUDGET / 2 * size_of::<PathState>();
     (MEMO_CAP_BYTES / 2 - table) / size_of::<u64>()
 };
+// Every byte a state grows by takes 128 KiB of dense records at the
+// table's largest.
+const _: () = assert!(std::mem::size_of::<PathState>() == 20);
 
 /// State id of an open element the automaton holds no state for.
 const UNTRACKED: u32 = u32::MAX;
@@ -335,13 +354,31 @@ struct PathState {
     leaves: Leaves,
     /// What an element on this path adds to what its parent's path
     /// reached — the sinks whose expression holds on the path and on no
-    /// shorter prefix — as a `(start, len)` span of `PathMemo::entries`;
-    /// `None` until a recording walk at or below the state has come by.
-    record: Option<(u32, u32)>,
+    /// shorter prefix — as a span of `PathMemo::entries`, `(start + 1,
+    /// len)` (so a state stays 20 bytes); `None` until a recording walk at
+    /// or below the state has come by.
+    record: Option<(NonZeroU32, u32)>,
     /// The same record expanded to a bitmap of the id space, if it stands
     /// for enough ids ([`dense_pays`]) and found room: block `b - 1` of
     /// `PathMemo::dense`.
     dense: Option<NonZeroU32>,
+    /// First of the state's named transitions: `PathMemo::edges[e - 1]`,
+    /// 0 for none.
+    edges: u32,
+}
+
+/// A named transition: the tag spelled by `len` bytes of
+/// `PathMemo::names` from `name` leads to `child`, whose tag symbol is
+/// `sym`. Several names may lead to one child: every tag no subscription
+/// names is [`Symbol::UNKNOWN`].
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    name: u32,
+    len: u32,
+    sym: Symbol,
+    child: u32,
+    /// The next transition of the same state, 0 for none.
+    next: u32,
 }
 
 /// What a leaf learns from [`PathMemo::sight`].
@@ -376,8 +413,12 @@ pub(super) enum Sighting {
 /// Transitions live in one open-addressed table (linear probing) keyed by
 /// the exact `(state, symbol)` pair — two paths share a state only by
 /// being the same path — beside the state and entry arenas, all within
-/// [`MEMO_CAP_BYTES`]. The stack of open elements and the list of states
-/// marked are bounded by the document's depth and element count, not by
+/// [`MEMO_CAP_BYTES`]. An element steps by its tag's bytes: each state
+/// lists the names that led out of it before (a tag no subscription names
+/// included), and only a name it does not list is looked up, in the
+/// interner and then the table, and listed. The stack of open elements,
+/// the list of states marked and the log of what the document under way
+/// taught are bounded by the document's depth and element count, not by
 /// the paths seen, and are not counted.
 #[derive(Debug, Default)]
 pub(super) struct PathMemo {
@@ -393,6 +434,11 @@ pub(super) struct PathMemo {
     entries: Vec<u32>,
     /// Dense records, one word per 64 subscription ids each.
     dense: Vec<u64>,
+    /// Named transitions, and the names they compare back to back.
+    edges: Vec<Edge>,
+    names: Vec<u8>,
+    /// First named transition out of the root (state 0), 0 for none.
+    root_edges: u32,
     /// Subscription ids of the engine the states were made under.
     subs: usize,
     /// The state of every open element, outermost first.
@@ -404,6 +450,11 @@ pub(super) struct PathMemo {
     full: bool,
     /// Content stamp of the engine the states were made under.
     stamp: u64,
+    /// What the document under way taught: each state whose leaves or
+    /// record it changed, as the state was before — and the lengths of the
+    /// two record arenas when it began — for [`Self::forget_document`].
+    learned: Vec<(u32, PathState)>,
+    arenas_at_begin: (usize, usize),
 }
 
 impl PathMemo {
@@ -415,22 +466,48 @@ impl PathMemo {
     /// keep the ids of forgotten states.
     pub(super) fn begin_document(&mut self, stamp: u64, subs: usize) {
         self.open.clear();
+        self.learned.clear();
         for state in self.marked.drain(..) {
             let s = &mut self.states[state as usize - 1];
             (s.seen, s.replayed) = (false, false);
         }
-        if self.stamp == stamp && !self.full {
-            return;
+        if self.stamp != stamp || self.full {
+            if !self.states.is_empty() {
+                self.children.fill(0);
+            }
+            self.states.clear();
+            self.entries.clear();
+            self.dense.clear();
+            self.edges.clear();
+            self.names.clear();
+            self.root_edges = 0;
+            self.subs = subs;
+            self.full = false;
+            self.stamp = stamp;
         }
-        if !self.states.is_empty() {
-            self.children.fill(0);
+        self.arenas_at_begin = (self.entries.len(), self.dense.len());
+    }
+
+    /// The document under way was rejected: the memo forgets what it
+    /// taught — leaves met, records made — as if it had never been read,
+    /// so the documents after it are answered, and counted, exactly as
+    /// they would have been. The states and named transitions it made
+    /// stay: a state no leaf met is a state not yet made.
+    pub(super) fn forget_document(&mut self) {
+        for (state, was) in self.learned.drain(..).rev() {
+            let s = &mut self.states[state as usize - 1];
+            (s.leaves, s.record, s.dense) = (was.leaves, was.record, was.dense);
         }
-        self.states.clear();
-        self.entries.clear();
-        self.dense.clear();
-        self.subs = subs;
+        let (entries, dense) = self.arenas_at_begin;
+        self.entries.truncate(entries);
+        self.dense.truncate(dense);
         self.full = false;
-        self.stamp = stamp;
+    }
+
+    /// Notes state `state` as it is, before the document under way changes
+    /// its leaves or its record.
+    fn learn(&mut self, state: u32) {
+        self.learned.push((state, self.states[state as usize - 1]));
     }
 
     /// States held: the distinct tag paths (leaf or not) met so far.
@@ -447,17 +524,74 @@ impl PathMemo {
             + self.states.capacity() * size_of::<PathState>()
             + self.entries.capacity() * size_of::<u32>()
             + self.dense.capacity() * size_of::<u64>()
+            + self.edges.capacity() * size_of::<Edge>()
+            + self.names.capacity()
     }
 
-    /// An element with tag `sym` opens below the open ones: one
-    /// transition, created on a miss.
+    /// An element with tag `tag` opens below the open ones: one
+    /// transition, found by comparing `tag` with the names that left the
+    /// parent's state before. Only a name not among them is looked up —
+    /// its symbol through `lookup`, then its state in the table, created on
+    /// a miss — and listed for the next time. Returns the tag's symbol.
     #[inline]
-    pub(super) fn enter(&mut self, sym: Symbol) {
-        let state = match self.open.last().copied().unwrap_or(0) {
-            UNTRACKED => UNTRACKED,
-            parent => self.step(parent, sym),
-        };
-        self.open.push(state);
+    pub(super) fn enter(&mut self, tag: &str, lookup: impl FnOnce(&str) -> Symbol) -> Symbol {
+        let parent = self.open.last().copied().unwrap_or(0);
+        if parent == UNTRACKED {
+            self.open.push(UNTRACKED);
+            return lookup(tag);
+        }
+        let (mut at, mut last, mut listed) = (self.first_edge(parent), 0, 0);
+        while at != 0 {
+            let edge = self.edges[at as usize - 1];
+            let name = edge.name as usize..(edge.name + edge.len) as usize;
+            if self.names[name] == *tag.as_bytes() {
+                self.open.push(edge.child);
+                return edge.sym;
+            }
+            (last, at, listed) = (at, edge.next, listed + 1);
+        }
+        let sym = lookup(tag);
+        let child = self.step(parent, sym);
+        self.open.push(child);
+        if child != UNTRACKED && listed < MAX_NAMED_EDGES {
+            self.list_name(parent, last, tag, sym, child);
+        }
+        sym
+    }
+
+    /// The first named transition out of `state`, 0 for none.
+    #[inline]
+    fn first_edge(&self, state: u32) -> u32 {
+        match state {
+            0 => self.root_edges,
+            _ => self.states[state as usize - 1].edges,
+        }
+    }
+
+    /// Lists `tag` → `child` among the named transitions of `parent`,
+    /// after `last` (0: the list is empty), if the name budget has room.
+    fn list_name(&mut self, parent: u32, last: u32, tag: &str, sym: Symbol, child: u32) {
+        let (start, need) = (self.names.len(), self.names.len() + tag.len());
+        let edges = self.edges.len() + 1;
+        if edges > MEMO_EDGE_BUDGET || need > MEMO_NAME_BUDGET / 2 {
+            return;
+        }
+        reserve_within(&mut self.edges, edges, MEMO_EDGE_BUDGET);
+        reserve_within(&mut self.names, need, MEMO_NAME_BUDGET / 2);
+        self.names.extend_from_slice(tag.as_bytes());
+        self.edges.push(Edge {
+            name: start as u32,
+            len: tag.len() as u32,
+            sym,
+            child,
+            next: 0,
+        });
+        let edge = self.edges.len() as u32;
+        match (last, parent) {
+            (0, 0) => self.root_edges = edge,
+            (0, _) => self.states[parent as usize - 1].edges = edge,
+            _ => self.edges[last as usize - 1].next = edge,
+        }
     }
 
     /// The innermost open element closes.
@@ -533,10 +667,12 @@ impl PathMemo {
             return Sighting::SameDoc;
         }
         s.seen = true;
+        let leaves = s.leaves;
         self.marked.push(state);
-        match s.leaves {
+        match leaves {
             Leaves::Never => {
-                s.leaves = Leaves::Met;
+                self.learn(state);
+                self.states[state as usize - 1].leaves = Leaves::Met;
                 Sighting::First
             }
             Leaves::Met => Sighting::Again,
@@ -584,16 +720,18 @@ impl PathMemo {
         sinks: impl Fn(u32) -> &'t [u32],
     ) {
         for (i, bucket) in buckets.iter().enumerate().take(self.open.len()) {
-            let state = self.open[i] as usize - 1;
-            if self.states[state].record.is_some() {
+            let state = self.open[i];
+            if self.states[state as usize - 1].record.is_some() {
                 continue;
             }
-            if !self.attach(state, bucket) {
+            self.learn(state);
+            if !self.attach(state as usize - 1, bucket) {
                 return;
             }
-            self.attach_dense(state, bucket, &sinks);
+            self.attach_dense(state as usize - 1, bucket, &sinks);
         }
         let leaf = *self.open.last().expect("a leaf is an open element");
+        self.learn(leaf);
         self.states[leaf as usize - 1].leaves = Leaves::Recorded;
     }
 
@@ -607,7 +745,8 @@ impl PathMemo {
         }
         reserve_within(&mut self.entries, need, MEMO_ENTRY_BUDGET);
         self.entries.extend_from_slice(entries);
-        self.states[state].record = Some((start as u32, entries.len() as u32));
+        let start = NonZeroU32::new(start as u32 + 1).expect("one past an index");
+        self.states[state].record = Some((start, entries.len() as u32));
         true
     }
 
@@ -648,7 +787,7 @@ impl PathMemo {
     /// The record of `state` (empty if it has none).
     pub(super) fn record(&self, state: u32) -> &[u32] {
         match self.states[state as usize - 1].record {
-            Some((start, len)) => &self.entries[start as usize..(start + len) as usize],
+            Some((start, len)) => &self.entries[start.get() as usize - 1..][..len as usize],
             None => &[],
         }
     }
@@ -665,6 +804,12 @@ impl PathMemo {
 /// What the engine's own tests read out of a memo.
 #[cfg(test)]
 impl PathMemo {
+    /// [`Self::enter`] by symbol: the tag is the symbol's number spelled
+    /// out, and looks itself up.
+    pub(super) fn enter_sym(&mut self, sym: Symbol) {
+        self.enter(&sym.0.to_string(), |t| Symbol(t.parse().expect("a number")));
+    }
+
     /// The record of every open element's state, outermost first (`None`
     /// where there is no record, or no state).
     pub(super) fn open_records(&self) -> Vec<Option<Vec<u32>>> {
@@ -922,7 +1067,7 @@ mod tests {
         sinks: impl Fn(u32) -> &'t [u32],
     ) -> Sighting {
         for &sym in path {
-            memo.enter(Symbol(sym));
+            memo.enter_sym(Symbol(sym));
         }
         let sighting = memo.sight();
         if sighting == Sighting::Again && !records.is_empty() {
@@ -951,7 +1096,7 @@ mod tests {
     /// The record (if any) of each state along `path`, outermost first.
     fn records_along(memo: &mut PathMemo, path: &[u32]) -> Vec<Option<Vec<u32>>> {
         for &sym in path {
-            memo.enter(Symbol(sym));
+            memo.enter_sym(Symbol(sym));
         }
         let records = memo.open_records();
         for _ in path {
@@ -1005,6 +1150,79 @@ mod tests {
         assert_eq!(sight(&mut memo, &[1]), Sighting::First);
     }
 
+    /// An element steps by its tag's bytes: a name listed under a state is
+    /// not looked up again; two names no subscription mentions lead to the
+    /// one unknown state, each listed under its own spelling; and a state
+    /// lists its first [`MAX_NAMED_EDGES`] names only — the others are
+    /// looked up each time, and reach the same states all the same.
+    #[test]
+    fn a_listed_name_steps_without_a_lookup() {
+        let lookups = std::cell::Cell::new(0);
+        let lookup = |tag: &str| {
+            lookups.set(lookups.get() + 1);
+            match tag.strip_prefix('k') {
+                Some(n) => Symbol(10 + n.parse::<u32>().unwrap()),
+                None if tag == "a" => Symbol(1),
+                None => Symbol::UNKNOWN,
+            }
+        };
+        let mut memo = memo();
+        let mut step = |path: &[&str]| -> (Vec<u32>, Vec<Symbol>) {
+            let syms = path.iter().map(|t| memo.enter(t, lookup)).collect();
+            let states = memo.open.clone();
+            path.iter().for_each(|_| memo.leave());
+            (states, syms)
+        };
+        let ax = step(&["a", "x"]);
+        assert_eq!((lookups.get(), ax.1[1]), (2, Symbol::UNKNOWN));
+        assert_eq!(step(&["a", "y"]), ax, "x and y are both the unknown tag");
+        assert_eq!(lookups.get(), 3, "only y was looked up");
+        assert_eq!(step(&["a", "x"]), ax);
+        assert_eq!(step(&["a", "y"]), ax);
+        assert_eq!(lookups.get(), 3);
+
+        let wide: Vec<String> = (0..40).map(|i| format!("k{i}")).collect();
+        let first: Vec<_> = wide.iter().map(|k| step(&["a", k])).collect();
+        assert_eq!(lookups.get(), 3 + 40);
+        let again: Vec<_> = wide.iter().map(|k| step(&["a", k])).collect();
+        assert_eq!(again, first);
+        let listed = MAX_NAMED_EDGES as usize - 2; // x and y hold two
+        assert_eq!(lookups.get(), 3 + 40 + (40 - listed));
+        assert_eq!(memo.len(), 2 + 40);
+    }
+
+    /// A rejected document is forgotten: the leaves it met and the records
+    /// it made are as they were before it, the record arenas back at their
+    /// length, and the next document sights exactly as it would have —
+    /// the path due its recording walk still is, the path met only in the
+    /// rejected document is met for the first time.
+    #[test]
+    fn a_forgotten_document_taught_nothing() {
+        let mut memo = memo();
+        assert_eq!(sight(&mut memo, &[1, 2]), Sighting::First);
+        assert_eq!(sight(&mut memo, &[4]), Sighting::First);
+        next_document(&mut memo);
+        assert_eq!(sight_with(&mut memo, &[4], &[vec![9]]), Sighting::Again);
+        next_document(&mut memo);
+        let arenas = (memo.entries.len(), memo.dense.len());
+
+        let records = [vec![7], vec![8]];
+        assert_eq!(sight_with(&mut memo, &[1, 2], &records), Sighting::Again);
+        assert_eq!(sight(&mut memo, &[3]), Sighting::First);
+        assert_eq!(sight(&mut memo, &[4]), Sighting::Recorded);
+        memo.forget_document();
+        next_document(&mut memo);
+
+        assert_eq!((memo.entries.len(), memo.dense.len()), arenas);
+        assert_eq!(records_along(&mut memo, &[1, 2]), [None, None]);
+        assert_eq!(records_along(&mut memo, &[4]), [Some(vec![9])]);
+        assert_eq!(sight(&mut memo, &[3]), Sighting::First);
+        assert_eq!(sight(&mut memo, &[4]), Sighting::Recorded);
+        assert_eq!(sight_with(&mut memo, &[1, 2], &records), Sighting::Again);
+        next_document(&mut memo);
+        assert_eq!(sight(&mut memo, &[1, 2]), Sighting::Recorded);
+    }
+
     /// A record is due once per document, to an element of any kind, and
     /// only if there is something in it.
     #[test]
@@ -1019,7 +1237,7 @@ mod tests {
             let mut due = Vec::new();
             for round in 0..2 {
                 for sym in [1, 2, 3] {
-                    memo.enter(Symbol(sym));
+                    memo.enter_sym(Symbol(sym));
                     due.push((round, sym, memo.due().map(|s| memo.record(s).to_vec())));
                 }
                 (0..3).for_each(|_| memo.leave());
@@ -1060,7 +1278,9 @@ mod tests {
         );
         memo.assert_recorded_top_down();
         assert!(memo.heap_bytes() <= MEMO_CAP_BYTES);
-        [1, 2, 3].iter().for_each(|&sym| memo.enter(Symbol(sym)));
+        [1, 2, 3]
+            .iter()
+            .for_each(|&sym| memo.enter_sym(Symbol(sym)));
         let leaf = memo.states[*memo.open.last().unwrap() as usize - 1];
         assert!(
             matches!(leaf.leaves, Leaves::Met),
@@ -1126,7 +1346,7 @@ mod tests {
         for (path, dense) in [([1], Some(want)), ([2], None)] {
             let sighting = sight_with_sinks(&mut memo, &path, &record, sinks);
             assert_eq!(sighting, Sighting::Again);
-            memo.enter(Symbol(path[0]));
+            memo.enter_sym(Symbol(path[0]));
             assert_eq!(memo.open_records(), [Some(record[0].clone())]);
             assert_eq!(memo.open_dense(), [dense], "{path:?}");
             memo.leave();
@@ -1169,9 +1389,9 @@ mod tests {
         state.bump_done_children(1);
         state.bump_done_children(299);
         state.sub_matched.set(5);
-        state.memo.enter(Symbol(1));
+        state.memo.enter_sym(Symbol(1));
         assert!(state.memo.due().is_some());
-        state.memo.enter(Symbol(2));
+        state.memo.enter_sym(Symbol(2));
         assert!(state.memo.due().is_some());
         assert_eq!(state.memo.sight(), Sighting::Recorded);
 
@@ -1182,9 +1402,9 @@ mod tests {
         }
         assert!(state.done_children.iter().all(|&c| c == 0));
         assert!(!state.sub_matched.test(5));
-        state.memo.enter(Symbol(1));
+        state.memo.enter_sym(Symbol(1));
         assert!(state.memo.due().is_some(), "a replay survived");
-        state.memo.enter(Symbol(2));
+        state.memo.enter_sym(Symbol(2));
         assert!(state.memo.due().is_some(), "a replay survived");
         assert_eq!(
             state.memo.sight(),

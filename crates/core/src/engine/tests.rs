@@ -780,8 +780,9 @@ fn lazy_stage1_catches_up_from_the_root_and_rolls_back_only_what_was_left() {
 /// elements of the tag path `tags` open.
 fn along<T>(engine: &mut FilterEngine, tags: &[String], read: impl Fn(&PathMemo) -> T) -> T {
     let memo = &mut engine.scratch.state.memo;
+    let interner = &engine.interner;
     for tag in tags {
-        memo.enter(engine.interner.get(tag).unwrap_or(Symbol::UNKNOWN));
+        memo.enter(tag, |t| interner.get(t).unwrap_or(Symbol::UNKNOWN));
     }
     let found = read(memo);
     for _ in tags {

@@ -161,6 +161,8 @@ struct CtxChecker<'a> {
     oracle_pub: Publication,
     oracle_ctx: MatchContext,
     leaves_checked: usize,
+    /// The innermost open element has no child so far.
+    childless: bool,
 }
 
 impl CtxChecker<'_> {
@@ -184,16 +186,17 @@ impl CtxChecker<'_> {
 }
 
 impl ElementVisitor for CtxChecker<'_> {
-    fn enter(&mut self, id: NodeId, is_leaf: bool) {
-        let tag = self
-            .interner
-            .get(self.doc.tag(id))
-            .unwrap_or(Symbol::UNKNOWN);
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        let tag = self.interner.get(tag).unwrap_or(Symbol::UNKNOWN);
         self.marks.push(self.ctx.push_mark());
         self.publication.push_path_element(tag, id);
         self.index
             .eval_enter(&self.publication.tuples, Some(self.doc), &mut self.ctx);
-        if is_leaf {
+        self.childless = true;
+    }
+
+    fn leave(&mut self) {
+        if std::mem::take(&mut self.childless) {
             let leaf_mark = self.ctx.push_mark();
             self.index
                 .eval_leaf(&self.publication, Some(self.doc), &mut self.ctx);
@@ -223,9 +226,6 @@ impl ElementVisitor for CtxChecker<'_> {
             self.leaves_checked += 1;
             self.ctx.pop_to_mark(leaf_mark);
         }
-    }
-
-    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.ctx.pop_to_mark(self.marks.pop().expect("mark stack"));
     }
@@ -267,6 +267,7 @@ fn incremental_ctx_equals_per_path_evaluate() {
             oracle_pub: Publication::new(),
             oracle_ctx: MatchContext::new(),
             leaves_checked: 0,
+            childless: false,
         };
         checker.publication.begin_incremental();
         checker.ctx.begin(index.len());
@@ -300,6 +301,10 @@ struct LazyChecker<'a> {
     catch_ups: usize,
     /// Catch-ups that evaluated more than the element just entered.
     deep_catch_ups: usize,
+    /// The innermost open element has no child so far, and caught up when
+    /// it was entered.
+    childless: bool,
+    caught_up: bool,
 }
 
 impl LazyChecker<'_> {
@@ -319,17 +324,16 @@ impl LazyChecker<'_> {
 }
 
 impl ElementVisitor for LazyChecker<'_> {
-    fn enter(&mut self, id: NodeId, is_leaf: bool) {
-        let tag = self
-            .interner
-            .get(self.doc.tag(id))
-            .unwrap_or(Symbol::UNKNOWN);
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        let tag = self.interner.get(tag).unwrap_or(Symbol::UNKNOWN);
         self.publication.push_path_element(tag, id);
         let tuples = &self.publication.tuples;
         self.eager_marks.push(self.eager.push_mark());
         self.index
             .eval_enter(tuples, Some(self.doc), &mut self.eager);
-        if !self.rng.gen_bool(0.35) {
+        self.childless = true;
+        self.caught_up = self.rng.gen_bool(0.35);
+        if !self.caught_up {
             return;
         }
         self.catch_ups += 1;
@@ -340,7 +344,10 @@ impl ElementVisitor for LazyChecker<'_> {
                 .eval_enter(&tuples[..=depth], Some(self.doc), &mut self.lazy);
         }
         self.assert_same("caught up");
-        if is_leaf {
+    }
+
+    fn leave(&mut self) {
+        if std::mem::take(&mut self.childless) && self.caught_up {
             let marks = (self.eager.push_mark(), self.lazy.push_mark());
             for ctx in [&mut self.eager, &mut self.lazy] {
                 self.index.eval_leaf(&self.publication, Some(self.doc), ctx);
@@ -350,9 +357,6 @@ impl ElementVisitor for LazyChecker<'_> {
             self.lazy.pop_to_mark(marks.1);
             self.assert_same("leaf predicates rolled back");
         }
-    }
-
-    fn leave(&mut self) {
         self.publication.pop_path_element();
         self.eager
             .pop_to_mark(self.eager_marks.pop().expect("mark stack"));
@@ -389,6 +393,8 @@ fn deferred_evaluation_equals_eager_at_every_catch_up() {
             lazy_marks: Vec::new(),
             catch_ups: 0,
             deep_catch_ups: 0,
+            childless: false,
+            caught_up: false,
         };
         checker.publication.begin_incremental();
         checker.eager.begin(index.len());

@@ -1,8 +1,10 @@
 //! A warm match allocates only its result. Once a scratch has seen a
-//! stream of documents — its document store, path memo, result bitmap and
-//! every stack sized by them — matching more documents of that stream
-//! through `match_bytes_with` costs one allocation each, the returned
-//! vector (allocated at its length), and no reallocation.
+//! stream of documents — its path memo, result bitmap, every stack sized
+//! by them, and its document store if the memo is off — matching more
+//! documents of that stream through `match_bytes_with` costs one
+//! allocation each, the returned vector (allocated at its length), and no
+//! reallocation. While the memo is on the store is never filled: a
+//! scratch that only saw such engines holds no store heap at all.
 //!
 //! Its own binary with a counting `#[global_allocator]`, as
 //! `index_bytes_accounting.rs`: the `unsafe` the allocator needs stays out
@@ -97,7 +99,8 @@ fn a_warm_match_allocates_only_its_result() {
     let cases = [
         ("NITF 10k", Regime::nitf(), 10_000, 0),
         ("PSD 10k", Regime::psd(), 10_000, 0),
-        // Attribute filters turn the path memo off: every leaf walks.
+        // Attribute filters turn the path memo off: every leaf walks, and
+        // every document is parsed into the store.
         ("NITF 2k filtered", Regime::nitf(), 2_000, 2),
     ];
     for (name, regime, n, attr_filters) in cases {
@@ -123,5 +126,11 @@ fn a_warm_match_allocates_only_its_result() {
                 "{name}: one allocation per document, the result"
             );
         }
+        assert_eq!(
+            scratch.doc_store_bytes() == 0,
+            attr_filters == 0,
+            "{name}: {} bytes of store, filled only while the memo is off",
+            scratch.doc_store_bytes()
+        );
     }
 }

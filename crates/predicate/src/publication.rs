@@ -25,15 +25,29 @@ pub struct PathTuple {
 /// The publication for one document path: its length plus one tuple per
 /// element. The struct is designed for reuse across paths — see
 /// [`Publication::encode`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Publication {
     /// Path length (the `(length, n)` tuple).
     pub length: u16,
     /// `(tag, position)` tuples in path order.
     pub tuples: Vec<PathTuple>,
-    /// Scratch for occurrence counting, keyed by tag symbol.
-    occ_scratch: Vec<(Symbol, u16)>,
+    /// Occurrences of each tag on the path, indexed by symbol (grown to
+    /// the largest symbol pushed); zero for every tag not on it.
+    occ: Vec<u16>,
+    /// The same count for [`Symbol::UNKNOWN`]: every tag no subscription
+    /// names is one tag.
+    occ_unknown: u16,
 }
+
+/// Two publications are equal when they encode the same path; how far
+/// each has grown its counters does not matter.
+impl PartialEq for Publication {
+    fn eq(&self, other: &Self) -> bool {
+        (self.length, &self.tuples) == (other.length, &other.tuples)
+    }
+}
+
+impl Eq for Publication {}
 
 impl Publication {
     /// Creates an empty publication (fill with [`Self::encode`]).
@@ -66,28 +80,37 @@ impl Publication {
     }
 
     /// Resets the publication for incremental path-stack encoding of a new
-    /// document (see [`Self::push_path_element`]).
+    /// document (see [`Self::push_path_element`]). The counters of the
+    /// tuples still open — a path abandoned part way — are zeroed, so
+    /// every counter is zero again.
     pub fn begin_incremental(&mut self) {
+        while let Some(t) = self.tuples.pop() {
+            *self.count(t.tag) = 0;
+        }
         self.length = 0;
-        self.tuples.clear();
-        self.occ_scratch.clear();
+    }
+
+    /// The occurrence counter of `tag`, grown to cover it if need be.
+    #[inline]
+    fn count(&mut self, tag: Symbol) -> &mut u16 {
+        if tag.is_unknown() {
+            return &mut self.occ_unknown;
+        }
+        if tag.index() >= self.occ.len() {
+            self.occ.resize(tag.index() + 1, 0);
+        }
+        &mut self.occ[tag.index()]
     }
 
     /// Pushes one element onto the path stack: afterwards the publication
     /// is exactly [`Self::encode`] of the current root-to-element path.
-    /// Occurrence numbers are maintained incrementally — one counter probe
-    /// per push instead of a full re-count per path.
+    /// Occurrence numbers are maintained incrementally — one counter per
+    /// tag, indexed by its symbol.
+    #[inline]
     pub fn push_path_element(&mut self, tag: Symbol, node: NodeId) {
-        let occ = match self.occ_scratch.iter_mut().find(|(t, _)| *t == tag) {
-            Some((_, n)) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                self.occ_scratch.push((tag, 1));
-                1
-            }
-        };
+        let count = self.count(tag);
+        *count += 1;
+        let occ = *count;
         let pos = (self.tuples.len() + 1) as u16;
         self.tuples.push(PathTuple {
             tag,
@@ -99,16 +122,10 @@ impl Publication {
     }
 
     /// Pops the most recent element, undoing [`Self::push_path_element`].
-    /// A counter reaching zero stays recorded so a re-push of the same tag
-    /// restores it to one.
+    #[inline]
     pub fn pop_path_element(&mut self) {
         let t = self.tuples.pop().expect("pop from empty path stack");
-        let slot = self
-            .occ_scratch
-            .iter_mut()
-            .find(|(s, _)| *s == t.tag)
-            .expect("occurrence scratch in sync with tuples");
-        slot.1 -= 1;
+        *self.count(t.tag) -= 1;
         self.length = self.tuples.len() as u16;
     }
 
@@ -206,6 +223,53 @@ mod tests {
         p.push_path_element(a, 7);
         assert_eq!(p.tuples[0].occ, 1);
         assert_eq!(p.tuples[0].node, 7);
+    }
+
+    /// Seeded push/pop walks over a small alphabet with unknown tags mixed
+    /// in, most abandoned part way (a new document begun with elements
+    /// open): after every push the publication equals one encoded afresh
+    /// from the root, whose occurrence numbers are recounted by hand.
+    #[test]
+    fn counters_track_a_fresh_recount_through_pushes_pops_and_abandoned_paths() {
+        let mut rng = pxf_rng::Rng::seed_from_u64(0x38);
+        let names = ["a", "b", "c", "d", "?x", "?y"];
+        let mut interner = Interner::new();
+        for n in &names[..4] {
+            interner.intern(n);
+        }
+        let tags = names.map(|n| interner.get(n).unwrap_or(Symbol::UNKNOWN));
+        let mut p = Publication::new();
+        let mut checked = 0;
+        for _ in 0..300 {
+            p.begin_incremental();
+            let mut path: Vec<usize> = Vec::new();
+            for _ in 0..rng.gen_range(0..60usize) {
+                if !path.is_empty() && rng.gen_bool(0.4) {
+                    path.pop();
+                    p.pop_path_element();
+                    continue;
+                }
+                let t = rng.gen_index(tags.len());
+                path.push(t);
+                p.push_path_element(tags[t], path.len() as NodeId);
+                let mut want = Publication::new();
+                for (i, &t) in path.iter().enumerate() {
+                    want.push_path_element(tags[t], i as NodeId + 1);
+                }
+                // The recount, by hand: occurrences of each tag so far,
+                // the unknown names counting as one tag.
+                for (i, tuple) in want.tuples.iter().enumerate() {
+                    let occ = path[..=i]
+                        .iter()
+                        .filter(|&&u| tags[u] == tags[path[i]])
+                        .count();
+                    assert_eq!(tuple.occ as usize, occ);
+                }
+                assert_eq!(p, want, "path {path:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 2000, "{checked} pushes checked");
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! the same allocations and the enter/leave traversal keeps no stack, so
 //! a matcher that owns one store allocates nothing per document once warm.
 //!
-//! Matching runs after the parse pass (not per leaf close): mixed content
-//! can extend an *ancestor's* text after a leaf closes (`<a><b/>tail</a>`)
-//! and `text()` filters must see the final value.
+//! A matcher that reads attributes or text runs after the parse pass (not
+//! per leaf close): mixed content can extend an *ancestor's* text after a
+//! leaf closes (`<a><b/>tail</a>`) and `text()` filters must see the final
+//! value. One that reads tags only needs no store: [`PathDoc::visit_bytes`]
+//! drives the same enter/leave traversal straight from the tokenizer, under
+//! the same limits and with the same errors, and fills nothing.
 //!
 //! Two bounds hold on hostile input. **Text stays linear:** a run that
 //! cannot extend its element's span in place (another element's strings
@@ -33,20 +36,21 @@ use crate::limits::ParserLimits;
 use crate::reader::{Event, Reader, ReaderBuffers, XmlError, XmlErrorKind};
 use crate::tree::NodeId;
 
-/// Enter/leave callbacks for a single pre-order traversal of a document.
+/// Enter/leave callbacks for a single pre-order traversal of a document —
+/// the one protocol both event sources speak: the columns of a filled
+/// store ([`PathDoc::for_each_element`]) and the tokenizer itself, with
+/// nothing stored ([`PathDoc::visit_bytes`]).
 ///
-/// This is the traversal shape behind incremental (prefix-sharing)
-/// stage-1 evaluation: `enter` is invoked exactly once per element in
-/// document order — with `is_leaf` precomputed so leaf-only work (e.g.
-/// path-length predicates) can run inside the same pass — and `leave` is
-/// invoked when the element closes, in reverse order of the open stack.
-/// Between an element's `enter` and its `leave`, the elements entered but
-/// not yet left form exactly the root-to-element path.
+/// `enter` is invoked exactly once per element in document order, with its
+/// pre-order id and tag, and `leave` when the element closes, in reverse
+/// order of the open stack. Between an element's `enter` and its `leave`,
+/// the elements entered but not yet left form exactly the root-to-element
+/// path. Whether an element is a leaf is known at its next call: a leaf's
+/// `enter` is immediately followed by its own `leave`, an inner element's
+/// by its first child's `enter`.
 pub trait ElementVisitor {
-    /// Called when an element opens. `is_leaf` is true iff the element has
-    /// no child elements (its `enter` is immediately followed by its
-    /// `leave`).
-    fn enter(&mut self, id: NodeId, is_leaf: bool);
+    /// Called when an element opens.
+    fn enter(&mut self, id: NodeId, tag: &str);
     /// Called when the innermost open element closes (all its descendants
     /// already left). Which element that is, the visitor knows from its
     /// own `enter` calls; the traversal keeps no stack of ids to say it.
@@ -168,21 +172,8 @@ impl PathDoc {
     /// Replaces the store's content with the document in `bytes`, reusing
     /// its allocations, in a single pass over the reader's events.
     /// On error the store is left empty.
-    pub fn parse_into(&mut self, bytes: &[u8], mut limits: ParserLimits) -> Result<(), XmlError> {
-        if self.heap_bytes() > Self::RETAINED_HEAP_BYTES {
-            *self = PathDoc::default();
-        } else {
-            self.clear();
-        }
-        limits.max_document_bytes = limits.max_document_bytes.min(Self::MAX_INPUT_BYTES);
-        limits.max_depth = limits.max_depth.min(Self::MAX_DEPTH);
-        let mut reader = Reader::with_buffers(bytes, limits, std::mem::take(&mut self.reader));
-        let filled = self.fill(&mut reader);
-        self.reader = reader.into_buffers();
-        match filled {
-            Ok(()) if self.tag.is_empty() => {
-                Err(XmlError::new(bytes.len(), XmlErrorKind::EmptyDocument))
-            }
+    pub fn parse_into(&mut self, bytes: &[u8], limits: ParserLimits) -> Result<(), XmlError> {
+        match self.read(bytes, limits, |doc, reader| doc.fill(reader)) {
             Ok(()) => {
                 self.join_text_runs();
                 Ok(())
@@ -191,6 +182,65 @@ impl PathDoc {
                 self.clear();
                 Err(e)
             }
+        }
+    }
+
+    /// Reads the document in `bytes` straight into `visitor`, storing
+    /// nothing: each start tag's name is an [`ElementVisitor::enter`] as the
+    /// tokenizer reads it, and each end tag (or the `/>` of an empty
+    /// element) a [`ElementVisitor::leave`]. The caps, the checks and the
+    /// errors — kind and offset — are exactly those of [`Self::parse_into`],
+    /// but a document that fails does so after the visitor has seen its
+    /// elements up to the fault, so a visitor must be ready to discard what
+    /// it did. The store is left empty either way; the only allocations
+    /// this uses are the tokenizer's own buffers, which the store keeps
+    /// from one document to the next.
+    pub fn visit_bytes<V: ElementVisitor>(
+        &mut self,
+        bytes: &[u8],
+        limits: ParserLimits,
+        visitor: &mut V,
+    ) -> Result<(), XmlError> {
+        self.read(bytes, limits, |_, reader| {
+            let mut elements: NodeId = 0;
+            loop {
+                match reader.next_event()? {
+                    Event::Start { name } => {
+                        visitor.enter(elements, name);
+                        elements += 1;
+                    }
+                    Event::End { .. } => visitor.leave(),
+                    Event::Attribute { .. } | Event::Text(_) => {}
+                    Event::Eof => return Ok(elements as usize),
+                }
+            }
+        })
+    }
+
+    /// The reading pass both entry points share: empties the store (giving
+    /// its memory back if it grew past [`Self::RETAINED_HEAP_BYTES`]),
+    /// caps the limits at what the store can number, lends `pass` a reader
+    /// over the store's retained buffers, and rejects a document in which
+    /// `pass` counted no element.
+    fn read(
+        &mut self,
+        bytes: &[u8],
+        mut limits: ParserLimits,
+        pass: impl FnOnce(&mut Self, &mut Reader<'_>) -> Result<usize, XmlError>,
+    ) -> Result<(), XmlError> {
+        if self.heap_bytes() + self.reader.heap_bytes() > Self::RETAINED_HEAP_BYTES {
+            *self = PathDoc::default();
+        } else {
+            self.clear();
+        }
+        limits.max_document_bytes = limits.max_document_bytes.min(Self::MAX_INPUT_BYTES);
+        limits.max_depth = limits.max_depth.min(Self::MAX_DEPTH);
+        let mut reader = Reader::with_buffers(bytes, limits, std::mem::take(&mut self.reader));
+        let read = pass(self, &mut reader);
+        self.reader = reader.into_buffers();
+        match read? {
+            0 => Err(XmlError::new(bytes.len(), XmlErrorKind::EmptyDocument)),
+            _ => Ok(()),
         }
     }
 
@@ -212,7 +262,8 @@ impl PathDoc {
         Span::new(start, s.len())
     }
 
-    fn fill(&mut self, reader: &mut Reader<'_>) -> Result<(), XmlError> {
+    /// Fills the columns from the reader's events; the elements read.
+    fn fill(&mut self, reader: &mut Reader<'_>) -> Result<usize, XmlError> {
         loop {
             match reader.next_event()? {
                 Event::Start { name } => {
@@ -246,7 +297,7 @@ impl PathDoc {
                         self.runs.push((id, run));
                     }
                 }
-                Event::Eof => return Ok(()),
+                Event::Eof => return Ok(self.tag.len()),
             }
         }
     }
@@ -324,7 +375,12 @@ impl PathDoc {
         self.arena.len()
     }
 
-    /// Heap the store holds between documents, by capacity, in bytes.
+    /// Heap the store holds between documents, by capacity, in bytes: its
+    /// columns and arena. The tokenizer's buffers it keeps for
+    /// [`Self::parse_into`] and [`Self::visit_bytes`] alike (the open-tag
+    /// stack and one tag's attribute names) are not counted here, so a
+    /// store that only ever lent them reads 0; they do count toward
+    /// [`Self::RETAINED_HEAP_BYTES`].
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.arena.capacity()
@@ -333,7 +389,6 @@ impl PathDoc {
                 * size_of::<u32>()
             + self.attrs.capacity() * size_of::<(Span, Span)>()
             + self.runs.capacity() * size_of::<(NodeId, Span)>()
-            + self.reader.heap_bytes()
     }
 
     /// The value an attribute/content filter named `name` tests on element
@@ -383,18 +438,18 @@ impl PathDoc {
         }
     }
 
-    /// Drives one pre-order enter/leave traversal (see [`ElementVisitor`]).
-    /// Allocates nothing: only the depth of the open path is kept.
+    /// Drives one pre-order enter/leave traversal of the stored document
+    /// (see [`ElementVisitor`]). Allocates nothing: only the depth of the
+    /// open path is kept.
     pub fn for_each_element<V: ElementVisitor>(&self, visitor: &mut V) {
-        // One linear scan of the depth column: the next row not deeper
-        // marks a leaf, and a row at depth d closes the open rows at depths
-        // d ..= open, innermost first.
+        // One linear scan of the depth column: a row at depth d closes the
+        // open rows at depths d ..= open, innermost first.
         let mut open = 0;
         for (id, &depth) in self.depth.iter().enumerate() {
             for _ in depth..=open {
                 visitor.leave();
             }
-            visitor.enter(id as NodeId, self.is_leaf(id));
+            visitor.enter(id as NodeId, self.str(self.tag[id]));
             open = depth;
         }
         for _ in 0..open {
@@ -458,36 +513,80 @@ mod tests {
         assert_eq!(flat.value_of(1, "text()"), None);
     }
 
+    /// Collects the root-to-leaf paths a traversal shows: the stack of
+    /// entered-not-left elements whenever a `leave` follows its own
+    /// `enter`, with each element's tag.
+    #[derive(Default)]
+    struct PathCollector {
+        stack: Vec<(NodeId, String)>,
+        childless: bool,
+        paths: Vec<Vec<(NodeId, String)>>,
+    }
+
+    impl ElementVisitor for PathCollector {
+        fn enter(&mut self, id: NodeId, tag: &str) {
+            self.stack.push((id, tag.to_string()));
+            self.childless = true;
+        }
+        fn leave(&mut self) {
+            if std::mem::take(&mut self.childless) {
+                self.paths.push(self.stack.clone());
+            }
+            assert!(self.stack.pop().is_some(), "a leave without an enter");
+        }
+    }
+
     #[test]
     fn element_traversal_matches_leaf_paths() {
-        // The stack of entered-not-left elements at each leaf `enter` must
-        // be exactly the root-to-leaf path, in document order.
-        struct PathCollector {
-            stack: Vec<NodeId>,
-            paths: Vec<Vec<NodeId>>,
-        }
-        impl ElementVisitor for PathCollector {
-            fn enter(&mut self, id: NodeId, is_leaf: bool) {
-                self.stack.push(id);
-                if is_leaf {
-                    self.paths.push(self.stack.clone());
-                }
-            }
-            fn leave(&mut self) {
-                assert!(self.stack.pop().is_some(), "a leave without an enter");
-            }
-        }
-        let src = b"<a><b><c/><d/></b><b><c/></b><e/></a>";
+        // The stack of entered-not-left elements at each leaf must be
+        // exactly the root-to-leaf path, in document order — from the
+        // stored columns and straight from the tokenizer alike.
+        let src = b"<a><b><c/><d>t</d></b><b x='1'><c/></b><e/></a>";
         let doc = PathDoc::parse(src).unwrap();
-        let mut v = PathCollector {
-            stack: Vec::new(),
-            paths: Vec::new(),
+        let mut expected: Vec<Vec<(NodeId, String)>> = Vec::new();
+        doc.for_each_leaf_path(|p| {
+            expected.push(p.iter().map(|&n| (n, doc.tag(n).to_string())).collect());
+        });
+        let mut stored = PathCollector::default();
+        doc.for_each_element(&mut stored);
+        assert!(stored.stack.is_empty());
+        assert_eq!(stored.paths, expected);
+        let mut store = PathDoc::default();
+        let mut read = PathCollector::default();
+        store
+            .visit_bytes(src, ParserLimits::default(), &mut read)
+            .unwrap();
+        assert!(read.stack.is_empty());
+        assert_eq!(read.paths, expected);
+        assert!(
+            store.is_empty() && store.heap_bytes() == 0,
+            "nothing stored"
+        );
+    }
+
+    #[test]
+    fn visiting_rejects_what_parsing_rejects_at_the_same_byte() {
+        let limits = ParserLimits {
+            max_depth: 3,
+            ..ParserLimits::default()
         };
-        doc.for_each_element(&mut v);
-        assert!(v.stack.is_empty());
-        let mut expected = Vec::new();
-        doc.for_each_leaf_path(|p| expected.push(p.to_vec()));
-        assert_eq!(v.paths, expected);
+        let mut store = PathDoc::default();
+        for src in [
+            &b"<a><b></a>"[..],
+            b"",
+            b"   ",
+            b"<!-- c -->",
+            b"<a/><b/>",
+            b"<a><b>",
+            b"<a><a><a><a/></a></a></a>",
+            b"<a x='1' x='2'/>",
+        ] {
+            let parsed = PathDoc::parse_with_limits(src, limits).unwrap_err();
+            let visited = store
+                .visit_bytes(src, limits, &mut PathCollector::default())
+                .unwrap_err();
+            assert_eq!(visited, parsed, "{}", String::from_utf8_lossy(src));
+        }
     }
 
     #[test]

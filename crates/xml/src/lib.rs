@@ -14,7 +14,9 @@
 //!   nothing per document; read by id (tag, filter value) and traversed as
 //!   root-to-leaf paths ([`PathDoc::for_each_leaf_path`] — the paper
 //!   decomposes every document into its set of document paths, §3.3),
-//!   start/end events or enter/leave calls,
+//!   start/end events or enter/leave calls ([`ElementVisitor`]) — the
+//!   same enter/leave calls [`PathDoc::visit_bytes`] makes straight from
+//!   the tokenizer, storing nothing, for a matcher that reads tags only,
 //! * [`Document`] / [`DocumentBuilder`] — an element-arena tree recording
 //!   1-based child indices (the paper's *structure tuples*, §5) and
 //!   depths. No engine takes one: it is what the workload generator builds

@@ -10,7 +10,10 @@
 //! store is exercised three ways: fresh (`parse_with_limits`), and through
 //! `parse_into` on two *dirty* stores — one that last held a larger
 //! document, one whose last parse failed half-way — so a column or arena
-//! byte a refill forgot to clear shows up as a difference.
+//! byte a refill forgot to clear shows up as a difference. The traversal
+//! straight from the tokenizer, with nothing stored
+//! ([`PathDoc::visit_bytes`], on a dirty store), must give the same
+//! enter/leave sequence and the same verdict and error.
 
 mod common;
 
@@ -44,19 +47,19 @@ fn failing_document() -> Vec<u8> {
     out
 }
 
-/// Records enter/leave calls: (true, id, is_leaf) / (false, id, false),
-/// a leave naming the innermost element entered and not yet left.
+/// Records enter/leave calls: (true, id, tag) / (false, id, ""), a leave
+/// naming the innermost element entered and not yet left.
 #[derive(Default, PartialEq, Debug)]
-struct Recorder(Vec<(bool, NodeId, bool)>, Vec<NodeId>);
+struct Recorder(Vec<(bool, NodeId, String)>, Vec<NodeId>);
 
 impl ElementVisitor for Recorder {
-    fn enter(&mut self, id: NodeId, is_leaf: bool) {
-        self.0.push((true, id, is_leaf));
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        self.0.push((true, id, tag.to_string()));
         self.1.push(id);
     }
     fn leave(&mut self) {
         let id = self.1.pop().expect("a leave without an enter");
-        self.0.push((false, id, false));
+        self.0.push((false, id, String::new()));
     }
 }
 
@@ -100,18 +103,17 @@ fn observe_store(doc: &PathDoc) -> Observed {
 fn observe_tree(doc: &Document) -> Observed {
     fn walk(doc: &Document, id: NodeId, path: &mut Vec<NodeId>, out: &mut Observed) {
         let e = doc.node(id);
-        let is_leaf = e.children.is_empty();
         path.push(id);
         out.events.push((true, id, e.tag.clone(), e.depth));
-        out.traversal.0.push((true, id, is_leaf));
-        if is_leaf {
+        out.traversal.0.push((true, id, e.tag.clone()));
+        if e.children.is_empty() {
             out.leaf_paths.push(path.clone());
         }
         for &child in &e.children {
             walk(doc, child, path, out);
         }
         out.events.push((false, id, e.tag.clone(), e.depth));
-        out.traversal.0.push((false, id, false));
+        out.traversal.0.push((false, id, String::new()));
         path.pop();
     }
     let mut out = Observed {
@@ -199,12 +201,23 @@ fn check(input: &[u8], limits: ParserLimits, stores: &mut DirtyStores, ctx: &str
         stores.held_larger.parse_into(input, limits),
         stores.failed_half_way.parse_into(input, limits),
     ];
+    let visit = |store: &mut PathDoc| {
+        let mut visited = Recorder::default();
+        let read = store.visit_bytes(input, limits, &mut visited);
+        assert!(
+            store.is_empty(),
+            "{ctx}: the tokenizer's traversal stores nothing"
+        );
+        read.map(|()| visited)
+    };
     match (&tree, &fresh) {
         (Ok(tree), Ok(fresh)) => {
             assert_same_content(tree, fresh, &ctx);
             assert_eq!(reused, [Ok(()), Ok(())], "{ctx}");
             assert_same_content(tree, &stores.held_larger, &ctx);
             assert_same_content(tree, &stores.failed_half_way, &ctx);
+            let visited = visit(&mut stores.held_larger).expect(&ctx);
+            assert_eq!(visited, observe_tree(tree).traversal, "{ctx}");
             true
         }
         (Err(tree), Err(fresh)) => {
@@ -212,6 +225,11 @@ fn check(input: &[u8], limits: ParserLimits, stores: &mut DirtyStores, ctx: &str
             assert!(tree.pos <= input.len(), "{ctx}: {tree} out of bounds");
             assert_eq!(reused, [Err(tree.clone()), Err(tree.clone())], "{ctx}");
             assert!(stores.held_larger.is_empty() && stores.failed_half_way.is_empty());
+            assert_eq!(
+                visit(&mut stores.failed_half_way).err().as_ref(),
+                Some(tree),
+                "{ctx}"
+            );
             false
         }
         _ => panic!("{ctx}: verdicts differ — tree {tree:?}, store {fresh:?}"),

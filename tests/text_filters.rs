@@ -112,3 +112,74 @@ fn empty_text_is_absent() {
     check(&["//x[text()]"], "<r><x>  </x></r>"); // whitespace-only is suppressed by the reader
     check(&["//x[text()]"], "<r><x>w</x></r>");
 }
+
+/// `[text() …]` filters are attribute-constrained predicates (the
+/// reserved `TEXT_FILTER` name), so while one is subscribed the path memo
+/// is off and `match_bytes` parses into the scratch's store — the
+/// tokenizer's own traversal keeps no text — and once the last is gone the
+/// memo, and the tokenizer-driven match with it, come back. One warm
+/// scratch serves every document of every phase, each checked against the
+/// oracle.
+#[test]
+fn text_filters_turn_the_tokenizer_driven_match_off_and_on() {
+    use pxf::engine::MatchScratch;
+    let docs = [
+        r#"<library><book><title>Dune</title></book><book><title>Neuromancer</title></book><book><title/></book></library>"#,
+        "<readings><t>17</t><t>42</t><t>-3</t><t>n/a</t></readings>",
+        r#"<m><f lang="en">hi</f><f lang="de">hallo</f><g><f>hi</f></g></m>"#,
+    ];
+    let trees: Vec<Document> = docs
+        .iter()
+        .map(|d| Document::parse(d.as_bytes()).unwrap())
+        .collect();
+    let mut engine = FilterEngine::new();
+    let mut live = Vec::new();
+    let add = |engine: &mut FilterEngine, live: &mut Vec<_>, src: &str| {
+        let expr = parse(src).unwrap();
+        let id = engine.add(&expr).unwrap();
+        live.push((id, expr));
+        id
+    };
+    for src in ["//title", "/library/book", "//t", "/m//f", "/readings"] {
+        add(&mut engine, &mut live, src);
+    }
+    let mut scratch = MatchScratch::new();
+    let check = |engine: &FilterEngine, live: &[(SubId, _)], scratch: &mut MatchScratch, phase| {
+        for _ in 0..3 {
+            for (xml, tree) in docs.iter().zip(&trees) {
+                let got = engine.match_bytes_with(xml.as_bytes(), scratch).unwrap();
+                let want: Vec<SubId> = live
+                    .iter()
+                    .filter(|(_, e)| matches_document(e, tree))
+                    .map(|&(id, _)| id)
+                    .collect();
+                assert_eq!(got, want, "{phase}: {xml}");
+            }
+        }
+    };
+
+    check(&engine, &live, &mut scratch, "plain");
+    let on = scratch.stats().memo_replays;
+    assert!(on > 0, "the memo answered leaves");
+    assert_eq!(scratch.doc_store_bytes(), 0, "nothing stored");
+
+    let text: Vec<SubId> = [
+        r#"//title[text() = "Dune"]"#,
+        "//t[text() >= 17]",
+        r#"/m/f[text() = "hi"]"#,
+        "//f[text()]",
+    ]
+    .iter()
+    .map(|src| add(&mut engine, &mut live, src))
+    .collect();
+    check(&engine, &live, &mut scratch, "text filters");
+    assert_eq!(scratch.stats().memo_replays, on, "the memo is off");
+    assert!(scratch.doc_store_bytes() > 0, "documents stored");
+
+    for id in text {
+        assert!(engine.remove(id));
+        live.retain(|(live, _)| *live != id);
+    }
+    check(&engine, &live, &mut scratch, "text filters gone");
+    assert!(scratch.stats().memo_replays > on, "the memo is back");
+}
