@@ -7,12 +7,23 @@
 //! * **Insertion cost**: adding expressions to a small vs an already-large
 //!   engine (the §6.1 constant-time claim).
 
+mod common;
+
+use common::Leaves;
 use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::encode::encode_single_path;
 use pxf_core::FilterEngine;
 use pxf_predicate::{eval_direct, MatchContext, Predicate, PredicateIndex, Publication};
 use pxf_workload::Regime;
-use pxf_xml::{Interner, PathDoc};
+use pxf_xml::{Interner, NodeId, PathDoc};
+
+/// Encodes one root-to-leaf path afresh from the root, interning its tags.
+fn encode(publication: &mut Publication, doc: &PathDoc, path: &[NodeId], interner: &mut Interner) {
+    publication.begin_incremental();
+    for &n in path {
+        publication.push_path_element(interner.intern(doc.tag(n)), n);
+    }
+}
 
 fn bench_sharing() {
     let regime = Regime::psd();
@@ -59,8 +70,8 @@ fn bench_sharing() {
             let mut matched = 0usize;
             let mut i = interner.clone();
             for d in &docs {
-                d.for_each_leaf_path(|path| {
-                    publication.encode(d, path, &mut i);
+                Leaves::walk(d, |path| {
+                    encode(&mut publication, d, path, &mut i);
                     index.evaluate(&publication, None, &mut ctx);
                     matched += ctx.matched().len();
                 });
@@ -78,8 +89,8 @@ fn bench_sharing() {
             let mut matched = 0usize;
             let mut i = interner2.clone();
             for d in &docs {
-                d.for_each_leaf_path(|path| {
-                    publication.encode(d, path, &mut i);
+                Leaves::walk(d, |path| {
+                    encode(&mut publication, d, path, &mut i);
                     for chain in &chains {
                         for pred in chain {
                             eval_direct(pred, &publication, None, &mut out);

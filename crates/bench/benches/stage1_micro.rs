@@ -20,6 +20,9 @@
 //! to the same set: the memo is then off and every leaf walks — the path a
 //! subscription set with one attribute filter takes today.
 
+mod common;
+
+use common::Leaves;
 use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::{FilterEngine, MatchScratch};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
@@ -97,8 +100,13 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
     group.bench("per-path", || {
         let mut matched = 0usize;
         for d in &docs {
-            d.for_each_leaf_path(|path| {
-                publication.encode_readonly(d, path, &interner);
+            Leaves::walk(d, |path| {
+                // Each leaf's path encoded afresh from the root.
+                publication.begin_incremental();
+                for &n in path {
+                    let tag = interner.get(d.tag(n)).unwrap_or(Symbol::UNKNOWN);
+                    publication.push_path_element(tag, n);
+                }
                 index.evaluate(&publication, Some(d), &mut ctx);
                 matched += ctx.matched().len();
             });

@@ -275,12 +275,6 @@ impl Default for FilterEngine {
     }
 }
 
-impl AsRef<FilterEngine> for FilterEngine {
-    fn as_ref(&self) -> &FilterEngine {
-        self
-    }
-}
-
 impl FilterEngine {
     /// Creates an empty engine.
     pub fn new() -> Self {

@@ -256,7 +256,7 @@ fn for_each_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{leaf_paths, matches_document};
+    use crate::reference::matches_document;
     use pxf_xml::Document;
     use pxf_xpath::parse;
 
@@ -301,7 +301,8 @@ mod tests {
         let expr = parse(src).unwrap();
         let doc = PathDoc::parse(xml.as_bytes()).unwrap();
         let plan = decompose(&expr);
-        let paths = leaf_paths(&doc);
+        // The tree numbers elements as the store does.
+        let paths = Document::parse(xml.as_bytes()).unwrap().leaf_paths();
         let comp_paths: Vec<Vec<u32>> = plan
             .components
             .iter()

@@ -239,14 +239,6 @@ fn descendants<'a>(doc: &'a Document, node: NodeId) -> impl Iterator<Item = Node
     })
 }
 
-/// Every root-to-leaf path of a store, collected (tests only).
-#[cfg(test)]
-pub(crate) fn leaf_paths(doc: &PathDoc) -> Vec<Vec<NodeId>> {
-    let mut out = Vec::new();
-    doc.for_each_leaf_path(|p| out.push(p.to_vec()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,8 +311,10 @@ mod tests {
 
     #[test]
     fn attribute_filters() {
-        let doc = PathDoc::parse(b"<a><b x=\"5\"/><b x=\"1\"/></a>").unwrap();
-        let paths = leaf_paths(&doc);
+        let src = b"<a><b x=\"5\"/><b x=\"1\"/></a>";
+        let doc = PathDoc::parse(src).unwrap();
+        // The tree numbers elements as the store does.
+        let paths = Document::parse(src).unwrap().leaf_paths();
         let view1 = DocPathView {
             doc: &doc,
             nodes: &paths[0],
@@ -387,7 +381,7 @@ mod tests {
             let flat = PathDoc::parse(d.as_bytes()).unwrap();
             for e in exprs {
                 let expr = parse(e).unwrap();
-                let by_paths = leaf_paths(&flat).iter().any(|p| {
+                let by_paths = doc.leaf_paths().iter().any(|p| {
                     matches_path(
                         &expr,
                         &DocPathView {

@@ -70,12 +70,6 @@ impl EngineSnapshot {
     }
 }
 
-impl AsRef<FilterEngine> for EngineSnapshot {
-    fn as_ref(&self) -> &FilterEngine {
-        &self.engine
-    }
-}
-
 /// One logged subscription-base mutation, replayed to catch the spare
 /// write buffer up after a publication swap.
 #[derive(Debug, Clone)]

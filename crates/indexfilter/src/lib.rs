@@ -39,7 +39,7 @@
 use pxf_core::backend::{BackendError, FilterBackend};
 use pxf_core::reference::{matches_path, DocPathView};
 use pxf_core::SubId;
-use pxf_xml::{Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
+use pxf_xml::{ElementVisitor, Interner, NodeId, ParserLimits, PathDoc, Symbol, XmlError};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
 use std::collections::HashMap;
 use std::fmt;
@@ -241,48 +241,29 @@ impl IndexFilter {
         }
         let mut results: Vec<u32> = Vec::new();
 
-        // Build the document element index: (start, end, level) intervals
-        // in document order — the streams of the original algorithm.
-        let mut elements: Vec<(Symbol, Entry)> = Vec::with_capacity(doc.len());
-        {
-            let interner = &mut self.interner;
-            let mut counter: u32 = 0;
-            let mut open: Vec<usize> = Vec::new();
-            doc.for_each_event(|ev| match ev {
-                TreeEvent::Start(id, tag, depth) => {
-                    counter += 1;
-                    let sym = interner.intern(tag);
-                    open.push(elements.len());
-                    elements.push((
-                        sym,
-                        Entry {
-                            start: counter,
-                            end: 0,
-                            level: depth as u16,
-                            node: id,
-                        },
-                    ));
-                }
-                TreeEvent::End(..) => {
-                    counter += 1;
-                    let idx = open.pop().expect("balanced");
-                    elements[idx].1.end = counter;
-                }
-            });
-        }
+        let mut index = ElementIndex {
+            interner: &self.interner,
+            counter: 0,
+            open: Vec::new(),
+            elements: Vec::with_capacity(doc.len()),
+        };
+        doc.for_each_element(&mut index);
 
         // Ancestor chain of document nodes for postponed attribute checks.
         let mut ancestors: Vec<Entry> = Vec::with_capacity(16);
         // Candidate query nodes for the current element, merged depth-desc.
         let mut candidates: Vec<u32> = Vec::with_capacity(16);
 
-        for &(sym, entry) in &elements {
+        for &(sym, entry) in &index.elements {
             while ancestors.last().is_some_and(|a| a.end < entry.start) {
                 ancestors.pop();
             }
 
             candidates.clear();
-            let tagged: &[u32] = self.by_tag.get(&sym).map(|v| v.as_slice()).unwrap_or(&[]);
+            // A tag no query names meets the wildcard nodes only.
+            let tagged: &[u32] = sym
+                .and_then(|sym| self.by_tag.get(&sym))
+                .map_or(&[], Vec::as_slice);
             // Merge the tag list and the wildcard list by descending depth.
             let (mut i, mut j) = (0, 0);
             while i < tagged.len() || j < self.wildcards.len() {
@@ -356,8 +337,8 @@ impl IndexFilter {
 
     /// Parses raw document bytes into the filter's own store (refilled in
     /// place — the same parse the predicate engine pays) and filters it.
-    /// Replaying events after the parse pass keeps postponed attribute and
-    /// `text()` re-checks exact on mixed content.
+    /// Running the traversal after the parse pass keeps postponed attribute
+    /// and `text()` re-checks exact on mixed content.
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, XmlError> {
         // The store leaves the filter while the match borrows both.
         let mut doc = std::mem::take(&mut self.doc);
@@ -386,6 +367,40 @@ impl IndexFilter {
         self.wildcards
             .sort_by_key(|&n| std::cmp::Reverse(nodes[n as usize].depth));
         self.sorted = true;
+    }
+}
+
+/// The element index of one document, built from the store's enter/leave
+/// traversal: per element, in document order, its tag (`None` when no
+/// query names it) and its (start, end, level) interval — the streams of
+/// the original algorithm. The level is the depth of its own stack of open
+/// elements.
+struct ElementIndex<'a> {
+    interner: &'a Interner,
+    /// The pre/post-order number last given out.
+    counter: u32,
+    /// Rows of `elements` whose element is open, root first.
+    open: Vec<usize>,
+    elements: Vec<(Option<Symbol>, Entry)>,
+}
+
+impl ElementVisitor for ElementIndex<'_> {
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        self.counter += 1;
+        self.open.push(self.elements.len());
+        let entry = Entry {
+            start: self.counter,
+            end: 0,
+            level: self.open.len() as u16,
+            node: id,
+        };
+        self.elements.push((self.interner.get(tag), entry));
+    }
+
+    fn leave(&mut self) {
+        self.counter += 1;
+        let row = self.open.pop().expect("balanced traversal");
+        self.elements[row].1.end = self.counter;
     }
 }
 
@@ -521,6 +536,30 @@ mod tests {
         let mut ixf = IndexFilter::new();
         let expr = pxf_xpath::parse("/a[b]/c").unwrap();
         assert_eq!(ixf.add(&expr), Err(IndexFilterError::NestedPath));
+    }
+
+    #[test]
+    fn tags_no_query_names_are_not_interned() {
+        // Only a query's own names are interned: a document's other tags
+        // meet the wildcard nodes alone, so a stream of fresh names leaves
+        // the interner as it was and every result as a fresh filter's.
+        let queries = ["/a//b", "/*/x", "//*/b", "/a/*", "c"];
+        let mut warm = IndexFilter::new();
+        for q in queries {
+            warm.add_str(q).unwrap();
+        }
+        let names = warm.interner.len();
+        for i in 0..50 {
+            let xml = format!("<a><n{i}><b/><x{i}/></n{i}><x><c/></x><m{i}/></a>");
+            let mut fresh = IndexFilter::new();
+            for q in queries {
+                fresh.add_str(q).unwrap();
+            }
+            let want = fresh.match_document(&doc(&xml));
+            assert_eq!(warm.match_document(&doc(&xml)), want, "{xml}");
+            assert!(!want.is_empty(), "{xml}");
+        }
+        assert_eq!(warm.interner.len(), names);
     }
 
     #[test]

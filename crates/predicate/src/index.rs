@@ -749,22 +749,6 @@ impl MatchContext {
     pub fn matched(&self) -> &[PredId] {
         &self.touched
     }
-
-    /// The predicates first satisfied inside the mark window opened by
-    /// `mark` — i.e. those whose lists became non-empty after
-    /// [`Self::push_mark`] returned `mark` (predicates already matched at
-    /// the mark are excluded; they keep their earlier `touched` slot).
-    ///
-    /// Because [`Self::pop_to_mark`] truncates `touched` back to the mark
-    /// and pushes only ever append, the invariant holds that `matched()`
-    /// (and any `matched_since` suffix of it) lists exactly the
-    /// predicates with non-empty pair lists right now. Stage 2 uses this
-    /// to drive posting-list candidate generation from satisfied
-    /// predicates instead of scanning registered expressions.
-    #[inline]
-    pub fn matched_since(&self, mark: CtxMark) -> &[PredId] {
-        &self.touched[mark.touched.min(self.touched.len())..]
-    }
 }
 
 /// Evaluates a single predicate directly against a publication, without
@@ -1184,8 +1168,10 @@ mod tests {
                 value: v,
             }),
         ];
-        let path: Vec<pxf_xml::NodeId> = (0..doc.len() as pxf_xml::NodeId).collect();
-        let publication = Publication::from_path(&doc, &path, &mut interner);
+        let mut publication = Publication::new();
+        for node in 0..doc.len() as pxf_xml::NodeId {
+            publication.push_path_element(interner.intern(doc.tag(node)), node);
+        }
         for (family, build) in families {
             let mut index = PredicateIndex::new();
             let far = index.insert(build(a, b, &with_x, 65_536));
@@ -1209,7 +1195,7 @@ mod tests {
     }
 
     #[test]
-    fn rel_to_bitmap_tracks_second_tags() {
+    fn rel_to_bitmap_tracks_to_tags() {
         let mut interner = Interner::new();
         let a = interner.intern("a");
         let b = interner.intern("b");

@@ -56,6 +56,16 @@ mod tests {
     use pxf_xml::{Interner, NodeId, PathDoc, Symbol};
     use pxf_xpath::{AttrValue, CmpOp};
 
+    /// The publication of a one-chain document's only root-to-leaf path:
+    /// every node in order, one push each.
+    fn chain_publication(doc: &PathDoc, interner: &mut Interner) -> Publication {
+        let mut p = Publication::new();
+        for node in 0..doc.len() as NodeId {
+            p.push_path_element(interner.intern(doc.tag(node)), node);
+        }
+        p
+    }
+
     fn syms(interner: &mut Interner) -> (Symbol, Symbol, Symbol) {
         (
             interner.intern("a"),
@@ -265,9 +275,7 @@ mod tests {
             pid
         );
 
-        // One chain, so its only root-to-leaf path is every node in order.
-        let path: Vec<NodeId> = (0..doc.len() as NodeId).collect();
-        let publication = Publication::from_path(&doc, &path, &mut interner);
+        let publication = chain_publication(&doc, &mut interner);
         let mut ctx = MatchContext::new();
         index.evaluate(&publication, Some(&doc), &mut ctx);
         assert_eq!(ctx.get(pid), &[(1, 1)]); // x=6 ≥ 3, pos 5 ≥ 2
@@ -301,9 +309,7 @@ mod tests {
             op: PosOp::Eq,
             value: 1,
         });
-        // One chain, so its only root-to-leaf path is every node in order.
-        let path: Vec<NodeId> = (0..doc.len() as NodeId).collect();
-        let publication = Publication::from_path(&doc, &path, &mut interner);
+        let publication = chain_publication(&doc, &mut interner);
         let mut ctx = MatchContext::new();
         index.evaluate(&publication, Some(&doc), &mut ctx);
         assert_eq!(ctx.get(pid), &[(1, 1)]);

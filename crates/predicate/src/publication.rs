@@ -5,8 +5,13 @@
 //! tuple per element, with each tag annotated by its *occurrence number* —
 //! how many times that tag name has already appeared in the path (Example 1
 //! of the paper).
+//!
+//! The encoding is built while the document is traversed, never from a
+//! stored path: [`Publication::push_path_element`] on each element's
+//! enter and [`Publication::pop_path_element`] on its leave keep the
+//! publication equal to the encoding of the open root-to-element path.
 
-use pxf_xml::{Interner, NodeId, PathDoc, Symbol};
+use pxf_xml::{Interner, NodeId, Symbol};
 
 /// One `(tag, position)` tuple of a publication, with its occurrence number
 /// and the originating document node (for attribute lookups).
@@ -23,8 +28,8 @@ pub struct PathTuple {
 }
 
 /// The publication for one document path: its length plus one tuple per
-/// element. The struct is designed for reuse across paths — see
-/// [`Publication::encode`].
+/// element. The struct is designed for reuse across paths and documents —
+/// see [`Publication::begin_incremental`].
 #[derive(Debug, Clone, Default)]
 pub struct Publication {
     /// Path length (the `(length, n)` tuple).
@@ -50,33 +55,10 @@ impl PartialEq for Publication {
 impl Eq for Publication {}
 
 impl Publication {
-    /// Creates an empty publication (fill with [`Self::encode`]).
+    /// Creates an empty publication (fill it with one
+    /// [`Self::push_path_element`] per element of the path).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Encodes a document path (root-to-leaf node ids) into this
-    /// publication, reusing buffers. Tags are interned on the fly — per the
-    /// paper this happens during document parsing and "does not require
-    /// additional processing, except for collecting the occurrence numbers".
-    pub fn encode(&mut self, doc: &PathDoc, path: &[NodeId], interner: &mut Interner) {
-        self.begin_incremental();
-        for &node in path {
-            self.push_path_element(interner.intern(doc.tag(node)), node);
-        }
-    }
-
-    /// Read-only variant of [`Self::encode`]: tags never seen by the
-    /// interner map to [`Symbol::UNKNOWN`]. Such tags cannot match any
-    /// stored predicate (no predicate mentions them), so matching results
-    /// are identical — this is what allows concurrent matching against a
-    /// shared, immutable engine.
-    pub fn encode_readonly(&mut self, doc: &PathDoc, path: &[NodeId], interner: &Interner) {
-        self.begin_incremental();
-        for &node in path {
-            let tag = interner.get(doc.tag(node)).unwrap_or(Symbol::UNKNOWN);
-            self.push_path_element(tag, node);
-        }
     }
 
     /// Resets the publication for incremental path-stack encoding of a new
@@ -103,9 +85,12 @@ impl Publication {
     }
 
     /// Pushes one element onto the path stack: afterwards the publication
-    /// is exactly [`Self::encode`] of the current root-to-element path.
-    /// Occurrence numbers are maintained incrementally — one counter per
-    /// tag, indexed by its symbol.
+    /// is exactly the encoding of the current root-to-element path. Per the
+    /// paper this happens during document parsing and "does not require
+    /// additional processing, except for collecting the occurrence
+    /// numbers": one counter per tag, indexed by its symbol. A tag the
+    /// interner never saw is [`Symbol::UNKNOWN`]; no predicate names it,
+    /// so all such tags may share one counter without changing a match.
     #[inline]
     pub fn push_path_element(&mut self, tag: Symbol, node: NodeId) {
         let count = self.count(tag);
@@ -129,13 +114,6 @@ impl Publication {
         self.length = self.tuples.len() as u16;
     }
 
-    /// Convenience constructor for a single path.
-    pub fn from_path(doc: &PathDoc, path: &[NodeId], interner: &mut Interner) -> Self {
-        let mut p = Publication::new();
-        p.encode(doc, path, interner);
-        p
-    }
-
     /// Builds a publication directly from a tag-name sequence (tests, the
     /// Table 1 example); every tuple's node is 0.
     pub fn from_tags(tags: &[&str], interner: &mut Interner) -> Self {
@@ -150,10 +128,14 @@ impl Publication {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxf_xml::PathDoc;
 
-    /// The only root-to-leaf path of a one-chain document: every node.
-    fn chain(doc: &PathDoc) -> Vec<NodeId> {
-        (0..doc.len() as NodeId).collect()
+    /// Pushes the only root-to-leaf path of a one-chain document — every
+    /// node, in order — onto `p`, interning each tag.
+    fn push_chain(p: &mut Publication, doc: &PathDoc, interner: &mut Interner) {
+        for node in 0..doc.len() as NodeId {
+            p.push_path_element(interner.intern(doc.tag(node)), node);
+        }
     }
 
     /// Paper Example 1: e = (a, b, c, a, b, c) annotated with occurrence
@@ -184,7 +166,8 @@ mod tests {
     fn encode_from_document() {
         let doc = PathDoc::parse(b"<a><b><a/></b></a>").unwrap();
         let mut interner = Interner::new();
-        let p = Publication::from_path(&doc, &chain(&doc), &mut interner);
+        let mut p = Publication::new();
+        push_chain(&mut p, &doc, &mut interner);
         assert_eq!(p.length, 3);
         let a = interner.get("a").unwrap();
         assert_eq!(p.tuples[0].tag, a);
@@ -290,7 +273,8 @@ mod tests {
         let doc = PathDoc::parse(b"<x><y/></x>").unwrap();
         let mut p = Publication::from_tags(&["a", "a"], &mut interner);
         assert_eq!(p.tuples[1].occ, 2);
-        p.encode(&doc, &chain(&doc), &mut interner);
+        p.begin_incremental();
+        push_chain(&mut p, &doc, &mut interner);
         assert_eq!(p.length, 2);
         assert_eq!(p.tuples.len(), 2);
         assert!(p.tuples.iter().all(|t| t.occ == 1));

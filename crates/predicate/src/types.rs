@@ -192,26 +192,6 @@ impl Predicate {
         }
     }
 
-    /// The *first* tag variable (chaining input): for relative predicates
-    /// the `from` tag, otherwise the single tag (none for length).
-    pub fn first_tag(&self) -> Option<Symbol> {
-        match self {
-            Predicate::Absolute { tag, .. } | Predicate::EndOfPath { tag, .. } => Some(tag.tag),
-            Predicate::Relative { from, .. } => Some(from.tag),
-            Predicate::Length { .. } => None,
-        }
-    }
-
-    /// The *second* tag variable (chaining output): for relative predicates
-    /// the `to` tag, otherwise the single tag (none for length).
-    pub fn second_tag(&self) -> Option<Symbol> {
-        match self {
-            Predicate::Absolute { tag, .. } | Predicate::EndOfPath { tag, .. } => Some(tag.tag),
-            Predicate::Relative { to, .. } => Some(to.tag),
-            Predicate::Length { .. } => None,
-        }
-    }
-
     /// Renders the predicate in the paper's notation, e.g. `(p_a, =, 1)`,
     /// `(d(p_a, p_b), >=, 2)`, `(p_b-|, >=, 2)`, `(length, >=, 3)`.
     pub fn to_notation(&self, interner: &pxf_xml::Interner) -> String {
@@ -290,17 +270,6 @@ mod tests {
         };
         assert!(e.matches(Some("anything")));
         assert!(!e.matches(None));
-    }
-
-    #[test]
-    fn chain_tags() {
-        let p = Predicate::relative(Symbol(1), Symbol(2), PosOp::Eq, 1);
-        assert_eq!(p.first_tag(), Some(Symbol(1)));
-        assert_eq!(p.second_tag(), Some(Symbol(2)));
-        let a = Predicate::absolute(Symbol(3), PosOp::Eq, 1);
-        assert_eq!(a.first_tag(), Some(Symbol(3)));
-        assert_eq!(a.second_tag(), Some(Symbol(3)));
-        assert_eq!(Predicate::length(3).first_tag(), None);
     }
 
     #[test]

@@ -240,8 +240,11 @@ fn stage1_agrees_with_direct_evaluation_under_release() {
                 }
             }
             let (xml, doc) = arb_chain(&mut rng, n_tags);
-            let path: Vec<NodeId> = (0..doc.len() as NodeId).collect();
-            let publication = Publication::from_path(&doc, &path, &mut interner);
+            // One chain: its only root-to-leaf path is every node in order.
+            let mut publication = Publication::new();
+            for node in 0..doc.len() as NodeId {
+                publication.push_path_element(interner.intern(doc.tag(node)), node);
+            }
             index.evaluate(&publication, Some(&doc), &mut batch);
 
             stack.begin_incremental();

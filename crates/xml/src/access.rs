@@ -1,9 +1,9 @@
 //! The flat document store every matching engine reads.
 //!
-//! A matching algorithm consumes a parsed document as a [`PathDoc`]:
-//! root-to-leaf paths and enter/leave traversals (the predicate engine)
-//! or start/end element events (YFilter, Index-Filter), plus the
-//! two by-id lookups predicate evaluation and postponed checks make.
+//! A matching algorithm consumes a parsed document as a [`PathDoc`]: one
+//! enter/leave traversal ([`ElementVisitor`]; the predicate engine, YFilter
+//! and Index-Filter alike), plus the two by-id lookups predicate
+//! evaluation and postponed checks make.
 //! The [`Document`](crate::Document) tree is not matched: it is what the
 //! workload generator builds and the reference oracle walks.
 //!
@@ -11,8 +11,7 @@
 //! tag, text, first attribute, depth — one row per attribute, and **one
 //! string arena** that every name, decoded attribute value and text run
 //! is copied into once; the columns hold `(start, len)` spans of it.
-//! Leaf-ness, leaf paths, events and enter/leave order are read off the
-//! depth column (the next row not deeper ⇒ a leaf; a row at depth *d*
+//! The enter/leave order is read off the depth column (a row at depth *d*
 //! closes every open row at depth ≥ *d*). [`PathDoc::parse_into`] refills
 //! the same allocations and the enter/leave traversal keeps no stack, so
 //! a matcher that owns one store allocates nothing per document once warm.
@@ -57,17 +56,6 @@ pub trait ElementVisitor {
     fn leave(&mut self);
 }
 
-/// Traversal event of [`PathDoc::for_each_event`]: an element's id, tag and
-/// 1-based depth — what an event-driven engine reads without asking the
-/// store; everything else goes through the id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeEvent<'a> {
-    /// Entering an element (pre-order).
-    Start(NodeId, &'a str, u32),
-    /// Leaving an element (post-order).
-    End(NodeId, &'a str, u32),
-}
-
 /// `len` bytes of the arena from `start`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
@@ -104,14 +92,33 @@ impl Span {
 /// bytes.
 ///
 /// ```
-/// use pxf_xml::{ParserLimits, PathDoc};
+/// use pxf_xml::{ElementVisitor, NodeId, ParserLimits, PathDoc};
+///
+/// /// The root-to-leaf tag paths: the open stack at each leaf's `leave`.
+/// #[derive(Default)]
+/// struct LeafPaths {
+///     open: Vec<String>,
+///     childless: bool,
+///     paths: Vec<Vec<String>>,
+/// }
+///
+/// impl ElementVisitor for LeafPaths {
+///     fn enter(&mut self, _: NodeId, tag: &str) {
+///         self.open.push(tag.to_string());
+///         self.childless = true;
+///     }
+///     fn leave(&mut self) {
+///         if std::mem::take(&mut self.childless) {
+///             self.paths.push(self.open.clone());
+///         }
+///         self.open.pop();
+///     }
+/// }
 ///
 /// let doc = PathDoc::parse(b"<a><b><c/></b><b/></a>").unwrap();
-/// let mut paths = Vec::new();
-/// doc.for_each_leaf_path(|p| {
-///     paths.push(p.iter().map(|&n| doc.tag(n).to_string()).collect::<Vec<_>>());
-/// });
-/// assert_eq!(paths, vec![vec!["a", "b", "c"], vec!["a", "b"]]);
+/// let mut leaves = LeafPaths::default();
+/// doc.for_each_element(&mut leaves);
+/// assert_eq!(leaves.paths, vec![vec!["a", "b", "c"], vec!["a", "b"]]);
 ///
 /// // One store, many documents: the allocations are reused.
 /// let mut store = PathDoc::default();
@@ -364,12 +371,6 @@ impl PathDoc {
             .map(|&(name, value)| (self.str(name), self.str(value)))
     }
 
-    /// True iff the element has no child elements.
-    fn is_leaf(&self, id: usize) -> bool {
-        let next = self.depth.get(id + 1);
-        next.is_none_or(|&next| next <= self.depth[id])
-    }
-
     /// Bytes of the string arena in use (≤ twice the input).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
@@ -402,39 +403,6 @@ impl PathDoc {
         } else {
             self.attributes(id)
                 .find_map(|(n, value)| (n == name).then_some(value))
-        }
-    }
-
-    /// Invokes `f` for each root-to-leaf path (node ids from the root down
-    /// to a leaf). The slice is only valid for the duration of the call.
-    pub fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, mut f: F) {
-        // The rows before a row at depth d hold exactly one open element
-        // per depth below d.
-        let mut path: Vec<NodeId> = Vec::new();
-        for (id, &depth) in self.depth.iter().enumerate() {
-            path.truncate(depth as usize - 1);
-            path.push(id as NodeId);
-            if self.is_leaf(id) {
-                f(&path);
-            }
-        }
-    }
-
-    /// Replays the document as start/end element events in document order.
-    pub fn for_each_event<'a, F: FnMut(TreeEvent<'a>)>(&'a self, mut f: F) {
-        // Before a row at depth d starts, every open row at depth ≥ d ends.
-        let end = |id: NodeId| TreeEvent::End(id, self.tag(id), self.depth(id));
-        let mut open: Vec<NodeId> = Vec::new();
-        for (id, &depth) in self.depth.iter().enumerate() {
-            while open.len() as u32 >= depth {
-                f(end(open.pop().expect("non-empty")));
-            }
-            let id = id as NodeId;
-            f(TreeEvent::Start(id, self.tag(id), depth));
-            open.push(id);
-        }
-        while let Some(id) = open.pop() {
-            f(end(id));
         }
     }
 
@@ -494,11 +462,14 @@ mod tests {
         ] {
             let tree = Document::parse(src.as_bytes()).unwrap();
             let flat = PathDoc::parse(src.as_bytes()).unwrap();
-            let mut tree_paths = Vec::new();
-            tree.for_each_leaf_path(|p| tree_paths.push(p.to_vec()));
-            let mut flat_paths = Vec::new();
-            flat.for_each_leaf_path(|p| flat_paths.push(p.to_vec()));
-            assert_eq!(tree_paths, flat_paths, "{src}");
+            let mut leaves = PathCollector::default();
+            flat.for_each_element(&mut leaves);
+            let flat_paths: Vec<Vec<NodeId>> = leaves
+                .paths
+                .iter()
+                .map(|p| p.iter().map(|&(id, _)| id).collect())
+                .collect();
+            assert_eq!(tree.leaf_paths(), flat_paths, "{src}");
             assert_eq!(flat_paths.len(), tree.leaf_count());
         }
     }
@@ -539,14 +510,16 @@ mod tests {
     #[test]
     fn element_traversal_matches_leaf_paths() {
         // The stack of entered-not-left elements at each leaf must be
-        // exactly the root-to-leaf path, in document order — from the
-        // stored columns and straight from the tokenizer alike.
+        // exactly the tree's root-to-leaf path, in document order — from
+        // the stored columns and straight from the tokenizer alike.
         let src = b"<a><b><c/><d>t</d></b><b x='1'><c/></b><e/></a>";
+        let tree = Document::parse(src).unwrap();
+        let expected: Vec<Vec<(NodeId, String)>> = tree
+            .leaf_paths()
+            .iter()
+            .map(|p| p.iter().map(|&n| (n, tree.node(n).tag.clone())).collect())
+            .collect();
         let doc = PathDoc::parse(src).unwrap();
-        let mut expected: Vec<Vec<(NodeId, String)>> = Vec::new();
-        doc.for_each_leaf_path(|p| {
-            expected.push(p.iter().map(|&n| (n, doc.tag(n).to_string())).collect());
-        });
         let mut stored = PathCollector::default();
         doc.for_each_element(&mut stored);
         assert!(stored.stack.is_empty());

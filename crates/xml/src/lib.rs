@@ -11,12 +11,13 @@
 //! * [`PathDoc`] — the one document every engine matches: pre-order
 //!   columns (tag, text, attributes, depth) over one string arena, refilled
 //!   in place by [`PathDoc::parse_into`] so a warm matcher allocates
-//!   nothing per document; read by id (tag, filter value) and traversed as
-//!   root-to-leaf paths ([`PathDoc::for_each_leaf_path`] — the paper
-//!   decomposes every document into its set of document paths, §3.3),
-//!   start/end events or enter/leave calls ([`ElementVisitor`]) — the
-//!   same enter/leave calls [`PathDoc::visit_bytes`] makes straight from
-//!   the tokenizer, storing nothing, for a matcher that reads tags only,
+//!   nothing per document; read by id (tag, filter value) and traversed
+//!   one way, as enter/leave calls ([`ElementVisitor`], via
+//!   [`PathDoc::for_each_element`]) — the same calls
+//!   [`PathDoc::visit_bytes`] makes straight from the tokenizer, storing
+//!   nothing, for a matcher that reads tags only. The open elements at a
+//!   leaf's `leave` are its root-to-leaf path, the unit the paper
+//!   decomposes a document into (§3.3),
 //! * [`Document`] / [`DocumentBuilder`] — an element-arena tree recording
 //!   1-based child indices (the paper's *structure tuples*, §5) and
 //!   depths. No engine takes one: it is what the workload generator builds
@@ -31,14 +32,29 @@
 //! # Example
 //!
 //! ```
-//! use pxf_xml::PathDoc;
+//! use pxf_xml::{ElementVisitor, NodeId, ParserLimits, PathDoc};
 //!
-//! let doc = PathDoc::parse(b"<a><b><c/></b><b/></a>").unwrap();
-//! let mut paths = Vec::new();
-//! doc.for_each_leaf_path(|p| {
-//!     paths.push(p.iter().map(|&n| doc.tag(n).to_string()).collect::<Vec<_>>());
-//! });
-//! assert_eq!(paths, vec![vec!["a", "b", "c"], vec!["a", "b"]]);
+//! /// Elements open now, and the most ever open at once.
+//! #[derive(Default)]
+//! struct Depth(usize, usize);
+//!
+//! impl ElementVisitor for Depth {
+//!     fn enter(&mut self, _: NodeId, _: &str) {
+//!         self.0 += 1;
+//!         self.1 = self.1.max(self.0);
+//!     }
+//!     fn leave(&mut self) {
+//!         self.0 -= 1;
+//!     }
+//! }
+//!
+//! let bytes = b"<a><b><c/></b><b/></a>";
+//! let mut store = PathDoc::parse(bytes).unwrap();
+//! let mut stored = Depth::default();
+//! store.for_each_element(&mut stored);
+//! let mut read = Depth::default();
+//! store.visit_bytes(bytes, ParserLimits::default(), &mut read).unwrap();
+//! assert_eq!((stored.1, read.1), (3, 3));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +67,7 @@ mod reader;
 mod stream;
 mod tree;
 
-pub use access::{ElementVisitor, PathDoc, TreeEvent};
+pub use access::{ElementVisitor, PathDoc};
 pub use limits::ParserLimits;
 pub use name::{Interner, Symbol};
 pub use reader::{Event, Reader, XmlError, XmlErrorKind};

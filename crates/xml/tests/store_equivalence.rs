@@ -6,23 +6,23 @@
 //! `FaultInjector` mutants of generated NITF/PSD documents, and the named
 //! cases below — the two agree on accept/reject, on [`XmlErrorKind`]
 //! *and* byte offset, and for accepted inputs on tag, attributes in
-//! order, text, depth, leaf paths, events and enter/leave sequences. The
+//! order, text, depth, and on the one traversal every engine drives: its
+//! enter/leave sequence with each element's id, tag and depth (counted on
+//! the observer's own stack) and the root-to-leaf paths it shows. The
 //! store is exercised three ways: fresh (`parse_with_limits`), and through
 //! `parse_into` on two *dirty* stores — one that last held a larger
 //! document, one whose last parse failed half-way — so a column or arena
 //! byte a refill forgot to clear shows up as a difference. The traversal
 //! straight from the tokenizer, with nothing stored
 //! ([`PathDoc::visit_bytes`], on a dirty store), must give the same
-//! enter/leave sequence and the same verdict and error.
+//! observations and the same verdict and error.
 
 mod common;
 
 use common::{arb_bytes, arb_doc, mutate, SEED};
 use pxf_rng::Rng;
 use pxf_workload::{FaultInjector, Regime, XmlGenerator};
-use pxf_xml::{
-    Document, ElementVisitor, NodeId, ParserLimits, PathDoc, TreeEvent, XmlError, XmlErrorKind,
-};
+use pxf_xml::{Document, ElementVisitor, NodeId, ParserLimits, PathDoc, XmlError, XmlErrorKind};
 
 /// Larger than the generated inputs the suite checks against it, with
 /// attributes, text and mixed content in every column.
@@ -47,19 +47,48 @@ fn failing_document() -> Vec<u8> {
     out
 }
 
-/// Records enter/leave calls: (true, id, tag) / (false, id, ""), a leave
-/// naming the innermost element entered and not yet left.
-#[derive(Default, PartialEq, Debug)]
-struct Recorder(Vec<(bool, NodeId, String)>, Vec<NodeId>);
+/// What one enter/leave traversal shows: each call as (true, id, tag,
+/// depth) / (false, id, tag, depth), a leave naming the innermost element
+/// entered and not yet left, and the root-to-leaf path — the open
+/// elements — at every leave that directly follows its own enter.
+#[derive(PartialEq, Debug, Default)]
+struct Traversal {
+    events: Vec<(bool, NodeId, String, u32)>,
+    leaf_paths: Vec<Vec<NodeId>>,
+}
+
+/// Observes a traversal through the calls alone: ids, tags and depths
+/// come from its own stack of open elements, not from the store.
+#[derive(Default)]
+struct Recorder {
+    seen: Traversal,
+    open: Vec<(NodeId, String)>,
+    childless: bool,
+}
 
 impl ElementVisitor for Recorder {
     fn enter(&mut self, id: NodeId, tag: &str) {
-        self.0.push((true, id, tag.to_string()));
-        self.1.push(id);
+        self.open.push((id, tag.to_string()));
+        let depth = self.open.len() as u32;
+        self.seen.events.push((true, id, tag.to_string(), depth));
+        self.childless = true;
     }
     fn leave(&mut self) {
-        let id = self.1.pop().expect("a leave without an enter");
-        self.0.push((false, id, String::new()));
+        if std::mem::take(&mut self.childless) {
+            let path = self.open.iter().map(|&(id, _)| id).collect();
+            self.seen.leaf_paths.push(path);
+        }
+        let depth = self.open.len() as u32;
+        let (id, tag) = self.open.pop().expect("a leave without an enter");
+        self.seen.events.push((false, id, tag, depth));
+    }
+}
+
+impl Recorder {
+    /// The traversal seen, once every element entered has been left.
+    fn finish(self) -> Traversal {
+        assert!(self.open.is_empty(), "elements left open: {:?}", self.open);
+        self.seen
     }
 }
 
@@ -68,23 +97,13 @@ impl ElementVisitor for Recorder {
 struct Observed {
     tags: Vec<String>,
     texts: Vec<Option<String>>,
-    leaf_paths: Vec<Vec<NodeId>>,
-    events: Vec<(bool, NodeId, String, u32)>,
-    traversal: Recorder,
+    traversal: Traversal,
 }
 
-/// What the store reports through the traversals the engines drive.
+/// What the store reports by id and through the traversal the engines
+/// drive.
 fn observe_store(doc: &PathDoc) -> Observed {
     let ids = 0..doc.len() as NodeId;
-    let mut leaf_paths = Vec::new();
-    doc.for_each_leaf_path(|p| leaf_paths.push(p.to_vec()));
-    let mut events = Vec::new();
-    doc.for_each_event(|ev| {
-        events.push(match ev {
-            TreeEvent::Start(id, tag, depth) => (true, id, tag.to_string(), depth),
-            TreeEvent::End(id, tag, depth) => (false, id, tag.to_string(), depth),
-        })
-    });
     let mut traversal = Recorder::default();
     doc.for_each_element(&mut traversal);
     Observed {
@@ -92,20 +111,17 @@ fn observe_store(doc: &PathDoc) -> Observed {
         texts: ids
             .map(|id| doc.value_of(id, "text()").map(str::to_string))
             .collect(),
-        leaf_paths,
-        events,
-        traversal,
+        traversal: traversal.finish(),
     }
 }
 
 /// The same observations read off the tree's own records: one walk of the
 /// `children` vectors, sharing no traversal code with the store.
 fn observe_tree(doc: &Document) -> Observed {
-    fn walk(doc: &Document, id: NodeId, path: &mut Vec<NodeId>, out: &mut Observed) {
+    fn walk(doc: &Document, id: NodeId, path: &mut Vec<NodeId>, out: &mut Traversal) {
         let e = doc.node(id);
         path.push(id);
         out.events.push((true, id, e.tag.clone(), e.depth));
-        out.traversal.0.push((true, id, e.tag.clone()));
         if e.children.is_empty() {
             out.leaf_paths.push(path.clone());
         }
@@ -113,7 +129,6 @@ fn observe_tree(doc: &Document) -> Observed {
             walk(doc, child, path, out);
         }
         out.events.push((false, id, e.tag.clone(), e.depth));
-        out.traversal.0.push((false, id, String::new()));
         path.pop();
     }
     let mut out = Observed {
@@ -124,7 +139,7 @@ fn observe_tree(doc: &Document) -> Observed {
             .collect(),
         ..Observed::default()
     };
-    walk(doc, doc.root(), &mut Vec::new(), &mut out);
+    walk(doc, doc.root(), &mut Vec::new(), &mut out.traversal);
     out
 }
 
@@ -208,7 +223,7 @@ fn check(input: &[u8], limits: ParserLimits, stores: &mut DirtyStores, ctx: &str
             store.is_empty(),
             "{ctx}: the tokenizer's traversal stores nothing"
         );
-        read.map(|()| visited)
+        read.map(|()| visited.finish())
     };
     match (&tree, &fresh) {
         (Ok(tree), Ok(fresh)) => {

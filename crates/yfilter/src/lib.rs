@@ -30,7 +30,7 @@
 use pxf_core::backend::{BackendError, FilterBackend};
 use pxf_core::reference::{matches_path, DocPathView};
 use pxf_core::SubId;
-use pxf_xml::{Interner, NodeId, ParserLimits, PathDoc, Symbol, TreeEvent, XmlError};
+use pxf_xml::{ElementVisitor, Interner, NodeId, ParserLimits, PathDoc, Symbol, XmlError};
 use pxf_xpath::{Axis, NodeTest, XPathExpr};
 use std::collections::HashMap;
 use std::fmt;
@@ -212,74 +212,29 @@ impl YFilter {
     /// Filters a document: ids of all matching expressions, ascending.
     pub fn match_document(&mut self, doc: &PathDoc) -> Vec<u32> {
         self.doc_epoch += 1;
-        let doc_epoch = self.doc_epoch;
         self.matched.resize(self.n_subs as usize, 0);
         self.visited.resize(self.states.len(), 0);
-        let mut results: Vec<u32> = Vec::new();
-
-        // Stack of active state sets, stored in one arena with per-level
-        // offsets (no per-element allocation).
-        let mut arena: Vec<u32> = Vec::with_capacity(64);
-        let mut level_start: Vec<usize> = vec![0];
-        // Current root-to-element node chain for postponed attribute checks.
-        let mut path_nodes: Vec<NodeId> = Vec::with_capacity(16);
-
-        let states = &self.states;
-        let interner = &self.interner;
-        let visited = &mut self.visited;
-        let matched = &mut self.matched;
-        let visit_epoch = &mut self.visit_epoch;
-
+        let mut run = Run {
+            filter: self,
+            doc,
+            arena: Vec::with_capacity(64),
+            level_start: vec![0],
+            path_nodes: Vec::with_capacity(16),
+            results: Vec::new(),
+        };
         // Initial active set: ε-closure of the start state.
-        *visit_epoch += 1;
-        push_closure(states, visited, *visit_epoch, &mut arena, 0);
-
-        doc.for_each_event(|ev| match ev {
-            TreeEvent::Start(id, tag, _) => {
-                path_nodes.push(id);
-                let (top_start, top_end) = (*level_start.last().unwrap(), arena.len());
-                level_start.push(arena.len());
-                *visit_epoch += 1;
-                let epoch = *visit_epoch;
-                let tag = interner.get(tag);
-                let mut on_accept = |accept: &Accept| {
-                    fire(accept, doc, &path_nodes, matched, doc_epoch, &mut results)
-                };
-                let mut i = top_start;
-                while i < top_end {
-                    let s = arena[i];
-                    i += 1;
-                    let st = &states[s as usize];
-                    if st.self_loop && visited[s as usize] != epoch {
-                        visited[s as usize] = epoch;
-                        arena.push(s);
-                        // A persisting self-loop state was entered higher
-                        // up; its accepts fired there.
-                    }
-                    if let Some(t) = tag {
-                        if let Some(&n) = st.trans.get(&t) {
-                            enter(states, visited, epoch, &mut arena, n, &mut on_accept);
-                        }
-                    }
-                    if let Some(w) = st.wildcard {
-                        enter(states, visited, epoch, &mut arena, w, &mut on_accept);
-                    }
-                }
-            }
-            TreeEvent::End(..) => {
-                path_nodes.pop();
-                let start = level_start.pop().expect("balanced events");
-                arena.truncate(start);
-            }
-        });
-
+        let f = &mut *run.filter;
+        f.visit_epoch += 1;
+        push_closure(&f.states, &mut f.visited, f.visit_epoch, &mut run.arena, 0);
+        doc.for_each_element(&mut run);
+        let mut results = run.results;
         results.sort_unstable();
         results
     }
 
     /// Parses raw document bytes into the filter's own store (refilled in
     /// place — the same parse the predicate engine pays) and filters it.
-    /// Events replay after the parse pass so postponed attribute and
+    /// The traversal runs after the parse pass so postponed attribute and
     /// `text()` re-checks observe complete element content (mixed content
     /// can extend an ancestor's text after a leaf closes).
     pub fn match_bytes(&mut self, bytes: &[u8]) -> Result<Vec<u32>, XmlError> {
@@ -322,6 +277,67 @@ impl FilterBackend for YFilter {
 
     fn set_parser_limits(&mut self, limits: ParserLimits) {
         YFilter::set_parser_limits(self, limits);
+    }
+}
+
+/// One document's NFA run, driven by the store's enter/leave traversal.
+struct Run<'a> {
+    filter: &'a mut YFilter,
+    doc: &'a PathDoc,
+    /// The stack of active state sets, stored in one arena with per-level
+    /// offsets (no per-element allocation).
+    arena: Vec<u32>,
+    level_start: Vec<usize>,
+    /// The open root-to-element path, for postponed attribute checks.
+    path_nodes: Vec<NodeId>,
+    results: Vec<u32>,
+}
+
+impl ElementVisitor for Run<'_> {
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        self.path_nodes.push(id);
+        let (top_start, top_end) = (*self.level_start.last().unwrap(), self.arena.len());
+        self.level_start.push(top_end);
+        let YFilter {
+            states,
+            interner,
+            visited,
+            visit_epoch,
+            matched,
+            doc_epoch,
+            ..
+        } = &mut *self.filter;
+        *visit_epoch += 1;
+        let epoch = *visit_epoch;
+        let tag = interner.get(tag);
+        let (doc, path_nodes, results) = (self.doc, &self.path_nodes, &mut self.results);
+        let mut on_accept =
+            |accept: &Accept| fire(accept, doc, path_nodes, matched, *doc_epoch, results);
+        let arena = &mut self.arena;
+        for i in top_start..top_end {
+            let s = arena[i];
+            let st = &states[s as usize];
+            if st.self_loop && visited[s as usize] != epoch {
+                visited[s as usize] = epoch;
+                arena.push(s);
+                // A persisting self-loop state was entered higher up; its
+                // accepts fired there.
+            }
+            if let Some(t) = tag {
+                if let Some(&n) = st.trans.get(&t) {
+                    enter(states, visited, epoch, arena, n, &mut on_accept);
+                }
+            }
+            if let Some(w) = st.wildcard {
+                enter(states, visited, epoch, arena, w, &mut on_accept);
+            }
+        }
+    }
+
+    fn leave(&mut self) {
+        self.path_nodes.pop();
+        let start = self.level_start.pop().expect("balanced traversal");
+        self.arena.truncate(start);
     }
 }
 
