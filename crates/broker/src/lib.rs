@@ -36,5 +36,5 @@ pub mod queue;
 pub mod server;
 
 pub use protocol::{Command, ProtocolError, Reply};
-pub use queue::{Backpressure, BoundedQueue, PushOutcome};
+pub use queue::{Backpressure, BoundedQueue};
 pub use server::{Broker, BrokerConfig, BrokerHandle, BrokerStatsSnapshot};

@@ -29,25 +29,6 @@ pub enum Backpressure {
     Shed,
 }
 
-/// Outcome of a [`BoundedQueue::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The item is in the queue.
-    Enqueued,
-    /// The queue was full under [`Backpressure::Shed`]; the item was
-    /// dropped and counted.
-    Shed,
-    /// The queue was closed; the item was dropped.
-    Closed,
-}
-
-impl PushOutcome {
-    /// True if the item made it into the queue.
-    pub fn is_enqueued(self) -> bool {
-        self == PushOutcome::Enqueued
-    }
-}
-
 #[derive(Debug)]
 struct Inner<T> {
     items: VecDeque<T>,
@@ -60,9 +41,9 @@ struct Inner<T> {
 /// ```
 /// use pxf_broker::queue::{Backpressure, BoundedQueue};
 /// let q = BoundedQueue::new(2, Backpressure::Shed);
-/// assert!(q.push(1).is_enqueued());
-/// assert!(q.push(2).is_enqueued());
-/// assert!(!q.push(3).is_enqueued()); // at capacity: shed
+/// assert!(q.push(1));
+/// assert!(q.push(2));
+/// assert!(!q.push(3)); // at capacity: shed
 /// assert_eq!(q.pop(), Some(1));      // strictly FIFO
 /// assert_eq!(q.pop(), Some(2));
 /// q.close();
@@ -95,24 +76,25 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Enqueues an item at the tail. At capacity, either parks
-    /// ([`Backpressure::Block`]) or drops the item ([`Backpressure::Shed`]).
-    /// Pushing to a closed queue always drops.
-    pub fn push(&self, item: T) -> PushOutcome {
+    /// ([`Backpressure::Block`]) or drops and counts the item
+    /// ([`Backpressure::Shed`]). Pushing to a closed queue always drops.
+    /// Returns true if the item is in the queue.
+    pub fn push(&self, item: T) -> bool {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
             if inner.closed {
-                return PushOutcome::Closed;
+                return false;
             }
             if inner.items.len() < self.capacity {
                 inner.items.push_back(item);
                 drop(inner);
                 self.not_empty.notify_one();
-                return PushOutcome::Enqueued;
+                return true;
             }
             match self.policy {
                 Backpressure::Shed => {
                     inner.shed += 1;
-                    return PushOutcome::Shed;
+                    return false;
                 }
                 Backpressure::Block => {
                     inner = self.not_full.wait(inner).expect("queue poisoned");
@@ -264,7 +246,7 @@ mod tests {
             let q = &q;
             scope.spawn(move || {
                 for i in 0..1000u32 {
-                    assert!(q.push(i).is_enqueued());
+                    assert!(q.push(i));
                 }
                 q.close();
             });
@@ -280,14 +262,14 @@ mod tests {
     #[test]
     fn block_policy_parks_producer_until_space() {
         let q = BoundedQueue::new(1, Backpressure::Block);
-        assert!(q.push(0u32).is_enqueued());
+        assert!(q.push(0u32));
         let parked = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let q = &q;
             let parked = &parked;
             scope.spawn(move || {
                 // Full queue: this parks until the main thread pops.
-                assert!(q.push(1).is_enqueued());
+                assert!(q.push(1));
                 parked.store(1, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_millis(30));
@@ -305,13 +287,13 @@ mod tests {
     #[test]
     fn shed_policy_drops_and_counts_at_high_water() {
         let q = BoundedQueue::new(2, Backpressure::Shed);
-        assert!(q.push('a').is_enqueued());
-        assert!(q.push('b').is_enqueued());
-        assert_eq!(q.push('c'), PushOutcome::Shed);
-        assert_eq!(q.push('d'), PushOutcome::Shed);
+        assert!(q.push('a'));
+        assert!(q.push('b'));
+        assert!(!q.push('c'));
+        assert!(!q.push('d'));
         assert_eq!(q.shed_count(), 2);
         assert_eq!(q.pop(), Some('a'));
-        assert!(q.push('e').is_enqueued());
+        assert!(q.push('e'));
         assert_eq!(q.pop(), Some('b'));
         assert_eq!(q.pop(), Some('e'));
     }
@@ -322,7 +304,7 @@ mod tests {
         q.push(1);
         q.push(2);
         q.close();
-        assert_eq!(q.push(3), PushOutcome::Closed);
+        assert!(!q.push(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);

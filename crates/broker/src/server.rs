@@ -33,10 +33,12 @@
 //! * **Snapshot pinning per batch.** Each matcher worker loads the
 //!   current snapshot once per ingest batch and drops it before parking
 //!   again, keeping the publisher's bounded reclaim wait effective.
-//! * **Bounded everything.** Every hand-off is a [`BoundedQueue`]:
-//!   ingest and control block producers (backpressure propagates out the
-//!   TCP socket to the publisher's peer), per-subscriber outboxes shed
-//!   (one slow consumer cannot stall fan-out).
+//! * **Bounded everything.** Every hand-off is a [`BoundedQueue`] of a
+//!   fixed capacity: ingest (1,024 documents), control and delivery block
+//!   producers (backpressure propagates out the TCP socket to the
+//!   publisher's peer, and no accepted document is ever dropped),
+//!   per-subscriber outboxes (65,536 lines) shed (one slow consumer
+//!   cannot stall fan-out).
 //! * **FIFO delivery.** Workers finish documents out of order; the
 //!   delivery thread restores global ingest-sequence order with a
 //!   min-heap resequencer before fanning out, so each connection sees
@@ -46,13 +48,13 @@
 //!   receipt; the matcher's parse, under strict [`ParserLimits`], is the
 //!   only pass over its bytes. A parse failure is data, not failure: it
 //!   draws one `-ERR DOC` on the offending connection, and only a run of
-//!   [`DEFAULT_MAX_CONSECUTIVE_FAILURES`] *consecutive* ones (a peer that
+//!   [`MAX_CONSECUTIVE_FAILURES`] *consecutive* ones (a peer that
 //!   has lost framing) closes the connection.
 
 use crate::protocol::{render_match_lines, Command, Reply};
 use crate::queue::{Backpressure, BoundedQueue};
 use pxf_core::{FilterEngine, MatchScratch, SnapshotHandle, SnapshotPublisher, SubId};
-use pxf_xml::{ParserLimits, DEFAULT_MAX_CONSECUTIVE_FAILURES};
+use pxf_xml::{ParserLimits, MAX_CONSECUTIVE_FAILURES};
 use pxf_xpath::XPathExpr;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -70,15 +72,6 @@ pub struct BrokerConfig {
     pub listen: String,
     /// Matcher worker threads; 0 = derive from available parallelism.
     pub workers: usize,
-    /// Ingest queue capacity (documents in flight).
-    pub ingest_capacity: usize,
-    /// Backpressure policy of the ingest queue. [`Backpressure::Block`]
-    /// (the default) propagates overload to publishers via TCP;
-    /// [`Backpressure::Shed`] drops documents instead (each shed is
-    /// reported and gap-filled so delivery order is preserved).
-    pub ingest_policy: Backpressure,
-    /// Per-connection outbox capacity (lines not yet written).
-    pub outbox_capacity: usize,
     /// Per-document parser budgets the matchers apply. `max_document_bytes`
     /// also bounds a `DOC` frame: a longer one is skipped unread.
     pub limits: ParserLimits,
@@ -89,14 +82,19 @@ impl Default for BrokerConfig {
         BrokerConfig {
             listen: "127.0.0.1:0".to_string(),
             workers: 0,
-            ingest_capacity: 1024,
-            ingest_policy: Backpressure::Block,
-            outbox_capacity: 65536,
             limits: ParserLimits::strict(),
         }
     }
 }
 
+/// Ingest queue capacity (documents in flight). At the high-water mark a
+/// connection reader blocks, and the backpressure reaches the publisher
+/// through TCP.
+const INGEST_CAPACITY: usize = 1024;
+/// Per-connection outbox capacity (lines not yet written). At the
+/// high-water mark lines are shed: a peer that stops reading loses
+/// notifications, not the broker's liveness.
+const OUTBOX_CAPACITY: usize = 65536;
 /// Control queue capacity (subscription ops in flight).
 const CONTROL_CAPACITY: usize = 4096;
 /// Delivery queue capacity (match completions in flight).
@@ -123,9 +121,6 @@ enum Outcome {
     Matched(Vec<SubId>),
     /// The document failed to parse under the engine's limits.
     ParseError(String),
-    /// The document was shed before matching (ingest overflow); exists
-    /// only to fill its sequence slot in the resequencer.
-    Shed,
 }
 
 struct Completion {
@@ -166,13 +161,12 @@ enum Control {
 /// subscription writer and the delivery thread.
 struct ConnShared {
     id: u64,
-    /// Lines awaiting the connection writer. Shed policy: a peer that
-    /// stops reading loses notifications, not the broker's liveness.
+    /// Lines awaiting the connection writer, shed at [`OUTBOX_CAPACITY`].
     outbox: BoundedQueue<String>,
     /// The connection's documents in a row that failed to parse: bumped by
     /// the delivery thread on a parse error, zeroed on a match, read by the
     /// connection reader at each `DOC` header, which closes the connection
-    /// at [`DEFAULT_MAX_CONSECUTIVE_FAILURES`]. A count that publishes no
+    /// at [`MAX_CONSECUTIVE_FAILURES`]. A count that publishes no
     /// other data, so `Relaxed`.
     failures: AtomicUsize,
     /// Clone of the socket kept for `shutdown()` during teardown.
@@ -215,7 +209,8 @@ pub struct BrokerStatsSnapshot {
     pub parse_failures: u64,
     /// `MATCH` lines enqueued to subscriber outboxes.
     pub delivered: u64,
-    /// Items dropped at a high-water mark (ingest + all outboxes).
+    /// Lines dropped at the high-water mark of the open connections'
+    /// outboxes (ingest blocks, it never sheds).
     pub shed: u64,
     /// Deliveries addressed to a connection that had already gone away.
     pub dropped: u64,
@@ -325,14 +320,18 @@ struct Shared {
     registry: RwLock<Vec<u64>>,
     conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
     next_conn: AtomicU64,
-    /// Broker-global ingest sequence; every consumed seq produces exactly
-    /// one Completion so the resequencer never stalls on a gap.
+    /// Broker-global ingest sequence; every consumed seq is one ingested
+    /// document and produces exactly one Completion, so the resequencer
+    /// never stalls on a gap.
     seq: AtomicU64,
     stats: Counters,
     handle: SnapshotHandle,
     /// False once a shutdown was requested; `stopped` is signalled then.
     running: Mutex<bool>,
     stopped: Condvar,
+    /// Connection threads: those of open connections and of connections
+    /// closed since the last accept, which joins the finished ones.
+    /// Teardown joins the rest.
     reader_threads: Mutex<Vec<JoinHandle<()>>>,
     conn_writer_threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -360,13 +359,10 @@ impl Shared {
 
     fn stats_snapshot(&self) -> BrokerStatsSnapshot {
         let c = &self.stats;
-        let mut shed = self.ingest.shed_count();
-        {
+        let shed = {
             let conns = self.conns.lock().expect("conns poisoned");
-            for conn in conns.values() {
-                shed += conn.outbox.shed_count();
-            }
-        }
+            conns.values().map(|conn| conn.outbox.shed_count()).sum()
+        };
         BrokerStatsSnapshot {
             epoch: self.handle.epoch(),
             conns: c.conns.load(Ordering::Relaxed),
@@ -438,7 +434,7 @@ impl Broker {
 
         let shared = Arc::new(Shared {
             control: BoundedQueue::new(CONTROL_CAPACITY, Backpressure::Block),
-            ingest: BoundedQueue::new(config.ingest_capacity, config.ingest_policy),
+            ingest: BoundedQueue::new(INGEST_CAPACITY, Backpressure::Block),
             delivery: BoundedQueue::new(DELIVERY_CAPACITY, Backpressure::Block),
             registry: RwLock::new(Vec::new()),
             conns: Mutex::new(HashMap::new()),
@@ -630,7 +626,7 @@ fn spawn_connection(shared: &Arc<Shared>, sock: TcpStream) {
     let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let conn = Arc::new(ConnShared {
         id,
-        outbox: BoundedQueue::new(shared.config.outbox_capacity, Backpressure::Shed),
+        outbox: BoundedQueue::new(OUTBOX_CAPACITY, Backpressure::Shed),
         failures: AtomicUsize::new(0),
         sock: keep_sock,
     });
@@ -651,16 +647,18 @@ fn spawn_connection(shared: &Arc<Shared>, sock: TcpStream) {
     let writer = spawn_named(format!("pxf-write-{id}"), move || {
         conn_writer_loop(&conn, write_sock)
     });
-    shared
-        .reader_threads
-        .lock()
-        .expect("threads poisoned")
-        .push(reader);
-    shared
-        .conn_writer_threads
-        .lock()
-        .expect("threads poisoned")
-        .push(writer);
+    for (threads, handle) in [
+        (&shared.reader_threads, reader),
+        (&shared.conn_writer_threads, writer),
+    ] {
+        let mut threads = threads.lock().expect("threads poisoned");
+        // Join the threads of connections closed since the last accept: a
+        // finished thread's stack stays mapped until it is joined.
+        for done in threads.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        threads.push(handle);
+    }
 }
 
 /// Drains the connection's outbox onto the socket. A write error flips
@@ -772,9 +770,9 @@ fn ingest_frame(
     len: usize,
     tag: String,
 ) -> bool {
-    if conn.failures.load(Ordering::Relaxed) >= DEFAULT_MAX_CONSECUTIVE_FAILURES {
+    if conn.failures.load(Ordering::Relaxed) >= MAX_CONSECUTIVE_FAILURES {
         conn.outbox.push(format!(
-            "-ERR DOC {DEFAULT_MAX_CONSECUTIVE_FAILURES} consecutive malformed documents on the stream"
+            "-ERR DOC {MAX_CONSECUTIVE_FAILURES} consecutive malformed documents on the stream"
         ));
         return false;
     }
@@ -811,18 +809,9 @@ fn ingest_frame(
         tag,
         bytes,
     };
-    if !shared.ingest.push(doc).is_enqueued() {
-        conn.outbox
-            .push(format!("-ERR DOC shed at ingest high-water (seq {seq})"));
-        // Fill the sequence slot so the resequencer keeps delivering later
-        // documents in order (nothing reads a shed completion's tag).
-        shared.delivery.push(Completion {
-            seq,
-            conn: conn.id,
-            tag: String::new(),
-            outcome: Outcome::Shed,
-        });
-    }
+    // Blocks at the high-water mark. The queue closes only once teardown
+    // has joined every reader, so the document always lands.
+    shared.ingest.push(doc);
     true
 }
 
@@ -1066,7 +1055,7 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
                     };
                     match conn {
                         Some(conn) => {
-                            if conn.outbox.push(line).is_enqueued() {
+                            if conn.outbox.push(line) {
                                 shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -1088,7 +1077,6 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
                 origin.outbox.push(format!("-ERR DOC {detail}"));
             }
         }
-        Outcome::Shed => {}
     }
 }
 

@@ -763,86 +763,65 @@ fn overlong_command_line_closes_only_its_connection() {
     broker.wait();
 }
 
-/// `ingest_policy: Shed` with a one-slot ingest queue and one worker:
-/// every frame is acknowledged and then either matched or reported shed —
-/// never both, never neither — `MATCH` lines still ascend, and `STATS`
-/// counts exactly the sheds the client was told about.
+/// Ingest blocks at its high-water mark and never sheds: behind one slow
+/// document on one worker, twice the ingest queue's 1,024 slots of small
+/// frames each draw one `+DOC` and exactly one `MATCH`, `MATCH` lines
+/// ascend, and `STATS` counts no shed.
 #[test]
-fn shed_ingest_accounts_for_every_document() {
-    let broker = Broker::spawn(BrokerConfig {
-        workers: 1,
-        ingest_capacity: 1,
-        ingest_policy: pxf_broker::Backpressure::Shed,
-        ..BrokerConfig::default()
-    })
-    .expect("spawn broker");
+fn ingest_blocks_at_the_high_water_mark() {
+    let broker = spawn_broker(1);
     let mut conn = Client::connect(broker.local_addr());
     let sub = conn.subscribe("//b");
 
     // The first document keeps the one worker busy for far longer than
-    // the reader needs to scan the small ones queueing up behind it.
-    let n = 200usize;
-    let big = format!("<a>{}<b/></a>", "<c/>".repeat(50_000));
-    conn.send_doc("d0", big.as_bytes());
-    for i in 1..n {
-        conn.send_doc(&format!("d{i}"), b"<a><b/></a>");
-    }
+    // the reader needs to fill the queue with the small ones behind it.
+    // A thread of its own sends: the reader stops reading the socket while
+    // it waits for a slot, and the replies must be read meanwhile.
+    let n = 1 + 2 * 1024;
+    let mut output = conn.output.try_clone().expect("clone the socket");
+    let sender = std::thread::spawn(move || {
+        let big = format!("<a>{}<b/></a>", "<c/>".repeat(200_000));
+        let mut frames = format!("DOC {} d0\n{big}", big.len()).into_bytes();
+        for i in 1..n {
+            frames.extend(format!("DOC 11 d{i}\n<a><b/></a>").bytes());
+        }
+        output.write_all(&frames).expect("send the frames");
+    });
 
-    #[derive(Clone, Copy, PartialEq, Debug)]
-    enum Seen {
-        Nothing,
-        Acked,
-        Matched,
-        Shed,
-    }
-    let mut seen = vec![Seen::Nothing; n];
-    let slot = |seq: u64| -> usize { usize::try_from(seq).expect("seq fits") };
-    let (mut outcomes, mut sheds) = (0usize, 0u64);
+    let (mut acked, mut matched) = (vec![false; n], vec![false; n]);
     let mut last_match = None::<u64>;
-    while outcomes < n {
+    while matched.iter().any(|m| !m) {
         match conn.read_reply() {
             Reply::DocOk { seq, tag } => {
                 assert_eq!(tag, format!("d{seq}"), "one connection: seq is frame order");
-                assert_eq!(seen[slot(seq)], Seen::Nothing, "seq {seq} acked twice");
-                seen[slot(seq)] = Seen::Acked;
+                let slot = usize::try_from(seq).expect("seq fits");
+                assert!(!acked[slot], "seq {seq} acked twice");
+                acked[slot] = true;
             }
             Reply::Match { seq, ids, .. } => {
                 assert_eq!(ids, vec![sub]);
-                assert_eq!(seen[slot(seq)], Seen::Acked, "seq {seq}");
-                seen[slot(seq)] = Seen::Matched;
+                let slot = usize::try_from(seq).expect("seq fits");
+                assert!(acked[slot], "seq {seq} matched before its +DOC");
+                assert!(!matched[slot], "seq {seq} matched twice");
+                matched[slot] = true;
                 assert!(last_match.is_none_or(|last| seq > last), "MATCH order");
                 last_match = Some(seq);
-                outcomes += 1;
-            }
-            Reply::Err { kind, detail } => {
-                assert_eq!(kind, "DOC");
-                let seq: u64 = detail
-                    .strip_prefix("shed at ingest high-water (seq ")
-                    .and_then(|rest| rest.trim_end().strip_suffix(')'))
-                    .and_then(|seq| seq.parse().ok())
-                    .unwrap_or_else(|| panic!("unexpected -ERR DOC {detail:?}"));
-                assert_eq!(seen[slot(seq)], Seen::Acked, "seq {seq}");
-                seen[slot(seq)] = Seen::Shed;
-                sheds += 1;
-                outcomes += 1;
             }
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert!(sheds > 0, "a one-slot queue behind a busy worker must shed");
-    assert!(last_match.is_some(), "and must not shed everything");
+    sender.join().expect("the sender");
 
     conn.send("STATS");
     let stats = match conn.read_reply() {
         Reply::Stats(kv) => BrokerStatsSnapshot::from_kv(&kv),
         other => panic!("a reply after every outcome was read: {other:?}"),
     };
-    assert_eq!(stats.shed, sheds);
-    assert_eq!(stats.ingested, n as u64);
+    assert_eq!(stats.shed, 0);
+    assert_eq!((stats.ingested, stats.matched), (n as u64, n as u64));
 
     broker.shutdown();
-    let stats = broker.wait();
-    assert_eq!(stats.matched + stats.shed, n as u64);
+    broker.wait();
 }
 
 /// A `DOC` frame one byte longer than `max_document_bytes` (1 MiB under
@@ -932,7 +911,7 @@ fn a_two_document_frame_draws_an_error() {
 /// alternating bad and good, each waited for, never fuse.
 #[test]
 fn consecutive_bad_frames_fuse_only_their_connection() {
-    const CAP: usize = pxf_xml::DEFAULT_MAX_CONSECUTIVE_FAILURES;
+    const CAP: usize = pxf_xml::MAX_CONSECUTIVE_FAILURES;
     const BAD: &[u8] = b"<bad attr=></bad>";
     const GOOD: &[u8] = b"<a><b/></a>";
     let broker = spawn_broker(2);

@@ -1,14 +1,20 @@
 //! An idle broker sleeps: every thread blocks until there is work, and
 //! every thread is named, so `/proc/<pid>/task/*` and `top -H` tell them
-//! apart. Linux only (it reads `/proc`), and a test binary of its own: the
-//! threads of tests running beside it in one process would carry the same
-//! names.
+//! apart; and a closed connection's threads are let go of while the
+//! broker runs. Linux only (it reads `/proc`), and a test binary of its
+//! own: the threads of tests running beside it in one process would carry
+//! the same names. Its tests take turns for the same reason.
 #![cfg(target_os = "linux")]
 
 use pxf_broker::{Broker, BrokerConfig, Reply};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Held by each test for its whole run: one broker in the process at a
+/// time.
+static ONE_BROKER: Mutex<()> = Mutex::new(());
 
 /// `(name, voluntary context switches)` of this process's `pxf-*` threads.
 fn pxf_threads() -> Vec<(String, u64)> {
@@ -42,6 +48,7 @@ fn reply(input: &mut BufReader<TcpStream>) -> Reply {
 
 #[test]
 fn an_idle_broker_sleeps_in_named_threads() {
+    let _turn = ONE_BROKER.lock().unwrap_or_else(|e| e.into_inner());
     let broker = Broker::spawn(BrokerConfig {
         workers: 2,
         ..BrokerConfig::default()
@@ -81,5 +88,63 @@ fn an_idle_broker_sleeps_in_named_threads() {
 
     output.write_all(b"SHUTDOWN\n").expect("send SHUTDOWN");
     assert_eq!(reply(&mut input), Reply::ShutdownOk);
+    broker.wait();
+}
+
+/// This process's virtual memory size, in bytes.
+fn vm_size() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kib: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmSize:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("VmSize in status");
+    kib * 1024
+}
+
+/// Opens a connection, says `QUIT` and waits for the broker to hang up.
+fn connect_and_quit(addr: std::net::SocketAddr) {
+    let mut output = TcpStream::connect(addr).expect("connect");
+    output
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set a read timeout");
+    let mut input = BufReader::new(output.try_clone().expect("clone the socket"));
+    output.write_all(b"QUIT\n").expect("send QUIT");
+    assert_eq!(reply(&mut input), Reply::Bye);
+    let mut rest = String::new();
+    assert_eq!(input.read_line(&mut rest).expect("read to the close"), 0);
+}
+
+/// A connection's reader and writer threads end with it, and their stacks
+/// (2 MiB of address space each) are freed when the broker joins them, at
+/// its next accept: 64 connections opened and closed one after the other
+/// leave the process no larger, where joining only at shutdown grew it by
+/// the 128 threads' stacks.
+#[test]
+fn closed_connections_give_their_threads_back() {
+    let _turn = ONE_BROKER.lock().unwrap_or_else(|e| e.into_inner());
+    let broker = Broker::spawn(BrokerConfig {
+        workers: 2,
+        ..BrokerConfig::default()
+    })
+    .expect("spawn broker");
+    let addr = broker.local_addr();
+    // Warm-up: the allocator's per-thread arenas of the connection
+    // threads exist before the first measure.
+    for _ in 0..8 {
+        connect_and_quit(addr);
+    }
+    let before = vm_size();
+    for _ in 0..64 {
+        connect_and_quit(addr);
+    }
+    let grown = vm_size().saturating_sub(before);
+    assert!(
+        grown < 64 << 20,
+        "64 closed connections grew the process by {} MiB",
+        grown >> 20
+    );
+    broker.shutdown();
     broker.wait();
 }

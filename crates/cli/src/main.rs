@@ -6,7 +6,7 @@
 //! pxf match  --subs FILE --stream [-]          # concatenated docs on stdin
 //! pxf encode 'EXPR' ['EXPR' …]
 //! pxf generate --regime nitf|psd --exprs N --docs N --out DIR [--seed S]
-//! pxf broker --listen HOST:PORT [--workers N] [--queue-cap N] [limits]
+//! pxf broker --listen HOST:PORT [--workers N] [limits]
 //! pxf --help
 //! ```
 //!
@@ -56,14 +56,14 @@ USAGE:
   pxf match  --subs FILE [options] DOC.xml [DOC.xml …]
   pxf encode 'EXPR' ['EXPR' …]
   pxf generate --regime nitf|psd --exprs N --docs N --out DIR [--seed S]
-  pxf broker [--listen HOST:PORT] [--workers N] [--queue-cap N]
-             [--outbox-cap N] [--shed-ingest] [parser limit options]
+  pxf broker [--listen HOST:PORT] [--workers N] [parser limit options]
 
 MATCH OPTIONS:
   --subs FILE          subscription file (one XPath per line, # comments)
   --engine NAME        pxf | yfilter | index-filter (default: pxf)
   --stream             read concatenated documents from stdin (or from one
-                       file argument) instead of one document per file
+                       file argument) instead of one document per file;
+                       64 bad documents in a row end the stream
   --remove LINES       after loading, unsubscribe the given comma-separated
                        1-based subscription-file line numbers (exercises
                        incremental index maintenance; pxf engines only)
@@ -77,16 +77,10 @@ PARSER LIMIT OPTIONS (per document; hostile-input hardening):
   --max-attr-value N   attribute value length        (default: 1 MiB)
   --max-name-len N     tag/attribute name length     (default: 4096)
   --max-entities N     entity references per doc     (default: 1048576)
-  --max-failures N     consecutive bad stream documents before giving up
-                       (default: 64; --stream only)
 
 BROKER OPTIONS (long-running pub/sub service; see DESIGN.md §11):
   --listen HOST:PORT   listen address      (default: 127.0.0.1:7878)
   --workers N          matcher threads; 0 = derive from cores (default: 0)
-  --queue-cap N        ingest queue capacity          (default: 1024)
-  --outbox-cap N       per-connection outbox capacity (default: 65536)
-  --shed-ingest        shed documents at the ingest high-water mark
-                       instead of blocking the publisher's connection
   The parser limit options above apply per document (default: strict
   profile). Protocol: SUB/UNSUB/DOC/STATS/QUIT/SHUTDOWN, one command
   per line (DESIGN.md §11.2); `benchmark/run.sh` drives it at scale.
@@ -146,7 +140,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     let mut quiet = false;
     let mut stream = false;
     let mut limits = ParserLimits::default();
-    let mut max_failures = pxf_xml::DEFAULT_MAX_CONSECUTIVE_FAILURES;
     let mut remove_lines: Vec<usize> = Vec::new();
     let mut docs: Vec<PathBuf> = Vec::new();
     let mut i = 0;
@@ -167,7 +160,6 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
                     );
                 }
             }
-            "--max-failures" => max_failures = take_number(args, &mut i, "--max-failures")?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             doc => docs.push(PathBuf::from(doc)),
         }
@@ -184,9 +176,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
             )),
             _ => return Err("--stream takes stdin or exactly one file".into()),
         };
-        Inputs::Stream(
-            DocumentStream::with_limits(reader, limits).max_consecutive_failures(max_failures),
-        )
+        Inputs::Stream(DocumentStream::with_limits(reader, limits))
     } else if docs.is_empty() {
         return Err("no documents given".into());
     } else {
@@ -249,7 +239,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
     // ([`FilterBackend::match_bytes`]). A rejected document is named on
     // stderr (a stream's at its stream-absolute byte offset) and the run
     // goes on: the stream resyncs to the next document, and
-    // `max_failures` consecutive bad ones end it.
+    // `pxf_xml::MAX_CONSECUTIVE_FAILURES` consecutive bad ones end it.
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let started = std::time::Instant::now();
@@ -326,7 +316,7 @@ fn cmd_match(args: &[String]) -> Result<ExitCode, String> {
 /// Runs the long-running pub/sub broker service until a client sends
 /// `SHUTDOWN` (or the process is killed).
 fn cmd_broker(args: &[String]) -> Result<(), String> {
-    use pxf_broker::{Backpressure, Broker, BrokerConfig};
+    use pxf_broker::{Broker, BrokerConfig};
     let mut config = BrokerConfig {
         listen: "127.0.0.1:7878".to_string(),
         limits: ParserLimits::strict(),
@@ -337,9 +327,6 @@ fn cmd_broker(args: &[String]) -> Result<(), String> {
         match args[i].as_str() {
             "--listen" => config.listen = take_value(args, &mut i, "--listen")?,
             "--workers" => config.workers = take_number(args, &mut i, "--workers")?,
-            "--queue-cap" => config.ingest_capacity = take_number(args, &mut i, "--queue-cap")?,
-            "--outbox-cap" => config.outbox_capacity = take_number(args, &mut i, "--outbox-cap")?,
-            "--shed-ingest" => config.ingest_policy = Backpressure::Shed,
             _ if take_limit(args, &mut i, &mut config.limits)? => {}
             flag => return Err(format!("unknown flag '{flag}'")),
         }

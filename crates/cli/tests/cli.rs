@@ -28,17 +28,32 @@ fn unknown_command_fails() {
 /// unknown flag does.
 #[test]
 fn deleted_flags_are_rejected_as_unknown() {
-    for name in ["shards", "algorithm", "threads"] {
+    let matching = [
+        "shards",
+        "algorithm",
+        "threads",
+        "shed-ingest",
+        "queue-cap",
+        "outbox-cap",
+        "max-failures",
+    ];
+    let brokering = ["shed-ingest", "queue-cap", "outbox-cap", "max-failures"];
+    let runs = (matching.iter().map(|name| ("match", name)))
+        .chain(brokering.iter().map(|name| ("broker", name)));
+    for (command, name) in runs {
         let flag = format!("--{name}");
-        let out = pxf()
-            .args(["match", "--subs", "unused.xpath", &flag, "4", "doc.xml"])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "{flag}");
+        // Were the flag taken, the unparsable address would still end the
+        // broker before it listens.
+        let args: &[&str] = match command {
+            "match" => &["match", "--subs", "unused.xpath", &flag, "4", "doc.xml"],
+            _ => &["broker", &flag, "4", "--listen", "nowhere"],
+        };
+        let out = pxf().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains(&format!("pxf: unknown flag '{flag}'")),
-            "{err}"
+            "{args:?}: {err}"
         );
     }
 }

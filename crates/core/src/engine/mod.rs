@@ -129,10 +129,6 @@ pub struct EngineStats {
     pub stage2_walks: u64,
     /// Total subscription matches reported.
     pub matches: u64,
-    /// Maintenance: successful `add` and `remove` operations — each one an
-    /// in-place patch of the packed index; there is no other kind. Kept
-    /// because the `benchmark/` package names the field.
-    pub incremental_patches: u64,
 }
 
 /// Sharing accounting (see [`FilterEngine::subset_stats`]): stage-2 work
@@ -225,7 +221,7 @@ pub struct FilterEngine {
     /// Subscriptions removed via [`FilterEngine::remove`] (ids are never
     /// reused).
     removed: u32,
-    /// Maintenance counter surfaced through [`EngineStats`].
+    /// Successful adds and removes ([`Self::incremental_patches`]).
     incremental_patches: u64,
     /// Scratch backing the convenient `&mut self` matching API; concurrent
     /// users create their own via [`FilterEngine::matcher`].
@@ -377,12 +373,10 @@ impl FilterEngine {
     }
 
     /// Cumulative matching statistics of the internal (`&mut self`)
-    /// matching API, plus the engine-level maintenance counters.
-    /// [`Matcher`]s carry their own matching statistics.
+    /// matching API. [`Matcher`]s carry their own matching statistics;
+    /// maintenance is counted by [`Self::incremental_patches`].
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.scratch.stats;
-        s.incremental_patches = self.incremental_patches;
-        s
+        self.scratch.stats
     }
 
     /// Resets the statistics counters (including the maintenance
@@ -393,8 +387,8 @@ impl FilterEngine {
     }
 
     /// Successful `add` and `remove` operations since construction (or
-    /// the last [`Self::reset_stats`]); see
-    /// [`EngineStats::incremental_patches`].
+    /// the last [`Self::reset_stats`]): each one an in-place patch of the
+    /// packed index; there is no other kind.
     pub fn incremental_patches(&self) -> u64 {
         self.incremental_patches
     }

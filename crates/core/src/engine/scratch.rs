@@ -91,12 +91,9 @@ impl Matcher<'_> {
         self.engine.match_bytes_with(bytes, &mut self.scratch)
     }
 
-    /// Statistics accumulated by this matcher, with the engine's
-    /// maintenance counters merged in.
+    /// Statistics accumulated by this matcher.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.scratch.stats();
-        s.incremental_patches = self.engine.incremental_patches;
-        s
+        self.scratch.stats()
     }
 
     /// The engine this matcher reads from.

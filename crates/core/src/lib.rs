@@ -9,7 +9,11 @@
 //! document the engine takes) as sets of (attribute, value) tuples, and
 //! matching runs in two stages —
 //! predicate matching over a shared, deduplicated predicate index, followed
-//! by per-expression occurrence determination ([`occurrence`]).
+//! by a depth-first walk of the expression trie that carries each path's
+//! feasible occurrence numbers forward from predicate to predicate.
+//! [`occurrence`] is the paper's backtracking occurrence determination
+//! (Algorithm 1) as written, kept as the reference the Appendix A
+//! property suite checks; the engine does not call it.
 //!
 //! # Quick start
 //!

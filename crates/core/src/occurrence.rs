@@ -61,8 +61,8 @@ pub fn determine_match(results: &[MatchList<'_>]) -> bool {
 /// Enumerates every chained combination, invoking `visit` with the full
 /// pair sequence. `visit` returns `false` to stop early.
 ///
-/// Used by tests and by the nested-path machinery, which needs all matches
-/// rather than the first.
+/// Used by the Appendix A property tests, which need all matches rather
+/// than the first.
 pub fn for_each_combination<F>(results: &[MatchList<'_>], mut visit: F)
 where
     F: FnMut(&[(u16, u16)]) -> bool,

@@ -111,10 +111,21 @@ pub struct IndexFilter {
     wildcards: Vec<u32>,
     n_subs: u32,
     sorted: bool,
-    // per-document scratch
+    // Per-document scratch, kept across documents: once warm, a match
+    // allocates only the vector it returns.
     stacks: Vec<Vec<Entry>>,
     matched: Vec<u64>,
     doc_epoch: u64,
+    /// The element index ([`ElementIndex`]) and its open rows.
+    elements: Vec<(Option<Symbol>, Entry)>,
+    open: Vec<usize>,
+    /// Ancestor chain of document nodes for postponed attribute checks.
+    ancestors: Vec<Entry>,
+    /// Candidate query nodes for the current element, merged depth-desc.
+    candidates: Vec<u32>,
+    /// The root-to-element path a postponed attribute check reads.
+    chain: Vec<NodeId>,
+    results: Vec<u32>,
     /// Where [`Self::match_bytes`] parses each document, refilled in place.
     doc: PathDoc,
 }
@@ -140,6 +151,12 @@ impl IndexFilter {
             stacks: Vec::new(),
             matched: Vec::new(),
             doc_epoch: 0,
+            elements: Vec::new(),
+            open: Vec::new(),
+            ancestors: Vec::new(),
+            candidates: Vec::new(),
+            chain: Vec::new(),
+            results: Vec::new(),
             doc: PathDoc::default(),
         }
     }
@@ -239,22 +256,19 @@ impl IndexFilter {
         for s in &mut self.stacks {
             s.clear();
         }
-        let mut results: Vec<u32> = Vec::new();
-
-        let mut index = ElementIndex {
+        self.elements.clear();
+        self.open.clear();
+        self.ancestors.clear();
+        self.results.clear();
+        doc.for_each_element(&mut ElementIndex {
             interner: &self.interner,
             counter: 0,
-            open: Vec::new(),
-            elements: Vec::with_capacity(doc.len()),
-        };
-        doc.for_each_element(&mut index);
+            open: &mut self.open,
+            elements: &mut self.elements,
+        });
+        let (ancestors, candidates) = (&mut self.ancestors, &mut self.candidates);
 
-        // Ancestor chain of document nodes for postponed attribute checks.
-        let mut ancestors: Vec<Entry> = Vec::with_capacity(16);
-        // Candidate query nodes for the current element, merged depth-desc.
-        let mut candidates: Vec<u32> = Vec::with_capacity(16);
-
-        for &(sym, entry) in &index.elements {
+        for &(sym, entry) in &self.elements {
             while ancestors.last().is_some_and(|a| a.end < entry.start) {
                 ancestors.pop();
             }
@@ -283,7 +297,7 @@ impl IndexFilter {
                 }
             }
 
-            for &q in &candidates {
+            for &q in candidates.iter() {
                 let qnode = &self.nodes[q as usize];
                 let accepted = if qnode.parent == NO_PARENT {
                     match qnode.axis {
@@ -317,22 +331,24 @@ impl IndexFilter {
                         continue;
                     }
                     if let Some(expr) = &accept.attr_expr {
-                        let mut chain: Vec<NodeId> = ancestors.iter().map(|a| a.node).collect();
+                        let chain = &mut self.chain;
+                        chain.clear();
+                        chain.extend(ancestors.iter().map(|a| a.node));
                         chain.push(entry.node);
-                        if !matches_path(expr, &DocPathView { doc, nodes: &chain }) {
+                        if !matches_path(expr, &DocPathView { doc, nodes: chain }) {
                             continue;
                         }
                     }
                     self.matched[accept.id as usize] = doc_epoch;
-                    results.push(accept.id);
+                    self.results.push(accept.id);
                 }
             }
 
             ancestors.push(entry);
         }
 
-        results.sort_unstable();
-        results
+        self.results.sort_unstable();
+        self.results.to_vec()
     }
 
     /// Parses raw document bytes into the filter's own store (refilled in
@@ -380,8 +396,8 @@ struct ElementIndex<'a> {
     /// The pre/post-order number last given out.
     counter: u32,
     /// Rows of `elements` whose element is open, root first.
-    open: Vec<usize>,
-    elements: Vec<(Option<Symbol>, Entry)>,
+    open: &'a mut Vec<usize>,
+    elements: &'a mut Vec<(Option<Symbol>, Entry)>,
 }
 
 impl ElementVisitor for ElementIndex<'_> {

@@ -71,5 +71,5 @@ pub use access::{ElementVisitor, PathDoc};
 pub use limits::ParserLimits;
 pub use name::{Interner, Symbol};
 pub use reader::{Event, Reader, XmlError, XmlErrorKind};
-pub use stream::{DocumentStream, PollDoc, DEFAULT_MAX_CONSECUTIVE_FAILURES};
+pub use stream::{DocumentStream, PollDoc, MAX_CONSECUTIVE_FAILURES};
 pub use tree::{Attribute, Document, DocumentBuilder, Element, NodeId};

@@ -14,15 +14,17 @@
 //! reported with its stream-absolute byte offset and the scanner resyncs
 //! to the next top-level document. Stray top-level end tags and documents
 //! that exceed [`ParserLimits::max_document_bytes`] are reported once per
-//! garbage run and skipped. A configurable consecutive-failure cap fuses
-//! the stream when its input is nothing but garbage.
+//! garbage run and skipped. After [`MAX_CONSECUTIVE_FAILURES`] failures
+//! in a row the stream fuses: its input is nothing but garbage.
 
 use crate::limits::ParserLimits;
 use crate::reader::{XmlError, XmlErrorKind};
 use std::io::{BufRead, Read};
 
-/// Default consecutive-failure cap for [`DocumentStream`].
-pub const DEFAULT_MAX_CONSECUTIVE_FAILURES: usize = 64;
+/// Consecutive failures after which a [`DocumentStream`] yields one
+/// [`XmlErrorKind::TooManyFailures`] error and ends; also the run of
+/// unparseable `DOC` frames that closes a broker connection.
+pub const MAX_CONSECUTIVE_FAILURES: usize = 64;
 
 /// Splitter over the documents in a byte stream.
 ///
@@ -69,7 +71,6 @@ pub struct DocumentStream<R: Read> {
     scanner: Scanner,
     done: bool,
     limits: ParserLimits,
-    max_consecutive_failures: usize,
     consecutive_failures: usize,
     /// Failure cap hit: yield one final error, then fuse.
     exhausted: bool,
@@ -282,7 +283,6 @@ impl<R: Read> DocumentStream<R> {
             scanner: Scanner::default(),
             done: false,
             limits,
-            max_consecutive_failures: DEFAULT_MAX_CONSECUTIVE_FAILURES,
             consecutive_failures: 0,
             exhausted: false,
             base: 0,
@@ -292,14 +292,6 @@ impl<R: Read> DocumentStream<R> {
             #[cfg(test)]
             bytewise: false,
         }
-    }
-
-    /// Sets the consecutive-failure cap: after this many failures with no
-    /// successfully parsed document in between, the stream yields one
-    /// [`XmlErrorKind::TooManyFailures`] error and then terminates.
-    pub fn max_consecutive_failures(mut self, cap: usize) -> Self {
-        self.max_consecutive_failures = cap.max(1);
-        self
     }
 
     /// Number of malformed documents and garbage runs resynced past.
@@ -329,7 +321,7 @@ impl<R: Read> DocumentStream<R> {
     pub fn note_failure(&mut self) {
         self.consecutive_failures += 1;
         self.recovered += 1;
-        if self.consecutive_failures >= self.max_consecutive_failures {
+        if self.consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
             self.exhausted = true;
         }
     }
@@ -444,7 +436,7 @@ impl<R: Read> DocumentStream<R> {
             self.done = true;
             return PollDoc::Fail(XmlError::new(
                 self.base,
-                XmlErrorKind::TooManyFailures(self.max_consecutive_failures),
+                XmlErrorKind::TooManyFailures(MAX_CONSECUTIVE_FAILURES),
             ));
         }
         loop {
@@ -738,24 +730,28 @@ mod tests {
 
     #[test]
     fn consecutive_failure_cap_fuses_the_stream() {
-        // Ten malformed documents with a cap of 3: three per-document
-        // errors, one TooManyFailures, then the stream ends.
-        let input = "<a x=></a>".repeat(10);
-        let items = items(DocumentStream::new(input.as_bytes()).max_consecutive_failures(3));
-        assert_eq!(items.len(), 4);
-        assert!(items[..3].iter().all(|r| r.is_err()));
+        // Ten malformed documents past the cap: one per-document error
+        // each up to it, one TooManyFailures, then the stream ends.
+        const CAP: usize = MAX_CONSECUTIVE_FAILURES;
+        let input = "<a x=></a>".repeat(CAP + 10);
+        let items = items(DocumentStream::new(input.as_bytes()));
+        assert_eq!(items.len(), CAP + 1);
+        assert!(items[..CAP].iter().all(|r| r.is_err()));
         assert_eq!(
-            items[3].as_ref().unwrap_err().kind,
-            XmlErrorKind::TooManyFailures(3)
+            items[CAP].as_ref().unwrap_err().kind,
+            XmlErrorKind::TooManyFailures(CAP)
         );
     }
 
     #[test]
     fn successes_reset_the_failure_cap() {
-        let input = "<a x=></a><ok/>".repeat(10);
-        let items = items(DocumentStream::new(input.as_bytes()).max_consecutive_failures(3));
-        assert_eq!(items.len(), 20);
-        assert_eq!(items.iter().filter(|r| r.is_ok()).count(), 10);
+        // Runs of one failure short of the cap, each ended by a success:
+        // three times the cap in failures, and the stream never fuses.
+        const CAP: usize = MAX_CONSECUTIVE_FAILURES;
+        let input = format!("{}<ok/>", "<a x=></a>".repeat(CAP - 1)).repeat(3);
+        let items = items(DocumentStream::new(input.as_bytes()));
+        assert_eq!(items.len(), 3 * CAP);
+        assert_eq!(items.iter().filter(|r| r.is_ok()).count(), 3);
     }
 
     #[test]
@@ -793,7 +789,7 @@ mod tests {
     fn raw_ingest_contract_keeps_failure_cap_consecutive() {
         // 150 units, each: a parse-level bad document (clean boundary, bad
         // attribute syntax), a good document, and a scanner-level stray
-        // end tag. Far more total failures than the default cap of 64.
+        // end tag. Far more total failures than the cap of 64.
         let input = "<bad x=></bad><good/></zz> ".repeat(150);
         let mut stream = DocumentStream::new(input.as_bytes());
         let (mut good, mut parse_failures, mut desyncs) = (0usize, 0usize, 0usize);
@@ -932,12 +928,19 @@ mod tests {
         End,
     }
 
-    fn poll_all(stream: &mut DocumentStream<std::io::Empty>, rng: &mut Rng, seen: &mut Vec<Seen>) {
+    /// Polls to quiescence; the consumer accepts each document with
+    /// probability `accept`.
+    fn poll_all(
+        stream: &mut DocumentStream<std::io::Empty>,
+        rng: &mut Rng,
+        accept: f64,
+        seen: &mut Vec<Seen>,
+    ) {
         loop {
             match stream.poll_raw_at() {
                 PollDoc::Doc(at, bytes) => {
                     // The consumer's verdicts, drawn alike for both scans.
-                    if rng.gen_bool(0.8) {
+                    if rng.gen_bool(accept) {
                         stream.note_success();
                     } else {
                         stream.note_failure();
@@ -958,11 +961,12 @@ mod tests {
     fn drive(
         input: &[u8],
         limits: ParserLimits,
+        accept: f64,
         seed: u64,
         bytewise: bool,
     ) -> (Vec<Seen>, usize, usize) {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut stream = DocumentStream::push_mode(limits).max_consecutive_failures(8);
+        let mut stream = DocumentStream::push_mode(limits);
         stream.bytewise = bytewise;
         let mut seen = Vec::new();
         let scale = *rng.choose(&[1, 16, 512, 8192]);
@@ -971,14 +975,14 @@ mod tests {
             let end = (at + 1 + rng.gen_index(scale)).min(input.len());
             stream.feed(&input[at..end]);
             at = end;
-            poll_all(&mut stream, &mut rng, &mut seen);
+            poll_all(&mut stream, &mut rng, accept, &mut seen);
             if rng.gen_bool(0.02) {
                 seen.push(Seen::Discarded(stream.discard_partial()));
-                poll_all(&mut stream, &mut rng, &mut seen);
+                poll_all(&mut stream, &mut rng, accept, &mut seen);
             }
         }
         stream.finish();
-        poll_all(&mut stream, &mut rng, &mut seen);
+        poll_all(&mut stream, &mut rng, accept, &mut seen);
         (seen, stream.recovered(), stream.stream_position())
     }
 
@@ -1028,8 +1032,10 @@ mod tests {
 
     /// The skipping scan against today's byte-at-a-time one on seeded
     /// streams of generated NITF and PSD documents, hidden markup and
-    /// damage, and on markup-heavy byte soup: the same documents at the
-    /// same offsets, the same errors, the same final state.
+    /// damage, on markup-heavy byte soup, and on runs of more documents
+    /// than the failure cap that the consumer all rejects: the same
+    /// documents at the same offsets, the same errors, the same final
+    /// state.
     #[test]
     fn skipping_scan_agrees_with_the_bytewise_reference() {
         let docs: Vec<String> = [Regime::nitf(), Regime::psd()]
@@ -1041,20 +1047,27 @@ mod tests {
         let mut kinds = std::collections::HashSet::new();
         let mut found = 0;
         for case in 0..240 {
-            let input: Vec<u8> = if case % 6 == 5 {
-                (0..rng.gen_index(4096))
-                    .map(|_| *rng.choose(b"<>/=\"'&;![]-?ab c\t\n"))
-                    .collect()
-            } else {
-                arb_stream(&mut rng, &docs)
+            let (input, accept): (Vec<u8>, f64) = match case % 6 {
+                5 => (
+                    (0..rng.gen_index(4096))
+                        .map(|_| *rng.choose(b"<>/=\"'&;![]-?ab c\t\n"))
+                        .collect(),
+                    0.8,
+                ),
+                4 => {
+                    let n = MAX_CONSECUTIVE_FAILURES + rng.gen_index(16);
+                    let run = (0..n).flat_map(|_| rng.choose(&docs).clone().into_bytes());
+                    (run.collect(), 0.0)
+                }
+                _ => (arb_stream(&mut rng, &docs), 0.8),
             };
             let limits = ParserLimits {
                 max_document_bytes: *rng.choose(&[usize::MAX, 4096, 300]),
                 ..ParserLimits::default()
             };
             let seed = rng.next_u64();
-            let skipping = drive(&input, limits, seed, false);
-            let reference = drive(&input, limits, seed, true);
+            let skipping = drive(&input, limits, accept, seed, false);
+            let reference = drive(&input, limits, accept, seed, true);
             if skipping != reference {
                 let at = skipping
                     .0

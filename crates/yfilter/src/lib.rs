@@ -87,11 +87,19 @@ pub struct YFilter {
     states: Vec<State>,
     n_subs: u32,
     limits: ParserLimits,
-    // reusable per-document scratch
+    // Per-document scratch, kept across documents: once warm, a match
+    // allocates only the vector it returns.
     visited: Vec<u64>,
     visit_epoch: u64,
     matched: Vec<u64>,
     doc_epoch: u64,
+    /// The stack of active state sets, stored in one arena with per-level
+    /// offsets (no per-element allocation).
+    arena: Vec<u32>,
+    level_start: Vec<usize>,
+    /// The open root-to-element path, for postponed attribute checks.
+    path_nodes: Vec<NodeId>,
+    results: Vec<u32>,
     /// Where [`Self::match_bytes`] parses each document, refilled in place.
     doc: PathDoc,
 }
@@ -114,6 +122,10 @@ impl YFilter {
             visit_epoch: 0,
             matched: Vec::new(),
             doc_epoch: 0,
+            arena: Vec::new(),
+            level_start: Vec::new(),
+            path_nodes: Vec::new(),
+            results: Vec::new(),
             doc: PathDoc::default(),
         }
     }
@@ -214,22 +226,23 @@ impl YFilter {
         self.doc_epoch += 1;
         self.matched.resize(self.n_subs as usize, 0);
         self.visited.resize(self.states.len(), 0);
-        let mut run = Run {
-            filter: self,
-            doc,
-            arena: Vec::with_capacity(64),
-            level_start: vec![0],
-            path_nodes: Vec::with_capacity(16),
-            results: Vec::new(),
-        };
+        self.arena.clear();
+        self.level_start.clear();
+        self.level_start.push(0);
+        self.path_nodes.clear();
+        self.results.clear();
         // Initial active set: ε-closure of the start state.
-        let f = &mut *run.filter;
-        f.visit_epoch += 1;
-        push_closure(&f.states, &mut f.visited, f.visit_epoch, &mut run.arena, 0);
-        doc.for_each_element(&mut run);
-        let mut results = run.results;
-        results.sort_unstable();
-        results
+        self.visit_epoch += 1;
+        push_closure(
+            &self.states,
+            &mut self.visited,
+            self.visit_epoch,
+            &mut self.arena,
+            0,
+        );
+        doc.for_each_element(&mut Run { filter: self, doc });
+        self.results.sort_unstable();
+        self.results.to_vec()
     }
 
     /// Parses raw document bytes into the filter's own store (refilled in
@@ -280,24 +293,15 @@ impl FilterBackend for YFilter {
     }
 }
 
-/// One document's NFA run, driven by the store's enter/leave traversal.
+/// One document's NFA run, driven by the store's enter/leave traversal
+/// over the filter's scratch.
 struct Run<'a> {
     filter: &'a mut YFilter,
     doc: &'a PathDoc,
-    /// The stack of active state sets, stored in one arena with per-level
-    /// offsets (no per-element allocation).
-    arena: Vec<u32>,
-    level_start: Vec<usize>,
-    /// The open root-to-element path, for postponed attribute checks.
-    path_nodes: Vec<NodeId>,
-    results: Vec<u32>,
 }
 
 impl ElementVisitor for Run<'_> {
     fn enter(&mut self, id: NodeId, tag: &str) {
-        self.path_nodes.push(id);
-        let (top_start, top_end) = (*self.level_start.last().unwrap(), self.arena.len());
-        self.level_start.push(top_end);
         let YFilter {
             states,
             interner,
@@ -305,15 +309,21 @@ impl ElementVisitor for Run<'_> {
             visit_epoch,
             matched,
             doc_epoch,
+            arena,
+            level_start,
+            path_nodes,
+            results,
             ..
         } = &mut *self.filter;
+        path_nodes.push(id);
+        let (top_start, top_end) = (*level_start.last().unwrap(), arena.len());
+        level_start.push(top_end);
         *visit_epoch += 1;
         let epoch = *visit_epoch;
         let tag = interner.get(tag);
-        let (doc, path_nodes, results) = (self.doc, &self.path_nodes, &mut self.results);
+        let doc = self.doc;
         let mut on_accept =
             |accept: &Accept| fire(accept, doc, path_nodes, matched, *doc_epoch, results);
-        let arena = &mut self.arena;
         for i in top_start..top_end {
             let s = arena[i];
             let st = &states[s as usize];
@@ -335,9 +345,10 @@ impl ElementVisitor for Run<'_> {
     }
 
     fn leave(&mut self) {
-        self.path_nodes.pop();
-        let start = self.level_start.pop().expect("balanced traversal");
-        self.arena.truncate(start);
+        let f = &mut *self.filter;
+        f.path_nodes.pop();
+        let start = f.level_start.pop().expect("balanced traversal");
+        f.arena.truncate(start);
     }
 }
 

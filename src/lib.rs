@@ -5,7 +5,10 @@
 //! engine that matches streams of XML documents against millions of XPath
 //! subscriptions by encoding expressions as ordered sets of position
 //! predicates, sharing every distinct predicate across expressions, and
-//! resolving matches with a backtracking occurrence-determination step.
+//! resolving matches with a depth-first walk of the expression trie that
+//! propagates feasible occurrence numbers forward (the paper's
+//! backtracking Algorithm 1 stays in `pxf_core::occurrence` as the
+//! reference its Appendix A property is checked against).
 //!
 //! The workspace also contains everything the paper's evaluation needs,
 //! re-exported here:

@@ -17,6 +17,11 @@
 //! `src/` and `benchmark/src` are one each. Fenced code blocks are not
 //! read.
 //!
+//! Likewise every `--flag` in a code span of those documents must be one
+//! that a binary of the workspace parses — a `"--flag"` string literal in
+//! a `.rs` file under those directories — or one of cargo's own
+//! ([`CARGO_FLAGS`]).
+//!
 //! Run with `cargo test --test docs_name_live_code`.
 
 use std::collections::BTreeSet;
@@ -49,6 +54,20 @@ const DOCS: &[(&str, Option<&str>)] = &[
     ("EXPERIMENTS.md", Some("## History")),
 ];
 const SOURCES: &[&str] = &["crates", "src", "benchmark/src"];
+
+/// Cargo's flags the documents use in their commands, which no binary of
+/// the workspace parses.
+const CARGO_FLAGS: &[&str] = &[
+    "--release",
+    "--example",
+    "--bin",
+    "--bench",
+    "--test",
+    "--lib",
+    "--workspace",
+    "--manifest-path",
+    "--offline",
+];
 
 const ITEM_KEYWORDS: &[&str] = &[
     "fn",
@@ -120,23 +139,85 @@ fn collect_line(line: &str, defs: &mut BTreeSet<String>) {
     }
 }
 
-/// Every name defined under `dir`, recursively (build output skipped).
-fn collect_dir(dir: &Path, defs: &mut BTreeSet<String>) {
+/// Calls `visit` with the name of each directory under `dir` (build
+/// output skipped) and with the stem and text of each `.rs` file,
+/// recursively.
+fn walk(dir: &Path, visit: &mut dyn FnMut(&str, Option<&str>)) {
     let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
     for entry in entries {
         let path = entry.expect("a directory entry").path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
             if name != "target" {
-                defs.insert(name.to_string());
-                collect_dir(&path, defs);
+                visit(name, None);
+                walk(&path, visit);
             }
         } else if let Some(stem) = name.strip_suffix(".rs") {
-            defs.insert(stem.to_string());
             let text = fs::read_to_string(&path).expect("a readable source file");
-            text.lines().for_each(|line| collect_line(line, defs));
+            visit(stem, Some(&text));
         }
     }
+}
+
+/// Every name defined under `dir`, recursively (build output skipped).
+fn collect_dir(dir: &Path, defs: &mut BTreeSet<String>) {
+    walk(dir, &mut |name, text| {
+        defs.insert(name.to_string());
+        text.into_iter()
+            .flat_map(str::lines)
+            .for_each(|line| collect_line(line, defs));
+    });
+}
+
+/// The `--flag`s of `text`: two dashes that no word character or dash
+/// precedes, a lowercase letter, then letters, digits and dashes.
+fn flags_in(text: &str) -> Vec<&str> {
+    let mut flags = Vec::new();
+    for (at, _) in text.match_indices("--") {
+        let before = text[..at].chars().next_back();
+        let rest = &text[at + 2..];
+        if before.is_some_and(|c| is_ident_char(c) || c == '-')
+            || !rest.starts_with(|c: char| c.is_ascii_lowercase())
+        {
+            continue;
+        }
+        let len = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .unwrap_or(rest.len());
+        flags.push(&text[at..at + 2 + len]);
+    }
+    flags
+}
+
+/// The `"--flag"` string literals of source `text`.
+fn flag_literals(text: &str) -> Vec<&str> {
+    let quoted = |flag: &&str| {
+        let at = flag.as_ptr() as usize - text.as_ptr() as usize;
+        text[..at].ends_with('"') && text[at + flag.len()..].starts_with('"')
+    };
+    flags_in(text).into_iter().filter(quoted).collect()
+}
+
+/// Every `"--flag"` string literal under `dir`, recursively.
+fn collect_flags(dir: &Path, flags: &mut BTreeSet<String>) {
+    walk(dir, &mut |_, text| {
+        let literals = text.map(flag_literals).unwrap_or_default();
+        flags.extend(literals.into_iter().map(String::from));
+    });
+}
+
+/// The part of document `doc` the checks read: up to the line `end`, or
+/// all of it.
+fn checked_text(root: &Path, doc: &str, end: Option<&str>) -> String {
+    let text = fs::read_to_string(root.join(doc)).expect("a readable document");
+    let Some(heading) = end else {
+        return text;
+    };
+    let at = text
+        .lines()
+        .position(|line| line == heading)
+        .unwrap_or_else(|| panic!("{doc} has no `{heading}` heading"));
+    text.lines().take(at).map(|l| format!("{l}\n")).collect()
 }
 
 /// The inline code spans of a markdown text, fenced blocks left out.
@@ -291,19 +372,7 @@ fn every_path_the_documents_name_is_defined() {
     let mut stale = Vec::new();
     let mut gone_seen = BTreeSet::new();
     for &(doc, end) in DOCS {
-        let text = fs::read_to_string(root.join(doc)).expect("a readable document");
-        let checked = match end {
-            None => text.as_str(),
-            Some(heading) => {
-                let at = text
-                    .lines()
-                    .position(|line| line == heading)
-                    .unwrap_or_else(|| panic!("{doc} has no `{heading}` heading"));
-                let offset: usize = text.lines().take(at).map(|l| l.len() + 1).sum();
-                &text[..offset]
-            }
-        };
-        for span in code_spans(checked) {
+        for span in code_spans(&checked_text(root, doc, end)) {
             let Some(Mention { parents, lasts }) = mention(&span) else {
                 continue;
             };
@@ -348,6 +417,30 @@ fn every_path_the_documents_name_is_defined() {
             "allow-listed `{gone}` ({why}) is no longer mentioned: drop it from GONE"
         );
     }
+}
+
+#[test]
+fn every_flag_the_documents_name_is_parsed() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut parsed = BTreeSet::new();
+    for dir in SOURCES {
+        collect_flags(&root.join(dir), &mut parsed);
+    }
+    let mut stale = Vec::new();
+    for &(doc, end) in DOCS {
+        for span in code_spans(&checked_text(root, doc, end)) {
+            for flag in flags_in(&span) {
+                if !parsed.contains(flag) && !CARGO_FLAGS.contains(&flag) {
+                    stale.push(format!("{doc}: `{}` ({flag})", span.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "documents name flags no binary parses:\n  {}",
+        stale.join("\n  ")
+    );
 }
 
 /// The checker's own parts, on cases the documents hold.
@@ -400,6 +493,15 @@ fn mentions_and_patterns_parse_as_the_documents_use_them() {
         "the_records_of_x_add_up_to_y"
     ));
     assert!(!fits("eval", "eval_enter"));
+
+    assert_eq!(
+        flags_in("pxf match --subs F --max-doc-bytes N x--y <!-- c --> ---z --Q"),
+        ["--subs", "--max-doc-bytes"]
+    );
+    assert_eq!(
+        flag_literals(r#"match a { "--stream" => {}, "--max-depth" => {} } // --threads, "--x y""#),
+        ["--stream", "--max-depth"]
+    );
 
     let mut defs = BTreeSet::new();
     for line in [
