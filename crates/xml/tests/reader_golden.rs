@@ -10,7 +10,11 @@
 //! name, value, text) and of the final error's kind, the event count, and
 //! the verdict (`ok`, or the error's variant and byte offset), under the
 //! default limits and then under [`ParserLimits::strict`] (`=` when the
-//! two traces agree).
+//! two traces agree). The hash also covers what
+//! [`PathDoc::visit_bytes`] — the tokenizer read for element structure
+//! only, the read every memo-on match makes — shows a visitor: each
+//! `enter` with its id and tag, each `leave`, and its error; its verdict
+//! is written out as well where it differs from the reader's.
 //!
 //! The inputs are the `tests/corpus/` files, seeded NITF and PSD documents
 //! clean, [`FaultInjector`]-damaged and truncated, the `fuzz_reader` byte
@@ -27,7 +31,7 @@ mod common;
 use common::{arb_bytes, arb_doc, mutate, SEED};
 use pxf_rng::Rng;
 use pxf_workload::{FaultInjector, Regime, XmlGenerator};
-use pxf_xml::{Event, ParserLimits, Reader};
+use pxf_xml::{ElementVisitor, Event, NodeId, ParserLimits, PathDoc, Reader, XmlError};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -53,7 +57,37 @@ impl Fnv {
     }
 }
 
-/// The trace of one input under one budget: `hash events verdict`.
+/// The verdict a line shows: `ok`, or the error's variant and offset.
+/// The error's kind, arguments and all, goes into the hash.
+fn verdict(hash: &mut Fnv, result: Result<(), XmlError>) -> String {
+    match result {
+        Ok(()) => "ok".to_string(),
+        Err(e) => {
+            let kind = format!("{:?}", e.kind);
+            hash.field(b"X");
+            hash.field(kind.as_bytes());
+            let variant = kind.split(['(', ' ']).next().unwrap_or_default();
+            format!("{variant}@{}", e.pos)
+        }
+    }
+}
+
+/// Folds each call of an element-only read into the hash.
+struct Calls<'h>(&'h mut Fnv);
+
+impl ElementVisitor for Calls<'_> {
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        self.0.field(b"V");
+        self.0.field(&id.to_le_bytes());
+        self.0.field(tag.as_bytes());
+    }
+    fn leave(&mut self) {
+        self.0.field(b"L");
+    }
+}
+
+/// The trace of one input under one budget: `hash events verdict`, and
+/// ` visit:verdict` if the element-only read ends otherwise.
 fn trace(input: &[u8], limits: ParserLimits) -> String {
     let mut reader = Reader::with_limits(input, limits);
     let mut hash = Fnv::new();
@@ -61,10 +95,10 @@ fn trace(input: &[u8], limits: ParserLimits) -> String {
     // is stuck.
     let cap = 2 * input.len() + 16;
     let mut events = 0usize;
-    let verdict = loop {
+    let read = loop {
         assert!(events <= cap, "over {cap} events: {input:?}");
         match reader.next_event() {
-            Ok(Event::Eof) => break "ok".to_string(),
+            Ok(Event::Eof) => break Ok(()),
             Ok(Event::Start { name }) => {
                 hash.field(b"S");
                 hash.field(name.as_bytes());
@@ -82,17 +116,18 @@ fn trace(input: &[u8], limits: ParserLimits) -> String {
                 hash.field(b"T");
                 hash.field(text.as_bytes());
             }
-            Err(e) => {
-                let kind = format!("{:?}", e.kind);
-                hash.field(b"X");
-                hash.field(kind.as_bytes());
-                let variant = kind.split(['(', ' ']).next().unwrap_or_default();
-                break format!("{variant}@{}", e.pos);
-            }
+            Err(e) => break Err(e),
         }
         events += 1;
     };
-    format!("{:016x} {events} {verdict}", hash.0)
+    let read = verdict(&mut hash, read);
+    let visited = PathDoc::default().visit_bytes(input, limits, &mut Calls(&mut hash));
+    let visited = verdict(&mut hash, visited);
+    let mut line = format!("{:016x} {events} {read}", hash.0);
+    if visited != read {
+        write!(line, " visit:{visited}").unwrap();
+    }
+    line
 }
 
 /// One golden line: the input's name, its trace under the default
