@@ -208,20 +208,7 @@ impl PathDoc {
         limits: ParserLimits,
         visitor: &mut V,
     ) -> Result<(), XmlError> {
-        self.read(bytes, limits, |_, reader| {
-            let mut elements: NodeId = 0;
-            loop {
-                match reader.next_event()? {
-                    Event::Start { name } => {
-                        visitor.enter(elements, name);
-                        elements += 1;
-                    }
-                    Event::End { .. } => visitor.leave(),
-                    Event::Attribute { .. } | Event::Text(_) => {}
-                    Event::Eof => return Ok(elements as usize),
-                }
-            }
-        })
+        self.read(bytes, limits, |_, reader| reader.read_elements(visitor))
     }
 
     /// The reading pass both entry points share: empties the store (giving

@@ -12,13 +12,29 @@
 //!
 //! Events borrow: a name is a slice of the input, a value or a text run
 //! too unless a reference had to be decoded, and the reader's own state
-//! (open-tag stack, the current tag's attribute names) is byte spans of
-//! the input; a `String` is built only to describe an error. The flat
-//! store engines match ([`PathDoc`](crate::PathDoc)) and the tree the
-//! oracle and the generator use ([`Document`](crate::Document)) are both
-//! filled from these events.
+//! (open-tag stack, the current tag's attributes) is byte spans of the
+//! input; a `String` is built only to describe an error. The flat store
+//! engines match ([`PathDoc`](crate::PathDoc)) and the tree the oracle and
+//! the generator use ([`Document`](crate::Document)) are both filled from
+//! these events.
+//!
+//! **One scan per start tag.** A start tag is read whole when its `<` is
+//! reached: the name, then each attribute with every check (name, `=`,
+//! quotes, value length, each reference resolved and charged to the
+//! budget, duplicates), recorded as spans in the buffer the duplicate
+//! check keeps. [`Event::Start`], each [`Event::Attribute`] and the
+//! [`Event::End`] of `<a/>` are then handed out from that buffer, and a
+//! value is decoded only when its `Attribute` event is taken. A fault in
+//! the tag arrives where it did when tags were read piece by piece: after
+//! the `Start` and the attributes before it, with the same kind and
+//! offset. A consumer that wants element structure only
+//! ([`PathDoc::visit_bytes`](crate::PathDoc::visit_bytes)) reads through
+//! `Reader::read_elements` instead: start and end tags are read inline
+//! there, no event is built for them and no value is decoded.
 
+use crate::access::ElementVisitor;
 use crate::limits::ParserLimits;
+use crate::tree::NodeId;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -228,6 +244,15 @@ impl std::error::Error for XmlError {}
 /// A span of the input, `start..end`.
 type Span = (usize, usize);
 
+/// One attribute of the start tag read last, every check made.
+#[derive(Debug, Clone, Copy)]
+struct Attr {
+    name: Span,
+    value: Span,
+    /// The value holds a reference, so handing it out decodes it.
+    refs: bool,
+}
+
 /// The two allocations a [`Reader`] works in: byte spans, not slices, so
 /// they carry no lifetime and [`PathDoc::parse_into`](crate::PathDoc::parse_into)
 /// lends the same pair to the reader of every document.
@@ -235,15 +260,32 @@ type Span = (usize, usize);
 pub(crate) struct ReaderBuffers {
     /// Names of the open elements (balance checking).
     stack: Vec<Span>,
-    /// Attribute names of the start tag being read (duplicate checking).
-    attr_names: Vec<Span>,
+    /// Attributes of the start tag read last: the duplicate check reads
+    /// their names, and its [`Event::Attribute`]s are handed out from here.
+    attrs: Vec<Attr>,
 }
 
 impl ReaderBuffers {
     /// Heap held, in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
-        (self.stack.capacity() + self.attr_names.capacity()) * std::mem::size_of::<Span>()
+        self.stack.capacity() * std::mem::size_of::<Span>()
+            + self.attrs.capacity() * std::mem::size_of::<Attr>()
     }
+}
+
+/// What the start tag read last still has to hand out after its
+/// attributes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    /// Nothing: the reader is between tags, or the tag opened with `>`
+    /// and has handed out its last attribute.
+    Nothing,
+    /// Attributes only; the tag opened with `>`.
+    Open,
+    /// The [`Event::End`] of `<name/>`.
+    Close,
+    /// The tag's fault, after the attributes before it.
+    Fault,
 }
 
 /// Streaming pull parser over a byte slice.
@@ -261,23 +303,25 @@ impl ReaderBuffers {
 /// ```
 pub struct Reader<'a> {
     input: &'a [u8],
-    /// The input as text, if all of it is valid UTF-8 (checked once,
-    /// before the first event): a piece is then a slice of it. Otherwise
-    /// each piece is validated where it is read — invalid bytes are an
-    /// error only in a name, value or text, not in a comment.
+    /// The input as text, if all of it is valid UTF-8 (checked once, when
+    /// the reader is made): a piece is then a slice of it. Otherwise each
+    /// piece is validated where it is read — invalid bytes are an error
+    /// only in a name, value or text, not in a comment.
     text: Option<&'a str>,
     pos: usize,
     bufs: ReaderBuffers,
-    /// The start tag whose attributes are being read: its name and the
-    /// name's offset. `None` between tags.
-    tag: Option<(&'a str, usize)>,
-    done: bool,
+    /// What is left to hand out of the start tag read last: its
+    /// attributes from `bufs.attrs[next_attr..]`, then what this says.
+    pending: Pending,
+    next_attr: usize,
+    /// The name of the start tag read last.
+    tag: &'a str,
+    /// The error [`Pending::Fault`] hands out.
+    fault: Option<XmlError>,
     seen_root: bool,
     limits: ParserLimits,
     /// Entity/character references decoded so far (budgeted).
     expansions: usize,
-    /// Whole-document size checked on the first `next_event` call.
-    size_checked: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -299,18 +343,35 @@ impl<'a> Reader<'a> {
         mut bufs: ReaderBuffers,
     ) -> Self {
         bufs.stack.clear();
-        bufs.attr_names.clear();
+        bufs.attrs.clear();
+        // An oversized document is refused by the first event, unread.
+        let too_large = input.len() > limits.max_document_bytes;
+        let fault = too_large.then(|| {
+            XmlError::new(
+                limits.max_document_bytes,
+                XmlErrorKind::DocumentTooLarge(limits.max_document_bytes),
+            )
+        });
         Reader {
             input,
-            text: None,
+            text: if too_large {
+                None
+            } else {
+                std::str::from_utf8(input).ok()
+            },
             pos: 0,
             bufs,
-            tag: None,
-            done: false,
+            pending: if too_large {
+                Pending::Fault
+            } else {
+                Pending::Nothing
+            },
+            next_attr: 0,
+            tag: "",
+            fault,
             seen_root: false,
             limits,
             expansions: 0,
-            size_checked: false,
         }
     }
 
@@ -338,6 +399,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The input bytes `start..end` as text, if they are valid UTF-8.
+    #[inline]
     fn str_at(&self, start: usize, end: usize) -> Option<&'a str> {
         match self.text.and_then(|text| text.get(start..end)) {
             Some(s) => Some(s),
@@ -345,18 +407,15 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+    /// A span the reader has already found to be valid UTF-8.
+    #[inline]
+    fn checked_str(&self, (start, end): Span) -> &'a str {
+        self.str_at(start, end)
+            .expect("the span was checked when it was read")
     }
 
     fn starts_with(&self, s: &[u8]) -> bool {
         self.input[self.pos..].starts_with(s)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
     }
 
     /// Advances to the next `byte` (or the end of input); true if found.
@@ -386,90 +445,203 @@ impl<'a> Reader<'a> {
     }
 
     /// Returns the next event, or an error on malformed input.
+    #[inline(always)]
     pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
-        if !self.size_checked {
-            self.size_checked = true;
-            if self.input.len() > self.limits.max_document_bytes {
-                return Err(XmlError::new(
-                    self.limits.max_document_bytes,
-                    XmlErrorKind::DocumentTooLarge(self.limits.max_document_bytes),
-                ));
-            }
-            self.text = std::str::from_utf8(self.input).ok();
+        if self.pending == Pending::Nothing {
+            self.next_markup()
+        } else {
+            self.next_pending()
         }
-        if let Some((name, at)) = self.tag {
-            if let Some(event) = self.next_in_start_tag(name, at)? {
+    }
+
+    /// Reads the document as element structure only, into `visitor`: each
+    /// start tag is an [`ElementVisitor::enter`], its element numbered in
+    /// document order from 0, and each end tag or `/>` an
+    /// [`ElementVisitor::leave`]. Attributes and text are checked exactly
+    /// as [`Self::next_event`] checks them, but no value is decoded; the
+    /// error, if any, is the one `next_event` would return, after the same
+    /// calls. Returns the number of elements entered.
+    pub(crate) fn read_elements<V: ElementVisitor>(
+        &mut self,
+        visitor: &mut V,
+    ) -> Result<usize, XmlError> {
+        let input = self.input;
+        let mut elements: NodeId = 0;
+        loop {
+            // Start and end tags are read here, inline, so their events
+            // are never built; anything else is `next_event`'s.
+            if self.pending == Pending::Nothing {
+                let pos = self.pos;
+                if input.get(pos) == Some(&b'<') {
+                    match input.get(pos + 1) {
+                        Some(b'/') => {
+                            self.end_tag(pos + 2)?;
+                            visitor.leave();
+                            continue;
+                        }
+                        Some(&b) if CLASS[b as usize] & NAME_START != 0 => {
+                            let name = self.start_tag(pos + 1)?;
+                            visitor.enter(elements, name);
+                            elements += 1;
+                            self.skip_attributes();
+                            if self.pending == Pending::Close {
+                                self.pending = Pending::Nothing;
+                                visitor.leave();
+                            }
+                            continue;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            match self.next_event()? {
+                Event::Start { name } => {
+                    visitor.enter(elements, name);
+                    elements += 1;
+                    self.skip_attributes();
+                }
+                Event::End { .. } => visitor.leave(),
+                Event::Attribute { .. } | Event::Text(_) => {}
+                Event::Eof => return Ok(elements as usize),
+            }
+        }
+    }
+
+    /// Drops the attributes of the start tag just read, undecoded: the
+    /// next event is what follows them (the [`Event::End`] of `<name/>`,
+    /// or the element's content). They were checked when the tag was read,
+    /// so a fault among them still arrives, as the next event's error.
+    #[inline]
+    fn skip_attributes(&mut self) {
+        if self.pending == Pending::Open {
+            self.pending = Pending::Nothing;
+        }
+        self.next_attr = self.bufs.attrs.len();
+    }
+
+    /// The next piece of the start tag read last: an attribute, decoded
+    /// now, then the `End` of `<name/>` or the tag's fault.
+    #[inline(always)]
+    fn next_pending(&mut self) -> Result<Event<'a>, XmlError> {
+        if let Some(&attr) = self.bufs.attrs.get(self.next_attr) {
+            self.next_attr += 1;
+            if self.next_attr == self.bufs.attrs.len() && self.pending == Pending::Open {
+                self.pending = Pending::Nothing;
+            }
+            return Ok(self.attribute(attr));
+        }
+        match std::mem::replace(&mut self.pending, Pending::Nothing) {
+            Pending::Close => Ok(Event::End { name: self.tag }),
+            Pending::Fault => Err(self.fault.take().expect("a fault was recorded")),
+            Pending::Open | Pending::Nothing => self.next_markup(),
+        }
+    }
+
+    /// An attribute the start tag's scan recorded, its value decoded.
+    fn attribute(&self, attr: Attr) -> Event<'a> {
+        let value = self.checked_str(attr.value);
+        let value = if attr.refs {
+            let mut out = String::with_capacity(value.len());
+            references(value, attr.value.0, &mut 0, usize::MAX, Some(&mut out))
+                .expect("the references were checked when the tag was read");
+            Cow::Owned(out)
+        } else {
+            Cow::Borrowed(value)
+        };
+        Event::Attribute {
+            name: self.checked_str(attr.name),
+            value,
+        }
+    }
+
+    /// The next event from the markup or text at `pos`.
+    #[inline(always)]
+    fn next_markup(&mut self) -> Result<Event<'a>, XmlError> {
+        let input = self.input;
+        loop {
+            let pos = self.pos;
+            let Some(&byte) = input.get(pos) else {
+                return self.end_of_input();
+            };
+            let event = if byte != b'<' {
+                self.text_run()?
+            } else {
+                match input.get(pos + 1) {
+                    Some(b'/') => return self.end_tag(pos + 2).map(|name| Event::End { name }),
+                    Some(&b) if CLASS[b as usize] & NAME_START != 0 => {
+                        return self.start_tag(pos + 1).map(|name| Event::Start { name });
+                    }
+                    _ => self.other_markup()?,
+                }
+            };
+            if let Some(event) = event {
                 return Ok(event);
             }
         }
-        let input = self.input;
-        loop {
-            if self.done {
-                return Ok(Event::Eof);
-            }
-            if self.pos >= input.len() {
-                if let Some(&open) = self.bufs.stack.last() {
-                    return Err(self.error(XmlErrorKind::UnexpectedEof(self.name_at(open))));
-                }
-                self.done = true;
-                return Ok(Event::Eof);
-            }
-            if input[self.pos] == b'<' {
-                match input.get(self.pos + 1) {
-                    Some(b'/') => return self.parse_end_tag(),
-                    Some(b'?') => {
-                        self.pos += 2;
-                        self.skip_until(b"?>", "processing instruction")?;
-                        continue;
-                    }
-                    Some(b'!') if self.starts_with(b"<!--") => {
-                        self.pos += 4;
-                        self.skip_until(b"-->", "comment")?;
-                        continue;
-                    }
-                    Some(b'!') if self.starts_with(b"<![CDATA[") => {
-                        self.pos += 9;
-                        let start = self.pos;
-                        self.skip_until(b"]]>", "CDATA section")?;
-                        let end = self.pos - 3;
-                        if self.bufs.stack.is_empty() {
-                            return Err(self.error(XmlErrorKind::ContentOutsideRoot("CDATA")));
-                        }
-                        if !input[start..end].iter().all(u8::is_ascii_whitespace) {
-                            let s = self
-                                .str_at(start, end)
-                                .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("CDATA")))?;
-                            return Ok(Event::Text(Cow::Borrowed(s)));
-                        }
-                        continue;
-                    }
-                    Some(b'!')
-                        if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") =>
-                    {
-                        self.skip_doctype()?;
-                        continue;
-                    }
-                    // Anything else must be a start tag (`<!x` fails on
-                    // its name).
-                    _ => return self.open_start_tag(),
-                }
-            }
-            // Character data.
-            let start = self.pos;
-            self.seek(b'<');
-            let raw = &input[start..self.pos];
-            if raw.iter().all(u8::is_ascii_whitespace) {
-                continue;
-            }
-            if self.bufs.stack.is_empty() {
-                return Err(XmlError::new(
-                    start,
-                    XmlErrorKind::ContentOutsideRoot("character data"),
-                ));
-            }
-            let decoded = self.decode_entities(start, self.pos)?;
-            return Ok(Event::Text(decoded));
+    }
+
+    /// `Eof`, unless an element is still open.
+    #[inline(never)]
+    fn end_of_input(&self) -> Result<Event<'a>, XmlError> {
+        match self.bufs.stack.last() {
+            Some(&open) => Err(self.error(XmlErrorKind::UnexpectedEof(self.name_at(open)))),
+            None => Ok(Event::Eof),
         }
+    }
+
+    /// Character data up to the next `<`; `None` if it is all whitespace.
+    #[inline(never)]
+    fn text_run(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+        let start = self.pos;
+        self.seek(b'<');
+        if self.input[start..self.pos]
+            .iter()
+            .all(u8::is_ascii_whitespace)
+        {
+            return Ok(None);
+        }
+        if self.bufs.stack.is_empty() {
+            return Err(XmlError::new(
+                start,
+                XmlErrorKind::ContentOutsideRoot("character data"),
+            ));
+        }
+        Ok(Some(Event::Text(self.decode_entities(start, self.pos)?)))
+    }
+
+    /// A `<` that opens no element and no end tag: a processing
+    /// instruction, comment, CDATA section or DOCTYPE, skipped (`None`)
+    /// unless it is a CDATA section with content; anything else fails as
+    /// a start tag without a name.
+    #[inline(never)]
+    fn other_markup(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+        if self.starts_with(b"<?") {
+            self.pos += 2;
+            self.skip_until(b"?>", "processing instruction")?;
+        } else if self.starts_with(b"<!--") {
+            self.pos += 4;
+            self.skip_until(b"-->", "comment")?;
+        } else if self.starts_with(b"<![CDATA[") {
+            self.pos += 9;
+            let start = self.pos;
+            self.skip_until(b"]]>", "CDATA section")?;
+            let end = self.pos - 3;
+            if self.bufs.stack.is_empty() {
+                return Err(self.error(XmlErrorKind::ContentOutsideRoot("CDATA")));
+            }
+            if !self.input[start..end].iter().all(u8::is_ascii_whitespace) {
+                let s = self
+                    .str_at(start, end)
+                    .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("CDATA")))?;
+                return Ok(Some(Event::Text(Cow::Borrowed(s))));
+            }
+        } else if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
+            self.skip_doctype()?;
+        } else {
+            let name = self.start_tag(self.pos + 1)?;
+            return Ok(Some(Event::Start { name }));
+        }
+        Ok(None)
     }
 
     /// Skips a DOCTYPE declaration, including an internal subset in `[...]`.
@@ -491,132 +663,221 @@ impl<'a> Reader<'a> {
         Err(self.error(XmlErrorKind::Unterminated("DOCTYPE declaration")))
     }
 
-    /// `<name`: checks root uniqueness and depth, reads the name.
-    fn open_start_tag(&mut self) -> Result<Event<'a>, XmlError> {
-        debug_assert_eq!(self.peek(), Some(b'<'));
-        self.pos += 1;
+    /// `<name …>` or `<name …/>` whose name starts at `at`, read whole:
+    /// root uniqueness and depth, the name, then every attribute with
+    /// every check. A fault before the name is read is this call's error;
+    /// one after it waits in `pending`, behind the attributes before it.
+    #[inline(always)]
+    fn start_tag(&mut self, at: usize) -> Result<&'a str, XmlError> {
         if self.seen_root && self.bufs.stack.is_empty() {
-            return Err(self.error(XmlErrorKind::MultipleRoots));
+            return Err(XmlError::new(at, XmlErrorKind::MultipleRoots));
         }
         if self.bufs.stack.len() >= self.limits.max_depth {
-            return Err(self.error(XmlErrorKind::DepthLimitExceeded(self.limits.max_depth)));
-        }
-        let at = self.pos;
-        let name = self.parse_name()?;
-        self.bufs.attr_names.clear();
-        self.tag = Some((name, at));
-        Ok(Event::Start { name })
-    }
-
-    /// The next piece of the start tag `<name` (whose name sits at offset
-    /// `at`): an attribute, the `End` of an empty-element tag, or `None`
-    /// once `>` opened the element's content.
-    fn next_in_start_tag(
-        &mut self,
-        name: &'a str,
-        at: usize,
-    ) -> Result<Option<Event<'a>>, XmlError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'>') => {
-                self.pos += 1;
-                self.seen_root = true;
-                self.bufs.stack.push((at, at + name.len()));
-                self.tag = None;
-                Ok(None)
-            }
-            Some(b'/') => {
-                self.pos += 1;
-                if self.peek() != Some(b'>') {
-                    return Err(self.error(XmlErrorKind::Syntax(
-                        "expected '>' after '/' in empty-element tag",
-                    )));
-                }
-                self.pos += 1;
-                self.seen_root = true;
-                self.tag = None;
-                Ok(Some(Event::End { name }))
-            }
-            Some(_) => self.parse_attribute().map(Some),
-            None => Err(self.error(XmlErrorKind::Unterminated("start tag"))),
-        }
-    }
-
-    fn parse_attribute(&mut self) -> Result<Event<'a>, XmlError> {
-        if self.bufs.attr_names.len() >= self.limits.max_attributes {
-            return Err(self.error(XmlErrorKind::TooManyAttributes(self.limits.max_attributes)));
+            return Err(XmlError::new(
+                at,
+                XmlErrorKind::DepthLimitExceeded(self.limits.max_depth),
+            ));
         }
         let input = self.input;
-        let at = self.pos;
-        let name = self.parse_name()?;
-        self.skip_ws();
-        if self.peek() != Some(b'=') {
-            return Err(self.error(XmlErrorKind::ExpectedEquals(name.to_string())));
-        }
-        self.pos += 1;
-        self.skip_ws();
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.error(XmlErrorKind::Syntax("expected quoted attribute value"))),
+        let end = scan_name(input, at, self.limits.max_name_len)?;
+        let Some(tag) = self.str_at(at, end) else {
+            return Err(XmlError::new(end, XmlErrorKind::InvalidUtf8("name")));
         };
-        self.pos += 1;
-        let vstart = self.pos;
-        if !self.seek(quote) {
-            return Err(self.error(XmlErrorKind::Unterminated("attribute value")));
+        // Most tags end right after their name.
+        match input.get(end) {
+            Some(b'>') => {
+                self.pos = end + 1;
+                self.seen_root = true;
+                self.bufs.stack.push((at, end));
+            }
+            Some(b'/') if input.get(end + 1) == Some(&b'>') => {
+                self.pos = end + 2;
+                self.seen_root = true;
+                self.bufs.attrs.clear();
+                self.next_attr = 0;
+                self.pending = Pending::Close;
+                self.tag = tag;
+            }
+            _ => {
+                self.pos = end;
+                self.tag = tag;
+                self.pending = self.read_attributes((at, end));
+            }
         }
-        if self.pos - vstart > self.limits.max_attribute_value_len {
+        Ok(tag)
+    }
+
+    /// The rest of the start tag whose name is `name`: each attribute,
+    /// checked and recorded in `bufs.attrs`, then `>` or `/>`. Says what
+    /// [`Self::next_pending`] hands out after the attributes.
+    #[inline(never)]
+    fn read_attributes(&mut self, name: Span) -> Pending {
+        self.bufs.attrs.clear();
+        self.next_attr = 0;
+        let input = self.input;
+        let mut pos = self.pos;
+        let closed = loop {
+            pos = skip_ws(input, pos);
+            match input.get(pos) {
+                Some(b'>') => {
+                    pos += 1;
+                    break Ok(false);
+                }
+                Some(b'/') => {
+                    pos += 1;
+                    if input.get(pos) != Some(&b'>') {
+                        break Err(XmlError::new(
+                            pos,
+                            XmlErrorKind::Syntax("expected '>' after '/' in empty-element tag"),
+                        ));
+                    }
+                    pos += 1;
+                    break Ok(true);
+                }
+                Some(_) => match self.read_attribute(pos) {
+                    Ok(next) => pos = next,
+                    Err(e) => break Err(e),
+                },
+                None => break Err(XmlError::new(pos, XmlErrorKind::Unterminated("start tag"))),
+            }
+        };
+        self.pos = pos;
+        match closed {
+            Ok(true) => {
+                self.seen_root = true;
+                Pending::Close
+            }
+            Ok(false) => {
+                self.seen_root = true;
+                self.bufs.stack.push(name);
+                if self.bufs.attrs.is_empty() {
+                    Pending::Nothing
+                } else {
+                    Pending::Open
+                }
+            }
+            Err(e) => {
+                self.fault = Some(e);
+                Pending::Fault
+            }
+        }
+    }
+
+    /// The `name="value"` at `pos`, checked in full (its references too,
+    /// charged to the budget) and recorded, undecoded; the offset after it.
+    #[inline]
+    fn read_attribute(&mut self, pos: usize) -> Result<usize, XmlError> {
+        if self.bufs.attrs.len() >= self.limits.max_attributes {
+            return Err(XmlError::new(
+                pos,
+                XmlErrorKind::TooManyAttributes(self.limits.max_attributes),
+            ));
+        }
+        let input = self.input;
+        let name = (pos, scan_name(input, pos, self.limits.max_name_len)?);
+        let mut pos = name.1;
+        if self.text.is_none() && std::str::from_utf8(&input[name.0..name.1]).is_err() {
+            return Err(XmlError::new(pos, XmlErrorKind::InvalidUtf8("name")));
+        }
+        pos = skip_ws(input, pos);
+        if input.get(pos) != Some(&b'=') {
+            return Err(XmlError::new(
+                pos,
+                XmlErrorKind::ExpectedEquals(self.name_at(name)),
+            ));
+        }
+        pos = skip_ws(input, pos + 1);
+        let quote = match input.get(pos) {
+            Some(&q @ (b'"' | b'\'')) => q,
+            _ => {
+                return Err(XmlError::new(
+                    pos,
+                    XmlErrorKind::Syntax("expected quoted attribute value"),
+                ))
+            }
+        };
+        let vstart = pos + 1;
+        let mut refs = false;
+        let Some(len) = input[vstart..].iter().position(|&b| {
+            refs |= b == b'&';
+            b == quote
+        }) else {
+            return Err(XmlError::new(
+                input.len(),
+                XmlErrorKind::Unterminated("attribute value"),
+            ));
+        };
+        if len > self.limits.max_attribute_value_len {
             return Err(XmlError::new(
                 vstart,
                 XmlErrorKind::AttributeValueTooLong(self.limits.max_attribute_value_len),
             ));
         }
-        let value = self.decode_entities(vstart, self.pos)?;
-        self.pos += 1;
-        let seen = &self.bufs.attr_names;
-        if seen.iter().any(|&(s, e)| input[s..e] == *name.as_bytes()) {
-            return Err(self.error(XmlErrorKind::DuplicateAttribute(name.to_string())));
+        let value = (vstart, vstart + len);
+        // With the whole input valid UTF-8, a value is too: it starts and
+        // ends beside a quote, so on character boundaries.
+        if self.text.is_none() || refs {
+            let s = self.str_at(value.0, value.1).ok_or(XmlError {
+                pos: vstart,
+                kind: XmlErrorKind::InvalidUtf8("character data"),
+            })?;
+            if refs {
+                let limit = self.limits.max_entity_expansions;
+                references(s, vstart, &mut self.expansions, limit, None)?;
+            }
         }
-        self.bufs.attr_names.push((at, at + name.len()));
-        Ok(Event::Attribute { name, value })
+        let pos = value.1 + 1;
+        let name_bytes = &input[name.0..name.1];
+        if self
+            .bufs
+            .attrs
+            .iter()
+            .any(|a| input[a.name.0..a.name.1] == *name_bytes)
+        {
+            return Err(XmlError::new(
+                pos,
+                XmlErrorKind::DuplicateAttribute(self.name_at(name)),
+            ));
+        }
+        self.bufs.attrs.push(Attr { name, value, refs });
+        Ok(pos)
     }
 
-    fn parse_end_tag(&mut self) -> Result<Event<'a>, XmlError> {
-        self.pos += 2; // "</"
-        let name = self.parse_name()?;
-        self.skip_ws();
-        if self.peek() != Some(b'>') {
-            return Err(self.error(XmlErrorKind::Syntax("expected '>' in end tag")));
+    /// `</name>` whose name starts at `at`: the name must close the
+    /// innermost open element.
+    #[inline(always)]
+    fn end_tag(&mut self, at: usize) -> Result<&'a str, XmlError> {
+        if let Some(&(start, end)) = self.bufs.stack.last() {
+            let close = at + (end - start);
+            if self.input.get(close) == Some(&b'>')
+                && self.input[at..close] == self.input[start..end]
+            {
+                self.pos = close + 1;
+                self.bufs.stack.pop();
+                return Ok(self.checked_str((start, end)));
+            }
         }
-        self.pos += 1;
+        let input = self.input;
+        let end = scan_name(input, at, self.limits.max_name_len)?;
+        let Some(name) = self.str_at(at, end) else {
+            return Err(XmlError::new(end, XmlErrorKind::InvalidUtf8("name")));
+        };
+        let pos = skip_ws(input, end);
+        if input.get(pos) != Some(&b'>') {
+            return Err(XmlError::new(
+                pos,
+                XmlErrorKind::Syntax("expected '>' in end tag"),
+            ));
+        }
+        self.pos = pos + 1;
         match self.bufs.stack.pop() {
-            Some((s, e)) if self.input[s..e] == *name.as_bytes() => Ok(Event::End { name }),
+            Some((s, e)) if input[s..e] == input[at..end] => Ok(name),
             Some(open) => Err(self.error(XmlErrorKind::MismatchedEndTag {
                 expected: self.name_at(open),
                 found: name.to_string(),
             })),
             None => Err(self.error(XmlErrorKind::UnmatchedEndTag(name.to_string()))),
         }
-    }
-
-    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(b) if is_name_start(b) => self.pos += 1,
-            _ => return Err(self.error(XmlErrorKind::InvalidName)),
-        }
-        let rest = &self.input[self.pos..];
-        self.pos += rest
-            .iter()
-            .position(|&b| !is_name_char(b))
-            .unwrap_or(rest.len());
-        if self.pos - start > self.limits.max_name_len {
-            return Err(XmlError::new(
-                start,
-                XmlErrorKind::NameTooLong(self.limits.max_name_len),
-            ));
-        }
-        self.str_at(start, self.pos)
-            .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("name")))
     }
 
     /// Decodes the five predefined entities and numeric character
@@ -632,64 +893,135 @@ impl<'a> Reader<'a> {
             return Ok(Cow::Borrowed(s));
         }
         let mut out = String::with_capacity(s.len());
-        let mut rest = s;
-        while let Some(amp) = rest.find('&') {
-            out.push_str(&rest[..amp]);
-            // Errors name the `&` of the offending reference, in the document.
-            let pos = start + (s.len() - rest.len()) + amp;
-            let after = &rest[amp + 1..];
-            let semi = after.find(';').ok_or(XmlError {
-                pos,
-                kind: XmlErrorKind::Unterminated("entity reference"),
-            })?;
-            self.expansions += 1;
-            if self.expansions > self.limits.max_entity_expansions {
-                return Err(XmlError::new(
-                    pos,
-                    XmlErrorKind::EntityExpansionLimit(self.limits.max_entity_expansions),
-                ));
-            }
-            let ent = &after[..semi];
-            match ent {
-                "amp" => out.push('&'),
-                "lt" => out.push('<'),
-                "gt" => out.push('>'),
-                "quot" => out.push('"'),
-                "apos" => out.push('\''),
-                _ if ent.starts_with('#') => {
-                    let code = if let Some(hex) = ent.strip_prefix("#x").or(ent.strip_prefix("#X"))
-                    {
-                        u32::from_str_radix(hex, 16).ok()
-                    } else {
-                        ent[1..].parse::<u32>().ok()
-                    };
-                    let c = code.and_then(char::from_u32).ok_or_else(|| XmlError {
-                        pos,
-                        kind: XmlErrorKind::InvalidCharRef(ent.to_string()),
-                    })?;
-                    out.push(c);
-                }
-                _ => {
-                    return Err(XmlError {
-                        pos,
-                        kind: XmlErrorKind::UnknownEntity(ent.to_string()),
-                    })
-                }
-            }
-            rest = &after[semi + 1..];
-        }
-        out.push_str(rest);
+        let limit = self.limits.max_entity_expansions;
+        references(s, start, &mut self.expansions, limit, Some(&mut out))?;
         Ok(Cow::Owned(out))
     }
 }
 
-fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
+/// Walks the references in `s`, the run at input offset `start`: each must
+/// end in `;`, be charged to the budget (`expansions` of `limit`) and name
+/// one of the five predefined entities or a Unicode scalar value; an error
+/// names the `&` of the offending reference, in the document. With `out`,
+/// the run is also decoded into it.
+fn references(
+    s: &str,
+    start: usize,
+    expansions: &mut usize,
+    limit: usize,
+    mut out: Option<&mut String>,
+) -> Result<(), XmlError> {
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        if let Some(out) = out.as_deref_mut() {
+            out.push_str(&rest[..amp]);
+        }
+        let pos = start + (s.len() - rest.len()) + amp;
+        let after = &rest[amp + 1..];
+        let semi = after.find(';').ok_or(XmlError {
+            pos,
+            kind: XmlErrorKind::Unterminated("entity reference"),
+        })?;
+        *expansions += 1;
+        if *expansions > limit {
+            return Err(XmlError::new(
+                pos,
+                XmlErrorKind::EntityExpansionLimit(limit),
+            ));
+        }
+        let ent = &after[..semi];
+        let c = match ent {
+            "amp" => '&',
+            "lt" => '<',
+            "gt" => '>',
+            "quot" => '"',
+            "apos" => '\'',
+            _ if ent.starts_with('#') => {
+                let code = if let Some(hex) = ent.strip_prefix("#x").or(ent.strip_prefix("#X")) {
+                    u32::from_str_radix(hex, 16).ok()
+                } else {
+                    ent[1..].parse::<u32>().ok()
+                };
+                code.and_then(char::from_u32).ok_or_else(|| XmlError {
+                    pos,
+                    kind: XmlErrorKind::InvalidCharRef(ent.to_string()),
+                })?
+            }
+            _ => {
+                return Err(XmlError {
+                    pos,
+                    kind: XmlErrorKind::UnknownEntity(ent.to_string()),
+                })
+            }
+        };
+        if let Some(out) = out.as_deref_mut() {
+            out.push(c);
+        }
+        rest = &after[semi + 1..];
+    }
+    if let Some(out) = out {
+        out.push_str(rest);
+    }
+    Ok(())
 }
 
-fn is_name_char(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.') || b >= 0x80
+/// The end of the name that starts at `start`, its length checked; not
+/// yet checked to be UTF-8.
+#[inline(always)]
+fn scan_name(input: &[u8], start: usize, max_len: usize) -> Result<usize, XmlError> {
+    match input.get(start) {
+        Some(&b) if CLASS[b as usize] & NAME_START != 0 => {}
+        _ => return Err(XmlError::new(start, XmlErrorKind::InvalidName)),
+    }
+    let rest = &input[start + 1..];
+    let end = start
+        + 1
+        + rest
+            .iter()
+            .position(|&b| CLASS[b as usize] & NAME == 0)
+            .unwrap_or(rest.len());
+    if end - start > max_len {
+        return Err(XmlError::new(start, XmlErrorKind::NameTooLong(max_len)));
+    }
+    Ok(end)
 }
+
+/// The first offset from `pos` that is not XML whitespace.
+#[inline(always)]
+fn skip_ws(input: &[u8], mut pos: usize) -> usize {
+    while input
+        .get(pos)
+        .is_some_and(|&b| CLASS[b as usize] & SPACE != 0)
+    {
+        pos += 1;
+    }
+    pos
+}
+
+/// Byte classes: [`NAME_START`] and [`NAME`] for the bytes a name starts
+/// with and continues with (every byte from 0x80 up, so a name never ends
+/// inside a UTF-8 sequence), [`SPACE`] for XML whitespace.
+static CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        if byte.is_ascii_alphabetic() || byte == b'_' || byte == b':' || byte >= 0x80 {
+            class[b] |= NAME_START | NAME;
+        }
+        if byte.is_ascii_digit() || byte == b'-' || byte == b'.' {
+            class[b] |= NAME;
+        }
+        if matches!(byte, b' ' | b'\t' | b'\n' | b'\r') {
+            class[b] |= SPACE;
+        }
+        b += 1;
+    }
+    class
+};
+const NAME_START: u8 = 1;
+const NAME: u8 = 2;
+const SPACE: u8 = 4;
 
 #[cfg(test)]
 mod tests {
