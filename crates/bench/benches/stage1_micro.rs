@@ -18,7 +18,15 @@
 //! list) and what the path automaton holds by then — printed, not gated.
 //! A third matcher row, warm too, adds one attribute-filter subscription
 //! to the same set: the memo is then off and every leaf walks — the path a
-//! subscription set with one attribute filter takes today.
+//! subscription set with one attribute filter takes today. A fourth is
+//! what a broker worker runs: the warm match straight from the document's
+//! bytes (`match_bytes_with`, the tokenizer driving stage 1, no store
+//! filled), whose stage-1 share includes tokenizing.
+//!
+//! Two rows time the tokenizer alone on the same documents' bytes: every
+//! event through `Reader::next_event` to `Eof`, and the element-only read
+//! the fused match makes (`PathDoc::visit_bytes` with a visitor that does
+//! nothing).
 
 mod common;
 
@@ -27,7 +35,7 @@ use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::{FilterEngine, MatchScratch};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_workload::Regime;
-use pxf_xml::{ElementVisitor, Interner, NodeId, PathDoc, Symbol};
+use pxf_xml::{ElementVisitor, Event, Interner, NodeId, ParserLimits, PathDoc, Reader, Symbol};
 
 /// Bare incremental stage-1 driver (no stage 2): push/evaluate on enter,
 /// length predicates at leaves, roll back on leave.
@@ -147,12 +155,18 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
     filtered.add_str("//nitf[@q]").unwrap();
     filtered.prepare();
     let shares = std::cell::Cell::new((0, 0, 0, 0, 0));
-    let pass = |engine: &FilterEngine, m: &mut MatchScratch| {
+    let pass = |engine: &FilterEngine, m: &mut MatchScratch, fused: bool| {
         let before = m.stats();
-        let matched: usize = docs
-            .iter()
-            .map(|d| engine.match_document_with(d, m).len())
-            .sum();
+        let matched: usize = if fused {
+            w.doc_bytes
+                .iter()
+                .map(|b| engine.match_bytes_with(b, m).unwrap().len())
+                .sum()
+        } else {
+            docs.iter()
+                .map(|d| engine.match_document_with(d, m).len())
+                .sum()
+        };
         let after = m.stats();
         shares.set((
             after.predicate_ns - before.predicate_ns,
@@ -164,21 +178,27 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
         matched
     };
     let rows = [
-        ("matcher, pass 1 (cold)", &engine, 0),
-        ("matcher, pass 3 (warm)", &engine, 2),
-        ("matcher, memo off (one attribute filter)", &filtered, 2),
+        ("matcher, pass 1 (cold)", &engine, 0, false),
+        ("matcher, pass 3 (warm)", &engine, 2, false),
+        (
+            "matcher, memo off (one attribute filter)",
+            &filtered,
+            2,
+            false,
+        ),
+        ("matcher, fused (match_bytes_with), warm", &engine, 2, true),
     ];
-    for (label, engine, passes_before) in rows {
+    for (label, engine, passes_before, fused) in rows {
         group.bench_batched(
             label,
             || {
                 let mut m = MatchScratch::new();
                 for _ in 0..passes_before {
-                    pass(engine, &mut m);
+                    pass(engine, &mut m, fused);
                 }
                 m
             },
-            |mut m| pass(engine, &mut m),
+            |mut m| pass(engine, &mut m, fused),
         );
         let (stage1_ns, stage2_ns, collect_ns, memo_states, memo_bytes) = shares.get();
         println!(
@@ -190,6 +210,32 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
             collect_ns as f64 / 1e3
         );
     }
+
+    let limits = ParserLimits::default();
+    group.bench("reader alone (next_event to Eof)", || {
+        let mut events = 0usize;
+        for b in &w.doc_bytes {
+            let mut reader = Reader::with_limits(b, limits);
+            while reader.next_event().unwrap() != Event::Eof {
+                events += 1;
+            }
+        }
+        events
+    });
+    let mut store = PathDoc::default();
+    group.bench("reader alone, elements only (visit_bytes)", || {
+        for b in &w.doc_bytes {
+            store.visit_bytes(b, limits, &mut Ignore).unwrap();
+        }
+    });
+}
+
+/// A visitor that does nothing: what is left is the tokenizer.
+struct Ignore;
+
+impl ElementVisitor for Ignore {
+    fn enter(&mut self, _: NodeId, _: &str) {}
+    fn leave(&mut self) {}
 }
 
 fn main() {
