@@ -18,7 +18,8 @@
 //!   everyone else.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// What a [`BoundedQueue`] does when a push finds the queue at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,6 @@ pub enum Backpressure {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
-    shed: u64,
 }
 
 /// A bounded multi-producer multi-consumer FIFO queue.
@@ -57,6 +57,9 @@ pub struct BoundedQueue<T> {
     not_full: Condvar,
     capacity: usize,
     policy: Backpressure,
+    /// Items shed, bumped under the lock; possibly shared with other
+    /// queues ([`Self::shedding_into`]).
+    shed: Arc<AtomicU64>,
 }
 
 impl<T> BoundedQueue<T> {
@@ -66,12 +69,22 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
-                shed: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
             policy,
+            shed: Arc::default(),
+        }
+    }
+
+    /// A [`Backpressure::Shed`] queue that counts what it sheds in `shed`,
+    /// a counter other queues may share and that outlives them: the
+    /// broker's one count over its outboxes, closed ones included.
+    pub fn shedding_into(capacity: usize, shed: Arc<AtomicU64>) -> Self {
+        BoundedQueue {
+            shed,
+            ..BoundedQueue::new(capacity, Backpressure::Shed)
         }
     }
 
@@ -93,7 +106,7 @@ impl<T> BoundedQueue<T> {
             }
             match self.policy {
                 Backpressure::Shed => {
-                    inner.shed += 1;
+                    self.shed.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
                 Backpressure::Block => {
@@ -122,7 +135,7 @@ impl<T> BoundedQueue<T> {
                 }
                 match self.policy {
                     Backpressure::Shed => {
-                        inner.shed += 1;
+                        self.shed.fetch_add(1, Ordering::Relaxed);
                         break;
                     }
                     Backpressure::Block => {
@@ -214,26 +227,17 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Items dropped at the high-water mark (shed policy only).
+    /// Items dropped at the high-water mark (shed policy only), by this
+    /// queue and every queue that shares its counter.
     pub fn shed_count(&self) -> u64 {
-        self.inner.lock().expect("queue poisoned").shed
-    }
-
-    /// The configured capacity (high-water mark).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The configured overload policy.
-    pub fn policy(&self) -> Backpressure {
-        self.policy
+        self.shed.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     /// The PR-8 delivery-order satellite, at the primitive level: items
@@ -296,6 +300,21 @@ mod tests {
         assert!(q.push('e'));
         assert_eq!(q.pop(), Some('b'));
         assert_eq!(q.pop(), Some('e'));
+    }
+
+    /// Queues made with one counter add their sheds up in it, and it keeps
+    /// the count of a queue that is gone.
+    #[test]
+    fn a_shared_shed_counter_outlives_its_queues() {
+        let shed = Arc::new(AtomicU64::new(0));
+        let a = BoundedQueue::shedding_into(1, shed.clone());
+        let b = BoundedQueue::shedding_into(1, shed.clone());
+        assert!(a.push(1) && !a.push(2) && !a.push(3));
+        assert!(b.push(1) && !b.push(2));
+        assert_eq!((a.shed_count(), b.shed_count()), (3, 3));
+        drop(a);
+        drop(b);
+        assert_eq!(shed.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -179,6 +179,9 @@ struct Counters {
     matched: AtomicU64,
     parse_failures: AtomicU64,
     delivered: AtomicU64,
+    /// Shared by every connection's outbox, so a closed connection's
+    /// sheds stay counted.
+    shed: Arc<AtomicU64>,
     dropped: AtomicU64,
     subs: AtomicU64,
     conns: AtomicU64,
@@ -209,8 +212,9 @@ pub struct BrokerStatsSnapshot {
     pub parse_failures: u64,
     /// `MATCH` lines enqueued to subscriber outboxes.
     pub delivered: u64,
-    /// Lines dropped at the high-water mark of the open connections'
-    /// outboxes (ingest blocks, it never sheds).
+    /// Lines dropped at the high-water mark of subscriber outboxes since
+    /// the broker started, closed connections' included (ingest blocks,
+    /// it never sheds).
     pub shed: u64,
     /// Deliveries addressed to a connection that had already gone away.
     pub dropped: u64,
@@ -359,10 +363,6 @@ impl Shared {
 
     fn stats_snapshot(&self) -> BrokerStatsSnapshot {
         let c = &self.stats;
-        let shed = {
-            let conns = self.conns.lock().expect("conns poisoned");
-            conns.values().map(|conn| conn.outbox.shed_count()).sum()
-        };
         BrokerStatsSnapshot {
             epoch: self.handle.epoch(),
             conns: c.conns.load(Ordering::Relaxed),
@@ -371,7 +371,7 @@ impl Shared {
             matched: c.matched.load(Ordering::Relaxed),
             parse_failures: c.parse_failures.load(Ordering::Relaxed),
             delivered: c.delivered.load(Ordering::Relaxed),
-            shed,
+            shed: c.shed.load(Ordering::Relaxed),
             dropped: c.dropped.load(Ordering::Relaxed),
             full_rebuilds: 0,
             clone_fallbacks: c.clone_fallbacks.load(Ordering::Relaxed),
@@ -626,7 +626,7 @@ fn spawn_connection(shared: &Arc<Shared>, sock: TcpStream) {
     let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let conn = Arc::new(ConnShared {
         id,
-        outbox: BoundedQueue::new(OUTBOX_CAPACITY, Backpressure::Shed),
+        outbox: BoundedQueue::shedding_into(OUTBOX_CAPACITY, shared.stats.shed.clone()),
         failures: AtomicUsize::new(0),
         sock: keep_sock,
     });

@@ -824,6 +824,40 @@ fn ingest_blocks_at_the_high_water_mark() {
     broker.wait();
 }
 
+/// `STATS shed` counts what was shed since the broker started: a
+/// subscriber that stops reading has its outbox fill (65,536 lines behind
+/// what the socket buffers hold) and shed, and when it closes its sheds
+/// stay counted. Its replies fill the outbox fastest: each `STATS` it
+/// sends draws a line of a few hundred bytes and no match.
+#[test]
+fn shed_lines_stay_counted_after_their_connection_closes() {
+    let broker = spawn_broker(1);
+    let mut watcher = Client::connect(broker.local_addr());
+    let mut stalled = Client::connect(broker.local_addr());
+    stalled.subscribe("//b");
+    let batch = "STATS\n".repeat(10_000);
+    let mut sent = 0;
+    let shed = loop {
+        stalled
+            .output
+            .write_all(batch.as_bytes())
+            .expect("the broker reads commands while their replies are shed");
+        sent += 10_000;
+        let stats = stats_when(&mut watcher, "STATS answered", &|_| true);
+        if stats.shed > 0 {
+            break stats.shed;
+        }
+        assert!(sent < 1_000_000, "{sent} unread replies and nothing shed");
+    };
+    drop(stalled);
+    let after = stats_when(&mut watcher, "the stalled connection gone", &|s| {
+        s.conns == 1
+    });
+    assert!(after.shed >= shed, "shed fell from {shed}: {after:?}");
+    broker.shutdown();
+    broker.wait();
+}
+
 /// A `DOC` frame one byte longer than `max_document_bytes` (1 MiB under
 /// the default strict limits) could never parse: it draws `-ERR DOC` and
 /// no `+DOC`, its payload is skipped rather than read as commands, and the
