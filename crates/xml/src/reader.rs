@@ -468,8 +468,10 @@ impl<'a> Reader<'a> {
         let input = self.input;
         let mut elements: NodeId = 0;
         loop {
-            // Start and end tags are read here, inline, so their events
-            // are never built; anything else is `next_event`'s.
+            // Start and end tags are read here, inline, so no event is
+            // built for them; anything else is `next_event`'s. A tag's
+            // attributes are dropped undecoded, and a fault among them is
+            // the next event's error.
             if self.pending == Pending::Nothing {
                 let pos = self.pos;
                 if input.get(pos) == Some(&b'<') {
@@ -480,8 +482,7 @@ impl<'a> Reader<'a> {
                             continue;
                         }
                         Some(&b) if CLASS[b as usize] & NAME_START != 0 => {
-                            let name = self.start_tag(pos + 1)?;
-                            visitor.enter(elements, name);
+                            visitor.enter(elements, self.start_tag(pos + 1)?);
                             elements += 1;
                             self.skip_attributes();
                             if self.pending == Pending::Close {
@@ -507,28 +508,35 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Drops the attributes of the start tag just read, undecoded: the
-    /// next event is what follows them (the [`Event::End`] of `<name/>`,
-    /// or the element's content). They were checked when the tag was read,
-    /// so a fault among them still arrives, as the next event's error.
-    #[inline]
+    /// Drops the attributes of the start tag just read, undecoded.
+    #[inline(always)]
     fn skip_attributes(&mut self) {
+        self.next_attr = self.bufs.attrs.len();
         if self.pending == Pending::Open {
             self.pending = Pending::Nothing;
         }
-        self.next_attr = self.bufs.attrs.len();
     }
 
     /// The next piece of the start tag read last: an attribute, decoded
     /// now, then the `End` of `<name/>` or the tag's fault.
     #[inline(always)]
     fn next_pending(&mut self) -> Result<Event<'a>, XmlError> {
-        if let Some(&attr) = self.bufs.attrs.get(self.next_attr) {
+        if let Some(&Attr { name, value, refs }) = self.bufs.attrs.get(self.next_attr) {
             self.next_attr += 1;
             if self.next_attr == self.bufs.attrs.len() && self.pending == Pending::Open {
                 self.pending = Pending::Nothing;
             }
-            return Ok(self.attribute(attr));
+            let raw = self.checked_str(value);
+            let value = if refs {
+                let mut out = String::with_capacity(raw.len());
+                references(raw, value.0, &mut 0, usize::MAX, Some(&mut out))
+                    .expect("the references were checked when the tag was read");
+                Cow::Owned(out)
+            } else {
+                Cow::Borrowed(raw)
+            };
+            let name = self.checked_str(name);
+            return Ok(Event::Attribute { name, value });
         }
         match std::mem::replace(&mut self.pending, Pending::Nothing) {
             Pending::Close => Ok(Event::End { name: self.tag }),
@@ -537,84 +545,51 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// An attribute the start tag's scan recorded, its value decoded.
-    fn attribute(&self, attr: Attr) -> Event<'a> {
-        let value = self.checked_str(attr.value);
-        let value = if attr.refs {
-            let mut out = String::with_capacity(value.len());
-            references(value, attr.value.0, &mut 0, usize::MAX, Some(&mut out))
-                .expect("the references were checked when the tag was read");
-            Cow::Owned(out)
-        } else {
-            Cow::Borrowed(value)
-        };
-        Event::Attribute {
-            name: self.checked_str(attr.name),
-            value,
-        }
-    }
-
     /// The next event from the markup or text at `pos`.
     #[inline(always)]
     fn next_markup(&mut self) -> Result<Event<'a>, XmlError> {
-        let input = self.input;
         loop {
             let pos = self.pos;
-            let Some(&byte) = input.get(pos) else {
-                return self.end_of_input();
-            };
-            let event = if byte != b'<' {
-                self.text_run()?
-            } else {
-                match input.get(pos + 1) {
-                    Some(b'/') => return self.end_tag(pos + 2).map(|name| Event::End { name }),
-                    Some(&b) if CLASS[b as usize] & NAME_START != 0 => {
-                        return self.start_tag(pos + 1).map(|name| Event::Start { name });
-                    }
-                    _ => self.other_markup()?,
+            match (self.input.get(pos), self.input.get(pos + 1)) {
+                (Some(b'<'), Some(b'/')) => {
+                    return self.end_tag(pos + 2).map(|name| Event::End { name })
                 }
-            };
-            if let Some(event) = event {
-                return Ok(event);
+                (Some(b'<'), Some(&b)) if CLASS[b as usize] & NAME_START != 0 => {
+                    return self.start_tag(pos + 1).map(|name| Event::Start { name })
+                }
+                _ => {
+                    if let Some(event) = self.other()? {
+                        return Ok(event);
+                    }
+                }
             }
         }
     }
 
-    /// `Eof`, unless an element is still open.
+    /// Whatever at `pos` is not a start or end tag: the end of input,
+    /// character data, a processing instruction, comment, CDATA section
+    /// or DOCTYPE — `None` for what is skipped (whitespace, comments, …) —
+    /// or a `<` that fails as a start tag without a name.
     #[inline(never)]
-    fn end_of_input(&self) -> Result<Event<'a>, XmlError> {
-        match self.bufs.stack.last() {
-            Some(&open) => Err(self.error(XmlErrorKind::UnexpectedEof(self.name_at(open)))),
-            None => Ok(Event::Eof),
-        }
-    }
-
-    /// Character data up to the next `<`; `None` if it is all whitespace.
-    #[inline(never)]
-    fn text_run(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+    fn other(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+        let input = self.input;
         let start = self.pos;
-        self.seek(b'<');
-        if self.input[start..self.pos]
-            .iter()
-            .all(u8::is_ascii_whitespace)
-        {
-            return Ok(None);
+        if start >= input.len() {
+            return match self.bufs.stack.last() {
+                Some(&open) => Err(self.error(XmlErrorKind::UnexpectedEof(self.name_at(open)))),
+                None => Ok(Some(Event::Eof)),
+            };
         }
-        if self.bufs.stack.is_empty() {
-            return Err(XmlError::new(
-                start,
-                XmlErrorKind::ContentOutsideRoot("character data"),
-            ));
+        if input[start] != b'<' {
+            self.seek(b'<');
+            if input[start..self.pos].iter().all(u8::is_ascii_whitespace) {
+                return Ok(None);
+            }
+            if self.bufs.stack.is_empty() {
+                return fail(start, XmlErrorKind::ContentOutsideRoot("character data"));
+            }
+            return Ok(Some(Event::Text(self.decode_entities(start, self.pos)?)));
         }
-        Ok(Some(Event::Text(self.decode_entities(start, self.pos)?)))
-    }
-
-    /// A `<` that opens no element and no end tag: a processing
-    /// instruction, comment, CDATA section or DOCTYPE, skipped (`None`)
-    /// unless it is a CDATA section with content; anything else fails as
-    /// a start tag without a name.
-    #[inline(never)]
-    fn other_markup(&mut self) -> Result<Option<Event<'a>>, XmlError> {
         if self.starts_with(b"<?") {
             self.pos += 2;
             self.skip_until(b"?>", "processing instruction")?;
@@ -623,22 +598,21 @@ impl<'a> Reader<'a> {
             self.skip_until(b"-->", "comment")?;
         } else if self.starts_with(b"<![CDATA[") {
             self.pos += 9;
-            let start = self.pos;
             self.skip_until(b"]]>", "CDATA section")?;
             let end = self.pos - 3;
             if self.bufs.stack.is_empty() {
                 return Err(self.error(XmlErrorKind::ContentOutsideRoot("CDATA")));
             }
-            if !self.input[start..end].iter().all(u8::is_ascii_whitespace) {
+            if !input[start + 9..end].iter().all(u8::is_ascii_whitespace) {
                 let s = self
-                    .str_at(start, end)
+                    .str_at(start + 9, end)
                     .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("CDATA")))?;
                 return Ok(Some(Event::Text(Cow::Borrowed(s))));
             }
         } else if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
             self.skip_doctype()?;
         } else {
-            let name = self.start_tag(self.pos + 1)?;
+            let name = self.start_tag(start + 1)?;
             return Ok(Some(Event::Start { name }));
         }
         Ok(None)
@@ -669,20 +643,22 @@ impl<'a> Reader<'a> {
     /// one after it waits in `pending`, behind the attributes before it.
     #[inline(always)]
     fn start_tag(&mut self, at: usize) -> Result<&'a str, XmlError> {
+        // Past the `<` whatever happens: a caller that reads on after an
+        // error gets further.
+        self.pos = at;
         if self.seen_root && self.bufs.stack.is_empty() {
-            return Err(XmlError::new(at, XmlErrorKind::MultipleRoots));
+            return fail(at, XmlErrorKind::MultipleRoots);
         }
-        if self.bufs.stack.len() >= self.limits.max_depth {
-            return Err(XmlError::new(
-                at,
-                XmlErrorKind::DepthLimitExceeded(self.limits.max_depth),
-            ));
+        let limits = self.limits;
+        if self.bufs.stack.len() >= limits.max_depth {
+            return fail(at, XmlErrorKind::DepthLimitExceeded(limits.max_depth));
         }
         let input = self.input;
-        let end = scan_name(input, at, self.limits.max_name_len)?;
+        let end = scan_name(input, at, limits.max_name_len)?;
         let Some(tag) = self.str_at(at, end) else {
-            return Err(XmlError::new(end, XmlErrorKind::InvalidUtf8("name")));
+            return fail(end, XmlErrorKind::InvalidUtf8("name"));
         };
+        self.tag = tag;
         // Most tags end right after their name.
         match input.get(end) {
             Some(b'>') => {
@@ -696,11 +672,9 @@ impl<'a> Reader<'a> {
                 self.bufs.attrs.clear();
                 self.next_attr = 0;
                 self.pending = Pending::Close;
-                self.tag = tag;
             }
             _ => {
                 self.pos = end;
-                self.tag = tag;
                 self.pending = self.read_attributes((at, end));
             }
         }
@@ -708,52 +682,44 @@ impl<'a> Reader<'a> {
     }
 
     /// The rest of the start tag whose name is `name`: each attribute,
-    /// checked and recorded in `bufs.attrs`, then `>` or `/>`. Says what
+    /// checked in full (its references too, charged to the budget) and
+    /// recorded in `bufs.attrs` undecoded, then `>` or `/>`. Says what
     /// [`Self::next_pending`] hands out after the attributes.
     #[inline(never)]
     fn read_attributes(&mut self, name: Span) -> Pending {
         self.bufs.attrs.clear();
         self.next_attr = 0;
-        let input = self.input;
         let mut pos = self.pos;
         let closed = loop {
-            pos = skip_ws(input, pos);
-            match input.get(pos) {
-                Some(b'>') => {
-                    pos += 1;
-                    break Ok(false);
-                }
+            pos = skip_ws(self.input, pos);
+            match self.input.get(pos) {
+                Some(b'>') => break Ok(false),
+                Some(b'/') if self.input.get(pos + 1) == Some(&b'>') => break Ok(true),
                 Some(b'/') => {
-                    pos += 1;
-                    if input.get(pos) != Some(&b'>') {
-                        break Err(XmlError::new(
-                            pos,
-                            XmlErrorKind::Syntax("expected '>' after '/' in empty-element tag"),
-                        ));
-                    }
-                    pos += 1;
-                    break Ok(true);
+                    let e = "expected '>' after '/' in empty-element tag";
+                    break fail(pos + 1, XmlErrorKind::Syntax(e));
                 }
                 Some(_) => match self.read_attribute(pos) {
                     Ok(next) => pos = next,
                     Err(e) => break Err(e),
                 },
-                None => break Err(XmlError::new(pos, XmlErrorKind::Unterminated("start tag"))),
+                None => break fail(pos, XmlErrorKind::Unterminated("start tag")),
             }
         };
         self.pos = pos;
         match closed {
             Ok(true) => {
+                self.pos += 2;
                 self.seen_root = true;
                 Pending::Close
             }
             Ok(false) => {
+                self.pos += 1;
                 self.seen_root = true;
                 self.bufs.stack.push(name);
-                if self.bufs.attrs.is_empty() {
-                    Pending::Nothing
-                } else {
-                    Pending::Open
+                match self.bufs.attrs.is_empty() {
+                    true => Pending::Nothing,
+                    false => Pending::Open,
                 }
             }
             Err(e) => {
@@ -763,81 +729,58 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The `name="value"` at `pos`, checked in full (its references too,
-    /// charged to the budget) and recorded, undecoded; the offset after it.
+    /// The `name="value"` at `pos`, checked and recorded; the offset
+    /// after it.
     #[inline]
     fn read_attribute(&mut self, pos: usize) -> Result<usize, XmlError> {
-        if self.bufs.attrs.len() >= self.limits.max_attributes {
-            return Err(XmlError::new(
-                pos,
-                XmlErrorKind::TooManyAttributes(self.limits.max_attributes),
-            ));
+        let (input, limits) = (self.input, self.limits);
+        if self.bufs.attrs.len() >= limits.max_attributes {
+            return fail(pos, XmlErrorKind::TooManyAttributes(limits.max_attributes));
         }
-        let input = self.input;
-        let name = (pos, scan_name(input, pos, self.limits.max_name_len)?);
-        let mut pos = name.1;
+        let name = (pos, scan_name(input, pos, limits.max_name_len)?);
         if self.text.is_none() && std::str::from_utf8(&input[name.0..name.1]).is_err() {
-            return Err(XmlError::new(pos, XmlErrorKind::InvalidUtf8("name")));
+            return fail(name.1, XmlErrorKind::InvalidUtf8("name"));
         }
-        pos = skip_ws(input, pos);
+        let pos = skip_ws(input, name.1);
         if input.get(pos) != Some(&b'=') {
-            return Err(XmlError::new(
-                pos,
-                XmlErrorKind::ExpectedEquals(self.name_at(name)),
-            ));
+            return fail(pos, XmlErrorKind::ExpectedEquals(self.name_at(name)));
         }
-        pos = skip_ws(input, pos + 1);
+        let pos = skip_ws(input, pos + 1);
         let quote = match input.get(pos) {
             Some(&q @ (b'"' | b'\'')) => q,
-            _ => {
-                return Err(XmlError::new(
-                    pos,
-                    XmlErrorKind::Syntax("expected quoted attribute value"),
-                ))
-            }
+            _ => return fail(pos, XmlErrorKind::Syntax("expected quoted attribute value")),
         };
-        let vstart = pos + 1;
+        let start = pos + 1;
         let mut refs = false;
-        let Some(len) = input[vstart..].iter().position(|&b| {
+        let Some(len) = input[start..].iter().position(|&b| {
             refs |= b == b'&';
             b == quote
         }) else {
-            return Err(XmlError::new(
-                input.len(),
-                XmlErrorKind::Unterminated("attribute value"),
-            ));
+            return fail(input.len(), XmlErrorKind::Unterminated("attribute value"));
         };
-        if len > self.limits.max_attribute_value_len {
-            return Err(XmlError::new(
-                vstart,
-                XmlErrorKind::AttributeValueTooLong(self.limits.max_attribute_value_len),
-            ));
+        if len > limits.max_attribute_value_len {
+            let limit = limits.max_attribute_value_len;
+            return fail(start, XmlErrorKind::AttributeValueTooLong(limit));
         }
-        let value = (vstart, vstart + len);
+        let value = (start, start + len);
         // With the whole input valid UTF-8, a value is too: it starts and
         // ends beside a quote, so on character boundaries.
         if self.text.is_none() || refs {
-            let s = self.str_at(value.0, value.1).ok_or(XmlError {
-                pos: vstart,
-                kind: XmlErrorKind::InvalidUtf8("character data"),
-            })?;
+            let Some(s) = self.str_at(value.0, value.1) else {
+                return fail(start, XmlErrorKind::InvalidUtf8("character data"));
+            };
             if refs {
-                let limit = self.limits.max_entity_expansions;
-                references(s, vstart, &mut self.expansions, limit, None)?;
+                let limit = limits.max_entity_expansions;
+                references(s, start, &mut self.expansions, limit, None)?;
             }
         }
         let pos = value.1 + 1;
-        let name_bytes = &input[name.0..name.1];
-        if self
-            .bufs
-            .attrs
+        let seen = &self.bufs.attrs;
+        if seen
             .iter()
-            .any(|a| input[a.name.0..a.name.1] == *name_bytes)
+            .any(|a| input[a.name.0..a.name.1] == input[name.0..name.1])
         {
-            return Err(XmlError::new(
-                pos,
-                XmlErrorKind::DuplicateAttribute(self.name_at(name)),
-            ));
+            return fail(pos, XmlErrorKind::DuplicateAttribute(self.name_at(name)));
         }
         self.bufs.attrs.push(Attr { name, value, refs });
         Ok(pos)
@@ -847,27 +790,25 @@ impl<'a> Reader<'a> {
     /// innermost open element.
     #[inline(always)]
     fn end_tag(&mut self, at: usize) -> Result<&'a str, XmlError> {
+        self.pos = at;
+        let input = self.input;
+        // The usual case, the open name and then `>`, needs no name scan:
+        // the name's checks were made when it opened.
         if let Some(&(start, end)) = self.bufs.stack.last() {
             let close = at + (end - start);
-            if self.input.get(close) == Some(&b'>')
-                && self.input[at..close] == self.input[start..end]
-            {
+            if input.get(close) == Some(&b'>') && input[at..close] == input[start..end] {
                 self.pos = close + 1;
                 self.bufs.stack.pop();
                 return Ok(self.checked_str((start, end)));
             }
         }
-        let input = self.input;
         let end = scan_name(input, at, self.limits.max_name_len)?;
         let Some(name) = self.str_at(at, end) else {
-            return Err(XmlError::new(end, XmlErrorKind::InvalidUtf8("name")));
+            return fail(end, XmlErrorKind::InvalidUtf8("name"));
         };
         let pos = skip_ws(input, end);
         if input.get(pos) != Some(&b'>') {
-            return Err(XmlError::new(
-                pos,
-                XmlErrorKind::Syntax("expected '>' in end tag"),
-            ));
+            return fail(pos, XmlErrorKind::Syntax("expected '>' in end tag"));
         }
         self.pos = pos + 1;
         match self.bufs.stack.pop() {
@@ -965,13 +906,17 @@ fn references(
     Ok(())
 }
 
+fn fail<T>(pos: usize, kind: XmlErrorKind) -> Result<T, XmlError> {
+    Err(XmlError::new(pos, kind))
+}
+
 /// The end of the name that starts at `start`, its length checked; not
 /// yet checked to be UTF-8.
 #[inline(always)]
 fn scan_name(input: &[u8], start: usize, max_len: usize) -> Result<usize, XmlError> {
     match input.get(start) {
         Some(&b) if CLASS[b as usize] & NAME_START != 0 => {}
-        _ => return Err(XmlError::new(start, XmlErrorKind::InvalidName)),
+        _ => return fail(start, XmlErrorKind::InvalidName),
     }
     let rest = &input[start + 1..];
     let end = start
@@ -981,7 +926,7 @@ fn scan_name(input: &[u8], start: usize, max_len: usize) -> Result<usize, XmlErr
             .position(|&b| CLASS[b as usize] & NAME == 0)
             .unwrap_or(rest.len());
     if end - start > max_len {
-        return Err(XmlError::new(start, XmlErrorKind::NameTooLong(max_len)));
+        return fail(start, XmlErrorKind::NameTooLong(max_len));
     }
     Ok(end)
 }
