@@ -385,13 +385,6 @@ impl<'a> Reader<'a> {
         &self.limits
     }
 
-    fn error(&self, kind: XmlErrorKind) -> XmlError {
-        XmlError {
-            pos: self.pos,
-            kind,
-        }
-    }
-
     /// The name a span of the input holds, for an error message (the span
     /// was checked when it was recorded).
     fn name_at(&self, (start, end): Span) -> String {
@@ -441,7 +434,7 @@ impl<'a> Reader<'a> {
             }
             self.pos += 1;
         }
-        Err(self.error(XmlErrorKind::Unterminated(what)))
+        fail(self.pos, XmlErrorKind::Unterminated(what))
     }
 
     /// Returns the next event, or an error on malformed input.
@@ -576,7 +569,7 @@ impl<'a> Reader<'a> {
         let start = self.pos;
         if start >= input.len() {
             return match self.bufs.stack.last() {
-                Some(&open) => Err(self.error(XmlErrorKind::UnexpectedEof(self.name_at(open)))),
+                Some(&open) => fail(start, XmlErrorKind::UnexpectedEof(self.name_at(open))),
                 None => Ok(Some(Event::Eof)),
             };
         }
@@ -601,12 +594,12 @@ impl<'a> Reader<'a> {
             self.skip_until(b"]]>", "CDATA section")?;
             let end = self.pos - 3;
             if self.bufs.stack.is_empty() {
-                return Err(self.error(XmlErrorKind::ContentOutsideRoot("CDATA")));
+                return fail(self.pos, XmlErrorKind::ContentOutsideRoot("CDATA"));
             }
             if !input[start + 9..end].iter().all(u8::is_ascii_whitespace) {
-                let s = self
-                    .str_at(start + 9, end)
-                    .ok_or_else(|| self.error(XmlErrorKind::InvalidUtf8("CDATA")))?;
+                let Some(s) = self.str_at(start + 9, end) else {
+                    return fail(self.pos, XmlErrorKind::InvalidUtf8("CDATA"));
+                };
                 return Ok(Some(Event::Text(Cow::Borrowed(s))));
             }
         } else if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
@@ -634,7 +627,7 @@ impl<'a> Reader<'a> {
             }
             self.pos += 1;
         }
-        Err(self.error(XmlErrorKind::Unterminated("DOCTYPE declaration")))
+        fail(self.pos, XmlErrorKind::Unterminated("DOCTYPE declaration"))
     }
 
     /// `<name …>` or `<name …/>` whose name starts at `at`, read whole:
@@ -813,11 +806,14 @@ impl<'a> Reader<'a> {
         self.pos = pos + 1;
         match self.bufs.stack.pop() {
             Some((s, e)) if input[s..e] == input[at..end] => Ok(name),
-            Some(open) => Err(self.error(XmlErrorKind::MismatchedEndTag {
-                expected: self.name_at(open),
-                found: name.to_string(),
-            })),
-            None => Err(self.error(XmlErrorKind::UnmatchedEndTag(name.to_string()))),
+            Some(open) => fail(
+                self.pos,
+                XmlErrorKind::MismatchedEndTag {
+                    expected: self.name_at(open),
+                    found: name.to_string(),
+                },
+            ),
+            None => fail(self.pos, XmlErrorKind::UnmatchedEndTag(name.to_string())),
         }
     }
 
@@ -906,6 +902,7 @@ fn references(
     Ok(())
 }
 
+/// The error `kind` at byte `pos`.
 fn fail<T>(pos: usize, kind: XmlErrorKind) -> Result<T, XmlError> {
     Err(XmlError::new(pos, kind))
 }
