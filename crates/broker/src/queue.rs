@@ -119,7 +119,9 @@ impl<T> BoundedQueue<T> {
     /// Enqueues `items` in order under one lock and wakes consumers once,
     /// so a batch costs its consumer one wake-up, not one per item (on a
     /// shared CPU each wake-up can preempt the producer). Each item meets
-    /// the policy as in [`Self::push`]; returns how many were enqueued.
+    /// the policy as in [`Self::push`]; returns how many were enqueued,
+    /// always the first ones: once an item is shed or finds the queue
+    /// closed, so does every item after it.
     pub(crate) fn push_all(&self, items: impl IntoIterator<Item = T>) -> usize {
         let mut inner = self.inner.lock().expect("queue poisoned");
         let mut enqueued = 0;
@@ -159,7 +161,7 @@ impl<T> BoundedQueue<T> {
         loop {
             if let Some(item) = inner.items.pop_front() {
                 drop(inner);
-                self.not_full.notify_one();
+                self.freed(Condvar::notify_one);
                 return Some(item);
             }
             if inner.closed {
@@ -181,7 +183,7 @@ impl<T> BoundedQueue<T> {
                 let n = max.min(inner.items.len());
                 out.extend(inner.items.drain(..n));
                 drop(inner);
-                self.not_full.notify_all();
+                self.freed(Condvar::notify_all);
                 return n;
             }
             if inner.closed {
@@ -202,9 +204,18 @@ impl<T> BoundedQueue<T> {
         if n > 0 {
             out.extend(inner.items.drain(..n));
             drop(inner);
-            self.not_full.notify_all();
+            self.freed(Condvar::notify_all);
         }
         n
+    }
+
+    /// Wakes producers parked on `not_full` after a pop freed slots. Only
+    /// a [`Backpressure::Block`] producer ever parks there; a notify is a
+    /// futex call even with no waiter, so a `Shed` queue skips it.
+    fn freed(&self, notify: fn(&Condvar)) {
+        if self.policy == Backpressure::Block {
+            notify(&self.not_full);
+        }
     }
 
     /// Closes the queue: subsequent pushes drop, consumers drain what is
@@ -286,6 +297,30 @@ mod tests {
         });
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.shed_count(), 0);
+    }
+
+    /// `pop`, `pop_batch` and `try_drain` each wake a producer parked on a
+    /// full `Block` queue (a `Shed` queue skips that wake-up: nobody parks).
+    #[test]
+    fn every_pop_wakes_a_parked_block_producer() {
+        type Pop = fn(&BoundedQueue<u32>) -> bool;
+        let pops: [Pop; 3] = [
+            |q| q.pop().is_some(),
+            |q| q.pop_batch(4, &mut Vec::new()) > 0,
+            |q| q.try_drain(4, &mut Vec::new()) > 0,
+        ];
+        for pop in pops {
+            let q = BoundedQueue::new(1, Backpressure::Block);
+            assert!(q.push(0u32));
+            std::thread::scope(|scope| {
+                let q = &q;
+                let producer = scope.spawn(move || q.push(1));
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(pop(q));
+                assert!(producer.join().unwrap(), "the parked push lands");
+            });
+            assert_eq!(q.pop(), Some(1));
+        }
     }
 
     #[test]

@@ -39,23 +39,34 @@
 //!   publisher's peer, and no accepted document is ever dropped),
 //!   per-subscriber outboxes (65,536 lines) shed (one slow consumer
 //!   cannot stall fan-out).
+//! * **One wake-up per batch.** Each thread hands on, as one batch,
+//!   whatever piled up while its consumer was busy: the reader the frames
+//!   already in its buffer (their `+DOC` replies to the outbox first,
+//!   then the documents to ingest), a worker the completions of its
+//!   batch, delivery each connection's lines of what it popped (the
+//!   writer flushes whenever it finds its outbox empty). The reader hands
+//!   on what it holds before any read that can block, before any command
+//!   but `DOC`, before any `-ERR` reply and on exit, so under light load
+//!   a batch is one document and nothing waits for a batch to fill.
 //! * **FIFO delivery.** Workers finish documents out of order; the
 //!   delivery thread restores global ingest-sequence order with a
 //!   min-heap resequencer before fanning out, so each connection sees
 //!   strictly ascending `MATCH` sequence numbers.
 //! * **The frame is the document.** A `DOC` frame's payload is read into
 //!   one buffer that goes to a matcher as it is, and is acknowledged on
-//!   receipt; the matcher's parse, under strict [`ParserLimits`], is the
-//!   only pass over its bytes. A parse failure is data, not failure: it
-//!   draws one `-ERR DOC` on the offending connection, and only a run of
-//!   [`MAX_CONSECUTIVE_FAILURES`] *consecutive* ones (a peer that
-//!   has lost framing) closes the connection.
+//!   receipt, with the frames read along with it; the matcher's parse,
+//!   under strict [`ParserLimits`], is the only pass over its bytes. A
+//!   parse failure is data, not failure: it draws one `-ERR DOC` on the
+//!   offending connection, and only a run of
+//!   [`MAX_CONSECUTIVE_FAILURES`] *consecutive* ones (a peer that has
+//!   lost framing) closes the connection.
 
 use crate::protocol::{render_match_lines, Command, Reply};
 use crate::queue::{Backpressure, BoundedQueue};
 use pxf_core::{FilterEngine, MatchScratch, SnapshotHandle, SnapshotPublisher, SubId};
 use pxf_xml::{ParserLimits, MAX_CONSECUTIVE_FAILURES};
 use pxf_xpath::XPathExpr;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -686,10 +697,22 @@ fn conn_writer_loop(conn: &Arc<ConnShared>, sock: TcpStream) {
     let _ = out.flush();
 }
 
+/// A `DOC` frame read whole and not yet handed on: its tag and payload.
+type Frame = (String, Vec<u8>);
+
+/// Reads commands off the socket. The frames already in its buffer are
+/// read on and handed on together ([`hand_on`]); what it holds goes on
+/// before any read that can block, before any other command or `-ERR`
+/// reply, and when the connection ends.
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
     let mut input = BufReader::new(sock);
     let mut line: Vec<u8> = Vec::new();
+    let mut held: Vec<Frame> = Vec::new();
     loop {
+        if !input.buffer().contains(&b'\n') {
+            // The next line is not wholly here: its read can block.
+            hand_on(shared, conn, &mut held);
+        }
         line.clear();
         let mut bounded = input.by_ref().take(MAX_LINE_BYTES as u64);
         match bounded.read_until(b'\n', &mut line) {
@@ -697,6 +720,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
             Ok(_) => {}
         }
         if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            hand_on(shared, conn, &mut held);
             conn.outbox
                 .push(format!("-ERR COMMAND line exceeds {MAX_LINE_BYTES} bytes"));
             break;
@@ -707,7 +731,13 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let cmd = match Command::parse(line) {
+        let cmd = Command::parse(line);
+        if !matches!(cmd, Ok(Command::Doc { .. })) {
+            // A reply of its own or a change of the subscription set
+            // follows the frames before it.
+            hand_on(shared, conn, &mut held);
+        }
+        let cmd = match cmd {
             Ok(cmd) => cmd,
             Err(e) => {
                 conn.outbox.push(e.to_wire());
@@ -731,7 +761,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
                 shared.control.push(Control::Unsub { conn: conn.id, id });
             }
             Command::Doc { len, tag } => {
-                if !ingest_frame(shared, conn, &mut input, len, tag) {
+                if !ingest_frame(shared, conn, &mut input, &mut held, len, tag) {
                     break;
                 }
             }
@@ -750,6 +780,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, sock: TcpStream) {
             }
         }
     }
+    hand_on(shared, conn, &mut held);
     shared.control.push(Control::Disconnect { conn: conn.id });
 }
 
@@ -758,26 +789,32 @@ fn one_line(s: &str) -> String {
 }
 
 /// Reads a `DOC` frame — one document — into a buffer that goes to a
-/// matcher as it is, and answers `+DOC` on receipt: whether the document
-/// parses is the matcher's to say (`-ERR DOC` through the delivery thread).
-/// Returns false when the connection must close: the socket died inside
-/// the frame, or the connection's run of unparseable documents reached
-/// the cap.
+/// matcher as it is, and adds it to the frames `held` for [`hand_on`],
+/// which answers `+DOC`: whether the document parses is the matcher's to
+/// say (`-ERR DOC` through the delivery thread). Returns false when the
+/// connection must close: the socket died inside the frame, or the
+/// connection's run of unparseable documents reached the cap.
 fn ingest_frame(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     input: &mut BufReader<TcpStream>,
+    held: &mut Vec<Frame>,
     len: usize,
     tag: String,
 ) -> bool {
     if conn.failures.load(Ordering::Relaxed) >= MAX_CONSECUTIVE_FAILURES {
+        hand_on(shared, conn, held);
         conn.outbox.push(format!(
             "-ERR DOC {MAX_CONSECUTIVE_FAILURES} consecutive malformed documents on the stream"
         ));
         return false;
     }
-    let mut payload = input.by_ref().take(len as u64);
     let max = shared.config.limits.max_document_bytes;
+    if len > max || input.buffer().len() < len {
+        // An `-ERR` reply follows, or the payload's read can block.
+        hand_on(shared, conn, held);
+    }
+    let mut payload = input.by_ref().take(len as u64);
     if len > max {
         // It could never parse: skip it unread, staying in frame sync.
         if !matches!(std::io::copy(&mut payload, &mut std::io::sink()), Ok(n) if n == len as u64) {
@@ -794,25 +831,42 @@ fn ingest_frame(
     if !matches!(payload.read_to_end(&mut bytes), Ok(n) if n == len) {
         return false;
     }
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-    conn.outbox.push(
-        Reply::DocOk {
-            seq,
-            tag: tag.clone(),
-        }
-        .to_wire(),
-    );
-    shared.stats.ingested.fetch_add(1, Ordering::Relaxed);
-    let doc = IngestDoc {
-        seq,
-        conn: conn.id,
-        tag,
-        bytes,
-    };
-    // Blocks at the high-water mark. The queue closes only once teardown
-    // has joined every reader, so the document always lands.
-    shared.ingest.push(doc);
+    held.push((tag, bytes));
     true
+}
+
+/// Hands the frames `held` on as one batch: their `+DOC` replies to the
+/// outbox in one push, then their documents to ingest in one push, so a
+/// `+DOC` precedes its document's `MATCH`. The batch takes its sequence
+/// numbers here, so a frame still held keeps none that the resequencer
+/// would wait on for every connection.
+fn hand_on(shared: &Shared, conn: &ConnShared, held: &mut Vec<Frame>) {
+    if held.is_empty() {
+        return;
+    }
+    let n = held.len() as u64;
+    let first = shared.seq.fetch_add(n, Ordering::Relaxed);
+    conn.outbox
+        .push_all(held.iter().zip(first..).map(|((tag, _), seq)| {
+            Reply::DocOk {
+                seq,
+                tag: tag.clone(),
+            }
+            .to_wire()
+        }));
+    shared.stats.ingested.fetch_add(n, Ordering::Relaxed);
+    // Blocks at the high-water mark. The queue closes only once teardown
+    // has joined every reader, so every document lands.
+    shared.ingest.push_all(
+        held.drain(..)
+            .zip(first..)
+            .map(|((tag, bytes), seq)| IngestDoc {
+                seq,
+                conn: conn.id,
+                tag,
+                bytes,
+            }),
+    );
 }
 
 /// The single subscription writer: owns the [`SnapshotPublisher`],
@@ -929,6 +983,7 @@ fn sub_writer_loop(shared: &Arc<Shared>, mut publisher: SnapshotPublisher) {
 /// is what keeps steady-state `clone_fallbacks` at zero.
 fn worker_loop(shared: &Arc<Shared>) {
     let mut batch: Vec<IngestDoc> = Vec::new();
+    let mut done: Vec<Completion> = Vec::new();
     // One scratch for the worker's lifetime, across batches and snapshots:
     // its buffers are sized once, a document goes from the tokenizer
     // straight into the match while the path memo is on (and is parsed
@@ -961,7 +1016,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     Ok(ids) => Outcome::Matched(ids),
                     Err(e) => Outcome::ParseError(one_line(&e.to_string())),
                 };
-                shared.delivery.push(Completion {
+                done.push(Completion {
                     seq: doc.seq,
                     conn: doc.conn,
                     tag: std::mem::take(&mut doc.tag),
@@ -969,6 +1024,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 });
             }
         }
+        // One push, one wake-up of the delivery thread, per batch.
+        shared.delivery.push_all(done.drain(..));
         let now = scratch.stats();
         shared
             .stats
@@ -1003,17 +1060,64 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn delivery_loop(shared: &Arc<Shared>) {
     let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
     let mut next = 0u64;
-    while let Some(done) = shared.delivery.pop() {
-        heap.push(Pending(done));
+    let mut batch: Vec<Completion> = Vec::new();
+    let mut out = Outgoing::default();
+    while shared.delivery.pop_batch(DELIVERY_CAPACITY, &mut batch) > 0 {
+        heap.extend(batch.drain(..).map(Pending));
         while heap.peek().is_some_and(|p| p.0.seq == next) {
             let c = heap.pop().expect("peeked").0;
             next += 1;
-            deliver_one(shared, c);
+            deliver_one(shared, c, &mut out);
         }
+        out.send(shared);
     }
     // Closed: flush stragglers in order (gaps only if a producer died).
     while let Some(p) = heap.pop() {
-        deliver_one(shared, p.0);
+        deliver_one(shared, p.0, &mut out);
+    }
+    out.send(shared);
+}
+
+/// The lines the delivery thread renders from one batch of completions,
+/// by connection, each connection's in order; [`Outgoing::send`] hands
+/// each connection its lines in one push, one wake-up of its writer.
+#[derive(Default)]
+struct Outgoing(HashMap<u64, Lines>);
+
+struct Lines {
+    conn: Arc<ConnShared>,
+    lines: Vec<String>,
+    /// Where in `lines` the `-ERR DOC` replies are: lines but no
+    /// deliveries.
+    errors: Vec<usize>,
+}
+
+impl Outgoing {
+    /// The lines bound for connection `id`; none once it is gone.
+    fn to(&mut self, shared: &Shared, id: u64) -> Option<&mut Lines> {
+        match self.0.entry(id) {
+            Entry::Occupied(lines) => Some(lines.into_mut()),
+            Entry::Vacant(slot) => Some(slot.insert(Lines {
+                conn: shared.conn_by_id(id)?,
+                lines: Vec::new(),
+                errors: Vec::new(),
+            })),
+        }
+    }
+
+    fn send(&mut self, shared: &Shared) {
+        for (_, to) in self.0.drain() {
+            if to.lines.is_empty() {
+                continue;
+            }
+            // The outbox takes a prefix of the lines and sheds the rest.
+            let taken = to.conn.outbox.push_all(to.lines);
+            let errors = to.errors.iter().filter(|&&at| at < taken).count();
+            shared
+                .stats
+                .delivered
+                .fetch_add((taken - errors) as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1026,12 +1130,12 @@ fn owner_in(registry: &[u64], id: u32) -> Option<u64> {
         .filter(|&owner| owner != NO_OWNER)
 }
 
-fn deliver_one(shared: &Arc<Shared>, c: Completion) {
+/// Renders one completion's lines into `out`.
+fn deliver_one(shared: &Shared, c: Completion, out: &mut Outgoing) {
     match c.outcome {
         Outcome::Matched(ids) => {
-            let origin = shared.conn_by_id(c.conn);
-            if let Some(origin) = &origin {
-                origin.failures.store(0, Ordering::Relaxed);
+            if let Some(origin) = out.to(shared, c.conn) {
+                origin.conn.failures.store(0, Ordering::Relaxed);
             }
             shared.stats.matched.fetch_add(1, Ordering::Relaxed);
             if ids.is_empty() {
@@ -1046,35 +1150,24 @@ fn deliver_one(shared: &Arc<Shared>, c: Completion) {
                 &c.tag,
                 ids,
                 |id| owner_in(&registry, id),
-                |owner, line| {
-                    // A publisher that subscribes is its own (often only)
-                    // owner: the origin looked up above serves again.
-                    let conn = match &origin {
-                        Some(origin) if origin.id == owner => Some(origin.clone()),
-                        _ => shared.conn_by_id(owner),
-                    };
-                    match conn {
-                        Some(conn) => {
-                            if conn.outbox.push(line) {
-                                shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        // The owner's connection vanished between the
-                        // registry read and here.
-                        None => {
-                            shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
+                |owner, line| match out.to(shared, owner) {
+                    Some(to) => to.lines.push(line),
+                    // The owner's connection vanished between the registry
+                    // read and here.
+                    None => {
+                        shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
                     }
                 },
             );
         }
         Outcome::ParseError(detail) => {
             shared.stats.parse_failures.fetch_add(1, Ordering::Relaxed);
-            if let Some(origin) = shared.conn_by_id(c.conn) {
+            if let Some(origin) = out.to(shared, c.conn) {
                 // Counted before the reply leaves: a peer that has read it
                 // finds the count at its next `DOC` header.
-                origin.failures.fetch_add(1, Ordering::Relaxed);
-                origin.outbox.push(format!("-ERR DOC {detail}"));
+                origin.conn.failures.fetch_add(1, Ordering::Relaxed);
+                origin.errors.push(origin.lines.len());
+                origin.lines.push(format!("-ERR DOC {detail}"));
             }
         }
     }
@@ -1269,6 +1362,7 @@ mod tests {
         const GONE: u64 = 7_000_000;
         *shared.registry.write().unwrap() = vec![NO_OWNER, GONE, GONE];
         let deliver = |ids: &[u32]| {
+            let mut out = Outgoing::default();
             deliver_one(
                 &shared,
                 Completion {
@@ -1277,7 +1371,9 @@ mod tests {
                     tag: "t".to_string(),
                     outcome: Outcome::Matched(sub_ids(ids)),
                 },
+                &mut out,
             );
+            out.send(&shared);
             let stats = shared.stats_snapshot();
             assert_eq!(stats.delivered, 0);
             stats.dropped

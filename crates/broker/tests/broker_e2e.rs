@@ -1157,3 +1157,73 @@ fn every_frame_draws_one_ack_and_at_most_one_error() {
     broker.shutdown();
     broker.wait();
 }
+
+/// A publisher that stops in the middle of a frame holds back nobody: its
+/// complete frame before the stall is matched, and so are another
+/// connection's documents. Its first frame, the second's header and half
+/// the second's payload go out in one write, so the broker reads the
+/// complete frame and the stall from one buffer. A reader that handed on
+/// the frames it holds only when its buffer ran dry would keep the
+/// complete frame back until the stalled one ended, and, had the frame
+/// taken its sequence number when read, every other connection's
+/// documents behind it in the resequencer.
+#[test]
+fn a_publisher_stalled_mid_frame_holds_back_nobody() {
+    let broker = spawn_broker(2);
+    let addr = broker.local_addr();
+    let mut subscriber = Client::connect(addr);
+    let sub = subscriber.subscribe("//b");
+    subscriber
+        .output
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set a read timeout");
+
+    const DOC: &[u8] = b"<a><b/></a>";
+    let mut stalled = Client::connect(addr);
+    let mut bytes = format!("DOC {} a0\n", DOC.len()).into_bytes();
+    bytes.extend_from_slice(DOC);
+    bytes.extend(format!("DOC {} a1\n", DOC.len()).bytes());
+    bytes.extend_from_slice(&DOC[..DOC.len() / 2]);
+    stalled
+        .output
+        .write_all(&bytes)
+        .expect("send a frame and a half");
+
+    let mut other = Client::connect(addr);
+    for i in 0..3 {
+        other.send_doc(&format!("b{i}"), DOC);
+    }
+    let mut tags = BTreeSet::new();
+    while tags.len() < 4 {
+        match subscriber.read_reply() {
+            Reply::Match { tag, ids, .. } => {
+                assert_eq!(ids, [sub]);
+                assert!(tags.insert(tag.clone()), "{tag} matched twice");
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(
+        tags,
+        BTreeSet::from(["a0", "b0", "b1", "b2"].map(String::from))
+    );
+
+    // The rest of the stalled frame arrives: it is matched in turn.
+    stalled
+        .output
+        .write_all(&DOC[DOC.len() / 2..])
+        .expect("send the rest");
+    match subscriber.read_reply() {
+        Reply::Match { tag, .. } => assert_eq!(tag, "a1"),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    for tag in ["a0", "a1"] {
+        match stalled.read_reply() {
+            Reply::DocOk { tag: got, .. } => assert_eq!(got, tag),
+            other => panic!("expected +DOC {tag}, got {other:?}"),
+        }
+    }
+
+    broker.shutdown();
+    broker.wait();
+}
