@@ -23,10 +23,10 @@
 //! bytes (`match_bytes_with`, the tokenizer driving stage 1, no store
 //! filled), whose stage-1 share includes tokenizing.
 //!
-//! Two rows time the tokenizer alone on the same documents' bytes: every
-//! event through `Reader::next_event` to `Eof`, and the element-only read
-//! the fused match makes (`PathDoc::visit_bytes` with a visitor that does
-//! nothing).
+//! Two rows time the tokenizer alone on the same documents' bytes, both
+//! through `PathDoc::visit_bytes`: a full read, whose visitor takes every
+//! attribute value and text run decoded, and the element-only read the
+//! fused match makes, whose visitor does nothing.
 
 mod common;
 
@@ -35,7 +35,7 @@ use pxf_bench::{build_workload, micro, WorkloadSpec};
 use pxf_core::{FilterEngine, MatchScratch};
 use pxf_predicate::{CtxMark, MatchContext, PredicateIndex, Publication};
 use pxf_workload::Regime;
-use pxf_xml::{ElementVisitor, Event, Interner, NodeId, ParserLimits, PathDoc, Reader, Symbol};
+use pxf_xml::{ElementVisitor, Escaped, Interner, NodeId, ParserLimits, PathDoc, Symbol};
 
 /// Bare incremental stage-1 driver (no stage 2): push/evaluate on enter,
 /// length predicates at leaves, roll back on leave.
@@ -212,17 +212,14 @@ fn bench_regime(group_name: &str, regime: &Regime, n_exprs: usize) {
     }
 
     let limits = ParserLimits::default();
-    group.bench("reader alone (next_event to Eof)", || {
-        let mut events = 0usize;
-        for b in &w.doc_bytes {
-            let mut reader = Reader::with_limits(b, limits);
-            while reader.next_event().unwrap() != Event::Eof {
-                events += 1;
-            }
-        }
-        events
-    });
     let mut store = PathDoc::default();
+    group.bench("reader alone, every value decoded (visit_bytes)", || {
+        let mut decoded = Decode(0);
+        for b in &w.doc_bytes {
+            store.visit_bytes(b, limits, &mut decoded).unwrap();
+        }
+        decoded.0
+    });
     group.bench("reader alone, elements only (visit_bytes)", || {
         for b in &w.doc_bytes {
             store.visit_bytes(b, limits, &mut Ignore).unwrap();
@@ -235,6 +232,22 @@ struct Ignore;
 
 impl ElementVisitor for Ignore {
     fn enter(&mut self, _: NodeId, _: &str) {}
+    fn leave(&mut self) {}
+}
+
+/// A visitor that decodes every attribute value and text run: a full
+/// read. It counts the decoded bytes, so the decoding is not optimized
+/// away.
+struct Decode(usize);
+
+impl ElementVisitor for Decode {
+    fn enter(&mut self, _: NodeId, _: &str) {}
+    fn attribute(&mut self, _: &str, value: Escaped<'_>) {
+        self.0 += value.decode().len();
+    }
+    fn text(&mut self, run: Escaped<'_>) {
+        self.0 += run.decode().len();
+    }
     fn leave(&mut self) {}
 }
 

@@ -50,8 +50,15 @@ static ALLOCATOR: Counting = Counting;
 
 /// An engine over `n` seeded expressions of the regime plus `/*`, which
 /// every document matches (so every result vector is one allocation),
-/// and 64 documents of the regime as bytes.
-fn workload(regime: &Regime, n: usize, attr_filters: usize) -> (FilterEngine, Vec<Vec<u8>>) {
+/// and 64 documents of the regime as bytes. With `references`, every
+/// attribute value and every element's content gains references
+/// (`&amp;`, `&lt;`, `&#65;`).
+fn workload(
+    regime: &Regime,
+    n: usize,
+    attr_filters: usize,
+    references: bool,
+) -> (FilterEngine, Vec<Vec<u8>>) {
     let mut xp = regime.xpath.clone();
     (xp.count, xp.seed, xp.attr_filters) = (n, 0x27_0000 + n as u64, attr_filters);
     let mut engine = FilterEngine::new();
@@ -65,7 +72,17 @@ fn workload(regime: &Regime, n: usize, attr_filters: usize) -> (FilterEngine, Ve
     let docs = XmlGenerator::new(&regime.dtd, xm)
         .generate_batch(64)
         .iter()
-        .map(|d| Document::to_xml(d).into_bytes())
+        .map(|d| {
+            let xml = Document::to_xml(d);
+            if !references {
+                return xml.into_bytes();
+            }
+            // Text escapes every `"`, so `="` opens an attribute value;
+            // each `</` gets a text run before it.
+            xml.replace("=\"", "=\"&amp;&#65;")
+                .replace("</", "&lt;&#65;&amp;</")
+                .into_bytes()
+        })
         .collect();
     (engine, docs)
 }
@@ -97,14 +114,25 @@ fn pass(
 #[test]
 fn a_warm_match_allocates_only_its_result() {
     let cases = [
-        ("NITF 10k", Regime::nitf(), 10_000, 0),
-        ("PSD 10k", Regime::psd(), 10_000, 0),
+        ("NITF 10k", Regime::nitf(), 10_000, 0, false),
+        ("PSD 10k", Regime::psd(), 10_000, 0, false),
+        // The memo on, the tokenizer driving stage 1: references are
+        // checked and charged, and nothing is decoded.
+        ("NITF 10k, references", Regime::nitf(), 10_000, 0, true),
         // Attribute filters turn the path memo off: every leaf walks, and
         // every document is parsed into the store.
-        ("NITF 2k filtered", Regime::nitf(), 2_000, 2),
+        ("NITF 2k filtered", Regime::nitf(), 2_000, 2, false),
+        // References decode straight into the store's arena.
+        (
+            "NITF 2k filtered, references",
+            Regime::nitf(),
+            2_000,
+            2,
+            true,
+        ),
     ];
-    for (name, regime, n, attr_filters) in cases {
-        let (engine, docs) = workload(&regime, n, attr_filters);
+    for (name, regime, n, attr_filters, references) in cases {
+        let (engine, docs) = workload(&regime, n, attr_filters, references);
         let mut scratch = MatchScratch::new();
         // Walk, record, replay: every path of the stream is warm after.
         let cold = pass(&engine, &docs, &mut scratch);

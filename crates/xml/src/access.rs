@@ -32,24 +32,36 @@
 //! before the next parse, and a failed parse leaves it empty.
 
 use crate::limits::ParserLimits;
-use crate::reader::{Event, Reader, ReaderBuffers, XmlError, XmlErrorKind};
+use crate::reader::{Escaped, Reader, ReaderBuffers, XmlError, XmlErrorKind};
 use crate::tree::NodeId;
 
-/// Enter/leave callbacks for a single pre-order traversal of a document —
-/// the one protocol both event sources speak: the columns of a filled
-/// store ([`PathDoc::for_each_element`]) and the tokenizer itself, with
-/// nothing stored ([`PathDoc::visit_bytes`]).
+/// Callbacks for a single pre-order traversal of a document — the one
+/// protocol every source speaks. [`Reader::read`] (and
+/// [`PathDoc::visit_bytes`], which lends it a store's buffers) calls all
+/// four as it reads the bytes; the columns of a filled store
+/// ([`PathDoc::for_each_element`]) call `enter` and `leave` only, since
+/// their callers read attributes and text from the store by id.
 ///
 /// `enter` is invoked exactly once per element in document order, with its
 /// pre-order id and tag, and `leave` when the element closes, in reverse
 /// order of the open stack. Between an element's `enter` and its `leave`,
 /// the elements entered but not yet left form exactly the root-to-element
-/// path. Whether an element is a leaf is known at its next call: a leaf's
-/// `enter` is immediately followed by its own `leave`, an inner element's
-/// by its first child's `enter`.
+/// path. Whether an element is a leaf is known at the next `enter` or
+/// `leave`: a leaf's `enter` is followed by its own `leave`, an inner
+/// element's by its first child's `enter`.
 pub trait ElementVisitor {
     /// Called when an element opens.
     fn enter(&mut self, id: NodeId, tag: &str);
+    /// Called for each attribute of the element entered last, in
+    /// document order, before anything inside the element. The value is
+    /// checked and its references charged to the budget; it is decoded
+    /// only if this asks ([`Escaped::decode`]).
+    fn attribute(&mut self, _name: &str, _value: Escaped<'_>) {}
+    /// Called for each run of character data, and each CDATA section's
+    /// content, directly inside the innermost open element; runs of
+    /// whitespace only are not reported. Checked as a value is, and
+    /// decoded only if asked.
+    fn text(&mut self, _run: Escaped<'_>) {}
     /// Called when the innermost open element closes (all its descendants
     /// already left). Which element that is, the visitor knows from its
     /// own `enter` calls; the traversal keeps no stack of ids to say it.
@@ -83,8 +95,8 @@ impl Span {
 
 /// A document parsed for matching only: four pre-order columns (tag, text,
 /// first attribute, depth), one row per attribute, and one string arena
-/// they hold spans of — filled in one pass over the [`Reader`]'s events and
-/// refilled in place by [`Self::parse_into`]. Text stays linear in the
+/// they hold spans of — filled in one [`Reader::read`] pass and refilled in
+/// place by [`Self::parse_into`]. Text stays linear in the
 /// input whatever the interleaving of runs and children (arena ≤ 2 ×
 /// input), and a store grown past [`Self::RETAINED_HEAP_BYTES`] gives the
 /// memory back before the next parse. `NodeId`s number the elements
@@ -177,10 +189,10 @@ impl PathDoc {
     }
 
     /// Replaces the store's content with the document in `bytes`, reusing
-    /// its allocations, in a single pass over the reader's events.
-    /// On error the store is left empty.
+    /// its allocations, in a single [`Reader::read`] pass. On error the
+    /// store is left empty.
     pub fn parse_into(&mut self, bytes: &[u8], limits: ParserLimits) -> Result<(), XmlError> {
-        match self.read(bytes, limits, |doc, reader| doc.fill(reader)) {
+        match self.read(bytes, limits, |doc, reader| reader.read(&mut Fill(doc))) {
             Ok(()) => {
                 self.join_text_runs();
                 Ok(())
@@ -192,23 +204,26 @@ impl PathDoc {
         }
     }
 
-    /// Reads the document in `bytes` straight into `visitor`, storing
-    /// nothing: each start tag's name is an [`ElementVisitor::enter`] as the
-    /// tokenizer reads it, and each end tag (or the `/>` of an empty
-    /// element) a [`ElementVisitor::leave`]. The caps, the checks and the
-    /// errors — kind and offset — are exactly those of [`Self::parse_into`],
-    /// but a document that fails does so after the visitor has seen its
-    /// elements up to the fault, so a visitor must be ready to discard what
-    /// it did. The store is left empty either way; the only allocations
-    /// this uses are the tokenizer's own buffers, which the store keeps
-    /// from one document to the next.
+    /// Reads the document in `bytes` straight into `visitor` through
+    /// [`Reader::read`], storing nothing: each start tag's name is an
+    /// [`ElementVisitor::enter`] as the tokenizer reads it, each attribute
+    /// and text run an [`ElementVisitor::attribute`] or
+    /// [`ElementVisitor::text`], decoded only if the visitor asks, and each
+    /// end tag (or the `/>` of an empty element) a
+    /// [`ElementVisitor::leave`]. The caps, the checks and the errors —
+    /// kind and offset — are exactly those of [`Self::parse_into`], but a
+    /// document that fails does so after the visitor has seen its elements
+    /// up to the fault, so a visitor must be ready to discard what it did.
+    /// The store is left empty either way; the only allocations this uses
+    /// are the tokenizer's own buffers, which the store keeps from one
+    /// document to the next.
     pub fn visit_bytes<V: ElementVisitor>(
         &mut self,
         bytes: &[u8],
         limits: ParserLimits,
         visitor: &mut V,
     ) -> Result<(), XmlError> {
-        self.read(bytes, limits, |_, reader| reader.read_elements(visitor))
+        self.read(bytes, limits, |_, reader| reader.read(visitor))
     }
 
     /// The reading pass both entry points share: empties the store (giving
@@ -256,44 +271,11 @@ impl PathDoc {
         Span::new(start, s.len())
     }
 
-    /// Fills the columns from the reader's events; the elements read.
-    fn fill(&mut self, reader: &mut Reader<'_>) -> Result<usize, XmlError> {
-        loop {
-            match reader.next_event()? {
-                Event::Start { name } => {
-                    let id = self.tag.len() as NodeId;
-                    let tag = self.push_str(name);
-                    self.tag.push(tag);
-                    self.text.push(Span::default());
-                    self.attr_start.push(self.attrs.len() as u32);
-                    self.depth.push(self.open.len() as u32 + 1);
-                    self.open.push(id);
-                }
-                Event::Attribute { name, value } => {
-                    let row = (self.push_str(name), self.push_str(&value));
-                    self.attrs.push(row);
-                }
-                Event::End { .. } => {
-                    self.open.pop();
-                }
-                Event::Text(t) => {
-                    let id = *self
-                        .open
-                        .last()
-                        .expect("reader rejects text outside the root");
-                    let run = self.push_str(&t);
-                    let held = &mut self.text[id as usize];
-                    if held.len == 0 {
-                        *held = run;
-                    } else if held.end() == run.start {
-                        held.len += run.len;
-                    } else {
-                        self.runs.push((id, run));
-                    }
-                }
-                Event::Eof => return Ok(self.tag.len()),
-            }
-        }
+    /// Decodes `value` to the arena's tail.
+    fn push_decoded(&mut self, value: Escaped<'_>) -> Span {
+        let start = self.arena.len();
+        value.decode_into(&mut self.arena);
+        Span::new(start, self.arena.len() - start)
     }
 
     /// Makes the text of every element with noted runs contiguous: its
@@ -410,6 +392,48 @@ impl PathDoc {
         for _ in 0..open {
             visitor.leave();
         }
+    }
+}
+
+/// [`PathDoc::parse_into`]'s visitor: each call becomes rows of the store.
+struct Fill<'d>(&'d mut PathDoc);
+
+impl ElementVisitor for Fill<'_> {
+    fn enter(&mut self, id: NodeId, tag: &str) {
+        let doc = &mut *self.0;
+        let tag = doc.push_str(tag);
+        doc.tag.push(tag);
+        doc.text.push(Span::default());
+        doc.attr_start.push(doc.attrs.len() as u32);
+        doc.depth.push(doc.open.len() as u32 + 1);
+        doc.open.push(id);
+    }
+
+    fn attribute(&mut self, name: &str, value: Escaped<'_>) {
+        let doc = &mut *self.0;
+        let row = (doc.push_str(name), doc.push_decoded(value));
+        doc.attrs.push(row);
+    }
+
+    fn text(&mut self, run: Escaped<'_>) {
+        let doc = &mut *self.0;
+        let id = *doc
+            .open
+            .last()
+            .expect("the reader reports no text outside the root");
+        let run = doc.push_decoded(run);
+        let held = &mut doc.text[id as usize];
+        if held.len == 0 {
+            *held = run;
+        } else if held.end() == run.start {
+            held.len += run.len;
+        } else {
+            doc.runs.push((id, run));
+        }
+    }
+
+    fn leave(&mut self) {
+        self.0.open.pop();
     }
 }
 

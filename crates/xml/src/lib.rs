@@ -4,10 +4,11 @@
 //! *Predicate-based Filtering of XPath Expressions*, Hou & Jacobsen). It
 //! provides:
 //!
-//! * [`Reader`] — the one tokenizer: a hand-rolled SAX-style pull parser
-//!   whose events borrow from the input (names are slices of it, values
-//!   and text too unless a reference was decoded) — attributes, CDATA,
-//!   comments, entities, DOCTYPE skipping, well-formedness checks,
+//! * [`Reader`] — the one tokenizer: a hand-rolled SAX-style push loop
+//!   that reads a document into an [`ElementVisitor`] — names as slices
+//!   of the input, attribute values and text as [`Escaped`] slices,
+//!   checked and decoded only on request — with attributes, CDATA,
+//!   comments, entities, DOCTYPE skipping and well-formedness checks,
 //! * [`PathDoc`] — the one document every engine matches: pre-order
 //!   columns (tag, text, attributes, depth) over one string arena, refilled
 //!   in place by [`PathDoc::parse_into`] so a warm matcher allocates
@@ -70,6 +71,6 @@ mod tree;
 pub use access::{ElementVisitor, PathDoc};
 pub use limits::ParserLimits;
 pub use name::{Interner, Symbol};
-pub use reader::{Event, Reader, XmlError, XmlErrorKind};
+pub use reader::{Escaped, Reader, XmlError, XmlErrorKind};
 pub use stream::{DocumentStream, PollDoc, MAX_CONSECUTIVE_FAILURES};
 pub use tree::{Attribute, Document, DocumentBuilder, Element, NodeId};

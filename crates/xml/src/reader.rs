@@ -1,7 +1,7 @@
-//! A small streaming (SAX-style) XML pull parser — the workspace's one
-//! tokenizer.
+//! A small streaming (SAX-style) XML reader — the workspace's one
+//! tokenizer and its one loop.
 //!
-//! The parser covers the XML subset needed for filtering workloads: element
+//! The reader covers the XML subset needed for filtering workloads: element
 //! structure, attributes, character data, CDATA sections, comments,
 //! processing instructions, the XML declaration, a DOCTYPE prolog (skipped),
 //! and the five predefined entities plus numeric character references. It
@@ -10,69 +10,37 @@
 //! ([`ParserLimits`]) so hostile inputs (depth bombs, entity floods,
 //! megabyte attribute values) fail fast instead of exhausting the process.
 //!
-//! Events borrow: a name is a slice of the input, a value or a text run
-//! too unless a reference had to be decoded, and the reader's own state
-//! (open-tag stack, the current tag's attributes) is byte spans of the
-//! input; a `String` is built only to describe an error. The flat store
-//! engines match ([`PathDoc`](crate::PathDoc)) and the tree the oracle and
-//! the generator use ([`Document`](crate::Document)) are both filled from
-//! these events.
+//! **One push loop.** [`Reader::read`] reads a document into an
+//! [`ElementVisitor`]: an `enter` per start tag, an `attribute` per
+//! attribute, a `text` per run of character data, a `leave` per end tag
+//! or `/>`. Start and end tags are read inline in the loop; anything else
+//! (text, CDATA, comments, processing instructions, DOCTYPE, the end of
+//! input) is the one out-of-line step. The flat store engines match
+//! ([`PathDoc`](crate::PathDoc)), the tree the oracle and the generator
+//! use ([`Document`](crate::Document)) and the element-only read of a
+//! memo-on match ([`PathDoc::visit_bytes`](crate::PathDoc::visit_bytes))
+//! are all visitors of this loop; a visitor that leaves the
+//! `attribute` and `text` hooks empty pays for the checks only.
+//!
+//! **Checked, not decoded.** A name is a slice of the input. An attribute
+//! value or a text run arrives as an [`Escaped`]: a slice of the input
+//! whose references have all been checked and charged to the budget, and
+//! which is decoded only if the visitor asks. The reader's own state
+//! (open-tag stack, the current tag's attribute names) is byte spans of
+//! the input; a `String` is built only to describe an error.
 //!
 //! **One scan per start tag.** A start tag is read whole when its `<` is
-//! reached: the name, then each attribute with every check (name, `=`,
-//! quotes, value length, each reference resolved and charged to the
-//! budget, duplicates), recorded as spans in the buffer the duplicate
-//! check keeps. [`Event::Start`], each [`Event::Attribute`] and the
-//! [`Event::End`] of `<a/>` are then handed out from that buffer, and a
-//! value is decoded only when its `Attribute` event is taken. A fault in
-//! the tag arrives where it did when tags were read piece by piece: after
-//! the `Start` and the attributes before it, with the same kind and
-//! offset. A consumer that wants element structure only
-//! ([`PathDoc::visit_bytes`](crate::PathDoc::visit_bytes)) reads through
-//! `Reader::read_elements` instead: start and end tags are read inline
-//! there, no event is built for them and no value is decoded.
+//! reached: the name (then `enter`), then each attribute with every check
+//! (name, `=`, quotes, value length, each reference resolved and charged
+//! to the budget, duplicates) and its `attribute` call, then `>` or `/>`
+//! (and the `leave` of `<a/>`). A fault in the tag so arrives after the
+//! tag's `enter` and the `attribute` calls before it.
 
 use crate::access::ElementVisitor;
 use crate::limits::ParserLimits;
 use crate::tree::NodeId;
 use std::borrow::Cow;
 use std::fmt;
-
-/// A parsing event produced by [`Reader::next_event`]. Values and text
-/// are `Cow::Owned` only when an entity or character reference was
-/// decoded.
-///
-/// A start tag arrives in pieces: [`Event::Start`] when its name has been
-/// read, one [`Event::Attribute`] per attribute as each is read and
-/// checked, and — for `<name/>` — the [`Event::End`] that closes it. A
-/// malformed tag so fails *after* its `Start` was delivered; consumers
-/// discard what they built when an error arrives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event<'a> {
-    /// `<name`: an element opens. Its attributes follow, then its content.
-    Start {
-        /// Element name.
-        name: &'a str,
-    },
-    /// One attribute of the element opened by the last [`Event::Start`],
-    /// in document order.
-    Attribute {
-        /// Attribute name (qualified, prefixes are kept verbatim).
-        name: &'a str,
-        /// Decoded attribute value.
-        value: Cow<'a, str>,
-    },
-    /// `</name>`, or the `/>` of an empty-element tag.
-    End {
-        /// Element name.
-        name: &'a str,
-    },
-    /// Character data between tags (entity-decoded) or the content of a
-    /// CDATA section. Whitespace-only runs are suppressed.
-    Text(Cow<'a, str>),
-    /// End of input.
-    Eof,
-}
 
 /// What went wrong while parsing a document — the structured half of
 /// [`XmlError`].
@@ -244,62 +212,85 @@ impl std::error::Error for XmlError {}
 /// A span of the input, `start..end`.
 type Span = (usize, usize);
 
-/// One attribute of the start tag read last, every check made.
+/// An attribute value or a run of character data as the input holds it:
+/// valid UTF-8, every reference in it checked and charged to the
+/// document's budget, nothing decoded yet.
 #[derive(Debug, Clone, Copy)]
-struct Attr {
-    name: Span,
-    value: Span,
-    /// The value holds a reference, so handing it out decodes it.
+pub struct Escaped<'a> {
+    raw: &'a str,
+    /// `raw` holds a reference, so decoding it builds a new string.
     refs: bool,
 }
 
+impl<'a> Escaped<'a> {
+    /// The decoded text: borrowed from the input unless a reference had
+    /// to be decoded.
+    pub fn decode(&self) -> Cow<'a, str> {
+        if !self.refs {
+            return Cow::Borrowed(self.raw);
+        }
+        let mut out = String::with_capacity(self.raw.len());
+        self.decode_into(&mut out);
+        Cow::Owned(out)
+    }
+
+    /// Appends the decoded text to `out`.
+    pub fn decode_into(&self, out: &mut String) {
+        if self.refs {
+            references(self.raw, 0, &mut 0, usize::MAX, Some(out))
+                .expect("the references were checked when they were read");
+        } else {
+            out.push_str(self.raw);
+        }
+    }
+}
+
 /// The two allocations a [`Reader`] works in: byte spans, not slices, so
-/// they carry no lifetime and [`PathDoc::parse_into`](crate::PathDoc::parse_into)
-/// lends the same pair to the reader of every document.
+/// they carry no lifetime and a [`PathDoc`](crate::PathDoc) lends the same
+/// pair to the reader of every document.
 #[derive(Debug, Default)]
 pub(crate) struct ReaderBuffers {
     /// Names of the open elements (balance checking).
     stack: Vec<Span>,
-    /// Attributes of the start tag read last: the duplicate check reads
-    /// their names, and its [`Event::Attribute`]s are handed out from here.
-    attrs: Vec<Attr>,
+    /// Names of the attributes of the start tag being read, for the
+    /// duplicate check.
+    attrs: Vec<Span>,
 }
 
 impl ReaderBuffers {
     /// Heap held, in bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.stack.capacity() * std::mem::size_of::<Span>()
-            + self.attrs.capacity() * std::mem::size_of::<Attr>()
+        (self.stack.capacity() + self.attrs.capacity()) * std::mem::size_of::<Span>()
     }
 }
 
-/// What the start tag read last still has to hand out after its
-/// attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pending {
-    /// Nothing: the reader is between tags, or the tag opened with `>`
-    /// and has handed out its last attribute.
-    Nothing,
-    /// Attributes only; the tag opened with `>`.
-    Open,
-    /// The [`Event::End`] of `<name/>`.
-    Close,
-    /// The tag's fault, after the attributes before it.
-    Fault,
-}
-
-/// Streaming pull parser over a byte slice.
+/// Streaming reader over a byte slice, pushing what it reads into an
+/// [`ElementVisitor`].
 ///
 /// ```
-/// use pxf_xml::{Event, Reader};
-/// let mut r = Reader::new(b"<a x=\"1&amp;2\"><b/>hi</a>");
-/// assert_eq!(r.next_event().unwrap(), Event::Start { name: "a" });
-/// assert!(matches!(r.next_event().unwrap(), Event::Attribute { name: "x", value } if value == "1&2"));
-/// assert_eq!(r.next_event().unwrap(), Event::Start { name: "b" });
-/// assert_eq!(r.next_event().unwrap(), Event::End { name: "b" });
-/// assert!(matches!(r.next_event().unwrap(), Event::Text(t) if t == "hi"));
-/// assert_eq!(r.next_event().unwrap(), Event::End { name: "a" });
-/// assert_eq!(r.next_event().unwrap(), Event::Eof);
+/// use pxf_xml::{ElementVisitor, Escaped, NodeId, Reader};
+///
+/// /// What the reader shows, one string per call but `leave`.
+/// #[derive(Default)]
+/// struct Seen(Vec<String>);
+///
+/// impl ElementVisitor for Seen {
+///     fn enter(&mut self, _: NodeId, tag: &str) {
+///         self.0.push(format!("<{tag}"));
+///     }
+///     fn attribute(&mut self, name: &str, value: Escaped<'_>) {
+///         self.0.push(format!("{name}={}", value.decode()));
+///     }
+///     fn text(&mut self, text: Escaped<'_>) {
+///         self.0.push(text.decode().into_owned());
+///     }
+///     fn leave(&mut self) {}
+/// }
+///
+/// let mut seen = Seen::default();
+/// let elements = Reader::new(b"<a x=\"1&amp;2\"><b/>hi</a>").read(&mut seen);
+/// assert_eq!(elements, Ok(2));
+/// assert_eq!(seen.0, ["<a", "x=1&2", "<b", "hi"]);
 /// ```
 pub struct Reader<'a> {
     input: &'a [u8],
@@ -310,14 +301,6 @@ pub struct Reader<'a> {
     text: Option<&'a str>,
     pos: usize,
     bufs: ReaderBuffers,
-    /// What is left to hand out of the start tag read last: its
-    /// attributes from `bufs.attrs[next_attr..]`, then what this says.
-    pending: Pending,
-    next_attr: usize,
-    /// The name of the start tag read last.
-    tag: &'a str,
-    /// The error [`Pending::Fault`] hands out.
-    fault: Option<XmlError>,
     seen_root: bool,
     limits: ParserLimits,
     /// Entity/character references decoded so far (budgeted).
@@ -344,14 +327,8 @@ impl<'a> Reader<'a> {
     ) -> Self {
         bufs.stack.clear();
         bufs.attrs.clear();
-        // An oversized document is refused by the first event, unread.
+        // An oversized document is refused by `read`, unread.
         let too_large = input.len() > limits.max_document_bytes;
-        let fault = too_large.then(|| {
-            XmlError::new(
-                limits.max_document_bytes,
-                XmlErrorKind::DocumentTooLarge(limits.max_document_bytes),
-            )
-        });
         Reader {
             input,
             text: if too_large {
@@ -361,14 +338,6 @@ impl<'a> Reader<'a> {
             },
             pos: 0,
             bufs,
-            pending: if too_large {
-                Pending::Fault
-            } else {
-                Pending::Nothing
-            },
-            next_attr: 0,
-            tag: "",
-            fault,
             seen_root: false,
             limits,
             expansions: 0,
@@ -380,31 +349,29 @@ impl<'a> Reader<'a> {
         self.bufs
     }
 
-    /// The resource budget this reader enforces.
-    pub fn limits(&self) -> &ParserLimits {
-        &self.limits
-    }
-
     /// The name a span of the input holds, for an error message (the span
     /// was checked when it was recorded).
     fn name_at(&self, (start, end): Span) -> String {
         String::from_utf8_lossy(&self.input[start..end]).into_owned()
     }
 
-    /// The input bytes `start..end` as text, if they are valid UTF-8.
+    /// The input bytes `start..end` as text, if they are valid UTF-8. (In
+    /// a valid input, a range is valid exactly when it starts and ends on
+    /// character boundaries.)
     #[inline]
     fn str_at(&self, start: usize, end: usize) -> Option<&'a str> {
-        match self.text.and_then(|text| text.get(start..end)) {
-            Some(s) => Some(s),
+        match self.text {
+            Some(text) => text.get(start..end),
             None => std::str::from_utf8(&self.input[start..end]).ok(),
         }
     }
 
-    /// A span the reader has already found to be valid UTF-8.
+    /// A span the reader has already found to be valid UTF-8. Its
+    /// fallback is never taken, and it cannot panic, so a visitor that
+    /// drops what it is given does not pay for it.
     #[inline]
     fn checked_str(&self, (start, end): Span) -> &'a str {
-        self.str_at(start, end)
-            .expect("the span was checked when it was read")
+        self.str_at(start, end).unwrap_or_default()
     }
 
     fn starts_with(&self, s: &[u8]) -> bool {
@@ -437,151 +404,75 @@ impl<'a> Reader<'a> {
         fail(self.pos, XmlErrorKind::Unterminated(what))
     }
 
-    /// Returns the next event, or an error on malformed input.
-    #[inline(always)]
-    pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
-        if self.pending == Pending::Nothing {
-            self.next_markup()
-        } else {
-            self.next_pending()
+    /// Reads the document into `visitor`, to its end or its first fault.
+    /// Each start tag is an [`ElementVisitor::enter`], its element
+    /// numbered in document order from 0, then an
+    /// [`ElementVisitor::attribute`] per attribute; each run of character
+    /// data or CDATA content inside the root is an
+    /// [`ElementVisitor::text`] (whitespace-only runs are not); each end
+    /// tag or `/>` is an [`ElementVisitor::leave`]. A value or a run is
+    /// checked and its references charged to the budget before its call,
+    /// but decoded only if the visitor asks. A document that fails does
+    /// so after the calls for what was read before the fault, so a
+    /// visitor must be ready to discard what it did. Returns the number
+    /// of elements entered.
+    pub fn read<V: ElementVisitor>(&mut self, visitor: &mut V) -> Result<usize, XmlError> {
+        let max = self.limits.max_document_bytes;
+        if self.input.len() > max {
+            return fail(max, XmlErrorKind::DocumentTooLarge(max));
         }
-    }
-
-    /// Reads the document as element structure only, into `visitor`: each
-    /// start tag is an [`ElementVisitor::enter`], its element numbered in
-    /// document order from 0, and each end tag or `/>` an
-    /// [`ElementVisitor::leave`]. Attributes and text are checked exactly
-    /// as [`Self::next_event`] checks them, but no value is decoded; the
-    /// error, if any, is the one `next_event` would return, after the same
-    /// calls. Returns the number of elements entered.
-    pub(crate) fn read_elements<V: ElementVisitor>(
-        &mut self,
-        visitor: &mut V,
-    ) -> Result<usize, XmlError> {
         let input = self.input;
         let mut elements: NodeId = 0;
         loop {
-            // Start and end tags are read here, inline, so no event is
-            // built for them; anything else is `next_event`'s. A tag's
-            // attributes are dropped undecoded, and a fault among them is
-            // the next event's error.
-            if self.pending == Pending::Nothing {
-                let pos = self.pos;
-                if input.get(pos) == Some(&b'<') {
-                    match input.get(pos + 1) {
-                        Some(b'/') => {
-                            self.end_tag(pos + 2)?;
-                            visitor.leave();
-                            continue;
-                        }
-                        Some(&b) if CLASS[b as usize] & NAME_START != 0 => {
-                            visitor.enter(elements, self.start_tag(pos + 1)?);
-                            elements += 1;
-                            self.skip_attributes();
-                            if self.pending == Pending::Close {
-                                self.pending = Pending::Nothing;
-                                visitor.leave();
-                            }
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            match self.next_event()? {
-                Event::Start { name } => {
-                    visitor.enter(elements, name);
-                    elements += 1;
-                    self.skip_attributes();
-                }
-                Event::End { .. } => visitor.leave(),
-                Event::Attribute { .. } | Event::Text(_) => {}
-                Event::Eof => return Ok(elements as usize),
-            }
-        }
-    }
-
-    /// Drops the attributes of the start tag just read, undecoded.
-    #[inline(always)]
-    fn skip_attributes(&mut self) {
-        self.next_attr = self.bufs.attrs.len();
-        if self.pending == Pending::Open {
-            self.pending = Pending::Nothing;
-        }
-    }
-
-    /// The next piece of the start tag read last: an attribute, decoded
-    /// now, then the `End` of `<name/>` or the tag's fault.
-    #[inline(always)]
-    fn next_pending(&mut self) -> Result<Event<'a>, XmlError> {
-        if let Some(&Attr { name, value, refs }) = self.bufs.attrs.get(self.next_attr) {
-            self.next_attr += 1;
-            if self.next_attr == self.bufs.attrs.len() && self.pending == Pending::Open {
-                self.pending = Pending::Nothing;
-            }
-            let raw = self.checked_str(value);
-            let value = if refs {
-                let mut out = String::with_capacity(raw.len());
-                references(raw, value.0, &mut 0, usize::MAX, Some(&mut out))
-                    .expect("the references were checked when the tag was read");
-                Cow::Owned(out)
-            } else {
-                Cow::Borrowed(raw)
-            };
-            let name = self.checked_str(name);
-            return Ok(Event::Attribute { name, value });
-        }
-        match std::mem::replace(&mut self.pending, Pending::Nothing) {
-            Pending::Close => Ok(Event::End { name: self.tag }),
-            Pending::Fault => Err(self.fault.take().expect("a fault was recorded")),
-            Pending::Open | Pending::Nothing => self.next_markup(),
-        }
-    }
-
-    /// The next event from the markup or text at `pos`.
-    #[inline(always)]
-    fn next_markup(&mut self) -> Result<Event<'a>, XmlError> {
-        loop {
+            // Start and end tags are read here, inline; anything else is
+            // `other`'s.
             let pos = self.pos;
-            match (self.input.get(pos), self.input.get(pos + 1)) {
-                (Some(b'<'), Some(b'/')) => {
-                    return self.end_tag(pos + 2).map(|name| Event::End { name })
-                }
-                (Some(b'<'), Some(&b)) if CLASS[b as usize] & NAME_START != 0 => {
-                    return self.start_tag(pos + 1).map(|name| Event::Start { name })
-                }
-                _ => {
-                    if let Some(event) = self.other()? {
-                        return Ok(event);
+            if input.get(pos) == Some(&b'<') {
+                match input.get(pos + 1) {
+                    Some(b'/') => {
+                        self.end_tag(pos + 2)?;
+                        visitor.leave();
+                        continue;
                     }
+                    Some(&b) if CLASS[b as usize] & NAME_START != 0 => {
+                        self.start_tag(pos + 1, elements, visitor)?;
+                        elements += 1;
+                        continue;
+                    }
+                    _ => {}
                 }
+            }
+            if self.other(visitor)? {
+                return Ok(elements as usize);
             }
         }
     }
 
-    /// Whatever at `pos` is not a start or end tag: the end of input,
-    /// character data, a processing instruction, comment, CDATA section
-    /// or DOCTYPE — `None` for what is skipped (whitespace, comments, …) —
-    /// or a `<` that fails as a start tag without a name.
+    /// Whatever at `pos` is not a start or end tag: character data, a
+    /// processing instruction, comment, CDATA section or DOCTYPE, or a `<`
+    /// that fails as a start tag without a name. True at the end of
+    /// input.
     #[inline(never)]
-    fn other(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+    fn other<V: ElementVisitor>(&mut self, visitor: &mut V) -> Result<bool, XmlError> {
         let input = self.input;
         let start = self.pos;
         if start >= input.len() {
             return match self.bufs.stack.last() {
                 Some(&open) => fail(start, XmlErrorKind::UnexpectedEof(self.name_at(open))),
-                None => Ok(Some(Event::Eof)),
+                None => Ok(true),
             };
         }
         if input[start] != b'<' {
             self.seek(b'<');
             if input[start..self.pos].iter().all(u8::is_ascii_whitespace) {
-                return Ok(None);
+                return Ok(false);
             }
             if self.bufs.stack.is_empty() {
                 return fail(start, XmlErrorKind::ContentOutsideRoot("character data"));
             }
-            return Ok(Some(Event::Text(self.decode_entities(start, self.pos)?)));
+            let refs = input[start..self.pos].contains(&b'&');
+            visitor.text(self.escaped(start, self.pos, refs)?);
+            return Ok(false);
         }
         if self.starts_with(b"<?") {
             self.pos += 2;
@@ -597,18 +488,18 @@ impl<'a> Reader<'a> {
                 return fail(self.pos, XmlErrorKind::ContentOutsideRoot("CDATA"));
             }
             if !input[start + 9..end].iter().all(u8::is_ascii_whitespace) {
-                let Some(s) = self.str_at(start + 9, end) else {
+                let Some(raw) = self.str_at(start + 9, end) else {
                     return fail(self.pos, XmlErrorKind::InvalidUtf8("CDATA"));
                 };
-                return Ok(Some(Event::Text(Cow::Borrowed(s))));
+                visitor.text(Escaped { raw, refs: false });
             }
         } else if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
             self.skip_doctype()?;
         } else {
-            let name = self.start_tag(start + 1)?;
-            return Ok(Some(Event::Start { name }));
+            let fault = self.tag_name(start + 1);
+            return Err(fault.expect_err("`read` takes each `<` a name starts after"));
         }
-        Ok(None)
+        Ok(false)
     }
 
     /// Skips a DOCTYPE declaration, including an internal subset in `[...]`.
@@ -630,15 +521,11 @@ impl<'a> Reader<'a> {
         fail(self.pos, XmlErrorKind::Unterminated("DOCTYPE declaration"))
     }
 
-    /// `<name …>` or `<name …/>` whose name starts at `at`, read whole:
-    /// root uniqueness and depth, the name, then every attribute with
-    /// every check. A fault before the name is read is this call's error;
-    /// one after it waits in `pending`, behind the attributes before it.
+    /// The checks a start tag whose name starts at `at` makes before its
+    /// `enter`: root uniqueness, depth, the name itself. The name, and
+    /// the offset after it.
     #[inline(always)]
-    fn start_tag(&mut self, at: usize) -> Result<&'a str, XmlError> {
-        // Past the `<` whatever happens: a caller that reads on after an
-        // error gets further.
-        self.pos = at;
+    fn tag_name(&self, at: usize) -> Result<(&'a str, usize), XmlError> {
         if self.seen_root && self.bufs.stack.is_empty() {
             return fail(at, XmlErrorKind::MultipleRoots);
         }
@@ -646,13 +533,27 @@ impl<'a> Reader<'a> {
         if self.bufs.stack.len() >= limits.max_depth {
             return fail(at, XmlErrorKind::DepthLimitExceeded(limits.max_depth));
         }
-        let input = self.input;
-        let end = scan_name(input, at, limits.max_name_len)?;
-        let Some(tag) = self.str_at(at, end) else {
-            return fail(end, XmlErrorKind::InvalidUtf8("name"));
-        };
-        self.tag = tag;
+        let end = scan_name(self.input, at, limits.max_name_len)?;
+        match self.str_at(at, end) {
+            Some(tag) => Ok((tag, end)),
+            None => fail(end, XmlErrorKind::InvalidUtf8("name")),
+        }
+    }
+
+    /// `<name …>` or `<name …/>` whose name starts at `at`, read whole into
+    /// `visitor`: `enter` once the name is read, then the attributes, then
+    /// the `leave` of `<name/>`.
+    #[inline(always)]
+    fn start_tag<V: ElementVisitor>(
+        &mut self,
+        at: usize,
+        id: NodeId,
+        visitor: &mut V,
+    ) -> Result<(), XmlError> {
+        let (tag, end) = self.tag_name(at)?;
+        visitor.enter(id, tag);
         // Most tags end right after their name.
+        let input = self.input;
         match input.get(end) {
             Some(b'>') => {
                 self.pos = end + 1;
@@ -662,70 +563,58 @@ impl<'a> Reader<'a> {
             Some(b'/') if input.get(end + 1) == Some(&b'>') => {
                 self.pos = end + 2;
                 self.seen_root = true;
-                self.bufs.attrs.clear();
-                self.next_attr = 0;
-                self.pending = Pending::Close;
+                visitor.leave();
             }
-            _ => {
-                self.pos = end;
-                self.pending = self.read_attributes((at, end));
-            }
+            _ => self.read_attributes((at, end), visitor)?,
         }
-        Ok(tag)
+        Ok(())
     }
 
-    /// The rest of the start tag whose name is `name`: each attribute,
+    /// The rest of the start tag whose name is `tag`: each attribute,
     /// checked in full (its references too, charged to the budget) and
-    /// recorded in `bufs.attrs` undecoded, then `>` or `/>`. Says what
-    /// [`Self::next_pending`] hands out after the attributes.
+    /// handed to `visitor` undecoded, then `>` or `/>`.
     #[inline(never)]
-    fn read_attributes(&mut self, name: Span) -> Pending {
+    fn read_attributes<V: ElementVisitor>(
+        &mut self,
+        tag: Span,
+        visitor: &mut V,
+    ) -> Result<(), XmlError> {
         self.bufs.attrs.clear();
-        self.next_attr = 0;
-        let mut pos = self.pos;
-        let closed = loop {
-            pos = skip_ws(self.input, pos);
-            match self.input.get(pos) {
-                Some(b'>') => break Ok(false),
-                Some(b'/') if self.input.get(pos + 1) == Some(&b'>') => break Ok(true),
+        let input = self.input;
+        let mut pos = tag.1;
+        loop {
+            pos = skip_ws(input, pos);
+            match input.get(pos) {
+                Some(b'>') => {
+                    self.pos = pos + 1;
+                    self.seen_root = true;
+                    self.bufs.stack.push(tag);
+                    return Ok(());
+                }
+                Some(b'/') if input.get(pos + 1) == Some(&b'>') => {
+                    self.pos = pos + 2;
+                    self.seen_root = true;
+                    visitor.leave();
+                    return Ok(());
+                }
                 Some(b'/') => {
                     let e = "expected '>' after '/' in empty-element tag";
-                    break fail(pos + 1, XmlErrorKind::Syntax(e));
+                    return fail(pos + 1, XmlErrorKind::Syntax(e));
                 }
-                Some(_) => match self.read_attribute(pos) {
-                    Ok(next) => pos = next,
-                    Err(e) => break Err(e),
-                },
-                None => break fail(pos, XmlErrorKind::Unterminated("start tag")),
-            }
-        };
-        self.pos = pos;
-        match closed {
-            Ok(true) => {
-                self.pos += 2;
-                self.seen_root = true;
-                Pending::Close
-            }
-            Ok(false) => {
-                self.pos += 1;
-                self.seen_root = true;
-                self.bufs.stack.push(name);
-                match self.bufs.attrs.is_empty() {
-                    true => Pending::Nothing,
-                    false => Pending::Open,
-                }
-            }
-            Err(e) => {
-                self.fault = Some(e);
-                Pending::Fault
+                Some(_) => pos = self.read_attribute(pos, visitor)?,
+                None => return fail(pos, XmlErrorKind::Unterminated("start tag")),
             }
         }
     }
 
-    /// The `name="value"` at `pos`, checked and recorded; the offset
-    /// after it.
+    /// The `name="value"` at `pos`, checked, recorded and handed to
+    /// `visitor`; the offset after it.
     #[inline]
-    fn read_attribute(&mut self, pos: usize) -> Result<usize, XmlError> {
+    fn read_attribute<V: ElementVisitor>(
+        &mut self,
+        pos: usize,
+        visitor: &mut V,
+    ) -> Result<usize, XmlError> {
         let (input, limits) = (self.input, self.limits);
         if self.bufs.attrs.len() >= limits.max_attributes {
             return fail(pos, XmlErrorKind::TooManyAttributes(limits.max_attributes));
@@ -759,31 +648,26 @@ impl<'a> Reader<'a> {
         // With the whole input valid UTF-8, a value is too: it starts and
         // ends beside a quote, so on character boundaries.
         if self.text.is_none() || refs {
-            let Some(s) = self.str_at(value.0, value.1) else {
-                return fail(start, XmlErrorKind::InvalidUtf8("character data"));
-            };
-            if refs {
-                let limit = limits.max_entity_expansions;
-                references(s, start, &mut self.expansions, limit, None)?;
-            }
+            self.escaped(value.0, value.1, refs)?;
         }
         let pos = value.1 + 1;
         let seen = &self.bufs.attrs;
         if seen
             .iter()
-            .any(|a| input[a.name.0..a.name.1] == input[name.0..name.1])
+            .any(|&(s, e)| input[s..e] == input[name.0..name.1])
         {
             return fail(pos, XmlErrorKind::DuplicateAttribute(self.name_at(name)));
         }
-        self.bufs.attrs.push(Attr { name, value, refs });
+        self.bufs.attrs.push(name);
+        let raw = self.checked_str(value);
+        visitor.attribute(self.checked_str(name), Escaped { raw, refs });
         Ok(pos)
     }
 
     /// `</name>` whose name starts at `at`: the name must close the
     /// innermost open element.
     #[inline(always)]
-    fn end_tag(&mut self, at: usize) -> Result<&'a str, XmlError> {
-        self.pos = at;
+    fn end_tag(&mut self, at: usize) -> Result<(), XmlError> {
         let input = self.input;
         // The usual case, the open name and then `>`, needs no name scan:
         // the name's checks were made when it opened.
@@ -792,7 +676,7 @@ impl<'a> Reader<'a> {
             if input.get(close) == Some(&b'>') && input[at..close] == input[start..end] {
                 self.pos = close + 1;
                 self.bufs.stack.pop();
-                return Ok(self.checked_str((start, end)));
+                return Ok(());
             }
         }
         let end = scan_name(input, at, self.limits.max_name_len)?;
@@ -805,7 +689,7 @@ impl<'a> Reader<'a> {
         }
         self.pos = pos + 1;
         match self.bufs.stack.pop() {
-            Some((s, e)) if input[s..e] == input[at..end] => Ok(name),
+            Some((s, e)) if input[s..e] == input[at..end] => Ok(()),
             Some(open) => fail(
                 self.pos,
                 XmlErrorKind::MismatchedEndTag {
@@ -817,22 +701,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Decodes the five predefined entities and numeric character
-    /// references of the run at bytes `start..end`, charging each
-    /// reference against the document's expansion budget. A run without
-    /// references is returned as it stands in the input.
-    fn decode_entities(&mut self, start: usize, end: usize) -> Result<Cow<'a, str>, XmlError> {
-        let s = self.str_at(start, end).ok_or(XmlError {
-            pos: start,
-            kind: XmlErrorKind::InvalidUtf8("character data"),
-        })?;
-        if !s.as_bytes().contains(&b'&') {
-            return Ok(Cow::Borrowed(s));
+    /// The value or run at bytes `start..end`, checked: valid UTF-8, and —
+    /// if it holds a reference (`refs`) — each reference well formed and
+    /// charged against the document's expansion budget.
+    #[inline]
+    fn escaped(&mut self, start: usize, end: usize, refs: bool) -> Result<Escaped<'a>, XmlError> {
+        let Some(raw) = self.str_at(start, end) else {
+            return fail(start, XmlErrorKind::InvalidUtf8("character data"));
+        };
+        if refs {
+            let limit = self.limits.max_entity_expansions;
+            references(raw, start, &mut self.expansions, limit, None)?;
         }
-        let mut out = String::with_capacity(s.len());
-        let limit = self.limits.max_entity_expansions;
-        references(s, start, &mut self.expansions, limit, Some(&mut out))?;
-        Ok(Cow::Owned(out))
+        Ok(Escaped { raw, refs })
     }
 }
 
@@ -969,60 +850,118 @@ const SPACE: u8 = 4;
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<Event<'_>>, XmlError> {
-        events_limited(input, ParserLimits::default())
+    /// One visitor call. `End` carries the name the recorder's own stack
+    /// of open names gives.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Call {
+        Start(String),
+        Attr(String, String),
+        End(String),
+        Text(String),
     }
 
-    fn events_limited(input: &str, limits: ParserLimits) -> Result<Vec<Event<'_>>, XmlError> {
-        let mut r = Reader::with_limits(input.as_bytes(), limits);
-        let mut out = Vec::new();
-        loop {
-            let e = r.next_event()?;
-            let eof = e == Event::Eof;
-            out.push(e);
-            if eof {
-                return Ok(out);
-            }
+    fn start(name: &str) -> Call {
+        Call::Start(name.into())
+    }
+
+    fn end(name: &str) -> Call {
+        Call::End(name.into())
+    }
+
+    fn attr(name: &str, value: &str) -> Call {
+        Call::Attr(name.into(), value.into())
+    }
+
+    fn text(run: &str) -> Call {
+        Call::Text(run.into())
+    }
+
+    /// Records every call, values and runs decoded, and whether each
+    /// decoded value or run still borrows the input.
+    #[derive(Default)]
+    struct Recorder {
+        open: Vec<String>,
+        calls: Vec<Call>,
+        borrowed: Vec<bool>,
+    }
+
+    impl ElementVisitor for Recorder {
+        fn enter(&mut self, _: NodeId, tag: &str) {
+            self.open.push(tag.to_string());
+            self.calls.push(start(tag));
         }
+        fn attribute(&mut self, name: &str, value: Escaped<'_>) {
+            let value = value.decode();
+            self.borrowed.push(matches!(value, Cow::Borrowed(_)));
+            self.calls.push(attr(name, &value));
+        }
+        fn text(&mut self, run: Escaped<'_>) {
+            let run = run.decode();
+            self.borrowed.push(matches!(run, Cow::Borrowed(_)));
+            self.calls.push(text(&run));
+        }
+        fn leave(&mut self) {
+            let name = self.open.pop().expect("a leave without an enter");
+            self.calls.push(Call::End(name));
+        }
+    }
+
+    fn calls(input: &str) -> Result<Vec<Call>, XmlError> {
+        calls_limited(input, ParserLimits::default())
+    }
+
+    fn calls_limited(input: &str, limits: ParserLimits) -> Result<Vec<Call>, XmlError> {
+        let mut seen = Recorder::default();
+        Reader::with_limits(input.as_bytes(), limits).read(&mut seen)?;
+        Ok(seen.calls)
     }
 
     #[test]
     fn basic_document() {
-        let ev = events("<a><b>text</b><c/></a>").unwrap();
-        assert_eq!(ev.len(), 8);
-        assert_eq!(ev[0], Event::Start { name: "a" });
-        assert!(matches!(&ev[2], Event::Text(t) if t == "text"));
         // An empty-element tag is a start and its own end.
-        assert_eq!(ev[4], Event::Start { name: "c" });
-        assert_eq!(ev[5], Event::End { name: "c" });
-        assert_eq!(ev[6], Event::End { name: "a" });
-    }
-
-    #[test]
-    fn attributes_parsed() {
-        let ev = events(r#"<a x="1" y='two'/>"#).unwrap();
-        let attr = |name, value: &'static str| Event::Attribute {
-            name,
-            value: Cow::Borrowed(value),
-        };
         assert_eq!(
-            ev,
+            calls("<a><b>text</b><c/></a>").unwrap(),
             [
-                Event::Start { name: "a" },
-                attr("x", "1"),
-                attr("y", "two"),
-                Event::End { name: "a" },
-                Event::Eof
+                start("a"),
+                start("b"),
+                text("text"),
+                end("b"),
+                start("c"),
+                end("c"),
+                end("a")
             ]
         );
     }
 
     #[test]
+    fn elements_are_counted_and_numbered_in_document_order() {
+        struct Ids(Vec<NodeId>);
+        impl ElementVisitor for Ids {
+            fn enter(&mut self, id: NodeId, _: &str) {
+                self.0.push(id);
+            }
+            fn leave(&mut self) {}
+        }
+        let mut ids = Ids(Vec::new());
+        let read = Reader::new(b"<a><b/>t<c><d/></c></a>").read(&mut ids);
+        assert_eq!(read, Ok(4));
+        assert_eq!(ids.0, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn attributes_parsed() {
+        assert_eq!(
+            calls(r#"<a x="1" y='two'/>"#).unwrap(),
+            [start("a"), attr("x", "1"), attr("y", "two"), end("a")]
+        );
+    }
+
+    #[test]
     fn entities_decoded() {
-        let ev = events("<a>&lt;hi&gt; &amp; &#65;&#x42;</a>").unwrap();
-        assert!(matches!(&ev[1], Event::Text(t) if t == "<hi> & AB"));
-        let ev = events(r#"<a v="&quot;q&apos;"/>"#).unwrap();
-        assert!(matches!(&ev[1], Event::Attribute { name: "v", value } if value == "\"q'"));
+        let seen = calls("<a>&lt;hi&gt; &amp; &#65;&#x42;</a>").unwrap();
+        assert_eq!(seen[1], text("<hi> & AB"));
+        let seen = calls(r#"<a v="&quot;q&apos;"/>"#).unwrap();
+        assert_eq!(seen[1], attr("v", "\"q'"));
     }
 
     #[test]
@@ -1031,29 +970,30 @@ mod tests {
             <!DOCTYPE a [<!ELEMENT a (b)>]>
             <!-- top comment -->
             <a><!-- inner --><![CDATA[raw <stuff> & more]]></a>"#;
-        let ev = events(src).unwrap();
-        assert_eq!(ev[0], Event::Start { name: "a" });
-        assert!(matches!(&ev[1], Event::Text(t) if t == "raw <stuff> & more"));
+        assert_eq!(
+            calls(src).unwrap(),
+            [start("a"), text("raw <stuff> & more"), end("a")]
+        );
     }
 
     #[test]
     fn whitespace_text_suppressed() {
-        let ev = events("<a>\n  <b/>\n</a>").unwrap();
-        assert_eq!(ev.len(), 5); // start a, start b, end b, end a, eof
+        let seen = calls("<a>\n  <b/>\n</a>").unwrap();
+        assert_eq!(seen, [start("a"), start("b"), end("b"), end("a")]);
     }
 
     #[test]
     fn mismatched_tags_rejected() {
         assert!(matches!(
-            events("<a><b></a></b>").unwrap_err().kind,
+            calls("<a><b></a></b>").unwrap_err().kind,
             XmlErrorKind::MismatchedEndTag { .. }
         ));
         assert!(matches!(
-            events("<a>").unwrap_err().kind,
+            calls("<a>").unwrap_err().kind,
             XmlErrorKind::UnexpectedEof(_)
         ));
         assert!(matches!(
-            events("</a>").unwrap_err().kind,
+            calls("</a>").unwrap_err().kind,
             XmlErrorKind::UnmatchedEndTag(_)
         ));
     }
@@ -1061,21 +1001,21 @@ mod tests {
     #[test]
     fn multiple_roots_rejected() {
         assert_eq!(
-            events("<a/><b/>").unwrap_err().kind,
+            calls("<a/><b/>").unwrap_err().kind,
             XmlErrorKind::MultipleRoots
         );
     }
 
     #[test]
     fn text_outside_root_rejected() {
-        assert!(events("hello<a/>").is_err());
-        assert!(events("<a/>tail").is_err());
+        assert!(calls("hello<a/>").is_err());
+        assert!(calls("<a/>tail").is_err());
     }
 
     #[test]
     fn duplicate_attribute_rejected() {
         assert_eq!(
-            events(r#"<a x="1" x="2"/>"#).unwrap_err().kind,
+            calls(r#"<a x="1" x="2"/>"#).unwrap_err().kind,
             XmlErrorKind::DuplicateAttribute("x".into())
         );
     }
@@ -1095,22 +1035,21 @@ mod tests {
             "<!-- never closed",
             "<a><![CDATA[x</a>",
         ] {
-            assert!(events(bad).is_err(), "expected error for {bad:?}");
+            assert!(calls(bad).is_err(), "expected error for {bad:?}");
         }
     }
 
     #[test]
     fn error_positions() {
-        let err = events("<a></b>").unwrap_err();
+        let err = calls("<a></b>").unwrap_err();
         assert!(err.to_string().contains("mismatched end tag"));
         assert!(err.pos > 0);
     }
 
     #[test]
     fn namespaced_names_pass_through() {
-        let ev = events("<ns:a ns:x=\"1\"><ns:b/></ns:a>").unwrap();
-        assert_eq!(ev[0], Event::Start { name: "ns:a" });
-        assert!(matches!(&ev[1], Event::Attribute { name: "ns:x", .. }));
+        let seen = calls("<ns:a ns:x=\"1\"><ns:b/></ns:a>").unwrap();
+        assert_eq!(seen[..2], [start("ns:a"), attr("ns:x", "1")]);
     }
 
     #[test]
@@ -1120,9 +1059,9 @@ mod tests {
             ..ParserLimits::default()
         };
         let ok = "<a><a><a><a/></a></a></a>";
-        assert!(events_limited(ok, limits).is_ok());
+        assert!(calls_limited(ok, limits).is_ok());
         let deep = "<a><a><a><a><a/></a></a></a></a>";
-        let err = events_limited(deep, limits).unwrap_err();
+        let err = calls_limited(deep, limits).unwrap_err();
         assert_eq!(err.kind, XmlErrorKind::DepthLimitExceeded(4));
         assert!(err.is_limit());
     }
@@ -1133,8 +1072,8 @@ mod tests {
             max_document_bytes: 16,
             ..ParserLimits::default()
         };
-        assert!(events_limited("<a/>", limits).is_ok());
-        let err = events_limited("<a>0123456789012345</a>", limits).unwrap_err();
+        assert!(calls_limited("<a/>", limits).is_ok());
+        let err = calls_limited("<a>0123456789012345</a>", limits).unwrap_err();
         assert_eq!(err.kind, XmlErrorKind::DocumentTooLarge(16));
     }
 
@@ -1145,17 +1084,15 @@ mod tests {
             max_attribute_value_len: 4,
             ..ParserLimits::default()
         };
-        assert!(events_limited(r#"<a x="1" y="2"/>"#, limits).is_ok());
+        assert!(calls_limited(r#"<a x="1" y="2"/>"#, limits).is_ok());
         assert_eq!(
-            events_limited(r#"<a x="1" y="2" z="3"/>"#, limits)
+            calls_limited(r#"<a x="1" y="2" z="3"/>"#, limits)
                 .unwrap_err()
                 .kind,
             XmlErrorKind::TooManyAttributes(2)
         );
         assert_eq!(
-            events_limited(r#"<a x="12345"/>"#, limits)
-                .unwrap_err()
-                .kind,
+            calls_limited(r#"<a x="12345"/>"#, limits).unwrap_err().kind,
             XmlErrorKind::AttributeValueTooLong(4)
         );
     }
@@ -1166,9 +1103,9 @@ mod tests {
             max_name_len: 8,
             ..ParserLimits::default()
         };
-        assert!(events_limited("<abcdefgh/>", limits).is_ok());
+        assert!(calls_limited("<abcdefgh/>", limits).is_ok());
         assert_eq!(
-            events_limited("<abcdefghi/>", limits).unwrap_err().kind,
+            calls_limited("<abcdefghi/>", limits).unwrap_err().kind,
             XmlErrorKind::NameTooLong(8)
         );
     }
@@ -1179,9 +1116,9 @@ mod tests {
             max_entity_expansions: 3,
             ..ParserLimits::default()
         };
-        assert!(events_limited("<a>&amp;&lt;&gt;</a>", limits).is_ok());
+        assert!(calls_limited("<a>&amp;&lt;&gt;</a>", limits).is_ok());
         // Budget is per document, across text runs and attribute values.
-        let err = events_limited(r#"<a v="&amp;&amp;">&amp;&amp;</a>"#, limits).unwrap_err();
+        let err = calls_limited(r#"<a v="&amp;&amp;">&amp;&amp;</a>"#, limits).unwrap_err();
         assert_eq!(err.kind, XmlErrorKind::EntityExpansionLimit(3));
     }
 
@@ -1192,36 +1129,38 @@ mod tests {
         for _ in 0..100 {
             deep.push_str("<d>");
         }
-        let err = events_limited(&deep, limits).unwrap_err();
+        let err = calls_limited(&deep, limits).unwrap_err();
         assert!(err.pos <= deep.len());
         assert!(err.is_limit());
     }
 
     #[test]
     fn undecoded_values_and_text_borrow_the_input() {
-        let ev = events(r#"<a x="plain" y="a&amp;b">run<![CDATA[<c>]]>&lt;</a>"#).unwrap();
-        assert!(matches!(
-            &ev[1],
-            Event::Attribute {
-                value: Cow::Borrowed("plain"),
-                ..
-            }
-        ));
-        assert!(matches!(&ev[2], Event::Attribute { value: Cow::Owned(v), .. } if v == "a&b"));
-        assert!(matches!(&ev[3], Event::Text(Cow::Borrowed("run"))));
-        assert!(matches!(&ev[4], Event::Text(Cow::Borrowed("<c>"))));
-        assert!(matches!(&ev[5], Event::Text(Cow::Owned(t)) if t == "<"));
+        let mut seen = Recorder::default();
+        let src = br#"<a x="plain" y="a&amp;b">run<![CDATA[<c>]]>&lt;</a>"#;
+        Reader::new(src).read(&mut seen).unwrap();
+        assert_eq!(
+            seen.calls[1..6],
+            [
+                attr("x", "plain"),
+                attr("y", "a&b"),
+                text("run"),
+                text("<c>"),
+                text("<")
+            ]
+        );
+        assert_eq!(seen.borrowed, [true, false, true, true, false]);
     }
 
     #[test]
-    fn a_malformed_start_tag_fails_after_its_start_event() {
-        let mut r = Reader::new(b"<a x=\"1\" x=\"2\"/>");
-        assert_eq!(r.next_event().unwrap(), Event::Start { name: "a" });
-        assert!(matches!(r.next_event().unwrap(), Event::Attribute { .. }));
+    fn a_malformed_start_tag_fails_after_its_enter() {
+        let mut seen = Recorder::default();
+        let err = Reader::new(b"<a x=\"1\" x=\"2\"/>").read(&mut seen);
         assert_eq!(
-            r.next_event().unwrap_err().kind,
+            err.unwrap_err().kind,
             XmlErrorKind::DuplicateAttribute("x".into())
         );
+        assert_eq!(seen.calls, [start("a"), attr("x", "1")]);
     }
 
     #[test]
@@ -1250,14 +1189,14 @@ mod tests {
                 XmlErrorKind::Unterminated("entity reference"),
             ),
         ] {
-            assert_eq!(events(src).unwrap_err(), XmlError::new(pos, kind), "{src}");
+            assert_eq!(calls(src).unwrap_err(), XmlError::new(pos, kind), "{src}");
         }
         let limits = ParserLimits {
             max_entity_expansions: 2,
             ..ParserLimits::default()
         };
         assert_eq!(
-            events_limited("<a>&amp;x&amp;y&amp;</a>", limits).unwrap_err(),
+            calls_limited("<a>&amp;x&amp;y&amp;</a>", limits).unwrap_err(),
             XmlError::new(15, XmlErrorKind::EntityExpansionLimit(2))
         );
     }
@@ -1267,13 +1206,11 @@ mod tests {
         // The first document fails with two elements open and one
         // attribute name recorded.
         let mut r = Reader::new(b"<a><b x=\"1\" <");
-        while r.next_event().is_ok() {}
+        assert!(r.read(&mut Recorder::default()).is_err());
         let bufs = r.into_buffers();
         let mut r = Reader::with_buffers(b"<x x=\"1\"/>", ParserLimits::default(), bufs);
-        let mut n = 0;
-        while r.next_event().unwrap() != Event::Eof {
-            n += 1;
-        }
-        assert_eq!(n, 3);
+        let mut seen = Recorder::default();
+        assert_eq!(r.read(&mut seen), Ok(1));
+        assert_eq!(seen.calls, [start("x"), attr("x", "1"), end("x")]);
     }
 }

@@ -8,8 +8,9 @@
 //! which forms the *structure tuples* used for nested-path matching (paper
 //! §5, Fig. 4).
 
+use crate::access::ElementVisitor;
 use crate::limits::ParserLimits;
-use crate::reader::{Event, Reader, XmlError, XmlErrorKind};
+use crate::reader::{Escaped, Reader, XmlError, XmlErrorKind};
 
 /// Identifier of an element within its [`Document`] (index into the arena).
 pub type NodeId = u32;
@@ -79,20 +80,12 @@ impl Document {
 
     /// Parses a document from raw bytes, enforcing a resource budget.
     pub fn parse_with_limits(bytes: &[u8], limits: ParserLimits) -> Result<Document, XmlError> {
-        let mut reader = Reader::with_limits(bytes, limits);
-        let mut builder = DocumentBuilder::new();
-        loop {
-            match reader.next_event()? {
-                Event::Start { name } => builder.start(name),
-                Event::Attribute { name, value } => builder.attr(name, &value),
-                Event::End { .. } => builder.end(),
-                Event::Text(t) => builder.text(&t),
-                Event::Eof => break,
-            };
-        }
+        let mut build = Build(DocumentBuilder::new());
+        Reader::with_limits(bytes, limits).read(&mut build)?;
         // The reader enforces tag balance, so the only way `finish` can
         // fail here is a document with no elements at all.
-        builder
+        build
+            .0
             .finish()
             .map_err(|_| XmlError::new(bytes.len(), XmlErrorKind::EmptyDocument))
     }
@@ -130,7 +123,7 @@ impl Document {
     /// Invokes `f` for each root-to-leaf path, passing the node ids from the
     /// root down to a leaf. The slice is only valid for the duration of the
     /// call (the buffer is reused — no per-path allocation).
-    pub fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, mut f: F) {
+    fn for_each_leaf_path<F: FnMut(&[NodeId])>(&self, mut f: F) {
         if self.nodes.is_empty() {
             return;
         }
@@ -157,8 +150,7 @@ impl Document {
         }
     }
 
-    /// Collects all root-to-leaf paths. Prefer [`Self::for_each_leaf_path`]
-    /// in hot code.
+    /// Collects all root-to-leaf paths.
     pub fn leaf_paths(&self) -> Vec<Vec<NodeId>> {
         let mut out = Vec::new();
         self.for_each_leaf_path(|p| out.push(p.to_vec()));
@@ -215,6 +207,27 @@ fn escape_into(s: &str, out: &mut String) {
             '\'' => out.push_str("&apos;"),
             c => out.push(c),
         }
+    }
+}
+
+/// [`Document::parse`]'s visitor: the reader's calls, built into a tree.
+struct Build(DocumentBuilder);
+
+impl ElementVisitor for Build {
+    fn enter(&mut self, _: NodeId, tag: &str) {
+        self.0.start(tag);
+    }
+
+    fn attribute(&mut self, name: &str, value: Escaped<'_>) {
+        self.0.attr(name, &value.decode());
+    }
+
+    fn text(&mut self, run: Escaped<'_>) {
+        self.0.text(&run.decode());
+    }
+
+    fn leave(&mut self) {
+        self.0.end();
     }
 }
 

@@ -1,9 +1,72 @@
-//! Generators shared by the parsing suites (`fuzz_reader`,
-//! `store_equivalence`): seeded XML-flavoured byte soup, small well-formed
-//! documents and byte-level mutations of them.
+//! What the parsing suites (`fuzz_reader`, `randomized_reader`,
+//! `reader_golden`, `store_equivalence`) share: a visitor that records
+//! every call the reader makes, seeded XML-flavoured byte soup, small
+//! well-formed documents and byte-level mutations of them.
 #![allow(dead_code)] // each suite uses its own subset
 
 use pxf_rng::Rng;
+use pxf_xml::{ElementVisitor, Escaped, NodeId, ParserLimits, Reader, XmlError};
+
+/// One call of [`Reader::read`], values and text decoded. `End` carries
+/// the name the recorder's own stack of open names gives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Call {
+    Start(String),
+    Attribute(String, String),
+    End(String),
+    Text(String),
+}
+
+/// Records every call, and panics past `cap` calls: the reader only moves
+/// forward, so more calls than that means it is stuck.
+struct Recorder {
+    open: Vec<String>,
+    calls: Vec<Call>,
+    cap: usize,
+}
+
+impl Recorder {
+    fn push(&mut self, call: Call) {
+        assert!(
+            self.calls.len() < self.cap,
+            "over {} calls: stuck?",
+            self.cap
+        );
+        self.calls.push(call);
+    }
+}
+
+impl ElementVisitor for Recorder {
+    fn enter(&mut self, _: NodeId, tag: &str) {
+        self.open.push(tag.to_string());
+        self.push(Call::Start(tag.to_string()));
+    }
+    fn attribute(&mut self, name: &str, value: Escaped<'_>) {
+        self.push(Call::Attribute(
+            name.to_string(),
+            value.decode().into_owned(),
+        ));
+    }
+    fn text(&mut self, run: Escaped<'_>) {
+        self.push(Call::Text(run.decode().into_owned()));
+    }
+    fn leave(&mut self) {
+        let name = self.open.pop().expect("a leave without an enter");
+        self.push(Call::End(name));
+    }
+}
+
+/// Reads `input` under `limits`: the calls the reader made, and how the
+/// read ended.
+pub fn record(input: &[u8], limits: ParserLimits) -> (Vec<Call>, Result<usize, XmlError>) {
+    let mut recorder = Recorder {
+        open: Vec::new(),
+        calls: Vec::new(),
+        cap: 2 * input.len() + 16,
+    };
+    let read = Reader::with_limits(input, limits).read(&mut recorder);
+    (recorder.calls, read)
+}
 
 /// Seed shared by the whole suite; bump to explore a different corpus.
 pub const SEED: u64 = 0x5eed_f00d;

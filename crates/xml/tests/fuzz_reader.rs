@@ -3,32 +3,17 @@
 //! Thousands of deterministic (`pxf-rng`) mutated byte strings are pushed
 //! through [`Reader`], [`Document::parse`], [`PathDoc::parse`], and
 //! [`DocumentStream`]. The properties under test are uniform: parsing
-//! never panics, always terminates (bounded event counts stand in for a
-//! wall clock — the parsers are strictly forward-moving), and every error
-//! carries a byte position inside the input. The fixed seeds make any
-//! failure reproducible from the test name alone.
+//! never panics, always terminates (the recording visitor's cap on the
+//! reader's calls stands in for a wall clock — the parsers are strictly
+//! forward-moving), and every error carries a byte position inside the
+//! input. The fixed seeds make any failure reproducible from the test
+//! name alone.
 
 mod common;
 
-use common::{arb_bytes, arb_doc, mutate, SEED};
+use common::{arb_bytes, arb_doc, mutate, record, SEED};
 use pxf_rng::Rng;
-use pxf_xml::{Document, DocumentStream, Event, ParserLimits, PathDoc, Reader};
-
-/// Drives the pull parser to completion (or error), bounding the event
-/// count: the reader consumes input monotonically, so events are at most
-/// ~len + 1, and exceeding that proves a non-termination bug.
-fn drain_reader(input: &[u8], limits: ParserLimits) -> Result<usize, pxf_xml::XmlError> {
-    let mut reader = Reader::with_limits(input, limits);
-    let cap = 2 * input.len() + 16;
-    for events in 0.. {
-        assert!(events <= cap, "reader produced over {cap} events — stuck?");
-        match reader.next_event()? {
-            Event::Eof => return Ok(events),
-            _ => continue,
-        }
-    }
-    unreachable!()
-}
+use pxf_xml::{Document, DocumentStream, ParserLimits, PathDoc};
 
 #[test]
 fn random_byte_soup_never_panics_and_errors_stay_in_bounds() {
@@ -36,7 +21,7 @@ fn random_byte_soup_never_panics_and_errors_stay_in_bounds() {
     for case in 0..4_000 {
         let input = arb_bytes(&mut rng, 200);
         for limits in [ParserLimits::default(), ParserLimits::strict()] {
-            if let Err(e) = drain_reader(&input, limits) {
+            if let Err(e) = record(&input, limits).1 {
                 assert!(
                     e.pos <= input.len(),
                     "case {case}: error position {} outside input of {} bytes: {e}",
@@ -54,10 +39,10 @@ fn mutated_documents_never_panic_any_parser() {
     for case in 0..3_000 {
         let base = arb_doc(&mut rng);
         let input = mutate(&mut rng, &base);
-        let _ = drain_reader(&input, ParserLimits::default());
+        let _ = record(&input, ParserLimits::default());
         let tree = Document::parse(&input);
         let flat = PathDoc::parse(&input);
-        // The two parsers see identical event streams, so they must agree
+        // The two parsers see identical calls of one loop, so they must agree
         // on accept/reject for every input.
         assert_eq!(
             tree.is_ok(),

@@ -2,8 +2,11 @@
 //! the builder must serialize and re-parse to the same tree; leaf-path
 //! extraction invariants. Seeded randomized sweeps (in-tree PRNG).
 
+mod common;
+
+use common::record;
 use pxf_rng::Rng;
-use pxf_xml::{Document, DocumentBuilder, Reader};
+use pxf_xml::{Document, DocumentBuilder, ParserLimits};
 
 #[test]
 fn reader_never_panics_on_arbitrary_bytes() {
@@ -11,13 +14,8 @@ fn reader_never_panics_on_arbitrary_bytes() {
     for _ in 0..1024 {
         let len = rng.gen_range(0..200usize);
         let input: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
-        let mut r = Reader::new(&input);
-        for _ in 0..300 {
-            match r.next_event() {
-                Ok(pxf_xml::Event::Eof) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
+        // The recorder's call cap stands in for a stuck reader.
+        let _ = record(&input, ParserLimits::default());
     }
 }
 

@@ -1,20 +1,23 @@
-//! Golden trace of the tokenizer: what [`Reader`] yields, event by event,
-//! and where and how it fails, pinned for thousands of seeded inputs.
+//! Golden trace of the tokenizer: what [`Reader::read`] shows a visitor,
+//! call by call, and where and how it fails, pinned for thousands of
+//! seeded inputs.
 //!
 //! The other parsing suites compare one `Reader`-fed consumer with another
 //! (`store_equivalence`, `fused_equivalence`) or check error kinds only
 //! (`corpus`), so a tokenizer that moved every error by one byte, or
 //! decoded a value differently, would pass them all. This one compares
 //! against a checked-in file, `tests/golden/reader_trace.txt`: one line
-//! per input, holding an FNV-1a hash of the full event sequence (variant,
-//! name, value, text) and of the final error's kind, the event count, and
+//! per input, holding an FNV-1a hash of the full sequence of calls (kind,
+//! name, decoded value, decoded text; a `leave` with the name of the
+//! element it closes) and of the final error's kind, the call count, and
 //! the verdict (`ok`, or the error's variant and byte offset), under the
 //! default limits and then under [`ParserLimits::strict`] (`=` when the
-//! two traces agree). The hash also covers what
-//! [`PathDoc::visit_bytes`] — the tokenizer read for element structure
-//! only, the read every memo-on match makes — shows a visitor: each
-//! `enter` with its id and tag, each `leave`, and its error; its verdict
-//! is written out as well where it differs from the reader's.
+//! two traces agree). The file was written when the reader was a pull
+//! parser, one event per call here, and still holds. The hash also covers
+//! what [`PathDoc::visit_bytes`] — the same loop read for element
+//! structure only, the read every memo-on match makes — shows a visitor:
+//! each `enter` with its id and tag, each `leave`, and its error; its
+//! verdict is written out as well where it differs from the reader's.
 //!
 //! The inputs are the `tests/corpus/` files, seeded NITF and PSD documents
 //! clean, [`FaultInjector`]-damaged and truncated, the `fuzz_reader` byte
@@ -28,10 +31,10 @@
 
 mod common;
 
-use common::{arb_bytes, arb_doc, mutate, SEED};
+use common::{arb_bytes, arb_doc, mutate, record, Call, SEED};
 use pxf_rng::Rng;
 use pxf_workload::{FaultInjector, Regime, XmlGenerator};
-use pxf_xml::{ElementVisitor, Event, NodeId, ParserLimits, PathDoc, Reader, XmlError};
+use pxf_xml::{ElementVisitor, NodeId, ParserLimits, PathDoc, XmlError};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -89,37 +92,31 @@ impl ElementVisitor for Calls<'_> {
 /// The trace of one input under one budget: `hash events verdict`, and
 /// ` visit:verdict` if the element-only read ends otherwise.
 fn trace(input: &[u8], limits: ParserLimits) -> String {
-    let mut reader = Reader::with_limits(input, limits);
     let mut hash = Fnv::new();
-    // The reader only moves forward, so more events than bytes means it
-    // is stuck.
-    let cap = 2 * input.len() + 16;
-    let mut events = 0usize;
-    let read = loop {
-        assert!(events <= cap, "over {cap} events: {input:?}");
-        match reader.next_event() {
-            Ok(Event::Eof) => break Ok(()),
-            Ok(Event::Start { name }) => {
+    let (calls, read) = record(input, limits);
+    for call in &calls {
+        match call {
+            Call::Start(name) => {
                 hash.field(b"S");
                 hash.field(name.as_bytes());
             }
-            Ok(Event::Attribute { name, value }) => {
+            Call::Attribute(name, value) => {
                 hash.field(b"A");
                 hash.field(name.as_bytes());
                 hash.field(value.as_bytes());
             }
-            Ok(Event::End { name }) => {
+            Call::End(name) => {
                 hash.field(b"E");
                 hash.field(name.as_bytes());
             }
-            Ok(Event::Text(text)) => {
+            Call::Text(text) => {
                 hash.field(b"T");
                 hash.field(text.as_bytes());
             }
-            Err(e) => break Err(e),
         }
-        events += 1;
-    };
+    }
+    let events = calls.len();
+    let read = read.map(|_| ());
     let read = verdict(&mut hash, read);
     let visited = PathDoc::default().visit_bytes(input, limits, &mut Calls(&mut hash));
     let visited = verdict(&mut hash, visited);
